@@ -152,7 +152,7 @@ let all_figures =
     ("eadr", Experiments.Figures.eadr);
     ("fh5", Experiments.Figures.fh5);
     ("sec6_7", Experiments.Figures.sec6_7);
-    ("sec6_8", Experiments.Figures.sec6_8);
+    ("sec6_8", fun scale -> Experiments.Figures.sec6_8 scale);
     ("crashmc", crashmc);
     ("stats", stats);
     ("service", service);

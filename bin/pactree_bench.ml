@@ -162,7 +162,7 @@ let run_figure name full =
     | "eadr" -> Experiments.Figures.eadr
     | "fh5" -> Experiments.Figures.fh5
     | "sec6_7" -> Experiments.Figures.sec6_7
-    | "sec6_8" -> Experiments.Figures.sec6_8
+    | "sec6_8" -> (fun scale -> Experiments.Figures.sec6_8 scale)
     | other -> Printf.ksprintf failwith "unknown figure %S" other
   in
   f scale
@@ -182,14 +182,13 @@ let run_crash rounds obs_out =
   let scale =
     { Experiments.Scale.quick with Experiments.Scale.keys = 20_000; ops = 20_000 }
   in
-  ignore rounds;
   (* Time-only recorder (no single machine spans the rounds): shows
      how much simulated time the rounds spend in the recovery phase. *)
   let span = Option.map (fun _ -> Obs.Span.create ()) obs_out in
   Option.iter Obs.Span.install span;
   Fun.protect
     ~finally:(fun () -> Option.iter Obs.Span.uninstall span)
-    (fun () -> Experiments.Figures.sec6_8 scale);
+    (fun () -> Experiments.Figures.sec6_8 ~rounds scale);
   match (obs_out, span) with
   | Some path, Some s ->
       Format.printf "%a@." Obs.Span.pp_table s;

@@ -117,8 +117,9 @@ let lookup t key =
   let rec read attempt =
     if attempt > 10_000 then failwith "FPTree: read livelock";
     let v = Vlock.begin_read h ~gen:t.gen in
-    let r = Node.find t.lay leaf key in
-    if Vlock.validate h ~gen:t.gen ~version:v then Option.map snd r
+    let slot = Node.find t.lay leaf key in
+    let r = if slot >= 0 then Some (Node.found_value ()) else None in
+    if Vlock.validate h ~gen:t.gen ~version:v then r
     else read (attempt + 1)
   in
   read 0
@@ -174,10 +175,10 @@ let insert t key value =
   let leaf, wv = locked_leaf t key 0 in
   let release l v = Vlock.release (Node.lock_handle l) ~gen:t.gen ~version:v in
   match Node.find t.lay leaf key with
-  | Some _ ->
+  | slot when slot >= 0 ->
       ignore (Node.update t.lay leaf key value);
       release leaf wv
-  | None -> (
+  | _ -> (
       match Node.insert t.lay leaf key value with
       | Node.Ok ->
           t.cardinal_estimate <- t.cardinal_estimate + 1;

@@ -41,7 +41,10 @@ let create machine ?(alloc_kind = Heap.Pmdk) ?(capacity = 1 lsl 26) ?numa_pools 
   in
   Pmalloc.Registry.register meta;
   let epoch = Pactree.Epoch.create () in
-  let art = Art.create ~heap ~meta ~epoch ~key_of_leaf:record_key in
+  let art =
+    Art.create ~heap ~meta ~epoch ~key_of_leaf:record_key ~compare_leaf:(fun p rkey ->
+        String.compare (record_key p) rkey)
+  in
   { machine; heap; meta; art; epoch }
 
 let alloc_record t rkey value =

@@ -1,32 +1,42 @@
-(* Binary min-heap in a growable array.  Entries carry a sequence
-   number so that events scheduled at the same instant are delivered in
-   insertion order, which makes simulation runs deterministic. *)
-
-type 'a entry = { time : float; seq : int; value : 'a }
+(* Binary min-heap over three parallel arrays: unboxed times, sequence
+   numbers and values.  The sequence number breaks ties so that events
+   scheduled at the same instant are delivered in insertion order, which
+   makes simulation runs deterministic.  Adding and popping allocate
+   nothing once the arrays have grown to the queue's peak size. *)
 
 type 'a t = {
-  mutable heap : 'a entry array;
+  dummy : 'a; (* fills vacated value slots so popped values can be collected *)
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable values : 'a array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0 }
+let create ~dummy () =
+  { dummy; times = [||]; seqs = [||]; values = [||]; size = 0; next_seq = 0 }
 
 let is_empty q = q.size = 0
 
 let length q = q.size
 
-let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let earlier q i j =
+  let ti = Array.unsafe_get q.times i and tj = Array.unsafe_get q.times j in
+  ti < tj || (ti = tj && Array.unsafe_get q.seqs i < Array.unsafe_get q.seqs j)
 
 let swap q i j =
-  let tmp = q.heap.(i) in
-  q.heap.(i) <- q.heap.(j);
-  q.heap.(j) <- tmp
+  let t = q.times.(i) and s = q.seqs.(i) and v = q.values.(i) in
+  q.times.(i) <- q.times.(j);
+  q.seqs.(i) <- q.seqs.(j);
+  q.values.(i) <- q.values.(j);
+  q.times.(j) <- t;
+  q.seqs.(j) <- s;
+  q.values.(j) <- v
 
 let rec sift_up q i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if earlier q.heap.(i) q.heap.(parent) then begin
+    if earlier q i parent then begin
       swap q i parent;
       sift_up q parent
     end
@@ -34,41 +44,50 @@ let rec sift_up q i =
 
 let rec sift_down q i =
   let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < q.size && earlier q.heap.(left) q.heap.(!smallest) then
-    smallest := left;
-  if right < q.size && earlier q.heap.(right) q.heap.(!smallest) then
-    smallest := right;
-  if !smallest <> i then begin
-    swap q i !smallest;
-    sift_down q !smallest
+  let smallest = if left < q.size && earlier q left i then left else i in
+  let smallest = if right < q.size && earlier q right smallest then right else smallest in
+  if smallest <> i then begin
+    swap q i smallest;
+    sift_down q smallest
   end
 
-let grow q entry =
-  let capacity = Array.length q.heap in
+let grow q =
+  let capacity = Array.length q.values in
   if q.size = capacity then begin
     let new_capacity = max 16 (2 * capacity) in
-    let heap = Array.make new_capacity entry in
-    Array.blit q.heap 0 heap 0 q.size;
-    q.heap <- heap
+    let times = Array.make new_capacity 0.0 in
+    let seqs = Array.make new_capacity 0 in
+    let values = Array.make new_capacity q.dummy in
+    Array.blit q.times 0 times 0 q.size;
+    Array.blit q.seqs 0 seqs 0 q.size;
+    Array.blit q.values 0 values 0 q.size;
+    q.times <- times;
+    q.seqs <- seqs;
+    q.values <- values
   end
 
 let add q ~time value =
-  let entry = { time; seq = q.next_seq; value } in
+  grow q;
+  let i = q.size in
+  q.times.(i) <- time;
+  q.seqs.(i) <- q.next_seq;
+  q.values.(i) <- value;
   q.next_seq <- q.next_seq + 1;
-  grow q entry;
-  q.heap.(q.size) <- entry;
-  q.size <- q.size + 1;
-  sift_up q (q.size - 1)
+  q.size <- i + 1;
+  sift_up q i
+
+let min_time q =
+  if q.size = 0 then raise Not_found;
+  q.times.(0)
 
 let pop_min q =
   if q.size = 0 then raise Not_found;
-  let top = q.heap.(0) in
-  q.size <- q.size - 1;
-  if q.size > 0 then begin
-    q.heap.(0) <- q.heap.(q.size);
-    sift_down q 0
-  end;
-  (top.time, top.value)
-
-let min_time q = if q.size = 0 then None else Some q.heap.(0).time
+  let top = q.values.(0) in
+  let last = q.size - 1 in
+  q.times.(0) <- q.times.(last);
+  q.seqs.(0) <- q.seqs.(last);
+  q.values.(0) <- q.values.(last);
+  q.values.(last) <- q.dummy;
+  q.size <- last;
+  if last > 0 then sift_down q 0;
+  top

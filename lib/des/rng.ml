@@ -1,29 +1,37 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer rather than a mutable
+   [int64] field, which would box a fresh [Int64] on every draw; [int],
+   [float] and [bool] inline the step and allocate nothing. *)
+type t = { state : Bytes.t }
 
-let create ~seed = { state = seed }
+let create ~seed =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_le state 0 seed;
+  { state }
 
 (* splitmix64 (Steele, Lea, Flood 2014): passes BigCrush, one 64-bit
    word of state, trivially splittable. *)
-let next t =
-  t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+let[@inline] step t =
+  let z = Int64.add (Bytes.get_int64_le t.state 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_le t.state 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = create ~seed:(next t)
+let next t = step t
+
+let split t = create ~seed:(step t)
 
 let int t bound =
   assert (bound > 0);
-  let mask = Int64.shift_right_logical (next t) 1 in
+  let mask = Int64.shift_right_logical (step t) 1 in
   Int64.to_int (Int64.rem mask (Int64.of_int bound))
 
 let float t =
   (* 53 high-quality bits -> [0, 1). *)
-  let bits = Int64.shift_right_logical (next t) 11 in
+  let bits = Int64.shift_right_logical (step t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
-let bool t = Int64.logand (next t) 1L = 1L
+let bool t = Int64.logand (step t) 1L = 1L
 
 (* Seed override for stochastic test suites: [PACTREE_SEED=n] rides
    over the baked-in default so a failure printed with its seed can be

@@ -64,6 +64,15 @@ val charge : float -> unit
     boundaries see [charge]d costs without forcing a context switch. *)
 val pending_charge : unit -> float
 
+(** A 128-byte buffer private to the calling simulated thread (the
+    host program outside a simulation has its own).  Hot paths copy
+    simulated memory into it instead of allocating: a copy that must
+    survive a simulated-time action (which lets other threads run)
+    cannot live in a buffer shared between threads.  The holder must
+    not call anything that uses the buffer itself while it still needs
+    the copy. *)
+val scratch : unit -> Bytes.t
+
 (** Yield the processor: reschedule the calling thread at the current
     time behind already-pending events. *)
 val yield : unit -> unit

@@ -394,9 +394,8 @@ let sec6_7 scale =
 
 (* ---- §6.8: crash-injection recovery test ---- *)
 
-let sec6_8 scale =
-  header "6.8: recovery under 100 injected crashes";
-  let rounds = 100 in
+let sec6_8 ?(rounds = 100) scale =
+  header (Printf.sprintf "6.8: recovery under %d injected crashes" rounds);
   let machine = Machine.create ~numa_count:2 () in
   let cfg =
     {

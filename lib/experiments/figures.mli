@@ -49,5 +49,6 @@ val fh5 : Scale.t -> unit
 val sec6_7 : Scale.t -> unit
 (** Jump-node distance distribution (§6.7). *)
 
-val sec6_8 : Scale.t -> unit
-(** Crash-injection recovery test (§6.8). *)
+val sec6_8 : ?rounds:int -> Scale.t -> unit
+(** Crash-injection recovery test (§6.8): [rounds] (default 100)
+    injected crashes, each followed by recovery and checks. *)

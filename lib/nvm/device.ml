@@ -132,10 +132,9 @@ let read t ~now ~xpline ~from_numa =
     after_coherence +. remote
   end
 
-(* Returns [(accepted, completed)]: [accepted] is when the write
-   enters the WPQ (the ADR persistent domain — what an sfence waits
-   for), [completed] is when the media transfer finishes (what bounds
-   throughput via channel occupancy). *)
+(* Returns when the write enters the WPQ (the ADR persistent domain —
+   what an sfence waits for).  The media transfer itself books the
+   channels, and through them bounds throughput. *)
 let write t ~now ~xpline ~bytes ~from_numa =
   assert (bytes > 0 && bytes <= xpline_size);
   let p = t.profile in
@@ -159,12 +158,10 @@ let write t ~now ~xpline ~bytes ~from_numa =
     +. rmw_cost
   in
   let write_done = channel_service t ~now cost in
-  let after_coherence = coherence_update t ~now:write_done ~xpline ~from_numa in
-  let completed = after_coherence +. remote in
+  let (_ : float) = coherence_update t ~now:write_done ~xpline ~from_numa in
   (* WPQ acceptance: fast when channels are free; back-pressured to
      the service start when the device is saturated. *)
-  let accepted = write_done -. cost +. p.Config.write_latency +. remote in
-  (accepted, completed)
+  write_done -. cost +. p.Config.write_latency +. remote
 
 let dram_access t ~now ~bytes =
   let p = t.profile in

@@ -32,10 +32,10 @@ val read : t -> now:float -> xpline:int -> from_numa:int -> float
 
 (** [write t ~now ~xpline ~bytes ~from_numa] models persisting [bytes]
     (<= 256) of XPLine [xpline].  Partial writes charge an extra 256B
-    RMW read.  Returns [(accepted, completed)]: when the write enters
-    the WPQ (ADR persistent domain — what a fence waits for) and when
-    the media transfer finishes (channel occupancy / bandwidth). *)
-val write : t -> now:float -> xpline:int -> bytes:int -> from_numa:int -> float * float
+    RMW read.  Returns when the write enters the WPQ (ADR persistent
+    domain — what a fence waits for); the media transfer books the
+    channels (channel occupancy / bandwidth). *)
+val write : t -> now:float -> xpline:int -> bytes:int -> from_numa:int -> float
 
 (** [dram_access t ~now ~bytes] models a volatile (DRAM) memory access
     on this NUMA domain; no persistence, no directory traffic. *)

@@ -1,10 +1,17 @@
 type crash_mode = Strict | Flaky of float * Des.Rng.t
 
-type staged = {
-  pool_id : int;
-  dev : Device.t;
-  xpline : int;
-  apply : unit -> unit;
+type sink = { dev : Device.t; apply : Bytes.t -> int -> int -> unit }
+
+(* One thread's flushed-but-unfenced lines, in clwb order: entry [i]
+   is line [lines.(i)] of the pool behind [sinks.(i)], in global XPLine
+   [xplines.(i)], with its 64 B snapshot at [64 * i] in [snaps].  The
+   arrays only grow, so staging allocates nothing in the steady state. *)
+type stage = {
+  mutable n : int;
+  mutable sinks : sink array;
+  mutable lines : int array;
+  mutable xplines : int array;
+  mutable snaps : Bytes.t;
 }
 
 type trace_event =
@@ -33,7 +40,13 @@ type t = {
   devices : Device.t array;
   cpu_tags : int array; (* direct-mapped; -1 = invalid *)
   cpu_mask : int;
-  staged : (int, staged list ref) Hashtbl.t; (* thread id -> reversed list *)
+  mutable stages : stage array; (* indexed by thread id + 1 *)
+  groups : (int * int, int) Hashtbl.t;
+      (* the fence in progress: (device numa, xpline) -> staged lines *)
+  mutable fence_start : float;
+  mutable fence_from : int; (* issuing NUMA domain; -1 outside a simulation *)
+  mutable fence_done : float; (* latest WPQ acceptance so far *)
+  write_group : int * int -> int -> unit; (* writes one group of [groups] *)
   stats : Stats.t;
   mutable next_pool_id : int;
   mutable crash_hooks : (crash_mode -> unit) list;
@@ -47,26 +60,47 @@ type t = {
       (* called with each fence's simulated stall, for phase attribution *)
 }
 
+(* Write one (numa, xpline) group of the fence in progress: a full
+   256B write when 4 lines were flushed, a partial RMW write otherwise.
+   Outside a simulation only the traffic is accounted. *)
+let write_staged_group t (dev_numa, xpline) count =
+  let bytes = min 256 (64 * count) in
+  let dev = t.devices.(dev_numa) in
+  if t.fence_from < 0 then
+    ignore (Device.write dev ~now:0.0 ~xpline ~bytes ~from_numa:dev_numa : float)
+  else begin
+    let accepted = Device.write dev ~now:t.fence_start ~xpline ~bytes ~from_numa:t.fence_from in
+    if accepted > t.fence_done then t.fence_done <- accepted
+  end
+
 let create ?(profile = Config.dcpmm) ?(protocol = Config.Snoop) ~numa_count () =
   let slots = 1 lsl profile.Config.cache_slots_log2 in
-  {
-    profile;
-    protocol;
-    devices = Array.init numa_count (fun numa -> Device.create profile ~protocol ~numa);
-    cpu_tags = Array.make slots (-1);
-    cpu_mask = slots - 1;
-    staged = Hashtbl.create 64;
-    stats = Stats.create ();
-    next_pool_id = 0;
-    crash_hooks = [];
-    tracer = None;
-    persist_observer = None;
-    pool_views = [];
-    flush_fault = None;
-    flush_seen = 0;
-    flush_elision = false;
-    wait_observer = None;
-  }
+  let rec t =
+    {
+      profile;
+      protocol;
+      devices = Array.init numa_count (fun numa -> Device.create profile ~protocol ~numa);
+      cpu_tags = Array.make slots (-1);
+      cpu_mask = slots - 1;
+      stages = [||];
+      groups = Hashtbl.create 8;
+      fence_start = 0.0;
+      fence_from = -1;
+      fence_done = 0.0;
+      write_group = (fun key count -> write_staged_group t key count);
+      stats = Stats.create ();
+      next_pool_id = 0;
+      crash_hooks = [];
+      tracer = None;
+      persist_observer = None;
+      pool_views = [];
+      flush_fault = None;
+      flush_seen = 0;
+      flush_elision = false;
+      wait_observer = None;
+    }
+  in
+  t
 
 let set_wait_observer t f = t.wait_observer <- f
 
@@ -147,11 +181,40 @@ let cache_invalidate t gline =
   let slot = cache_slot t gline in
   if t.cpu_tags.(slot) = gline then t.cpu_tags.(slot) <- -1
 
-let stage t entry =
-  let tid = Des.Sched.current_id () in
-  match Hashtbl.find_opt t.staged tid with
-  | Some r -> r := entry :: !r
-  | None -> Hashtbl.add t.staged tid (ref [ entry ])
+let empty_stage () = { n = 0; sinks = [||]; lines = [||]; xplines = [||]; snaps = Bytes.empty }
+
+let stage_of t tid =
+  let i = tid + 1 in
+  if i >= Array.length t.stages then begin
+    let stages = Array.init (max 32 (2 * i)) (fun _ -> empty_stage ()) in
+    Array.blit t.stages 0 stages 0 (Array.length t.stages);
+    t.stages <- stages
+  end;
+  t.stages.(i)
+
+let grow_stage st sink =
+  let cap = max 8 (2 * st.n) in
+  let grow a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 st.n;
+    b
+  in
+  st.sinks <- grow st.sinks sink;
+  st.lines <- grow st.lines 0;
+  st.xplines <- grow st.xplines 0;
+  let snaps = Bytes.create (64 * cap) in
+  Bytes.blit st.snaps 0 snaps 0 (64 * st.n);
+  st.snaps <- snaps
+
+let stage t sink ~line ~xpline src pos =
+  let st = stage_of t (Des.Sched.current_id ()) in
+  if st.n = Array.length st.lines then grow_stage st sink;
+  let i = st.n in
+  st.sinks.(i) <- sink;
+  st.lines.(i) <- line;
+  st.xplines.(i) <- xpline;
+  Bytes.blit src pos st.snaps (64 * i) 64;
+  st.n <- i + 1
 
 let on_crash t hook = t.crash_hooks <- hook :: t.crash_hooks
 
@@ -172,57 +235,51 @@ let fence t =
   (match t.persist_observer with
   | Some emit -> emit (Pe_fence { tid })
   | None -> ());
-  match Hashtbl.find_opt t.staged tid with
-  | None -> ()
-  | Some r ->
-      let entries = List.rev !r in
-      r := [];
-      if entries <> [] then begin
-        let groups : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
-        let record e =
-          let key = (Device.numa e.dev, e.xpline) in
-          let count = try Hashtbl.find groups key with Not_found -> 0 in
-          Hashtbl.replace groups key (count + 1)
-        in
-        List.iter record entries;
-        if Des.Sched.running () then begin
-          let start = now t in
-          let from_numa = Des.Sched.current_numa () in
-          (* sfence waits for WPQ acceptance (the persistent domain
-             under ADR), not the media transfer; the channel stays
-             booked, so saturation still back-pressures the fence. *)
-          let fence_done = ref start in
-          let issue (dev_numa, xpline) count =
-            let bytes = min 256 (64 * count) in
-            let dev = t.devices.(dev_numa) in
-            let accepted, _completed =
-              Device.write dev ~now:start ~xpline ~bytes ~from_numa
-            in
-            if accepted > !fence_done then fence_done := accepted
-          in
-          Hashtbl.iter issue groups;
-          Des.Sched.delay (!fence_done -. start);
-          match t.wait_observer with
-          | Some observe -> observe (!fence_done -. start)
-          | None -> ()
-        end
-        else begin
-          (* Outside a simulation: account traffic without timing. *)
-          let issue (dev_numa, xpline) count =
-            let bytes = min 256 (64 * count) in
-            let dev = t.devices.(dev_numa) in
-            ignore (Device.write dev ~now:0.0 ~xpline ~bytes ~from_numa:dev_numa)
-          in
-          Hashtbl.iter issue groups
-        end;
-        List.iter (fun e -> e.apply ()) entries
-      end
+  let st = stage_of t tid in
+  let n = st.n in
+  if n > 0 then begin
+    st.n <- 0;
+    let groups = t.groups in
+    (* [reset] restores the initial bucket array, so iteration visits
+       the groups in the same order as a freshly created table: that
+       order picks device channels under saturation. *)
+    Hashtbl.reset groups;
+    for i = 0 to n - 1 do
+      let key = (Device.numa st.sinks.(i).dev, st.xplines.(i)) in
+      let count = try Hashtbl.find groups key with Not_found -> 0 in
+      Hashtbl.replace groups key (count + 1)
+    done;
+    if Des.Sched.running () then begin
+      let start = now t in
+      t.fence_start <- start;
+      t.fence_from <- Des.Sched.current_numa ();
+      (* sfence waits for WPQ acceptance (the persistent domain
+         under ADR), not the media transfer; the channel stays
+         booked, so saturation still back-pressures the fence. *)
+      t.fence_done <- start;
+      Hashtbl.iter t.write_group groups;
+      let stall = t.fence_done -. start in
+      Des.Sched.delay stall;
+      match t.wait_observer with
+      | Some observe -> observe stall
+      | None -> ()
+    end
+    else begin
+      t.fence_from <- -1;
+      Hashtbl.iter t.write_group groups
+    end;
+    (* The thread stages nothing while it waits, so the entries are
+       still in place. *)
+    for i = 0 to n - 1 do
+      st.sinks.(i).apply st.snaps (64 * i) st.lines.(i)
+    done
+  end
   end
 
 let crash t mode =
   (* eADR: the CPU caches are persistent — every store survives. *)
   let mode = if t.profile.Config.eadr then Flaky (1.0, Des.Rng.create ~seed:0L) else mode in
-  Hashtbl.reset t.staged;
+  Array.iter (fun st -> st.n <- 0) t.stages;
   Array.fill t.cpu_tags 0 (Array.length t.cpu_tags) (-1);
   Array.iter Device.reset_buffers t.devices;
   List.iter (fun hook -> hook mode) t.crash_hooks

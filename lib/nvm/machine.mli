@@ -48,16 +48,16 @@ val cache_access : t -> int -> bool
 
 val cache_invalidate : t -> int -> unit
 
-type staged = {
-  pool_id : int;
-  dev : Device.t;
-  xpline : int;  (** global XPLine id, for write-combining *)
-  apply : unit -> unit;  (** persist the snapshot into the media image *)
-}
+(** Where a pool's staged snapshots go: its device, and [apply snaps
+    pos line], which persists the 64 B snapshot at [pos] in [snaps]
+    into the media image of [line]. *)
+type sink = { dev : Device.t; apply : Bytes.t -> int -> int -> unit }
 
-(** Queue a flushed-line snapshot on the calling thread's staging
-    list; it persists at that thread's next [fence]. *)
-val stage : t -> staged -> unit
+(** [stage t sink ~line ~xpline src pos] queues a snapshot of the 64 B
+    at [pos] in [src] (the flushed line's cache content) on the calling
+    thread's staging list; it persists at that thread's next [fence].
+    [xpline] is the global XPLine id, for write-combining. *)
+val stage : t -> sink -> line:int -> xpline:int -> Bytes.t -> int -> unit
 
 (** Register a callback run by {!crash}. *)
 val on_crash : t -> (crash_mode -> unit) -> unit

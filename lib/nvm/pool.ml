@@ -10,31 +10,61 @@ type t = {
   cache : Bytes.t;
   media : Bytes.t; (* empty for volatile pools *)
   dirty : Bytes.t; (* bitset, one bit per 64B line *)
-  staged_by : (int, int) Hashtbl.t;
-      (* line -> thread that staged it with no store since; that
-         thread's pending fence will persist the current content, so
-         its own re-flushes of the line can be elided (FliT) *)
+  staged_by : int array;
+      (* line -> thread that staged it with no store since ([nobody]
+         if none); that thread's pending fence will persist the current
+         content, so its own re-flushes of the line can be elided
+         (FliT) *)
   capacity : int;
+  sink : Machine.sink; (* where this pool's clwb snapshots are staged *)
 }
 
+let nobody = min_int
+
 let round_up x align = (x + align - 1) / align * align
+
+let clear_dirty t line =
+  let idx = line lsr 3 in
+  let bit = 1 lsl (line land 7) in
+  let byte = Bytes.get_uint8 t.dirty idx in
+  if byte land bit <> 0 then Bytes.set_uint8 t.dirty idx (byte land lnot bit)
+
+let rec equal_from cache media base i =
+  i >= line_size
+  || Bytes.unsafe_get cache (base + i) = Bytes.unsafe_get media (base + i)
+     && equal_from cache media base (i + 1)
+
+let lines_equal t line = equal_from t.cache t.media (line * line_size) 0
+
+(* A fence persists a staged snapshot: the line is clean again unless
+   it was stored to after the clwb. *)
+let apply_snapshot t snaps pos line =
+  Bytes.blit snaps pos t.media (line * line_size) line_size;
+  if lines_equal t line then clear_dirty t line
 
 let create machine ?(volatile = false) ~name ~numa ~capacity () =
   let capacity = round_up (max capacity 256) 256 in
   let lines = capacity / line_size in
-  let pool =
+  let id = Machine.fresh_pool_id machine in
+  let dev = Machine.device machine numa in
+  let cache = Bytes.make capacity '\000' in
+  let media = if volatile then Bytes.empty else Bytes.make capacity '\000' in
+  let dirty = Bytes.make ((lines + 7) / 8) '\000' in
+  let staged_by = Array.make (if volatile then 0 else lines) nobody in
+  let rec pool =
     {
-      id = Machine.fresh_pool_id machine;
+      id;
       name;
       machine;
-      dev = Machine.device machine numa;
+      dev;
       numa;
       volatile;
-      cache = Bytes.make capacity '\000';
-      media = (if volatile then Bytes.empty else Bytes.make capacity '\000');
-      dirty = Bytes.make ((lines + 7) / 8) '\000';
-      staged_by = Hashtbl.create 64;
+      cache;
+      media;
+      dirty;
+      staged_by;
       capacity;
+      sink = { Machine.dev; apply = (fun snaps pos line -> apply_snapshot pool snaps pos line) };
     }
   in
   Machine.register_pool_view machine
@@ -55,7 +85,7 @@ let create machine ?(volatile = false) ~name ~numa ~capacity () =
             Bytes.blit img 0 pool.media 0 capacity;
             Bytes.blit img 0 pool.cache 0 capacity
           end;
-          Hashtbl.reset pool.staged_by;
+          Array.fill pool.staged_by 0 (Array.length pool.staged_by) nobody;
           Bytes.fill pool.dirty 0 (Bytes.length pool.dirty) '\000');
     };
   let on_crash mode =
@@ -74,7 +104,7 @@ let create machine ?(volatile = false) ~name ~numa ~capacity () =
           done);
       Bytes.blit pool.media 0 pool.cache 0 capacity
     end;
-    Hashtbl.reset pool.staged_by;
+    Array.fill pool.staged_by 0 (Array.length pool.staged_by) nobody;
     Bytes.fill pool.dirty 0 (Bytes.length pool.dirty) '\000'
   in
   Machine.on_crash machine on_crash;
@@ -102,12 +132,6 @@ let mark_dirty t off =
   let bit = 1 lsl (line land 7) in
   let byte = Bytes.get_uint8 t.dirty idx in
   if byte land bit = 0 then Bytes.set_uint8 t.dirty idx (byte lor bit)
-
-let clear_dirty t line =
-  let idx = line lsr 3 in
-  let bit = 1 lsl (line land 7) in
-  let byte = Bytes.get_uint8 t.dirty idx in
-  if byte land bit <> 0 then Bytes.set_uint8 t.dirty idx (byte land lnot bit)
 
 let line_dirty t line =
   Bytes.get_uint8 t.dirty (line lsr 3) land (1 lsl (line land 7)) <> 0
@@ -157,7 +181,7 @@ let touch_range_write t off len =
   for line = first to last do
     mark_dirty t (line lsl 6);
     (* A (possible) store invalidates the staged-snapshot elision. *)
-    Hashtbl.remove t.staged_by line
+    if not t.volatile then t.staged_by.(line) <- nobody
   done
 
 (* Report the post-store content of every line under [off, off+len) to
@@ -237,9 +261,21 @@ let write_int64 t off v =
   Bytes.set_int64_le t.cache off v;
   record_store t off 8
 
-let read_int t off = Int64.to_int (read_int64 t off)
+(* [read_int]/[write_int] repeat the [Int64] accessors' checks rather
+   than call them: an [int64] returned across a call is boxed, and these
+   are the most frequent accesses of all. *)
+let read_int t off =
+  if off land 7 <> 0 then
+    invalid_arg (Printf.sprintf "Pool %s: unaligned 8B read at %d" t.name off);
+  touch_range t off 8;
+  Int64.to_int (Bytes.get_int64_le t.cache off)
 
-let write_int t off v = write_int64 t off (Int64.of_int v)
+let write_int t off v =
+  if off land 7 <> 0 then
+    invalid_arg (Printf.sprintf "Pool %s: unaligned 8B write at %d" t.name off);
+  touch_range_write t off 8;
+  Bytes.set_int64_le t.cache off (Int64.of_int v);
+  record_store t off 8
 
 let read_string t off len =
   touch_range t off len;
@@ -264,25 +300,18 @@ let fill_zero t off len =
     record_store t off len
   end
 
-let compare_string t off len s =
-  touch_range t off len;
-  let slen = String.length s in
-  let rec go i =
-    if i >= len || i >= slen then compare len slen
-    else
-      let c = Char.compare (Bytes.unsafe_get t.cache (off + i)) (String.unsafe_get s i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+let rec compare_from cache off len s slen i =
+  if i >= len || i >= slen then compare len slen
+  else
+    let c = Char.compare (Bytes.unsafe_get cache (off + i)) (String.unsafe_get s i) in
+    if c <> 0 then c else compare_from cache off len s slen (i + 1)
 
-let lines_equal t line =
-  let base = line * line_size in
-  let rec go i =
-    i >= line_size
-    || Bytes.unsafe_get t.cache (base + i) = Bytes.unsafe_get t.media (base + i)
-       && go (i + 1)
-  in
-  go 0
+let compare_prefix t off len s slen =
+  if slen > String.length s then invalid_arg "Pool.compare_prefix";
+  touch_range t off len;
+  compare_from t.cache off len s slen 0
+
+let compare_string t off len s = compare_prefix t off len s (String.length s)
 
 (* eADR: the store itself is durable; the dirty line drains to the
    media in the background, consuming write bandwidth but never
@@ -347,10 +376,7 @@ let clwb t off =
   end
   else if not t.volatile then begin
     let line = off lsr 6 in
-    let redundant =
-      lines_equal t line
-      || Hashtbl.find_opt t.staged_by line = Some (Des.Sched.current_id ())
-    in
+    let redundant = lines_equal t line || t.staged_by.(line) = Des.Sched.current_id () in
     if redundant && Machine.flush_elision t.machine then begin
       let stats = Machine.stats t.machine in
       stats.Stats.flushes_elided <- stats.Stats.flushes_elided + 1;
@@ -372,15 +398,9 @@ let clwb t off =
       stats.Stats.flushes <- stats.Stats.flushes + 1;
       let profile = Machine.profile t.machine in
       Des.Sched.charge profile.Config.clwb_cpu_cost;
-      let snapshot = Bytes.sub t.cache (line * line_size) line_size in
-      let apply () =
-        Bytes.blit snapshot 0 t.media (line * line_size) line_size;
-        if lines_equal t line then clear_dirty t line
-      in
       let g = gline t off in
-      Machine.stage t.machine
-        { Machine.pool_id = t.id; dev = t.dev; xpline = g lsr 2; apply };
-      Hashtbl.replace t.staged_by line (Des.Sched.current_id ());
+      Machine.stage t.machine t.sink ~line ~xpline:(g lsr 2) t.cache (line * line_size);
+      t.staged_by.(line) <- Des.Sched.current_id ();
       (match Machine.tracer t.machine with
       | Some emit ->
           emit
@@ -389,7 +409,7 @@ let clwb t off =
                  tid = Des.Sched.current_id ();
                  pool = t.id;
                  line;
-                 data = Bytes.to_string snapshot;
+                 data = Bytes.sub_string t.cache (line * line_size) line_size;
                })
       | None -> ());
       observe_clwb t line;

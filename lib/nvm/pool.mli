@@ -76,6 +76,11 @@ val fill_zero : t -> int -> int -> unit
     with [s] lexicographically (allocation-free). *)
 val compare_string : t -> int -> int -> string -> int
 
+(** [compare_prefix p off len s slen] compares the [len] bytes at [off]
+    with the first [slen] bytes of [s], at the cost of
+    [compare_string]. *)
+val compare_prefix : t -> int -> int -> string -> int -> int
+
 (** {2 Persistence} *)
 
 (** [clwb p off] stages the 64B line containing [off] for persistence

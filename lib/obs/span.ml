@@ -225,12 +225,22 @@ let exit_span t =
           | None -> ())
       | [] -> ())
 
+let start phase =
+  let recorder = !current in
+  (match recorder with Some t -> enter t phase | None -> ());
+  recorder
+
+let stop = function Some t -> exit_span t | None -> ()
+
 let with_phase phase f =
-  match !current with
-  | None -> f ()
-  | Some t ->
-      enter t phase;
-      Fun.protect ~finally:(fun () -> exit_span t) f
+  let span = start phase in
+  match f () with
+  | v ->
+      stop span;
+      v
+  | exception e ->
+      stop span;
+      raise e
 
 (* ---------- reporting ---------- *)
 

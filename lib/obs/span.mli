@@ -59,6 +59,15 @@ val installed : unit -> t option
     installed. *)
 val with_phase : phase -> (unit -> 'a) -> 'a
 
+(** [start p] opens a span of phase [p], like {!with_phase}, and
+    returns what {!stop} needs to close it: the two bracket code that
+    runs on every simulated access without building a closure.  The
+    caller must [stop] the span on every exit, exceptional ones
+    included. *)
+val start : phase -> t option
+
+val stop : t option -> unit
+
 (** [leaf p seconds] attributes an already-measured duration to phase
     [p] as a child of the current span (used by the fence hook). *)
 val leaf : phase -> float -> unit

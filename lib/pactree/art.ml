@@ -41,6 +41,8 @@ type t = {
   mo : Pobj.obj; (* meta pool as an object, fields per [meta_l] *)
   mutable gen : int;
   key_of_leaf : Pptr.t -> string;
+  compare_leaf : Pptr.t -> string -> int;
+  root_lock : Vlock.handle;
   epoch : Epoch.t;
   stats : stats;
 }
@@ -135,7 +137,11 @@ let count n = Pobj.get_u16 n f_count
 
 let set_count n c = Pobj.set_u16 n f_count c
 
-let lockh n = { Vlock.pool = n.pool; off = n.off + off_lock }
+(* The lock word is a node's first field, so a node is its own lock
+   handle. *)
+let () = assert (off_lock = 0)
+
+let lockh n = n
 
 (* Read a node's version for optimistic use; a retired (obsolete) node
    must not be used at all — restart and re-descend. *)
@@ -191,43 +197,78 @@ let find_child n b =
       let p = read_child n ty b in
       if Pptr.is_null p then None else Some (child_slot n ty b, p)
 
-(* Largest child with byte < [b] (None if none): the ordered-search
-   primitive of lookup_le.  Bounded per-type probing — never a full
-   enumeration. *)
+(* The read-only descents copy what they read into the calling
+   thread's scratch buffer instead of allocating: a Node4/16's key
+   bytes at [scratch_keys], a prefix at [scratch_prefix].  (Data-node
+   probes use the bytes below 80.) *)
+let scratch_keys = 80
+
+let scratch_prefix = 96
+
+let scratch_key snap i = Char.code (Bytes.unsafe_get snap (scratch_keys + i))
+
+let rec child_among_keys n ty snap c b i =
+  if i >= c then Pptr.null
+  else if scratch_key snap i = b then
+    let p = read_child n ty i in
+    if Pptr.is_null p then child_among_keys n ty snap c b (i + 1) else p
+  else child_among_keys n ty snap c b (i + 1)
+
+(* A Node4/16's key bytes, copied to the scratch buffer.  Writers
+   keep a Node4/16's count within a Node16's capacity, so a larger one
+   is a speculative read of garbage. *)
+let scratch_keys4_16 n c =
+  if c > capacity.(1) then raise Restart;
+  let snap = Des.Sched.scratch () in
+  Pobj.blit_to_bytes n n4_keys snap scratch_keys c;
+  snap
+
+(* [find_child]'s pointer alone, allocation-free: [Pptr.null] if none. *)
+let child_ptr n b =
+  let ty = ntype n in
+  match ty with
+  | 0 | 1 ->
+      let c = count n in
+      child_among_keys n ty (scratch_keys4_16 n c) c b 0
+  | 2 ->
+      let s = idx48 n b in
+      if s = 0 then Pptr.null else read_child n ty (s - 1)
+  | _ -> read_child n ty b
+
+let rec best_key_below snap c b best_b best i =
+  if i >= c then best
+  else
+    let kb = scratch_key snap i in
+    if kb < b && kb >= best_b then best_key_below snap c b kb i (i + 1)
+    else best_key_below snap c b best_b best (i + 1)
+
+let rec child48_below n ty byte =
+  if byte < 0 then Pptr.null
+  else
+    let s = idx48 n byte in
+    if s = 0 then child48_below n ty (byte - 1)
+    else
+      let p = read_child n ty (s - 1) in
+      if Pptr.is_null p then child48_below n ty (byte - 1) else p
+
+let rec child256_below n ty byte =
+  if byte < 0 then Pptr.null
+  else
+    let p = read_child n ty byte in
+    if Pptr.is_null p then child256_below n ty (byte - 1) else p
+
+(* Largest child with byte < [b] ([Pptr.null] if none): the
+   ordered-search primitive of lookup_le.  Bounded per-type probing —
+   never a full enumeration. *)
 let find_lt n b =
   let ty = ntype n in
   match ty with
   | 0 | 1 ->
       let c = count n in
-      let keys = keys4_16 n c in
-      let rec go best_b best i =
-        if i >= c then (match best with None -> None | Some j -> Some (read_child n ty j))
-        else
-          let kb = Char.code (String.unsafe_get keys i) in
-          if kb < b && kb >= best_b then go kb (Some i) (i + 1)
-          else go best_b best (i + 1)
-      in
-      let r = go (-1) None 0 in
-      (match r with Some p when Pptr.is_null p -> None | _ -> r)
-  | 2 ->
-      let rec go byte =
-        if byte < 0 then None
-        else
-          let s = idx48 n byte in
-          if s = 0 then go (byte - 1)
-          else
-            let p = read_child n ty (s - 1) in
-            if Pptr.is_null p then go (byte - 1) else Some p
-      in
-      go (b - 1)
-  | _ ->
-      let rec go byte =
-        if byte < 0 then None
-        else
-          let p = read_child n ty byte in
-          if Pptr.is_null p then go (byte - 1) else Some p
-      in
-      go (b - 1)
+      let j = best_key_below (scratch_keys4_16 n c) c b (-1) (-1) 0 in
+      if j < 0 then Pptr.null else read_child n ty j
+  | 2 -> child48_below n ty (b - 1)
+  | _ -> child256_below n ty (b - 1)
 
 (* Child with the largest / smallest byte. *)
 let last_child n = find_lt n 256
@@ -443,11 +484,10 @@ let full_prefix t n ~depth =
     String.sub leaf_key depth pl
   end
 
-(* Compare the key segment at [depth] against the full prefix.
-   [`Equal d'] continues at depth [d']; [`Diverge (i, full)] reports
-   the first differing position (the key segment may also simply be
-   shorter); [`Before]/[`After] order the whole subtree against the
-   key (used by ordered searches). *)
+(* Compare the key segment at [depth] against the full prefix, for an
+   insert.  [`Equal d'] continues at depth [d']; [`Diverge (i, full)]
+   reports the first differing position, where the insert splits the
+   prefix (the key segment may also simply be shorter). *)
 let compare_prefix t n ~depth rkey =
   let pl = plen n in
   if pl = 0 then `Equal depth
@@ -464,37 +504,65 @@ let compare_prefix t n ~depth rkey =
     go 0
   end
 
-let order_of_divergence rkey ~depth full i =
-  if depth + i >= String.length rkey then `Before (* key < subtree *)
-  else if byte_at rkey (depth + i) < byte_at full i then `Before
-  else `After
+(* [match_prefix t n ~depth rkey] matches like [compare_prefix] for the
+   descents that never split a prefix, allocation-free: the key depth
+   after the prefix when it matches, else [prefix_before] or
+   [prefix_after], the order of the whole subtree against the key. *)
+let prefix_before = -1
+
+let prefix_after = -2
+
+let rec match_prefix_bytes get src rkey depth pl i =
+  if i >= pl then depth + pl
+  else if depth + i >= String.length rkey then prefix_before
+  else
+    let kb = byte_at rkey (depth + i) and pb = get src i in
+    if kb = pb then match_prefix_bytes get src rkey depth pl (i + 1)
+    else if kb < pb then prefix_before
+    else prefix_after
+
+let stored_byte snap i = Char.code (Bytes.unsafe_get snap (scratch_prefix + i))
+
+let match_prefix t n ~depth rkey =
+  let pl = plen n in
+  if pl = 0 then depth
+  else if pl <= stored_prefix_max then begin
+    (* [full_prefix] reads the length a second time: so does this, to
+       cost the same as [compare_prefix] *)
+    ignore (plen n : int);
+    let snap = Des.Sched.scratch () in
+    Pobj.blit_to_bytes n off_prefix snap scratch_prefix pl;
+    match_prefix_bytes stored_byte snap rkey depth pl 0
+  end
+  else match_prefix_bytes byte_at (full_prefix t n ~depth) rkey depth pl 0
 
 (* ---------- retry wrapper ---------- *)
 
 let check h ~gen v = if not (Vlock.validate h ~gen ~version:v) then raise Restart
 
-let with_retry t f =
-  let rec go attempt =
-    match f () with
-    | v -> v
-    (* Invalid_argument here can only be a pool bounds fault from a
-       speculative read that version validation would have discarded:
-       treat it like any other optimistic conflict. *)
-    | exception (Restart | Invalid_argument _) ->
-        t.stats.restarts <- t.stats.restarts + 1;
-        if attempt > 10_000 then failwith "Art: livelock (too many restarts)";
-        Des.Sched.delay (Float.min (float_of_int attempt *. 50e-9) 2e-6);
-        go (attempt + 1)
-  in
-  go 0
+(* [retrying t f x 0] is [f t x], run again after every restart; with a
+   top-level [f] it builds no closure. *)
+let rec retrying t f x attempt =
+  match f t x with
+  | v -> v
+  (* Invalid_argument here can only be a pool bounds fault from a
+     speculative read that version validation would have discarded:
+     treat it like any other optimistic conflict. *)
+  | exception (Restart | Invalid_argument _) ->
+      t.stats.restarts <- t.stats.restarts + 1;
+      if attempt > 10_000 then failwith "Art: livelock (too many restarts)";
+      Des.Sched.delay (Float.min (float_of_int attempt *. 50e-9) 2e-6);
+      retrying t f x (attempt + 1)
+
+let with_retry t f = retrying t (fun _ f -> f ()) f 0
 
 (* ---------- construction / open ---------- *)
 
-let root_lockh t = { Vlock.pool = t.meta; off = off_meta_rootlock }
+let root_lockh t = t.root_lock
 
 let read_root t = Pobj.get_int t.mo f_meta_root
 
-let create ~heap ~meta ~epoch ~key_of_leaf =
+let create ~heap ~meta ~epoch ~key_of_leaf ~compare_leaf =
   if Pool.capacity meta < meta_size then invalid_arg "Art.create: meta pool too small";
   let mo = Pobj.make meta 0 in
   let gen = Pobj.get_int mo f_meta_gen + 1 in
@@ -506,6 +574,8 @@ let create ~heap ~meta ~epoch ~key_of_leaf =
     mo;
     gen;
     key_of_leaf;
+    compare_leaf;
+    root_lock = { Vlock.pool = meta; off = off_meta_rootlock };
     epoch;
     stats = { restarts = 0; allocs = 0; retires = 0 };
   }
@@ -516,49 +586,60 @@ let generation t = t.gen
 
 (* ---------- lookup ---------- *)
 
-let lookup t rkey =
-  Obs.Span.with_phase Obs.Span.Trie_search @@ fun () ->
+(* The read-only operations are top-level functions over explicit
+   arguments, built from allocation-free primitives: every index
+   operation routes through [lookup_le]. *)
+
+(* [f t x] inside a [Trie_search] span and an epoch. *)
+let searching t f x =
+  let span = Obs.Span.start Obs.Span.Trie_search in
   Epoch.enter t.epoch;
-  Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
-  with_retry t @@ fun () ->
+  match retrying t f x 0 with
+  | v ->
+      Epoch.exit t.epoch;
+      Obs.Span.stop span;
+      v
+  | exception e ->
+      Epoch.exit t.epoch;
+      Obs.Span.stop span;
+      raise e
+
+let rec descend_eq t rkey n depth =
   let gen = t.gen in
-  let klen = String.length rkey in
-  let rec descend n depth =
-    let h = lockh n in
-    let v = node_version h ~gen in
-    match compare_prefix t n ~depth rkey with
-    | `Diverge _ ->
-        check h ~gen v;
-        None
-    | `Equal depth' ->
-        if depth' >= klen then begin
-          check h ~gen v;
-          None
-        end
-        else begin
-          let b = byte_at rkey depth' in
-          let child = find_child n b in
-          check h ~gen v;
-          match child with
-          | None -> None
-          | Some (_, p) ->
-              if Pptr.is_tagged p then begin
-                let payload = Pptr.untag p in
-                if String.equal (t.key_of_leaf payload) rkey then Some payload else None
-              end
-              else descend (node_of p) (depth' + 1)
-        end
-  in
+  let h = lockh n in
+  let v = node_version h ~gen in
+  let depth' = match_prefix t n ~depth rkey in
+  if depth' < 0 || depth' >= String.length rkey then begin
+    check h ~gen v;
+    Pptr.null
+  end
+  else begin
+    let p = child_ptr n (byte_at rkey depth') in
+    check h ~gen v;
+    if Pptr.is_null p then Pptr.null
+    else if Pptr.is_tagged p then begin
+      let payload = Pptr.untag p in
+      if t.compare_leaf payload rkey = 0 then payload else Pptr.null
+    end
+    else descend_eq t rkey (node_of p) (depth' + 1)
+  end
+
+let lookup_once t rkey =
+  let gen = t.gen in
   let rh = root_lockh t in
   let rv = Vlock.begin_read rh ~gen in
   let root = read_root t in
   check rh ~gen rv;
-  if Pptr.is_null root then None
+  if Pptr.is_null root then Pptr.null
   else if Pptr.is_tagged root then begin
     let payload = Pptr.untag root in
-    if String.equal (t.key_of_leaf payload) rkey then Some payload else None
+    if t.compare_leaf payload rkey = 0 then payload else Pptr.null
   end
-  else descend (node_of root) 0
+  else descend_eq t rkey (node_of root) 0
+
+let lookup t rkey =
+  let p = searching t lookup_once rkey in
+  if Pptr.is_null p then None else Some p
 
 (* ---------- ordered search: greatest leaf <= key (§5.3 routing) ---------- *)
 
@@ -567,65 +648,65 @@ let rec max_leaf t n =
   let v = node_version h ~gen:t.gen in
   let last = last_child n in
   check h ~gen:t.gen v;
-  match last with
-  | None -> raise Restart
-  | Some p -> if Pptr.is_tagged p then Pptr.untag p else max_leaf t (node_of p)
+  if Pptr.is_null last then raise Restart
+  else if Pptr.is_tagged last then Pptr.untag last
+  else max_leaf t (node_of last)
 
-let lookup_le t rkey =
-  Obs.Span.with_phase Obs.Span.Trie_search @@ fun () ->
-  Epoch.enter t.epoch;
-  Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
-  with_retry t @@ fun () ->
+let leaf_le t p rkey =
+  let payload = Pptr.untag p in
+  if t.compare_leaf payload rkey <= 0 then payload else Pptr.null
+
+(* The greatest leaf under the child [lt] (all of whose keys are below
+   the search key). *)
+let leaf_below t lt =
+  if Pptr.is_null lt then Pptr.null
+  else if Pptr.is_tagged lt then Pptr.untag lt
+  else max_leaf t (node_of lt)
+
+let rec descend_le t rkey n depth =
   let gen = t.gen in
-  let klen = String.length rkey in
-  let leaf_le p =
-    let payload = Pptr.untag p in
-    if String.compare (t.key_of_leaf payload) rkey <= 0 then Some payload else None
-  in
-  let rec descend n depth =
-    let h = lockh n in
-    let v = node_version h ~gen in
-    match compare_prefix t n ~depth rkey with
-    | `Diverge (i, full) -> (
-        check h ~gen v;
-        match order_of_divergence rkey ~depth full i with
-        | `Before -> None (* whole subtree > key *)
-        | `After -> Some (max_leaf t n) (* whole subtree < key *))
-    | `Equal depth' ->
-        if depth' >= klen then begin
-          (* key exhausted inside the trie: all leaves below extend it
-             and are therefore greater *)
-          check h ~gen v;
-          None
-        end
-        else begin
-          let b = byte_at rkey depth' in
-          let eq = find_child n b in
-          let lt = find_lt n b in
-          check h ~gen v;
-          let from_lt () =
-            match lt with
-            | None -> None
-            | Some p ->
-                if Pptr.is_tagged p then Some (Pptr.untag p)
-                else Some (max_leaf t (node_of p))
-          in
-          match eq with
-          | Some (_, p) -> (
-              let r =
-                if Pptr.is_tagged p then leaf_le p else descend (node_of p) (depth' + 1)
-              in
-              match r with Some _ -> r | None -> from_lt ())
-          | None -> from_lt ()
-        end
-  in
+  let h = lockh n in
+  let v = node_version h ~gen in
+  let depth' = match_prefix t n ~depth rkey in
+  if depth' = prefix_before then begin
+    check h ~gen v;
+    Pptr.null (* whole subtree > key *)
+  end
+  else if depth' = prefix_after then begin
+    check h ~gen v;
+    max_leaf t n (* whole subtree < key *)
+  end
+  else if depth' >= String.length rkey then begin
+    (* key exhausted inside the trie: all leaves below extend it and
+       are therefore greater *)
+    check h ~gen v;
+    Pptr.null
+  end
+  else begin
+    let b = byte_at rkey depth' in
+    let eq = child_ptr n b in
+    let lt = find_lt n b in
+    check h ~gen v;
+    if Pptr.is_null eq then leaf_below t lt
+    else begin
+      let r =
+        if Pptr.is_tagged eq then leaf_le t eq rkey else descend_le t rkey (node_of eq) (depth' + 1)
+      in
+      if Pptr.is_null r then leaf_below t lt else r
+    end
+  end
+
+let lookup_le_once t rkey =
+  let gen = t.gen in
   let rh = root_lockh t in
   let rv = Vlock.begin_read rh ~gen in
   let root = read_root t in
   check rh ~gen rv;
-  if Pptr.is_null root then None
-  else if Pptr.is_tagged root then leaf_le root
-  else descend (node_of root) 0
+  if Pptr.is_null root then Pptr.null
+  else if Pptr.is_tagged root then leaf_le t root rkey
+  else descend_le t rkey (node_of root) 0
+
+let lookup_le t rkey = searching t lookup_le_once rkey
 
 (* ---------- insert ---------- *)
 
@@ -993,7 +1074,7 @@ let delete t rkey =
   let rec descend slot cur depth =
     if Pptr.is_tagged cur then begin
       (* Leaf directly in the slot (root or under a node). *)
-      if String.equal (t.key_of_leaf (Pptr.untag cur)) rkey then begin
+      if t.compare_leaf (Pptr.untag cur) rkey = 0 then begin
         (* only reachable for the root leaf: inner leaves are handled
            by [remove_and_shrink] at their parent *)
         if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then
@@ -1008,32 +1089,25 @@ let delete t rkey =
       let n = node_of cur in
       let h = lockh n in
       let v = node_version h ~gen in
-      match compare_prefix t n ~depth rkey with
-      | `Diverge _ ->
-          check h ~gen v;
-          None
-      | `Equal depth' ->
-          if depth' >= klen then begin
-            check h ~gen v;
-            None
-          end
-          else begin
-            let b = byte_at rkey depth' in
-            let child = find_child n b in
-            check h ~gen v;
-            match child with
-            | None -> None
-            | Some (slot_off, p) ->
-                if Pptr.is_tagged p then begin
-                  if String.equal (t.key_of_leaf (Pptr.untag p)) rkey then
-                    remove_and_shrink slot n v b ~depth
-                  else None
-                end
-                else
-                  descend
-                    { s_lock = h; s_version = v; s_pool = n.pool; s_off = slot_off }
-                    p (depth' + 1)
-          end
+      let depth' = match_prefix t n ~depth rkey in
+      if depth' < 0 || depth' >= klen then begin
+        check h ~gen v;
+        None
+      end
+      else begin
+        let b = byte_at rkey depth' in
+        let child = find_child n b in
+        check h ~gen v;
+        match child with
+        | None -> None
+        | Some (slot_off, p) ->
+            if Pptr.is_tagged p then begin
+              if t.compare_leaf (Pptr.untag p) rkey = 0 then remove_and_shrink slot n v b ~depth
+              else None
+            end
+            else
+              descend { s_lock = h; s_version = v; s_pool = n.pool; s_off = slot_off } p (depth' + 1)
+      end
     end
   in
   let rh = root_lockh t in
@@ -1079,26 +1153,21 @@ let iter_from t rkey f =
   let rec walk_from cur depth =
     if Pptr.is_tagged cur then begin
       let payload = Pptr.untag cur in
-      if String.compare (t.key_of_leaf payload) rkey >= 0 then emit payload
+      if t.compare_leaf payload rkey >= 0 then emit payload
     end
     else begin
       let n = node_of cur in
       let cs, _pl = consistent_children t n in
-      match compare_prefix t n ~depth rkey with
-      | `Diverge (i, full) -> (
-          match order_of_divergence rkey ~depth full i with
-          | `Before -> List.iter (fun (_, p) -> walk_all p) cs (* subtree > key *)
-          | `After -> () (* subtree < key *))
-      | `Equal depth' ->
-          if depth' >= klen then List.iter (fun (_, p) -> walk_all p) cs
-          else begin
-            let b = byte_at rkey depth' in
-            List.iter
-              (fun (kb, p) ->
-                if kb = b then walk_from p (depth' + 1)
-                else if kb > b then walk_all p)
-              cs
-          end
+      let depth' = match_prefix t n ~depth rkey in
+      if depth' = prefix_before then List.iter (fun (_, p) -> walk_all p) cs (* subtree > key *)
+      else if depth' = prefix_after then () (* subtree < key *)
+      else if depth' >= klen then List.iter (fun (_, p) -> walk_all p) cs
+      else begin
+        let b = byte_at rkey depth' in
+        List.iter
+          (fun (kb, p) -> if kb = b then walk_from p (depth' + 1) else if kb > b then walk_all p)
+          cs
+      end
     end
   in
   let root = read_root t in

@@ -29,15 +29,19 @@ type insert_outcome = Inserted | Replaced of Pmalloc.Pptr.t
     log). *)
 val meta_size : int
 
-(** [create ~heap ~meta ~epoch ~key_of_leaf] opens (or creates) a trie
-    whose roots/logs live at the base of [meta].  Increments the
-    persistent generation id, voiding all pre-crash locks.
-    [key_of_leaf] must return the {e radix} key of a payload. *)
+(** [create ~heap ~meta ~epoch ~key_of_leaf ~compare_leaf] opens (or
+    creates) a trie whose roots/logs live at the base of [meta].
+    Increments the persistent generation id, voiding all pre-crash
+    locks.  [key_of_leaf] must return the {e radix} key of a payload;
+    [compare_leaf p rkey] must be [String.compare (key_of_leaf p) rkey]
+    at the same simulated cost, and is what the lookups use: it can
+    compare in place instead of building the key. *)
 val create :
   heap:Pmalloc.Heap.t ->
   meta:Nvm.Pool.t ->
   epoch:Epoch.t ->
   key_of_leaf:(Pmalloc.Pptr.t -> string) ->
+  compare_leaf:(Pmalloc.Pptr.t -> string -> int) ->
   t
 
 val stats : t -> stats
@@ -48,8 +52,9 @@ val generation : t -> int
 val lookup : t -> string -> Pmalloc.Pptr.t option
 
 (** Greatest leaf with key <= the given radix key (anchor-key routing,
-    §5.3). *)
-val lookup_le : t -> string -> Pmalloc.Pptr.t option
+    §5.3), or [Pptr.null] if there is none.  Allocation-free: every
+    index operation routes through it. *)
+val lookup_le : t -> string -> Pmalloc.Pptr.t
 
 (** Insert, or replace the payload of an equal key (returning the
     previous payload exactly once, so callers can reclaim it). *)

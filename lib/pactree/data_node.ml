@@ -69,7 +69,11 @@ let to_ptr t = Pptr.make ~pool:(Pool.id t.pool) ~off:t.off
 
 let equal a b = Pool.id a.pool = Pool.id b.pool && a.off = b.off
 
-let lock_handle t = { Vlock.pool = t.pool; off = t.off + off_lock }
+(* The lock word is the node's first field, so the node is its own lock
+   handle. *)
+let () = assert (off_lock = 0)
+
+let lock_handle t = t
 
 let bitmap t = Pobj.get_i64 t f_bitmap
 
@@ -96,6 +100,14 @@ let anchor lay t =
 let compare_anchor t k =
   let len = Pobj.get_int t f_anchor_len in
   Pobj.compare_string t off_anchor len k
+
+(* Allocation-free [compare (Key.to_radix (anchor t)) rkey], for a radix
+   key [rkey].  Appending the same terminator to both sides does not
+   change the order of two keys, so the anchor is compared with [rkey]
+   less its terminator. *)
+let compare_anchor_radix t rkey =
+  let len = Pobj.get_int t f_anchor_len in
+  Pobj.compare_prefix t off_anchor len rkey (String.length rkey - 1)
 
 let init lay t ~gen ~anchor ~next ~prev =
   Pobj.fill_zero t 0 lay.node_size;
@@ -151,29 +163,55 @@ let live_count t =
   in
   go 0 0
 
-let first_empty bm =
-  let rec go i =
-    if i >= entries then None else if test_bit bm i then go (i + 1) else Some i
-  in
-  go 0
+(* The first free slot from [i] on, or [-1] when there is none. *)
+let rec first_empty_from bm i =
+  if i >= entries then -1 else if test_bit bm i then first_empty_from bm (i + 1) else i
+
+let first_empty bm = first_empty_from bm 0
+
+(* [find] snapshots the bitmap and the fingerprint line into the calling
+   thread's scratch buffer, fingerprints at [0] and the bitmap at
+   [snap_bitmap]: a key comparison can miss the cache and let other
+   threads run, and the probe must go on with what it read.  A hit then
+   leaves the slot's value at [snap_value]. *)
+let snap_bitmap = entries
+
+let snap_value = entries + 8
+
+let snap_live snap slot =
+  Char.code (Bytes.unsafe_get snap (snap_bitmap + (slot lsr 3))) land (1 lsl (slot land 7)) <> 0
+
+let rec probe lay t k snap fp slot =
+  if slot >= entries then -1
+  else if
+    snap_live snap slot
+    && Char.code (Bytes.unsafe_get snap slot) = fp
+    && compare_key_at lay t slot k = 0
+  then begin
+    Pobj.blit_to_bytes t (entry_off lay slot) snap snap_value 8;
+    slot
+  end
+  else probe lay t k snap fp (slot + 1)
 
 let find lay t k =
-  Obs.Span.with_phase Obs.Span.Dnode_scan @@ fun () ->
-  let bm = bitmap t in
-  let fp = Fingerprint.of_key k in
-  (* one cache access covers the whole fingerprint line (the AVX512
-     match of the paper, §5.2) *)
-  let fps = Pobj.read_string t off_fingerprints entries in
-  let rec go slot =
-    if slot >= entries then None
-    else if
-      test_bit bm slot
-      && Char.code (String.unsafe_get fps slot) = fp
-      && compare_key_at lay t slot k = 0
-    then Some (slot, value_at lay t slot)
-    else go (slot + 1)
-  in
-  go 0
+  let span = Obs.Span.start Obs.Span.Dnode_scan in
+  match
+    let snap = Des.Sched.scratch () in
+    Pobj.blit_to_bytes t (Layout.off f_bitmap) snap snap_bitmap 8;
+    let fp = Fingerprint.of_key k in
+    (* one cache access covers the whole fingerprint line (the AVX512
+       match of the paper, §5.2) *)
+    Pobj.blit_to_bytes t off_fingerprints snap 0 entries;
+    probe lay t k snap fp 0
+  with
+  | slot ->
+      Obs.Span.stop span;
+      slot
+  | exception e ->
+      Obs.Span.stop span;
+      raise e
+
+let found_value () = Int64.to_int (Bytes.get_int64_le (Des.Sched.scratch ()) snap_value)
 
 let live_entries lay t =
   let bm = bitmap t in
@@ -237,51 +275,69 @@ let persist_bitmap t =
 let maybe_persist_perm lay t =
   if lay.persist_perm then ignore (rebuild_permutation lay t)
 
-let insert lay t k v =
-  Obs.Span.with_phase Obs.Span.Dnode_insert @@ fun () ->
-  let bm = bitmap t in
-  match first_empty bm with
-  | None -> Full
-  | Some slot ->
-      set_entry lay t slot k v;
-      persist_slot lay t slot (* durability point for the pair *);
-      set_bitmap t (Int64.logor bm (bit slot));
-      persist_bitmap t (* linearization point, persisted *);
-      maybe_persist_perm lay t;
-      Ok
+(* [f] inside a [Dnode_insert] span, without a closure per call. *)
+let in_insert_span f lay t k v =
+  let span = Obs.Span.start Obs.Span.Dnode_insert in
+  match f lay t k v with
+  | r ->
+      Obs.Span.stop span;
+      r
+  | exception e ->
+      Obs.Span.stop span;
+      raise e
 
-let delete lay t k =
-  Obs.Span.with_phase Obs.Span.Dnode_insert @@ fun () ->
-  match find lay t k with
-  | None -> Absent
-  | Some (slot, _) ->
-      set_bitmap t (Int64.logand (bitmap t) (Int64.lognot (bit slot)));
+let insert_slot lay t k v =
+  let bm = bitmap t in
+  let slot = first_empty bm in
+  if slot < 0 then Full
+  else begin
+    set_entry lay t slot k v;
+    persist_slot lay t slot (* durability point for the pair *);
+    set_bitmap t (Int64.logor bm (bit slot));
+    persist_bitmap t (* linearization point, persisted *);
+    maybe_persist_perm lay t;
+    Ok
+  end
+
+let insert lay t k v = in_insert_span insert_slot lay t k v
+
+let delete_slot lay t k () =
+  let slot = find lay t k in
+  if slot < 0 then Absent
+  else begin
+    set_bitmap t (Int64.logand (bitmap t) (Int64.lognot (bit slot)));
+    persist_bitmap t;
+    maybe_persist_perm lay t;
+    Ok
+  end
+
+let delete lay t k = in_insert_span delete_slot lay t k ()
+
+let update_slot lay t k v =
+  let old_slot = find lay t k in
+  if old_slot < 0 then Absent
+  else begin
+    let bm = bitmap t in
+    let slot = first_empty bm in
+    if slot >= 0 then begin
+      (* Out-of-place: persist the new pair, then one atomic
+         bitmap write retires the old slot and publishes the new. *)
+      set_entry lay t slot k v;
+      persist_slot lay t slot;
+      set_bitmap t (Int64.logor (Int64.logand bm (Int64.lognot (bit old_slot))) (bit slot));
       persist_bitmap t;
       maybe_persist_perm lay t;
       Ok
+    end
+    else begin
+      (* Node full: an 8-byte value store is itself atomic. *)
+      set_value lay t old_slot v;
+      Pobj.persist t (entry_off lay old_slot) 8;
+      Ok
+    end
+  end
 
-let update lay t k v =
-  Obs.Span.with_phase Obs.Span.Dnode_insert @@ fun () ->
-  match find lay t k with
-  | None -> Absent
-  | Some (old_slot, _) -> (
-      let bm = bitmap t in
-      match first_empty bm with
-      | Some slot ->
-          (* Out-of-place: persist the new pair, then one atomic
-             bitmap write retires the old slot and publishes the new. *)
-          set_entry lay t slot k v;
-          persist_slot lay t slot;
-          set_bitmap t
-            (Int64.logor (Int64.logand bm (Int64.lognot (bit old_slot))) (bit slot));
-          persist_bitmap t;
-          maybe_persist_perm lay t;
-          Ok
-      | None ->
-          (* Node full: an 8-byte value store is itself atomic. *)
-          set_value lay t old_slot v;
-          Pobj.persist t (entry_off lay old_slot) 8;
-          Ok)
+let update lay t k v = in_insert_span update_slot lay t k v
 
 let scan_from lay t k ~f =
   Obs.Span.with_phase Obs.Span.Dnode_scan @@ fun () ->
@@ -323,13 +379,12 @@ let absorb lay ~src ~dst =
   let added = ref [] in
   List.iter
     (fun (key, v) ->
-      match first_empty !bm with
-      | None -> invalid_arg "Data_node.absorb: destination too full"
-      | Some slot ->
-          set_entry lay dst slot key v;
-          persist_slot lay dst slot;
-          bm := Int64.logor !bm (bit slot);
-          added := slot :: !added)
+      let slot = first_empty !bm in
+      if slot < 0 then invalid_arg "Data_node.absorb: destination too full";
+      set_entry lay dst slot key v;
+      persist_slot lay dst slot;
+      bm := Int64.logor !bm (bit slot);
+      added := slot :: !added)
     pairs;
   set_bitmap dst !bm;
   persist_bitmap dst;

@@ -64,6 +64,11 @@ val anchor : layout -> t -> Key.t
 (** [compare_anchor t k] = [compare (anchor t) k], allocation-free. *)
 val compare_anchor : t -> Key.t -> int
 
+(** [compare_anchor_radix t rkey] = [compare (Key.to_radix (anchor t))
+    rkey] for a radix key [rkey], allocation-free, at the cost of
+    [compare_anchor]. *)
+val compare_anchor_radix : t -> string -> int
+
 (** Offsets for targeted persistence by {!Tree}. *)
 val off_next : int
 
@@ -85,8 +90,14 @@ val key_at : layout -> t -> int -> Key.t
 val value_at : layout -> t -> int -> int
 
 (** Fingerprint-guided point lookup among live slots. *)
-val find : layout -> t -> Key.t -> (int * int) option
-(** [find lay t k] is [Some (slot, value)]. *)
+val find : layout -> t -> Key.t -> int
+(** [find lay t k] is the live slot holding [k], or [-1].  Like the
+    paper's probe, a hit also loads the slot's value: {!found_value}
+    returns it without another access.  Allocation-free. *)
+
+(** The value loaded by the calling thread's last [find] that hit.
+    Read it before anything else can run [find] on this thread. *)
+val found_value : unit -> int
 
 val live_count : t -> int
 

@@ -10,11 +10,13 @@ type t = {
 let create () =
   { epoch = 0; threads = Hashtbl.create 64; deferred = []; ops_since_advance = 0 }
 
+(* Every index operation enters and exits: [Hashtbl.find] keeps the
+   common case allocation-free. *)
 let state t =
   let tid = Des.Sched.current_id () in
-  match Hashtbl.find_opt t.threads tid with
-  | Some ts -> ts
-  | None ->
+  match Hashtbl.find t.threads tid with
+  | ts -> ts
+  | exception Not_found ->
       let ts = { depth = 0; local = 0 } in
       Hashtbl.add t.threads tid ts;
       ts

@@ -126,8 +126,9 @@ let create machine ?(cfg = default_config) () =
     Node.layout ~persist_perm:(not cfg.selective_persistence) ~key_inline:cfg.key_inline ()
   in
   let key_of_leaf ptr = Key.to_radix (Node.anchor lay (Node.of_ptr ptr)) in
+  let compare_leaf ptr rkey = Node.compare_anchor_radix (Node.of_ptr ptr) rkey in
   let epoch = Epoch.create () in
-  let art = Art.create ~heap:search_heap ~meta ~epoch ~key_of_leaf in
+  let art = Art.create ~heap:search_heap ~meta ~epoch ~key_of_leaf ~compare_leaf in
   let t =
     {
       machine;
@@ -189,29 +190,35 @@ exception Lost
 (* From the search-layer jump node, walk sibling pointers until the
    node whose [anchor, next.anchor) range covers [key].  Unsynchronised
    search layers only cost extra hops (ephemeral inconsistency). *)
-let locate t key =
-  let rkey = Key.to_radix key in
-  let jump =
-    match Art.lookup_le t.art rkey with
-    | Some p -> Node.of_ptr p
-    | None -> head_node t
-  in
-  let rec walk node hops =
-    if hops >= 1000 then raise Lost
-    else if Node.is_deleted node then walk (Node.of_ptr (Node.prev node)) (hops + 1)
-    else if Node.compare_anchor node key > 0 then
-      walk (Node.of_ptr (Node.prev node)) (hops + 1)
+let jump_node t rkey =
+  let p = Art.lookup_le t.art rkey in
+  if Pptr.is_null p then head_node t else Node.of_ptr p
+
+let rec walk t key node hops =
+  if hops >= 1000 then raise Lost
+  else if Node.is_deleted node then walk t key (Node.of_ptr (Node.prev node)) (hops + 1)
+  else if Node.compare_anchor node key > 0 then walk t key (Node.of_ptr (Node.prev node)) (hops + 1)
+  else begin
+    let nxt = Node.next node in
+    if (not (Pptr.is_null nxt)) && Node.compare_anchor (Node.of_ptr nxt) key <= 0 then
+      walk t key (Node.of_ptr nxt) (hops + 1)
     else begin
-      let nxt = Node.next node in
-      if (not (Pptr.is_null nxt)) && Node.compare_anchor (Node.of_ptr nxt) key <= 0 then
-        walk (Node.of_ptr nxt) (hops + 1)
-      else (node, hops)
+      let bucket = min hops (Array.length t.jump_hist - 1) in
+      t.jump_hist.(bucket) <- t.jump_hist.(bucket) + 1;
+      node
     end
-  in
-  let node, hops = Obs.Span.with_phase Obs.Span.Dnode_scan (fun () -> walk jump 0) in
-  let bucket = min hops (Array.length t.jump_hist - 1) in
-  t.jump_hist.(bucket) <- t.jump_hist.(bucket) + 1;
-  node
+  end
+
+let locate t key =
+  let jump = jump_node t (Key.to_radix key) in
+  let span = Obs.Span.start Obs.Span.Dnode_scan in
+  match walk t key jump 0 with
+  | node ->
+      Obs.Span.stop span;
+      node
+  | exception e ->
+      Obs.Span.stop span;
+      raise e
 
 (* Is [node], under its current state, the right home for [key]? *)
 let covers node key =
@@ -221,57 +228,36 @@ let covers node key =
   let nxt = Node.next node in
   Pptr.is_null nxt || Node.compare_anchor (Node.of_ptr nxt) key > 0
 
-(* Optimistic read of the target node: [f] must be read-only; its
-   result is returned once the version validates.  (Kept for scans /
-   future read operations; [lookup] has a specialised fast path.) *)
-let _with_reader t key f =
+(* [f t a b] inside an epoch: the public operations' bracket, built
+   without a closure per call. *)
+let in_epoch t f a b =
   Epoch.enter t.epoch;
-  Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
-  let rec attempt n =
-    if n > 10_000 then failwith "Tree: reader livelock";
-    match locate t key with
-    | exception Lost ->
-        t.stats.reader_retries <- t.stats.reader_retries + 1;
-        Des.Sched.delay 100e-9;
-        attempt (n + 1)
-    | node ->
-        let h = Node.lock_handle node in
-        let v = Vlock.begin_read h ~gen:t.gen in
-        if not (covers node key) then begin
-          t.stats.reader_retries <- t.stats.reader_retries + 1;
-          Des.Sched.delay 50e-9;
-          attempt (n + 1)
-        end
-        else begin
-          let r = f node in
-          if Vlock.validate h ~gen:t.gen ~version:v then r
-          else begin
-            t.stats.reader_retries <- t.stats.reader_retries + 1;
-            attempt (n + 1)
-          end
-        end
-  in
-  attempt 0
+  match f t a b with
+  | r ->
+      Epoch.exit t.epoch;
+      r
+  | exception e ->
+      Epoch.exit t.epoch;
+      raise e
 
 (* Write-lock the target node (§5.5: all writes lock, work, release). *)
-let locked_target t key =
-  let rec attempt n =
-    if n > 10_000 then failwith "Tree: writer livelock";
-    match locate t key with
-    | exception Lost ->
-        Des.Sched.delay 100e-9;
-        attempt (n + 1)
-    | node ->
-        let h = Node.lock_handle node in
-        let wv = Vlock.acquire h ~gen:t.gen in
-        if covers node key then (node, wv)
-        else begin
-          Vlock.release h ~gen:t.gen ~version:wv;
-          Des.Sched.delay 50e-9;
-          attempt (n + 1)
-        end
-  in
-  attempt 0
+let rec lock_target t key n =
+  if n > 10_000 then failwith "Tree: writer livelock";
+  match locate t key with
+  | exception Lost ->
+      Des.Sched.delay 100e-9;
+      lock_target t key (n + 1)
+  | node ->
+      let h = Node.lock_handle node in
+      let wv = Vlock.acquire h ~gen:t.gen in
+      if covers node key then (node, wv)
+      else begin
+        Vlock.release h ~gen:t.gen ~version:wv;
+        Des.Sched.delay 50e-9;
+        lock_target t key (n + 1)
+      end
+
+let locked_target t key = lock_target t key 0
 
 let release t node wv = Vlock.release (Node.lock_handle node) ~gen:t.gen ~version:wv
 
@@ -420,77 +406,68 @@ let try_merge t node =
    node, so a validated hit needs no range check at all — in the
    common case the lookup touches no sibling.  Only a miss (or a jump
    node that does not cover the key) falls back to the bounds check
-   and the sibling walk. *)
+   and the sibling walk.  The attempts are top-level functions, not
+   closures: lookups are half of every workload. *)
+let rec lookup_attempt t key rkey n ~use_jump =
+  if n > 10_000 then failwith "Tree: reader livelock";
+  if use_jump then lookup_in t key rkey n (jump_node t rkey) ~direct:true
+  else
+    match locate t key with
+    | exception Lost -> lookup_retry t key rkey n
+    | node -> lookup_in t key rkey n node ~direct:false
+
+and lookup_retry t key rkey n =
+  t.stats.reader_retries <- t.stats.reader_retries + 1;
+  Des.Sched.delay 50e-9;
+  lookup_attempt t key rkey (n + 1) ~use_jump:false
+
+and lookup_in t key rkey n node ~direct =
+  let h = Node.lock_handle node in
+  let v = Vlock.begin_read h ~gen:t.gen in
+  if direct && (Node.is_deleted node || Node.compare_anchor node key > 0) then
+    (* the jump node cannot host the key: take the walking path *)
+    lookup_attempt t key rkey n ~use_jump:false
+  else if Node.find t.lay node key >= 0 then begin
+    let value = Node.found_value () in
+    if Vlock.validate h ~gen:t.gen ~version:v then begin
+      if direct then t.jump_hist.(0) <- t.jump_hist.(0) + 1;
+      Some value
+    end
+    else lookup_retry t key rkey n
+  end
+  else if covers node key && Vlock.validate h ~gen:t.gen ~version:v then begin
+    if direct then t.jump_hist.(0) <- t.jump_hist.(0) + 1;
+    None
+  end
+  else if direct then lookup_attempt t key rkey n ~use_jump:false
+  else lookup_retry t key rkey n
+
 let lookup t key =
-  Epoch.enter t.epoch;
-  Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
-  let rkey = Key.to_radix key in
-  let rec attempt n ~use_jump =
-    if n > 10_000 then failwith "Tree: reader livelock";
-    let retry () =
-      t.stats.reader_retries <- t.stats.reader_retries + 1;
-      Des.Sched.delay 50e-9;
-      attempt (n + 1) ~use_jump:false
-    in
-    let try_node node ~direct =
-      let h = Node.lock_handle node in
-      let v = Vlock.begin_read h ~gen:t.gen in
-      if direct && (Node.is_deleted node || Node.compare_anchor node key > 0) then
-        (* the jump node cannot host the key: take the walking path *)
-        attempt n ~use_jump:false
-      else begin
-        match Node.find t.lay node key with
-        | Some (_, value) ->
-            if Vlock.validate h ~gen:t.gen ~version:v then begin
-              if direct then t.jump_hist.(0) <- t.jump_hist.(0) + 1;
-              Some value
-            end
-            else retry ()
-        | None ->
-            if covers node key && Vlock.validate h ~gen:t.gen ~version:v then begin
-              if direct then t.jump_hist.(0) <- t.jump_hist.(0) + 1;
-              None
-            end
-            else if direct then attempt n ~use_jump:false
-            else retry ()
-      end
-    in
-    if use_jump then begin
-      match Art.lookup_le t.art rkey with
-      | Some p -> try_node (Node.of_ptr p) ~direct:true
-      | None -> try_node (head_node t) ~direct:true
-    end
-    else begin
-      match locate t key with
-      | exception Lost -> retry ()
-      | node -> try_node node ~direct:false
-    end
-  in
-  attempt 0 ~use_jump:true
+  in_epoch t (fun t key () -> lookup_attempt t key (Key.to_radix key) 0 ~use_jump:true) key ()
 
-let insert t key value =
-  Epoch.enter t.epoch;
-  Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
+let insert_locked t key value =
   let node, wv = locked_target t key in
-  match Node.find t.lay node key with
-  | Some _ ->
-      (match Node.update t.lay node key value with
-      | Node.Ok -> ()
-      | Node.Full | Node.Absent -> assert false);
-      release t node wv
-  | None -> (
-      match Node.insert t.lay node key value with
-      | Node.Ok -> release t node wv
-      | Node.Full -> split_and_insert t node wv key value
-      | Node.Absent -> assert false)
+  if Node.find t.lay node key >= 0 then begin
+    (match Node.update t.lay node key value with
+    | Node.Ok -> ()
+    | Node.Full | Node.Absent -> assert false);
+    release t node wv
+  end
+  else
+    match Node.insert t.lay node key value with
+    | Node.Ok -> release t node wv
+    | Node.Full -> split_and_insert t node wv key value
+    | Node.Absent -> assert false
 
-let update t key value =
-  Epoch.enter t.epoch;
-  Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
+let insert t key value = in_epoch t insert_locked key value
+
+let update_locked t key value =
   let node, wv = locked_target t key in
   let r = Node.update t.lay node key value in
   release t node wv;
   r = Node.Ok
+
+let update t key value = in_epoch t update_locked key value
 
 (* Merge [node] into its left neighbour (fresh left-then-right lock
    acquisition, so lock order stays left-to-right). *)
@@ -506,9 +483,7 @@ let try_merge_left t node_ptr =
     Vlock.release h ~gen:t.gen ~version:wv
   end
 
-let delete t key =
-  Epoch.enter t.epoch;
-  Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
+let delete_locked t key () =
   let node, wv = locked_target t key in
   match Node.delete t.lay node key with
   | Node.Absent ->
@@ -522,12 +497,12 @@ let delete t key =
       true
   | Node.Full -> assert false
 
+let delete t key = in_epoch t delete_locked key ()
+
 (* Range scan (§5.4): per-node optimistic read; each node's batch is
    validated against its version before being committed to the
    result. *)
-let scan t key count =
-  Epoch.enter t.epoch;
-  Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
+let scan_locked t key count =
   let acc = ref [] and taken = ref 0 in
   let rec scan_node node low attempt =
     if !taken >= count then ()
@@ -572,6 +547,8 @@ let scan t key count =
   in
   scan_node (locate_retry 0) key 0;
   List.rev !acc
+
+let scan t key count = in_epoch t scan_locked key count
 
 (* ---------- background updater (§5.6) ---------- *)
 
@@ -674,7 +651,7 @@ let recover_merge t e left right anchor =
      ranges are disjoint, so membership is the completion test). *)
   List.iter
     (fun (k, v) ->
-      if Node.find t.lay node k = None then
+      if Node.find t.lay node k < 0 then
         match Node.insert t.lay node k v with
         | Node.Ok -> ()
         | Node.Full | Node.Absent -> assert false)

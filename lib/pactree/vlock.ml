@@ -55,17 +55,18 @@ let stuck h ~gen attempt who =
       (Des.Sched.current_id ()) who (Pool.name h.pool) h.off
       (Pobj.read_int h 0) gen attempt
 
-let begin_read h ~gen =
-  let rec go attempt =
-    let v = read_version h ~gen in
-    if is_locked v then begin
-      stuck h ~gen attempt "begin_read";
-      backoff attempt;
-      go (attempt + 1)
-    end
-    else v
-  in
-  go 0
+(* The retry loops are top-level functions rather than local closures:
+   every node visit takes a version. *)
+let rec read_unlocked h ~gen attempt =
+  let v = read_version h ~gen in
+  if is_locked v then begin
+    stuck h ~gen attempt "begin_read";
+    backoff attempt;
+    read_unlocked h ~gen (attempt + 1)
+  end
+  else v
+
+let begin_read h ~gen = read_unlocked h ~gen 0
 
 let validate h ~gen ~version = read_version h ~gen = version
 
@@ -79,17 +80,16 @@ let try_upgrade h ~gen ~version =
   (if debug then Pmalloc.Heap.check_not_freed ~who:"try_upgrade" (Pool.id h.pool) h.off;
    Pobj.transient_cas h 0 ~expected:raw (word ~gen ~version:(version + 1)))
 
-let acquire h ~gen =
-  let rec go attempt =
-    let v = read_version h ~gen in
-    if (not (is_locked v)) && try_upgrade h ~gen ~version:v then v + 1
-    else begin
-      stuck h ~gen attempt "acquire";
-      backoff attempt;
-      go (attempt + 1)
-    end
-  in
-  go 0
+let rec lock_loop h ~gen attempt =
+  let v = read_version h ~gen in
+  if (not (is_locked v)) && try_upgrade h ~gen ~version:v then v + 1
+  else begin
+    stuck h ~gen attempt "acquire";
+    backoff attempt;
+    lock_loop h ~gen (attempt + 1)
+  end
+
+let acquire h ~gen = lock_loop h ~gen 0
 
 (* Unlock, bumping the counter past the lock bit (versions move in
    steps of 4: bit 0 = locked, bit 1 = obsolete, counter above). *)

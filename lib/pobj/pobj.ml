@@ -48,37 +48,46 @@ let blit_to_bytes o rel buf pos len = Pool.blit_to_bytes o.pool (o.off + rel) bu
 
 let compare_string o rel len s = Pool.compare_string o.pool (o.off + rel) len s
 
+let compare_prefix o rel len s slen = Pool.compare_prefix o.pool (o.off + rel) len s slen
+
 let fill_zero o rel len = Pool.fill_zero o.pool (o.off + rel) len
 
 let cas o rel ~expected v = Pool.cas_int o.pool (o.off + rel) ~expected v
 
 (* {2 Typed field accessors} *)
 
-let suppress_if_transient f write =
-  if Layout.is_transient f then Sanitizer.with_suppressed write else write ()
+(* A store to a transient field is exempt from the sanitizer.  The
+   closure for [Sanitizer.with_suppressed] is only built while a
+   sanitizer runs: field stores are on every operation's path. *)
+let suppressed f = Layout.is_transient f && Sanitizer.active ()
+
+let store f write o v =
+  if suppressed f then Sanitizer.with_suppressed (fun () -> write o (Layout.off f) v)
+  else write o (Layout.off f) v
 
 let get_int o f = read_int o (Layout.off f)
 
-let set_int o f v = suppress_if_transient f (fun () -> write_int o (Layout.off f) v)
+let set_int o f v = store f write_int o v
 
 let get_i64 o f = read_i64 o (Layout.off f)
 
-let set_i64 o f v = suppress_if_transient f (fun () -> write_i64 o (Layout.off f) v)
+let set_i64 o f v = store f write_i64 o v
 
 let get_u8 o f = read_u8 o (Layout.off f)
 
-let set_u8 o f v = suppress_if_transient f (fun () -> write_u8 o (Layout.off f) v)
+let set_u8 o f v = store f write_u8 o v
 
 let get_u16 o f = read_u16 o (Layout.off f)
 
-let set_u16 o f v = suppress_if_transient f (fun () -> write_u16 o (Layout.off f) v)
+let set_u16 o f v = store f write_u16 o v
 
 let get_u32 o f = read_u32 o (Layout.off f)
 
-let set_u32 o f v = suppress_if_transient f (fun () -> write_u32 o (Layout.off f) v)
+let set_u32 o f v = store f write_u32 o v
 
 let cas_field o f ~expected v =
-  suppress_if_transient f (fun () -> cas o (Layout.off f) ~expected v)
+  if suppressed f then Sanitizer.with_suppressed (fun () -> cas o (Layout.off f) ~expected v)
+  else cas o (Layout.off f) ~expected v
 
 (* {2 Persistence} *)
 
@@ -117,7 +126,10 @@ let p_cas o f ~expected v =
 (* {2 Transient stores} — deliberately never flushed (version-lock
    words, selectively persisted regions); exempt from the sanitizer. *)
 
-let transient_store o rel v = Sanitizer.with_suppressed (fun () -> write_int o rel v)
+let transient_store o rel v =
+  if Sanitizer.active () then Sanitizer.with_suppressed (fun () -> write_int o rel v)
+  else write_int o rel v
 
 let transient_cas o rel ~expected v =
-  Sanitizer.with_suppressed (fun () -> cas o rel ~expected v)
+  if Sanitizer.active () then Sanitizer.with_suppressed (fun () -> cas o rel ~expected v)
+  else cas o rel ~expected v

@@ -30,7 +30,7 @@ type state = {
 
 let current : state option ref = ref None
 
-let active () = !current <> None
+let active () = match !current with Some _ -> true | None -> false
 
 let suppressed st tid =
   match Hashtbl.find_opt st.suppress tid with Some d -> d > 0 | None -> false

@@ -1,0 +1,176 @@
+(* Allocation budgets of the simulator's hot path.
+
+   Allocated words per simulated operation are deterministic, so they
+   can be asserted exactly: the primitives every access, flush, fence
+   and context switch goes through must allocate nothing, and the index
+   operations built from them have fixed per-call ceilings.  The figures
+   are those of the default (dev) build profile, which compiles every
+   library opaquely, so no cross-module inlining removes an allocation
+   behind these tests' backs; other profiles only allocate less.  This
+   suite is its own executable so that no state left by other tests
+   (installed recorders, sanitizers, grown tables) moves the counts. *)
+
+module Machine = Nvm.Machine
+module Pool = Nvm.Pool
+module Sched = Des.Sched
+module Event_queue = Des.Event_queue
+module Node = Pactree.Data_node
+module Tree = Pactree.Tree
+module Key = Pactree.Key
+
+(* Minor words allocated by one call of [f]. *)
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Mean minor words per call over [n] calls of [f]. *)
+let words_per_call n f =
+  words (fun () ->
+      for i = 0 to n - 1 do
+        f i
+      done)
+  /. float_of_int n
+
+(* Run [f] inside a simulated thread, where charges and delays are
+   real, and return its result. *)
+let in_sim f =
+  let sched = Sched.create () in
+  let result = ref None in
+  Sched.spawn sched ~name:"alloc" (fun () -> result := Some (f ()));
+  Sched.run sched;
+  Option.get !result
+
+let check_zero what w = Alcotest.(check (float 0.0)) (what ^ " allocates nothing") 0.0 w
+
+let check_ceiling what ceiling w =
+  if w > ceiling then Alcotest.failf "%s: %.1f words per call, budget %.1f" what w ceiling
+
+let test_measure_overhead () = check_zero "measuring an empty call" (words (fun () -> ()))
+
+(* ---------- des ---------- *)
+
+let test_event_queue () =
+  let q = Event_queue.create ~dummy:(-1) () in
+  (* grow the arrays to the peak size first *)
+  for i = 0 to 63 do
+    Event_queue.add q ~time:(float_of_int (i mod 7)) i
+  done;
+  let cycle _ =
+    let v = Event_queue.pop_min q in
+    Event_queue.add q ~time:3.0 v
+  in
+  cycle 0;
+  check_zero "Event_queue.add + pop_min" (words_per_call 1000 cycle)
+
+let test_sched_charge () =
+  let w = in_sim (fun () -> words (fun () -> Sched.charge 1e-9)) in
+  check_zero "Sched.charge" w
+
+let test_sched_delay () =
+  let w =
+    in_sim (fun () ->
+        Sched.delay 1e-9;
+        words (fun () -> Sched.delay 1e-9))
+  in
+  check_ceiling "Sched.delay" 10.0 w
+
+(* ---------- nvm ---------- *)
+
+let with_pool f =
+  let machine = Machine.create ~numa_count:1 () in
+  let pool = Pool.create machine ~name:"alloc" ~numa:0 ~capacity:(1 lsl 16) () in
+  in_sim (fun () ->
+      (* bring the lines into the CPU cache: a miss delays *)
+      Pool.write_int pool 64 7;
+      Pool.write_u8 pool 128 3;
+      ignore (Pool.read_int pool 64 : int);
+      ignore (Pool.read_u8 pool 128 : int);
+      f pool)
+
+let test_pool_accessors () =
+  let read_int, write_int, read_u8 =
+    with_pool (fun pool ->
+        ( words (fun () -> ignore (Pool.read_int pool 64 : int)),
+          words (fun () -> Pool.write_int pool 64 42),
+          words (fun () -> ignore (Pool.read_u8 pool 128 : int)) ))
+  in
+  check_zero "Pool.read_int" read_int;
+  check_zero "Pool.write_int" write_int;
+  check_zero "Pool.read_u8" read_u8
+
+let test_clwb_fence () =
+  let w =
+    with_pool (fun pool ->
+        let persist () =
+          Pool.write_int pool 64 42;
+          Pool.clwb pool 64;
+          Pool.fence pool
+        in
+        persist ();
+        words persist)
+  in
+  check_ceiling "write + clwb + fence" 44.0 w
+
+(* ---------- pactree ---------- *)
+
+let test_data_node_find () =
+  let machine = Machine.create ~numa_count:1 () in
+  let lay = Node.layout ~key_inline:8 () in
+  let pool = Pool.create machine ~name:"node" ~numa:0 ~capacity:(1 lsl 16) () in
+  Pmalloc.Registry.register pool;
+  let node = { Node.pool; off = 256 } in
+  let keys = Array.init 48 (fun i -> Key.of_int (i * 3)) in
+  let missing = Key.of_int 1000 in
+  let w =
+    in_sim (fun () ->
+        Node.init lay node ~gen:1 ~anchor:"" ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null;
+        Array.iteri (fun i k -> ignore (Node.insert lay node k i : Node.write_result)) keys;
+        let probe () =
+          ignore (Node.find lay node keys.(40) : int);
+          ignore (Node.find lay node missing : int)
+        in
+        probe ();
+        words probe)
+  in
+  check_zero "Data_node.find on a loaded node" w
+
+let tree_cfg = { Tree.default_config with Tree.data_capacity = 1 lsl 22; search_capacity = 1 lsl 21 }
+
+let loaded = 4000
+
+let test_tree_ops () =
+  let machine = Machine.create ~numa_count:2 () in
+  let tree = Tree.create machine ~cfg:tree_cfg () in
+  let keys = Array.init (2 * loaded) (fun i -> Key.of_int (i * 7919 mod 100_003)) in
+  let sched = Sched.create () in
+  (* the background updater replays splits into the search layer *)
+  Sched.spawn sched ~name:"updater" (fun () -> Tree.updater_loop tree);
+  let lookup = ref 0.0 and insert = ref 0.0 in
+  Sched.spawn sched ~name:"client" (fun () ->
+      for i = 0 to loaded - 1 do
+        Tree.insert tree keys.(i) i
+      done;
+      lookup := words_per_call loaded (fun i -> ignore (Tree.lookup tree keys.(i) : int option));
+      insert := words_per_call loaded (fun i -> Tree.insert tree keys.(loaded + i) i);
+      Tree.request_shutdown tree);
+  Sched.run sched;
+  let lookup = !lookup and insert = !insert in
+  check_ceiling "Tree.lookup" 36.0 lookup;
+  check_ceiling "Tree.insert of a fresh key" 260.0 insert
+
+let () =
+  Alcotest.run "alloc"
+    [
+      ( "budgets",
+        [
+          Alcotest.test_case "measuring overhead" `Quick test_measure_overhead;
+          Alcotest.test_case "event queue add + pop" `Quick test_event_queue;
+          Alcotest.test_case "sched charge" `Quick test_sched_charge;
+          Alcotest.test_case "sched delay" `Quick test_sched_delay;
+          Alcotest.test_case "pool accessors" `Quick test_pool_accessors;
+          Alcotest.test_case "clwb + fence" `Quick test_clwb_fence;
+          Alcotest.test_case "data node find" `Quick test_data_node_find;
+          Alcotest.test_case "tree lookup + insert" `Quick test_tree_ops;
+        ] );
+    ]

@@ -152,7 +152,8 @@ let make_art () =
         Pool.read_string pool (Pptr.off ptr + 1) len
   in
   let epoch = Pactree.Epoch.create () in
-  let art = Art.create ~heap ~meta ~epoch ~key_of_leaf in
+  let compare_leaf ptr rkey = String.compare (key_of_leaf ptr) rkey in
+  let art = Art.create ~heap ~meta ~epoch ~key_of_leaf ~compare_leaf in
   { machine; art; heap; kv_heap; kv_keys }
 
 let add_payload ctx rkey =
@@ -245,9 +246,8 @@ let test_art_lookup_le () =
     Hashtbl.replace tbl (Pptr.off (insert_key ctx k)) (i * 10)
   done;
   let le q =
-    match Art.lookup_le ctx.art (Key.to_radix (Key.of_int q)) with
-    | None -> None
-    | Some p -> Some (Hashtbl.find tbl (Pptr.off p))
+    let p = Art.lookup_le ctx.art (Key.to_radix (Key.of_int q)) in
+    if Pptr.is_null p then None else Some (Hashtbl.find tbl (Pptr.off p))
   in
   Alcotest.(check (option int)) "exact" (Some 500) (le 500);
   Alcotest.(check (option int)) "between" (Some 500) (le 509);
@@ -260,11 +260,12 @@ let test_art_lookup_le_strings () =
   let keys = [ ""; "apple"; "apply"; "banana"; "band"; "bandana"; "zoo" ] in
   List.iter (fun k -> ignore (insert_key ctx k)) keys;
   let le q expect =
-    match Art.lookup_le ctx.art (Key.to_radix q) with
-    | None -> Alcotest.(check (option string)) ("le " ^ q) expect None
-    | Some p ->
-        let rkey = Hashtbl.find ctx.kv_keys (Pptr.off p) in
-        Alcotest.(check (option string)) ("le " ^ q) expect (Some (Key.of_radix rkey))
+    let p = Art.lookup_le ctx.art (Key.to_radix q) in
+    if Pptr.is_null p then Alcotest.(check (option string)) ("le " ^ q) expect None
+    else begin
+      let rkey = Hashtbl.find ctx.kv_keys (Pptr.off p) in
+      Alcotest.(check (option string)) ("le " ^ q) expect (Some (Key.of_radix rkey))
+    end
   in
   le "apple" (Some "apple");
   le "applesauce" (Some "apple");

@@ -21,14 +21,19 @@ let make_node ?(key_inline = 8) ?(persist_perm = false) () =
 
 let ik = Key.of_int
 
+(* [Some (slot, value)] for a hit. *)
+let find lay node k =
+  let slot = Node.find lay node k in
+  if slot < 0 then None else Some (slot, Node.found_value ())
+
 let test_insert_find () =
   let _, lay, node = make_node () in
   Alcotest.(check bool) "insert" true (Node.insert lay node (ik 5) 50 = Node.Ok);
   Alcotest.(check bool) "insert" true (Node.insert lay node (ik 9) 90 = Node.Ok);
-  (match Node.find lay node (ik 5) with
+  (match find lay node (ik 5) with
   | Some (_, v) -> Alcotest.(check int) "found value" 50 v
   | None -> Alcotest.fail "missing");
-  Alcotest.(check bool) "absent" true (Node.find lay node (ik 7) = None);
+  Alcotest.(check bool) "absent" true (find lay node (ik 7) = None);
   Alcotest.(check int) "live count" 2 (Node.live_count node)
 
 let test_node_fills_at_64 () =
@@ -54,7 +59,7 @@ let test_update_out_of_place () =
   let _, lay, node = make_node () in
   ignore (Node.insert lay node (ik 1) 10);
   Alcotest.(check bool) "update" true (Node.update lay node (ik 1) 11 = Node.Ok);
-  (match Node.find lay node (ik 1) with
+  (match find lay node (ik 1) with
   | Some (_, v) -> Alcotest.(check int) "new value" 11 v
   | None -> Alcotest.fail "missing");
   Alcotest.(check int) "still one live entry" 1 (Node.live_count node);
@@ -67,7 +72,7 @@ let test_update_in_place_when_full () =
   done;
   Alcotest.(check bool) "update works on full node" true
     (Node.update lay node (ik 7) 700 = Node.Ok);
-  match Node.find lay node (ik 7) with
+  match find lay node (ik 7) with
   | Some (_, v) -> Alcotest.(check int) "updated" 700 v
   | None -> Alcotest.fail "missing"
 
@@ -79,7 +84,7 @@ let test_insert_crash_before_bitmap_invisible () =
   (* hand-run the first half of the insert protocol for a second key *)
   Machine.crash machine Machine.Strict;
   (* key 1 was fully inserted pre-crash: bitmap persisted *)
-  Alcotest.(check bool) "persisted key visible" true (Node.find lay node (ik 1) <> None);
+  Alcotest.(check bool) "persisted key visible" true (find lay node (ik 1) <> None);
   Alcotest.(check int) "live count" 1 (Node.live_count node)
 
 let test_scan_from_sorted () =
@@ -115,7 +120,7 @@ let test_string_layout () =
   List.iteri (fun i k -> ignore (Node.insert lay node (Key.of_string k) i)) keys;
   List.iteri
     (fun i k ->
-      match Node.find lay node (Key.of_string k) with
+      match find lay node (Key.of_string k) with
       | Some (_, v) -> Alcotest.(check int) k i v
       | None -> Alcotest.failf "missing %s" k)
     keys;
@@ -160,7 +165,7 @@ let test_qcheck_node_model =
       Hashtbl.fold
         (fun k v ok ->
           ok
-          && match Node.find lay node (ik k) with Some (_, v') -> v' = v | None -> false)
+          && match find lay node (ik k) with Some (_, v') -> v' = v | None -> false)
         model
         (Node.live_count node = Hashtbl.length model))
 

@@ -31,7 +31,8 @@ let make_art () =
     | None -> Alcotest.fail "unknown leaf payload"
   in
   let epoch = Pactree.Epoch.create () in
-  let art = Art.create ~heap ~meta ~epoch ~key_of_leaf in
+  let compare_leaf ptr rkey = String.compare (key_of_leaf ptr) rkey in
+  let art = Art.create ~heap ~meta ~epoch ~key_of_leaf ~compare_leaf in
   { art; kv_heap; kv_keys }
 
 let insert_key ctx k =
@@ -76,10 +77,8 @@ let test_lookup_le_floor =
           if q < 0 then true
           else
             let expect = Option.map fst (Imap.find_last_opt (fun k -> k <= q) model) in
-            let got =
-              Option.map (key_of ctx)
-                (Art.lookup_le ctx.art (Key.to_radix (Key.of_int q)))
-            in
+            let p = Art.lookup_le ctx.art (Key.to_radix (Key.of_int q)) in
+            let got = if Pptr.is_null p then None else Some (key_of ctx p) in
             got = expect)
         probes)
 
