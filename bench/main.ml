@@ -116,11 +116,10 @@ let service scale =
     (fun sys ->
       let cfg = Experiments.Svc_run.default ~quick sys in
       let points = Experiments.Svc_run.sweep cfg in
-      Format.printf "--- %s (%d shards, batch %d) ---@." (Experiments.Factory.name sys)
-        cfg.Experiments.Svc_run.shards cfg.Experiments.Svc_run.max_batch;
+      Format.printf "--- %s (%d shards) ---@." (Experiments.Factory.name sys)
+        cfg.Experiments.Svc_run.shards;
       Format.printf
-        " offered   achieved    rej    q-p50us    q-p99us    s-p99us    t-p99us  imbal \
-         w/batch@.";
+        " offered   achieved    rej    q-p50us    q-p99us    s-p99us    t-p99us  imbal@.";
       List.iter
         (fun (_, r) ->
           Format.printf "%a@." Obs.Svc_report.pp_point

@@ -454,11 +454,11 @@ let crashmc_cmd =
 (* ---------- service: sharded KV service saturation sweep ---------- *)
 
 let sweep_header =
-  Printf.sprintf "%8s %9s %7s %9s %9s %9s %9s %6s %7s" "offered" "achieved" "rej"
-    "q-p50us" "q-p99us" "s-p99us" "t-p99us" "imbal" "w/batch"
+  Printf.sprintf "%8s %9s %7s %9s %9s %9s %9s %6s" "offered" "achieved" "rej"
+    "q-p50us" "q-p99us" "s-p99us" "t-p99us" "imbal"
 
-let run_service sys shards quick keys ops workers queue batch batch_delay_us admission
-    arrival mix theta out check obs_out =
+let run_service sys shards quick keys ops workers queue admission arrival mix theta out
+    check obs_out =
   match check with
   | Some path -> (
       match Obs.Svc_report.validate_file path with
@@ -492,8 +492,6 @@ let run_service sys shards quick keys ops workers queue batch batch_delay_us adm
           queue_capacity = queue;
           admission;
           process;
-          max_batch = batch;
-          max_batch_delay = batch_delay_us *. 1e-6;
           mix;
           theta;
         }
@@ -503,15 +501,12 @@ let run_service sys shards quick keys ops workers queue batch batch_delay_us adm
         cfg.Experiments.Svc_run.workers_per_shard cfg.Experiments.Svc_run.queue_capacity
         (Svc.Engine.admission_name admission);
       Format.printf
-        "load       : %s arrivals, %a mix, %d keys, %d ops/point, theta %.2f, batch %d \
-         (%.1f us delay)@."
+        "load       : %s arrivals, %a mix, %d keys, %d ops/point, theta %.2f@."
         (Workload.Arrival.process_name process)
         Workload.Ycsb.pp_mix cfg.Experiments.Svc_run.mix cfg.Experiments.Svc_run.keys
-        cfg.Experiments.Svc_run.ops cfg.Experiments.Svc_run.theta
-        cfg.Experiments.Svc_run.max_batch
-        (cfg.Experiments.Svc_run.max_batch_delay *. 1e6);
+        cfg.Experiments.Svc_run.ops cfg.Experiments.Svc_run.theta;
       (* Time-only recorder (each sweep point runs on a fresh machine):
-         attributes simulated time to the svc_queue / svc_batch phases
+         attributes simulated time to the index phases and svc_queue
          across the whole sweep. *)
       let span = Option.map (fun _ -> Obs.Span.create ()) obs_out in
       Option.iter Obs.Span.install span;
@@ -550,12 +545,12 @@ let run_service sys shards quick keys ops workers queue batch batch_delay_us adm
 let service_cmd =
   let doc =
     "Saturation sweep of the sharded KV service (lib/svc): open-loop load against a \
-     range-partitioned store with group-commit batching, reporting \
-     throughput-vs-offered, queue/service latency split and rejection rates as \
+     range-partitioned store, each request applied straight to its shard's index, \
+     reporting throughput-vs-offered, queue/service latency split and rejection rates as \
      schema-validated JSON; or validate an existing file with --check."
   in
   let shards_arg =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Range partitions (one log each).")
+    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Range partitions (one index each).")
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced scale for CI (seconds).")
@@ -577,15 +572,6 @@ let service_cmd =
   in
   let queue_arg =
     Arg.(value & opt int 64 & info [ "queue" ] ~doc:"Per-shard queue capacity.")
-  in
-  let batch_arg =
-    Arg.(value & opt int 8 & info [ "batch" ] ~doc:"Max writes per group commit.")
-  in
-  let batch_delay_arg =
-    Arg.(
-      value & opt float 2.0
-      & info [ "batch-delay-us" ]
-          ~doc:"Max time a worker waits to fill a batch (microseconds).")
   in
   let admission_arg =
     Arg.(
@@ -615,8 +601,8 @@ let service_cmd =
     (Cmd.info "service" ~doc)
     Term.(
       const run_service $ index_arg $ shards_arg $ quick_arg $ keys_opt_arg $ ops_opt_arg
-      $ workers_arg $ queue_arg $ batch_arg $ batch_delay_arg $ admission_arg
-      $ arrival_arg $ mix_arg $ theta_arg $ out_arg $ check_arg $ obs_arg)
+      $ workers_arg $ queue_arg $ admission_arg $ arrival_arg $ mix_arg $ theta_arg
+      $ out_arg $ check_arg $ obs_arg)
 
 let () =
   let doc = "PACTree (SOSP'21) reproduction benchmarks on a simulated NVM machine." in

@@ -58,36 +58,17 @@ let mixed_workload ~seed n =
 
 (* ---------- the checker ---------- *)
 
-let chunk n l =
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-        if k = 0 then go (List.rev cur :: acc) [ x ] (n - 1) rest
-        else go acc (x :: cur) (k - 1) rest
-  in
-  go [] [] n l
-
 let run ?(budget_per_point = 48) ?(max_states = 20_000) ?(max_violations = 20)
-    ?(seed = 1) ?(batch = 1) ?apply ~sut ~ops () =
+    ?(seed = 1) ~sut ~ops () =
   let index = Sut.index sut in
-  let apply =
-    match apply with
-    | Some f -> f
-    | None -> fun chunk -> List.iter (Oracle.run_op index) chunk
-  in
   let trace = Trace.start (Sut.machine sut) in
   let history =
-    (* Each chunk of [batch] ops shares one trace window: a crash
-       inside it puts every member in flight (the oracle then allows
-       any in-order prefix to have applied — the group-commit
-       contract). [batch = 1] degenerates to the single-writer case. *)
-    List.concat_map
-      (fun ops ->
+    List.map
+      (fun op ->
         let start_seq = Trace.seq trace in
-        apply ops;
-        let end_seq = Trace.seq trace in
-        List.map (fun op -> { Oracle.op; start_seq; end_seq }) ops)
-      (chunk (max 1 batch) ops)
+        Oracle.run_op index op;
+        { Oracle.op; start_seq; end_seq = Trace.seq trace })
+      ops
   in
   Trace.stop trace;
   (* Complete background work (SMO drain, epoch-deferred frees) so no

@@ -27,21 +27,12 @@ val mixed_workload : seed:int -> int -> Oracle.op list
 (** Drive [ops] against the SUT while recording, then sweep crash
     states.  Stops early after [max_violations] violations or
     [max_states] checked states.  The SUT is consumed: its pools end
-    up holding the last materialised image.
-
-    [batch] groups the ops into chunks sharing one trace window, for
-    checking group-commit systems: a crash inside a chunk puts every
-    chunk member in flight (the oracle accepts any in-order prefix of
-    them).  [apply] overrides how a chunk is executed (default:
-    sequential {!Oracle.run_op} against the SUT's index) — e.g. route
-    it through a store's [commit_batch]. *)
+    up holding the last materialised image. *)
 val run :
   ?budget_per_point:int ->
   ?max_states:int ->
   ?max_violations:int ->
   ?seed:int ->
-  ?batch:int ->
-  ?apply:(Oracle.op list -> unit) ->
   sut:Sut.t ->
   ops:Oracle.op list ->
   unit ->

@@ -28,10 +28,10 @@ let apply map = function
    decided (their effect must survive — the persistent state is
    indistinguishable from one where the op returned and was
    acknowledged); ops spanning the point are in flight (each may or
-   may not have taken effect, in program order — with group-commit
-   batches every member of the interrupted batch shares the crash
-   window); later ops never started.  The universe collects every key
-   the history may have touched by [at]. *)
+   may not have taken effect, in program order — ops sharing one
+   trace window are in flight together); later ops never started.
+   The universe collects every key the history may have touched by
+   [at]. *)
 let split_at history ~at =
   let rec go decided inflight universe = function
     | [] -> (decided, List.rev inflight, universe)

@@ -11,9 +11,8 @@
       prefix of them may have taken effect, nothing else — checked
       jointly across keys, so a state where a later batch member
       applied without an earlier one is rejected.  A single-writer
-      history has at most one; a group-commit batch puts every member
-      of the interrupted batch in flight (the harness tags them with
-      the batch's shared trace window);
+      history has at most one; ops tagged with one shared trace
+      window are all in flight together;
     - no other key may appear, scans must be sorted, complete and
       phantom-free, and the index's own invariant checker must pass. *)
 

@@ -11,8 +11,6 @@ type cfg = {
   queue_capacity : int;
   admission : Engine.admission;
   process : Workload.Arrival.process;
-  max_batch : int;
-  max_batch_delay : float;
   mix : Workload.Ycsb.mix;
   kind : Workload.Keyset.kind;
   theta : float;
@@ -31,8 +29,6 @@ let default ?(quick = false) sys =
     queue_capacity = 64;
     admission = Engine.Reject;
     process = Workload.Arrival.Poisson;
-    max_batch = 8;
-    max_batch_delay = 2e-6;
     mix = Workload.Ycsb.Workload_a;
     kind = Workload.Keyset.Int_keys;
     theta = 0.99;
@@ -54,7 +50,7 @@ let make_store cfg =
   Store.create ~machine ~boundaries
     ~make_backend:(fun ~shard:_ ~numa:_ ->
       Factory.make_backend machine ~string_keys ~scale cfg.sys)
-    ~log_entries:cfg.log_entries ()
+    ()
 
 let engine_config cfg ~rate =
   {
@@ -63,8 +59,6 @@ let engine_config cfg ~rate =
     workers_per_shard = cfg.workers_per_shard;
     queue_capacity = cfg.queue_capacity;
     admission = cfg.admission;
-    max_batch = cfg.max_batch;
-    max_batch_delay = cfg.max_batch_delay;
     mix = cfg.mix;
     kind = cfg.kind;
     loaded = cfg.keys;
@@ -166,8 +160,6 @@ let report_config cfg =
     c_queue_capacity = cfg.queue_capacity;
     c_admission = Engine.admission_name cfg.admission;
     c_arrival = Workload.Arrival.process_name cfg.process;
-    c_max_batch = cfg.max_batch;
-    c_max_batch_delay_us = cfg.max_batch_delay *. 1e6;
     c_keys = cfg.keys;
     c_ops = cfg.ops;
     c_mix = Format.asprintf "%a" Workload.Ycsb.pp_mix cfg.mix;
@@ -205,11 +197,6 @@ let point_of_result (r : Engine.result) =
     p_total = lat_of r.Engine.r_total_lat;
     p_shard_completed = Array.to_list r.Engine.r_shard_completed;
     p_imbalance = Engine.imbalance r;
-    p_batches = r.Engine.r_batches;
-    p_writes_per_batch =
-      (if r.Engine.r_batches > 0 then
-         float_of_int r.Engine.r_batched_writes /. float_of_int r.Engine.r_batches
-       else 0.0);
     p_fences_per_op = per_op r.Engine.r_nvm.Nvm.Stats.fences;
     p_flushes_per_op = per_op r.Engine.r_nvm.Nvm.Stats.flushes;
   }

@@ -14,19 +14,19 @@ type cfg = {
   queue_capacity : int;
   admission : Svc.Engine.admission;
   process : Workload.Arrival.process;
-  max_batch : int;
-  max_batch_delay : float;
   mix : Workload.Ycsb.mix;
   kind : Workload.Keyset.kind;
   theta : float;
   seed : int64;
   numa : int;
   log_entries : int;
+      (** Vestigial: sized the service redo log, which no longer
+          exists; nothing reads it.  Kept so existing callers compile. *)
 }
 
 (** Defaults: 4 shards, 40K keys / 20K ops per point ([quick]: 2
     shards, 8K / 6K), 2 workers/shard, queue 64, Reject, Poisson,
-    batch 8 / 2 us delay, A-mix, int keys, theta 0.99, 2 sockets. *)
+    A-mix, int keys, theta 0.99, 2 sockets. *)
 val default : ?quick:bool -> Factory.sys -> cfg
 
 (** Fresh machine + sharded store for [cfg] (boundaries cut from the

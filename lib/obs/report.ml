@@ -32,8 +32,8 @@ let entry_json e =
       ("threads", Json.Int e.e_threads);
       ("keys", Json.Int e.e_keys);
       ("ops", Json.Int e.e_ops);
-      ("elapsed_s", Json.Float e.e_elapsed_s);
-      ("throughput_mops", Json.Float e.e_throughput_mops);
+      ("sim_elapsed_s", Json.Float e.e_elapsed_s);
+      ("sim_throughput_mops", Json.Float e.e_throughput_mops);
       ( "latency_us",
         Json.Obj
           [
@@ -103,8 +103,8 @@ let validate_entry i e =
   let* _ = require_number ctx "threads" e in
   let* _ = require_number ctx "keys" e in
   let* ops = require_number ctx "ops" e in
-  let* _ = require_number ctx "elapsed_s" e in
-  let* thr = require_number ctx "throughput_mops" e in
+  let* _ = require_number ctx "sim_elapsed_s" e in
+  let* thr = require_number ctx "sim_throughput_mops" e in
   let* latency = require_obj ctx "latency_us" e in
   let* p50 = require_number (ctx ^ ".latency_us") "p50" latency in
   let* p99 = require_number (ctx ^ ".latency_us") "p99" latency in

@@ -15,8 +15,8 @@ type entry = {
   e_threads : int;
   e_keys : int;
   e_ops : int;
-  e_elapsed_s : float;  (** simulated seconds *)
-  e_throughput_mops : float;
+  e_elapsed_s : float;  (** simulated seconds (JSON [sim_elapsed_s]) *)
+  e_throughput_mops : float;  (** simulated Mops/s (JSON [sim_throughput_mops]) *)
   e_p50_us : float;
   e_p99_us : float;
   e_p9999_us : float;

@@ -8,7 +8,6 @@ type phase =
   | Flush_wait
   | Recovery
   | Svc_queue
-  | Svc_batch
 
 let phase_name = function
   | Trie_search -> "trie_search"
@@ -20,7 +19,6 @@ let phase_name = function
   | Flush_wait -> "flush_wait"
   | Recovery -> "recovery"
   | Svc_queue -> "svc_queue"
-  | Svc_batch -> "svc_batch"
 
 let all_phases =
   [
@@ -33,7 +31,6 @@ let all_phases =
     Flush_wait;
     Recovery;
     Svc_queue;
-    Svc_batch;
   ]
 
 let phase_index = function
@@ -46,9 +43,8 @@ let phase_index = function
   | Flush_wait -> 6
   | Recovery -> 7
   | Svc_queue -> 8
-  | Svc_batch -> 9
 
-let n_phases = 10
+let n_phases = 9
 
 type acc = { mutable count : int; mutable self : float; nvm : Nvm.Stats.t }
 

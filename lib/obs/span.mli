@@ -31,8 +31,10 @@ type phase =
   | Alloc  (** persistent allocator *)
   | Flush_wait  (** simulated stall in sfence (media write drain) *)
   | Recovery  (** post-crash recovery *)
-  | Svc_queue  (** service worker idle-waiting on its shard queue *)
-  | Svc_batch  (** service group commit: log append + fence + apply *)
+  | Svc_queue
+      (** service worker idle-waiting on its empty shard queue.  This
+          is the worker's idle time, not request latency, so it grows
+          as the service gets faster at a fixed offered load. *)
 
 val phase_name : phase -> string
 

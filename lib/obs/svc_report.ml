@@ -18,8 +18,6 @@ type point = {
   p_total : lat;
   p_shard_completed : int list;
   p_imbalance : float;
-  p_batches : int;
-  p_writes_per_batch : float;
   p_fences_per_op : float;
   p_flushes_per_op : float;
 }
@@ -31,8 +29,6 @@ type config = {
   c_queue_capacity : int;
   c_admission : string;
   c_arrival : string;
-  c_max_batch : int;
-  c_max_batch_delay_us : float;
   c_keys : int;
   c_ops : int;
   c_mix : string;
@@ -66,8 +62,6 @@ let point_json p =
       ("total_latency_us", lat_json p.p_total);
       ("shard_completed", Json.List (List.map (fun n -> Json.Int n) p.p_shard_completed));
       ("imbalance", Json.Float p.p_imbalance);
-      ("batches", Json.Int p.p_batches);
-      ("writes_per_batch", Json.Float p.p_writes_per_batch);
       ( "per_op",
         Json.Obj
           [
@@ -89,8 +83,6 @@ let to_json c points =
             ("queue_capacity", Json.Int c.c_queue_capacity);
             ("admission", Json.String c.c_admission);
             ("arrival", Json.String c.c_arrival);
-            ("max_batch", Json.Int c.c_max_batch);
-            ("max_batch_delay_us", Json.Float c.c_max_batch_delay_us);
             ("keys", Json.Int c.c_keys);
             ("ops", Json.Int c.c_ops);
             ("mix", Json.String c.c_mix);
@@ -144,8 +136,6 @@ let validate_point shards i p =
   let* _ = validate_lat ctx "service_latency_us" p in
   let* _ = validate_lat ctx "total_latency_us" p in
   let* imbalance = require_number ctx "imbalance" p in
-  let* _ = require_number ctx "batches" p in
-  let* wpb = require_number ctx "writes_per_batch" p in
   let* per_op = require_obj ctx "per_op" p in
   let* fences = require_number (ctx ^ ".per_op") "fences" per_op in
   let* flushes = require_number (ctx ^ ".per_op") "flushes" per_op in
@@ -174,7 +164,7 @@ let validate_point shards i p =
     else Ok ()
   in
   if imbalance < 1.0 -. 1e-9 then Error (ctx ^ ": imbalance < 1")
-  else if wpb < 0.0 || fences < 0.0 || flushes < 0.0 then
+  else if fences < 0.0 || flushes < 0.0 then
     Error (ctx ^ ": negative per-op accounting")
   else Ok offered
 
@@ -191,8 +181,6 @@ let validate json =
   let* _ = require_number "service" "queue_capacity" service in
   let* _ = require_string "service" "admission" service in
   let* _ = require_string "service" "arrival" service in
-  let* _ = require_number "service" "max_batch" service in
-  let* _ = require_number "service" "max_batch_delay_us" service in
   let* _ = require_number "service" "keys" service in
   let* _ = require_number "service" "ops" service in
   let* _ = require_string "service" "mix" service in
@@ -239,8 +227,8 @@ let write_file path json =
 
 let pp_point ppf p =
   Format.fprintf ppf
-    "%8.3f %9.3f %6.1f%% %9.1f %9.1f %9.1f %9.1f %6.2f %7.2f"
+    "%8.3f %9.3f %6.1f%% %9.1f %9.1f %9.1f %9.1f %6.2f"
     p.p_offered_mops p.p_achieved_mops
     (100.0 *. p.p_rejection_rate)
     p.p_queue.l_p50_us p.p_queue.l_p99_us p.p_service.l_p99_us p.p_total.l_p99_us
-    p.p_imbalance p.p_writes_per_batch
+    p.p_imbalance

@@ -4,7 +4,7 @@
     One report = a service configuration plus a sweep of offered-load
     points; each point carries achieved throughput, the
     queue/service/total latency split (p50/p99/p99.99/mean/max),
-    rejection rate, per-shard imbalance and group-commit/fence
+    rejection rate, per-shard imbalance and per-op flush/fence
     accounting.  {!validate} checks structure only (field presence,
     finiteness, percentile monotonicity, rates/ratios in range,
     offered loads strictly increasing); knee-shape assertions live in
@@ -30,8 +30,6 @@ type point = {
   p_total : lat;
   p_shard_completed : int list;
   p_imbalance : float;  (** max/mean completions per shard, >= 1 *)
-  p_batches : int;
-  p_writes_per_batch : float;
   p_fences_per_op : float;
   p_flushes_per_op : float;
 }
@@ -43,8 +41,6 @@ type config = {
   c_queue_capacity : int;
   c_admission : string;
   c_arrival : string;
-  c_max_batch : int;
-  c_max_batch_delay_us : float;
   c_keys : int;
   c_ops : int;
   c_mix : string;

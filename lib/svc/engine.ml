@@ -22,8 +22,6 @@ type config = {
   workers_per_shard : int;
   queue_capacity : int;
   admission : admission;
-  max_batch : int;
-  max_batch_delay : float;
   mix : Ycsb.mix;
   kind : Workload.Keyset.kind;
   loaded : int;
@@ -38,8 +36,6 @@ let default_config ~loaded ~ops =
     workers_per_shard = 2;
     queue_capacity = 64;
     admission = Reject;
-    max_batch = 8;
-    max_batch_delay = 2e-6;
     mix = Ycsb.Workload_a;
     kind = Workload.Keyset.Int_keys;
     loaded;
@@ -91,10 +87,6 @@ type squeue = {
 
 let key_of_op = function
   | Ycsb.Lookup k | Ycsb.Upsert (k, _) | Ycsb.Insert_new (k, _) | Ycsb.Scan (k, _) -> k
-
-let write_of_op = function
-  | Ycsb.Upsert (k, v) | Ycsb.Insert_new (k, v) -> Some (Store.Put (k, v))
-  | Ycsb.Lookup _ | Ycsb.Scan _ -> None
 
 (* ---------- bulk load ---------- *)
 
@@ -153,7 +145,7 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
   in
   let generated = ref 0 and rejected = ref 0 and completed = ref 0 in
   let shard_completed = Array.make nshards 0 in
-  let batches = ref 0 and batched_writes = ref 0 in
+  let writes = ref 0 in
   let mk_lat seed = Latency.create ~sample_rate:1.0 (Des.Rng.create ~seed) in
   let queue_lat = mk_lat 101L
   and service_lat = mk_lat 102L
@@ -203,19 +195,6 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
         ~numa:(Store.shard_numa store shard)
         ~name:(Printf.sprintf "worker%d.%d" shard w)
         (fun () ->
-          let drain limit =
-            let rec go acc k =
-              if k = 0 || Queue.is_empty q.items then List.rev acc
-              else begin
-                let r = Queue.pop q.items in
-                r.q_deq <- clock ();
-                go (r :: acc) (k - 1)
-              end
-            in
-            let l = go [] limit in
-            if l <> [] then Waitq.signal_all sched q.nonfull;
-            l
-          in
           let rec await () =
             if not (Queue.is_empty q.items) then true
             else if q.closed then false
@@ -227,50 +206,22 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
           in
           let rec loop () =
             if await () then begin
-              let batch = drain cfg.max_batch in
-              let batch =
-                (* under-full batch: wait (bounded) for stragglers *)
-                let n = List.length batch in
-                if n < cfg.max_batch && cfg.max_batch_delay > 0.0 && not q.closed
-                then begin
-                  Des.Sched.delay cfg.max_batch_delay;
-                  batch @ drain (cfg.max_batch - n)
-                end
-                else batch
-              in
-              let writes, reads =
-                List.partition (fun r -> write_of_op r.q_op <> None) batch
-              in
-              (match writes with
-              | [] -> ()
-              | _ ->
-                  incr batches;
-                  batched_writes := !batched_writes + List.length writes;
-                  Des.Sched.charge
-                    (float_of_int (List.length writes)
-                    *. profile.Nvm.Config.op_overhead);
-                  Obs.Span.with_phase Obs.Span.Svc_batch (fun () ->
-                      Store.commit_batch store ~shard
-                        ~on_durable:(fun () ->
-                          (* ack point: durable since the batch's one
-                             log fence and already applied to the
-                             index, so acked writes are visible to
-                             reads on any worker (read-your-writes) *)
-                          Des.Sched.delay 0.0;
-                          let t = Des.Sched.now sched in
-                          List.iter (finish ~shard ~t) writes)
-                        (List.filter_map (fun r -> write_of_op r.q_op) writes)));
-              List.iter
-                (fun r ->
-                  Des.Sched.charge profile.Nvm.Config.op_overhead;
-                  (match r.q_op with
-                  | Ycsb.Lookup k -> ignore (Store.lookup store k : int option)
-                  | Ycsb.Scan (k, n) ->
-                      ignore (Store.scan store k n : (Pactree.Key.t * int) list)
-                  | Ycsb.Upsert _ | Ycsb.Insert_new _ -> assert false);
-                  Des.Sched.delay 0.0;
-                  finish ~shard ~t:(Des.Sched.now sched) r)
-                reads;
+              let r = Queue.pop q.items in
+              r.q_deq <- clock ();
+              Waitq.signal_all sched q.nonfull;
+              Des.Sched.charge profile.Nvm.Config.op_overhead;
+              (match r.q_op with
+              | Ycsb.Lookup k -> ignore (Store.lookup store k : int option)
+              | Ycsb.Scan (k, n) ->
+                  ignore (Store.scan store k n : (Pactree.Key.t * int) list)
+              | Ycsb.Upsert (k, v) | Ycsb.Insert_new (k, v) ->
+                  incr writes;
+                  Store.insert store k v);
+              (* ack point: the index call has returned, so the op is
+                 durable (each backend persists its own writes in
+                 order) and visible to reads on any worker *)
+              Des.Sched.delay 0.0;
+              finish ~shard ~t:(Des.Sched.now sched) r;
               loop ()
             end
           in
@@ -389,8 +340,8 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
     r_service_lat = service_lat;
     r_total_lat = total_lat;
     r_shard_completed = shard_completed;
-    r_batches = !batches;
-    r_batched_writes = !batched_writes;
+    r_batches = !writes;
+    r_batched_writes = !writes;
     r_nvm = Nvm.Stats.diff (Nvm.Machine.total_stats machine) before;
   }
 
@@ -401,7 +352,7 @@ let pp_result ppf r =
      loss)@,\
      latency us: queue p50 %.2f p99 %.2f | service p50 %.2f p99 %.2f | total p50 \
      %.2f p99 %.2f p99.99 %.2f@,\
-     %d batches (%.2f writes/commit), shard imbalance %.2fx@]"
+     shard imbalance %.2fx@]"
     (match r.r_mode with
     | Open_loop { process; _ } -> Arrival.process_name process
     | Closed_loop { clients } -> Printf.sprintf "closed(%d)" clients)
@@ -413,8 +364,4 @@ let pp_result ppf r =
     (p r.r_queue_lat 50.0) (p r.r_queue_lat 99.0) (p r.r_service_lat 50.0)
     (p r.r_service_lat 99.0) (p r.r_total_lat 50.0) (p r.r_total_lat 99.0)
     (p r.r_total_lat 99.99)
-    r.r_batches
-    (if r.r_batches > 0 then
-       float_of_int r.r_batched_writes /. float_of_int r.r_batches
-     else 0.0)
     (imbalance r)

@@ -9,12 +9,12 @@
     and block until it completes (the classic benchmark loop,
     retained for back-compat).
 
-    Workers drain their shard's queue in batches of up to
-    [max_batch]; an under-full batch waits up to [max_batch_delay]
-    for more arrivals (bounding the latency cost of batching).  The
-    batch's writes are group-committed through
-    {!Store.commit_batch} — one redo-log fence acknowledges them all
-    — then its reads execute (so they observe the batch's writes).
+    Each shard worker pops one request at a time and applies it
+    straight to the owning shard's index through {!Store}; a write is
+    acknowledged once that index call returns, which is when the
+    backend has made it durable (every backend is durably
+    linearizable op by op), so an acked write is durable and visible
+    to every later read.
 
     Admission: when a shard queue is full, {!Reject} drops the
     request (counted, open-loop property preserved) while {!Block}
@@ -22,10 +22,9 @@
     loop toward closed behaviour).
 
     Every completion records three latencies: {e queue} (arrival to
-    dequeue), {e service} (dequeue to ack — the log fence for writes,
-    op completion for reads) and {e total}.  Past the saturation knee
-    queue latency dominates service latency; that split is the point
-    of the exercise. *)
+    dequeue), {e service} (dequeue to ack: the index operation) and
+    {e total}.  Past the saturation knee queue latency dominates
+    service latency; that split is the point of the exercise. *)
 
 type admission = Reject | Block
 
@@ -44,8 +43,6 @@ type config = {
   workers_per_shard : int;
   queue_capacity : int;
   admission : admission;
-  max_batch : int;
-  max_batch_delay : float;  (** seconds; 0 disables the wait *)
   mix : Workload.Ycsb.mix;
   kind : Workload.Keyset.kind;
   loaded : int;  (** keys preloaded (workload key-space parameter) *)
@@ -54,7 +51,7 @@ type config = {
 }
 
 (** Open-loop A-mix defaults: rate 2e6, 2 workers/shard, queue 64,
-    Reject, batch 8, 2 us max delay. *)
+    Reject. *)
 val default_config : loaded:int -> ops:int -> config
 
 type result = {
@@ -70,8 +67,10 @@ type result = {
   r_service_lat : Workload.Latency.t;
   r_total_lat : Workload.Latency.t;
   r_shard_completed : int array;
-  r_batches : int;  (** group commits issued *)
-  r_batched_writes : int;  (** writes covered by those commits *)
+  r_batches : int;
+      (** Vestigial: the number of writes applied (there are no
+          batches any more); kept so existing callers compile. *)
+  r_batched_writes : int;  (** Vestigial: the same count as [r_batches]. *)
   r_nvm : Nvm.Stats.t;  (** machine counter delta over the run *)
 }
 
@@ -86,8 +85,8 @@ val load : store:Store.t -> kind:Workload.Keyset.kind -> keys:int -> unit -> flo
 
 (** Execute one run.  [start] continues the simulated clock from a
     previous phase on the same machine.  With [obs], the recorder's
-    span tracer is installed for the run (feeding the [svc_queue] /
-    [svc_batch] phases) and its sampler runs on the run's scheduler. *)
+    span tracer is installed for the run (feeding the [svc_queue]
+    phase) and its sampler runs on the run's scheduler. *)
 val run :
   store:Store.t -> config:config -> ?start:float -> ?obs:Obs.Recorder.t -> unit -> result
 

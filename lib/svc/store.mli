@@ -1,5 +1,5 @@
 (** Range-partitioned sharded store over any {!Baselines.Index_intf}
-    backend, with a per-shard group-commit log.
+    backend.
 
     A store owns [K] independent index instances ("shards"), each with
     its own heap/pools placed on NUMA domain [i mod numa_count] (the
@@ -10,30 +10,12 @@
     exactly one shard; cross-shard [scan] k-way-merges the per-shard
     iterators so results stay globally ordered across boundaries.
 
-    {b Group commit.}  Direct operations ({!insert} etc.) go straight
-    to the owning shard's index and rely on the index's own persistence
-    (every backend is durably linearizable op-by-op).  The service
-    engine instead calls {!commit_batch}: the batch's writes are
-    appended to the shard's persistent redo log (one 64-byte entry per
-    write, sequence word stored last so a torn entry is detectable),
-    then a {e single} fence makes the whole batch durable, then the
-    writes are applied to the index with its normal internal
-    persistence, and only then is the batch acknowledged — an acked
-    write is both durable and visible to concurrent readers
-    (read-your-writes at ack).  An applied-watermark is stored +
-    flushed lazily (it rides the next batch's fence); {!recover}
-    replays the log from the persisted watermark, stopping at the
-    first entry whose sequence number does not match, then scrubs any
-    orphaned entries past that point (entry lines persist
-    independently before the batch fence, so a later entry of the
-    interrupted batch may survive without an earlier one; its sequence
-    number is exactly one a future committed write will use, and
-    without scrubbing a second crash would resurrect it).  A crash
-    during a batched commit therefore loses at most the unacked ops of
-    the interrupted batch and replay is idempotent.  When the ring is
-    about to reuse slots replay might still need, the watermark is
-    checkpointed with its own fence first (amortised over
-    [log_entries / batch] batches). *)
+    {b Durability.}  Every operation goes straight to the owning
+    shard's index, and every backend is durably linearizable op by op
+    through its own ordered flushes and fences: a write is durable
+    when its index call returns.  The store adds no log and no
+    persistent state of its own, so {!recover} is just each shard's
+    backend recovery. *)
 
 type backend = {
   b_index : Baselines.Index_intf.index;
@@ -52,9 +34,11 @@ type t
     strictly increasing.  [make_backend ~shard ~numa] receives the
     shard's home domain [numa = shard mod numa_count] for pool
     placement (bulk data placement follows the loading/worker threads,
-    which the engine pins to the same domain).  [log_entries] sizes
-    each shard's redo-log ring (default 1024; must exceed the largest
-    batch). *)
+    which the engine pins to the same domain).
+
+    [log_entries] is vestigial: it sized the per-shard redo log the
+    store no longer has, and is accepted and ignored so existing
+    callers keep compiling. *)
 val create :
   machine:Nvm.Machine.t ->
   boundaries:Pactree.Key.t array ->
@@ -84,7 +68,7 @@ val boundaries_for :
     pinned to the shard's domain. *)
 val services : t -> (int * Workload.Runner.service) list
 
-(** {2 Direct operations} (routed, index-persisted; no group commit) *)
+(** {2 Operations} (routed to the owning shard, index-persisted) *)
 
 val insert : t -> Pactree.Key.t -> int -> unit
 
@@ -102,28 +86,9 @@ val scan : t -> Pactree.Key.t -> int -> (Pactree.Key.t * int) list
     loop runner). *)
 val as_index : t -> Baselines.Index_intf.index
 
-(** {2 Group commit} *)
-
-type write = Put of Pactree.Key.t * int | Del of Pactree.Key.t
-
-(** [commit_batch t ~shard ?on_durable writes] — append [writes] to
-    shard's redo log, fence once (durability point), apply to the
-    index, then call [on_durable]: the batch is acknowledged durable
-    {e and} visible.  Serialised per shard by a mutex (also usable
-    outside a scheduler, where locking is uncontended — e.g. from the
-    crashmc harness).  All keys must belong to [shard]. *)
-val commit_batch : t -> shard:int -> ?on_durable:(unit -> unit) -> write list -> unit
-
-(** Fences spent checkpointing watermarks (ring-reuse guards), summed
-    over shards — for fence accounting in tests. *)
-val checkpoint_fences : t -> int
-
 (** {2 Whole-store maintenance} *)
 
-(** Recover every shard after {!Nvm.Machine.crash}: backend recovery,
-    idempotent redo-log replay from the persisted watermark, then a
-    scrub of orphaned entries past the replay tail (so a ghost from
-    the interrupted batch cannot be resurrected by a later crash). *)
+(** Recover every shard's backend after {!Nvm.Machine.crash}. *)
 val recover : t -> unit
 
 val invariants : t -> unit

@@ -1,10 +1,10 @@
 (* Tests for the sharded KV service layer (lib/svc): routing and
-   cross-shard scans against a single-map oracle, group-commit
-   durability (fence accounting, ring wrap, crash + replay),
-   determinism of both the closed-loop runner and the open-loop
-   engine, saturation-sweep shape, and crashmc sweeps driven through
-   the store — including batched commits where a crash mid-batch may
-   lose only the unacked tail. *)
+   cross-shard scans against a single-map oracle, crash durability of
+   acked writes, proof that the service layer adds no NVM traffic of
+   its own, determinism of both the closed-loop runner and the
+   open-loop engine, saturation-sweep shape, and crash-state sweeps
+   driven through the store (one crash, and a crash during recovery's
+   aftermath: crash, recover, write, crash again). *)
 
 module Key = Pactree.Key
 module Store = Svc.Store
@@ -27,15 +27,14 @@ let fastfair_backend machine ~capacity () : Store.backend =
   }
 
 (* [span]-keyspace store with equi-spaced boundaries. *)
-let make_store ?(numa = 2) ?(shards = 3) ?(span = 1000) ?(log_entries = 64)
-    ?(capacity = 1 lsl 18) () =
+let make_store ?(numa = 2) ?(shards = 3) ?(span = 1000) ?(capacity = 1 lsl 18) () =
   let machine = Nvm.Machine.create ~numa_count:numa () in
   let boundaries =
     Array.init (shards - 1) (fun i -> Key.of_int ((i + 1) * span / shards))
   in
   Store.create ~machine ~boundaries
     ~make_backend:(fun ~shard:_ ~numa:_ -> fastfair_backend machine ~capacity ())
-    ~log_entries ()
+    ()
 
 (* ---------- routing + direct ops vs a map oracle ---------- *)
 
@@ -109,98 +108,109 @@ let test_cross_shard_scan () =
       (500, 0);
     ]
 
-(* ---------- group commit: durability, fences, ring wrap ---------- *)
+(* ---------- durability and NVM cost ---------- *)
 
-let commit_all store writes ~batch =
-  (* route writes like the engine does: group per shard, preserve order *)
-  let per = Array.make (Store.shard_count store) [] in
-  List.iter
-    (fun w ->
-      let k = match w with Store.Put (k, _) -> k | Store.Del k -> k in
-      let s = Store.shard_of_key store k in
-      per.(s) <- w :: per.(s))
-    writes;
-  Array.iteri
-    (fun s ws ->
-      let rec go = function
-        | [] -> ()
-        | ws ->
-            let n = min batch (List.length ws) in
-            let head = List.filteri (fun i _ -> i < n) ws in
-            let tail = List.filteri (fun i _ -> i >= n) ws in
-            Store.commit_batch store ~shard:s head;
-            go tail
-      in
-      go (List.rev ws))
-    per
-
-let test_group_commit_crash_recovery () =
-  let store = make_store ~numa:1 ~log_entries:16 () in
-  let writes =
-    List.init 200 (fun i ->
-        if i mod 7 = 3 then Store.Del (Key.of_int (i - 1))
-        else Store.Put (Key.of_int i, i * 10))
-  in
-  let acked = ref 0 in
-  (* small ring (16) with 200 writes: exercises the ring-reuse
-     checkpoint guard many times over *)
-  List.iter
-    (fun w ->
-      let shard =
-        Store.shard_of_key store (match w with Store.Put (k, _) | Store.Del k -> k)
-      in
-      Store.commit_batch store ~shard ~on_durable:(fun () -> incr acked) [ w ])
-    (List.filteri (fun i _ -> i < 100) writes);
-  commit_all store (List.filteri (fun i _ -> i >= 100) writes) ~batch:4;
-  Alcotest.(check int) "every single-write batch acked" 100 !acked;
-  Alcotest.(check bool) "ring wrap forced checkpoints" true
-    (Store.checkpoint_fences store > 0);
-  (* model of the final state *)
-  let model =
-    List.fold_left
-      (fun m -> function
-        | Store.Put (k, v) -> Kmap.add k v m
-        | Store.Del k -> Kmap.remove k m)
-      Kmap.empty writes
-  in
+let test_acked_writes_survive_crash () =
+  let store = make_store ~numa:1 () in
+  let model = ref Kmap.empty in
+  for i = 0 to 199 do
+    if i mod 7 = 3 then begin
+      let k = Key.of_int (i - 1) in
+      ignore (Store.delete store k : bool);
+      model := Kmap.remove k !model
+    end
+    else begin
+      let k = Key.of_int i in
+      Store.insert store k (i * 10);
+      model := Kmap.add k (i * 10) !model
+    end
+  done;
   Nvm.Machine.crash (Store.machine store) Nvm.Machine.Strict;
   Store.recover store;
   Store.invariants store;
-  Kmap.iter
-    (fun k v ->
-      Alcotest.(check (option int))
-        (Printf.sprintf "key %d after crash" (Key.to_int k))
-        (Some v) (Store.lookup store k))
-    model;
-  List.iter
-    (function
-      | Store.Del k when not (Kmap.mem k model) ->
-          Alcotest.(check (option int))
-            (Printf.sprintf "deleted key %d stays gone" (Key.to_int k))
-            None (Store.lookup store k)
-      | _ -> ())
-    writes
+  let kv = Alcotest.(pair string int) in
+  Alcotest.(check (list kv))
+    "every acked write, and nothing else, after the crash" (Kmap.bindings !model)
+    (Store.scan store (Key.of_int 0) 1000)
 
-let test_group_commit_fewer_fences () =
-  let fences_with ~batch =
-    let store = make_store ~numa:1 () in
-    let writes = List.init 128 (fun i -> Store.Put (Key.of_int i, i)) in
-    let before = Nvm.Stats.snapshot (Nvm.Machine.total_stats (Store.machine store)) in
-    commit_all store writes ~batch;
-    (Nvm.Stats.diff (Nvm.Machine.total_stats (Store.machine store)) before)
-      .Nvm.Stats.fences
+(* The store and the engine are routing and scheduling only: the same
+   writes must cost exactly the flushes and fences they cost on bare
+   backends (one per shard, same key routing), through bulk load, an
+   engine run and direct store calls alike. *)
+let test_service_adds_no_nvm_traffic () =
+  let keys = 1_500 and ops = 1_200 and capacity = 1 lsl 18 in
+  let kind = Workload.Keyset.Int_keys and mix = Workload.Ycsb.Workload_a in
+  let boundaries = Store.boundaries_for ~kind ~keys ~shards:2 in
+  let svc_machine = Nvm.Machine.create ~numa_count:1 () in
+  let store =
+    Store.create ~machine:svc_machine ~boundaries
+      ~make_backend:(fun ~shard:_ ~numa:_ ->
+        fastfair_backend svc_machine ~capacity ())
+      ()
   in
-  let f1 = fences_with ~batch:1 and f8 = fences_with ~batch:8 in
-  Alcotest.(check bool)
-    (Printf.sprintf "batch=8 fences (%d) < batch=1 fences (%d)" f8 f1)
-    true (f8 < f1);
-  (* the log's own fences drop by the batching factor: at batch=1 each
-     write pays a log fence, at batch=8 every eighth does.  Index-
-     internal fences are identical across the two runs, so the total
-     must shrink by at least 128 - 128/8 - (checkpoint slack). *)
-  Alcotest.(check bool)
-    (Printf.sprintf "saves at least 100 fences (saved %d)" (f1 - f8))
-    true (f1 - f8 >= 100)
+  let bare_machine = Nvm.Machine.create ~numa_count:1 () in
+  let bare =
+    Array.init (Store.shard_count store) (fun _ ->
+        (fastfair_backend bare_machine ~capacity ()).Store.b_index)
+  in
+  let on_bare k = bare.(Store.shard_of_key store k) in
+  let same_cost stage =
+    let svc = Nvm.Machine.total_stats svc_machine
+    and raw = Nvm.Machine.total_stats bare_machine in
+    Alcotest.(check int) (stage ^ ": flushes") raw.Nvm.Stats.flushes
+      svc.Nvm.Stats.flushes;
+    Alcotest.(check int) (stage ^ ": fences") raw.Nvm.Stats.fences
+      svc.Nvm.Stats.fences;
+    Alcotest.(check bool) (stage ^ ": some NVM traffic") true
+      (svc.Nvm.Stats.fences > 0)
+  in
+  (* bulk load *)
+  let start = Engine.load ~store ~kind ~keys () in
+  for i = 0 to keys - 1 do
+    let k = Workload.Keyset.key kind i in
+    Index.insert (on_bare k) k i
+  done;
+  same_cost "load";
+  (* an engine run: one client and one worker per shard keep each
+     shard's op order the stream's order *)
+  let seed = 5L and theta = 0.99 in
+  let config =
+    {
+      (Engine.default_config ~loaded:keys ~ops) with
+      Engine.mode = Engine.Closed_loop { clients = 1 };
+      workers_per_shard = 1;
+      mix;
+      kind;
+      theta;
+      seed;
+    }
+  in
+  let r = Engine.run ~store ~config ~start () in
+  Alcotest.(check int) "engine completed every op" ops r.Engine.r_completed;
+  let stream =
+    Workload.Ycsb.create ~mix ~kind ~loaded:keys ~theta ~seed ~thread:0 ~threads:1
+  in
+  for _ = 1 to ops do
+    match Workload.Ycsb.next stream with
+    | Workload.Ycsb.Lookup k -> ignore (Index.lookup (on_bare k) k : int option)
+    | Workload.Ycsb.Scan (k, n) -> ignore (Index.scan (on_bare k) k n)
+    | Workload.Ycsb.Upsert (k, v) | Workload.Ycsb.Insert_new (k, v) ->
+        Index.insert (on_bare k) k v
+  done;
+  same_cost "engine run";
+  (* direct store calls *)
+  for i = 0 to 299 do
+    let k = Key.of_int (i * 5) in
+    if i mod 3 = 0 then begin
+      ignore (Store.delete store k : bool);
+      ignore (Index.delete (on_bare k) k : bool)
+    end
+    else begin
+      Store.insert store k i;
+      Index.insert (on_bare k) k i
+    end
+  done;
+  same_cost "direct ops"
 
 (* ---------- determinism ---------- *)
 
@@ -247,9 +257,6 @@ let test_engine_deterministic sys () =
     r2.Engine.r_throughput;
   Alcotest.(check (array int)) "per-shard completions" r1.Engine.r_shard_completed
     r2.Engine.r_shard_completed;
-  Alcotest.(check int) "batches" r1.Engine.r_batches r2.Engine.r_batches;
-  Alcotest.(check int) "batched writes" r1.Engine.r_batched_writes
-    r2.Engine.r_batched_writes;
   check_latency_eq "queue" r1.Engine.r_queue_lat r2.Engine.r_queue_lat;
   check_latency_eq "service" r1.Engine.r_service_lat r2.Engine.r_service_lat;
   check_latency_eq "total" r1.Engine.r_total_lat r2.Engine.r_total_lat;
@@ -292,7 +299,7 @@ let test_sweep_shape () =
 
 let crashmc_store () =
   (* tiny pools: every materialised crash state blits every pool *)
-  make_store ~numa:1 ~shards:2 ~span:1000 ~log_entries:16 ~capacity:(1 lsl 18) ()
+  make_store ~numa:1 ~shards:2 ~span:1000 ~capacity:(1 lsl 18) ()
 
 let crashmc_sut store =
   Crashmc.Sut.custom ~name:"svc-store[fastfair x2]" ~machine:(Store.machine store)
@@ -304,11 +311,10 @@ let crashmc_sut store =
 
 let seed () = Int64.to_int (Des.Rng.env_seed ~default:1L)
 
-let run_crashmc ?batch ?apply store =
-  let sut = crashmc_sut store in
+let test_crashmc_direct () =
+  let sut = crashmc_sut (crashmc_store ()) in
   let r =
-    Crashmc.Harness.run ~budget_per_point:16 ~max_states:2_500 ~seed:(seed ()) ?batch
-      ?apply ~sut
+    Crashmc.Harness.run ~budget_per_point:16 ~max_states:2_500 ~seed:(seed ()) ~sut
       ~ops:(Crashmc.Harness.mixed_workload ~seed:(seed ()) 24)
       ()
   in
@@ -316,127 +322,112 @@ let run_crashmc ?batch ?apply store =
     Alcotest.failf "%a@.seed %d (override with PACTREE_SEED)" Crashmc.Harness.pp_report
       r (seed ())
 
-let test_crashmc_direct () = run_crashmc (crashmc_store ())
-
-(* Route a chunk of oracle ops through [commit_batch], grouped per
-   shard in program order — the engine's batching, minus the DES. *)
-let commit_ops_batched store chunk =
-  let per = Array.make (Store.shard_count store) [] in
-  List.iter
-    (fun op ->
-      let s = Store.shard_of_key store (Crashmc.Oracle.op_key op) in
-      per.(s) <- op :: per.(s))
-    chunk;
-  Array.iteri
-    (fun s ops ->
-      match List.rev ops with
-      | [] -> ()
-      | ops ->
-          Store.commit_batch store ~shard:s
-            (List.map
-               (function
-                 | Crashmc.Oracle.Insert (k, v) -> Store.Put (k, v)
-                 | Crashmc.Oracle.Delete k -> Store.Del k)
-               ops))
-    per
-
-let test_crashmc_batched () =
-  let store = crashmc_store () in
-  run_crashmc ~batch:4 ~apply:(commit_ops_batched store) store
-
-(* Double crash: log-entry lines of an interrupted batch persist
-   independently (clwb, one fence per batch), so a crash image can
-   hold entry seq N+k without N — past the replay truncation point.
-   Recovery must scrub such ghosts: their seq is exactly one a future
-   committed write will use, and an unscrubbed ghost would be replayed
-   after a second crash, resurrecting an unacknowledged op over
-   acknowledged state.
-
-   The trace covers only the final batch, so the crash point before
-   its log fence has exactly the four entry lines pending and a large
-   budget sweeps their survivor combinations exhaustively — including
-   every hole-then-survivor (ghost) pattern.  For each image: recover,
-   snapshot, commit [j] fresh acknowledged writes, crash again,
-   recover, and require the state to be exactly snapshot + the fresh
-   writes.  [j] runs over 1..3 because a ghost at distance [d] past
-   the replay tail is only reached by replay when exactly [d - 1]
-   committed seqs precede it (fewer: replay stops at the hole; more:
-   the ghost slot is overwritten). *)
-let test_double_crash_no_ghost () =
-  let store = make_store ~numa:1 ~shards:2 ~span:1000 ~log_entries:32 () in
+(* Double crash.  A crash during a write, recovery, more acked
+   writes, then a crash at every enumerated point of that second
+   window and a second recovery.  Both recoveries are judged by the
+   durable-linearizability oracle: every acked write is present, the
+   one in flight at the crash may or may not be, and nothing else —
+   in particular no write the first crash dropped may come back.  The
+   state the first recovery produced enters the second window's
+   history as decided ops (a delete for each touched key it lacks). *)
+let test_double_crash () =
+  let store = make_store ~numa:1 ~shards:2 ~span:1000 () in
   let machine = Store.machine store in
+  let index = Store.as_index store in
+  let decided op = { Crashmc.Oracle.op; start_seq = 0; end_seq = 0 } in
+  let record ops =
+    let trace = Crashmc.Trace.start machine in
+    let history =
+      List.map
+        (fun op ->
+          let start_seq = Crashmc.Trace.seq trace in
+          Crashmc.Oracle.run_op index op;
+          { Crashmc.Oracle.op; start_seq; end_seq = Crashmc.Trace.seq trace })
+        ops
+    in
+    Crashmc.Trace.stop trace;
+    Store.quiesce store;
+    (trace, history)
+  in
+  let recover_and_check ~history (st : Crashmc.Enum.state) what =
+    st.Crashmc.Enum.restore ();
+    Store.recover store;
+    match
+      Crashmc.Oracle.check ~history ~at:st.Crashmc.Enum.at ~lookup:(Store.lookup store)
+        ~scan:(Store.scan store) ~invariants:(fun () -> Store.invariants store)
+    with
+    | [] -> ()
+    | v :: _ ->
+        Alcotest.failf "%s [at=%d %s]: %s (seed %d)" what st.Crashmc.Enum.at
+          st.Crashmc.Enum.label v (seed ())
+  in
   let prior =
-    List.init 24 (fun i -> Store.Put (Key.of_int (i * 41 mod 1000), i))
+    List.init 24 (fun i -> Crashmc.Oracle.Insert (Key.of_int (i * 41 mod 1000), i))
   in
-  List.iter
-    (fun w ->
-      let k = match w with Store.Put (k, _) -> k | Store.Del k -> k in
-      Store.commit_batch store ~shard:(Store.shard_of_key store k) [ w ])
-    prior;
-  (* final batch: 4 writes, all owned by shard 1 *)
-  let batch_keys = List.map Key.of_int [ 600; 610; 620; 630 ] in
-  let trace = Crashmc.Trace.start machine in
-  Store.commit_batch store ~shard:1
-    (List.mapi (fun i k -> Store.Put (k, 9000 + i)) batch_keys);
-  Crashmc.Trace.stop trace;
-  let history_keys =
+  List.iter (Crashmc.Oracle.run_op index) prior;
+  (* first window: one write on each shard *)
+  let first =
+    [ Crashmc.Oracle.Insert (Key.of_int 600, 9000); Crashmc.Oracle.Delete (Key.of_int 82) ]
+  in
+  let trace1, history1 = record first in
+  let history1 = List.map decided prior @ history1 in
+  let touched =
     List.sort_uniq Key.compare
-      (batch_keys
-      @ List.map (function Store.Put (k, _) -> k | Store.Del k -> k) prior)
+      (List.map (fun e -> Crashmc.Oracle.op_key e.Crashmc.Oracle.op) history1)
   in
-  let fresh_keys = List.map Key.of_int [ 601; 611; 621 ] in
-  let checked = ref 0 in
-  ignore
-    (Crashmc.Enum.iter ~budget_per_point:4096
-       ~seed:(Int64.of_int (seed ()))
-       ~trace
-       ~f:(fun st ->
-         incr checked;
-         for j = 1 to 3 do
-           st.Crashmc.Enum.restore ();
-           Store.recover store;
-           let snap = List.map (fun k -> (k, Store.lookup store k)) history_keys in
-           List.iteri
-             (fun i k ->
-               if i < j then
-                 Store.commit_batch store ~shard:1
-                   [ Store.Put (k, 1_000_000 + (j * 10) + i) ])
-             fresh_keys;
-           Nvm.Machine.crash machine Nvm.Machine.Strict;
-           Store.recover store;
-           Store.invariants store;
-           List.iteri
-             (fun i k ->
-               if i < j then
-                 Alcotest.(check (option int))
-                   (Printf.sprintf
-                      "[at=%d %s j=%d] acked post-recovery write %d survives"
-                      st.Crashmc.Enum.at st.Crashmc.Enum.label j (Key.to_int k))
-                   (Some (1_000_000 + (j * 10) + i))
-                   (Store.lookup store k))
-             fresh_keys;
-           List.iter
-             (fun (k, v) ->
-               Alcotest.(check (option int))
-                 (Printf.sprintf "[at=%d %s j=%d] key %d unchanged by second crash"
-                    st.Crashmc.Enum.at st.Crashmc.Enum.label j (Key.to_int k))
-                 v (Store.lookup store k))
-             snap
-         done;
-         if !checked >= 1600 then raise Crashmc.Enum.Stop)
-       ()
-      : Crashmc.Enum.stats);
-  Alcotest.(check bool) "swept enough crash states" true (!checked >= 200)
+  (* second window: acked writes made after the first recovery *)
+  let second =
+    [
+      Crashmc.Oracle.Insert (Key.of_int 610, 9100);
+      Crashmc.Oracle.Insert (Key.of_int 123, 9101);
+      Crashmc.Oracle.Delete (Key.of_int 0);
+      Crashmc.Oracle.Insert (Key.of_int 600, 9102);
+    ]
+  in
+  let outer = ref 0 and inner = ref 0 in
+  let stats1 =
+    Crashmc.Enum.iter ~budget_per_point:8 ~seed:(Int64.of_int (seed ())) ~trace:trace1
+      ~f:(fun st1 ->
+        incr outer;
+        recover_and_check ~history:history1 st1 "first recovery";
+        let survived =
+          List.map
+            (fun k ->
+              decided
+                (match Store.lookup store k with
+                | Some v -> Crashmc.Oracle.Insert (k, v)
+                | None -> Crashmc.Oracle.Delete k))
+            touched
+        in
+        let trace2, history2 = record second in
+        ignore
+          (Crashmc.Enum.iter ~budget_per_point:8 ~seed:(Int64.of_int (seed ()))
+             ~trace:trace2
+             ~f:(fun st2 ->
+               incr inner;
+               recover_and_check ~history:(survived @ history2) st2
+                 (Printf.sprintf "second recovery after [at=%d %s]" st1.Crashmc.Enum.at
+                    st1.Crashmc.Enum.label))
+             ()
+            : Crashmc.Enum.stats))
+      ()
+  in
+  Alcotest.(check bool) "first window has several crash points" true
+    (stats1.Crashmc.Enum.crash_points >= 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "swept enough double-crash states (%d x %d)" !outer !inner)
+    true
+    (!outer >= 4 && !inner >= 10 * !outer)
 
 let suite =
   [
     Alcotest.test_case "store: routed ops vs map oracle" `Quick
       test_store_ops_vs_oracle;
     Alcotest.test_case "store: cross-shard ordered scan" `Quick test_cross_shard_scan;
-    Alcotest.test_case "store: group commit survives crash (ring wrap)" `Quick
-      test_group_commit_crash_recovery;
-    Alcotest.test_case "store: group commit reduces fences" `Quick
-      test_group_commit_fewer_fences;
+    Alcotest.test_case "store: acked writes survive crash" `Quick
+      test_acked_writes_survive_crash;
+    Alcotest.test_case "store: service layer adds no NVM traffic" `Quick
+      test_service_adds_no_nvm_traffic;
     Alcotest.test_case "runner: deterministic (pactree)" `Quick
       (test_runner_deterministic Experiments.Factory.Pactree_sys);
     Alcotest.test_case "runner: deterministic (fastfair)" `Quick
@@ -449,8 +440,6 @@ let suite =
       test_closed_loop;
     Alcotest.test_case "engine: saturation sweep shape" `Quick test_sweep_shape;
     Alcotest.test_case "crashmc: sharded store, direct ops" `Quick test_crashmc_direct;
-    Alcotest.test_case "crashmc: sharded store, batched commits" `Quick
-      test_crashmc_batched;
-    Alcotest.test_case "crashmc: double crash replays no ghost entries" `Quick
-      test_double_crash_no_ghost;
+    Alcotest.test_case "crashmc: double crash, acked writes exact" `Quick
+      test_double_crash;
   ]
