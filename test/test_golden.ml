@@ -1,0 +1,121 @@
+(* Golden simulated results.
+
+   A host-cost change must leave every simulated number bit-identical.
+   This suite pins the simulated outcome of two small runs as exact
+   floats (printed with [%h], so no rounding hides a drift):
+
+   - closed loop: PACTree under YCSB A through [Workload.Runner.run];
+   - open loop: Poisson arrivals into a 2-shard PACTree [Svc.Store]
+     through [Svc.Engine.run].
+
+   The simulation depends on process-wide state ([Nvm.Machine] numbers
+   pools globally and the numbers feed the device model), so this is
+   its own executable and both runs happen once, in a fixed order,
+   before any test case looks at them.  If a change is meant to move
+   simulated results, regenerate the pinned values from the failure
+   messages and say why in the change. *)
+
+let hex f = Printf.sprintf "%h" f
+
+type golden = {
+  elapsed : float;
+  completed : int;
+  p50 : float;
+  p99 : float;
+  flushes : int;
+  fences : int;
+  media_read_bytes : int;
+  media_write_bytes : int;
+}
+
+let of_run ~elapsed ~completed ~latency ~nvm =
+  {
+    elapsed;
+    completed;
+    p50 = Workload.Latency.percentile latency 50.0;
+    p99 = Workload.Latency.percentile latency 99.0;
+    flushes = nvm.Nvm.Stats.flushes;
+    fences = nvm.Nvm.Stats.fences;
+    media_read_bytes = Nvm.Stats.total_read_bytes nvm;
+    media_write_bytes = Nvm.Stats.total_write_bytes nvm;
+  }
+
+let closed_loop () =
+  let machine = Nvm.Machine.create ~numa_count:2 () in
+  let scale = Experiments.Scale.make ~keys:3_000 ~ops:2_000 ~thread_counts:[] in
+  let index, service = Experiments.Factory.make machine ~scale Experiments.Factory.Pactree_sys in
+  let r =
+    Workload.Runner.run ~machine ~index ?service ~mix:Workload.Ycsb.Workload_a
+      ~kind:Workload.Keyset.Int_keys ~loaded:3_000 ~ops:2_000 ~threads:8 ~seed:7L ()
+  in
+  of_run ~elapsed:r.Workload.Runner.elapsed ~completed:r.Workload.Runner.ops
+    ~latency:r.Workload.Runner.latency ~nvm:r.Workload.Runner.nvm
+
+let open_loop () =
+  let cfg =
+    {
+      (Experiments.Svc_run.default ~quick:true Experiments.Factory.Pactree_sys) with
+      Experiments.Svc_run.shards = 2;
+      keys = 3_000;
+      ops = 2_000;
+      seed = 11L;
+    }
+  in
+  let r = Experiments.Svc_run.run_point cfg ~rate:1.2e6 in
+  of_run ~elapsed:r.Svc.Engine.r_elapsed ~completed:r.Svc.Engine.r_completed
+    ~latency:r.Svc.Engine.r_total_lat ~nvm:r.Svc.Engine.r_nvm
+
+(* Both runs, in this order, before Alcotest selects any case. *)
+let closed = closed_loop ()
+
+let opened = open_loop ()
+
+let check name got want =
+  let float what g w = Alcotest.(check string) (name ^ ": " ^ what) (hex w) (hex g) in
+  let int what g w = Alcotest.(check int) (name ^ ": " ^ what) w g in
+  float "elapsed" got.elapsed want.elapsed;
+  int "completed" got.completed want.completed;
+  float "p50" got.p50 want.p50;
+  float "p99" got.p99 want.p99;
+  int "flushes" got.flushes want.flushes;
+  int "fences" got.fences want.fences;
+  int "media read bytes" got.media_read_bytes want.media_read_bytes;
+  int "media write bytes" got.media_write_bytes want.media_write_bytes
+
+let test_closed_loop () =
+  check "runner"
+    closed
+    {
+      elapsed = 0x1.1ec2e577a6c7p-11;
+      completed = 2000;
+      p50 = 0x1.bbe286d7d28p-20;
+      p99 = 0x1.af3a67456458p-17;
+      flushes = 4087;
+      fences = 2452;
+      media_read_bytes = 2120704;
+      media_write_bytes = 945408;
+    }
+
+let test_open_loop () =
+  check "engine"
+    opened
+    {
+      elapsed = 0x1.b933f66b80cfcp-10;
+      completed = 2000;
+      p50 = 0x1.4db12e78cb8p-19;
+      p99 = 0x1.27955386c8fp-15;
+      flushes = 3861;
+      fences = 2380;
+      media_read_bytes = 2792960;
+      media_write_bytes = 913920;
+    }
+
+let () =
+  Alcotest.run "golden"
+    [
+      ( "simulated",
+        [
+          Alcotest.test_case "closed-loop PACTree YCSB A" `Quick test_closed_loop;
+          Alcotest.test_case "open-loop 2-shard service" `Quick test_open_loop;
+        ] );
+    ]
