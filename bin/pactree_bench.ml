@@ -481,6 +481,13 @@ let run_service sys shards quick keys ops workers queue admission arrival mix th
             prerr_endline msg;
             exit 2
       in
+      List.iter
+        (fun (flag, v) ->
+          if v < 1 then begin
+            Printf.eprintf "--%s must be at least 1 (got %d)\n" flag v;
+            exit 2
+          end)
+        [ ("shards", shards); ("workers", workers); ("queue", queue) ];
       let d = Experiments.Svc_run.default ~quick sys in
       let cfg =
         {

@@ -66,7 +66,9 @@ let grow q =
     q.values <- values
   end
 
-let add q ~time value =
+(* Inlined into callers (outside the dev profile's opaque builds), so
+   that a computed [time] goes into the array without being boxed. *)
+let[@inline] add q ~time value =
   grow q;
   let i = q.size in
   q.times.(i) <- time;
@@ -76,7 +78,7 @@ let add q ~time value =
   q.size <- i + 1;
   sift_up q i
 
-let min_time q =
+let[@inline] min_time q =
   if q.size = 0 then raise Not_found;
   q.times.(0)
 

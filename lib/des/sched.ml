@@ -1,6 +1,8 @@
-(* A thread's pending [charge] lives in a float-only record, which OCaml
-   stores unboxed: charging is the most frequent simulated-time action
-   and must not allocate. *)
+(* The clock and a thread's pending [charge] live in float-only
+   records, which OCaml stores unboxed: both are written on every
+   context switch and charge, and must not allocate. *)
+type clock = { mutable now : float }
+
 type pending = { mutable extra : float (* accumulated charge not yet in the clock *) }
 
 type thread = {
@@ -8,24 +10,54 @@ type thread = {
   name : string;
   numa : int;
   pending : pending;
-  mutable resume : resume; (* what the next event of this thread runs *)
+  mutable k : (unit, unit) Effect.Deep.continuation;
+      (* where the thread resumes at its next event; [no_k] while it has
+         nothing to resume *)
+  wake : unit -> unit;
+      (* queues the thread at its scheduler's current time; built once
+         per thread *)
+  mutable next_waiter : thread; (* behind it on a [Waitq]; [main] at the tail *)
   scratch : Bytes.t; (* see [scratch] *)
 }
 
-and resume =
-  | Idle
-  | Start of (unit -> unit)
-  | Continue of (unit, unit) Effect.Deep.continuation
+type _ Effect.t +=
+  | Delay : unit Effect.t
+        (* suspend for the calling thread's pending charge, which
+           [delay] has already topped up *)
+  | Park : unit Effect.t (* suspend until something calls the thread's [wake] *)
 
-let new_thread ~id ~name ~numa =
-  { id; name; numa; pending = { extra = 0.0 }; resume = Idle; scratch = Bytes.create 128 }
+(* A continuation that is never resumed: the [k] of threads with
+   nothing to resume, so that the field needs no option box. *)
+let no_k : (unit, unit) Effect.Deep.continuation =
+  let parked = ref None in
+  let on_park = Some (fun (k : (unit, unit) Effect.Deep.continuation) -> parked := Some k) in
+  Effect.Deep.try_with Effect.perform Park
+    {
+      effc =
+        (fun (type c) (eff : c Effect.t) ->
+          match eff with
+          | Park -> (on_park : ((c, unit) Effect.Deep.continuation -> unit) option)
+          | _ -> None);
+    };
+  Option.get !parked
 
 (* Stands for "no simulated thread": the host program outside [run],
-   and the dummy that fills vacant event-queue slots. *)
-let main = new_thread ~id:(-1) ~name:"main" ~numa:0
+   the dummy that fills vacant event-queue slots, and the end of every
+   wait queue. *)
+let rec main =
+  {
+    id = -1;
+    name = "main";
+    numa = 0;
+    pending = { extra = 0.0 };
+    k = no_k;
+    wake = ignore;
+    next_waiter = main;
+    scratch = Bytes.create 128;
+  }
 
 type t = {
-  mutable clock : float;
+  clock : clock;
   events : thread Event_queue.t;
   mutable current : thread; (* [main] between events *)
   mutable next_id : int;
@@ -36,82 +68,87 @@ type t = {
    is cooperative, so a plain ref is race-free. *)
 let active : t option ref = ref None
 
-type _ Effect.t +=
-  | Delay : unit Effect.t
-        (* suspend for the calling thread's pending charge, which
-           [delay] has already topped up *)
-  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
-        (* [Suspend park] hands the caller's "resume" closure to
-           [park], which stores it (e.g. on a wait queue). *)
-
 let create ?(start = 0.0) () =
   {
-    clock = start;
+    clock = { now = start };
     events = Event_queue.create ~dummy:main ();
     current = main;
     next_id = 0;
     live = 0;
   }
 
-let now t = t.clock
+let[@inline] now t = t.clock.now
 
-let flush_extra thread =
+let[@inline] flush_extra thread =
   let e = thread.pending.extra in
   thread.pending.extra <- 0.0;
   e
 
 let spawn t ?(numa = 0) ~name body =
-  let thread = new_thread ~id:t.next_id ~name ~numa in
+  let rec thread =
+    {
+      id = t.next_id;
+      name;
+      numa;
+      pending = { extra = 0.0 };
+      k = no_k;
+      wake = (fun () -> Event_queue.add t.events ~time:t.clock.now thread);
+      next_waiter = main;
+      scratch = Bytes.create 128;
+    }
+  in
   t.next_id <- t.next_id + 1;
   t.live <- t.live + 1;
   let open Effect.Deep in
-  (* The handler's answer to [Delay] does not depend on the effect, so
-     it is built once per thread rather than once per delay. *)
+  (* The handler's answers do not depend on the effect's occurrence, so
+     they are built once per thread rather than once per switch. *)
   let on_delay =
     Some
       (fun (k : (unit, unit) continuation) ->
         let pause = flush_extra thread in
-        thread.resume <- Continue k;
-        Event_queue.add t.events ~time:(t.clock +. pause) thread;
+        thread.k <- k;
+        Event_queue.add t.events ~time:(t.clock.now +. pause) thread;
         t.current <- main)
   in
-  let start () =
-    match_with
-      (fun () ->
-        body ();
-        t.live <- t.live - 1)
-      ()
-      {
-        retc = (fun () -> t.current <- main);
-        exnc =
-          (fun exn ->
-            t.current <- main;
-            raise exn);
-        effc =
-          (fun (type c) (eff : c Effect.t) ->
-            match eff with
-            | Delay -> (on_delay : ((c, unit) continuation -> unit) option)
-            | Suspend park ->
-                Some
-                  (fun (k : (c, _) continuation) ->
-                    let resume () =
-                      thread.resume <- Continue k;
-                      Event_queue.add t.events ~time:t.clock thread
-                    in
-                    park resume;
-                    t.current <- main)
-            | _ -> None);
-      }
+  let on_park =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        thread.k <- k;
+        t.current <- main)
   in
-  thread.resume <- Start start;
-  Event_queue.add t.events ~time:t.clock thread
+  (* Enter the handler now and park at once, so that from birth the
+     thread is a continuation like any suspended one.  [spawn] may be
+     called from a running thread, whose [current] the park must not
+     clobber. *)
+  let caller = t.current in
+  match_with
+    (fun () ->
+      Effect.perform Park;
+      body ();
+      t.live <- t.live - 1)
+    ()
+    {
+      retc = (fun () -> t.current <- main);
+      exnc =
+        (fun exn ->
+          t.current <- main;
+          raise exn);
+      effc =
+        (fun (type c) (eff : c Effect.t) ->
+          match eff with
+          | Delay -> (on_delay : ((c, unit) continuation -> unit) option)
+          | Park -> (on_park : ((c, unit) continuation -> unit) option)
+          | _ -> None);
+    };
+  t.current <- caller;
+  thread.wake ()
 
 (* Power-failure semantics: drop every pending event and suspended
    thread.  When called from inside a simulated thread (the "crasher"),
    that thread keeps running to completion. *)
 let abort_all t =
   while not (Event_queue.is_empty t.events) do
-    (Event_queue.pop_min t.events).resume <- Idle
+    (Event_queue.pop_min t.events).k <- no_k
   done;
   t.live <- (if t.current == main then 0 else 1)
 
@@ -119,13 +156,11 @@ let debug_progress =
   match Sys.getenv_opt "DES_DEBUG" with Some _ -> true | None -> false
 
 let dispatch t thread =
-  let resume = thread.resume in
-  thread.resume <- Idle;
+  let k = thread.k in
+  if k == no_k then invalid_arg "Sched.run: event for a thread with nothing to resume";
+  thread.k <- no_k;
   t.current <- thread;
-  match resume with
-  | Start start -> start ()
-  | Continue k -> Effect.Deep.continue k ()
-  | Idle -> invalid_arg "Sched.run: event for a thread with nothing to resume"
+  Effect.Deep.continue k ()
 
 let run t =
   let saved = !active in
@@ -136,12 +171,12 @@ let run t =
      while not (Event_queue.is_empty t.events) do
        let time = Event_queue.min_time t.events in
        let thread = Event_queue.pop_min t.events in
-       if time > t.clock then t.clock <- time;
+       if time > t.clock.now then t.clock.now <- time;
        if debug_progress then begin
          incr events;
          if !events land 0xFFFFF = 0 then
            Printf.eprintf "[des] %dM events, sim %.3f ms, queue %d\n%!" (!events / 1_000_000)
-             (t.clock *. 1e3) (Event_queue.length t.events)
+             (t.clock.now *. 1e3) (Event_queue.length t.events)
        end;
        dispatch t thread
      done
@@ -154,11 +189,13 @@ let run t =
       (Printf.sprintf "Sched.run: %d thread(s) blocked forever (missing signal?)" t.live)
 
 (* The calling simulated thread, or [main] outside one. *)
-let current () = match !active with Some t -> t.current | None -> main
+let[@inline] current () = match !active with Some t -> t.current | None -> main
 
-let running () = current () != main
+let[@inline] running () = current () != main
 
 let self () = if running () then !active else None
+
+let[@inline] time () = match !active with Some t -> t.clock.now | None -> 0.0
 
 let current_id () = (current ()).id
 
@@ -166,49 +203,66 @@ let current_numa () = (current ()).numa
 
 let current_name () = (current ()).name
 
-let delay seconds =
+let[@inline] delay seconds =
   let th = current () in
   if th != main then begin
     th.pending.extra <- th.pending.extra +. seconds;
     Effect.perform Delay
   end
 
-let charge seconds =
+let[@inline] charge seconds =
   let th = current () in
   if th != main then th.pending.extra <- th.pending.extra +. seconds
 
-let pending_charge () = (current ()).pending.extra
+let[@inline] pending_charge () = (current ()).pending.extra
 
 let scratch () = (current ()).scratch
 
 let yield () = delay 0.0
 
+(* An intrusive FIFO threaded through [next_waiter]: waiting and
+   waking allocate nothing. *)
 module Waitq = struct
-  type t = { mutable queue : (unit -> unit) list (* reversed FIFO *) }
+  type t = {
+    mutable head : thread; (* [main] when empty *)
+    mutable tail : thread;
+    mutable length : int;
+  }
 
-  let create () = { queue = [] }
+  let create () = { head = main; tail = main; length = 0 }
 
   let wait wq =
-    if not (running ()) then invalid_arg "Waitq.wait outside a simulated thread"
-    else
+    let th = current () in
+    if th == main then invalid_arg "Waitq.wait outside a simulated thread"
+    else begin
       (* Enqueue-and-suspend must be atomic with respect to the
          caller's wait-condition check: no simulated-time action may
          occur in between, or a concurrent signal could be lost.
-         Accumulated [charge] time simply folds into the next
-         delay after wake-up. *)
-      Effect.perform (Suspend (fun resume -> wq.queue <- resume :: wq.queue))
+         Accumulated [charge] time simply folds into the next delay
+         after wake-up. *)
+      if wq.head == main then wq.head <- th else wq.tail.next_waiter <- th;
+      wq.tail <- th;
+      wq.length <- wq.length + 1;
+      Effect.perform Park
+    end
+
+  (* Detach and return the oldest waiter; the queue must not be empty. *)
+  let pop wq =
+    let th = wq.head in
+    wq.head <- th.next_waiter;
+    if wq.head == main then wq.tail <- main;
+    th.next_waiter <- main;
+    wq.length <- wq.length - 1;
+    th
 
   let signal_all _sched wq =
-    let resumers = List.rev wq.queue in
-    wq.queue <- [];
-    List.iter (fun resume -> resume ()) resumers
+    (* only the threads waiting now: a woken thread cannot re-wait
+       before it runs *)
+    while wq.head != main do
+      (pop wq).wake ()
+    done
 
-  let signal_one _sched wq =
-    match List.rev wq.queue with
-    | [] -> ()
-    | resume :: rest ->
-        wq.queue <- List.rev rest;
-        resume ()
+  let signal_one _sched wq = if wq.head != main then (pop wq).wake ()
 
-  let waiters wq = List.length wq.queue
+  let waiters wq = wq.length
 end

@@ -73,6 +73,12 @@ val pending_charge : unit -> float
     the copy. *)
 val scratch : unit -> Bytes.t
 
+(** The running scheduler's clock ([now] of the scheduler inside
+    [run]); [0.] outside a simulation.  For the NVM model, which needs
+    the time of the calling thread's access without holding the
+    scheduler. *)
+val time : unit -> float
+
 (** Yield the processor: reschedule the calling thread at the current
     time behind already-pending events. *)
 val yield : unit -> unit

@@ -1,17 +1,17 @@
 module Mutex = struct
-  type t = { mutable holder : int option; waiters : Sched.Waitq.t }
+  type t = { mutable locked : bool; waiters : Sched.Waitq.t }
 
-  let create () = { holder = None; waiters = Sched.Waitq.create () }
+  let create () = { locked = false; waiters = Sched.Waitq.create () }
 
   let rec lock t =
-    match t.holder with
-    | None -> t.holder <- Some (Sched.current_id ())
-    | Some _ ->
-        Sched.Waitq.wait t.waiters;
-        lock t
+    if not t.locked then t.locked <- true
+    else begin
+      Sched.Waitq.wait t.waiters;
+      lock t
+    end
 
   let unlock t =
-    t.holder <- None;
+    t.locked <- false;
     match Sched.self () with
     | Some sched -> Sched.Waitq.signal_one sched t.waiters
     | None -> ()
@@ -26,5 +26,5 @@ module Mutex = struct
         unlock t;
         raise exn
 
-  let locked t = t.holder <> None
+  let locked t = t.locked
 end

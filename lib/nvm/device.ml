@@ -34,32 +34,36 @@ let buf_mem t xpline = t.read_buf.(buf_slot t xpline) = xpline
 
 let buf_insert t xpline = t.read_buf.(buf_slot t xpline) <- xpline
 
+type cursor = { mutable at : float }
+
 (* Occupy the earliest-free channel for [cost] seconds starting no
-   earlier than [now]; returns the completion time. *)
-let channel_service t ~now cost =
+   earlier than [c.at]; leaves the completion time in [c.at].  This
+   and [remote_adder] are inlined so that their float argument and
+   result are not boxed. *)
+let[@inline] channel_service t c cost =
   let best = ref 0 in
   for i = 1 to Array.length t.channels - 1 do
     if t.channels.(i) < t.channels.(!best) then best := i
   done;
-  let start = Float.max now t.channels.(!best) in
+  let start = Float.max c.at t.channels.(!best) in
   let finish = start +. cost in
   t.channels.(!best) <- finish;
-  finish
+  c.at <- finish
 
 (* Directory coherence (FH5): accessing an XPLine from a NUMA domain
    other than its recorded owner updates the directory state, which
    lives on the 3D-Xpoint media, i.e. it is a media write (itself a
-   partial-line RMW).  Snoop mode keeps no on-media state. *)
-let coherence_update t ~now ~xpline ~from_numa =
+   partial-line RMW), and [c.at] moves to its completion.  Snoop mode
+   keeps no on-media state. *)
+let coherence_update t c ~xpline ~from_numa =
   match t.protocol with
-  | Config.Snoop -> now
+  | Config.Snoop -> ()
   | Config.Directory ->
       (* Lines start out owned by their home socket (they were zeroed /
          initialised locally), so purely local workloads cause no
          directory traffic. *)
       let owner = try Hashtbl.find t.owners xpline with Not_found -> t.numa in
-      if owner = from_numa then now
-      else begin
+      if owner <> from_numa then begin
         Hashtbl.replace t.owners xpline from_numa;
         let p = t.profile in
         let s = t.stats in
@@ -73,20 +77,21 @@ let coherence_update t ~now ~xpline ~from_numa =
           +. (float_of_int xpline_size
              *. (p.Config.write_byte_cost +. p.Config.read_byte_cost))
         in
-        channel_service t ~now cost
+        channel_service t c cost
       end
 
-let remote_adder t ~from_numa =
+let[@inline] remote_adder t ~from_numa =
   if from_numa = t.numa then 0.0
   else begin
     t.stats.Stats.remote_accesses <- t.stats.Stats.remote_accesses + 1;
     t.profile.Config.remote_latency
   end
 
-let read t ~now ~xpline ~from_numa =
+let read t c ~xpline ~from_numa =
   let p = t.profile in
   let s = t.stats in
   let remote = remote_adder t ~from_numa in
+  let now = c.at in
   if buf_mem t xpline then begin
     s.Stats.buffer_hits <- s.Stats.buffer_hits + 1;
     (* Keep a detected sequential stream running: when the hit is on
@@ -101,12 +106,12 @@ let read t ~now ~xpline ~from_numa =
           p.Config.read_latency
           +. (float_of_int xpline_size *. p.Config.read_byte_cost)
         in
-        let (_ : float) = channel_service t ~now cost in
+        channel_service t c cost;
         buf_insert t (xpline + 1)
       end;
       t.last_fetched <- xpline
     end;
-    now +. p.Config.buffer_hit_latency +. remote
+    c.at <- now +. p.Config.buffer_hit_latency +. remote
   end
   else begin
     s.Stats.media_reads <- s.Stats.media_reads + 1;
@@ -114,7 +119,8 @@ let read t ~now ~xpline ~from_numa =
     let cost =
       p.Config.read_latency +. (float_of_int xpline_size *. p.Config.read_byte_cost)
     in
-    let fetch_done = channel_service t ~now cost in
+    channel_service t c cost;
+    let fetch_done = c.at in
     buf_insert t xpline;
     (* Sequential prefetch: a second consecutive miss triggers a
        background fetch of the next XPLine, consuming channel time but
@@ -124,18 +130,19 @@ let read t ~now ~xpline ~from_numa =
       s.Stats.prefetches <- s.Stats.prefetches + 1;
       s.Stats.media_reads <- s.Stats.media_reads + 1;
       s.Stats.media_read_bytes <- s.Stats.media_read_bytes + xpline_size;
-      let (_ : float) = channel_service t ~now:fetch_done cost in
+      channel_service t c cost;
+      c.at <- fetch_done;
       buf_insert t (xpline + 1)
     end;
     t.last_fetched <- xpline;
-    let after_coherence = coherence_update t ~now:fetch_done ~xpline ~from_numa in
-    after_coherence +. remote
+    coherence_update t c ~xpline ~from_numa;
+    c.at <- c.at +. remote
   end
 
-(* Returns when the write enters the WPQ (the ADR persistent domain —
-   what an sfence waits for).  The media transfer itself books the
-   channels, and through them bounds throughput. *)
-let write t ~now ~xpline ~bytes ~from_numa =
+(* [c.at] becomes the time the write enters the WPQ (the ADR persistent
+   domain — what an sfence waits for).  The media transfer itself books
+   the channels, and through them bounds throughput. *)
+let write t c ~xpline ~bytes ~from_numa =
   assert (bytes > 0 && bytes <= xpline_size);
   let p = t.profile in
   let s = t.stats in
@@ -157,15 +164,12 @@ let write t ~now ~xpline ~bytes ~from_numa =
     +. (float_of_int xpline_size *. p.Config.write_byte_cost)
     +. rmw_cost
   in
-  let write_done = channel_service t ~now cost in
-  let (_ : float) = coherence_update t ~now:write_done ~xpline ~from_numa in
+  channel_service t c cost;
+  let write_done = c.at in
+  coherence_update t c ~xpline ~from_numa;
   (* WPQ acceptance: fast when channels are free; back-pressured to
      the service start when the device is saturated. *)
-  write_done -. cost +. p.Config.write_latency +. remote
-
-let dram_access t ~now ~bytes =
-  let p = t.profile in
-  now +. p.Config.dram_latency +. (float_of_int bytes *. 0.01e-9)
+  c.at <- write_done -. cost +. p.Config.write_latency +. remote
 
 let reset_buffers t =
   Array.fill t.read_buf 0 (Array.length t.read_buf) (-1);

@@ -12,9 +12,9 @@
       from a different NUMA domain than the current owner generates a
       directory {e write} under the [Directory] protocol (FH5).
 
-    The device is a pure cost model: it returns completion times as a
-    function of [now] and never touches the scheduler, so callers
-    decide whether to block. *)
+    The device is a pure cost model: it computes completion times from
+    request times and never touches the scheduler, so callers decide
+    whether to block. *)
 
 type t
 
@@ -24,22 +24,26 @@ val numa : t -> int
 
 val stats : t -> Stats.t
 
-(** [read t ~now ~xpline ~from_numa] models fetching XPLine [xpline]
-    and returns the absolute completion time.  A buffer hit bypasses
-    the channels.  Directory maintenance traffic is added when
-    [from_numa] differs from the line's current owner. *)
-val read : t -> now:float -> xpline:int -> from_numa:int -> float
+(** A time register.  It is a float-only record, which OCaml stores
+    unboxed, so the times passing through it are never boxed: the
+    caller writes the request time into [at] and the model overwrites
+    it with the completion time.  A model call does not yield, so one
+    cursor can serve every access of its owner. *)
+type cursor = { mutable at : float }
 
-(** [write t ~now ~xpline ~bytes ~from_numa] models persisting [bytes]
-    (<= 256) of XPLine [xpline].  Partial writes charge an extra 256B
-    RMW read.  Returns when the write enters the WPQ (ADR persistent
-    domain — what a fence waits for); the media transfer books the
-    channels (channel occupancy / bandwidth). *)
-val write : t -> now:float -> xpline:int -> bytes:int -> from_numa:int -> float
+(** [read t c ~xpline ~from_numa] models fetching XPLine [xpline],
+    requested at [c.at], and sets [c.at] to the completion time.  A
+    buffer hit bypasses the channels.  Directory maintenance traffic is
+    added when [from_numa] differs from the line's current owner. *)
+val read : t -> cursor -> xpline:int -> from_numa:int -> unit
 
-(** [dram_access t ~now ~bytes] models a volatile (DRAM) memory access
-    on this NUMA domain; no persistence, no directory traffic. *)
-val dram_access : t -> now:float -> bytes:int -> float
+(** [write t c ~xpline ~bytes ~from_numa] models persisting [bytes]
+    (<= 256) of XPLine [xpline], requested at [c.at].  Partial writes
+    charge an extra 256B RMW read.  Sets [c.at] to when the write
+    enters the WPQ (ADR persistent domain — what a fence waits for);
+    the media transfer books the channels (channel occupancy /
+    bandwidth). *)
+val write : t -> cursor -> xpline:int -> bytes:int -> from_numa:int -> unit
 
 (** Drop buffered XPLines and coherence state (used on crash). *)
 val reset_buffers : t -> unit

@@ -34,6 +34,10 @@ type pool_view = {
   pv_restore : Bytes.t -> unit;
 }
 
+(* The fence in progress: when it started and its latest WPQ acceptance
+   so far.  Float-only, so stored unboxed. *)
+type fence_times = { mutable start : float; mutable accepted : float }
+
 type t = {
   profile : Config.profile;
   protocol : Config.protocol;
@@ -43,9 +47,9 @@ type t = {
   mutable stages : stage array; (* indexed by thread id + 1 *)
   groups : (int * int, int) Hashtbl.t;
       (* the fence in progress: (device numa, xpline) -> staged lines *)
-  mutable fence_start : float;
+  fence_times : fence_times;
   mutable fence_from : int; (* issuing NUMA domain; -1 outside a simulation *)
-  mutable fence_done : float; (* latest WPQ acceptance so far *)
+  io : Device.cursor; (* one group write's request / acceptance time *)
   write_group : int * int -> int -> unit; (* writes one group of [groups] *)
   stats : Stats.t;
   mutable next_pool_id : int;
@@ -66,11 +70,16 @@ type t = {
 let write_staged_group t (dev_numa, xpline) count =
   let bytes = min 256 (64 * count) in
   let dev = t.devices.(dev_numa) in
-  if t.fence_from < 0 then
-    ignore (Device.write dev ~now:0.0 ~xpline ~bytes ~from_numa:dev_numa : float)
+  let io = t.io in
+  if t.fence_from < 0 then begin
+    io.at <- 0.0;
+    Device.write dev io ~xpline ~bytes ~from_numa:dev_numa
+  end
   else begin
-    let accepted = Device.write dev ~now:t.fence_start ~xpline ~bytes ~from_numa:t.fence_from in
-    if accepted > t.fence_done then t.fence_done <- accepted
+    let ft = t.fence_times in
+    io.at <- ft.start;
+    Device.write dev io ~xpline ~bytes ~from_numa:t.fence_from;
+    if io.at > ft.accepted then ft.accepted <- io.at
   end
 
 let create ?(profile = Config.dcpmm) ?(protocol = Config.Snoop) ~numa_count () =
@@ -84,9 +93,9 @@ let create ?(profile = Config.dcpmm) ?(protocol = Config.Snoop) ~numa_count () =
       cpu_mask = slots - 1;
       stages = [||];
       groups = Hashtbl.create 8;
-      fence_start = 0.0;
+      fence_times = { start = 0.0; accepted = 0.0 };
       fence_from = -1;
-      fence_done = 0.0;
+      io = { Device.at = 0.0 };
       write_group = (fun key count -> write_staged_group t key count);
       stats = Stats.create ();
       next_pool_id = 0;
@@ -149,8 +158,6 @@ let total_stats t =
   let acc = Stats.snapshot t.stats in
   Array.iter (fun dev -> Stats.add acc (Device.stats dev)) t.devices;
   acc
-
-let now _t = match Des.Sched.self () with Some s -> Des.Sched.now s | None -> 0.0
 
 (* Pool ids are process-global so that persistent pointers (which
    embed the pool id) can be resolved through a global registry even
@@ -250,15 +257,16 @@ let fence t =
       Hashtbl.replace groups key (count + 1)
     done;
     if Des.Sched.running () then begin
-      let start = now t in
-      t.fence_start <- start;
+      let start = Des.Sched.time () in
+      let ft = t.fence_times in
+      ft.start <- start;
       t.fence_from <- Des.Sched.current_numa ();
       (* sfence waits for WPQ acceptance (the persistent domain
          under ADR), not the media transfer; the channel stays
          booked, so saturation still back-pressures the fence. *)
-      t.fence_done <- start;
+      ft.accepted <- start;
       Hashtbl.iter t.write_group groups;
-      let stall = t.fence_done -. start in
+      let stall = ft.accepted -. start in
       Des.Sched.delay stall;
       match t.wait_observer with
       | Some observe -> observe stall

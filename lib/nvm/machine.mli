@@ -35,9 +35,6 @@ val stats : t -> Stats.t
 (** Sum of machine-level and all device counters. *)
 val total_stats : t -> Stats.t
 
-(** Current simulated time (0 outside a simulation). *)
-val now : t -> float
-
 (** {2 Used by {!Pool}} *)
 
 val fresh_pool_id : t -> int

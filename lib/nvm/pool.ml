@@ -17,6 +17,7 @@ type t = {
          (FliT) *)
   capacity : int;
   sink : Machine.sink; (* where this pool's clwb snapshots are staged *)
+  io : Device.cursor; (* request / completion time of a device access *)
 }
 
 let nobody = min_int
@@ -65,6 +66,7 @@ let create machine ?(volatile = false) ~name ~numa ~capacity () =
       staged_by;
       capacity;
       sink = { Machine.dev; apply = (fun snaps pos line -> apply_snapshot pool snaps pos line) };
+      io = { Device.at = 0.0 };
     }
   in
   Machine.register_pool_view machine
@@ -145,15 +147,15 @@ let touch_line t off =
     Des.Sched.charge profile.Config.cache_hit_cost
   else if t.volatile then Des.Sched.charge profile.Config.dram_latency
   else if Des.Sched.running () then begin
-    let start = Machine.now t.machine in
-    let completion =
-      Device.read t.dev ~now:start ~xpline:(g lsr 2)
-        ~from_numa:(Des.Sched.current_numa ())
-    in
-    Des.Sched.delay (completion -. start)
+    let start = Des.Sched.time () in
+    t.io.at <- start;
+    Device.read t.dev t.io ~xpline:(g lsr 2) ~from_numa:(Des.Sched.current_numa ());
+    Des.Sched.delay (t.io.at -. start)
   end
-  else
-    ignore (Device.read t.dev ~now:0.0 ~xpline:(g lsr 2) ~from_numa:t.numa)
+  else begin
+    t.io.at <- 0.0;
+    Device.read t.dev t.io ~xpline:(g lsr 2) ~from_numa:t.numa
+  end
 
 (* Logical (program-requested) byte accounting feeds the FH1/FH2
    amplification rates: media traffic over logical traffic.  Volatile
@@ -319,12 +321,13 @@ let compare_string t off len s = compare_prefix t off len s (String.length s)
 let eadr_drain t off =
   let g = gline t off in
   if Des.Sched.running () then begin
-    let start = Machine.now t.machine in
-    ignore
-      (Device.write t.dev ~now:start ~xpline:(g lsr 2) ~bytes:64
-         ~from_numa:(Des.Sched.current_numa ()))
+    t.io.at <- Des.Sched.time ();
+    Device.write t.dev t.io ~xpline:(g lsr 2) ~bytes:64 ~from_numa:(Des.Sched.current_numa ())
   end
-  else ignore (Device.write t.dev ~now:0.0 ~xpline:(g lsr 2) ~bytes:64 ~from_numa:t.numa);
+  else begin
+    t.io.at <- 0.0;
+    Device.write t.dev t.io ~xpline:(g lsr 2) ~bytes:64 ~from_numa:t.numa
+  end;
   let line = off lsr 6 in
   Bytes.blit t.cache (line * line_size) t.media (line * line_size) line_size;
   clear_dirty t line;

@@ -75,7 +75,9 @@ type req = {
   q_arrival : float;
   mutable q_deq : float;
   mutable q_finished : bool;
-  q_done : Waitq.t option; (* closed-loop completion signal *)
+  q_done : Waitq.t;
+      (* signalled on completion: the submitting client's in closed loop,
+         one nobody waits on in open loop *)
 }
 
 type squeue = {
@@ -130,6 +132,14 @@ let load ~store ~kind ~keys () =
 (* ---------- the engine ---------- *)
 
 let run ~store ~config:cfg ?(start = 0.0) ?obs () =
+  if cfg.workers_per_shard < 1 then
+    invalid_arg
+      (Printf.sprintf "Engine.run: workers_per_shard = %d, must be at least 1"
+         cfg.workers_per_shard);
+  if cfg.queue_capacity < 1 then
+    invalid_arg
+      (Printf.sprintf "Engine.run: queue_capacity = %d, must be at least 1"
+         cfg.queue_capacity);
   let machine = Store.machine store in
   let nshards = Store.shard_count store in
   let sched = Des.Sched.create ~start () in
@@ -168,7 +178,9 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
         ~name:(Printf.sprintf "svc%d" shard)
         (fun () -> svc.Workload.Runner.body ()))
     services;
-  let finish ~shard ~t r =
+  (* the ack, at the current simulated time *)
+  let finish ~shard r =
+    let t = Des.Sched.now sched in
     r.q_finished <- true;
     incr completed;
     shard_completed.(shard) <- shard_completed.(shard) + 1;
@@ -177,9 +189,7 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
       Latency.record service_lat (t -. r.q_deq);
       Latency.record total_lat (t -. r.q_arrival)
     end;
-    match r.q_done with
-    | Some wq -> Waitq.signal_all sched wq
-    | None -> ()
+    Waitq.signal_all sched r.q_done
   in
   let on_all_workers_done () =
     (match obs with
@@ -199,8 +209,9 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
             if not (Queue.is_empty q.items) then true
             else if q.closed then false
             else begin
-              Obs.Span.with_phase Obs.Span.Svc_queue (fun () ->
-                  Waitq.wait q.nonempty);
+              let span = Obs.Span.start Obs.Span.Svc_queue in
+              Waitq.wait q.nonempty;
+              Obs.Span.stop span;
               await ()
             end
           in
@@ -221,7 +232,7 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
                  durable (each backend persists its own writes in
                  order) and visible to reads on any worker *)
               Des.Sched.delay 0.0;
-              finish ~shard ~t:(Des.Sched.now sched) r;
+              finish ~shard r;
               loop ()
             end
           in
@@ -238,38 +249,32 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
         Waitq.signal_all sched q.nonempty)
       queues
   in
-  let submit ~wait_done op =
-    let shard = Store.shard_of_key store (key_of_op op) in
-    let q = queues.(shard) in
-    let enqueue r =
-      Queue.push r q.items;
-      Waitq.signal_one sched q.nonempty
-    in
+  let enqueue q r =
+    Queue.push r q.items;
+    Waitq.signal_one sched q.nonempty
+  in
+  (* Queue [r] for its shard; [false] if admission rejected it. *)
+  let submit r =
     incr generated;
-    let r =
-      {
-        q_op = op;
-        q_arrival = clock ();
-        q_deq = 0.0;
-        q_finished = false;
-        q_done = (if wait_done then Some (Waitq.create ()) else None);
-      }
-    in
+    let q = queues.(Store.shard_of_key store (key_of_op r.q_op)) in
     if Queue.length q.items < cfg.queue_capacity then begin
-      enqueue r;
-      Some r
+      enqueue q r;
+      true
     end
     else
       match cfg.admission with
       | Reject ->
           incr rejected;
-          None
+          false
       | Block ->
           while Queue.length q.items >= cfg.queue_capacity do
             Waitq.wait q.nonfull
           done;
-          enqueue r;
-          Some r
+          enqueue q r;
+          true
+  in
+  let request op ~done_ =
+    { q_op = op; q_arrival = clock (); q_deq = 0.0; q_finished = false; q_done = done_ }
   in
   (match cfg.mode with
   | Open_loop { rate; process } ->
@@ -282,9 +287,11 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
             Ycsb.create ~mix:cfg.mix ~kind:cfg.kind ~loaded:cfg.loaded
               ~theta:cfg.theta ~seed:cfg.seed ~thread:0 ~threads:1
           in
+          (* nobody waits on an open-loop request's completion *)
+          let unwatched = Waitq.create () in
           for _ = 1 to cfg.ops do
             Des.Sched.delay (Arrival.next_gap arr);
-            ignore (submit ~wait_done:false (Ycsb.next stream) : req option)
+            ignore (submit (request (Ycsb.next stream) ~done_:unwatched) : bool)
           done;
           decr live_sources;
           if !live_sources = 0 then close_queues ())
@@ -301,14 +308,13 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
               Ycsb.create ~mix:cfg.mix ~kind:cfg.kind ~loaded:cfg.loaded
                 ~theta:cfg.theta ~seed:cfg.seed ~thread:c ~threads:clients
             in
+            let done_ = Waitq.create () in
             for _ = 1 to per do
-              match submit ~wait_done:true (Ycsb.next stream) with
-              | None -> ()
-              | Some r ->
-                  let wq = Option.get r.q_done in
-                  while not r.q_finished do
-                    Waitq.wait wq
-                  done
+              let r = request (Ycsb.next stream) ~done_ in
+              if submit r then
+                while not r.q_finished do
+                  Waitq.wait done_
+                done
             done;
             decr live_sources;
             if !live_sources = 0 then close_queues ())

@@ -86,7 +86,9 @@ val load : store:Store.t -> kind:Workload.Keyset.kind -> keys:int -> unit -> flo
 (** Execute one run.  [start] continues the simulated clock from a
     previous phase on the same machine.  With [obs], the recorder's
     span tracer is installed for the run (feeding the [svc_queue]
-    phase) and its sampler runs on the run's scheduler. *)
+    phase) and its sampler runs on the run's scheduler.  Raises
+    [Invalid_argument] if [workers_per_shard] or [queue_capacity] is
+    below 1. *)
 val run :
   store:Store.t -> config:config -> ?start:float -> ?obs:Obs.Recorder.t -> unit -> result
 

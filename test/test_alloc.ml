@@ -6,9 +6,12 @@
    operations built from them have fixed per-call ceilings.  The figures
    are those of the default (dev) build profile, which compiles every
    library opaquely, so no cross-module inlining removes an allocation
-   behind these tests' backs; other profiles only allocate less.  This
-   suite is its own executable so that no state left by other tests
-   (installed recorders, sanitizers, grown tables) moves the counts. *)
+   behind these tests' backs; other profiles only allocate less (the
+   release build the benchmark uses inlines the [@inline] hot paths,
+   so a float passed to [Sched.delay], [Event_queue.add] or
+   [Latency.record] is not boxed there).  This suite is its own
+   executable so that no state left by other tests (installed
+   recorders, sanitizers, grown tables) moves the counts. *)
 
 module Machine = Nvm.Machine
 module Pool = Nvm.Pool
@@ -17,6 +20,7 @@ module Event_queue = Des.Event_queue
 module Node = Pactree.Data_node
 module Tree = Pactree.Tree
 module Key = Pactree.Key
+module Latency = Workload.Latency
 
 (* Minor words allocated by one call of [f]. *)
 let words f =
@@ -73,7 +77,28 @@ let test_sched_delay () =
         Sched.delay 1e-9;
         words (fun () -> Sched.delay 1e-9))
   in
-  check_ceiling "Sched.delay" 10.0 w
+  check_ceiling "Sched.delay" 6.0 w
+
+(* A thread parks on a wait queue and another wakes it, [cycles]
+   times; the words of both sides and of the two context switches. *)
+let test_waitq_cycle () =
+  let cycles = 1000 in
+  let sched = Sched.create () in
+  let wq = Sched.Waitq.create () in
+  let w = ref 0.0 in
+  Sched.spawn sched ~name:"waiter" (fun () ->
+      for _ = 0 to cycles do
+        Sched.Waitq.wait wq
+      done);
+  Sched.spawn sched ~name:"waker" (fun () ->
+      let cycle () =
+        Sched.Waitq.signal_one sched wq;
+        Sched.delay 0.0
+      in
+      cycle ();
+      w := words_per_call cycles (fun _ -> cycle ()));
+  Sched.run sched;
+  check_ceiling "Waitq.wait + signal_one" 12.0 !w
 
 (* ---------- nvm ---------- *)
 
@@ -110,7 +135,42 @@ let test_clwb_fence () =
         persist ();
         words persist)
   in
-  check_ceiling "write + clwb + fence" 44.0 w
+  check_ceiling "write + clwb + fence" 31.0 w
+
+(* Lines [0] and [slots] share a slot of the direct-mapped CPU cache,
+   so reading them in turn misses every time and goes to the device. *)
+let test_cache_miss () =
+  let machine = Machine.create ~numa_count:1 () in
+  let slots = 1 lsl (Machine.profile machine).Nvm.Config.cache_slots_log2 in
+  let far = slots * 64 in
+  let pool = Pool.create machine ~name:"miss" ~numa:0 ~capacity:(2 * far) () in
+  let misses0 = (Machine.stats machine).Nvm.Stats.cache_misses in
+  let w =
+    in_sim (fun () ->
+        let read i = ignore (Pool.read_int pool (if i land 1 = 0 then 0 else far) : int) in
+        read 0;
+        read 1;
+        words_per_call 1000 read)
+  in
+  Alcotest.(check int) "every read missed" 1002
+    ((Machine.stats machine).Nvm.Stats.cache_misses - misses0);
+  check_ceiling "cache-missing Pool.read_int" 10.0 w
+
+(* ---------- workload ---------- *)
+
+(* The first percentile sorts the samples; the second finds them
+   sorted.  Both allocate only the box of their float result, so the
+   sort allocates nothing. *)
+let test_percentile_sort () =
+  let l = Latency.create ~sample_rate:1.0 (Des.Rng.create ~seed:3L) in
+  let rng = Des.Rng.create ~seed:4L in
+  for _ = 1 to 20_000 do
+    Latency.record l (Des.Rng.float rng)
+  done;
+  let sorting = words (fun () -> ignore (Latency.percentile l 99.0 : float)) in
+  let sorted = words (fun () -> ignore (Latency.percentile l 99.0 : float)) in
+  check_zero "sorting 20K samples" (sorting -. sorted);
+  check_ceiling "a percentile of sorted samples" 2.0 sorted
 
 (* ---------- pactree ---------- *)
 
@@ -156,8 +216,31 @@ let test_tree_ops () =
       Tree.request_shutdown tree);
   Sched.run sched;
   let lookup = !lookup and insert = !insert in
-  check_ceiling "Tree.lookup" 36.0 lookup;
-  check_ceiling "Tree.insert of a fresh key" 260.0 insert
+  check_ceiling "Tree.lookup" 30.0 lookup;
+  check_ceiling "Tree.insert of a fresh key" 194.0 insert
+
+(* ---------- svc ---------- *)
+
+(* Whole-run words per request of an open-loop run into a 2-shard
+   PACTree store: generation, routing, queueing, the index operation
+   and the latency records. *)
+let test_engine_request () =
+  let cfg =
+    {
+      (Experiments.Svc_run.default ~quick:true Experiments.Factory.Pactree_sys) with
+      Experiments.Svc_run.shards = 2;
+      keys = 4_000;
+      ops = 4_000;
+    }
+  in
+  let store = Experiments.Svc_run.make_store cfg in
+  let start = Svc.Engine.load ~store ~kind:cfg.Experiments.Svc_run.kind ~keys:4_000 () in
+  let config = Experiments.Svc_run.engine_config cfg ~rate:1e6 in
+  let r = ref None in
+  let w = words (fun () -> r := Some (Svc.Engine.run ~store ~config ~start ())) in
+  let r = Option.get !r in
+  Alcotest.(check int) "every request completed" 4_000 r.Svc.Engine.r_completed;
+  check_ceiling "Engine.run per request" 247.0 (w /. 4_000.0)
 
 let () =
   Alcotest.run "alloc"
@@ -168,9 +251,13 @@ let () =
           Alcotest.test_case "event queue add + pop" `Quick test_event_queue;
           Alcotest.test_case "sched charge" `Quick test_sched_charge;
           Alcotest.test_case "sched delay" `Quick test_sched_delay;
+          Alcotest.test_case "waitq wait + signal_one" `Quick test_waitq_cycle;
           Alcotest.test_case "pool accessors" `Quick test_pool_accessors;
+          Alcotest.test_case "cache-missing read" `Quick test_cache_miss;
           Alcotest.test_case "clwb + fence" `Quick test_clwb_fence;
+          Alcotest.test_case "percentile sort" `Quick test_percentile_sort;
           Alcotest.test_case "data node find" `Quick test_data_node_find;
           Alcotest.test_case "tree lookup + insert" `Quick test_tree_ops;
+          Alcotest.test_case "engine per request" `Quick test_engine_request;
         ] );
     ]

@@ -295,6 +295,25 @@ let test_sweep_shape () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "report schema: %s" msg
 
+(* ---------- input validation ---------- *)
+
+let test_engine_rejects_bad_config () =
+  let store = make_store () in
+  let base = Engine.default_config ~loaded:0 ~ops:10 in
+  List.iter
+    (fun (what, config) ->
+      match Engine.run ~store ~config () with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("0 workers per shard", { base with Engine.workers_per_shard = 0 });
+      ("-1 workers per shard", { base with Engine.workers_per_shard = -1 });
+      ("queue capacity 0", { base with Engine.queue_capacity = 0 });
+      ("queue capacity -3", { base with Engine.queue_capacity = -3 });
+    ];
+  let r = Engine.run ~store ~config:{ base with Engine.queue_capacity = 1; workers_per_shard = 1 } () in
+  Alcotest.(check int) "the smallest valid config runs" 10 (r.Engine.r_completed + r.Engine.r_rejected)
+
 (* ---------- crashmc over the sharded store ---------- *)
 
 let crashmc_store () =
@@ -439,6 +458,8 @@ let suite =
     Alcotest.test_case "engine: closed loop completes everything" `Quick
       test_closed_loop;
     Alcotest.test_case "engine: saturation sweep shape" `Quick test_sweep_shape;
+    Alcotest.test_case "engine: rejects workers or queue below 1" `Quick
+      test_engine_rejects_bad_config;
     Alcotest.test_case "crashmc: sharded store, direct ops" `Quick test_crashmc_direct;
     Alcotest.test_case "crashmc: double crash, acked writes exact" `Quick
       test_double_crash;

@@ -72,6 +72,57 @@ let test_latency_percentiles () =
   Alcotest.(check (float 1.0)) "p99" 99.0 (Workload.Latency.percentile rec_ 99.0);
   Alcotest.(check (float 1.0)) "p100" 100.0 (Workload.Latency.percentile rec_ 100.0)
 
+(* [Latency.percentile] against a [List.sort compare] nearest-rank
+   reference, bit for bit: duplicates (values drawn from a few levels),
+   zeros, sizes 0 and 1 and 1023-1025 (the sample array starts at 1024
+   and doubles), and more samples recorded after a percentile has
+   sorted the first ones. *)
+let test_latency_prop_reference =
+  let reference samples p =
+    match List.sort compare samples with
+    | [] -> 0.0
+    | sorted ->
+        let n = List.length sorted in
+        List.nth sorted (int_of_float (Float.of_int (n - 1) *. p /. 100.0))
+  in
+  QCheck.Test.make ~name:"latency: percentile = sorted nearest rank" ~count:60
+    QCheck.(
+      quad
+        (oneofl [ 0; 1; 2; 7; 1023; 1024; 1025 ])
+        (oneofl [ 0; 1; 3; 1024 ])
+        (int_range 1 20) small_nat)
+    (fun (size, more, levels, seed) ->
+      let rng = Des.Rng.create ~seed:(Int64.of_int seed) in
+      let draw () =
+        match Des.Rng.int rng 4 with
+        | 0 -> 0.0
+        | 1 -> Des.Rng.float rng *. 1e-5
+        | _ -> float_of_int (Des.Rng.int rng levels) *. 1e-7
+      in
+      let l = Workload.Latency.create ~sample_rate:1.0 (Des.Rng.create ~seed:1L) in
+      let samples = ref [] in
+      let add n =
+        for _ = 1 to n do
+          let v = draw () in
+          samples := v :: !samples;
+          Workload.Latency.record l v
+        done
+      in
+      let check () =
+        List.iter
+          (fun p ->
+            let got = Workload.Latency.percentile l p and want = reference !samples p in
+            if Int64.bits_of_float got <> Int64.bits_of_float want then
+              QCheck.Test.fail_reportf "p%g of %d samples: %h, reference %h" p
+                (List.length !samples) got want)
+          [ 0.0; 1.0; 25.0; 50.0; 90.0; 99.0; 99.9; 99.99; 100.0 ]
+      in
+      add size;
+      check ();
+      add more;
+      check ();
+      true)
+
 let test_ycsb_mix_ratios () =
   let count_ops mix =
     let s =
@@ -308,4 +359,5 @@ let suite =
     QCheck_alcotest.to_alcotest test_zipf_prop_monotone;
     QCheck_alcotest.to_alcotest test_zipf_prop_theta0_uniform;
     QCheck_alcotest.to_alcotest test_zipf_prop_boundary_sizes;
+    QCheck_alcotest.to_alcotest test_latency_prop_reference;
   ]
