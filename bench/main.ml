@@ -7,6 +7,10 @@
      dune exec bench/main.exe -- fig9 fig13   # a subset
      dune exec bench/main.exe -- micro        # bechamel micro-benchmarks
 
+   Any other argument prints the valid names and exits 2.  The
+   crash-state sweep, the instrumented stats bench and the service
+   saturation sweep are `pactree_bench crashmc` / `stats` / `service`.
+
    Throughputs are simulated Mops/s on the modelled DCPMM machine;
    shapes (ordering, ratios, crossovers), not absolute numbers, are
    the comparison target against the paper. *)
@@ -19,7 +23,7 @@ let microbench () =
   let scale = Experiments.Scale.tiny in
   let make_op sys =
     let machine = Nvm.Machine.create ~numa_count:2 () in
-    let index, _service = Experiments.Factory.make machine ~scale sys in
+    let index = (Experiments.Factory.make_backend machine ~scale sys).b_index in
     for i = 0 to 4_095 do
       Baselines.Index_intf.insert index (Pactree.Key.of_int i) i
     done;
@@ -50,119 +54,19 @@ let microbench () =
       | Some _ | None -> Format.printf "%-24s (no estimate)@." name)
     results
 
-(* Bounded crash-state model-checking sweep (lib/crashmc): not a
-   paper figure, but the strongest correctness evidence in the suite —
-   every enumerated crash image of a mixed single-writer trace must
-   recover to a durably-linearizable state, on every index. *)
-let crashmc scale =
-  let quick = scale.Experiments.Scale.keys < 1_000_000 in
-  let ops = if quick then 40 else 90 in
-  let budget = if quick then 24 else 48 in
-  let seed = Int64.to_int (Des.Rng.env_seed ~default:1L) in
-  Format.printf "@.=== crashmc: durable-linearizability crash sweep ===@.";
-  List.iter
-    (fun kind ->
-      let sut = Crashmc.Sut.make kind in
-      let r =
-        Crashmc.Harness.run ~budget_per_point:budget ~max_states:10_000 ~seed ~sut
-          ~ops:(Crashmc.Harness.mixed_workload ~seed ops)
-          ()
-      in
-      Format.printf "%a@." Crashmc.Harness.pp_report r;
-      if not (Crashmc.Harness.ok r) then
-        Format.printf "  seed %d (override with PACTREE_SEED)@." seed)
-    Crashmc.Sut.all
-
-(* Instrumented run in the BENCH_pactree.json shape: per-phase time
-   attribution + per-op persistence costs for PACTree and the two
-   closest baselines.  (The canonical file is emitted by
-   `pactree_bench stats`; this target prints the same rows and
-   validates them in-memory.) *)
-let stats scale =
-  Format.printf "@.=== stats: phase attribution + per-op persistence costs ===@.";
-  let mix = Workload.Ycsb.Workload_a in
-  let threads = 28 in
-  let entries =
-    List.map
-      (fun sys ->
-        let entry, obs = Experiments.Obs_run.bench_entry ~scale ~mix ~threads sys in
-        Format.printf "%a@." Obs.Report.pp_entry entry;
-        Format.printf "%a@." Obs.Span.pp_table obs.Obs.Recorder.span;
-        entry)
-      [
-        Experiments.Factory.Pactree_sys;
-        Experiments.Factory.Pdlart_sys;
-        Experiments.Factory.Fastfair_sys;
-      ]
-  in
-  let json =
-    Obs.Report.to_json ~keys:scale.Experiments.Scale.keys
-      ~ops:scale.Experiments.Scale.ops ~threads
-      ~mix:(Format.asprintf "%a" Workload.Ycsb.pp_mix mix)
-      ~entries
-  in
-  match Obs.Report.validate json with
-  | Ok () -> Format.printf "(rows conform to schema %s)@." Obs.Report.schema_version
-  | Error msg -> failwith ("stats: malformed bench output: " ^ msg)
-
-(* Sharded KV service saturation curves (lib/svc): open-loop sweep
-   across the knee for PACTree and FastFair-backed stores, validated
-   in-memory against the pactree-svc/v1 shape checks.  (The canonical
-   JSON is emitted by `pactree_bench service`.) *)
-let service scale =
-  let quick = scale.Experiments.Scale.keys < 1_000_000 in
-  Format.printf "@.=== service: sharded store saturation sweep ===@.";
-  List.iter
-    (fun sys ->
-      let cfg = Experiments.Svc_run.default ~quick sys in
-      let points = Experiments.Svc_run.sweep cfg in
-      Format.printf "--- %s (%d shards) ---@." (Experiments.Factory.name sys)
-        cfg.Experiments.Svc_run.shards;
-      Format.printf
-        " offered   achieved    rej    q-p50us    q-p99us    s-p99us    t-p99us  imbal@.";
-      List.iter
-        (fun (_, r) ->
-          Format.printf "%a@." Obs.Svc_report.pp_point
-            (Experiments.Svc_run.point_of_result r))
-        points;
-      (match Experiments.Svc_run.check_sweep points with
-      | Ok () -> Format.printf "(sweep shape OK: monotone, knee, queueing delay)@."
-      | Error msg -> failwith ("service sweep: " ^ msg));
-      match Obs.Svc_report.validate (Experiments.Svc_run.report cfg points) with
-      | Ok () ->
-          Format.printf "(points conform to schema %s)@." Obs.Svc_report.schema_version
-      | Error msg -> failwith ("service: malformed report: " ^ msg))
-    [ Experiments.Factory.Pactree_sys; Experiments.Factory.Fastfair_sys ]
-
-let all_figures =
-  [
-    ("fig2", Experiments.Figures.fig2);
-    ("fig3", Experiments.Figures.fig3);
-    ("fig4", Experiments.Figures.fig4);
-    ("fig5", Experiments.Figures.fig5);
-    ("fig6", Experiments.Figures.fig6);
-    ("fig9", Experiments.Figures.fig9);
-    ("fig10", Experiments.Figures.fig10);
-    ("fig11", Experiments.Figures.fig11);
-    ("fig12", Experiments.Figures.fig12);
-    ("fig13", Experiments.Figures.fig13);
-    ("fig14", Experiments.Figures.fig14);
-    ("fig15", Experiments.Figures.fig15);
-    ("eadr", Experiments.Figures.eadr);
-    ("fh5", Experiments.Figures.fh5);
-    ("sec6_7", Experiments.Figures.sec6_7);
-    ("sec6_8", fun scale -> Experiments.Figures.sec6_8 scale);
-    ("crashmc", crashmc);
-    ("stats", stats);
-    ("service", service);
-  ]
-
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let full = List.mem "--full" args in
-  let scale = if full then Experiments.Scale.full else Experiments.Scale.quick in
-  let selected = List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args in
+  let selected = List.filter (( <> ) "--full") args in
+  let names = List.map fst Experiments.Figures.registry @ [ "micro" ] in
+  (match List.filter (fun a -> not (List.mem a names)) selected with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown argument(s): %s\nusage: main.exe [--full] [%s]...\n"
+        (String.concat " " unknown) (String.concat "|" names);
+      exit 2);
   let wants name = selected = [] || List.mem name selected in
+  let scale = if full then Experiments.Scale.full else Experiments.Scale.quick in
   Format.printf "PACTree benchmark suite (%s scale: %d keys, %d ops)@."
     (if full then "full" else "quick")
     scale.Experiments.Scale.keys scale.Experiments.Scale.ops;
@@ -173,5 +77,5 @@ let () =
         f scale;
         Format.printf "[%s took %.1fs host time]@." name (Unix.gettimeofday () -. t0)
       end)
-    all_figures;
+    Experiments.Figures.registry;
   if wants "micro" then microbench ()

@@ -7,6 +7,8 @@
 
 open Cmdliner
 
+let system_ids = String.concat ", " (List.map Experiments.Factory.id Experiments.Factory.all)
+
 let index_arg =
   let index_conv =
     Arg.conv
@@ -20,7 +22,7 @@ let index_arg =
     value
     & opt index_conv Experiments.Factory.Pactree_sys
     & info [ "index" ] ~docv:"INDEX"
-        ~doc:"Index to benchmark: pactree, pdlart, fastfair, bztree, fptree.")
+        ~doc:("Index to benchmark: " ^ system_ids ^ "."))
 
 let mix_arg =
   let mix_conv =
@@ -82,21 +84,24 @@ let obs_arg =
            the bandwidth timeline as JSON to $(docv) (collapsed flamegraph stacks go \
            to $(docv).folded).")
 
-let write_json path json =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Obs.Json.to_string json);
-      output_char oc '\n')
+(* Bad counts exit 2 with a message before anything runs. *)
+let require_positive flags =
+  List.iter
+    (fun (flag, v) ->
+      if v < 1 then begin
+        Printf.eprintf "--%s must be at least 1 (got %d)\n" flag v;
+        exit 2
+      end)
+    flags
 
 let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide obs_out =
+  require_positive [ ("threads", threads) ];
   let protocol = if directory then Nvm.Config.Directory else Nvm.Config.Snoop in
   let profile = if low_bw then Nvm.Config.dcpmm_low_bw else Nvm.Config.dcpmm in
   let machine = Nvm.Machine.create ~profile ~protocol ~numa_count:2 () in
   Nvm.Machine.set_flush_elision machine elide;
   let scale = Experiments.Scale.make ~keys ~ops ~thread_counts:[] in
-  let index, service = Experiments.Factory.make machine ~string_keys ~scale sys in
+  let b = Experiments.Factory.make_backend machine ~string_keys ~scale sys in
   let kind =
     if string_keys then Workload.Keyset.String_keys else Workload.Keyset.Int_keys
   in
@@ -104,8 +109,8 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide o
     Option.map (fun _ -> Obs.Recorder.create machine ~sample_interval:20e-6 ()) obs_out
   in
   let r =
-    Workload.Runner.run ~machine ~index ?service ?obs ~mix ~kind ~loaded:keys ~ops
-      ~threads ~theta ()
+    Workload.Runner.run ~machine ~index:b.b_index ?service:b.b_service ?obs ~mix ~kind
+      ~loaded:keys ~ops ~threads ~theta ()
   in
   Format.printf "index      : %s@." (Experiments.Factory.name sys);
   Format.printf "workload   : %a, %d keys, %d ops, %d threads, theta %.2f@."
@@ -124,7 +129,7 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide o
   match (obs_out, obs) with
   | Some path, Some o ->
       Format.printf "%a@." Obs.Span.pp_table o.Obs.Recorder.span;
-      write_json path (Obs.Recorder.to_json o);
+      Obs.Json.write_file path (Obs.Recorder.to_json o);
       Obs.Span.write_collapsed o.Obs.Recorder.span (path ^ ".folded");
       Format.printf "observability dump: %s (stacks: %s.folded)@." path path
   | _ -> ()
@@ -137,46 +142,19 @@ let ycsb_cmd =
       const run_ycsb $ index_arg $ mix_arg $ keys_arg $ ops_arg $ threads_arg
       $ theta_arg $ string_keys_arg $ protocol_arg $ low_bw_arg $ elide_arg $ obs_arg)
 
-let figure_names =
-  [
-    "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig9"; "fig10"; "fig11"; "fig12"; "fig13";
-    "fig14"; "fig15"; "eadr"; "fh5"; "sec6_7"; "sec6_8";
-  ]
-
-let run_figure name full =
-  let scale = if full then Experiments.Scale.full else Experiments.Scale.quick in
-  let f =
-    match name with
-    | "fig2" -> Experiments.Figures.fig2
-    | "fig3" -> Experiments.Figures.fig3
-    | "fig4" -> Experiments.Figures.fig4
-    | "fig5" -> Experiments.Figures.fig5
-    | "fig6" -> Experiments.Figures.fig6
-    | "fig9" -> Experiments.Figures.fig9
-    | "fig10" -> Experiments.Figures.fig10
-    | "fig11" -> Experiments.Figures.fig11
-    | "fig12" -> Experiments.Figures.fig12
-    | "fig13" -> Experiments.Figures.fig13
-    | "fig14" -> Experiments.Figures.fig14
-    | "fig15" -> Experiments.Figures.fig15
-    | "eadr" -> Experiments.Figures.eadr
-    | "fh5" -> Experiments.Figures.fh5
-    | "sec6_7" -> Experiments.Figures.sec6_7
-    | "sec6_8" -> (fun scale -> Experiments.Figures.sec6_8 scale)
-    | other -> Printf.ksprintf failwith "unknown figure %S" other
-  in
-  f scale
-
 let figure_cmd =
   let doc = "Regenerate one of the paper's figures (see DESIGN.md)." in
-  let name_arg =
+  let figure_arg =
     Arg.(
       required
-      & pos 0 (some (enum (List.map (fun n -> (n, n)) figure_names))) None
+      & pos 0 (some (enum Experiments.Figures.registry)) None
       & info [] ~docv:"FIGURE")
   in
   let full_arg = Arg.(value & flag & info [ "full" ] ~doc:"Paper-like scale (slow).") in
-  Cmd.v (Cmd.info "figure" ~doc) Term.(const run_figure $ name_arg $ full_arg)
+  let run_figure f full =
+    f (if full then Experiments.Scale.full else Experiments.Scale.quick)
+  in
+  Cmd.v (Cmd.info "figure" ~doc) Term.(const run_figure $ figure_arg $ full_arg)
 
 let run_crash rounds obs_out =
   let scale =
@@ -192,7 +170,7 @@ let run_crash rounds obs_out =
   match (obs_out, span) with
   | Some path, Some s ->
       Format.printf "%a@." Obs.Span.pp_table s;
-      write_json path (Obs.Span.to_json s);
+      Obs.Json.write_file path (Obs.Span.to_json s);
       Format.printf "observability dump: %s@." path
   | _ -> ()
 
@@ -219,6 +197,7 @@ let run_stats quick sanitize out check threads =
           Format.eprintf "%s: INVALID: %s@." path msg;
           exit 1)
   | None ->
+      require_positive [ ("threads", threads) ];
       let scale =
         if quick then Experiments.Scale.make ~keys:20_000 ~ops:15_000 ~thread_counts:[]
         else Experiments.Scale.quick
@@ -300,13 +279,21 @@ let stats_cmd =
 
 (* ---------- crashmc: systematic crash-state model checking ---------- *)
 
-let crashmc_suts name =
+let crashmc_systems name =
   match name with
-  | "all" -> Ok Crashmc.Sut.all
+  (* declaration order of [Factory.sys]: test/test_golden.ml pins the
+     report lines in this order *)
+  | "all" -> Ok (List.sort compare Experiments.Factory.all)
   | s -> (
-      match Crashmc.Sut.of_string s with
-      | Some k -> Ok [ k ]
+      match Experiments.Factory.of_string s with
+      | Some sys -> Ok [ sys ]
       | None -> Error ("unknown index: " ^ s))
+
+(* A fresh single-socket machine with the system's pools kept small:
+   every materialised crash state blits the full image. *)
+let crashmc_sut sys =
+  let machine = Nvm.Machine.create ~numa_count:1 () in
+  (machine, Experiments.Factory.make_backend machine ~scale:Experiments.Scale.crashmc sys)
 
 let run_crashmc index_name ops budget max_states seed workload mutate =
   let seed =
@@ -316,15 +303,16 @@ let run_crashmc index_name ops budget max_states seed workload mutate =
         prerr_endline msg;
         exit 2
   in
+  require_positive [ ("budget", budget); ("max-states", max_states) ];
   if not (List.mem workload [ "insert"; "mixed" ]) then begin
     prerr_endline ("unknown workload: " ^ workload ^ " (expected insert or mixed)");
     exit 2
   end;
-  match crashmc_suts index_name with
+  match crashmc_systems index_name with
   | Error msg ->
       prerr_endline msg;
       exit 2
-  | Ok kinds ->
+  | Ok systems ->
       let make_ops () =
         match workload with
         | "insert" -> Crashmc.Harness.insert_workload ops
@@ -333,18 +321,18 @@ let run_crashmc index_name ops budget max_states seed workload mutate =
       in
       let failed = ref false in
       List.iter
-        (fun kind ->
-          let sut = Crashmc.Sut.make kind in
+        (fun sys ->
+          let machine, sut = crashmc_sut sys in
           let r =
-            Crashmc.Harness.run ~budget_per_point:budget ~max_states ~seed ~sut
-              ~ops:(make_ops ()) ()
+            Crashmc.Harness.run ~budget_per_point:budget ~max_states ~seed
+              ~name:(Experiments.Factory.id sys) ~machine ~sut ~ops:(make_ops ()) ()
           in
           Format.printf "%a@." Crashmc.Harness.pp_report r;
           if not (Crashmc.Harness.ok r) then begin
             failed := true;
             Format.printf "  seed %d (override with PACTREE_SEED)@." seed
           end)
-        kinds;
+        systems;
       (* Mutation mode: drop one clwb late in the run and demand the
          checker notices — proof the oracle has teeth.  The persist-
          order sanitizer rides along as a cross-check.  A mutant whose
@@ -357,19 +345,19 @@ let run_crashmc index_name ops budget max_states seed workload mutate =
          flagged overall. *)
       if mutate then
         List.iter
-          (fun kind ->
+          (fun sys ->
             let killed = ref 0 and tried = ref 0 in
             let injected = ref 0 and san_caught = ref 0 in
             let k = ref 1 in
             while !tried < 6 do
               incr tried;
-              let sut = Crashmc.Sut.make kind in
-              let m = Crashmc.Sut.machine sut in
+              let m, sut = crashmc_sut sys in
               Nvm.Machine.set_flush_fault m (Some !k);
               Pobj.Sanitizer.enable m;
               let r =
                 Crashmc.Harness.run ~budget_per_point:budget ~max_states ~seed
-                  ~max_violations:1 ~sut ~ops:(make_ops ()) ()
+                  ~max_violations:1 ~name:(Experiments.Factory.id sys) ~machine:m ~sut
+                  ~ops:(make_ops ()) ()
               in
               let fired = Nvm.Machine.flush_fault_fired m in
               let flagged = fired && Pobj.Sanitizer.total () > 0 in
@@ -390,9 +378,9 @@ let run_crashmc index_name ops budget max_states seed workload mutate =
               k := !k * 3
             done;
             Format.printf "%s mutation check: %d/%d dropped-clwb mutants caught@."
-              (Crashmc.Sut.name kind) !killed !tried;
+              (Experiments.Factory.id sys) !killed !tried;
             Format.printf "%s sanitizer cross-check: %d/%d injected mutants flagged@."
-              (Crashmc.Sut.name kind) !san_caught !injected;
+              (Experiments.Factory.id sys) !san_caught !injected;
             if !killed = 0 then begin
               Format.printf "  no mutant caught — checker has no teeth? seed %d@." seed;
               failed := true
@@ -401,7 +389,7 @@ let run_crashmc index_name ops budget max_states seed workload mutate =
               Format.printf "  sanitizer flagged no mutant at all — seed %d@." seed;
               failed := true
             end)
-          kinds;
+          systems;
       if !failed then exit 1
 
 let crashmc_cmd =
@@ -414,7 +402,7 @@ let crashmc_cmd =
     Arg.(
       value & opt string "all"
       & info [ "index" ] ~docv:"INDEX"
-          ~doc:"Index to check: pactree, pdlart, fastfair, bztree, fptree, all.")
+          ~doc:("Index to check: " ^ system_ids ^ ", all."))
   in
   let ops_arg =
     Arg.(value & opt int 48 & info [ "ops" ] ~doc:"Operations in the recorded trace.")
@@ -481,13 +469,7 @@ let run_service sys shards quick keys ops workers queue admission arrival mix th
             prerr_endline msg;
             exit 2
       in
-      List.iter
-        (fun (flag, v) ->
-          if v < 1 then begin
-            Printf.eprintf "--%s must be at least 1 (got %d)\n" flag v;
-            exit 2
-          end)
-        [ ("shards", shards); ("workers", workers); ("queue", queue) ];
+      require_positive [ ("shards", shards); ("workers", workers); ("queue", queue) ];
       let d = Experiments.Svc_run.default ~quick sys in
       let cfg =
         {
@@ -545,7 +527,7 @@ let run_service sys shards quick keys ops workers queue admission arrival mix th
       match (obs_out, span) with
       | Some path, Some s ->
           Format.printf "%a@." Obs.Span.pp_table s;
-          write_json path (Obs.Span.to_json s);
+          Obs.Json.write_file path (Obs.Span.to_json s);
           Format.printf "observability dump: %s@." path
       | _ -> ()
 

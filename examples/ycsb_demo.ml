@@ -11,9 +11,9 @@ let run sys mix threads =
   let scale =
     Experiments.Scale.make ~keys:scale_keys ~ops:scale_keys ~thread_counts:[]
   in
-  let index, service = Experiments.Factory.make machine ~scale sys in
-  Workload.Runner.run ~machine ~index ?service ~mix ~kind:Workload.Keyset.Int_keys
-    ~loaded:scale_keys ~ops:scale_keys ~threads ()
+  let b = Experiments.Factory.make_backend machine ~scale sys in
+  Workload.Runner.run ~machine ~index:b.b_index ?service:b.b_service ~mix
+    ~kind:Workload.Keyset.Int_keys ~loaded:scale_keys ~ops:scale_keys ~threads ()
 
 let () =
   let systems =

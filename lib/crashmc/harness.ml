@@ -4,7 +4,7 @@ module Index = Baselines.Index_intf
 type violation = { v_at : int; v_label : string; v_msg : string }
 
 type report = {
-  sut : Sut.kind;
+  sut : string;
   ops : int;
   trace_events : int;
   stats : Enum.stats;
@@ -17,7 +17,7 @@ let ok r = r.violations = []
 let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>%s: %d ops, %d trace events, %d crash points, %d states (%d dup-suppressed, %d budget-truncated), %d checked, %d violations@]"
-    (Sut.name r.sut) r.ops r.trace_events r.stats.Enum.crash_points
+    r.sut r.ops r.trace_events r.stats.Enum.crash_points
     r.stats.Enum.states r.stats.Enum.duplicates r.stats.Enum.truncated_points
     r.checked (List.length r.violations);
   List.iteri
@@ -59,9 +59,9 @@ let mixed_workload ~seed n =
 (* ---------- the checker ---------- *)
 
 let run ?(budget_per_point = 48) ?(max_states = 20_000) ?(max_violations = 20)
-    ?(seed = 1) ~sut ~ops () =
-  let index = Sut.index sut in
-  let trace = Trace.start (Sut.machine sut) in
+    ?(seed = 1) ~name ~machine ~(sut : Baselines.System.t) ~ops () =
+  let index = sut.b_index in
+  let trace = Trace.start machine in
   let history =
     List.map
       (fun op ->
@@ -73,7 +73,7 @@ let run ?(budget_per_point = 48) ?(max_states = 20_000) ?(max_violations = 20)
   Trace.stop trace;
   (* Complete background work (SMO drain, epoch-deferred frees) so no
      closure from the recorded run fires while we materialise images. *)
-  Sut.quiesce sut;
+  sut.b_quiesce ();
   let checked = ref 0 in
   let violations = ref [] in
   let stats =
@@ -82,12 +82,12 @@ let run ?(budget_per_point = 48) ?(max_states = 20_000) ?(max_violations = 20)
         st.Enum.restore ();
         incr checked;
         let vs =
-          match Sut.recover sut with
+          match sut.b_recover () with
           | () ->
               Oracle.check ~history ~at:st.Enum.at
                 ~lookup:(Index.lookup index)
                 ~scan:(Index.scan index)
-                ~invariants:(fun () -> Sut.invariants sut)
+                ~invariants:sut.b_invariants
           | exception exn ->
               [ Printf.sprintf "recover raised %s" (Printexc.to_string exn) ]
         in
@@ -101,7 +101,7 @@ let run ?(budget_per_point = 48) ?(max_states = 20_000) ?(max_violations = 20)
       ()
   in
   {
-    sut = Sut.kind sut;
+    sut = name;
     ops = List.length ops;
     trace_events = Trace.seq trace;
     stats;

@@ -6,7 +6,7 @@
 type violation = { v_at : int; v_label : string; v_msg : string }
 
 type report = {
-  sut : Sut.kind;
+  sut : string;  (** the system's name *)
   ops : int;
   trace_events : int;
   stats : Enum.stats;
@@ -24,16 +24,25 @@ val insert_workload : ?base:int -> int -> Oracle.op list
 (** Seed-deterministic insert/delete mix (~25% deletes of live keys). *)
 val mixed_workload : seed:int -> int -> Oracle.op list
 
-(** Drive [ops] against the SUT while recording, then sweep crash
-    states.  Stops early after [max_violations] violations or
-    [max_states] checked states.  The SUT is consumed: its pools end
-    up holding the last materialised image. *)
+(** Drive [ops] against the system under test [sut], which lives on
+    [machine], while recording; then sweep crash states.  Before the
+    sweep, [sut.b_quiesce] completes background work (SMO drain,
+    epoch-deferred frees) so no closure from the recorded run fires on
+    a restored image; each state is then checked after
+    [sut.b_recover], with [sut.b_invariants] as the structural check.
+    Stops early after [max_violations] violations or [max_states]
+    checked states.  The system is consumed: [machine]'s pools end up
+    holding the last materialised image.  Keep its pools small: every
+    materialised state blits the full image of every pool.  [name]
+    labels the report. *)
 val run :
   ?budget_per_point:int ->
   ?max_states:int ->
   ?max_violations:int ->
   ?seed:int ->
-  sut:Sut.t ->
+  name:string ->
+  machine:Nvm.Machine.t ->
+  sut:Baselines.System.t ->
   ops:Oracle.op list ->
   unit ->
   report

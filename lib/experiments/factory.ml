@@ -14,13 +14,16 @@ let name = function
   | Bztree_sys -> "BzTree"
   | Fptree_sys -> "FPTree"
 
+let id = function
+  | Pactree_sys -> "pactree"
+  | Pdlart_sys -> "pdlart"
+  | Fastfair_sys -> "fastfair"
+  | Bztree_sys -> "bztree"
+  | Fptree_sys -> "fptree"
+
 let of_string = function
-  | "pactree" -> Some Pactree_sys
-  | "pdlart" | "pdl-art" -> Some Pdlart_sys
-  | "fastfair" -> Some Fastfair_sys
-  | "bztree" -> Some Bztree_sys
-  | "fptree" -> Some Fptree_sys
-  | _ -> None
+  | "pdl-art" -> Some Pdlart_sys
+  | s -> List.find_opt (fun sys -> id sys = s) all
 
 (* The authors' FPTree binary does not support variable-length keys
    (paper §6), so string-key sweeps skip it. *)
@@ -30,7 +33,7 @@ let pactree_service t =
   {
     (* the same service is respawned for the load and run phases:
        clear any stale shutdown request first *)
-    Workload.Runner.body =
+    Baselines.System.body =
       (fun () ->
         Tree.reset_shutdown t;
         Tree.updater_loop t);
@@ -38,17 +41,16 @@ let pactree_service t =
   }
 
 let epoch_quiesce epoch =
+  (* Run leftover deferred frees now: their closures capture volatile
+     offsets from the recorded run and must not fire on a restored
+     image. *)
   let budget = ref 8 in
   while Pactree.Epoch.pending epoch > 0 && !budget > 0 do
     Pactree.Epoch.try_advance epoch;
     decr budget
   done
 
-(** [make_backend machine ~scale sys] builds one svc shard: the index
-    plus its recovery / invariant / quiesce hooks and background
-    service.  Mirrors [make] (same construction switch) with the
-    crash-facing closures the sharded store needs. *)
-let make_backend machine ?(string_keys = false) ~scale ?cfg sys : Svc.Store.backend =
+let make_backend machine ?(string_keys = false) ~scale ?cfg sys : Baselines.System.t =
   let data_capacity = scale.Scale.data_capacity in
   let search_capacity = scale.Scale.search_capacity in
   match sys with
@@ -66,7 +68,7 @@ let make_backend machine ?(string_keys = false) ~scale ?cfg sys : Svc.Store.back
       in
       let t = Tree.create machine ~cfg () in
       {
-        Svc.Store.b_index = Baselines.Pactree_index.wrap t;
+        b_index = Baselines.Pactree_index.wrap t;
         b_recover = (fun () -> ignore (Tree.recover t : int));
         b_invariants = (fun () -> ignore (Tree.check_invariants t : int));
         b_quiesce =
@@ -78,7 +80,7 @@ let make_backend machine ?(string_keys = false) ~scale ?cfg sys : Svc.Store.back
   | Pdlart_sys ->
       let t = Baselines.Pdlart.create machine ~capacity:data_capacity () in
       {
-        Svc.Store.b_index = Index.Index ((module Baselines.Pdlart.Index), t);
+        b_index = Index.Index ((module Baselines.Pdlart.Index), t);
         b_recover = (fun () -> Baselines.Pdlart.recover t);
         b_invariants = ignore;
         b_quiesce = (fun () -> epoch_quiesce (Baselines.Pdlart.epoch t));
@@ -87,18 +89,20 @@ let make_backend machine ?(string_keys = false) ~scale ?cfg sys : Svc.Store.back
   | Fastfair_sys ->
       let t = Baselines.Fastfair.create machine ~string_keys ~capacity:data_capacity () in
       {
-        Svc.Store.b_index = Index.Index ((module Baselines.Fastfair.Index), t);
+        b_index = Index.Index ((module Baselines.Fastfair.Index), t);
         b_recover = (fun () -> Baselines.Fastfair.recover t);
         b_invariants = (fun () -> ignore (Baselines.Fastfair.check_invariants t : int));
         b_quiesce = ignore;
         b_service = None;
       }
   | Bztree_sys ->
+      (* BzTree copy-on-writes nodes without reclaiming (see
+         baselines/bztree.ml): give it headroom *)
       let t =
         Baselines.Bztree.create machine ~string_keys ~capacity:(4 * data_capacity) ()
       in
       {
-        Svc.Store.b_index = Index.Index ((module Baselines.Bztree.Index), t);
+        b_index = Index.Index ((module Baselines.Bztree.Index), t);
         b_recover = (fun () -> Baselines.Bztree.recover t);
         b_invariants = (fun () -> ignore (Baselines.Bztree.check_invariants t : int));
         b_quiesce = ignore;
@@ -107,47 +111,9 @@ let make_backend machine ?(string_keys = false) ~scale ?cfg sys : Svc.Store.back
   | Fptree_sys ->
       let t = Baselines.Fptree.create machine ~string_keys ~capacity:data_capacity () in
       {
-        Svc.Store.b_index = Index.Index ((module Baselines.Fptree.Index), t);
+        b_index = Index.Index ((module Baselines.Fptree.Index), t);
         b_recover = (fun () -> Baselines.Fptree.recover t);
         b_invariants = (fun () -> ignore (Baselines.Fptree.check_invariants t : int));
         b_quiesce = ignore;
         b_service = None;
       }
-
-(** [make machine sys] builds an index and its background service.
-    [cfg] overrides PACTree's configuration (factor analysis). *)
-let make machine ?(string_keys = false) ~scale ?cfg sys :
-    Index.index * Workload.Runner.service option =
-  let data_capacity = scale.Scale.data_capacity in
-  let search_capacity = scale.Scale.search_capacity in
-  match sys with
-  | Pactree_sys ->
-      let cfg =
-        match cfg with
-        | Some c -> c
-        | None ->
-            {
-              Tree.default_config with
-              key_inline = (if string_keys then 32 else 8);
-              data_capacity;
-              search_capacity;
-            }
-      in
-      let t = Tree.create machine ~cfg () in
-      (Baselines.Pactree_index.wrap t, Some (pactree_service t))
-  | Pdlart_sys ->
-      let t = Baselines.Pdlart.create machine ~capacity:data_capacity () in
-      (Index.Index ((module Baselines.Pdlart.Index), t), None)
-  | Fastfair_sys ->
-      let t = Baselines.Fastfair.create machine ~string_keys ~capacity:data_capacity () in
-      (Index.Index ((module Baselines.Fastfair.Index), t), None)
-  | Bztree_sys ->
-      (* BzTree copy-on-writes nodes without reclaiming (see
-         baselines/bztree.ml): give it headroom *)
-      let t =
-        Baselines.Bztree.create machine ~string_keys ~capacity:(4 * data_capacity) ()
-      in
-      (Index.Index ((module Baselines.Bztree.Index), t), None)
-  | Fptree_sys ->
-      let t = Baselines.Fptree.create machine ~string_keys ~capacity:data_capacity () in
-      (Index.Index ((module Baselines.Fptree.Index), t), None)

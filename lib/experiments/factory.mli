@@ -1,12 +1,19 @@
-(** Uniform construction of the five benchmarked systems. *)
+(** The registry of benchmarked systems: one enum and one constructor
+    for PACTree and the four baselines of §6. *)
 
 type sys = Pactree_sys | Pdlart_sys | Fastfair_sys | Bztree_sys | Fptree_sys
 
 (** All systems, PACTree first. *)
 val all : sys list
 
+(** Display name for tables ("PACTree", "PDL-ART", ...). *)
 val name : sys -> string
 
+(** Lowercase identifier ("pactree", "pdlart", ...), as the CLI takes
+    it and crashmc reports it. *)
+val id : sys -> string
+
+(** Inverse of {!id}; also accepts "pdl-art". *)
 val of_string : string -> sys option
 
 (** FPTree's reference binary lacks variable-length keys (paper §6),
@@ -16,24 +23,14 @@ val supports_strings : sys -> bool
 (** PACTree's background updater as a runner service. *)
 val pactree_service : Pactree.Tree.t -> Workload.Runner.service
 
-(** [make machine ~scale sys] builds an index and its background
-    service (if any).  [cfg] overrides PACTree's configuration for the
-    factor analysis. *)
-val make :
-  Nvm.Machine.t ->
-  ?string_keys:bool ->
-  scale:Scale.t ->
-  ?cfg:Pactree.Tree.config ->
-  sys ->
-  Baselines.Index_intf.index * Workload.Runner.service option
-
-(** One svc shard of the given system: index + recovery / invariant /
-    quiesce hooks + background service, for {!Svc.Store.create}'s
-    backend factory. *)
+(** [make_backend machine ~scale sys] builds the system on [machine]:
+    the index (pools sized by [scale]) with its recovery, invariant
+    and quiesce hooks and its background service, if any.  [cfg]
+    overrides PACTree's configuration for the factor analysis. *)
 val make_backend :
   Nvm.Machine.t ->
   ?string_keys:bool ->
   scale:Scale.t ->
   ?cfg:Pactree.Tree.config ->
   sys ->
-  Svc.Store.backend
+  Baselines.System.t

@@ -24,11 +24,11 @@ let run_one ?(protocol = Config.Snoop) ?(profile = Config.dcpmm) ?(string_keys =
      previous cell's before building the next *)
   Gc.compact ();
   let machine = Machine.create ~profile ~protocol ~numa_count:2 () in
-  let index, service = Factory.make machine ~string_keys ~scale ?cfg sys in
+  let b = Factory.make_backend machine ~string_keys ~scale ?cfg sys in
   let threads = Option.value ~default:28 threads in
   let kind = if string_keys then Keyset.String_keys else Keyset.Int_keys in
-  Runner.run ~machine ~index ?service ~mix ~kind ~loaded:scale.Scale.keys
-    ~ops:scale.Scale.ops ~threads ~theta ()
+  Runner.run ~machine ~index:b.b_index ?service:b.b_service ~mix ~kind
+    ~loaded:scale.Scale.keys ~ops:scale.Scale.ops ~threads ~theta ()
 
 (* ---- Figure 2: FastFair under snoop vs directory coherence ---- *)
 
@@ -456,3 +456,23 @@ let sec6_8 ?(rounds = 100) scale =
     rounds !failures;
   if !failures > 0 then
     printf "seed %Ld (override with PACTREE_SEED to replay)@." seed
+
+let registry =
+  [
+    ("fig2", fig2);
+    ("fig3", fig3);
+    ("fig4", fig4);
+    ("fig5", fig5);
+    ("fig6", fig6);
+    ("fig9", fig9);
+    ("fig10", fig10);
+    ("fig11", fig11);
+    ("fig12", fig12);
+    ("fig13", fig13);
+    ("fig14", fig14);
+    ("fig15", fig15);
+    ("eadr", eadr);
+    ("fh5", fh5);
+    ("sec6_7", sec6_7);
+    ("sec6_8", fun scale -> sec6_8 scale);
+  ]

@@ -52,3 +52,7 @@ val sec6_7 : Scale.t -> unit
 val sec6_8 : ?rounds:int -> Scale.t -> unit
 (** Crash-injection recovery test (§6.8): [rounds] (default 100)
     injected crashes, each followed by recovery and checks. *)
+
+(** Every generator above by name, in suite order: the one figure list
+    that [pactree_bench figure] and [bench/main.exe] read. *)
+val registry : (string * (Scale.t -> unit)) list

@@ -43,7 +43,7 @@ let bench_entry ?(string_keys = false) ?(theta = 0.99) ?(sanitize = false) ~scal
     ~threads sys =
   Gc.compact ();
   let machine = Machine.create ~numa_count:2 () in
-  let index, service = Factory.make machine ~string_keys ~scale sys in
+  let b = Factory.make_backend machine ~string_keys ~scale sys in
   let obs = Obs.Recorder.create machine () in
   let kind = if string_keys then Keyset.String_keys else Keyset.Int_keys in
   (* Enabled before load+run so the whole lifetime is linted; the
@@ -51,7 +51,7 @@ let bench_entry ?(string_keys = false) ?(theta = 0.99) ?(sanitize = false) ~scal
      [enable] — or process exit — retires this machine's observer). *)
   if sanitize then Pobj.Sanitizer.enable machine;
   let r =
-    Runner.run ~machine ~index ?service ~obs ~mix ~kind ~loaded:scale.Scale.keys
-      ~ops:scale.Scale.ops ~threads ~theta ()
+    Runner.run ~machine ~index:b.b_index ?service:b.b_service ~obs ~mix ~kind
+      ~loaded:scale.Scale.keys ~ops:scale.Scale.ops ~threads ~theta ()
   in
   (entry_of_result ~name:(Factory.name sys) ~keys:scale.Scale.keys r obs, obs)

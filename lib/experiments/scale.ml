@@ -32,3 +32,13 @@ let full =
   make ~keys:400_000 ~ops:200_000 ~thread_counts:[ 1; 4; 8; 16; 28; 56; 112 ]
 
 let tiny = make ~keys:8_000 ~ops:8_000 ~thread_counts:[ 1; 8 ]
+
+(* every materialised crash state blits the full image of every pool *)
+let crashmc =
+  {
+    keys = 0;
+    ops = 0;
+    thread_counts = [];
+    data_capacity = 1 lsl 18;
+    search_capacity = 1 lsl 18;
+  }

@@ -22,3 +22,8 @@ val full : t
 
 (** Smoke-test scale. *)
 val tiny : t
+
+(** Crash-state model checking: 256 KiB pools, because every
+    materialised crash state blits every pool; no preload (the
+    checked trace brings its own ops). *)
+val crashmc : t

@@ -231,3 +231,59 @@ let to_number = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
   | _ -> None
+
+(* ---------- files ---------- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+
+let write_file path json =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc (to_string json);
+      output_char oc '\n')
+
+(* ---------- schema checks ---------- *)
+
+module Check = struct
+  let ( let* ) = Result.bind
+
+  let require_number ctx key obj =
+    match Option.bind (member key obj) to_number with
+    | Some f when Float.is_finite f -> Ok f
+    | Some _ -> Error (Printf.sprintf "%s: %S is not finite" ctx key)
+    | None -> Error (Printf.sprintf "%s: missing numeric field %S" ctx key)
+
+  let require_string ctx key obj =
+    match member key obj with
+    | Some (String s) -> Ok s
+    | _ -> Error (Printf.sprintf "%s: missing string field %S" ctx key)
+
+  let require_obj ctx key obj =
+    match member key obj with
+    | Some (Obj _ as o) -> Ok o
+    | _ -> Error (Printf.sprintf "%s: missing object field %S" ctx key)
+
+  let require_latency ctx key obj =
+    let* l = require_obj ctx key obj in
+    let ctx = ctx ^ "." ^ key in
+    let* p50 = require_number ctx "p50" l in
+    let* p99 = require_number ctx "p99" l in
+    let* p9999 = require_number ctx "p99.99" l in
+    let* _ = require_number ctx "mean" l in
+    let* mx = require_number ctx "max" l in
+    if p50 < 0.0 || p99 < p50 -. 1e-9 || p9999 < p99 -. 1e-9 || mx < p9999 -. 1e-9
+    then Error (ctx ^ ": percentiles not monotone")
+    else Ok ()
+
+  let write_checked validate path json =
+    write_file path json;
+    match Result.bind (read_file path) validate with
+    | Ok () -> ()
+    | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
+end

@@ -75,23 +75,7 @@ let to_json ~keys ~ops ~threads ~mix ~entries =
 
 (* ---------- validation ---------- *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let require_number ctx key obj =
-  match Option.bind (Json.member key obj) Json.to_number with
-  | Some f when Float.is_finite f -> Ok f
-  | Some _ -> Error (Printf.sprintf "%s: %S is not finite" ctx key)
-  | None -> Error (Printf.sprintf "%s: missing numeric field %S" ctx key)
-
-let require_string ctx key obj =
-  match Json.member key obj with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "%s: missing string field %S" ctx key)
-
-let require_obj ctx key obj =
-  match Json.member key obj with
-  | Some (Json.Obj _ as o) -> Ok o
-  | _ -> Error (Printf.sprintf "%s: missing object field %S" ctx key)
+open Json.Check
 
 let phase_names = List.map Span.phase_name Span.all_phases
 
@@ -105,12 +89,7 @@ let validate_entry i e =
   let* ops = require_number ctx "ops" e in
   let* _ = require_number ctx "sim_elapsed_s" e in
   let* thr = require_number ctx "sim_throughput_mops" e in
-  let* latency = require_obj ctx "latency_us" e in
-  let* p50 = require_number (ctx ^ ".latency_us") "p50" latency in
-  let* p99 = require_number (ctx ^ ".latency_us") "p99" latency in
-  let* p9999 = require_number (ctx ^ ".latency_us") "p99.99" latency in
-  let* _ = require_number (ctx ^ ".latency_us") "mean" latency in
-  let* _ = require_number (ctx ^ ".latency_us") "max" latency in
+  let* () = require_latency ctx "latency_us" e in
   let* phase_pct = require_obj ctx "phase_pct" e in
   let* sum =
     List.fold_left
@@ -136,11 +115,6 @@ let validate_entry i e =
   let* _ = require_number (ctx ^ ".per_op") "media_write_bytes" per_op in
   let* () =
     if ops > 0.0 && thr <= 0.0 then Error (ctx ^ ": non-positive throughput")
-    else Ok ()
-  in
-  let* () =
-    if p50 < 0.0 || p99 < p50 -. 1e-9 || p9999 < p99 -. 1e-9 then
-      Error (ctx ^ ": latency percentiles not monotone")
     else Ok ()
   in
   if flushes < 0.0 || elided < 0.0 || fences < 0.0 then
@@ -170,26 +144,9 @@ let validate json =
       go 0 entries
   | _ -> Error "missing results array"
 
-let validate_file path =
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let* json = Json.of_string content in
-  validate json
+let validate_file path = Result.bind (Json.read_file path) validate
 
-let write_file path json =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string json);
-      output_char oc '\n');
-  match validate_file path with
-  | Ok () -> ()
-  | Error msg -> failwith (Printf.sprintf "Report.write_file %s: %s" path msg)
+let write_file = write_checked validate
 
 let pp_entry ppf e =
   Format.fprintf ppf

@@ -94,35 +94,7 @@ let to_json c points =
 
 (* ---------- validation ---------- *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let require_number ctx key obj =
-  match Option.bind (Json.member key obj) Json.to_number with
-  | Some f when Float.is_finite f -> Ok f
-  | Some _ -> Error (Printf.sprintf "%s: %S is not finite" ctx key)
-  | None -> Error (Printf.sprintf "%s: missing numeric field %S" ctx key)
-
-let require_string ctx key obj =
-  match Json.member key obj with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "%s: missing string field %S" ctx key)
-
-let require_obj ctx key obj =
-  match Json.member key obj with
-  | Some (Json.Obj _ as o) -> Ok o
-  | _ -> Error (Printf.sprintf "%s: missing object field %S" ctx key)
-
-let validate_lat ctx key obj =
-  let* l = require_obj ctx key obj in
-  let ctx = ctx ^ "." ^ key in
-  let* p50 = require_number ctx "p50" l in
-  let* p99 = require_number ctx "p99" l in
-  let* p9999 = require_number ctx "p99.99" l in
-  let* _ = require_number ctx "mean" l in
-  let* mx = require_number ctx "max" l in
-  if p50 < 0.0 || p99 < p50 -. 1e-9 || p9999 < p99 -. 1e-9 || mx < p9999 -. 1e-9
-  then Error (ctx ^ ": percentiles not monotone")
-  else Ok p99
+open Json.Check
 
 let validate_point shards i p =
   let ctx = Printf.sprintf "sweep[%d]" i in
@@ -132,9 +104,9 @@ let validate_point shards i p =
   let* completed = require_number ctx "completed" p in
   let* rejected = require_number ctx "rejected" p in
   let* reject_rate = require_number ctx "rejection_rate" p in
-  let* _ = validate_lat ctx "queue_latency_us" p in
-  let* _ = validate_lat ctx "service_latency_us" p in
-  let* _ = validate_lat ctx "total_latency_us" p in
+  let* () = require_latency ctx "queue_latency_us" p in
+  let* () = require_latency ctx "service_latency_us" p in
+  let* () = require_latency ctx "total_latency_us" p in
   let* imbalance = require_number ctx "imbalance" p in
   let* per_op = require_obj ctx "per_op" p in
   let* fences = require_number (ctx ^ ".per_op") "fences" per_op in
@@ -204,26 +176,9 @@ let validate json =
       go 0 neg_infinity points
   | _ -> Error "missing sweep array"
 
-let validate_file path =
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let* json = Json.of_string content in
-  validate json
+let validate_file path = Result.bind (Json.read_file path) validate
 
-let write_file path json =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string json);
-      output_char oc '\n');
-  match validate_file path with
-  | Ok () -> ()
-  | Error msg -> failwith (Printf.sprintf "Svc_report.write_file %s: %s" path msg)
+let write_file = write_checked validate
 
 let pp_point ppf p =
   Format.fprintf ppf

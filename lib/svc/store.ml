@@ -1,7 +1,7 @@
 module Key = Pactree.Key
 module Index = Baselines.Index_intf
 
-type backend = {
+type backend = Baselines.System.t = {
   b_index : Index.index;
   b_recover : unit -> unit;
   b_invariants : unit -> unit;

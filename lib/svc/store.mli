@@ -17,13 +17,13 @@
     persistent state of its own, so {!recover} is just each shard's
     backend recovery. *)
 
-type backend = {
+(** One shard's system (see {!Baselines.System}). *)
+type backend = Baselines.System.t = {
   b_index : Baselines.Index_intf.index;
-  b_recover : unit -> unit;  (** post-crash recovery of this shard's index *)
-  b_invariants : unit -> unit;  (** raises on structural corruption *)
-  b_quiesce : unit -> unit;  (** drain background work (epochs, SMO log) *)
+  b_recover : unit -> unit;
+  b_invariants : unit -> unit;
+  b_quiesce : unit -> unit;
   b_service : Workload.Runner.service option;
-      (** background service (e.g. PACTree's updater), if any *)
 }
 
 type t

@@ -10,7 +10,10 @@ type result = {
   nvm : Nvm.Stats.t;
 }
 
-type service = { body : unit -> unit; shutdown : unit -> unit }
+type service = Baselines.System.service = {
+  body : unit -> unit;
+  shutdown : unit -> unit;
+}
 
 let apply_op index op =
   match op with

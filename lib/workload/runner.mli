@@ -16,10 +16,11 @@ type result = {
   nvm : Nvm.Stats.t;  (** device+machine traffic during the run *)
 }
 
-(** Optional background service (e.g. PACTree's updater): [body] is
-    spawned before the workers, [shutdown] is invoked once all workers
-    finish. *)
-type service = { body : unit -> unit; shutdown : unit -> unit }
+(** Optional background service (e.g. PACTree's updater). *)
+type service = Baselines.System.service = {
+  body : unit -> unit;
+  shutdown : unit -> unit;
+}
 
 (** [run ~machine ~index ~mix ~kind ~loaded ~ops ~threads ()] executes
     load + run phases.  [theta] defaults to YCSB's 0.99 Zipfian; pass

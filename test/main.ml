@@ -16,4 +16,5 @@ let () =
       ("workload", Test_workload.suite);
       ("svc", Test_svc.suite);
       ("obs", Test_obs.suite);
+      ("registry", Test_registry.suite);
     ]

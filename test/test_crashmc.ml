@@ -4,16 +4,23 @@
    teeth (a dropped clwb must be caught). *)
 
 module Harness = Crashmc.Harness
-module Sut = Crashmc.Sut
+module Factory = Experiments.Factory
 module Oracle = Crashmc.Oracle
 module Key = Pactree.Key
 
 let seed () = Int64.to_int (Des.Rng.env_seed ~default:1L)
 
-let check_clean kind ~ops ~budget ~max_states =
-  let sut = Sut.make kind in
+(* A fresh single-socket machine with small pools: every materialised
+   crash state blits the full image. *)
+let make_sut sys =
+  let machine = Nvm.Machine.create ~numa_count:1 () in
+  (machine, Factory.make_backend machine ~scale:Experiments.Scale.crashmc sys)
+
+let check_clean sys ~ops ~budget ~max_states =
+  let machine, sut = make_sut sys in
   let r =
-    Harness.run ~budget_per_point:budget ~max_states ~seed:(seed ()) ~sut ~ops ()
+    Harness.run ~budget_per_point:budget ~max_states ~seed:(seed ())
+      ~name:(Factory.id sys) ~machine ~sut ~ops ()
   in
   if not (Harness.ok r) then
     Alcotest.failf "%a@.seed %d (override with PACTREE_SEED)" Harness.pp_report r
@@ -22,35 +29,35 @@ let check_clean kind ~ops ~budget ~max_states =
 (* Mixed insert/delete trace on every index. *)
 let test_mixed () =
   List.iter
-    (fun kind ->
-      check_clean kind
+    (fun sys ->
+      check_clean sys
         ~ops:(Harness.mixed_workload ~seed:(seed ()) 32)
         ~budget:24 ~max_states:4_000)
-    Sut.all
+    Factory.all
 
 (* Split-heavy monotone inserts: exercises FastFair node splits,
    FPTree leaf splits + micro-log, PACTree data-node SMOs. *)
 let test_splits () =
   List.iter
-    (fun kind ->
-      check_clean kind ~ops:(Harness.insert_workload 72) ~budget:16
+    (fun sys ->
+      check_clean sys ~ops:(Harness.insert_workload 72) ~budget:16
         ~max_states:4_000)
-    [ Sut.Pactree; Sut.Fastfair; Sut.Fptree ]
+    [ Factory.Pactree_sys; Factory.Fastfair_sys; Factory.Fptree_sys ]
 
 (* Teeth: injecting a dropped clwb into the recorded run must produce
    at least one durable-linearizability violation across a small
    mutant family.  If every mutant survives, the checker is
    vacuous. *)
-let test_mutation_teeth kind () =
+let test_mutation_teeth sys () =
   let killed = ref 0 in
   List.iter
     (fun k ->
       if !killed = 0 then begin
-        let sut = Sut.make kind in
-        Nvm.Machine.set_flush_fault (Sut.machine sut) (Some k);
+        let machine, sut = make_sut sys in
+        Nvm.Machine.set_flush_fault machine (Some k);
         let r =
           Harness.run ~budget_per_point:24 ~max_states:4_000 ~max_violations:1
-            ~seed:(seed ()) ~sut
+            ~seed:(seed ()) ~name:(Factory.id sys) ~machine ~sut
             ~ops:(Harness.mixed_workload ~seed:(seed ()) 32)
             ()
         in
@@ -59,7 +66,7 @@ let test_mutation_teeth kind () =
     [ 1; 3; 9; 27; 81; 243 ];
   if !killed = 0 then
     Alcotest.failf "no dropped-clwb mutant caught on %s — checker has no teeth (seed %d)"
-      (Sut.name kind) (seed ())
+      (Factory.id sys) (seed ())
 
 (* The in-flight window accepts exactly the in-order prefixes of the
    interrupted batch, jointly across keys: a state where a later batch
@@ -112,7 +119,7 @@ let suite =
     Alcotest.test_case "mixed trace, all indexes" `Quick test_mixed;
     Alcotest.test_case "split-heavy trace" `Quick test_splits;
     Alcotest.test_case "mutation teeth (fastfair)" `Quick
-      (test_mutation_teeth Sut.Fastfair);
+      (test_mutation_teeth Factory.Fastfair_sys);
     Alcotest.test_case "mutation teeth (pactree)" `Quick
-      (test_mutation_teeth Sut.Pactree);
+      (test_mutation_teeth Factory.Pactree_sys);
   ]

@@ -250,6 +250,8 @@ let test_report_rejects_malformed () =
        ]);
   expect_error "non-monotone latency"
     (sample_report [ { sample_entry with Report.e_p99_us = 0.5 } ]);
+  expect_error "latency max below p99.99"
+    (sample_report [ { sample_entry with Report.e_max_us = 2.5 } ]);
   expect_error "negative per-op cost"
     (sample_report [ { sample_entry with Report.e_flushes_per_op = -1.0 } ])
 

@@ -16,24 +16,19 @@ module Kmap = Map.Make (struct
   let compare = Key.compare
 end)
 
-let fastfair_backend machine ~capacity () : Store.backend =
-  let t = Baselines.Fastfair.create machine ~capacity () in
-  {
-    Store.b_index = Index.Index ((module Baselines.Fastfair.Index), t);
-    b_recover = (fun () -> Baselines.Fastfair.recover t);
-    b_invariants = (fun () -> ignore (Baselines.Fastfair.check_invariants t : int));
-    b_quiesce = ignore;
-    b_service = None;
-  }
+(* small pools: every materialised crash state blits every pool *)
+let fastfair_backend machine =
+  Experiments.Factory.make_backend machine ~scale:Experiments.Scale.crashmc
+    Experiments.Factory.Fastfair_sys
 
 (* [span]-keyspace store with equi-spaced boundaries. *)
-let make_store ?(numa = 2) ?(shards = 3) ?(span = 1000) ?(capacity = 1 lsl 18) () =
+let make_store ?(numa = 2) ?(shards = 3) ?(span = 1000) () =
   let machine = Nvm.Machine.create ~numa_count:numa () in
   let boundaries =
     Array.init (shards - 1) (fun i -> Key.of_int ((i + 1) * span / shards))
   in
   Store.create ~machine ~boundaries
-    ~make_backend:(fun ~shard:_ ~numa:_ -> fastfair_backend machine ~capacity ())
+    ~make_backend:(fun ~shard:_ ~numa:_ -> fastfair_backend machine)
     ()
 
 (* ---------- routing + direct ops vs a map oracle ---------- *)
@@ -138,20 +133,19 @@ let test_acked_writes_survive_crash () =
    backends (one per shard, same key routing), through bulk load, an
    engine run and direct store calls alike. *)
 let test_service_adds_no_nvm_traffic () =
-  let keys = 1_500 and ops = 1_200 and capacity = 1 lsl 18 in
+  let keys = 1_500 and ops = 1_200 in
   let kind = Workload.Keyset.Int_keys and mix = Workload.Ycsb.Workload_a in
   let boundaries = Store.boundaries_for ~kind ~keys ~shards:2 in
   let svc_machine = Nvm.Machine.create ~numa_count:1 () in
   let store =
     Store.create ~machine:svc_machine ~boundaries
-      ~make_backend:(fun ~shard:_ ~numa:_ ->
-        fastfair_backend svc_machine ~capacity ())
+      ~make_backend:(fun ~shard:_ ~numa:_ -> fastfair_backend svc_machine)
       ()
   in
   let bare_machine = Nvm.Machine.create ~numa_count:1 () in
   let bare =
     Array.init (Store.shard_count store) (fun _ ->
-        (fastfair_backend bare_machine ~capacity ()).Store.b_index)
+        (fastfair_backend bare_machine).Store.b_index)
   in
   let on_bare k = bare.(Store.shard_of_key store k) in
   let same_cost stage =
@@ -228,9 +222,9 @@ let check_latency_eq what l1 l2 =
 let runner_once sys =
   let machine = Nvm.Machine.create ~numa_count:2 () in
   let scale = Experiments.Scale.make ~keys:2_000 ~ops:1_500 ~thread_counts:[] in
-  let index, service = Experiments.Factory.make machine ~scale sys in
-  Workload.Runner.run ~machine ~index ?service ~mix:Workload.Ycsb.Workload_a
-    ~kind:Workload.Keyset.Int_keys ~loaded:2_000 ~ops:1_500 ~threads:4 ()
+  let b = Experiments.Factory.make_backend machine ~scale sys in
+  Workload.Runner.run ~machine ~index:b.b_index ?service:b.b_service
+    ~mix:Workload.Ycsb.Workload_a ~kind:Workload.Keyset.Int_keys ~loaded:2_000 ~ops:1_500 ~threads:4 ()
 
 let test_runner_deterministic sys () =
   let r1 = runner_once sys and r2 = runner_once sys in
@@ -316,24 +310,23 @@ let test_engine_rejects_bad_config () =
 
 (* ---------- crashmc over the sharded store ---------- *)
 
-let crashmc_store () =
-  (* tiny pools: every materialised crash state blits every pool *)
-  make_store ~numa:1 ~shards:2 ~span:1000 ~capacity:(1 lsl 18) ()
-
-let crashmc_sut store =
-  Crashmc.Sut.custom ~name:"svc-store[fastfair x2]" ~machine:(Store.machine store)
-    ~index:(Store.as_index store)
-    ~recover:(fun () -> Store.recover store)
-    ~invariants:(fun () -> Store.invariants store)
-    ~quiesce:(fun () -> Store.quiesce store)
-    ()
+let store_sut store =
+  {
+    Baselines.System.b_index = Store.as_index store;
+    b_recover = (fun () -> Store.recover store);
+    b_invariants = (fun () -> Store.invariants store);
+    b_quiesce = (fun () -> Store.quiesce store);
+    b_service = None;
+  }
 
 let seed () = Int64.to_int (Des.Rng.env_seed ~default:1L)
 
 let test_crashmc_direct () =
-  let sut = crashmc_sut (crashmc_store ()) in
+  let store = make_store ~numa:1 ~shards:2 ~span:1000 () in
   let r =
-    Crashmc.Harness.run ~budget_per_point:16 ~max_states:2_500 ~seed:(seed ()) ~sut
+    Crashmc.Harness.run ~budget_per_point:16 ~max_states:2_500 ~seed:(seed ())
+      ~name:"svc-store[fastfair x2]" ~machine:(Store.machine store)
+      ~sut:(store_sut store)
       ~ops:(Crashmc.Harness.mixed_workload ~seed:(seed ()) 24)
       ()
   in
