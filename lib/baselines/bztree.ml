@@ -71,7 +71,7 @@ type t = {
 
 type node = { pool : Pool.t; off : int }
 
-let node_of ptr = { pool = Pmalloc.Registry.resolve ptr; off = Pptr.off ptr }
+let node_of machine ptr = { pool = Pmalloc.Registry.resolve machine ptr; off = Pptr.off ptr }
 
 let status n = Pool.read_int n.pool (n.off + off_status)
 
@@ -99,7 +99,6 @@ let create machine ?(string_keys = false) ?(capacity = 1 lsl 26) () =
   let meta =
     Pool.create machine ~name:"bztree.meta" ~numa:0 ~capacity:(64 + Pmwcas.region_size) ()
   in
-  Pmalloc.Registry.register meta;
   let t =
     {
       machine;
@@ -111,7 +110,7 @@ let create machine ?(string_keys = false) ?(capacity = 1 lsl 26) () =
     }
   in
   let ptr = Heap.alloc heap node_size in
-  let root = node_of ptr in
+  let root = node_of t.machine ptr in
   Pool.fill_zero root.pool root.off node_size;
   Pool.write_int root.pool (root.off + off_status) leaf_bit;
   Pool.persist root.pool root.off node_size;
@@ -119,7 +118,7 @@ let create machine ?(string_keys = false) ?(capacity = 1 lsl 26) () =
   Pool.persist meta 0 8;
   t
 
-let root t = node_of (Pool.read_int t.meta 0)
+let root t = node_of t.machine (Pool.read_int t.meta 0)
 
 let with_retry f =
   let rec go attempt =
@@ -137,7 +136,8 @@ let rec resolve n =
   let s = status n in
   if is_frozen s then begin
     let r = replacement n in
-    if Pptr.is_null r then (n, s) (* freeze in progress *) else resolve (node_of r)
+    if Pptr.is_null r then (n, s) (* freeze in progress *)
+    else resolve (node_of (Pool.machine n.pool) r)
   end
   else (n, s)
 
@@ -168,7 +168,7 @@ let rec descend t n path ~probe_rep ~probe_key =
   if is_leaf s then (n, s, path)
   else
     let child = child_for t n s ~probe_rep ~probe_key in
-    descend t (node_of child) (n :: path) ~probe_rep ~probe_key
+    descend t (node_of t.machine child) (n :: path) ~probe_rep ~probe_key
 
 let to_leaf t key =
   let probe_rep = Krep.probe_rep t.kr key in
@@ -209,7 +209,7 @@ let live_sorted t leaf s =
 
 let build_leaf t pairs ~next_ptr =
   let ptr = Heap.alloc t.heap node_size in
-  let n = node_of ptr in
+  let n = node_of t.machine ptr in
   Pool.fill_zero n.pool n.off node_size;
   List.iteri
     (fun i (krep, v) ->
@@ -228,7 +228,7 @@ let internal_entries n s =
 let build_internal t ~leftmost_ptr entries =
   assert (List.length entries <= cap);
   let ptr = Heap.alloc t.heap node_size in
-  let n = node_of ptr in
+  let n = node_of t.machine ptr in
   Pool.fill_zero n.pool n.off node_size;
   List.iteri
     (fun i (krep, child) ->
@@ -506,7 +506,7 @@ let delete t key =
 let rec to_leaf_node t node =
   let node, s = resolve node in
   if is_leaf s then (node, s)
-  else to_leaf_node t (node_of (leftmost node))
+  else to_leaf_node t (node_of t.machine (leftmost node))
 
 let scan t key n_wanted =
   with_retry @@ fun () ->
@@ -531,7 +531,7 @@ let scan t key n_wanted =
         end)
       pairs;
     let nxt = next node in
-    if !taken < n_wanted && not (Pptr.is_null nxt) then walk (node_of nxt) ~first:false
+    if !taken < n_wanted && not (Pptr.is_null nxt) then walk (node_of t.machine nxt) ~first:false
   in
   let leaf, _, _ = to_leaf t key in
   walk leaf ~first:true;
@@ -550,7 +550,7 @@ let recover t =
   Heap.recover t.heap;
   ignore (Pmwcas.recover ~desc_pool:t.meta ~desc_base:64 : int);
   let rec walk ptr =
-    let n = node_of ptr in
+    let n = node_of t.machine ptr in
     let s = status n in
     if is_frozen s && Pptr.is_null (replacement n) then begin
       Pool.write_int n.pool (n.off + off_status) (s land lnot frozen_bit);
@@ -571,14 +571,14 @@ let check_invariants t =
      per-leaf sorted live keys must be globally sorted *)
   let rec to_leftmost n =
     let n, s = resolve n in
-    if is_leaf s then n else to_leftmost (node_of (leftmost n))
+    if is_leaf s then n else to_leftmost (node_of t.machine (leftmost n))
   in
   let rec walk n acc =
     let n, s = to_leaf_node t n in
     let keys = List.map (fun (kr, _) -> Krep.to_key t.kr kr) (live_sorted t n s) in
     let acc = acc @ keys in
     let nxt = next n in
-    if Pptr.is_null nxt then acc else walk (node_of nxt) acc
+    if Pptr.is_null nxt then acc else walk (node_of t.machine nxt) acc
   in
   let all = walk (to_leftmost (root t)) [] in
   if all <> List.sort Key.compare all then failwith "BzTree: chain not sorted";

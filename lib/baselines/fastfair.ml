@@ -73,7 +73,7 @@ type t = {
 
 type node = Pobj.obj = { pool : Pool.t; off : int }
 
-let node_of ptr = { pool = Pmalloc.Registry.resolve ptr; off = Pptr.off ptr }
+let node_of machine ptr = { pool = Pmalloc.Registry.resolve machine ptr; off = Pptr.off ptr }
 
 let to_ptr n = Pptr.make ~pool:(Pool.id n.pool) ~off:n.off
 
@@ -103,7 +103,7 @@ let val_at n i = Pobj.read_int n (rec_rel i + 8)
 let krep_of_key t (k : Key.t) =
   if t.string_keys then begin
     let ptr = Heap.alloc t.heap (1 + String.length k) in
-    let o = Pobj.make (Pmalloc.Registry.resolve ptr) (Pptr.off ptr) in
+    let o = Pobj.make (Pmalloc.Registry.resolve t.machine ptr) (Pptr.off ptr) in
     Pobj.write_u8 o 0 (String.length k);
     Pobj.write_string o 1 k;
     Pobj.persist o 0 (1 + String.length k);
@@ -114,7 +114,7 @@ let krep_of_key t (k : Key.t) =
 let key_of_krep t krep =
   if t.string_keys then begin
     let ptr = Int64.to_int krep in
-    let o = Pobj.make (Pmalloc.Registry.resolve ptr) (Pptr.off ptr) in
+    let o = Pobj.make (Pmalloc.Registry.resolve t.machine ptr) (Pptr.off ptr) in
     let len = Pobj.read_u8 o 0 in
     Pobj.read_string o 1 len
   end
@@ -129,7 +129,7 @@ let key_of_krep t krep =
 let cmp_slot t n i ~probe_rep ~probe_key =
   if t.string_keys then begin
     let ptr = Int64.to_int (krep_at n i) in
-    let o = Pobj.make (Pmalloc.Registry.resolve ptr) (Pptr.off ptr) in
+    let o = Pobj.make (Pmalloc.Registry.resolve t.machine ptr) (Pptr.off ptr) in
     let len = Pobj.read_u8 o 0 in
     Pobj.compare_string o 1 len probe_key
   end
@@ -157,7 +157,7 @@ let child_for t n ~probe_rep ~probe_key =
 
 let alloc_node t ~leaf =
   let ptr = Heap.alloc t.heap node_size in
-  let n = node_of ptr in
+  let n = node_of t.machine ptr in
   Pobj.fill_zero n 0 node_size;
   Vlock.init (lockh n) ~gen;
   Pobj.write_u8 n (off_leaf) (Bool.to_int leaf);
@@ -169,7 +169,6 @@ let create machine ?(string_keys = false) ?(capacity = 1 lsl 26) () =
     Heap.create machine ~kind:Heap.Pmdk ~name:"fastfair" ~numa_pools:numa ~capacity ()
   in
   let meta = Pool.create machine ~name:"fastfair.meta" ~numa:0 ~capacity:256 () in
-  Pmalloc.Registry.register meta;
   let t = { machine; heap; meta; string_keys } in
   let root, rptr = alloc_node t ~leaf:true in
   Pobj.persist root 0 node_size;
@@ -178,7 +177,7 @@ let create machine ?(string_keys = false) ?(capacity = 1 lsl 26) () =
   Pobj.persist mo 0 8;
   t
 
-let root t = node_of (Pobj.read_int (Pobj.make t.meta 0) 0)
+let root t = node_of t.machine (Pobj.read_int (Pobj.make t.meta 0) 0)
 
 (* ---------- reads ---------- *)
 
@@ -220,7 +219,7 @@ let lookup t key =
     else begin
       let child = child_for t n ~probe_rep ~probe_key in
       check h v;
-      descend ~at_root:false (node_of child)
+      descend ~at_root:false (node_of t.machine child)
     end
   in
   descend ~at_root:true (root t)
@@ -347,7 +346,7 @@ let insert t key value =
   let cmp_sep sep =
     if t.string_keys then begin
       let ptr = Int64.to_int sep in
-      let o = Pobj.make (Pmalloc.Registry.resolve ptr) (Pptr.off ptr) in
+      let o = Pobj.make (Pmalloc.Registry.resolve t.machine ptr) (Pptr.off ptr) in
       let len = Pobj.read_u8 o 0 in
       Pobj.compare_string o 1 len probe_key
     end
@@ -358,7 +357,7 @@ let insert t key value =
     if t.string_keys then begin
       let ka = key_of_krep t a in
       let pb = Int64.to_int b in
-      let o = Pobj.make (Pmalloc.Registry.resolve pb) (Pptr.off pb) in
+      let o = Pobj.make (Pmalloc.Registry.resolve t.machine pb) (Pptr.off pb) in
       let len = Pobj.read_u8 o 0 in
       -Pobj.compare_string o 1 len ka
     end
@@ -410,7 +409,7 @@ let insert t key value =
       else begin
         let sep, rptr = split_node t n in
         (* place the pending pair in the correct half *)
-        let target = if cmp_sep sep < 0 then node_of rptr else n in
+        let target = if cmp_sep sep < 0 then node_of t.machine rptr else n in
         let same = target.off = n.off && target.pool == n.pool in
         let twv = if same then wv else Vlock.acquire (lockh target) ~gen in
         let i = lower_bound t target ~probe_rep ~probe_key in
@@ -429,7 +428,7 @@ let insert t key value =
         release ();
         anc ()
       in
-      match descend ~at_root:false ~ancestors_release:anc_for_child (node_of child) with
+      match descend ~at_root:false ~ancestors_release:anc_for_child (node_of t.machine child) with
       | None -> None (* self + ancestors released by the child *)
       | Some (sep, rptr, _child_anc) ->
           (* we are still locked (the child was full, so we were kept) *)
@@ -441,7 +440,7 @@ let insert t key value =
           end
           else begin
             let nsep, nright = split_node t n in
-            let target = if cmp_krep sep nsep >= 0 then node_of nright else n in
+            let target = if cmp_krep sep nsep >= 0 then node_of t.machine nright else n in
             let same = target.off = n.off && target.pool == n.pool in
             let twv = if same then wv else Vlock.acquire (lockh target) ~gen in
             insert_at t target (sep_lower_bound target sep) sep rptr;
@@ -498,7 +497,7 @@ let update t key value =
       if at_root && not (confirm_root t n) then raise Restart;
       let child = child_for t n ~probe_rep ~probe_key:key in
       check h v;
-      descend ~at_root:false (node_of child)
+      descend ~at_root:false (node_of t.machine child)
     end
   in
   descend ~at_root:true (root t)
@@ -526,7 +525,7 @@ let delete t key =
       if at_root && not (confirm_root t n) then raise Restart;
       let child = child_for t n ~probe_rep ~probe_key:key in
       check h v;
-      descend ~at_root:false (node_of child)
+      descend ~at_root:false (node_of t.machine child)
     end
   in
   descend ~at_root:true (root t)
@@ -544,7 +543,7 @@ let scan t key n_wanted =
     else begin
       let child = child_for t n ~probe_rep ~probe_key:key in
       check h v;
-      find_leaf ~at_root:false (node_of child)
+      find_leaf ~at_root:false (node_of t.machine child)
     end
   in
   let acc = ref [] and taken = ref 0 in
@@ -565,7 +564,7 @@ let scan t key n_wanted =
     acc := !batch @ !acc;
     taken := !taken + List.length !batch;
     if !taken < n_wanted && not (Pptr.is_null nxt) then begin
-      let n' = node_of nxt in
+      let n' = node_of t.machine nxt in
       let h' = lockh n' in
       let v' = Vlock.begin_read h' ~gen in
       walk n' h' v' ~first:false
@@ -595,7 +594,7 @@ let recover t =
     else Int64.unsigned_compare a b
   in
   let rec leftmost_leaf n =
-    if is_leaf n then n else leftmost_leaf (node_of (leftmost n))
+    if is_leaf n then n else leftmost_leaf (node_of t.machine (leftmost n))
   in
   let first = leftmost_leaf (root t) in
   (* Pass 1: leaf repair.  Keep records in strictly increasing global
@@ -624,7 +623,7 @@ let recover t =
     | (kr0, _) :: _ -> leaves := (kr0, to_ptr n) :: !leaves
     | [] -> ());
     let nxt = next n in
-    if not (Pptr.is_null nxt) then walk (node_of nxt)
+    if not (Pptr.is_null nxt) then walk (node_of t.machine nxt)
   in
   walk first;
   (* Pass 2: rebuild the internal layer bottom-up over the non-empty
@@ -664,7 +663,9 @@ let recover t =
 (* ---------- invariant check (tests) ---------- *)
 
 let check_invariants t =
-  let rec leftmost_leaf n = if is_leaf n then n else leftmost_leaf (node_of (leftmost n)) in
+  let rec leftmost_leaf n =
+    if is_leaf n then n else leftmost_leaf (node_of t.machine (leftmost n))
+  in
   let rec walk n acc =
     let c = count n in
     let keys = List.init c (fun i -> key_of_krep t (krep_at n i)) in
@@ -672,7 +673,7 @@ let check_invariants t =
     if keys <> sorted then failwith "FastFair: leaf not sorted";
     let acc = acc @ keys in
     let nxt = next n in
-    if Pptr.is_null nxt then acc else walk (node_of nxt) acc
+    if Pptr.is_null nxt then acc else walk (node_of t.machine nxt) acc
   in
   let all = walk (leftmost_leaf (root t)) [] in
   let sorted = List.sort Key.compare all in

@@ -57,7 +57,6 @@ let create machine ?(string_keys = false) ?(capacity = 1 lsl 26) () =
     Heap.create machine ~kind:Heap.Pmdk ~name:"fptree" ~numa_pools:numa ~capacity ()
   in
   let meta = Pool.create machine ~name:"fptree.meta" ~numa:0 ~capacity:256 () in
-  Pmalloc.Registry.register meta;
   let lay = Node.layout ~key_inline:(if string_keys then 32 else 8) () in
   let gen = Pool.read_int meta off_gen + 1 in
   Pool.write_int meta off_gen gen;
@@ -80,7 +79,7 @@ let create machine ?(string_keys = false) ?(capacity = 1 lsl 26) () =
     Heap.alloc_to heap ~numa:0 ~size:lay.Node.node_size ~dest_pool:meta ~dest_off:off_head
       ()
   in
-  let head = Node.of_ptr ptr in
+  let head = Node.of_ptr t.machine ptr in
   Node.init lay head ~gen ~anchor:"" ~next:Pptr.null ~prev:Pptr.null;
   Pool.persist head.Node.pool head.Node.off lay.Node.node_size;
   t.internals <- Smap.add "" ptr t.internals;
@@ -112,7 +111,7 @@ let to_leaf t key =
 
 let lookup t key =
   let ptr = to_leaf t key in
-  let leaf = Node.of_ptr ptr in
+  let leaf = Node.of_ptr t.machine ptr in
   let h = Node.lock_handle leaf in
   let rec read attempt =
     if attempt > 10_000 then failwith "FPTree: read livelock";
@@ -139,7 +138,7 @@ let split_leaf t leaf key =
   let ptr =
     Heap.alloc_to t.heap ~size:t.lay.Node.node_size ~dest_pool:t.meta ~dest_off:(off_log + 8) ()
   in
-  let nleaf = Node.of_ptr ptr in
+  let nleaf = Node.of_ptr t.machine ptr in
   Node.init t.lay nleaf ~gen:t.gen ~anchor:median ~next:(Node.next leaf) ~prev:Pptr.null;
   Node.copy_into t.lay ~src:leaf ~dst:nleaf move;
   Pool.persist nleaf.Node.pool nleaf.Node.off t.lay.Node.node_size;
@@ -157,13 +156,13 @@ let split_leaf t leaf key =
 let rec locked_leaf t key attempt =
   if attempt > 10_000 then failwith "FPTree: writer livelock";
   let ptr = to_leaf t key in
-  let leaf = Node.of_ptr ptr in
+  let leaf = Node.of_ptr t.machine ptr in
   let h = Node.lock_handle leaf in
   let wv = Vlock.acquire h ~gen:t.gen in
   (* the leaf may have split between traversal and lock *)
   let nxt = Node.next leaf in
   let still_covers =
-    Pptr.is_null nxt || Node.compare_anchor (Node.of_ptr nxt) key > 0
+    Pptr.is_null nxt || Node.compare_anchor (Node.of_ptr t.machine nxt) key > 0
   in
   if still_covers then (leaf, wv)
   else begin
@@ -224,7 +223,7 @@ let scan t key n_wanted =
   let rec scan_leaf ptr ~first attempt =
     if attempt > 10_000 then failwith "FPTree: scan livelock"
     else if !taken < n_wanted && not (Pptr.is_null ptr) then begin
-      let leaf = Node.of_ptr ptr in
+      let leaf = Node.of_ptr t.machine ptr in
       let h = Node.lock_handle leaf in
       let v = Vlock.begin_read h ~gen:t.gen in
       let sorted = Node.sorted_live t.lay leaf in
@@ -268,10 +267,10 @@ let recover t =
      (the allocated-but-unlinked leaf leaks, which is benign). *)
   let logged = Pool.read_int t.meta off_log in
   if logged <> 0 then begin
-    let old_leaf = Node.of_ptr logged in
+    let old_leaf = Node.of_ptr t.machine logged in
     let nxt = Node.next old_leaf in
     if not (Pptr.is_null nxt) then begin
-      let nleaf = Node.of_ptr nxt in
+      let nleaf = Node.of_ptr t.machine nxt in
       let stale =
         List.filter_map
           (fun (k, slot) ->
@@ -287,7 +286,7 @@ let recover t =
   t.cardinal_estimate <- 0;
   let rec walk ptr =
     if not (Pptr.is_null ptr) then begin
-      let leaf = Node.of_ptr ptr in
+      let leaf = Node.of_ptr t.machine ptr in
       let sep = Node.anchor t.lay leaf in
       t.internals <- Smap.add sep ptr t.internals;
       t.cardinal_estimate <- t.cardinal_estimate + Node.live_count leaf;
@@ -300,7 +299,7 @@ let check_invariants t =
   let rec walk ptr acc =
     if Pptr.is_null ptr then acc
     else begin
-      let leaf = Node.of_ptr ptr in
+      let leaf = Node.of_ptr t.machine ptr in
       let keys = List.map fst (Node.sorted_live t.lay leaf) in
       walk (Node.next leaf) (acc @ keys)
     end

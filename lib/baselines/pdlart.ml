@@ -27,8 +27,8 @@ type t = {
   epoch : Pactree.Epoch.t;
 }
 
-let record_key ptr =
-  let pool = Pmalloc.Registry.resolve ptr in
+let record_key machine ptr =
+  let pool = Pmalloc.Registry.resolve machine ptr in
   let off = Pptr.off ptr in
   let len = Pool.read_u8 pool (off + 8) in
   Pool.read_string pool (off + 9) len
@@ -39,18 +39,17 @@ let create machine ?(alloc_kind = Heap.Pmdk) ?(capacity = 1 lsl 26) ?numa_pools 
   let meta =
     Pool.create machine ~name:"pdlart.meta" ~numa:0 ~capacity:(Art.meta_size + 256) ()
   in
-  Pmalloc.Registry.register meta;
   let epoch = Pactree.Epoch.create () in
   let art =
-    Art.create ~heap ~meta ~epoch ~key_of_leaf:record_key ~compare_leaf:(fun p rkey ->
-        String.compare (record_key p) rkey)
+    Art.create ~heap ~meta ~epoch ~key_of_leaf:(record_key machine) ~compare_leaf:(fun p rkey ->
+        String.compare (record_key machine p) rkey)
   in
   { machine; heap; meta; art; epoch }
 
 let alloc_record t rkey value =
   let size = 9 + String.length rkey in
   let ptr = Heap.alloc t.heap size in
-  let pool = Pmalloc.Registry.resolve ptr in
+  let pool = Pmalloc.Registry.resolve t.machine ptr in
   let off = Pptr.off ptr in
   Pool.write_int pool off value;
   Pool.write_u8 pool (off + 8) (String.length rkey);
@@ -58,14 +57,14 @@ let alloc_record t rkey value =
   Pool.persist pool off size;
   ptr
 
-let record_value ptr =
-  let pool = Pmalloc.Registry.resolve ptr in
+let record_value t ptr =
+  let pool = Pmalloc.Registry.resolve t.machine ptr in
   Pool.read_int pool (Pptr.off ptr)
 
 let free_later t ptr = Pactree.Epoch.defer t.epoch (fun () -> Heap.free t.heap ptr)
 
-let set_record_value ptr value =
-  let pool = Pmalloc.Registry.resolve ptr in
+let set_record_value t ptr value =
+  let pool = Pmalloc.Registry.resolve t.machine ptr in
   Pool.write_int pool (Pptr.off ptr) value;
   Pool.persist pool (Pptr.off ptr) 8
 
@@ -79,7 +78,7 @@ let insert t key value =
   Pactree.Epoch.enter t.epoch;
   Fun.protect ~finally:(fun () -> Pactree.Epoch.exit t.epoch) @@ fun () ->
   match Art.lookup t.art rkey with
-  | Some record -> set_record_value record value
+  | Some record -> set_record_value t record value
   | None -> (
       let record = alloc_record t rkey value in
       match Art.insert t.art rkey record with
@@ -90,7 +89,7 @@ let insert t key value =
 
 let lookup t key =
   match Art.lookup t.art (Key.to_radix key) with
-  | Some record -> Some (record_value record)
+  | Some record -> Some (record_value t record)
   | None -> None
 
 let update t key value =
@@ -100,7 +99,7 @@ let update t key value =
   match Art.lookup t.art rkey with
   | None -> false
   | Some record ->
-      set_record_value record value;
+      set_record_value t record value;
       true
 
 let delete t key =
@@ -116,7 +115,7 @@ let delete t key =
 let scan t key n_wanted =
   let acc = ref [] and n = ref 0 in
   Art.iter_from t.art (Key.to_radix key) (fun record ->
-      acc := (Key.of_radix (record_key record), record_value record) :: !acc;
+      acc := (Key.of_radix (record_key t.machine record), record_value t record) :: !acc;
       incr n;
       !n < n_wanted);
   List.rev !acc

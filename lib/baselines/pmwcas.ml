@@ -126,7 +126,7 @@ let recover ~desc_pool ~desc_base =
           let entry = Layout.slot f_entries i in
           let ptr = Pobj.read_int d entry in
           let desired = Pobj.read_int d (entry + 8) in
-          let o = Pobj.make (Pmalloc.Registry.resolve ptr) (Pptr.off ptr) in
+          let o = Pobj.make (Pmalloc.Registry.resolve (Pool.machine d.pool) ptr) (Pptr.off ptr) in
           Pobj.write_int o 0 desired;
           Pobj.persist o 0 8
         done

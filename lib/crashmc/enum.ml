@@ -22,9 +22,7 @@ type pending = { p_pool : int; p_line : int; choices : string array }
 
 let iter ?(budget_per_point = 64) ?(seed = 0x5EEDL) ~trace ~f () =
   let machine = Trace.machine trace in
-  let views = Machine.pool_views machine in
-  let view_by_id = Hashtbl.create 16 in
-  List.iter (fun pv -> Hashtbl.replace view_by_id pv.Machine.pv_id pv) views;
+  let pools = Nvm.Pool.all machine in
   (* Current fenced media image per persistent pool, evolved by replay. *)
   let media : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
   let media_of pool =
@@ -34,10 +32,7 @@ let iter ?(budget_per_point = 64) ?(seed = 0x5EEDL) ~trace ~f () =
         let b =
           match Trace.base_media trace pool with
           | Some base -> Bytes.copy base
-          | None -> (
-              match Hashtbl.find_opt view_by_id pool with
-              | Some pv -> Bytes.make pv.Machine.pv_capacity '\000'
-              | None -> invalid_arg "crashmc: trace names an unknown pool")
+          | None -> Bytes.make (Nvm.Pool.capacity (Nvm.Pool.of_id machine pool)) '\000'
         in
         Hashtbl.replace media pool b;
         b
@@ -86,10 +81,10 @@ let iter ?(budget_per_point = 64) ?(seed = 0x5EEDL) ~trace ~f () =
   let restore () =
     Machine.crash machine Machine.Strict;
     List.iter
-      (fun pv ->
-        if pv.Machine.pv_volatile then pv.Machine.pv_restore Bytes.empty
-        else pv.Machine.pv_restore (media_of pv.Machine.pv_id))
-      views
+      (fun p ->
+        Nvm.Pool.restore p
+          (if Nvm.Pool.is_volatile p then Bytes.empty else media_of (Nvm.Pool.id p)))
+      pools
   in
   let state_key () =
     let buf = Buffer.create (Array.length touched * (line_size + 8)) in

@@ -21,10 +21,10 @@ let start machine =
     }
   in
   List.iter
-    (fun pv ->
-      if not pv.Machine.pv_volatile then
-        Hashtbl.replace t.base pv.Machine.pv_id (pv.Machine.pv_media ()))
-    (Machine.pool_views machine);
+    (fun p ->
+      if not (Nvm.Pool.is_volatile p) then
+        Hashtbl.replace t.base (Nvm.Pool.id p) (Nvm.Pool.media_image p))
+    (Nvm.Pool.all machine);
   Machine.set_tracer machine
     (Some
        (fun ev ->

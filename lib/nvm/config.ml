@@ -37,7 +37,9 @@ let dcpmm =
     (* Scaled with the benchmark datasets: the paper's 64M-key indexes
        exceed the testbed's LLC by ~2 orders of magnitude; the reduced
        simulation scale keeps the same dataset:cache ratio so indexes
-       stay NVM-bound, which is the regime the paper studies. *)
+       stay NVM-bound, which is the regime the paper studies.  The
+       4096 slots are shared by all pools of a machine: the cache is
+       physically indexed (see [Machine.cache_slot]). *)
     cache_slots_log2 = 12;
     clwb_cpu_cost = 15e-9;
     fence_base_cost = 30e-9;

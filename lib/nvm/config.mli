@@ -22,7 +22,9 @@ type profile = {
   read_buffer_slots : int;  (** XPLine read/prefetch buffer entries *)
   prefetch : bool;  (** enable the XPPrefetcher model *)
   cache_hit_cost : float;  (** CPU cache hit *)
-  cache_slots_log2 : int;  (** log2 of CPU cache model slots (64B each) *)
+  cache_slots_log2 : int;
+      (** log2 of the CPU cache model's slots (64B each), shared by all
+          pools of a machine *)
   clwb_cpu_cost : float;  (** CPU-side cost of issuing clwb *)
   fence_base_cost : float;  (** CPU-side cost of sfence *)
   remote_latency : float;  (** interconnect adder for cross-NUMA access *)

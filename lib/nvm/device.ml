@@ -27,7 +27,10 @@ let numa t = t.numa
 
 let stats t = t.stats
 
-(* Knuth multiplicative hash keeps adjacent XPLines in distinct slots. *)
+(* With the 64 slots of the default profile the slot is the low 6 XPLine
+   bits, permuted by the odd multiplier: that is what keeps adjacent
+   XPLines in distinct slots.  The pool id (high bits) plays no part; a
+   pool-aware variant was measured and is slower (see DESIGN §6). *)
 let buf_slot t xpline = xpline * 0x9E3779B1 land max_int mod Array.length t.read_buf
 
 let buf_mem t xpline = t.read_buf.(buf_slot t xpline) = xpline

@@ -25,14 +25,9 @@ type persist_event =
   | Pe_clwb of { tid : int; pool : int; line : int }
   | Pe_fence of { tid : int }
 
-type pool_view = {
-  pv_id : int;
-  pv_name : string;
-  pv_capacity : int;
-  pv_volatile : bool;
-  pv_media : unit -> Bytes.t;
-  pv_restore : Bytes.t -> unit;
-}
+type pool = ..
+
+type pool += No_pool
 
 (* The fence in progress: when it started and its latest WPQ acceptance
    so far.  Float-only, so stored unboxed. *)
@@ -52,11 +47,11 @@ type t = {
   io : Device.cursor; (* one group write's request / acceptance time *)
   write_group : int * int -> int -> unit; (* writes one group of [groups] *)
   stats : Stats.t;
+  mutable pools : pool array; (* by id; [No_pool] past [next_pool_id] *)
   mutable next_pool_id : int;
   mutable crash_hooks : (crash_mode -> unit) list;
   mutable tracer : (trace_event -> unit) option;
   mutable persist_observer : (persist_event -> unit) option;
-  mutable pool_views : pool_view list; (* reversed creation order *)
   mutable flush_fault : int option; (* drop the k-th clwb since set *)
   mutable flush_seen : int;
   mutable flush_elision : bool; (* skip redundant clwbs instead of just counting *)
@@ -98,11 +93,11 @@ let create ?(profile = Config.dcpmm) ?(protocol = Config.Snoop) ~numa_count () =
       io = { Device.at = 0.0 };
       write_group = (fun key count -> write_staged_group t key count);
       stats = Stats.create ();
+      pools = Array.make 8 No_pool;
       next_pool_id = 0;
       crash_hooks = [];
       tracer = None;
       persist_observer = None;
-      pool_views = [];
       flush_fault = None;
       flush_seen = 0;
       flush_elision = false;
@@ -120,10 +115,6 @@ let tracer t = t.tracer
 let set_persist_observer t f = t.persist_observer <- f
 
 let persist_observer t = t.persist_observer
-
-let register_pool_view t pv = t.pool_views <- pv :: t.pool_views
-
-let pool_views t = List.rev t.pool_views
 
 let set_flush_fault t k =
   t.flush_fault <- k;
@@ -159,18 +150,31 @@ let total_stats t =
   Array.iter (fun dev -> Stats.add acc (Device.stats dev)) t.devices;
   acc
 
-(* Pool ids are process-global so that persistent pointers (which
-   embed the pool id) can be resolved through a global registry even
-   when many machines coexist (tests, benchmarks). *)
-let global_pool_ids = ref 0
+let pool_count t = t.next_pool_id
 
-let fresh_pool_id t =
-  let id = !global_pool_ids in
-  incr global_pool_ids;
-  t.next_pool_id <- t.next_pool_id + 1;
-  id
+(* The table is the machine's own, so pools die with their machine. *)
+let add_pool t p =
+  let id = t.next_pool_id in
+  if id = Array.length t.pools then begin
+    let pools = Array.make (2 * id) No_pool in
+    Array.blit t.pools 0 pools 0 id;
+    t.pools <- pools
+  end;
+  t.pools.(id) <- p;
+  t.next_pool_id <- id + 1
 
-let cache_slot t gline = gline * 0x9E3779B1 land t.cpu_mask
+let pool t id =
+  if id < 0 || id >= t.next_pool_id then
+    invalid_arg (Printf.sprintf "Machine.pool: no pool %d (machine has %d)" id t.next_pool_id);
+  Array.unsafe_get t.pools id
+
+(* Physically indexed: the line within the pool, offset by a
+   multiplicative hash of the pool id (bits 40 and up).  The high bits
+   of the product mix every bit of the id, and adding rather than
+   hashing the line keeps consecutive lines of a pool in distinct
+   slots. *)
+let cache_slot t gline =
+  (gline + (((gline lsr 40) * 0x1E3779B97F4A7C15) lsr 40)) land t.cpu_mask
 
 let cache_access t gline =
   let slot = cache_slot t gline in

@@ -37,7 +37,29 @@ val total_stats : t -> Stats.t
 
 (** {2 Used by {!Pool}} *)
 
-val fresh_pool_id : t -> int
+(** The machine's pool table holds values of this type; {!Pool}, which
+    depends on this module, adds the one constructor that carries a
+    pool. *)
+type pool = ..
+
+(** Pools are numbered 0, 1, 2, ... in creation order, separately on
+    every machine, so a simulation never depends on what else the
+    process has run.  [pool_count t] is the id of the next pool. *)
+val pool_count : t -> int
+
+(** [add_pool t p] files [p] as pool [pool_count t]. *)
+val add_pool : t -> pool -> unit
+
+(** [pool t id] is pool [id] of [t], an array index.  Raises
+    [Invalid_argument] for an id [t] has not issued. *)
+val pool : t -> int -> pool
+
+(** [cache_slot t gline] is the CPU-cache slot of global line [gline]
+    (pool id in bits 40 and up, line in the pool below).  The cache is
+    physically indexed: consecutive lines of a pool take consecutive
+    slots, starting from a slot that a multiplicative hash draws from
+    every bit of the pool id. *)
+val cache_slot : t -> int -> int
 
 (** [cache_access t gline] models a CPU cache access to global line
     [gline]; returns [true] on a hit.  Misses install the tag. *)
@@ -102,24 +124,6 @@ type persist_event =
 val set_persist_observer : t -> (persist_event -> unit) option -> unit
 
 val persist_observer : t -> (persist_event -> unit) option
-
-(** A type-cycle-free handle on a pool (Pool depends on Machine), used
-    by crashmc to snapshot and re-materialize media images. *)
-type pool_view = {
-  pv_id : int;
-  pv_name : string;
-  pv_capacity : int;
-  pv_volatile : bool;
-  pv_media : unit -> Bytes.t;  (** copy of the current media image *)
-  pv_restore : Bytes.t -> unit;
-      (** install a media image; cache := media, dirty bits cleared.
-          Volatile pools ignore the argument and zero their cache. *)
-}
-
-val register_pool_view : t -> pool_view -> unit
-
-(** All pools of this machine, in creation order. *)
-val pool_views : t -> pool_view list
 
 (** {2 Fault injection (checker self-tests)} *)
 

@@ -43,10 +43,25 @@ let apply_snapshot t snaps pos line =
   Bytes.blit snaps pos t.media (line * line_size) line_size;
   if lines_equal t line then clear_dirty t line
 
+type Machine.pool += Pool of t
+
+let restore t img =
+  if t.volatile then Bytes.fill t.cache 0 t.capacity '\000'
+  else begin
+    if Bytes.length img <> t.capacity then
+      invalid_arg
+        (Printf.sprintf "Pool %s: restore image %d bytes, capacity %d" t.name
+           (Bytes.length img) t.capacity);
+    Bytes.blit img 0 t.media 0 t.capacity;
+    Bytes.blit img 0 t.cache 0 t.capacity
+  end;
+  Array.fill t.staged_by 0 (Array.length t.staged_by) nobody;
+  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000'
+
 let create machine ?(volatile = false) ~name ~numa ~capacity () =
   let capacity = round_up (max capacity 256) 256 in
   let lines = capacity / line_size in
-  let id = Machine.fresh_pool_id machine in
+  let id = Machine.pool_count machine in
   let dev = Machine.device machine numa in
   let cache = Bytes.make capacity '\000' in
   let media = if volatile then Bytes.empty else Bytes.make capacity '\000' in
@@ -69,27 +84,7 @@ let create machine ?(volatile = false) ~name ~numa ~capacity () =
       io = { Device.at = 0.0 };
     }
   in
-  Machine.register_pool_view machine
-    {
-      Machine.pv_id = pool.id;
-      pv_name = name;
-      pv_capacity = capacity;
-      pv_volatile = volatile;
-      pv_media = (fun () -> Bytes.copy pool.media);
-      pv_restore =
-        (fun img ->
-          if volatile then Bytes.fill pool.cache 0 capacity '\000'
-          else begin
-            if Bytes.length img <> capacity then
-              invalid_arg
-                (Printf.sprintf "Pool %s: restore image %d bytes, capacity %d"
-                   name (Bytes.length img) capacity);
-            Bytes.blit img 0 pool.media 0 capacity;
-            Bytes.blit img 0 pool.cache 0 capacity
-          end;
-          Array.fill pool.staged_by 0 (Array.length pool.staged_by) nobody;
-          Bytes.fill pool.dirty 0 (Bytes.length pool.dirty) '\000');
-    };
+  Machine.add_pool machine (Pool pool);
   let on_crash mode =
     if volatile then Bytes.fill pool.cache 0 capacity '\000'
     else begin
@@ -112,6 +107,15 @@ let create machine ?(volatile = false) ~name ~numa ~capacity () =
   Machine.on_crash machine on_crash;
   pool
 
+let of_id machine id =
+  match Machine.pool machine id with
+  | Pool p -> p
+  | _ -> invalid_arg (Printf.sprintf "Pool.of_id: no pool %d" id)
+
+let all machine = List.init (Machine.pool_count machine) (of_id machine)
+
+let media_image t = Bytes.copy t.media
+
 let id t = t.id
 
 let name t = t.name
@@ -127,6 +131,8 @@ let machine t = t.machine
 (* Global line / XPLine ids: pool id in the high bits keeps pools
    disjoint while keeping in-pool adjacency (for the prefetcher). *)
 let gline t off = (t.id lsl 40) lor (off lsr 6)
+
+let cache_slot t off = Machine.cache_slot t.machine (gline t off)
 
 let mark_dirty t off =
   let line = off lsr 6 in

@@ -33,6 +33,19 @@ val is_volatile : t -> bool
 
 val machine : t -> Machine.t
 
+(** {2 The machine's pool table}
+
+    Every pool is filed in its machine's table under its id (see
+    {!Machine.pool_count}); a persistent pointer names a pool by that
+    id. *)
+
+(** [of_id machine id] is pool [id] of [machine]: an array index that
+    allocates nothing.  Raises [Invalid_argument] for an unknown id. *)
+val of_id : Machine.t -> int -> t
+
+(** All pools of [machine], in creation (= id) order. *)
+val all : Machine.t -> t list
+
 (** {2 Typed access (little-endian)}
 
     [read_int]/[write_int] move OCaml 63-bit ints through an 8-byte
@@ -111,6 +124,18 @@ val persist : t -> int -> int -> unit
 (** Read directly from the media image, bypassing cost accounting —
     for tests that check what would survive a crash. *)
 val media_read_int : t -> int -> int
+
+(** A copy of the media image (empty for a volatile pool). *)
+val media_image : t -> Bytes.t
+
+(** [restore t img] installs media image [img] (cache := media, dirty
+    and staging state cleared), as if the machine had restarted from
+    it.  A volatile pool ignores [img] and zeroes its cache. *)
+val restore : t -> Bytes.t -> unit
+
+(** The CPU-cache slot of the line containing [off] (see
+    {!Machine.cache_slot}). *)
+val cache_slot : t -> int -> int
 
 (** True if the 64B line containing [off] differs between cache and
     media image. *)

@@ -36,6 +36,7 @@ type stats = {
 }
 
 type t = {
+  machine : Nvm.Machine.t;
   heap : Heap.t;
   meta : Pool.t;
   mo : Pobj.obj; (* meta pool as an object, fields per [meta_l] *)
@@ -119,8 +120,8 @@ let pending_off i slot =
    from a slot that a concurrent writer is changing; such reads are
    discarded by version validation, but they must never fault.  A
    pointer that cannot possibly be a node triggers a restart. *)
-let node_of ptr =
-  let pool = Pmalloc.Registry.resolve ptr in
+let node_of machine ptr =
+  let pool = Pmalloc.Registry.resolve machine ptr in
   let off = Pptr.off ptr in
   if off <= 0 || off + node_size.(0) > Pool.capacity pool || off land 7 <> 0 then
     raise Restart;
@@ -410,7 +411,7 @@ let alloc_node t ty =
   let slot = find_free_pending t in
   let ptr = Heap.alloc_to t.heap ~size:node_size.(ty) ~dest_pool:t.meta ~dest_off:slot () in
   t.stats.allocs <- t.stats.allocs + 1;
-  (node_of ptr, ptr, slot)
+  (node_of t.machine ptr, ptr, slot)
 
 let clear_pending t slot =
   Pobj.write_int t.mo slot 0;
@@ -471,7 +472,7 @@ let rec any_leaf t n =
   if not (Vlock.validate h ~gen:t.gen ~version:v) then raise Restart;
   match first with
   | None -> raise Restart (* transiently empty under concurrent SMO *)
-  | Some p -> if Pptr.is_tagged p then Pptr.untag p else any_leaf t (node_of p)
+  | Some p -> if Pptr.is_tagged p then Pptr.untag p else any_leaf t (node_of t.machine p)
 
 (* Full prefix bytes of [n], whose subtree starts at key depth
    [depth]. *)
@@ -569,6 +570,7 @@ let create ~heap ~meta ~epoch ~key_of_leaf ~compare_leaf =
   Pobj.set_int mo f_meta_gen gen;
   Pobj.persist_field mo f_meta_gen;
   {
+    machine = Heap.machine heap;
     heap;
     meta;
     mo;
@@ -621,7 +623,7 @@ let rec descend_eq t rkey n depth =
       let payload = Pptr.untag p in
       if t.compare_leaf payload rkey = 0 then payload else Pptr.null
     end
-    else descend_eq t rkey (node_of p) (depth' + 1)
+    else descend_eq t rkey (node_of t.machine p) (depth' + 1)
   end
 
 let lookup_once t rkey =
@@ -635,7 +637,7 @@ let lookup_once t rkey =
     let payload = Pptr.untag root in
     if t.compare_leaf payload rkey = 0 then payload else Pptr.null
   end
-  else descend_eq t rkey (node_of root) 0
+  else descend_eq t rkey (node_of t.machine root) 0
 
 let lookup t rkey =
   let p = searching t lookup_once rkey in
@@ -650,7 +652,7 @@ let rec max_leaf t n =
   check h ~gen:t.gen v;
   if Pptr.is_null last then raise Restart
   else if Pptr.is_tagged last then Pptr.untag last
-  else max_leaf t (node_of last)
+  else max_leaf t (node_of t.machine last)
 
 let leaf_le t p rkey =
   let payload = Pptr.untag p in
@@ -661,7 +663,7 @@ let leaf_le t p rkey =
 let leaf_below t lt =
   if Pptr.is_null lt then Pptr.null
   else if Pptr.is_tagged lt then Pptr.untag lt
-  else max_leaf t (node_of lt)
+  else max_leaf t (node_of t.machine lt)
 
 let rec descend_le t rkey n depth =
   let gen = t.gen in
@@ -690,7 +692,8 @@ let rec descend_le t rkey n depth =
     if Pptr.is_null eq then leaf_below t lt
     else begin
       let r =
-        if Pptr.is_tagged eq then leaf_le t eq rkey else descend_le t rkey (node_of eq) (depth' + 1)
+        if Pptr.is_tagged eq then leaf_le t eq rkey
+        else descend_le t rkey (node_of t.machine eq) (depth' + 1)
       in
       if Pptr.is_null r then leaf_below t lt else r
     end
@@ -704,7 +707,7 @@ let lookup_le_once t rkey =
   check rh ~gen rv;
   if Pptr.is_null root then Pptr.null
   else if Pptr.is_tagged root then leaf_le t root rkey
-  else descend_le t rkey (node_of root) 0
+  else descend_le t rkey (node_of t.machine root) 0
 
 let lookup_le t rkey = searching t lookup_le_once rkey
 
@@ -879,7 +882,7 @@ let insert t rkey payload =
   let rec descend slot cur depth =
     if Pptr.is_tagged cur then split_leaf slot cur depth
     else begin
-      let n = node_of cur in
+      let n = node_of t.machine cur in
       let h = lockh n in
       let v = node_version h ~gen in
       match compare_prefix t n ~depth rkey with
@@ -1031,7 +1034,7 @@ let delete t rkey =
           else begin
             (* Merge prefixes: CoW the child with the combined prefix
                node.prefix + branch byte + child.prefix. *)
-            let child = node_of p in
+            let child = node_of t.machine p in
             let cv = Vlock.acquire (lockh child) ~gen in
             let node_prefix = full_prefix t n ~depth in
             let child_depth = depth + plen n + 1 in
@@ -1086,7 +1089,7 @@ let delete t rkey =
       else None
     end
     else begin
-      let n = node_of cur in
+      let n = node_of t.machine cur in
       let h = lockh n in
       let v = node_version h ~gen in
       let depth' = match_prefix t n ~depth rkey in
@@ -1147,7 +1150,7 @@ let iter_from t rkey f =
   let rec walk_all cur =
     if Pptr.is_tagged cur then emit (Pptr.untag cur)
     else
-      let cs, _ = consistent_children t (node_of cur) in
+      let cs, _ = consistent_children t (node_of t.machine cur) in
       List.iter (fun (_, p) -> walk_all p) cs
   in
   let rec walk_from cur depth =
@@ -1156,7 +1159,7 @@ let iter_from t rkey f =
       if t.compare_leaf payload rkey >= 0 then emit payload
     end
     else begin
-      let n = node_of cur in
+      let n = node_of t.machine cur in
       let cs, _pl = consistent_children t n in
       let depth' = match_prefix t n ~depth rkey in
       if depth' = prefix_before then List.iter (fun (_, p) -> walk_all p) cs (* subtree > key *)
@@ -1185,7 +1188,7 @@ let reachable t target =
     p = target
     ||
     if Pptr.is_tagged cur then false
-    else List.exists (fun (_, c) -> visit c) (child_list (node_of cur))
+    else List.exists (fun (_, c) -> visit c) (child_list (node_of t.machine cur))
   in
   let root = read_root t in
   (not (Pptr.is_null root)) && visit root
@@ -1235,21 +1238,24 @@ let reset t =
 
 (* ---------- introspection (tests) ---------- *)
 
-let rec subtree_size cur =
+let rec subtree_size t cur =
   if Pptr.is_tagged cur then 1
   else
-    List.fold_left (fun acc (_, c) -> acc + subtree_size c) 0 (child_list (node_of cur))
+    List.fold_left
+      (fun acc (_, c) -> acc + subtree_size t c)
+      0
+      (child_list (node_of t.machine cur))
 
 let cardinal t =
   let root = read_root t in
-  if Pptr.is_null root then 0 else subtree_size root
+  if Pptr.is_null root then 0 else subtree_size t root
 
 let depth_histogram t =
   let tbl = Hashtbl.create 16 in
   let rec visit cur d =
     if Pptr.is_tagged cur then
       Hashtbl.replace tbl d (1 + Option.value ~default:0 (Hashtbl.find_opt tbl d))
-    else List.iter (fun (_, c) -> visit c (d + 1)) (child_list (node_of cur))
+    else List.iter (fun (_, c) -> visit c (d + 1)) (child_list (node_of t.machine cur))
   in
   let root = read_root t in
   if not (Pptr.is_null root) then visit root 0;

@@ -63,7 +63,7 @@ let layout ?(persist_perm = false) ~key_inline () =
 
 type t = Pobj.obj = { pool : Pool.t; off : int }
 
-let of_ptr ptr = { pool = Pmalloc.Registry.resolve ptr; off = Pptr.off ptr }
+let of_ptr machine ptr = { pool = Pmalloc.Registry.resolve machine ptr; off = Pptr.off ptr }
 
 let to_ptr t = Pptr.make ~pool:(Pool.id t.pool) ~off:t.off
 

@@ -34,7 +34,9 @@ val entries : int
 
 type t = Pobj.obj = { pool : Nvm.Pool.t; off : int }
 
-val of_ptr : Pmalloc.Pptr.t -> t
+(** [of_ptr machine p]: the node persistent pointer [p] names on
+    [machine]. *)
+val of_ptr : Nvm.Machine.t -> Pmalloc.Pptr.t -> t
 
 val to_ptr : t -> Pmalloc.Pptr.t
 

@@ -109,24 +109,19 @@ let create machine ?(cfg = default_config) () =
   in
   let log_pools =
     Array.init npools (fun i ->
-        let p =
-          Pool.create machine
-            ~name:(Printf.sprintf "pactree.log.%d" i)
-            ~numa:(i mod numa_count) ~capacity:Smo_log.region_size ()
-        in
-        Pmalloc.Registry.register p;
-        p)
+        Pool.create machine
+          ~name:(Printf.sprintf "pactree.log.%d" i)
+          ~numa:(i mod numa_count) ~capacity:Smo_log.region_size ())
   in
   let log = Smo_log.create log_pools ~base:0 in
   let meta =
     Pool.create machine ~name:"pactree.meta" ~numa:0 ~capacity:(tree_meta_base + 64) ()
   in
-  Pmalloc.Registry.register meta;
   let lay =
     Node.layout ~persist_perm:(not cfg.selective_persistence) ~key_inline:cfg.key_inline ()
   in
-  let key_of_leaf ptr = Key.to_radix (Node.anchor lay (Node.of_ptr ptr)) in
-  let compare_leaf ptr rkey = Node.compare_anchor_radix (Node.of_ptr ptr) rkey in
+  let key_of_leaf ptr = Key.to_radix (Node.anchor lay (Node.of_ptr machine ptr)) in
+  let compare_leaf ptr rkey = Node.compare_anchor_radix (Node.of_ptr machine ptr) rkey in
   let epoch = Epoch.create () in
   let art = Art.create ~heap:search_heap ~meta ~epoch ~key_of_leaf ~compare_leaf in
   let t =
@@ -158,14 +153,14 @@ let create machine ?(cfg = default_config) () =
       Heap.alloc_to data_heap ~numa:0 ~size:lay.Node.node_size ~dest_pool:meta
         ~dest_off:off_head ()
     in
-    let head = Node.of_ptr ptr in
+    let head = Node.of_ptr t.machine ptr in
     Node.init lay head ~gen:t.gen ~anchor:"" ~next:Pptr.null ~prev:Pptr.null;
     Pobj.persist head 0 lay.Node.node_size;
     ignore (Art.insert art (Key.to_radix "") ptr)
   end;
   t
 
-let head_node t = Node.of_ptr (Pobj.read_int (Pobj.make t.meta 0) off_head)
+let head_node t = Node.of_ptr t.machine (Pobj.read_int (Pobj.make t.meta 0) off_head)
 
 (* Monotonic SMO timestamps (persisted lazily; replay order only
    matters among entries that coexist). *)
@@ -192,16 +187,16 @@ exception Lost
    search layers only cost extra hops (ephemeral inconsistency). *)
 let jump_node t rkey =
   let p = Art.lookup_le t.art rkey in
-  if Pptr.is_null p then head_node t else Node.of_ptr p
+  if Pptr.is_null p then head_node t else Node.of_ptr t.machine p
 
 let rec walk t key node hops =
   if hops >= 1000 then raise Lost
-  else if Node.is_deleted node then walk t key (Node.of_ptr (Node.prev node)) (hops + 1)
-  else if Node.compare_anchor node key > 0 then walk t key (Node.of_ptr (Node.prev node)) (hops + 1)
+  else if Node.is_deleted node || Node.compare_anchor node key > 0 then
+    walk t key (Node.of_ptr t.machine (Node.prev node)) (hops + 1)
   else begin
     let nxt = Node.next node in
-    if (not (Pptr.is_null nxt)) && Node.compare_anchor (Node.of_ptr nxt) key <= 0 then
-      walk t key (Node.of_ptr nxt) (hops + 1)
+    if (not (Pptr.is_null nxt)) && Node.compare_anchor (Node.of_ptr t.machine nxt) key <= 0 then
+      walk t key (Node.of_ptr t.machine nxt) (hops + 1)
     else begin
       let bucket = min hops (Array.length t.jump_hist - 1) in
       t.jump_hist.(bucket) <- t.jump_hist.(bucket) + 1;
@@ -226,7 +221,7 @@ let covers node key =
   && Node.compare_anchor node key <= 0
   &&
   let nxt = Node.next node in
-  Pptr.is_null nxt || Node.compare_anchor (Node.of_ptr nxt) key > 0
+  Pptr.is_null nxt || Node.compare_anchor (Node.of_ptr (Pool.machine node.pool) nxt) key > 0
 
 (* [f t a b] inside an epoch: the public operations' bracket, built
    without a closure per call. *)
@@ -323,7 +318,7 @@ let split_and_insert t node wv key value =
   (* 2. Allocate the new node straight into the log entry (no leak). *)
   let dest_pool, dest_off = Smo_log.aux_field e in
   let new_ptr = Heap.alloc_to t.data_heap ~size:t.lay.Node.node_size ~dest_pool ~dest_off () in
-  let nnode = Node.of_ptr new_ptr in
+  let nnode = Node.of_ptr t.machine new_ptr in
   (* 3. Build and persist the new node before publishing it. *)
   let old_next = Node.next node in
   Node.init t.lay nnode ~gen:t.gen ~anchor ~next:old_next ~prev:(Node.to_ptr node);
@@ -336,7 +331,7 @@ let split_and_insert t node wv key value =
   Node.clear_slots node (List.map snd move);
   (* 6. Fix the right neighbour's prev pointer. *)
   if not (Pptr.is_null old_next) then begin
-    let rn = Node.of_ptr old_next in
+    let rn = Node.of_ptr t.machine old_next in
     Node.set_prev rn new_ptr;
     persist_field rn Node.off_prev
   end;
@@ -367,7 +362,7 @@ let try_merge t node =
   let nxt = Node.next node in
   if Pptr.is_null nxt then false
   else begin
-    let rn = Node.of_ptr nxt in
+    let rn = Node.of_ptr t.machine nxt in
     (* [node] is locked, so node.next is stable and rn cannot be
        concurrently merged away (that would need our lock). *)
     if Node.live_count node + Node.live_count rn >= merge_threshold then false
@@ -389,7 +384,7 @@ let try_merge t node =
       Node.set_next node rnn;
       persist_field node Node.off_next;
       if not (Pptr.is_null rnn) then begin
-        let rnn_node = Node.of_ptr rnn in
+        let rnn_node = Node.of_ptr t.machine rnn in
         Node.set_prev rnn_node (Node.to_ptr node);
         persist_field rnn_node Node.off_prev
       end;
@@ -472,10 +467,10 @@ let update t key value = in_epoch t update_locked key value
 (* Merge [node] into its left neighbour (fresh left-then-right lock
    acquisition, so lock order stays left-to-right). *)
 let try_merge_left t node_ptr =
-  let node = Node.of_ptr node_ptr in
+  let node = Node.of_ptr t.machine node_ptr in
   let p = Node.prev node in
   if not (Pptr.is_null p) then begin
-    let pnode = Node.of_ptr p in
+    let pnode = Node.of_ptr t.machine p in
     let h = Node.lock_handle pnode in
     let wv = Vlock.acquire h ~gen:t.gen in
     if (not (Node.is_deleted pnode)) && Pptr.equal (Node.next pnode) node_ptr then
@@ -512,7 +507,7 @@ let scan_locked t key count =
       let v = Vlock.begin_read h ~gen:t.gen in
       if Node.is_deleted node then
         (* jump to the surviving left node *)
-        scan_node (Node.of_ptr (Node.prev node)) low (attempt + 1)
+        scan_node (Node.of_ptr t.machine (Node.prev node)) low (attempt + 1)
       else begin
         let batch = ref [] and batch_n = ref 0 in
         let budget = count - !taken in
@@ -528,7 +523,7 @@ let scan_locked t key count =
           acc := !batch @ !acc;
           taken := !taken + !batch_n;
           if !taken < count && not (Pptr.is_null nxt) then
-            scan_node (Node.of_ptr nxt) "" 0
+            scan_node (Node.of_ptr t.machine nxt) "" 0
         end
         else begin
           t.stats.reader_retries <- t.stats.reader_retries + 1;
@@ -607,8 +602,8 @@ let recover_split t e left anchor =
        triggering insert was never acknowledged. *)
     Smo_log.clear e
   else begin
-    let node = Node.of_ptr left in
-    let nnode = Node.of_ptr new_ptr in
+    let node = Node.of_ptr t.machine left in
+    let nnode = Node.of_ptr t.machine new_ptr in
     (* The link is written only after the new node is fully persisted,
        so a missing link means we must rebuild the new node. *)
     if not (Pptr.equal (Node.next node) new_ptr) then begin
@@ -631,7 +626,7 @@ let recover_split t e left anchor =
     (* Fix the right neighbour's prev pointer. *)
     let rn = Node.next nnode in
     if not (Pptr.is_null rn) then begin
-      let rn_node = Node.of_ptr rn in
+      let rn_node = Node.of_ptr t.machine rn in
       if not (Pptr.equal (Node.prev rn_node) new_ptr) then begin
         Node.set_prev rn_node new_ptr;
         persist_field rn_node Node.off_prev
@@ -645,8 +640,8 @@ let recover_split t e left anchor =
   end
 
 let recover_merge t e left right anchor =
-  let node = Node.of_ptr left in
-  let rn = Node.of_ptr right in
+  let node = Node.of_ptr t.machine left in
+  let rn = Node.of_ptr t.machine right in
   (* Re-copy any keys that did not make it into the left node (key
      ranges are disjoint, so membership is the completion test). *)
   List.iter
@@ -666,7 +661,7 @@ let recover_merge t e left right anchor =
   end;
   let rnn = Node.next rn in
   if not (Pptr.is_null rnn) then begin
-    let rnn_node = Node.of_ptr rnn in
+    let rnn_node = Node.of_ptr t.machine rnn in
     if Pptr.equal (Node.prev rnn_node) right then begin
       Node.set_prev rnn_node left;
       persist_field rnn_node Node.off_prev
@@ -683,7 +678,7 @@ let recover_merge t e left right anchor =
 let rebuild_search_layer t =
   let rec go ptr =
     if not (Pptr.is_null ptr) then begin
-      let node = Node.of_ptr ptr in
+      let node = Node.of_ptr t.machine ptr in
       if not (Node.is_deleted node) then
         ignore (Art.insert t.art (Key.to_radix (Node.anchor t.lay node)) ptr);
       go (Node.next node)
@@ -735,7 +730,7 @@ let check_invariants t =
   let rec walk ptr prev_ptr last_anchor nodes =
     if Pptr.is_null ptr then nodes
     else begin
-      let node = Node.of_ptr ptr in
+      let node = Node.of_ptr t.machine ptr in
       if Node.is_deleted node then fail "reachable node is marked deleted";
       let anchor = Node.anchor t.lay node in
       (match last_anchor with
@@ -745,7 +740,7 @@ let check_invariants t =
       if not (Pptr.equal (Node.prev node) prev_ptr) then fail "prev pointer mismatch";
       let nxt = Node.next node in
       let upper =
-        if Pptr.is_null nxt then None else Some (Node.anchor t.lay (Node.of_ptr nxt))
+        if Pptr.is_null nxt then None else Some (Node.anchor t.lay (Node.of_ptr t.machine nxt))
       in
       List.iter
         (fun (k, _) ->
@@ -776,7 +771,7 @@ let to_list t =
   let rec go ptr acc =
     if Pptr.is_null ptr then List.rev acc
     else begin
-      let node = Node.of_ptr ptr in
+      let node = Node.of_ptr t.machine ptr in
       let entries = List.sort compare (Node.live_entries t.lay node) in
       go (Node.next node) (List.rev_append entries acc)
     end

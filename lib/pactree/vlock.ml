@@ -77,7 +77,7 @@ let try_upgrade h ~gen ~version =
   let raw = Pobj.read_int h 0 in
   effective raw ~gen = version
   &&
-  (if debug then Pmalloc.Heap.check_not_freed ~who:"try_upgrade" (Pool.id h.pool) h.off;
+  (if debug then Pmalloc.Heap.check_not_freed ~who:"try_upgrade" h.pool h.off;
    Pobj.transient_cas h 0 ~expected:raw (word ~gen ~version:(version + 1)))
 
 let rec lock_loop h ~gen attempt =

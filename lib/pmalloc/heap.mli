@@ -80,5 +80,5 @@ val recover : t -> unit
 val remaining : t -> numa:int -> int
 
 (** Debug (env [DES_DEBUG]): report if [off] lies within a
-    currently-free block of pool [pool_id]. *)
-val check_not_freed : who:string -> int -> int -> unit
+    currently-free block of [pool]. *)
+val check_not_freed : who:string -> Nvm.Pool.t -> int -> unit

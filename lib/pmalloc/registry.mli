@@ -1,14 +1,12 @@
-(** Process-global pool registry.
+(** Persistent-pointer resolution.
 
-    Persistent pointers embed a pool id; this registry maps ids back
-    to live {!Nvm.Pool.t} values so that pointers can be dereferenced
-    across heaps (e.g. an SMO-log entry in the log heap naming a data
-    node in the data heap). *)
+    A persistent pointer embeds the id of its pool, and pool ids are
+    numbered per machine (see {!Nvm.Machine.pool_count}), so a pointer
+    is resolved against the machine it belongs to.  This lets
+    pointers cross heaps (e.g. an SMO-log entry in the log pool naming
+    a data node in the data heap) while two machines in one process
+    each resolve their own pool 0. *)
 
-val register : Nvm.Pool.t -> unit
-
-(** Raises [Invalid_argument] for an unknown id. *)
-val find : int -> Nvm.Pool.t
-
-(** [resolve p] is the pool of persistent pointer [p]. *)
-val resolve : Pptr.t -> Nvm.Pool.t
+(** [resolve machine p] is the pool of persistent pointer [p]: an
+    index into [machine]'s pool table, allocation-free. *)
+val resolve : Nvm.Machine.t -> Pptr.t -> Nvm.Pool.t

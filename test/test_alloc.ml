@@ -137,13 +137,19 @@ let test_clwb_fence () =
   in
   check_ceiling "write + clwb + fence" 31.0 w
 
-(* Lines [0] and [slots] share a slot of the direct-mapped CPU cache,
-   so reading them in turn misses every time and goes to the device. *)
+(* Offset [0] and offset [far] share a slot of the direct-mapped CPU
+   cache, so reading them in turn misses every time and goes to the
+   device.  [far] is found through the slot function itself. *)
 let test_cache_miss () =
   let machine = Machine.create ~numa_count:1 () in
   let slots = 1 lsl (Machine.profile machine).Nvm.Config.cache_slots_log2 in
-  let far = slots * 64 in
-  let pool = Pool.create machine ~name:"miss" ~numa:0 ~capacity:(2 * far) () in
+  let pool = Pool.create machine ~name:"miss" ~numa:0 ~capacity:(2 * slots * 64) () in
+  let rec colliding off =
+    if off >= Pool.capacity pool then Alcotest.fail "no line shares the slot of line 0"
+    else if Pool.cache_slot pool off = Pool.cache_slot pool 0 then off
+    else colliding (off + 64)
+  in
+  let far = colliding 64 in
   let misses0 = (Machine.stats machine).Nvm.Stats.cache_misses in
   let w =
     in_sim (fun () ->
@@ -155,6 +161,20 @@ let test_cache_miss () =
   Alcotest.(check int) "every read missed" 1002
     ((Machine.stats machine).Nvm.Stats.cache_misses - misses0);
   check_ceiling "cache-missing Pool.read_int" 10.0 w
+
+(* ---------- pmalloc ---------- *)
+
+(* Every persistent-pointer dereference resolves its pool: an index
+   into the machine's pool table. *)
+let test_registry_resolve () =
+  let machine = Machine.create ~numa_count:1 () in
+  let pools =
+    Array.init 3 (fun i -> Pool.create machine ~name:(string_of_int i) ~numa:0 ~capacity:256 ())
+  in
+  let ptrs = Array.map (fun p -> Pmalloc.Pptr.make ~pool:(Pool.id p) ~off:64) pools in
+  let resolve i = ignore (Pmalloc.Registry.resolve machine ptrs.(i mod 3) : Pool.t) in
+  resolve 0;
+  check_zero "Registry.resolve" (words_per_call 3000 resolve)
 
 (* ---------- workload ---------- *)
 
@@ -178,7 +198,6 @@ let test_data_node_find () =
   let machine = Machine.create ~numa_count:1 () in
   let lay = Node.layout ~key_inline:8 () in
   let pool = Pool.create machine ~name:"node" ~numa:0 ~capacity:(1 lsl 16) () in
-  Pmalloc.Registry.register pool;
   let node = { Node.pool; off = 256 } in
   let keys = Array.init 48 (fun i -> Key.of_int (i * 3)) in
   let missing = Key.of_int 1000 in
@@ -216,8 +235,8 @@ let test_tree_ops () =
       Tree.request_shutdown tree);
   Sched.run sched;
   let lookup = !lookup and insert = !insert in
-  check_ceiling "Tree.lookup" 30.0 lookup;
-  check_ceiling "Tree.insert of a fresh key" 194.0 insert
+  check_ceiling "Tree.lookup" 21.0 lookup;
+  check_ceiling "Tree.insert of a fresh key" 180.0 insert
 
 (* ---------- svc ---------- *)
 
@@ -255,6 +274,7 @@ let () =
           Alcotest.test_case "pool accessors" `Quick test_pool_accessors;
           Alcotest.test_case "cache-missing read" `Quick test_cache_miss;
           Alcotest.test_case "clwb + fence" `Quick test_clwb_fence;
+          Alcotest.test_case "registry resolve" `Quick test_registry_resolve;
           Alcotest.test_case "percentile sort" `Quick test_percentile_sort;
           Alcotest.test_case "data node find" `Quick test_data_node_find;
           Alcotest.test_case "tree lookup + insert" `Quick test_tree_ops;

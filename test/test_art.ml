@@ -140,14 +140,13 @@ let make_art () =
     Heap.create machine ~kind:Heap.Pmdk ~name:"kv" ~numa_pools:1 ~capacity:(1 lsl 22) ()
   in
   let meta = Pool.create machine ~name:"meta" ~numa:0 ~capacity:(Art.meta_size + 4096) () in
-  Pmalloc.Registry.register meta;
   let kv_keys = Hashtbl.create 1024 in
   let key_of_leaf ptr =
     match Hashtbl.find_opt kv_keys (Pptr.off ptr) with
     | Some k -> k
     | None ->
         (* read from the record itself: len byte + bytes *)
-        let pool = Pmalloc.Registry.resolve ptr in
+        let pool = Pmalloc.Registry.resolve machine ptr in
         let len = Pool.read_u8 pool (Pptr.off ptr) in
         Pool.read_string pool (Pptr.off ptr + 1) len
   in
@@ -158,7 +157,7 @@ let make_art () =
 
 let add_payload ctx rkey =
   let ptr = Heap.alloc ctx.kv_heap ~numa:0 64 in
-  let pool = Pmalloc.Registry.resolve ptr in
+  let pool = Pmalloc.Registry.resolve ctx.machine ptr in
   Pool.write_u8 pool (Pptr.off ptr) (String.length rkey);
   Pool.write_string pool (Pptr.off ptr + 1) rkey;
   Pool.persist pool (Pptr.off ptr) (1 + String.length rkey);

@@ -160,7 +160,6 @@ let test_heap_crash_cycles () =
       ~capacity:(1 lsl 20) ()
   in
   let dest = Nvm.Pool.create machine ~name:"dest" ~numa:0 ~capacity:4096 () in
-  Pmalloc.Registry.register dest;
   let rng = Des.Rng.create ~seed:(seed_of 55) in
   let live = ref [] in
   for round = 0 to 19 do

@@ -14,7 +14,6 @@ let make_node ?(key_inline = 8) ?(persist_perm = false) () =
   let machine = Machine.create ~numa_count:1 () in
   let lay = Node.layout ~persist_perm ~key_inline () in
   let pool = Pool.create machine ~name:"node" ~numa:0 ~capacity:(1 lsl 16) () in
-  Pmalloc.Registry.register pool;
   let node = { Node.pool; off = 256 } in
   Node.init lay node ~gen ~anchor:"" ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null;
   (machine, lay, node)
@@ -133,7 +132,6 @@ let test_anchor_compare () =
   let machine = Machine.create ~numa_count:1 () in
   let lay = Node.layout ~key_inline:32 () in
   let pool = Pool.create machine ~name:"anchor" ~numa:0 ~capacity:(1 lsl 16) () in
-  Pmalloc.Registry.register pool;
   let node = { Node.pool; off = 256 } in
   Node.init lay node ~gen ~anchor:"mmm" ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null;
   Alcotest.(check string) "anchor" "mmm" (Node.anchor lay node);
@@ -175,14 +173,10 @@ let make_log () =
   let machine = Machine.create ~numa_count:2 () in
   let pools =
     Array.init 2 (fun i ->
-        let p =
-          Pool.create machine
-            ~name:(Printf.sprintf "log%d" i)
-            ~numa:i
-            ~capacity:Pactree.Smo_log.region_size ()
-        in
-        Pmalloc.Registry.register p;
-        p)
+        Pool.create machine
+          ~name:(Printf.sprintf "log%d" i)
+          ~numa:i
+          ~capacity:Pactree.Smo_log.region_size ())
   in
   (machine, Pactree.Smo_log.create pools ~base:0)
 

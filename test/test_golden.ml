@@ -1,8 +1,8 @@
 (* Golden simulated results.
 
    A host-cost change must leave every simulated number bit-identical.
-   This suite pins the simulated outcome of two small runs as exact
-   floats (printed with [%h], so no rounding hides a drift):
+   This suite pins the simulated outcome of small runs as exact floats
+   (printed with [%h], so no rounding hides a drift):
 
    - closed loop: PACTree under YCSB A through [Workload.Runner.run];
    - open loop: Poisson arrivals into a 2-shard PACTree [Svc.Store]
@@ -11,12 +11,11 @@
      runs ([--ops 24 --budget 12 --max-states 1500], mixed and insert
      workloads).
 
-   The simulation depends on process-wide state ([Nvm.Machine] numbers
-   pools globally and the numbers feed the device model), so this is
-   its own executable and all runs happen once, in a fixed order,
-   before any test case looks at them.  If a change is meant to move
-   simulated results, regenerate the pinned values from the failure
-   messages and say why in the change. *)
+   A simulation is a function of its inputs alone: every machine
+   numbers its own pools, so a run does not depend on what ran before
+   it in the process, and one case checks exactly that.  If a change is
+   meant to move simulated results, regenerate the pinned values from
+   the failure messages and say why in the change. *)
 
 let hex f = Printf.sprintf "%h" f
 
@@ -43,10 +42,10 @@ let of_run ~elapsed ~completed ~latency ~nvm =
     media_write_bytes = Nvm.Stats.total_write_bytes nvm;
   }
 
-let closed_loop () =
+let closed_loop sys =
   let machine = Nvm.Machine.create ~numa_count:2 () in
   let scale = Experiments.Scale.make ~keys:3_000 ~ops:2_000 ~thread_counts:[] in
-  let b = Experiments.Factory.make_backend machine ~scale Experiments.Factory.Pactree_sys in
+  let b = Experiments.Factory.make_backend machine ~scale sys in
   let r =
     Workload.Runner.run ~machine ~index:b.b_index ?service:b.b_service
       ~mix:Workload.Ycsb.Workload_a ~kind:Workload.Keyset.Int_keys ~loaded:3_000 ~ops:2_000
@@ -69,11 +68,6 @@ let open_loop () =
   of_run ~elapsed:r.Svc.Engine.r_elapsed ~completed:r.Svc.Engine.r_completed
     ~latency:r.Svc.Engine.r_total_lat ~nvm:r.Svc.Engine.r_nvm
 
-(* Both runs, in this order, before Alcotest selects any case. *)
-let closed = closed_loop ()
-
-let opened = open_loop ()
-
 let crashmc_line ~workload sys =
   let ops =
     match workload with
@@ -93,10 +87,6 @@ let crashmc_line ~workload sys =
 (* in the order [pactree_bench crashmc --index all] reports *)
 let crashmc_systems = List.sort compare Experiments.Factory.all
 
-let crashmc_mixed = List.map (crashmc_line ~workload:`Mixed) crashmc_systems
-
-let crashmc_insert = List.map (crashmc_line ~workload:`Insert) crashmc_systems
-
 let check name got want =
   let float what g w = Alcotest.(check string) (name ^ ": " ^ what) (hex w) (hex g) in
   let int what g w = Alcotest.(check int) (name ^ ": " ^ what) w g in
@@ -111,35 +101,35 @@ let check name got want =
 
 let test_closed_loop () =
   check "runner"
-    closed
+    (closed_loop Experiments.Factory.Pactree_sys)
     {
-      elapsed = 0x1.1ec2e577a6c7p-11;
+      elapsed = 0x1.859810f59f71cp-12;
       completed = 2000;
-      p50 = 0x1.bbe286d7d28p-20;
-      p99 = 0x1.af3a67456458p-17;
-      flushes = 4087;
-      fences = 2452;
-      media_read_bytes = 2120704;
+      p50 = 0x1.2e791b3c1fp-20;
+      p99 = 0x1.21365d3e87ap-18;
+      flushes = 4088;
+      fences = 2453;
+      media_read_bytes = 1397760;
       media_write_bytes = 945408;
     }
 
 let test_open_loop () =
   check "engine"
-    opened
+    (open_loop ())
     {
-      elapsed = 0x1.b933f66b80cfcp-10;
+      elapsed = 0x1.b8ce6d4721be6p-10;
       completed = 2000;
-      p50 = 0x1.4db12e78cb8p-19;
-      p99 = 0x1.27955386c8fp-15;
+      p50 = 0x1.fa44eee139p-21;
+      p99 = 0x1.45609882532p-17;
       flushes = 3861;
       fences = 2380;
-      media_read_bytes = 2792960;
+      media_read_bytes = 1324800;
       media_write_bytes = 913920;
     }
 
 let test_crashmc () =
   let check what got want = Alcotest.(check (list string)) what want got in
-  check "crashmc mixed" crashmc_mixed
+  check "crashmc mixed" (List.map (crashmc_line ~workload:`Mixed) crashmc_systems)
     [
       "pactree: 24 ops, 234 trace events, 44 crash points, 241 states (80 dup-suppressed, 18 budget-truncated), 241 checked, 0 violations";
       "pdlart: 24 ops, 924 trace events, 175 crash points, 1187 states (544 dup-suppressed, 89 budget-truncated), 1187 checked, 0 violations";
@@ -147,7 +137,7 @@ let test_crashmc () =
       "bztree: 24 ops, 819 trace events, 192 crash points, 264 states (191 dup-suppressed, 0 budget-truncated), 264 checked, 0 violations";
       "fptree: 24 ops, 234 trace events, 44 crash points, 241 states (80 dup-suppressed, 18 budget-truncated), 241 checked, 0 violations";
     ];
-  check "crashmc insert" crashmc_insert
+  check "crashmc insert" (List.map (crashmc_line ~workload:`Insert) crashmc_systems)
     [
       "pactree: 24 ops, 264 trace events, 49 crash points, 288 states (93 dup-suppressed, 23 budget-truncated), 288 checked, 0 violations";
       "pdlart: 24 ops, 1089 trace events, 179 crash points, 1500 states (456 dup-suppressed, 142 budget-truncated), 1500 checked, 0 violations";
@@ -156,11 +146,20 @@ let test_crashmc () =
       "fptree: 24 ops, 264 trace events, 49 crash points, 288 states (93 dup-suppressed, 23 budget-truncated), 288 checked, 0 violations";
     ]
 
+(* The same PACTree run twice in one process, with an unrelated FastFair
+   run in between, gives bit-identical results.  This case runs first,
+   so the first PACTree machine is also the first of the process. *)
+let test_run_order () =
+  let first = closed_loop Experiments.Factory.Pactree_sys in
+  ignore (closed_loop Experiments.Factory.Fastfair_sys : golden);
+  check "PACTree after a FastFair run" (closed_loop Experiments.Factory.Pactree_sys) first
+
 let () =
   Alcotest.run "golden"
     [
       ( "simulated",
         [
+          Alcotest.test_case "a run does not depend on what ran before" `Quick test_run_order;
           Alcotest.test_case "closed-loop PACTree YCSB A" `Quick test_closed_loop;
           Alcotest.test_case "open-loop 2-shard service" `Quick test_open_loop;
           Alcotest.test_case "crashmc CI sweep, every index" `Quick test_crashmc;

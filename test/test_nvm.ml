@@ -361,8 +361,31 @@ let test_config_bandwidths () =
   Alcotest.(check bool) "low-bw machine ~3x lower" true
     (read_bandwidth dcpmm_low_bw *. 2.5 < read_bandwidth dcpmm)
 
+(* The CPU cache is physically indexed: one slot per line for [slots]
+   consecutive lines of a pool, and pools start at different slots, so
+   line [i] of every pool no longer contends for one slot. *)
+let test_cache_slots () =
+  let machine = Machine.create ~numa_count:1 () in
+  let slots = 1 lsl (Machine.profile machine).Nvm.Config.cache_slots_log2 in
+  let pools =
+    List.init 3 (fun i ->
+        Pool.create machine ~name:(string_of_int i) ~numa:0 ~capacity:(slots * 64) ())
+  in
+  List.iter
+    (fun p ->
+      let used = Array.make slots false in
+      for line = 0 to slots - 1 do
+        used.(Pool.cache_slot p (line * 64)) <- true
+      done;
+      Alcotest.(check bool) (Pool.name p ^ ": consecutive lines fill every slot") true
+        (Array.for_all Fun.id used))
+    pools;
+  let firsts = List.sort_uniq compare (List.map (fun p -> Pool.cache_slot p 0) pools) in
+  Alcotest.(check int) "line 0 of three pools: three slots" 3 (List.length firsts)
+
 let suite =
   [
+    Alcotest.test_case "machine: cache slots are pool-aware" `Quick test_cache_slots;
     Alcotest.test_case "pool: typed read/write roundtrip" `Quick test_rw_roundtrip;
     Alcotest.test_case "pool: compare_string" `Quick test_compare_string;
     Alcotest.test_case "crash: persist survives strict" `Quick

@@ -23,7 +23,6 @@ let make_art () =
     Heap.create machine ~kind:Heap.Pmdk ~name:"kv" ~numa_pools:1 ~capacity:(1 lsl 22) ()
   in
   let meta = Pool.create machine ~name:"meta" ~numa:0 ~capacity:(Art.meta_size + 4096) () in
-  Pmalloc.Registry.register meta;
   let kv_keys = Hashtbl.create 256 in
   let key_of_leaf ptr =
     match Hashtbl.find_opt kv_keys (Pptr.off ptr) with

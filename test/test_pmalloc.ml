@@ -252,10 +252,30 @@ let test_concurrent_allocs_distinct =
       let uniq = List.sort_uniq compare all in
       List.length uniq = List.length all)
 
+(* Pool ids are per machine: a persistent pointer resolves against its
+   own machine, even when another machine with the same pool ids is
+   alive. *)
+let test_resolve_per_machine () =
+  let make () =
+    let m = Machine.create ~numa_count:1 () in
+    (m, Heap.create m ~kind:Heap.Pmdk ~name:"h" ~numa_pools:1 ~capacity:(1 lsl 16) ())
+  in
+  let m1, h1 = make () and m2, h2 = make () in
+  let p1 = Heap.alloc h1 64 and p2 = Heap.alloc h2 64 in
+  Alcotest.(check int) "same pool id" (Pptr.pool p1) (Pptr.pool p2);
+  Pool.write_int (Pmalloc.Registry.resolve m1 p1) (Pptr.off p1) 11;
+  Pool.write_int (Pmalloc.Registry.resolve m2 p2) (Pptr.off p2) 22;
+  let read h p = Pool.read_int (Heap.pool h p) (Pptr.off p) in
+  Alcotest.(check (list int)) "each machine's own pool" [ 11; 22 ] [ read h1 p1; read h2 p2 ];
+  Alcotest.check_raises "unknown pool id"
+    (Invalid_argument "Machine.pool: no pool 1 (machine has 1)")
+    (fun () -> ignore (Pmalloc.Registry.resolve m1 (Pptr.make ~pool:1 ~off:64) : Pool.t))
+
 let suite =
   [
     Alcotest.test_case "pptr: pack/unpack" `Quick test_pptr_pack_unpack;
     Alcotest.test_case "pptr: tagging" `Quick test_pptr_tag;
+    Alcotest.test_case "registry: resolves per machine" `Quick test_resolve_per_machine;
     QCheck_alcotest.to_alcotest test_pptr_qcheck_roundtrip;
     QCheck_alcotest.to_alcotest test_pptr_qcheck_boundary;
     Alcotest.test_case "pptr: make rejects out-of-range" `Quick test_pptr_make_raises;
