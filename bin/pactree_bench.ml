@@ -80,11 +80,11 @@ let obs_arg =
     & opt (some string) None
     & info [ "obs" ] ~docv:"FILE"
         ~doc:
-          "Instrument the measured phase and dump metrics, per-phase attribution and \
-           the bandwidth timeline as JSON to $(docv) (collapsed flamegraph stacks go \
-           to $(docv).folded).")
+          "Instrument the measured phase and dump per-phase attribution and the \
+           bandwidth timeline as JSON to $(docv) (collapsed flamegraph stacks go to \
+           $(docv).folded).  Observing a run does not change its simulated results.")
 
-(* Bad counts exit 2 with a message before anything runs. *)
+(* Bad counts and skews exit 2 with a message before anything runs. *)
 let require_positive flags =
   List.iter
     (fun (flag, v) ->
@@ -94,8 +94,15 @@ let require_positive flags =
       end)
     flags
 
+let require_theta theta =
+  if not (theta >= 0.0 && theta < 1.0) then begin
+    Printf.eprintf "--theta must be in [0, 1) (got %g)\n" theta;
+    exit 2
+  end
+
 let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide obs_out =
-  require_positive [ ("threads", threads) ];
+  require_positive [ ("keys", keys); ("ops", ops); ("threads", threads) ];
+  require_theta theta;
   let protocol = if directory then Nvm.Config.Directory else Nvm.Config.Snoop in
   let profile = if low_bw then Nvm.Config.dcpmm_low_bw else Nvm.Config.dcpmm in
   let machine = Nvm.Machine.create ~profile ~protocol ~numa_count:2 () in
@@ -157,6 +164,7 @@ let figure_cmd =
   Cmd.v (Cmd.info "figure" ~doc) Term.(const run_figure $ figure_arg $ full_arg)
 
 let run_crash rounds obs_out =
+  require_positive [ ("rounds", rounds) ];
   let scale =
     { Experiments.Scale.quick with Experiments.Scale.keys = 20_000; ops = 20_000 }
   in
@@ -303,7 +311,7 @@ let run_crashmc index_name ops budget max_states seed workload mutate =
         prerr_endline msg;
         exit 2
   in
-  require_positive [ ("budget", budget); ("max-states", max_states) ];
+  require_positive [ ("ops", ops); ("budget", budget); ("max-states", max_states) ];
   if not (List.mem workload [ "insert"; "mixed" ]) then begin
     prerr_endline ("unknown workload: " ^ workload ^ " (expected insert or mixed)");
     exit 2
@@ -469,14 +477,29 @@ let run_service sys shards quick keys ops workers queue admission arrival mix th
             prerr_endline msg;
             exit 2
       in
-      require_positive [ ("shards", shards); ("workers", workers); ("queue", queue) ];
       let d = Experiments.Svc_run.default ~quick sys in
+      let keys = Option.value keys ~default:d.Experiments.Svc_run.keys
+      and ops = Option.value ops ~default:d.Experiments.Svc_run.ops in
+      require_positive
+        [
+          ("shards", shards);
+          ("workers", workers);
+          ("queue", queue);
+          ("keys", keys);
+          ("ops", ops);
+        ];
+      (* each shard's range needs a key of its own *)
+      if keys < shards then begin
+        Printf.eprintf "--keys must be at least --shards (%d) (got %d)\n" shards keys;
+        exit 2
+      end;
+      require_theta theta;
       let cfg =
         {
           d with
           Experiments.Svc_run.shards;
-          keys = Option.value keys ~default:d.Experiments.Svc_run.keys;
-          ops = Option.value ops ~default:d.Experiments.Svc_run.ops;
+          keys;
+          ops;
           workers_per_shard = workers;
           queue_capacity = queue;
           admission;

@@ -39,11 +39,14 @@ let () =
      service keeps up, so queueing delay is visible. *)
   let start = Engine.load ~store ~kind:Workload.Keyset.Int_keys ~keys () in
   let config =
-    {
-      (Engine.default_config ~loaded:keys ~ops:4_000) with
-      Engine.mode =
-        Engine.Open_loop { rate = 1.2e6; process = Workload.Arrival.Poisson };
-    }
+    Experiments.Svc_run.engine_config
+      {
+        (Experiments.Svc_run.default Experiments.Factory.Pactree_sys) with
+        Experiments.Svc_run.shards;
+        keys;
+        ops = 4_000;
+      }
+      ~rate:1.2e6
   in
   let r = Engine.run ~store ~config ~start () in
   Format.printf "%a@." Engine.pp_result r;

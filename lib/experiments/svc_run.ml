@@ -54,7 +54,8 @@ let make_store cfg =
 
 let engine_config cfg ~rate =
   {
-    Engine.mode = Engine.Open_loop { rate; process = cfg.process };
+    Engine.rate;
+    process = cfg.process;
     ops = cfg.ops;
     workers_per_shard = cfg.workers_per_shard;
     queue_capacity = cfg.queue_capacity;

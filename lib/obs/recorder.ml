@@ -1,14 +1,7 @@
-type t = {
-  machine : Nvm.Machine.t;
-  metrics : Metrics.t;
-  span : Span.t;
-  sampler : Sampler.t option;
-}
+type t = { span : Span.t; sampler : Sampler.t option }
 
 let create machine ?sample_interval () =
   {
-    machine;
-    metrics = Metrics.create ();
     span = Span.create ~machine ();
     sampler =
       Option.map (fun interval -> Sampler.create ~machine ~interval ()) sample_interval;
@@ -17,12 +10,7 @@ let create machine ?sample_interval () =
 let to_json t =
   Json.Obj
     [
-      ("metrics", Metrics.to_json t.metrics);
       ("spans", Span.to_json t.span);
       ( "timeline",
         match t.sampler with Some s -> Sampler.to_json s | None -> Json.Null );
     ]
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>-- phase breakdown --@,%a@,-- metrics --@,%a@]" Span.pp_table
-    t.span Metrics.pp t.metrics

@@ -1,21 +1,13 @@
-(** Bundle of the three observability instruments for one measured
-    run: a metrics registry, a span recorder and (optionally) a
-    time-series sampler, all against one machine.  The workload
-    runner accepts one of these and wires everything up. *)
+(** Bundle of the observability instruments for one measured run: a
+    span recorder and (optionally) a time-series sampler, both against
+    one machine.  The workload runner and the service engine accept
+    one of these and wire everything up. *)
 
-type t = {
-  machine : Nvm.Machine.t;
-  metrics : Metrics.t;
-  span : Span.t;
-  sampler : Sampler.t option;
-}
+type t = { span : Span.t; sampler : Sampler.t option }
 
 (** [create machine ()] — pass [~sample_interval] (simulated seconds)
     to also collect the bandwidth-over-time series. *)
 val create : Nvm.Machine.t -> ?sample_interval:float -> unit -> t
 
-(** Full dump: metrics + per-phase breakdown + time series. *)
+(** Full dump: per-phase breakdown + time series. *)
 val to_json : t -> Json.t
-
-(** Human-oriented summary (phase table + metrics). *)
-val pp : Format.formatter -> t -> unit

@@ -12,12 +12,9 @@ let admission_of_string = function
   | "block" -> Ok Block
   | s -> Error (Printf.sprintf "unknown admission policy %S (reject|block)" s)
 
-type mode =
-  | Open_loop of { rate : float; process : Arrival.process }
-  | Closed_loop of { clients : int }
-
 type config = {
-  mode : mode;
+  rate : float;
+  process : Arrival.process;
   ops : int;
   workers_per_shard : int;
   queue_capacity : int;
@@ -29,22 +26,7 @@ type config = {
   seed : int64;
 }
 
-let default_config ~loaded ~ops =
-  {
-    mode = Open_loop { rate = 2e6; process = Arrival.Poisson };
-    ops;
-    workers_per_shard = 2;
-    queue_capacity = 64;
-    admission = Reject;
-    mix = Ycsb.Workload_a;
-    kind = Workload.Keyset.Int_keys;
-    loaded;
-    theta = 0.99;
-    seed = 42L;
-  }
-
 type result = {
-  r_mode : mode;
   r_shards : int;
   r_generated : int;
   r_completed : int;
@@ -70,15 +52,7 @@ let imbalance r =
     if total = 0 then 1.0 else float_of_int (mx * n) /. float_of_int total
   end
 
-type req = {
-  q_op : Ycsb.op;
-  q_arrival : float;
-  mutable q_deq : float;
-  mutable q_finished : bool;
-  q_done : Waitq.t;
-      (* signalled on completion: the submitting client's in closed loop,
-         one nobody waits on in open loop *)
-}
+type req = { q_op : Ycsb.op; q_arrival : float; mutable q_deq : float }
 
 type squeue = {
   items : req Queue.t;
@@ -162,34 +136,29 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
   and total_lat = mk_lat 103L in
   (* effective clock of the calling simulated thread (incl. charges) *)
   let clock () = Des.Sched.now sched +. Des.Sched.pending_charge () in
-  let n_sources =
-    match cfg.mode with Open_loop _ -> 1 | Closed_loop { clients } -> max 1 clients
-  in
-  let live_sources = ref n_sources in
   let live_workers = ref (nshards * cfg.workers_per_shard) in
+  (* the latest finish of a worker or a shard service: a sampler left
+     sleeping to its next tick does not stretch the run *)
+  let end_time = ref start in
+  let finished () = end_time := Float.max !end_time (Des.Sched.now sched) in
   let services = Store.services store in
-  (match obs with
-  | Some { Obs.Recorder.sampler = Some s; _ } -> Obs.Sampler.spawn s sched
-  | _ -> ());
   List.iter
     (fun (shard, svc) ->
       Des.Sched.spawn sched
         ~numa:(Store.shard_numa store shard)
         ~name:(Printf.sprintf "svc%d" shard)
-        (fun () -> svc.Workload.Runner.body ()))
+        (fun () ->
+          svc.Workload.Runner.body ();
+          finished ()))
     services;
   (* the ack, at the current simulated time *)
   let finish ~shard r =
     let t = Des.Sched.now sched in
-    r.q_finished <- true;
     incr completed;
     shard_completed.(shard) <- shard_completed.(shard) + 1;
-    if Latency.should_sample total_lat then begin
-      Latency.record queue_lat (r.q_deq -. r.q_arrival);
-      Latency.record service_lat (t -. r.q_deq);
-      Latency.record total_lat (t -. r.q_arrival)
-    end;
-    Waitq.signal_all sched r.q_done
+    Latency.record queue_lat (r.q_deq -. r.q_arrival);
+    Latency.record service_lat (t -. r.q_deq);
+    Latency.record total_lat (t -. r.q_arrival)
   in
   let on_all_workers_done () =
     (match obs with
@@ -237,109 +206,67 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
             end
           in
           loop ();
+          finished ();
           decr live_workers;
           if !live_workers = 0 then on_all_workers_done ())
     done
   done;
-  (* ----- load sources ----- *)
-  let close_queues () =
-    Array.iter
-      (fun q ->
-        q.closed <- true;
-        Waitq.signal_all sched q.nonempty)
-      queues
-  in
+  (* ----- the load source ----- *)
   let enqueue q r =
     Queue.push r q.items;
     Waitq.signal_one sched q.nonempty
   in
-  (* Queue [r] for its shard; [false] if admission rejected it. *)
+  (* Queue [r] for its shard, unless admission rejects it. *)
   let submit r =
     incr generated;
     let q = queues.(Store.shard_of_key store (key_of_op r.q_op)) in
-    if Queue.length q.items < cfg.queue_capacity then begin
-      enqueue q r;
-      true
-    end
+    if Queue.length q.items < cfg.queue_capacity then enqueue q r
     else
       match cfg.admission with
-      | Reject ->
-          incr rejected;
-          false
+      | Reject -> incr rejected
       | Block ->
           while Queue.length q.items >= cfg.queue_capacity do
             Waitq.wait q.nonfull
           done;
-          enqueue q r;
-          true
+          enqueue q r
   in
-  let request op ~done_ =
-    { q_op = op; q_arrival = clock (); q_deq = 0.0; q_finished = false; q_done = done_ }
-  in
-  (match cfg.mode with
-  | Open_loop { rate; process } ->
-      Des.Sched.spawn sched ~numa:0 ~name:"source" (fun () ->
-          let arr =
-            Arrival.create ~process ~rate
-              (Des.Rng.create ~seed:(Int64.add cfg.seed 7919L))
-          in
-          let stream =
-            Ycsb.create ~mix:cfg.mix ~kind:cfg.kind ~loaded:cfg.loaded
-              ~theta:cfg.theta ~seed:cfg.seed ~thread:0 ~threads:1
-          in
-          (* nobody waits on an open-loop request's completion *)
-          let unwatched = Waitq.create () in
-          for _ = 1 to cfg.ops do
-            Des.Sched.delay (Arrival.next_gap arr);
-            ignore (submit (request (Ycsb.next stream) ~done_:unwatched) : bool)
-          done;
-          decr live_sources;
-          if !live_sources = 0 then close_queues ())
-  | Closed_loop { clients } ->
-      let clients = max 1 clients in
-      let numa_count = Nvm.Machine.numa_count machine in
-      for c = 0 to clients - 1 do
-        let per = (cfg.ops / clients) + if c < cfg.ops mod clients then 1 else 0 in
-        Des.Sched.spawn sched
-          ~numa:(c mod numa_count)
-          ~name:(Printf.sprintf "client%d" c)
-          (fun () ->
-            let stream =
-              Ycsb.create ~mix:cfg.mix ~kind:cfg.kind ~loaded:cfg.loaded
-                ~theta:cfg.theta ~seed:cfg.seed ~thread:c ~threads:clients
-            in
-            let done_ = Waitq.create () in
-            for _ = 1 to per do
-              let r = request (Ycsb.next stream) ~done_ in
-              if submit r then
-                while not r.q_finished do
-                  Waitq.wait done_
-                done
-            done;
-            decr live_sources;
-            if !live_sources = 0 then close_queues ())
-      done);
+  Des.Sched.spawn sched ~numa:0 ~name:"source" (fun () ->
+      let arr =
+        Arrival.create ~process:cfg.process ~rate:cfg.rate
+          (Des.Rng.create ~seed:(Int64.add cfg.seed 7919L))
+      in
+      let stream =
+        Ycsb.create ~mix:cfg.mix ~kind:cfg.kind ~loaded:cfg.loaded ~theta:cfg.theta
+          ~seed:cfg.seed ~thread:0 ~threads:1
+      in
+      for _ = 1 to cfg.ops do
+        Des.Sched.delay (Arrival.next_gap arr);
+        let op = Ycsb.next stream in
+        submit { q_op = op; q_arrival = clock (); q_deq = 0.0 }
+      done;
+      Array.iter
+        (fun q ->
+          q.closed <- true;
+          Waitq.signal_all sched q.nonempty)
+        queues);
+  (* spawned last: thread ids are the same with or without a sampler *)
+  (match obs with
+  | Some { Obs.Recorder.sampler = Some s; _ } -> Obs.Sampler.spawn s sched
+  | _ -> ());
   (match obs with Some o -> Obs.Span.install o.Obs.Recorder.span | None -> ());
   let before = Nvm.Stats.snapshot (Nvm.Machine.total_stats machine) in
   Fun.protect
     ~finally:(fun () ->
       match obs with Some o -> Obs.Span.uninstall o.Obs.Recorder.span | None -> ())
     (fun () -> Des.Sched.run sched);
-  let elapsed = Des.Sched.now sched -. start in
-  let offered =
-    match cfg.mode with
-    | Open_loop { rate; _ } -> rate
-    | Closed_loop _ ->
-        if elapsed > 0.0 then float_of_int !generated /. elapsed else 0.0
-  in
+  let elapsed = !end_time -. start in
   {
-    r_mode = cfg.mode;
     r_shards = nshards;
     r_generated = !generated;
     r_completed = !completed;
     r_rejected = !rejected;
     r_elapsed = elapsed;
-    r_offered = offered;
+    r_offered = cfg.rate;
     r_throughput =
       (if elapsed > 0.0 then float_of_int !completed /. elapsed else 0.0);
     r_queue_lat = queue_lat;
@@ -354,14 +281,11 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
 let pp_result ppf r =
   let p l q = Latency.percentile l q *. 1e6 in
   Format.fprintf ppf
-    "@[<v>%s offered %.3f Mops/s -> %.3f Mops/s (%d/%d done, %d rejected, %.1f%% \
+    "@[<v>offered %.3f Mops/s -> %.3f Mops/s (%d/%d done, %d rejected, %.1f%% \
      loss)@,\
      latency us: queue p50 %.2f p99 %.2f | service p50 %.2f p99 %.2f | total p50 \
      %.2f p99 %.2f p99.99 %.2f@,\
      shard imbalance %.2fx@]"
-    (match r.r_mode with
-    | Open_loop { process; _ } -> Arrival.process_name process
-    | Closed_loop { clients } -> Printf.sprintf "closed(%d)" clients)
     (r.r_offered /. 1e6) (r.r_throughput /. 1e6) r.r_completed r.r_generated
     r.r_rejected
     (if r.r_generated > 0 then

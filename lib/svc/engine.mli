@@ -1,13 +1,11 @@
-(** Request engine: open- or closed-loop load over a {!Store}.
+(** Request engine: open-loop load over a {!Store}.
 
     Requests flow [source -> per-shard bounded queue -> shard worker
-    pool].  In {e open-loop} mode a single generator emits [ops]
-    requests on its own arrival schedule ({!Workload.Arrival}) at a
-    configured offered rate, independent of system progress — the
-    setting in which saturation and queueing delay are observable.  In
-    {e closed-loop} mode [clients] coroutines each submit a request
-    and block until it completes (the classic benchmark loop,
-    retained for back-compat).
+    pool].  A single generator emits [ops] requests on its own arrival
+    schedule ({!Workload.Arrival}) at a configured offered rate,
+    independent of system progress — the setting in which saturation
+    and queueing delay are observable.  The closed-loop benchmark loop
+    (clients that wait for each op) is {!Workload.Runner}.
 
     Each shard worker pops one request at a time and applies it
     straight to the owning shard's index through {!Store}; a write is
@@ -32,13 +30,9 @@ val admission_name : admission -> string
 
 val admission_of_string : string -> (admission, string) result
 
-type mode =
-  | Open_loop of { rate : float; process : Workload.Arrival.process }
-      (** [rate] in requests per simulated second *)
-  | Closed_loop of { clients : int }
-
 type config = {
-  mode : mode;
+  rate : float;  (** offered requests per simulated second *)
+  process : Workload.Arrival.process;
   ops : int;  (** total requests to generate *)
   workers_per_shard : int;
   queue_capacity : int;
@@ -50,18 +44,15 @@ type config = {
   seed : int64;
 }
 
-(** Open-loop A-mix defaults: rate 2e6, 2 workers/shard, queue 64,
-    Reject. *)
-val default_config : loaded:int -> ops:int -> config
-
 type result = {
-  r_mode : mode;
   r_shards : int;
   r_generated : int;
   r_completed : int;
   r_rejected : int;
-  r_elapsed : float;  (** simulated seconds, first arrival to last completion *)
-  r_offered : float;  (** requests per second offered *)
+  r_elapsed : float;
+      (** simulated seconds, from [start] to the last worker's or shard
+          service's finish *)
+  r_offered : float;  (** requests per second offered: [config.rate] *)
   r_throughput : float;  (** completions per second *)
   r_queue_lat : Workload.Latency.t;
   r_service_lat : Workload.Latency.t;
@@ -86,7 +77,8 @@ val load : store:Store.t -> kind:Workload.Keyset.kind -> keys:int -> unit -> flo
 (** Execute one run.  [start] continues the simulated clock from a
     previous phase on the same machine.  With [obs], the recorder's
     span tracer is installed for the run (feeding the [svc_queue]
-    phase) and its sampler runs on the run's scheduler.  Raises
+    phase) and its sampler runs on the run's scheduler; the result is
+    bit-identical to the same run without [obs].  Raises
     [Invalid_argument] if [workers_per_shard] or [queue_capacity] is
     below 1. *)
 val run :

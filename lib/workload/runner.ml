@@ -25,28 +25,21 @@ let apply_op index op =
 (* Run one phase: [threads] workers each executing [per_thread] ops of
    [mix]; returns (end_time, merged latency recorder).  [start] keeps
    simulated time monotonic across phases on the same machine (device
-   channel bookings are absolute times). *)
+   channel bookings are absolute times).  The end time is the latest
+   finish of a worker or the service, so a sampler left sleeping to its
+   next tick does not stretch the phase. *)
 let phase ~machine ~index ~service ~obs ~mix ~kind ~loaded ~theta ~seed ~threads
     ~total_ops ~start =
   let numa_count = Nvm.Machine.numa_count machine in
   let sched = Des.Sched.create ~start () in
-  (match obs with
-  | Some { Obs.Recorder.sampler = Some s; _ } -> Obs.Sampler.spawn s sched
-  | _ -> ());
+  let end_time = ref start in
+  let finished () = end_time := Float.max !end_time (Des.Sched.now sched) in
   (match service with
-  | Some s -> Des.Sched.spawn sched ~name:"service" (fun () -> s.body ())
+  | Some s ->
+      Des.Sched.spawn sched ~name:"service" (fun () ->
+          s.body ();
+          finished ())
   | None -> ());
-  let op_hists =
-    match obs with
-    | None -> None
-    | Some o ->
-        let m = o.Obs.Recorder.metrics in
-        Some
-          ( Obs.Metrics.histogram m "op.flushes",
-            Obs.Metrics.histogram m "op.fences",
-            Obs.Metrics.histogram m "op.media_read_bytes",
-            Obs.Metrics.histogram m "op.media_write_bytes" )
-  in
   let recorders = Array.init threads (fun i -> Latency.create (Des.Rng.create ~seed:(Int64.of_int (i + 33)))) in
   let live = ref threads in
   let profile = Nvm.Machine.profile machine in
@@ -62,28 +55,16 @@ let phase ~machine ~index ~service ~obs ~mix ~kind ~loaded ~theta ~seed ~threads
           let op = Ycsb.next stream in
           Des.Sched.charge profile.Nvm.Config.op_overhead;
           if Latency.should_sample recorder then begin
-            let stats_before =
-              match op_hists with
-              | Some _ -> Some (Nvm.Stats.snapshot (Nvm.Machine.total_stats machine))
-              | None -> None
-            in
             let start = Des.Sched.now sched in
             apply_op index op;
             (* make sure accumulated charges land in the clock *)
             Des.Sched.delay 0.0;
-            Latency.record recorder (Des.Sched.now sched -. start);
-            match (op_hists, stats_before) with
-            | Some (hf, hn, hr, hw), Some b ->
-                let d = Nvm.Stats.diff (Nvm.Machine.total_stats machine) b in
-                Obs.Metrics.observe hf (float_of_int d.Nvm.Stats.flushes);
-                Obs.Metrics.observe hn (float_of_int d.Nvm.Stats.fences);
-                Obs.Metrics.observe hr (float_of_int (Nvm.Stats.total_read_bytes d));
-                Obs.Metrics.observe hw (float_of_int (Nvm.Stats.total_write_bytes d))
-            | _ -> ()
+            Latency.record recorder (Des.Sched.now sched -. start)
           end
           else apply_op index op
         done;
         Des.Sched.delay 0.0 (* materialise accumulated charges *);
+        finished ();
         decr live;
         if !live = 0 then begin
           (match obs with
@@ -92,10 +73,14 @@ let phase ~machine ~index ~service ~obs ~mix ~kind ~loaded ~theta ~seed ~threads
           match service with Some s -> s.shutdown () | None -> ()
         end)
   done;
+  (* spawned last: thread ids are the same with or without a sampler *)
+  (match obs with
+  | Some { Obs.Recorder.sampler = Some s; _ } -> Obs.Sampler.spawn s sched
+  | _ -> ());
   Des.Sched.run sched;
   let merged = Latency.create (Des.Rng.create ~seed:1L) in
   Array.iter (fun r -> Latency.merge ~dst:merged ~src:r) recorders;
-  (Des.Sched.now sched, merged)
+  (!end_time, merged)
 
 let load ~machine ~index ?service ~kind ~loaded ~threads ?(seed = 42L) () =
   let end_time, _ =
@@ -132,20 +117,6 @@ let run ~machine ~index ?service ?obs ~mix ~kind ~loaded ~ops ~threads ?load_thr
   in
   let elapsed = end_time -. start in
   let nvm = Nvm.Stats.diff (Nvm.Machine.total_stats machine) before in
-  (match obs with
-  | Some o ->
-      let m = o.Obs.Recorder.metrics in
-      Obs.Metrics.add (Obs.Metrics.counter m "run.ops") ops;
-      Obs.Metrics.add (Obs.Metrics.counter m "run.flushes") nvm.Nvm.Stats.flushes;
-      Obs.Metrics.add (Obs.Metrics.counter m "run.fences") nvm.Nvm.Stats.fences;
-      Obs.Metrics.add
-        (Obs.Metrics.counter m "run.media_read_bytes")
-        (Nvm.Stats.total_read_bytes nvm);
-      Obs.Metrics.add
-        (Obs.Metrics.counter m "run.media_write_bytes")
-        (Nvm.Stats.total_write_bytes nvm);
-      Obs.Metrics.set (Obs.Metrics.gauge m "run.elapsed_s") elapsed
-  | None -> ());
   {
     mix;
     threads;

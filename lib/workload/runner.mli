@@ -29,12 +29,10 @@ type service = Baselines.System.service = {
 
     With [?obs], the measured phase (not the preparatory load) is
     instrumented: the recorder's span tracer is installed for phase
-    attribution, its sampler (if any) runs on the phase's scheduler
-    and is stopped when the workers finish, latency-sampled operations
-    additionally record per-op flush/fence/media-byte histograms
-    (["op.*"] — approximate under concurrency, since deltas of the
-    shared machine counters include neighbours' traffic), and run
-    totals land in ["run.*"] counters. *)
+    attribution, and its sampler (if any) runs on the phase's scheduler
+    and is stopped when the workers finish.  Observing a run does not
+    change it: the result is bit-identical to the same run without
+    [?obs]. *)
 val run :
   machine:Nvm.Machine.t ->
   index:Baselines.Index_intf.index ->

@@ -259,7 +259,7 @@ let test_engine_request () =
   let w = words (fun () -> r := Some (Svc.Engine.run ~store ~config ~start ())) in
   let r = Option.get !r in
   Alcotest.(check int) "every request completed" 4_000 r.Svc.Engine.r_completed;
-  check_ceiling "Engine.run per request" 247.0 (w /. 4_000.0)
+  check_ceiling "Engine.run per request" 171.0 (w /. 4_000.0)
 
 let () =
   Alcotest.run "alloc"

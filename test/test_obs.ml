@@ -1,8 +1,7 @@
-(* Tests for lib/obs: metrics registry, span attribution under the
-   DES, the time-series sampler and the BENCH report schema. *)
+(* Tests for lib/obs: the JSON codec, span attribution under the DES,
+   the time-series sampler and the BENCH report schema. *)
 
 module Json = Obs.Json
-module Metrics = Obs.Metrics
 module Span = Obs.Span
 module Sampler = Obs.Sampler
 module Report = Obs.Report
@@ -36,74 +35,6 @@ let test_json_rejects_garbage () =
       | Ok _ -> Alcotest.failf "accepted malformed %S" s
       | Error _ -> ())
     [ "{"; "{\"a\":}"; "[1,]"; "nul"; "\"unterminated"; "{\"a\":1} trailing" ]
-
-(* ---------- metrics ---------- *)
-
-let test_counter_gauge () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "ops" in
-  Metrics.inc c;
-  Metrics.add c 9;
-  Metrics.set (Metrics.gauge m "bw") 3.5;
-  Alcotest.(check int) "counter" 10 (Metrics.counter_value m "ops");
-  feq "gauge" 3.5 (Metrics.gauge_value m "bw");
-  (* handles are get-or-create: same name, same cell *)
-  Metrics.inc (Metrics.counter m "ops");
-  Alcotest.(check int) "shared cell" 11 (Metrics.counter_value m "ops")
-
-let test_snapshot_diff_merge () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "n" in
-  let h = Metrics.histogram m "lat" in
-  Metrics.add c 5;
-  List.iter (Metrics.observe h) [ 1.0; 2.0; 4.0 ];
-  let before = Metrics.snapshot m in
-  Metrics.add c 7;
-  List.iter (Metrics.observe h) [ 8.0; 16.0 ];
-  let d = Metrics.diff m before in
-  Alcotest.(check int) "diffed counter" 7 (Metrics.counter_value d "n");
-  (match Metrics.find_histogram d "lat" with
-  | None -> Alcotest.fail "diffed histogram missing"
-  | Some dh -> Alcotest.(check int) "diffed hist count" 2 (Metrics.hist_count dh));
-  (* before + diff = after, bucket-wise *)
-  Metrics.merge ~dst:before ~src:d;
-  Alcotest.(check int) "merged counter" 12 (Metrics.counter_value before "n");
-  match (Metrics.find_histogram before "lat", Metrics.find_histogram m "lat") with
-  | Some a, Some b ->
-      Alcotest.(check int) "merged count" (Metrics.hist_count b) (Metrics.hist_count a);
-      feq "merged p50" (Metrics.hist_percentile b 50.0) (Metrics.hist_percentile a 50.0);
-      feq "merged sum" (Metrics.hist_sum b) (Metrics.hist_sum a)
-  | _ -> Alcotest.fail "merged histogram missing"
-
-let test_histogram_accuracy () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m "v" in
-  for i = 1 to 1000 do
-    Metrics.observe h (float_of_int i)
-  done;
-  Alcotest.(check int) "count" 1000 (Metrics.hist_count h);
-  feq "max" 1000.0 (Metrics.hist_max h);
-  (* log-bucketed: within the geometric resolution of the true value *)
-  let p50 = Metrics.hist_percentile h 50.0 in
-  if p50 < 450.0 || p50 > 550.0 then Alcotest.failf "p50 %g too far from 500" p50;
-  feq "empty percentile" 0.0 (Metrics.hist_percentile (Metrics.histogram m "none") 99.0);
-  match Metrics.hist_percentile h 101.0 with
-  | exception Invalid_argument _ -> ()
-  | v -> Alcotest.failf "percentile 101 accepted: %g" v
-
-let test_percentile_monotone =
-  QCheck.Test.make ~name:"obs: histogram percentiles are monotone" ~count:200
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 1 200) pos_float)
-        (pair (float_bound_inclusive 100.0) (float_bound_inclusive 100.0)))
-    (fun (values, (p, q)) ->
-      QCheck.assume (List.for_all (fun v -> Float.is_finite v) values);
-      let m = Metrics.create () in
-      let h = Metrics.histogram m "x" in
-      List.iter (Metrics.observe h) values;
-      let p, q = if p <= q then (p, q) else (q, p) in
-      Metrics.hist_percentile h p <= Metrics.hist_percentile h q)
 
 (* ---------- spans under the DES ---------- *)
 
@@ -287,6 +218,73 @@ let test_pactree_run_attributes_phases () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "end-to-end report invalid: %s" msg
 
+(* ---------- observing a run does not change it ---------- *)
+
+(* Elapsed time, p50/p99 and the NVM counters of a run, compared
+   exactly ([%h]) between a plain run and the same run with a recorder
+   whose sampler ticks every 20 us. *)
+let check_unobserved what (elapsed, latency, nvm) (elapsed', latency', nvm') =
+  let hex f = Printf.sprintf "%h" f in
+  let same name a b = Alcotest.(check string) (what ^ ": " ^ name) (hex a) (hex b) in
+  same "elapsed" elapsed elapsed';
+  List.iter
+    (fun p ->
+      same (Printf.sprintf "p%g" p)
+        (Workload.Latency.percentile latency p)
+        (Workload.Latency.percentile latency' p))
+    [ 50.0; 99.0 ];
+  List.iter
+    (fun (name, f) -> Alcotest.(check int) (what ^ ": " ^ name) (f nvm) (f nvm'))
+    [
+      ("flushes", fun s -> s.Nvm.Stats.flushes);
+      ("flushes_elided", fun s -> s.Nvm.Stats.flushes_elided);
+      ("fences", fun s -> s.Nvm.Stats.fences);
+      ("media read bytes", Nvm.Stats.total_read_bytes);
+      ("media write bytes", Nvm.Stats.total_write_bytes);
+    ];
+  Alcotest.(check bool) (what ^ ": every NVM counter") true (nvm = nvm')
+
+let observed machine = Obs.Recorder.create machine ~sample_interval:20e-6 ()
+
+let test_runner_unobserved () =
+  let once ~obs =
+    let machine = Nvm.Machine.create ~numa_count:2 () in
+    let scale = Experiments.Scale.make ~keys:3_000 ~ops:2_000 ~thread_counts:[] in
+    let b = Experiments.Factory.make_backend machine ~scale Experiments.Factory.Pactree_sys in
+    let obs = if obs then Some (observed machine) else None in
+    let r =
+      Workload.Runner.run ~machine ~index:b.b_index ?service:b.b_service ?obs
+        ~mix:Workload.Ycsb.Workload_a ~kind:Workload.Keyset.Int_keys ~loaded:3_000
+        ~ops:2_000 ~threads:8 ()
+    in
+    (r.Workload.Runner.elapsed, r.Workload.Runner.latency, r.Workload.Runner.nvm)
+  in
+  check_unobserved "runner" (once ~obs:false) (once ~obs:true)
+
+let test_engine_unobserved () =
+  let cfg =
+    {
+      (Experiments.Svc_run.default ~quick:true Experiments.Factory.Pactree_sys) with
+      Experiments.Svc_run.shards = 2;
+      keys = 3_000;
+      ops = 2_000;
+    }
+  in
+  let once ~obs =
+    let store = Experiments.Svc_run.make_store cfg in
+    let start =
+      Svc.Engine.load ~store ~kind:cfg.Experiments.Svc_run.kind
+        ~keys:cfg.Experiments.Svc_run.keys ()
+    in
+    let obs = if obs then Some (observed (Svc.Store.machine store)) else None in
+    let r =
+      Svc.Engine.run ~store ~config:(Experiments.Svc_run.engine_config cfg ~rate:1.2e6)
+        ~start ?obs ()
+    in
+    (r.Svc.Engine.r_elapsed, r.Svc.Engine.r_total_lat, r.Svc.Engine.r_nvm)
+  in
+  check_unobserved "engine" (once ~obs:false) (once ~obs:true)
+
 (* ---------- satellite: latency + stats accessors ---------- *)
 
 let test_latency_accessors () =
@@ -316,10 +314,6 @@ let suite =
   [
     Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json rejects garbage" `Quick test_json_rejects_garbage;
-    Alcotest.test_case "counter and gauge" `Quick test_counter_gauge;
-    Alcotest.test_case "snapshot/diff/merge" `Quick test_snapshot_diff_merge;
-    Alcotest.test_case "histogram accuracy" `Quick test_histogram_accuracy;
-    QCheck_alcotest.to_alcotest test_percentile_monotone;
     Alcotest.test_case "span nesting + charge" `Quick test_span_nesting;
     Alcotest.test_case "span no-op when uninstalled" `Quick test_span_uninstalled_noop;
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safe;
@@ -328,6 +322,10 @@ let suite =
     Alcotest.test_case "report rejects malformed" `Quick test_report_rejects_malformed;
     Alcotest.test_case "pactree run attributes phases" `Quick
       test_pactree_run_attributes_phases;
+    Alcotest.test_case "runner: a recorder leaves the run unchanged" `Quick
+      test_runner_unobserved;
+    Alcotest.test_case "engine: a recorder leaves the run unchanged" `Quick
+      test_engine_unobserved;
     Alcotest.test_case "latency accessors" `Quick test_latency_accessors;
     Alcotest.test_case "stats is_zero + amplification" `Quick
       test_stats_is_zero_and_amplification;

@@ -165,19 +165,23 @@ let test_service_adds_no_nvm_traffic () =
     Index.insert (on_bare k) k i
   done;
   same_cost "load";
-  (* an engine run: one client and one worker per shard keep each
-     shard's op order the stream's order *)
+  (* an engine run: one source, blocking admission and one worker per
+     shard keep each shard's op order the stream's order *)
   let seed = 5L and theta = 0.99 in
   let config =
-    {
-      (Engine.default_config ~loaded:keys ~ops) with
-      Engine.mode = Engine.Closed_loop { clients = 1 };
-      workers_per_shard = 1;
-      mix;
-      kind;
-      theta;
-      seed;
-    }
+    Experiments.Svc_run.engine_config
+      {
+        (Experiments.Svc_run.default Experiments.Factory.Fastfair_sys) with
+        Experiments.Svc_run.keys;
+        ops;
+        workers_per_shard = 1;
+        admission = Engine.Block;
+        mix;
+        kind;
+        theta;
+        seed;
+      }
+      ~rate:2e6
   in
   let r = Engine.run ~store ~config ~start () in
   Alcotest.(check int) "engine completed every op" ops r.Engine.r_completed;
@@ -257,9 +261,11 @@ let test_engine_deterministic sys () =
   Alcotest.(check bool) "identical NVM traffic" true
     (Nvm.Stats.is_zero (Nvm.Stats.diff r1.Engine.r_nvm r2.Engine.r_nvm))
 
-(* ---------- closed loop + saturation sweep shape ---------- *)
+(* ---------- blocking admission + saturation sweep shape ---------- *)
 
-let test_closed_loop () =
+(* Offered load far past capacity under Block: the source waits for
+   queue space instead of dropping, so every request completes. *)
+let test_block_admission () =
   let cfg = svc_cfg Experiments.Factory.Fastfair_sys in
   let store = Experiments.Svc_run.make_store cfg in
   let start =
@@ -267,15 +273,14 @@ let test_closed_loop () =
       ~keys:cfg.Experiments.Svc_run.keys ()
   in
   let config =
-    {
-      (Experiments.Svc_run.engine_config cfg ~rate:1e6) with
-      Engine.mode = Engine.Closed_loop { clients = 8 };
-    }
+    Experiments.Svc_run.engine_config
+      { cfg with Experiments.Svc_run.admission = Engine.Block }
+      ~rate:200e6
   in
   let r = Engine.run ~store ~config ~start () in
   Alcotest.(check int) "all generated" cfg.Experiments.Svc_run.ops
     r.Engine.r_generated;
-  Alcotest.(check int) "closed loop rejects nothing" 0 r.Engine.r_rejected;
+  Alcotest.(check int) "blocking admission rejects nothing" 0 r.Engine.r_rejected;
   Alcotest.(check int) "all completed" r.Engine.r_generated r.Engine.r_completed;
   Alcotest.(check bool) "made progress" true (r.Engine.r_throughput > 0.0)
 
@@ -293,7 +298,15 @@ let test_sweep_shape () =
 
 let test_engine_rejects_bad_config () =
   let store = make_store () in
-  let base = Engine.default_config ~loaded:0 ~ops:10 in
+  let base =
+    Experiments.Svc_run.engine_config
+      {
+        (Experiments.Svc_run.default Experiments.Factory.Fastfair_sys) with
+        Experiments.Svc_run.keys = 0;
+        ops = 10;
+      }
+      ~rate:2e6
+  in
   List.iter
     (fun (what, config) ->
       match Engine.run ~store ~config () with
@@ -448,8 +461,8 @@ let suite =
       (test_engine_deterministic Experiments.Factory.Pactree_sys);
     Alcotest.test_case "engine: deterministic (fastfair)" `Quick
       (test_engine_deterministic Experiments.Factory.Fastfair_sys);
-    Alcotest.test_case "engine: closed loop completes everything" `Quick
-      test_closed_loop;
+    Alcotest.test_case "engine: overdriven Block run completes everything" `Quick
+      test_block_admission;
     Alcotest.test_case "engine: saturation sweep shape" `Quick test_sweep_shape;
     Alcotest.test_case "engine: rejects workers or queue below 1" `Quick
       test_engine_rejects_bad_config;
