@@ -46,11 +46,11 @@ let iter ?(budget_per_point = 64) ?(seed = 0x5EEDL) ~trace ~f () =
     Array.iter
       (fun ev ->
         match ev with
-        | Machine.Ev_store { pool; line; _ }
-        | Machine.Ev_clwb { pool; line; _ }
-        | Machine.Ev_drain { pool; line; _ } ->
+        | Trace.Store { pool; line; _ }
+        | Trace.Clwb { pool; line; _ }
+        | Trace.Drain { pool; line; _ } ->
             Hashtbl.replace tbl (pool, line) ()
-        | Machine.Ev_fence _ -> ())
+        | Trace.Fence _ -> ())
       evs;
     let l = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] in
     Array.of_list (List.sort compare l)
@@ -223,16 +223,16 @@ let iter ?(budget_per_point = 64) ?(seed = 0x5EEDL) ~trace ~f () =
   (try
      for i = 0 to n - 1 do
        match evs.(i) with
-       | Machine.Ev_store { pool; line; data } -> add_cand pool line i data
-       | Machine.Ev_clwb { tid; pool; line; data } ->
+       | Trace.Store { pool; line; data } -> add_cand pool line i data
+       | Trace.Clwb { tid; pool; line; data } ->
            add_cand pool line i data;
            (match Hashtbl.find_opt staged tid with
            | Some r -> r := (pool, line, data, i) :: !r
            | None -> Hashtbl.add staged tid (ref [ (pool, line, data, i) ]))
-       | Machine.Ev_drain { pool; line; data } ->
+       | Trace.Drain { pool; line; data } ->
            apply_media pool line data;
            prune pool line i
-       | Machine.Ev_fence { tid } ->
+       | Trace.Fence { tid } ->
            crash_point i;
            (match Hashtbl.find_opt staged tid with
            | None -> ()

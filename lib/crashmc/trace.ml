@@ -1,22 +1,41 @@
 module Machine = Nvm.Machine
 
+type event =
+  | Store of { pool : int; line : int; data : string }
+  | Clwb of { tid : int; pool : int; line : int; data : string }
+  | Fence of { tid : int }
+  | Drain of { pool : int; line : int; data : string }
+
 type t = {
   machine : Machine.t;
-  mutable events_rev : Machine.trace_event list;
+  mutable events_rev : event list;
   mutable count : int;
   base : (int, Bytes.t) Hashtbl.t; (* pool id -> media image at [start] *)
-  mutable active : bool;
-  mutable cache : Machine.trace_event array option;
+  mutable unsubscribe : unit -> unit;
+  mutable cache : event array option;
 }
 
+(* The line's content as the event left it: post-store for a store, the
+   staged snapshot for a clwb, the drained content for a drain. *)
+let with_data machine ev =
+  let data pool line = Nvm.Pool.line_content (Nvm.Pool.of_id machine pool) line in
+  match ev with
+  | Machine.Store { pool; line; _ } -> Store { pool; line; data = data pool line }
+  | Machine.Clwb { tid; pool; line } -> Clwb { tid; pool; line; data = data pool line }
+  | Machine.Fence { tid } -> Fence { tid }
+  | Machine.Drain { pool; line; _ } -> Drain { pool; line; data = data pool line }
+
 let start machine =
+  (* An elided clwb stages nothing, but its event reads like a staged one. *)
+  if Machine.flush_elision machine then
+    invalid_arg "Crashmc.Trace.start: flush elision is on";
   let t =
     {
       machine;
       events_rev = [];
       count = 0;
       base = Hashtbl.create 8;
-      active = true;
+      unsubscribe = ignore;
       cache = None;
     }
   in
@@ -25,19 +44,16 @@ let start machine =
       if not (Nvm.Pool.is_volatile p) then
         Hashtbl.replace t.base (Nvm.Pool.id p) (Nvm.Pool.media_image p))
     (Nvm.Pool.all machine);
-  Machine.set_tracer machine
-    (Some
-       (fun ev ->
-         t.events_rev <- ev :: t.events_rev;
-         t.count <- t.count + 1;
-         t.cache <- None));
+  t.unsubscribe <-
+    Machine.subscribe machine (fun ev ->
+        t.events_rev <- with_data machine ev :: t.events_rev;
+        t.count <- t.count + 1;
+        t.cache <- None);
   t
 
 let stop t =
-  if t.active then begin
-    Machine.set_tracer t.machine None;
-    t.active <- false
-  end
+  t.unsubscribe ();
+  t.unsubscribe <- ignore
 
 let machine t = t.machine
 

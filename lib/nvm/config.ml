@@ -62,7 +62,3 @@ let dcpmm_eadr = { dcpmm with eadr = true }
 let read_bandwidth p = float_of_int p.channels /. p.read_byte_cost
 
 let write_bandwidth p = float_of_int p.channels /. p.write_byte_cost
-
-let pp_protocol ppf = function
-  | Snoop -> Format.pp_print_string ppf "snoop"
-  | Directory -> Format.pp_print_string ppf "directory"

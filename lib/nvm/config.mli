@@ -53,5 +53,3 @@ val read_bandwidth : profile -> float
 
 (** Aggregate write bandwidth of one device under [p], bytes/second. *)
 val write_bandwidth : profile -> float
-
-val pp_protocol : Format.formatter -> protocol -> unit

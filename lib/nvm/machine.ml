@@ -14,16 +14,11 @@ type stage = {
   mutable snaps : Bytes.t;
 }
 
-type trace_event =
-  | Ev_store of { pool : int; line : int; data : string }
-  | Ev_clwb of { tid : int; pool : int; line : int; data : string }
-  | Ev_fence of { tid : int }
-  | Ev_drain of { pool : int; line : int; data : string }
-
 type persist_event =
-  | Pe_store of { tid : int; pool : int; line : int }
-  | Pe_clwb of { tid : int; pool : int; line : int }
-  | Pe_fence of { tid : int }
+  | Store of { tid : int; pool : int; line : int }
+  | Clwb of { tid : int; pool : int; line : int }
+  | Fence of { tid : int }
+  | Drain of { tid : int; pool : int; line : int }
 
 type pool = ..
 
@@ -50,8 +45,7 @@ type t = {
   mutable pools : pool array; (* by id; [No_pool] past [next_pool_id] *)
   mutable next_pool_id : int;
   mutable crash_hooks : (crash_mode -> unit) list;
-  mutable tracer : (trace_event -> unit) option;
-  mutable persist_observer : (persist_event -> unit) option;
+  mutable subscribers : (persist_event -> unit) list;
   mutable flush_fault : int option; (* drop the k-th clwb since set *)
   mutable flush_seen : int;
   mutable flush_elision : bool; (* skip redundant clwbs instead of just counting *)
@@ -96,8 +90,7 @@ let create ?(profile = Config.dcpmm) ?(protocol = Config.Snoop) ~numa_count () =
       pools = Array.make 8 No_pool;
       next_pool_id = 0;
       crash_hooks = [];
-      tracer = None;
-      persist_observer = None;
+      subscribers = [];
       flush_fault = None;
       flush_seen = 0;
       flush_elision = false;
@@ -108,13 +101,13 @@ let create ?(profile = Config.dcpmm) ?(protocol = Config.Snoop) ~numa_count () =
 
 let set_wait_observer t f = t.wait_observer <- f
 
-let set_tracer t f = t.tracer <- f
+let subscribe t f =
+  t.subscribers <- t.subscribers @ [ f ];
+  fun () -> t.subscribers <- List.filter (fun g -> g != f) t.subscribers
 
-let tracer t = t.tracer
+let observed t = t.subscribers <> []
 
-let set_persist_observer t f = t.persist_observer <- f
-
-let persist_observer t = t.persist_observer
+let emit t ev = List.iter (fun f -> f ev) t.subscribers
 
 let set_flush_fault t k =
   t.flush_fault <- k;
@@ -240,12 +233,7 @@ let fence t =
   t.stats.Stats.fences <- t.stats.Stats.fences + 1;
   Des.Sched.charge t.profile.Config.fence_base_cost;
   let tid = Des.Sched.current_id () in
-  (match t.tracer with
-  | Some emit -> emit (Ev_fence { tid })
-  | None -> ());
-  (match t.persist_observer with
-  | Some emit -> emit (Pe_fence { tid })
-  | None -> ());
+  if observed t then emit t (Fence { tid });
   let st = stage_of t tid in
   let n = st.n in
   if n > 0 then begin

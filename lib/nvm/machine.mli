@@ -7,7 +7,11 @@
     same thread completes.  On {!crash}, everything else is lost
     ([Strict]) or survives line-by-line with some probability
     ([Flaky]), which models arbitrary cache evictions and in-flight
-    flushes. *)
+    flushes.
+
+    Every store, clwb, fence and eADR drain is one {!persist_event};
+    the checkers of the persist order (the crashmc trace recorder, the
+    pobj sanitizer) {!subscribe} to that one stream. *)
 
 type t
 
@@ -81,49 +85,42 @@ val stage : t -> sink -> line:int -> xpline:int -> Bytes.t -> int -> unit
 (** Register a callback run by {!crash}. *)
 val on_crash : t -> (crash_mode -> unit) -> unit
 
-(** {2 Persist tracing (crash-state model checking)}
+(** {2 Persist events}
 
-    When a tracer is installed, every program-visible persistence
-    event is reported with enough data to replay the ADR state
-    machine offline: stores carry the post-store content of the whole
-    64B line, [clwb]s the staged snapshot, fences the staging thread.
-    [lib/crashmc] enumerates, from such a trace, every crash image
-    consistent with ADR semantics (fenced lines must survive; dirty or
-    flushed-but-unfenced lines each survive with any of their
-    snapshots). *)
+    Every program-visible persistence fact is reported once, to every
+    subscriber, in program order: a store to a line of a non-volatile
+    pool, a [clwb] of such a line, a [fence] and, on eADR machines, a
+    background drain.  No event carries line data; a subscriber that
+    needs it reads the pool at the event (the crashmc trace recorder
+    does).  Emitting allocates nothing while nobody subscribes.
 
-type trace_event =
-  | Ev_store of { pool : int; line : int; data : string }
-      (** post-store content of the full 64B line *)
-  | Ev_clwb of { tid : int; pool : int; line : int; data : string }
-      (** line snapshot staged by thread [tid]; durable at its next fence *)
-  | Ev_fence of { tid : int }
-      (** applies [tid]'s staged snapshots to the media *)
-  | Ev_drain of { pool : int; line : int; data : string }
-      (** eADR background drain: durable immediately *)
-
-val set_tracer : t -> (trace_event -> unit) option -> unit
-
-val tracer : t -> (trace_event -> unit) option
-
-(** {2 Persist observation (lightweight, for the pobj sanitizer)}
-
-    A second, independent hook: unlike the crashmc tracer it carries
-    no line data (cheap enough to leave on during benchmarks) and
-    stores carry the storing thread.  [Pe_clwb] is emitted for every
-    {e effective} clwb — including ones elided by flush tracking
-    (whose persistence obligation is already met) — but {e not} for
-    clwbs dropped by {!set_flush_fault}, which model a missing call.
-    eADR machines emit no [Pe_fence] (there is nothing to order). *)
+    [Clwb] is emitted for every {e effective} clwb, elided ones
+    included (their persistence obligation is already met), but
+    {e not} for clwbs dropped by {!set_flush_fault}, which model a
+    missing call.  An eADR clwb emits [Drain] instead, redundant or
+    not, and eADR machines emit no [Fence] (there is nothing to
+    order). *)
 
 type persist_event =
-  | Pe_store of { tid : int; pool : int; line : int }
-  | Pe_clwb of { tid : int; pool : int; line : int }
-  | Pe_fence of { tid : int }
+  | Store of { tid : int; pool : int; line : int }
+      (** thread [tid] stored to [line] of pool [pool] *)
+  | Clwb of { tid : int; pool : int; line : int }
+      (** [tid] flushed the line; durable at its next fence *)
+  | Fence of { tid : int }  (** persists [tid]'s staged lines *)
+  | Drain of { tid : int; pool : int; line : int }
+      (** eADR: the line reached the media at [tid]'s clwb *)
 
-val set_persist_observer : t -> (persist_event -> unit) option -> unit
+(** [subscribe t f] calls [f] on every later persist event of [t],
+    after the subscribers before it; it returns the function that
+    unsubscribes [f]. *)
+val subscribe : t -> (persist_event -> unit) -> unit -> unit
 
-val persist_observer : t -> (persist_event -> unit) option
+(** [true] while anybody subscribes.  {!Pool} tests it before it
+    builds an event. *)
+val observed : t -> bool
+
+(** Deliver an event to the subscribers (called by {!Pool}). *)
+val emit : t -> persist_event -> unit
 
 (** {2 Fault injection (checker self-tests)} *)
 

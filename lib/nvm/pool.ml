@@ -192,42 +192,16 @@ let touch_range_write t off len =
     if not t.volatile then t.staged_by.(line) <- nobody
   done
 
-(* Report the post-store content of every line under [off, off+len) to
-   the machine's tracer (no-op unless crashmc is recording). *)
-let trace_store t off len =
-  match Machine.tracer t.machine with
-  | None -> ()
-  | Some emit ->
-      if not t.volatile && len > 0 then begin
-        let first = off lsr 6 and last = (off + len - 1) lsr 6 in
-        for line = first to last do
-          emit
-            (Machine.Ev_store
-               {
-                 pool = t.id;
-                 line;
-                 data = Bytes.sub_string t.cache (line * line_size) line_size;
-               })
-        done
-      end
-
-(* Report stores to the (cheap) persist observer — the hook behind the
-   pobj persist-order sanitizer. *)
-let observe_store t off len =
-  match Machine.persist_observer t.machine with
-  | None -> ()
-  | Some emit ->
-      if (not t.volatile) && len > 0 then begin
-        let tid = Des.Sched.current_id () in
-        let first = off lsr 6 and last = (off + len - 1) lsr 6 in
-        for line = first to last do
-          emit (Machine.Pe_store { tid; pool = t.id; line })
-        done
-      end
-
+(* Report a store to every line under [off, off+len) to the machine's
+   persist-event subscribers (the crashmc trace, the pobj sanitizer). *)
 let record_store t off len =
-  trace_store t off len;
-  observe_store t off len
+  if Machine.observed t.machine && (not t.volatile) && len > 0 then begin
+    let tid = Des.Sched.current_id () in
+    let first = off lsr 6 and last = (off + len - 1) lsr 6 in
+    for line = first to last do
+      Machine.emit t.machine (Machine.Store { tid; pool = t.id; line })
+    done
+  end
 
 let read_u8 t off =
   touch_range t off 1;
@@ -336,23 +310,16 @@ let eadr_drain t off =
   end;
   let line = off lsr 6 in
   Bytes.blit t.cache (line * line_size) t.media (line * line_size) line_size;
-  clear_dirty t line;
-  match Machine.tracer t.machine with
-  | Some emit ->
-      emit
-        (Machine.Ev_drain
-           {
-             pool = t.id;
-             line;
-             data = Bytes.sub_string t.media (line * line_size) line_size;
-           })
-  | None -> ()
+  clear_dirty t line
 
-let observe_clwb t line =
-  match Machine.persist_observer t.machine with
-  | Some emit ->
-      emit (Machine.Pe_clwb { tid = Des.Sched.current_id (); pool = t.id; line })
-  | None -> ()
+(* Report an effective clwb of [line] (a drain on eADR). *)
+let record_clwb t line =
+  if Machine.observed t.machine then begin
+    let tid = Des.Sched.current_id () and pool = t.id in
+    Machine.emit t.machine
+      (if (Machine.profile t.machine).Config.eadr then Machine.Drain { tid; pool; line }
+       else Machine.Clwb { tid; pool; line })
+  end
 
 (* FliT-style flush tracking: a clwb is redundant when the line is
    already clean on media (cache == media), or when the calling thread
@@ -365,9 +332,9 @@ let observe_clwb t line =
    perturbs fence batching and hence the whole simulated schedule — is
    the machine's [flush_elision] switch (off by default, keeping the
    schedule bit-identical to a tracking-free build).  Elided clwbs
-   still satisfy the persistence obligation, so they are reported to
-   the persist observer; faulted (dropped) clwbs are not — they model
-   a missing call.  The fault counter ticks only for executed clwbs so
+   still satisfy the persistence obligation, so they are reported as
+   persist events; faulted (dropped) clwbs are not — they model a
+   missing call.  The fault counter ticks only for executed clwbs so
    mutation indices keep targeting real flushes. *)
 let clwb t off =
   if (Machine.profile t.machine).Config.eadr then begin
@@ -380,7 +347,7 @@ let clwb t off =
       end;
       if redundant && Machine.flush_elision t.machine then clear_dirty t line
       else eadr_drain t off;
-      observe_clwb t line
+      record_clwb t line
     end
   end
   else if not t.volatile then begin
@@ -396,7 +363,7 @@ let clwb t off =
          invalidates whether or not the line was dirty), so the CPU
          and cache-side timing stays comparable to an unelided run. *)
       Des.Sched.charge (Machine.profile t.machine).Config.clwb_cpu_cost;
-      observe_clwb t line;
+      record_clwb t line;
       Machine.cache_invalidate t.machine (gline t off)
     end
     else if not (Machine.flush_faulted t.machine) then begin
@@ -410,18 +377,7 @@ let clwb t off =
       let g = gline t off in
       Machine.stage t.machine t.sink ~line ~xpline:(g lsr 2) t.cache (line * line_size);
       t.staged_by.(line) <- Des.Sched.current_id ();
-      (match Machine.tracer t.machine with
-      | Some emit ->
-          emit
-            (Machine.Ev_clwb
-               {
-                 tid = Des.Sched.current_id ();
-                 pool = t.id;
-                 line;
-                 data = Bytes.sub_string t.cache (line * line_size) line_size;
-               })
-      | None -> ());
-      observe_clwb t line;
+      record_clwb t line;
       (* Current-generation clwb invalidates the line (FH4). *)
       Machine.cache_invalidate t.machine g
     end
@@ -444,6 +400,8 @@ let persist t off len =
 let media_read_int t off =
   assert (not t.volatile);
   Int64.to_int (Bytes.get_int64_le t.media off)
+
+let line_content t line = Bytes.sub_string t.cache (line * line_size) line_size
 
 let line_is_dirty t off = (not t.volatile) && line_dirty t (off lsr 6)
 

@@ -125,6 +125,12 @@ val persist : t -> int -> int -> unit
     for tests that check what would survive a crash. *)
 val media_read_int : t -> int -> int
 
+(** [line_content p line] copies the 64 B cache content of line
+    [line] (a line index, not an offset), bypassing cost accounting and
+    the CPU-cache model — for persist-event subscribers, which must not
+    perturb the simulation. *)
+val line_content : t -> int -> string
+
 (** A copy of the media image (empty for a volatile pool). *)
 val media_image : t -> Bytes.t
 

@@ -46,15 +46,13 @@ let phase_index = function
 
 let n_phases = 9
 
-type acc = { mutable count : int; mutable self : float; nvm : Nvm.Stats.t }
+type acc = { mutable count : int; mutable self : float }
 
 type frame = {
   f_phase : phase;
   f_start : float;
-  f_stats0 : Nvm.Stats.t option; (* machine counters at entry *)
   f_stack : string; (* ";"-separated path including this phase *)
   mutable f_child_time : float;
-  mutable f_child_nvm : Nvm.Stats.t option; (* accumulated child deltas *)
 }
 
 type t = {
@@ -67,8 +65,7 @@ type t = {
 let create ?machine () =
   {
     machine;
-    accs =
-      Array.init n_phases (fun _ -> { count = 0; self = 0.0; nvm = Nvm.Stats.create () });
+    accs = Array.init n_phases (fun _ -> { count = 0; self = 0.0 });
     stacks = Hashtbl.create 16;
     folded = Hashtbl.create 64;
   }
@@ -77,8 +74,7 @@ let reset t =
   Array.iter
     (fun a ->
       a.count <- 0;
-      a.self <- 0.0;
-      Nvm.Stats.reset a.nvm)
+      a.self <- 0.0)
     t.accs;
   Hashtbl.reset t.stacks;
   Hashtbl.reset t.folded
@@ -174,13 +170,8 @@ let enter t phase =
     {
       f_phase = phase;
       f_start = clock ();
-      f_stats0 =
-        (match t.machine with
-        | Some m -> Some (Nvm.Machine.total_stats m)
-        | None -> None);
       f_stack = path;
       f_child_time = 0.0;
-      f_child_nvm = None;
     }
   in
   stack := frame :: !stack
@@ -197,29 +188,9 @@ let exit_span t =
       acc.count <- acc.count + 1;
       acc.self <- acc.self +. self;
       add_folded t frame.f_stack self;
-      let delta =
-        match (frame.f_stats0, t.machine) with
-        | Some s0, Some m ->
-            let d = Nvm.Stats.diff (Nvm.Machine.total_stats m) s0 in
-            let self_d =
-              match frame.f_child_nvm with
-              | Some child -> Nvm.Stats.diff d child
-              | None -> d
-            in
-            Nvm.Stats.add acc.nvm self_d;
-            Some d
-        | _ -> None
-      in
-      (match rest with
-      | parent :: _ ->
-          parent.f_child_time <- parent.f_child_time +. total;
-          (match delta with
-          | Some d -> (
-              match parent.f_child_nvm with
-              | Some child -> Nvm.Stats.add child d
-              | None -> parent.f_child_nvm <- Some (Nvm.Stats.snapshot d))
-          | None -> ())
-      | [] -> ())
+      match rest with
+      | parent :: _ -> parent.f_child_time <- parent.f_child_time +. total
+      | [] -> ()
 
 let start phase =
   let recorder = !current in
@@ -240,18 +211,13 @@ let with_phase phase f =
 
 (* ---------- reporting ---------- *)
 
-type row = {
-  r_phase : phase;
-  r_count : int;
-  r_seconds : float;
-  r_nvm : Nvm.Stats.t;
-}
+type row = { r_phase : phase; r_count : int; r_seconds : float }
 
 let rows t =
   List.map
     (fun p ->
       let a = t.accs.(phase_index p) in
-      { r_phase = p; r_count = a.count; r_seconds = a.self; r_nvm = Nvm.Stats.snapshot a.nvm })
+      { r_phase = p; r_count = a.count; r_seconds = a.self })
     all_phases
 
 let attributed_seconds t = Array.fold_left (fun acc a -> acc +. a.self) 0.0 t.accs
@@ -282,16 +248,12 @@ let write_collapsed t path =
 
 let pp_table ppf t =
   let total = attributed_seconds t in
-  Format.fprintf ppf "@[<v>%-14s %8s %10s %7s %10s %10s %8s %8s@," "phase" "spans"
-    "self(us)" "%" "rd bytes" "wr bytes" "flushes" "fences";
+  Format.fprintf ppf "@[<v>%-14s %8s %10s %7s@," "phase" "spans" "self(us)" "%";
   List.iter
-    (fun { r_phase; r_count; r_seconds; r_nvm } ->
+    (fun { r_phase; r_count; r_seconds } ->
       let pct = if total > 0.0 then 100.0 *. r_seconds /. total else 0.0 in
-      Format.fprintf ppf "%-14s %8d %10.1f %6.1f%% %10d %10d %8d %8d@,"
-        (phase_name r_phase) r_count (r_seconds *. 1e6) pct
-        (Nvm.Stats.total_read_bytes r_nvm)
-        (Nvm.Stats.total_write_bytes r_nvm)
-        r_nvm.Nvm.Stats.flushes r_nvm.Nvm.Stats.fences)
+      Format.fprintf ppf "%-14s %8d %10.1f %6.1f%%@," (phase_name r_phase) r_count
+        (r_seconds *. 1e6) pct)
     (rows t);
   Format.fprintf ppf "%-14s %8s %10.1f %6.1f%%@]" "total" "" (total *. 1e6)
     (if total > 0.0 then 100.0 else 0.0)
@@ -304,7 +266,7 @@ let to_json t =
       ( "phases",
         Json.Obj
           (List.map
-             (fun { r_phase; r_count; r_seconds; r_nvm } ->
+             (fun { r_phase; r_count; r_seconds } ->
                ( phase_name r_phase,
                  Json.Obj
                    [
@@ -313,10 +275,6 @@ let to_json t =
                      ( "pct",
                        Json.Float
                          (if total > 0.0 then 100.0 *. r_seconds /. total else 0.0) );
-                     ("media_read_bytes", Json.Int (Nvm.Stats.total_read_bytes r_nvm));
-                     ("media_write_bytes", Json.Int (Nvm.Stats.total_write_bytes r_nvm));
-                     ("flushes", Json.Int r_nvm.Nvm.Stats.flushes);
-                     ("fences", Json.Int r_nvm.Nvm.Stats.fences);
                    ] ))
              (rows t)) );
       ( "collapsed",

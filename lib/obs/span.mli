@@ -8,15 +8,13 @@
     time exactly, and the stack paths double as collapsed stacks for
     flamegraph tools.
 
-    At every span boundary the machine's NVM counters are snapshotted
-    and deltaed, attributing media reads/writes, RMW and directory
-    traffic, flushes and fences to the phase that incurred them
-    (self-attribution, like time).  With several simulated threads the
-    clock and the machine counters advance while a span's thread is
-    descheduled, so concurrent runs attribute a thread's {e wait}
-    (and any traffic other threads generate meanwhile) to the phase it
-    is waiting in — the convention profilers call wall-clock
-    attribution.  Single-threaded runs are exact.
+    Spans attribute simulated time only.  A span's time is its own
+    thread's clock (scheduler time plus pending charges), so a thread
+    descheduled inside a span is charged its wait there — but never
+    another thread's work.  NVM traffic is not split by phase: the
+    machine counters are global, so a delta across a span that yields
+    would also count other threads' traffic.  Per-op NVM cost comes
+    from the run-wide counter window ([Workload.Runner.result.nvm]).
 
     The [flush_wait] phase is fed by {!Nvm.Machine.set_wait_observer}
     (installed automatically): each fence stall is re-attributed from
@@ -42,8 +40,8 @@ val all_phases : phase list
 
 type t
 
-(** [create ?machine ()] — with a machine, span boundaries delta its
-    {!Nvm.Machine.total_stats}; without, attribution is time-only. *)
+(** [create ?machine ()] — with a machine, {!install} hooks its fence
+    stalls into the [flush_wait] phase. *)
 val create : ?machine:Nvm.Machine.t -> unit -> t
 
 (** Make [t] the process-wide recorder (replacing any other) and hook
@@ -85,7 +83,6 @@ type row = {
   r_phase : phase;
   r_count : int;  (** completed spans *)
   r_seconds : float;  (** self time *)
-  r_nvm : Nvm.Stats.t;  (** self NVM traffic (zero when time-only) *)
 }
 
 (** One row per phase, fixed taxonomy order. *)

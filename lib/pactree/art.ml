@@ -376,12 +376,9 @@ let free_pending_slots t =
    BEFORE acquiring any lock: slots are per-thread, so nobody else can
    consume them afterwards, and waiting here (unpinned, lock-free)
    cannot deadlock with the epoch advancement that recycles slots. *)
-let pending_waits = ref 0
-
 let ensure_pending_capacity t n =
   let rec wait attempt =
     if free_pending_slots t < n then begin
-      incr pending_waits;
       Epoch.unpin_while t.epoch (fun () ->
           Epoch.try_advance t.epoch;
           if attempt > 50_000 then failwith "Art: pending log exhausted";
@@ -1249,14 +1246,3 @@ let rec subtree_size t cur =
 let cardinal t =
   let root = read_root t in
   if Pptr.is_null root then 0 else subtree_size t root
-
-let depth_histogram t =
-  let tbl = Hashtbl.create 16 in
-  let rec visit cur d =
-    if Pptr.is_tagged cur then
-      Hashtbl.replace tbl d (1 + Option.value ~default:0 (Hashtbl.find_opt tbl d))
-    else List.iter (fun (_, c) -> visit c (d + 1)) (child_list (node_of t.machine cur))
-  in
-  let root = read_root t in
-  if not (Pptr.is_null root) then visit root 0;
-  tbl

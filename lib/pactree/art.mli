@@ -82,9 +82,3 @@ val reset : t -> unit
 
 (** Number of leaves (test helper; walks the whole trie). *)
 val cardinal : t -> int
-
-(** Leaf-depth histogram (test helper). *)
-val depth_histogram : t -> (int, int) Hashtbl.t
-
-(** Waits for pending-log capacity (instrumentation). *)
-val pending_waits : int ref

@@ -59,11 +59,6 @@ let exit t =
 
 let defer t f = t.deferred <- (t.epoch, f) :: t.deferred
 
-(* debug: description of the calling thread's pin state *)
-let debug_state t =
-  let ts = state t in
-  Printf.sprintf "epoch=%d local=%d depth=%d" t.epoch ts.local ts.depth
-
 (* Temporarily release the calling thread's pin so the epoch can
    advance past it (e.g. while waiting for deferred frees to release
    log slots).  ONLY safe when the caller holds no optimistic

@@ -40,6 +40,3 @@ val current : t -> int
 
 (** Total advancement attempts (instrumentation). *)
 val attempts : int ref
-
-(** Debug: "epoch/local/depth" of the calling thread. *)
-val debug_state : t -> string

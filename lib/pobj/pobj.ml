@@ -111,18 +111,6 @@ let persist_obj o layout =
   flush_obj o layout;
   fence o
 
-(* Ordered-store primitives: write-and-flush without the trailing
-   fence, so several can share one ordering point. *)
-
-let p_store o f v =
-  set_int o f v;
-  flush_field o f
-
-let p_cas o f ~expected v =
-  let ok = cas_field o f ~expected v in
-  if ok then flush_field o f;
-  ok
-
 (* {2 Transient stores} — deliberately never flushed (version-lock
    words, selectively persisted regions); exempt from the sanitizer. *)
 

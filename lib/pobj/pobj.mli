@@ -4,8 +4,7 @@
     from a declarative {!Layout} built once per record type, instead
     of integer offsets hand-threaded through every call site.  The
     layer also owns the persistence idioms — [flush]/[persist] of
-    fields and whole objects, fence-free ordered stores ([p_store],
-    [p_cas]) — and the boundary between persistent and
+    fields and whole objects — and the boundary between persistent and
     deliberately-transient state: layout fields marked [~transient]
     and the [transient_*] primitives write without opening
     {!Sanitizer} obligations.
@@ -124,13 +123,6 @@ val persist_field : obj -> Layout.field -> unit
 val flush_obj : obj -> Layout.t -> unit
 
 val persist_obj : obj -> Layout.t -> unit
-
-(** [p_store o f v]: store then flush, {e no} fence — several ordered
-    stores can share one ordering point. *)
-val p_store : obj -> Layout.field -> int -> unit
-
-(** CAS then flush on success, no fence. *)
-val p_cas : obj -> Layout.field -> expected:int -> int -> bool
 
 (** {2 Transient stores}
 

@@ -5,9 +5,10 @@ module Machine = Nvm.Machine
    thread's clwb of the line discharges the obligation (the staged
    snapshot contains the store); an ordering point (fence) by the
    owner with the obligation still open is a persist-order hazard —
-   exactly the pattern behind missing-flush crash bugs.  eADR machines
-   emit no fence events, so the sanitizer is naturally silent there
-   (stores are already durable). *)
+   exactly the pattern behind missing-flush crash bugs.  An eADR drain
+   discharges like a clwb, and eADR machines emit no fence events, so
+   the sanitizer is naturally silent there (stores are already
+   durable). *)
 
 type report = {
   r_pool : int;
@@ -21,6 +22,7 @@ type pending = { p_tid : int; p_stack : string option }
 
 type state = {
   machine : Machine.t;
+  mutable unsubscribe : unit -> unit;
   owner : (int * int, pending) Hashtbl.t; (* (pool, line) -> last storer *)
   by_tid : (int, (int * int, unit) Hashtbl.t) Hashtbl.t;
   suppress : (int, int) Hashtbl.t; (* tid -> depth *)
@@ -53,7 +55,7 @@ let drop_pending st key =
       | None -> ())
 
 let on_event st = function
-  | Machine.Pe_store { tid; pool; line } ->
+  | Machine.Store { tid; pool; line } ->
       if not (suppressed st tid) then begin
         let key = (pool, line) in
         (match Hashtbl.find_opt st.owner key with
@@ -65,8 +67,9 @@ let on_event st = function
         Hashtbl.replace st.owner key { p_tid = tid; p_stack = Obs.Span.current_stack () };
         Hashtbl.replace (tid_set st tid) key ()
       end
-  | Machine.Pe_clwb { pool; line; _ } -> drop_pending st (pool, line)
-  | Machine.Pe_fence { tid } -> (
+  | Machine.Clwb { pool; line; _ } | Machine.Drain { pool; line; _ } ->
+      drop_pending st (pool, line)
+  | Machine.Fence { tid } -> (
       match Hashtbl.find_opt st.by_tid tid with
       | None -> ()
       | Some s ->
@@ -86,25 +89,24 @@ let on_event st = function
           Hashtbl.reset s)
 
 let enable machine =
-  (match !current with
-  | Some st -> Machine.set_persist_observer st.machine None
-  | None -> ());
+  (match !current with Some st -> st.unsubscribe () | None -> ());
   let st =
     {
       machine;
+      unsubscribe = ignore;
       owner = Hashtbl.create 1024;
       by_tid = Hashtbl.create 64;
       suppress = Hashtbl.create 64;
       found = Hashtbl.create 64;
     }
   in
-  current := Some st;
-  Machine.set_persist_observer machine (Some (on_event st))
+  st.unsubscribe <- Machine.subscribe machine (on_event st);
+  current := Some st
 
 let disable machine =
   match !current with
   | Some st when st.machine == machine ->
-      Machine.set_persist_observer machine None;
+      st.unsubscribe ();
       current := None
   | _ -> ()
 

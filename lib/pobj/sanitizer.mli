@@ -10,8 +10,9 @@
 
     Deliberately transient stores (version-lock words, selectively
     persisted permutation arrays) are exempted via
-    {!with_suppressed} / [~transient] layout fields.  eADR machines
-    emit no fence events, so no reports arise there.  This is a
+    {!with_suppressed} / [~transient] layout fields.  An eADR drain
+    discharges like a clwb, and eADR machines emit no fence events, so
+    no reports arise there.  This is a
     lightweight lint — {!Crashmc} remains the exhaustive checker; the
     sanitizer's dropped-flush detection is cross-checked against
     crashmc's mutation mode in CI. *)
@@ -25,8 +26,9 @@ type report = {
 }
 
 (** Install on a machine (replacing any previous sanitizer), with
-    empty state.  Uses {!Nvm.Machine.set_persist_observer}; only one
-    sanitizer is active process-wide. *)
+    empty state: a {!Nvm.Machine.subscribe}r to its persist events,
+    alongside any other (a crashmc trace).  Only one sanitizer is
+    active process-wide. *)
 val enable : Nvm.Machine.t -> unit
 
 (** Uninstall if [machine] is the active one. *)

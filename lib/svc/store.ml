@@ -23,8 +23,6 @@ let shard_count t = Array.length t.shards
 
 let shard_numa t i = t.shards.(i).s_numa
 
-let shard_index t i = t.shards.(i).s_backend.b_index
-
 let create ~machine ~boundaries ~make_backend ?log_entries:_ () =
   Array.iteri
     (fun i b ->

@@ -53,8 +53,6 @@ val shard_count : t -> int
 
 val shard_numa : t -> int -> int
 
-val shard_index : t -> int -> Baselines.Index_intf.index
-
 (** Owning shard of a key (binary search over the boundary map). *)
 val shard_of_key : t -> Pactree.Key.t -> int
 

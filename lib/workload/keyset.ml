@@ -11,7 +11,3 @@ let key kind i =
   | String_keys -> Printf.sprintf "user%019d" v (* 23 bytes, like the paper *)
 
 let key_inline = function Int_keys -> 8 | String_keys -> 32
-
-let pp_kind ppf = function
-  | Int_keys -> Format.pp_print_string ppf "int"
-  | String_keys -> Format.pp_print_string ppf "string"

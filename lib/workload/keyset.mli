@@ -10,5 +10,3 @@ val key : kind -> int -> Pactree.Key.t
 
 (** [key_inline kind] is the data-node inline size to configure. *)
 val key_inline : kind -> int
-
-val pp_kind : Format.formatter -> kind -> unit

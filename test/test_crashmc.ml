@@ -68,6 +68,30 @@ let test_mutation_teeth sys () =
     Alcotest.failf "no dropped-clwb mutant caught on %s — checker has no teeth (seed %d)"
       (Factory.id sys) (seed ())
 
+(* Two subscribers on one machine, as in [crashmc --mutate]: a trace
+   recorded with the persist-order sanitizer enabled equals one
+   recorded alone, and the sanitizer reports what it reports with no
+   trace.  A dropped clwb gives the sanitizer something to report. *)
+let test_trace_with_sanitizer () =
+  let run ~trace ~sanitize =
+    let machine, sut = make_sut Factory.Pactree_sys in
+    Nvm.Machine.set_flush_fault machine (Some 27);
+    if sanitize then Pobj.Sanitizer.enable machine;
+    let t = if trace then Some (Crashmc.Trace.start machine) else None in
+    List.iter (Oracle.run_op sut.b_index) (Harness.mixed_workload ~seed:(seed ()) 32);
+    Option.iter Crashmc.Trace.stop t;
+    let reports = Pobj.Sanitizer.reports () in
+    Pobj.Sanitizer.disable machine;
+    (Option.fold ~none:[||] ~some:Crashmc.Trace.events t, reports)
+  in
+  let events, reports = run ~trace:true ~sanitize:true in
+  let alone, _ = run ~trace:true ~sanitize:false in
+  let _, unrecorded = run ~trace:false ~sanitize:true in
+  Alcotest.(check bool) "events recorded" true (Array.length events > 0);
+  Alcotest.(check bool) "sanitizer reports" true (reports <> []);
+  Alcotest.(check bool) "trace unchanged by the sanitizer" true (events = alone);
+  Alcotest.(check bool) "reports unchanged by the trace" true (reports = unrecorded)
+
 (* The in-flight window accepts exactly the in-order prefixes of the
    interrupted batch, jointly across keys: a state where a later batch
    member applied without an earlier one (replay skipping a hole) must
@@ -122,4 +146,6 @@ let suite =
       (test_mutation_teeth Factory.Fastfair_sys);
     Alcotest.test_case "mutation teeth (pactree)" `Quick
       (test_mutation_teeth Factory.Pactree_sys);
+    Alcotest.test_case "trace and sanitizer on one machine" `Quick
+      test_trace_with_sanitizer;
   ]

@@ -190,7 +190,7 @@ let test_report_rejects_malformed () =
 
 let test_pactree_run_attributes_phases () =
   let scale = Experiments.Scale.tiny in
-  let entry, obs =
+  let entry, _ =
     Experiments.Obs_run.bench_entry ~scale ~mix:Workload.Ycsb.Load_a ~threads:4
       Experiments.Factory.Pactree_sys
   in
@@ -201,13 +201,6 @@ let test_pactree_run_attributes_phases () =
   feq "phase percentages sum to 100" ~eps:0.5 100.0 sum;
   Alcotest.(check bool) "flushes per op nonzero" true
     (entry.Report.e_flushes_per_op > 0.0);
-  (* the span recorder also attributed NVM traffic somewhere *)
-  let traffic =
-    List.exists
-      (fun r -> not (Nvm.Stats.is_zero r.Span.r_nvm))
-      (Span.rows obs.Obs.Recorder.span)
-  in
-  Alcotest.(check bool) "NVM traffic attributed to phases" true traffic;
   (* and the whole report validates *)
   match
     Report.validate
