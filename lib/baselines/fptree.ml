@@ -287,7 +287,7 @@ let recover t =
   let rec walk ptr =
     if not (Pptr.is_null ptr) then begin
       let leaf = Node.of_ptr t.machine ptr in
-      let sep = Node.anchor t.lay leaf in
+      let sep = Node.anchor leaf in
       t.internals <- Smap.add sep ptr t.internals;
       t.cardinal_estimate <- t.cardinal_estimate + Node.live_count leaf;
       walk (Node.next leaf)

@@ -53,7 +53,7 @@ let rec main =
     k = no_k;
     wake = ignore;
     next_waiter = main;
-    scratch = Bytes.create 128;
+    scratch = Bytes.create 256;
   }
 
 type t = {
@@ -94,7 +94,7 @@ let spawn t ?(numa = 0) ~name body =
       k = no_k;
       wake = (fun () -> Event_queue.add t.events ~time:t.clock.now thread);
       next_waiter = main;
-      scratch = Bytes.create 128;
+      scratch = Bytes.create 256;
     }
   in
   t.next_id <- t.next_id + 1;

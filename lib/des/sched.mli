@@ -64,7 +64,7 @@ val charge : float -> unit
     boundaries see [charge]d costs without forcing a context switch. *)
 val pending_charge : unit -> float
 
-(** A 128-byte buffer private to the calling simulated thread (the
+(** A 256-byte buffer private to the calling simulated thread (the
     host program outside a simulation has its own).  Hot paths copy
     simulated memory into it instead of allocating: a copy that must
     survive a simulated-time action (which lets other threads run)

@@ -87,8 +87,9 @@ let capacity = [| 4; 16; 48; 256 |]
 
 let node_size = [| 72; 176; 672; 2080 |]
 
-(* Meta-pool layout: generation, root pointer, root lock, then the
-   per-thread pending log. *)
+(* Meta-pool layout: generation, root lock, root pointer, then the
+   per-thread pending log.  The root pointer follows its lock word, so
+   one copy reads both (see [root_snapshot]). *)
 let pending_threads = 256
 
 let pending_slots = 8
@@ -97,9 +98,9 @@ let meta_l = Layout.create "art.meta"
 
 let f_meta_gen = Layout.word ~at:8 meta_l "gen"
 
-let f_meta_root = Layout.word meta_l "root"
-
 let f_meta_rootlock = Layout.word ~transient:true meta_l "rootlock"
+
+let f_meta_root = Layout.word meta_l "root"
 
 let f_pending =
   Layout.slots ~at:64 meta_l "pending" ~stride:8
@@ -144,13 +145,7 @@ let () = assert (off_lock = 0)
 
 let lockh n = n
 
-(* Read a node's version for optimistic use; a retired (obsolete) node
-   must not be used at all — restart and re-descend. *)
-let node_version h ~gen =
-  let v = Vlock.begin_read h ~gen in
-  if Vlock.is_obsolete v then raise Restart;
-  v
-
+let check h ~gen v = if not (Vlock.validate h ~gen ~version:v) then raise Restart
 
 let stored_prefix_byte n i = Pobj.read_u8 n (off_prefix + i)
 
@@ -198,50 +193,83 @@ let find_child n b =
       let p = read_child n ty b in
       if Pptr.is_null p then None else Some (child_slot n ty b, p)
 
-(* The read-only descents copy what they read into the calling
-   thread's scratch buffer instead of allocating: a Node4/16's key
-   bytes at [scratch_keys], a prefix at [scratch_prefix].  (Data-node
-   probes use the bytes below 80.) *)
-let scratch_keys = 80
+(* ---------- header snapshots ---------- *)
 
-let scratch_prefix = 96
+(* A node visit reads the node's first line once: the lock word, type,
+   prefix length, count, stored prefix and a Node4/16's key bytes come
+   in one copy into the calling thread's scratch buffer
+   ([Vlock.begin_read_snapshot]).  The visit decodes the header from
+   that copy, reads from the node only the child pointer it needs, and
+   validates the version once.  A descent keeps its copy at
+   [snap_visit]; [any_leaf], which reconstructs a long prefix in the
+   middle of a visit, keeps its own at [snap_any], so the visit's copy
+   survives it.  A descent takes everything it needs from its copy
+   before it recurses into a child, whose visit reuses the region. *)
+let snap_len = n4_keys + capacity.(1)
 
-let scratch_key snap i = Char.code (Bytes.unsafe_get snap (scratch_keys + i))
+let snap_visit = 0
 
-let rec child_among_keys n ty snap c b i =
-  if i >= c then Pptr.null
-  else if scratch_key snap i = b then
-    let p = read_child n ty i in
-    if Pptr.is_null p then child_among_keys n ty snap c b (i + 1) else p
-  else child_among_keys n ty snap c b (i + 1)
+let snap_any = snap_len
 
-(* A Node4/16's key bytes, copied to the scratch buffer.  Writers
-   keep a Node4/16's count within a Node16's capacity, so a larger one
-   is a speculative read of garbage. *)
-let scratch_keys4_16 n c =
+(* Copy [n]'s header to [base] in [snap] and return its version; a
+   retired (obsolete) node must not be used at all — restart and
+   re-descend. *)
+let snapshot t n snap base =
+  let v = Vlock.begin_read_snapshot (lockh n) ~gen:t.gen snap base snap_len in
+  if Vlock.is_obsolete v then raise Restart;
+  v
+
+let snap_type snap base =
+  let ty = Bytes.get_uint8 snap (base + Layout.off f_type) in
+  if ty > 3 then raise Restart (* speculative read of a non-node *);
+  ty
+
+let snap_plen snap base = Bytes.get_uint8 snap (base + Layout.off f_plen)
+
+(* Writers keep a Node4/16's count within a Node16's capacity, so a
+   larger one is a speculative read of garbage. *)
+let snap_count4_16 snap base =
+  let c = Bytes.get_uint16_le snap (base + off_count) in
   if c > capacity.(1) then raise Restart;
-  let snap = Des.Sched.scratch () in
-  Pobj.blit_to_bytes n n4_keys snap scratch_keys c;
-  snap
+  c
 
-(* [find_child]'s pointer alone, allocation-free: [Pptr.null] if none. *)
-let child_ptr n b =
-  let ty = ntype n in
+let snap_key snap base i = Bytes.get_uint8 snap (base + n4_keys + i)
+
+(* How many key bytes of a node of type [ty] its copy holds: a
+   Node4/16's count, [0] for the other types. *)
+let snap_keys snap base ty = if ty <= 1 then snap_count4_16 snap base else 0
+
+(* The first non-null child among a Node4/16's copied keys equal to
+   [b]. *)
+let rec child4_16 n ty snap c b i =
+  if i >= c then Pptr.null
+  else if snap_key snap snap_visit i = b then
+    let p = read_child n ty i in
+    if Pptr.is_null p then child4_16 n ty snap c b (i + 1) else p
+  else child4_16 n ty snap c b (i + 1)
+
+(* The child for byte [b] of a node of type [ty] whose header is at
+   [snap_visit] with [c] copied keys: [Pptr.null] if none. *)
+let child_eq n snap ty c b =
   match ty with
-  | 0 | 1 ->
-      let c = count n in
-      child_among_keys n ty (scratch_keys4_16 n c) c b 0
+  | 0 | 1 -> child4_16 n ty snap c b 0
   | 2 ->
       let s = idx48 n b in
       if s = 0 then Pptr.null else read_child n ty (s - 1)
   | _ -> read_child n ty b
 
-let rec best_key_below snap c b best_b best i =
+(* Index of the largest copied key byte below [b], or [-1]. *)
+let rec key_below snap c b best_b best i =
   if i >= c then best
   else
-    let kb = scratch_key snap i in
-    if kb < b && kb >= best_b then best_key_below snap c b kb i (i + 1)
-    else best_key_below snap c b best_b best (i + 1)
+    let kb = snap_key snap snap_visit i in
+    if kb < b && kb >= best_b then key_below snap c b kb i (i + 1)
+    else key_below snap c b best_b best (i + 1)
+
+(* What [child_lt] needs from a Node4/16's copy: the index of its
+   largest key byte below [b] ([-1] for the other types, whose [c] is
+   0). *)
+let lt_key snap c b = key_below snap c b (-1) (-1) 0
 
 let rec child48_below n ty byte =
   if byte < 0 then Pptr.null
@@ -259,55 +287,46 @@ let rec child256_below n ty byte =
     if Pptr.is_null p then child256_below n ty (byte - 1) else p
 
 (* Largest child with byte < [b] ([Pptr.null] if none): the
-   ordered-search primitive of lookup_le.  Bounded per-type probing —
-   never a full enumeration. *)
-let find_lt n b =
-  let ty = ntype n in
+   ordered-search primitive of lookup_le, given [lt_key]'s index [j].
+   Bounded per-type probing — never a full enumeration. *)
+let child_lt n ty j b =
   match ty with
-  | 0 | 1 ->
-      let c = count n in
-      let j = best_key_below (scratch_keys4_16 n c) c b (-1) (-1) 0 in
-      if j < 0 then Pptr.null else read_child n ty j
+  | 0 | 1 -> if j < 0 then Pptr.null else read_child n ty j
   | 2 -> child48_below n ty (b - 1)
   | _ -> child256_below n ty (b - 1)
 
-(* Child with the largest / smallest byte. *)
-let last_child n = find_lt n 256
+(* Index of the smallest copied key byte (the first of equals), or
+   [-1]. *)
+let rec key_min snap c best_b best i =
+  if i >= c then best
+  else
+    let kb = snap_key snap snap_any i in
+    if kb < best_b then key_min snap c kb i (i + 1) else key_min snap c best_b best (i + 1)
 
-let first_child n =
-  let ty = ntype n in
+let rec child48_from n ty byte =
+  if byte > 255 then Pptr.null
+  else
+    let s = idx48 n byte in
+    if s = 0 then child48_from n ty (byte + 1)
+    else
+      let p = read_child n ty (s - 1) in
+      if Pptr.is_null p then child48_from n ty (byte + 1) else p
+
+let rec child256_from n ty byte =
+  if byte > 255 then Pptr.null
+  else
+    let p = read_child n ty byte in
+    if Pptr.is_null p then child256_from n ty (byte + 1) else p
+
+(* Child with the smallest byte of a node whose header is at
+   [snap_any]. *)
+let first_child n snap ty =
   match ty with
   | 0 | 1 ->
-      let c = count n in
-      let keys = keys4_16 n c in
-      let rec go best_b best i =
-        if i >= c then (match best with None -> None | Some j -> Some (read_child n ty j))
-        else
-          let kb = Char.code (String.unsafe_get keys i) in
-          if kb < best_b then go kb (Some i) (i + 1)
-          else go best_b best (i + 1)
-      in
-      let r = go 256 None 0 in
-      (match r with Some p when Pptr.is_null p -> None | _ -> r)
-  | 2 ->
-      let rec go byte =
-        if byte > 255 then None
-        else
-          let s = idx48 n byte in
-          if s = 0 then go (byte + 1)
-          else
-            let p = read_child n ty (s - 1) in
-            if Pptr.is_null p then go (byte + 1) else Some p
-      in
-      go 0
-  | _ ->
-      let rec go byte =
-        if byte > 255 then None
-        else
-          let p = read_child n ty byte in
-          if Pptr.is_null p then go (byte + 1) else Some p
-      in
-      go 0
+      let j = key_min snap (snap_count4_16 snap snap_any) 256 (-1) 0 in
+      if j < 0 then Pptr.null else read_child n ty j
+  | 2 -> child48_from n ty 0
+  | _ -> child256_from n ty 0
 
 (* Children as (byte, ptr), sorted by byte. *)
 let child_list n =
@@ -459,28 +478,31 @@ let raw_add_child n b ptr =
 (* ---------- prefix handling ---------- *)
 
 (* Any leaf payload under [n]; used to reconstruct prefix bytes beyond
-   the 8 stored ones (the classic ART "optimistic prefix" recovery).
+   the 16 stored ones (the classic ART "optimistic prefix" recovery).
    Each node's children are validated against its version before the
    descent uses them — a torn read must never be dereferenced. *)
 let rec any_leaf t n =
-  let h = lockh n in
-  let v = node_version h ~gen:t.gen in
-  let first = first_child n in
-  if not (Vlock.validate h ~gen:t.gen ~version:v) then raise Restart;
-  match first with
-  | None -> raise Restart (* transiently empty under concurrent SMO *)
-  | Some p -> if Pptr.is_tagged p then Pptr.untag p else any_leaf t (node_of t.machine p)
+  let snap = Des.Sched.scratch () in
+  let v = snapshot t n snap snap_any in
+  let first = first_child n snap (snap_type snap snap_any) in
+  check (lockh n) ~gen:t.gen v;
+  if Pptr.is_null first then raise Restart (* transiently empty under concurrent SMO *)
+  else if Pptr.is_tagged first then Pptr.untag first
+  else any_leaf t (node_of t.machine first)
+
+(* The [pl] prefix bytes of [n] (more than are stored), whose subtree
+   starts at key depth [depth], taken from the key of a leaf below. *)
+let long_prefix t n ~depth pl =
+  let leaf_key = t.key_of_leaf (any_leaf t n) in
+  if String.length leaf_key < depth + pl then raise Restart;
+  String.sub leaf_key depth pl
 
 (* Full prefix bytes of [n], whose subtree starts at key depth
    [depth]. *)
 let full_prefix t n ~depth =
   let pl = plen n in
   if pl <= stored_prefix_max then Pobj.read_string n off_prefix pl
-  else begin
-    let leaf_key = t.key_of_leaf (any_leaf t n) in
-    if String.length leaf_key < depth + pl then raise Restart;
-    String.sub leaf_key depth pl
-  end
+  else long_prefix t n ~depth pl
 
 (* Compare the key segment at [depth] against the full prefix, for an
    insert.  [`Equal d'] continues at depth [d']; [`Diverge (i, full)]
@@ -502,10 +524,11 @@ let compare_prefix t n ~depth rkey =
     go 0
   end
 
-(* [match_prefix t n ~depth rkey] matches like [compare_prefix] for the
-   descents that never split a prefix, allocation-free: the key depth
-   after the prefix when it matches, else [prefix_before] or
-   [prefix_after], the order of the whole subtree against the key. *)
+(* [match_prefix t n snap ~depth rkey] matches like [compare_prefix] for
+   the descents that never split a prefix, allocation-free, from the
+   header copy at [snap_visit]: the key depth after the prefix when it
+   matches, else [prefix_before] or [prefix_after], the order of the
+   whole subtree against the key. *)
 let prefix_before = -1
 
 let prefix_after = -2
@@ -519,24 +542,15 @@ let rec match_prefix_bytes get src rkey depth pl i =
     else if kb < pb then prefix_before
     else prefix_after
 
-let stored_byte snap i = Char.code (Bytes.unsafe_get snap (scratch_prefix + i))
+let stored_byte snap i = Bytes.get_uint8 snap (snap_visit + off_prefix + i)
 
-let match_prefix t n ~depth rkey =
-  let pl = plen n in
+let match_prefix t n snap ~depth rkey =
+  let pl = snap_plen snap snap_visit in
   if pl = 0 then depth
-  else if pl <= stored_prefix_max then begin
-    (* [full_prefix] reads the length a second time: so does this, to
-       cost the same as [compare_prefix] *)
-    ignore (plen n : int);
-    let snap = Des.Sched.scratch () in
-    Pobj.blit_to_bytes n off_prefix snap scratch_prefix pl;
-    match_prefix_bytes stored_byte snap rkey depth pl 0
-  end
-  else match_prefix_bytes byte_at (full_prefix t n ~depth) rkey depth pl 0
+  else if pl <= stored_prefix_max then match_prefix_bytes stored_byte snap rkey depth pl 0
+  else match_prefix_bytes byte_at (long_prefix t n ~depth pl) rkey depth pl 0
 
 (* ---------- retry wrapper ---------- *)
-
-let check h ~gen v = if not (Vlock.validate h ~gen ~version:v) then raise Restart
 
 (* [retrying t f x 0] is [f t x], run again after every restart; with a
    top-level [f] it builds no closure. *)
@@ -559,6 +573,15 @@ let with_retry t f = retrying t (fun _ f -> f ()) f 0
 let root_lockh t = t.root_lock
 
 let read_root t = Pobj.get_int t.mo f_meta_root
+
+let () = assert (off_meta_root = off_meta_rootlock + 8)
+
+(* Copy the root lock word and the root pointer after it with one read
+   and return the lock's version; [snap_root] decodes the pointer.  An
+   unlocked copy is consistent, so a reader needs no validation. *)
+let root_snapshot t = Vlock.begin_read_snapshot t.root_lock ~gen:t.gen (Des.Sched.scratch ()) 0 16
+
+let snap_root () = Int64.to_int (Bytes.get_int64_le (Des.Sched.scratch ()) 8)
 
 let create ~heap ~meta ~epoch ~key_of_leaf ~compare_leaf =
   if Pool.capacity meta < meta_size then invalid_arg "Art.create: meta pool too small";
@@ -604,17 +627,18 @@ let searching t f x =
       raise e
 
 let rec descend_eq t rkey n depth =
-  let gen = t.gen in
-  let h = lockh n in
-  let v = node_version h ~gen in
-  let depth' = match_prefix t n ~depth rkey in
+  let snap = Des.Sched.scratch () in
+  let v = snapshot t n snap snap_visit in
+  let depth' = match_prefix t n snap ~depth rkey in
   if depth' < 0 || depth' >= String.length rkey then begin
-    check h ~gen v;
+    check (lockh n) ~gen:t.gen v;
     Pptr.null
   end
   else begin
-    let p = child_ptr n (byte_at rkey depth') in
-    check h ~gen v;
+    let ty = snap_type snap snap_visit in
+    let c = snap_keys snap snap_visit ty in
+    let p = child_eq n snap ty c (byte_at rkey depth') in
+    check (lockh n) ~gen:t.gen v;
     if Pptr.is_null p then Pptr.null
     else if Pptr.is_tagged p then begin
       let payload = Pptr.untag p in
@@ -624,11 +648,8 @@ let rec descend_eq t rkey n depth =
   end
 
 let lookup_once t rkey =
-  let gen = t.gen in
-  let rh = root_lockh t in
-  let rv = Vlock.begin_read rh ~gen in
-  let root = read_root t in
-  check rh ~gen rv;
+  ignore (root_snapshot t : int);
+  let root = snap_root () in
   if Pptr.is_null root then Pptr.null
   else if Pptr.is_tagged root then begin
     let payload = Pptr.untag root in
@@ -642,14 +663,20 @@ let lookup t rkey =
 
 (* ---------- ordered search: greatest leaf <= key (§5.3 routing) ---------- *)
 
-let rec max_leaf t n =
-  let h = lockh n in
-  let v = node_version h ~gen:t.gen in
-  let last = last_child n in
-  check h ~gen:t.gen v;
+(* The greatest leaf under [n], whose header copy at [snap_visit] has
+   version [v]. *)
+let rec max_leaf_of t n snap v =
+  let ty = snap_type snap snap_visit in
+  let c = snap_keys snap snap_visit ty in
+  let last = child_lt n ty (lt_key snap c 256) 256 in
+  check (lockh n) ~gen:t.gen v;
   if Pptr.is_null last then raise Restart
   else if Pptr.is_tagged last then Pptr.untag last
   else max_leaf t (node_of t.machine last)
+
+and max_leaf t n =
+  let snap = Des.Sched.scratch () in
+  max_leaf_of t n snap (snapshot t n snap snap_visit)
 
 let leaf_le t p rkey =
   let payload = Pptr.untag p in
@@ -662,46 +689,50 @@ let leaf_below t lt =
   else if Pptr.is_tagged lt then Pptr.untag lt
   else max_leaf t (node_of t.machine lt)
 
+(* The greatest leaf under [n]'s children below byte [b] ([j] from
+   [lt_key]): read the child and validate [n] at version [v]. *)
+let leaf_lt t n v ty j b =
+  let lt = child_lt n ty j b in
+  check (lockh n) ~gen:t.gen v;
+  leaf_below t lt
+
 let rec descend_le t rkey n depth =
-  let gen = t.gen in
-  let h = lockh n in
-  let v = node_version h ~gen in
-  let depth' = match_prefix t n ~depth rkey in
+  let snap = Des.Sched.scratch () in
+  let v = snapshot t n snap snap_visit in
+  let depth' = match_prefix t n snap ~depth rkey in
   if depth' = prefix_before then begin
-    check h ~gen v;
+    check (lockh n) ~gen:t.gen v;
     Pptr.null (* whole subtree > key *)
   end
-  else if depth' = prefix_after then begin
-    check h ~gen v;
-    max_leaf t n (* whole subtree < key *)
-  end
+  else if depth' = prefix_after then max_leaf_of t n snap v (* whole subtree < key *)
   else if depth' >= String.length rkey then begin
     (* key exhausted inside the trie: all leaves below extend it and
        are therefore greater *)
-    check h ~gen v;
+    check (lockh n) ~gen:t.gen v;
     Pptr.null
   end
   else begin
     let b = byte_at rkey depth' in
-    let eq = child_ptr n b in
-    let lt = find_lt n b in
-    check h ~gen v;
-    if Pptr.is_null eq then leaf_below t lt
+    let ty = snap_type snap snap_visit in
+    let c = snap_keys snap snap_visit ty in
+    let eq = child_eq n snap ty c b in
+    let j = lt_key snap c b in
+    if Pptr.is_null eq then leaf_lt t n v ty j b
     else begin
+      check (lockh n) ~gen:t.gen v;
       let r =
         if Pptr.is_tagged eq then leaf_le t eq rkey
         else descend_le t rkey (node_of t.machine eq) (depth' + 1)
       in
-      if Pptr.is_null r then leaf_below t lt else r
+      (* the smaller child is read after the descent, so [leaf_lt]
+         validates [n] again *)
+      if Pptr.is_null r then leaf_lt t n v ty j b else r
     end
   end
 
 let lookup_le_once t rkey =
-  let gen = t.gen in
-  let rh = root_lockh t in
-  let rv = Vlock.begin_read rh ~gen in
-  let root = read_root t in
-  check rh ~gen rv;
+  ignore (root_snapshot t : int);
+  let root = snap_root () in
   if Pptr.is_null root then Pptr.null
   else if Pptr.is_tagged root then leaf_le t root rkey
   else descend_le t rkey (node_of t.machine root) 0
@@ -881,7 +912,7 @@ let insert t rkey payload =
     else begin
       let n = node_of t.machine cur in
       let h = lockh n in
-      let v = node_version h ~gen in
+      let v = snapshot t n (Des.Sched.scratch ()) snap_visit in
       match compare_prefix t n ~depth rkey with
       | `Diverge (i, full) ->
           check h ~gen v;
@@ -912,9 +943,8 @@ let insert t rkey payload =
     end
   in
   let rh = root_lockh t in
-  let rv = Vlock.begin_read rh ~gen in
-  let root = read_root t in
-  check rh ~gen rv;
+  let rv = root_snapshot t in
+  let root = snap_root () in
   if Pptr.is_null root then begin
     if not (Vlock.try_upgrade rh ~gen ~version:rv) then raise Restart;
     Pobj.set_int t.mo f_meta_root tagged_payload;
@@ -1088,8 +1118,9 @@ let delete t rkey =
     else begin
       let n = node_of t.machine cur in
       let h = lockh n in
-      let v = node_version h ~gen in
-      let depth' = match_prefix t n ~depth rkey in
+      let snap = Des.Sched.scratch () in
+      let v = snapshot t n snap snap_visit in
+      let depth' = match_prefix t n snap ~depth rkey in
       if depth' < 0 || depth' >= klen then begin
         check h ~gen v;
         None
@@ -1111,9 +1142,8 @@ let delete t rkey =
     end
   in
   let rh = root_lockh t in
-  let rv = Vlock.begin_read rh ~gen in
-  let root = read_root t in
-  check rh ~gen rv;
+  let rv = root_snapshot t in
+  let root = snap_root () in
   if Pptr.is_null root then None
   else
     descend { s_lock = rh; s_version = rv; s_pool = t.meta; s_off = off_meta_root } root 0
@@ -1122,15 +1152,13 @@ let delete t rkey =
 
 exception Stop
 
-(* Read a node's children consistently (small local retry loop). *)
+(* Read a node's children consistently (small local retry loop),
+   leaving its header copy at [snap_visit]. *)
 let consistent_children t n =
-  let h = lockh n in
   let rec go attempt =
-    let v = Vlock.begin_read h ~gen:t.gen in
-    if Vlock.is_obsolete v then raise Restart;
+    let v = snapshot t n (Des.Sched.scratch ()) snap_visit in
     let cs = child_list n in
-    let pl = plen n in
-    if Vlock.validate h ~gen:t.gen ~version:v then (cs, pl)
+    if Vlock.validate (lockh n) ~gen:t.gen ~version:v then cs
     else begin
       if attempt > 1000 then raise Restart;
       Des.Sched.delay 100e-9;
@@ -1146,9 +1174,7 @@ let iter_from t rkey f =
   let emit p = if not (f p) then raise Stop in
   let rec walk_all cur =
     if Pptr.is_tagged cur then emit (Pptr.untag cur)
-    else
-      let cs, _ = consistent_children t (node_of t.machine cur) in
-      List.iter (fun (_, p) -> walk_all p) cs
+    else List.iter (fun (_, p) -> walk_all p) (consistent_children t (node_of t.machine cur))
   in
   let rec walk_from cur depth =
     if Pptr.is_tagged cur then begin
@@ -1157,8 +1183,8 @@ let iter_from t rkey f =
     end
     else begin
       let n = node_of t.machine cur in
-      let cs, _pl = consistent_children t n in
-      let depth' = match_prefix t n ~depth rkey in
+      let cs = consistent_children t n in
+      let depth' = match_prefix t n (Des.Sched.scratch ()) ~depth rkey in
       if depth' = prefix_before then List.iter (fun (_, p) -> walk_all p) cs (* subtree > key *)
       else if depth' = prefix_after then () (* subtree < key *)
       else if depth' >= klen then List.iter (fun (_, p) -> walk_all p) cs
@@ -1234,6 +1260,8 @@ let reset t =
   Pobj.fence t.mo
 
 (* ---------- introspection (tests) ---------- *)
+
+let root_off = off_meta_root
 
 let rec subtree_size t cur =
   if Pptr.is_tagged cur then 1

@@ -80,5 +80,9 @@ val recover : t -> int
     it; the trie is then rebuilt from the data layer. *)
 val reset : t -> unit
 
+(** Offset of the root pointer in the meta pool (test helper: a test
+    forges the stale root a racing reader would have read). *)
+val root_off : int
+
 (** Number of leaves (test helper; walks the whole trie). *)
 val cardinal : t -> int

@@ -91,8 +91,7 @@ let is_deleted t = Pobj.get_int t f_deleted <> 0
 
 let set_deleted t flag = Pobj.set_int t f_deleted (Bool.to_int flag)
 
-let anchor lay t =
-  ignore lay;
+let anchor t =
   let len = Pobj.get_int t f_anchor_len in
   Pobj.read_string t off_anchor len
 
@@ -150,8 +149,6 @@ let set_entry lay t slot key v =
   end;
   Pobj.write_u8 t (off_fingerprints + slot) (Fingerprint.of_key key)
 
-let _fingerprint_at t slot = Pobj.read_u8 t (off_fingerprints + slot)
-
 let bit slot = Int64.shift_left 1L slot
 
 let test_bit bm slot = Int64.logand bm (bit slot) <> 0L
@@ -169,40 +166,75 @@ let rec first_empty_from bm i =
 
 let first_empty bm = first_empty_from bm 0
 
-(* [find] snapshots the bitmap and the fingerprint line into the calling
-   thread's scratch buffer, fingerprints at [0] and the bitmap at
-   [snap_bitmap]: a key comparison can miss the cache and let other
-   threads run, and the probe must go on with what it read.  A hit then
-   leaves the slot's value at [snap_value]. *)
-let snap_bitmap = entries
+(* ---------- read-only visits ---------- *)
 
-let snap_value = entries + 8
+(* A visit copies the node's lines 0-1 — lock word, bitmap, next/prev,
+   deleted mark, anchor length and the fingerprint line — into the
+   calling thread's scratch buffer with one read, and decodes them from
+   the copy: a later access can miss the cache and let other threads
+   run, and the visit goes on with what it read.  A probe copies each
+   candidate entry (value and inline key) with one read to
+   [snap_entry], past the copied lines, so the bitmap and fingerprints
+   it is still scanning stay intact. *)
+let snap_len = off_fingerprints + entries
+
+let snap_entry = snap_len
+
+let begin_read t ~gen =
+  Vlock.begin_read_snapshot (lock_handle t) ~gen (Des.Sched.scratch ()) 0 snap_len
+
+(* The header fields alone (line 0), for a visit that probes no key. *)
+let read_header t = Pobj.blit_to_bytes t 0 (Des.Sched.scratch ()) 0 (Layout.off f_anchor_len + 8)
+
+let snap_int rel = Int64.to_int (Bytes.get_int64_le (Des.Sched.scratch ()) rel)
+
+let snap_deleted () = snap_int off_deleted <> 0
+
+let snap_next () = snap_int off_next
+
+let snap_prev () = snap_int off_prev
+
+let snap_compare_anchor t k =
+  Pobj.compare_string t off_anchor (snap_int (Layout.off f_anchor_len)) k
 
 let snap_live snap slot =
-  Char.code (Bytes.unsafe_get snap (snap_bitmap + (slot lsr 3))) land (1 lsl (slot land 7)) <> 0
+  Bytes.get_uint8 snap (Layout.off f_bitmap + (slot lsr 3)) land (1 lsl (slot land 7)) <> 0
 
-let rec probe lay t k snap fp slot =
+let rec equal_from snap pos k len i =
+  i >= len
+  || Bytes.unsafe_get snap (pos + i) = String.unsafe_get k i && equal_from snap pos k len (i + 1)
+
+(* Copy [slot]'s entry to [snap_entry] and compare its key with [k]
+   there. *)
+let entry_is lay t snap slot k =
+  if lay.inline = 8 then begin
+    Pobj.blit_to_bytes t (entry_off lay slot) snap snap_entry 16;
+    String.length k = 8 && equal_from snap (snap_entry + 8) k 8 0
+  end
+  else begin
+    Pobj.blit_to_bytes t (entry_off lay slot) snap snap_entry (9 + lay.inline);
+    let len = Bytes.get_uint8 snap (snap_entry + 8) in
+    len = String.length k && equal_from snap (snap_entry + 9) k len 0
+  end
+
+let rec probe_from lay t k snap fp slot =
   if slot >= entries then -1
   else if
     snap_live snap slot
-    && Char.code (Bytes.unsafe_get snap slot) = fp
-    && compare_key_at lay t slot k = 0
-  then begin
-    Pobj.blit_to_bytes t (entry_off lay slot) snap snap_value 8;
-    slot
-  end
-  else probe lay t k snap fp (slot + 1)
+    && Bytes.get_uint8 snap (off_fingerprints + slot) = fp
+    && entry_is lay t snap slot k
+  then slot
+  else probe_from lay t k snap fp (slot + 1)
+
+(* one fingerprint match over the copied line (the AVX512 match of the
+   paper, §5.2) *)
+let probe lay t k = probe_from lay t k (Des.Sched.scratch ()) (Fingerprint.of_key k) 0
 
 let find lay t k =
   let span = Obs.Span.start Obs.Span.Dnode_scan in
   match
-    let snap = Des.Sched.scratch () in
-    Pobj.blit_to_bytes t (Layout.off f_bitmap) snap snap_bitmap 8;
-    let fp = Fingerprint.of_key k in
-    (* one cache access covers the whole fingerprint line (the AVX512
-       match of the paper, §5.2) *)
-    Pobj.blit_to_bytes t off_fingerprints snap 0 entries;
-    probe lay t k snap fp 0
+    Pobj.blit_to_bytes t 0 (Des.Sched.scratch ()) 0 snap_len;
+    probe lay t k
   with
   | slot ->
       Obs.Span.stop span;
@@ -211,7 +243,7 @@ let find lay t k =
       Obs.Span.stop span;
       raise e
 
-let found_value () = Int64.to_int (Bytes.get_int64_le (Des.Sched.scratch ()) snap_value)
+let found_value () = snap_int snap_entry
 
 let live_entries lay t =
   let bm = bitmap t in

@@ -61,7 +61,7 @@ val is_deleted : t -> bool
 
 val set_deleted : t -> bool -> unit
 
-val anchor : layout -> t -> Key.t
+val anchor : t -> Key.t
 
 (** [compare_anchor t k] = [compare (anchor t) k], allocation-free. *)
 val compare_anchor : t -> Key.t -> int
@@ -91,14 +91,48 @@ val key_at : layout -> t -> int -> Key.t
 
 val value_at : layout -> t -> int -> int
 
-(** Fingerprint-guided point lookup among live slots. *)
-val find : layout -> t -> Key.t -> int
-(** [find lay t k] is the live slot holding [k], or [-1].  Like the
-    paper's probe, a hit also loads the slot's value: {!found_value}
-    returns it without another access.  Allocation-free. *)
+(** {2 Read-only visits}
 
-(** The value loaded by the calling thread's last [find] that hit.
-    Read it before anything else can run [find] on this thread. *)
+    A visit copies the node's lines 0-1 (lock word, bitmap, next/prev,
+    deleted mark, anchor length, fingerprints) into the calling
+    thread's {!Des.Sched.scratch} buffer with one read and decodes the
+    header from the copy; the [snap_*] readers below read the last copy
+    this thread took.  Nothing else may use the buffer while the visit
+    needs the copy. *)
+
+(** [begin_read t ~gen] copies lines 0-1 like {!Vlock.begin_read}:
+    waiting while the copied lock word is locked, it returns the
+    version of the copy for a final {!Vlock.validate}. *)
+val begin_read : t -> gen:int -> int
+
+(** Copy the header fields alone (line 0), unversioned: for visits that
+    probe no key, or whose caller holds the lock. *)
+val read_header : t -> unit
+
+val snap_deleted : unit -> bool
+
+val snap_next : unit -> Pmalloc.Pptr.t
+
+val snap_prev : unit -> Pmalloc.Pptr.t
+
+(** [compare (anchor t) k], with the anchor length from the copy and
+    the anchor bytes read from [t]. *)
+val snap_compare_anchor : t -> Key.t -> int
+
+(** [probe lay t k] is the live slot holding [k] according to the
+    lines 0-1 copy of [t] that {!begin_read} took, or [-1]: one
+    fingerprint match over the copied line, then one read of each
+    candidate entry (value and key), compared in the buffer.  A hit
+    leaves the entry's value for {!found_value}.  Allocation-free. *)
+val probe : layout -> t -> Key.t -> int
+
+(** [find lay t k] is [probe] on a fresh unversioned copy of lines 0-1
+    (the caller holds the lock or validates on its own), inside a
+    [Dnode_scan] span. *)
+val find : layout -> t -> Key.t -> int
+
+(** The value of the entry the calling thread's last [probe] or [find]
+    hit.  Read it before anything else uses the buffer. *)
 val found_value : unit -> int
 
 val live_count : t -> int

@@ -120,7 +120,7 @@ let create machine ?(cfg = default_config) () =
   let lay =
     Node.layout ~persist_perm:(not cfg.selective_persistence) ~key_inline:cfg.key_inline ()
   in
-  let key_of_leaf ptr = Key.to_radix (Node.anchor lay (Node.of_ptr machine ptr)) in
+  let key_of_leaf ptr = Key.to_radix (Node.anchor (Node.of_ptr machine ptr)) in
   let compare_leaf ptr rkey = Node.compare_anchor_radix (Node.of_ptr machine ptr) rkey in
   let epoch = Epoch.create () in
   let art = Art.create ~heap:search_heap ~meta ~epoch ~key_of_leaf ~compare_leaf in
@@ -182,6 +182,15 @@ exception Lost
 (* Raised when the data-layer walk does not converge (e.g. after
    reading state a concurrent SMO tore down); callers retry. *)
 
+(* Does [node], as last copied to the scratch buffer, host [key]: is
+   it live with an anchor <= [key]? *)
+let snap_hosts node key = (not (Node.snap_deleted ())) && Node.snap_compare_anchor node key <= 0
+
+(* ... and is [key] below the anchor of its copied successor? *)
+let snap_below_next t key =
+  let nxt = Node.snap_next () in
+  Pptr.is_null nxt || Node.compare_anchor (Node.of_ptr t.machine nxt) key > 0
+
 (* From the search-layer jump node, walk sibling pointers until the
    node whose [anchor, next.anchor) range covers [key].  Unsynchronised
    search layers only cost extra hops (ephemeral inconsistency). *)
@@ -191,12 +200,12 @@ let jump_node t rkey =
 
 let rec walk t key node hops =
   if hops >= 1000 then raise Lost
-  else if Node.is_deleted node || Node.compare_anchor node key > 0 then
-    walk t key (Node.of_ptr t.machine (Node.prev node)) (hops + 1)
   else begin
-    let nxt = Node.next node in
-    if (not (Pptr.is_null nxt)) && Node.compare_anchor (Node.of_ptr t.machine nxt) key <= 0 then
-      walk t key (Node.of_ptr t.machine nxt) (hops + 1)
+    Node.read_header node;
+    if not (snap_hosts node key) then
+      walk t key (Node.of_ptr t.machine (Node.snap_prev ())) (hops + 1)
+    else if not (snap_below_next t key) then
+      walk t key (Node.of_ptr t.machine (Node.snap_next ())) (hops + 1)
     else begin
       let bucket = min hops (Array.length t.jump_hist - 1) in
       t.jump_hist.(bucket) <- t.jump_hist.(bucket) + 1;
@@ -216,12 +225,9 @@ let locate t key =
       raise e
 
 (* Is [node], under its current state, the right home for [key]? *)
-let covers node key =
-  (not (Node.is_deleted node))
-  && Node.compare_anchor node key <= 0
-  &&
-  let nxt = Node.next node in
-  Pptr.is_null nxt || Node.compare_anchor (Node.of_ptr (Pool.machine node.pool) nxt) key > 0
+let covers t node key =
+  Node.read_header node;
+  snap_hosts node key && snap_below_next t key
 
 (* [f t a b] inside an epoch: the public operations' bracket, built
    without a closure per call. *)
@@ -245,7 +251,7 @@ let rec lock_target t key n =
   | node ->
       let h = Node.lock_handle node in
       let wv = Vlock.acquire h ~gen:t.gen in
-      if covers node key then (node, wv)
+      if covers t node key then (node, wv)
       else begin
         Vlock.release h ~gen:t.gen ~version:wv;
         Des.Sched.delay 50e-9;
@@ -369,7 +375,7 @@ let try_merge t node =
     else begin
       t.stats.merges <- t.stats.merges + 1;
       let rwv = Vlock.acquire (Node.lock_handle rn) ~gen:t.gen in
-      let anchor = Node.anchor t.lay rn in
+      let anchor = Node.anchor rn in
       let ts = next_ts t in
       let e =
         Smo_log.append t.log ~ts
@@ -396,6 +402,41 @@ let try_merge t node =
 
 (* ---------- public operations ---------- *)
 
+(* One optimistic read-only visit of [node] for [key] (§5.3): one copy
+   of lines 0-1, the fingerprint probe, and one validation.  On a hit
+   the value is left for [Node.found_value]. *)
+let found = 0
+
+let absent = 1
+
+let elsewhere = 2 (* [node] does not hold [key] now: look for its home *)
+
+let torn = 3 (* a hit that failed validation *)
+
+let visit t node key direct =
+  let h = Node.lock_handle node in
+  let v = Node.begin_read node ~gen:t.gen in
+  if direct && not (snap_hosts node key) then elsewhere
+  else if Node.probe t.lay node key >= 0 then
+    if Vlock.validate h ~gen:t.gen ~version:v then found else torn
+  else if
+    (* a direct visit has checked [snap_hosts] already *)
+    (direct || snap_hosts node key)
+    && snap_below_next t key
+    && Vlock.validate h ~gen:t.gen ~version:v
+  then absent
+  else elsewhere
+
+let visiting t node key direct =
+  let span = Obs.Span.start Obs.Span.Dnode_scan in
+  match visit t node key direct with
+  | r ->
+      Obs.Span.stop span;
+      r
+  | exception e ->
+      Obs.Span.stop span;
+      raise e
+
 (* Lookup fast path (§5.3): go straight to the search layer's jump
    node and search it.  Every live key exists in exactly one data
    node, so a validated hit needs no range check at all — in the
@@ -417,25 +458,13 @@ and lookup_retry t key rkey n =
   lookup_attempt t key rkey (n + 1) ~use_jump:false
 
 and lookup_in t key rkey n node ~direct =
-  let h = Node.lock_handle node in
-  let v = Vlock.begin_read h ~gen:t.gen in
-  if direct && (Node.is_deleted node || Node.compare_anchor node key > 0) then
-    (* the jump node cannot host the key: take the walking path *)
-    lookup_attempt t key rkey n ~use_jump:false
-  else if Node.find t.lay node key >= 0 then begin
-    let value = Node.found_value () in
-    if Vlock.validate h ~gen:t.gen ~version:v then begin
-      if direct then t.jump_hist.(0) <- t.jump_hist.(0) + 1;
-      Some value
-    end
-    else lookup_retry t key rkey n
-  end
-  else if covers node key && Vlock.validate h ~gen:t.gen ~version:v then begin
+  let r = visiting t node key direct in
+  if r = found || r = absent then begin
     if direct then t.jump_hist.(0) <- t.jump_hist.(0) + 1;
-    None
+    if r = found then Some (Node.found_value ()) else None
   end
-  else if direct then lookup_attempt t key rkey n ~use_jump:false
-  else lookup_retry t key rkey n
+  else if r = torn || not direct then lookup_retry t key rkey n
+  else lookup_attempt t key rkey n ~use_jump:false
 
 let lookup t key =
   in_epoch t (fun t key () -> lookup_attempt t key (Key.to_radix key) 0 ~use_jump:true) key ()
@@ -680,7 +709,7 @@ let rebuild_search_layer t =
     if not (Pptr.is_null ptr) then begin
       let node = Node.of_ptr t.machine ptr in
       if not (Node.is_deleted node) then
-        ignore (Art.insert t.art (Key.to_radix (Node.anchor t.lay node)) ptr);
+        ignore (Art.insert t.art (Key.to_radix (Node.anchor node)) ptr);
       go (Node.next node)
     end
   in
@@ -732,7 +761,7 @@ let check_invariants t =
     else begin
       let node = Node.of_ptr t.machine ptr in
       if Node.is_deleted node then fail "reachable node is marked deleted";
-      let anchor = Node.anchor t.lay node in
+      let anchor = Node.anchor node in
       (match last_anchor with
       | Some a when Key.compare a anchor >= 0 ->
           fail "anchors not strictly increasing at %s" anchor
@@ -740,7 +769,7 @@ let check_invariants t =
       if not (Pptr.equal (Node.prev node) prev_ptr) then fail "prev pointer mismatch";
       let nxt = Node.next node in
       let upper =
-        if Pptr.is_null nxt then None else Some (Node.anchor t.lay (Node.of_ptr t.machine nxt))
+        if Pptr.is_null nxt then None else Some (Node.anchor (Node.of_ptr t.machine nxt))
       in
       List.iter
         (fun (k, _) ->

@@ -68,6 +68,21 @@ let rec read_unlocked h ~gen attempt =
 
 let begin_read h ~gen = read_unlocked h ~gen 0
 
+(* [begin_read] over a copy: the lock word and the [len - 8] bytes
+   after it come in one read, so the version and the fields it guards
+   are taken at the same instant. *)
+let rec snapshot_unlocked h ~gen buf pos len attempt =
+  Pobj.blit_to_bytes h 0 buf pos len;
+  let v = effective (Int64.to_int (Bytes.get_int64_le buf pos)) ~gen in
+  if is_locked v then begin
+    stuck h ~gen attempt "begin_read_snapshot";
+    backoff attempt;
+    snapshot_unlocked h ~gen buf pos len (attempt + 1)
+  end
+  else v
+
+let begin_read_snapshot h ~gen buf pos len = snapshot_unlocked h ~gen buf pos len 0
+
 let validate h ~gen ~version = read_version h ~gen = version
 
 let try_upgrade h ~gen ~version =

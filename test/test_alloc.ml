@@ -238,6 +238,68 @@ let test_tree_ops () =
   check_ceiling "Tree.lookup" 21.0 lookup;
   check_ceiling "Tree.insert of a fresh key" 180.0 insert
 
+(* ---------- line reads ---------- *)
+
+(* Charged line reads per lookup on a loaded index: every access to a
+   line is charged once, as a CPU-cache hit or a miss, so the
+   hit + miss delta counts the lines an operation reads.  A node visit
+   reads each of its lines once (a header copy, then only the child
+   pointer or entry it needs, then one validation); a change that
+   reads a header field again moves these figures.  They are exact:
+   re-pin them when a change is meant to move them. *)
+
+let line_reads machine =
+  let s = Machine.stats machine in
+  s.Nvm.Stats.cache_hits + s.Nvm.Stats.cache_misses
+
+(* Mean line reads per call of [f] over [n] calls. *)
+let reads_per_call machine n f =
+  let r0 = line_reads machine in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  float_of_int (line_reads machine - r0) /. float_of_int n
+
+let check_reads what pinned got =
+  if Float.abs (got -. pinned) > 1e-4 then
+    Alcotest.failf "%s: %.4f line reads per call, pinned at %.4f" what got pinned
+
+let read_keys = 20_000
+
+let read_key i = Key.of_int (i * 7919 mod 100_003)
+
+let test_tree_line_reads () =
+  let machine = Machine.create ~numa_count:2 () in
+  let tree = Tree.create machine ~cfg:tree_cfg () in
+  let sched = Sched.create () in
+  Sched.spawn sched ~name:"updater" (fun () -> Tree.updater_loop tree);
+  let reads = ref 0.0 in
+  Sched.spawn sched ~name:"client" (fun () ->
+      for i = 0 to read_keys - 1 do
+        Tree.insert tree (read_key i) i
+      done;
+      (* let the updater bring the search layer up to date *)
+      Sched.delay 1e-3;
+      reads :=
+        reads_per_call machine read_keys (fun i ->
+            ignore (Tree.lookup tree (read_key i) : int option));
+      Tree.request_shutdown tree);
+  Sched.run sched;
+  check_reads "Tree.lookup" 18.7664 !reads
+
+let test_pdlart_line_reads () =
+  let machine = Machine.create ~numa_count:2 () in
+  let index = Baselines.Pdlart.create machine ~capacity:(1 lsl 23) () in
+  let reads =
+    in_sim (fun () ->
+        for i = 0 to read_keys - 1 do
+          Baselines.Pdlart.insert index (read_key i) i
+        done;
+        reads_per_call machine read_keys (fun i ->
+            ignore (Baselines.Pdlart.lookup index (read_key i) : int option)))
+  in
+  check_reads "PDL-ART lookup" 13.0016 reads
+
 (* ---------- svc ---------- *)
 
 (* Whole-run words per request of an open-loop run into a 2-shard
@@ -279,5 +341,7 @@ let () =
           Alcotest.test_case "data node find" `Quick test_data_node_find;
           Alcotest.test_case "tree lookup + insert" `Quick test_tree_ops;
           Alcotest.test_case "engine per request" `Quick test_engine_request;
+          Alcotest.test_case "tree lookup line reads" `Quick test_tree_line_reads;
+          Alcotest.test_case "pdlart lookup line reads" `Quick test_pdlart_line_reads;
         ] );
     ]

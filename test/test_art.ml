@@ -124,6 +124,7 @@ let test_fingerprint_distribution () =
 type art_ctx = {
   machine : Machine.t;
   art : Art.t;
+  meta : Pool.t;
   heap : Heap.t;
   kv_heap : Heap.t;
   kv_keys : (int, string) Hashtbl.t; (* kv record off -> radix key *)
@@ -153,7 +154,7 @@ let make_art () =
   let epoch = Pactree.Epoch.create () in
   let compare_leaf ptr rkey = String.compare (key_of_leaf ptr) rkey in
   let art = Art.create ~heap ~meta ~epoch ~key_of_leaf ~compare_leaf in
-  { machine; art; heap; kv_heap; kv_keys }
+  { machine; art; meta; heap; kv_heap; kv_keys }
 
 let add_payload ctx rkey =
   let ptr = Heap.alloc ctx.kv_heap ~numa:0 64 in
@@ -392,6 +393,36 @@ let test_art_concurrent_mixed () =
   Alcotest.(check int) "no reader ever missed a preloaded key" 0 !lookup_failures;
   Alcotest.(check int) "final cardinality" 1000 (Art.cardinal ctx.art)
 
+(* A reader that read a node's pointer before a copy-on-write grow
+   retired the node meets it obsolete: its header copy carries the
+   obsolete bit, and the descent restarts instead of using the frozen
+   node.  The race is forged: the root pointer is set back to the
+   retired Node4 until a second thread restores it.  The retired node
+   lacks the key the grow added, so a descent that used it would miss
+   the key. *)
+let test_art_obsolete_restarts () =
+  let ctx = make_art () in
+  (* a full Node4 at the root: four keys that differ in their first byte *)
+  List.iter (fun k -> ignore (insert_key ctx k)) [ "a"; "b"; "c"; "d" ];
+  let old_root = Pool.read_int ctx.meta Art.root_off in
+  let p = insert_key ctx "e" (* grows the root into a Node16, retiring the Node4 *) in
+  let new_root = Pool.read_int ctx.meta Art.root_off in
+  Alcotest.(check bool) "the grow replaced the root" true (old_root <> new_root);
+  Pool.write_int ctx.meta Art.root_off old_root;
+  let restarts0 = (Art.stats ctx.art).Art.restarts in
+  let got = ref None in
+  let sched = Des.Sched.create () in
+  Des.Sched.spawn sched ~name:"reader" (fun () ->
+      got := Art.lookup ctx.art (Key.to_radix "e"));
+  Des.Sched.spawn sched ~name:"fixer" (fun () ->
+      Des.Sched.delay 1e-6;
+      Pool.write_int ctx.meta Art.root_off new_root);
+  Des.Sched.run sched;
+  Alcotest.(check bool) "the descent restarted" true
+    ((Art.stats ctx.art).Art.restarts > restarts0);
+  Alcotest.(check bool) "and found the key in the live root" true
+    (match !got with Some q -> Pptr.equal q p | None -> false)
+
 let test_art_crash_recovery_persists_inserts () =
   let ctx = make_art () in
   let n = 300 in
@@ -464,6 +495,7 @@ let suite =
     QCheck_alcotest.to_alcotest test_art_qcheck_model;
     Alcotest.test_case "art: concurrent inserts" `Quick test_art_concurrent_inserts;
     Alcotest.test_case "art: concurrent mixed" `Quick test_art_concurrent_mixed;
+    Alcotest.test_case "art: obsolete node restarts" `Quick test_art_obsolete_restarts;
     Alcotest.test_case "art: crash + recovery (strict)" `Quick
       test_art_crash_recovery_persists_inserts;
     Alcotest.test_case "art: crash + recovery (flaky)" `Quick test_art_crash_mid_run_flaky;

@@ -134,7 +134,7 @@ let test_anchor_compare () =
   let pool = Pool.create machine ~name:"anchor" ~numa:0 ~capacity:(1 lsl 16) () in
   let node = { Node.pool; off = 256 } in
   Node.init lay node ~gen ~anchor:"mmm" ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null;
-  Alcotest.(check string) "anchor" "mmm" (Node.anchor lay node);
+  Alcotest.(check string) "anchor" "mmm" (Node.anchor node);
   Alcotest.(check bool) "less" true (Node.compare_anchor node "zzz" < 0);
   Alcotest.(check bool) "greater" true (Node.compare_anchor node "aaa" > 0);
   Alcotest.(check int) "equal" 0 (Node.compare_anchor node "mmm")
@@ -297,9 +297,67 @@ let test_epoch_unpin_while () =
       Pactree.Epoch.exit e);
   Des.Sched.run sched
 
+(* A read-only visit as PACTree's lookup makes it: one copy of lines
+   0-1, the probe, one validation. *)
+let visit lay node k =
+  let rec go () =
+    let v = Node.begin_read node ~gen in
+    let slot = Node.probe lay node k in
+    let value = if slot < 0 then None else Some (Node.found_value ()) in
+    if Vlock.validate (Node.lock_handle node) ~gen ~version:v then value else go ()
+  in
+  go ()
+
+(* A writer holds the lock across a state no reader may see: the key
+   deleted, then re-inserted with a new value.  A reader whose copy
+   catches the held lock word backs off and returns the value after
+   the release, never the torn "absent" nor the old value. *)
+let test_visit_waits_for_writer () =
+  let _, lay, node = make_node () in
+  for i = 0 to 9 do
+    ignore (Node.insert lay node (ik i) (i * 10))
+  done;
+  let sched = Des.Sched.create () in
+  let got = ref None and spun = ref 0 in
+  Des.Sched.spawn sched ~name:"writer" (fun () ->
+      let h = Node.lock_handle node in
+      let wv = Vlock.acquire h ~gen in
+      ignore (Node.delete lay node (ik 5));
+      Des.Sched.delay 1e-6;
+      ignore (Node.insert lay node (ik 5) 55);
+      Vlock.release h ~gen ~version:wv);
+  Des.Sched.spawn sched ~name:"reader" (fun () ->
+      Des.Sched.delay 1e-7 (* the writer holds the lock by now *);
+      let spins0 = !Vlock.spins in
+      got := visit lay node (ik 5);
+      spun := !Vlock.spins - spins0);
+  Des.Sched.run sched;
+  Alcotest.(check bool) "the reader's copy caught the held lock" true (!spun > 0);
+  Alcotest.(check (option int)) "post-release value" (Some 55) !got;
+  Alcotest.(check (option int)) "other keys unaffected" (Some 30) (visit lay node (ik 3))
+
+(* The probe compares each candidate's key in the copied entry, past
+   the copied bitmap and fingerprints: with 64 live slots, every key
+   of both layouts is found with its own value. *)
+let test_probe_full_node () =
+  List.iter
+    (fun key_inline ->
+      let _, lay, node = make_node ~key_inline () in
+      let key i = if key_inline = 8 then ik i else Printf.sprintf "user%019d" (i * 7919) in
+      for i = 0 to Node.entries - 1 do
+        ignore (Node.insert lay node (key i) i)
+      done;
+      for i = 0 to Node.entries - 1 do
+        Alcotest.(check (option int)) "value" (Some i) (visit lay node (key i))
+      done;
+      Alcotest.(check (option int)) "absent" None (visit lay node (key Node.entries)))
+    [ 8; Key.max_len ]
+
 let suite =
   [
     Alcotest.test_case "node: insert/find" `Quick test_insert_find;
+    Alcotest.test_case "node: visit waits for a writer" `Quick test_visit_waits_for_writer;
+    Alcotest.test_case "node: probe of a full node" `Quick test_probe_full_node;
     Alcotest.test_case "node: fills at 64" `Quick test_node_fills_at_64;
     Alcotest.test_case "node: delete + slot reuse" `Quick test_delete_and_slot_reuse;
     Alcotest.test_case "node: update out-of-place" `Quick test_update_out_of_place;

@@ -291,6 +291,70 @@ let test_concurrent_mixed_with_deletes () =
       done);
   ignore (Tree.check_invariants t)
 
+(* Lookups racing splits and merges, checked against a model map.
+   The even keys of [0, 6000) are preloaded with value [10 k].  Keys
+   [k mod 6 = 0] are never written, so every lookup of one must return
+   its value.  Writer [w] owns the other keys from [1500 w] up to
+   [1500 (w + 1)]: it deletes its even keys, which empties nodes into
+   merges, inserts the odd ones, which splits nodes, then deletes a
+   quarter of those, keeping its part of the model.  Four readers look
+   up random keys until the writers are done.  A lookup of a churned
+   key may find it or not, but a value it returns must be the key's
+   own. *)
+let test_lookups_race_smo () =
+  let _, t = make_tree () in
+  let n = 6000 and writers = 4 in
+  let value k = 10 * k in
+  let model = Hashtbl.create n in
+  for k = 0 to (n / 2) - 1 do
+    Tree.insert t (ik (2 * k)) (value (2 * k));
+    Hashtbl.replace model (2 * k) (value (2 * k))
+  done;
+  let splits0 = (Tree.stats t).Tree.splits and merges0 = (Tree.stats t).Tree.merges in
+  let lost = ref 0 and wrong = ref 0 and lookups = ref 0 and writing = ref writers in
+  run_concurrent t 8 (fun i ->
+      if i < writers then begin
+        let per = n / writers in
+        let each f =
+          for k = i * per to ((i + 1) * per) - 1 do
+            if k mod 6 <> 0 then f k
+          done
+        in
+        let delete k =
+          ignore (Tree.delete t (ik k));
+          Hashtbl.remove model k
+        in
+        each (fun k -> if k mod 2 = 0 then delete k);
+        each (fun k ->
+            if k mod 2 = 1 then begin
+              Tree.insert t (ik k) (value k);
+              Hashtbl.replace model k (value k)
+            end);
+        each (fun k -> if k mod 4 = 1 then delete k);
+        decr writing
+      end
+      else begin
+        (* look up until every writer is done *)
+        let rng = Des.Rng.create ~seed:(Int64.of_int (31 * i)) in
+        while !writing > 0 do
+          let k = Des.Rng.int rng n in
+          incr lookups;
+          match Tree.lookup t (ik k) with
+          | Some v when v <> value k -> incr wrong
+          | None when k mod 6 = 0 -> incr lost
+          | Some _ | None -> ()
+        done
+      end);
+  Alcotest.(check bool) "lookups ran" true (!lookups > 1000);
+  Alcotest.(check int) "stable keys never missed" 0 !lost;
+  Alcotest.(check int) "no wrong value" 0 !wrong;
+  Alcotest.(check bool) "lookups raced merges" true ((Tree.stats t).Tree.merges > merges0);
+  Alcotest.(check bool) "and splits" true ((Tree.stats t).Tree.splits > splits0);
+  ignore (Tree.check_invariants t);
+  let expected = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []) in
+  Alcotest.(check (list (pair int int))) "contents match the model" expected
+    (List.map (fun (k, v) -> (Key.to_int k, v)) (Tree.to_list t))
+
 let test_concurrent_scans () =
   let _, t = make_tree () in
   for i = 0 to 1999 do
@@ -527,4 +591,5 @@ let suite =
     Alcotest.test_case "recovery: 20 crash rounds" `Quick test_recovery_repeated_crashes;
     Alcotest.test_case "recovery: crash mid concurrent run" `Quick
       test_recovery_mid_concurrent_run;
+    Alcotest.test_case "lookups racing splits and merges" `Quick test_lookups_race_smo;
   ]
