@@ -304,12 +304,16 @@ let crashmc_sut sys =
   (machine, Experiments.Factory.make_backend machine ~scale:Experiments.Scale.crashmc sys)
 
 let run_crashmc index_name ops budget max_states seed workload mutate =
+  (* An explicit --seed wins; PACTREE_SEED only replaces the default. *)
   let seed =
-    match Des.Rng.env_seed ~default:(Int64.of_int seed) with
-    | s -> Int64.to_int s
-    | exception Invalid_argument msg ->
-        prerr_endline msg;
-        exit 2
+    match seed with
+    | Some s -> s
+    | None -> (
+        match Des.Rng.env_seed ~default:1L with
+        | s -> Int64.to_int s
+        | exception Invalid_argument msg ->
+            prerr_endline msg;
+            exit 2)
   in
   require_positive [ ("ops", ops); ("budget", budget); ("max-states", max_states) ];
   if not (List.mem workload [ "insert"; "mixed" ]) then begin
@@ -338,7 +342,7 @@ let run_crashmc index_name ops budget max_states seed workload mutate =
           Format.printf "%a@." Crashmc.Harness.pp_report r;
           if not (Crashmc.Harness.ok r) then begin
             failed := true;
-            Format.printf "  seed %d (override with PACTREE_SEED)@." seed
+            Format.printf "  seed %d (replay with --seed)@." seed
           end)
         systems;
       (* Mutation mode: drop one clwb late in the run and demand the
@@ -427,8 +431,12 @@ let crashmc_cmd =
   in
   let seed_arg =
     Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~doc:"Workload/enumeration seed (PACTREE_SEED overrides).")
+      value
+      & opt (some int) None
+      & info [ "seed" ] ~docv:"N"
+          ~doc:
+            "Workload/enumeration seed.  Without it, the seed is $(b,PACTREE_SEED) if \
+             that is set, else 1.")
   in
   let workload_arg =
     Arg.(

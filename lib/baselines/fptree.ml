@@ -131,20 +131,20 @@ let split_leaf t leaf key =
   (* micro-log: leaf being split *)
   Pool.write_int t.meta off_log (Node.to_ptr leaf);
   Pool.persist t.meta off_log 8;
-  let sorted = Node.sorted_live t.lay leaf in
-  let total = List.length sorted in
-  let move = List.filteri (fun i _ -> i >= total / 2) sorted in
-  let median = fst (List.hd move) in
+  let slots = Node.thread_slots () in
+  let total = Node.sort_live t.lay leaf slots in
+  let half = total / 2 and moved = total - (total / 2) in
+  let median = Node.sorted_key t.lay slots.(half) in
   let ptr =
     Heap.alloc_to t.heap ~size:t.lay.Node.node_size ~dest_pool:t.meta ~dest_off:(off_log + 8) ()
   in
   let nleaf = Node.of_ptr t.machine ptr in
   Node.init t.lay nleaf ~gen:t.gen ~anchor:median ~next:(Node.next leaf) ~prev:Pptr.null;
-  Node.copy_into t.lay ~src:leaf ~dst:nleaf move;
+  Node.copy_into t.lay ~src:leaf ~dst:nleaf slots ~pos:half ~len:moved;
   Pool.persist nleaf.Node.pool nleaf.Node.off t.lay.Node.node_size;
   Node.set_next leaf ptr;
   Pool.persist leaf.Node.pool (leaf.Node.off + Node.off_next) 8;
-  Node.clear_slots leaf (List.map snd move);
+  Node.clear_slots leaf (Node.slot_mask slots ~pos:half ~len:moved);
   (* synchronous internal update, inside HTM, leaf lock still held *)
   Htm.execute t.htm ~footprint_lines:(footprint t) ~duration:(traversal_duration t)
     (fun () -> t.internals <- Smap.add median ptr t.internals);
@@ -220,24 +220,24 @@ let delete t key =
    (FPTree's scan overhead). *)
 let scan t key n_wanted =
   let acc = ref [] and taken = ref 0 in
+  let slots = Node.thread_slots () in
   let rec scan_leaf ptr ~first attempt =
     if attempt > 10_000 then failwith "FPTree: scan livelock"
     else if !taken < n_wanted && not (Pptr.is_null ptr) then begin
       let leaf = Node.of_ptr t.machine ptr in
       let h = Node.lock_handle leaf in
       let v = Vlock.begin_read h ~gen:t.gen in
-      let sorted = Node.sorted_live t.lay leaf in
+      let live = Node.sort_live t.lay leaf slots in
       let batch = ref [] and n = ref 0 in
-      List.iter
-        (fun (k, slot) ->
-          if
-            !taken + !n < n_wanted
-            && ((not first) || Key.compare k key >= 0)
-          then begin
-            batch := (k, Node.value_at t.lay leaf slot) :: !batch;
-            incr n
-          end)
-        sorted;
+      for i = 0 to live - 1 do
+        let slot = slots.(i) in
+        if !taken + !n < n_wanted && ((not first) || Node.compare_sorted_key t.lay slot key >= 0)
+        then begin
+          let v = Node.value_at t.lay leaf slot in
+          batch := (Node.sorted_key t.lay slot, v) :: !batch;
+          incr n
+        end
+      done;
       let nxt = Node.next leaf in
       if Vlock.validate h ~gen:t.gen ~version:v then begin
         acc := !batch @ !acc;
@@ -271,13 +271,14 @@ let recover t =
     let nxt = Node.next old_leaf in
     if not (Pptr.is_null nxt) then begin
       let nleaf = Node.of_ptr t.machine nxt in
-      let stale =
-        List.filter_map
-          (fun (k, slot) ->
-            if Node.compare_anchor nleaf k <= 0 then Some slot else None)
-          (Node.sorted_live t.lay old_leaf)
-      in
-      if stale <> [] then Node.clear_slots old_leaf stale
+      let slots = Array.make Node.entries 0 in
+      let stale = ref 0L in
+      for i = 0 to Node.sort_live t.lay old_leaf slots - 1 do
+        let slot = slots.(i) in
+        if Node.compare_anchor nleaf (Node.sorted_key t.lay slot) <= 0 then
+          stale := Int64.logor !stale (Node.slot_mask slots ~pos:i ~len:1)
+      done;
+      if !stale <> 0L then Node.clear_slots old_leaf !stale
     end;
     Pool.write_int t.meta off_log 0;
     Pool.persist t.meta off_log 8
@@ -300,7 +301,8 @@ let check_invariants t =
     if Pptr.is_null ptr then acc
     else begin
       let leaf = Node.of_ptr t.machine ptr in
-      let keys = List.map fst (Node.sorted_live t.lay leaf) in
+      let slots = Array.make Node.entries 0 in
+      let keys = List.init (Node.sort_live t.lay leaf slots) (fun i -> Node.sorted_key t.lay slots.(i)) in
       walk (Node.next leaf) (acc @ keys)
     end
   in

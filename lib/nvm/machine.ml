@@ -14,6 +14,118 @@ type stage = {
   mutable snaps : Bytes.t;
 }
 
+(* A fence's staged lines grouped by (device numa, xpline): group [g]
+   is [counts.(g)] lines of XPLine [xplines.(g)] on device [numas.(g)].
+   The groups are chained into [size] hash buckets ([heads] to the
+   newest group of a bucket, [next] to the next older one), hashed as
+   the tuple [(numa, xpline)] would be, and [size] starts at 16 and
+   doubles while there are more than [2 * size] groups.  Visiting the
+   buckets in ascending order, newest group first, is therefore the
+   iteration order of a [Hashtbl] built by the same insertions.  The
+   arrays only grow, so grouping allocates nothing in the steady
+   state. *)
+type groups = {
+  mutable count : int;
+  mutable size : int;
+  mutable numas : int array;
+  mutable xplines : int array;
+  mutable counts : int array;
+  mutable hashes : int array;
+  mutable next : int array;
+  mutable heads : int array;
+  key : int array; (* [|numa; xpline|]: a block hashed like the tuple *)
+}
+
+let initial_buckets = 16
+
+let new_groups () =
+  {
+    count = 0;
+    size = initial_buckets;
+    numas = [||];
+    xplines = [||];
+    counts = [||];
+    hashes = [||];
+    next = [||];
+    heads = Array.make initial_buckets (-1);
+    key = [| 0; 0 |];
+  }
+
+let grow_groups g =
+  let cap = max 8 (2 * g.count) in
+  let grow a =
+    let b = Array.make cap 0 in
+    Array.blit a 0 b 0 g.count;
+    b
+  in
+  g.numas <- grow g.numas;
+  g.xplines <- grow g.xplines;
+  g.counts <- grow g.counts;
+  g.hashes <- grow g.hashes;
+  g.next <- grow g.next
+
+(* Chain group [i] in front of its bucket. *)
+let link g i =
+  let b = g.hashes.(i) land (g.size - 1) in
+  g.next.(i) <- g.heads.(b);
+  g.heads.(b) <- i
+
+let clear_buckets g size =
+  if Array.length g.heads < size then g.heads <- Array.make size (-1)
+  else Array.fill g.heads 0 size (-1);
+  g.size <- size
+
+(* The group of XPLine [xpline] on device [numa] in the chain from
+   group [i], or [-1]. *)
+let rec find_group g numa xpline i =
+  if i < 0 || (g.numas.(i) = numa && g.xplines.(i) = xpline) then i
+  else find_group g numa xpline g.next.(i)
+
+let new_group g numa xpline h =
+  let i = g.count in
+  if i = Array.length g.numas then grow_groups g;
+  g.numas.(i) <- numa;
+  g.xplines.(i) <- xpline;
+  g.counts.(i) <- 1;
+  g.hashes.(i) <- h;
+  g.count <- i + 1;
+  link g i;
+  if g.count > 2 * g.size then begin
+    (* Re-chaining in creation order leaves every bucket newest first
+       again. *)
+    clear_buckets g (2 * g.size);
+    for j = 0 to g.count - 1 do
+      link g j
+    done
+  end
+
+(* Count one staged line of XPLine [xpline] on device [numa]. *)
+let add_line g numa xpline =
+  g.key.(0) <- numa;
+  g.key.(1) <- xpline;
+  let h = Hashtbl.hash g.key in
+  let i = find_group g numa xpline g.heads.(h land (g.size - 1)) in
+  if i >= 0 then g.counts.(i) <- g.counts.(i) + 1 else new_group g numa xpline h
+
+(* Group the first [n] staged lines of [st]. *)
+let group_stage g st n =
+  g.count <- 0;
+  clear_buckets g initial_buckets;
+  for i = 0 to n - 1 do
+    add_line g (Device.numa st.sinks.(i).dev) st.xplines.(i)
+  done
+
+(* [f numa xpline count] for every group, bucket by bucket and newest
+   first within one. *)
+let iter_groups g f =
+  for b = 0 to g.size - 1 do
+    let i = ref g.heads.(b) in
+    while !i >= 0 do
+      f g.numas.(!i) g.xplines.(!i) g.counts.(!i);
+      i := g.next.(!i)
+    done
+  done
+
 type persist_event =
   | Store of { tid : int; pool : int; line : int }
   | Clwb of { tid : int; pool : int; line : int }
@@ -35,12 +147,11 @@ type t = {
   cpu_tags : int array; (* direct-mapped; -1 = invalid *)
   cpu_mask : int;
   mutable stages : stage array; (* indexed by thread id + 1 *)
-  groups : (int * int, int) Hashtbl.t;
-      (* the fence in progress: (device numa, xpline) -> staged lines *)
+  groups : groups; (* the fence in progress, grouped *)
+  write_group : int -> int -> int -> unit; (* writes one group of [groups] *)
   fence_times : fence_times;
   mutable fence_from : int; (* issuing NUMA domain; -1 outside a simulation *)
   io : Device.cursor; (* one group write's request / acceptance time *)
-  write_group : int * int -> int -> unit; (* writes one group of [groups] *)
   stats : Stats.t;
   mutable pools : pool array; (* by id; [No_pool] past [next_pool_id] *)
   mutable next_pool_id : int;
@@ -56,7 +167,7 @@ type t = {
 (* Write one (numa, xpline) group of the fence in progress: a full
    256B write when 4 lines were flushed, a partial RMW write otherwise.
    Outside a simulation only the traffic is accounted. *)
-let write_staged_group t (dev_numa, xpline) count =
+let write_staged_group t dev_numa xpline count =
   let bytes = min 256 (64 * count) in
   let dev = t.devices.(dev_numa) in
   let io = t.io in
@@ -81,11 +192,11 @@ let create ?(profile = Config.dcpmm) ?(protocol = Config.Snoop) ~numa_count () =
       cpu_tags = Array.make slots (-1);
       cpu_mask = slots - 1;
       stages = [||];
-      groups = Hashtbl.create 8;
+      groups = new_groups ();
       fence_times = { start = 0.0; accepted = 0.0 };
       fence_from = -1;
       io = { Device.at = 0.0 };
-      write_group = (fun key count -> write_staged_group t key count);
+      write_group = (fun numa xpline count -> write_staged_group t numa xpline count);
       stats = Stats.create ();
       pools = Array.make 8 No_pool;
       next_pool_id = 0;
@@ -220,6 +331,13 @@ let stage t sink ~line ~xpline src pos =
   Bytes.blit src pos st.snaps (64 * i) 64;
   st.n <- i + 1
 
+let fence_order lines =
+  let g = new_groups () in
+  List.iter (fun (numa, xpline) -> add_line g numa xpline) lines;
+  let acc = ref [] in
+  iter_groups g (fun numa xpline count -> acc := (numa, xpline, count) :: !acc);
+  List.rev !acc
+
 let on_crash t hook = t.crash_hooks <- hook :: t.crash_hooks
 
 (* sfence: group the thread's staged flushes by XPLine (the XPBuffer's
@@ -238,16 +356,7 @@ let fence t =
   let n = st.n in
   if n > 0 then begin
     st.n <- 0;
-    let groups = t.groups in
-    (* [reset] restores the initial bucket array, so iteration visits
-       the groups in the same order as a freshly created table: that
-       order picks device channels under saturation. *)
-    Hashtbl.reset groups;
-    for i = 0 to n - 1 do
-      let key = (Device.numa st.sinks.(i).dev, st.xplines.(i)) in
-      let count = try Hashtbl.find groups key with Not_found -> 0 in
-      Hashtbl.replace groups key (count + 1)
-    done;
+    group_stage t.groups st n;
     if Des.Sched.running () then begin
       let start = Des.Sched.time () in
       let ft = t.fence_times in
@@ -257,7 +366,7 @@ let fence t =
          under ADR), not the media transfer; the channel stays
          booked, so saturation still back-pressures the fence. *)
       ft.accepted <- start;
-      Hashtbl.iter t.write_group groups;
+      iter_groups t.groups t.write_group;
       let stall = ft.accepted -. start in
       Des.Sched.delay stall;
       match t.wait_observer with
@@ -266,7 +375,7 @@ let fence t =
     end
     else begin
       t.fence_from <- -1;
-      Hashtbl.iter t.write_group groups
+      iter_groups t.groups t.write_group
     end;
     (* The thread stages nothing while it waits, so the entries are
        still in place. *)

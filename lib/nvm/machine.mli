@@ -167,8 +167,20 @@ val set_wait_observer : t -> (float -> unit) option -> unit
 
 (** Store fence: drains the calling thread's staged flushes through
     the write-combining cost model and applies them to the media
-    images.  Blocks (simulated) until the media writes complete. *)
+    images.  Blocks (simulated) until the media writes complete.
+
+    The staged lines are grouped by (device NUMA domain, XPLine), one
+    media write per group, and the groups are written in a fixed
+    order (it picks device channels under saturation): by bucket
+    [Hashtbl.hash (numa, xpline) land (size - 1)] ascending, where
+    [size] starts at 16 and doubles while there are more than
+    [2 * size] groups, and newest group first within a bucket. *)
 val fence : t -> unit
+
+(** [fence_order lines] groups staged lines, given as [(numa, xpline)]
+    in clwb order, as [fence] does, and lists the groups
+    [(numa, xpline, lines)] in the order [fence] writes them. *)
+val fence_order : (int * int) list -> (int * int * int) list
 
 (** Power-failure / SIGKILL: volatile state (CPU caches, staged
     flushes, device buffers, DRAM pools) is lost; each pool's cache

@@ -263,13 +263,14 @@ let read_string t off len =
   touch_range t off len;
   Bytes.sub_string t.cache off len
 
-let write_string t off s =
-  let len = String.length s in
+let blit_from_bytes t off buf pos len =
   if len > 0 then begin
     touch_range_write t off len;
-    Bytes.blit_string s 0 t.cache off len;
+    Bytes.blit buf pos t.cache off len;
     record_store t off len
   end
+
+let write_string t off s = blit_from_bytes t off (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let blit_to_bytes t off buf pos len =
   touch_range t off len;

@@ -82,6 +82,10 @@ val write_string : t -> int -> string -> unit
     [read_string]. *)
 val blit_to_bytes : t -> int -> bytes -> int -> int -> unit
 
+(** [blit_from_bytes p off buf pos len] stores [len] bytes of [buf]
+    from [pos] at [off]: [write_string] without a string. *)
+val blit_from_bytes : t -> int -> bytes -> int -> int -> unit
+
 (** Zero [len] bytes at [off]. *)
 val fill_zero : t -> int -> int -> unit
 

@@ -139,15 +139,20 @@ let compare_key_at lay t slot k =
     let len = Pobj.read_u8 t (e + 8) in
     Pobj.compare_string t (e + 9) len k
 
-let set_entry lay t slot key v =
+(* Write the pair of value [v] and the key of [len] bytes at [pos] in
+   [buf] to [slot], with its fingerprint. *)
+let write_entry lay t slot v buf pos len =
   let e = entry_off lay slot in
   Pobj.write_int t e v;
-  if lay.inline = 8 then Pobj.write_string t (e + 8) key
+  if lay.inline = 8 then Pobj.blit_from_bytes t (e + 8) buf pos len
   else begin
-    Pobj.write_u8 t (e + 8) (String.length key);
-    Pobj.write_string t (e + 9) key
+    Pobj.write_u8 t (e + 8) len;
+    Pobj.blit_from_bytes t (e + 9) buf pos len
   end;
-  Pobj.write_u8 t (off_fingerprints + slot) (Fingerprint.of_key key)
+  Pobj.write_u8 t (off_fingerprints + slot) (Fingerprint.of_bytes buf pos len)
+
+let set_entry lay t slot key v =
+  write_entry lay t slot v (Bytes.unsafe_of_string key) 0 (String.length key)
 
 let bit slot = Int64.shift_left 1L slot
 
@@ -197,8 +202,10 @@ let snap_prev () = snap_int off_prev
 let snap_compare_anchor t k =
   Pobj.compare_string t off_anchor (snap_int (Layout.off f_anchor_len)) k
 
-let snap_live snap slot =
-  Bytes.get_uint8 snap (Layout.off f_bitmap + (slot lsr 3)) land (1 lsl (slot land 7)) <> 0
+(* Is [slot] set in the little-endian bitmap at [pos] in [buf]? *)
+let live_in buf pos slot = Bytes.get_uint8 buf (pos + (slot lsr 3)) land (1 lsl (slot land 7)) <> 0
+
+let snap_live snap slot = live_in snap (Layout.off f_bitmap) slot
 
 let rec equal_from snap pos k len i =
   i >= len
@@ -255,15 +262,118 @@ let live_entries lay t =
   in
   go [] (entries - 1)
 
-let sorted_live lay t =
-  let bm = bitmap t in
-  let rec collect acc slot =
-    if slot < 0 then acc
-    else
-      collect (if test_bit bm slot then (key_at lay t slot, slot) :: acc else acc)
-        (slot - 1)
-  in
-  List.sort (fun (a, _) (b, _) -> Key.compare a b) (collect [] (entries - 1))
+(* ---------- sorted order ---------- *)
+
+(* A thread's copy of the entries a sort or an absorb read, laid out
+   as in the node (entry [slot] at [slot * stride]) and followed by the
+   node's bitmap, and a slot array to sort into.  A split reads the
+   keys, then can miss the cache and let other threads run before it
+   writes them to the new node, so the copy belongs to the thread:
+   [copies] is indexed by thread id + 1 (the host program is -1). *)
+type copy = { image : Bytes.t; slots : int array }
+
+let copies = ref [||]
+
+let max_stride = (layout ~key_inline:Key.max_len ()).stride
+
+let copy_bitmap = entries * max_stride
+
+let thread_copy () =
+  let i = Des.Sched.current_id () + 1 in
+  if i >= Array.length !copies then begin
+    let grown = Array.make (max 8 (2 * i)) None in
+    Array.blit !copies 0 grown 0 (Array.length !copies);
+    copies := grown
+  end;
+  match Array.unsafe_get !copies i with
+  | Some c -> c
+  | None ->
+      let c = { image = Bytes.create (copy_bitmap + 8); slots = Array.make entries 0 } in
+      !copies.(i) <- Some c;
+      c
+
+(* Read the bitmap into the copy, as [bitmap] reads it but without
+   boxing it. *)
+let read_bitmap t image = Pobj.blit_to_bytes t (Layout.off f_bitmap) image copy_bitmap 8
+
+let copied_live image slot = live_in image copy_bitmap slot
+
+let copy_key lay slot = (slot * lay.stride) + if lay.inline = 8 then 8 else 9
+
+let copy_key_len lay image slot =
+  if lay.inline = 8 then 8 else Bytes.get_uint8 image ((slot * lay.stride) + 8)
+
+(* Read [slot]'s key into the copy, as [key_at] reads it. *)
+let read_key lay t image slot =
+  let e = entry_off lay slot and c = slot * lay.stride in
+  if lay.inline = 8 then Pobj.blit_to_bytes t (e + 8) image (c + 8) 8
+  else begin
+    let len = Pobj.read_u8 t (e + 8) in
+    Bytes.set_uint8 image (c + 8) len;
+    Pobj.blit_to_bytes t (e + 9) image (c + 9) len
+  end
+
+let rec compare_bytes a apos alen b bpos blen i =
+  if i >= alen || i >= blen then compare alen blen
+  else
+    let c = Char.compare (Bytes.unsafe_get a (apos + i)) (Bytes.unsafe_get b (bpos + i)) in
+    if c <> 0 then c else compare_bytes a apos alen b bpos blen (i + 1)
+
+let compare_copied lay image s1 s2 =
+  compare_bytes image (copy_key lay s1) (copy_key_len lay image s1) image (copy_key lay s2)
+    (copy_key_len lay image s2) 0
+
+(* Insertion sort of [slots.(0 .. n-1)] by copied key; stable. *)
+let sort_slots lay image slots n =
+  for i = 1 to n - 1 do
+    let s = slots.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && compare_copied lay image slots.(!j) s > 0 do
+      slots.(!j + 1) <- slots.(!j);
+      decr j
+    done;
+    slots.(!j + 1) <- s
+  done
+
+let sort_into lay t image slots =
+  read_bitmap t image;
+  let n = ref 0 in
+  for slot = entries - 1 downto 0 do
+    if copied_live image slot then begin
+      read_key lay t image slot;
+      incr n
+    end
+  done;
+  let n = !n in
+  let i = ref 0 in
+  for slot = 0 to entries - 1 do
+    if copied_live image slot then begin
+      slots.(!i) <- slot;
+      incr i
+    end
+  done;
+  sort_slots lay image slots n;
+  n
+
+let sort_live lay t slots = sort_into lay t (thread_copy ()).image slots
+
+let thread_slots () = (thread_copy ()).slots
+
+let sorted_key lay slot =
+  let image = (thread_copy ()).image in
+  Bytes.sub_string image (copy_key lay slot) (copy_key_len lay image slot)
+
+let compare_sorted_key lay slot k =
+  let image = (thread_copy ()).image in
+  let k = Bytes.unsafe_of_string k in
+  compare_bytes image (copy_key lay slot) (copy_key_len lay image slot) k 0 (Bytes.length k) 0
+
+let slot_mask slots ~pos ~len =
+  let m = ref 0L in
+  for i = pos to pos + len - 1 do
+    m := Int64.logor !m (bit slots.(i))
+  done;
+  !m
 
 type write_result = Ok | Full | Absent
 
@@ -271,9 +381,11 @@ type write_result = Ok | Full | Absent
    decides when.  The stamp ties the array to the lock version so
    readers can detect staleness (§5.2).  Both writes are transient
    unless persist_perm flushes them below. *)
-let write_permutation t sorted =
+let write_permutation t order n =
   Pobj.Sanitizer.with_suppressed @@ fun () ->
-  List.iteri (fun i (_, slot) -> Pobj.write_u8 t (off_permutation + i) slot) sorted
+  for i = 0 to n - 1 do
+    Pobj.write_u8 t (off_permutation + i) order.(i)
+  done
 
 let stamp_permutation t =
   (* Record the raw lock word so any later writer invalidates it. *)
@@ -281,14 +393,15 @@ let stamp_permutation t =
   Pobj.set_int t f_perm_version word
 
 let rebuild_permutation lay t =
-  let sorted = sorted_live lay t in
-  write_permutation t sorted;
+  let c = thread_copy () in
+  let n = sort_into lay t c.image c.slots in
+  write_permutation t c.slots n;
   stamp_permutation t;
   if lay.persist_perm then begin
     Pobj.flush t off_permutation entries;
     Pobj.persist_field t f_perm_version
   end;
-  List.length sorted
+  n
 
 let permutation_fresh t = Pobj.get_int t f_perm_version = Pobj.get_int t f_lock
 
@@ -384,40 +497,61 @@ let scan_from lay t k ~f =
   in
   go 0
 
-let copy_into lay ~src ~dst pairs =
-  Obs.Span.with_phase Obs.Span.Dnode_insert @@ fun () ->
-  List.iteri
-    (fun i (key, slot) ->
-      set_entry lay dst i key (value_at lay src slot);
-      ())
-    pairs;
-  let bm =
-    List.fold_left (fun acc i -> Int64.logor acc (bit i)) 0L
-      (List.init (List.length pairs) Fun.id)
-  in
-  set_bitmap dst bm
+let low_bits n = if n >= entries then -1L else Int64.pred (Int64.shift_left 1L n)
 
-let clear_slots t slots =
-  let bm =
-    List.fold_left (fun acc s -> Int64.logand acc (Int64.lognot (bit s))) (bitmap t) slots
-  in
-  set_bitmap t bm;
+let copy_slots lay ~src ~dst slots pos len =
+  let image = (thread_copy ()).image in
+  for i = 0 to len - 1 do
+    let slot = slots.(pos + i) in
+    let v = value_at lay src slot in
+    write_entry lay dst i v image (copy_key lay slot) (copy_key_len lay image slot)
+  done;
+  set_bitmap dst (low_bits len)
+
+let copy_into lay ~src ~dst slots ~pos ~len =
+  let span = Obs.Span.start Obs.Span.Dnode_insert in
+  match copy_slots lay ~src ~dst slots pos len with
+  | () -> Obs.Span.stop span
+  | exception e ->
+      Obs.Span.stop span;
+      raise e
+
+let clear_slots t mask =
+  set_bitmap t (Int64.logand (bitmap t) (Int64.lognot mask));
   persist_bitmap t
 
-let absorb lay ~src ~dst =
-  Obs.Span.with_phase Obs.Span.Dnode_insert @@ fun () ->
-  let pairs = live_entries lay src in
+(* Read [slot]'s value and key into the copy, as [live_entries] reads
+   them. *)
+let read_entry lay t image slot =
+  let v = value_at lay t slot in
+  Bytes.set_int64_le image (slot * lay.stride) (Int64.of_int v);
+  read_key lay t image slot
+
+let absorb_slots lay src dst =
+  let image = (thread_copy ()).image in
+  read_bitmap src image;
+  for slot = entries - 1 downto 0 do
+    if copied_live image slot then read_entry lay src image slot
+  done;
   let bm = ref (bitmap dst) in
-  let added = ref [] in
-  List.iter
-    (fun (key, v) ->
-      let slot = first_empty !bm in
-      if slot < 0 then invalid_arg "Data_node.absorb: destination too full";
-      set_entry lay dst slot key v;
-      persist_slot lay dst slot;
-      bm := Int64.logor !bm (bit slot);
-      added := slot :: !added)
-    pairs;
+  for slot = 0 to entries - 1 do
+    if copied_live image slot then begin
+      let d = first_empty !bm in
+      if d < 0 then invalid_arg "Data_node.absorb: destination too full";
+      let v = Int64.to_int (Bytes.get_int64_le image (slot * lay.stride)) in
+      write_entry lay dst d v image (copy_key lay slot) (copy_key_len lay image slot);
+      persist_slot lay dst d;
+      bm := Int64.logor !bm (bit d)
+    end
+  done;
   set_bitmap dst !bm;
   persist_bitmap dst;
   maybe_persist_perm lay dst
+
+let absorb lay ~src ~dst =
+  let span = Obs.Span.start Obs.Span.Dnode_insert in
+  match absorb_slots lay src dst with
+  | () -> Obs.Span.stop span
+  | exception e ->
+      Obs.Span.stop span;
+      raise e

@@ -140,8 +140,33 @@ val live_count : t -> int
 (** Live [(key, value)] pairs in slot order. *)
 val live_entries : layout -> t -> (Key.t * int) list
 
-(** Live [(key, slot)] pairs sorted by key. *)
-val sorted_live : layout -> t -> (Key.t * int) list
+(** {2 Sorted order}
+
+    [sort_live lay t slots] fills [slots] (of length at least
+    {!entries}) with the live slots of [t] in key order and returns
+    their number.  It reads the bitmap, then each live key once, in
+    descending slot order, into a copy private to the calling thread;
+    the [sorted_*] readers and {!copy_into} below take the keys from
+    that copy, until the thread next sorts a node (a permutation
+    rebuild included) or runs {!absorb}.  Allocation-free. *)
+val sort_live : layout -> t -> int array -> int
+
+(** An int array of {!entries} private to the calling thread, for
+    [sort_live] on a hot path.  A permutation rebuild by the thread
+    (any {!scan_from} of a stale node, any write under [persist_perm])
+    sorts into it too. *)
+val thread_slots : unit -> int array
+
+(** The key of [slot] as the calling thread's last [sort_live] read
+    it. *)
+val sorted_key : layout -> int -> Key.t
+
+(** [compare (sorted_key lay slot) k], allocation-free. *)
+val compare_sorted_key : layout -> int -> Key.t -> int
+
+(** [slot_mask slots ~pos ~len]: the bitmap of
+    [slots.(pos .. pos+len-1)]. *)
+val slot_mask : int array -> pos:int -> len:int -> int64
 
 (** {2 Crash-consistent writes (caller holds the node lock)} *)
 
@@ -176,12 +201,15 @@ val scan_from : layout -> t -> Key.t -> f:(Key.t -> int -> bool) -> bool
 
 (** {2 SMO helpers (§5.6), sequencing controlled by {!Tree}} *)
 
-(** Copy the given [(key, slot)] pairs of [src] into the empty [dst]
-    image (no flushes). *)
-val copy_into : layout -> src:t -> dst:t -> (Key.t * int) list -> unit
+(** [copy_into lay ~src ~dst slots ~pos ~len] copies the pairs of
+    [src] in [slots.(pos .. pos+len-1)] into slots [0 .. len-1] of the
+    empty [dst] image (no flushes): each value read from [src], each
+    key from the calling thread's last {!sort_live} of [src]. *)
+val copy_into : layout -> src:t -> dst:t -> int array -> pos:int -> len:int -> unit
 
-(** Atomically drop the given slots from the bitmap and persist. *)
-val clear_slots : t -> int list -> unit
+(** Atomically drop the slots of the given bitmap from the bitmap and
+    persist. *)
+val clear_slots : t -> int64 -> unit
 
 (** Append [src]'s live entries into free slots of [dst]:
     persist kv+fp, then one atomic bitmap update + persist.

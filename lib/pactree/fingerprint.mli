@@ -7,3 +7,7 @@
 (** [of_key k] is in [\[1, 255\]]; 0 is reserved for empty slots so a
     fingerprint array of zeroes can never match. *)
 val of_key : Key.t -> int
+
+(** [of_bytes b pos len] is [of_key] of the [len] bytes of [b] at
+    [pos]. *)
+val of_bytes : Bytes.t -> int -> int -> int

@@ -48,11 +48,6 @@ let create pools ~base =
 
 let ring_base t tid = t.base + (tid land (rings - 1)) * entries_per_ring * entry_size
 
-let thread_ring t =
-  let tid = Des.Sched.current_id () in
-  let numa = Des.Sched.current_numa () in
-  (t.pools.(numa mod Array.length t.pools), ring_base t tid, tid)
-
 let state e = Pobj.get_int e f_state
 
 let write_entry e ~ts payload =
@@ -72,29 +67,40 @@ let write_entry e ~ts payload =
   Pobj.set_int e f_state kind;
   Pobj.persist_field e f_state
 
-let append t ~ts payload =
-  Obs.Span.with_phase Obs.Span.Smo @@ fun () ->
-  let pool, rbase, tid = thread_ring t in
-  let hint = Option.value ~default:0 (Hashtbl.find_opt t.cursors tid) in
-  let rec find_free attempt i tried =
-    if tried >= entries_per_ring then begin
-      (* Ring full: wait for the updater (back-pressure, §5.6). *)
-      if attempt > 50_000 then failwith "Smo_log.append: ring stuck (updater dead?)";
-      Des.Sched.delay (500e-9 *. float_of_int (1 lsl min attempt 9));
-      find_free (attempt + 1) hint 0
+(* The first free entry of thread [tid]'s ring in [pool] from slot [i]
+   on, having tried [tried] slots since slot [hint]. *)
+let rec find_free t pool tid hint attempt i tried =
+  if tried >= entries_per_ring then begin
+    (* Ring full: wait for the updater (back-pressure, §5.6). *)
+    if attempt > 50_000 then failwith "Smo_log.append: ring stuck (updater dead?)";
+    Des.Sched.delay (500e-9 *. float_of_int (1 lsl min attempt 9));
+    find_free t pool tid hint (attempt + 1) hint 0
+  end
+  else
+    let e = { pool; off = ring_base t tid + (i mod entries_per_ring * entry_size) } in
+    if state e = 0 then begin
+      Hashtbl.replace t.cursors tid ((i + 1) mod entries_per_ring);
+      e
     end
-    else
-      let off = rbase + (i mod entries_per_ring * entry_size) in
-      let e = { pool; off } in
-      if state e = 0 then begin
-        Hashtbl.replace t.cursors tid ((i + 1) mod entries_per_ring);
-        e
-      end
-      else find_free attempt (i + 1) (tried + 1)
-  in
-  let e = find_free 0 hint 0 in
+    else find_free t pool tid hint attempt (i + 1) (tried + 1)
+
+let append_entry t ts payload =
+  let tid = Des.Sched.current_id () in
+  let pool = t.pools.(Des.Sched.current_numa () mod Array.length t.pools) in
+  let hint = match Hashtbl.find t.cursors tid with h -> h | exception Not_found -> 0 in
+  let e = find_free t pool tid hint 0 hint 0 in
   write_entry e ~ts payload;
   e
+
+let append t ~ts payload =
+  let span = Obs.Span.start Obs.Span.Smo in
+  match append_entry t ts payload with
+  | e ->
+      Obs.Span.stop span;
+      e
+  | exception e ->
+      Obs.Span.stop span;
+      raise e
 
 let aux_field e = (e.pool, e.off + Layout.off f_aux)
 

@@ -311,13 +311,14 @@ let enqueue_smo t e =
 
 let persist_field node rel = Pobj.persist node rel 8
 
-let split_and_insert t node wv key value =
-  Obs.Span.with_phase Obs.Span.Smo @@ fun () ->
+(* The upper half of the node's keys, in sorted order, moves to a new
+   right sibling whose anchor is the first moved key. *)
+let split t node wv key value =
   t.stats.splits <- t.stats.splits + 1;
-  let sorted = Node.sorted_live t.lay node in
-  let total = List.length sorted in
-  let move = List.filteri (fun i _ -> i >= total / 2) sorted in
-  let anchor = fst (List.hd move) in
+  let slots = Node.thread_slots () in
+  let total = Node.sort_live t.lay node slots in
+  let half = total / 2 and moved = total - (total / 2) in
+  let anchor = Node.sorted_key t.lay slots.(half) in
   (* 1. Log the split. *)
   let ts = next_ts t in
   let e = Smo_log.append t.log ~ts (Smo_log.Split { left = Node.to_ptr node; anchor }) in
@@ -328,13 +329,13 @@ let split_and_insert t node wv key value =
   (* 3. Build and persist the new node before publishing it. *)
   let old_next = Node.next node in
   Node.init t.lay nnode ~gen:t.gen ~anchor ~next:old_next ~prev:(Node.to_ptr node);
-  Node.copy_into t.lay ~src:node ~dst:nnode move;
+  Node.copy_into t.lay ~src:node ~dst:nnode slots ~pos:half ~len:moved;
   Pobj.persist nnode 0 t.lay.Node.node_size;
   (* 4. Publish: link right of the splitting node (atomic). *)
   Node.set_next node new_ptr;
   persist_field node Node.off_next;
   (* 5. Retire the moved slots (atomic bitmap update). *)
-  Node.clear_slots node (List.map snd move);
+  Node.clear_slots node (Node.slot_mask slots ~pos:half ~len:moved);
   (* 6. Fix the right neighbour's prev pointer. *)
   if not (Pptr.is_null old_next) then begin
     let rn = Node.of_ptr t.machine old_next in
@@ -358,6 +359,14 @@ let split_and_insert t node wv key value =
     release t nnode nwv;
     release t node wv
   end
+
+let split_and_insert t node wv key value =
+  let span = Obs.Span.start Obs.Span.Smo in
+  match split t node wv key value with
+  | () -> Obs.Span.stop span
+  | exception e ->
+      Obs.Span.stop span;
+      raise e
 
 (* ---------- merge (§5.6) ---------- *)
 
@@ -624,6 +633,12 @@ let smo_backlog t = Queue.length t.pending_refs + Smo_log.active_count t.log
 
 (* ---------- recovery (§5.9) ---------- *)
 
+(* The index of the first of the [n] sorted [slots] whose key is at
+   least [k], or [n]. *)
+let first_at_least t slots n k =
+  let rec go i = if i < n && Node.compare_sorted_key t.lay slots.(i) k < 0 then go (i + 1) else i in
+  go 0
+
 let recover_split t e left anchor =
   let new_ptr = Smo_log.aux e in
   if Pptr.is_null new_ptr then
@@ -635,23 +650,22 @@ let recover_split t e left anchor =
     let nnode = Node.of_ptr t.machine new_ptr in
     (* The link is written only after the new node is fully persisted,
        so a missing link means we must rebuild the new node. *)
+    let slots = Array.make Node.entries 0 in
     if not (Pptr.equal (Node.next node) new_ptr) then begin
-      let sorted = Node.sorted_live t.lay node in
-      let move = List.filter (fun (k, _) -> Key.compare k anchor >= 0) sorted in
+      let total = Node.sort_live t.lay node slots in
+      let first = first_at_least t slots total anchor in
       let old_next = Node.next node in
       Node.init t.lay nnode ~gen:t.gen ~anchor ~next:old_next ~prev:left;
-      Node.copy_into t.lay ~src:node ~dst:nnode move;
+      Node.copy_into t.lay ~src:node ~dst:nnode slots ~pos:first ~len:(total - first);
       Pobj.persist nnode 0 t.lay.Node.node_size;
       Node.set_next node new_ptr;
       persist_field node Node.off_next
     end;
     (* Drop any moved keys still present in the left node. *)
-    let stale =
-      List.filter_map
-        (fun (k, slot) -> if Key.compare k anchor >= 0 then Some slot else None)
-        (Node.sorted_live t.lay node)
-    in
-    if stale <> [] then Node.clear_slots node stale;
+    let total = Node.sort_live t.lay node slots in
+    let first = first_at_least t slots total anchor in
+    if first < total then
+      Node.clear_slots node (Node.slot_mask slots ~pos:first ~len:(total - first));
     (* Fix the right neighbour's prev pointer. *)
     let rn = Node.next nnode in
     if not (Pptr.is_null rn) then begin

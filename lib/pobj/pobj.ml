@@ -46,6 +46,8 @@ let write_string o rel s = Pool.write_string o.pool (o.off + rel) s
 
 let blit_to_bytes o rel buf pos len = Pool.blit_to_bytes o.pool (o.off + rel) buf pos len
 
+let blit_from_bytes o rel buf pos len = Pool.blit_from_bytes o.pool (o.off + rel) buf pos len
+
 let compare_string o rel len s = Pool.compare_string o.pool (o.off + rel) len s
 
 let compare_prefix o rel len s slen = Pool.compare_prefix o.pool (o.off + rel) len s slen

@@ -64,6 +64,8 @@ val write_string : obj -> int -> string -> unit
 
 val blit_to_bytes : obj -> int -> bytes -> int -> int -> unit
 
+val blit_from_bytes : obj -> int -> bytes -> int -> int -> unit
+
 val compare_string : obj -> int -> int -> string -> int
 
 (** [compare_prefix o rel len s slen] compares with the first [slen]

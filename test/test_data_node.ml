@@ -123,10 +123,11 @@ let test_string_layout () =
       | Some (_, v) -> Alcotest.(check int) k i v
       | None -> Alcotest.failf "missing %s" k)
     keys;
-  let sorted = Node.sorted_live lay node in
+  let slots = Array.make Node.entries 0 in
+  let n = Node.sort_live lay node slots in
   Alcotest.(check (list string)) "sorted"
     (List.sort compare keys)
-    (List.map fst sorted)
+    (List.init n (fun i -> Node.sorted_key lay slots.(i)))
 
 let test_anchor_compare () =
   let machine = Machine.create ~numa_count:1 () in

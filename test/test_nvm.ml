@@ -383,6 +383,40 @@ let test_cache_slots () =
   let firsts = List.sort_uniq compare (List.map (fun p -> Pool.cache_slot p 0) pools) in
   Alcotest.(check int) "line 0 of three pools: three slots" 3 (List.length firsts)
 
+(* A fence writes its (numa, xpline) groups in the order a [Hashtbl]
+   built from the staged lines iterates them: that order picks device
+   channels under saturation, so every simulated result depends on it.
+   The staged lines: 1 to 200 distinct lines, so that the table's
+   resizes at 33, 65 and 129 groups are crossed, each staged one to
+   four times, in random order. *)
+let gen_staged =
+  QCheck.Gen.(
+    int_range 1 200 >>= fun groups ->
+    list_repeat groups (pair (int_bound 3) (int_bound 1_000_000)) >>= fun lines ->
+    flatten_l
+      (List.map
+         (fun line -> map (fun n -> List.init n (fun _ -> line)) (int_range 1 4))
+         (List.sort_uniq compare lines))
+    >>= fun staged -> shuffle_l (List.concat staged))
+
+let hashtbl_order staged =
+  let groups = Hashtbl.create 8 in
+  List.iter
+    (fun key ->
+      let count = try Hashtbl.find groups key with Not_found -> 0 in
+      Hashtbl.replace groups key (count + 1))
+    staged;
+  let acc = ref [] in
+  Hashtbl.iter (fun (numa, xpline) count -> acc := (numa, xpline, count) :: !acc) groups;
+  List.rev !acc
+
+let test_fence_order =
+  QCheck.Test.make ~name:"machine: fence visits groups in Hashtbl order" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair int int))
+       gen_staged)
+    (fun staged -> Machine.fence_order staged = hashtbl_order staged)
+
 let suite =
   [
     Alcotest.test_case "machine: cache slots are pool-aware" `Quick test_cache_slots;
@@ -420,4 +454,5 @@ let suite =
       test_read_write_asymmetry;
     Alcotest.test_case "stats: snapshot/diff/add/reset" `Quick test_stats_roundtrip;
     Alcotest.test_case "config: bandwidth presets" `Quick test_config_bandwidths;
+    QCheck_alcotest.to_alcotest test_fence_order;
   ]
