@@ -39,7 +39,10 @@ let mix_arg =
     & info [ "mix" ] ~docv:"MIX" ~doc:"YCSB mix: la, a, b, c, e, skew-insert.")
 
 let keys_arg =
-  Arg.(value & opt int 100_000 & info [ "keys" ] ~doc:"Pre-loaded key count.")
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "keys" ] ~doc:"Pre-loaded key count (default 100000; not with --mix la).")
 
 let ops_arg = Arg.(value & opt int 100_000 & info [ "ops" ] ~doc:"Operations to run.")
 
@@ -48,8 +51,10 @@ let threads_arg =
 
 let theta_arg =
   Arg.(
-    value & opt float 0.99
-    & info [ "theta" ] ~doc:"Zipfian skew (0 = uniform, YCSB default 0.99).")
+    value
+    & opt (some float) None
+    & info [ "theta" ]
+        ~doc:"Zipfian skew (0 = uniform, YCSB default 0.99; not with ycsb --mix la).")
 
 let string_keys_arg =
   Arg.(value & flag & info [ "string-keys" ] ~doc:"Use 23-byte string keys.")
@@ -94,21 +99,36 @@ let require_positive flags =
       end)
     flags
 
+(* [theta] defaults to YCSB's 0.99. *)
 let require_theta theta =
+  let theta = Option.value theta ~default:0.99 in
   if not (theta >= 0.0 && theta < 1.0) then begin
     Printf.eprintf "--theta must be in [0, 1) (got %g)\n" theta;
     exit 2
-  end
+  end;
+  theta
 
 let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide obs_out =
+  (* The load phase starts from an empty index and inserts without
+     skew: a key count or a skew would be silently ignored. *)
+  if mix = Workload.Ycsb.Load_a then
+    List.iter
+      (fun (flag, given) ->
+        if given then begin
+          Printf.eprintf "--%s does not apply to --mix la (the load phase starts empty)\n"
+            flag;
+          exit 2
+        end)
+      [ ("keys", keys <> None); ("theta", theta <> None) ];
+  let keys = Option.value keys ~default:100_000 in
   require_positive [ ("keys", keys); ("ops", ops); ("threads", threads) ];
-  require_theta theta;
+  let theta = require_theta theta in
+  let t0 = Unix.gettimeofday () in
   let protocol = if directory then Nvm.Config.Directory else Nvm.Config.Snoop in
   let profile = if low_bw then Nvm.Config.dcpmm_low_bw else Nvm.Config.dcpmm in
   let machine = Nvm.Machine.create ~profile ~protocol ~numa_count:2 () in
   Nvm.Machine.set_flush_elision machine elide;
-  let scale = Experiments.Scale.make ~keys ~ops ~thread_counts:[] in
-  let b = Experiments.Factory.make_backend machine ~string_keys ~scale sys in
+  let b = Experiments.Factory.make_backend machine ~string_keys sys in
   let kind =
     if string_keys then Workload.Keyset.String_keys else Workload.Keyset.Int_keys
   in
@@ -133,6 +153,14 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide o
     (float_of_int (Nvm.Stats.total_write_bytes r.Workload.Runner.nvm) /. 1e6)
     r.Workload.Runner.nvm.Nvm.Stats.flushes
     r.Workload.Runner.nvm.Nvm.Stats.flushes_elided r.Workload.Runner.nvm.Nvm.Stats.fences;
+  let resident =
+    List.fold_left (fun acc p -> acc + Nvm.Pool.resident_bytes p) 0 (Nvm.Pool.all machine)
+  in
+  let loaded = if mix = Workload.Ycsb.Load_a then ops else keys in
+  Format.printf "host       : %.1f s, top heap %.0f MB, pool images %.1f B per loaded key@."
+    (Unix.gettimeofday () -. t0)
+    (float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6)
+    (float_of_int resident /. float_of_int loaded);
   match (obs_out, obs) with
   | Some path, Some o ->
       Format.printf "%a@." Obs.Span.pp_table o.Obs.Recorder.span;
@@ -297,11 +325,10 @@ let crashmc_systems name =
       | Some sys -> Ok [ sys ]
       | None -> Error ("unknown index: " ^ s))
 
-(* A fresh single-socket machine with the system's pools kept small:
-   every materialised crash state blits the full image. *)
+(* A fresh single-socket machine with the system built on it. *)
 let crashmc_sut sys =
   let machine = Nvm.Machine.create ~numa_count:1 () in
-  (machine, Experiments.Factory.make_backend machine ~scale:Experiments.Scale.crashmc sys)
+  (machine, Experiments.Factory.make_backend machine sys)
 
 let run_crashmc index_name ops budget max_states seed workload mutate =
   (* An explicit --seed wins; PACTREE_SEED only replaces the default. *)
@@ -501,7 +528,7 @@ let run_service sys shards quick keys ops workers queue admission arrival mix th
         Printf.eprintf "--keys must be at least --shards (%d) (got %d)\n" shards keys;
         exit 2
       end;
-      require_theta theta;
+      let theta = require_theta theta in
       let cfg =
         {
           d with

@@ -91,10 +91,10 @@ let val_at n i = Pool.read_int n.pool (rec_off n i + 16)
 
 let mw t targets = Pmwcas.execute ~desc_pool:t.meta ~desc_base:64 targets
 
-let create machine ?(string_keys = false) ?(capacity = 1 lsl 26) () =
+let create machine ?(string_keys = false) () =
   let numa = Machine.numa_count machine in
   let heap =
-    Heap.create machine ~kind:Heap.Pmdk ~name:"bztree" ~numa_pools:numa ~capacity ()
+    Heap.create machine ~kind:Heap.Pmdk ~name:"bztree" ~numa_pools:numa ()
   in
   let meta =
     Pool.create machine ~name:"bztree.meta" ~numa:0 ~capacity:(64 + Pmwcas.region_size) ()

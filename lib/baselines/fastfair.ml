@@ -68,7 +68,7 @@ type t = {
   machine : Machine.t;
   heap : Heap.t;
   meta : Pool.t; (* 0: root pointer *)
-  string_keys : bool;
+  kr : Krep.t;
 }
 
 type node = Pobj.obj = { pool : Pool.t; off : int }
@@ -97,44 +97,6 @@ let krep_at n i = Pobj.read_i64 n (rec_rel i)
 
 let val_at n i = Pobj.read_int n (rec_rel i + 8)
 
-(* Key representation: integer keys embed the 8 big-endian bytes (so
-   unsigned int64 comparison = key order); string keys embed a
-   pointer to an out-of-node record (len byte + bytes). *)
-let krep_of_key t (k : Key.t) =
-  if t.string_keys then begin
-    let ptr = Heap.alloc t.heap (1 + String.length k) in
-    let o = Pobj.make (Pmalloc.Registry.resolve t.machine ptr) (Pptr.off ptr) in
-    Pobj.write_u8 o 0 (String.length k);
-    Pobj.write_string o 1 k;
-    Pobj.persist o 0 (1 + String.length k);
-    Int64.of_int ptr
-  end
-  else String.get_int64_be (Key.to_radix k ^ "\000\000\000\000\000\000\000") 0
-
-let key_of_krep t krep =
-  if t.string_keys then begin
-    let ptr = Int64.to_int krep in
-    let o = Pobj.make (Pmalloc.Registry.resolve t.machine ptr) (Pptr.off ptr) in
-    let len = Pobj.read_u8 o 0 in
-    Pobj.read_string o 1 len
-  end
-  else begin
-    let b = Bytes.create 8 in
-    Bytes.set_int64_be b 0 krep;
-    Bytes.unsafe_to_string b
-  end
-
-(* Compare the stored record key at slot [i] with probe key [k]
-   (already converted for the integer path). *)
-let cmp_slot t n i ~probe_rep ~probe_key =
-  if t.string_keys then begin
-    let ptr = Int64.to_int (krep_at n i) in
-    let o = Pobj.make (Pmalloc.Registry.resolve t.machine ptr) (Pptr.off ptr) in
-    let len = Pobj.read_u8 o 0 in
-    Pobj.compare_string o 1 len probe_key
-  end
-  else Int64.unsigned_compare (krep_at n i) probe_rep
-
 (* Index of the first slot whose key is >= probe (binary search over
    the sorted records). *)
 let lower_bound t n ~probe_rep ~probe_key =
@@ -143,16 +105,20 @@ let lower_bound t n ~probe_rep ~probe_key =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if cmp_slot t n mid ~probe_rep ~probe_key < 0 then go (mid + 1) hi else go lo mid
+      if Krep.compare_with_key t.kr (krep_at n mid) ~probe_rep ~probe_key < 0 then
+        go (mid + 1) hi
+      else go lo mid
   in
   go 0 c
+
+(* Does slot [i] (a [lower_bound]) hold the probe key? *)
+let found t n i ~probe_rep ~probe_key =
+  i < count n && Krep.compare_with_key t.kr (krep_at n i) ~probe_rep ~probe_key = 0
 
 let child_for t n ~probe_rep ~probe_key =
   (* last separator <= probe; its child, or leftmost *)
   let i = lower_bound t n ~probe_rep ~probe_key in
-  let i =
-    if i < count n && cmp_slot t n i ~probe_rep ~probe_key = 0 then i + 1 else i
-  in
+  let i = if found t n i ~probe_rep ~probe_key then i + 1 else i in
   if i = 0 then leftmost n else val_at n (i - 1)
 
 let alloc_node t ~leaf =
@@ -163,13 +129,13 @@ let alloc_node t ~leaf =
   Pobj.write_u8 n (off_leaf) (Bool.to_int leaf);
   (n, ptr)
 
-let create machine ?(string_keys = false) ?(capacity = 1 lsl 26) () =
+let create machine ?(string_keys = false) () =
   let numa = Machine.numa_count machine in
   let heap =
-    Heap.create machine ~kind:Heap.Pmdk ~name:"fastfair" ~numa_pools:numa ~capacity ()
+    Heap.create machine ~kind:Heap.Pmdk ~name:"fastfair" ~numa_pools:numa ()
   in
   let meta = Pool.create machine ~name:"fastfair.meta" ~numa:0 ~capacity:256 () in
-  let t = { machine; heap; meta; string_keys } in
+  let t = { machine; heap; meta; kr = Krep.create ~heap ~string_keys } in
   let root, rptr = alloc_node t ~leaf:true in
   Pobj.persist root 0 node_size;
   let mo = Pobj.make meta 0 in
@@ -200,7 +166,7 @@ let check h v = if not (Vlock.validate h ~gen ~version:v) then raise Restart
 let confirm_root t n = Pobj.read_int (Pobj.make t.meta 0) 0 = to_ptr n
 
 let lookup t key =
-  let probe_rep = if t.string_keys then 0L else krep_of_key t key in
+  let probe_rep = Krep.probe_rep t.kr key in
   let probe_key = key in
   with_retry @@ fun () ->
   let rec descend ~at_root n =
@@ -209,10 +175,7 @@ let lookup t key =
     if at_root && not (confirm_root t n) then raise Restart;
     if is_leaf n then begin
       let i = lower_bound t n ~probe_rep ~probe_key in
-      let r =
-        if i < count n && cmp_slot t n i ~probe_rep ~probe_key = 0 then Some (val_at n i)
-        else None
-      in
+      let r = if found t n i ~probe_rep ~probe_key then Some (val_at n i) else None in
       check h v;
       r
     end
@@ -340,29 +303,10 @@ let split_node t n =
      returned so the caller can install a new root. *)
 let insert t key value =
   let probe_key = key in
-  let krep = lazy (krep_of_key t key) in
-  let probe_rep = if t.string_keys then 0L else Lazy.force krep in
-  (* compare a probe against a separator krep *)
-  let cmp_sep sep =
-    if t.string_keys then begin
-      let ptr = Int64.to_int sep in
-      let o = Pobj.make (Pmalloc.Registry.resolve t.machine ptr) (Pptr.off ptr) in
-      let len = Pobj.read_u8 o 0 in
-      Pobj.compare_string o 1 len probe_key
-    end
-    else Int64.unsigned_compare sep probe_rep
-  in
-  (* compare two kreps *)
-  let cmp_krep a b =
-    if t.string_keys then begin
-      let ka = key_of_krep t a in
-      let pb = Int64.to_int b in
-      let o = Pobj.make (Pmalloc.Registry.resolve t.machine pb) (Pptr.off pb) in
-      let len = Pobj.read_u8 o 0 in
-      -Pobj.compare_string o 1 len ka
-    end
-    else Int64.unsigned_compare a b
-  in
+  let krep = lazy (Krep.of_key t.kr key) in
+  let probe_rep = Krep.probe_rep t.kr key in
+  (* compare two kreps: [a] is read whole, then [b] compared in place *)
+  let cmp_krep a b = -Krep.compare_with_key t.kr b ~probe_rep:a ~probe_key:(Krep.to_key t.kr a) in
   let sep_lower_bound n sep =
     let c = count n in
     let rec go lo hi =
@@ -393,7 +337,7 @@ let insert t key value =
     in
     if is_leaf n then begin
       let i = lower_bound t n ~probe_rep ~probe_key in
-      if i < count n && cmp_slot t n i ~probe_rep ~probe_key = 0 then begin
+      if found t n i ~probe_rep ~probe_key then begin
         (* upsert: 8B atomic value store *)
         Pobj.write_int n (rec_rel i + 8) value;
         Pobj.persist n (rec_rel i + 8) 8;
@@ -409,7 +353,11 @@ let insert t key value =
       else begin
         let sep, rptr = split_node t n in
         (* place the pending pair in the correct half *)
-        let target = if cmp_sep sep < 0 then node_of t.machine rptr else n in
+        let target =
+          if Krep.compare_with_key t.kr sep ~probe_rep ~probe_key < 0 then
+            node_of t.machine rptr
+          else n
+        in
         let same = target.off = n.off && target.pool == n.pool in
         let twv = if same then wv else Vlock.acquire (lockh target) ~gen in
         let i = lower_bound t target ~probe_rep ~probe_key in
@@ -472,7 +420,7 @@ let insert t key value =
 
 
 let update t key value =
-  let probe_rep = if t.string_keys then 0L else krep_of_key t key in
+  let probe_rep = Krep.probe_rep t.kr key in
   with_retry @@ fun () ->
   let rec descend ~at_root n =
     if is_leaf n then begin
@@ -483,7 +431,7 @@ let update t key value =
         raise Restart
       end;
       let i = lower_bound t n ~probe_rep ~probe_key:key in
-      let found = i < count n && cmp_slot t n i ~probe_rep ~probe_key:key = 0 in
+      let found = found t n i ~probe_rep ~probe_key:key in
       if found then begin
         Pobj.write_int n (rec_rel i + 8) value;
         Pobj.persist n (rec_rel i + 8) 8
@@ -503,7 +451,7 @@ let update t key value =
   descend ~at_root:true (root t)
 
 let delete t key =
-  let probe_rep = if t.string_keys then 0L else krep_of_key t key in
+  let probe_rep = Krep.probe_rep t.kr key in
   with_retry @@ fun () ->
   let rec descend ~at_root n =
     if is_leaf n then begin
@@ -514,7 +462,7 @@ let delete t key =
         raise Restart
       end;
       let i = lower_bound t n ~probe_rep ~probe_key:key in
-      let found = i < count n && cmp_slot t n i ~probe_rep ~probe_key:key = 0 in
+      let found = found t n i ~probe_rep ~probe_key:key in
       if found then remove_at t n i;
       Vlock.release h ~gen ~version:wv;
       found
@@ -533,7 +481,7 @@ let delete t key =
 (* Scan: locate the first leaf, then follow the sorted leaf chain —
    FastFair's strength (sequential NVM reads, GA5). *)
 let scan t key n_wanted =
-  let probe_rep = if t.string_keys then 0L else krep_of_key t key in
+  let probe_rep = Krep.probe_rep t.kr key in
   with_retry @@ fun () ->
   let rec find_leaf ~at_root n =
     let h = lockh n in
@@ -555,7 +503,7 @@ let scan t key n_wanted =
     let batch = ref [] in
     let i = ref start in
     while !i < c && !taken + List.length !batch < n_wanted do
-      batch := (key_of_krep t (krep_at n !i), val_at n !i) :: !batch;
+      batch := (Krep.to_key t.kr (krep_at n !i), val_at n !i) :: !batch;
       incr i
     done;
     let nxt = next n in
@@ -589,10 +537,6 @@ let scan t key n_wanted =
    rather than unwound. *)
 let recover t =
   Heap.recover t.heap;
-  let cmp_krep a b =
-    if t.string_keys then Key.compare (key_of_krep t a) (key_of_krep t b)
-    else Int64.unsigned_compare a b
-  in
   let rec leftmost_leaf n =
     if is_leaf n then n else leftmost_leaf (node_of t.machine (leftmost n))
   in
@@ -607,7 +551,7 @@ let recover t =
     let keep = ref [] and kept = ref 0 in
     for i = 0 to c - 1 do
       let kr = krep_at n i in
-      let ok = match !last with None -> true | Some l -> cmp_krep kr l > 0 in
+      let ok = match !last with None -> true | Some l -> Krep.compare t.kr kr l > 0 in
       if ok then begin
         keep := (kr, val_at n i) :: !keep;
         incr kept;
@@ -668,7 +612,7 @@ let check_invariants t =
   in
   let rec walk n acc =
     let c = count n in
-    let keys = List.init c (fun i -> key_of_krep t (krep_at n i)) in
+    let keys = List.init c (fun i -> Krep.to_key t.kr (krep_at n i)) in
     let sorted = List.sort Key.compare keys in
     if keys <> sorted then failwith "FastFair: leaf not sorted";
     let acc = acc @ keys in

@@ -51,10 +51,10 @@ let off_gen = 8
 
 let off_log = 64
 
-let create machine ?(string_keys = false) ?(capacity = 1 lsl 26) () =
+let create machine ?(string_keys = false) () =
   let numa = Machine.numa_count machine in
   let heap =
-    Heap.create machine ~kind:Heap.Pmdk ~name:"fptree" ~numa_pools:numa ~capacity ()
+    Heap.create machine ~kind:Heap.Pmdk ~name:"fptree" ~numa_pools:numa ()
   in
   let meta = Pool.create machine ~name:"fptree.meta" ~numa:0 ~capacity:256 () in
   let lay = Node.layout ~key_inline:(if string_keys then 32 else 8) () in

@@ -10,7 +10,7 @@ type t
 
 val name : string
 
-val create : Nvm.Machine.t -> ?string_keys:bool -> ?capacity:int -> unit -> t
+val create : Nvm.Machine.t -> ?string_keys:bool -> unit -> t
 
 val insert : t -> Pactree.Key.t -> int -> unit
 

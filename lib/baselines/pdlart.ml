@@ -33,9 +33,9 @@ let record_key machine ptr =
   let len = Pool.read_u8 pool (off + 8) in
   Pool.read_string pool (off + 9) len
 
-let create machine ?(alloc_kind = Heap.Pmdk) ?(capacity = 1 lsl 26) ?numa_pools () =
+let create machine ?(alloc_kind = Heap.Pmdk) ?numa_pools () =
   let numa = Option.value ~default:(Machine.numa_count machine) numa_pools in
-  let heap = Heap.create machine ~kind:alloc_kind ~name:"pdlart" ~numa_pools:numa ~capacity () in
+  let heap = Heap.create machine ~kind:alloc_kind ~name:"pdlart" ~numa_pools:numa () in
   let meta =
     Pool.create machine ~name:"pdlart.meta" ~numa:0 ~capacity:(Art.meta_size + 256) ()
   in

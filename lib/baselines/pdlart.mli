@@ -13,7 +13,6 @@ val name : string
 val create :
   Nvm.Machine.t ->
   ?alloc_kind:Pmalloc.Heap.kind ->
-  ?capacity:int ->
   ?numa_pools:int ->
   unit ->
   t

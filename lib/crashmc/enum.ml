@@ -23,20 +23,6 @@ type pending = { p_pool : int; p_line : int; choices : string array }
 let iter ?(budget_per_point = 64) ?(seed = 0x5EEDL) ~trace ~f () =
   let machine = Trace.machine trace in
   let pools = Nvm.Pool.all machine in
-  (* Current fenced media image per persistent pool, evolved by replay. *)
-  let media : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
-  let media_of pool =
-    match Hashtbl.find_opt media pool with
-    | Some b -> b
-    | None ->
-        let b =
-          match Trace.base_media trace pool with
-          | Some base -> Bytes.copy base
-          | None -> Bytes.make (Nvm.Pool.capacity (Nvm.Pool.of_id machine pool)) '\000'
-        in
-        Hashtbl.replace media pool b;
-        b
-  in
   let evs = Trace.events trace in
   let n = Array.length evs in
   (* All lines ever named by the trace, sorted: the dedup-hash domain.
@@ -54,6 +40,26 @@ let iter ?(budget_per_point = 64) ?(seed = 0x5EEDL) ~trace ~f () =
       evs;
     let l = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] in
     Array.of_list (List.sort compare l)
+  in
+  (* Current fenced media image per persistent pool, evolved by replay:
+     the image recorded at the trace's start (none if the pool is
+     younger), zero-extended over every line the trace names, since a
+     pool may grow while the trace records. *)
+  let media : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
+  let media_of pool =
+    match Hashtbl.find_opt media pool with
+    | Some b -> b
+    | None ->
+        let base = Option.value (Trace.base_media trace pool) ~default:Bytes.empty in
+        let len =
+          Array.fold_left
+            (fun len (p, line) -> if p = pool then max len ((line + 1) * line_size) else len)
+            (Bytes.length base) touched
+        in
+        let b = Bytes.make len '\000' in
+        Bytes.blit base 0 b 0 (Bytes.length base);
+        Hashtbl.replace media pool b;
+        b
   in
   (* Un-fenced snapshot candidates per line, newest first. *)
   let cand : (int * int, (int * string) list ref) Hashtbl.t = Hashtbl.create 64 in

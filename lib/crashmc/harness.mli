@@ -32,9 +32,9 @@ val mixed_workload : seed:int -> int -> Oracle.op list
     [sut.b_recover], with [sut.b_invariants] as the structural check.
     Stops early after [max_violations] violations or [max_states]
     checked states.  The system is consumed: [machine]'s pools end up
-    holding the last materialised image.  Keep its pools small: every
-    materialised state blits the full image of every pool.  [name]
-    labels the report. *)
+    holding the last materialised image.  Every materialised state
+    restores each pool's image prefix, which grows with the data the
+    trace stores.  [name] labels the report. *)
 val run :
   ?budget_per_point:int ->
   ?max_states:int ->

@@ -50,21 +50,13 @@ let epoch_quiesce epoch =
     decr budget
   done
 
-let make_backend machine ?(string_keys = false) ~scale ?cfg sys : Baselines.System.t =
-  let data_capacity = scale.Scale.data_capacity in
-  let search_capacity = scale.Scale.search_capacity in
+let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.System.t =
   match sys with
   | Pactree_sys ->
       let cfg =
         match cfg with
         | Some c -> c
-        | None ->
-            {
-              Tree.default_config with
-              key_inline = (if string_keys then 32 else 8);
-              data_capacity;
-              search_capacity;
-            }
+        | None -> { Tree.default_config with key_inline = (if string_keys then 32 else 8) }
       in
       let t = Tree.create machine ~cfg () in
       {
@@ -78,7 +70,7 @@ let make_backend machine ?(string_keys = false) ~scale ?cfg sys : Baselines.Syst
         b_service = Some (pactree_service t);
       }
   | Pdlart_sys ->
-      let t = Baselines.Pdlart.create machine ~capacity:data_capacity () in
+      let t = Baselines.Pdlart.create machine () in
       {
         b_index = Index.Index ((module Baselines.Pdlart.Index), t);
         b_recover = (fun () -> Baselines.Pdlart.recover t);
@@ -87,7 +79,7 @@ let make_backend machine ?(string_keys = false) ~scale ?cfg sys : Baselines.Syst
         b_service = None;
       }
   | Fastfair_sys ->
-      let t = Baselines.Fastfair.create machine ~string_keys ~capacity:data_capacity () in
+      let t = Baselines.Fastfair.create machine ~string_keys () in
       {
         b_index = Index.Index ((module Baselines.Fastfair.Index), t);
         b_recover = (fun () -> Baselines.Fastfair.recover t);
@@ -96,11 +88,7 @@ let make_backend machine ?(string_keys = false) ~scale ?cfg sys : Baselines.Syst
         b_service = None;
       }
   | Bztree_sys ->
-      (* BzTree copy-on-writes nodes without reclaiming (see
-         baselines/bztree.ml): give it headroom *)
-      let t =
-        Baselines.Bztree.create machine ~string_keys ~capacity:(4 * data_capacity) ()
-      in
+      let t = Baselines.Bztree.create machine ~string_keys () in
       {
         b_index = Index.Index ((module Baselines.Bztree.Index), t);
         b_recover = (fun () -> Baselines.Bztree.recover t);
@@ -109,7 +97,7 @@ let make_backend machine ?(string_keys = false) ~scale ?cfg sys : Baselines.Syst
         b_service = None;
       }
   | Fptree_sys ->
-      let t = Baselines.Fptree.create machine ~string_keys ~capacity:data_capacity () in
+      let t = Baselines.Fptree.create machine ~string_keys () in
       {
         b_index = Index.Index ((module Baselines.Fptree.Index), t);
         b_recover = (fun () -> Baselines.Fptree.recover t);

@@ -23,14 +23,18 @@ val supports_strings : sys -> bool
 (** PACTree's background updater as a runner service. *)
 val pactree_service : Pactree.Tree.t -> Workload.Runner.service
 
-(** [make_backend machine ~scale sys] builds the system on [machine]:
-    the index (pools sized by [scale]) with its recovery, invariant
-    and quiesce hooks and its background service, if any.  [cfg]
-    overrides PACTree's configuration for the factor analysis. *)
+(** [make_backend machine sys] builds the system on [machine]: the
+    index with its recovery, invariant and quiesce hooks and its
+    background service, if any.  [cfg] overrides PACTree's
+    configuration for the factor analysis.
+
+    [scale] is vestigial: it sized the pools before a pool's capacity
+    became a bound, and is accepted and ignored so existing callers
+    keep compiling. *)
 val make_backend :
   Nvm.Machine.t ->
   ?string_keys:bool ->
-  scale:Scale.t ->
+  ?scale:Scale.t ->
   ?cfg:Pactree.Tree.config ->
   sys ->
   Baselines.System.t

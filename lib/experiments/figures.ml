@@ -20,11 +20,8 @@ let gb bytes = float_of_int bytes /. 1e9
 
 let run_one ?(protocol = Config.Snoop) ?(profile = Config.dcpmm) ?(string_keys = false)
     ?cfg ?(theta = 0.99) ?threads ~scale ~mix sys =
-  (* each cell allocates hundreds of MB of pool images: reclaim the
-     previous cell's before building the next *)
-  Gc.compact ();
   let machine = Machine.create ~profile ~protocol ~numa_count:2 () in
-  let b = Factory.make_backend machine ~string_keys ~scale ?cfg sys in
+  let b = Factory.make_backend machine ~string_keys ?cfg sys in
   let threads = Option.value ~default:28 threads in
   let kind = if string_keys then Keyset.String_keys else Keyset.Int_keys in
   Runner.run ~machine ~index:b.b_index ?service:b.b_service ~mix ~kind
@@ -49,12 +46,8 @@ let fig2 scale =
 let fig3 scale =
   header "Figure 3: PDL-ART insert-only (int keys), allocator comparison";
   let m kind =
-    Gc.compact ();
     let machine = Machine.create ~numa_count:2 () in
-    let t =
-      Baselines.Pdlart.create machine ~alloc_kind:kind
-        ~capacity:scale.Scale.data_capacity ()
-    in
+    let t = Baselines.Pdlart.create machine ~alloc_kind:kind () in
     let index = Baselines.Index_intf.Index ((module Baselines.Pdlart.Index), t) in
     Runner.mops
       (Runner.run ~machine ~index ~mix:Ycsb.Load_a ~kind:Keyset.Int_keys ~loaded:0
@@ -105,10 +98,8 @@ let fig6 scale =
     "big ab/op";
   let sizes = (scale.Scale.keys / 4, scale.Scale.keys * 2) in
   let run keys threads =
-    Gc.compact ();
     let machine = Machine.create ~numa_count:2 () in
-    let scale' = Scale.make ~keys ~ops:scale.Scale.ops ~thread_counts:[] in
-    let t = Baselines.Fptree.create machine ~capacity:scale'.Scale.data_capacity () in
+    let t = Baselines.Fptree.create machine () in
     let index = Baselines.Index_intf.Index ((module Baselines.Fptree.Index), t) in
     let r =
       Runner.run ~machine ~index ~mix:Ycsb.Skew_insert ~kind:Keyset.Int_keys
@@ -184,14 +175,7 @@ let fig11 scale =
 
 let fig12 scale =
   header "Figure 12: factor analysis (string keys, 28 threads, Mops/s)";
-  let base_cfg =
-    {
-      Tree.default_config with
-      key_inline = 32;
-      data_capacity = scale.Scale.data_capacity;
-      search_capacity = scale.Scale.search_capacity;
-    }
-  in
+  let base_cfg = { Tree.default_config with key_inline = 32 } in
   let variants =
     [
       ("ART(SC)", `Pdlart 1);
@@ -212,16 +196,12 @@ let fig12 scale =
       printf "%-24s" label;
       List.iter
         (fun mix ->
-          Gc.compact ();
           let machine = Machine.create ~numa_count:2 () in
           let index, service =
             match variant with
             | `Pdlart numa_pools ->
                 let numa_pools = if numa_pools = 0 then None else Some numa_pools in
-                let t =
-                  Baselines.Pdlart.create machine ?numa_pools
-                    ~capacity:scale.Scale.data_capacity ()
-                in
+                let t = Baselines.Pdlart.create machine ?numa_pools () in
                 (Baselines.Index_intf.Index ((module Baselines.Pdlart.Index), t), None)
             | `Pactree cfg ->
                 let t = Tree.create machine ~cfg () in
@@ -367,14 +347,7 @@ let fh5 scale =
 let sec6_7 scale =
   header "6.7: distance from jump node to target node (YCSB-A, 112 threads)";
   let machine = Machine.create ~numa_count:2 () in
-  let cfg =
-    {
-      Tree.default_config with
-      data_capacity = scale.Scale.data_capacity;
-      search_capacity = scale.Scale.search_capacity;
-    }
-  in
-  let t = Tree.create machine ~cfg () in
+  let t = Tree.create machine () in
   let index = Baselines.Pactree_index.wrap t in
   ignore
     (Runner.run ~machine ~index ~service:(Factory.pactree_service t)
@@ -394,17 +367,10 @@ let sec6_7 scale =
 
 (* ---- §6.8: crash-injection recovery test ---- *)
 
-let sec6_8 ?(rounds = 100) scale =
+let sec6_8 ?(rounds = 100) _scale =
   header (Printf.sprintf "6.8: recovery under %d injected crashes" rounds);
   let machine = Machine.create ~numa_count:2 () in
-  let cfg =
-    {
-      Tree.default_config with
-      data_capacity = scale.Scale.data_capacity * 2;
-      search_capacity = scale.Scale.search_capacity * 2;
-    }
-  in
-  let t = Tree.create machine ~cfg () in
+  let t = Tree.create machine () in
   let seed = Des.Rng.env_seed ~default:0xC4A5FL in
   let rng = Des.Rng.create ~seed in
   let acked : (int, int) Hashtbl.t = Hashtbl.create 4096 in

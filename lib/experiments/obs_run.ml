@@ -41,9 +41,8 @@ let entry_of_result ~name ~keys (r : Runner.result) (obs : Obs.Recorder.t) =
 
 let bench_entry ?(string_keys = false) ?(theta = 0.99) ?(sanitize = false) ~scale ~mix
     ~threads sys =
-  Gc.compact ();
   let machine = Machine.create ~numa_count:2 () in
-  let b = Factory.make_backend machine ~string_keys ~scale sys in
+  let b = Factory.make_backend machine ~string_keys sys in
   let obs = Obs.Recorder.create machine () in
   let kind = if string_keys then Keyset.String_keys else Keyset.Int_keys in
   (* Enabled before load+run so the whole lifetime is linted; the

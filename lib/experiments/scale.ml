@@ -14,17 +14,9 @@ type t = {
   search_capacity : int;
 }
 
-let capacities keys =
-  (* sized for the string layout (4KB data-node class, half-occupancy
-     after splits, plus the run phase's fresh inserts), with room for
-     the out-of-node records of the baselines *)
-  let data = max (1 lsl 22) (keys * 384) in
-  let search = max (1 lsl 21) (keys * 96) in
-  (data, search)
-
 let make ~keys ~ops ~thread_counts =
-  let data_capacity, search_capacity = capacities keys in
-  { keys; ops; thread_counts; data_capacity; search_capacity }
+  let bound = Nvm.Pool.max_capacity in
+  { keys; ops; thread_counts; data_capacity = bound; search_capacity = bound }
 
 let quick = make ~keys:150_000 ~ops:60_000 ~thread_counts:[ 1; 28; 56 ]
 
@@ -32,13 +24,3 @@ let full =
   make ~keys:400_000 ~ops:200_000 ~thread_counts:[ 1; 4; 8; 16; 28; 56; 112 ]
 
 let tiny = make ~keys:8_000 ~ops:8_000 ~thread_counts:[ 1; 8 ]
-
-(* every materialised crash state blits the full image of every pool *)
-let crashmc =
-  {
-    keys = 0;
-    ops = 0;
-    thread_counts = [];
-    data_capacity = 1 lsl 18;
-    search_capacity = 1 lsl 18;
-  }

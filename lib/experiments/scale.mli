@@ -8,8 +8,11 @@ type t = {
   keys : int;  (** preloaded key count *)
   ops : int;  (** operations per run *)
   thread_counts : int list;  (** x-axis of scalability figures *)
-  data_capacity : int;  (** bytes per data pool *)
-  search_capacity : int;  (** bytes per search-layer pool *)
+  data_capacity : int;
+  search_capacity : int;
+      (** Both are {!Nvm.Pool.max_capacity}: a scale no longer sizes
+          pools.  Vestigial; kept because the benchmark driver reads
+          them. *)
 }
 
 val make : keys:int -> ops:int -> thread_counts:int list -> t
@@ -22,8 +25,3 @@ val full : t
 
 (** Smoke-test scale. *)
 val tiny : t
-
-(** Crash-state model checking: 256 KiB pools, because every
-    materialised crash state blits every pool; no preload (the
-    checked trace brings its own ops). *)
-val crashmc : t

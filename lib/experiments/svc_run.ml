@@ -40,16 +40,12 @@ let default ?(quick = false) sys =
 let make_store cfg =
   let machine = Nvm.Machine.create ~numa_count:cfg.numa () in
   let string_keys = cfg.kind = Workload.Keyset.String_keys in
-  (* per-shard capacity: each shard holds its slice of the loaded keys
-     plus its share of run-phase fresh inserts *)
-  let per_shard = ((cfg.keys + cfg.ops) / cfg.shards) + 1 in
-  let scale = Scale.make ~keys:per_shard ~ops:cfg.ops ~thread_counts:[ 1 ] in
   let boundaries =
     Store.boundaries_for ~kind:cfg.kind ~keys:cfg.keys ~shards:cfg.shards
   in
   Store.create ~machine ~boundaries
     ~make_backend:(fun ~shard:_ ~numa:_ ->
-      Factory.make_backend machine ~string_keys ~scale cfg.sys)
+      Factory.make_backend machine ~string_keys cfg.sys)
     ()
 
 let engine_config cfg ~rate =

@@ -30,7 +30,7 @@ type cfg = {
 val default : ?quick:bool -> Factory.sys -> cfg
 
 (** Fresh machine + sharded store for [cfg] (boundaries cut from the
-    loaded keyset, per-shard capacities scaled to [keys / shards]). *)
+    loaded keyset). *)
 val make_store : cfg -> Svc.Store.t
 
 (** The engine configuration a sweep point runs with (open loop at

@@ -1,5 +1,16 @@
 let line_size = 64
 
+let max_capacity = 1 lsl 40
+
+(* The image a pool starts from (or its whole capacity, if smaller),
+   and so the smallest growth step.  At 128 KB each of the four arrays
+   (the smallest, the dirty map, is 2 KB) is past the minor heap's
+   largest block: no growth allocates a minor word. *)
+let min_image = 1 lsl 17
+
+(* The four images cover the same prefix [0, Bytes.length cache) of
+   the capacity, which only ever grows; everything past it is zero
+   and clean. *)
 type t = {
   id : int;
   name : string;
@@ -7,10 +18,10 @@ type t = {
   dev : Device.t;
   numa : int;
   volatile : bool;
-  cache : Bytes.t;
-  media : Bytes.t; (* empty for volatile pools *)
-  dirty : Bytes.t; (* bitset, one bit per 64B line *)
-  staged_by : int array;
+  mutable cache : Bytes.t;
+  mutable media : Bytes.t; (* empty for volatile pools *)
+  mutable dirty : Bytes.t; (* one byte per 64B line, 1 if dirty *)
+  mutable staged_by : int array;
       (* line -> thread that staged it with no store since ([nobody]
          if none); that thread's pending fence will persist the current
          content, so its own re-flushes of the line can be elided
@@ -24,11 +35,43 @@ let nobody = min_int
 
 let round_up x align = (x + align - 1) / align * align
 
-let clear_dirty t line =
-  let idx = line lsr 3 in
-  let bit = 1 lsl (line land 7) in
-  let byte = Bytes.get_uint8 t.dirty idx in
-  if byte land bit <> 0 then Bytes.set_uint8 t.dirty idx (byte land lnot bit)
+let check_range t off len =
+  if not (off >= 0 && len >= 0 && off + len <= t.capacity) then
+    invalid_arg
+      (Printf.sprintf "Pool %s: access [%d, %d) outside capacity %d" t.name off
+         (off + len) t.capacity)
+
+(* [b] zero-extended to [len] bytes ([Bytes.extend] allocates a
+   tuple on the minor heap). *)
+let extend b len =
+  let old = Bytes.length b in
+  let b' = Bytes.create len in
+  Bytes.blit b 0 b' 0 old;
+  Bytes.fill b' old (len - old) '\000';
+  b'
+
+(* Grow the images to cover [0, upto) (within the capacity), at least
+   doubling them: a pool that fills from the bottom reallocates a
+   logarithmic number of times. *)
+let grow t upto =
+  let size = Bytes.length t.cache in
+  if upto > size then begin
+    let len = min t.capacity (max (round_up upto line_size) (2 * size)) in
+    let lines = len / line_size in
+    t.cache <- extend t.cache len;
+    t.dirty <- extend t.dirty lines;
+    if not t.volatile then begin
+      t.media <- extend t.media len;
+      let staged_by = Array.make lines nobody in
+      Array.blit t.staged_by 0 staged_by 0 (Array.length t.staged_by);
+      t.staged_by <- staged_by
+    end
+  end
+
+(* True when [off] lies wholly past the image: such a read sees zeros. *)
+let past t off = off >= Bytes.length t.cache
+
+let clear_dirty t line = Bytes.set t.dirty line '\000'
 
 let rec equal_from cache media base i =
   i >= line_size
@@ -45,28 +88,34 @@ let apply_snapshot t snaps pos line =
 
 type Machine.pool += Pool of t
 
-let restore t img =
-  if t.volatile then Bytes.fill t.cache 0 t.capacity '\000'
-  else begin
-    if Bytes.length img <> t.capacity then
-      invalid_arg
-        (Printf.sprintf "Pool %s: restore image %d bytes, capacity %d" t.name
-           (Bytes.length img) t.capacity);
-    Bytes.blit img 0 t.media 0 t.capacity;
-    Bytes.blit img 0 t.cache 0 t.capacity
-  end;
+let clear_tracking t =
   Array.fill t.staged_by 0 (Array.length t.staged_by) nobody;
   Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000'
 
+let restore t img =
+  if t.volatile then Bytes.fill t.cache 0 (Bytes.length t.cache) '\000'
+  else begin
+    let n = Bytes.length img in
+    if n > t.capacity then
+      invalid_arg
+        (Printf.sprintf "Pool %s: restore image %d bytes, capacity %d" t.name n
+           t.capacity);
+    grow t n;
+    let load b =
+      Bytes.blit img 0 b 0 n;
+      Bytes.fill b n (Bytes.length b - n) '\000'
+    in
+    load t.media;
+    load t.cache
+  end;
+  clear_tracking t
+
 let create machine ?(volatile = false) ~name ~numa ~capacity () =
   let capacity = round_up (max capacity 256) 256 in
-  let lines = capacity / line_size in
+  let size = min capacity min_image in
+  let lines = size / line_size in
   let id = Machine.pool_count machine in
   let dev = Machine.device machine numa in
-  let cache = Bytes.make capacity '\000' in
-  let media = if volatile then Bytes.empty else Bytes.make capacity '\000' in
-  let dirty = Bytes.make ((lines + 7) / 8) '\000' in
-  let staged_by = Array.make (if volatile then 0 else lines) nobody in
   let rec pool =
     {
       id;
@@ -75,10 +124,10 @@ let create machine ?(volatile = false) ~name ~numa ~capacity () =
       dev;
       numa;
       volatile;
-      cache;
-      media;
-      dirty;
-      staged_by;
+      cache = Bytes.make size '\000';
+      media = (if volatile then Bytes.empty else Bytes.make size '\000');
+      dirty = Bytes.make lines '\000';
+      staged_by = Array.make (if volatile then 0 else lines) nobody;
       capacity;
       sink = { Machine.dev; apply = (fun snaps pos line -> apply_snapshot pool snaps pos line) };
       io = { Device.at = 0.0 };
@@ -86,23 +135,22 @@ let create machine ?(volatile = false) ~name ~numa ~capacity () =
   in
   Machine.add_pool machine (Pool pool);
   let on_crash mode =
-    if volatile then Bytes.fill pool.cache 0 capacity '\000'
+    let size = Bytes.length pool.cache in
+    if volatile then Bytes.fill pool.cache 0 size '\000'
     else begin
       (match mode with
       | Machine.Strict -> ()
       | Machine.Flaky (p, rng) ->
           (* Un-fenced dirty lines may have been evicted to the media
              by the cache at any point: persist each with prob. p. *)
-          for line = 0 to lines - 1 do
-            let byte = Bytes.get_uint8 pool.dirty (line lsr 3) in
-            if byte land (1 lsl (line land 7)) <> 0 && Des.Rng.float rng < p then
+          for line = 0 to (size / line_size) - 1 do
+            if Bytes.get pool.dirty line <> '\000' && Des.Rng.float rng < p then
               Bytes.blit pool.cache (line * line_size) pool.media (line * line_size)
                 line_size
           done);
-      Bytes.blit pool.media 0 pool.cache 0 capacity
+      Bytes.blit pool.media 0 pool.cache 0 size
     end;
-    Array.fill pool.staged_by 0 (Array.length pool.staged_by) nobody;
-    Bytes.fill pool.dirty 0 (Bytes.length pool.dirty) '\000'
+    clear_tracking pool
   in
   Machine.on_crash machine on_crash;
   pool
@@ -115,6 +163,10 @@ let of_id machine id =
 let all machine = List.init (Machine.pool_count machine) (of_id machine)
 
 let media_image t = Bytes.copy t.media
+
+let resident_bytes t =
+  Bytes.length t.cache + Bytes.length t.media + Bytes.length t.dirty
+  + (Array.length t.staged_by * (Sys.word_size / 8))
 
 let id t = t.id
 
@@ -134,15 +186,9 @@ let gline t off = (t.id lsl 40) lor (off lsr 6)
 
 let cache_slot t off = Machine.cache_slot t.machine (gline t off)
 
-let mark_dirty t off =
-  let line = off lsr 6 in
-  let idx = line lsr 3 in
-  let bit = 1 lsl (line land 7) in
-  let byte = Bytes.get_uint8 t.dirty idx in
-  if byte land bit = 0 then Bytes.set_uint8 t.dirty idx (byte lor bit)
+let mark_dirty t off = Bytes.set t.dirty (off lsr 6) '\001'
 
-let line_dirty t line =
-  Bytes.get_uint8 t.dirty (line lsr 3) land (1 lsl (line land 7)) <> 0
+let line_dirty t line = Bytes.get t.dirty line <> '\000'
 
 (* Charge the cost of touching the line containing [off].  Writes take
    the same miss path as reads (read-for-ownership). *)
@@ -167,10 +213,8 @@ let touch_line t off =
    amplification rates: media traffic over logical traffic.  Volatile
    pools are excluded — amplification is an NVM phenomenon. *)
 let touch_range_k t off len ~write =
-  if not (off >= 0 && len >= 0 && off + len <= t.capacity) then
-    invalid_arg
-      (Printf.sprintf "Pool %s: access [%d, %d) outside capacity %d" t.name off
-         (off + len) t.capacity);
+  let inside = off >= 0 && len >= 0 && off + len <= Bytes.length t.cache in
+  if not inside then check_range t off len;
   if (not t.volatile) && len > 0 then begin
     let s = Machine.stats t.machine in
     if write then s.Stats.logical_write_bytes <- s.Stats.logical_write_bytes + len
@@ -179,7 +223,11 @@ let touch_range_k t off len ~write =
   let first = off lsr 6 and last = (off + len - 1) lsr 6 in
   for line = first to last do
     touch_line t (line lsl 6)
-  done
+  done;
+  (* A miss yields, and another thread may grow the image meanwhile:
+     decide after the touch.  A read wholly past the image grows
+     nothing; it sees zeros. *)
+  if (not inside) && (write || not (past t off)) then grow t (off + len)
 
 let touch_range t off len = touch_range_k t off len ~write:false
 
@@ -205,7 +253,7 @@ let record_store t off len =
 
 let read_u8 t off =
   touch_range t off 1;
-  Bytes.get_uint8 t.cache off
+  if past t off then 0 else Bytes.get_uint8 t.cache off
 
 let write_u8 t off v =
   touch_range_write t off 1;
@@ -214,7 +262,7 @@ let write_u8 t off v =
 
 let read_u16 t off =
   touch_range t off 2;
-  Bytes.get_uint16_le t.cache off
+  if past t off then 0 else Bytes.get_uint16_le t.cache off
 
 let write_u16 t off v =
   touch_range_write t off 2;
@@ -223,7 +271,7 @@ let write_u16 t off v =
 
 let read_u32 t off =
   touch_range t off 4;
-  Int32.to_int (Bytes.get_int32_le t.cache off) land 0xFFFFFFFF
+  if past t off then 0 else Int32.to_int (Bytes.get_int32_le t.cache off) land 0xFFFFFFFF
 
 let write_u32 t off v =
   touch_range_write t off 4;
@@ -234,7 +282,7 @@ let read_int64 t off =
   if off land 7 <> 0 then
     invalid_arg (Printf.sprintf "Pool %s: unaligned 8B read at %d" t.name off);
   touch_range t off 8;
-  Bytes.get_int64_le t.cache off
+  if past t off then 0L else Bytes.get_int64_le t.cache off
 
 let write_int64 t off v =
   if off land 7 <> 0 then
@@ -250,7 +298,7 @@ let read_int t off =
   if off land 7 <> 0 then
     invalid_arg (Printf.sprintf "Pool %s: unaligned 8B read at %d" t.name off);
   touch_range t off 8;
-  Int64.to_int (Bytes.get_int64_le t.cache off)
+  if past t off then 0 else Int64.to_int (Bytes.get_int64_le t.cache off)
 
 let write_int t off v =
   if off land 7 <> 0 then
@@ -261,7 +309,7 @@ let write_int t off v =
 
 let read_string t off len =
   touch_range t off len;
-  Bytes.sub_string t.cache off len
+  if past t off then String.make len '\000' else Bytes.sub_string t.cache off len
 
 let blit_from_bytes t off buf pos len =
   if len > 0 then begin
@@ -274,7 +322,7 @@ let write_string t off s = blit_from_bytes t off (Bytes.unsafe_of_string s) 0 (S
 
 let blit_to_bytes t off buf pos len =
   touch_range t off len;
-  Bytes.blit t.cache off buf pos len
+  if past t off then Bytes.fill buf pos len '\000' else Bytes.blit t.cache off buf pos len
 
 let fill_zero t off len =
   if len > 0 then begin
@@ -292,7 +340,8 @@ let rec compare_from cache off len s slen i =
 let compare_prefix t off len s slen =
   if slen > String.length s then invalid_arg "Pool.compare_prefix";
   touch_range t off len;
-  compare_from t.cache off len s slen 0
+  if past t off then compare_from (Bytes.make (min len slen) '\000') 0 len s slen 0
+  else compare_from t.cache off len s slen 0
 
 let compare_string t off len s = compare_prefix t off len s (String.length s)
 
@@ -322,6 +371,13 @@ let record_clwb t line =
        else Machine.Clwb { tid; pool; line })
   end
 
+(* A clwb (or eADR drain) of a line past the image grows the image. *)
+let cover_line t off =
+  if not (off >= 0 && off < Bytes.length t.cache) then begin
+    check_range t off 1;
+    grow t (off + 1)
+  end
+
 (* FliT-style flush tracking: a clwb is redundant when the line is
    already clean on media (cache == media), or when the calling thread
    itself staged the line and has not stored to it since (its pending
@@ -340,6 +396,7 @@ let record_clwb t line =
 let clwb t off =
   if (Machine.profile t.machine).Config.eadr then begin
     if not t.volatile then begin
+      cover_line t off;
       let line = off lsr 6 in
       let redundant = lines_equal t line in
       if redundant then begin
@@ -352,6 +409,7 @@ let clwb t off =
     end
   end
   else if not t.volatile then begin
+    cover_line t off;
     let line = off lsr 6 in
     let redundant = lines_equal t line || t.staged_by.(line) = Des.Sched.current_id () in
     if redundant && Machine.flush_elision t.machine then begin
@@ -400,11 +458,11 @@ let persist t off len =
 
 let media_read_int t off =
   assert (not t.volatile);
-  Int64.to_int (Bytes.get_int64_le t.media off)
+  if past t off then 0 else Int64.to_int (Bytes.get_int64_le t.media off)
 
 let line_content t line = Bytes.sub_string t.cache (line * line_size) line_size
 
-let line_is_dirty t off = (not t.volatile) && line_dirty t (off lsr 6)
+let line_is_dirty t off = (not t.volatile) && (not (past t off)) && line_dirty t (off lsr 6)
 
 let cas_int t off ~expected v =
   assert (off land 7 = 0);

@@ -11,13 +11,23 @@
     traffic with NUMA and coherence effects.  DRAM pools
     ([volatile:true]) cost DRAM latency, ignore flushes, and lose all
     content on crash — they model the "internal nodes in DRAM" designs
-    the paper compares against. *)
+    the paper compares against.
+
+    The capacity is a bound, not a reservation: the images start small
+    and grow by doubling to cover the highest byte stored, flushed or
+    drained.  A read wholly past the image sees zeros and allocates
+    nothing; an access outside [\[0, capacity)] raises
+    [Invalid_argument]. *)
 
 type t
 
-(** [create machine ~name ~numa ~capacity] allocates a pool (capacity
-    is rounded up to a 256B multiple).  [volatile] defaults to
-    [false]. *)
+(** 2{^40} bytes, the offset range of a persistent pointer: the
+    capacity of every pool that is not sized by its contents. *)
+val max_capacity : int
+
+(** [create machine ~name ~numa ~capacity] creates a pool (capacity is
+    rounded up to a 256B multiple) with images of at most 128 KB.
+    [volatile] defaults to [false]. *)
 val create :
   Machine.t -> ?volatile:bool -> name:string -> numa:int -> capacity:int -> unit -> t
 
@@ -132,16 +142,23 @@ val media_read_int : t -> int -> int
 (** [line_content p line] copies the 64 B cache content of line
     [line] (a line index, not an offset), bypassing cost accounting and
     the CPU-cache model — for persist-event subscribers, which must not
-    perturb the simulation. *)
+    perturb the simulation.  Every line a persist event names lies in
+    the image. *)
 val line_content : t -> int -> string
 
-(** A copy of the media image (empty for a volatile pool). *)
+(** A copy of the media image's prefix (empty for a volatile pool);
+    the bytes past it are zeros. *)
 val media_image : t -> Bytes.t
 
-(** [restore t img] installs media image [img] (cache := media, dirty
-    and staging state cleared), as if the machine had restarted from
-    it.  A volatile pool ignores [img] and zeroes its cache. *)
+(** [restore t img] installs media image [img], of any length up to
+    the capacity and zeros beyond it (cache := media, dirty and
+    staging state cleared), as if the machine had restarted from it.
+    A volatile pool ignores [img] and zeroes its cache. *)
 val restore : t -> Bytes.t -> unit
+
+(** Host bytes the pool's images hold: cache, media, dirty bitset and
+    staging array. *)
+val resident_bytes : t -> int
 
 (** The CPU-cache slot of the line containing [off] (see
     {!Machine.cache_slot}). *)

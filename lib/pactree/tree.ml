@@ -37,8 +37,8 @@ let default_config =
     selective_persistence = true;
     search_layer_dram = false;
     alloc_kind = Heap.Pmdk;
-    data_capacity = 1 lsl 26;
-    search_capacity = 1 lsl 24;
+    data_capacity = Pool.max_capacity;
+    search_capacity = Pool.max_capacity;
   }
 
 type stats = {

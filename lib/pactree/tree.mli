@@ -23,8 +23,8 @@ type config = {
   selective_persistence : bool;  (** skip persisting permutation arrays (§4.4) *)
   search_layer_dram : bool;  (** DRAM-resident search layer (ablation) *)
   alloc_kind : Pmalloc.Heap.kind;
-  data_capacity : int;  (** bytes per data pool *)
-  search_capacity : int;  (** bytes per search-layer pool *)
+  data_capacity : int;  (** bound on a data pool's bytes *)
+  search_capacity : int;  (** bound on a search-layer pool's bytes *)
 }
 
 val default_config : config

@@ -108,7 +108,8 @@ let init_pmdk_pool hd =
   Pobj.set_int hd f_bump data_start;
   Pobj.persist hd 0 16
 
-let create machine ?(volatile_pool = false) ~kind ~name ~numa_pools ~capacity () =
+let create machine ?(volatile_pool = false) ~kind ~name ~numa_pools
+    ?(capacity = Pool.max_capacity) () =
   assert (numa_pools >= 1);
   let make_pool i =
     let numa = i mod Nvm.Machine.numa_count machine in

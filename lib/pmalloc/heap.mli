@@ -28,9 +28,9 @@ type alloc_stats = {
   mutable alloc_bytes : int;
 }
 
-(** [create machine ~kind ~name ~numa_pools ~capacity ()] builds a
-    heap of [numa_pools] pools, each of [capacity] bytes, pool [i]
-    living on NUMA domain [i].  Pass [numa_pools:1] for the paper's
+(** [create machine ~kind ~name ~numa_pools ()] builds a heap of
+    [numa_pools] pools, each bounded by [capacity] bytes (default
+    {!Nvm.Pool.max_capacity}), pool [i] living on NUMA domain [i].  Pass [numa_pools:1] for the paper's
     single-socket-heap configuration (the per-NUMA-pool ablation of
     Fig 12).  [volatile_pool] makes the backing pools DRAM (for
     DRAM-placed search layers). *)
@@ -40,7 +40,7 @@ val create :
   kind:kind ->
   name:string ->
   numa_pools:int ->
-  capacity:int ->
+  ?capacity:int ->
   unit ->
   t
 

@@ -124,6 +124,27 @@ let test_pool_accessors () =
   check_zero "Pool.write_int" write_int;
   check_zero "Pool.read_u8" read_u8
 
+(* Growing an image reallocates past the minor heap only, and a read
+   wholly past the image allocates nothing.  Each access below misses
+   the CPU cache, so each is held to the words of a store that misses
+   inside the image. *)
+let test_pool_growth () =
+  let machine = Machine.create ~numa_count:1 () in
+  let pool = Pool.create machine ~name:"grow" ~numa:0 ~capacity:Pool.max_capacity () in
+  let far = 64 lsl 20 in
+  let miss, grow, double, past =
+    in_sim (fun () ->
+        Pool.write_int pool 0 1;
+        ( words (fun () -> Pool.write_int pool 4096 1),
+          words (fun () -> Pool.write_int pool far 1),
+          words (fun () -> Pool.write_int pool (far + (1 lsl 20)) 1),
+          words (fun () -> ignore (Pool.read_int pool (1 lsl 39) : int)) ))
+  in
+  let check what w = Alcotest.(check (float 0.0)) (what ^ ": the words of a miss") miss w in
+  check "a store that grows the image 64-fold" grow;
+  check "a store that doubles the image" double;
+  check "a read past the image" past
+
 let test_clwb_fence () =
   let w =
     with_pool (fun pool ->
@@ -335,7 +356,7 @@ let test_tree_line_reads () =
 
 let test_pdlart_line_reads () =
   let machine = Machine.create ~numa_count:2 () in
-  let index = Baselines.Pdlart.create machine ~capacity:(1 lsl 23) () in
+  let index = Baselines.Pdlart.create machine () in
   let reads =
     in_sim (fun () ->
         for i = 0 to read_keys - 1 do
@@ -345,6 +366,34 @@ let test_pdlart_line_reads () =
             ignore (Baselines.Pdlart.lookup index (read_key i) : int option)))
   in
   check_reads "PDL-ART lookup" 13.0016 reads
+
+(* ---------- resident pool bytes ---------- *)
+
+(* Host bytes held by every pool image of each system after a 20K-key
+   preload on two sockets.  Images grow with the data they hold; these
+   are ceilings, never to be raised. *)
+let test_resident_bytes () =
+  List.iter
+    (fun (sys, ceiling) ->
+      let machine = Machine.create ~numa_count:2 () in
+      let b = Experiments.Factory.make_backend machine sys in
+      ignore
+        (Workload.Runner.load ~machine ~index:b.b_index ?service:b.b_service
+           ~kind:Workload.Keyset.Int_keys ~loaded:20_000 ~threads:8 ()
+          : float);
+      let resident =
+        List.fold_left (fun acc p -> acc + Pool.resident_bytes p) 0 (Pool.all machine)
+      in
+      if resident > ceiling then
+        Alcotest.failf "%s: %d resident pool bytes, ceiling %d"
+          (Experiments.Factory.name sys) resident ceiling)
+    [
+      (Experiments.Factory.Pactree_sys, 3_402_532);
+      (Experiments.Factory.Pdlart_sys, 4_525_384);
+      (Experiments.Factory.Bztree_sys, 9_049_124);
+      (Experiments.Factory.Fastfair_sys, 2_245_156);
+      (Experiments.Factory.Fptree_sys, 2_245_156);
+    ]
 
 (* ---------- svc ---------- *)
 
@@ -381,6 +430,7 @@ let () =
           Alcotest.test_case "waitq wait + signal_one" `Quick test_waitq_cycle;
           Alcotest.test_case "pool accessors" `Quick test_pool_accessors;
           Alcotest.test_case "cache-missing read" `Quick test_cache_miss;
+          Alcotest.test_case "pool growth" `Quick test_pool_growth;
           Alcotest.test_case "clwb + fence" `Quick test_clwb_fence;
           Alcotest.test_case "registry resolve" `Quick test_registry_resolve;
           Alcotest.test_case "percentile sort" `Quick test_percentile_sort;
@@ -391,5 +441,6 @@ let () =
           Alcotest.test_case "engine per request" `Quick test_engine_request;
           Alcotest.test_case "tree lookup line reads" `Quick test_tree_line_reads;
           Alcotest.test_case "pdlart lookup line reads" `Quick test_pdlart_line_reads;
+          Alcotest.test_case "resident pool bytes" `Quick test_resident_bytes;
         ] );
     ]

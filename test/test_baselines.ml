@@ -75,7 +75,7 @@ let model_agreement (idx : Baselines.Index_intf.index) seed =
 
 let ff_index ?(string_keys = false) () =
   let m = make_machine () in
-  let t = Baselines.Fastfair.create m ~string_keys ~capacity:(1 lsl 22) () in
+  let t = Baselines.Fastfair.create m ~string_keys () in
   (m, t, Baselines.Index_intf.Index ((module Baselines.Fastfair.Index), t))
 
 let test_fastfair_generic () =
@@ -111,7 +111,7 @@ let test_fastfair_string_reads_more_nvm () =
   (* Fig 4's FastFair effect: string keys mean pointer chasing. *)
   let reads string_keys =
     let m = make_machine () in
-    let t = Baselines.Fastfair.create m ~string_keys ~capacity:(1 lsl 22) () in
+    let t = Baselines.Fastfair.create m ~string_keys () in
     for i = 0 to 1999 do
       Baselines.Fastfair.insert t (ik (i * 3571 mod 65536)) i
     done;
@@ -133,7 +133,7 @@ let test_fastfair_string_reads_more_nvm () =
 
 let test_fastfair_concurrent () =
   let m = make_machine () in
-  let t = Baselines.Fastfair.create m ~capacity:(1 lsl 22) () in
+  let t = Baselines.Fastfair.create m () in
   let sched = Des.Sched.create () in
   let threads = 6 and per = 300 in
   for i = 0 to threads - 1 do
@@ -152,7 +152,7 @@ let test_fastfair_concurrent () =
 
 let bz_index () =
   let m = make_machine () in
-  let t = Baselines.Bztree.create m ~capacity:(1 lsl 22) () in
+  let t = Baselines.Bztree.create m () in
   (m, t, Baselines.Index_intf.Index ((module Baselines.Bztree.Index), t))
 
 let test_bztree_generic () =
@@ -175,7 +175,7 @@ let test_bztree_consolidates () =
 let test_bztree_flush_heavy () =
   (* §6.1: BzTree needs ~15 flushes per insert. *)
   let m = make_machine () in
-  let t = Baselines.Bztree.create m ~capacity:(1 lsl 22) () in
+  let t = Baselines.Bztree.create m () in
   for i = 0 to 99 do
     Baselines.Bztree.insert t (ik i) i (* warm up, fill first nodes *)
   done;
@@ -191,7 +191,7 @@ let test_bztree_flush_heavy () =
 
 let test_bztree_concurrent () =
   let m = make_machine () in
-  let t = Baselines.Bztree.create m ~capacity:(1 lsl 22) () in
+  let t = Baselines.Bztree.create m () in
   let sched = Des.Sched.create () in
   let threads = 6 and per = 200 in
   for i = 0 to threads - 1 do
@@ -276,7 +276,7 @@ let test_htm_fallback_progress () =
 
 let fp_index () =
   let m = make_machine () in
-  let t = Baselines.Fptree.create m ~capacity:(1 lsl 22) () in
+  let t = Baselines.Fptree.create m () in
   (m, t, Baselines.Index_intf.Index ((module Baselines.Fptree.Index), t))
 
 let test_fptree_generic () =
@@ -301,7 +301,7 @@ let test_fptree_recovery_rebuilds () =
 
 let test_fptree_concurrent () =
   let m = make_machine () in
-  let t = Baselines.Fptree.create m ~capacity:(1 lsl 22) () in
+  let t = Baselines.Fptree.create m () in
   let sched = Des.Sched.create () in
   let threads = 6 and per = 200 in
   for i = 0 to threads - 1 do
@@ -319,7 +319,7 @@ let test_fptree_concurrent () =
 
 let pdl_index () =
   let m = make_machine () in
-  let t = Baselines.Pdlart.create m ~capacity:(1 lsl 22) () in
+  let t = Baselines.Pdlart.create m () in
   (m, t, Baselines.Index_intf.Index ((module Baselines.Pdlart.Index), t))
 
 let test_pdlart_generic () =
@@ -334,7 +334,7 @@ let test_pdlart_alloc_heavy () =
   (* GA3: every PDL-ART insert allocates at least one NVM object,
      while PACTree's slotted leaves amortise allocation. *)
   let m = make_machine () in
-  let t = Baselines.Pdlart.create m ~capacity:(1 lsl 22) () in
+  let t = Baselines.Pdlart.create m () in
   let heap_allocs_pdl () = (Pmalloc.Heap.stats (Baselines.Pdlart.heap t)).Pmalloc.Heap.allocs in
   let before = heap_allocs_pdl () in
   for i = 0 to 499 do

@@ -10,14 +10,12 @@ module Key = Pactree.Key
 
 let seed () = Int64.to_int (Des.Rng.env_seed ~default:1L)
 
-(* A fresh single-socket machine with small pools: every materialised
-   crash state blits the full image. *)
+(* A fresh single-socket machine with the system built on it. *)
 let make_sut sys =
   let machine = Nvm.Machine.create ~numa_count:1 () in
-  (machine, Factory.make_backend machine ~scale:Experiments.Scale.crashmc sys)
+  (machine, Factory.make_backend machine sys)
 
-let check_clean sys ~ops ~budget ~max_states =
-  let machine, sut = make_sut sys in
+let check_run sys (machine, sut) ~ops ~budget ~max_states =
   let r =
     Harness.run ~budget_per_point:budget ~max_states ~seed:(seed ())
       ~name:(Factory.id sys) ~machine ~sut ~ops ()
@@ -25,6 +23,8 @@ let check_clean sys ~ops ~budget ~max_states =
   if not (Harness.ok r) then
     Alcotest.failf "%a@.seed %d (override with PACTREE_SEED)" Harness.pp_report r
       (seed ())
+
+let check_clean sys = check_run sys (make_sut sys)
 
 (* Mixed insert/delete trace on every index. *)
 let test_mixed () =
@@ -35,14 +35,26 @@ let test_mixed () =
         ~budget:24 ~max_states:4_000)
     Factory.all
 
-(* Split-heavy monotone inserts: exercises FastFair node splits,
-   FPTree leaf splits + micro-log, PACTree data-node SMOs. *)
+let split_heavy sys sut =
+  check_run sys sut ~ops:(Harness.insert_workload 72) ~budget:16 ~max_states:4_000
+
+(* Split-heavy monotone inserts: exercises FastFair node splits and
+   FPTree leaf splits + micro-log (PACTree's data-node SMOs: next
+   case). *)
 let test_splits () =
-  List.iter
-    (fun sys ->
-      check_clean sys ~ops:(Harness.insert_workload 72) ~budget:16
-        ~max_states:4_000)
-    [ Factory.Pactree_sys; Factory.Fastfair_sys; Factory.Fptree_sys ]
+  List.iter (fun sys -> split_heavy sys (make_sut sys)) [ Factory.Fastfair_sys; Factory.Fptree_sys ]
+
+(* A pool that grows while the trace records: PACTree's split-heavy
+   inserts write SMO log entries past the log pool's first 128 KB, so
+   the crash images extend past the image recorded at the start. *)
+let test_growth_during_trace () =
+  let machine, sut = make_sut Factory.Pactree_sys in
+  let log =
+    List.find (fun p -> Nvm.Pool.name p = "pactree.log.0") (Nvm.Pool.all machine)
+  in
+  let before = Nvm.Pool.resident_bytes log in
+  split_heavy Factory.Pactree_sys (machine, sut);
+  Alcotest.(check bool) "the log pool grew" true (Nvm.Pool.resident_bytes log > before)
 
 (* Teeth: injecting a dropped clwb into the recorded run must produce
    at least one durable-linearizability violation across a small
@@ -142,6 +154,7 @@ let suite =
       test_oracle_prefix_only;
     Alcotest.test_case "mixed trace, all indexes" `Quick test_mixed;
     Alcotest.test_case "split-heavy trace" `Quick test_splits;
+    Alcotest.test_case "split-heavy trace, growing pool" `Quick test_growth_during_trace;
     Alcotest.test_case "mutation teeth (fastfair)" `Quick
       (test_mutation_teeth Factory.Fastfair_sys);
     Alcotest.test_case "mutation teeth (pactree)" `Quick

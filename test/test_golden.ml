@@ -75,9 +75,7 @@ let crashmc_line ~workload sys =
     | `Insert -> Crashmc.Harness.insert_workload 24
   in
   let machine = Nvm.Machine.create ~numa_count:1 () in
-  let sut =
-    Experiments.Factory.make_backend machine ~scale:Experiments.Scale.crashmc sys
-  in
+  let sut = Experiments.Factory.make_backend machine sys in
   let r =
     Crashmc.Harness.run ~budget_per_point:12 ~max_states:1500 ~seed:1
       ~name:(Experiments.Factory.id sys) ~machine ~sut ~ops ()

@@ -106,6 +106,121 @@ let test_persist_end_of_pool () =
   Machine.crash m Machine.Strict;
   Alcotest.(check int) "last line survives" 4242 (Pool.read_int p (capacity - 8))
 
+(* ---------- growable images ----------
+
+   A pool's capacity is a bound: its images start at (at most) 128 KB
+   ([image0]) and grow to cover the highest byte stored, flushed or
+   drained. *)
+
+let mb = 1 lsl 20
+
+let image0 = 1 lsl 17
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_read_past_image () =
+  let m = make_machine () in
+  let p = make_pool ~capacity:(1 lsl 30) m in
+  let size = Pool.resident_bytes p in
+  let far = 512 * mb in
+  Alcotest.(check int) "u8" 0 (Pool.read_u8 p far);
+  Alcotest.(check int) "u16" 0 (Pool.read_u16 p far);
+  Alcotest.(check int) "u32" 0 (Pool.read_u32 p far);
+  Alcotest.(check int) "int" 0 (Pool.read_int p far);
+  Alcotest.(check int64) "int64" 0L (Pool.read_int64 p far);
+  Alcotest.(check string) "string" (String.make 5 '\000') (Pool.read_string p far 5);
+  let buf = Bytes.make 4 'x' in
+  Pool.blit_to_bytes p far buf 0 4;
+  Alcotest.(check string) "blit" (String.make 4 '\000') (Bytes.to_string buf);
+  Alcotest.(check int) "compare equal to zeros" 0 (Pool.compare_string p far 2 "\000\000");
+  Alcotest.(check bool) "compare below a key" true (Pool.compare_string p far 2 "\000a" < 0);
+  Alcotest.(check bool) "compare shorter prefix" true (Pool.compare_prefix p far 3 "\000\000" 2 > 0);
+  Alcotest.(check int) "media" 0 (Pool.media_read_int p far);
+  Alcotest.(check bool) "clean" false (Pool.line_is_dirty p far);
+  Alcotest.(check int) "image unchanged" size (Pool.resident_bytes p)
+
+let test_store_grows_image () =
+  let m = make_machine () in
+  let p = make_pool ~capacity:(1 lsl 30) m in
+  Pool.write_int p 8 11;
+  let size = Pool.resident_bytes p in
+  let far = (5 * mb) + 64 in
+  Pool.write_int p far 22;
+  Alcotest.(check bool) "grew" true (Pool.resident_bytes p > size);
+  Alcotest.(check int) "earlier bytes kept" 11 (Pool.read_int p 8);
+  Alcotest.(check int) "stored" 22 (Pool.read_int p far);
+  Alcotest.(check int) "zeros between" 0 (Pool.read_int p (3 * mb));
+  (* a read that starts inside the image and runs past it grows it *)
+  let q = make_pool ~capacity:(1 lsl 30) m in
+  let size = Pool.resident_bytes q in
+  Alcotest.(check string) "straddling read" (String.make 8 '\000') (Pool.read_string q (image0 - 4) 8);
+  Alcotest.(check bool) "straddling read grew" true (Pool.resident_bytes q > size)
+
+let test_span_old_end () =
+  let m = make_machine () in
+  let p = make_pool ~capacity:(1 lsl 30) m in
+  Pool.write_string p (image0 - 4) "abcdefgh";
+  Alcotest.(check string) "blit across the old end" "abcdefgh" (Pool.read_string p (image0 - 4) 8);
+  let q = make_pool ~capacity:(1 lsl 30) m in
+  Pool.write_int q (image0 - 8) 7;
+  Pool.fill_zero q (image0 - 8) 16;
+  Alcotest.(check int) "zeroed below the old end" 0 (Pool.read_int q (image0 - 8));
+  Alcotest.(check int) "zeroed above the old end" 0 (Pool.read_int q image0);
+  Pool.persist q (image0 - 8) 16;
+  Machine.crash m Machine.Strict;
+  Alcotest.(check int) "durable zeros" 0 (Pool.read_int q image0)
+
+let test_capacity_bound () =
+  let m = make_machine () in
+  let cap = 2 * mb in
+  let p = make_pool ~capacity:cap m in
+  Pool.write_int p (cap - 8) 5;
+  Alcotest.(check int) "last word" 5 (Pool.read_int p (cap - 8));
+  Alcotest.(check bool) "store at the capacity" true
+    (raises_invalid (fun () -> Pool.write_int p cap 1));
+  Alcotest.(check bool) "read at the capacity" true
+    (raises_invalid (fun () -> Pool.read_int p cap));
+  Alcotest.(check bool) "read across the capacity" true
+    (raises_invalid (fun () -> Pool.read_string p (cap - 4) 8));
+  Alcotest.(check bool) "negative offset" true (raises_invalid (fun () -> Pool.read_u8 p (-1)));
+  Alcotest.(check bool) "clwb past the capacity" true (raises_invalid (fun () -> Pool.clwb p cap));
+  Alcotest.(check bool) "restore of a longer image" true
+    (raises_invalid (fun () -> Pool.restore p (Bytes.make (cap + 64) '\000')))
+
+let test_crash_after_growth () =
+  let m = make_machine () in
+  let p = make_pool ~capacity:(1 lsl 30) m in
+  let far = 3 * mb in
+  Pool.write_int p far 1;
+  Pool.persist p far 8;
+  Pool.write_int p (far + 64) 2;
+  Machine.crash m Machine.Strict;
+  Alcotest.(check int) "strict: persisted survives" 1 (Pool.read_int p far);
+  Alcotest.(check int) "strict: unflushed lost" 0 (Pool.read_int p (far + 64));
+  Pool.write_int p (far + 64) 3;
+  Machine.crash m (Machine.Flaky (1.0, Des.Rng.create ~seed:1L));
+  Alcotest.(check int) "flaky p=1: dirty line evicted" 3 (Pool.read_int p (far + 64))
+
+let test_restore_shorter_image () =
+  let m = make_machine () in
+  let p = make_pool ~capacity:(1 lsl 30) m in
+  Pool.write_int p 0 5;
+  Pool.persist p 0 8;
+  let img = Pool.media_image p in
+  Alcotest.(check int) "image is the prefix" image0 (Bytes.length img);
+  Pool.write_int p (3 * mb) 9;
+  Pool.persist p (3 * mb) 8;
+  Pool.write_int p 64 4;
+  Pool.restore p img;
+  Alcotest.(check int) "restored" 5 (Pool.read_int p 0);
+  Alcotest.(check int) "unflushed store gone" 0 (Pool.read_int p 64);
+  Alcotest.(check int) "zeros past the image" 0 (Pool.read_int p (3 * mb));
+  Alcotest.(check bool) "clean" false (Pool.line_is_dirty p (3 * mb));
+  Pool.restore p (Bytes.make 64 '\001');
+  Alcotest.(check int) "a one-line image" 0x0101010101010101 (Pool.read_int p 0);
+  Alcotest.(check int) "zeros past it" 0 (Pool.read_int p 64)
+
 (* One line flushed twice in a row with no intervening store: the
    second clwb is redundant and must be counted as elidable — and with
    elision off (the default) still executed. *)
@@ -434,6 +549,12 @@ let suite =
     Alcotest.test_case "persist: straddles a 64B line" `Quick test_persist_straddles_line;
     Alcotest.test_case "persist: zero-length is a no-op" `Quick test_flush_range_zero_len;
     Alcotest.test_case "persist: end of pool" `Quick test_persist_end_of_pool;
+    Alcotest.test_case "image: read past it sees zeros" `Quick test_read_past_image;
+    Alcotest.test_case "image: a store grows it" `Quick test_store_grows_image;
+    Alcotest.test_case "image: writes across its end" `Quick test_span_old_end;
+    Alcotest.test_case "image: the capacity still bounds" `Quick test_capacity_bound;
+    Alcotest.test_case "image: crashes after growth" `Quick test_crash_after_growth;
+    Alcotest.test_case "image: restore a shorter image" `Quick test_restore_shorter_image;
     Alcotest.test_case "flush tracking: redundant clwbs" `Quick
       test_flush_tracking_counts_redundant;
     Alcotest.test_case "crash: volatile pool wiped" `Quick test_volatile_pool_lost_on_crash;

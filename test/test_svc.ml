@@ -16,10 +16,8 @@ module Kmap = Map.Make (struct
   let compare = Key.compare
 end)
 
-(* small pools: every materialised crash state blits every pool *)
 let fastfair_backend machine =
-  Experiments.Factory.make_backend machine ~scale:Experiments.Scale.crashmc
-    Experiments.Factory.Fastfair_sys
+  Experiments.Factory.make_backend machine Experiments.Factory.Fastfair_sys
 
 (* [span]-keyspace store with equi-spaced boundaries. *)
 let make_store ?(numa = 2) ?(shards = 3) ?(span = 1000) () =

@@ -232,16 +232,16 @@ let test_runner_all_indexes_agree_on_c () =
       let t = small_tree m in
       (Baselines.Pactree_index.wrap t, Some (pactree_service t)));
   run_index (fun m ->
-      let t = Baselines.Fastfair.create m ~capacity:(1 lsl 23) () in
+      let t = Baselines.Fastfair.create m () in
       (Baselines.Index_intf.Index ((module Baselines.Fastfair.Index), t), None));
   run_index (fun m ->
-      let t = Baselines.Bztree.create m ~capacity:(1 lsl 23) () in
+      let t = Baselines.Bztree.create m () in
       (Baselines.Index_intf.Index ((module Baselines.Bztree.Index), t), None));
   run_index (fun m ->
-      let t = Baselines.Fptree.create m ~capacity:(1 lsl 23) () in
+      let t = Baselines.Fptree.create m () in
       (Baselines.Index_intf.Index ((module Baselines.Fptree.Index), t), None));
   run_index (fun m ->
-      let t = Baselines.Pdlart.create m ~capacity:(1 lsl 23) () in
+      let t = Baselines.Pdlart.create m () in
       (Baselines.Index_intf.Index ((module Baselines.Pdlart.Index), t), None))
 
 let test_runner_scaling_shape () =
