@@ -153,6 +153,12 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide o
     (float_of_int (Nvm.Stats.total_write_bytes r.Workload.Runner.nvm) /. 1e6)
     r.Workload.Runner.nvm.Nvm.Stats.flushes
     r.Workload.Runner.nvm.Nvm.Stats.flushes_elided r.Workload.Runner.nvm.Nvm.Stats.fences;
+  (* every access to a line is charged once, as a CPU-cache hit or a
+     miss: the lines an op reads (DESIGN §2, "Read discipline") *)
+  let s = r.Workload.Runner.nvm in
+  Format.printf "line reads : %.2f per op (CPU-cache hits + misses)@."
+    (float_of_int (s.Nvm.Stats.cache_hits + s.Nvm.Stats.cache_misses)
+    /. float_of_int r.Workload.Runner.ops);
   let resident =
     List.fold_left (fun acc p -> acc + Nvm.Pool.resident_bytes p) 0 (Nvm.Pool.all machine)
   in

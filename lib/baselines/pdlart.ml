@@ -33,6 +33,14 @@ let record_key machine ptr =
   let len = Pool.read_u8 pool (off + 8) in
   Pool.read_string pool (off + 9) len
 
+(* [String.compare (record_key machine ptr) rkey] in place, at the same
+   cost. *)
+let compare_record machine ptr rkey =
+  let pool = Pmalloc.Registry.resolve machine ptr in
+  let off = Pptr.off ptr in
+  let len = Pool.read_u8 pool (off + 8) in
+  Pool.compare_string pool (off + 9) len rkey
+
 let create machine ?(alloc_kind = Heap.Pmdk) ?numa_pools () =
   let numa = Option.value ~default:(Machine.numa_count machine) numa_pools in
   let heap = Heap.create machine ~kind:alloc_kind ~name:"pdlart" ~numa_pools:numa () in
@@ -41,8 +49,8 @@ let create machine ?(alloc_kind = Heap.Pmdk) ?numa_pools () =
   in
   let epoch = Pactree.Epoch.create () in
   let art =
-    Art.create ~heap ~meta ~epoch ~key_of_leaf:(record_key machine) ~compare_leaf:(fun p rkey ->
-        String.compare (record_key machine p) rkey)
+    Art.create ~heap ~meta ~epoch ~key_of_leaf:(record_key machine)
+      ~compare_leaf:(compare_record machine)
   in
   { machine; heap; meta; art; epoch }
 

@@ -147,8 +147,6 @@ let lockh n = n
 
 let check h ~gen v = if not (Vlock.validate h ~gen ~version:v) then raise Restart
 
-let stored_prefix_byte n i = Pobj.read_u8 n (off_prefix + i)
-
 (* Base-relative offset of child slot [i]; [child_slot] is the
    absolute form used for parent-slot records. *)
 let child_rel ty i = children_off.(ty) + (8 * i)
@@ -159,39 +157,9 @@ let read_child n ty i = Pobj.read_int n (child_rel ty i)
 
 let key4_16 n i = Pobj.read_u8 n (n4_keys + i)
 
-(* All of a Node4/16's key bytes in one cache access (they share a
-   line with the header). *)
-let keys4_16 n c = Pobj.read_string n n4_keys c
-
 let idx48 n b = Pobj.read_u8 n (n48_index + b)
 
 let byte_at rkey i = Char.code (String.unsafe_get rkey i)
-
-(* [find_child n b] returns the slot offset (for atomic replacement)
-   and the pointer. *)
-let find_child n b =
-  let ty = ntype n in
-  match ty with
-  | 0 | 1 ->
-      let c = count n in
-      let keys = keys4_16 n c in
-      let rec go i =
-        if i >= c then None
-        else if Char.code (String.unsafe_get keys i) = b then
-          let p = read_child n ty i in
-          if Pptr.is_null p then go (i + 1) else Some (child_slot n ty i, p)
-        else go (i + 1)
-      in
-      go 0
-  | 2 ->
-      let s = idx48 n b in
-      if s = 0 then None
-      else
-        let p = read_child n ty (s - 1) in
-        if Pptr.is_null p then None else Some (child_slot n ty (s - 1), p)
-  | _ ->
-      let p = read_child n ty b in
-      if Pptr.is_null p then None else Some (child_slot n ty b, p)
 
 (* ---------- header snapshots ---------- *)
 
@@ -226,37 +194,50 @@ let snap_type snap base =
 
 let snap_plen snap base = Bytes.get_uint8 snap (base + Layout.off f_plen)
 
-(* Writers keep a Node4/16's count within a Node16's capacity, so a
-   larger one is a speculative read of garbage. *)
-let snap_count4_16 snap base =
+(* The child count of a node of type [ty].  Writers keep a Node4/16's
+   within a Node16's capacity, so a larger one is a speculative read
+   of garbage. *)
+let snap_count snap base ty =
   let c = Bytes.get_uint16_le snap (base + off_count) in
-  if c > capacity.(1) then raise Restart;
+  if ty <= 1 && c > capacity.(1) then raise Restart;
   c
 
 let snap_key snap base i = Bytes.get_uint8 snap (base + n4_keys + i)
 
 (* How many key bytes of a node of type [ty] its copy holds: a
    Node4/16's count, [0] for the other types. *)
-let snap_keys snap base ty = if ty <= 1 then snap_count4_16 snap base else 0
+let snap_keys snap base ty = if ty <= 1 then snap_count snap base ty else 0
+
+(* Where [child_at] leaves the physical index of the child it read, in
+   the visiting thread's buffer: a writer takes it for [child_slot]
+   before anything else on the thread uses the buffer. *)
+let snap_found = 2 * snap_len
+
+let found_index snap = Bytes.get_uint8 snap snap_found
+
+let child_at n snap ty i =
+  Bytes.set_uint8 snap snap_found i;
+  read_child n ty i
 
 (* The first non-null child among a Node4/16's copied keys equal to
    [b]. *)
 let rec child4_16 n ty snap c b i =
   if i >= c then Pptr.null
   else if snap_key snap snap_visit i = b then
-    let p = read_child n ty i in
+    let p = child_at n snap ty i in
     if Pptr.is_null p then child4_16 n ty snap c b (i + 1) else p
   else child4_16 n ty snap c b (i + 1)
 
-(* The child for byte [b] of a node of type [ty] whose header is at
-   [snap_visit] with [c] copied keys: [Pptr.null] if none. *)
+(* The one child finder: the child for byte [b] of a node of type [ty]
+   whose header is at [snap_visit] with [c] copied keys ([Pptr.null]
+   if none), its physical index left at [snap_found]. *)
 let child_eq n snap ty c b =
   match ty with
   | 0 | 1 -> child4_16 n ty snap c b 0
   | 2 ->
       let s = idx48 n b in
-      if s = 0 then Pptr.null else read_child n ty (s - 1)
-  | _ -> read_child n ty b
+      if s = 0 then Pptr.null else child_at n snap ty (s - 1)
+  | _ -> child_at n snap ty b
 
 (* Index of the largest copied key byte below [b], or [-1]. *)
 let rec key_below snap c b best_b best i =
@@ -271,20 +252,22 @@ let rec key_below snap c b best_b best i =
    0). *)
 let lt_key snap c b = key_below snap c b (-1) (-1) 0
 
-let rec child48_below n ty byte =
-  if byte < 0 then Pptr.null
+(* The first non-null child of a Node48 from byte [byte] on, stepping
+   by [dir] (+1 or -1): [Pptr.null] past either end. *)
+let rec child48_scan n ty byte dir =
+  if byte < 0 || byte > 255 then Pptr.null
   else
     let s = idx48 n byte in
-    if s = 0 then child48_below n ty (byte - 1)
+    if s = 0 then child48_scan n ty (byte + dir) dir
     else
       let p = read_child n ty (s - 1) in
-      if Pptr.is_null p then child48_below n ty (byte - 1) else p
+      if Pptr.is_null p then child48_scan n ty (byte + dir) dir else p
 
-let rec child256_below n ty byte =
-  if byte < 0 then Pptr.null
+let rec child256_scan n ty byte dir =
+  if byte < 0 || byte > 255 then Pptr.null
   else
     let p = read_child n ty byte in
-    if Pptr.is_null p then child256_below n ty (byte - 1) else p
+    if Pptr.is_null p then child256_scan n ty (byte + dir) dir else p
 
 (* Largest child with byte < [b] ([Pptr.null] if none): the
    ordered-search primitive of lookup_le, given [lt_key]'s index [j].
@@ -292,8 +275,8 @@ let rec child256_below n ty byte =
 let child_lt n ty j b =
   match ty with
   | 0 | 1 -> if j < 0 then Pptr.null else read_child n ty j
-  | 2 -> child48_below n ty (b - 1)
-  | _ -> child256_below n ty (b - 1)
+  | 2 -> child48_scan n ty (b - 1) (-1)
+  | _ -> child256_scan n ty (b - 1) (-1)
 
 (* Index of the smallest copied key byte (the first of equals), or
    [-1]. *)
@@ -303,30 +286,15 @@ let rec key_min snap c best_b best i =
     let kb = snap_key snap snap_any i in
     if kb < best_b then key_min snap c kb i (i + 1) else key_min snap c best_b best (i + 1)
 
-let rec child48_from n ty byte =
-  if byte > 255 then Pptr.null
-  else
-    let s = idx48 n byte in
-    if s = 0 then child48_from n ty (byte + 1)
-    else
-      let p = read_child n ty (s - 1) in
-      if Pptr.is_null p then child48_from n ty (byte + 1) else p
-
-let rec child256_from n ty byte =
-  if byte > 255 then Pptr.null
-  else
-    let p = read_child n ty byte in
-    if Pptr.is_null p then child256_from n ty (byte + 1) else p
-
 (* Child with the smallest byte of a node whose header is at
    [snap_any]. *)
 let first_child n snap ty =
   match ty with
   | 0 | 1 ->
-      let j = key_min snap (snap_count4_16 snap snap_any) 256 (-1) 0 in
+      let j = key_min snap (snap_count snap snap_any ty) 256 (-1) 0 in
       if j < 0 then Pptr.null else read_child n ty j
-  | 2 -> child48_from n ty 0
-  | _ -> child256_from n ty 0
+  | 2 -> child48_scan n ty 0 1
+  | _ -> child256_scan n ty 0 1
 
 (* Children as (byte, ptr), sorted by byte. *)
 let child_list n =
@@ -497,58 +465,48 @@ let long_prefix t n ~depth pl =
   if String.length leaf_key < depth + pl then raise Restart;
   String.sub leaf_key depth pl
 
-(* Full prefix bytes of [n], whose subtree starts at key depth
-   [depth]. *)
-let full_prefix t n ~depth =
-  let pl = plen n in
-  if pl <= stored_prefix_max then Pobj.read_string n off_prefix pl
-  else long_prefix t n ~depth pl
+(* A visit matches the [pl] prefix bytes of [n] (subtree at key depth
+   [depth], header copy at [snap_visit]) against its copy, or, when
+   they are more than the copy holds, against [long], reconstructed
+   once per visit; [long] is [""] otherwise. *)
+let visit_long t n ~depth pl = if pl <= stored_prefix_max then "" else long_prefix t n ~depth pl
 
-(* Compare the key segment at [depth] against the full prefix, for an
-   insert.  [`Equal d'] continues at depth [d']; [`Diverge (i, full)]
-   reports the first differing position, where the insert splits the
-   prefix (the key segment may also simply be shorter). *)
-let compare_prefix t n ~depth rkey =
-  let pl = plen n in
-  if pl = 0 then `Equal depth
-  else begin
-    let full = full_prefix t n ~depth in
-    let klen = String.length rkey in
-    let rec go i =
-      if i >= pl then `Equal (depth + pl)
-      else if depth + i >= klen then `Diverge (i, full) (* key exhausted: key < subtree *)
-      else
-        let kb = byte_at rkey (depth + i) and pb = byte_at full i in
-        if kb = pb then go (i + 1) else `Diverge (i, full)
-    in
-    go 0
-  end
+let prefix_byte snap long pl i =
+  if pl <= stored_prefix_max then Bytes.get_uint8 snap (snap_visit + off_prefix + i)
+  else byte_at long i
 
-(* [match_prefix t n snap ~depth rkey] matches like [compare_prefix] for
-   the descents that never split a prefix, allocation-free, from the
-   header copy at [snap_visit]: the key depth after the prefix when it
-   matches, else [prefix_before] or [prefix_after], the order of the
-   whole subtree against the key. *)
+(* The one prefix matcher: the position of the first prefix byte that
+   differs from the key segment at [depth] (or where that segment
+   ends), or [pl] if the whole prefix matches.  An insert splits the
+   prefix there. *)
+let rec mismatch snap long rkey depth pl i =
+  if
+    i >= pl
+    || depth + i >= String.length rkey
+    || byte_at rkey (depth + i) <> prefix_byte snap long pl i
+  then i
+  else mismatch snap long rkey depth pl (i + 1)
+
+(* The whole prefix of a visit, for a prefix split. *)
+let full_prefix snap long pl =
+  if pl <= stored_prefix_max then Bytes.sub_string snap (snap_visit + off_prefix) pl else long
+
+(* [match_prefix t n snap ~depth rkey], for the descents that never
+   split a prefix: the key depth after the prefix when it matches, else
+   [prefix_before] or [prefix_after], the order of the whole subtree
+   against the key. *)
 let prefix_before = -1
 
 let prefix_after = -2
 
-let rec match_prefix_bytes get src rkey depth pl i =
-  if i >= pl then depth + pl
-  else if depth + i >= String.length rkey then prefix_before
-  else
-    let kb = byte_at rkey (depth + i) and pb = get src i in
-    if kb = pb then match_prefix_bytes get src rkey depth pl (i + 1)
-    else if kb < pb then prefix_before
-    else prefix_after
-
-let stored_byte snap i = Bytes.get_uint8 snap (snap_visit + off_prefix + i)
-
 let match_prefix t n snap ~depth rkey =
   let pl = snap_plen snap snap_visit in
-  if pl = 0 then depth
-  else if pl <= stored_prefix_max then match_prefix_bytes stored_byte snap rkey depth pl 0
-  else match_prefix_bytes byte_at (long_prefix t n ~depth pl) rkey depth pl 0
+  let long = visit_long t n ~depth pl in
+  let i = mismatch snap long rkey depth pl 0 in
+  if i = pl then depth + pl
+  else if depth + i >= String.length rkey || byte_at rkey (depth + i) < prefix_byte snap long pl i
+  then prefix_before
+  else prefix_after
 
 (* ---------- retry wrapper ---------- *)
 
@@ -758,6 +716,27 @@ let write_slot slot ptr =
   Pobj.write_int o 0 ptr;
   Pobj.persist o 0 8
 
+(* The slot of the child that [child_eq] found in [n] (of type [ty],
+   visited at version [v]). *)
+let found_slot n ty v snap =
+  { s_lock = lockh n; s_version = v; s_pool = n.pool; s_off = child_slot n ty (found_index snap) }
+
+let release_slot slot ~gen = Vlock.release slot.s_lock ~gen ~version:(slot.s_version + 1)
+
+(* Lock the slot pointing to [n], then [n] at version [nv]: the order
+   every structural replacement of [n] takes.  If either fails, release
+   what was taken and restart. *)
+let lock_slot_and_node slot n ~gen nv =
+  if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Restart;
+  if not (Vlock.try_upgrade (lockh n) ~gen ~version:nv) then begin
+    release_slot slot ~gen;
+    raise Restart
+  end
+
+(* The stored bytes of locked node [n]'s prefix of length [pl]. *)
+let stored_prefix n pl =
+  if pl = 0 then "" else Pobj.read_string n off_prefix (min pl stored_prefix_max)
+
 let common_prefix_len a b start =
   let la = String.length a and lb = String.length b in
   let rec go i =
@@ -766,13 +745,13 @@ let common_prefix_len a b start =
   in
   go 0
 
-(* Copy [src] (same type) with its prefix shortened to the bytes after
-   position [cut]: used by prefix splits.  Returns the new node. *)
-let copy_with_prefix t src ~full ~cut =
+(* Copy locked node [src] with a prefix of length [prefix_len] whose
+   stored bytes [prefix] starts with: used by prefix splits and
+   merges.  Returns the new node. *)
+let copy_with_prefix t src ~prefix_len ~prefix =
   let ty = ntype src in
-  let pl = String.length full in
   let n, ptr, slot = alloc_node t ty in
-  init_node t n ty ~prefix_len:(pl - cut) ~prefix:(String.sub full cut (pl - cut));
+  init_node t n ty ~prefix_len ~prefix;
   List.iter (fun (b, p) -> raw_add_child n b p) (child_list src);
   persist_node_image n;
   (n, ptr, slot)
@@ -828,12 +807,11 @@ let insert t rkey payload =
      commit by swapping the slot pointer (atomic). *)
   let split_leaf slot old_ptr depth =
     if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Restart;
-    let finish_release () = Vlock.release slot.s_lock ~gen ~version:(slot.s_version + 1) in
     let old_key = t.key_of_leaf (Pptr.untag old_ptr) in
     if String.equal old_key rkey then begin
       (* duplicate: replace the payload pointer *)
       write_slot slot tagged_payload;
-      finish_release ();
+      release_slot slot ~gen;
       Replaced (Pptr.untag old_ptr)
     end
     else begin
@@ -846,22 +824,21 @@ let insert t rkey payload =
       persist_node_image n;
       write_slot slot nptr;
       clear_pending t pslot;
-      finish_release ();
+      release_slot slot ~gen;
       Inserted
     end
   in
-  (* Prefix split: CoW the node with a shortened prefix, hang it and
-     the new leaf under a fresh Node4, commit via the parent slot. *)
+  (* Prefix split at position [i] of [n]'s prefix [full]: CoW the node
+     with a shortened prefix, hang it and the new leaf under a fresh
+     Node4, commit via the parent slot. *)
   let prefix_split slot n nv depth i full =
-    if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Restart;
-    let release_parent () = Vlock.release slot.s_lock ~gen ~version:(slot.s_version + 1) in
-    if not (Vlock.try_upgrade (lockh n) ~gen ~version:nv) then begin
-      release_parent ();
-      raise Restart
-    end;
+    lock_slot_and_node slot n ~gen nv;
     assert (depth + i < klen);
     let old_ptr = read_slot slot in
-    let copy, _cptr, cslot = copy_with_prefix t n ~full ~cut:(i + 1) in
+    let pl = String.length full in
+    let copy, _cptr, cslot =
+      copy_with_prefix t n ~prefix_len:(pl - i - 1) ~prefix:(String.sub full (i + 1) (pl - i - 1))
+    in
     let cptr_val = Pptr.make ~pool:(Pool.id copy.pool) ~off:copy.off in
     let n4, nptr, pslot = alloc_node t 0 in
     init_node t n4 0 ~prefix_len:i ~prefix:(String.sub full 0 i);
@@ -874,28 +851,18 @@ let insert t rkey payload =
     clear_pending t pslot;
     retire t old_ptr rslot;
     Vlock.release_obsolete (lockh n) ~gen ~version:(nv + 1);
-    release_parent ();
+    release_slot slot ~gen;
     Inserted
   in
   (* Grow a full node to the next type (CoW) and add the new child. *)
   let grow_and_add slot n nv b =
-    if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Restart;
-    let release_parent () = Vlock.release slot.s_lock ~gen ~version:(slot.s_version + 1) in
-    if not (Vlock.try_upgrade (lockh n) ~gen ~version:nv) then begin
-      release_parent ();
-      raise Restart
-    end;
+    lock_slot_and_node slot n ~gen nv;
     let old_ptr = read_slot slot in
     let ty = ntype n in
     assert (ty < 3);
     let big, bptr, bslot = alloc_node t (ty + 1) in
     let pl = plen n in
-    let prefix =
-      if pl = 0 then ""
-      else
-        String.init (min pl stored_prefix_max) (fun i -> Char.chr (stored_prefix_byte n i))
-    in
-    init_node t big (ty + 1) ~prefix_len:pl ~prefix;
+    init_node t big (ty + 1) ~prefix_len:pl ~prefix:(stored_prefix n pl);
     List.iter (fun (kb, p) -> raw_add_child big kb p) (child_list n);
     raw_add_child big b tagged_payload;
     persist_node_image big;
@@ -904,7 +871,7 @@ let insert t rkey payload =
     clear_pending t bslot;
     retire t old_ptr rslot;
     Vlock.release_obsolete (lockh n) ~gen ~version:(nv + 1);
-    release_parent ();
+    release_slot slot ~gen;
     Inserted
   in
   let rec descend slot cur depth =
@@ -912,34 +879,35 @@ let insert t rkey payload =
     else begin
       let n = node_of t.machine cur in
       let h = lockh n in
-      let v = snapshot t n (Des.Sched.scratch ()) snap_visit in
-      match compare_prefix t n ~depth rkey with
-      | `Diverge (i, full) ->
-          check h ~gen v;
-          prefix_split slot n v depth i full
-      | `Equal depth' ->
-          if depth' >= klen then begin
-            check h ~gen v;
-            raise Restart (* impossible for prefix-free keys unless racing *)
-          end
-          else begin
-            let b = byte_at rkey depth' in
-            let child = find_child n b in
-            check h ~gen v;
-            match child with
-            | Some (slot_off, p) ->
-                descend
-                  { s_lock = h; s_version = v; s_pool = n.pool; s_off = slot_off }
-                  p (depth' + 1)
-            | None ->
-                if count n < capacity.(ntype n) then begin
-                  if not (Vlock.try_upgrade h ~gen ~version:v) then raise Restart;
-                  add_child_inplace n b tagged_payload;
-                  Vlock.release h ~gen ~version:(v + 1);
-                  Inserted
-                end
-                else grow_and_add slot n v b
-          end
+      let snap = Des.Sched.scratch () in
+      let v = snapshot t n snap snap_visit in
+      let pl = snap_plen snap snap_visit in
+      let long = visit_long t n ~depth pl in
+      let i = mismatch snap long rkey depth pl 0 in
+      let depth' = depth + pl in
+      if i < pl then begin
+        check h ~gen v;
+        prefix_split slot n v depth i (full_prefix snap long pl)
+      end
+      else if depth' >= klen then begin
+        check h ~gen v;
+        raise Restart (* impossible for prefix-free keys unless racing *)
+      end
+      else begin
+        let b = byte_at rkey depth' in
+        let ty = snap_type snap snap_visit in
+        let c = snap_count snap snap_visit ty in
+        let p = child_eq n snap ty c b in
+        check h ~gen v;
+        if not (Pptr.is_null p) then descend (found_slot n ty v snap) p (depth' + 1)
+        else if c < capacity.(ty) then begin
+          if not (Vlock.try_upgrade h ~gen ~version:v) then raise Restart;
+          add_child_inplace n b tagged_payload;
+          Vlock.release h ~gen ~version:(v + 1);
+          Inserted
+        end
+        else grow_and_add slot n v b
+      end
     end
   in
   let rh = root_lockh t in
@@ -1010,40 +978,22 @@ let delete t rkey =
   with_retry t @@ fun () ->
   let gen = t.gen in
   let klen = String.length rkey in
-  (* Remove byte [b] from [n] (whose prefix starts at key depth
+  (* Remove the leaf [payload] at byte [b] from [n] (of type [ty] with
+     [c] children at version [nv], whose prefix starts at key depth
      [depth]); if the node underflows, CoW-shrink (or path-compress a
-     Node4 with one survivor) and commit via [slot]. *)
-  let remove_and_shrink slot n nv b ~depth =
-    let ty = ntype n in
-    let c = count n in
+     Node4 with one survivor) and commit via [slot].  Locking [n] at
+     [nv] proves it still is what the descent saw. *)
+  let remove_and_shrink slot n nv ty c b payload ~depth =
     let needs_structural = (ty = 0 && c <= 2) || (ty > 0 && c - 1 <= shrink_threshold.(ty)) in
     if not needs_structural then begin
       if not (Vlock.try_upgrade (lockh n) ~gen ~version:nv) then raise Restart;
-      let payload =
-        match find_child n b with Some (_, p) -> Pptr.untag p | None -> raise Restart
-      in
       remove_child_inplace n b;
       Vlock.release (lockh n) ~gen ~version:(nv + 1);
       Some payload
     end
     else begin
-      if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Restart;
-      let release_parent () = Vlock.release slot.s_lock ~gen ~version:(slot.s_version + 1) in
-      if not (Vlock.try_upgrade (lockh n) ~gen ~version:nv) then begin
-        release_parent ();
-        raise Restart
-      end;
-      (* every structural case below retires [n] *)
-      let release_node () = Vlock.release_obsolete (lockh n) ~gen ~version:(nv + 1) in
+      lock_slot_and_node slot n ~gen nv;
       let old_ptr = read_slot slot in
-      let payload =
-        match find_child n b with
-        | Some (_, p) -> Pptr.untag p
-        | None ->
-            release_node ();
-            release_parent ();
-            raise Restart
-      in
       let survivors = List.filter (fun (kb, _) -> kb <> b) (child_list n) in
       (match survivors with
       | [] ->
@@ -1063,11 +1013,14 @@ let delete t rkey =
                node.prefix + branch byte + child.prefix. *)
             let child = node_of t.machine p in
             let cv = Vlock.acquire (lockh child) ~gen in
-            let node_prefix = full_prefix t n ~depth in
-            let child_depth = depth + plen n + 1 in
-            let child_prefix = full_prefix t child ~depth:child_depth in
-            let merged = node_prefix ^ String.make 1 (Char.chr sb) ^ child_prefix in
-            let copy, _cp, cslot = copy_with_prefix t child ~full:merged ~cut:0 in
+            (* [n]'s prefix is the key's (the descent matched it), and
+               the child's stored bytes cover all the merged prefix
+               bytes a node stores. *)
+            let pl = plen n and cpl = plen child in
+            let prefix =
+              String.sub rkey depth pl ^ String.make 1 (Char.chr sb) ^ stored_prefix child cpl
+            in
+            let copy, _cp, cslot = copy_with_prefix t child ~prefix_len:(pl + 1 + cpl) ~prefix in
             let cptr_val = Pptr.make ~pool:(Pool.id copy.pool) ~off:copy.off in
             let r1 = log_retire t old_ptr in
             let r2 = log_retire t p in
@@ -1083,21 +1036,16 @@ let delete t rkey =
           let new_ty = if ty = 0 then 0 else ty - 1 in
           let small, sptr, sslot = alloc_node t new_ty in
           let pl = plen n in
-          let prefix =
-            if pl = 0 then ""
-            else
-              String.init (min pl stored_prefix_max) (fun i ->
-                  Char.chr (stored_prefix_byte n i))
-          in
-          init_node t small new_ty ~prefix_len:pl ~prefix;
+          init_node t small new_ty ~prefix_len:pl ~prefix:(stored_prefix n pl);
           List.iter (fun (kb, p) -> raw_add_child small kb p) survivors;
           persist_node_image small;
           let rslot = log_retire t old_ptr in
           write_slot slot sptr;
           clear_pending t sslot;
           retire t old_ptr rslot);
-      release_node ();
-      release_parent ();
+      (* every structural case retires [n] *)
+      Vlock.release_obsolete (lockh n) ~gen ~version:(nv + 1);
+      release_slot slot ~gen;
       Some payload
     end
   in
@@ -1110,7 +1058,7 @@ let delete t rkey =
         if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then
           raise Restart;
         write_slot slot Pptr.null;
-        Vlock.release slot.s_lock ~gen ~version:(slot.s_version + 1);
+        release_slot slot ~gen;
         Some (Pptr.untag cur)
       end
       else None
@@ -1127,17 +1075,17 @@ let delete t rkey =
       end
       else begin
         let b = byte_at rkey depth' in
-        let child = find_child n b in
+        let ty = snap_type snap snap_visit in
+        let c = snap_count snap snap_visit ty in
+        let p = child_eq n snap ty c b in
         check h ~gen v;
-        match child with
-        | None -> None
-        | Some (slot_off, p) ->
-            if Pptr.is_tagged p then begin
-              if t.compare_leaf (Pptr.untag p) rkey = 0 then remove_and_shrink slot n v b ~depth
-              else None
-            end
-            else
-              descend { s_lock = h; s_version = v; s_pool = n.pool; s_off = slot_off } p (depth' + 1)
+        if Pptr.is_null p then None
+        else if Pptr.is_tagged p then begin
+          let payload = Pptr.untag p in
+          if t.compare_leaf payload rkey = 0 then remove_and_shrink slot n v ty c b payload ~depth
+          else None
+        end
+        else descend (found_slot n ty v snap) p (depth' + 1)
       end
     end
   in

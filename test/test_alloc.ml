@@ -367,6 +367,38 @@ let test_pdlart_line_reads () =
   in
   check_reads "PDL-ART lookup" 13.0016 reads
 
+(* The writers visit nodes like the lookups: on the same loaded index,
+   10K inserts of fresh keys, then their deletes.  An insert pays the
+   lookup that precedes it, the record allocation and the in-node
+   child add; the insert's words include the record's radix key. *)
+let test_pdlart_writer_reads () =
+  let machine = Machine.create ~numa_count:2 () in
+  let index = Baselines.Pdlart.create machine () in
+  let fresh = read_keys / 2 in
+  let insert_words = ref 0.0 in
+  let insert, delete =
+    in_sim (fun () ->
+        for i = 0 to read_keys - 1 do
+          Baselines.Pdlart.insert index (read_key i) i
+        done;
+        let insert =
+          reads_per_call machine fresh (fun i ->
+              Baselines.Pdlart.insert index (read_key (read_keys + i)) i)
+        in
+        let delete =
+          reads_per_call machine fresh (fun i ->
+              ignore (Baselines.Pdlart.delete index (read_key (read_keys + i)) : bool))
+        in
+        (* words of the same inserts again, into the restored index *)
+        insert_words :=
+          words_per_call fresh (fun i ->
+              Baselines.Pdlart.insert index (read_key (read_keys + i)) i);
+        (insert, delete))
+  in
+  check_reads "PDL-ART insert of a fresh key" 49.4424 insert;
+  check_reads "PDL-ART delete" 37.0489 delete;
+  check_ceiling "PDL-ART insert of a fresh key" 282.0 !insert_words
+
 (* ---------- resident pool bytes ---------- *)
 
 (* Host bytes held by every pool image of each system after a 20K-key
@@ -441,6 +473,7 @@ let () =
           Alcotest.test_case "engine per request" `Quick test_engine_request;
           Alcotest.test_case "tree lookup line reads" `Quick test_tree_line_reads;
           Alcotest.test_case "pdlart lookup line reads" `Quick test_pdlart_line_reads;
+          Alcotest.test_case "pdlart insert + delete line reads" `Quick test_pdlart_writer_reads;
           Alcotest.test_case "resident pool bytes" `Quick test_resident_bytes;
         ] );
     ]

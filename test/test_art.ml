@@ -315,15 +315,17 @@ let test_art_iter_all_sorted () =
   Alcotest.(check int) "count" (List.length expected) (List.length got);
   Alcotest.(check (list int)) "sorted enumeration" expected got
 
-let test_art_qcheck_model =
-  QCheck.Test.make ~name:"art: agrees with a map model (random ops)" ~count:30
-    QCheck.(list (pair (int_bound 500) bool))
+(* Random inserts and deletes of [key k], [k <= bound], agree with a
+   map model. *)
+let art_model_test ~name ~bound key =
+  QCheck.Test.make ~name ~count:30
+    QCheck.(list (pair (int_bound bound) bool))
     (fun ops ->
       let ctx = make_art () in
       let model = Hashtbl.create 64 in
       List.iter
         (fun (k, ins) ->
-          let key = Key.of_int k in
+          let key = key k in
           if ins then begin
             let p = add_payload ctx (Key.to_radix key) in
             ignore (Art.insert ctx.art (Key.to_radix key) p);
@@ -338,11 +340,23 @@ let test_art_qcheck_model =
         ops;
       Hashtbl.iter
         (fun k p ->
-          match Art.lookup ctx.art (Key.to_radix (Key.of_int k)) with
+          match Art.lookup ctx.art (Key.to_radix (key k)) with
           | Some q when Pptr.equal p q -> ()
           | _ -> raise Exit)
         model;
       Art.cardinal ctx.art = Hashtbl.length model)
+
+let test_art_qcheck_model =
+  art_model_test ~name:"art: agrees with a map model (random ops)" ~bound:500 Key.of_int
+
+(* Keys sharing a 20-byte prefix, longer than the 16 a node stores:
+   the writers reconstruct it from a leaf and split it at positions of
+   16 and more.  The hundreds digit puts 3 of the 21 keys in a small
+   group, so the Node4 above the two groups, whose prefix is that long,
+   is often left with one inner child and merged with it. *)
+let test_art_qcheck_long_prefix =
+  art_model_test ~name:"art: agrees with a map model (long-prefix string keys)" ~bound:20
+    (fun k -> Key.of_string (Printf.sprintf "user%019d" ((if k mod 7 = 0 then 200 else 100) + k)))
 
 let test_art_concurrent_inserts () =
   let ctx = make_art () in
@@ -493,6 +507,7 @@ let suite =
     Alcotest.test_case "art: iter_from" `Quick test_art_iter_from;
     Alcotest.test_case "art: full sorted enumeration" `Quick test_art_iter_all_sorted;
     QCheck_alcotest.to_alcotest test_art_qcheck_model;
+    QCheck_alcotest.to_alcotest test_art_qcheck_long_prefix;
     Alcotest.test_case "art: concurrent inserts" `Quick test_art_concurrent_inserts;
     Alcotest.test_case "art: concurrent mixed" `Quick test_art_concurrent_mixed;
     Alcotest.test_case "art: obsolete node restarts" `Quick test_art_obsolete_restarts;

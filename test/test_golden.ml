@@ -106,27 +106,27 @@ let test_closed_loop () =
   check "runner"
     (closed_loop Experiments.Factory.Pactree_sys)
     {
-      elapsed = 0x1.54878ab11b58p-12;
+      elapsed = 0x1.45a0dbf3aac38p-12;
       completed = 2000;
-      p50 = 0x1.0e42c4e8d64p-20;
-      p99 = 0x1.6aaee2908a6p-17;
-      flushes = 4095;
-      fences = 2457;
-      media_read_bytes = 1388288;
-      media_write_bytes = 947968;
+      p50 = 0x1.e9a05358538p-21;
+      p99 = 0x1.108e5219a6bp-18;
+      flushes = 4010;
+      fences = 2422;
+      media_read_bytes = 1366784;
+      media_write_bytes = 933632;
     }
 
 let test_open_loop () =
   check "engine"
     (open_loop ())
     {
-      elapsed = 0x1.b8c5f89d457b1p-10;
+      elapsed = 0x1.b8c5f89d457b3p-10;
       completed = 2000;
       p50 = 0x1.b69f9fff2p-21;
       p99 = 0x1.3e3938c0417p-17;
       flushes = 3861;
       fences = 2380;
-      media_read_bytes = 1325568;
+      media_read_bytes = 1325312;
       media_write_bytes = 913920;
     }
 
