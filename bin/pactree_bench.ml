@@ -99,6 +99,20 @@ let require_positive flags =
       end)
     flags
 
+(* A flag that the rest of the command line makes moot exits 2 with a
+   message, rather than being silently ignored. *)
+let refuse_flags ~because flags =
+  List.iter
+    (fun (flag, given) ->
+      if given then begin
+        Printf.eprintf "--%s does not apply to %s\n" flag because;
+        exit 2
+      end)
+    flags
+
+(* --check validates a file and runs nothing. *)
+let check_ignores = "--check (it validates a file and runs nothing)"
+
 (* [theta] defaults to YCSB's 0.99. *)
 let require_theta theta =
   let theta = Option.value theta ~default:0.99 in
@@ -112,13 +126,7 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide o
   (* The load phase starts from an empty index and inserts without
      skew: a key count or a skew would be silently ignored. *)
   if mix = Workload.Ycsb.Load_a then
-    List.iter
-      (fun (flag, given) ->
-        if given then begin
-          Printf.eprintf "--%s does not apply to --mix la (the load phase starts empty)\n"
-            flag;
-          exit 2
-        end)
+    refuse_flags ~because:"--mix la (the load phase starts empty)"
       [ ("keys", keys <> None); ("theta", theta <> None) ];
   let keys = Option.value keys ~default:100_000 in
   require_positive [ ("keys", keys); ("ops", ops); ("threads", threads) ];
@@ -159,6 +167,9 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide o
   Format.printf "line reads : %.2f per op (CPU-cache hits + misses)@."
     (float_of_int (s.Nvm.Stats.cache_hits + s.Nvm.Stats.cache_misses)
     /. float_of_int r.Workload.Runner.ops);
+  (* host cost of the measured phase alone, not of the preload *)
+  Format.printf "host words : %.1f per op (minor words allocated)@."
+    (r.Workload.Runner.host_words /. float_of_int r.Workload.Runner.ops);
   let resident =
     List.fold_left (fun acc p -> acc + Nvm.Pool.resident_bytes p) 0 (Nvm.Pool.all machine)
   in
@@ -233,6 +244,7 @@ let stats_systems =
 let run_stats quick sanitize out check threads =
   match check with
   | Some path -> (
+      refuse_flags ~because:check_ignores [ ("quick", quick); ("sanitize", sanitize) ];
       match Obs.Report.validate_file path with
       | Ok () -> Format.printf "%s: OK (schema %s)@." path Obs.Report.schema_version
       | Error msg ->
@@ -498,6 +510,13 @@ let run_service sys shards quick keys ops workers queue admission arrival mix th
     check obs_out =
   match check with
   | Some path -> (
+      refuse_flags ~because:check_ignores
+        [
+          ("quick", quick);
+          ("keys", keys <> None);
+          ("ops", ops <> None);
+          ("obs", obs_out <> None);
+        ];
       match Obs.Svc_report.validate_file path with
       | Ok () -> Format.printf "%s: OK (schema %s)@." path Obs.Svc_report.schema_version
       | Error msg ->

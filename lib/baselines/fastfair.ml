@@ -158,7 +158,7 @@ let with_retry f =
   in
   go 0
 
-let check h v = if not (Vlock.validate h ~gen ~version:v) then raise Restart
+let check (h : Vlock.handle) v = if not (Vlock.validate h.pool h.off ~gen ~version:v) then raise Restart
 
 (* The root pointer is read without a lock; after pinning the root
    node (optimistically or exclusively) we must confirm it is still

@@ -118,7 +118,7 @@ let lookup t key =
     let v = Vlock.begin_read h ~gen:t.gen in
     let slot = Node.find t.lay leaf key in
     let r = if slot >= 0 then Some (Node.found_value ()) else None in
-    if Vlock.validate h ~gen:t.gen ~version:v then r
+    if Vlock.validate h.pool h.off ~gen:t.gen ~version:v then r
     else read (attempt + 1)
   in
   read 0
@@ -162,7 +162,8 @@ let rec locked_leaf t key attempt =
   (* the leaf may have split between traversal and lock *)
   let nxt = Node.next leaf in
   let still_covers =
-    Pptr.is_null nxt || Node.compare_anchor (Node.of_ptr t.machine nxt) key > 0
+    Pptr.is_null nxt
+    || Node.compare_anchor (Pmalloc.Registry.resolve t.machine nxt) (Pptr.off nxt) key > 0
   in
   if still_covers then (leaf, wv)
   else begin
@@ -239,7 +240,7 @@ let scan t key n_wanted =
         end
       done;
       let nxt = Node.next leaf in
-      if Vlock.validate h ~gen:t.gen ~version:v then begin
+      if Vlock.validate h.pool h.off ~gen:t.gen ~version:v then begin
         acc := !batch @ !acc;
         taken := !taken + !n;
         scan_leaf nxt ~first:false 0
@@ -275,7 +276,7 @@ let recover t =
       let stale = ref 0L in
       for i = 0 to Node.sort_live t.lay old_leaf slots - 1 do
         let slot = slots.(i) in
-        if Node.compare_anchor nleaf (Node.sorted_key t.lay slot) <= 0 then
+        if Node.compare_anchor nleaf.pool nleaf.off (Node.sorted_key t.lay slot) <= 0 then
           stale := Int64.logor !stale (Node.slot_mask slots ~pos:i ~len:1)
       done;
       if !stale <> 0L then Node.clear_slots old_leaf !stale

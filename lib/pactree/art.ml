@@ -117,47 +117,48 @@ let pending_off i slot =
 
 (* ---------- node accessors ---------- *)
 
-(* Optimistic traversal may speculatively dereference a pointer read
-   from a slot that a concurrent writer is changing; such reads are
-   discarded by version validation, but they must never fault.  A
-   pointer that cannot possibly be a node triggers a restart. *)
-let node_of machine ptr =
+(* A node visit addresses a node by its pool and offset, passed as two
+   arguments, and builds no record: [node_pool] resolves a child
+   pointer's pool, and the offset is [Pptr.off ptr].  Optimistic
+   traversal may speculatively dereference a pointer read from a slot
+   that a concurrent writer is changing; such reads are discarded by
+   version validation, but they must never fault.  A pointer that
+   cannot possibly be a node triggers a restart. *)
+let node_pool machine ptr =
   let pool = Pmalloc.Registry.resolve machine ptr in
   let off = Pptr.off ptr in
   if off <= 0 || off + node_size.(0) > Pool.capacity pool || off land 7 <> 0 then
     raise Restart;
-  { pool; off }
+  pool
 
-let ntype n =
-  let ty = Pobj.get_u8 n f_type in
+let ntype pool off =
+  let ty = Pool.read_u8 pool (off + Layout.off f_type) in
   if ty > 3 then raise Restart (* speculative read of a non-node *);
   ty
 
 let plen n = Pobj.get_u8 n f_plen
 
-let count n = Pobj.get_u16 n f_count
+let count pool off = Pool.read_u16 pool (off + off_count)
 
 let set_count n c = Pobj.set_u16 n f_count c
 
 (* The lock word is a node's first field, so a node is its own lock
-   handle. *)
+   handle, and a visit validates at the node's offset. *)
 let () = assert (off_lock = 0)
 
 let lockh n = n
 
-let check h ~gen v = if not (Vlock.validate h ~gen ~version:v) then raise Restart
+let check pool off ~gen v = if not (Vlock.validate pool off ~gen ~version:v) then raise Restart
 
-(* Base-relative offset of child slot [i]; [child_slot] is the
-   absolute form used for parent-slot records. *)
+(* Base-relative offset of child slot [i]; a parent-slot record keeps
+   the absolute form, [off + child_rel ty i]. *)
 let child_rel ty i = children_off.(ty) + (8 * i)
 
-let child_slot n ty i = n.off + child_rel ty i
+let read_child pool off ty i = Pool.read_int pool (off + child_rel ty i)
 
-let read_child n ty i = Pobj.read_int n (child_rel ty i)
+let key4_16 pool off i = Pool.read_u8 pool (off + n4_keys + i)
 
-let key4_16 n i = Pobj.read_u8 n (n4_keys + i)
-
-let idx48 n b = Pobj.read_u8 n (n48_index + b)
+let idx48 pool off b = Pool.read_u8 pool (off + n48_index + b)
 
 let byte_at rkey i = Char.code (String.unsafe_get rkey i)
 
@@ -179,11 +180,11 @@ let snap_visit = 0
 
 let snap_any = snap_len
 
-(* Copy [n]'s header to [base] in [snap] and return its version; a
-   retired (obsolete) node must not be used at all — restart and
-   re-descend. *)
-let snapshot t n snap base =
-  let v = Vlock.begin_read_snapshot (lockh n) ~gen:t.gen snap base snap_len in
+(* Copy the header of the node at [off] in [pool] to [base] in [snap]
+   and return its version; a retired (obsolete) node must not be used
+   at all — restart and re-descend. *)
+let snapshot t pool off snap base =
+  let v = Vlock.begin_read_snapshot pool off ~gen:t.gen snap base snap_len in
   if Vlock.is_obsolete v then raise Restart;
   v
 
@@ -209,35 +210,35 @@ let snap_key snap base i = Bytes.get_uint8 snap (base + n4_keys + i)
 let snap_keys snap base ty = if ty <= 1 then snap_count snap base ty else 0
 
 (* Where [child_at] leaves the physical index of the child it read, in
-   the visiting thread's buffer: a writer takes it for [child_slot]
+   the visiting thread's buffer: a writer takes it for its slot offset
    before anything else on the thread uses the buffer. *)
 let snap_found = 2 * snap_len
 
 let found_index snap = Bytes.get_uint8 snap snap_found
 
-let child_at n snap ty i =
+let child_at pool off snap ty i =
   Bytes.set_uint8 snap snap_found i;
-  read_child n ty i
+  read_child pool off ty i
 
 (* The first non-null child among a Node4/16's copied keys equal to
    [b]. *)
-let rec child4_16 n ty snap c b i =
+let rec child4_16 pool off ty snap c b i =
   if i >= c then Pptr.null
   else if snap_key snap snap_visit i = b then
-    let p = child_at n snap ty i in
-    if Pptr.is_null p then child4_16 n ty snap c b (i + 1) else p
-  else child4_16 n ty snap c b (i + 1)
+    let p = child_at pool off snap ty i in
+    if Pptr.is_null p then child4_16 pool off ty snap c b (i + 1) else p
+  else child4_16 pool off ty snap c b (i + 1)
 
 (* The one child finder: the child for byte [b] of a node of type [ty]
    whose header is at [snap_visit] with [c] copied keys ([Pptr.null]
    if none), its physical index left at [snap_found]. *)
-let child_eq n snap ty c b =
+let child_eq pool off snap ty c b =
   match ty with
-  | 0 | 1 -> child4_16 n ty snap c b 0
+  | 0 | 1 -> child4_16 pool off ty snap c b 0
   | 2 ->
-      let s = idx48 n b in
-      if s = 0 then Pptr.null else child_at n snap ty (s - 1)
-  | _ -> child_at n snap ty b
+      let s = idx48 pool off b in
+      if s = 0 then Pptr.null else child_at pool off snap ty (s - 1)
+  | _ -> child_at pool off snap ty b
 
 (* Index of the largest copied key byte below [b], or [-1]. *)
 let rec key_below snap c b best_b best i =
@@ -254,29 +255,29 @@ let lt_key snap c b = key_below snap c b (-1) (-1) 0
 
 (* The first non-null child of a Node48 from byte [byte] on, stepping
    by [dir] (+1 or -1): [Pptr.null] past either end. *)
-let rec child48_scan n ty byte dir =
+let rec child48_scan pool off ty byte dir =
   if byte < 0 || byte > 255 then Pptr.null
   else
-    let s = idx48 n byte in
-    if s = 0 then child48_scan n ty (byte + dir) dir
+    let s = idx48 pool off byte in
+    if s = 0 then child48_scan pool off ty (byte + dir) dir
     else
-      let p = read_child n ty (s - 1) in
-      if Pptr.is_null p then child48_scan n ty (byte + dir) dir else p
+      let p = read_child pool off ty (s - 1) in
+      if Pptr.is_null p then child48_scan pool off ty (byte + dir) dir else p
 
-let rec child256_scan n ty byte dir =
+let rec child256_scan pool off ty byte dir =
   if byte < 0 || byte > 255 then Pptr.null
   else
-    let p = read_child n ty byte in
-    if Pptr.is_null p then child256_scan n ty (byte + dir) dir else p
+    let p = read_child pool off ty byte in
+    if Pptr.is_null p then child256_scan pool off ty (byte + dir) dir else p
 
 (* Largest child with byte < [b] ([Pptr.null] if none): the
    ordered-search primitive of lookup_le, given [lt_key]'s index [j].
    Bounded per-type probing — never a full enumeration. *)
-let child_lt n ty j b =
+let child_lt pool off ty j b =
   match ty with
-  | 0 | 1 -> if j < 0 then Pptr.null else read_child n ty j
-  | 2 -> child48_scan n ty (b - 1) (-1)
-  | _ -> child256_scan n ty (b - 1) (-1)
+  | 0 | 1 -> if j < 0 then Pptr.null else read_child pool off ty j
+  | 2 -> child48_scan pool off ty (b - 1) (-1)
+  | _ -> child256_scan pool off ty (b - 1) (-1)
 
 (* Index of the smallest copied key byte (the first of equals), or
    [-1]. *)
@@ -288,25 +289,25 @@ let rec key_min snap c best_b best i =
 
 (* Child with the smallest byte of a node whose header is at
    [snap_any]. *)
-let first_child n snap ty =
+let first_child pool off snap ty =
   match ty with
   | 0 | 1 ->
       let j = key_min snap (snap_count snap snap_any ty) 256 (-1) 0 in
-      if j < 0 then Pptr.null else read_child n ty j
-  | 2 -> child48_scan n ty 0 1
-  | _ -> child256_scan n ty 0 1
+      if j < 0 then Pptr.null else read_child pool off ty j
+  | 2 -> child48_scan pool off ty 0 1
+  | _ -> child256_scan pool off ty 0 1
 
 (* Children as (byte, ptr), sorted by byte. *)
-let child_list n =
-  let ty = ntype n in
+let child_list pool off =
+  let ty = ntype pool off in
   match ty with
   | 0 | 1 ->
-      let c = count n in
+      let c = count pool off in
       let rec go acc i =
         if i < 0 then acc
         else
-          let p = read_child n ty i in
-          go (if Pptr.is_null p then acc else (key4_16 n i, p) :: acc) (i - 1)
+          let p = read_child pool off ty i in
+          go (if Pptr.is_null p then acc else (key4_16 pool off i, p) :: acc) (i - 1)
       in
       let sorted = List.sort (fun (a, _) (b, _) -> compare a b) (go [] (c - 1)) in
       (* A crash during the in-place removal's hole compaction can
@@ -322,10 +323,10 @@ let child_list n =
       let rec go acc b =
         if b < 0 then acc
         else
-          let s = idx48 n b in
+          let s = idx48 pool off b in
           if s = 0 then go acc (b - 1)
           else
-            let p = read_child n ty (s - 1) in
+            let p = read_child pool off ty (s - 1) in
             go (if Pptr.is_null p then acc else (b, p) :: acc) (b - 1)
       in
       go [] 255
@@ -333,7 +334,7 @@ let child_list n =
       let rec go acc b =
         if b < 0 then acc
         else
-          let p = read_child n ty b in
+          let p = read_child pool off ty b in
           go (if Pptr.is_null p then acc else (b, p) :: acc) (b - 1)
       in
       go [] 255
@@ -341,7 +342,7 @@ let child_list n =
 (* ---------- persistence helpers ---------- *)
 
 let persist_node_image n =
-  Pobj.flush n 0 node_size.(ntype n);
+  Pobj.flush n 0 node_size.(ntype n.pool n.off);
   Pobj.fence n
 
 (* [persist n rel len]: base-relative targeted persistence. *)
@@ -395,7 +396,7 @@ let alloc_node t ty =
   let slot = find_free_pending t in
   let ptr = Heap.alloc_to t.heap ~size:node_size.(ty) ~dest_pool:t.meta ~dest_off:slot () in
   t.stats.allocs <- t.stats.allocs + 1;
-  (node_of t.machine ptr, ptr, slot)
+  ({ pool = node_pool t.machine ptr; off = Pptr.off ptr }, ptr, slot)
 
 let clear_pending t slot =
   Pobj.write_int t.mo slot 0;
@@ -431,8 +432,8 @@ let init_node t n ty ~prefix_len ~prefix =
 (* Append a child without any ordering constraints — only valid on a
    node not yet published. *)
 let raw_add_child n b ptr =
-  let ty = ntype n in
-  let c = count n in
+  let ty = ntype n.pool n.off in
+  let c = count n.pool n.off in
   (match ty with
   | 0 | 1 ->
       Pobj.write_u8 n (n4_keys + c) b;
@@ -445,31 +446,35 @@ let raw_add_child n b ptr =
 
 (* ---------- prefix handling ---------- *)
 
-(* Any leaf payload under [n]; used to reconstruct prefix bytes beyond
-   the 16 stored ones (the classic ART "optimistic prefix" recovery).
-   Each node's children are validated against its version before the
-   descent uses them — a torn read must never be dereferenced. *)
-let rec any_leaf t n =
+(* Any leaf payload under the node [p] points to; used to reconstruct
+   prefix bytes beyond the 16 stored ones (the classic ART "optimistic
+   prefix" recovery).  Each node's children are validated against its
+   version before the descent uses them — a torn read must never be
+   dereferenced. *)
+let rec any_leaf t p =
+  let pool = node_pool t.machine p in
+  let off = Pptr.off p in
   let snap = Des.Sched.scratch () in
-  let v = snapshot t n snap snap_any in
-  let first = first_child n snap (snap_type snap snap_any) in
-  check (lockh n) ~gen:t.gen v;
+  let v = snapshot t pool off snap snap_any in
+  let first = first_child pool off snap (snap_type snap snap_any) in
+  check pool off ~gen:t.gen v;
   if Pptr.is_null first then raise Restart (* transiently empty under concurrent SMO *)
   else if Pptr.is_tagged first then Pptr.untag first
-  else any_leaf t (node_of t.machine first)
+  else any_leaf t first
 
-(* The [pl] prefix bytes of [n] (more than are stored), whose subtree
-   starts at key depth [depth], taken from the key of a leaf below. *)
-let long_prefix t n ~depth pl =
-  let leaf_key = t.key_of_leaf (any_leaf t n) in
+(* The [pl] prefix bytes of the node [p] points to (more than are
+   stored), whose subtree starts at key depth [depth], taken from the
+   key of a leaf below. *)
+let long_prefix t p ~depth pl =
+  let leaf_key = t.key_of_leaf (any_leaf t p) in
   if String.length leaf_key < depth + pl then raise Restart;
   String.sub leaf_key depth pl
 
-(* A visit matches the [pl] prefix bytes of [n] (subtree at key depth
-   [depth], header copy at [snap_visit]) against its copy, or, when
-   they are more than the copy holds, against [long], reconstructed
-   once per visit; [long] is [""] otherwise. *)
-let visit_long t n ~depth pl = if pl <= stored_prefix_max then "" else long_prefix t n ~depth pl
+(* A visit of the node [p] points to matches its [pl] prefix bytes
+   (subtree at key depth [depth], header copy at [snap_visit]) against
+   its copy, or, when they are more than the copy holds, against
+   [long], reconstructed once per visit; [long] is [""] otherwise. *)
+let visit_long t p ~depth pl = if pl <= stored_prefix_max then "" else long_prefix t p ~depth pl
 
 let prefix_byte snap long pl i =
   if pl <= stored_prefix_max then Bytes.get_uint8 snap (snap_visit + off_prefix + i)
@@ -491,7 +496,7 @@ let rec mismatch snap long rkey depth pl i =
 let full_prefix snap long pl =
   if pl <= stored_prefix_max then Bytes.sub_string snap (snap_visit + off_prefix) pl else long
 
-(* [match_prefix t n snap ~depth rkey], for the descents that never
+(* [match_prefix t p snap ~depth rkey], for the descents that never
    split a prefix: the key depth after the prefix when it matches, else
    [prefix_before] or [prefix_after], the order of the whole subtree
    against the key. *)
@@ -499,9 +504,9 @@ let prefix_before = -1
 
 let prefix_after = -2
 
-let match_prefix t n snap ~depth rkey =
+let match_prefix t p snap ~depth rkey =
   let pl = snap_plen snap snap_visit in
-  let long = visit_long t n ~depth pl in
+  let long = visit_long t p ~depth pl in
   let i = mismatch snap long rkey depth pl 0 in
   if i = pl then depth + pl
   else if depth + i >= String.length rkey || byte_at rkey (depth + i) < prefix_byte snap long pl i
@@ -537,7 +542,8 @@ let () = assert (off_meta_root = off_meta_rootlock + 8)
 (* Copy the root lock word and the root pointer after it with one read
    and return the lock's version; [snap_root] decodes the pointer.  An
    unlocked copy is consistent, so a reader needs no validation. *)
-let root_snapshot t = Vlock.begin_read_snapshot t.root_lock ~gen:t.gen (Des.Sched.scratch ()) 0 16
+let root_snapshot t =
+  Vlock.begin_read_snapshot t.meta off_meta_rootlock ~gen:t.gen (Des.Sched.scratch ()) 0 16
 
 let snap_root () = Int64.to_int (Bytes.get_int64_le (Des.Sched.scratch ()) 8)
 
@@ -568,7 +574,8 @@ let generation t = t.gen
 
 (* The read-only operations are top-level functions over explicit
    arguments, built from allocation-free primitives: every index
-   operation routes through [lookup_le]. *)
+   operation routes through [lookup_le].  A descent recurses on the
+   child pointer and visits the node at (pool, offset). *)
 
 (* [f t x] inside a [Trie_search] span and an epoch. *)
 let searching t f x =
@@ -584,25 +591,27 @@ let searching t f x =
       Obs.Span.stop span;
       raise e
 
-let rec descend_eq t rkey n depth =
+let rec descend_eq t rkey p depth =
+  let pool = node_pool t.machine p in
+  let off = Pptr.off p in
   let snap = Des.Sched.scratch () in
-  let v = snapshot t n snap snap_visit in
-  let depth' = match_prefix t n snap ~depth rkey in
+  let v = snapshot t pool off snap snap_visit in
+  let depth' = match_prefix t p snap ~depth rkey in
   if depth' < 0 || depth' >= String.length rkey then begin
-    check (lockh n) ~gen:t.gen v;
+    check pool off ~gen:t.gen v;
     Pptr.null
   end
   else begin
     let ty = snap_type snap snap_visit in
     let c = snap_keys snap snap_visit ty in
-    let p = child_eq n snap ty c (byte_at rkey depth') in
-    check (lockh n) ~gen:t.gen v;
-    if Pptr.is_null p then Pptr.null
-    else if Pptr.is_tagged p then begin
-      let payload = Pptr.untag p in
+    let child = child_eq pool off snap ty c (byte_at rkey depth') in
+    check pool off ~gen:t.gen v;
+    if Pptr.is_null child then Pptr.null
+    else if Pptr.is_tagged child then begin
+      let payload = Pptr.untag child in
       if t.compare_leaf payload rkey = 0 then payload else Pptr.null
     end
-    else descend_eq t rkey (node_of t.machine p) (depth' + 1)
+    else descend_eq t rkey child (depth' + 1)
   end
 
 let lookup_once t rkey =
@@ -613,7 +622,7 @@ let lookup_once t rkey =
     let payload = Pptr.untag root in
     if t.compare_leaf payload rkey = 0 then payload else Pptr.null
   end
-  else descend_eq t rkey (node_of t.machine root) 0
+  else descend_eq t rkey root 0
 
 let lookup t rkey =
   let p = searching t lookup_once rkey in
@@ -621,20 +630,22 @@ let lookup t rkey =
 
 (* ---------- ordered search: greatest leaf <= key (§5.3 routing) ---------- *)
 
-(* The greatest leaf under [n], whose header copy at [snap_visit] has
-   version [v]. *)
-let rec max_leaf_of t n snap v =
+(* The greatest leaf under the node at [off] in [pool], whose header
+   copy at [snap_visit] has version [v]. *)
+let rec max_leaf_of t pool off snap v =
   let ty = snap_type snap snap_visit in
   let c = snap_keys snap snap_visit ty in
-  let last = child_lt n ty (lt_key snap c 256) 256 in
-  check (lockh n) ~gen:t.gen v;
+  let last = child_lt pool off ty (lt_key snap c 256) 256 in
+  check pool off ~gen:t.gen v;
   if Pptr.is_null last then raise Restart
   else if Pptr.is_tagged last then Pptr.untag last
-  else max_leaf t (node_of t.machine last)
+  else max_leaf t last
 
-and max_leaf t n =
+and max_leaf t p =
+  let pool = node_pool t.machine p in
+  let off = Pptr.off p in
   let snap = Des.Sched.scratch () in
-  max_leaf_of t n snap (snapshot t n snap snap_visit)
+  max_leaf_of t pool off snap (snapshot t pool off snap snap_visit)
 
 let leaf_le t p rkey =
   let payload = Pptr.untag p in
@@ -645,46 +656,46 @@ let leaf_le t p rkey =
 let leaf_below t lt =
   if Pptr.is_null lt then Pptr.null
   else if Pptr.is_tagged lt then Pptr.untag lt
-  else max_leaf t (node_of t.machine lt)
+  else max_leaf t lt
 
-(* The greatest leaf under [n]'s children below byte [b] ([j] from
-   [lt_key]): read the child and validate [n] at version [v]. *)
-let leaf_lt t n v ty j b =
-  let lt = child_lt n ty j b in
-  check (lockh n) ~gen:t.gen v;
+(* The greatest leaf under the node's children below byte [b] ([j]
+   from [lt_key]): read the child and validate the node at version
+   [v]. *)
+let leaf_lt t pool off v ty j b =
+  let lt = child_lt pool off ty j b in
+  check pool off ~gen:t.gen v;
   leaf_below t lt
 
-let rec descend_le t rkey n depth =
+let rec descend_le t rkey p depth =
+  let pool = node_pool t.machine p in
+  let off = Pptr.off p in
   let snap = Des.Sched.scratch () in
-  let v = snapshot t n snap snap_visit in
-  let depth' = match_prefix t n snap ~depth rkey in
+  let v = snapshot t pool off snap snap_visit in
+  let depth' = match_prefix t p snap ~depth rkey in
   if depth' = prefix_before then begin
-    check (lockh n) ~gen:t.gen v;
+    check pool off ~gen:t.gen v;
     Pptr.null (* whole subtree > key *)
   end
-  else if depth' = prefix_after then max_leaf_of t n snap v (* whole subtree < key *)
+  else if depth' = prefix_after then max_leaf_of t pool off snap v (* whole subtree < key *)
   else if depth' >= String.length rkey then begin
     (* key exhausted inside the trie: all leaves below extend it and
        are therefore greater *)
-    check (lockh n) ~gen:t.gen v;
+    check pool off ~gen:t.gen v;
     Pptr.null
   end
   else begin
     let b = byte_at rkey depth' in
     let ty = snap_type snap snap_visit in
     let c = snap_keys snap snap_visit ty in
-    let eq = child_eq n snap ty c b in
+    let eq = child_eq pool off snap ty c b in
     let j = lt_key snap c b in
-    if Pptr.is_null eq then leaf_lt t n v ty j b
+    if Pptr.is_null eq then leaf_lt t pool off v ty j b
     else begin
-      check (lockh n) ~gen:t.gen v;
-      let r =
-        if Pptr.is_tagged eq then leaf_le t eq rkey
-        else descend_le t rkey (node_of t.machine eq) (depth' + 1)
-      in
+      check pool off ~gen:t.gen v;
+      let r = if Pptr.is_tagged eq then leaf_le t eq rkey else descend_le t rkey eq (depth' + 1) in
       (* the smaller child is read after the descent, so [leaf_lt]
-         validates [n] again *)
-      if Pptr.is_null r then leaf_lt t n v ty j b else r
+         validates the node again *)
+      if Pptr.is_null r then leaf_lt t pool off v ty j b else r
     end
   end
 
@@ -693,7 +704,7 @@ let lookup_le_once t rkey =
   let root = snap_root () in
   if Pptr.is_null root then Pptr.null
   else if Pptr.is_tagged root then leaf_le t root rkey
-  else descend_le t rkey (node_of t.machine root) 0
+  else descend_le t rkey root 0
 
 let lookup_le t rkey = searching t lookup_le_once rkey
 
@@ -703,23 +714,22 @@ type insert_outcome = Inserted | Replaced of Pptr.t
 (* [Replaced old] returns the previous payload so the caller can
    reclaim it exactly once (the swap is atomic under the slot lock). *)
 
-(* The slot holding the pointer to the current node, and the version
-   of the lock guarding that slot. *)
-type slot = { s_lock : Vlock.handle; s_version : int; s_pool : Pool.t; s_off : int }
+(* A writer's descent carries the slot holding the pointer to the
+   current node as a pool and three ints: the slot's offset [soff] in
+   [spool], and the lock word guarding it (the root lock, or the lock
+   of the node holding the slot: always in the same pool) at [slock],
+   read at version [sv].  Only a writer about to lock the slot builds
+   it into a record. *)
+type slot = { s_lock : Vlock.handle; s_version : int; s_off : int }
 
-let slot_obj slot = Pobj.make slot.s_pool slot.s_off
+let slot_at spool slock sv soff =
+  { s_lock = { pool = spool; off = slock }; s_version = sv; s_off = soff }
 
-let read_slot slot = Pobj.read_int (slot_obj slot) 0
+let read_slot slot = Pool.read_int slot.s_lock.pool slot.s_off
 
 let write_slot slot ptr =
-  let o = slot_obj slot in
-  Pobj.write_int o 0 ptr;
-  Pobj.persist o 0 8
-
-(* The slot of the child that [child_eq] found in [n] (of type [ty],
-   visited at version [v]). *)
-let found_slot n ty v snap =
-  { s_lock = lockh n; s_version = v; s_pool = n.pool; s_off = child_slot n ty (found_index snap) }
+  Pool.write_int slot.s_lock.pool slot.s_off ptr;
+  Pool.persist slot.s_lock.pool slot.s_off 8
 
 let release_slot slot ~gen = Vlock.release slot.s_lock ~gen ~version:(slot.s_version + 1)
 
@@ -749,18 +759,18 @@ let common_prefix_len a b start =
    stored bytes [prefix] starts with: used by prefix splits and
    merges.  Returns the new node. *)
 let copy_with_prefix t src ~prefix_len ~prefix =
-  let ty = ntype src in
+  let ty = ntype src.pool src.off in
   let n, ptr, slot = alloc_node t ty in
   init_node t n ty ~prefix_len ~prefix;
-  List.iter (fun (b, p) -> raw_add_child n b p) (child_list src);
+  List.iter (fun (b, p) -> raw_add_child n b p) (child_list src.pool src.off);
   persist_node_image n;
   (n, ptr, slot)
 
 (* In-place child insertion protocols: entry persisted first, then the
    store that makes it visible (count / index / pointer). *)
 let add_child_inplace n b ptr =
-  let ty = ntype n in
-  let c = count n in
+  let ty = ntype n.pool n.off in
+  let c = count n.pool n.off in
   match ty with
   | 0 | 1 ->
       Pobj.write_u8 n (n4_keys + c) b;
@@ -774,7 +784,7 @@ let add_child_inplace n b ptr =
       (* find a free physical slot by scanning the index *)
       let used = Array.make capacity.(ty) false in
       for byte = 0 to 255 do
-        let s = idx48 n byte in
+        let s = idx48 n.pool n.off byte in
         if s > 0 then used.(s - 1) <- true
       done;
       let rec free_slot i = if used.(i) then free_slot (i + 1) else i in
@@ -794,146 +804,152 @@ let add_child_inplace n b ptr =
       set_count n (c + 1);
       persist n off_count 2
 
+(* Split a leaf: make a Node4 holding the old leaf and the new one,
+   commit by swapping the slot pointer (atomic). *)
+let split_leaf t rkey payload slot old_ptr depth =
+  let gen = t.gen in
+  if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Restart;
+  let old_key = t.key_of_leaf (Pptr.untag old_ptr) in
+  if String.equal old_key rkey then begin
+    (* duplicate: replace the payload pointer *)
+    write_slot slot (Pptr.tagged payload);
+    release_slot slot ~gen;
+    Replaced (Pptr.untag old_ptr)
+  end
+  else begin
+    let cpl = common_prefix_len old_key rkey depth in
+    assert (depth + cpl < String.length rkey && depth + cpl < String.length old_key);
+    let n, nptr, pslot = alloc_node t 0 in
+    init_node t n 0 ~prefix_len:cpl ~prefix:(String.sub rkey depth cpl);
+    raw_add_child n (byte_at old_key (depth + cpl)) old_ptr;
+    raw_add_child n (byte_at rkey (depth + cpl)) (Pptr.tagged payload);
+    persist_node_image n;
+    write_slot slot nptr;
+    clear_pending t pslot;
+    release_slot slot ~gen;
+    Inserted
+  end
+
+(* Prefix split at position [i] of [n]'s prefix [full]: CoW the node
+   with a shortened prefix, hang it and the new leaf under a fresh
+   Node4, commit via the parent slot. *)
+let prefix_split t rkey payload slot n nv depth i full =
+  let gen = t.gen in
+  lock_slot_and_node slot n ~gen nv;
+  assert (depth + i < String.length rkey);
+  let old_ptr = read_slot slot in
+  let pl = String.length full in
+  let copy, _cptr, cslot =
+    copy_with_prefix t n ~prefix_len:(pl - i - 1) ~prefix:(String.sub full (i + 1) (pl - i - 1))
+  in
+  let cptr_val = Pptr.make ~pool:(Pool.id copy.pool) ~off:copy.off in
+  let n4, nptr, pslot = alloc_node t 0 in
+  init_node t n4 0 ~prefix_len:i ~prefix:(String.sub full 0 i);
+  raw_add_child n4 (byte_at full i) cptr_val;
+  raw_add_child n4 (byte_at rkey (depth + i)) (Pptr.tagged payload);
+  persist_node_image n4;
+  let rslot = log_retire t old_ptr in
+  write_slot slot nptr (* commit *);
+  clear_pending t cslot;
+  clear_pending t pslot;
+  retire t old_ptr rslot;
+  Vlock.release_obsolete (lockh n) ~gen ~version:(nv + 1);
+  release_slot slot ~gen;
+  Inserted
+
+(* Grow a full node to the next type (CoW) and add the new child. *)
+let grow_and_add t payload slot n nv b =
+  let gen = t.gen in
+  lock_slot_and_node slot n ~gen nv;
+  let old_ptr = read_slot slot in
+  let ty = ntype n.pool n.off in
+  assert (ty < 3);
+  let big, bptr, bslot = alloc_node t (ty + 1) in
+  let pl = plen n in
+  init_node t big (ty + 1) ~prefix_len:pl ~prefix:(stored_prefix n pl);
+  List.iter (fun (kb, p) -> raw_add_child big kb p) (child_list n.pool n.off);
+  raw_add_child big b (Pptr.tagged payload);
+  persist_node_image big;
+  let rslot = log_retire t old_ptr in
+  write_slot slot bptr;
+  clear_pending t bslot;
+  retire t old_ptr rslot;
+  Vlock.release_obsolete (lockh n) ~gen ~version:(nv + 1);
+  release_slot slot ~gen;
+  Inserted
+
+(* Visit the node [cur] points to (or split the leaf it is), reached
+   through the slot ([spool], [slock], [sv], [soff]). *)
+let rec insert_descend t rkey payload spool slock sv soff cur depth =
+  if Pptr.is_tagged cur then split_leaf t rkey payload (slot_at spool slock sv soff) cur depth
+  else begin
+    let gen = t.gen in
+    let pool = node_pool t.machine cur in
+    let off = Pptr.off cur in
+    let snap = Des.Sched.scratch () in
+    let v = snapshot t pool off snap snap_visit in
+    let pl = snap_plen snap snap_visit in
+    let long = visit_long t cur ~depth pl in
+    let i = mismatch snap long rkey depth pl 0 in
+    let depth' = depth + pl in
+    if i < pl then begin
+      check pool off ~gen v;
+      prefix_split t rkey payload (slot_at spool slock sv soff) { pool; off } v depth i
+        (full_prefix snap long pl)
+    end
+    else if depth' >= String.length rkey then begin
+      check pool off ~gen v;
+      raise Restart (* impossible for prefix-free keys unless racing *)
+    end
+    else begin
+      let b = byte_at rkey depth' in
+      let ty = snap_type snap snap_visit in
+      let c = snap_count snap snap_visit ty in
+      let p = child_eq pool off snap ty c b in
+      let found = off + child_rel ty (found_index snap) in
+      check pool off ~gen v;
+      if not (Pptr.is_null p) then insert_descend t rkey payload pool off v found p (depth' + 1)
+      else if c < capacity.(ty) then begin
+        let n = { pool; off } in
+        if not (Vlock.try_upgrade n ~gen ~version:v) then raise Restart;
+        add_child_inplace n b (Pptr.tagged payload);
+        Vlock.release n ~gen ~version:(v + 1);
+        Inserted
+      end
+      else grow_and_add t payload (slot_at spool slock sv soff) { pool; off } v b
+    end
+  end
+
+let insert_once t rkey payload =
+  let gen = t.gen in
+  let rv = root_snapshot t in
+  let root = snap_root () in
+  if Pptr.is_null root then begin
+    let rh = root_lockh t in
+    if not (Vlock.try_upgrade rh ~gen ~version:rv) then raise Restart;
+    Pobj.set_int t.mo f_meta_root (Pptr.tagged payload);
+    Pobj.persist_field t.mo f_meta_root;
+    Vlock.release rh ~gen ~version:(rv + 1);
+    Inserted
+  end
+  else insert_descend t rkey payload t.meta off_meta_rootlock rv off_meta_root root 0
+
 let insert t rkey payload =
   Obs.Span.with_phase Obs.Span.Trie_search @@ fun () ->
   Epoch.enter t.epoch;
   Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
   ensure_pending_capacity t 4;
-  with_retry t @@ fun () ->
-  let gen = t.gen in
-  let klen = String.length rkey in
-  let tagged_payload = Pptr.tagged payload in
-  (* Split a leaf: make a Node4 holding the old leaf and the new one,
-     commit by swapping the slot pointer (atomic). *)
-  let split_leaf slot old_ptr depth =
-    if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Restart;
-    let old_key = t.key_of_leaf (Pptr.untag old_ptr) in
-    if String.equal old_key rkey then begin
-      (* duplicate: replace the payload pointer *)
-      write_slot slot tagged_payload;
-      release_slot slot ~gen;
-      Replaced (Pptr.untag old_ptr)
-    end
-    else begin
-      let cpl = common_prefix_len old_key rkey depth in
-      assert (depth + cpl < klen && depth + cpl < String.length old_key);
-      let n, nptr, pslot = alloc_node t 0 in
-      init_node t n 0 ~prefix_len:cpl ~prefix:(String.sub rkey depth cpl);
-      raw_add_child n (byte_at old_key (depth + cpl)) old_ptr;
-      raw_add_child n (byte_at rkey (depth + cpl)) tagged_payload;
-      persist_node_image n;
-      write_slot slot nptr;
-      clear_pending t pslot;
-      release_slot slot ~gen;
-      Inserted
-    end
-  in
-  (* Prefix split at position [i] of [n]'s prefix [full]: CoW the node
-     with a shortened prefix, hang it and the new leaf under a fresh
-     Node4, commit via the parent slot. *)
-  let prefix_split slot n nv depth i full =
-    lock_slot_and_node slot n ~gen nv;
-    assert (depth + i < klen);
-    let old_ptr = read_slot slot in
-    let pl = String.length full in
-    let copy, _cptr, cslot =
-      copy_with_prefix t n ~prefix_len:(pl - i - 1) ~prefix:(String.sub full (i + 1) (pl - i - 1))
-    in
-    let cptr_val = Pptr.make ~pool:(Pool.id copy.pool) ~off:copy.off in
-    let n4, nptr, pslot = alloc_node t 0 in
-    init_node t n4 0 ~prefix_len:i ~prefix:(String.sub full 0 i);
-    raw_add_child n4 (byte_at full i) cptr_val;
-    raw_add_child n4 (byte_at rkey (depth + i)) tagged_payload;
-    persist_node_image n4;
-    let rslot = log_retire t old_ptr in
-    write_slot slot nptr (* commit *);
-    clear_pending t cslot;
-    clear_pending t pslot;
-    retire t old_ptr rslot;
-    Vlock.release_obsolete (lockh n) ~gen ~version:(nv + 1);
-    release_slot slot ~gen;
-    Inserted
-  in
-  (* Grow a full node to the next type (CoW) and add the new child. *)
-  let grow_and_add slot n nv b =
-    lock_slot_and_node slot n ~gen nv;
-    let old_ptr = read_slot slot in
-    let ty = ntype n in
-    assert (ty < 3);
-    let big, bptr, bslot = alloc_node t (ty + 1) in
-    let pl = plen n in
-    init_node t big (ty + 1) ~prefix_len:pl ~prefix:(stored_prefix n pl);
-    List.iter (fun (kb, p) -> raw_add_child big kb p) (child_list n);
-    raw_add_child big b tagged_payload;
-    persist_node_image big;
-    let rslot = log_retire t old_ptr in
-    write_slot slot bptr;
-    clear_pending t bslot;
-    retire t old_ptr rslot;
-    Vlock.release_obsolete (lockh n) ~gen ~version:(nv + 1);
-    release_slot slot ~gen;
-    Inserted
-  in
-  let rec descend slot cur depth =
-    if Pptr.is_tagged cur then split_leaf slot cur depth
-    else begin
-      let n = node_of t.machine cur in
-      let h = lockh n in
-      let snap = Des.Sched.scratch () in
-      let v = snapshot t n snap snap_visit in
-      let pl = snap_plen snap snap_visit in
-      let long = visit_long t n ~depth pl in
-      let i = mismatch snap long rkey depth pl 0 in
-      let depth' = depth + pl in
-      if i < pl then begin
-        check h ~gen v;
-        prefix_split slot n v depth i (full_prefix snap long pl)
-      end
-      else if depth' >= klen then begin
-        check h ~gen v;
-        raise Restart (* impossible for prefix-free keys unless racing *)
-      end
-      else begin
-        let b = byte_at rkey depth' in
-        let ty = snap_type snap snap_visit in
-        let c = snap_count snap snap_visit ty in
-        let p = child_eq n snap ty c b in
-        check h ~gen v;
-        if not (Pptr.is_null p) then descend (found_slot n ty v snap) p (depth' + 1)
-        else if c < capacity.(ty) then begin
-          if not (Vlock.try_upgrade h ~gen ~version:v) then raise Restart;
-          add_child_inplace n b tagged_payload;
-          Vlock.release h ~gen ~version:(v + 1);
-          Inserted
-        end
-        else grow_and_add slot n v b
-      end
-    end
-  in
-  let rh = root_lockh t in
-  let rv = root_snapshot t in
-  let root = snap_root () in
-  if Pptr.is_null root then begin
-    if not (Vlock.try_upgrade rh ~gen ~version:rv) then raise Restart;
-    Pobj.set_int t.mo f_meta_root tagged_payload;
-    Pobj.persist_field t.mo f_meta_root;
-    Vlock.release rh ~gen ~version:(rv + 1);
-    Inserted
-  end
-  else
-    descend
-      { s_lock = rh; s_version = rv; s_pool = t.meta; s_off = off_meta_root }
-      root 0
+  with_retry t (fun () -> insert_once t rkey payload)
 
 (* ---------- delete ---------- *)
 
 (* Remove the child for byte [b] from locked node [n] (present). *)
 let remove_child_inplace n b =
-  let ty = ntype n in
-  let c = count n in
+  let ty = ntype n.pool n.off in
+  let c = count n.pool n.off in
   match ty with
   | 0 | 1 ->
-      let rec find i = if key4_16 n i = b then i else find (i + 1) in
+      let rec find i = if key4_16 n.pool n.off i = b then i else find (i + 1) in
       let i = find 0 in
       let last = c - 1 in
       if i <> last then begin
@@ -947,9 +963,9 @@ let remove_child_inplace n b =
            route the moved key to the deleted child. *)
         Pobj.write_int n (child_rel ty i) Pptr.null;
         persist n (child_rel ty i) 8;
-        Pobj.write_u8 n (n4_keys + i) (key4_16 n last);
+        Pobj.write_u8 n (n4_keys + i) (key4_16 n.pool n.off last);
         persist n (n4_keys + i) 1;
-        Pobj.write_int n (child_rel ty i) (read_child n ty last);
+        Pobj.write_int n (child_rel ty i) (read_child n.pool n.off ty last);
         persist n (child_rel ty i) 8
       end;
       set_count n last;
@@ -970,143 +986,151 @@ let remove_child_inplace n b =
 
 let shrink_threshold = [| 0; 3; 12; 40 |]
 
+(* Does removing one of the [c] children of a node of type [ty] take a
+   structural change (shrink or path compression)? *)
+let needs_shrink ty c = (ty = 0 && c <= 2) || (ty > 0 && c - 1 <= shrink_threshold.(ty))
+
+(* Remove the leaf [payload] at byte [b] from [n] (of type [ty], whose
+   prefix starts at key depth [depth]), which has underflowed: CoW-shrink
+   it (or path-compress a Node4 with one survivor) and commit via
+   [slot].  Locking [n] at [nv] proves it still is what the descent
+   saw. *)
+let remove_and_shrink t rkey slot n nv ty b payload ~depth =
+  let gen = t.gen in
+  lock_slot_and_node slot n ~gen nv;
+  let old_ptr = read_slot slot in
+  let survivors = List.filter (fun (kb, _) -> kb <> b) (child_list n.pool n.off) in
+  (match survivors with
+  | [] ->
+      (* Root-only situation: the tree is emptying. *)
+      let rslot = log_retire t old_ptr in
+      write_slot slot Pptr.null;
+      retire t old_ptr rslot
+  | [ (sb, p) ] when ty = 0 ->
+      if Pptr.is_tagged p then begin
+        (* Path compression: the leaf replaces the node. *)
+        let rslot = log_retire t old_ptr in
+        write_slot slot p;
+        retire t old_ptr rslot
+      end
+      else begin
+        (* Merge prefixes: CoW the child with the combined prefix
+           node.prefix + branch byte + child.prefix. *)
+        let child = { pool = node_pool t.machine p; off = Pptr.off p } in
+        let cv = Vlock.acquire (lockh child) ~gen in
+        (* [n]'s prefix is the key's (the descent matched it), and
+           the child's stored bytes cover all the merged prefix
+           bytes a node stores. *)
+        let pl = plen n and cpl = plen child in
+        let prefix =
+          String.sub rkey depth pl ^ String.make 1 (Char.chr sb) ^ stored_prefix child cpl
+        in
+        let copy, _cp, cslot = copy_with_prefix t child ~prefix_len:(pl + 1 + cpl) ~prefix in
+        let cptr_val = Pptr.make ~pool:(Pool.id copy.pool) ~off:copy.off in
+        let r1 = log_retire t old_ptr in
+        let r2 = log_retire t p in
+        write_slot slot cptr_val;
+        clear_pending t cslot;
+        retire t old_ptr r1;
+        retire t p r2;
+        Vlock.release_obsolete (lockh child) ~gen ~version:cv
+      end
+  | _ ->
+      (* CoW shrink to the next smaller type (or same type for
+         Node4 with >1 survivors — cannot happen given the guard). *)
+      let new_ty = if ty = 0 then 0 else ty - 1 in
+      let small, sptr, sslot = alloc_node t new_ty in
+      let pl = plen n in
+      init_node t small new_ty ~prefix_len:pl ~prefix:(stored_prefix n pl);
+      List.iter (fun (kb, p) -> raw_add_child small kb p) survivors;
+      persist_node_image small;
+      let rslot = log_retire t old_ptr in
+      write_slot slot sptr;
+      clear_pending t sslot;
+      retire t old_ptr rslot);
+  (* every structural case retires [n] *)
+  Vlock.release_obsolete (lockh n) ~gen ~version:(nv + 1);
+  release_slot slot ~gen;
+  Some payload
+
+(* Visit the node [cur] points to (or remove the root leaf it is),
+   reached through the slot ([spool], [slock], [sv], [soff]); the leaf
+   it finds is removed at its parent. *)
+let rec delete_descend t rkey spool slock sv soff cur depth =
+  let gen = t.gen in
+  if Pptr.is_tagged cur then begin
+    (* Leaf directly in the slot (root or under a node). *)
+    if t.compare_leaf (Pptr.untag cur) rkey = 0 then begin
+      (* only reachable for the root leaf: inner leaves are handled
+         at their parent *)
+      let slot = slot_at spool slock sv soff in
+      if not (Vlock.try_upgrade slot.s_lock ~gen ~version:sv) then raise Restart;
+      write_slot slot Pptr.null;
+      release_slot slot ~gen;
+      Some (Pptr.untag cur)
+    end
+    else None
+  end
+  else begin
+    let pool = node_pool t.machine cur in
+    let off = Pptr.off cur in
+    let snap = Des.Sched.scratch () in
+    let v = snapshot t pool off snap snap_visit in
+    let depth' = match_prefix t cur snap ~depth rkey in
+    if depth' < 0 || depth' >= String.length rkey then begin
+      check pool off ~gen v;
+      None
+    end
+    else begin
+      let b = byte_at rkey depth' in
+      let ty = snap_type snap snap_visit in
+      let c = snap_count snap snap_visit ty in
+      let p = child_eq pool off snap ty c b in
+      let found = off + child_rel ty (found_index snap) in
+      check pool off ~gen v;
+      if Pptr.is_null p then None
+      else if Pptr.is_tagged p then begin
+        let payload = Pptr.untag p in
+        if t.compare_leaf payload rkey <> 0 then None
+        else if needs_shrink ty c then
+          remove_and_shrink t rkey (slot_at spool slock sv soff) { pool; off } v ty b payload
+            ~depth
+        else begin
+          let n = { pool; off } in
+          if not (Vlock.try_upgrade n ~gen ~version:v) then raise Restart;
+          remove_child_inplace n b;
+          Vlock.release n ~gen ~version:(v + 1);
+          Some payload
+        end
+      end
+      else delete_descend t rkey pool off v found p (depth' + 1)
+    end
+  end
+
+let delete_once t rkey =
+  let rv = root_snapshot t in
+  let root = snap_root () in
+  if Pptr.is_null root then None
+  else delete_descend t rkey t.meta off_meta_rootlock rv off_meta_root root 0
+
 let delete t rkey =
   Obs.Span.with_phase Obs.Span.Trie_search @@ fun () ->
   Epoch.enter t.epoch;
   Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
   ensure_pending_capacity t 4;
-  with_retry t @@ fun () ->
-  let gen = t.gen in
-  let klen = String.length rkey in
-  (* Remove the leaf [payload] at byte [b] from [n] (of type [ty] with
-     [c] children at version [nv], whose prefix starts at key depth
-     [depth]); if the node underflows, CoW-shrink (or path-compress a
-     Node4 with one survivor) and commit via [slot].  Locking [n] at
-     [nv] proves it still is what the descent saw. *)
-  let remove_and_shrink slot n nv ty c b payload ~depth =
-    let needs_structural = (ty = 0 && c <= 2) || (ty > 0 && c - 1 <= shrink_threshold.(ty)) in
-    if not needs_structural then begin
-      if not (Vlock.try_upgrade (lockh n) ~gen ~version:nv) then raise Restart;
-      remove_child_inplace n b;
-      Vlock.release (lockh n) ~gen ~version:(nv + 1);
-      Some payload
-    end
-    else begin
-      lock_slot_and_node slot n ~gen nv;
-      let old_ptr = read_slot slot in
-      let survivors = List.filter (fun (kb, _) -> kb <> b) (child_list n) in
-      (match survivors with
-      | [] ->
-          (* Root-only situation: the tree is emptying. *)
-          let rslot = log_retire t old_ptr in
-          write_slot slot Pptr.null;
-          retire t old_ptr rslot
-      | [ (sb, p) ] when ty = 0 ->
-          if Pptr.is_tagged p then begin
-            (* Path compression: the leaf replaces the node. *)
-            let rslot = log_retire t old_ptr in
-            write_slot slot p;
-            retire t old_ptr rslot
-          end
-          else begin
-            (* Merge prefixes: CoW the child with the combined prefix
-               node.prefix + branch byte + child.prefix. *)
-            let child = node_of t.machine p in
-            let cv = Vlock.acquire (lockh child) ~gen in
-            (* [n]'s prefix is the key's (the descent matched it), and
-               the child's stored bytes cover all the merged prefix
-               bytes a node stores. *)
-            let pl = plen n and cpl = plen child in
-            let prefix =
-              String.sub rkey depth pl ^ String.make 1 (Char.chr sb) ^ stored_prefix child cpl
-            in
-            let copy, _cp, cslot = copy_with_prefix t child ~prefix_len:(pl + 1 + cpl) ~prefix in
-            let cptr_val = Pptr.make ~pool:(Pool.id copy.pool) ~off:copy.off in
-            let r1 = log_retire t old_ptr in
-            let r2 = log_retire t p in
-            write_slot slot cptr_val;
-            clear_pending t cslot;
-            retire t old_ptr r1;
-            retire t p r2;
-            Vlock.release_obsolete (lockh child) ~gen ~version:cv
-          end
-      | _ ->
-          (* CoW shrink to the next smaller type (or same type for
-             Node4 with >1 survivors — cannot happen given the guard). *)
-          let new_ty = if ty = 0 then 0 else ty - 1 in
-          let small, sptr, sslot = alloc_node t new_ty in
-          let pl = plen n in
-          init_node t small new_ty ~prefix_len:pl ~prefix:(stored_prefix n pl);
-          List.iter (fun (kb, p) -> raw_add_child small kb p) survivors;
-          persist_node_image small;
-          let rslot = log_retire t old_ptr in
-          write_slot slot sptr;
-          clear_pending t sslot;
-          retire t old_ptr rslot);
-      (* every structural case retires [n] *)
-      Vlock.release_obsolete (lockh n) ~gen ~version:(nv + 1);
-      release_slot slot ~gen;
-      Some payload
-    end
-  in
-  let rec descend slot cur depth =
-    if Pptr.is_tagged cur then begin
-      (* Leaf directly in the slot (root or under a node). *)
-      if t.compare_leaf (Pptr.untag cur) rkey = 0 then begin
-        (* only reachable for the root leaf: inner leaves are handled
-           by [remove_and_shrink] at their parent *)
-        if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then
-          raise Restart;
-        write_slot slot Pptr.null;
-        release_slot slot ~gen;
-        Some (Pptr.untag cur)
-      end
-      else None
-    end
-    else begin
-      let n = node_of t.machine cur in
-      let h = lockh n in
-      let snap = Des.Sched.scratch () in
-      let v = snapshot t n snap snap_visit in
-      let depth' = match_prefix t n snap ~depth rkey in
-      if depth' < 0 || depth' >= klen then begin
-        check h ~gen v;
-        None
-      end
-      else begin
-        let b = byte_at rkey depth' in
-        let ty = snap_type snap snap_visit in
-        let c = snap_count snap snap_visit ty in
-        let p = child_eq n snap ty c b in
-        check h ~gen v;
-        if Pptr.is_null p then None
-        else if Pptr.is_tagged p then begin
-          let payload = Pptr.untag p in
-          if t.compare_leaf payload rkey = 0 then remove_and_shrink slot n v ty c b payload ~depth
-          else None
-        end
-        else descend (found_slot n ty v snap) p (depth' + 1)
-      end
-    end
-  in
-  let rh = root_lockh t in
-  let rv = root_snapshot t in
-  let root = snap_root () in
-  if Pptr.is_null root then None
-  else
-    descend { s_lock = rh; s_version = rv; s_pool = t.meta; s_off = off_meta_root } root 0
+  retrying t delete_once rkey 0
 
 (* ---------- ordered iteration (baseline scans) ---------- *)
 
 exception Stop
 
-(* Read a node's children consistently (small local retry loop),
-   leaving its header copy at [snap_visit]. *)
-let consistent_children t n =
+(* Read the children of the node at [off] in [pool] consistently (small
+   local retry loop), leaving its header copy at [snap_visit]. *)
+let consistent_children t pool off =
   let rec go attempt =
-    let v = snapshot t n (Des.Sched.scratch ()) snap_visit in
-    let cs = child_list n in
-    if Vlock.validate (lockh n) ~gen:t.gen ~version:v then cs
+    let v = snapshot t pool off (Des.Sched.scratch ()) snap_visit in
+    let cs = child_list pool off in
+    if Vlock.validate pool off ~gen:t.gen ~version:v then cs
     else begin
       if attempt > 1000 then raise Restart;
       Des.Sched.delay 100e-9;
@@ -1122,7 +1146,10 @@ let iter_from t rkey f =
   let emit p = if not (f p) then raise Stop in
   let rec walk_all cur =
     if Pptr.is_tagged cur then emit (Pptr.untag cur)
-    else List.iter (fun (_, p) -> walk_all p) (consistent_children t (node_of t.machine cur))
+    else
+      List.iter
+        (fun (_, p) -> walk_all p)
+        (consistent_children t (node_pool t.machine cur) (Pptr.off cur))
   in
   let rec walk_from cur depth =
     if Pptr.is_tagged cur then begin
@@ -1130,9 +1157,8 @@ let iter_from t rkey f =
       if t.compare_leaf payload rkey >= 0 then emit payload
     end
     else begin
-      let n = node_of t.machine cur in
-      let cs = consistent_children t n in
-      let depth' = match_prefix t n (Des.Sched.scratch ()) ~depth rkey in
+      let cs = consistent_children t (node_pool t.machine cur) (Pptr.off cur) in
+      let depth' = match_prefix t cur (Des.Sched.scratch ()) ~depth rkey in
       if depth' = prefix_before then List.iter (fun (_, p) -> walk_all p) cs (* subtree > key *)
       else if depth' = prefix_after then () (* subtree < key *)
       else if depth' >= klen then List.iter (fun (_, p) -> walk_all p) cs
@@ -1159,7 +1185,7 @@ let reachable t target =
     p = target
     ||
     if Pptr.is_tagged cur then false
-    else List.exists (fun (_, c) -> visit c) (child_list (node_of t.machine cur))
+    else List.exists (fun (_, c) -> visit c) (child_list (node_pool t.machine cur) (Pptr.off cur))
   in
   let root = read_root t in
   (not (Pptr.is_null root)) && visit root
@@ -1217,7 +1243,7 @@ let rec subtree_size t cur =
     List.fold_left
       (fun acc (_, c) -> acc + subtree_size t c)
       0
-      (child_list (node_of t.machine cur))
+      (child_list (node_pool t.machine cur) (Pptr.off cur))
 
 let cardinal t =
   let root = read_root t in

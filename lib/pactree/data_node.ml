@@ -95,18 +95,19 @@ let anchor t =
   let len = Pobj.get_int t f_anchor_len in
   Pobj.read_string t off_anchor len
 
-(* Allocation-free [compare (anchor t) k]. *)
-let compare_anchor t k =
-  let len = Pobj.get_int t f_anchor_len in
-  Pobj.compare_string t off_anchor len k
+(* Allocation-free [compare (anchor t) k] for the node at [off] in
+   [pool]. *)
+let compare_anchor pool off k =
+  let len = Pool.read_int pool (off + Layout.off f_anchor_len) in
+  Pool.compare_string pool (off + off_anchor) len k
 
 (* Allocation-free [compare (Key.to_radix (anchor t)) rkey], for a radix
    key [rkey].  Appending the same terminator to both sides does not
    change the order of two keys, so the anchor is compared with [rkey]
    less its terminator. *)
-let compare_anchor_radix t rkey =
-  let len = Pobj.get_int t f_anchor_len in
-  Pobj.compare_prefix t off_anchor len rkey (String.length rkey - 1)
+let compare_anchor_radix pool off rkey =
+  let len = Pool.read_int pool (off + Layout.off f_anchor_len) in
+  Pool.compare_prefix pool (off + off_anchor) len rkey (String.length rkey - 1)
 
 let init lay t ~gen ~anchor ~next ~prev =
   Pobj.fill_zero t 0 lay.node_size;
@@ -180,16 +181,18 @@ let first_empty bm = first_empty_from bm 0
    run, and the visit goes on with what it read.  A probe copies each
    candidate entry (value and inline key) with one read to
    [snap_entry], past the copied lines, so the bitmap and fingerprints
-   it is still scanning stay intact. *)
+   it is still scanning stay intact.  A visit addresses the node by its
+   pool and offset and builds no record. *)
 let snap_len = off_fingerprints + entries
 
 let snap_entry = snap_len
 
-let begin_read t ~gen =
-  Vlock.begin_read_snapshot (lock_handle t) ~gen (Des.Sched.scratch ()) 0 snap_len
+let begin_read pool off ~gen =
+  Vlock.begin_read_snapshot pool off ~gen (Des.Sched.scratch ()) 0 snap_len
 
 (* The header fields alone (line 0), for a visit that probes no key. *)
-let read_header t = Pobj.blit_to_bytes t 0 (Des.Sched.scratch ()) 0 (Layout.off f_anchor_len + 8)
+let read_header pool off =
+  Pool.blit_to_bytes pool off (Des.Sched.scratch ()) 0 (Layout.off f_anchor_len + 8)
 
 let snap_int rel = Int64.to_int (Bytes.get_int64_le (Des.Sched.scratch ()) rel)
 
@@ -199,8 +202,8 @@ let snap_next () = snap_int off_next
 
 let snap_prev () = snap_int off_prev
 
-let snap_compare_anchor t k =
-  Pobj.compare_string t off_anchor (snap_int (Layout.off f_anchor_len)) k
+let snap_compare_anchor pool off k =
+  Pool.compare_string pool (off + off_anchor) (snap_int (Layout.off f_anchor_len)) k
 
 (* Is [slot] set in the little-endian bitmap at [pos] in [buf]? *)
 let live_in buf pos slot = Bytes.get_uint8 buf (pos + (slot lsr 3)) land (1 lsl (slot land 7)) <> 0
@@ -211,37 +214,37 @@ let rec equal_from snap pos k len i =
   i >= len
   || Bytes.unsafe_get snap (pos + i) = String.unsafe_get k i && equal_from snap pos k len (i + 1)
 
-(* Copy [slot]'s entry to [snap_entry] and compare its key with [k]
-   there. *)
-let entry_is lay t snap slot k =
+(* Copy [slot]'s entry of the node at [off] in [pool] to [snap_entry]
+   and compare its key with [k] there. *)
+let entry_is lay pool off snap slot k =
   if lay.inline = 8 then begin
-    Pobj.blit_to_bytes t (entry_off lay slot) snap snap_entry 16;
+    Pool.blit_to_bytes pool (off + entry_off lay slot) snap snap_entry 16;
     String.length k = 8 && equal_from snap (snap_entry + 8) k 8 0
   end
   else begin
-    Pobj.blit_to_bytes t (entry_off lay slot) snap snap_entry (9 + lay.inline);
+    Pool.blit_to_bytes pool (off + entry_off lay slot) snap snap_entry (9 + lay.inline);
     let len = Bytes.get_uint8 snap (snap_entry + 8) in
     len = String.length k && equal_from snap (snap_entry + 9) k len 0
   end
 
-let rec probe_from lay t k snap fp slot =
+let rec probe_from lay pool off k snap fp slot =
   if slot >= entries then -1
   else if
     snap_live snap slot
     && Bytes.get_uint8 snap (off_fingerprints + slot) = fp
-    && entry_is lay t snap slot k
+    && entry_is lay pool off snap slot k
   then slot
-  else probe_from lay t k snap fp (slot + 1)
+  else probe_from lay pool off k snap fp (slot + 1)
 
 (* one fingerprint match over the copied line (the AVX512 match of the
    paper, §5.2) *)
-let probe lay t k = probe_from lay t k (Des.Sched.scratch ()) (Fingerprint.of_key k) 0
+let probe lay pool off k = probe_from lay pool off k (Des.Sched.scratch ()) (Fingerprint.of_key k) 0
 
 let find lay t k =
   let span = Obs.Span.start Obs.Span.Dnode_scan in
   match
     Pobj.blit_to_bytes t 0 (Des.Sched.scratch ()) 0 snap_len;
-    probe lay t k
+    probe lay t.pool t.off k
   with
   | slot ->
       Obs.Span.stop span;

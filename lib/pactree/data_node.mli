@@ -63,13 +63,14 @@ val set_deleted : t -> bool -> unit
 
 val anchor : t -> Key.t
 
-(** [compare_anchor t k] = [compare (anchor t) k], allocation-free. *)
-val compare_anchor : t -> Key.t -> int
+(** [compare_anchor pool off k] = [compare (anchor t) k] for the node
+    [t] at [off] in [pool], allocation-free. *)
+val compare_anchor : Nvm.Pool.t -> int -> Key.t -> int
 
-(** [compare_anchor_radix t rkey] = [compare (Key.to_radix (anchor t))
-    rkey] for a radix key [rkey], allocation-free, at the cost of
-    [compare_anchor]. *)
-val compare_anchor_radix : t -> string -> int
+(** [compare_anchor_radix pool off rkey] = [compare (Key.to_radix
+    (anchor t)) rkey] for the node [t] at [off] in [pool] and a radix
+    key [rkey], allocation-free, at the cost of [compare_anchor]. *)
+val compare_anchor_radix : Nvm.Pool.t -> int -> string -> int
 
 (** Offsets for targeted persistence by {!Tree}. *)
 val off_next : int
@@ -98,16 +99,18 @@ val value_at : layout -> t -> int -> int
     thread's {!Des.Sched.scratch} buffer with one read and decodes the
     header from the copy; the [snap_*] readers below read the last copy
     this thread took.  Nothing else may use the buffer while the visit
-    needs the copy. *)
+    needs the copy.  A visit addresses the node by its pool and offset,
+    as {!Vlock.begin_read_snapshot} does, and builds no [t]. *)
 
-(** [begin_read t ~gen] copies lines 0-1 like {!Vlock.begin_read}:
-    waiting while the copied lock word is locked, it returns the
-    version of the copy for a final {!Vlock.validate}. *)
-val begin_read : t -> gen:int -> int
+(** [begin_read pool off ~gen] copies lines 0-1 of the node at [off] in
+    [pool] like {!Vlock.begin_read}: waiting while the copied lock word
+    is locked, it returns the version of the copy for a final
+    {!Vlock.validate}. *)
+val begin_read : Nvm.Pool.t -> int -> gen:int -> int
 
 (** Copy the header fields alone (line 0), unversioned: for visits that
     probe no key, or whose caller holds the lock. *)
-val read_header : t -> unit
+val read_header : Nvm.Pool.t -> int -> unit
 
 val snap_deleted : unit -> bool
 
@@ -115,16 +118,17 @@ val snap_next : unit -> Pmalloc.Pptr.t
 
 val snap_prev : unit -> Pmalloc.Pptr.t
 
-(** [compare (anchor t) k], with the anchor length from the copy and
-    the anchor bytes read from [t]. *)
-val snap_compare_anchor : t -> Key.t -> int
+(** [compare (anchor t) k] for the node [t] at [off] in [pool], with the
+    anchor length from the copy and the anchor bytes read from [t]. *)
+val snap_compare_anchor : Nvm.Pool.t -> int -> Key.t -> int
 
-(** [probe lay t k] is the live slot holding [k] according to the
-    lines 0-1 copy of [t] that {!begin_read} took, or [-1]: one
+(** [probe lay pool off k] is the live slot holding [k] according to the
+    lines 0-1 copy of the node at [off] in [pool] that {!begin_read}
+    took, or [-1]: one
     fingerprint match over the copied line, then one read of each
     candidate entry (value and key), compared in the buffer.  A hit
     leaves the entry's value for {!found_value}.  Allocation-free. *)
-val probe : layout -> t -> Key.t -> int
+val probe : layout -> Nvm.Pool.t -> int -> Key.t -> int
 
 (** [find lay t k] is [probe] on a fresh unversioned copy of lines 0-1
     (the caller holds the lock or validates on its own), inside a

@@ -1,33 +1,52 @@
 type thread_state = { mutable depth : int; mutable local : int }
 
+(* Thread states are indexed by simulated thread id + 1 (the host
+   program is -1), so a scan of them is a loop; a thread that never
+   entered holds depth 0.  Deferred actions wait in order of
+   deferral, which is also epoch order. *)
 type t = {
   mutable epoch : int;
-  threads : (int, thread_state) Hashtbl.t;
-  mutable deferred : (int * (unit -> unit)) list; (* newest first *)
+  mutable threads : thread_state array;
+  deferred : (int * (unit -> unit)) Queue.t; (* oldest first *)
   mutable ops_since_advance : int;
 }
 
+let fresh_states n = Array.init n (fun _ -> { depth = 0; local = 0 })
+
 let create () =
-  { epoch = 0; threads = Hashtbl.create 64; deferred = []; ops_since_advance = 0 }
+  { epoch = 0; threads = fresh_states 8; deferred = Queue.create (); ops_since_advance = 0 }
 
-(* Every index operation enters and exits: [Hashtbl.find] keeps the
-   common case allocation-free. *)
+(* Every index operation enters and exits: finding the thread's state
+   allocates nothing once the array covers its id. *)
 let state t =
-  let tid = Des.Sched.current_id () in
-  match Hashtbl.find t.threads tid with
-  | ts -> ts
-  | exception Not_found ->
-      let ts = { depth = 0; local = 0 } in
-      Hashtbl.add t.threads tid ts;
-      ts
+  let i = Des.Sched.current_id () + 1 in
+  let n = Array.length t.threads in
+  if i >= n then begin
+    let grown = fresh_states (max (2 * n) (i + 1)) in
+    Array.blit t.threads 0 grown 0 n;
+    t.threads <- grown
+  end;
+  Array.unsafe_get t.threads i
 
-let all_caught_up t =
-  Hashtbl.fold (fun _ ts acc -> acc && (ts.depth = 0 || ts.local = t.epoch)) t.threads true
+let rec caught_up_from t i =
+  i >= Array.length t.threads
+  ||
+  let ts = Array.unsafe_get t.threads i in
+  (ts.depth = 0 || ts.local = t.epoch) && caught_up_from t (i + 1)
 
-let run_ripe t =
-  let ripe, fresh = List.partition (fun (e, _) -> e <= t.epoch - 2) t.deferred in
-  t.deferred <- fresh;
-  List.iter (fun (_, f) -> f ()) (List.rev ripe)
+let all_caught_up t = caught_up_from t 0
+
+(* The deferred actions two epochs old, taken off the queue newest
+   first: nothing when the oldest is not ripe. *)
+let rec take_ripe t acc =
+  if (not (Queue.is_empty t.deferred)) && fst (Queue.peek t.deferred) <= t.epoch - 2 then
+    take_ripe t (snd (Queue.pop t.deferred) :: acc)
+  else acc
+
+(* Run the ripe actions oldest first.  All of them leave the queue
+   before the first runs: an action can let other threads run, and an
+   advance they make must find only the actions not yet taken. *)
+let run_ripe t = List.iter (fun f -> f ()) (List.rev (take_ripe t []))
 
 let attempts = ref 0
 
@@ -51,13 +70,13 @@ let exit t =
   ts.depth <- ts.depth - 1;
   if ts.depth = 0 then begin
     t.ops_since_advance <- t.ops_since_advance + 1;
-    if t.ops_since_advance >= 32 || t.deferred <> [] then begin
+    if t.ops_since_advance >= 32 || not (Queue.is_empty t.deferred) then begin
       t.ops_since_advance <- 0;
       try_advance t
     end
   end
 
-let defer t f = t.deferred <- (t.epoch, f) :: t.deferred
+let defer t f = Queue.push (t.epoch, f) t.deferred
 
 (* Temporarily release the calling thread's pin so the epoch can
    advance past it (e.g. while waiting for deferred frees to release
@@ -79,6 +98,6 @@ let unpin_while t f =
       restore ();
       raise exn
 
-let pending t = List.length t.deferred
+let pending t = Queue.length t.deferred
 
 let current t = t.epoch

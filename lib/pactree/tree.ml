@@ -121,7 +121,9 @@ let create machine ?(cfg = default_config) () =
     Node.layout ~persist_perm:(not cfg.selective_persistence) ~key_inline:cfg.key_inline ()
   in
   let key_of_leaf ptr = Key.to_radix (Node.anchor (Node.of_ptr machine ptr)) in
-  let compare_leaf ptr rkey = Node.compare_anchor_radix (Node.of_ptr machine ptr) rkey in
+  let compare_leaf ptr rkey =
+    Node.compare_anchor_radix (Pmalloc.Registry.resolve machine ptr) (Pptr.off ptr) rkey
+  in
   let epoch = Epoch.create () in
   let art = Art.create ~heap:search_heap ~meta ~epoch ~key_of_leaf ~compare_leaf in
   let t =
@@ -160,7 +162,11 @@ let create machine ?(cfg = default_config) () =
   end;
   t
 
-let head_node t = Node.of_ptr t.machine (Pobj.read_int (Pobj.make t.meta 0) off_head)
+let head_ptr t = Pool.read_int t.meta off_head
+
+(* The pool of the data node [p] points to: a visit addresses a node by
+   its pool and [Pptr.off p], and builds no record. *)
+let pool_of t p = Pmalloc.Registry.resolve t.machine p
 
 (* Monotonic SMO timestamps (persisted lazily; replay order only
    matters among entries that coexist). *)
@@ -182,52 +188,55 @@ exception Lost
 (* Raised when the data-layer walk does not converge (e.g. after
    reading state a concurrent SMO tore down); callers retry. *)
 
-(* Does [node], as last copied to the scratch buffer, host [key]: is
-   it live with an anchor <= [key]? *)
-let snap_hosts node key = (not (Node.snap_deleted ())) && Node.snap_compare_anchor node key <= 0
+(* Does the node at [off] in [pool], as last copied to the scratch
+   buffer, host [key]: is it live with an anchor <= [key]? *)
+let snap_hosts pool off key =
+  (not (Node.snap_deleted ())) && Node.snap_compare_anchor pool off key <= 0
 
 (* ... and is [key] below the anchor of its copied successor? *)
 let snap_below_next t key =
   let nxt = Node.snap_next () in
-  Pptr.is_null nxt || Node.compare_anchor (Node.of_ptr t.machine nxt) key > 0
+  Pptr.is_null nxt || Node.compare_anchor (pool_of t nxt) (Pptr.off nxt) key > 0
 
 (* From the search-layer jump node, walk sibling pointers until the
    node whose [anchor, next.anchor) range covers [key].  Unsynchronised
-   search layers only cost extra hops (ephemeral inconsistency). *)
+   search layers only cost extra hops (ephemeral inconsistency).  The
+   walk hops by pointer. *)
 let jump_node t rkey =
   let p = Art.lookup_le t.art rkey in
-  if Pptr.is_null p then head_node t else Node.of_ptr t.machine p
+  if Pptr.is_null p then head_ptr t else p
 
-let rec walk t key node hops =
+let rec walk t key p hops =
   if hops >= 1000 then raise Lost
   else begin
-    Node.read_header node;
-    if not (snap_hosts node key) then
-      walk t key (Node.of_ptr t.machine (Node.snap_prev ())) (hops + 1)
-    else if not (snap_below_next t key) then
-      walk t key (Node.of_ptr t.machine (Node.snap_next ())) (hops + 1)
+    let pool = pool_of t p in
+    let off = Pptr.off p in
+    Node.read_header pool off;
+    if not (snap_hosts pool off key) then walk t key (Node.snap_prev ()) (hops + 1)
+    else if not (snap_below_next t key) then walk t key (Node.snap_next ()) (hops + 1)
     else begin
       let bucket = min hops (Array.length t.jump_hist - 1) in
       t.jump_hist.(bucket) <- t.jump_hist.(bucket) + 1;
-      node
+      p
     end
   end
 
+(* The pointer to the data node whose range covers [key]. *)
 let locate t key =
   let jump = jump_node t (Key.to_radix key) in
   let span = Obs.Span.start Obs.Span.Dnode_scan in
   match walk t key jump 0 with
-  | node ->
+  | p ->
       Obs.Span.stop span;
-      node
+      p
   | exception e ->
       Obs.Span.stop span;
       raise e
 
 (* Is [node], under its current state, the right home for [key]? *)
 let covers t node key =
-  Node.read_header node;
-  snap_hosts node key && snap_below_next t key
+  Node.read_header node.Node.pool node.Node.off;
+  snap_hosts node.Node.pool node.Node.off key && snap_below_next t key
 
 (* [f t a b] inside an epoch: the public operations' bracket, built
    without a closure per call. *)
@@ -248,7 +257,8 @@ let rec lock_target t key n =
   | exception Lost ->
       Des.Sched.delay 100e-9;
       lock_target t key (n + 1)
-  | node ->
+  | p ->
+      let node = Node.of_ptr t.machine p in
       let h = Node.lock_handle node in
       let wv = Vlock.acquire h ~gen:t.gen in
       if covers t node key then (node, wv)
@@ -422,23 +432,24 @@ let elsewhere = 2 (* [node] does not hold [key] now: look for its home *)
 
 let torn = 3 (* a hit that failed validation *)
 
-let visit t node key direct =
-  let h = Node.lock_handle node in
-  let v = Node.begin_read node ~gen:t.gen in
-  if direct && not (snap_hosts node key) then elsewhere
-  else if Node.probe t.lay node key >= 0 then
-    if Vlock.validate h ~gen:t.gen ~version:v then found else torn
+let visit t p key direct =
+  let pool = pool_of t p in
+  let off = Pptr.off p in
+  let v = Node.begin_read pool off ~gen:t.gen in
+  if direct && not (snap_hosts pool off key) then elsewhere
+  else if Node.probe t.lay pool off key >= 0 then
+    if Vlock.validate pool off ~gen:t.gen ~version:v then found else torn
   else if
     (* a direct visit has checked [snap_hosts] already *)
-    (direct || snap_hosts node key)
+    (direct || snap_hosts pool off key)
     && snap_below_next t key
-    && Vlock.validate h ~gen:t.gen ~version:v
+    && Vlock.validate pool off ~gen:t.gen ~version:v
   then absent
   else elsewhere
 
-let visiting t node key direct =
+let visiting t p key direct =
   let span = Obs.Span.start Obs.Span.Dnode_scan in
-  match visit t node key direct with
+  match visit t p key direct with
   | r ->
       Obs.Span.stop span;
       r
@@ -459,15 +470,15 @@ let rec lookup_attempt t key rkey n ~use_jump =
   else
     match locate t key with
     | exception Lost -> lookup_retry t key rkey n
-    | node -> lookup_in t key rkey n node ~direct:false
+    | p -> lookup_in t key rkey n p ~direct:false
 
 and lookup_retry t key rkey n =
   t.stats.reader_retries <- t.stats.reader_retries + 1;
   Des.Sched.delay 50e-9;
   lookup_attempt t key rkey (n + 1) ~use_jump:false
 
-and lookup_in t key rkey n node ~direct =
-  let r = visiting t node key direct in
+and lookup_in t key rkey n p ~direct =
+  let r = visiting t p key direct in
   if r = found || r = absent then begin
     if direct then t.jump_hist.(0) <- t.jump_hist.(0) + 1;
     if r = found then Some (Node.found_value ()) else None
@@ -556,7 +567,7 @@ let scan_locked t key count =
         in
         ignore (Node.scan_from t.lay node low ~f:keep);
         let nxt = Node.next node in
-        if Vlock.validate h ~gen:t.gen ~version:v then begin
+        if Vlock.validate h.pool h.off ~gen:t.gen ~version:v then begin
           (* [batch] is newest-first; keep [acc] globally newest-first *)
           acc := !batch @ !acc;
           taken := !taken + !batch_n;
@@ -573,7 +584,7 @@ let scan_locked t key count =
   let rec locate_retry n =
     if n > 10_000 then failwith "Tree: scan livelock";
     match locate t key with
-    | node -> node
+    | p -> Node.of_ptr t.machine p
     | exception Lost ->
         Des.Sched.delay 100e-9;
         locate_retry (n + 1)
@@ -727,7 +738,7 @@ let rebuild_search_layer t =
       go (Node.next node)
     end
   in
-  go (Pobj.read_int (Pobj.make t.meta 0) off_head)
+  go (head_ptr t)
 
 let recover t =
   Obs.Span.with_phase Obs.Span.Recovery @@ fun () ->
@@ -795,8 +806,7 @@ let check_invariants t =
       walk nxt ptr (Some anchor) ((anchor, ptr) :: nodes)
     end
   in
-  let head_ptr = Pobj.read_int (Pobj.make t.meta 0) off_head in
-  let nodes = List.rev (walk head_ptr Pptr.null None []) in
+  let nodes = List.rev (walk (head_ptr t) Pptr.null None []) in
   (* search layer: every mapping must point to a live data node whose
      anchor is the mapped key (after drain, it must be complete). *)
   List.iter
@@ -819,6 +829,6 @@ let to_list t =
       go (Node.next node) (List.rev_append entries acc)
     end
   in
-  go (Pobj.read_int (Pobj.make t.meta 0) off_head) []
+  go (head_ptr t) []
 
 let cardinal t = List.length (to_list t)

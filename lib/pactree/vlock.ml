@@ -49,18 +49,17 @@ let backoff attempt =
 
 let debug = Sys.getenv_opt "DES_DEBUG" <> None
 
-let stuck h ~gen attempt who =
+let stuck pool off ~gen attempt who =
   if debug && attempt > 0 && attempt mod 500 = 0 then
     Printf.eprintf "[vlock] thread %d stuck in %s on %s+%d word=%#x gen=%d (%d spins)\n%!"
-      (Des.Sched.current_id ()) who (Pool.name h.pool) h.off
-      (Pobj.read_int h 0) gen attempt
+      (Des.Sched.current_id ()) who (Pool.name pool) off (Pool.read_int pool off) gen attempt
 
 (* The retry loops are top-level functions rather than local closures:
    every node visit takes a version. *)
 let rec read_unlocked h ~gen attempt =
   let v = read_version h ~gen in
   if is_locked v then begin
-    stuck h ~gen attempt "begin_read";
+    stuck h.pool h.off ~gen attempt "begin_read";
     backoff attempt;
     read_unlocked h ~gen (attempt + 1)
   end
@@ -70,20 +69,21 @@ let begin_read h ~gen = read_unlocked h ~gen 0
 
 (* [begin_read] over a copy: the lock word and the [len - 8] bytes
    after it come in one read, so the version and the fields it guards
-   are taken at the same instant. *)
-let rec snapshot_unlocked h ~gen buf pos len attempt =
-  Pobj.blit_to_bytes h 0 buf pos len;
+   are taken at the same instant.  The visit primitives address the
+   word by pool and offset, so a visit builds no handle. *)
+let rec snapshot_unlocked pool off ~gen buf pos len attempt =
+  Pool.blit_to_bytes pool off buf pos len;
   let v = effective (Int64.to_int (Bytes.get_int64_le buf pos)) ~gen in
   if is_locked v then begin
-    stuck h ~gen attempt "begin_read_snapshot";
+    stuck pool off ~gen attempt "begin_read_snapshot";
     backoff attempt;
-    snapshot_unlocked h ~gen buf pos len (attempt + 1)
+    snapshot_unlocked pool off ~gen buf pos len (attempt + 1)
   end
   else v
 
-let begin_read_snapshot h ~gen buf pos len = snapshot_unlocked h ~gen buf pos len 0
+let begin_read_snapshot pool off ~gen buf pos len = snapshot_unlocked pool off ~gen buf pos len 0
 
-let validate h ~gen ~version = read_version h ~gen = version
+let validate pool off ~gen ~version = effective (Pool.read_int pool off) ~gen = version
 
 let try_upgrade h ~gen ~version =
   (not (is_locked version))
@@ -99,7 +99,7 @@ let rec lock_loop h ~gen attempt =
   let v = read_version h ~gen in
   if (not (is_locked v)) && try_upgrade h ~gen ~version:v then v + 1
   else begin
-    stuck h ~gen attempt "acquire";
+    stuck h.pool h.off ~gen attempt "acquire";
     backoff attempt;
     lock_loop h ~gen (attempt + 1)
   end

@@ -31,18 +31,20 @@ val is_obsolete : int -> bool
     version snapshot for optimistic validation. *)
 val begin_read : handle -> gen:int -> int
 
-(** [begin_read_snapshot h ~gen buf pos len] copies the [len] bytes
-    from the lock word on into [buf] at [pos] with one read and returns
+(** [begin_read_snapshot pool off ~gen buf pos len] copies the [len]
+    bytes from the lock word at [off] in [pool] on into [buf] at [pos]
+    with one read and returns
     the version in the copy, like {!begin_read}: while the copied word
     is locked it backs off and copies again, and a stale generation
     reads as version 0.  An unlocked copy is a consistent image of the
     fields it covers; {!validate} still commits whatever is read from
-    the object afterwards. *)
-val begin_read_snapshot : handle -> gen:int -> bytes -> int -> int -> int
+    the object afterwards.  Like {!validate}, it takes the word's pool
+    and offset rather than a {!handle}: a node visit builds no record. *)
+val begin_read_snapshot : Nvm.Pool.t -> int -> gen:int -> bytes -> int -> int -> int
 
-(** [validate h ~gen ~version] is [true] iff the word still holds
-    exactly [version] — no writer intervened. *)
-val validate : handle -> gen:int -> version:int -> bool
+(** [validate pool off ~gen ~version] is [true] iff the word at [off]
+    in [pool] still holds exactly [version] — no writer intervened. *)
+val validate : Nvm.Pool.t -> int -> gen:int -> version:int -> bool
 
 (** Acquire the write lock (spin with backoff).  Returns the odd
     version now held. *)

@@ -8,6 +8,7 @@ type result = {
   throughput : float;
   latency : Latency.t;
   nvm : Nvm.Stats.t;
+  host_words : float;
 }
 
 type service = Baselines.System.service = {
@@ -101,6 +102,7 @@ let run ~machine ~index ?service ?obs ~mix ~kind ~loaded ~ops ~threads ?load_thr
      otherwise swamp the phase/traffic attribution. *)
   (match obs with Some o -> Obs.Span.install o.Obs.Recorder.span | None -> ());
   let before = Nvm.Stats.snapshot (Nvm.Machine.total_stats machine) in
+  let words0 = Gc.minor_words () in
   let end_time, latency =
     Fun.protect
       ~finally:(fun () ->
@@ -115,6 +117,7 @@ let run ~machine ~index ?service ?obs ~mix ~kind ~loaded ~ops ~threads ?load_thr
             phase ~machine ~index ~service ~obs ~mix ~kind ~loaded ~theta ~seed ~threads
               ~total_ops:ops ~start)
   in
+  let host_words = Gc.minor_words () -. words0 in
   let elapsed = end_time -. start in
   let nvm = Nvm.Stats.diff (Nvm.Machine.total_stats machine) before in
   {
@@ -125,6 +128,7 @@ let run ~machine ~index ?service ?obs ~mix ~kind ~loaded ~ops ~threads ?load_thr
     throughput = (if elapsed > 0.0 then float_of_int ops /. elapsed else 0.0);
     latency;
     nvm;
+    host_words;
   }
 
 let mops r = r.throughput /. 1e6

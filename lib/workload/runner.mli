@@ -14,6 +14,7 @@ type result = {
   throughput : float;  (** operations per simulated second *)
   latency : Latency.t;  (** merged samples (10%) *)
   nvm : Nvm.Stats.t;  (** device+machine traffic during the run *)
+  host_words : float;  (** host minor words allocated during the run phase *)
 }
 
 (** Optional background service (e.g. PACTree's updater). *)

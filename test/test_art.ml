@@ -46,11 +46,11 @@ let test_vlock_basic () =
   Pactree.Vlock.init h ~gen:1;
   let v = Pactree.Vlock.begin_read h ~gen:1 in
   Alcotest.(check bool) "even" false (Pactree.Vlock.is_locked v);
-  Alcotest.(check bool) "validates" true (Pactree.Vlock.validate h ~gen:1 ~version:v);
+  Alcotest.(check bool) "validates" true (Pactree.Vlock.validate h.pool h.off ~gen:1 ~version:v);
   let wv = Pactree.Vlock.acquire h ~gen:1 in
   Alcotest.(check bool) "locked" true (Pactree.Vlock.is_locked wv);
   Alcotest.(check bool) "reader invalidated" false
-    (Pactree.Vlock.validate h ~gen:1 ~version:v);
+    (Pactree.Vlock.validate h.pool h.off ~gen:1 ~version:v);
   Pactree.Vlock.release h ~gen:1 ~version:wv;
   let v2 = Pactree.Vlock.begin_read h ~gen:1 in
   (* versions move in steps of 4: bit 0 = locked, bit 1 = obsolete *)

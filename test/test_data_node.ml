@@ -136,9 +136,9 @@ let test_anchor_compare () =
   let node = { Node.pool; off = 256 } in
   Node.init lay node ~gen ~anchor:"mmm" ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null;
   Alcotest.(check string) "anchor" "mmm" (Node.anchor node);
-  Alcotest.(check bool) "less" true (Node.compare_anchor node "zzz" < 0);
-  Alcotest.(check bool) "greater" true (Node.compare_anchor node "aaa" > 0);
-  Alcotest.(check int) "equal" 0 (Node.compare_anchor node "mmm")
+  Alcotest.(check bool) "less" true (Node.compare_anchor pool 256 "zzz" < 0);
+  Alcotest.(check bool) "greater" true (Node.compare_anchor pool 256 "aaa" > 0);
+  Alcotest.(check int) "equal" 0 (Node.compare_anchor pool 256 "mmm")
 
 let test_qcheck_node_model =
   QCheck.Test.make ~name:"data node: agrees with a map model" ~count:100
@@ -302,10 +302,10 @@ let test_epoch_unpin_while () =
    0-1, the probe, one validation. *)
 let visit lay node k =
   let rec go () =
-    let v = Node.begin_read node ~gen in
-    let slot = Node.probe lay node k in
+    let v = Node.begin_read node.Node.pool node.off ~gen in
+    let slot = Node.probe lay node.pool node.off k in
     let value = if slot < 0 then None else Some (Node.found_value ()) in
-    if Vlock.validate (Node.lock_handle node) ~gen ~version:v then value else go ()
+    if Vlock.validate node.pool node.off ~gen ~version:v then value else go ()
   in
   go ()
 
