@@ -110,9 +110,6 @@ let refuse_flags ~because flags =
       end)
     flags
 
-(* --check validates a file and runs nothing. *)
-let check_ignores = "--check (it validates a file and runs nothing)"
-
 (* [theta] defaults to YCSB's 0.99. *)
 let require_theta theta =
   let theta = Option.value theta ~default:0.99 in
@@ -241,67 +238,53 @@ let stats_systems =
     Experiments.Factory.Fastfair_sys;
   ]
 
-let run_stats quick sanitize out check threads =
-  match check with
-  | Some path -> (
-      refuse_flags ~because:check_ignores [ ("quick", quick); ("sanitize", sanitize) ];
-      match Obs.Report.validate_file path with
-      | Ok () -> Format.printf "%s: OK (schema %s)@." path Obs.Report.schema_version
-      | Error msg ->
-          Format.eprintf "%s: INVALID: %s@." path msg;
-          exit 1)
-  | None ->
-      require_positive [ ("threads", threads) ];
-      let scale =
-        if quick then Experiments.Scale.make ~keys:20_000 ~ops:15_000 ~thread_counts:[]
-        else Experiments.Scale.quick
-      in
-      let mix = Workload.Ycsb.Workload_a in
-      let hazards = ref [] in
-      let entries =
-        List.map
-          (fun sys ->
-            let entry, obs =
-              Experiments.Obs_run.bench_entry ~scale ~mix ~threads ~sanitize sys
-            in
-            Format.printf "%a@." Obs.Report.pp_entry entry;
-            Format.printf "%a@." Obs.Span.pp_table obs.Obs.Recorder.span;
-            if sanitize then begin
-              let name = Experiments.Factory.name sys in
-              match Pobj.Sanitizer.reports () with
-              | [] -> Format.printf "sanitizer  : clean (%s)@." name
-              | reports ->
-                  hazards := (name, Pobj.Sanitizer.total ()) :: !hazards;
-                  Format.printf "sanitizer  : %d unflushed store-lines (%s)@."
-                    (Pobj.Sanitizer.total ()) name;
-                  List.iter
-                    (fun r -> Format.printf "  %a@." Pobj.Sanitizer.pp_report r)
-                    reports
-            end;
-            entry)
-          stats_systems
-      in
-      let json =
-        Obs.Report.to_json ~keys:scale.Experiments.Scale.keys
-          ~ops:scale.Experiments.Scale.ops ~threads
-          ~mix:(Format.asprintf "%a" Workload.Ycsb.pp_mix mix)
-          ~entries
-      in
-      Obs.Report.write_file out json;
-      Format.printf "wrote %s (schema %s, %d systems)@." out Obs.Report.schema_version
-        (List.length entries);
-      if !hazards <> [] then begin
-        List.iter
-          (fun (name, n) ->
-            Format.eprintf "persist-order sanitizer: %d hazard(s) in %s@." n name)
-          (List.rev !hazards);
-        exit 1
-      end
+let run_stats quick sanitize out threads =
+  require_positive [ ("threads", threads) ];
+  let scale =
+    if quick then Experiments.Scale.make ~keys:20_000 ~ops:15_000 ~thread_counts:[]
+    else Experiments.Scale.quick
+  in
+  let mix = Workload.Ycsb.Workload_a in
+  let hazards = ref [] in
+  let entries =
+    List.map
+      (fun sys ->
+        let entry, obs = Experiments.Obs_run.bench_entry ~scale ~mix ~threads ~sanitize sys in
+        Format.printf "%a@." Obs.Report.pp_entry entry;
+        Format.printf "%a@." Obs.Span.pp_table obs.Obs.Recorder.span;
+        if sanitize then begin
+          let name = Experiments.Factory.name sys in
+          match Pobj.Sanitizer.reports () with
+          | [] -> Format.printf "sanitizer  : clean (%s)@." name
+          | reports ->
+              hazards := (name, Pobj.Sanitizer.total ()) :: !hazards;
+              Format.printf "sanitizer  : %d unflushed store-lines (%s)@."
+                (Pobj.Sanitizer.total ()) name;
+              List.iter (fun r -> Format.printf "  %a@." Pobj.Sanitizer.pp_report r) reports
+        end;
+        entry)
+      stats_systems
+  in
+  let json =
+    Obs.Report.to_json ~keys:scale.Experiments.Scale.keys
+      ~ops:scale.Experiments.Scale.ops ~threads
+      ~mix:(Format.asprintf "%a" Workload.Ycsb.pp_mix mix)
+      ~entries
+  in
+  Obs.Report.write_file out json;
+  Format.printf "wrote %s (schema %s, %d systems)@." out Obs.Report.schema_version
+    (List.length entries);
+  if !hazards <> [] then begin
+    List.iter
+      (fun (name, n) -> Format.eprintf "persist-order sanitizer: %d hazard(s) in %s@." n name)
+      (List.rev !hazards);
+    exit 1
+  end
 
 let stats_cmd =
   let doc =
     "Run the canonical instrumented benchmark (YCSB-A, PACTree + baselines) and emit \
-     schema-validated BENCH_pactree.json; or validate an existing file with --check."
+     schema-validated BENCH_pactree.json."
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced scale for CI (seconds).")
@@ -320,16 +303,9 @@ let stats_cmd =
       & opt string "BENCH_pactree.json"
       & info [ "out" ] ~docv:"FILE" ~doc:"Output path.")
   in
-  let check_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "check" ] ~docv:"FILE"
-          ~doc:"Validate $(docv) against the schema and exit (no benchmark run).")
-  in
   Cmd.v
     (Cmd.info "stats" ~doc)
-    Term.(const run_stats $ quick_arg $ sanitize_arg $ out_arg $ check_arg $ threads_arg)
+    Term.(const run_stats $ quick_arg $ sanitize_arg $ out_arg $ threads_arg)
 
 (* ---------- crashmc: systematic crash-state model checking ---------- *)
 
@@ -507,119 +483,102 @@ let sweep_header =
     "q-p50us" "q-p99us" "s-p99us" "t-p99us" "imbal"
 
 let run_service sys shards quick keys ops workers queue admission arrival mix theta out
-    check obs_out =
-  match check with
-  | Some path -> (
-      refuse_flags ~because:check_ignores
-        [
-          ("quick", quick);
-          ("keys", keys <> None);
-          ("ops", ops <> None);
-          ("obs", obs_out <> None);
-        ];
-      match Obs.Svc_report.validate_file path with
-      | Ok () -> Format.printf "%s: OK (schema %s)@." path Obs.Svc_report.schema_version
-      | Error msg ->
-          Format.eprintf "%s: INVALID: %s@." path msg;
-          exit 1)
-  | None ->
-      let admission =
-        match Svc.Engine.admission_of_string admission with
-        | Ok a -> a
-        | Error msg ->
-            prerr_endline msg;
-            exit 2
-      in
-      let process =
-        match Workload.Arrival.process_of_string arrival with
-        | Ok p -> p
-        | Error msg ->
-            prerr_endline msg;
-            exit 2
-      in
-      let d = Experiments.Svc_run.default ~quick sys in
-      let keys = Option.value keys ~default:d.Experiments.Svc_run.keys
-      and ops = Option.value ops ~default:d.Experiments.Svc_run.ops in
-      require_positive
-        [
-          ("shards", shards);
-          ("workers", workers);
-          ("queue", queue);
-          ("keys", keys);
-          ("ops", ops);
-        ];
-      (* each shard's range needs a key of its own *)
-      if keys < shards then begin
-        Printf.eprintf "--keys must be at least --shards (%d) (got %d)\n" shards keys;
+    obs_out =
+  let admission =
+    match Svc.Engine.admission_of_string admission with
+    | Ok a -> a
+    | Error msg ->
+        prerr_endline msg;
         exit 2
-      end;
-      let theta = require_theta theta in
-      let cfg =
-        {
-          d with
-          Experiments.Svc_run.shards;
-          keys;
-          ops;
-          workers_per_shard = workers;
-          queue_capacity = queue;
-          admission;
-          process;
-          mix;
-          theta;
-        }
-      in
-      Format.printf "service    : %s, %d shards x %d workers, queue %d, %s admission@."
-        (Experiments.Factory.name sys) cfg.Experiments.Svc_run.shards
-        cfg.Experiments.Svc_run.workers_per_shard cfg.Experiments.Svc_run.queue_capacity
-        (Svc.Engine.admission_name admission);
-      Format.printf
-        "load       : %s arrivals, %a mix, %d keys, %d ops/point, theta %.2f@."
-        (Workload.Arrival.process_name process)
-        Workload.Ycsb.pp_mix cfg.Experiments.Svc_run.mix cfg.Experiments.Svc_run.keys
-        cfg.Experiments.Svc_run.ops cfg.Experiments.Svc_run.theta;
-      (* Time-only recorder (each sweep point runs on a fresh machine):
-         attributes simulated time to the index phases and svc_queue
-         across the whole sweep. *)
-      let span = Option.map (fun _ -> Obs.Span.create ()) obs_out in
-      Option.iter Obs.Span.install span;
-      let points =
-        Fun.protect
-          ~finally:(fun () -> Option.iter Obs.Span.uninstall span)
-          (fun () -> Experiments.Svc_run.sweep cfg)
-      in
-      print_endline sweep_header;
-      List.iter
-        (fun (_, r) ->
-          Format.printf "%a@." Obs.Svc_report.pp_point
-            (Experiments.Svc_run.point_of_result r))
-        points;
-      (match List.find_opt Experiments.Svc_run.saturated points with
-      | Some (rate, r) ->
-          Format.printf "knee       : saturates at %.3f Mops/s offered (achieves %.3f)@."
-            (rate /. 1e6)
-            (r.Svc.Engine.r_throughput /. 1e6)
-      | None -> ());
-      (match Experiments.Svc_run.check_sweep points with
-      | Ok () -> ()
-      | Error msg ->
-          Format.eprintf "service sweep failed shape checks: %s@." msg;
-          exit 1);
-      Obs.Svc_report.write_file out (Experiments.Svc_run.report cfg points);
-      Format.printf "wrote %s (schema %s, %d points)@." out Obs.Svc_report.schema_version
-        (List.length points);
-      match (obs_out, span) with
-      | Some path, Some s ->
-          Format.printf "%a@." Obs.Span.pp_table s;
-          Obs.Json.write_file path (Obs.Span.to_json s);
-          Format.printf "observability dump: %s@." path
-      | _ -> ()
+  in
+  let process =
+    match Workload.Arrival.process_of_string arrival with
+    | Ok p -> p
+    | Error msg ->
+        prerr_endline msg;
+        exit 2
+  in
+  let d = Experiments.Svc_run.default ~quick sys in
+  let keys = Option.value keys ~default:d.Experiments.Svc_run.keys
+  and ops = Option.value ops ~default:d.Experiments.Svc_run.ops in
+  require_positive
+    [
+      ("shards", shards);
+      ("workers", workers);
+      ("queue", queue);
+      ("keys", keys);
+      ("ops", ops);
+    ];
+  (* each shard's range needs a key of its own *)
+  if keys < shards then begin
+    Printf.eprintf "--keys must be at least --shards (%d) (got %d)\n" shards keys;
+    exit 2
+  end;
+  let theta = require_theta theta in
+  let cfg =
+    {
+      d with
+      Experiments.Svc_run.shards;
+      keys;
+      ops;
+      workers_per_shard = workers;
+      queue_capacity = queue;
+      admission;
+      process;
+      mix;
+      theta;
+    }
+  in
+  Format.printf "service    : %s, %d shards x %d workers, queue %d, %s admission@."
+    (Experiments.Factory.name sys) cfg.Experiments.Svc_run.shards
+    cfg.Experiments.Svc_run.workers_per_shard cfg.Experiments.Svc_run.queue_capacity
+    (Svc.Engine.admission_name admission);
+  Format.printf "load       : %s arrivals, %a mix, %d keys, %d ops/point, theta %.2f@."
+    (Workload.Arrival.process_name process)
+    Workload.Ycsb.pp_mix cfg.Experiments.Svc_run.mix cfg.Experiments.Svc_run.keys
+    cfg.Experiments.Svc_run.ops cfg.Experiments.Svc_run.theta;
+  (* Time-only recorder (each sweep point runs on a fresh machine):
+     attributes simulated time to the index phases and svc_queue
+     across the whole sweep. *)
+  let span = Option.map (fun _ -> Obs.Span.create ()) obs_out in
+  Option.iter Obs.Span.install span;
+  let points =
+    Fun.protect
+      ~finally:(fun () -> Option.iter Obs.Span.uninstall span)
+      (fun () -> Experiments.Svc_run.sweep cfg)
+  in
+  print_endline sweep_header;
+  List.iter
+    (fun (_, r) ->
+      Format.printf "%a@." Obs.Svc_report.pp_point (Experiments.Svc_run.point_of_result r))
+    points;
+  (match List.find_opt Experiments.Svc_run.saturated points with
+  | Some (rate, r) ->
+      Format.printf "knee       : saturates at %.3f Mops/s offered (achieves %.3f)@."
+        (rate /. 1e6)
+        (r.Svc.Engine.r_throughput /. 1e6)
+  | None -> ());
+  (match Experiments.Svc_run.check_sweep points with
+  | Ok () -> ()
+  | Error msg ->
+      Format.eprintf "service sweep failed shape checks: %s@." msg;
+      exit 1);
+  Obs.Svc_report.write_file out (Experiments.Svc_run.report cfg points);
+  Format.printf "wrote %s (schema %s, %d points)@." out Obs.Svc_report.schema_version
+    (List.length points);
+  match (obs_out, span) with
+  | Some path, Some s ->
+      Format.printf "%a@." Obs.Span.pp_table s;
+      Obs.Json.write_file path (Obs.Span.to_json s);
+      Format.printf "observability dump: %s@." path
+  | _ -> ()
 
 let service_cmd =
   let doc =
     "Saturation sweep of the sharded KV service (lib/svc): open-loop load against a \
      range-partitioned store, each request applied straight to its shard's index, \
      reporting throughput-vs-offered, queue/service latency split and rejection rates as \
-     schema-validated JSON; or validate an existing file with --check."
+     schema-validated JSON."
   in
   let shards_arg =
     Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Range partitions (one index each).")
@@ -662,19 +621,48 @@ let service_cmd =
       & opt string "SVC_pactree.json"
       & info [ "out" ] ~docv:"FILE" ~doc:"Output path.")
   in
-  let check_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "check" ] ~docv:"FILE"
-          ~doc:"Validate $(docv) against the schema and exit (no sweep run).")
-  in
   Cmd.v
     (Cmd.info "service" ~doc)
     Term.(
       const run_service $ index_arg $ shards_arg $ quick_arg $ keys_opt_arg $ ops_opt_arg
       $ workers_arg $ queue_arg $ admission_arg $ arrival_arg $ mix_arg $ theta_arg
-      $ out_arg $ check_arg $ obs_arg)
+      $ out_arg $ obs_arg)
+
+(* ---------- check: validate a report file ---------- *)
+
+(* A report's validator, by the schema it names. *)
+let validators =
+  [
+    (Obs.Report.schema_version, Obs.Report.validate);
+    (Obs.Svc_report.schema_version, Obs.Svc_report.validate);
+  ]
+
+let validate json =
+  let open Obs.Json.Check in
+  let* schema = require_string "top-level" "schema" json in
+  match List.assoc_opt schema validators with
+  | Some validate -> Result.map (fun () -> schema) (validate json)
+  | None ->
+      Error
+        (Printf.sprintf "unknown schema %S (expected %s)" schema
+           (String.concat " or " (List.map fst validators)))
+
+let run_check path =
+  match Result.bind (Obs.Json.read_file path) validate with
+  | Ok schema -> Format.printf "%s: OK (schema %s)@." path schema
+  | Error msg ->
+      Format.eprintf "%s: INVALID: %s@." path msg;
+      exit 1
+
+let check_cmd =
+  let doc =
+    "Validate a report written by stats or service against the schema its $(b,schema) \
+     field names, and exit 1 if it does not conform.  Runs nothing."
+  in
+  let file_arg =
+    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Report to validate.")
+  in
+  Cmd.v (Cmd.info "check" ~doc) Term.(const run_check $ file_arg)
 
 let () =
   let doc = "PACTree (SOSP'21) reproduction benchmarks on a simulated NVM machine." in
@@ -682,4 +670,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ ycsb_cmd; figure_cmd; crash_cmd; crashmc_cmd; stats_cmd; service_cmd ]))
+          [ ycsb_cmd; figure_cmd; crash_cmd; crashmc_cmd; stats_cmd; service_cmd; check_cmd ]))

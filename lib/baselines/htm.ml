@@ -25,19 +25,21 @@ type t = {
   mutable concurrent : int;
   fallback : Des.Sync.Mutex.t;
   mutable fallback_held : bool;
-  l1_lines : int;
-  max_retries : int;
   stats : stats;
 }
 
-let create ?(l1_lines = 512) ?(max_retries = 5) ~seed () =
+(* The L1 data cache in lines (32 KB), and the failed attempts before
+   the fallback lock. *)
+let l1_lines = 512
+
+let max_retries = 5
+
+let create ~seed () =
   {
     rng = Des.Rng.create ~seed;
     concurrent = 0;
     fallback = Des.Sync.Mutex.create ();
     fallback_held = false;
-    l1_lines;
-    max_retries;
     stats = { attempts = 0; commits = 0; aborts = 0; fallbacks = 0 };
   }
 
@@ -45,8 +47,8 @@ let stats t = t.stats
 
 let abort_probability t ~footprint_lines =
   let capacity =
-    let overflow = float_of_int (footprint_lines - (t.l1_lines / 8)) in
-    Float.max 0.0 (Float.min 0.85 (overflow /. float_of_int t.l1_lines))
+    let overflow = float_of_int (footprint_lines - (l1_lines / 8)) in
+    Float.max 0.0 (Float.min 0.85 (overflow /. float_of_int l1_lines))
   in
   let conflict = Float.min 0.4 (0.012 *. float_of_int t.concurrent) in
   Float.min 0.95 (capacity +. conflict)
@@ -66,7 +68,7 @@ let execute t ~footprint_lines ?(duration = 0.0) body =
       Des.Sync.Mutex.unlock t.fallback;
       attempt retry
     end
-    else if retry >= t.max_retries then begin
+    else if retry >= max_retries then begin
       t.stats.fallbacks <- t.stats.fallbacks + 1;
       Des.Sync.Mutex.lock t.fallback;
       t.fallback_held <- true;

@@ -3,7 +3,7 @@
 
     An attempt aborts with probability [p_capacity(footprint) +
     p_conflict(concurrent transactions)], charging the wasted window;
-    after [max_retries] failures the execution takes a global fallback
+    after 5 failures the execution takes a global fallback
     lock (which aborts all running transactions).  Reproduces the
     paper's GC3 finding that HTM progress degrades with data-set size
     and concurrency (Fig 6). *)
@@ -17,7 +17,7 @@ type stats = {
 
 type t
 
-val create : ?l1_lines:int -> ?max_retries:int -> seed:int64 -> unit -> t
+val create : seed:int64 -> unit -> t
 
 val stats : t -> stats
 

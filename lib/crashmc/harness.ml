@@ -33,8 +33,7 @@ let pp_report ppf r =
 (* Key construction is kept seed-deterministic: the point of a crashmc
    run is an exhaustive, reproducible state sweep, so workloads are
    generated up front from an explicit seed. *)
-let insert_workload ?(base = 1000) n =
-  List.init n (fun i -> Oracle.Insert (Key.of_int (base + (i * 7)), i))
+let insert_workload n = List.init n (fun i -> Oracle.Insert (Key.of_int (1000 + (i * 7)), i))
 
 let mixed_workload ~seed n =
   let rng = Des.Rng.create ~seed:(Int64.of_int seed) in

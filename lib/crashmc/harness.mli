@@ -19,7 +19,7 @@ val ok : report -> bool
 val pp_report : Format.formatter -> report -> unit
 
 (** [n] deterministic fresh-key inserts (drives node splits). *)
-val insert_workload : ?base:int -> int -> Oracle.op list
+val insert_workload : int -> Oracle.op list
 
 (** Seed-deterministic insert/delete mix (~25% deletes of live keys). *)
 val mixed_workload : seed:int -> int -> Oracle.op list

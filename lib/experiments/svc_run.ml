@@ -86,9 +86,9 @@ let calibrate cfg =
   in
   refine (2.5 *. Float.max 1.0 floor_rate)
 
-let default_fractions = [ 0.3; 0.5; 0.7; 0.85; 1.0; 1.15; 1.3; 1.5 ]
+let fractions = [ 0.3; 0.5; 0.7; 0.85; 1.0; 1.15; 1.3; 1.5 ]
 
-let sweep ?(fractions = default_fractions) cfg =
+let sweep cfg =
   let capacity = calibrate cfg in
   List.map
     (fun f ->

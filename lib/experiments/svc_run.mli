@@ -46,10 +46,9 @@ val run_point : cfg -> rate:float -> Svc.Engine.result
     Reject admission its lopsided tail drain biases low). *)
 val calibrate : cfg -> float
 
-(** [sweep cfg ()] — calibrate, then run [fractions] (default 0.3 ..
-    1.5) of capacity in increasing order.  Returns (offered rate,
-    result) per point. *)
-val sweep : ?fractions:float list -> cfg -> (float * Svc.Engine.result) list
+(** [sweep cfg] — calibrate, then run 0.3 .. 1.5 of capacity in
+    increasing order.  Returns (offered rate, result) per point. *)
+val sweep : cfg -> (float * Svc.Engine.result) list
 
 (** A point is saturated when it achieves < 90% of its offered load. *)
 val saturated : float * Svc.Engine.result -> bool

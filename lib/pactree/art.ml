@@ -131,22 +131,13 @@ let node_pool machine ptr =
     raise Restart;
   pool
 
-let ntype pool off =
-  let ty = Pool.read_u8 pool (off + Layout.off f_type) in
-  if ty > 3 then raise Restart (* speculative read of a non-node *);
-  ty
-
-let plen n = Pobj.get_u8 n f_plen
-
-let count pool off = Pool.read_u16 pool (off + off_count)
+let count n = Pobj.get_u16 n f_count
 
 let set_count n c = Pobj.set_u16 n f_count c
 
 (* The lock word is a node's first field, so a node is its own lock
    handle, and a visit validates at the node's offset. *)
 let () = assert (off_lock = 0)
-
-let lockh n = n
 
 let check pool off ~gen v = if not (Vlock.validate pool off ~gen ~version:v) then raise Restart
 
@@ -155,8 +146,6 @@ let check pool off ~gen v = if not (Vlock.validate pool off ~gen ~version:v) the
 let child_rel ty i = children_off.(ty) + (8 * i)
 
 let read_child pool off ty i = Pool.read_int pool (off + child_rel ty i)
-
-let key4_16 pool off i = Pool.read_u8 pool (off + n4_keys + i)
 
 let idx48 pool off b = Pool.read_u8 pool (off + n48_index + b)
 
@@ -209,32 +198,41 @@ let snap_key snap base i = Bytes.get_uint8 snap (base + n4_keys + i)
    Node4/16's count, [0] for the other types. *)
 let snap_keys snap base ty = if ty <= 1 then snap_count snap base ty else 0
 
-(* Where [child_at] leaves the physical index of the child it read, in
-   the visiting thread's buffer: a writer takes it for its slot offset
-   before anything else on the thread uses the buffer. *)
+(* Where [child_at] leaves the physical index of the child it read, and
+   [child_above] the byte of the child it found, in the visiting
+   thread's buffer: the caller takes them before anything else on the
+   thread uses the buffer. *)
 let snap_found = 2 * snap_len
 
+let snap_byte = snap_found + 1
+
 let found_index snap = Bytes.get_uint8 snap snap_found
+
+let found_byte snap = Bytes.get_uint8 snap snap_byte
+
+let found_at snap b p =
+  Bytes.set_uint8 snap snap_byte b;
+  p
 
 let child_at pool off snap ty i =
   Bytes.set_uint8 snap snap_found i;
   read_child pool off ty i
 
-(* The first non-null child among a Node4/16's copied keys equal to
-   [b]. *)
-let rec child4_16 pool off ty snap c b i =
+(* The first non-null child among the [c] keys equal to [b] of a
+   Node4/16 whose header copy is at [base]. *)
+let rec child4_16 pool off ty snap base c b i =
   if i >= c then Pptr.null
-  else if snap_key snap snap_visit i = b then
+  else if snap_key snap base i = b then
     let p = child_at pool off snap ty i in
-    if Pptr.is_null p then child4_16 pool off ty snap c b (i + 1) else p
-  else child4_16 pool off ty snap c b (i + 1)
+    if Pptr.is_null p then child4_16 pool off ty snap base c b (i + 1) else p
+  else child4_16 pool off ty snap base c b (i + 1)
 
 (* The one child finder: the child for byte [b] of a node of type [ty]
    whose header is at [snap_visit] with [c] copied keys ([Pptr.null]
    if none), its physical index left at [snap_found]. *)
 let child_eq pool off snap ty c b =
   match ty with
-  | 0 | 1 -> child4_16 pool off ty snap c b 0
+  | 0 | 1 -> child4_16 pool off ty snap snap_visit c b 0
   | 2 ->
       let s = idx48 pool off b in
       if s = 0 then Pptr.null else child_at pool off snap ty (s - 1)
@@ -254,95 +252,58 @@ let rec key_below snap c b best_b best i =
 let lt_key snap c b = key_below snap c b (-1) (-1) 0
 
 (* The first non-null child of a Node48 from byte [byte] on, stepping
-   by [dir] (+1 or -1): [Pptr.null] past either end. *)
-let rec child48_scan pool off ty byte dir =
+   by [dir] (+1 or -1): [Pptr.null] past either end.  The byte of the
+   child it finds is left at [snap_byte]. *)
+let rec child48_scan pool off snap byte dir =
   if byte < 0 || byte > 255 then Pptr.null
   else
     let s = idx48 pool off byte in
-    if s = 0 then child48_scan pool off ty (byte + dir) dir
-    else
-      let p = read_child pool off ty (s - 1) in
-      if Pptr.is_null p then child48_scan pool off ty (byte + dir) dir else p
+    let p = if s = 0 then Pptr.null else read_child pool off 2 (s - 1) in
+    if Pptr.is_null p then child48_scan pool off snap (byte + dir) dir else found_at snap byte p
 
-let rec child256_scan pool off ty byte dir =
+let rec child256_scan pool off snap byte dir =
   if byte < 0 || byte > 255 then Pptr.null
   else
-    let p = read_child pool off ty byte in
-    if Pptr.is_null p then child256_scan pool off ty (byte + dir) dir else p
+    let p = read_child pool off 3 byte in
+    if Pptr.is_null p then child256_scan pool off snap (byte + dir) dir else found_at snap byte p
 
 (* Largest child with byte < [b] ([Pptr.null] if none): the
    ordered-search primitive of lookup_le, given [lt_key]'s index [j].
    Bounded per-type probing — never a full enumeration. *)
-let child_lt pool off ty j b =
+let child_lt pool off snap ty j b =
   match ty with
   | 0 | 1 -> if j < 0 then Pptr.null else read_child pool off ty j
-  | 2 -> child48_scan pool off ty (b - 1) (-1)
-  | _ -> child256_scan pool off ty (b - 1) (-1)
+  | 2 -> child48_scan pool off snap (b - 1) (-1)
+  | _ -> child256_scan pool off snap (b - 1) (-1)
 
-(* Index of the smallest copied key byte (the first of equals), or
-   [-1]. *)
-let rec key_min snap c best_b best i =
+(* The smallest of a Node4/16's [c] copied key bytes above [b], or 256. *)
+let rec key_above snap base c b best i =
   if i >= c then best
   else
-    let kb = snap_key snap snap_any i in
-    if kb < best_b then key_min snap c kb i (i + 1) else key_min snap c best_b best (i + 1)
+    let kb = snap_key snap base i in
+    key_above snap base c b (if kb > b && kb < best then kb else best) (i + 1)
 
-(* Child with the smallest byte of a node whose header is at
-   [snap_any]. *)
-let first_child pool off snap ty =
+(* The one child enumerator: the child of the smallest byte above [b]
+   of a node of type [ty] whose header copy is at [base] ([Pptr.null]
+   if none), its byte left at [snap_byte].  Strictly above, so it
+   passes over the exact duplicate of an entry that a crash in
+   [remove_child_inplace]'s hole-punch can leave. *)
+let rec child_above pool off snap base ty b =
   match ty with
   | 0 | 1 ->
-      let j = key_min snap (snap_count snap snap_any ty) 256 (-1) 0 in
-      if j < 0 then Pptr.null else read_child pool off ty j
-  | 2 -> child48_scan pool off ty 0 1
-  | _ -> child256_scan pool off ty 0 1
-
-(* Children as (byte, ptr), sorted by byte. *)
-let child_list pool off =
-  let ty = ntype pool off in
-  match ty with
-  | 0 | 1 ->
-      let c = count pool off in
-      let rec go acc i =
-        if i < 0 then acc
-        else
-          let p = read_child pool off ty i in
-          go (if Pptr.is_null p then acc else (key4_16 pool off i, p) :: acc) (i - 1)
-      in
-      let sorted = List.sort (fun (a, _) (b, _) -> compare a b) (go [] (c - 1)) in
-      (* A crash during the in-place removal's hole compaction can
-         leave the last entry present twice (same byte, same pointer);
-         collapse such exact duplicates. *)
-      let rec dedup = function
-        | (a, p) :: (b, q) :: tl when a = b && p = q -> dedup ((a, p) :: tl)
-        | hd :: tl -> hd :: dedup tl
-        | [] -> []
-      in
-      dedup sorted
-  | 2 ->
-      let rec go acc b =
-        if b < 0 then acc
-        else
-          let s = idx48 pool off b in
-          if s = 0 then go acc (b - 1)
-          else
-            let p = read_child pool off ty (s - 1) in
-            go (if Pptr.is_null p then acc else (b, p) :: acc) (b - 1)
-      in
-      go [] 255
-  | _ ->
-      let rec go acc b =
-        if b < 0 then acc
-        else
-          let p = read_child pool off ty b in
-          go (if Pptr.is_null p then acc else (b, p) :: acc) (b - 1)
-      in
-      go [] 255
+      let c = snap_count snap base ty in
+      let kb = key_above snap base c b 256 0 in
+      if kb > 255 then Pptr.null
+      else
+        let p = child4_16 pool off ty snap base c kb 0 in
+        if Pptr.is_null p then child_above pool off snap base ty kb else found_at snap kb p
+  | 2 -> child48_scan pool off snap (b + 1) 1
+  | _ -> child256_scan pool off snap (b + 1) 1
 
 (* ---------- persistence helpers ---------- *)
 
-let persist_node_image n =
-  Pobj.flush n 0 node_size.(ntype n.pool n.off);
+let persist_node_image n ty =
+  Pobj.flush n 0 node_size.(ty);
   Pobj.fence n
 
 (* [persist n rel len]: base-relative targeted persistence. *)
@@ -421,7 +382,7 @@ let retire t ptr slot =
 
 let init_node t n ty ~prefix_len ~prefix =
   Pobj.fill_zero n 0 node_size.(ty);
-  Vlock.init (lockh n) ~gen:t.gen;
+  Vlock.init n ~gen:t.gen;
   Pobj.set_u8 n f_type ty;
   Pobj.set_u8 n f_plen prefix_len;
   let stored = min prefix_len stored_prefix_max in
@@ -429,11 +390,10 @@ let init_node t n ty ~prefix_len ~prefix =
     Pobj.write_u8 n (off_prefix + i) (byte_at prefix i)
   done
 
-(* Append a child without any ordering constraints — only valid on a
-   node not yet published. *)
-let raw_add_child n b ptr =
-  let ty = ntype n.pool n.off in
-  let c = count n.pool n.off in
+(* Append a child to a node of type [ty] without any ordering
+   constraints — only valid on a node not yet published. *)
+let raw_add_child n ty b ptr =
+  let c = count n in
   (match ty with
   | 0 | 1 ->
       Pobj.write_u8 n (n4_keys + c) b;
@@ -456,7 +416,7 @@ let rec any_leaf t p =
   let off = Pptr.off p in
   let snap = Des.Sched.scratch () in
   let v = snapshot t pool off snap snap_any in
-  let first = first_child pool off snap (snap_type snap snap_any) in
+  let first = child_above pool off snap snap_any (snap_type snap snap_any) (-1) in
   check pool off ~gen:t.gen v;
   if Pptr.is_null first then raise Restart (* transiently empty under concurrent SMO *)
   else if Pptr.is_tagged first then Pptr.untag first
@@ -635,7 +595,7 @@ let lookup t rkey =
 let rec max_leaf_of t pool off snap v =
   let ty = snap_type snap snap_visit in
   let c = snap_keys snap snap_visit ty in
-  let last = child_lt pool off ty (lt_key snap c 256) 256 in
+  let last = child_lt pool off snap ty (lt_key snap c 256) 256 in
   check pool off ~gen:t.gen v;
   if Pptr.is_null last then raise Restart
   else if Pptr.is_tagged last then Pptr.untag last
@@ -661,8 +621,8 @@ let leaf_below t lt =
 (* The greatest leaf under the node's children below byte [b] ([j]
    from [lt_key]): read the child and validate the node at version
    [v]. *)
-let leaf_lt t pool off v ty j b =
-  let lt = child_lt pool off ty j b in
+let leaf_lt t pool off snap v ty j b =
+  let lt = child_lt pool off snap ty j b in
   check pool off ~gen:t.gen v;
   leaf_below t lt
 
@@ -689,13 +649,13 @@ let rec descend_le t rkey p depth =
     let c = snap_keys snap snap_visit ty in
     let eq = child_eq pool off snap ty c b in
     let j = lt_key snap c b in
-    if Pptr.is_null eq then leaf_lt t pool off v ty j b
+    if Pptr.is_null eq then leaf_lt t pool off snap v ty j b
     else begin
       check pool off ~gen:t.gen v;
       let r = if Pptr.is_tagged eq then leaf_le t eq rkey else descend_le t rkey eq (depth' + 1) in
       (* the smaller child is read after the descent, so [leaf_lt]
          validates the node again *)
-      if Pptr.is_null r then leaf_lt t pool off v ty j b else r
+      if Pptr.is_null r then leaf_lt t pool off snap v ty j b else r
     end
   end
 
@@ -738,14 +698,14 @@ let release_slot slot ~gen = Vlock.release slot.s_lock ~gen ~version:(slot.s_ver
    what was taken and restart. *)
 let lock_slot_and_node slot n ~gen nv =
   if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Restart;
-  if not (Vlock.try_upgrade (lockh n) ~gen ~version:nv) then begin
+  if not (Vlock.try_upgrade n ~gen ~version:nv) then begin
     release_slot slot ~gen;
     raise Restart
   end
 
-(* The stored bytes of locked node [n]'s prefix of length [pl]. *)
-let stored_prefix n pl =
-  if pl = 0 then "" else Pobj.read_string n off_prefix (min pl stored_prefix_max)
+(* The stored bytes of a prefix of length [pl] in the copy at [base]. *)
+let stored_prefix snap base pl =
+  if pl = 0 then "" else Bytes.sub_string snap (base + off_prefix) (min pl stored_prefix_max)
 
 let common_prefix_len a b start =
   let la = String.length a and lb = String.length b in
@@ -755,22 +715,32 @@ let common_prefix_len a b start =
   in
   go 0
 
-(* Copy locked node [src] with a prefix of length [prefix_len] whose
-   stored bytes [prefix] starts with: used by prefix splits and
-   merges.  Returns the new node. *)
-let copy_with_prefix t src ~prefix_len ~prefix =
-  let ty = ntype src.pool src.off in
-  let n, ptr, slot = alloc_node t ty in
-  init_node t n ty ~prefix_len ~prefix;
-  List.iter (fun (b, p) -> raw_add_child n b p) (child_list src.pool src.off);
-  persist_node_image n;
-  (n, ptr, slot)
+(* The copy-on-write of every structural change: a new node of type
+   [nty] with a prefix of length [prefix_len] whose stored bytes
+   [prefix] starts with.  It holds, in byte order, the children of the
+   locked node at [off] in [pool] (header copy at [base]) but the one
+   at byte [except], then [add] at byte [b] if [b >= 0].  Persisted,
+   not yet published: returns its pointer and pending-log slot. *)
+let cow_node t nty pool off snap base ~prefix_len ~prefix ~except b add =
+  let n, ptr, slot = alloc_node t nty in
+  init_node t n nty ~prefix_len ~prefix;
+  let rec copy above =
+    let p = child_above pool off snap base (snap_type snap base) above in
+    if not (Pptr.is_null p) then begin
+      let cb = found_byte snap in
+      if cb <> except then raw_add_child n nty cb p;
+      copy cb
+    end
+  in
+  copy (-1);
+  if b >= 0 then raw_add_child n nty b add;
+  persist_node_image n nty;
+  (ptr, slot)
 
-(* In-place child insertion protocols: entry persisted first, then the
-   store that makes it visible (count / index / pointer). *)
-let add_child_inplace n b ptr =
-  let ty = ntype n.pool n.off in
-  let c = count n.pool n.off in
+(* In-place child insertion protocols into locked node [n] of type [ty]
+   with [c] children: entry persisted first, then the store that makes
+   it visible (count / index / pointer). *)
+let add_child_inplace n ty c b ptr =
   match ty with
   | 0 | 1 ->
       Pobj.write_u8 n (n4_keys + c) b;
@@ -821,14 +791,18 @@ let split_leaf t rkey payload slot old_ptr depth =
     assert (depth + cpl < String.length rkey && depth + cpl < String.length old_key);
     let n, nptr, pslot = alloc_node t 0 in
     init_node t n 0 ~prefix_len:cpl ~prefix:(String.sub rkey depth cpl);
-    raw_add_child n (byte_at old_key (depth + cpl)) old_ptr;
-    raw_add_child n (byte_at rkey (depth + cpl)) (Pptr.tagged payload);
-    persist_node_image n;
+    raw_add_child n 0 (byte_at old_key (depth + cpl)) old_ptr;
+    raw_add_child n 0 (byte_at rkey (depth + cpl)) (Pptr.tagged payload);
+    persist_node_image n 0;
     write_slot slot nptr;
     clear_pending t pslot;
     release_slot slot ~gen;
     Inserted
   end
+
+(* The writers below take what they know of the node [n] they lock at
+   version [nv] from the copy at [snap_visit] that the visit read [nv]
+   with: locking at that version proves the copy is the header. *)
 
 (* Prefix split at position [i] of [n]'s prefix [full]: CoW the node
    with a shortened prefix, hang it and the new leaf under a fresh
@@ -839,42 +813,42 @@ let prefix_split t rkey payload slot n nv depth i full =
   assert (depth + i < String.length rkey);
   let old_ptr = read_slot slot in
   let pl = String.length full in
-  let copy, _cptr, cslot =
-    copy_with_prefix t n ~prefix_len:(pl - i - 1) ~prefix:(String.sub full (i + 1) (pl - i - 1))
+  let snap = Des.Sched.scratch () in
+  let cptr, cslot =
+    cow_node t (snap_type snap snap_visit) n.pool n.off snap snap_visit ~prefix_len:(pl - i - 1)
+      ~prefix:(String.sub full (i + 1) (pl - i - 1)) ~except:(-1) (-1) Pptr.null
   in
-  let cptr_val = Pptr.make ~pool:(Pool.id copy.pool) ~off:copy.off in
   let n4, nptr, pslot = alloc_node t 0 in
   init_node t n4 0 ~prefix_len:i ~prefix:(String.sub full 0 i);
-  raw_add_child n4 (byte_at full i) cptr_val;
-  raw_add_child n4 (byte_at rkey (depth + i)) (Pptr.tagged payload);
-  persist_node_image n4;
+  raw_add_child n4 0 (byte_at full i) cptr;
+  raw_add_child n4 0 (byte_at rkey (depth + i)) (Pptr.tagged payload);
+  persist_node_image n4 0;
   let rslot = log_retire t old_ptr in
   write_slot slot nptr (* commit *);
   clear_pending t cslot;
   clear_pending t pslot;
   retire t old_ptr rslot;
-  Vlock.release_obsolete (lockh n) ~gen ~version:(nv + 1);
+  Vlock.release_obsolete n ~gen ~version:(nv + 1);
   release_slot slot ~gen;
   Inserted
 
 (* Grow a full node to the next type (CoW) and add the new child. *)
-let grow_and_add t payload slot n nv b =
+let grow_and_add t payload slot n nv ty b =
   let gen = t.gen in
   lock_slot_and_node slot n ~gen nv;
   let old_ptr = read_slot slot in
-  let ty = ntype n.pool n.off in
   assert (ty < 3);
-  let big, bptr, bslot = alloc_node t (ty + 1) in
-  let pl = plen n in
-  init_node t big (ty + 1) ~prefix_len:pl ~prefix:(stored_prefix n pl);
-  List.iter (fun (kb, p) -> raw_add_child big kb p) (child_list n.pool n.off);
-  raw_add_child big b (Pptr.tagged payload);
-  persist_node_image big;
+  let snap = Des.Sched.scratch () in
+  let pl = snap_plen snap snap_visit in
+  let bptr, bslot =
+    cow_node t (ty + 1) n.pool n.off snap snap_visit ~prefix_len:pl
+      ~prefix:(stored_prefix snap snap_visit pl) ~except:(-1) b (Pptr.tagged payload)
+  in
   let rslot = log_retire t old_ptr in
   write_slot slot bptr;
   clear_pending t bslot;
   retire t old_ptr rslot;
-  Vlock.release_obsolete (lockh n) ~gen ~version:(nv + 1);
+  Vlock.release_obsolete n ~gen ~version:(nv + 1);
   release_slot slot ~gen;
   Inserted
 
@@ -912,11 +886,11 @@ let rec insert_descend t rkey payload spool slock sv soff cur depth =
       else if c < capacity.(ty) then begin
         let n = { pool; off } in
         if not (Vlock.try_upgrade n ~gen ~version:v) then raise Restart;
-        add_child_inplace n b (Pptr.tagged payload);
+        add_child_inplace n ty c b (Pptr.tagged payload);
         Vlock.release n ~gen ~version:(v + 1);
         Inserted
       end
-      else grow_and_add t payload (slot_at spool slock sv soff) { pool; off } v b
+      else grow_and_add t payload (slot_at spool slock sv soff) { pool; off } v ty b
     end
   end
 
@@ -943,27 +917,27 @@ let insert t rkey payload =
 
 (* ---------- delete ---------- *)
 
-(* Remove the child for byte [b] from locked node [n] (present). *)
-let remove_child_inplace n b =
-  let ty = ntype n.pool n.off in
-  let c = count n.pool n.off in
+(* Remove the child for byte [b] (present) from locked node [n] of type
+   [ty] with [c] children, whose header copy is at [snap_visit] in
+   [snap]. *)
+let remove_child_inplace n snap ty c b =
   match ty with
   | 0 | 1 ->
-      let rec find i = if key4_16 n.pool n.off i = b then i else find (i + 1) in
+      let rec find i = if snap_key snap snap_visit i = b then i else find (i + 1) in
       let i = find 0 in
       let last = c - 1 in
       if i <> last then begin
         (* Hole-punch protocol: compacting last into the hole rewrites
            a *live* slot, so each store gets its own fence — a crash
            between any two leaves a state readers handle (they skip
-           null children; [child_list] collapses the transient exact
-           duplicate of the last entry).  Writing key byte and pointer
-           under one fence is not failure-atomic: on a Node16 they sit
-           on different cache lines, and (new byte, old pointer) would
-           route the moved key to the deleted child. *)
+           null children; [child_above] passes over the transient
+           exact duplicate of the last entry).  Writing key byte and
+           pointer under one fence is not failure-atomic: on a Node16
+           they sit on different cache lines, and (new byte, old
+           pointer) would route the moved key to the deleted child. *)
         Pobj.write_int n (child_rel ty i) Pptr.null;
         persist n (child_rel ty i) 8;
-        Pobj.write_u8 n (n4_keys + i) (key4_16 n.pool n.off last);
+        Pobj.write_u8 n (n4_keys + i) (snap_key snap snap_visit last);
         persist n (n4_keys + i) 1;
         Pobj.write_int n (child_rel ty i) (read_child n.pool n.off ty last);
         persist n (child_rel ty i) 8
@@ -990,6 +964,14 @@ let shrink_threshold = [| 0; 3; 12; 40 |]
    structural change (shrink or path compression)? *)
 let needs_shrink ty c = (ty = 0 && c <= 2) || (ty > 0 && c - 1 <= shrink_threshold.(ty))
 
+(* The first child above byte [above] of the locked node at [off] in
+   [pool] but the one at byte [b] (header copy at [snap_visit]). *)
+let survivor_above pool off snap ty b above =
+  let p = child_above pool off snap snap_visit ty above in
+  if (not (Pptr.is_null p)) && found_byte snap = b then
+    child_above pool off snap snap_visit ty b
+  else p
+
 (* Remove the leaf [payload] at byte [b] from [n] (of type [ty], whose
    prefix starts at key depth [depth]), which has underflowed: CoW-shrink
    it (or path-compress a Node4 with one survivor) and commit via
@@ -999,14 +981,16 @@ let remove_and_shrink t rkey slot n nv ty b payload ~depth =
   let gen = t.gen in
   lock_slot_and_node slot n ~gen nv;
   let old_ptr = read_slot slot in
-  let survivors = List.filter (fun (kb, _) -> kb <> b) (child_list n.pool n.off) in
-  (match survivors with
-  | [] ->
-      (* Root-only situation: the tree is emptying. *)
-      let rslot = log_retire t old_ptr in
-      write_slot slot Pptr.null;
-      retire t old_ptr rslot
-  | [ (sb, p) ] when ty = 0 ->
+  let snap = Des.Sched.scratch () in
+  let p = survivor_above n.pool n.off snap ty b (-1) in
+  let sb = found_byte snap in
+  (if Pptr.is_null p then begin
+     (* Root-only situation: the tree is emptying. *)
+     let rslot = log_retire t old_ptr in
+     write_slot slot Pptr.null;
+     retire t old_ptr rslot
+   end
+   else if ty = 0 && Pptr.is_null (survivor_above n.pool n.off snap ty b sb) then begin
       if Pptr.is_tagged p then begin
         (* Path compression: the leaf replaces the node. *)
         let rslot = log_retire t old_ptr in
@@ -1017,39 +1001,44 @@ let remove_and_shrink t rkey slot n nv ty b payload ~depth =
         (* Merge prefixes: CoW the child with the combined prefix
            node.prefix + branch byte + child.prefix. *)
         let child = { pool = node_pool t.machine p; off = Pptr.off p } in
-        let cv = Vlock.acquire (lockh child) ~gen in
-        (* [n]'s prefix is the key's (the descent matched it), and
-           the child's stored bytes cover all the merged prefix
-           bytes a node stores. *)
-        let pl = plen n and cpl = plen child in
+        let cv = Vlock.acquire child ~gen in
+        (* The child was locked without a visit: its header comes from
+           a plain copy taken under the lock.  [n]'s prefix is the
+           key's (the descent matched it), and the child's stored bytes
+           cover all the merged prefix bytes a node stores. *)
+        Pool.blit_to_bytes child.pool child.off snap snap_any snap_len;
+        let pl = snap_plen snap snap_visit and cpl = snap_plen snap snap_any in
         let prefix =
-          String.sub rkey depth pl ^ String.make 1 (Char.chr sb) ^ stored_prefix child cpl
+          String.sub rkey depth pl ^ String.make 1 (Char.chr sb) ^ stored_prefix snap snap_any cpl
         in
-        let copy, _cp, cslot = copy_with_prefix t child ~prefix_len:(pl + 1 + cpl) ~prefix in
-        let cptr_val = Pptr.make ~pool:(Pool.id copy.pool) ~off:copy.off in
+        let cptr, cslot =
+          cow_node t (snap_type snap snap_any) child.pool child.off snap snap_any
+            ~prefix_len:(pl + 1 + cpl) ~prefix ~except:(-1) (-1) Pptr.null
+        in
         let r1 = log_retire t old_ptr in
         let r2 = log_retire t p in
-        write_slot slot cptr_val;
+        write_slot slot cptr;
         clear_pending t cslot;
         retire t old_ptr r1;
         retire t p r2;
-        Vlock.release_obsolete (lockh child) ~gen ~version:cv
+        Vlock.release_obsolete child ~gen ~version:cv
       end
-  | _ ->
-      (* CoW shrink to the next smaller type (or same type for
-         Node4 with >1 survivors — cannot happen given the guard). *)
-      let new_ty = if ty = 0 then 0 else ty - 1 in
-      let small, sptr, sslot = alloc_node t new_ty in
-      let pl = plen n in
-      init_node t small new_ty ~prefix_len:pl ~prefix:(stored_prefix n pl);
-      List.iter (fun (kb, p) -> raw_add_child small kb p) survivors;
-      persist_node_image small;
-      let rslot = log_retire t old_ptr in
-      write_slot slot sptr;
-      clear_pending t sslot;
-      retire t old_ptr rslot);
+   end
+   else begin
+     (* CoW shrink to the next smaller type (or same type for
+        Node4 with >1 survivors — cannot happen given the guard). *)
+     let pl = snap_plen snap snap_visit in
+     let sptr, sslot =
+       cow_node t (max 0 (ty - 1)) n.pool n.off snap snap_visit ~prefix_len:pl
+         ~prefix:(stored_prefix snap snap_visit pl) ~except:b (-1) Pptr.null
+     in
+     let rslot = log_retire t old_ptr in
+     write_slot slot sptr;
+     clear_pending t sslot;
+     retire t old_ptr rslot
+   end);
   (* every structural case retires [n] *)
-  Vlock.release_obsolete (lockh n) ~gen ~version:(nv + 1);
+  Vlock.release_obsolete n ~gen ~version:(nv + 1);
   release_slot slot ~gen;
   Some payload
 
@@ -1098,7 +1087,7 @@ let rec delete_descend t rkey spool slock sv soff cur depth =
         else begin
           let n = { pool; off } in
           if not (Vlock.try_upgrade n ~gen ~version:v) then raise Restart;
-          remove_child_inplace n b;
+          remove_child_inplace n snap ty c b;
           Vlock.release n ~gen ~version:(v + 1);
           Some payload
         end
@@ -1122,58 +1111,68 @@ let delete t rkey =
 
 (* ---------- ordered iteration (baseline scans) ---------- *)
 
+(* [f acc cb c] over the children [c] (at byte [cb]) of the node at
+   [off] in [pool] above byte [b], in byte order.  Each step is a node
+   visit — a header copy, [child_above], one validation — so [f] may
+   visit other nodes; a node changed in place is walked on from the
+   byte it was at, and only a retired one restarts. *)
+let rec fold_above t pool off b f acc =
+  let snap = Des.Sched.scratch () in
+  let v = snapshot t pool off snap snap_visit in
+  let c = child_above pool off snap snap_visit (snap_type snap snap_visit) b in
+  let cb = found_byte snap in
+  check pool off ~gen:t.gen v;
+  if Pptr.is_null c then acc else fold_above t pool off cb f (f acc cb c)
+
 exception Stop
 
-(* Read the children of the node at [off] in [pool] consistently (small
-   local retry loop), leaving its header copy at [snap_visit]. *)
-let consistent_children t pool off =
-  let rec go attempt =
-    let v = snapshot t pool off (Des.Sched.scratch ()) snap_visit in
-    let cs = child_list pool off in
-    if Vlock.validate pool off ~gen:t.gen ~version:v then cs
-    else begin
-      if attempt > 1000 then raise Restart;
-      Des.Sched.delay 100e-9;
-      go (attempt + 1)
+(* A scan emits the leaves from [lo] on to [f], in key order, and keeps
+   the last one it emitted: a restart resumes strictly after it, from
+   a fresh root.  Before a scan emits its first leaf, a leaf equal to
+   [lo] is emitted; after it, [lo] is the key of [last]. *)
+type scan = { f : Pptr.t -> bool; mutable lo : string; mutable last : Pptr.t }
+
+(* The leaves under [p] (a subtree at key depth [depth]): from the
+   scan's bound on if [from], else all of them. *)
+let rec scan_walk t s p depth from =
+  if Pptr.is_tagged p then begin
+    let payload = Pptr.untag p in
+    if (not from) || t.compare_leaf payload s.lo >= if Pptr.is_null s.last then 0 else 1 then begin
+      s.last <- payload;
+      if not (s.f payload) then raise Stop
     end
-  in
-  go 0
+  end
+  else if not from then scan_children t s p (-1) (-1) 0
+  else begin
+    let pool = node_pool t.machine p in
+    let off = Pptr.off p in
+    let snap = Des.Sched.scratch () in
+    let v = snapshot t pool off snap snap_visit in
+    let depth' = match_prefix t p snap ~depth s.lo in
+    check pool off ~gen:t.gen v;
+    if depth' = prefix_before || depth' >= String.length s.lo then scan_children t s p (-1) (-1) 0
+    else if depth' <> prefix_after then
+      let kb = byte_at s.lo depth' in
+      scan_children t s p (kb - 1) kb (depth' + 1)
+  end
+
+(* The children of the node [p] points to above byte [b]; the one at
+   byte [kb] holds the bound, at key depth [depth]. *)
+and scan_children t s p b kb depth =
+  fold_above t (node_pool t.machine p) (Pptr.off p) b
+    (fun () cb c -> scan_walk t s c depth (cb = kb))
+    ()
+
+let scan_once t s =
+  if not (Pptr.is_null s.last) then s.lo <- t.key_of_leaf s.last;
+  ignore (root_snapshot t : int);
+  let root = snap_root () in
+  if not (Pptr.is_null root) then scan_walk t s root 0 true
 
 let iter_from t rkey f =
   Epoch.enter t.epoch;
   Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
-  let klen = String.length rkey in
-  let emit p = if not (f p) then raise Stop in
-  let rec walk_all cur =
-    if Pptr.is_tagged cur then emit (Pptr.untag cur)
-    else
-      List.iter
-        (fun (_, p) -> walk_all p)
-        (consistent_children t (node_pool t.machine cur) (Pptr.off cur))
-  in
-  let rec walk_from cur depth =
-    if Pptr.is_tagged cur then begin
-      let payload = Pptr.untag cur in
-      if t.compare_leaf payload rkey >= 0 then emit payload
-    end
-    else begin
-      let cs = consistent_children t (node_pool t.machine cur) (Pptr.off cur) in
-      let depth' = match_prefix t cur (Des.Sched.scratch ()) ~depth rkey in
-      if depth' = prefix_before then List.iter (fun (_, p) -> walk_all p) cs (* subtree > key *)
-      else if depth' = prefix_after then () (* subtree < key *)
-      else if depth' >= klen then List.iter (fun (_, p) -> walk_all p) cs
-      else begin
-        let b = byte_at rkey depth' in
-        List.iter
-          (fun (kb, p) -> if kb = b then walk_from p (depth' + 1) else if kb > b then walk_all p)
-          cs
-      end
-    end
-  in
-  let root = read_root t in
-  if not (Pptr.is_null root) then begin
-    try with_retry t (fun () -> walk_from root 0) with Stop -> ()
-  end
+  try retrying t scan_once { f; lo = rkey; last = Pptr.null } 0 with Stop -> ()
 
 (* ---------- recovery (§5.1, §5.9) ---------- *)
 
@@ -1181,11 +1180,11 @@ let iter_from t rkey f =
    be an inner node or a leaf payload). *)
 let reachable t target =
   let rec visit cur =
-    let p = Pptr.untag cur in
-    p = target
-    ||
-    if Pptr.is_tagged cur then false
-    else List.exists (fun (_, c) -> visit c) (child_list (node_pool t.machine cur) (Pptr.off cur))
+    Pptr.untag cur = target
+    || (not (Pptr.is_tagged cur))
+       && fold_above t (node_pool t.machine cur) (Pptr.off cur) (-1)
+            (fun found _ c -> found || visit c)
+            false
   in
   let root = read_root t in
   (not (Pptr.is_null root)) && visit root
@@ -1240,10 +1239,9 @@ let root_off = off_meta_root
 let rec subtree_size t cur =
   if Pptr.is_tagged cur then 1
   else
-    List.fold_left
-      (fun acc (_, c) -> acc + subtree_size t c)
+    fold_above t (node_pool t.machine cur) (Pptr.off cur) (-1)
+      (fun acc _ c -> acc + subtree_size t c)
       0
-      (child_list (node_pool t.machine cur) (Pptr.off cur))
 
 let cardinal t =
   let root = read_root t in

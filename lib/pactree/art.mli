@@ -65,9 +65,11 @@ val insert : t -> string -> Pmalloc.Pptr.t -> insert_outcome
 val delete : t -> string -> Pmalloc.Pptr.t option
 
 (** In-order iteration over payloads with key >= the given radix key;
-    stops when [f] returns [false].  Under concurrent structural
-    modification a subtree may be re-visited (the PACTree proper never
-    scans through the trie — only the PDL-ART baseline does). *)
+    stops when [f] returns [false].  Keys are emitted in strictly
+    increasing order, each at most once: a restart (a node retired under
+    the scan) resumes strictly after the last emitted payload, from a
+    fresh root.  [f] may modify the trie.  (PACTree proper never scans
+    through the trie — only the PDL-ART baseline does.) *)
 val iter_from : t -> string -> (Pmalloc.Pptr.t -> bool) -> unit
 
 (** Post-crash recovery: bumps the generation and frees unreachable

@@ -9,8 +9,8 @@
      pointers from the "jump node" (§5.3).
 
    Configuration toggles expose the paper's factor analysis (Fig 12):
-   per-NUMA pools, selective persistence, async vs synchronous SMO,
-   and a DRAM-resident search layer. *)
+   selective persistence, async vs synchronous SMO, and a DRAM-resident
+   search layer.  Every layer keeps one pool per NUMA domain. *)
 
 module Pool = Nvm.Pool
 module Machine = Nvm.Machine
@@ -20,11 +20,9 @@ module Node = Data_node
 
 type config = {
   key_inline : int;  (** 8 (integer keys) or 32 (string keys) *)
-  numa_pools : int;  (** 0 = one pool per NUMA domain (default) *)
   async_smo : bool;  (** asynchronous search-layer update (§4.3) *)
   selective_persistence : bool;  (** do not persist permutation arrays (§4.4) *)
   search_layer_dram : bool;  (** place the search layer in DRAM (ablation) *)
-  alloc_kind : Heap.kind;
   data_capacity : int;
   search_capacity : int;
 }
@@ -32,11 +30,9 @@ type config = {
 let default_config =
   {
     key_inline = 8;
-    numa_pools = 0;
     async_smo = true;
     selective_persistence = true;
     search_layer_dram = false;
-    alloc_kind = Heap.Pmdk;
     data_capacity = Pool.max_capacity;
     search_capacity = Pool.max_capacity;
   }
@@ -94,16 +90,15 @@ let art_stats t = Art.stats t.art
 let jump_histogram t = Array.copy t.jump_hist
 
 let create machine ?(cfg = default_config) () =
-  let numa_count = Machine.numa_count machine in
-  let npools = if cfg.numa_pools = 0 then numa_count else cfg.numa_pools in
+  let npools = Machine.numa_count machine in
   let data_heap =
-    Heap.create machine ~kind:cfg.alloc_kind ~name:"pactree.data" ~numa_pools:npools
+    Heap.create machine ~kind:Heap.Pmdk ~name:"pactree.data" ~numa_pools:npools
       ~capacity:cfg.data_capacity ()
   in
   let search_heap =
     (* A DRAM search layer uses volatile heap metadata too: there is
        nothing crash-consistent about DRAM (the ablation's point). *)
-    let kind = if cfg.search_layer_dram then Heap.Volatile_meta else cfg.alloc_kind in
+    let kind = if cfg.search_layer_dram then Heap.Volatile_meta else Heap.Pmdk in
     Heap.create machine ~volatile_pool:cfg.search_layer_dram ~kind ~name:"pactree.search"
       ~numa_pools:npools ~capacity:cfg.search_capacity ()
   in
@@ -111,7 +106,7 @@ let create machine ?(cfg = default_config) () =
     Array.init npools (fun i ->
         Pool.create machine
           ~name:(Printf.sprintf "pactree.log.%d" i)
-          ~numa:(i mod numa_count) ~capacity:Smo_log.region_size ())
+          ~numa:i ~capacity:Smo_log.region_size ())
   in
   let log = Smo_log.create log_pools ~base:0 in
   let meta =

@@ -18,11 +18,9 @@ type t
     others exist for the paper's factor analysis (Fig 12). *)
 type config = {
   key_inline : int;  (** 8 (integer keys) or 32 (string keys) *)
-  numa_pools : int;  (** 0 = one pool per NUMA domain *)
   async_smo : bool;  (** asynchronous search-layer update (§4.3) *)
   selective_persistence : bool;  (** skip persisting permutation arrays (§4.4) *)
   search_layer_dram : bool;  (** DRAM-resident search layer (ablation) *)
-  alloc_kind : Pmalloc.Heap.kind;
   data_capacity : int;  (** bound on a data pool's bytes *)
   search_capacity : int;  (** bound on a search-layer pool's bytes *)
 }

@@ -90,12 +90,10 @@ let load ~machine ~index ?service ~kind ~loaded ~threads ?(seed = 42L) () =
   in
   end_time
 
-let run ~machine ~index ?service ?obs ~mix ~kind ~loaded ~ops ~threads ?load_threads
-    ?(theta = 0.99) ?(seed = 42L) ?(skip_load = false) () =
-  let load_threads = Option.value ~default:threads load_threads in
+let run ~machine ~index ?service ?obs ~mix ~kind ~loaded ~ops ~threads ?(theta = 0.99)
+    ?(seed = 42L) () =
   let start =
-    if (not skip_load) && mix <> Ycsb.Load_a then
-      load ~machine ~index ?service ~kind ~loaded ~threads:load_threads ~seed ()
+    if mix <> Ycsb.Load_a then load ~machine ~index ?service ~kind ~loaded ~threads ~seed ()
     else 0.0
   in
   (* Observe the measured phase only: the preparatory load would

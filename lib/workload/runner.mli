@@ -25,8 +25,7 @@ type service = Baselines.System.service = {
 
 (** [run ~machine ~index ~mix ~kind ~loaded ~ops ~threads ()] executes
     load + run phases.  [theta] defaults to YCSB's 0.99 Zipfian; pass
-    [0.] for uniform.  [skip_load] reuses an already-loaded index
-    (read-only mixes only).  [load_threads] defaults to [threads].
+    [0.] for uniform.
 
     With [?obs], the measured phase (not the preparatory load) is
     instrumented: the recorder's span tracer is installed for phase
@@ -44,10 +43,8 @@ val run :
   loaded:int ->
   ops:int ->
   threads:int ->
-  ?load_threads:int ->
   ?theta:float ->
   ?seed:int64 ->
-  ?skip_load:bool ->
   unit ->
   result
 

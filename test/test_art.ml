@@ -315,6 +315,44 @@ let test_art_iter_all_sorted () =
   Alcotest.(check int) "count" (List.length expected) (List.length got);
   Alcotest.(check (list int)) "sorted enumeration" expected got
 
+(* A full scan over the string keys [keys] whose callback, on the
+   first leaf, inserts [inserted]: the keys it emits, in order. *)
+let scan_inserting keys inserted =
+  let ctx = make_art () in
+  List.iter (fun k -> ignore (insert_key ctx k)) keys;
+  let fired = ref false and got = ref [] in
+  Art.iter_from ctx.art (Key.to_radix "") (fun p ->
+      got := Key.of_radix (Hashtbl.find ctx.kv_keys (Pptr.off p)) :: !got;
+      if not !fired then begin
+        fired := true;
+        List.iter (fun k -> ignore (insert_key ctx k)) inserted
+      end;
+      true);
+  List.rev !got
+
+(* Emitted in strictly increasing order, every key of [keys] once. *)
+let check_scan keys got =
+  let rec increasing = function a :: (b :: _ as tl) -> a < b && increasing tl | _ -> true in
+  Alcotest.(check bool) "strictly increasing" true (increasing got);
+  List.iter
+    (fun k ->
+      let times = List.length (List.filter (String.equal k) got) in
+      Alcotest.(check int) ("emitted once: " ^ k) 1 times)
+    keys
+
+(* The insert of b5 grows the b-node, a Node4 the scan has not reached
+   yet, and bumps the version of the root it is walking. *)
+let test_art_iter_insert_ahead () =
+  let keys = [ "a1"; "a2"; "b1"; "b2"; "b3"; "b4" ] in
+  check_scan keys (scan_inserting keys [ "b5" ])
+
+(* The insert of e also grows the root, which retires the root the scan
+   started from: the scan restarts from the new root and resumes after
+   the last key it emitted. *)
+let test_art_iter_root_retired () =
+  let keys = [ "a1"; "a2"; "b1"; "b2"; "b3"; "b4"; "c"; "d" ] in
+  check_scan keys (scan_inserting keys [ "b5"; "e" ])
+
 (* Random inserts and deletes of [key k], [k <= bound], agree with a
    map model. *)
 let art_model_test ~name ~bound key =
@@ -506,6 +544,10 @@ let suite =
     Alcotest.test_case "art: lookup_le strings" `Quick test_art_lookup_le_strings;
     Alcotest.test_case "art: iter_from" `Quick test_art_iter_from;
     Alcotest.test_case "art: full sorted enumeration" `Quick test_art_iter_all_sorted;
+    Alcotest.test_case "art: iter_from, insert ahead of the scan" `Quick
+      test_art_iter_insert_ahead;
+    Alcotest.test_case "art: iter_from, root retired under the scan" `Quick
+      test_art_iter_root_retired;
     QCheck_alcotest.to_alcotest test_art_qcheck_model;
     QCheck_alcotest.to_alcotest test_art_qcheck_long_prefix;
     Alcotest.test_case "art: concurrent inserts" `Quick test_art_concurrent_inserts;

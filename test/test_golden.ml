@@ -106,14 +106,14 @@ let test_closed_loop () =
   check "runner"
     (closed_loop Experiments.Factory.Pactree_sys)
     {
-      elapsed = 0x1.45a0dbf3aac38p-12;
+      elapsed = 0x1.4b76f88f30a0cp-12;
       completed = 2000;
-      p50 = 0x1.e9a05358538p-21;
-      p99 = 0x1.108e5219a6bp-18;
+      p50 = 0x1.face5f40798p-21;
+      p99 = 0x1.860966529258p-17;
       flushes = 4010;
       fences = 2422;
-      media_read_bytes = 1366784;
-      media_write_bytes = 933632;
+      media_read_bytes = 1361408;
+      media_write_bytes = 933120;
     }
 
 let test_open_loop () =

@@ -430,17 +430,11 @@ let exercise_variant cfg =
 let test_variant_sync_smo () =
   exercise_variant { small_cfg with Tree.async_smo = false }
 
-let test_variant_single_pool () =
-  exercise_variant { small_cfg with Tree.numa_pools = 1 }
-
 let test_variant_no_selective_persistence () =
   exercise_variant { small_cfg with Tree.selective_persistence = false }
 
 let test_variant_dram_search_layer () =
   exercise_variant { small_cfg with Tree.search_layer_dram = true }
-
-let test_variant_volatile_allocator () =
-  exercise_variant { small_cfg with Tree.alloc_kind = Pmalloc.Heap.Volatile_meta }
 
 (* ---------- crash recovery (§6.8) ---------- *)
 
@@ -580,16 +574,14 @@ let suite =
     Alcotest.test_case "updater catches up" `Quick test_async_updater_catches_up;
     Alcotest.test_case "jump histogram (§6.7)" `Quick test_jump_histogram_populated;
     Alcotest.test_case "variant: sync SMO" `Quick test_variant_sync_smo;
-    Alcotest.test_case "variant: single pool" `Quick test_variant_single_pool;
     Alcotest.test_case "variant: persist permutation" `Quick
       test_variant_no_selective_persistence;
     Alcotest.test_case "variant: DRAM search layer" `Quick test_variant_dram_search_layer;
-    Alcotest.test_case "variant: volatile allocator" `Quick test_variant_volatile_allocator;
     Alcotest.test_case "recovery: simple (§6.8)" `Quick test_recovery_simple;
     Alcotest.test_case "recovery: pending SMO log" `Quick test_recovery_with_pending_smo;
     Alcotest.test_case "recovery: DRAM search layer" `Quick test_recovery_dram_search_layer;
-    Alcotest.test_case "recovery: 20 crash rounds" `Quick test_recovery_repeated_crashes;
     Alcotest.test_case "recovery: crash mid concurrent run" `Quick
       test_recovery_mid_concurrent_run;
     Alcotest.test_case "lookups racing splits and merges" `Quick test_lookups_race_smo;
+    Alcotest.test_case "recovery: 20 crash rounds" `Quick test_recovery_repeated_crashes;
   ]
