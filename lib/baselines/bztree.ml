@@ -89,7 +89,15 @@ let krep_at n i = Pool.read_int64 n.pool (rec_off n i + 8)
 
 let val_at n i = Pool.read_int n.pool (rec_off n i + 16)
 
+let to_ptr n = Pptr.make ~pool:(Pool.id n.pool) ~off:n.off
+
 let mw t targets = Pmwcas.execute ~desc_pool:t.meta ~desc_base:64 targets
+
+let word pool off expected desired = { Pmwcas.pool; off; expected; desired }
+
+(* The status word of [n] as a PMwCAS target that must still read [s]:
+   a record operation guarded by it never lands in a frozen node. *)
+let guard n s = word n.pool (n.off + off_status) s s
 
 let create machine ?(string_keys = false) () =
   let numa = Machine.numa_count machine in
@@ -170,30 +178,32 @@ let rec descend t n path ~probe_rep ~probe_key =
     let child = child_for t n s ~probe_rep ~probe_key in
     descend t (node_of t.machine child) (n :: path) ~probe_rep ~probe_key
 
-let to_leaf t key =
-  let probe_rep = Krep.probe_rep t.kr key in
-  descend t (root t) [] ~probe_rep ~probe_key:key
-
-(* Linear scan of an unsorted leaf. *)
-let find_visible t leaf s key =
-  let probe_rep = Krep.probe_rep t.kr key in
+(* Linear scan of an unsorted leaf: the visible slot of the key, or
+   [-1]. *)
+let find_visible t leaf s ~probe_rep ~probe_key =
   let c = count_of s in
   let rec go i =
-    if i >= c then None
+    if i >= c then -1
     else if
-      meta_at leaf i = 1
-      && Krep.compare_with_key t.kr (krep_at leaf i) ~probe_rep ~probe_key:key = 0
-    then Some i
+      meta_at leaf i = 1 && Krep.compare_with_key t.kr (krep_at leaf i) ~probe_rep ~probe_key = 0
+    then i
     else go (i + 1)
   in
   go 0
 
+(* The step every operation starts with: resolve to the leaf covering
+   [key] and find the key's visible slot there ([-1] if none).  A writer
+   restarts on a leaf whose freeze is still in progress. *)
+let locate t key ~write =
+  let probe_rep = Krep.probe_rep t.kr key in
+  let leaf, s, path = descend t (root t) [] ~probe_rep ~probe_key:key in
+  if write && is_frozen s then raise Restart;
+  (leaf, s, path, find_visible t leaf s ~probe_rep ~probe_key:key)
+
 let lookup t key =
   with_retry @@ fun () ->
-  let leaf, s, _ = to_leaf t key in
-  match find_visible t leaf s key with
-  | Some i -> Some (val_at leaf i)
-  | None -> None
+  let leaf, _, _, i = locate t key ~write:false in
+  if i < 0 then None else Some (val_at leaf i)
 
 (* ---------- consolidation and splits ---------- *)
 
@@ -207,7 +217,11 @@ let live_sorted t leaf s =
   in
   List.sort (fun (a, _) (b, _) -> Krep.compare t.kr a b) (collect [] (c - 1))
 
-let build_leaf t pairs ~next_ptr =
+(* A fresh node holding [entries] (key, value or child) in slots 0..,
+   with [link] as its next leaf (a leaf) or leftmost child (an
+   internal node). *)
+let build t ~leaf ~link entries =
+  assert (List.length entries <= cap);
   let ptr = Heap.alloc t.heap node_size in
   let n = node_of t.machine ptr in
   Pool.fill_zero n.pool n.off node_size;
@@ -216,76 +230,61 @@ let build_leaf t pairs ~next_ptr =
       Pool.write_int n.pool (rec_off n i) 1;
       Pool.write_int64 n.pool (rec_off n i + 8) krep;
       Pool.write_int n.pool (rec_off n i + 16) v)
-    pairs;
-  Pool.write_int n.pool (n.off + off_status) (leaf_bit lor List.length pairs);
-  Pool.write_int n.pool (n.off + off_next) next_ptr;
+    entries;
+  Pool.write_int n.pool (n.off + off_status)
+    ((if leaf then leaf_bit else 0) lor List.length entries);
+  Pool.write_int n.pool (n.off + if leaf then off_next else off_leftmost) link;
   Pool.persist n.pool n.off node_size;
   ptr
 
 let internal_entries n s =
   List.init (count_of s) (fun i -> (krep_at n i, val_at n i))
 
-let build_internal t ~leftmost_ptr entries =
-  assert (List.length entries <= cap);
-  let ptr = Heap.alloc t.heap node_size in
-  let n = node_of t.machine ptr in
-  Pool.fill_zero n.pool n.off node_size;
-  List.iteri
-    (fun i (krep, child) ->
-      Pool.write_int n.pool (rec_off n i) 1;
-      Pool.write_int64 n.pool (rec_off n i + 8) krep;
-      Pool.write_int n.pool (rec_off n i + 16) child)
-    entries;
-  Pool.write_int n.pool (n.off + off_status) (List.length entries);
-  Pool.write_int n.pool (n.off + off_leftmost) leftmost_ptr;
-  Pool.persist n.pool n.off node_size;
-  ignore t;
-  ptr
-
 (* A forwarding target for a node that split in two: a 2-child
    internal node covering the old node's whole range, so in-flight
    descents and chain walkers that land on the frozen node are routed
    correctly on both sides of the separator. *)
-let bridge t ~left ~sep ~right = build_internal t ~leftmost_ptr:left [ (sep, right) ]
+let bridge t ~left ~sep ~right = build t ~leaf:false ~link:left [ (sep, right) ]
 
-(* Swap [old_ptr -> new_ptr] in the parent's child slot (in-place
-   pointer update, the one mutation internal nodes allow). *)
+(* Freeze [n], still at status [s]: from now on no guarded record
+   operation and no child swap lands in it. *)
+let freeze t n s =
+  if not (mw t [ word n.pool (n.off + off_status) s (s lor frozen_bit) ]) then raise Restart
+
+(* Point the frozen [n] at its replacement, durably. *)
+let forward n ptr =
+  Pool.write_int n.pool (n.off + off_replacement) ptr;
+  Pool.persist n.pool (n.off + off_replacement) 8
+
+(* Swap [old_ptr -> new_ptr] in the child slot of [parent] that holds
+   it (in-place pointer update, the one mutation internal nodes
+   allow). *)
 let swap_child t parent old_ptr new_ptr =
   let s = status parent in
   if is_frozen s then raise Restart;
-  if leftmost parent = old_ptr then begin
-    if
-      not
-        (mw t
-           [
-             { Pmwcas.pool = parent.pool; off = parent.off + off_leftmost;
-               expected = old_ptr; desired = new_ptr };
-           ])
-    then raise Restart
-  end
-  else begin
-    let c = count_of s in
-    let rec find i =
-      if i >= c then raise Restart
-      else if val_at parent i = old_ptr then i
-      else find (i + 1)
-    in
-    let i = find 0 in
-    if
-      not
-        (mw t
-           [
-             { Pmwcas.pool = parent.pool; off = rec_off parent i + 16;
-               expected = old_ptr; desired = new_ptr };
-           ])
-    then raise Restart
-  end
+  let slot =
+    if leftmost parent = old_ptr then parent.off + off_leftmost
+    else begin
+      let c = count_of s in
+      let rec find i =
+        if i >= c then raise Restart
+        else if val_at parent i = old_ptr then rec_off parent i + 16
+        else find (i + 1)
+      in
+      find 0
+    end
+  in
+  if not (mw t [ word parent.pool slot old_ptr new_ptr ]) then raise Restart
 
 let swap_root t old_ptr new_ptr =
-  if
-    not
-      (mw t [ { Pmwcas.pool = t.meta; off = 0; expected = old_ptr; desired = new_ptr } ])
-  then raise Restart
+  if not (mw t [ word t.meta 0 old_ptr new_ptr ]) then raise Restart
+
+(* Replace [old_ptr] by [new_ptr] where [path] (nearest parent first)
+   points to it: in the parent, or as the root. *)
+let swap_above t path old_ptr new_ptr =
+  match path with
+  | [] -> swap_root t old_ptr new_ptr
+  | parent :: _ -> swap_child t parent old_ptr new_ptr
 
 (* Insert separator [sep]->[right] next to child [old]->[left] in the
    (immutable) parent: CoW the parent and swap it in above. *)
@@ -293,8 +292,7 @@ let rec add_separator t path old_ptr left_ptr sep right_ptr =
   match path with
   | [] ->
       (* old was the root: new root with two children *)
-      let nr = build_internal t ~leftmost_ptr:left_ptr [ (sep, right_ptr) ] in
-      swap_root t old_ptr nr
+      swap_root t old_ptr (build t ~leaf:false ~link:left_ptr [ (sep, right_ptr) ])
   | parent :: rest ->
       let s = status parent in
       if is_frozen s then raise Restart;
@@ -310,22 +308,13 @@ let rec add_separator t path old_ptr left_ptr sep right_ptr =
         | tl -> List.rev_append acc ((sep, right_ptr) :: tl)
       in
       let entries' = splice [] entries in
+      let pold = to_ptr parent in
       if List.length entries' <= cap then begin
-        let p' = build_internal t ~leftmost_ptr:lm entries' in
-        let pold = Pptr.make ~pool:(Pool.id parent.pool) ~off:parent.off in
         (* freeze the old parent, forward it, then swap above *)
-        if not
-             (mw t
-                [
-                  { Pmwcas.pool = parent.pool; off = parent.off + off_status;
-                    expected = s; desired = s lor frozen_bit };
-                ])
-        then raise Restart;
-        Pool.write_int parent.pool (parent.off + off_replacement) p';
-        Pool.persist parent.pool (parent.off + off_replacement) 8;
-        (match rest with
-        | [] -> swap_root t pold p'
-        | gp :: _ -> swap_child t gp pold p')
+        let p' = build t ~leaf:false ~link:lm entries' in
+        freeze t parent s;
+        forward parent p';
+        swap_above t rest pold p'
       end
       else begin
         (* parent overflow: split the CoW result in two *)
@@ -333,20 +322,11 @@ let rec add_separator t path old_ptr left_ptr sep right_ptr =
         let lefts = List.filteri (fun i _ -> i < mid) entries' in
         let rights = List.filteri (fun i _ -> i > mid) entries' in
         let psep, pmid_child = List.nth entries' mid in
-        let pl = build_internal t ~leftmost_ptr:lm lefts in
-        let pr = build_internal t ~leftmost_ptr:pmid_child rights in
-        let pold = Pptr.make ~pool:(Pool.id parent.pool) ~off:parent.off in
-        if not
-             (mw t
-                [
-                  { Pmwcas.pool = parent.pool; off = parent.off + off_status;
-                    expected = s; desired = s lor frozen_bit };
-                ])
-        then raise Restart;
+        let pl = build t ~leaf:false ~link:lm lefts in
+        let pr = build t ~leaf:false ~link:pmid_child rights in
+        freeze t parent s;
         (* the forwarding target must cover the whole old range *)
-        let br = bridge t ~left:pl ~sep:psep ~right:pr in
-        Pool.write_int parent.pool (parent.off + off_replacement) br;
-        Pool.persist parent.pool (parent.off + off_replacement) 8;
+        forward parent (bridge t ~left:pl ~sep:psep ~right:pr);
         add_separator t rest pold pl psep pr
       end
 
@@ -356,164 +336,99 @@ let consolidate t leaf s path =
   (* someone may have consolidated while we waited for the lock *)
   if status leaf <> s then raise Restart;
   t.consolidations <- t.consolidations + 1;
-  if
-    not
-      (mw t
-         [
-           { Pmwcas.pool = leaf.pool; off = leaf.off + off_status;
-             expected = s; desired = s lor frozen_bit };
-         ])
-  then raise Restart;
+  freeze t leaf s;
   let live = live_sorted t leaf s in
-  let old_ptr = Pptr.make ~pool:(Pool.id leaf.pool) ~off:leaf.off in
+  let old_ptr = to_ptr leaf in
   if List.length live <= cap * 7 / 10 then begin
-    let nl = build_leaf t live ~next_ptr:(next leaf) in
-    Pool.write_int leaf.pool (leaf.off + off_replacement) nl;
-    Pool.persist leaf.pool (leaf.off + off_replacement) 8;
-    match path with
-    | [] -> swap_root t old_ptr nl
-    | parent :: _ -> swap_child t parent old_ptr nl
+    let nl = build t ~leaf:true ~link:(next leaf) live in
+    forward leaf nl;
+    swap_above t path old_ptr nl
   end
   else begin
     let mid = List.length live / 2 in
     let lefts = List.filteri (fun i _ -> i < mid) live in
     let rights = List.filteri (fun i _ -> i >= mid) live in
     let sep = fst (List.hd rights) in
-    let nr = build_leaf t rights ~next_ptr:(next leaf) in
-    let nl = build_leaf t lefts ~next_ptr:nr in
+    let nr = build t ~leaf:true ~link:(next leaf) rights in
+    let nl = build t ~leaf:true ~link:nr lefts in
     (* the forwarding target must cover the whole old range *)
-    let br = bridge t ~left:nl ~sep ~right:nr in
-    Pool.write_int leaf.pool (leaf.off + off_replacement) br;
-    Pool.persist leaf.pool (leaf.off + off_replacement) 8;
+    forward leaf (bridge t ~left:nl ~sep ~right:nr);
     add_separator t path old_ptr nl sep nr
   end
 
 (* ---------- write operations ---------- *)
 
+(* Store [value] in slot [i] of [leaf] by a PMwCAS guarded by the
+   status word, so it can never land in a frozen node.  Contention on
+   the same (hot) leaf retries in place; only a freeze forces a
+   re-descent. *)
+let rec cas_value t leaf i value =
+  let s = status leaf in
+  if is_frozen s then raise Restart;
+  let old = val_at leaf i in
+  if not (mw t [ guard leaf s; word leaf.pool (rec_off leaf i + 16) old value ]) then
+    cas_value t leaf i value
+
 let insert t key value =
   with_retry @@ fun () ->
-  let leaf, s, path = to_leaf t key in
-  if is_frozen s then raise Restart;
-  match find_visible t leaf s key with
-  | Some i ->
-      (* upsert: CAS the value word, validated against the status word
-         so it can never land in a frozen node.  Contention on the
-         same (hot) leaf retries in place — only a freeze forces a
-         re-descent. *)
-      let rec cas_value () =
-        let s2 = status leaf in
-        if is_frozen s2 then raise Restart;
-        let old = val_at leaf i in
-        if
-          not
-            (mw t
-               [
-                 { Pmwcas.pool = leaf.pool; off = leaf.off + off_status;
-                   expected = s2; desired = s2 };
-                 { Pmwcas.pool = leaf.pool; off = rec_off leaf i + 16;
-                   expected = old; desired = value };
-               ])
-        then cas_value ()
-      in
-      cas_value ()
-  | None ->
-      if count_of s >= cap then begin
-        consolidate t leaf s path;
-        raise Restart (* retraverse into the replacement *)
-      end
-      else begin
-        let slot = count_of s in
-        (* 1. reserve the slot *)
-        if
-          not
-            (mw t
-               [
-                 { Pmwcas.pool = leaf.pool; off = leaf.off + off_status;
-                   expected = s; desired = s + 1 };
-               ])
-        then raise Restart;
-        (* 2. write the record payload and persist it *)
-        let krep = Krep.of_key t.kr key in
-        Pool.write_int64 leaf.pool (rec_off leaf slot + 8) krep;
-        Pool.write_int leaf.pool (rec_off leaf slot + 16) value;
-        Pool.persist leaf.pool (rec_off leaf slot + 8) 16;
-        (* 3. make it visible — guarded by the status word so a
-           record can never become visible in a frozen node (it would
-           be lost by the concurrent consolidation) *)
-        let rec publish () =
-          let s2 = status leaf in
-          if is_frozen s2 then raise Restart
-          else if
-            not
-              (mw t
-                 [
-                   { Pmwcas.pool = leaf.pool; off = leaf.off + off_status;
-                     expected = s2; desired = s2 };
-                   { Pmwcas.pool = leaf.pool; off = rec_off leaf slot;
-                     expected = 0; desired = 1 };
-                 ])
-          then publish ()
-        in
-        publish ()
-      end
+  let leaf, s, path, i = locate t key ~write:true in
+  if i >= 0 then cas_value t leaf i value (* upsert *)
+  else if count_of s >= cap then begin
+    consolidate t leaf s path;
+    raise Restart (* retraverse into the replacement *)
+  end
+  else begin
+    let slot = count_of s in
+    (* 1. reserve the slot *)
+    if not (mw t [ word leaf.pool (leaf.off + off_status) s (s + 1) ]) then raise Restart;
+    (* 2. write the record payload and persist it *)
+    let krep = Krep.of_key t.kr key in
+    Pool.write_int64 leaf.pool (rec_off leaf slot + 8) krep;
+    Pool.write_int leaf.pool (rec_off leaf slot + 16) value;
+    Pool.persist leaf.pool (rec_off leaf slot + 8) 16;
+    (* 3. make it visible — guarded by the status word so a record can
+       never become visible in a frozen node (it would be lost by the
+       concurrent consolidation) *)
+    let rec publish () =
+      let s2 = status leaf in
+      if is_frozen s2 then raise Restart
+      else if not (mw t [ guard leaf s2; word leaf.pool (rec_off leaf slot) 0 1 ]) then publish ()
+    in
+    publish ()
+  end
 
 let update t key value =
   with_retry @@ fun () ->
-  let leaf, s, _ = to_leaf t key in
-  if is_frozen s then raise Restart;
-  match find_visible t leaf s key with
-  | None -> false
-  | Some i ->
-      let rec cas_value () =
-        let s2 = status leaf in
-        if is_frozen s2 then raise Restart;
-        let old = val_at leaf i in
-        if
-          mw t
-            [
-              { Pmwcas.pool = leaf.pool; off = leaf.off + off_status;
-                expected = s2; desired = s2 };
-              { Pmwcas.pool = leaf.pool; off = rec_off leaf i + 16;
-                expected = old; desired = value };
-            ]
-        then true
-        else cas_value ()
-      in
-      cas_value ()
+  let leaf, _, _, i = locate t key ~write:true in
+  i >= 0
+  && begin
+       cas_value t leaf i value;
+       true
+     end
 
 let delete t key =
   with_retry @@ fun () ->
-  let leaf, s, _ = to_leaf t key in
-  if is_frozen s then raise Restart;
-  match find_visible t leaf s key with
-  | None -> false
-  | Some i ->
-      if
-        mw t
-          [
-            { Pmwcas.pool = leaf.pool; off = leaf.off + off_status;
-              expected = s; desired = s };
-            { Pmwcas.pool = leaf.pool; off = rec_off leaf i; expected = 1; desired = 0 };
-          ]
-      then true
-      else raise Restart
+  let leaf, s, _, i = locate t key ~write:true in
+  i >= 0 && (mw t [ guard leaf s; word leaf.pool (rec_off leaf i) 1 0 ] || raise Restart)
+
+(* Resolve forwarding, then descend a bridge's leftmost spine down to
+   a leaf. *)
+let rec leftmost_leaf t n =
+  let n, s = resolve n in
+  if is_leaf s then (n, s) else leftmost_leaf t (node_of t.machine (leftmost n))
 
 (* Scan: snapshot each unsorted leaf, sort it (the per-node overhead
    the paper attributes to BzTree scans), follow the sibling chain
-   through replacement forwards. *)
-(* Resolve forwarding, then descend a bridge's leftmost spine down to
-   a leaf. *)
-let rec to_leaf_node t node =
-  let node, s = resolve node in
-  if is_leaf s then (node, s)
-  else to_leaf_node t (node_of t.machine (leftmost node))
-
+   through replacement forwards.  Every leaf's keys are held to
+   [>= key], host-side on the key already read: a leaf consolidated
+   into a split after the descent forwards the scan to the left half
+   first. *)
 let scan t key n_wanted =
   with_retry @@ fun () ->
   let probe_rep = Krep.probe_rep t.kr key in
   let acc = ref [] and taken = ref 0 in
   let rec walk node ~first =
-    let node, s = to_leaf_node t node in
+    let node, s = leftmost_leaf t node in
     let pairs = live_sorted t node s in
     let pairs =
       if first then
@@ -526,14 +441,17 @@ let scan t key n_wanted =
     List.iter
       (fun (kr, v) ->
         if !taken < n_wanted then begin
-          acc := (Krep.to_key t.kr kr, v) :: !acc;
-          incr taken
+          let k = Krep.to_key t.kr kr in
+          if Key.compare k key >= 0 then begin
+            acc := (k, v) :: !acc;
+            incr taken
+          end
         end)
       pairs;
     let nxt = next node in
     if !taken < n_wanted && not (Pptr.is_null nxt) then walk (node_of t.machine nxt) ~first:false
   in
-  let leaf, _, _ = to_leaf t key in
+  let leaf, _, _ = descend t (root t) [] ~probe_rep ~probe_key:key in
   walk leaf ~first:true;
   List.rev !acc
 
@@ -569,18 +487,14 @@ let recover t =
 let check_invariants t =
   (* walk the leaf chain from the leftmost leaf; the concatenation of
      per-leaf sorted live keys must be globally sorted *)
-  let rec to_leftmost n =
-    let n, s = resolve n in
-    if is_leaf s then n else to_leftmost (node_of t.machine (leftmost n))
-  in
   let rec walk n acc =
-    let n, s = to_leaf_node t n in
+    let n, s = leftmost_leaf t n in
     let keys = List.map (fun (kr, _) -> Krep.to_key t.kr kr) (live_sorted t n s) in
     let acc = acc @ keys in
     let nxt = next n in
     if Pptr.is_null nxt then acc else walk (node_of t.machine nxt) acc
   in
-  let all = walk (to_leftmost (root t)) [] in
+  let all = walk (fst (leftmost_leaf t (root t))) [] in
   if all <> List.sort Key.compare all then failwith "BzTree: chain not sorted";
   List.length all
 

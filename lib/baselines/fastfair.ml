@@ -77,7 +77,9 @@ let node_of machine ptr = { pool = Pmalloc.Registry.resolve machine ptr; off = P
 
 let to_ptr n = Pptr.make ~pool:(Pool.id n.pool) ~off:n.off
 
-let lockh n = { Vlock.pool = n.pool; off = n.off + off_lock }
+(* The lock word is the node's first field, so a node is its own lock
+   handle. *)
+let () = assert (off_lock = 0)
 
 let is_leaf n = Pobj.read_u8 n (off_leaf) = 1
 
@@ -125,7 +127,7 @@ let alloc_node t ~leaf =
   let ptr = Heap.alloc t.heap node_size in
   let n = node_of t.machine ptr in
   Pobj.fill_zero n 0 node_size;
-  Vlock.init (lockh n) ~gen;
+  Vlock.init n ~gen;
   Pobj.write_u8 n (off_leaf) (Bool.to_int leaf);
   (n, ptr)
 
@@ -158,34 +160,34 @@ let with_retry f =
   in
   go 0
 
-let check (h : Vlock.handle) v = if not (Vlock.validate h.pool h.off ~gen ~version:v) then raise Restart
+let check n v = if not (Vlock.validate n.pool n.off ~gen ~version:v) then raise Restart
 
 (* The root pointer is read without a lock; after pinning the root
    node (optimistically or exclusively) we must confirm it is still
    the root, else a concurrent root split could hide keys. *)
 let confirm_root t n = Pobj.read_int (Pobj.make t.meta 0) 0 = to_ptr n
 
+(* The optimistic descent of lookups and scans: each node is read
+   under its version and validated once its child pointer is read.
+   Returns the leaf with its version, not yet validated. *)
+let rec read_leaf t ~probe_rep ~probe_key ~at_root n =
+  let v = Vlock.begin_read n ~gen in
+  if at_root && not (confirm_root t n) then raise Restart;
+  if is_leaf n then (n, v)
+  else begin
+    let child = child_for t n ~probe_rep ~probe_key in
+    check n v;
+    read_leaf t ~probe_rep ~probe_key ~at_root:false (node_of t.machine child)
+  end
+
 let lookup t key =
   let probe_rep = Krep.probe_rep t.kr key in
-  let probe_key = key in
   with_retry @@ fun () ->
-  let rec descend ~at_root n =
-    let h = lockh n in
-    let v = Vlock.begin_read h ~gen in
-    if at_root && not (confirm_root t n) then raise Restart;
-    if is_leaf n then begin
-      let i = lower_bound t n ~probe_rep ~probe_key in
-      let r = if found t n i ~probe_rep ~probe_key then Some (val_at n i) else None in
-      check h v;
-      r
-    end
-    else begin
-      let child = child_for t n ~probe_rep ~probe_key in
-      check h v;
-      descend ~at_root:false (node_of t.machine child)
-    end
-  in
-  descend ~at_root:true (root t)
+  let n, v = read_leaf t ~probe_rep ~probe_key:key ~at_root:true (root t) in
+  let i = lower_bound t n ~probe_rep ~probe_key:key in
+  let r = if found t n i ~probe_rep ~probe_key:key then Some (val_at n i) else None in
+  check n v;
+  r
 
 (* ---------- writes ---------- *)
 
@@ -216,8 +218,7 @@ let line_of n i = rec_off n i / 64
    garbage slot is ever visible; {!recover} drops the duplicates.
    Concurrent readers never see the intermediate states (the node is
    locked; optimistic readers re-validate and restart). *)
-let insert_at t n i krep v =
-  ignore t;
+let insert_at n i krep v =
   let c = count n in
   if i < c then begin
     copy_record n ~src:(c - 1) ~dst:c;
@@ -246,8 +247,7 @@ let insert_at t n i krep v =
 (* Mirror image of [insert_at]: shift left-to-right with per-line
    fences (transient adjacent duplicate, never a lost or garbage
    record), then shrink the count. *)
-let remove_at t n i =
-  ignore t;
+let remove_at n i =
   let c = count n in
   for j = i to c - 2 do
     copy_record n ~src:(j + 1) ~dst:j;
@@ -288,6 +288,28 @@ let split_node t n =
   Pobj.persist n (off_count) 2;
   (sep, rptr)
 
+(* Split the locked, full node [n] (held at version [wv]) and place the
+   pending record [krep] -> [v], which compares as the probe, in the
+   half that covers it: keys >= the separator go to the new right node,
+   locked for the store.  Then pass the separator up, by the contract of
+   [insert]'s descent below. *)
+let split_and_place t n wv ~at_root ~release ~anc ~probe_rep ~probe_key krep v =
+  let sep, rptr = split_node t n in
+  let target =
+    if Krep.compare_with_key t.kr sep ~probe_rep ~probe_key <= 0 then node_of t.machine rptr
+    else n
+  in
+  let same = target.off = n.off && target.pool == n.pool in
+  let twv = if same then wv else Vlock.acquire target ~gen in
+  let i = lower_bound t target ~probe_rep ~probe_key in
+  insert_at target i (Lazy.force krep) v;
+  if not same then Vlock.release target ~gen ~version:twv;
+  if at_root then Some (sep, rptr, release)
+  else begin
+    release ();
+    Some (sep, rptr, anc)
+  end
+
 (* Write descent with lock coupling (as in the real FastFair): each
    node is locked on entry; once a node is "safe" (not full, so no
    split can propagate above it) the whole ancestor chain is released,
@@ -305,23 +327,10 @@ let insert t key value =
   let probe_key = key in
   let krep = lazy (Krep.of_key t.kr key) in
   let probe_rep = Krep.probe_rep t.kr key in
-  (* compare two kreps: [a] is read whole, then [b] compared in place *)
-  let cmp_krep a b = -Krep.compare_with_key t.kr b ~probe_rep:a ~probe_key:(Krep.to_key t.kr a) in
-  let sep_lower_bound n sep =
-    let c = count n in
-    let rec go lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if cmp_krep (krep_at n mid) sep < 0 then go (mid + 1) hi else go lo mid
-    in
-    go 0 c
-  in
   with_retry @@ fun () ->
   let rec descend ~at_root ~ancestors_release n =
-    let h = lockh n in
-    let wv = Vlock.acquire h ~gen in
-    let release () = Vlock.release h ~gen ~version:wv in
+    let wv = Vlock.acquire n ~gen in
+    let release () = Vlock.release n ~gen ~version:wv in
     if at_root && not (confirm_root t n) then begin
       release ();
       ancestors_release ();
@@ -346,29 +355,11 @@ let insert t key value =
         None
       end
       else if safe then begin
-        insert_at t n i (Lazy.force krep) value;
+        insert_at n i (Lazy.force krep) value;
         release ();
         None
       end
-      else begin
-        let sep, rptr = split_node t n in
-        (* place the pending pair in the correct half *)
-        let target =
-          if Krep.compare_with_key t.kr sep ~probe_rep ~probe_key < 0 then
-            node_of t.machine rptr
-          else n
-        in
-        let same = target.off = n.off && target.pool == n.pool in
-        let twv = if same then wv else Vlock.acquire (lockh target) ~gen in
-        let i = lower_bound t target ~probe_rep ~probe_key in
-        insert_at t target i (Lazy.force krep) value;
-        if not same then Vlock.release (lockh target) ~gen ~version:twv;
-        if at_root then Some (sep, rptr, release)
-        else begin
-          release ();
-          Some (sep, rptr, anc)
-        end
-      end
+      else split_and_place t n wv ~at_root ~release ~anc ~probe_rep ~probe_key krep value
     end
     else begin
       let child = child_for t n ~probe_rep ~probe_key in
@@ -379,26 +370,18 @@ let insert t key value =
       match descend ~at_root:false ~ancestors_release:anc_for_child (node_of t.machine child) with
       | None -> None (* self + ancestors released by the child *)
       | Some (sep, rptr, _child_anc) ->
-          (* we are still locked (the child was full, so we were kept) *)
+          (* we are still locked (the child was full, so we were kept);
+             the separator is placed as a probe *)
+          let sep_key = Krep.to_key t.kr sep in
           if count n < cap then begin
-            insert_at t n (sep_lower_bound n sep) sep rptr;
+            insert_at n (lower_bound t n ~probe_rep:sep ~probe_key:sep_key) sep rptr;
             release ();
             anc ();
             None
           end
-          else begin
-            let nsep, nright = split_node t n in
-            let target = if cmp_krep sep nsep >= 0 then node_of t.machine nright else n in
-            let same = target.off = n.off && target.pool == n.pool in
-            let twv = if same then wv else Vlock.acquire (lockh target) ~gen in
-            insert_at t target (sep_lower_bound target sep) sep rptr;
-            if not same then Vlock.release (lockh target) ~gen ~version:twv;
-            if at_root then Some (nsep, nright, release)
-            else begin
-              release ();
-              Some (nsep, nright, anc)
-            end
-          end
+          else
+            split_and_place t n wv ~at_root ~release ~anc ~probe_rep:sep ~probe_key:sep_key
+              (Lazy.from_val sep) rptr
     end
   in
   let r = root t in
@@ -418,108 +401,81 @@ let insert t key value =
       Pobj.persist mo 0 8;
       release_root ()
 
+(* The descent of updates and deletes: optimistic through the internal
+   nodes, then the leaf is locked.  Returns the locked leaf and its
+   lock version. *)
+let rec lock_leaf t ~probe_rep ~probe_key ~at_root n =
+  if is_leaf n then begin
+    let wv = Vlock.acquire n ~gen in
+    if at_root && not (confirm_root t n) then begin
+      Vlock.release n ~gen ~version:wv;
+      raise Restart
+    end;
+    (n, wv)
+  end
+  else begin
+    let v = Vlock.begin_read n ~gen in
+    if at_root && not (confirm_root t n) then raise Restart;
+    let child = child_for t n ~probe_rep ~probe_key in
+    check n v;
+    lock_leaf t ~probe_rep ~probe_key ~at_root:false (node_of t.machine child)
+  end
+
+(* [f n i] on the slot [i] of [key] in its locked leaf [n]; [false]
+   when the key is absent. *)
+let with_key_locked t key f =
+  let probe_rep = Krep.probe_rep t.kr key in
+  with_retry @@ fun () ->
+  let n, wv = lock_leaf t ~probe_rep ~probe_key:key ~at_root:true (root t) in
+  let i = lower_bound t n ~probe_rep ~probe_key:key in
+  let found = found t n i ~probe_rep ~probe_key:key in
+  if found then f n i;
+  Vlock.release n ~gen ~version:wv;
+  found
 
 let update t key value =
-  let probe_rep = Krep.probe_rep t.kr key in
-  with_retry @@ fun () ->
-  let rec descend ~at_root n =
-    if is_leaf n then begin
-      let h = lockh n in
-      let wv = Vlock.acquire h ~gen in
-      if at_root && not (confirm_root t n) then begin
-        Vlock.release h ~gen ~version:wv;
-        raise Restart
-      end;
-      let i = lower_bound t n ~probe_rep ~probe_key:key in
-      let found = found t n i ~probe_rep ~probe_key:key in
-      if found then begin
-        Pobj.write_int n (rec_rel i + 8) value;
-        Pobj.persist n (rec_rel i + 8) 8
-      end;
-      Vlock.release h ~gen ~version:wv;
-      found
-    end
-    else begin
-      let h = lockh n in
-      let v = Vlock.begin_read h ~gen in
-      if at_root && not (confirm_root t n) then raise Restart;
-      let child = child_for t n ~probe_rep ~probe_key:key in
-      check h v;
-      descend ~at_root:false (node_of t.machine child)
-    end
-  in
-  descend ~at_root:true (root t)
+  with_key_locked t key (fun n i ->
+      Pobj.write_int n (rec_rel i + 8) value;
+      Pobj.persist n (rec_rel i + 8) 8)
 
-let delete t key =
-  let probe_rep = Krep.probe_rep t.kr key in
-  with_retry @@ fun () ->
-  let rec descend ~at_root n =
-    if is_leaf n then begin
-      let h = lockh n in
-      let wv = Vlock.acquire h ~gen in
-      if at_root && not (confirm_root t n) then begin
-        Vlock.release h ~gen ~version:wv;
-        raise Restart
-      end;
-      let i = lower_bound t n ~probe_rep ~probe_key:key in
-      let found = found t n i ~probe_rep ~probe_key:key in
-      if found then remove_at t n i;
-      Vlock.release h ~gen ~version:wv;
-      found
-    end
-    else begin
-      let h = lockh n in
-      let v = Vlock.begin_read h ~gen in
-      if at_root && not (confirm_root t n) then raise Restart;
-      let child = child_for t n ~probe_rep ~probe_key:key in
-      check h v;
-      descend ~at_root:false (node_of t.machine child)
-    end
-  in
-  descend ~at_root:true (root t)
+let delete t key = with_key_locked t key (fun n i -> remove_at n i)
 
 (* Scan: locate the first leaf, then follow the sorted leaf chain —
-   FastFair's strength (sequential NVM reads, GA5). *)
+   FastFair's strength (sequential NVM reads, GA5).  Every leaf's keys
+   are held to [>= key], host-side on the key already read: a leaf that
+   split after the descent has handed keys below [key] to its
+   successor. *)
 let scan t key n_wanted =
   let probe_rep = Krep.probe_rep t.kr key in
   with_retry @@ fun () ->
-  let rec find_leaf ~at_root n =
-    let h = lockh n in
-    let v = Vlock.begin_read h ~gen in
-    if at_root && not (confirm_root t n) then raise Restart;
-    if is_leaf n then (n, h, v)
-    else begin
-      let child = child_for t n ~probe_rep ~probe_key:key in
-      check h v;
-      find_leaf ~at_root:false (node_of t.machine child)
-    end
-  in
   let acc = ref [] and taken = ref 0 in
-  let rec walk n h v ~first =
+  let rec walk n v ~first =
     let c = count n in
     let start =
       if first then lower_bound t n ~probe_rep ~probe_key:key else 0
     in
-    let batch = ref [] in
+    let batch = ref [] and b = ref 0 in
     let i = ref start in
-    while !i < c && !taken + List.length !batch < n_wanted do
-      batch := (Krep.to_key t.kr (krep_at n !i), val_at n !i) :: !batch;
+    while !i < c && !taken + !b < n_wanted do
+      let k = Krep.to_key t.kr (krep_at n !i) in
+      if Key.compare k key >= 0 then begin
+        batch := (k, val_at n !i) :: !batch;
+        incr b
+      end;
       incr i
     done;
     let nxt = next n in
-    check h v;
+    check n v;
     (* [batch] is newest-first; keep [acc] globally newest-first *)
     acc := !batch @ !acc;
-    taken := !taken + List.length !batch;
+    taken := !taken + !b;
     if !taken < n_wanted && not (Pptr.is_null nxt) then begin
       let n' = node_of t.machine nxt in
-      let h' = lockh n' in
-      let v' = Vlock.begin_read h' ~gen in
-      walk n' h' v' ~first:false
+      walk n' (Vlock.begin_read n' ~gen) ~first:false
     end
   in
-  let leaf, h, v = find_leaf ~at_root:true (root t) in
-  walk leaf h v ~first:true;
+  let leaf, v = read_leaf t ~probe_rep ~probe_key:key ~at_root:true (root t) in
+  walk leaf v ~first:true;
   List.rev !acc
 
 (* ---------- recovery ---------- *)
@@ -535,18 +491,17 @@ let scan t key n_wanted =
    a fresh root.  Old internal nodes are abandoned; an interrupted SMO
    that had not yet inserted its parent separator is thereby completed
    rather than unwound. *)
+let rec leftmost_leaf t n = if is_leaf n then n else leftmost_leaf t (node_of t.machine (leftmost n))
+
 let recover t =
   Heap.recover t.heap;
-  let rec leftmost_leaf n =
-    if is_leaf n then n else leftmost_leaf (node_of t.machine (leftmost n))
-  in
-  let first = leftmost_leaf (root t) in
+  let first = leftmost_leaf t (root t) in
   (* Pass 1: leaf repair.  Keep records in strictly increasing global
      key order; rewrite nodes that shrank. *)
   let leaves = ref [] in
   let last = ref None in
   let rec walk n =
-    Vlock.init (lockh n) ~gen;
+    Vlock.init n ~gen;
     let c = count n in
     let keep = ref [] and kept = ref 0 in
     for i = 0 to c - 1 do
@@ -607,9 +562,6 @@ let recover t =
 (* ---------- invariant check (tests) ---------- *)
 
 let check_invariants t =
-  let rec leftmost_leaf n =
-    if is_leaf n then n else leftmost_leaf (node_of t.machine (leftmost n))
-  in
   let rec walk n acc =
     let c = count n in
     let keys = List.init c (fun i -> Krep.to_key t.kr (krep_at n i)) in
@@ -619,7 +571,7 @@ let check_invariants t =
     let nxt = next n in
     if Pptr.is_null nxt then acc else walk (node_of t.machine nxt) acc
   in
-  let all = walk (leftmost_leaf (root t)) [] in
+  let all = walk (leftmost_leaf t (root t)) [] in
   let sorted = List.sort Key.compare all in
   if all <> sorted then failwith "FastFair: leaf chain not globally sorted";
   List.length all

@@ -109,19 +109,30 @@ let to_leaf t key =
   Htm.execute t.htm ~footprint_lines:(footprint t) ~duration:(traversal_duration t)
     (fun () -> find_leaf_dram t key)
 
+(* Does [leaf] still cover [key]?  A split moves the keys from the new
+   leaf's anchor up to it, behind [leaf]'s next pointer. *)
+let covers t leaf key =
+  let nxt = Node.next leaf in
+  Pptr.is_null nxt
+  || Node.compare_anchor (Pmalloc.Registry.resolve t.machine nxt) (Pptr.off nxt) key > 0
+
+(* A validated hit needs no range check: every live key is in exactly
+   one leaf.  A miss checks, under the same version, that a split did
+   not move the key on between the DRAM lookup and the leaf read, and
+   traverses again if it did. *)
 let lookup t key =
-  let ptr = to_leaf t key in
-  let leaf = Node.of_ptr t.machine ptr in
-  let h = Node.lock_handle leaf in
-  let rec read attempt =
+  let rec read leaf attempt =
     if attempt > 10_000 then failwith "FPTree: read livelock";
+    let h = Node.lock_handle leaf in
     let v = Vlock.begin_read h ~gen:t.gen in
     let slot = Node.find t.lay leaf key in
     let r = if slot >= 0 then Some (Node.found_value ()) else None in
-    if Vlock.validate h.pool h.off ~gen:t.gen ~version:v then r
-    else read (attempt + 1)
+    let moved = slot < 0 && not (covers t leaf key) in
+    if not (Vlock.validate h.pool h.off ~gen:t.gen ~version:v) then read leaf (attempt + 1)
+    else if moved then read (Node.of_ptr t.machine (to_leaf t key)) (attempt + 1)
+    else r
   in
-  read 0
+  read (Node.of_ptr t.machine (to_leaf t key)) 0
 
 (* Split a locked, full leaf; returns the leaf now hosting [key].  A
    split micro-log entry brackets the operation (FPTree's crash
@@ -153,76 +164,72 @@ let split_leaf t leaf key =
   Pool.persist t.meta off_log 8;
   if Key.compare key median < 0 then leaf else nleaf
 
+let release t leaf wv = Vlock.release (Node.lock_handle leaf) ~gen:t.gen ~version:wv
+
 let rec locked_leaf t key attempt =
   if attempt > 10_000 then failwith "FPTree: writer livelock";
   let ptr = to_leaf t key in
   let leaf = Node.of_ptr t.machine ptr in
-  let h = Node.lock_handle leaf in
-  let wv = Vlock.acquire h ~gen:t.gen in
+  let wv = Vlock.acquire (Node.lock_handle leaf) ~gen:t.gen in
   (* the leaf may have split between traversal and lock *)
-  let nxt = Node.next leaf in
-  let still_covers =
-    Pptr.is_null nxt
-    || Node.compare_anchor (Pmalloc.Registry.resolve t.machine nxt) (Pptr.off nxt) key > 0
-  in
-  if still_covers then (leaf, wv)
+  if covers t leaf key then (leaf, wv)
   else begin
-    Vlock.release h ~gen:t.gen ~version:wv;
+    release t leaf wv;
     locked_leaf t key (attempt + 1)
   end
 
+(* Insert the absent [key] into the locked [leaf], which has room. *)
+let place t leaf key value =
+  match Node.insert t.lay leaf key value with
+  | Node.Ok -> t.cardinal_estimate <- t.cardinal_estimate + 1
+  | Node.Full | Node.Absent -> assert false
+
 let insert t key value =
   let leaf, wv = locked_leaf t key 0 in
-  let release l v = Vlock.release (Node.lock_handle l) ~gen:t.gen ~version:v in
   match Node.find t.lay leaf key with
   | slot when slot >= 0 ->
       ignore (Node.update t.lay leaf key value);
-      release leaf wv
+      release t leaf wv
   | _ -> (
       match Node.insert t.lay leaf key value with
       | Node.Ok ->
           t.cardinal_estimate <- t.cardinal_estimate + 1;
-          release leaf wv
+          release t leaf wv
       | Node.Full ->
+          (* the pair goes to the half that covers it; a new right half
+             is locked for it *)
           let target = split_leaf t leaf key in
-          if Node.equal target leaf then begin
-            (match Node.insert t.lay leaf key value with
-            | Node.Ok -> ()
-            | Node.Full | Node.Absent -> assert false);
-            t.cardinal_estimate <- t.cardinal_estimate + 1;
-            release leaf wv
-          end
+          if Node.equal target leaf then place t leaf key value
           else begin
-            let h2 = Node.lock_handle target in
-            let wv2 = Vlock.acquire h2 ~gen:t.gen in
-            (match Node.insert t.lay target key value with
-            | Node.Ok -> ()
-            | Node.Full | Node.Absent -> assert false);
-            t.cardinal_estimate <- t.cardinal_estimate + 1;
-            release target wv2;
-            release leaf wv
-          end
+            let wv2 = Vlock.acquire (Node.lock_handle target) ~gen:t.gen in
+            place t target key value;
+            release t target wv2
+          end;
+          release t leaf wv
       | Node.Absent -> assert false)
 
 let update t key value =
   let leaf, wv = locked_leaf t key 0 in
   let r = Node.update t.lay leaf key value in
-  Vlock.release (Node.lock_handle leaf) ~gen:t.gen ~version:wv;
+  release t leaf wv;
   r = Node.Ok
 
 let delete t key =
   let leaf, wv = locked_leaf t key 0 in
   let r = Node.delete t.lay leaf key in
   if r = Node.Ok then t.cardinal_estimate <- t.cardinal_estimate - 1;
-  Vlock.release (Node.lock_handle leaf) ~gen:t.gen ~version:wv;
+  release t leaf wv;
   r = Node.Ok
 
 (* Scan: no cached permutation — sort every visited leaf, every time
-   (FPTree's scan overhead). *)
+   (FPTree's scan overhead).  Every leaf's keys are held to [>= key]:
+   a leaf that split after the DRAM lookup has handed the keys from its
+   new bound up to [key] to its successor.  The test reads the thread's
+   sorted copy, not the leaf. *)
 let scan t key n_wanted =
   let acc = ref [] and taken = ref 0 in
   let slots = Node.thread_slots () in
-  let rec scan_leaf ptr ~first attempt =
+  let rec scan_leaf ptr attempt =
     if attempt > 10_000 then failwith "FPTree: scan livelock"
     else if !taken < n_wanted && not (Pptr.is_null ptr) then begin
       let leaf = Node.of_ptr t.machine ptr in
@@ -232,8 +239,7 @@ let scan t key n_wanted =
       let batch = ref [] and n = ref 0 in
       for i = 0 to live - 1 do
         let slot = slots.(i) in
-        if !taken + !n < n_wanted && ((not first) || Node.compare_sorted_key t.lay slot key >= 0)
-        then begin
+        if !taken + !n < n_wanted && Node.compare_sorted_key t.lay slot key >= 0 then begin
           let v = Node.value_at t.lay leaf slot in
           batch := (Node.sorted_key t.lay slot, v) :: !batch;
           incr n
@@ -243,12 +249,12 @@ let scan t key n_wanted =
       if Vlock.validate h.pool h.off ~gen:t.gen ~version:v then begin
         acc := !batch @ !acc;
         taken := !taken + !n;
-        scan_leaf nxt ~first:false 0
+        scan_leaf nxt 0
       end
-      else scan_leaf ptr ~first attempt
+      else scan_leaf ptr (attempt + 1)
     end
   in
-  scan_leaf (to_leaf t key) ~first:true 0;
+  scan_leaf (to_leaf t key) 0;
   List.rev !acc
 
 (* Restart: leaves survive; the DRAM internal layer is rebuilt by

@@ -380,36 +380,26 @@ let slot_mask slots ~pos ~len =
 
 type write_result = Ok | Full | Absent
 
-(* Rebuild and (ablation only) persist the permutation array; caller
-   decides when.  The stamp ties the array to the lock version so
-   readers can detect staleness (§5.2).  Both writes are transient
-   unless persist_perm flushes them below. *)
+(* The permutation array caches a node's sorted order for scans
+   (§5.2), stamped with the lock word it is valid for: any write
+   changes the word and so voids it.  Both are transient unless the
+   persist_perm ablation flushes them. *)
 let write_permutation t order n =
   Pobj.Sanitizer.with_suppressed @@ fun () ->
   for i = 0 to n - 1 do
     Pobj.write_u8 t (off_permutation + i) order.(i)
   done
 
-let stamp_permutation t =
-  (* Record the raw lock word so any later writer invalidates it. *)
-  let word = Pobj.get_int t f_lock in
-  Pobj.set_int t f_perm_version word
-
-let rebuild_permutation lay t =
-  let c = thread_copy () in
-  let n = sort_into lay t c.image c.slots in
-  write_permutation t c.slots n;
-  stamp_permutation t;
+let stamp_permutation lay t word =
+  Pobj.set_int t f_perm_version word;
   if lay.persist_perm then begin
     Pobj.flush t off_permutation entries;
     Pobj.persist_field t f_perm_version
-  end;
-  n
+  end
 
-let permutation_fresh t = Pobj.get_int t f_perm_version = Pobj.get_int t f_lock
-
-let refresh_permutation lay t =
-  if permutation_fresh t then live_count t else rebuild_permutation lay t
+(* The stamp while a reader writes the array: no lock word is
+   negative, so no reader takes the array for fresh meanwhile. *)
+let publishing = -1
 
 let persist_slot lay t slot =
   Pobj.flush t (entry_off lay slot) lay.stride;
@@ -420,8 +410,15 @@ let persist_bitmap t =
   Pobj.flush_field t f_bitmap;
   Pobj.fence t
 
+(* The ablation's writer rebuilds and flushes the array under its
+   lock, so the word it stamps cannot change under it. *)
 let maybe_persist_perm lay t =
-  if lay.persist_perm then ignore (rebuild_permutation lay t)
+  if lay.persist_perm then begin
+    let c = thread_copy () in
+    let n = sort_into lay t c.image c.slots in
+    write_permutation t c.slots n;
+    stamp_permutation lay t (Pobj.get_int t f_lock)
+  end
 
 (* [f] inside a [Dnode_insert] span, without a closure per call. *)
 let in_insert_span f lay t k v =
@@ -487,18 +484,44 @@ let update_slot lay t k v =
 
 let update lay t k v = in_insert_span update_slot lay t k v
 
+(* Emit the pairs of [t] in the order of the node's permutation array
+   ([copy = None]) or of the thread's sorted copy, from the first key
+   >= [k]. *)
+let rec scan_order lay t k ~f copy i n =
+  if i >= n then true
+  else
+    let slot =
+      match copy with None -> Pobj.read_u8 t (off_permutation + i) | Some slots -> slots.(i)
+    in
+    if compare_key_at lay t slot k < 0 then scan_order lay t k ~f copy (i + 1) n
+    else if f (key_at lay t slot) (value_at lay t slot) then scan_order lay t k ~f copy (i + 1) n
+    else false
+
+(* A stale array is rebuilt by the reader: it sorts the live keys, then
+   publishes the order stamped with the lock word it read before the
+   sort, so a write that lands during the sort leaves the stamp stale.
+   Only the reader that claims the stamp, by a CAS from the stale value
+   it read, writes the array; two readers that sorted at different
+   versions would otherwise interleave their writes under a fresh
+   stamp.  A reader that loses the claim scans from its own copy. *)
 let scan_from lay t k ~f =
   Obs.Span.with_phase Obs.Span.Dnode_scan @@ fun () ->
-  let n = refresh_permutation lay t in
-  let rec go i =
-    if i >= n then true
-    else
-      let slot = Pobj.read_u8 t (off_permutation + i) in
-      if compare_key_at lay t slot k < 0 then go (i + 1)
-      else if f (key_at lay t slot) (value_at lay t slot) then go (i + 1)
-      else false
-  in
-  go 0
+  let word = Pobj.get_int t f_lock in
+  let stamp = Pobj.get_int t f_perm_version in
+  if stamp = word then scan_order lay t k ~f None 0 (live_count t)
+  else begin
+    let c = thread_copy () in
+    let n = sort_into lay t c.image c.slots in
+    if
+      stamp <> publishing
+      && Pobj.transient_cas t (Layout.off f_perm_version) ~expected:stamp publishing
+    then begin
+      write_permutation t c.slots n;
+      stamp_permutation lay t word;
+      scan_order lay t k ~f None 0 n
+    end
+    else scan_order lay t k ~f (Some c.slots) 0 n
+  end
 
 let low_bits n = if n >= entries then -1L else Int64.pred (Int64.shift_left 1L n)
 

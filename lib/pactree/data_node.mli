@@ -192,15 +192,15 @@ val update : layout -> t -> Key.t -> int -> write_result
 
 (** {2 Scans (§5.4)} *)
 
-(** Ensure the permutation array matches the node version; rebuilds it
-    (sorting live keys) when stale.  Returns the number of live
-    entries. *)
-val refresh_permutation : layout -> t -> int
-
 (** [scan_from lay t key ~f] iterates live pairs with key >= [key] in
-    sorted order via the permutation array, calling [f key value];
-    stops early when [f] returns [false].  Returns [false] if it was
-    stopped early. *)
+    sorted order, calling [f key value]; stops early when [f] returns
+    [false].  Returns [false] if it was stopped early.  The order comes
+    from the permutation array when its stamp matches the lock word;
+    otherwise the reader sorts the live keys and publishes the order
+    stamped with the word it read before the sort, if it claims the
+    stamp from the stale value it read (one publisher at a time), or
+    scans its own sorted copy if it does not.  [f] must not sort a node
+    (see {!sort_live}). *)
 val scan_from : layout -> t -> Key.t -> f:(Key.t -> int -> bool) -> bool
 
 (** {2 SMO helpers (§5.6), sequencing controlled by {!Tree}} *)

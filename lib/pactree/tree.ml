@@ -555,10 +555,24 @@ let scan_locked t key count =
       else begin
         let batch = ref [] and batch_n = ref 0 in
         let budget = count - !taken in
+        (* Keys the scan has passed can come round again: a node that
+           split after [locate] found it hands the keys from its new
+           bound up to [key] to its successor, and a node merged into
+           its left neighbour sends the scan back to keys it emitted.
+           So a key is kept only above the last one emitted (at or
+           above [key] before the first). *)
         let keep k value =
-          batch := (k, value) :: !batch;
-          incr batch_n;
-          !batch_n < budget
+          let passed =
+            match (!batch, !acc) with
+            | (last, _) :: _, _ | [], (last, _) :: _ -> Key.compare k last <= 0
+            | [], [] -> Key.compare k key < 0
+          in
+          if passed then true
+          else begin
+            batch := (k, value) :: !batch;
+            incr batch_n;
+            !batch_n < budget
+          end
         in
         ignore (Node.scan_from t.lay node low ~f:keep);
         let nxt = Node.next node in

@@ -75,57 +75,22 @@ let update t k v = Index.update t.shards.(shard_of_key t k).s_backend.b_index k 
 
 let delete t k = Index.delete t.shards.(shard_of_key t k).s_backend.b_index k
 
-(* K-way merge of per-shard sorted runs.  Shard ranges are disjoint
-   today, but the merge stays correct if they ever overlap (e.g. mid-
-   rebalance); equal keys keep the first (lowest-shard) occurrence. *)
-let kway_merge n runs =
-  let runs = Array.of_list runs in
-  let nruns = Array.length runs in
-  let best () =
-    let b = ref (-1) in
-    for i = 0 to nruns - 1 do
-      match runs.(i) with
-      | [] -> ()
-      | (k, _) :: _ -> (
-          match !b with
-          | -1 -> b := i
-          | j ->
-              let bk, _ = List.hd runs.(j) in
-              if Key.compare k bk < 0 then b := i)
-    done;
-    !b
-  in
-  let rec go acc n =
-    if n = 0 then List.rev acc
-    else
-      match best () with
-      | -1 -> List.rev acc
-      | i ->
-          let ((k, _) as hd) = List.hd runs.(i) in
-          runs.(i) <- List.tl runs.(i);
-          (* drop duplicates of k at the head of other runs *)
-          for j = 0 to nruns - 1 do
-            match runs.(j) with
-            | (k', _) :: tl when Key.equal k k' -> runs.(j) <- tl
-            | _ -> ()
-          done;
-          go (hd :: acc) (n - 1)
-  in
-  go [] n
-
+(* Shards own disjoint key ranges in shard order ([create] requires
+   strictly increasing boundaries), so the per-shard runs, fetched in
+   shard order, are already sorted and disjoint: the result is their
+   concatenation, cut to [n]. *)
 let scan t k n =
   if n <= 0 then []
   else begin
     let nshards = Array.length t.shards in
-    let owner = shard_of_key t k in
     (* fetch successor shards only while the result can still grow *)
     let rec fetch acc total i =
-      if total >= n || i >= nshards then List.rev acc
+      if total >= n || i >= nshards then List.filteri (fun j _ -> j < n) (List.concat (List.rev acc))
       else
         let run = Index.scan t.shards.(i).s_backend.b_index k n in
         fetch (run :: acc) (total + List.length run) (i + 1)
     in
-    kway_merge n (fetch [] 0 owner)
+    fetch [] 0 (shard_of_key t k)
   end
 
 module Index_impl = struct

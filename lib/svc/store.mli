@@ -7,8 +7,9 @@
     the target domain; allocation in this simulator is NUMA-local to
     the calling thread, so shard workers pinned to that domain keep
     the shard's data local).  A boundary-key map routes every key to
-    exactly one shard; cross-shard [scan] k-way-merges the per-shard
-    iterators so results stay globally ordered across boundaries.
+    exactly one shard.  Shards own disjoint ranges in shard order, so a
+    cross-shard [scan] concatenates the per-shard scans and stays
+    globally ordered across boundaries.
 
     {b Durability.}  Every operation goes straight to the owning
     shard's index, and every backend is durably linearizable op by op
@@ -76,7 +77,8 @@ val update : t -> Pactree.Key.t -> int -> bool
 
 val delete : t -> Pactree.Key.t -> bool
 
-(** Ordered cross-shard scan: k-way merge of per-shard scans, fetching
+(** Ordered cross-shard scan: the per-shard scans from the owning
+    shard on, concatenated in shard order and cut to [n], fetching
     successor shards only while the result can still grow. *)
 val scan : t -> Pactree.Key.t -> int -> (Pactree.Key.t * int) list
 

@@ -17,4 +17,5 @@ let () =
       ("svc", Test_svc.suite);
       ("obs", Test_obs.suite);
       ("registry", Test_registry.suite);
+      ("smo_readers", Test_smo_readers.suite);
     ]

@@ -463,6 +463,40 @@ let test_pdlart_scan_reads () =
   check_reads "PDL-ART scan, per emitted record" 7.3235 (per_record reads);
   check_ceiling "PDL-ART scan, per emitted record" 5.0 (per_record words)
 
+(* The B+-tree baselines on the same loaded index: charged line reads
+   per lookup, and words-per-call ceilings of their lookups and of
+   inserts of 10K fresh keys.  The words include the [Some] of a hit
+   and, for an insert, the stored key's representation and any split
+   the insert causes. *)
+let test_baseline_reads () =
+  List.iter
+    (fun (sys, pinned_reads, lookup_ceiling, insert_ceiling) ->
+      let what op = Printf.sprintf "%s %s" (Experiments.Factory.name sys) op in
+      let machine = Machine.create ~numa_count:2 () in
+      let index = (Experiments.Factory.make_backend machine sys).Baselines.System.b_index in
+      let lookup i = ignore (Baselines.Index_intf.lookup index (read_key i) : int option) in
+      let fresh = read_keys / 2 in
+      let reads, lookup_words, insert_words =
+        in_sim (fun () ->
+            for i = 0 to read_keys - 1 do
+              Baselines.Index_intf.insert index (read_key i) i
+            done;
+            let reads = reads_per_call machine read_keys lookup in
+            let lookup_words = words_per_call read_keys lookup in
+            ( reads,
+              lookup_words,
+              words_per_call fresh (fun i ->
+                  Baselines.Index_intf.insert index (read_key (read_keys + i)) i) ))
+      in
+      check_reads (what "lookup") pinned_reads reads;
+      check_ceiling (what "lookup") lookup_ceiling lookup_words;
+      check_ceiling (what "insert of a fresh key") insert_ceiling insert_words)
+    [
+      (Experiments.Factory.Fastfair_sys, 44.0672, 148.0, 380.0);
+      (Experiments.Factory.Bztree_sys, 38.2268, 188.0, 672.0);
+      (Experiments.Factory.Fptree_sys, 5.0754, 59.0, 104.0);
+    ]
+
 (* ---------- resident pool bytes ---------- *)
 
 (* Host bytes held by every pool image of each system after a 20K-key
@@ -540,6 +574,7 @@ let () =
           Alcotest.test_case "pdlart lookup line reads" `Quick test_pdlart_line_reads;
           Alcotest.test_case "pdlart insert + delete line reads" `Quick test_pdlart_writer_reads;
           Alcotest.test_case "pdlart scan line reads" `Quick test_pdlart_scan_reads;
+          Alcotest.test_case "baseline lookup line reads + words" `Quick test_baseline_reads;
           Alcotest.test_case "resident pool bytes" `Quick test_resident_bytes;
         ] );
     ]

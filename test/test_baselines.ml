@@ -46,7 +46,7 @@ let model_agreement (idx : Baselines.Index_intf.index) seed =
   let model = Hashtbl.create 256 in
   for _ = 0 to 2999 do
     let k = Des.Rng.int rng 800 in
-    match Des.Rng.int rng 4 with
+    match Des.Rng.int rng 5 with
     | 0 | 1 ->
         let v = Des.Rng.int rng 10_000 in
         insert idx (ik k) v;
@@ -55,6 +55,11 @@ let model_agreement (idx : Baselines.Index_intf.index) seed =
         let was = delete idx (ik k) in
         if was <> Hashtbl.mem model k then Alcotest.failf "delete mismatch on %d" k;
         Hashtbl.remove model k
+    | 3 ->
+        let v = Des.Rng.int rng 10_000 in
+        let hit = update idx (ik k) v in
+        if hit <> Hashtbl.mem model k then Alcotest.failf "update mismatch on %d" k;
+        if hit then Hashtbl.replace model k v
     | _ ->
         if lookup idx (ik k) <> Hashtbl.find_opt model k then
           Alcotest.failf "lookup mismatch on %d" k

@@ -4,7 +4,10 @@
    This suite pins the simulated outcome of small runs as exact floats
    (printed with [%h], so no rounding hides a drift):
 
-   - closed loop: PACTree under YCSB A through [Workload.Runner.run];
+   - closed loop: PACTree under YCSB A through [Workload.Runner.run],
+     and FastFair, BzTree and FPTree under YCSB A, C and E, so that a
+     refactor of a baseline's descent or split path is held to the
+     same accesses and persists;
    - open loop: Poisson arrivals into a 2-shard PACTree [Svc.Store]
      through [Svc.Engine.run];
    - crashmc: each index's report line for the sweep the [@ci] alias
@@ -42,13 +45,13 @@ let of_run ~elapsed ~completed ~latency ~nvm =
     media_write_bytes = Nvm.Stats.total_write_bytes nvm;
   }
 
-let closed_loop sys =
+let closed_loop ?(mix = Workload.Ycsb.Workload_a) sys =
   let machine = Nvm.Machine.create ~numa_count:2 () in
   let scale = Experiments.Scale.make ~keys:3_000 ~ops:2_000 ~thread_counts:[] in
   let b = Experiments.Factory.make_backend machine ~scale sys in
   let r =
     Workload.Runner.run ~machine ~index:b.b_index ?service:b.b_service
-      ~mix:Workload.Ycsb.Workload_a ~kind:Workload.Keyset.Int_keys ~loaded:3_000 ~ops:2_000
+      ~mix ~kind:Workload.Keyset.Int_keys ~loaded:3_000 ~ops:2_000
       ~threads:8 ~seed:7L ()
   in
   of_run ~elapsed:r.Workload.Runner.elapsed ~completed:r.Workload.Runner.ops
@@ -116,6 +119,134 @@ let test_closed_loop () =
       media_write_bytes = 933120;
     }
 
+(* The three B+-tree baselines, each under a write mix (YCSB A: splits
+   and upserts), a read mix (YCSB C: descents only) and a scan mix
+   (YCSB E: leaf-chain walks).  In the FPTree YCSB A run, five lookups
+   meet a leaf that split after the DRAM lookup and traverse again. *)
+let baseline_pins =
+  [
+    ( "FastFair YCSB A",
+      Experiments.Factory.Fastfair_sys,
+      Workload.Ycsb.Workload_a,
+      {
+        elapsed = 0x1.9380acb6f894cp-11;
+        completed = 2000;
+        p50 = 0x1.02b7d4e8dc8p-19;
+        p99 = 0x1.e22834c4b16p-17;
+        flushes = 6247;
+        fences = 5887;
+        media_read_bytes = 2135040;
+        media_write_bytes = 1538560;
+      } );
+    ( "FastFair YCSB C",
+      Experiments.Factory.Fastfair_sys,
+      Workload.Ycsb.Workload_c,
+      {
+        elapsed = 0x1.98546ad36cdep-14;
+        completed = 2000;
+        p50 = 0x1.136a2ee1ae8p-20;
+        p99 = 0x1.8d6b2f70526p-18;
+        flushes = 0;
+        fences = 0;
+        media_read_bytes = 67072;
+        media_write_bytes = 0;
+      } );
+    ( "FastFair YCSB E",
+      Experiments.Factory.Fastfair_sys,
+      Workload.Ycsb.Workload_e,
+      {
+        elapsed = 0x1.5256feae3519p-12;
+        completed = 2000;
+        p50 = 0x1.a6c92d051bcp-19;
+        p99 = 0x1.efaa8387f07p-17;
+        flushes = 646;
+        fences = 614;
+        media_read_bytes = 286720;
+        media_write_bytes = 159744;
+      } );
+    ( "BzTree YCSB A",
+      Experiments.Factory.Bztree_sys,
+      Workload.Ycsb.Workload_a,
+      {
+        elapsed = 0x1.4a8843c3c098cp-10;
+        completed = 2000;
+        p50 = 0x1.f36c9622b94p-19;
+        p99 = 0x1.e3ed533ebedp-15;
+        flushes = 16221;
+        fences = 10887;
+        media_read_bytes = 4755200;
+        media_write_bytes = 3505920;
+      } );
+    ( "BzTree YCSB C",
+      Experiments.Factory.Bztree_sys,
+      Workload.Ycsb.Workload_c,
+      {
+        elapsed = 0x1.326d1ba98218p-13;
+        completed = 2000;
+        p50 = 0x1.704b1f40c08p-20;
+        p99 = 0x1.0552691d3ecp-17;
+        flushes = 0;
+        fences = 0;
+        media_read_bytes = 93952;
+        media_write_bytes = 0;
+      } );
+    ( "BzTree YCSB E",
+      Experiments.Factory.Bztree_sys,
+      Workload.Ycsb.Workload_e,
+      {
+        elapsed = 0x1.51d4cdbbf9fp-11;
+        completed = 2000;
+        p50 = 0x1.96f2ba0b188p-19;
+        p99 = 0x1.d8c14e73bdap-18;
+        flushes = 1445;
+        fences = 1042;
+        media_read_bytes = 1088000;
+        media_write_bytes = 324352;
+      } );
+    ( "FPTree YCSB A",
+      Experiments.Factory.Fptree_sys,
+      Workload.Ycsb.Workload_a,
+      {
+        elapsed = 0x1.3e1864da57264p-12;
+        completed = 2000;
+        p50 = 0x1.1b77c476814p-20;
+        p99 = 0x1.05a4dfbccccp-19;
+        flushes = 3559;
+        fences = 2197;
+        media_read_bytes = 1206016;
+        media_write_bytes = 848640;
+      } );
+    ( "FPTree YCSB C",
+      Experiments.Factory.Fptree_sys,
+      Workload.Ycsb.Workload_c,
+      {
+        elapsed = 0x1.f6fc56afa2acp-14;
+        completed = 2000;
+        p50 = 0x1.c2f8b88dfcp-22;
+        p99 = 0x1.ea97b736fc8p-21;
+        flushes = 0;
+        fences = 0;
+        media_read_bytes = 52224;
+        media_write_bytes = 0;
+      } );
+    ( "FPTree YCSB E",
+      Experiments.Factory.Fptree_sys,
+      Workload.Ycsb.Workload_e,
+      {
+        elapsed = 0x1.71b8b9203a204p-12;
+        completed = 2000;
+        p50 = 0x1.1de23e23266p-19;
+        p99 = 0x1.d57e5d64456p-19;
+        flushes = 359;
+        fences = 229;
+        media_read_bytes = 158464;
+        media_write_bytes = 88320;
+      } );
+  ]
+
+let test_baselines () =
+  List.iter (fun (what, sys, mix, want) -> check what (closed_loop ~mix sys) want) baseline_pins
+
 let test_open_loop () =
   check "engine"
     (open_loop ())
@@ -164,6 +295,7 @@ let () =
         [
           Alcotest.test_case "a run does not depend on what ran before" `Quick test_run_order;
           Alcotest.test_case "closed-loop PACTree YCSB A" `Quick test_closed_loop;
+          Alcotest.test_case "closed-loop baselines YCSB A, C, E" `Quick test_baselines;
           Alcotest.test_case "open-loop 2-shard service" `Quick test_open_loop;
           Alcotest.test_case "crashmc CI sweep, every index" `Quick test_crashmc;
         ] );
