@@ -8,8 +8,8 @@
      dune exec bench/main.exe -- micro        # bechamel micro-benchmarks
 
    Any other argument prints the valid names and exits 2.  The
-   crash-state sweep, the instrumented stats bench and the service
-   saturation sweep are `pactree_bench crashmc` / `stats` / `service`.
+   crash-state sweep and the instrumented stats bench are
+   `pactree_bench crashmc` / `stats`.
 
    Throughputs are simulated Mops/s on the modelled DCPMM machine;
    shapes (ordering, ratios, crossovers), not absolute numbers, are

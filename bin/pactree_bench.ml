@@ -476,188 +476,19 @@ let crashmc_cmd =
       const run_crashmc $ index_arg $ ops_arg $ budget_arg $ max_states_arg
       $ seed_arg $ workload_arg $ mutate_arg)
 
-(* ---------- service: sharded KV service saturation sweep ---------- *)
-
-let sweep_header =
-  Printf.sprintf "%8s %9s %7s %9s %9s %9s %9s %6s" "offered" "achieved" "rej"
-    "q-p50us" "q-p99us" "s-p99us" "t-p99us" "imbal"
-
-let run_service sys shards quick keys ops workers queue admission arrival mix theta out
-    obs_out =
-  let admission =
-    match Svc.Engine.admission_of_string admission with
-    | Ok a -> a
-    | Error msg ->
-        prerr_endline msg;
-        exit 2
-  in
-  let process =
-    match Workload.Arrival.process_of_string arrival with
-    | Ok p -> p
-    | Error msg ->
-        prerr_endline msg;
-        exit 2
-  in
-  let d = Experiments.Svc_run.default ~quick sys in
-  let keys = Option.value keys ~default:d.Experiments.Svc_run.keys
-  and ops = Option.value ops ~default:d.Experiments.Svc_run.ops in
-  require_positive
-    [
-      ("shards", shards);
-      ("workers", workers);
-      ("queue", queue);
-      ("keys", keys);
-      ("ops", ops);
-    ];
-  (* each shard's range needs a key of its own *)
-  if keys < shards then begin
-    Printf.eprintf "--keys must be at least --shards (%d) (got %d)\n" shards keys;
-    exit 2
-  end;
-  let theta = require_theta theta in
-  let cfg =
-    {
-      d with
-      Experiments.Svc_run.shards;
-      keys;
-      ops;
-      workers_per_shard = workers;
-      queue_capacity = queue;
-      admission;
-      process;
-      mix;
-      theta;
-    }
-  in
-  Format.printf "service    : %s, %d shards x %d workers, queue %d, %s admission@."
-    (Experiments.Factory.name sys) cfg.Experiments.Svc_run.shards
-    cfg.Experiments.Svc_run.workers_per_shard cfg.Experiments.Svc_run.queue_capacity
-    (Svc.Engine.admission_name admission);
-  Format.printf "load       : %s arrivals, %a mix, %d keys, %d ops/point, theta %.2f@."
-    (Workload.Arrival.process_name process)
-    Workload.Ycsb.pp_mix cfg.Experiments.Svc_run.mix cfg.Experiments.Svc_run.keys
-    cfg.Experiments.Svc_run.ops cfg.Experiments.Svc_run.theta;
-  (* Time-only recorder (each sweep point runs on a fresh machine):
-     attributes simulated time to the index phases and svc_queue
-     across the whole sweep. *)
-  let span = Option.map (fun _ -> Obs.Span.create ()) obs_out in
-  Option.iter Obs.Span.install span;
-  let points =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Obs.Span.uninstall span)
-      (fun () -> Experiments.Svc_run.sweep cfg)
-  in
-  print_endline sweep_header;
-  List.iter
-    (fun (_, r) ->
-      Format.printf "%a@." Obs.Svc_report.pp_point (Experiments.Svc_run.point_of_result r))
-    points;
-  (match List.find_opt Experiments.Svc_run.saturated points with
-  | Some (rate, r) ->
-      Format.printf "knee       : saturates at %.3f Mops/s offered (achieves %.3f)@."
-        (rate /. 1e6)
-        (r.Svc.Engine.r_throughput /. 1e6)
-  | None -> ());
-  (match Experiments.Svc_run.check_sweep points with
-  | Ok () -> ()
-  | Error msg ->
-      Format.eprintf "service sweep failed shape checks: %s@." msg;
-      exit 1);
-  Obs.Svc_report.write_file out (Experiments.Svc_run.report cfg points);
-  Format.printf "wrote %s (schema %s, %d points)@." out Obs.Svc_report.schema_version
-    (List.length points);
-  match (obs_out, span) with
-  | Some path, Some s ->
-      Format.printf "%a@." Obs.Span.pp_table s;
-      Obs.Json.write_file path (Obs.Span.to_json s);
-      Format.printf "observability dump: %s@." path
-  | _ -> ()
-
-let service_cmd =
-  let doc =
-    "Saturation sweep of the sharded KV service (lib/svc): open-loop load against a \
-     range-partitioned store, each request applied straight to its shard's index, \
-     reporting throughput-vs-offered, queue/service latency split and rejection rates as \
-     schema-validated JSON."
-  in
-  let shards_arg =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Range partitions (one index each).")
-  in
-  let quick_arg =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced scale for CI (seconds).")
-  in
-  let keys_opt_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "keys" ] ~doc:"Pre-loaded key count (default: scale preset).")
-  in
-  let ops_opt_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "ops" ] ~doc:"Requests per sweep point (default: scale preset).")
-  in
-  let workers_arg =
-    Arg.(value & opt int 2 & info [ "workers" ] ~doc:"Worker threads per shard.")
-  in
-  let queue_arg =
-    Arg.(value & opt int 64 & info [ "queue" ] ~doc:"Per-shard queue capacity.")
-  in
-  let admission_arg =
-    Arg.(
-      value & opt string "reject"
-      & info [ "admission" ] ~docv:"POLICY"
-          ~doc:"Full-queue policy: reject (open-loop preserving) or block.")
-  in
-  let arrival_arg =
-    Arg.(
-      value & opt string "poisson"
-      & info [ "arrival" ] ~docv:"PROCESS" ~doc:"Arrival process: poisson or uniform.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "SVC_pactree.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Output path.")
-  in
-  Cmd.v
-    (Cmd.info "service" ~doc)
-    Term.(
-      const run_service $ index_arg $ shards_arg $ quick_arg $ keys_opt_arg $ ops_opt_arg
-      $ workers_arg $ queue_arg $ admission_arg $ arrival_arg $ mix_arg $ theta_arg
-      $ out_arg $ obs_arg)
-
 (* ---------- check: validate a report file ---------- *)
 
-(* A report's validator, by the schema it names. *)
-let validators =
-  [
-    (Obs.Report.schema_version, Obs.Report.validate);
-    (Obs.Svc_report.schema_version, Obs.Svc_report.validate);
-  ]
-
-let validate json =
-  let open Obs.Json.Check in
-  let* schema = require_string "top-level" "schema" json in
-  match List.assoc_opt schema validators with
-  | Some validate -> Result.map (fun () -> schema) (validate json)
-  | None ->
-      Error
-        (Printf.sprintf "unknown schema %S (expected %s)" schema
-           (String.concat " or " (List.map fst validators)))
-
 let run_check path =
-  match Result.bind (Obs.Json.read_file path) validate with
-  | Ok schema -> Format.printf "%s: OK (schema %s)@." path schema
+  match Obs.Report.validate_file path with
+  | Ok () -> Format.printf "%s: OK (schema %s)@." path Obs.Report.schema_version
   | Error msg ->
       Format.eprintf "%s: INVALID: %s@." path msg;
       exit 1
 
 let check_cmd =
   let doc =
-    "Validate a report written by stats or service against the schema its $(b,schema) \
-     field names, and exit 1 if it does not conform.  Runs nothing."
+    "Validate a report written by stats against its schema, and exit 1 if it does not \
+     conform.  Runs nothing."
   in
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Report to validate.")
@@ -670,4 +501,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ ycsb_cmd; figure_cmd; crash_cmd; crashmc_cmd; stats_cmd; service_cmd; check_cmd ]))
+          [ ycsb_cmd; figure_cmd; crash_cmd; crashmc_cmd; stats_cmd; check_cmd ]))

@@ -17,7 +17,7 @@ val next : t -> int64
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be > 0. *)
 val int : t -> int -> int
 
-(** Uniform float in [\[0, 1)]. *)
+(** A float drawn uniformly from [\[0, 1)]. *)
 val float : t -> float
 
 (** [bool t] is a fair coin flip. *)

@@ -1,24 +1,12 @@
 module Ycsb = Workload.Ycsb
 module Latency = Workload.Latency
-module Arrival = Workload.Arrival
 module Waitq = Des.Sched.Waitq
-
-type admission = Reject | Block
-
-let admission_name = function Reject -> "reject" | Block -> "block"
-
-let admission_of_string = function
-  | "reject" -> Ok Reject
-  | "block" -> Ok Block
-  | s -> Error (Printf.sprintf "unknown admission policy %S (reject|block)" s)
 
 type config = {
   rate : float;
-  process : Arrival.process;
   ops : int;
   workers_per_shard : int;
   queue_capacity : int;
-  admission : admission;
   mix : Ycsb.mix;
   kind : Workload.Keyset.kind;
   loaded : int;
@@ -32,7 +20,6 @@ type result = {
   r_completed : int;
   r_rejected : int;
   r_elapsed : float;
-  r_offered : float;
   r_throughput : float;
   r_queue_lat : Latency.t;
   r_service_lat : Latency.t;
@@ -54,12 +41,7 @@ let imbalance r =
 
 type req = { q_op : Ycsb.op; q_arrival : float; mutable q_deq : float }
 
-type squeue = {
-  items : req Queue.t;
-  mutable closed : bool;
-  nonempty : Waitq.t;
-  nonfull : Waitq.t;
-}
+type squeue = { items : req Queue.t; mutable closed : bool; nonempty : Waitq.t }
 
 let key_of_op = function
   | Ycsb.Lookup k | Ycsb.Upsert (k, _) | Ycsb.Insert_new (k, _) | Ycsb.Scan (k, _) -> k
@@ -114,18 +96,15 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
     invalid_arg
       (Printf.sprintf "Engine.run: queue_capacity = %d, must be at least 1"
          cfg.queue_capacity);
+  if not (cfg.rate > 0.0) then
+    invalid_arg (Printf.sprintf "Engine.run: rate = %g, must be positive" cfg.rate);
   let machine = Store.machine store in
   let nshards = Store.shard_count store in
   let sched = Des.Sched.create ~start () in
   let profile = Nvm.Machine.profile machine in
   let queues =
     Array.init nshards (fun _ ->
-        {
-          items = Queue.create ();
-          closed = false;
-          nonempty = Waitq.create ();
-          nonfull = Waitq.create ();
-        })
+        { items = Queue.create (); closed = false; nonempty = Waitq.create () })
   in
   let generated = ref 0 and rejected = ref 0 and completed = ref 0 in
   let shard_completed = Array.make nshards 0 in
@@ -188,7 +167,6 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
             if await () then begin
               let r = Queue.pop q.items in
               r.q_deq <- clock ();
-              Waitq.signal_all sched q.nonfull;
               Des.Sched.charge profile.Nvm.Config.op_overhead;
               (match r.q_op with
               | Ycsb.Lookup k -> ignore (Store.lookup store k : int option)
@@ -212,35 +190,26 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
     done
   done;
   (* ----- the load source ----- *)
-  let enqueue q r =
-    Queue.push r q.items;
-    Waitq.signal_one sched q.nonempty
-  in
-  (* Queue [r] for its shard, unless admission rejects it. *)
+  (* Queue [r] for its shard, or drop it if that queue is full. *)
   let submit r =
     incr generated;
     let q = queues.(Store.shard_of_key store (key_of_op r.q_op)) in
-    if Queue.length q.items < cfg.queue_capacity then enqueue q r
-    else
-      match cfg.admission with
-      | Reject -> incr rejected
-      | Block ->
-          while Queue.length q.items >= cfg.queue_capacity do
-            Waitq.wait q.nonfull
-          done;
-          enqueue q r
+    if Queue.length q.items < cfg.queue_capacity then begin
+      Queue.push r q.items;
+      Waitq.signal_one sched q.nonempty
+    end
+    else incr rejected
   in
   Des.Sched.spawn sched ~numa:0 ~name:"source" (fun () ->
-      let arr =
-        Arrival.create ~process:cfg.process ~rate:cfg.rate
-          (Des.Rng.create ~seed:(Int64.add cfg.seed 7919L))
-      in
+      let arrivals = Des.Rng.create ~seed:(Int64.add cfg.seed 7919L) in
       let stream =
         Ycsb.create ~mix:cfg.mix ~kind:cfg.kind ~loaded:cfg.loaded ~theta:cfg.theta
           ~seed:cfg.seed ~thread:0 ~threads:1
       in
       for _ = 1 to cfg.ops do
-        Des.Sched.delay (Arrival.next_gap arr);
+        (* Poisson arrivals: an exponential gap by inverse CDF; [float]
+           is in [0, 1), so [1 - u] never hits 0 *)
+        Des.Sched.delay (-.log (1.0 -. Des.Rng.float arrivals) /. cfg.rate);
         let op = Ycsb.next stream in
         submit { q_op = op; q_arrival = clock (); q_deq = 0.0 }
       done;
@@ -266,7 +235,6 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
     r_completed = !completed;
     r_rejected = !rejected;
     r_elapsed = elapsed;
-    r_offered = cfg.rate;
     r_throughput =
       (if elapsed > 0.0 then float_of_int !completed /. elapsed else 0.0);
     r_queue_lat = queue_lat;
@@ -277,21 +245,3 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
     r_batched_writes = !writes;
     r_nvm = Nvm.Stats.diff (Nvm.Machine.total_stats machine) before;
   }
-
-let pp_result ppf r =
-  let p l q = Latency.percentile l q *. 1e6 in
-  Format.fprintf ppf
-    "@[<v>offered %.3f Mops/s -> %.3f Mops/s (%d/%d done, %d rejected, %.1f%% \
-     loss)@,\
-     latency us: queue p50 %.2f p99 %.2f | service p50 %.2f p99 %.2f | total p50 \
-     %.2f p99 %.2f p99.99 %.2f@,\
-     shard imbalance %.2fx@]"
-    (r.r_offered /. 1e6) (r.r_throughput /. 1e6) r.r_completed r.r_generated
-    r.r_rejected
-    (if r.r_generated > 0 then
-       100.0 *. float_of_int r.r_rejected /. float_of_int r.r_generated
-     else 0.0)
-    (p r.r_queue_lat 50.0) (p r.r_queue_lat 99.0) (p r.r_service_lat 50.0)
-    (p r.r_service_lat 99.0) (p r.r_total_lat 50.0) (p r.r_total_lat 99.0)
-    (p r.r_total_lat 99.99)
-    (imbalance r)

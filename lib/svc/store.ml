@@ -51,6 +51,11 @@ let shard_of_key t k =
 
 let boundaries_for ~kind ~keys ~shards =
   if shards < 1 then invalid_arg "boundaries_for: shards < 1";
+  (* each shard's range needs a key of its own *)
+  if keys < shards then
+    invalid_arg
+      (Printf.sprintf "Svc.Store.boundaries_for: keys = %d, fewer than shards = %d" keys
+         shards);
   if shards = 1 then [||]
   else begin
     let all = Array.init keys (fun i -> Workload.Keyset.key kind i) in

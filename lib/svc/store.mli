@@ -59,7 +59,8 @@ val shard_of_key : t -> Pactree.Key.t -> int
 
 (** [boundaries_for ~kind ~keys ~shards] — equi-populated boundary
     keys for a {!Workload.Keyset} of [keys] keys: sorts the scattered
-    keyset and cuts it into [shards] contiguous ranges. *)
+    keyset and cuts it into [shards] contiguous ranges.  Raises
+    [Invalid_argument] if [shards < 1] or [keys < shards]. *)
 val boundaries_for :
   kind:Workload.Keyset.kind -> keys:int -> shards:int -> Pactree.Key.t array
 

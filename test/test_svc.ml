@@ -2,7 +2,7 @@
    cross-shard scans against a single-map oracle, crash durability of
    acked writes, proof that the service layer adds no NVM traffic of
    its own, determinism of both the closed-loop runner and the
-   open-loop engine, saturation-sweep shape, and crash-state sweeps
+   open-loop engine, the engine's drop path, and crash-state sweeps
    driven through the store (one crash, and a crash during recovery's
    aftermath: crash, recover, write, crash again). *)
 
@@ -163,8 +163,8 @@ let test_service_adds_no_nvm_traffic () =
     Index.insert (on_bare k) k i
   done;
   same_cost "load";
-  (* an engine run: one source, blocking admission and one worker per
-     shard keep each shard's op order the stream's order *)
+  (* an engine run: one source, a queue that holds every op and one
+     worker per shard keep each shard's op order the stream's order *)
   let seed = 5L and theta = 0.99 in
   let config =
     Experiments.Svc_run.engine_config
@@ -173,7 +173,7 @@ let test_service_adds_no_nvm_traffic () =
         Experiments.Svc_run.keys;
         ops;
         workers_per_shard = 1;
-        admission = Engine.Block;
+        queue_capacity = ops;
         mix;
         kind;
         theta;
@@ -182,6 +182,7 @@ let test_service_adds_no_nvm_traffic () =
       ~rate:2e6
   in
   let r = Engine.run ~store ~config ~start () in
+  Alcotest.(check int) "engine dropped nothing" 0 r.Engine.r_rejected;
   Alcotest.(check int) "engine completed every op" ops r.Engine.r_completed;
   let stream =
     Workload.Ycsb.create ~mix ~kind ~loaded:keys ~theta ~seed ~thread:0 ~threads:1
@@ -259,38 +260,22 @@ let test_engine_deterministic sys () =
   Alcotest.(check bool) "identical NVM traffic" true
     (Nvm.Stats.is_zero (Nvm.Stats.diff r1.Engine.r_nvm r2.Engine.r_nvm))
 
-(* ---------- blocking admission + saturation sweep shape ---------- *)
+(* ---------- the drop path ---------- *)
 
-(* Offered load far past capacity under Block: the source waits for
-   queue space instead of dropping, so every request completes. *)
-let test_block_admission () =
-  let cfg = svc_cfg Experiments.Factory.Fastfair_sys in
-  let store = Experiments.Svc_run.make_store cfg in
-  let start =
-    Engine.load ~store ~kind:cfg.Experiments.Svc_run.kind
-      ~keys:cfg.Experiments.Svc_run.keys ()
+(* Offered load far past capacity: full shard queues drop the excess,
+   and every generated request is either completed or dropped. *)
+let test_overdriven_run () =
+  let cfg =
+    {
+      (svc_cfg Experiments.Factory.Fastfair_sys) with
+      Experiments.Svc_run.queue_capacity = 4;
+    }
   in
-  let config =
-    Experiments.Svc_run.engine_config
-      { cfg with Experiments.Svc_run.admission = Engine.Block }
-      ~rate:200e6
-  in
-  let r = Engine.run ~store ~config ~start () in
-  Alcotest.(check int) "all generated" cfg.Experiments.Svc_run.ops
-    r.Engine.r_generated;
-  Alcotest.(check int) "blocking admission rejects nothing" 0 r.Engine.r_rejected;
-  Alcotest.(check int) "all completed" r.Engine.r_generated r.Engine.r_completed;
-  Alcotest.(check bool) "made progress" true (r.Engine.r_throughput > 0.0)
-
-let test_sweep_shape () =
-  let cfg = svc_cfg Experiments.Factory.Fastfair_sys in
-  let points = Experiments.Svc_run.sweep cfg in
-  (match Experiments.Svc_run.check_sweep points with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "sweep shape: %s" msg);
-  match Obs.Svc_report.validate (Experiments.Svc_run.report cfg points) with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "report schema: %s" msg
+  let r = Experiments.Svc_run.run_point cfg ~rate:200e6 in
+  Alcotest.(check bool) "some requests dropped" true (r.Engine.r_rejected > 0);
+  Alcotest.(check int) "all generated" cfg.Experiments.Svc_run.ops r.Engine.r_generated;
+  Alcotest.(check int) "completed + dropped = generated" r.Engine.r_generated
+    (r.Engine.r_completed + r.Engine.r_rejected)
 
 (* ---------- input validation ---------- *)
 
@@ -315,9 +300,23 @@ let test_engine_rejects_bad_config () =
       ("-1 workers per shard", { base with Engine.workers_per_shard = -1 });
       ("queue capacity 0", { base with Engine.queue_capacity = 0 });
       ("queue capacity -3", { base with Engine.queue_capacity = -3 });
+      ("rate 0", { base with Engine.rate = 0. });
+      ("rate nan", { base with Engine.rate = Float.nan });
     ];
   let r = Engine.run ~store ~config:{ base with Engine.queue_capacity = 1; workers_per_shard = 1 } () in
   Alcotest.(check int) "the smallest valid config runs" 10 (r.Engine.r_completed + r.Engine.r_rejected)
+
+(* Every shard needs a key of its own: too few keys is refused up
+   front rather than cut into duplicate boundaries. *)
+let test_boundaries_need_a_key_per_shard () =
+  List.iter
+    (fun (keys, shards) ->
+      match Store.boundaries_for ~kind:Workload.Keyset.Int_keys ~keys ~shards with
+      | _ -> Alcotest.failf "%d keys, %d shards: accepted" keys shards
+      | exception Invalid_argument _ -> ())
+    [ (1, 4); (0, 2) ];
+  Alcotest.(check int) "one key per shard is enough" 3
+    (Array.length (Store.boundaries_for ~kind:Workload.Keyset.Int_keys ~keys:4 ~shards:4))
 
 (* ---------- crashmc over the sharded store ---------- *)
 
@@ -459,11 +458,12 @@ let suite =
       (test_engine_deterministic Experiments.Factory.Pactree_sys);
     Alcotest.test_case "engine: deterministic (fastfair)" `Quick
       (test_engine_deterministic Experiments.Factory.Fastfair_sys);
-    Alcotest.test_case "engine: overdriven Block run completes everything" `Quick
-      test_block_admission;
-    Alcotest.test_case "engine: saturation sweep shape" `Quick test_sweep_shape;
+    Alcotest.test_case "engine: overdriven run drops and counts" `Quick
+      test_overdriven_run;
     Alcotest.test_case "engine: rejects workers or queue below 1" `Quick
       test_engine_rejects_bad_config;
+    Alcotest.test_case "store: fewer keys than shards is refused" `Quick
+      test_boundaries_need_a_key_per_shard;
     Alcotest.test_case "crashmc: sharded store, direct ops" `Quick test_crashmc_direct;
     Alcotest.test_case "crashmc: double crash, acked writes exact" `Quick
       test_double_crash;
