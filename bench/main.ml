@@ -15,44 +15,100 @@
    shapes (ordering, ratios, crossovers), not absolute numbers, are
    the comparison target against the paper. *)
 
-let microbench () =
-  (* Bechamel micro-benchmarks: host-side cost of one simulated
-     operation per index (single-threaded, small working set).  One
-     Test.make per measured system. *)
-  let open Bechamel in
+(* Simulated context switches per call of a [des_switches] test. *)
+let switches = 17_000
+
+(* [threads] simulated threads that delay [switches] times in all, by
+   pseudo-random pauses so that the event queue reorders them: the
+   host cost of a scheduler switch (effect, requeue, resume). *)
+let des_switches threads =
+  Bechamel.Staged.stage (fun () ->
+      let sched = Des.Sched.create () in
+      for i = 1 to threads do
+        Des.Sched.spawn sched ~name:"switch" (fun () ->
+            let x = ref i in
+            for _ = 1 to switches / threads do
+              x := ((!x * 1103515245) + 12345) land 0x3FF;
+              Des.Sched.delay (float_of_int !x *. 1e-9)
+            done)
+      done;
+      Des.Sched.run sched)
+
+(* Store to one line, clwb it and fence, outside a simulation: the host
+   cost of the flush tracking and of a one-group fence. *)
+let clwb_fence () =
+  let machine = Nvm.Machine.create ~numa_count:1 () in
+  let pool = Nvm.Pool.create machine ~name:"micro" ~numa:0 ~capacity:(1 lsl 16) () in
+  let counter = ref 0 in
+  Bechamel.Staged.stage (fun () ->
+      incr counter;
+      Nvm.Pool.write_int pool 64 !counter;
+      Nvm.Pool.clwb pool 64;
+      Nvm.Pool.fence pool)
+
+(* The host cost of one simulated lookup on a 4K-key index. *)
+let lookup sys =
+  let machine = Nvm.Machine.create ~numa_count:2 () in
   let scale = Experiments.Scale.tiny in
-  let make_op sys =
-    let machine = Nvm.Machine.create ~numa_count:2 () in
-    let index = (Experiments.Factory.make_backend machine ~scale sys).b_index in
-    for i = 0 to 4_095 do
-      Baselines.Index_intf.insert index (Pactree.Key.of_int i) i
-    done;
-    let counter = ref 0 in
-    Staged.stage (fun () ->
-        counter := (!counter + 7919) land 0xFFF;
-        ignore (Baselines.Index_intf.lookup index (Pactree.Key.of_int !counter)))
+  let index = (Experiments.Factory.make_backend machine ~scale sys).b_index in
+  for i = 0 to 4_095 do
+    Baselines.Index_intf.insert index (Pactree.Key.of_int i) i
+  done;
+  let counter = ref 0 in
+  Bechamel.Staged.stage (fun () ->
+      counter := (!counter + 7919) land 0xFFF;
+      ignore (Baselines.Index_intf.lookup index (Pactree.Key.of_int !counter)))
+
+let microbench () =
+  (* Bechamel micro-benchmarks of the simulator's host cost, single
+     host thread.  Each group is [(title, unit, units per call,
+     test)]: an estimate per call is printed per unit. *)
+  let open Bechamel in
+  let groups =
+    [
+      ( "host-side cost per simulated lookup",
+        "op",
+        1,
+        Test.make_grouped ~name:"lookup-4k"
+          (List.map
+             (fun sys -> Test.make ~name:(Experiments.Factory.name sys) (lookup sys))
+             Experiments.Factory.all) );
+      ( "host-side cost per scheduler switch",
+        "switch",
+        switches,
+        Test.make_grouped ~name:"des-switch"
+          [
+            Test.make ~name:"1 thread" (des_switches 1);
+            Test.make ~name:"17 threads" (des_switches 17);
+          ] );
+      ( "host-side cost per store + clwb + fence of one line",
+        "line",
+        1,
+        Test.make ~name:"clwb+fence" (clwb_fence ()) );
+    ]
   in
-  let test_of sys = Test.make ~name:(Experiments.Factory.name sys) (make_op sys) in
-  let test =
-    Test.make_grouped ~name:"lookup-4k" (List.map test_of Experiments.Factory.all)
-  in
-  let benchmark () =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  Format.printf "@.=== micro: host-side cost per simulated lookup ===@.";
-  let results = analyze (benchmark ()) in
-  Hashtbl.iter
-    (fun name ols ->
-      match Bechamel.Analyze.OLS.estimates ols with
-      | Some [ est ] -> Format.printf "%-24s %10.0f ns/op@." name est
-      | Some _ | None -> Format.printf "%-24s (no estimate)@." name)
-    results
+  let instances = Toolkit.Instance.[ monotonic_clock ] in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  List.iter
+    (fun (title, unit, per_call, test) ->
+      Format.printf "@.=== micro: %s ===@." title;
+      let results =
+        Analyze.all ols Toolkit.Instance.monotonic_clock (Benchmark.all cfg instances test)
+      in
+      let rows =
+        List.sort
+          (fun (a, _) (b, _) -> String.compare a b)
+          (Hashtbl.fold (fun name r acc -> (name, r) :: acc) results [])
+      in
+      List.iter
+        (fun (name, r) ->
+          match Analyze.OLS.estimates r with
+          | Some [ est ] ->
+              Format.printf "%-24s %10.0f ns/%s@." name (est /. float_of_int per_call) unit
+          | Some _ | None -> Format.printf "%-24s (no estimate)@." name)
+        rows)
+    groups
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

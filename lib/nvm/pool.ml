@@ -73,12 +73,22 @@ let past t off = off >= Bytes.length t.cache
 
 let clear_dirty t line = Bytes.set t.dirty line '\000'
 
-let rec equal_from cache media base i =
-  i >= line_size
-  || Bytes.unsafe_get cache (base + i) = Bytes.unsafe_get media (base + i)
-     && equal_from cache media base (i + 1)
+(* Word [i] of the line at [base] is the same in [cache] and [media].
+   The images are whole lines long, so every word is in bounds. *)
+let[@inline] word_equal cache media base i =
+  let off = base + (8 * i) in
+  (Bytes.get_int64_ne cache off : int64) = Bytes.get_int64_ne media off
 
-let lines_equal t line = equal_from t.cache t.media (line * line_size) 0
+let lines_equal t line =
+  let base = line * line_size and cache = t.cache and media = t.media in
+  word_equal cache media base 0
+  && word_equal cache media base 1
+  && word_equal cache media base 2
+  && word_equal cache media base 3
+  && word_equal cache media base 4
+  && word_equal cache media base 5
+  && word_equal cache media base 6
+  && word_equal cache media base 7
 
 (* A fence persists a staged snapshot: the line is clean again unless
    it was stored to after the clwb. *)

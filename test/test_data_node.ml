@@ -131,6 +131,33 @@ let test_string_layout () =
     (List.sort compare keys)
     (List.init n (fun i -> Node.sorted_key lay slots.(i)))
 
+(* The int layout sorts by word, not byte: its order must still be
+   [Key.compare]'s, across the sign and for keys that differ only in
+   their last byte. *)
+let test_int_sort_order () =
+  let rng = Random.State.make [| 7 |] in
+  for round = 0 to 19 do
+    let _, lay, node = make_node () in
+    let base = Int64.to_int (Random.State.bits64 rng) in
+    let fixed = [ min_int; max_int; 0; -1; 1; -256; -255; 255; 256; base; base lxor 1 ] in
+    let keys = Hashtbl.create Node.entries in
+    let add i = if Hashtbl.length keys < Node.entries then Hashtbl.replace keys (ik i) () in
+    List.iter add fixed;
+    while Hashtbl.length keys < Node.entries do
+      match Random.State.int rng 3 with
+      | 0 -> add (Int64.to_int (Random.State.bits64 rng))
+      | 1 -> add (base lxor Random.State.int rng 256)
+      | _ -> add (Random.State.int rng 512 - 256)
+    done;
+    Hashtbl.iter (fun k () -> ignore (Node.insert lay node k 0)) keys;
+    let slots = Array.make Node.entries 0 in
+    let n = Node.sort_live lay node slots in
+    Alcotest.(check (list string))
+      (Printf.sprintf "round %d" round)
+      (List.sort Key.compare (List.of_seq (Hashtbl.to_seq_keys keys)))
+      (List.init n (fun i -> Node.sorted_key lay slots.(i)))
+  done
+
 let test_anchor_compare () =
   let machine = Machine.create ~numa_count:1 () in
   let lay = Node.layout ~key_inline:32 () in
@@ -372,6 +399,7 @@ let suite =
     Alcotest.test_case "node: permutation invalidation" `Quick
       test_permutation_cache_invalidation;
     Alcotest.test_case "node: string layout" `Quick test_string_layout;
+    Alcotest.test_case "node: int sort order" `Quick test_int_sort_order;
     Alcotest.test_case "node: anchor compare" `Quick test_anchor_compare;
     QCheck_alcotest.to_alcotest test_qcheck_node_model;
     Alcotest.test_case "smo log: roundtrip" `Quick test_smo_log_roundtrip;

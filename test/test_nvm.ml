@@ -246,6 +246,34 @@ let test_flush_tracking_counts_redundant () =
   Machine.crash m Machine.Strict;
   Alcotest.(check int) "value durable throughout" 2 (Pool.read_int p 0)
 
+(* A line that differs from media in any one byte is not clean: its
+   clwb is not redundant, and once fenced the next one is.  Every byte
+   of three lines, the last one the last line of a grown image. *)
+let test_flush_tracking_each_byte () =
+  let m = make_machine () in
+  let p = make_pool m in
+  Pool.write_int p image0 1;
+  let len = Bytes.length (Pool.media_image p) in
+  Alcotest.(check bool) "image grown" true (len > image0);
+  let s = Machine.stats m in
+  List.iter
+    (fun line ->
+      Pool.persist p line 64;
+      for i = 0 to 63 do
+        let off = line + i in
+        Pool.write_u8 p off (Pool.read_u8 p off lxor 0x80);
+        let elided = s.Stats.flushes_elided in
+        Pool.clwb p line;
+        Alcotest.(check int) (Printf.sprintf "line %d byte %d differs" line i) elided
+          s.Stats.flushes_elided;
+        Pool.fence p;
+        Pool.clwb p line;
+        Alcotest.(check int) (Printf.sprintf "line %d byte %d persisted" line i) (elided + 1)
+          s.Stats.flushes_elided;
+        Pool.fence p
+      done)
+    [ 0; 320; len - 64 ]
+
 let test_flaky_p1_persists_all_dirty () =
   let m = make_machine () in
   let p = make_pool m in
@@ -557,6 +585,8 @@ let suite =
     Alcotest.test_case "image: restore a shorter image" `Quick test_restore_shorter_image;
     Alcotest.test_case "flush tracking: redundant clwbs" `Quick
       test_flush_tracking_counts_redundant;
+    Alcotest.test_case "flush tracking: one differing byte at each offset" `Quick
+      test_flush_tracking_each_byte;
     Alcotest.test_case "crash: volatile pool wiped" `Quick test_volatile_pool_lost_on_crash;
     Alcotest.test_case "pool: media image inspection" `Quick test_media_read_int;
     Alcotest.test_case "stats: flush/fence counts" `Quick test_flush_counts;
