@@ -24,10 +24,9 @@ module Machine = Nvm.Machine
 module Heap = Pmalloc.Heap
 module Pptr = Pmalloc.Pptr
 module Key = Pactree.Key
+module Vlock = Pactree.Vlock
 
 let name = "BzTree"
-
-exception Restart
 
 let cap = 20
 
@@ -128,17 +127,6 @@ let create machine ?(string_keys = false) () =
 
 let root t = node_of t.machine (Pool.read_int t.meta 0)
 
-let with_retry f =
-  let rec go attempt =
-    match f () with
-    | v -> v
-    | exception Restart ->
-        if attempt > 20_000 then failwith "BzTree: livelock";
-        Des.Sched.delay (Float.min (float_of_int attempt *. 50e-9) 2e-6);
-        go (attempt + 1)
-  in
-  go 0
-
 (* Follow consolidation forwarding. *)
 let rec resolve n =
   let s = status n in
@@ -197,11 +185,11 @@ let find_visible t leaf s ~probe_rep ~probe_key =
 let locate t key ~write =
   let probe_rep = Krep.probe_rep t.kr key in
   let leaf, s, path = descend t (root t) [] ~probe_rep ~probe_key:key in
-  if write && is_frozen s then raise Restart;
+  if write && is_frozen s then raise Vlock.Restart;
   (leaf, s, path, find_visible t leaf s ~probe_rep ~probe_key:key)
 
 let lookup t key =
-  with_retry @@ fun () ->
+  Vlock.retry @@ fun () ->
   let leaf, _, _, i = locate t key ~write:false in
   if i < 0 then None else Some (val_at leaf i)
 
@@ -249,7 +237,7 @@ let bridge t ~left ~sep ~right = build t ~leaf:false ~link:left [ (sep, right) ]
 (* Freeze [n], still at status [s]: from now on no guarded record
    operation and no child swap lands in it. *)
 let freeze t n s =
-  if not (mw t [ word n.pool (n.off + off_status) s (s lor frozen_bit) ]) then raise Restart
+  if not (mw t [ word n.pool (n.off + off_status) s (s lor frozen_bit) ]) then raise Vlock.Restart
 
 (* Point the frozen [n] at its replacement, durably. *)
 let forward n ptr =
@@ -261,23 +249,23 @@ let forward n ptr =
    allow). *)
 let swap_child t parent old_ptr new_ptr =
   let s = status parent in
-  if is_frozen s then raise Restart;
+  if is_frozen s then raise Vlock.Restart;
   let slot =
     if leftmost parent = old_ptr then parent.off + off_leftmost
     else begin
       let c = count_of s in
       let rec find i =
-        if i >= c then raise Restart
+        if i >= c then raise Vlock.Restart
         else if val_at parent i = old_ptr then rec_off parent i + 16
         else find (i + 1)
       in
       find 0
     end
   in
-  if not (mw t [ word parent.pool slot old_ptr new_ptr ]) then raise Restart
+  if not (mw t [ word parent.pool slot old_ptr new_ptr ]) then raise Vlock.Restart
 
 let swap_root t old_ptr new_ptr =
-  if not (mw t [ word t.meta 0 old_ptr new_ptr ]) then raise Restart
+  if not (mw t [ word t.meta 0 old_ptr new_ptr ]) then raise Vlock.Restart
 
 (* Replace [old_ptr] by [new_ptr] where [path] (nearest parent first)
    points to it: in the parent, or as the root. *)
@@ -295,7 +283,7 @@ let rec add_separator t path old_ptr left_ptr sep right_ptr =
       swap_root t old_ptr (build t ~leaf:false ~link:left_ptr [ (sep, right_ptr) ])
   | parent :: rest ->
       let s = status parent in
-      if is_frozen s then raise Restart;
+      if is_frozen s then raise Vlock.Restart;
       let entries = internal_entries parent s in
       let lm = leftmost parent in
       let subst p = if p = old_ptr then left_ptr else p in
@@ -334,7 +322,7 @@ let rec add_separator t path old_ptr left_ptr sep right_ptr =
 let consolidate t leaf s path =
   Des.Sync.Mutex.with_lock t.smo_mutex @@ fun () ->
   (* someone may have consolidated while we waited for the lock *)
-  if status leaf <> s then raise Restart;
+  if status leaf <> s then raise Vlock.Restart;
   t.consolidations <- t.consolidations + 1;
   freeze t leaf s;
   let live = live_sorted t leaf s in
@@ -364,23 +352,23 @@ let consolidate t leaf s path =
    re-descent. *)
 let rec cas_value t leaf i value =
   let s = status leaf in
-  if is_frozen s then raise Restart;
+  if is_frozen s then raise Vlock.Restart;
   let old = val_at leaf i in
   if not (mw t [ guard leaf s; word leaf.pool (rec_off leaf i + 16) old value ]) then
     cas_value t leaf i value
 
 let insert t key value =
-  with_retry @@ fun () ->
+  Vlock.retry @@ fun () ->
   let leaf, s, path, i = locate t key ~write:true in
   if i >= 0 then cas_value t leaf i value (* upsert *)
   else if count_of s >= cap then begin
     consolidate t leaf s path;
-    raise Restart (* retraverse into the replacement *)
+    raise Vlock.Restart (* retraverse into the replacement *)
   end
   else begin
     let slot = count_of s in
     (* 1. reserve the slot *)
-    if not (mw t [ word leaf.pool (leaf.off + off_status) s (s + 1) ]) then raise Restart;
+    if not (mw t [ word leaf.pool (leaf.off + off_status) s (s + 1) ]) then raise Vlock.Restart;
     (* 2. write the record payload and persist it *)
     let krep = Krep.of_key t.kr key in
     Pool.write_int64 leaf.pool (rec_off leaf slot + 8) krep;
@@ -391,14 +379,14 @@ let insert t key value =
        concurrent consolidation) *)
     let rec publish () =
       let s2 = status leaf in
-      if is_frozen s2 then raise Restart
+      if is_frozen s2 then raise Vlock.Restart
       else if not (mw t [ guard leaf s2; word leaf.pool (rec_off leaf slot) 0 1 ]) then publish ()
     in
     publish ()
   end
 
 let update t key value =
-  with_retry @@ fun () ->
+  Vlock.retry @@ fun () ->
   let leaf, _, _, i = locate t key ~write:true in
   i >= 0
   && begin
@@ -407,9 +395,9 @@ let update t key value =
      end
 
 let delete t key =
-  with_retry @@ fun () ->
+  Vlock.retry @@ fun () ->
   let leaf, s, _, i = locate t key ~write:true in
-  i >= 0 && (mw t [ guard leaf s; word leaf.pool (rec_off leaf i) 1 0 ] || raise Restart)
+  i >= 0 && (mw t [ guard leaf s; word leaf.pool (rec_off leaf i) 1 0 ] || raise Vlock.Restart)
 
 (* Resolve forwarding, then descend a bridge's leftmost spine down to
    a leaf. *)
@@ -424,7 +412,7 @@ let rec leftmost_leaf t n =
    into a split after the descent forwards the scan to the left half
    first. *)
 let scan t key n_wanted =
-  with_retry @@ fun () ->
+  Vlock.retry @@ fun () ->
   let probe_rep = Krep.probe_rep t.kr key in
   let acc = ref [] and taken = ref 0 in
   let rec walk node ~first =

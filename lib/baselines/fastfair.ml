@@ -29,8 +29,6 @@ module Layout = Pobj.Layout
 
 let name = "FastFair"
 
-exception Restart
-
 (* Node layout:
    0 lock   8 leaf flag (u8)   10 count (u16)   16 sibling next
    24 leftmost child (internal only)   32 records: (krep 8, val 8) * cap *)
@@ -149,18 +147,7 @@ let root t = node_of t.machine (Pobj.read_int (Pobj.make t.meta 0) 0)
 
 (* ---------- reads ---------- *)
 
-let with_retry f =
-  let rec go attempt =
-    match f () with
-    | v -> v
-    | exception Restart ->
-        if attempt > 10_000 then failwith "FastFair: livelock";
-        Des.Sched.delay (Float.min (float_of_int attempt *. 50e-9) 2e-6);
-        go (attempt + 1)
-  in
-  go 0
-
-let check n v = if not (Vlock.validate n.pool n.off ~gen ~version:v) then raise Restart
+let check n v = if not (Vlock.validate n.pool n.off ~gen ~version:v) then raise Vlock.Restart
 
 (* The root pointer is read without a lock; after pinning the root
    node (optimistically or exclusively) we must confirm it is still
@@ -172,7 +159,7 @@ let confirm_root t n = Pobj.read_int (Pobj.make t.meta 0) 0 = to_ptr n
    Returns the leaf with its version, not yet validated. *)
 let rec read_leaf t ~probe_rep ~probe_key ~at_root n =
   let v = Vlock.begin_read n ~gen in
-  if at_root && not (confirm_root t n) then raise Restart;
+  if at_root && not (confirm_root t n) then raise Vlock.Restart;
   if is_leaf n then (n, v)
   else begin
     let child = child_for t n ~probe_rep ~probe_key in
@@ -182,7 +169,7 @@ let rec read_leaf t ~probe_rep ~probe_key ~at_root n =
 
 let lookup t key =
   let probe_rep = Krep.probe_rep t.kr key in
-  with_retry @@ fun () ->
+  Vlock.retry @@ fun () ->
   let n, v = read_leaf t ~probe_rep ~probe_key:key ~at_root:true (root t) in
   let i = lower_bound t n ~probe_rep ~probe_key:key in
   let r = if found t n i ~probe_rep ~probe_key:key then Some (val_at n i) else None in
@@ -327,14 +314,14 @@ let insert t key value =
   let probe_key = key in
   let krep = lazy (Krep.of_key t.kr key) in
   let probe_rep = Krep.probe_rep t.kr key in
-  with_retry @@ fun () ->
+  Vlock.retry @@ fun () ->
   let rec descend ~at_root ~ancestors_release n =
     let wv = Vlock.acquire n ~gen in
     let release () = Vlock.release n ~gen ~version:wv in
     if at_root && not (confirm_root t n) then begin
       release ();
       ancestors_release ();
-      raise Restart
+      raise Vlock.Restart
     end;
     let safe = count n < cap in
     let anc =
@@ -409,13 +396,13 @@ let rec lock_leaf t ~probe_rep ~probe_key ~at_root n =
     let wv = Vlock.acquire n ~gen in
     if at_root && not (confirm_root t n) then begin
       Vlock.release n ~gen ~version:wv;
-      raise Restart
+      raise Vlock.Restart
     end;
     (n, wv)
   end
   else begin
     let v = Vlock.begin_read n ~gen in
-    if at_root && not (confirm_root t n) then raise Restart;
+    if at_root && not (confirm_root t n) then raise Vlock.Restart;
     let child = child_for t n ~probe_rep ~probe_key in
     check n v;
     lock_leaf t ~probe_rep ~probe_key ~at_root:false (node_of t.machine child)
@@ -425,7 +412,7 @@ let rec lock_leaf t ~probe_rep ~probe_key ~at_root n =
    when the key is absent. *)
 let with_key_locked t key f =
   let probe_rep = Krep.probe_rep t.kr key in
-  with_retry @@ fun () ->
+  Vlock.retry @@ fun () ->
   let n, wv = lock_leaf t ~probe_rep ~probe_key:key ~at_root:true (root t) in
   let i = lower_bound t n ~probe_rep ~probe_key:key in
   let found = found t n i ~probe_rep ~probe_key:key in
@@ -447,7 +434,7 @@ let delete t key = with_key_locked t key (fun n i -> remove_at n i)
    successor. *)
 let scan t key n_wanted =
   let probe_rep = Krep.probe_rep t.kr key in
-  with_retry @@ fun () ->
+  Vlock.retry @@ fun () ->
   let acc = ref [] and taken = ref 0 in
   let rec walk n v ~first =
     let c = count n in

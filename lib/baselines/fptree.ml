@@ -122,15 +122,17 @@ let covers t leaf key =
    traverses again if it did. *)
 let lookup t key =
   let rec read leaf attempt =
-    if attempt > 10_000 then failwith "FPTree: read livelock";
     let h = Node.lock_handle leaf in
     let v = Vlock.begin_read h ~gen:t.gen in
     let slot = Node.find t.lay leaf key in
     let r = if slot >= 0 then Some (Node.found_value ()) else None in
     let moved = slot < 0 && not (covers t leaf key) in
-    if not (Vlock.validate h.pool h.off ~gen:t.gen ~version:v) then read leaf (attempt + 1)
-    else if moved then read (Node.of_ptr t.machine (to_leaf t key)) (attempt + 1)
-    else r
+    let valid = Vlock.validate h.pool h.off ~gen:t.gen ~version:v in
+    if valid && not moved then r
+    else begin
+      Des.Sched.wait "fptree leaf" h.off ~attempt Des.Sched.Now;
+      read (if valid then Node.of_ptr t.machine (to_leaf t key) else leaf) (attempt + 1)
+    end
   in
   read (Node.of_ptr t.machine (to_leaf t key)) 0
 
@@ -167,7 +169,6 @@ let split_leaf t leaf key =
 let release t leaf wv = Vlock.release (Node.lock_handle leaf) ~gen:t.gen ~version:wv
 
 let rec locked_leaf t key attempt =
-  if attempt > 10_000 then failwith "FPTree: writer livelock";
   let ptr = to_leaf t key in
   let leaf = Node.of_ptr t.machine ptr in
   let wv = Vlock.acquire (Node.lock_handle leaf) ~gen:t.gen in
@@ -175,6 +176,7 @@ let rec locked_leaf t key attempt =
   if covers t leaf key then (leaf, wv)
   else begin
     release t leaf wv;
+    Des.Sched.wait "fptree moved leaf" leaf.Node.off ~attempt Des.Sched.Now;
     locked_leaf t key (attempt + 1)
   end
 
@@ -230,8 +232,7 @@ let scan t key n_wanted =
   let acc = ref [] and taken = ref 0 in
   let slots = Node.thread_slots () in
   let rec scan_leaf ptr attempt =
-    if attempt > 10_000 then failwith "FPTree: scan livelock"
-    else if !taken < n_wanted && not (Pptr.is_null ptr) then begin
+    if !taken < n_wanted && not (Pptr.is_null ptr) then begin
       let leaf = Node.of_ptr t.machine ptr in
       let h = Node.lock_handle leaf in
       let v = Vlock.begin_read h ~gen:t.gen in
@@ -251,7 +252,10 @@ let scan t key n_wanted =
         taken := !taken + !n;
         scan_leaf nxt 0
       end
-      else scan_leaf ptr (attempt + 1)
+      else begin
+        Des.Sched.wait "fptree scan" h.off ~attempt Des.Sched.Now;
+        scan_leaf ptr (attempt + 1)
+      end
     end
   in
   scan_leaf (to_leaf t key) 0;

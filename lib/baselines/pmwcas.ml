@@ -55,16 +55,11 @@ let st_succeeded = 2
 
 let desc_off base = base + ((Des.Sched.current_id () land (slots - 1)) * descriptor_size)
 
-type stats = { mutable attempts : int; mutable failures : int }
-
-let stats = { attempts = 0; failures = 0 }
-
 (* [execute ~desc_pool ~desc_base targets] returns [true] iff every
    target still held its expected value; on success all desired values
    are stored and persisted. *)
 let execute ~desc_pool ~desc_base targets =
   assert (targets <> [] && List.length targets <= max_targets);
-  stats.attempts <- stats.attempts + 1;
   let first = List.hd targets in
   let mutex = stripes.(stripe_of first land 1023) in
   Des.Sync.Mutex.with_lock mutex @@ fun () ->
@@ -101,7 +96,6 @@ let execute ~desc_pool ~desc_base targets =
     Pobj.persist_field d f_status
   end
   else begin
-    stats.failures <- stats.failures + 1;
     (* failed attempt still persisted its status flip *)
     Pobj.set_int d f_status 0;
     Pobj.persist_field d f_status

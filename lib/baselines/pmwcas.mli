@@ -13,10 +13,6 @@ type target = {
   desired : int;
 }
 
-type stats = { mutable attempts : int; mutable failures : int }
-
-val stats : stats
-
 (** Bytes of descriptor area needed in the caller's pool. *)
 val region_size : int
 

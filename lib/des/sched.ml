@@ -6,6 +6,8 @@ type clock = { mutable now : float }
 type pending = {
   mutable extra : float; (* accumulated charge not yet in the clock *)
   mutable at : float; (* the time of its latest event, set as it is queued or delays *)
+  mutable since : float; (* when its current or latest wait began *)
+  mutable last : float; (* its latest failed attempt *)
 }
 
 type thread = {
@@ -21,6 +23,9 @@ type thread = {
          per thread *)
   mutable next_waiter : thread; (* behind it on a [Waitq]; [main] at the tail *)
   scratch : Bytes.t; (* see [scratch] *)
+  mutable on : string; (* what its current or latest wait is on, [""] before any *)
+  mutable arg : int; (* and which one *)
+  mutable waits : int; (* failed attempts so far *)
 }
 
 type _ Effect.t +=
@@ -52,11 +57,14 @@ let rec main =
     id = -1;
     name = "main";
     numa = 0;
-    pending = { extra = 0.0; at = 0.0 };
+    pending = { extra = 0.0; at = 0.0; since = 0.0; last = 0.0 };
     k = no_k;
     wake = ignore;
     next_waiter = main;
     scratch = Bytes.create 256;
+    on = "";
+    arg = 0;
+    waits = 0;
   }
 
 type t = {
@@ -67,20 +75,52 @@ type t = {
          called [delay] (not yet queued), or [main] *)
   mutable next_id : int;
   mutable live : int;
+  mutable threads : thread list; (* every spawned thread, newest first *)
+  handler : (unit, unit) Effect.Deep.handler; (* every thread's; see [spawn] *)
 }
 
 (* The running scheduler for the (single) host thread.  The simulation
    is cooperative, so a plain ref is race-free. *)
 let active : t option ref = ref None
 
+(* The handler's answers depend neither on the effect's occurrence nor
+   on the thread, which is [current] whenever it performs one, so they
+   are built once per scheduler.  A delaying thread is not queued here:
+   it stays [current], and [run] either resumes it at once or swaps it
+   for the earliest event (see [next]). *)
 let create ?(start = 0.0) () =
-  {
-    clock = { now = start };
-    events = Event_queue.create ~dummy:main ();
-    current = main;
-    next_id = 0;
-    live = 0;
-  }
+  let open Effect.Deep in
+  let rec t =
+    {
+      clock = { now = start };
+      events = Event_queue.create ~dummy:main ();
+      current = main;
+      next_id = 0;
+      live = 0;
+      threads = [];
+      handler =
+        {
+          retc = (fun () -> t.current <- main);
+          exnc =
+            (fun exn ->
+              t.current <- main;
+              raise exn);
+          effc =
+            (fun (type c) (eff : c Effect.t) ->
+              match eff with
+              | Delay -> (on_delay : ((c, unit) continuation -> unit) option)
+              | Park -> (on_park : ((c, unit) continuation -> unit) option)
+              | _ -> None);
+        };
+    }
+  and on_delay : ((unit, unit) continuation -> unit) option = Some (fun k -> t.current.k <- k)
+  and on_park : ((unit, unit) continuation -> unit) option =
+    Some
+      (fun k ->
+        t.current.k <- k;
+        t.current <- main)
+  in
+  t
 
 let[@inline] now t = t.clock.now
 
@@ -95,7 +135,7 @@ let spawn t ?(numa = 0) ~name body =
       id = t.next_id;
       name;
       numa;
-      pending = { extra = 0.0; at = 0.0 };
+      pending = { extra = 0.0; at = 0.0; since = 0.0; last = 0.0 };
       k = no_k;
       wake =
         (fun () ->
@@ -103,47 +143,26 @@ let spawn t ?(numa = 0) ~name body =
           Event_queue.add t.events ~time:t.clock.now thread);
       next_waiter = main;
       scratch = Bytes.create 256;
+      on = "";
+      arg = 0;
+      waits = 0;
     }
   in
   t.next_id <- t.next_id + 1;
+  t.threads <- thread :: t.threads;
   t.live <- t.live + 1;
-  let open Effect.Deep in
-  (* The handler's answers do not depend on the effect's occurrence, so
-     they are built once per thread rather than once per switch.  A
-     delaying thread is not queued here: it stays [current], and [run]
-     either resumes it at once or swaps it for the earliest event (see
-     [next]). *)
-  let on_delay = Some (fun (k : (unit, unit) continuation) -> thread.k <- k) in
-  let on_park =
-    Some
-      (fun (k : (unit, unit) continuation) ->
-        thread.k <- k;
-        t.current <- main)
-  in
   (* Enter the handler now and park at once, so that from birth the
      thread is a continuation like any suspended one.  [spawn] may be
      called from a running thread, whose [current] the park must not
      clobber. *)
   let caller = t.current in
-  match_with
+  t.current <- thread;
+  Effect.Deep.match_with
     (fun () ->
       Effect.perform Park;
       body ();
       t.live <- t.live - 1)
-    ()
-    {
-      retc = (fun () -> t.current <- main);
-      exnc =
-        (fun exn ->
-          t.current <- main;
-          raise exn);
-      effc =
-        (fun (type c) (eff : c Effect.t) ->
-          match eff with
-          | Delay -> (on_delay : ((c, unit) continuation -> unit) option)
-          | Park -> (on_park : ((c, unit) continuation -> unit) option)
-          | _ -> None);
-    };
+    () t.handler;
   t.current <- caller;
   thread.wake ()
 
@@ -155,9 +174,6 @@ let abort_all t =
     (Event_queue.pop_min t.events).k <- no_k
   done;
   t.live <- (if t.current == main then 0 else 1)
-
-let debug_progress =
-  match Sys.getenv_opt "DES_DEBUG" with Some _ -> true | None -> false
 
 let dispatch t thread =
   let k = thread.k in
@@ -191,20 +207,35 @@ let next t =
   if next != main then advance t next.pending.at;
   next
 
+exception Stalled of string
+
+let resource th = if th.arg < 0 then th.on else Printf.sprintf "%s %d" th.on th.arg
+
+(* Raise [Stalled]: [headline], then the latest wait of every thread of
+   [t] that has not finished (the running one and those with something
+   to resume). *)
+let stalled t ~now headline =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "stalled at %.9f s: %s; live threads:" now headline;
+  List.iter
+    (fun th ->
+      if th == t.current || th.k != no_k then begin
+        Printf.bprintf b "\n  %s (thread %d): " th.name th.id;
+        if th.on = "" then Buffer.add_string b "no wait"
+        else
+          Printf.bprintf b "%s since %.9f s, last try %.9f s" (resource th) th.pending.since
+            th.pending.last
+      end)
+    (List.rev t.threads);
+  raise (Stalled (Buffer.contents b))
+
 let run t =
   let saved = !active in
   active := Some t;
   let finish () = active := saved in
-  let events = ref 0 in
   (try
      let thread = ref (next t) in
      while !thread != main do
-       if debug_progress then begin
-         incr events;
-         if !events land 0xFFFFF = 0 then
-           Printf.eprintf "[des] %dM events, sim %.3f ms, queue %d\n%!" (!events / 1_000_000)
-             (t.clock.now *. 1e3) (Event_queue.length t.events)
-       end;
        dispatch t !thread;
        thread := next t
      done
@@ -213,8 +244,8 @@ let run t =
      raise exn);
   finish ();
   if t.live > 0 then
-    invalid_arg
-      (Printf.sprintf "Sched.run: %d thread(s) blocked forever (missing signal?)" t.live)
+    stalled t ~now:t.clock.now
+      (Printf.sprintf "%d thread(s) blocked forever (missing signal?)" t.live)
 
 (* The calling simulated thread, or [main] outside one. *)
 let[@inline] current () = match !active with Some t -> t.current | None -> main
@@ -246,7 +277,50 @@ let[@inline] pending_charge () = (current ()).pending.extra
 
 let scratch () = (current ()).scratch
 
-let yield () = delay 0.0
+type backoff = Now | Fixed of float | Doubling of float * int | Linear of float * float
+
+(* W: a wait longer than this is a stall.  The longest wait measured
+   over the tests, the figures and the benchmark was 7.3 ms (DESIGN
+   §2). *)
+let stall_after = 1.0
+
+let[@inline never] stall th =
+  let headline =
+    Printf.sprintf "%s (thread %d) waited %.9f s on %s" th.name th.id
+      (th.pending.last -. th.pending.since) (resource th)
+  in
+  match !active with
+  | Some t when th != main -> stalled t ~now:th.pending.last headline
+  | _ -> raise (Stalled headline)
+
+(* The one wait rule.  Nothing here is a float argument, so a wait
+   allocates only the continuation of its pause.  Outside a simulation
+   nothing else runs, and the pauses are the host program's clock. *)
+let wait what arg ~attempt backoff =
+  let th = current () in
+  let p = th.pending in
+  p.last <- (if th == main then p.last else time () +. p.extra);
+  if attempt = 0 then p.since <- p.last;
+  th.on <- what;
+  th.arg <- arg;
+  th.waits <- th.waits + 1;
+  if p.last -. p.since > stall_after then stall th;
+  let seconds =
+    match backoff with
+    | Now -> 0.0
+    | Fixed s -> s
+    | Doubling (base, cap) -> base *. float_of_int (1 lsl min attempt cap)
+    | Linear (step, cap) ->
+        let s = float_of_int attempt *. step in
+        if s < cap then s else cap
+  in
+  if th == main then p.last <- p.last +. seconds
+  else if backoff != Now then begin
+    p.extra <- p.extra +. seconds;
+    Effect.perform Delay
+  end
+
+let waits () = (current ()).waits
 
 (* An intrusive FIFO threaded through [next_waiter]: waiting and
    waking allocate nothing. *)
@@ -254,10 +328,9 @@ module Waitq = struct
   type t = {
     mutable head : thread; (* [main] when empty *)
     mutable tail : thread;
-    mutable length : int;
   }
 
-  let create () = { head = main; tail = main; length = 0 }
+  let create () = { head = main; tail = main }
 
   let wait wq =
     let th = current () in
@@ -270,7 +343,6 @@ module Waitq = struct
          after wake-up. *)
       if wq.head == main then wq.head <- th else wq.tail.next_waiter <- th;
       wq.tail <- th;
-      wq.length <- wq.length + 1;
       Effect.perform Park
     end
 
@@ -280,7 +352,6 @@ module Waitq = struct
     wq.head <- th.next_waiter;
     if wq.head == main then wq.tail <- main;
     th.next_waiter <- main;
-    wq.length <- wq.length - 1;
     th
 
   let signal_all _sched wq =
@@ -291,6 +362,4 @@ module Waitq = struct
     done
 
   let signal_one _sched wq = if wq.head != main then (pop wq).wake ()
-
-  let waiters wq = wq.length
 end

@@ -29,9 +29,14 @@ val now : t -> float
     via [current_numa]. *)
 val spawn : t -> ?numa:int -> name:string -> (unit -> unit) -> unit
 
+(** A thread made no progress: the simulated time, who is stuck on
+    what, and every live thread's name, id and latest {!wait} (what it
+    was on, when it began and its last try). *)
+exception Stalled of string
+
 (** [run t] executes events until the queue is empty, i.e. all spawned
     threads have finished or are waiting on a {!Waitq.t} that nobody
-    will ever signal (which is reported as an error). *)
+    will ever signal, which raises {!Stalled} naming them. *)
 val run : t -> unit
 
 (** SIGKILL semantics for crash tests: discard every pending event and
@@ -79,9 +84,24 @@ val scratch : unit -> Bytes.t
     scheduler. *)
 val time : unit -> float
 
-(** Yield the processor: reschedule the calling thread at the current
-    time behind already-pending events. *)
-val yield : unit -> unit
+(** The pause after a failed attempt [n] (from 0): none, and no yield
+    ([Now]); a fixed one; [base *. 2 ** min n cap] ([Doubling]);
+    [min (n *. step) cap] ([Linear]). *)
+type backoff = Now | Fixed of float | Doubling of float * int | Linear of float * float
+
+(** [wait what arg ~attempt backoff] is what every retry loop calls
+    when its attempt [attempt] (0 for the first) fails: the calling
+    thread waits on [what] (a static label) and [arg] (an offset or a
+    thread id; negative for none), then pauses as [backoff] says.  The
+    wait began at the latest failed attempt 0.  The one rule: a wait
+    longer than [W] of simulated time (DESIGN §2) raises {!Stalled}. *)
+val wait : string -> int -> attempt:int -> backoff -> unit
+
+(** [W], in simulated seconds. *)
+val stall_after : float
+
+(** Failed attempts ({!wait} calls) of the calling thread so far. *)
+val waits : unit -> int
 
 (** Identifier of the calling simulated thread; [-1] outside a
     simulation. *)
@@ -119,6 +139,4 @@ module Waitq : sig
 
   (** Wake at most one waiting thread (FIFO). *)
   val signal_one : sched -> t -> unit
-
-  val waiters : t -> int
 end

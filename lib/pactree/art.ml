@@ -25,8 +25,6 @@ module Pptr = Pmalloc.Pptr
 module Heap = Pmalloc.Heap
 module Layout = Pobj.Layout
 
-exception Restart
-
 type node = Pobj.obj = { pool : Pool.t; off : int }
 
 type stats = {
@@ -128,7 +126,7 @@ let node_pool machine ptr =
   let pool = Pmalloc.Registry.resolve machine ptr in
   let off = Pptr.off ptr in
   if off <= 0 || off + node_size.(0) > Pool.capacity pool || off land 7 <> 0 then
-    raise Restart;
+    raise Vlock.Restart;
   pool
 
 let count n = Pobj.get_u16 n f_count
@@ -139,7 +137,8 @@ let set_count n c = Pobj.set_u16 n f_count c
    handle, and a visit validates at the node's offset. *)
 let () = assert (off_lock = 0)
 
-let check pool off ~gen v = if not (Vlock.validate pool off ~gen ~version:v) then raise Restart
+let check pool off ~gen v =
+  if not (Vlock.validate pool off ~gen ~version:v) then raise Vlock.Restart
 
 (* Base-relative offset of child slot [i]; a parent-slot record keeps
    the absolute form, [off + child_rel ty i]. *)
@@ -174,12 +173,12 @@ let snap_any = snap_len
    at all — restart and re-descend. *)
 let snapshot t pool off snap base =
   let v = Vlock.begin_read_snapshot pool off ~gen:t.gen snap base snap_len in
-  if Vlock.is_obsolete v then raise Restart;
+  if Vlock.is_obsolete v then raise Vlock.Restart;
   v
 
 let snap_type snap base =
   let ty = Bytes.get_uint8 snap (base + Layout.off f_type) in
-  if ty > 3 then raise Restart (* speculative read of a non-node *);
+  if ty > 3 then raise Vlock.Restart (* speculative read of a non-node *);
   ty
 
 let snap_plen snap base = Bytes.get_uint8 snap (base + Layout.off f_plen)
@@ -189,7 +188,7 @@ let snap_plen snap base = Bytes.get_uint8 snap (base + Layout.off f_plen)
    of garbage. *)
 let snap_count snap base ty =
   let c = Bytes.get_uint16_le snap (base + off_count) in
-  if ty <= 1 && c > capacity.(1) then raise Restart;
+  if ty <= 1 && c > capacity.(1) then raise Vlock.Restart;
   c
 
 let snap_key snap base i = Bytes.get_uint8 snap (base + n4_keys + i)
@@ -330,10 +329,10 @@ let ensure_pending_capacity t n =
     if free_pending_slots t < n then begin
       Epoch.unpin_while t.epoch (fun () ->
           Epoch.try_advance t.epoch;
-          if attempt > 50_000 then failwith "Art: pending log exhausted";
           (* exponential: under saturation the blocking epochs span
              millisecond-long fences *)
-          Des.Sched.delay (200e-9 *. float_of_int (1 lsl min attempt 10)));
+          Des.Sched.wait "pending log, epoch held by thread" (Epoch.holder t.epoch) ~attempt
+            (Des.Sched.Doubling (200e-9, 10)));
       wait (attempt + 1)
     end
   in
@@ -418,7 +417,7 @@ let rec any_leaf t p =
   let v = snapshot t pool off snap snap_any in
   let first = child_above pool off snap snap_any (snap_type snap snap_any) (-1) in
   check pool off ~gen:t.gen v;
-  if Pptr.is_null first then raise Restart (* transiently empty under concurrent SMO *)
+  if Pptr.is_null first then raise Vlock.Restart (* transiently empty under concurrent SMO *)
   else if Pptr.is_tagged first then Pptr.untag first
   else any_leaf t first
 
@@ -427,7 +426,7 @@ let rec any_leaf t p =
    key of a leaf below. *)
 let long_prefix t p ~depth pl =
   let leaf_key = t.key_of_leaf (any_leaf t p) in
-  if String.length leaf_key < depth + pl then raise Restart;
+  if String.length leaf_key < depth + pl then raise Vlock.Restart;
   String.sub leaf_key depth pl
 
 (* A visit of the node [p] points to matches its [pl] prefix bytes
@@ -473,23 +472,7 @@ let match_prefix t p snap ~depth rkey =
   then prefix_before
   else prefix_after
 
-(* ---------- retry wrapper ---------- *)
-
-(* [retrying t f x 0] is [f t x], run again after every restart; with a
-   top-level [f] it builds no closure. *)
-let rec retrying t f x attempt =
-  match f t x with
-  | v -> v
-  (* Invalid_argument here can only be a pool bounds fault from a
-     speculative read that version validation would have discarded:
-     treat it like any other optimistic conflict. *)
-  | exception (Restart | Invalid_argument _) ->
-      t.stats.restarts <- t.stats.restarts + 1;
-      if attempt > 10_000 then failwith "Art: livelock (too many restarts)";
-      Des.Sched.delay (Float.min (float_of_int attempt *. 50e-9) 2e-6);
-      retrying t f x (attempt + 1)
-
-let with_retry t f = retrying t (fun _ f -> f ()) f 0
+let restarted t = t.stats.restarts <- t.stats.restarts + 1
 
 (* ---------- construction / open ---------- *)
 
@@ -541,7 +524,7 @@ let generation t = t.gen
 let searching t f x =
   let span = Obs.Span.start Obs.Span.Trie_search in
   Epoch.enter t.epoch;
-  match retrying t f x 0 with
+  match Vlock.retrying restarted f t x with
   | v ->
       Epoch.exit t.epoch;
       Obs.Span.stop span;
@@ -597,7 +580,7 @@ let rec max_leaf_of t pool off snap v =
   let c = snap_keys snap snap_visit ty in
   let last = child_lt pool off snap ty (lt_key snap c 256) 256 in
   check pool off ~gen:t.gen v;
-  if Pptr.is_null last then raise Restart
+  if Pptr.is_null last then raise Vlock.Restart
   else if Pptr.is_tagged last then Pptr.untag last
   else max_leaf t last
 
@@ -697,10 +680,10 @@ let release_slot slot ~gen = Vlock.release slot.s_lock ~gen ~version:(slot.s_ver
    every structural replacement of [n] takes.  If either fails, release
    what was taken and restart. *)
 let lock_slot_and_node slot n ~gen nv =
-  if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Restart;
+  if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Vlock.Restart;
   if not (Vlock.try_upgrade n ~gen ~version:nv) then begin
     release_slot slot ~gen;
-    raise Restart
+    raise Vlock.Restart
   end
 
 (* The stored bytes of a prefix of length [pl] in the copy at [base]. *)
@@ -778,7 +761,7 @@ let add_child_inplace n ty c b ptr =
    commit by swapping the slot pointer (atomic). *)
 let split_leaf t rkey payload slot old_ptr depth =
   let gen = t.gen in
-  if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Restart;
+  if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Vlock.Restart;
   let old_key = t.key_of_leaf (Pptr.untag old_ptr) in
   if String.equal old_key rkey then begin
     (* duplicate: replace the payload pointer *)
@@ -873,7 +856,7 @@ let rec insert_descend t rkey payload spool slock sv soff cur depth =
     end
     else if depth' >= String.length rkey then begin
       check pool off ~gen v;
-      raise Restart (* impossible for prefix-free keys unless racing *)
+      raise Vlock.Restart (* impossible for prefix-free keys unless racing *)
     end
     else begin
       let b = byte_at rkey depth' in
@@ -885,7 +868,7 @@ let rec insert_descend t rkey payload spool slock sv soff cur depth =
       if not (Pptr.is_null p) then insert_descend t rkey payload pool off v found p (depth' + 1)
       else if c < capacity.(ty) then begin
         let n = { pool; off } in
-        if not (Vlock.try_upgrade n ~gen ~version:v) then raise Restart;
+        if not (Vlock.try_upgrade n ~gen ~version:v) then raise Vlock.Restart;
         add_child_inplace n ty c b (Pptr.tagged payload);
         Vlock.release n ~gen ~version:(v + 1);
         Inserted
@@ -900,7 +883,7 @@ let insert_once t rkey payload =
   let root = snap_root () in
   if Pptr.is_null root then begin
     let rh = root_lockh t in
-    if not (Vlock.try_upgrade rh ~gen ~version:rv) then raise Restart;
+    if not (Vlock.try_upgrade rh ~gen ~version:rv) then raise Vlock.Restart;
     Pobj.set_int t.mo f_meta_root (Pptr.tagged payload);
     Pobj.persist_field t.mo f_meta_root;
     Vlock.release rh ~gen ~version:(rv + 1);
@@ -913,7 +896,7 @@ let insert t rkey payload =
   Epoch.enter t.epoch;
   Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
   ensure_pending_capacity t 4;
-  with_retry t (fun () -> insert_once t rkey payload)
+  Vlock.retrying restarted (fun t () -> insert_once t rkey payload) t ()
 
 (* ---------- delete ---------- *)
 
@@ -1053,7 +1036,7 @@ let rec delete_descend t rkey spool slock sv soff cur depth =
       (* only reachable for the root leaf: inner leaves are handled
          at their parent *)
       let slot = slot_at spool slock sv soff in
-      if not (Vlock.try_upgrade slot.s_lock ~gen ~version:sv) then raise Restart;
+      if not (Vlock.try_upgrade slot.s_lock ~gen ~version:sv) then raise Vlock.Restart;
       write_slot slot Pptr.null;
       release_slot slot ~gen;
       Some (Pptr.untag cur)
@@ -1086,7 +1069,7 @@ let rec delete_descend t rkey spool slock sv soff cur depth =
             ~depth
         else begin
           let n = { pool; off } in
-          if not (Vlock.try_upgrade n ~gen ~version:v) then raise Restart;
+          if not (Vlock.try_upgrade n ~gen ~version:v) then raise Vlock.Restart;
           remove_child_inplace n snap ty c b;
           Vlock.release n ~gen ~version:(v + 1);
           Some payload
@@ -1107,7 +1090,7 @@ let delete t rkey =
   Epoch.enter t.epoch;
   Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
   ensure_pending_capacity t 4;
-  retrying t delete_once rkey 0
+  Vlock.retrying restarted delete_once t rkey
 
 (* ---------- ordered iteration (baseline scans) ---------- *)
 
@@ -1172,7 +1155,7 @@ let scan_once t s =
 let iter_from t rkey f =
   Epoch.enter t.epoch;
   Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
-  try retrying t scan_once { f; lo = rkey; last = Pptr.null } 0 with Stop -> ()
+  try Vlock.retrying restarted scan_once t { f; lo = rkey; last = Pptr.null } with Stop -> ()
 
 (* ---------- recovery (§5.1, §5.9) ---------- *)
 

@@ -15,8 +15,6 @@
 
 type t
 
-exception Restart
-
 type stats = {
   mutable restarts : int;
   mutable allocs : int;

@@ -28,13 +28,17 @@ let state t =
   end;
   Array.unsafe_get t.threads i
 
-let rec caught_up_from t i =
-  i >= Array.length t.threads
-  ||
-  let ts = Array.unsafe_get t.threads i in
-  (ts.depth = 0 || ts.local = t.epoch) && caught_up_from t (i + 1)
+(* The state index of the first thread pinned in an older epoch, which
+   holds the next advance back, from [i] on; past the end if none. *)
+let rec behind_from t i =
+  if i >= Array.length t.threads then i
+  else
+    let ts = Array.unsafe_get t.threads i in
+    if ts.depth > 0 && ts.local <> t.epoch then i else behind_from t (i + 1)
 
-let all_caught_up t = caught_up_from t 0
+let all_caught_up t = behind_from t 0 >= Array.length t.threads
+
+let holder t = if all_caught_up t then -1 else behind_from t 0 - 1
 
 (* The deferred actions two epochs old, taken off the queue newest
    first: nothing when the oldest is not ripe. *)
@@ -48,10 +52,7 @@ let rec take_ripe t acc =
    advance they make must find only the actions not yet taken. *)
 let run_ripe t = List.iter (fun f -> f ()) (List.rev (take_ripe t []))
 
-let attempts = ref 0
-
 let try_advance t =
-  incr attempts;
   if all_caught_up t then begin
     t.epoch <- t.epoch + 1;
     run_ripe t

@@ -38,5 +38,6 @@ val pending : t -> int
 (** Current epoch number (for tests). *)
 val current : t -> int
 
-(** Total advancement attempts (instrumentation). *)
-val attempts : int ref
+(** The id of the first simulated thread pinned in an older epoch,
+    which holds the next advancement back; [-1] if none does. *)
+val holder : t -> int

@@ -72,8 +72,7 @@ let write_entry e ~ts payload =
 let rec find_free t pool tid hint attempt i tried =
   if tried >= entries_per_ring then begin
     (* Ring full: wait for the updater (back-pressure, §5.6). *)
-    if attempt > 50_000 then failwith "Smo_log.append: ring stuck (updater dead?)";
-    Des.Sched.delay (500e-9 *. float_of_int (1 lsl min attempt 9));
+    Des.Sched.wait "smo ring of thread" tid ~attempt (Des.Sched.Doubling (500e-9, 9));
     find_free t pool tid hint (attempt + 1) hint 0
   end
   else

@@ -228,6 +228,14 @@ let locate t key =
       Obs.Span.stop span;
       raise e
 
+(* [locate], retried until the walk converges. *)
+let rec located t key attempt =
+  match locate t key with
+  | p -> p
+  | exception Lost ->
+      Des.Sched.wait "tree walk" (-1) ~attempt (Des.Sched.Fixed 100e-9);
+      located t key (attempt + 1)
+
 (* Is [node], under its current state, the right home for [key]? *)
 let covers t node key =
   Node.read_header node.Node.pool node.Node.off;
@@ -247,23 +255,15 @@ let in_epoch t f a b =
 
 (* Write-lock the target node (§5.5: all writes lock, work, release). *)
 let rec lock_target t key n =
-  if n > 10_000 then failwith "Tree: writer livelock";
-  match locate t key with
-  | exception Lost ->
-      Des.Sched.delay 100e-9;
-      lock_target t key (n + 1)
-  | p ->
-      let node = Node.of_ptr t.machine p in
-      let h = Node.lock_handle node in
-      let wv = Vlock.acquire h ~gen:t.gen in
-      if covers t node key then (node, wv)
-      else begin
-        Vlock.release h ~gen:t.gen ~version:wv;
-        Des.Sched.delay 50e-9;
-        lock_target t key (n + 1)
-      end
-
-let locked_target t key = lock_target t key 0
+  let node = Node.of_ptr t.machine (located t key 0) in
+  let h = Node.lock_handle node in
+  let wv = Vlock.acquire h ~gen:t.gen in
+  if covers t node key then (node, wv)
+  else begin
+    Vlock.release h ~gen:t.gen ~version:wv;
+    Des.Sched.wait "tree moved node" node.Node.off ~attempt:n (Des.Sched.Fixed 50e-9);
+    lock_target t key (n + 1)
+  end
 
 let release t node wv = Vlock.release (Node.lock_handle node) ~gen:t.gen ~version:wv
 
@@ -460,7 +460,6 @@ let visiting t p key direct =
    and the sibling walk.  The attempts are top-level functions, not
    closures: lookups are half of every workload. *)
 let rec lookup_attempt t key rkey n ~use_jump =
-  if n > 10_000 then failwith "Tree: reader livelock";
   if use_jump then lookup_in t key rkey n (jump_node t rkey) ~direct:true
   else
     match locate t key with
@@ -469,7 +468,7 @@ let rec lookup_attempt t key rkey n ~use_jump =
 
 and lookup_retry t key rkey n =
   t.stats.reader_retries <- t.stats.reader_retries + 1;
-  Des.Sched.delay 50e-9;
+  Des.Sched.wait "tree lookup" (-1) ~attempt:n (Des.Sched.Fixed 50e-9);
   lookup_attempt t key rkey (n + 1) ~use_jump:false
 
 and lookup_in t key rkey n p ~direct =
@@ -485,7 +484,7 @@ let lookup t key =
   in_epoch t (fun t key () -> lookup_attempt t key (Key.to_radix key) 0 ~use_jump:true) key ()
 
 let insert_locked t key value =
-  let node, wv = locked_target t key in
+  let node, wv = lock_target t key 0 in
   if Node.find t.lay node key >= 0 then begin
     (match Node.update t.lay node key value with
     | Node.Ok -> ()
@@ -501,7 +500,7 @@ let insert_locked t key value =
 let insert t key value = in_epoch t insert_locked key value
 
 let update_locked t key value =
-  let node, wv = locked_target t key in
+  let node, wv = lock_target t key 0 in
   let r = Node.update t.lay node key value in
   release t node wv;
   r = Node.Ok
@@ -523,7 +522,7 @@ let try_merge_left t node_ptr =
   end
 
 let delete_locked t key () =
-  let node, wv = locked_target t key in
+  let node, wv = lock_target t key 0 in
   match Node.delete t.lay node key with
   | Node.Absent ->
       release t node wv;
@@ -545,13 +544,12 @@ let scan_locked t key count =
   let acc = ref [] and taken = ref 0 in
   let rec scan_node node low attempt =
     if !taken >= count then ()
-    else if attempt > 10_000 then failwith "Tree: scan livelock"
     else begin
       let h = Node.lock_handle node in
       let v = Vlock.begin_read h ~gen:t.gen in
       if Node.is_deleted node then
         (* jump to the surviving left node *)
-        scan_node (Node.of_ptr t.machine (Node.prev node)) low (attempt + 1)
+        scan_node (Node.of_ptr t.machine (Node.prev node)) low attempt
       else begin
         let batch = ref [] and batch_n = ref 0 in
         let budget = count - !taken in
@@ -585,20 +583,13 @@ let scan_locked t key count =
         end
         else begin
           t.stats.reader_retries <- t.stats.reader_retries + 1;
+          Des.Sched.wait "tree scan" h.off ~attempt Des.Sched.Now;
           scan_node node low (attempt + 1)
         end
       end
     end
   in
-  let rec locate_retry n =
-    if n > 10_000 then failwith "Tree: scan livelock";
-    match locate t key with
-    | p -> Node.of_ptr t.machine p
-    | exception Lost ->
-        Des.Sched.delay 100e-9;
-        locate_retry (n + 1)
-  in
-  scan_node (locate_retry 0) key 0;
+  scan_node (Node.of_ptr t.machine (located t key 0)) key 0;
   List.rev !acc
 
 let scan t key count = in_epoch t scan_locked key count

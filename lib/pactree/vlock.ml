@@ -36,31 +36,17 @@ let is_obsolete version = version land obsolete_bit <> 0
 
 let read_version h ~gen = effective (Pobj.read_int h 0) ~gen
 
-(* instrumentation: total spin iterations across all locks *)
-let spins = ref 0
-
 (* Exponential backoff up to ~80us: under device saturation a lock
    can be held across millisecond-long fences, and fine-grained
    spinning would flood the event queue. *)
-let backoff attempt =
-  incr spins;
-  let capped = min attempt 11 in
-  Des.Sched.delay (40e-9 *. float_of_int (1 lsl capped))
-
-let debug = Sys.getenv_opt "DES_DEBUG" <> None
-
-let stuck pool off ~gen attempt who =
-  if debug && attempt > 0 && attempt mod 500 = 0 then
-    Printf.eprintf "[vlock] thread %d stuck in %s on %s+%d word=%#x gen=%d (%d spins)\n%!"
-      (Des.Sched.current_id ()) who (Pool.name pool) off (Pool.read_int pool off) gen attempt
+let backoff = Des.Sched.Doubling (40e-9, 11)
 
 (* The retry loops are top-level functions rather than local closures:
    every node visit takes a version. *)
 let rec read_unlocked h ~gen attempt =
   let v = read_version h ~gen in
   if is_locked v then begin
-    stuck h.pool h.off ~gen attempt "begin_read";
-    backoff attempt;
+    Des.Sched.wait "vlock read" h.off ~attempt backoff;
     read_unlocked h ~gen (attempt + 1)
   end
   else v
@@ -75,8 +61,7 @@ let rec snapshot_unlocked pool off ~gen buf pos len attempt =
   Pool.blit_to_bytes pool off buf pos len;
   let v = effective (Int64.to_int (Bytes.get_int64_le buf pos)) ~gen in
   if is_locked v then begin
-    stuck pool off ~gen attempt "begin_read_snapshot";
-    backoff attempt;
+    Des.Sched.wait "vlock read" off ~attempt backoff;
     snapshot_unlocked pool off ~gen buf pos len (attempt + 1)
   end
   else v
@@ -91,16 +76,13 @@ let try_upgrade h ~gen ~version =
   &&
   let raw = Pobj.read_int h 0 in
   effective raw ~gen = version
-  &&
-  (if debug then Pmalloc.Heap.check_not_freed ~who:"try_upgrade" h.pool h.off;
-   Pobj.transient_cas h 0 ~expected:raw (word ~gen ~version:(version + 1)))
+  && Pobj.transient_cas h 0 ~expected:raw (word ~gen ~version:(version + 1))
 
 let rec lock_loop h ~gen attempt =
   let v = read_version h ~gen in
   if (not (is_locked v)) && try_upgrade h ~gen ~version:v then v + 1
   else begin
-    stuck h.pool h.off ~gen attempt "acquire";
-    backoff attempt;
+    Des.Sched.wait "vlock acquire" h.off ~attempt backoff;
     lock_loop h ~gen (attempt + 1)
   end
 
@@ -117,3 +99,20 @@ let release h ~gen ~version =
 let release_obsolete h ~gen ~version =
   assert (is_locked version);
   Pobj.transient_store h 0 (word ~gen ~version:((version + 3) lor obsolete_bit))
+
+exception Restart
+
+(* An [Invalid_argument] can only be a pool bounds fault from a
+   speculative read that version validation would have discarded:
+   it restarts like any other optimistic conflict. *)
+let rec retry_from attempt on_restart f a b =
+  match f a b with
+  | v -> v
+  | exception (Restart | Invalid_argument _) ->
+      on_restart a;
+      Des.Sched.wait "restart" (-1) ~attempt (Des.Sched.Linear (50e-9, 2e-6));
+      retry_from (attempt + 1) on_restart f a b
+
+let retrying on_restart f a b = retry_from 0 on_restart f a b
+
+let retry f = retrying ignore (fun f () -> f ()) f ()

@@ -61,5 +61,14 @@ val release : handle -> gen:int -> version:int -> unit
 (** Release and mark the node obsolete (retired by CoW). *)
 val release_obsolete : handle -> gen:int -> version:int -> unit
 
-(** Total backoff iterations (instrumentation). *)
-val spins : int ref
+(** An optimistic conflict: the operation must start over. *)
+exception Restart
+
+(** [retrying on_restart f a b] is [f a b], run again after every
+    {!Restart} (or [Invalid_argument], the bounds fault of a
+    speculative read) with [on_restart a] and a {!Des.Sched.wait}
+    between.  With a top-level [f] it builds no closure. *)
+val retrying : ('a -> unit) -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
+
+(** [retry f] is [retrying ignore] over the thunk [f]. *)
+val retry : (unit -> 'a) -> 'a

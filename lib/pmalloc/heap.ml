@@ -76,25 +76,9 @@ type pool_state = {
   mutable vbump : int;
   vfree : int list array;
   vclass : (int, int) Hashtbl.t; (* offset -> size class *)
-  freed : (int, int) Hashtbl.t;
-      (* debug (DES_DEBUG): currently-free blocks, offset -> size class *)
 }
 
 let debug_heap = Sys.getenv_opt "DES_DEBUG" <> None
-
-(* Debug: {!check_not_freed} is handed a pool, not a heap, so it finds
-   the pool's [freed] table through this index.  It is keyed on the
-   pool itself, so pools of different machines never alias, and it is
-   weak, so it keeps no pool alive.  Filled only under DES_DEBUG. *)
-module By_pool = Ephemeron.K1.Make (struct
-  type t = Pool.t
-
-  let equal = ( == )
-
-  let hash = Pool.id
-end)
-
-let freed_index : (int, int) Hashtbl.t By_pool.t = By_pool.create 16
 
 type t = {
   machine : Nvm.Machine.t;
@@ -120,8 +104,6 @@ let create machine ?(volatile_pool = false) ~kind ~name ~numa_pools
     in
     let hd = Pobj.make pool 0 in
     if kind = Pmdk then init_pmdk_pool hd;
-    let freed = Hashtbl.create (if debug_heap then 4096 else 1) in
-    if debug_heap then By_pool.replace freed_index pool freed;
     {
       pool;
       hd;
@@ -129,7 +111,6 @@ let create machine ?(volatile_pool = false) ~kind ~name ~numa_pools
       vbump = data_start;
       vfree = Array.make (Array.length class_sizes) [];
       vclass = Hashtbl.create 512;
-      freed;
     }
   in
   {
@@ -154,20 +135,6 @@ let pool t ptr = Registry.resolve t.machine ptr
 let pick_pool t = function
   | Some numa -> t.pools.(numa mod Array.length t.pools)
   | None -> t.pools.(Des.Sched.current_numa () mod Array.length t.pools)
-
-let check_not_freed ~who pool off =
-  if debug_heap then
-    match By_pool.find_opt freed_index pool with
-    | None -> ()
-    | Some freed ->
-        Hashtbl.iter
-          (fun boff cls ->
-            if off >= boff && off < boff + class_sizes.(cls) then
-              Printf.eprintf
-                "[heap] thread %d: %s touches FREED block (pool %s, block %d, off %d)\n%s\n%!"
-                (Des.Sched.current_id ()) who (Pool.name pool) boff off
-                (Printexc.raw_backtrace_to_string (Printexc.get_callstack 25)))
-          freed
 
 let out_of_memory pool =
   failwith (Printf.sprintf "Heap: pool %s exhausted" (Pool.name pool))
@@ -206,7 +173,6 @@ let pmdk_alloc ps ~dest size =
     end
   in
   let block_ptr = Pptr.make ~pool:(Pool.id ps.pool) ~off:block_off in
-  if debug_heap then Hashtbl.remove ps.freed block_off;
   (* 1. Undo/redo log entry (one line), persisted first. *)
   Pobj.set_int hd f_lclass cls;
   Pobj.set_int hd f_lblock block_ptr;
@@ -276,8 +242,7 @@ let pmdk_free ps ptr =
   Pobj.write_int hd (head_off cls) ptr;
   Pobj.persist hd (head_off cls) 8;
   Pobj.set_int hd f_lstate l_none;
-  Pobj.persist_field hd f_lstate;
-  if debug_heap then Hashtbl.replace ps.freed block_off cls
+  Pobj.persist_field hd f_lstate
 
 let volatile_alloc ps ~dest size =
   let p = ps.pool in

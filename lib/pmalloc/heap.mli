@@ -78,7 +78,3 @@ val recover : t -> unit
 
 (** Bytes still allocatable in the pool for [numa]. *)
 val remaining : t -> numa:int -> int
-
-(** Debug (env [DES_DEBUG]): report if [off] lies within a
-    currently-free block of [pool]. *)
-val check_not_freed : who:string -> Nvm.Pool.t -> int -> unit

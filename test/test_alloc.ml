@@ -94,6 +94,23 @@ let test_sched_delay () =
   in
   check_ceiling "Sched.delay" 2.0 w
 
+(* One failed attempt of a vlock spin while the lock's holder sleeps
+   in the queue: the wait allocates no more than a [Sched.delay] in the
+   same state (its continuation, and in this profile the box of the
+   wake time the queue is offered). *)
+let test_sched_wait () =
+  let sched = Sched.create () in
+  let delay_w = ref 0.0 and wait_w = ref 0.0 in
+  Sched.spawn sched ~name:"holder" (fun () -> Sched.delay 1.0);
+  Sched.spawn sched ~name:"waiter" (fun () ->
+      Sched.delay 1e-9;
+      delay_w := words_per_call 100 (fun _ -> Sched.delay 1e-9);
+      wait_w :=
+        words_per_call 100 (fun i ->
+            Sched.wait "vlock acquire" 64 ~attempt:i (Sched.Doubling (40e-9, 11))));
+  Sched.run sched;
+  check_ceiling "Sched.wait" !delay_w !wait_w
+
 (* A thread parks on a wait queue and another wakes it, [cycles]
    times; the words of both sides and of the two context switches. *)
 let test_waitq_cycle () =
@@ -573,6 +590,7 @@ let () =
           Alcotest.test_case "event queue push_pop" `Quick test_event_queue_push_pop;
           Alcotest.test_case "sched charge" `Quick test_sched_charge;
           Alcotest.test_case "sched delay" `Quick test_sched_delay;
+          Alcotest.test_case "sched wait" `Quick test_sched_wait;
           Alcotest.test_case "waitq wait + signal_one" `Quick test_waitq_cycle;
           Alcotest.test_case "pool accessors" `Quick test_pool_accessors;
           Alcotest.test_case "cache-missing read" `Quick test_cache_miss;

@@ -299,11 +299,82 @@ let test_epoch_blocked_by_active_reader () =
       (* reader still active in an old epoch: cannot free yet *)
       Pactree.Epoch.try_advance e;
       Pactree.Epoch.try_advance e;
-      Alcotest.(check bool) "blocked by reader" false !freed);
+      Alcotest.(check bool) "blocked by reader" false !freed;
+      Alcotest.(check int) "held back by the reader" 0 (Pactree.Epoch.holder e));
   Des.Sched.run sched;
   Pactree.Epoch.try_advance e;
   Pactree.Epoch.try_advance e;
   Alcotest.(check bool) "freed after reader exits" true !freed
+
+(* ---------- stalls ---------- *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* Run [sched], which must stall: [who] has waited on [what] for more
+   than W, and the report comes within one capped [backoff] pause (plus
+   the microsecond of NVM reads around it) of W after [began], the
+   time the wait began.  [others] must appear in the report too. *)
+let expect_stall sched ~who ~what ~began ~backoff ?(others = []) () =
+  match Des.Sched.run sched with
+  | () -> Alcotest.fail "no stall reported"
+  | exception Des.Sched.Stalled report ->
+      List.iter
+        (fun s -> if not (contains report s) then Alcotest.failf "%S not in:\n%s" s report)
+        (Printf.sprintf ": %s (thread " who :: (" s on " ^ what ^ ";") :: others);
+      let late = Des.Sched.now sched -. !began -. Des.Sched.stall_after in
+      if late <= 0.0 || late > backoff +. 1e-6 then
+        Alcotest.failf "reported %.3g s after W (one pause: %.3g s)" late backoff
+
+(* A thread that holds a lock and then reads its node waits on itself
+   (the self-wait of an early Node4 merge, which used to hang). *)
+let test_stall_self_wait () =
+  let _, _, node = make_node () in
+  let sched = Des.Sched.create () in
+  let began = ref 0.0 in
+  let h = Node.lock_handle node in
+  Des.Sched.spawn sched ~name:"merger" (fun () ->
+      ignore (Vlock.acquire h ~gen);
+      began := Des.Sched.now sched;
+      ignore (Vlock.begin_read_snapshot h.pool h.off ~gen (Des.Sched.scratch ()) 0 16));
+  expect_stall sched ~who:"merger" ~began ~backoff:(40e-9 *. 2048.0)
+    ~what:(Printf.sprintf "vlock read %d" h.off) ()
+
+(* A writer fills its SMO ring and no updater drains it. *)
+let test_stall_full_ring () =
+  let _, log = make_log () in
+  let sched = Des.Sched.create () in
+  let began = ref 0.0 in
+  Des.Sched.spawn sched ~name:"writer" (fun () ->
+      for i = 1 to 65 do
+        if i = 65 then began := Des.Sched.now sched;
+        ignore
+          (Pactree.Smo_log.append log ~ts:i
+             (Pactree.Smo_log.Split { left = Pmalloc.Pptr.make ~pool:2 ~off:256; anchor = "k" }))
+      done);
+  expect_stall sched ~who:"writer" ~began ~backoff:(500e-9 *. 512.0)
+    ~what:"smo ring of thread 0" ()
+
+(* Two threads take two locks in opposite orders. *)
+let test_stall_lock_order () =
+  let _, lay, a = make_node () in
+  let b = { a with Node.off = 4096 } in
+  Node.init lay b ~gen ~anchor:"" ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null;
+  let sched = Des.Sched.create () in
+  let began = ref 0.0 in
+  let take first second =
+    ignore (Vlock.acquire (Node.lock_handle first) ~gen);
+    Des.Sched.delay 1e-6;
+    if first == a then began := Des.Sched.now sched;
+    ignore (Vlock.acquire (Node.lock_handle second) ~gen)
+  in
+  Des.Sched.spawn sched ~name:"ab" (fun () -> take a b);
+  Des.Sched.spawn sched ~name:"ba" (fun () -> take b a);
+  let on n = Printf.sprintf "vlock acquire %d" (Node.lock_handle n).off in
+  expect_stall sched ~who:"ab" ~began ~backoff:(40e-9 *. 2048.0) ~what:(on b)
+    ~others:[ "ba (thread 1): " ^ on a ] ()
 
 let test_epoch_reentrancy () =
   let e = Pactree.Epoch.create () in
@@ -358,9 +429,9 @@ let test_visit_waits_for_writer () =
       Vlock.release h ~gen ~version:wv);
   Des.Sched.spawn sched ~name:"reader" (fun () ->
       Des.Sched.delay 1e-7 (* the writer holds the lock by now *);
-      let spins0 = !Vlock.spins in
+      let waits0 = Des.Sched.waits () in
       got := visit lay node (ik 5);
-      spun := !Vlock.spins - spins0);
+      spun := Des.Sched.waits () - waits0);
   Des.Sched.run sched;
   Alcotest.(check bool) "the reader's copy caught the held lock" true (!spun > 0);
   Alcotest.(check (option int)) "post-release value" (Some 55) !got;
@@ -410,5 +481,8 @@ let suite =
     Alcotest.test_case "epoch: blocked by active reader" `Quick
       test_epoch_blocked_by_active_reader;
     Alcotest.test_case "epoch: reentrancy" `Quick test_epoch_reentrancy;
+    Alcotest.test_case "stall: a lock holder reads its own node" `Quick test_stall_self_wait;
+    Alcotest.test_case "stall: a full SMO ring, no updater" `Quick test_stall_full_ring;
+    Alcotest.test_case "stall: two locks in opposite orders" `Quick test_stall_lock_order;
     Alcotest.test_case "epoch: unpin_while" `Quick test_epoch_unpin_while;
   ]

@@ -303,7 +303,9 @@ let test_deadlock_detected () =
   let wq = Des.Sched.Waitq.create () in
   Des.Sched.spawn sched ~name:"stuck" (fun () -> Des.Sched.Waitq.wait wq);
   Alcotest.check_raises "blocked forever"
-    (Invalid_argument "Sched.run: 1 thread(s) blocked forever (missing signal?)")
+    (Des.Sched.Stalled
+       "stalled at 0.000000000 s: 1 thread(s) blocked forever (missing signal?); live threads:\n\
+       \  stuck (thread 0): no wait")
     (fun () -> Des.Sched.run sched)
 
 let test_mutex_excludes () =
