@@ -46,6 +46,24 @@ let clwb_fence () =
       Nvm.Pool.clwb pool 64;
       Nvm.Pool.fence pool)
 
+(* One fingerprint probe of a full 64-slot int-key node, outside a
+   simulation, for [key]: the node's lines 0-1 are copied once, as a
+   visit copies them, and each call matches the fingerprints and reads
+   the candidate entries. *)
+let dnode_probe key =
+  let machine = Nvm.Machine.create ~numa_count:1 () in
+  let pool = Nvm.Pool.create machine ~name:"micro" ~numa:0 ~capacity:(1 lsl 16) () in
+  let lay = Pactree.Data_node.layout ~key_inline:8 () in
+  let node = { Pactree.Data_node.pool; off = 0 } in
+  Pactree.Data_node.init lay node ~gen:1 ~anchor:"" ~next:Pmalloc.Pptr.null
+    ~prev:Pmalloc.Pptr.null;
+  for i = 0 to Pactree.Data_node.entries - 1 do
+    ignore (Pactree.Data_node.insert lay node (Pactree.Key.of_int i) i)
+  done;
+  ignore (Pactree.Data_node.begin_read pool 0 ~gen:1 : int);
+  let k = Pactree.Key.of_int key in
+  Bechamel.Staged.stage (fun () -> ignore (Pactree.Data_node.probe lay pool 0 k : int))
+
 (* The host cost of one simulated lookup on a 4K-key index. *)
 let lookup sys =
   let machine = Nvm.Machine.create ~numa_count:2 () in
@@ -80,6 +98,14 @@ let microbench () =
           [
             Test.make ~name:"1 thread" (des_switches 1);
             Test.make ~name:"17 threads" (des_switches 17);
+          ] );
+      ( "host-side cost per fingerprint probe of a full data node",
+        "probe",
+        1,
+        Test.make_grouped ~name:"dnode-probe"
+          [
+            Test.make ~name:"hit" (dnode_probe (Pactree.Data_node.entries / 2));
+            Test.make ~name:"miss" (dnode_probe Pactree.Data_node.entries);
           ] );
       ( "host-side cost per store + clwb + fence of one line",
         "line",

@@ -1,24 +1,24 @@
 (* Binary min-heap over three parallel arrays: unboxed times, sequence
-   numbers and values.  The sequence number breaks ties so that events
-   scheduled at the same instant are delivered in insertion order, which
-   makes simulation runs deterministic.  Adding and popping allocate
-   nothing once the arrays have grown to the queue's peak size.
+   numbers and int values (the scheduler's thread ids, so that moving
+   an entry writes no pointer and needs no write barrier).  The
+   sequence number breaks ties so that events scheduled at the same
+   instant are delivered in insertion order, which makes simulation
+   runs deterministic.  Adding and popping allocate nothing once the
+   arrays have grown to the queue's peak size.
 
    The sifts move a hole rather than swapping: the entry being placed
    stays in locals (its time unboxed) while each level it passes writes
    one entry, and it is written once where it settles. *)
 
-type 'a t = {
-  dummy : 'a; (* fills vacated value slots so popped values can be collected *)
+type t = {
   mutable times : float array;
   mutable seqs : int array;
-  mutable values : 'a array;
+  mutable values : int array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create ~dummy () =
-  { dummy; times = [||]; seqs = [||]; values = [||]; size = 0; next_seq = 0 }
+let create () = { times = [||]; seqs = [||]; values = [||]; size = 0; next_seq = 0 }
 
 let is_empty q = q.size = 0
 
@@ -30,7 +30,7 @@ let grow q =
     let new_capacity = max 16 (2 * capacity) in
     let times = Array.make new_capacity 0.0 in
     let seqs = Array.make new_capacity 0 in
-    let values = Array.make new_capacity q.dummy in
+    let values = Array.make new_capacity 0 in
     Array.blit q.times 0 times 0 q.size;
     Array.blit q.seqs 0 seqs 0 q.size;
     Array.blit q.values 0 values 0 q.size;
@@ -112,7 +112,6 @@ let pop_min q =
   let time = Array.unsafe_get q.times last
   and seq = Array.unsafe_get q.seqs last
   and value = Array.unsafe_get q.values last in
-  Array.unsafe_set q.values last q.dummy;
   q.size <- last;
   if last > 0 then sift_down_root q time seq value;
   top

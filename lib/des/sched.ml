@@ -50,7 +50,7 @@ let no_k : (unit, unit) Effect.Deep.continuation =
   Option.get !parked
 
 (* Stands for "no simulated thread": the host program outside [run],
-   the dummy that fills vacant event-queue slots, and the end of every
+   the filler of the thread table's unused slots, and the end of every
    wait queue. *)
 let rec main =
   {
@@ -69,13 +69,13 @@ let rec main =
 
 type t = {
   clock : clock;
-  events : thread Event_queue.t;
+  events : Event_queue.t; (* of thread ids *)
   mutable current : thread;
       (* the running thread; between events, the thread that has just
          called [delay] (not yet queued), or [main] *)
   mutable next_id : int;
   mutable live : int;
-  mutable threads : thread list; (* every spawned thread, newest first *)
+  mutable threads : thread array; (* every spawned thread, at its id *)
   handler : (unit, unit) Effect.Deep.handler; (* every thread's; see [spawn] *)
 }
 
@@ -93,11 +93,11 @@ let create ?(start = 0.0) () =
   let rec t =
     {
       clock = { now = start };
-      events = Event_queue.create ~dummy:main ();
+      events = Event_queue.create ();
       current = main;
       next_id = 0;
       live = 0;
-      threads = [];
+      threads = [||];
       handler =
         {
           retc = (fun () -> t.current <- main);
@@ -140,7 +140,7 @@ let spawn t ?(numa = 0) ~name body =
       wake =
         (fun () ->
           thread.pending.at <- t.clock.now;
-          Event_queue.add t.events ~time:t.clock.now thread);
+          Event_queue.add t.events ~time:t.clock.now thread.id);
       next_waiter = main;
       scratch = Bytes.create 256;
       on = "";
@@ -148,8 +148,13 @@ let spawn t ?(numa = 0) ~name body =
       waits = 0;
     }
   in
+  if thread.id = Array.length t.threads then begin
+    let grown = Array.make (max 8 (2 * thread.id)) main in
+    Array.blit t.threads 0 grown 0 thread.id;
+    t.threads <- grown
+  end;
+  t.threads.(thread.id) <- thread;
   t.next_id <- t.next_id + 1;
-  t.threads <- thread :: t.threads;
   t.live <- t.live + 1;
   (* Enter the handler now and park at once, so that from birth the
      thread is a continuation like any suspended one.  [spawn] may be
@@ -171,7 +176,7 @@ let spawn t ?(numa = 0) ~name body =
    that thread keeps running to completion. *)
 let abort_all t =
   while not (Event_queue.is_empty t.events) do
-    (Event_queue.pop_min t.events).k <- no_k
+    t.threads.(Event_queue.pop_min t.events).k <- no_k
   done;
   t.live <- (if t.current == main then 0 else 1)
 
@@ -199,10 +204,11 @@ let next t =
     if th != main then begin
       t.current <- main;
       th.pending.at <- t.clock.now +. flush_extra th;
-      if Event_queue.is_empty q then th else Event_queue.push_pop q ~time:th.pending.at th
+      if Event_queue.is_empty q then th
+      else Array.unsafe_get t.threads (Event_queue.push_pop q ~time:th.pending.at th.id)
     end
     else if Event_queue.is_empty q then main
-    else Event_queue.pop_min q
+    else Array.unsafe_get t.threads (Event_queue.pop_min q)
   in
   if next != main then advance t next.pending.at;
   next
@@ -217,16 +223,16 @@ let resource th = if th.arg < 0 then th.on else Printf.sprintf "%s %d" th.on th.
 let stalled t ~now headline =
   let b = Buffer.create 256 in
   Printf.bprintf b "stalled at %.9f s: %s; live threads:" now headline;
-  List.iter
-    (fun th ->
-      if th == t.current || th.k != no_k then begin
-        Printf.bprintf b "\n  %s (thread %d): " th.name th.id;
-        if th.on = "" then Buffer.add_string b "no wait"
-        else
-          Printf.bprintf b "%s since %.9f s, last try %.9f s" (resource th) th.pending.since
-            th.pending.last
-      end)
-    (List.rev t.threads);
+  for id = 0 to t.next_id - 1 do
+    let th = t.threads.(id) in
+    if th == t.current || th.k != no_k then begin
+      Printf.bprintf b "\n  %s (thread %d): " th.name th.id;
+      if th.on = "" then Buffer.add_string b "no wait"
+      else
+        Printf.bprintf b "%s since %.9f s, last try %.9f s" (resource th) th.pending.since
+          th.pending.last
+    end
+  done;
   raise (Stalled (Buffer.contents b))
 
 let run t =

@@ -227,17 +227,34 @@ let entry_is lay pool off snap slot k =
     len = String.length k && equal_from snap (snap_entry + 9) k len 0
   end
 
-let rec probe_from lay pool off k snap fp slot =
-  if slot >= entries then -1
-  else if
-    snap_live snap slot
-    && Bytes.get_uint8 snap (off_fingerprints + slot) = fp
-    && entry_is lay pool off snap slot k
-  then slot
-  else probe_from lay pool off k snap fp (slot + 1)
+(* The first live slot from [slot] on that holds [k], among the slots
+   whose fingerprint matched: bit [8i] of [m] stands for [slot + i]. *)
+let rec probe_word lay pool off k snap slot m =
+  if m = 0 then -1
+  else if m land 1 <> 0 && snap_live snap slot && entry_is lay pool off snap slot k then slot
+  else probe_word lay pool off k snap (slot + 1) (m lsr 8)
 
-(* one fingerprint match over the copied line (the AVX512 match of the
-   paper, §5.2) *)
+(* The bytes of fingerprint word [word] equal to [fp], as bit [8i] for
+   byte [i].  A byte of [x] is zero iff adding 0x7F to its low seven
+   bits leaves bit 7 clear and its own bit 7 is clear; no carry crosses
+   a byte, so the mask is exact.  The int64s stay local, unboxed. *)
+let[@inline] fingerprint_matches snap fp word =
+  let low7 = 0x7F7F7F7F7F7F7F7FL in
+  let w = Bytes.get_int64_le snap (off_fingerprints + (8 * word)) in
+  let x = Int64.logxor w (Int64.mul (Int64.of_int fp) 0x0101010101010101L) in
+  let zero =
+    Int64.lognot (Int64.logor (Int64.logor (Int64.add (Int64.logand x low7) low7) x) low7)
+  in
+  Int64.to_int (Int64.shift_right_logical zero 7)
+
+let rec probe_from lay pool off k snap fp word =
+  if word >= entries / 8 then -1
+  else
+    let slot = probe_word lay pool off k snap (8 * word) (fingerprint_matches snap fp word) in
+    if slot >= 0 then slot else probe_from lay pool off k snap fp (word + 1)
+
+(* one fingerprint match over the copied line, eight bytes at a time
+   (the AVX512 match of the paper, §5.2) *)
 let probe lay pool off k = probe_from lay pool off k (Des.Sched.scratch ()) (Fingerprint.of_key k) 0
 
 let find lay t k =

@@ -55,7 +55,7 @@ let test_measure_overhead () = check_zero "measuring an empty call" (words (fun 
 (* ---------- des ---------- *)
 
 let test_event_queue () =
-  let q = Event_queue.create ~dummy:(-1) () in
+  let q = Event_queue.create () in
   (* grow the arrays to the peak size first *)
   for i = 0 to 63 do
     Event_queue.add q ~time:(float_of_int (i mod 7)) i
@@ -70,7 +70,7 @@ let test_event_queue () =
 (* Alternately an entry that comes straight back out and one that
    takes the minimum's place in one sift. *)
 let test_event_queue_push_pop () =
-  let q = Event_queue.create ~dummy:(-1) () in
+  let q = Event_queue.create () in
   for i = 0 to 63 do
     Event_queue.add q ~time:(float_of_int (i mod 7)) i
   done;
@@ -110,6 +110,35 @@ let test_sched_wait () =
             Sched.wait "vlock acquire" 64 ~attempt:i (Sched.Doubling (40e-9, 11))));
   Sched.run sched;
   check_ceiling "Sched.wait" !delay_w !wait_w
+
+(* [threads] threads that each delay [rounds] times by pauses that
+   make the event queue reorder them; the constant pauses box nothing. *)
+let switch_run threads rounds =
+  let sched = Sched.create () in
+  for i = 1 to threads do
+    Sched.spawn sched ~name:"switch" (fun () ->
+        for r = 1 to rounds do
+          Sched.delay
+            (match (i * r) land 3 with 0 -> 1e-9 | 1 -> 3e-9 | 2 -> 7e-9 | _ -> 2e-9)
+        done)
+  done;
+  words (fun () -> Sched.run sched)
+
+(* The words of one switch among 17 threads, each one a queue swap of
+   thread ids: the difference of two runs cancels the spawns and the
+   growth of the queue and the thread table.  No more than the
+   continuation of a lone thread's delay, plus the box of the wake time
+   this profile passes to the queue (2 words; release inlines the queue
+   and allocates the continuation alone): a boxed id or time on the
+   path exceeds it. *)
+let test_sched_switch_17 () =
+  let per_switch = (switch_run 17 300 -. switch_run 17 100) /. float_of_int (17 * 200) in
+  let continuation =
+    in_sim (fun () ->
+        Sched.delay 1e-9;
+        words (fun () -> Sched.delay 1e-9))
+  in
+  check_ceiling "a switch among 17 threads" (continuation +. 2.0) per_switch
 
 (* A thread parks on a wait queue and another wakes it, [cycles]
    times; the words of both sides and of the two context switches. *)
@@ -591,6 +620,7 @@ let () =
           Alcotest.test_case "sched charge" `Quick test_sched_charge;
           Alcotest.test_case "sched delay" `Quick test_sched_delay;
           Alcotest.test_case "sched wait" `Quick test_sched_wait;
+          Alcotest.test_case "sched switch among 17 threads" `Quick test_sched_switch_17;
           Alcotest.test_case "waitq wait + signal_one" `Quick test_waitq_cycle;
           Alcotest.test_case "pool accessors" `Quick test_pool_accessors;
           Alcotest.test_case "cache-missing read" `Quick test_cache_miss;

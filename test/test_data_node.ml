@@ -454,11 +454,126 @@ let test_probe_full_node () =
       Alcotest.(check (option int)) "absent" None (visit lay node (key Node.entries)))
     [ 8; Key.max_len ]
 
+(* Byte offsets of the fingerprint line and of slot 0's entry in a
+   node (the 256-byte header). *)
+let fingerprints_at = 64
+
+let entries_at = 256
+
+(* The probe as it was before the word-at-a-time match: slot by slot,
+   the first live one whose fingerprint is [k]'s and whose entry, read
+   from the node with one read, holds [k].  [bitmap] and [fps] are the
+   node's, read beforehand. *)
+let reference_probe lay (node : Node.t) bitmap fps k =
+  let fp = Pactree.Fingerprint.of_key k in
+  let len = if lay.Node.inline = 8 then 16 else 9 + lay.inline in
+  let entry = Bytes.create len in
+  let holds slot =
+    Pool.blit_to_bytes node.pool (node.off + entries_at + (slot * lay.stride)) entry 0 len;
+    if lay.inline = 8 then Bytes.sub_string entry 8 8 = k
+    else
+      let klen = Bytes.get_uint8 entry 8 in
+      klen = String.length k && Bytes.sub_string entry 9 klen = k
+  in
+  let rec go slot =
+    if slot >= Node.entries then None
+    else if
+      Int64.logand bitmap (Int64.shift_left 1L slot) <> 0L
+      && Bytes.get_uint8 fps slot = fp
+      && holds slot
+    then Some (slot, Int64.to_int (Bytes.get_int64_le entry 0))
+    else go (slot + 1)
+  in
+  go 0
+
+(* Random node states against the reference: empty, full and partly
+   filled nodes of both layouts; the probed key live, deleted (a dead
+   slot with its fingerprint) or absent; fingerprint bytes overwritten
+   with the key's own (live slots sharing it), its neighbours, 0x00,
+   0x01, 0x7F, 0x80, 0xFF or noise; slots killed at random.  The probe
+   must return the reference's slot and value and charge the same line
+   reads (CPU-cache hits plus misses). *)
+let test_probe_matches_reference () =
+  let seed = Des.Rng.env_seed ~default:2026L in
+  let rng = Random.State.make [| Int64.to_int seed |] in
+  List.iter
+    (fun key_inline ->
+      for round = 0 to 299 do
+        let machine, lay, node = make_node ~key_inline () in
+        let key i =
+          if key_inline = 8 then ik i
+          else String.sub (Printf.sprintf "key-%d-%s" i (String.make 32 'x')) 0 (5 + (i mod 20))
+        in
+        let n =
+          match round mod 4 with
+          | 0 -> 0
+          | 1 -> Node.entries
+          | _ -> Random.State.int rng (Node.entries + 1)
+        in
+        let ids = Array.init 200 Fun.id in
+        for i = 199 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let t = ids.(i) in
+          ids.(i) <- ids.(j);
+          ids.(j) <- t
+        done;
+        for i = 0 to n - 1 do
+          ignore (Node.insert lay node (key ids.(i)) ids.(i))
+        done;
+        let k = key ids.(Random.State.int rng (min 200 (n + 8))) in
+        let fp = Pactree.Fingerprint.of_key k in
+        let slot_of k = Node.find lay node k in
+        if Random.State.int rng 3 = 0 && slot_of k >= 0 then
+          Node.clear_slots node (Int64.shift_left 1L (slot_of k));
+        for _ = 1 to Random.State.int rng 24 do
+          let slot = Random.State.int rng Node.entries in
+          let byte =
+            match Random.State.int rng 9 with
+            | 0 | 1 -> fp
+            | 2 -> fp - 1
+            | 3 -> fp + 1
+            | 4 -> 0x00
+            | 5 -> 0x01
+            | 6 -> 0x7F
+            | 7 -> 0x80
+            | _ -> Random.State.int rng 256
+          in
+          Pool.write_u8 node.pool (node.off + fingerprints_at + slot) (byte land 0xFF)
+        done;
+        for _ = 1 to Random.State.int rng 4 do
+          Node.clear_slots node (Int64.shift_left 1L (Random.State.int rng Node.entries))
+        done;
+        if Random.State.bool rng then begin
+          let slot = Random.State.int rng Node.entries in
+          Pool.write_u8 node.pool (node.off + fingerprints_at + slot) 0xFF
+        end;
+        let bitmap = Node.bitmap node in
+        let fps = Bytes.create Node.entries in
+        Pool.blit_to_bytes node.pool (node.off + fingerprints_at) fps 0 Node.entries;
+        let reads () =
+          let s = Machine.stats machine in
+          s.cache_hits + s.cache_misses
+        in
+        let what = Printf.sprintf "layout %d, round %d, seed %Ld" key_inline round seed in
+        ignore (Node.begin_read node.pool node.off ~gen : int);
+        let r0 = reads () in
+        let slot = Node.probe lay node.pool node.off k in
+        let got = if slot < 0 then None else Some (slot, Node.found_value ()) in
+        let r1 = reads () in
+        let expected = reference_probe lay node bitmap fps k in
+        let r2 = reads () in
+        Alcotest.(check (option (pair int int))) (what ^ ": slot and value") expected got;
+        Alcotest.(check int) (what ^ ": line reads") (r2 - r1) (r1 - r0)
+      done)
+    [ 8; Key.max_len ]
+
 let suite =
   [
     Alcotest.test_case "node: insert/find" `Quick test_insert_find;
     Alcotest.test_case "node: visit waits for a writer" `Quick test_visit_waits_for_writer;
     Alcotest.test_case "node: probe of a full node" `Quick test_probe_full_node;
+    Alcotest.test_case "node: probe matches a per-slot reference" `Quick
+      test_probe_matches_reference;
     Alcotest.test_case "node: fills at 64" `Quick test_node_fills_at_64;
     Alcotest.test_case "node: delete + slot reuse" `Quick test_delete_and_slot_reuse;
     Alcotest.test_case "node: update out-of-place" `Quick test_update_out_of_place;
