@@ -2,7 +2,6 @@
    machine.
 
      pactree_bench ycsb --index pactree --mix a --threads 28 ...
-     pactree_bench figure fig10 --full
      pactree_bench crash --rounds 50 *)
 
 open Cmdliner
@@ -70,15 +69,6 @@ let low_bw_arg =
     value & flag
     & info [ "low-bandwidth" ] ~doc:"Use the low-bandwidth NVM machine profile (6.2).")
 
-let elide_arg =
-  Arg.(
-    value & flag
-    & info [ "elide" ]
-        ~doc:
-          "Actually skip redundant flushes (FliT-style elision) instead of only \
-           counting them.  Changes fence batching, so results are not comparable \
-           with non-elided runs line-by-line.")
-
 let obs_arg =
   Arg.(
     value
@@ -119,7 +109,7 @@ let require_theta theta =
   end;
   theta
 
-let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide obs_out =
+let run_ycsb sys mix keys ops threads theta string_keys directory low_bw obs_out =
   (* The load phase starts from an empty index and inserts without
      skew: a key count or a skew would be silently ignored. *)
   if mix = Workload.Ycsb.Load_a then
@@ -132,7 +122,6 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide o
   let protocol = if directory then Nvm.Config.Directory else Nvm.Config.Snoop in
   let profile = if low_bw then Nvm.Config.dcpmm_low_bw else Nvm.Config.dcpmm in
   let machine = Nvm.Machine.create ~profile ~protocol ~numa_count:2 () in
-  Nvm.Machine.set_flush_elision machine elide;
   let b = Experiments.Factory.make_backend machine ~string_keys sys in
   let kind =
     if string_keys then Workload.Keyset.String_keys else Workload.Keyset.Int_keys
@@ -153,7 +142,7 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide o
   Format.printf "latency    : p50 %.1f us, p99 %.1f us, p99.9 %.1f us, p99.99 %.1f us@."
     (p 50.) (p 99.) (p 99.9) (p 99.99);
   Format.printf
-    "NVM traffic: %.1f MB read, %.1f MB written, %d flushes (+%d elided), %d fences@."
+    "NVM traffic: %.1f MB read, %.1f MB written, %d flushes (%d redundant), %d fences@."
     (float_of_int (Nvm.Stats.total_read_bytes r.Workload.Runner.nvm) /. 1e6)
     (float_of_int (Nvm.Stats.total_write_bytes r.Workload.Runner.nvm) /. 1e6)
     r.Workload.Runner.nvm.Nvm.Stats.flushes
@@ -189,21 +178,7 @@ let ycsb_cmd =
     (Cmd.info "ycsb" ~doc)
     Term.(
       const run_ycsb $ index_arg $ mix_arg $ keys_arg $ ops_arg $ threads_arg
-      $ theta_arg $ string_keys_arg $ protocol_arg $ low_bw_arg $ elide_arg $ obs_arg)
-
-let figure_cmd =
-  let doc = "Regenerate one of the paper's figures (see DESIGN.md)." in
-  let figure_arg =
-    Arg.(
-      required
-      & pos 0 (some (enum Experiments.Figures.registry)) None
-      & info [] ~docv:"FIGURE")
-  in
-  let full_arg = Arg.(value & flag & info [ "full" ] ~doc:"Paper-like scale (slow).") in
-  let run_figure f full =
-    f (if full then Experiments.Scale.full else Experiments.Scale.quick)
-  in
-  Cmd.v (Cmd.info "figure" ~doc) Term.(const run_figure $ figure_arg $ full_arg)
+      $ theta_arg $ string_keys_arg $ protocol_arg $ low_bw_arg $ obs_arg)
 
 let run_crash rounds obs_out =
   require_positive [ ("rounds", rounds) ];
@@ -501,4 +476,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ ycsb_cmd; figure_cmd; crash_cmd; crashmc_cmd; stats_cmd; check_cmd ]))
+          [ ycsb_cmd; crash_cmd; crashmc_cmd; stats_cmd; check_cmd ]))

@@ -42,7 +42,6 @@ type t = {
   htm : Htm.t;
   mutable gen : int;
   mutable cardinal_estimate : int;
-  dram_latency : float;
 }
 
 let off_head = 0
@@ -71,7 +70,6 @@ let create machine ?(string_keys = false) () =
       htm = Htm.create ~seed:0x5EEDL ();
       gen;
       cardinal_estimate = 0;
-      dram_latency = (Machine.profile machine).Nvm.Config.dram_latency;
     }
   in
   (* head leaf with sentinel separator "" *)
@@ -102,7 +100,7 @@ let find_leaf_dram t key =
 (* The DRAM traversal cost: a few cache references per level. *)
 let traversal_duration t =
   let levels = 2 + (Smap.cardinal t.internals |> float_of_int |> Float.log2 |> int_of_float |> max 0) in
-  float_of_int levels *. t.dram_latency /. 3.0
+  float_of_int levels *. Nvm.Config.dram_latency /. 3.0
 
 (* Traverse internals transactionally. *)
 let to_leaf t key =

@@ -26,9 +26,6 @@ let with_data machine ev =
   | Machine.Drain { pool; line; _ } -> Drain { pool; line; data = data pool line }
 
 let start machine =
-  (* An elided clwb stages nothing, but its event reads like a staged one. *)
-  if Machine.flush_elision machine then
-    invalid_arg "Crashmc.Trace.start: flush elision is on";
   let t =
     {
       machine;

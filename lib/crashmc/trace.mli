@@ -22,9 +22,7 @@ type event =
 type t
 
 (** Snapshot all pool media images and subscribe.  Other subscribers
-    (the persist-order sanitizer) may share the machine.  Raises
-    [Invalid_argument] if the machine elides flushes: an elided clwb
-    stages nothing, which the trace could not tell from a staged one. *)
+    (the persist-order sanitizer) may share the machine. *)
 val start : Nvm.Machine.t -> t
 
 (** Unsubscribe.  The trace stays readable. *)

@@ -39,18 +39,17 @@ let entry_of_result ~name ~keys (r : Runner.result) (obs : Obs.Recorder.t) =
     e_write_amplification = Stats.write_amplification nvm;
   }
 
-let bench_entry ?(string_keys = false) ?(theta = 0.99) ?(sanitize = false) ~scale ~mix
-    ~threads sys =
+let bench_entry ?(sanitize = false) ~scale ~mix ~threads sys =
   let machine = Machine.create ~numa_count:2 () in
-  let b = Factory.make_backend machine ~string_keys sys in
+  let b = Factory.make_backend machine sys in
   let obs = Obs.Recorder.create machine () in
-  let kind = if string_keys then Keyset.String_keys else Keyset.Int_keys in
   (* Enabled before load+run so the whole lifetime is linted; the
      caller reads {!Pobj.Sanitizer.reports} afterwards (the next
      [enable] — or process exit — retires this machine's observer). *)
   if sanitize then Pobj.Sanitizer.enable machine;
   let r =
-    Runner.run ~machine ~index:b.b_index ?service:b.b_service ~obs ~mix ~kind
-      ~loaded:scale.Scale.keys ~ops:scale.Scale.ops ~threads ~theta ()
+    Runner.run ~machine ~index:b.b_index ?service:b.b_service ~obs ~mix
+      ~kind:Keyset.Int_keys ~loaded:scale.Scale.keys ~ops:scale.Scale.ops ~threads
+      ~theta:0.99 ()
   in
   (entry_of_result ~name:(Factory.name sys) ~keys:scale.Scale.keys r obs, obs)

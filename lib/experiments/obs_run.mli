@@ -2,15 +2,14 @@
     that produce {!Obs.Report} entries for BENCH_pactree.json. *)
 
 (** [bench_entry ~scale ~mix ~threads sys] builds the system, runs the
-    workload with a fresh {!Obs.Recorder} installed, and condenses the
+    workload (integer keys, YCSB's skew 0.99) with a fresh
+    {!Obs.Recorder} installed, and condenses the
     result + recorder into one report entry.  The recorder is also
     returned for callers that want the full dump ([--obs]).
     [~sanitize:true] additionally enables the {!Pobj.Sanitizer} on the
     run's machine and leaves it active so the caller can inspect
     {!Pobj.Sanitizer.reports} when the run returns. *)
 val bench_entry :
-  ?string_keys:bool ->
-  ?theta:float ->
   ?sanitize:bool ->
   scale:Scale.t ->
   mix:Workload.Ycsb.mix ->

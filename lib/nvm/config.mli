@@ -1,9 +1,11 @@
 (** Performance-model parameters of the simulated NVM machine.
 
-    A {!profile} bundles every tunable constant: media latencies,
-    per-channel transfer costs, buffer sizes and CPU-side costs.  Two
-    presets mirror the paper's evaluation platforms: the default
-    2-socket DCPMM server (§6) and the low-bandwidth machine of §6.2.
+    The machine is the paper's 2-socket Optane DCPMM server (§6): its
+    media latencies, per-channel transfer costs, buffer sizes and
+    CPU-side costs are the constants below.  A {!profile} holds what
+    the paper's platforms vary — the channel count (the low-bandwidth
+    machine of §6.2) and eADR (§3.5) — and the per-operation CPU
+    overhead.
 
     All times are in seconds, all sizes in bytes. *)
 
@@ -12,23 +14,38 @@
     reads generate media {e writes}; [Snoop] does not. *)
 type protocol = Snoop | Directory
 
+(** {2 The DCPMM calibration} *)
+
+val read_latency : float  (** setup cost of a 256B XPLine fetch *)
+
+val read_byte_cost : float  (** per-byte channel occupancy for reads *)
+
+val write_latency : float  (** setup cost of a media write *)
+
+val write_byte_cost : float  (** per-byte channel occupancy for writes *)
+
+val buffer_hit_latency : float  (** XPBuffer / read-buffer hit *)
+
+val read_buffer_slots : int  (** XPLine read/prefetch buffer entries *)
+
+val cache_hit_cost : float  (** CPU cache hit *)
+
+(** log2 of the CPU cache model's slots (64B each), shared by all
+    pools of a machine. *)
+val cache_slots_log2 : int
+
+val clwb_cpu_cost : float  (** CPU-side cost of issuing clwb *)
+
+val fence_base_cost : float  (** CPU-side cost of sfence *)
+
+val remote_latency : float  (** interconnect adder for a cross-NUMA access *)
+
+val dram_latency : float  (** DRAM miss latency (volatile pools) *)
+
+(** {2 Platform presets} *)
+
 type profile = {
   channels : int;  (** parallel media channels per NUMA device *)
-  read_latency : float;  (** setup cost of a 256B XPLine fetch *)
-  read_byte_cost : float;  (** per-byte channel occupancy for reads *)
-  write_latency : float;  (** setup cost of a media write *)
-  write_byte_cost : float;  (** per-byte channel occupancy for writes *)
-  buffer_hit_latency : float;  (** XPBuffer / read-buffer hit *)
-  read_buffer_slots : int;  (** XPLine read/prefetch buffer entries *)
-  prefetch : bool;  (** enable the XPPrefetcher model *)
-  cache_hit_cost : float;  (** CPU cache hit *)
-  cache_slots_log2 : int;
-      (** log2 of the CPU cache model's slots (64B each), shared by all
-          pools of a machine *)
-  clwb_cpu_cost : float;  (** CPU-side cost of issuing clwb *)
-  fence_base_cost : float;  (** CPU-side cost of sfence *)
-  remote_latency : float;  (** interconnect adder for cross-NUMA access *)
-  dram_latency : float;  (** DRAM miss latency (volatile pools) *)
   op_overhead : float;  (** fixed CPU work charged per index operation *)
   eadr : bool;
       (** enhanced-ADR (§3.5): CPU caches are persistent — flushes and

@@ -1,7 +1,9 @@
 let xpline_size = 256
 
+(* Channel occupancy of one XPLine fetch from the media. *)
+let xpline_fetch = Config.read_latency +. (float_of_int xpline_size *. Config.read_byte_cost)
+
 type t = {
-  profile : Config.profile;
   protocol : Config.protocol;
   numa : int;
   channels : float array; (* absolute time each channel becomes free *)
@@ -11,13 +13,12 @@ type t = {
   stats : Stats.t;
 }
 
-let create profile ~protocol ~numa =
+let create ~channels ~protocol ~numa =
   {
-    profile;
     protocol;
     numa;
-    channels = Array.make profile.Config.channels 0.0;
-    read_buf = Array.make profile.Config.read_buffer_slots (-1);
+    channels = Array.make channels 0.0;
+    read_buf = Array.make Config.read_buffer_slots (-1);
     last_fetched = min_int;
     owners = Hashtbl.create 4096;
     stats = Stats.create ();
@@ -27,7 +28,7 @@ let numa t = t.numa
 
 let stats t = t.stats
 
-(* With the 64 slots of the default profile the slot is the low 6 XPLine
+(* With the 64 slots of the XPBuffer the slot is the low 6 XPLine
    bits, permuted by the odd multiplier: that is what keeps adjacent
    XPLines in distinct slots.  The pool id (high bits) plays no part; a
    pool-aware variant was measured and is slower (see DESIGN §6). *)
@@ -68,7 +69,6 @@ let coherence_update t c ~xpline ~from_numa =
       let owner = try Hashtbl.find t.owners xpline with Not_found -> t.numa in
       if owner <> from_numa then begin
         Hashtbl.replace t.owners xpline from_numa;
-        let p = t.profile in
         let s = t.stats in
         s.Stats.dir_writes <- s.Stats.dir_writes + 1;
         (* 64B directory entry write -> 256B RMW on the media. *)
@@ -76,9 +76,8 @@ let coherence_update t c ~xpline ~from_numa =
         s.Stats.rmw_reads <- s.Stats.rmw_reads + 1;
         s.Stats.rmw_read_bytes <- s.Stats.rmw_read_bytes + xpline_size;
         let cost =
-          p.Config.write_latency
-          +. (float_of_int xpline_size
-             *. (p.Config.write_byte_cost +. p.Config.read_byte_cost))
+          Config.write_latency
+          +. (float_of_int xpline_size *. (Config.write_byte_cost +. Config.read_byte_cost))
         in
         channel_service t c cost
       end
@@ -87,11 +86,10 @@ let[@inline] remote_adder t ~from_numa =
   if from_numa = t.numa then 0.0
   else begin
     t.stats.Stats.remote_accesses <- t.stats.Stats.remote_accesses + 1;
-    t.profile.Config.remote_latency
+    Config.remote_latency
   end
 
 let read t c ~xpline ~from_numa =
-  let p = t.profile in
   let s = t.stats in
   let remote = remote_adder t ~from_numa in
   let now = c.at in
@@ -100,40 +98,32 @@ let read t c ~xpline ~from_numa =
     (* Keep a detected sequential stream running: when the hit is on
        the line the prefetcher just brought in, fetch the next one in
        the background. *)
-    if p.Config.prefetch && xpline = t.last_fetched + 1 then begin
+    if xpline = t.last_fetched + 1 then begin
       if not (buf_mem t (xpline + 1)) then begin
         s.Stats.prefetches <- s.Stats.prefetches + 1;
         s.Stats.media_reads <- s.Stats.media_reads + 1;
         s.Stats.media_read_bytes <- s.Stats.media_read_bytes + xpline_size;
-        let cost =
-          p.Config.read_latency
-          +. (float_of_int xpline_size *. p.Config.read_byte_cost)
-        in
-        channel_service t c cost;
+        channel_service t c xpline_fetch;
         buf_insert t (xpline + 1)
       end;
       t.last_fetched <- xpline
     end;
-    c.at <- now +. p.Config.buffer_hit_latency +. remote
+    c.at <- now +. Config.buffer_hit_latency +. remote
   end
   else begin
     s.Stats.media_reads <- s.Stats.media_reads + 1;
     s.Stats.media_read_bytes <- s.Stats.media_read_bytes + xpline_size;
-    let cost =
-      p.Config.read_latency +. (float_of_int xpline_size *. p.Config.read_byte_cost)
-    in
-    channel_service t c cost;
+    channel_service t c xpline_fetch;
     let fetch_done = c.at in
     buf_insert t xpline;
     (* Sequential prefetch: a second consecutive miss triggers a
        background fetch of the next XPLine, consuming channel time but
        not blocking the requester. *)
-    if p.Config.prefetch && xpline = t.last_fetched + 1 && not (buf_mem t (xpline + 1))
-    then begin
+    if xpline = t.last_fetched + 1 && not (buf_mem t (xpline + 1)) then begin
       s.Stats.prefetches <- s.Stats.prefetches + 1;
       s.Stats.media_reads <- s.Stats.media_reads + 1;
       s.Stats.media_read_bytes <- s.Stats.media_read_bytes + xpline_size;
-      channel_service t c cost;
+      channel_service t c xpline_fetch;
       c.at <- fetch_done;
       buf_insert t (xpline + 1)
     end;
@@ -147,7 +137,6 @@ let read t c ~xpline ~from_numa =
    the channels, and through them bounds throughput. *)
 let write t c ~xpline ~bytes ~from_numa =
   assert (bytes > 0 && bytes <= xpline_size);
-  let p = t.profile in
   let s = t.stats in
   let remote = remote_adder t ~from_numa in
   s.Stats.media_writes <- s.Stats.media_writes + 1;
@@ -158,21 +147,19 @@ let write t c ~xpline ~bytes ~from_numa =
          line (write amplification, FH1). *)
       s.Stats.rmw_reads <- s.Stats.rmw_reads + 1;
       s.Stats.rmw_read_bytes <- s.Stats.rmw_read_bytes + xpline_size;
-      float_of_int xpline_size *. p.Config.read_byte_cost
+      float_of_int xpline_size *. Config.read_byte_cost
     end
     else 0.0
   in
   let cost =
-    p.Config.write_latency
-    +. (float_of_int xpline_size *. p.Config.write_byte_cost)
-    +. rmw_cost
+    Config.write_latency +. (float_of_int xpline_size *. Config.write_byte_cost) +. rmw_cost
   in
   channel_service t c cost;
   let write_done = c.at in
   coherence_update t c ~xpline ~from_numa;
   (* WPQ acceptance: fast when channels are free; back-pressured to
      the service start when the device is saturated. *)
-  c.at <- write_done -. cost +. p.Config.write_latency +. remote
+  c.at <- write_done -. cost +. Config.write_latency +. remote
 
 let reset_buffers t =
   Array.fill t.read_buf 0 (Array.length t.read_buf) (-1);

@@ -18,7 +18,8 @@
 
 type t
 
-val create : Config.profile -> protocol:Config.protocol -> numa:int -> t
+(** [create ~channels ~protocol ~numa]: [channels] parallel media channels. *)
+val create : channels:int -> protocol:Config.protocol -> numa:int -> t
 
 val numa : t -> int
 

@@ -159,7 +159,6 @@ type t = {
   mutable subscribers : (persist_event -> unit) list;
   mutable flush_fault : int option; (* drop the k-th clwb since set *)
   mutable flush_seen : int;
-  mutable flush_elision : bool; (* skip redundant clwbs instead of just counting *)
   mutable wait_observer : (float -> unit) option;
       (* called with each fence's simulated stall, for phase attribution *)
 }
@@ -183,12 +182,14 @@ let write_staged_group t dev_numa xpline count =
   end
 
 let create ?(profile = Config.dcpmm) ?(protocol = Config.Snoop) ~numa_count () =
-  let slots = 1 lsl profile.Config.cache_slots_log2 in
+  let slots = 1 lsl Config.cache_slots_log2 in
   let rec t =
     {
       profile;
       protocol;
-      devices = Array.init numa_count (fun numa -> Device.create profile ~protocol ~numa);
+      devices =
+        Array.init numa_count (fun numa ->
+            Device.create ~channels:profile.Config.channels ~protocol ~numa);
       cpu_tags = Array.make slots (-1);
       cpu_mask = slots - 1;
       stages = [||];
@@ -204,7 +205,6 @@ let create ?(profile = Config.dcpmm) ?(protocol = Config.Snoop) ~numa_count () =
       subscribers = [];
       flush_fault = None;
       flush_seen = 0;
-      flush_elision = false;
       wait_observer = None;
     }
   in
@@ -234,10 +234,6 @@ let flush_faulted t =
 
 let flush_fault_fired t =
   match t.flush_fault with None -> false | Some k -> t.flush_seen > k
-
-let set_flush_elision t b = t.flush_elision <- b
-
-let flush_elision t = t.flush_elision
 
 let profile t = t.profile
 
@@ -349,7 +345,7 @@ let fence t =
   if t.profile.Config.eadr then () (* persistent caches: nothing to order *)
   else begin
   t.stats.Stats.fences <- t.stats.Stats.fences + 1;
-  Des.Sched.charge t.profile.Config.fence_base_cost;
+  Des.Sched.charge Config.fence_base_cost;
   let tid = Des.Sched.current_id () in
   if observed t then emit t (Fence { tid });
   let st = stage_of t tid in

@@ -94,8 +94,7 @@ val on_crash : t -> (crash_mode -> unit) -> unit
     needs it reads the pool at the event (the crashmc trace recorder
     does).  Emitting allocates nothing while nobody subscribes.
 
-    [Clwb] is emitted for every {e effective} clwb, elided ones
-    included (their persistence obligation is already met), but
+    [Clwb] is emitted for every clwb, redundant ones included, but
     {e not} for clwbs dropped by {!set_flush_fault}, which model a
     missing call.  An eADR clwb emits [Drain] instead, redundant or
     not, and eADR machines emit no [Fence] (there is nothing to
@@ -137,23 +136,6 @@ val flush_faulted : t -> bool
 (** [true] once the armed fault has actually dropped a clwb — i.e. the
     mutation was really injected (enough clwbs happened). *)
 val flush_fault_fired : t -> bool
-
-(** {2 Flush elision (FliT-style tracking)}
-
-    {!Pool.clwb} always detects redundant flushes — the line is already
-    clean on media, or the calling thread staged it and has not stored
-    to it since — and counts them in {!Stats}[.flushes_elided].  With
-    elision {e off} (default) the redundant clwb is still executed in
-    full, so timings are bit-identical to a tracking-free machine and
-    the counter reports the elision {e opportunity}.  With elision
-    {e on} the redundant clwb skips staging and the media write
-    entirely (keeping only its CPU cost and FH4 cache invalidation),
-    which changes fence batching and therefore the whole simulated
-    schedule. *)
-
-val set_flush_elision : t -> bool -> unit
-
-val flush_elision : t -> bool
 
 (** {2 Observability} *)
 

@@ -24,7 +24,7 @@ type t = {
   mutable staged_by : int array;
       (* line -> thread that staged it with no store since ([nobody]
          if none); that thread's pending fence will persist the current
-         content, so its own re-flushes of the line can be elided
+         content, so its own re-flushes of the line are redundant
          (FliT) *)
   capacity : int;
   sink : Machine.sink; (* where this pool's clwb snapshots are staged *)
@@ -203,11 +203,9 @@ let line_dirty t line = Bytes.get t.dirty line <> '\000'
 (* Charge the cost of touching the line containing [off].  Writes take
    the same miss path as reads (read-for-ownership). *)
 let touch_line t off =
-  let profile = Machine.profile t.machine in
   let g = gline t off in
-  if Machine.cache_access t.machine g then
-    Des.Sched.charge profile.Config.cache_hit_cost
-  else if t.volatile then Des.Sched.charge profile.Config.dram_latency
+  if Machine.cache_access t.machine g then Des.Sched.charge Config.cache_hit_cost
+  else if t.volatile then Des.Sched.charge Config.dram_latency
   else if Des.Sched.running () then begin
     let start = Des.Sched.time () in
     t.io.at <- start;
@@ -393,56 +391,26 @@ let cover_line t off =
    itself staged the line and has not stored to it since (its pending
    fence persists exactly the current content).  A line staged by a
    {e different} thread is not redundant: that thread's fence may
-   never come.  Redundant clwbs are always counted in
-   [Stats.flushes_elided]; whether they are actually {e elided} —
-   skipping staging, write-queue occupancy and the media write, which
-   perturbs fence batching and hence the whole simulated schedule — is
-   the machine's [flush_elision] switch (off by default, keeping the
-   schedule bit-identical to a tracking-free build).  Elided clwbs
-   still satisfy the persistence obligation, so they are reported as
-   persist events; faulted (dropped) clwbs are not — they model a
-   missing call.  The fault counter ticks only for executed clwbs so
-   mutation indices keep targeting real flushes. *)
+   never come.  A redundant clwb is counted in [Stats.flushes_elided]
+   (the elision opportunity) and executed in full.  A faulted
+   (dropped) clwb models a missing call: it is neither counted nor
+   reported. *)
 let clwb t off =
-  if (Machine.profile t.machine).Config.eadr then begin
-    if not t.volatile then begin
-      cover_line t off;
-      let line = off lsr 6 in
-      let redundant = lines_equal t line in
-      if redundant then begin
-        let stats = Machine.stats t.machine in
-        stats.Stats.flushes_elided <- stats.Stats.flushes_elided + 1
-      end;
-      if redundant && Machine.flush_elision t.machine then clear_dirty t line
-      else eadr_drain t off;
-      record_clwb t line
-    end
-  end
-  else if not t.volatile then begin
+  if not t.volatile then begin
     cover_line t off;
     let line = off lsr 6 in
-    let redundant = lines_equal t line || t.staged_by.(line) = Des.Sched.current_id () in
-    if redundant && Machine.flush_elision t.machine then begin
-      let stats = Machine.stats t.machine in
-      stats.Stats.flushes_elided <- stats.Stats.flushes_elided + 1;
-      if lines_equal t line then clear_dirty t line;
-      (* The saving is the write-path work.  The instruction still
-         issues (the tracking check costs a few ns, folded into the
-         same charge) and still invalidates the line (FH4: clwb
-         invalidates whether or not the line was dirty), so the CPU
-         and cache-side timing stays comparable to an unelided run. *)
-      Des.Sched.charge (Machine.profile t.machine).Config.clwb_cpu_cost;
-      record_clwb t line;
-      Machine.cache_invalidate t.machine (gline t off)
+    let stats = Machine.stats t.machine in
+    if (Machine.profile t.machine).Config.eadr then begin
+      if lines_equal t line then
+        stats.Stats.flushes_elided <- stats.Stats.flushes_elided + 1;
+      eadr_drain t off;
+      record_clwb t line
     end
     else if not (Machine.flush_faulted t.machine) then begin
-      let stats0 = Machine.stats t.machine in
-      if redundant then
-        stats0.Stats.flushes_elided <- stats0.Stats.flushes_elided + 1;
-      let stats = Machine.stats t.machine in
+      if lines_equal t line || t.staged_by.(line) = Des.Sched.current_id () then
+        stats.Stats.flushes_elided <- stats.Stats.flushes_elided + 1;
       stats.Stats.flushes <- stats.Stats.flushes + 1;
-      let profile = Machine.profile t.machine in
-      Des.Sched.charge profile.Config.clwb_cpu_cost;
+      Des.Sched.charge Config.clwb_cpu_cost;
       let g = gline t off in
       Machine.stage t.machine t.sink ~line ~xpline:(g lsr 2) t.cache (line * line_size);
       t.staged_by.(line) <- Des.Sched.current_id ();

@@ -114,13 +114,12 @@ val compare_prefix : t -> int -> int -> string -> int -> int
     at the caller's next [fence].  Models the cache-line invalidation
     of current-generation clwb (FH4).
 
-    FliT-style flush tracking elides redundant clwbs: when the line is
-    already identical to the media image, or already staged by the
-    calling thread with no store since, the clwb is free (no CPU cost,
-    no staging, no cache invalidation) and counted in
-    {!Stats.t.flushes_elided} instead of [flushes].  Elision never
-    weakens persistence: the elided flush's obligation is already met
-    by the media state or by the caller's pending fence. *)
+    FliT-style flush tracking: a redundant clwb — the line is already
+    identical to the media image, or already staged by the calling
+    thread with no store since — is counted in
+    {!Stats.t.flushes_elided} and still executed in full.  The count is the elision opportunity: such a
+    flush's obligation is already met by the media state or by the
+    caller's pending fence. *)
 val clwb : t -> int -> unit
 
 (** [flush_range p off len] issues [clwb] for each line overlapping

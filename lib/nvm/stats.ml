@@ -153,7 +153,7 @@ let pp ppf t =
      logical: %d B read, %d B written (amplification %.2fx read / %.2fx write)@,\
      buffer hits: %d, prefetches: %d@,\
      cpu cache: %d hits / %d misses, remote: %d@,\
-     flushes: %d (+%d elided), fences: %d@]"
+     flushes: %d (%d redundant), fences: %d@]"
     t.media_reads t.media_read_bytes t.rmw_read_bytes t.media_writes
     t.media_write_bytes t.dir_write_bytes t.logical_read_bytes t.logical_write_bytes
     (read_amplification t) (write_amplification t) t.buffer_hits t.prefetches

@@ -19,9 +19,9 @@ type t = {
   mutable remote_accesses : int;  (** cross-NUMA accesses *)
   mutable flushes : int;  (** clwb instructions that reached the device *)
   mutable flushes_elided : int;
-      (** clwb instructions skipped by FliT-style flush tracking: the
-          line was already clean on media or already staged by this
-          thread, so the flush would have been redundant *)
+      (** redundant clwbs, which FliT-style flush tracking could elide:
+          the line was already clean on media or already staged by this
+          thread (counted, and executed in full) *)
   mutable fences : int;  (** sfence instructions *)
   mutable logical_read_bytes : int;
       (** bytes the program asked to read (denominator of FH2's read

@@ -151,7 +151,7 @@ let write_file = write_checked validate
 let pp_entry ppf e =
   Format.fprintf ppf
     "@[<v>%-10s %s %d thr: %.3f Mops/s, p50 %.1f us, p99 %.1f us, p99.99 %.1f us@,\
-     per op: %.2f flushes (+%.2f elided), %.2f fences, %.0f B read, %.0f B written \
+     per op: %.2f flushes (%.2f redundant), %.2f fences, %.0f B read, %.0f B written \
      (amp %.2fx/%.2fx)@]"
     e.e_index e.e_mix e.e_threads e.e_throughput_mops e.e_p50_us e.e_p99_us e.e_p9999_us
     e.e_flushes_per_op e.e_flushes_elided_per_op e.e_fences_per_op

@@ -83,8 +83,6 @@ let reset t =
 
 let current : t option ref = ref None
 
-let installed () = !current
-
 let leaf_on t phase seconds =
   let acc = t.accs.(phase_index phase) in
   acc.count <- acc.count + 1;

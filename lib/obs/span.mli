@@ -51,8 +51,6 @@ val install : t -> unit
 (** Remove [t] if installed (and its machine hook). *)
 val uninstall : t -> unit
 
-val installed : unit -> t option
-
 (** [with_phase p f] runs [f] inside a span of phase [p] on the
     calling simulated thread (or the host thread outside a
     simulation).  Exception-safe; no-op wrapper when nothing is

@@ -30,6 +30,9 @@ type t = {
   pools : Pool.t array;
   base : int;
   cursors : (int, int) Hashtbl.t; (* thread id -> next slot hint *)
+  used : int array;
+      (* volatile: active entries of each ring, pool-major; kept by
+         [append] and [clear], recounted by [iter_active] *)
 }
 
 type entry_ref = Pobj.obj = { pool : Pool.t; off : int }
@@ -44,7 +47,7 @@ let create pools ~base =
       if Pool.capacity p < base + region_size then
         invalid_arg "Smo_log.create: log pool too small")
     pools;
-  { pools; base; cursors = Hashtbl.create 64 }
+  { pools; base; cursors = Hashtbl.create 64; used = Array.make (Array.length pools * rings) 0 }
 
 let ring_base t tid = t.base + (tid land (rings - 1)) * entries_per_ring * entry_size
 
@@ -67,27 +70,56 @@ let write_entry e ~ts payload =
   Pobj.set_int e f_state kind;
   Pobj.persist_field e f_state
 
-(* The first free entry of thread [tid]'s ring in [pool] from slot [i]
-   on, having tried [tried] slots since slot [hint]. *)
-let rec find_free t pool tid hint attempt i tried =
-  if tried >= entries_per_ring then begin
-    (* Ring full: wait for the updater (back-pressure, §5.6). *)
-    Des.Sched.wait "smo ring of thread" tid ~attempt (Des.Sched.Doubling (500e-9, 9));
-    find_free t pool tid hint (attempt + 1) hint 0
+(* The calling thread's ring: the one on its NUMA domain's pool. *)
+let own_pool t = Des.Sched.current_numa () mod Array.length t.pools
+
+let own_ring t = (own_pool t * rings) + (Des.Sched.current_id () land (rings - 1))
+
+let rec pool_index pools pool i = if pools.(i) == pool then i else pool_index pools pool (i + 1)
+
+let entry_ring t e =
+  (pool_index t.pools e.pool 0 * rings) + ((e.off - t.base) / (entries_per_ring * entry_size))
+
+let has_free t = t.used.(own_ring t) < entries_per_ring
+
+(* A full ring back-pressures the writer until the updater catches up
+   (§5.6).  The writer waits before it takes any lock, as
+   [Art.ensure_pending_capacity] does: the ring is its own, so the
+   entry is still free when its split or merge comes, and the wait
+   (unpinned, lock-free) cannot hold back the epoch advance that the
+   updater needs to drain the rings. *)
+let rec wait_free t epoch attempt =
+  if not (has_free t) then begin
+    Epoch.unpin_while epoch (fun () ->
+        Epoch.try_advance epoch;
+        Des.Sched.wait "smo ring of thread" (Des.Sched.current_id ()) ~attempt
+          (Des.Sched.Doubling (500e-9, 9)));
+    wait_free t epoch (attempt + 1)
   end
+
+let reserve t epoch = if not (has_free t) then wait_free t epoch 0
+
+(* The first free entry of thread [tid]'s ring in [pool] from slot [i]
+   on, having tried [tried] slots. *)
+let rec find_free t pool tid i tried =
+  if tried >= entries_per_ring then
+    (* cannot happen: the entry was reserved before locking *)
+    failwith "Smo_log: ring full (missing reservation)"
   else
     let e = { pool; off = ring_base t tid + (i mod entries_per_ring * entry_size) } in
     if state e = 0 then begin
       Hashtbl.replace t.cursors tid ((i + 1) mod entries_per_ring);
       e
     end
-    else find_free t pool tid hint attempt (i + 1) (tried + 1)
+    else find_free t pool tid (i + 1) (tried + 1)
 
 let append_entry t ts payload =
   let tid = Des.Sched.current_id () in
-  let pool = t.pools.(Des.Sched.current_numa () mod Array.length t.pools) in
+  let pool = t.pools.(own_pool t) in
   let hint = match Hashtbl.find t.cursors tid with h -> h | exception Not_found -> 0 in
-  let e = find_free t pool tid hint 0 hint 0 in
+  let e = find_free t pool tid hint 0 in
+  let ring = own_ring t in
+  t.used.(ring) <- t.used.(ring) + 1;
   write_entry e ~ts payload;
   e
 
@@ -120,18 +152,25 @@ let read e =
       in
       Some (ts, payload)
 
-let clear e =
+let clear t e =
+  let ring = entry_ring t e in
+  t.used.(ring) <- t.used.(ring) - 1;
   Pobj.set_int e f_state 0;
   Pobj.persist_field e f_state
 
 let iter_active t ~f =
-  Array.iter
-    (fun pool ->
+  Array.fill t.used 0 (Array.length t.used) 0;
+  Array.iteri
+    (fun i pool ->
       for ring = 0 to rings - 1 do
         for slot = 0 to entries_per_ring - 1 do
           let off = t.base + (ring * entries_per_ring * entry_size) + (slot * entry_size) in
           let e = { pool; off } in
-          if state e <> 0 then f e
+          if state e <> 0 then begin
+            let r = (i * rings) + ring in
+            t.used.(r) <- t.used.(r) + 1;
+            f e
+          end
         done
       done)
     t.pools

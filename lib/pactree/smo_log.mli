@@ -8,8 +8,8 @@
     split can never leak it.
 
     Each simulated thread owns a ring of entries on its NUMA domain's
-    log pool; a full ring back-pressures the writer until the updater
-    catches up. *)
+    log pool; a full ring back-pressures the writer ({!reserve}) until
+    the updater catches up. *)
 
 type t
 
@@ -29,8 +29,16 @@ val region_size : int
     per-NUMA pool. *)
 val create : Nvm.Pool.t array -> base:int -> t
 
-(** Append to the calling thread's ring; blocks (simulated) while the
-    ring is full.  Two fences: fields first, state last. *)
+(** [reserve t epoch] returns once the calling thread's ring has a free
+    entry.  While it has none the thread waits with its pin in [epoch]
+    released (so the caller must hold no lock and no optimistic
+    reference).  A writer calls it before it locks anything, for the
+    one entry its split or merge may append; it reads a volatile count
+    of the ring's entries, no simulated memory. *)
+val reserve : t -> Epoch.t -> unit
+
+(** Append to the calling thread's ring, which must have a free entry
+    ({!reserve}).  Two fences: fields first, state last. *)
 val append : t -> ts:int -> payload -> entry_ref
 
 (** Destination (pool, offset) of a split entry's new-node field, for
@@ -44,10 +52,12 @@ val aux : entry_ref -> Pmalloc.Pptr.t
 val read : entry_ref -> (int * payload) option
 
 (** Mark the entry replayed (persisted). *)
-val clear : entry_ref -> unit
+val clear : t -> entry_ref -> unit
 
-(** Scan every ring on every pool — used by recovery. *)
+(** Scan every ring on every pool — used by recovery, which then clears
+    every entry.  Recounts the rings' entries from what it reads. *)
 val iter_active : t -> f:(entry_ref -> unit) -> unit
 
-(** Number of active entries (tests). *)
+(** Number of active entries, read from the pools (tests,
+    [Tree.smo_backlog]). *)
 val active_count : t -> int

@@ -57,7 +57,6 @@ type t = {
   (* updater coordination (volatile) *)
   uwq : Des.Sched.Waitq.t;
   pending_refs : Smo_log.entry_ref Queue.t;
-  mutable smo_hint : bool;
   mutable shutdown : bool;
   mutable updater_running : bool;
   jump_hist : int array; (* §6.7: hops from jump node to target *)
@@ -135,7 +134,6 @@ let create machine ?(cfg = default_config) () =
       gen = Art.generation art;
       uwq = Des.Sched.Waitq.create ();
       pending_refs = Queue.create ();
-      smo_hint = false;
       shutdown = false;
       updater_running = false;
       jump_hist = Array.make 16 0;
@@ -277,7 +275,7 @@ let replay_split_fast t e =
       let new_ptr = Smo_log.aux e in
       assert (not (Pptr.is_null new_ptr));
       ignore (Art.insert t.art (Key.to_radix anchor) new_ptr);
-      Smo_log.clear e
+      Smo_log.clear t.log e
   | _ -> ()
 
 let replay_merge_fast t e =
@@ -293,7 +291,7 @@ let replay_merge_fast t e =
          until the free is durable so recovery can still find it. *)
       Epoch.defer t.epoch (fun () ->
           Heap.free t.data_heap right;
-          Smo_log.clear e)
+          Smo_log.clear t.log e)
   | _ -> ()
 
 let replay_entry_fast t e =
@@ -305,7 +303,6 @@ let replay_entry_fast t e =
 let enqueue_smo t e =
   if t.cfg.async_smo && (t.updater_running || Des.Sched.running ()) then begin
     Queue.push e t.pending_refs;
-    t.smo_hint <- true;
     match Des.Sched.self () with
     | Some sched -> Des.Sched.Waitq.signal_all sched t.uwq
     | None -> ()
@@ -484,6 +481,7 @@ let lookup t key =
   in_epoch t (fun t key () -> lookup_attempt t key (Key.to_radix key) 0 ~use_jump:true) key ()
 
 let insert_locked t key value =
+  Smo_log.reserve t.log t.epoch;
   let node, wv = lock_target t key 0 in
   if Node.find t.lay node key >= 0 then begin
     (match Node.update t.lay node key value with
@@ -522,6 +520,7 @@ let try_merge_left t node_ptr =
   end
 
 let delete_locked t key () =
+  Smo_log.reserve t.log t.epoch;
   let node, wv = lock_target t key 0 in
   match Node.delete t.lay node key with
   | Node.Absent ->
@@ -612,7 +611,7 @@ let drain_smo t =
 let updater_loop t =
   t.updater_running <- true;
   let rec loop () =
-    if Queue.is_empty t.pending_refs && not t.smo_hint then begin
+    if Queue.is_empty t.pending_refs then begin
       if t.shutdown then ()
       else begin
         Des.Sched.Waitq.wait t.uwq;
@@ -620,7 +619,6 @@ let updater_loop t =
       end
     end
     else begin
-      t.smo_hint <- false;
       drain_smo t;
       loop ()
     end
@@ -640,7 +638,7 @@ let request_shutdown t =
 
 let reset_shutdown t = t.shutdown <- false
 
-let smo_backlog t = Queue.length t.pending_refs + Smo_log.active_count t.log
+let smo_backlog t = Smo_log.active_count t.log
 
 (* ---------- recovery (§5.9) ---------- *)
 
@@ -655,7 +653,7 @@ let recover_split t e left anchor =
   if Pptr.is_null new_ptr then
     (* Interrupted before allocation: nothing durable happened and the
        triggering insert was never acknowledged. *)
-    Smo_log.clear e
+    Smo_log.clear t.log e
   else begin
     let node = Node.of_ptr t.machine left in
     let nnode = Node.of_ptr t.machine new_ptr in
@@ -690,7 +688,7 @@ let recover_split t e left anchor =
     (match Art.lookup t.art (Key.to_radix anchor) with
     | Some p when Pptr.equal p new_ptr -> ()
     | Some _ | None -> ignore (Art.insert t.art (Key.to_radix anchor) new_ptr));
-    Smo_log.clear e
+    Smo_log.clear t.log e
   end
 
 let recover_merge t e left right anchor =
@@ -725,7 +723,7 @@ let recover_merge t e left right anchor =
   | Some p when Pptr.equal p right -> ignore (Art.delete t.art (Key.to_radix anchor))
   | Some _ | None -> ());
   Heap.free t.data_heap right;
-  Smo_log.clear e
+  Smo_log.clear t.log e
 
 (* Walk the data layer, inserting every live anchor (DRAM search
    layer rebuild). *)
@@ -744,7 +742,6 @@ let recover t =
   Obs.Span.with_phase Obs.Span.Recovery @@ fun () ->
   (* Volatile coordination state did not survive. *)
   Queue.clear t.pending_refs;
-  t.smo_hint <- false;
   t.shutdown <- false;
   t.updater_running <- false;
   Heap.recover t.data_heap;
@@ -809,14 +806,14 @@ let check_invariants t =
   let nodes = List.rev (walk (head_ptr t) Pptr.null None []) in
   (* search layer: every mapping must point to a live data node whose
      anchor is the mapped key (after drain, it must be complete). *)
-  List.iter
-    (fun (anchor, ptr) ->
-      if smo_backlog t = 0 then
+  if smo_backlog t = 0 then
+    List.iter
+      (fun (anchor, ptr) ->
         match Art.lookup t.art (Key.to_radix anchor) with
         | Some p when Pptr.equal p ptr -> ()
         | Some _ -> fail "search layer maps %s to the wrong node" anchor
         | None -> fail "anchor %s missing from search layer" anchor)
-    nodes;
+      nodes;
   List.length nodes
 
 (* Enumerate everything (tests). *)

@@ -78,7 +78,8 @@ val reset_shutdown : t -> unit
     thread is running, e.g. outside a simulation). *)
 val drain_smo : t -> unit
 
-(** Queued + persistent-log entries not yet replayed. *)
+(** SMO-log entries not yet replayed and cleared (every queued entry
+    is one of them). *)
 val smo_backlog : t -> int
 
 (** {2 Recovery (§5.9)} *)

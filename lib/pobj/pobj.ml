@@ -50,8 +50,6 @@ let blit_from_bytes o rel buf pos len = Pool.blit_from_bytes o.pool (o.off + rel
 
 let compare_string o rel len s = Pool.compare_string o.pool (o.off + rel) len s
 
-let compare_prefix o rel len s slen = Pool.compare_prefix o.pool (o.off + rel) len s slen
-
 let fill_zero o rel len = Pool.fill_zero o.pool (o.off + rel) len
 
 let cas o rel ~expected v = Pool.cas_int o.pool (o.off + rel) ~expected v

@@ -68,10 +68,6 @@ val blit_from_bytes : obj -> int -> bytes -> int -> int -> unit
 
 val compare_string : obj -> int -> int -> string -> int
 
-(** [compare_prefix o rel len s slen] compares with the first [slen]
-    bytes of [s] (see {!Nvm.Pool.compare_prefix}). *)
-val compare_prefix : obj -> int -> int -> string -> int -> int
-
 val fill_zero : obj -> int -> int -> unit
 
 (** 8-byte atomic compare-and-swap at a base-relative offset. *)

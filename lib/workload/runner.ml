@@ -130,9 +130,3 @@ let run ~machine ~index ?service ?obs ~mix ~kind ~loaded ~ops ~threads ?(theta =
   }
 
 let mops r = r.throughput /. 1e6
-
-let pp_result ppf r =
-  Format.fprintf ppf "%a %2d thr: %6.2f Mops/s (p99 %.1fus, %d samples)" Ycsb.pp_mix
-    r.mix r.threads (mops r)
-    (Latency.percentile r.latency 99.0 *. 1e6)
-    (Latency.count r.latency)

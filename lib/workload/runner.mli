@@ -61,5 +61,3 @@ val load :
   float
 
 val mops : result -> float
-
-val pp_result : Format.formatter -> result -> unit

@@ -224,7 +224,7 @@ let test_clwb_fence () =
    device.  [far] is found through the slot function itself. *)
 let test_cache_miss () =
   let machine = Machine.create ~numa_count:1 () in
-  let slots = 1 lsl (Machine.profile machine).Nvm.Config.cache_slots_log2 in
+  let slots = 1 lsl Nvm.Config.cache_slots_log2 in
   let pool = Pool.create machine ~name:"miss" ~numa:0 ~capacity:(2 * slots * 64) () in
   let rec colliding off =
     if off >= Pool.capacity pool then Alcotest.fail "no line shares the slot of line 0"

@@ -222,7 +222,7 @@ let test_smo_log_roundtrip () =
       Alcotest.(check string) "anchor" "ab" anchor
   | _ -> Alcotest.fail "bad decode");
   Alcotest.(check int) "active" 1 (Pactree.Smo_log.active_count log);
-  Pactree.Smo_log.clear e;
+  Pactree.Smo_log.clear log e;
   Alcotest.(check int) "cleared" 0 (Pactree.Smo_log.active_count log);
   Alcotest.(check bool) "read after clear" true (Pactree.Smo_log.read e = None)
 
@@ -348,12 +348,13 @@ let test_stall_full_ring () =
   let sched = Des.Sched.create () in
   let began = ref 0.0 in
   Des.Sched.spawn sched ~name:"writer" (fun () ->
-      for i = 1 to 65 do
-        if i = 65 then began := Des.Sched.now sched;
+      for i = 1 to 64 do
         ignore
           (Pactree.Smo_log.append log ~ts:i
              (Pactree.Smo_log.Split { left = Pmalloc.Pptr.make ~pool:2 ~off:256; anchor = "k" }))
-      done);
+      done;
+      began := Des.Sched.now sched;
+      Pactree.Smo_log.reserve log (Pactree.Epoch.create ()));
   expect_stall sched ~who:"writer" ~began ~backoff:(500e-9 *. 512.0)
     ~what:"smo ring of thread 0" ()
 

@@ -222,8 +222,8 @@ let test_restore_shorter_image () =
   Alcotest.(check int) "zeros past it" 0 (Pool.read_int p 64)
 
 (* One line flushed twice in a row with no intervening store: the
-   second clwb is redundant and must be counted as elidable — and with
-   elision off (the default) still executed. *)
+   second clwb is redundant and must be counted as elidable — and
+   still executed. *)
 let test_flush_tracking_counts_redundant () =
   let m = make_machine () in
   let p = make_pool m in
@@ -234,15 +234,11 @@ let test_flush_tracking_counts_redundant () =
   Pool.persist p 0 8;
   Alcotest.(check int) "redundant clwb counted as elidable" (elided + 1)
     s.Stats.flushes_elided;
-  Alcotest.(check int) "still executed with elision off" (flushes + 1) s.Stats.flushes;
-  Machine.set_flush_elision m true;
-  Pool.persist p 0 8;
-  Alcotest.(check int) "skipped with elision on" (flushes + 1) s.Stats.flushes;
-  Alcotest.(check int) "and still counted" (elided + 2) s.Stats.flushes_elided;
+  Alcotest.(check int) "still executed" (flushes + 1) s.Stats.flushes;
   (* After a fresh store the line is genuinely dirty again. *)
   Pool.write_int p 0 2;
   Pool.persist p 0 8;
-  Alcotest.(check int) "dirty line not elided" (flushes + 2) s.Stats.flushes;
+  Alcotest.(check int) "dirty line not counted" (elided + 1) s.Stats.flushes_elided;
   Machine.crash m Machine.Strict;
   Alcotest.(check int) "value durable throughout" 2 (Pool.read_int p 0)
 
@@ -509,7 +505,7 @@ let test_config_bandwidths () =
    line [i] of every pool no longer contends for one slot. *)
 let test_cache_slots () =
   let machine = Machine.create ~numa_count:1 () in
-  let slots = 1 lsl (Machine.profile machine).Nvm.Config.cache_slots_log2 in
+  let slots = 1 lsl Nvm.Config.cache_slots_log2 in
   let pools =
     List.init 3 (fun i ->
         Pool.create machine ~name:(string_of_int i) ~numa:0 ~capacity:(slots * 64) ())

@@ -389,6 +389,30 @@ let test_async_updater_catches_up () =
   Alcotest.(check int) "smo backlog drained" 0 (Tree.smo_backlog t);
   ignore (Tree.check_invariants t)
 
+(* A thread pins the epoch long enough for the updater to block on its
+   full pending log (its slots come back only when the epoch advances)
+   and for two writers inserting ascending keys to fill their SMO
+   rings.  A writer must wait for ring space unpinned and unlocked, or
+   the epoch can never advance once the pin is gone: every writer
+   waits on the updater and the updater on the writers. *)
+let test_full_rings_epoch_held () =
+  let _, t = make_tree () in
+  let per = 4000 in
+  run_concurrent t 3 (fun i ->
+      if i = 0 then begin
+        Pactree.Epoch.enter (Tree.epoch t);
+        Des.Sched.delay 0.05;
+        Pactree.Epoch.exit (Tree.epoch t)
+      end
+      else
+        for j = 0 to per - 1 do
+          Tree.insert t (ik ((i * 1_000_000) + j)) j
+        done);
+  Alcotest.(check bool) "the rings filled" true ((Tree.stats t).Tree.splits > 2 * 64);
+  Alcotest.(check int) "smo backlog drained" 0 (Tree.smo_backlog t);
+  ignore (Tree.check_invariants t);
+  Alcotest.(check int) "all present" (2 * per) (Tree.cardinal t)
+
 let test_jump_histogram_populated () =
   let _, t = make_tree () in
   (* without an updater running and async mode on... entries replay
@@ -584,4 +608,6 @@ let suite =
       test_recovery_mid_concurrent_run;
     Alcotest.test_case "lookups racing splits and merges" `Quick test_lookups_race_smo;
     Alcotest.test_case "recovery: 20 crash rounds" `Quick test_recovery_repeated_crashes;
+    Alcotest.test_case "full SMO rings while the epoch is held" `Quick
+      test_full_rings_epoch_held;
   ]
