@@ -8,8 +8,7 @@
      dune exec bench/main.exe -- micro        # bechamel micro-benchmarks
 
    Any other argument prints the valid names and exits 2.  The
-   crash-state sweep and the instrumented stats bench are
-   `pactree_bench crashmc` / `stats`.
+   crash-state sweep is `pactree_bench crashmc`.
 
    Throughputs are simulated Mops/s on the modelled DCPMM machine;
    shapes (ordering, ratios, crossovers), not absolute numbers, are
@@ -156,7 +155,7 @@ let () =
     (fun (name, f) ->
       if wants name then begin
         let t0 = Unix.gettimeofday () in
-        f scale;
+        List.iter (Format.printf "%a" Experiments.Figures.pp_table) (f scale);
         Format.printf "[%s took %.1fs host time]@." name (Unix.gettimeofday () -. t0)
       end)
     Experiments.Figures.registry;

@@ -191,7 +191,8 @@ let run_crash rounds obs_out =
   Option.iter Obs.Span.install span;
   Fun.protect
     ~finally:(fun () -> Option.iter Obs.Span.uninstall span)
-    (fun () -> Experiments.Figures.sec6_8 ~rounds scale);
+    (fun () -> Experiments.Figures.sec6_8 ~rounds scale)
+  |> List.iter (Format.printf "%a" Experiments.Figures.pp_table);
   match (obs_out, span) with
   | Some path, Some s ->
       Format.printf "%a@." Obs.Span.pp_table s;
@@ -203,84 +204,6 @@ let crash_cmd =
   let doc = "Crash-injection recovery test (6.8)." in
   let rounds_arg = Arg.(value & opt int 100 & info [ "rounds" ] ~doc:"Crash rounds.") in
   Cmd.v (Cmd.info "crash" ~doc) Term.(const run_crash $ rounds_arg $ obs_arg)
-
-(* ---------- stats: the canonical machine-readable bench ---------- *)
-
-let stats_systems =
-  [
-    Experiments.Factory.Pactree_sys;
-    Experiments.Factory.Pdlart_sys;
-    Experiments.Factory.Fastfair_sys;
-  ]
-
-let run_stats quick sanitize out threads =
-  require_positive [ ("threads", threads) ];
-  let scale =
-    if quick then Experiments.Scale.make ~keys:20_000 ~ops:15_000 ~thread_counts:[]
-    else Experiments.Scale.quick
-  in
-  let mix = Workload.Ycsb.Workload_a in
-  let hazards = ref [] in
-  let entries =
-    List.map
-      (fun sys ->
-        let entry, obs = Experiments.Obs_run.bench_entry ~scale ~mix ~threads ~sanitize sys in
-        Format.printf "%a@." Obs.Report.pp_entry entry;
-        Format.printf "%a@." Obs.Span.pp_table obs.Obs.Recorder.span;
-        if sanitize then begin
-          let name = Experiments.Factory.name sys in
-          match Pobj.Sanitizer.reports () with
-          | [] -> Format.printf "sanitizer  : clean (%s)@." name
-          | reports ->
-              hazards := (name, Pobj.Sanitizer.total ()) :: !hazards;
-              Format.printf "sanitizer  : %d unflushed store-lines (%s)@."
-                (Pobj.Sanitizer.total ()) name;
-              List.iter (fun r -> Format.printf "  %a@." Pobj.Sanitizer.pp_report r) reports
-        end;
-        entry)
-      stats_systems
-  in
-  let json =
-    Obs.Report.to_json ~keys:scale.Experiments.Scale.keys
-      ~ops:scale.Experiments.Scale.ops ~threads
-      ~mix:(Format.asprintf "%a" Workload.Ycsb.pp_mix mix)
-      ~entries
-  in
-  Obs.Report.write_file out json;
-  Format.printf "wrote %s (schema %s, %d systems)@." out Obs.Report.schema_version
-    (List.length entries);
-  if !hazards <> [] then begin
-    List.iter
-      (fun (name, n) -> Format.eprintf "persist-order sanitizer: %d hazard(s) in %s@." n name)
-      (List.rev !hazards);
-    exit 1
-  end
-
-let stats_cmd =
-  let doc =
-    "Run the canonical instrumented benchmark (YCSB-A, PACTree + baselines) and emit \
-     schema-validated BENCH_pactree.json."
-  in
-  let quick_arg =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced scale for CI (seconds).")
-  in
-  let sanitize_arg =
-    Arg.(
-      value & flag
-      & info [ "sanitize" ]
-          ~doc:
-            "Run the persist-order sanitizer during the benchmark and fail (exit 1) on \
-             any store left unflushed at its thread's ordering point.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_pactree.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Output path.")
-  in
-  Cmd.v
-    (Cmd.info "stats" ~doc)
-    Term.(const run_stats $ quick_arg $ sanitize_arg $ out_arg $ threads_arg)
 
 (* ---------- crashmc: systematic crash-state model checking ---------- *)
 
@@ -451,29 +374,9 @@ let crashmc_cmd =
       const run_crashmc $ index_arg $ ops_arg $ budget_arg $ max_states_arg
       $ seed_arg $ workload_arg $ mutate_arg)
 
-(* ---------- check: validate a report file ---------- *)
-
-let run_check path =
-  match Obs.Report.validate_file path with
-  | Ok () -> Format.printf "%s: OK (schema %s)@." path Obs.Report.schema_version
-  | Error msg ->
-      Format.eprintf "%s: INVALID: %s@." path msg;
-      exit 1
-
-let check_cmd =
-  let doc =
-    "Validate a report written by stats against its schema, and exit 1 if it does not \
-     conform.  Runs nothing."
-  in
-  let file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Report to validate.")
-  in
-  Cmd.v (Cmd.info "check" ~doc) Term.(const run_check $ file_arg)
-
 let () =
   let doc = "PACTree (SOSP'21) reproduction benchmarks on a simulated NVM machine." in
   let info = Cmd.info "pactree_bench" ~doc in
   exit
     (Cmd.eval
-       (Cmd.group info
-          [ ycsb_cmd; crash_cmd; crashmc_cmd; stats_cmd; check_cmd ]))
+       (Cmd.group info [ ycsb_cmd; crash_cmd; crashmc_cmd ]))

@@ -1,10 +1,10 @@
 #!/bin/sh
-# Continuous-integration entry point: build, full test suite, quick
-# bench smoke (fig2 + sec6_8), a bounded crashmc sweep, and the
-# instrumented stats bench (`pactree_bench stats --quick`, whose
-# BENCH_pactree.json output is schema-validated along with the
-# committed baseline and must equal it byte for byte), via the dune
-# @ci alias (see the root dune file).  Any failure fails the run.
+# Continuous-integration entry point: build, full test suite (which
+# pins the bounded crashmc sweep's report lines), the examples, and
+# the figure pin (every figure at tiny scale, the stats bench and
+# sec6_8's crash rounds among them, diffed against the committed
+# figs/FIGS_tiny.json), via the dune @ci alias (see the root dune
+# file).  Any failure fails the run.
 set -eu
 cd "$(dirname "$0")"
 exec dune build @ci "$@"

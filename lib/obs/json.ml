@@ -7,8 +7,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(* ---------- emission ---------- *)
-
 let escape s =
   let buf = Buffer.create (String.length s + 2) in
   String.iter
@@ -23,222 +21,47 @@ let escape s =
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
-  Buffer.contents buf
+  "\"" ^ Buffer.contents buf ^ "\""
 
 let float_repr f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else if Float.is_nan f || Float.is_integer f then "null" (* inf/nan: not JSON *)
-  else Printf.sprintf "%.17g" f
-
-let rec pp ppf = function
-  | Null -> Format.pp_print_string ppf "null"
-  | Bool b -> Format.pp_print_string ppf (string_of_bool b)
-  | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.pp_print_string ppf (float_repr f)
-  | String s -> Format.fprintf ppf "\"%s\"" (escape s)
-  | List [] -> Format.pp_print_string ppf "[]"
-  | List items ->
-      Format.fprintf ppf "@[<v 2>[@,%a@]@,]"
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@,") pp)
-        items
-  | Obj [] -> Format.pp_print_string ppf "{}"
-  | Obj fields ->
-      let field ppf (k, v) = Format.fprintf ppf "@[<hov 2>\"%s\": %a@]" (escape k) pp v in
-      Format.fprintf ppf "@[<v 2>{@,%a@]@,}"
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@,") field)
-        fields
-
-let to_string t = Format.asprintf "%a" pp t
-
-(* ---------- parsing ---------- *)
-
-exception Parse_error of int * string
-
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail (Printf.sprintf "expected %c, got %c" c c')
-    | None -> fail (Printf.sprintf "expected %c, got end of input" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          if !pos >= n then fail "unterminated escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              let hex = String.sub s (!pos + 1) 4 in
-              let code =
-                try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-              in
-              pos := !pos + 4;
-              (* BMP only; encode as UTF-8 *)
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-          | c -> fail (Printf.sprintf "bad escape \\%c" c));
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
+  else if not (Float.is_finite f) then "null"
+  else
+    let rec shortest digits =
+      let s = Printf.sprintf "%.*g" digits f in
+      if digits >= 17 || float_of_string s = f then s else shortest (digits + 1)
     in
-    go ();
-    Buffer.contents buf
+    shortest 15
+
+let is_scalar = function List _ | Obj _ -> false | _ -> true
+
+let to_string t =
+  let buf = Buffer.create 4096 in
+  let add = Buffer.add_string buf in
+  let rec value indent = function
+    | Null -> add "null"
+    | Bool b -> add (string_of_bool b)
+    | Int i -> add (string_of_int i)
+    | Float f -> add (float_repr f)
+    | String s -> add (escape s)
+    | List items -> members indent "[" "]" (List.map (fun v -> (None, v)) items)
+    | Obj fields -> members indent "{" "}" (List.map (fun (k, v) -> (Some k, v)) fields)
+  and members indent opening closing items =
+    add opening;
+    let flat = List.for_all (fun (_, v) -> is_scalar v) items in
+    let inner = indent ^ "  " in
+    List.iteri
+      (fun i (key, v) ->
+        if i > 0 then add (if flat then ", " else ",");
+        if not flat then add ("\n" ^ inner);
+        Option.iter (fun k -> add (escape k ^ ": ")) key;
+        value inner v)
+      items;
+    if not flat then add ("\n" ^ indent);
+    add closing
   in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match int_of_string_opt tok with
-    | Some i -> Int i
-    | None -> (
-        match float_of_string_opt tok with
-        | Some f -> Float f
-        | None -> fail (Printf.sprintf "bad number %S" tok))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> String (parse_string ())
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ] in array"
-          in
-          List (items [])
-        end
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            (k, v)
-          in
-          let rec fields acc =
-            let kv = field () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields (kv :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev (kv :: acc)
-            | _ -> fail "expected , or } in object"
-          in
-          Obj (fields [])
-        end
-    | Some c -> (
-        match c with
-        | '0' .. '9' | '-' -> parse_number ()
-        | c -> fail (Printf.sprintf "unexpected character %c" c))
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Parse_error (at, msg) -> Error (Printf.sprintf "at offset %d: %s" at msg)
-
-(* ---------- accessors ---------- *)
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
-
-let to_number = function
-  | Int i -> Some (float_of_int i)
-  | Float f -> Some f
-  | _ -> None
-
-(* ---------- files ---------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+  value "" t;
+  Buffer.contents buf
 
 let write_file path json =
   let oc = open_out path in
@@ -247,43 +70,3 @@ let write_file path json =
     (fun () ->
       output_string oc (to_string json);
       output_char oc '\n')
-
-(* ---------- schema checks ---------- *)
-
-module Check = struct
-  let ( let* ) = Result.bind
-
-  let require_number ctx key obj =
-    match Option.bind (member key obj) to_number with
-    | Some f when Float.is_finite f -> Ok f
-    | Some _ -> Error (Printf.sprintf "%s: %S is not finite" ctx key)
-    | None -> Error (Printf.sprintf "%s: missing numeric field %S" ctx key)
-
-  let require_string ctx key obj =
-    match member key obj with
-    | Some (String s) -> Ok s
-    | _ -> Error (Printf.sprintf "%s: missing string field %S" ctx key)
-
-  let require_obj ctx key obj =
-    match member key obj with
-    | Some (Obj _ as o) -> Ok o
-    | _ -> Error (Printf.sprintf "%s: missing object field %S" ctx key)
-
-  let require_latency ctx key obj =
-    let* l = require_obj ctx key obj in
-    let ctx = ctx ^ "." ^ key in
-    let* p50 = require_number ctx "p50" l in
-    let* p99 = require_number ctx "p99" l in
-    let* p9999 = require_number ctx "p99.99" l in
-    let* _ = require_number ctx "mean" l in
-    let* mx = require_number ctx "max" l in
-    if p50 < 0.0 || p99 < p50 -. 1e-9 || p9999 < p99 -. 1e-9 || mx < p9999 -. 1e-9
-    then Error (ctx ^ ": percentiles not monotone")
-    else Ok ()
-
-  let write_checked validate path json =
-    write_file path json;
-    match Result.bind (read_file path) validate with
-    | Ok () -> ()
-    | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
-end

@@ -59,26 +59,6 @@ let rates t =
   in
   go [] (samples t)
 
-let csv_header = "t_us,read_mbps,write_mbps,dir_write_mbps,flushes_per_s,fences_per_s"
-
-let csv t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf csv_header;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "%.3f,%.3f,%.3f,%.3f,%.1f,%.1f\n" r.t_us r.read_mbps
-           r.write_mbps r.dir_write_mbps r.flushes_per_s r.fences_per_s))
-    (rates t);
-  Buffer.contents buf
-
-let write_csv t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (csv t))
-
 let to_json t =
   Json.List
     (List.map

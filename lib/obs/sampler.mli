@@ -35,12 +35,4 @@ type rate = {
 (** Per-window rates from consecutive samples ([samples] - 1 rows). *)
 val rates : t -> rate list
 
-(** First line of {!csv}. *)
-val csv_header : string
-
-(** CSV with header [t_us,read_mbps,write_mbps,dir_write_mbps,flushes_per_s,fences_per_s]. *)
-val csv : t -> string
-
-val write_csv : t -> string -> unit
-
 val to_json : t -> Json.t

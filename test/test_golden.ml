@@ -10,9 +10,11 @@
      same accesses and persists;
    - open loop: Poisson arrivals into a 2-shard PACTree [Svc.Store]
      through [Svc.Engine.run];
-   - crashmc: each index's report line for the sweep the [@ci] alias
-     runs ([--ops 24 --budget 12 --max-states 1500], mixed and insert
-     workloads).
+   - crashmc: each index's report line for the bounded CI sweep
+     ([pactree_bench crashmc --index all --ops 24 --budget 12
+     --max-states 1500], mixed and insert workloads).  The [@ci]
+     alias does not run that sweep itself: these pins hold its lines,
+     "0 violations" included.
 
    A simulation is a function of its inputs alone: every machine
    numbers its own pools, so a run does not depend on what ran before

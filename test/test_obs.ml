@@ -1,40 +1,12 @@
-(* Tests for lib/obs: the JSON codec, span attribution under the DES,
-   the time-series sampler and the BENCH report schema. *)
+(* Tests for lib/obs: span attribution under the DES, the time-series
+   sampler, and a recorder that leaves the run it observes unchanged. *)
 
-module Json = Obs.Json
 module Span = Obs.Span
 module Sampler = Obs.Sampler
-module Report = Obs.Report
 
 let feq msg ?(eps = 1e-9) expected got =
   if Float.abs (expected -. got) > eps then
     Alcotest.failf "%s: expected %g, got %g" msg expected got
-
-(* ---------- json ---------- *)
-
-let test_json_roundtrip () =
-  let v =
-    Json.Obj
-      [
-        ("s", Json.String "a \"quoted\"\nline");
-        ("i", Json.Int (-42));
-        ("f", Json.Float 1.5e-3);
-        ("b", Json.Bool true);
-        ("n", Json.Null);
-        ("l", Json.List [ Json.Int 1; Json.Obj [ ("x", Json.Float 0.25) ] ]);
-      ]
-  in
-  match Json.of_string (Json.to_string v) with
-  | Error msg -> Alcotest.failf "reparse failed: %s" msg
-  | Ok v' -> Alcotest.(check bool) "round trip" true (v = v')
-
-let test_json_rejects_garbage () =
-  List.iter
-    (fun s ->
-      match Json.of_string s with
-      | Ok _ -> Alcotest.failf "accepted malformed %S" s
-      | Error _ -> ())
-    [ "{"; "{\"a\":}"; "[1,]"; "nul"; "\"unterminated"; "{\"a\":1} trailing" ]
 
 (* ---------- spans under the DES ---------- *)
 
@@ -111,105 +83,30 @@ let test_sampler_series () =
   let rates = Sampler.rates sampler in
   Alcotest.(check bool) "rates nonempty" true (rates <> []);
   Alcotest.(check bool) "some write bandwidth seen" true
-    (List.exists (fun r -> r.Sampler.write_mbps > 0.0) rates);
-  let csv = Sampler.csv sampler in
-  Alcotest.(check bool) "csv has header" true
-    (String.length csv > String.length Sampler.csv_header
-    && String.sub csv 0 (String.length Sampler.csv_header) = Sampler.csv_header)
-
-(* ---------- report schema ---------- *)
-
-let sample_entry =
-  {
-    Report.e_index = "PACTree";
-    e_mix = "W-A";
-    e_threads = 8;
-    e_keys = 1000;
-    e_ops = 1000;
-    e_elapsed_s = 0.01;
-    e_throughput_mops = 0.1;
-    e_p50_us = 1.0;
-    e_p99_us = 2.0;
-    e_p9999_us = 3.0;
-    e_mean_us = 1.2;
-    e_max_us = 4.0;
-    e_phase_pct =
-      (let share = 100.0 /. float_of_int (List.length Span.all_phases) in
-       List.map (fun p -> (Span.phase_name p, share)) Span.all_phases);
-    e_phase_us = List.map (fun p -> (Span.phase_name p, 10.0)) Span.all_phases;
-    e_flushes_per_op = 2.0;
-    e_flushes_elided_per_op = 0.5;
-    e_fences_per_op = 1.0;
-    e_media_read_bytes_per_op = 100.0;
-    e_media_write_bytes_per_op = 50.0;
-    e_read_amplification = 2.0;
-    e_write_amplification = 3.0;
-  }
-
-let sample_report entries =
-  Report.to_json ~keys:1000 ~ops:1000 ~threads:8 ~mix:"W-A" ~entries
-
-let test_report_validates () =
-  (match Report.validate (sample_report [ sample_entry ]) with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "valid report rejected: %s" msg);
-  (* survives a disk round trip *)
-  let path = Filename.temp_file "bench" ".json" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Report.write_file path (sample_report [ sample_entry ]);
-  match Report.validate_file path with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "file round trip rejected: %s" msg
-
-let test_report_rejects_malformed () =
-  let expect_error what json =
-    match Report.validate json with
-    | Ok () -> Alcotest.failf "%s accepted" what
-    | Error _ -> ()
-  in
-  expect_error "empty results" (sample_report []);
-  expect_error "wrong schema"
-    (Json.Obj [ ("schema", Json.String "nope/v0") ]);
-  expect_error "phase_pct not summing to 100"
-    (sample_report
-       [
-         {
-           sample_entry with
-           Report.e_phase_pct =
-             List.map (fun p -> (Span.phase_name p, 5.0)) Span.all_phases;
-         };
-       ]);
-  expect_error "non-monotone latency"
-    (sample_report [ { sample_entry with Report.e_p99_us = 0.5 } ]);
-  expect_error "latency max below p99.99"
-    (sample_report [ { sample_entry with Report.e_max_us = 2.5 } ]);
-  expect_error "negative per-op cost"
-    (sample_report [ { sample_entry with Report.e_flushes_per_op = -1.0 } ])
+    (List.exists (fun r -> r.Sampler.write_mbps > 0.0) rates)
 
 (* ---------- end to end: a PACTree run has phases ---------- *)
 
 let test_pactree_run_attributes_phases () =
   let scale = Experiments.Scale.tiny in
-  let entry, _ =
-    Experiments.Obs_run.bench_entry ~scale ~mix:Workload.Ycsb.Load_a ~threads:4
-      Experiments.Factory.Pactree_sys
+  let machine = Nvm.Machine.create ~numa_count:2 () in
+  let b = Experiments.Factory.make_backend machine Experiments.Factory.Pactree_sys in
+  let obs = Obs.Recorder.create machine () in
+  let r =
+    Workload.Runner.run ~machine ~index:b.b_index ?service:b.b_service ~obs
+      ~mix:Workload.Ycsb.Load_a ~kind:Workload.Keyset.Int_keys
+      ~loaded:scale.Experiments.Scale.keys ~ops:scale.Experiments.Scale.ops ~threads:4 ()
   in
-  let pct name = List.assoc name entry.Report.e_phase_pct in
-  Alcotest.(check bool) "trie_search time nonzero" true (pct "trie_search" > 0.0);
-  Alcotest.(check bool) "smo time nonzero" true (pct "smo" > 0.0);
-  let sum = List.fold_left (fun a (_, p) -> a +. p) 0.0 entry.Report.e_phase_pct in
+  let pcts = Span.percentages obs.Obs.Recorder.span in
+  let pct phase = List.assoc phase pcts in
+  Alcotest.(check bool) "trie_search time nonzero" true (pct Span.Trie_search > 0.0);
+  Alcotest.(check bool) "smo time nonzero" true (pct Span.Smo > 0.0);
+  let sum = List.fold_left (fun a (_, p) -> a +. p) 0.0 pcts in
   feq "phase percentages sum to 100" ~eps:0.5 100.0 sum;
   Alcotest.(check bool) "flushes per op nonzero" true
-    (entry.Report.e_flushes_per_op > 0.0);
-  (* and the whole report validates *)
-  match
-    Report.validate
-      (Report.to_json ~keys:scale.Experiments.Scale.keys
-         ~ops:scale.Experiments.Scale.ops ~threads:4 ~mix:"load-a"
-         ~entries:[ entry ])
-  with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "end-to-end report invalid: %s" msg
+    (float_of_int r.Workload.Runner.nvm.Nvm.Stats.flushes
+     /. float_of_int r.Workload.Runner.ops
+    > 0.0)
 
 (* ---------- observing a run does not change it ---------- *)
 
@@ -305,14 +202,10 @@ let test_stats_is_zero_and_amplification () =
 
 let suite =
   [
-    Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
-    Alcotest.test_case "json rejects garbage" `Quick test_json_rejects_garbage;
     Alcotest.test_case "span nesting + charge" `Quick test_span_nesting;
     Alcotest.test_case "span no-op when uninstalled" `Quick test_span_uninstalled_noop;
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safe;
     Alcotest.test_case "sampler time series" `Quick test_sampler_series;
-    Alcotest.test_case "report schema validates" `Quick test_report_validates;
-    Alcotest.test_case "report rejects malformed" `Quick test_report_rejects_malformed;
     Alcotest.test_case "pactree run attributes phases" `Quick
       test_pactree_run_attributes_phases;
     Alcotest.test_case "runner: a recorder leaves the run unchanged" `Quick
