@@ -33,15 +33,24 @@ let name = "FPTree"
 
 module Smap = Map.Make (String)
 
+(* What a crash loses, built by [start] from the pools on every create
+   and recover: a generation one past the persisted one (voiding every
+   older leaf lock), the HTM, and the DRAM internal layer with its size
+   estimate, from a walk of the leaf chain from [head] (null for a
+   tree being formatted) — FPTree's recovery-time cost. *)
+type volatile = {
+  mutable internals : Pmalloc.Pptr.t Smap.t; (* DRAM: separator -> leaf *)
+  htm : Htm.t;
+  gen : int;
+  mutable cardinal_estimate : int;
+}
+
 type t = {
   machine : Machine.t;
   heap : Heap.t; (* NVM leaves *)
   meta : Pool.t; (* 0: head leaf; 8: generation; 64: split micro-log *)
   lay : Node.layout;
-  mutable internals : Pmalloc.Pptr.t Smap.t; (* DRAM: separator -> leaf *)
-  htm : Htm.t;
-  mutable gen : int;
-  mutable cardinal_estimate : int;
+  mutable v : volatile;
 }
 
 let off_head = 0
@@ -50,6 +59,22 @@ let off_gen = 8
 
 let off_log = 64
 
+let start machine meta ~head =
+  let gen = Pool.read_int meta off_gen + 1 in
+  Pool.write_int meta off_gen gen;
+  Pool.persist meta off_gen 8;
+  let rec walk ptr internals n =
+    if Pptr.is_null ptr then (internals, n)
+    else begin
+      let leaf = Node.of_ptr machine ptr in
+      let internals = Smap.add (Node.anchor leaf) ptr internals in
+      let n = n + Node.live_count leaf in
+      walk (Node.next leaf) internals n
+    end
+  in
+  let internals, cardinal_estimate = walk head Smap.empty 0 in
+  { internals; htm = Htm.create ~seed:0x5EEDL (); gen; cardinal_estimate }
+
 let create machine ?(string_keys = false) () =
   let numa = Machine.numa_count machine in
   let heap =
@@ -57,54 +82,40 @@ let create machine ?(string_keys = false) () =
   in
   let meta = Pool.create machine ~name:"fptree.meta" ~numa:0 ~capacity:256 () in
   let lay = Node.layout ~key_inline:(if string_keys then 32 else 8) () in
-  let gen = Pool.read_int meta off_gen + 1 in
-  Pool.write_int meta off_gen gen;
-  Pool.persist meta off_gen 8;
-  let t =
-    {
-      machine;
-      heap;
-      meta;
-      lay;
-      internals = Smap.empty;
-      htm = Htm.create ~seed:0x5EEDL ();
-      gen;
-      cardinal_estimate = 0;
-    }
-  in
+  let t = { machine; heap; meta; lay; v = start machine meta ~head:Pptr.null } in
   (* head leaf with sentinel separator "" *)
   let ptr =
     Heap.alloc_to heap ~numa:0 ~size:lay.Node.node_size ~dest_pool:meta ~dest_off:off_head
       ()
   in
   let head = Node.of_ptr t.machine ptr in
-  Node.init lay head ~gen ~anchor:"" ~next:Pptr.null ~prev:Pptr.null;
+  Node.init lay head ~gen:t.v.gen ~anchor:"" ~next:Pptr.null ~prev:Pptr.null;
   Pool.persist head.Node.pool head.Node.off lay.Node.node_size;
-  t.internals <- Smap.add "" ptr t.internals;
+  t.v.internals <- Smap.add "" ptr t.v.internals;
   t
 
-let htm_stats t = Htm.stats t.htm
+let htm_stats t = Htm.stats t.v.htm
 
 (* HTM read-set model: path through the DRAM internals plus cache
    pressure growing with the index size (GC3). *)
 let footprint t =
-  let levels = 1 + (Smap.cardinal t.internals |> float_of_int |> Float.log2 |> int_of_float |> max 0) in
-  (8 * levels) + (t.cardinal_estimate / 4000)
+  let levels = 1 + (Smap.cardinal t.v.internals |> float_of_int |> Float.log2 |> int_of_float |> max 0) in
+  (8 * levels) + (t.v.cardinal_estimate / 4000)
 
 (* Pure DRAM lookup of the leaf covering [key]. *)
 let find_leaf_dram t key =
-  match Smap.find_last_opt (fun sep -> String.compare sep key <= 0) t.internals with
+  match Smap.find_last_opt (fun sep -> String.compare sep key <= 0) t.v.internals with
   | Some (_, ptr) -> ptr
   | None -> Pool.read_int t.meta off_head
 
 (* The DRAM traversal cost: a few cache references per level. *)
 let traversal_duration t =
-  let levels = 2 + (Smap.cardinal t.internals |> float_of_int |> Float.log2 |> int_of_float |> max 0) in
+  let levels = 2 + (Smap.cardinal t.v.internals |> float_of_int |> Float.log2 |> int_of_float |> max 0) in
   float_of_int levels *. Nvm.Config.dram_latency /. 3.0
 
 (* Traverse internals transactionally. *)
 let to_leaf t key =
-  Htm.execute t.htm ~footprint_lines:(footprint t) ~duration:(traversal_duration t)
+  Htm.execute t.v.htm ~footprint_lines:(footprint t) ~duration:(traversal_duration t)
     (fun () -> find_leaf_dram t key)
 
 (* Does [leaf] still cover [key]?  A split moves the keys from the new
@@ -121,11 +132,11 @@ let covers t leaf key =
 let lookup t key =
   let rec read leaf attempt =
     let h = Node.lock_handle leaf in
-    let v = Vlock.begin_read h ~gen:t.gen in
+    let v = Vlock.begin_read h ~gen:t.v.gen in
     let slot = Node.find t.lay leaf key in
     let r = if slot >= 0 then Some (Node.found_value ()) else None in
     let moved = slot < 0 && not (covers t leaf key) in
-    let valid = Vlock.validate h.pool h.off ~gen:t.gen ~version:v in
+    let valid = Vlock.validate h.pool h.off ~gen:t.v.gen ~version:v in
     if valid && not moved then r
     else begin
       Des.Sched.wait "fptree leaf" h.off ~attempt Des.Sched.Now;
@@ -150,26 +161,26 @@ let split_leaf t leaf key =
     Heap.alloc_to t.heap ~size:t.lay.Node.node_size ~dest_pool:t.meta ~dest_off:(off_log + 8) ()
   in
   let nleaf = Node.of_ptr t.machine ptr in
-  Node.init t.lay nleaf ~gen:t.gen ~anchor:median ~next:(Node.next leaf) ~prev:Pptr.null;
+  Node.init t.lay nleaf ~gen:t.v.gen ~anchor:median ~next:(Node.next leaf) ~prev:Pptr.null;
   Node.copy_into t.lay ~src:leaf ~dst:nleaf slots ~pos:half ~len:moved;
   Pool.persist nleaf.Node.pool nleaf.Node.off t.lay.Node.node_size;
   Node.set_next leaf ptr;
   Pool.persist leaf.Node.pool (leaf.Node.off + Node.off_next) 8;
   Node.clear_slots leaf (Node.slot_mask slots ~pos:half ~len:moved);
   (* synchronous internal update, inside HTM, leaf lock still held *)
-  Htm.execute t.htm ~footprint_lines:(footprint t) ~duration:(traversal_duration t)
-    (fun () -> t.internals <- Smap.add median ptr t.internals);
+  Htm.execute t.v.htm ~footprint_lines:(footprint t) ~duration:(traversal_duration t)
+    (fun () -> t.v.internals <- Smap.add median ptr t.v.internals);
   (* clear micro-log *)
   Pool.write_int t.meta off_log 0;
   Pool.persist t.meta off_log 8;
   if Key.compare key median < 0 then leaf else nleaf
 
-let release t leaf wv = Vlock.release (Node.lock_handle leaf) ~gen:t.gen ~version:wv
+let release t leaf wv = Vlock.release (Node.lock_handle leaf) ~gen:t.v.gen ~version:wv
 
 let rec locked_leaf t key attempt =
   let ptr = to_leaf t key in
   let leaf = Node.of_ptr t.machine ptr in
-  let wv = Vlock.acquire (Node.lock_handle leaf) ~gen:t.gen in
+  let wv = Vlock.acquire (Node.lock_handle leaf) ~gen:t.v.gen in
   (* the leaf may have split between traversal and lock *)
   if covers t leaf key then (leaf, wv)
   else begin
@@ -181,7 +192,7 @@ let rec locked_leaf t key attempt =
 (* Insert the absent [key] into the locked [leaf], which has room. *)
 let place t leaf key value =
   match Node.insert t.lay leaf key value with
-  | Node.Ok -> t.cardinal_estimate <- t.cardinal_estimate + 1
+  | Node.Ok -> t.v.cardinal_estimate <- t.v.cardinal_estimate + 1
   | Node.Full | Node.Absent -> assert false
 
 let insert t key value =
@@ -193,7 +204,7 @@ let insert t key value =
   | _ -> (
       match Node.insert t.lay leaf key value with
       | Node.Ok ->
-          t.cardinal_estimate <- t.cardinal_estimate + 1;
+          t.v.cardinal_estimate <- t.v.cardinal_estimate + 1;
           release t leaf wv
       | Node.Full ->
           (* the pair goes to the half that covers it; a new right half
@@ -201,7 +212,7 @@ let insert t key value =
           let target = split_leaf t leaf key in
           if Node.equal target leaf then place t leaf key value
           else begin
-            let wv2 = Vlock.acquire (Node.lock_handle target) ~gen:t.gen in
+            let wv2 = Vlock.acquire (Node.lock_handle target) ~gen:t.v.gen in
             place t target key value;
             release t target wv2
           end;
@@ -217,7 +228,7 @@ let update t key value =
 let delete t key =
   let leaf, wv = locked_leaf t key 0 in
   let r = Node.delete t.lay leaf key in
-  if r = Node.Ok then t.cardinal_estimate <- t.cardinal_estimate - 1;
+  if r = Node.Ok then t.v.cardinal_estimate <- t.v.cardinal_estimate - 1;
   release t leaf wv;
   r = Node.Ok
 
@@ -233,7 +244,7 @@ let scan t key n_wanted =
     if !taken < n_wanted && not (Pptr.is_null ptr) then begin
       let leaf = Node.of_ptr t.machine ptr in
       let h = Node.lock_handle leaf in
-      let v = Vlock.begin_read h ~gen:t.gen in
+      let v = Vlock.begin_read h ~gen:t.v.gen in
       let live = Node.sort_live t.lay leaf slots in
       let batch = ref [] and n = ref 0 in
       for i = 0 to live - 1 do
@@ -245,7 +256,7 @@ let scan t key n_wanted =
         end
       done;
       let nxt = Node.next leaf in
-      if Vlock.validate h.pool h.off ~gen:t.gen ~version:v then begin
+      if Vlock.validate h.pool h.off ~gen:t.v.gen ~version:v then begin
         acc := !batch @ !acc;
         taken := !taken + !n;
         scan_leaf nxt 0
@@ -259,14 +270,10 @@ let scan t key n_wanted =
   scan_leaf (to_leaf t key) 0;
   List.rev !acc
 
-(* Restart: leaves survive; the DRAM internal layer is rebuilt by
-   walking the leaf chain — FPTree's recovery-time cost. *)
+(* Restart: leaves survive; once the split micro-log is replayed,
+   [start] rebuilds everything volatile from them. *)
 let recover t =
   Heap.recover t.heap;
-  let gen = Pool.read_int t.meta off_gen + 1 in
-  Pool.write_int t.meta off_gen gen;
-  Pool.persist t.meta off_gen 8;
-  t.gen <- gen;
   (* Split micro-log replay: a crash after the new leaf was linked but
      before the moved slots were cleared leaves the moved records live
      in both leaves.  Re-clear every slot of the logged leaf at or
@@ -292,18 +299,7 @@ let recover t =
     Pool.write_int t.meta off_log 0;
     Pool.persist t.meta off_log 8
   end;
-  t.internals <- Smap.empty;
-  t.cardinal_estimate <- 0;
-  let rec walk ptr =
-    if not (Pptr.is_null ptr) then begin
-      let leaf = Node.of_ptr t.machine ptr in
-      let sep = Node.anchor leaf in
-      t.internals <- Smap.add sep ptr t.internals;
-      t.cardinal_estimate <- t.cardinal_estimate + Node.live_count leaf;
-      walk (Node.next leaf)
-    end
-  in
-  walk (Pool.read_int t.meta off_head)
+  t.v <- start t.machine t.meta ~head:(Pool.read_int t.meta off_head)
 
 let check_invariants t =
   let rec walk ptr acc =

@@ -18,13 +18,16 @@ module Art = Pactree.Art
 
 let name = "PDL-ART"
 
+(* What a crash loses: the trie's handle (its generation) and the
+   epoch, both built anew by [start] on every create and recover. *)
+type volatile = { art : Art.t; epoch : Pactree.Epoch.t }
+
 (* Record layout: value (8B) | key length (1B) | key bytes. *)
 type t = {
   machine : Machine.t;
   heap : Heap.t;
   meta : Pool.t;
-  art : Art.t;
-  epoch : Pactree.Epoch.t;
+  mutable v : volatile;
 }
 
 let record_key machine ptr =
@@ -41,18 +44,21 @@ let compare_record machine ptr rkey =
   let len = Pool.read_u8 pool (off + 8) in
   Pool.compare_string pool (off + 9) len rkey
 
+let start machine heap meta =
+  let epoch = Pactree.Epoch.create () in
+  let art =
+    Art.create ~heap ~meta ~epoch ~key_of_leaf:(record_key machine)
+      ~compare_leaf:(compare_record machine)
+  in
+  { art; epoch }
+
 let create machine ?(alloc_kind = Heap.Pmdk) ?numa_pools () =
   let numa = Option.value ~default:(Machine.numa_count machine) numa_pools in
   let heap = Heap.create machine ~kind:alloc_kind ~name:"pdlart" ~numa_pools:numa () in
   let meta =
     Pool.create machine ~name:"pdlart.meta" ~numa:0 ~capacity:(Art.meta_size + 256) ()
   in
-  let epoch = Pactree.Epoch.create () in
-  let art =
-    Art.create ~heap ~meta ~epoch ~key_of_leaf:(record_key machine)
-      ~compare_leaf:(compare_record machine)
-  in
-  { machine; heap; meta; art; epoch }
+  { machine; heap; meta; v = start machine heap meta }
 
 let alloc_record t rkey value =
   let size = 9 + String.length rkey in
@@ -69,7 +75,7 @@ let record_value t ptr =
   let pool = Pmalloc.Registry.resolve t.machine ptr in
   Pool.read_int pool (Pptr.off ptr)
 
-let free_later t ptr = Pactree.Epoch.defer t.epoch (fun () -> Heap.free t.heap ptr)
+let free_later t ptr = Pactree.Epoch.defer t.v.epoch (fun () -> Heap.free t.heap ptr)
 
 let set_record_value t ptr value =
   let pool = Pmalloc.Registry.resolve t.machine ptr in
@@ -83,28 +89,28 @@ let set_record_value t ptr value =
    record alive while we write it. *)
 let insert t key value =
   let rkey = Key.to_radix key in
-  Pactree.Epoch.enter t.epoch;
-  Fun.protect ~finally:(fun () -> Pactree.Epoch.exit t.epoch) @@ fun () ->
-  match Art.lookup t.art rkey with
+  Pactree.Epoch.enter t.v.epoch;
+  Fun.protect ~finally:(fun () -> Pactree.Epoch.exit t.v.epoch) @@ fun () ->
+  match Art.lookup t.v.art rkey with
   | Some record -> set_record_value t record value
   | None -> (
       let record = alloc_record t rkey value in
-      match Art.insert t.art rkey record with
+      match Art.insert t.v.art rkey record with
       | Art.Inserted -> ()
       | Art.Replaced old ->
           (* raced with a concurrent insert of the same key *)
           free_later t old)
 
 let lookup t key =
-  match Art.lookup t.art (Key.to_radix key) with
+  match Art.lookup t.v.art (Key.to_radix key) with
   | Some record -> Some (record_value t record)
   | None -> None
 
 let update t key value =
   let rkey = Key.to_radix key in
-  Pactree.Epoch.enter t.epoch;
-  Fun.protect ~finally:(fun () -> Pactree.Epoch.exit t.epoch) @@ fun () ->
-  match Art.lookup t.art rkey with
+  Pactree.Epoch.enter t.v.epoch;
+  Fun.protect ~finally:(fun () -> Pactree.Epoch.exit t.v.epoch) @@ fun () ->
+  match Art.lookup t.v.art rkey with
   | None -> false
   | Some record ->
       set_record_value t record value;
@@ -112,7 +118,7 @@ let update t key value =
 
 let delete t key =
   let rkey = Key.to_radix key in
-  match Art.delete t.art rkey with
+  match Art.delete t.v.art rkey with
   | Some old ->
       free_later t old;
       true
@@ -122,7 +128,7 @@ let delete t key =
    sequential locality — the GA5 cost). *)
 let scan t key n_wanted =
   let acc = ref [] and n = ref 0 in
-  Art.iter_from t.art (Key.to_radix key) (fun record ->
+  Art.iter_from t.v.art (Key.to_radix key) (fun record ->
       acc := (Key.of_radix (record_key t.machine record), record_value t record) :: !acc;
       incr n;
       !n < n_wanted);
@@ -130,9 +136,10 @@ let scan t key n_wanted =
 
 let recover t =
   Heap.recover t.heap;
-  ignore (Art.recover t.art)
+  t.v <- start t.machine t.heap t.meta;
+  ignore (Art.recover t.v.art)
 
-let art t = t.art
+let art t = t.v.art
 
 module Index : Index_intf.S with type t = t = struct
   type nonrec t = t
@@ -151,5 +158,3 @@ module Index : Index_intf.S with type t = t = struct
 end
 
 let heap t = t.heap
-
-let epoch t = t.epoch

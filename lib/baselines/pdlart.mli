@@ -27,15 +27,13 @@ val delete : t -> Pactree.Key.t -> bool
 
 val scan : t -> Pactree.Key.t -> int -> (Pactree.Key.t * int) list
 
-(** Post-crash recovery (heap log + trie pending log). *)
+(** Post-crash recovery: the heap log, then the trie reopened with a
+    fresh epoch and its pending log replayed. *)
 val recover : t -> unit
 
 (** The underlying trie (tests/benchmarks). *)
 val art : t -> Pactree.Art.t
 
 val heap : t -> Pmalloc.Heap.t
-
-(** The epoch manager (tests). *)
-val epoch : t -> Pactree.Epoch.t
 
 module Index : Index_intf.S with type t = t

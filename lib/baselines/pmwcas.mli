@@ -16,13 +16,20 @@ type target = {
 (** Bytes of descriptor area needed in the caller's pool. *)
 val region_size : int
 
-(** [execute ~desc_pool ~desc_base targets] returns [true] iff every
-    target held its expected value; on success all desired values are
-    stored and persisted.  [targets] must be non-empty; operations
-    whose first target words collide serialise. *)
-val execute : desc_pool:Nvm.Pool.t -> desc_base:int -> target list -> bool
+(** A handle over the descriptor area at [desc_base] of [desc_pool],
+    with its own striped locks: volatile, so it is built anew on every
+    restart. *)
+type t
+
+val create : desc_pool:Nvm.Pool.t -> desc_base:int -> t
+
+(** [execute t targets] returns [true] iff every target held its
+    expected value; on success all desired values are stored and
+    persisted.  [targets] must be non-empty; operations whose first
+    target words collide serialise. *)
+val execute : t -> target list -> bool
 
 (** Post-crash descriptor replay: rolls succeeded-but-unfinalised
     descriptors forward (reinstalls every desired value) and undecided
     ones back.  Returns the number replayed. *)
-val recover : desc_pool:Nvm.Pool.t -> desc_base:int -> int
+val recover : t -> int

@@ -6,6 +6,5 @@ type t = {
   b_index : Index_intf.index;
   b_recover : unit -> unit;
   b_invariants : unit -> unit;
-  b_quiesce : unit -> unit;
   b_service : service option;
 }

@@ -11,9 +11,10 @@ type service = { body : unit -> unit; shutdown : unit -> unit }
 
 type t = {
   b_index : Index_intf.index;
-  b_recover : unit -> unit;  (** rebuild volatile state from a restored image *)
+  b_recover : unit -> unit;
+      (** repair a restored image and build every volatile structure
+          anew from it, as a restart would: nothing from before the
+          crash (locks, epochs, queues) survives the call *)
   b_invariants : unit -> unit;  (** structural checker; raises on corruption *)
-  b_quiesce : unit -> unit;
-      (** complete background work (SMO drain, epoch-deferred frees) *)
   b_service : service option;
 }

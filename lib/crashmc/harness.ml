@@ -70,9 +70,6 @@ let run ?(budget_per_point = 48) ?(max_states = 20_000) ?(max_violations = 20)
       ops
   in
   Trace.stop trace;
-  (* Complete background work (SMO drain, epoch-deferred frees) so no
-     closure from the recorded run fires while we materialise images. *)
-  sut.b_quiesce ();
   let checked = ref 0 in
   let violations = ref [] in
   let stats =

@@ -25,11 +25,11 @@ val insert_workload : int -> Oracle.op list
 val mixed_workload : seed:int -> int -> Oracle.op list
 
 (** Drive [ops] against the system under test [sut], which lives on
-    [machine], while recording; then sweep crash states.  Before the
-    sweep, [sut.b_quiesce] completes background work (SMO drain,
-    epoch-deferred frees) so no closure from the recorded run fires on
-    a restored image; each state is then checked after
-    [sut.b_recover], with [sut.b_invariants] as the structural check.
+    [machine], while recording; then sweep crash states.  Each state
+    is checked after [sut.b_recover], which builds the system's
+    volatile state anew, so nothing left from the recorded run (a
+    queued SMO, an epoch-deferred free) acts on a restored image;
+    [sut.b_invariants] is the structural check.
     Stops early after [max_violations] violations or [max_states]
     checked states.  The system is consumed: [machine]'s pools end up
     holding the last materialised image.  Every materialised state

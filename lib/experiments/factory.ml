@@ -40,16 +40,6 @@ let pactree_service t =
     shutdown = (fun () -> Tree.request_shutdown t);
   }
 
-let epoch_quiesce epoch =
-  (* Run leftover deferred frees now: their closures capture volatile
-     offsets from the recorded run and must not fire on a restored
-     image. *)
-  let budget = ref 8 in
-  while Pactree.Epoch.pending epoch > 0 && !budget > 0 do
-    Pactree.Epoch.try_advance epoch;
-    decr budget
-  done
-
 let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.System.t =
   match sys with
   | Pactree_sys ->
@@ -63,10 +53,6 @@ let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.Sy
         b_index = Baselines.Pactree_index.wrap t;
         b_recover = (fun () -> ignore (Tree.recover t : int));
         b_invariants = (fun () -> ignore (Tree.check_invariants t : int));
-        b_quiesce =
-          (fun () ->
-            Tree.drain_smo t;
-            epoch_quiesce (Tree.epoch t));
         b_service = Some (pactree_service t);
       }
   | Pdlart_sys ->
@@ -75,7 +61,6 @@ let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.Sy
         b_index = Index.Index ((module Baselines.Pdlart.Index), t);
         b_recover = (fun () -> Baselines.Pdlart.recover t);
         b_invariants = ignore;
-        b_quiesce = (fun () -> epoch_quiesce (Baselines.Pdlart.epoch t));
         b_service = None;
       }
   | Fastfair_sys ->
@@ -84,7 +69,6 @@ let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.Sy
         b_index = Index.Index ((module Baselines.Fastfair.Index), t);
         b_recover = (fun () -> Baselines.Fastfair.recover t);
         b_invariants = (fun () -> ignore (Baselines.Fastfair.check_invariants t : int));
-        b_quiesce = ignore;
         b_service = None;
       }
   | Bztree_sys ->
@@ -93,7 +77,6 @@ let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.Sy
         b_index = Index.Index ((module Baselines.Bztree.Index), t);
         b_recover = (fun () -> Baselines.Bztree.recover t);
         b_invariants = (fun () -> ignore (Baselines.Bztree.check_invariants t : int));
-        b_quiesce = ignore;
         b_service = None;
       }
   | Fptree_sys ->
@@ -102,6 +85,5 @@ let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.Sy
         b_index = Index.Index ((module Baselines.Fptree.Index), t);
         b_recover = (fun () -> Baselines.Fptree.recover t);
         b_invariants = (fun () -> ignore (Baselines.Fptree.check_invariants t : int));
-        b_quiesce = ignore;
         b_service = None;
       }

@@ -24,8 +24,8 @@ val supports_strings : sys -> bool
 val pactree_service : Pactree.Tree.t -> Workload.Runner.service
 
 (** [make_backend machine sys] builds the system on [machine]: the
-    index with its recovery, invariant and quiesce hooks and its
-    background service, if any.  [cfg] overrides PACTree's
+    index with its recovery and invariant hooks and its background
+    service, if any.  [cfg] overrides PACTree's
     configuration for the factor analysis.
 
     [scale] is vestigial: it sized the pools before a pool's capacity

@@ -479,8 +479,7 @@ let sec6_8 ?(rounds = 100) _scale =
         match Tree.lookup t (Key.of_int k) with
         | Some v' when v' = v || v' > v -> () (* a later round's value may be newer *)
         | _ -> fail round (Printf.sprintf "key %d lost" k))
-      acked;
-    Tree.reset_shutdown t
+      acked
   done;
   let failed = List.length !failures in
   if failed > 0 then

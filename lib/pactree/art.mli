@@ -30,7 +30,9 @@ val meta_size : int
 (** [create ~heap ~meta ~epoch ~key_of_leaf ~compare_leaf] opens (or
     creates) a trie whose roots/logs live at the base of [meta].
     Increments the persistent generation id, voiding all pre-crash
-    locks.  [key_of_leaf] must return the {e radix} key of a payload;
+    locks: a restart reopens the trie with [create], so the volatile
+    state it builds (this generation, the given epoch) is the only
+    one a recovered trie has.  [key_of_leaf] must return the {e radix} key of a payload;
     [compare_leaf p rkey] must be [String.compare (key_of_leaf p) rkey]
     at the same simulated cost, and is what the lookups use: it can
     compare in place instead of building the key. *)
@@ -70,9 +72,10 @@ val delete : t -> string -> Pmalloc.Pptr.t option
     through the trie — only the PDL-ART baseline does.) *)
 val iter_from : t -> string -> (Pmalloc.Pptr.t -> bool) -> unit
 
-(** Post-crash recovery: bumps the generation and frees unreachable
-    pending-log entries.  Returns the number of freed nodes.  The
-    heap's own {!Pmalloc.Heap.recover} must run first. *)
+(** Post-crash recovery of a trie that {!create} has just reopened
+    on the crashed pools (the reopening bumped the generation): frees
+    unreachable pending-log entries.  Returns the number of freed
+    nodes.  The heap's own {!Pmalloc.Heap.recover} must run first. *)
 val recover : t -> int
 
 (** Drop the whole trie without freeing any node — used when the

@@ -83,7 +83,7 @@ let debug_heap = Sys.getenv_opt "DES_DEBUG" <> None
 type t = {
   machine : Nvm.Machine.t;
   kind : kind;
-  pools : pool_state array;
+  mutable pools : pool_state array;
   stats : alloc_stats;
 }
 
@@ -91,6 +91,20 @@ let init_pmdk_pool hd =
   Pobj.set_int hd f_magic magic_value;
   Pobj.set_int hd f_bump data_start;
   Pobj.persist hd 0 16
+
+(* The volatile half of a pool's allocator, built from the pool alone:
+   a fresh mutex and, for [Volatile_meta], empty lists (that metadata
+   does not survive a crash, by design).  [create] runs it on a
+   formatted pool, [recover] on a crashed one. *)
+let attach pool =
+  {
+    pool;
+    hd = Pobj.make pool 0;
+    mutex = Des.Sync.Mutex.create ();
+    vbump = data_start;
+    vfree = Array.make (Array.length class_sizes) [];
+    vclass = Hashtbl.create 512;
+  }
 
 let create machine ?(volatile_pool = false) ~kind ~name ~numa_pools
     ?(capacity = Pool.max_capacity) () =
@@ -102,16 +116,8 @@ let create machine ?(volatile_pool = false) ~kind ~name ~numa_pools
         ~name:(Printf.sprintf "%s.%d" name i)
         ~numa ~capacity ()
     in
-    let hd = Pobj.make pool 0 in
-    if kind = Pmdk then init_pmdk_pool hd;
-    {
-      pool;
-      hd;
-      mutex = Des.Sync.Mutex.create ();
-      vbump = data_start;
-      vfree = Array.make (Array.length class_sizes) [];
-      vclass = Hashtbl.create 512;
-    }
+    if kind = Pmdk then init_pmdk_pool (Pobj.make pool 0);
+    attach pool
   in
   {
     machine;
@@ -345,16 +351,8 @@ let recover_pmdk_pool ps =
 
 let recover t =
   Obs.Span.with_phase Obs.Span.Recovery @@ fun () ->
-  match t.kind with
-  | Pmdk -> Array.iter recover_pmdk_pool t.pools
-  | Volatile_meta ->
-      (* Metadata did not survive: reset to an empty heap. *)
-      Array.iter
-        (fun ps ->
-          ps.vbump <- data_start;
-          Array.fill ps.vfree 0 (Array.length ps.vfree) [];
-          Hashtbl.reset ps.vclass)
-        t.pools
+  if t.kind = Pmdk then Array.iter recover_pmdk_pool t.pools;
+  t.pools <- Array.map (fun ps -> attach ps.pool) t.pools
 
 let remaining t ~numa =
   let ps = t.pools.(numa mod Array.length t.pools) in

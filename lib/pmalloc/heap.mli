@@ -71,9 +71,11 @@ val pool_by_numa : t -> int -> Nvm.Pool.t
 val numa_pools : t -> int
 
 (** Post-crash recovery: completes or rolls back any allocator
-    operation that was interrupted mid-flight ([Pmdk]); resets a
-    [Volatile_meta] heap to empty (its metadata did not survive —
-    that is the point of the GS1 comparison). *)
+    operation that was interrupted mid-flight ([Pmdk]), then rebuilds
+    the volatile state from the pools as {!create} builds it: fresh
+    per-pool mutexes (a thread killed by the crash may have held
+    one), and for [Volatile_meta] an empty heap (its metadata did not
+    survive — that is the point of the GS1 comparison). *)
 val recover : t -> unit
 
 (** Bytes still allocatable in the pool for [numa]. *)

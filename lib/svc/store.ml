@@ -5,7 +5,6 @@ type backend = Baselines.System.t = {
   b_index : Index.index;
   b_recover : unit -> unit;
   b_invariants : unit -> unit;
-  b_quiesce : unit -> unit;
   b_service : Workload.Runner.service option;
 }
 
@@ -121,5 +120,3 @@ let as_index t = Index.Index ((module Index_impl : Index.S with type t = t), t)
 let recover t = Array.iter (fun s -> s.s_backend.b_recover ()) t.shards
 
 let invariants t = Array.iter (fun s -> s.s_backend.b_invariants ()) t.shards
-
-let quiesce t = Array.iter (fun s -> s.s_backend.b_quiesce ()) t.shards

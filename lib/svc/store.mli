@@ -23,7 +23,6 @@ type backend = Baselines.System.t = {
   b_index : Baselines.Index_intf.index;
   b_recover : unit -> unit;
   b_invariants : unit -> unit;
-  b_quiesce : unit -> unit;
   b_service : Workload.Runner.service option;
 }
 
@@ -93,5 +92,3 @@ val as_index : t -> Baselines.Index_intf.index
 val recover : t -> unit
 
 val invariants : t -> unit
-
-val quiesce : t -> unit

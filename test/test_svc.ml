@@ -325,7 +325,6 @@ let store_sut store =
     Baselines.System.b_index = Store.as_index store;
     b_recover = (fun () -> Store.recover store);
     b_invariants = (fun () -> Store.invariants store);
-    b_quiesce = (fun () -> Store.quiesce store);
     b_service = None;
   }
 
@@ -368,7 +367,6 @@ let test_double_crash () =
         ops
     in
     Crashmc.Trace.stop trace;
-    Store.quiesce store;
     (trace, history)
   in
   let recover_and_check ~history (st : Crashmc.Enum.state) what =

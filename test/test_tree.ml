@@ -575,6 +575,42 @@ let test_recovery_mid_concurrent_run () =
     acked;
   Alcotest.(check (list int)) "acknowledged keys survive" [] !lost
 
+(* A crash kills writers inside their operations, pinned in the
+   epoch.  Recovery builds the volatile state anew, so none of them
+   survives it: after one clean round no thread holds the epoch back,
+   so the deferred frees ran and every SMO-log entry was cleared. *)
+let test_crash_leaves_no_pinned_epoch () =
+  let machine, t = make_tree () in
+  for k = 0 to 4095 do
+    Tree.insert t (ik (2 * k)) k
+  done;
+  (* inserts of odd keys split nodes, deletes of even ones merge them *)
+  let done_ops = ref 0 in
+  let churn i =
+    for j = 0 to 499 do
+      let k = (j * 4) + i in
+      Tree.insert t (ik ((2 * k) + 1)) k;
+      ignore (Tree.delete t (ik (2 * k)) : bool);
+      incr done_ops
+    done
+  in
+  let sched = Des.Sched.create () in
+  Des.Sched.spawn sched ~name:"updater" (fun () -> Tree.updater_loop t);
+  for i = 0 to 3 do
+    Des.Sched.spawn sched ~numa:(i mod 2) ~name:(Printf.sprintf "w%d" i) (fun () -> churn i)
+  done;
+  Des.Sched.spawn sched ~name:"crasher" (fun () ->
+      Des.Sched.delay 1e-4;
+      Des.Sched.abort_all sched;
+      Machine.crash machine Machine.Strict);
+  Des.Sched.run sched;
+  Alcotest.(check bool) "crash hit mid-run" true (!done_ops < 4 * 500);
+  ignore (Tree.recover t : int);
+  run_concurrent t 4 churn;
+  Alcotest.(check int) "no thread holds the epoch" (-1) (Pactree.Epoch.holder (Tree.epoch t));
+  Alcotest.(check int) "smo backlog" 0 (Tree.smo_backlog t);
+  ignore (Tree.check_invariants t : int)
+
 let suite =
   [
     Alcotest.test_case "empty lookup" `Quick test_empty_lookup;
@@ -610,4 +646,6 @@ let suite =
     Alcotest.test_case "recovery: 20 crash rounds" `Quick test_recovery_repeated_crashes;
     Alcotest.test_case "full SMO rings while the epoch is held" `Quick
       test_full_rings_epoch_held;
+    Alcotest.test_case "a crash leaves no pinned epoch" `Quick
+      test_crash_leaves_no_pinned_epoch;
   ]
