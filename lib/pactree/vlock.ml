@@ -102,13 +102,13 @@ let release_obsolete h ~gen ~version =
 
 exception Restart
 
-(* An [Invalid_argument] can only be a pool bounds fault from a
-   speculative read that version validation would have discarded:
-   it restarts like any other optimistic conflict. *)
+(* Only [Restart] restarts: any other exception, a bounds fault
+   included, propagates, so a bug raises instead of spinning with
+   locks held. *)
 let rec retry_from attempt on_restart f a b =
   match f a b with
   | v -> v
-  | exception (Restart | Invalid_argument _) ->
+  | exception Restart ->
       on_restart a;
       Des.Sched.wait "restart" (-1) ~attempt (Des.Sched.Linear (50e-9, 2e-6));
       retry_from (attempt + 1) on_restart f a b

@@ -65,9 +65,8 @@ val release_obsolete : handle -> gen:int -> version:int -> unit
 exception Restart
 
 (** [retrying on_restart f a b] is [f a b], run again after every
-    {!Restart} (or [Invalid_argument], the bounds fault of a
-    speculative read) with [on_restart a] and a {!Des.Sched.wait}
-    between.  With a top-level [f] it builds no closure. *)
+    {!Restart} with [on_restart a] and a {!Des.Sched.wait} between;
+    any other exception propagates.  With a top-level [f] it builds no closure. *)
 val retrying : ('a -> unit) -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
 
 (** [retry f] is [retrying ignore] over the thunk [f]. *)
