@@ -84,10 +84,11 @@ val smo_backlog : t -> int
 
 (** {2 Recovery (§5.9)} *)
 
-(** Post-crash recovery: recovers both heaps, resets lock generations,
-    replays/repairs outstanding SMO log entries (rebuilding the search
-    layer when it lived in DRAM).  Returns the number of SMO entries
-    repaired. *)
+(** Post-crash recovery: recovers both heaps, builds the volatile state
+    anew as {!create} does (a fresh epoch and updater state, the trie
+    reopened with a new lock generation), then replays/repairs
+    outstanding SMO log entries (rebuilding the search layer when it
+    lived in DRAM).  Returns the number of SMO entries repaired. *)
 val recover : t -> int
 
 (** {2 Introspection} *)
