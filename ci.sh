@@ -4,7 +4,9 @@
 # the figure pin (every figure at tiny scale, the stats bench and
 # sec6_8's crash rounds among them, diffed against the committed
 # figs/FIGS_tiny.json), via the dune @ci alias (see the root dune
-# file).  Any failure fails the run.
+# file).  Any failure fails the run, and so does a run that has not
+# finished after 30 minutes (it takes about 25 s): a hung test fails
+# instead of running forever.
 set -eu
 cd "$(dirname "$0")"
-exec dune build @ci "$@"
+exec timeout 1800 dune build @ci "$@"

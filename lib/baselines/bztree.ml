@@ -73,7 +73,7 @@ and volatile = { smo_mutex : Des.Sync.Mutex.t; pmwcas : Pmwcas.t }
 
 type node = { pool : Pool.t; off : int }
 
-let node_of machine ptr = { pool = Pmalloc.Registry.resolve machine ptr; off = Pptr.off ptr }
+let node_of machine ptr = { pool = Pptr.resolve machine ptr; off = Pptr.off ptr }
 
 let status n = Pool.read_int n.pool (n.off + off_status)
 
@@ -493,19 +493,3 @@ let check_invariants t =
   let all = walk (fst (leftmost_leaf t (root t))) [] in
   if all <> List.sort Key.compare all then failwith "BzTree: chain not sorted";
   List.length all
-
-module Index : Index_intf.S with type t = t = struct
-  type nonrec t = t
-
-  let name = name
-
-  let insert = insert
-
-  let lookup = lookup
-
-  let update = update
-
-  let delete = delete
-
-  let scan = scan
-end

@@ -36,5 +36,3 @@ val recover : t -> unit
 (** Walks the (forwarding-resolved) leaf chain checking order; returns
     the key count. *)
 val check_invariants : t -> int
-
-module Index : Index_intf.S with type t = t

@@ -71,7 +71,7 @@ type t = {
 
 type node = Pobj.obj = { pool : Pool.t; off : int }
 
-let node_of machine ptr = { pool = Pmalloc.Registry.resolve machine ptr; off = Pptr.off ptr }
+let node_of machine ptr = { pool = Pptr.resolve machine ptr; off = Pptr.off ptr }
 
 let to_ptr n = Pptr.make ~pool:(Pool.id n.pool) ~off:n.off
 
@@ -562,19 +562,3 @@ let check_invariants t =
   let sorted = List.sort Key.compare all in
   if all <> sorted then failwith "FastFair: leaf chain not globally sorted";
   List.length all
-
-module Index : Index_intf.S with type t = t = struct
-  type nonrec t = t
-
-  let name = name
-
-  let insert = insert
-
-  let lookup = lookup
-
-  let update = update
-
-  let delete = delete
-
-  let scan = scan
-end

@@ -36,5 +36,3 @@ val recover : t -> unit
 (** Walks the leaf chain checking global sorted order; returns the key
     count. *)
 val check_invariants : t -> int
-
-module Index : Index_intf.S with type t = t

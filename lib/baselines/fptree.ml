@@ -123,7 +123,7 @@ let to_leaf t key =
 let covers t leaf key =
   let nxt = Node.next leaf in
   Pptr.is_null nxt
-  || Node.compare_anchor (Pmalloc.Registry.resolve t.machine nxt) (Pptr.off nxt) key > 0
+  || Node.compare_anchor (Pptr.resolve t.machine nxt) (Pptr.off nxt) key > 0
 
 (* A validated hit needs no range check: every live key is in exactly
    one leaf.  A miss checks, under the same version, that a split did
@@ -314,19 +314,3 @@ let check_invariants t =
   let all = walk (Pool.read_int t.meta off_head) [] in
   if all <> List.sort Key.compare all then failwith "FPTree: chain not sorted";
   List.length all
-
-module Index : Index_intf.S with type t = t = struct
-  type nonrec t = t
-
-  let name = name
-
-  let insert = insert
-
-  let lookup = lookup
-
-  let update = update
-
-  let delete = delete
-
-  let scan = scan
-end

@@ -32,5 +32,3 @@ val htm_stats : t -> Htm.stats
 val recover : t -> unit
 
 val check_invariants : t -> int
-
-module Index : Index_intf.S with type t = t

@@ -3,7 +3,9 @@
 
     A first-class-module value of type {!index} bundles one live index
     instance with its operations, so the workload runner can drive any
-    of them uniformly. *)
+    of them uniformly.  Each index module is itself an {!S}: pack it as
+    [Index ((module Baselines.Fastfair), t)]; {!Pactree_index.wrap}
+    packs {!Pactree.Tree}. *)
 
 module type S = sig
   type t
@@ -26,8 +28,6 @@ module type S = sig
 end
 
 type index = Index : (module S with type t = 'a) * 'a -> index
-
-let name (Index ((module M), _)) = M.name
 
 let insert (Index ((module M), t)) k v = M.insert t k v
 

@@ -22,7 +22,7 @@ let encode_int_key k = String.get_int64_be k 0
 let of_key t (k : Key.t) =
   if t.string_keys then begin
     let ptr = t.heap |> fun h -> Heap.alloc h (1 + String.length k) in
-    let pool = Pmalloc.Registry.resolve (Heap.machine t.heap) ptr in
+    let pool = Pptr.resolve (Heap.machine t.heap) ptr in
     let off = Pptr.off ptr in
     Pool.write_u8 pool off (String.length k);
     Pool.write_string pool (off + 1) k;
@@ -34,7 +34,7 @@ let of_key t (k : Key.t) =
 let to_key t krep =
   if t.string_keys then begin
     let ptr = Int64.to_int krep in
-    let pool = Pmalloc.Registry.resolve (Heap.machine t.heap) ptr in
+    let pool = Pptr.resolve (Heap.machine t.heap) ptr in
     let off = Pptr.off ptr in
     let len = Pool.read_u8 pool off in
     Pool.read_string pool (off + 1) len
@@ -51,7 +51,7 @@ let to_key t krep =
 let compare_with_key t krep ~probe_rep ~probe_key =
   if t.string_keys then begin
     let ptr = Int64.to_int krep in
-    let pool = Pmalloc.Registry.resolve (Heap.machine t.heap) ptr in
+    let pool = Pptr.resolve (Heap.machine t.heap) ptr in
     let off = Pptr.off ptr in
     let len = Pool.read_u8 pool off in
     Pool.compare_string pool (off + 1) len probe_key

@@ -10,17 +10,13 @@ type t
 
 val create : heap:Pmalloc.Heap.t -> string_keys:bool -> t
 
-(** Non-allocating int64 form of an integer key (probe side). *)
-val encode_int_key : Pactree.Key.t -> int64
-
 (** Storing conversion (allocates a record for string keys). *)
 val of_key : t -> Pactree.Key.t -> int64
 
 val to_key : t -> int64 -> Pactree.Key.t
 
 (** Compare a stored representation against a probe key;
-    [probe_rep] is [encode_int_key probe_key] (ignored for
-    strings). *)
+    [probe_rep] is [probe_rep t probe_key] (ignored for strings). *)
 val compare_with_key : t -> int64 -> probe_rep:int64 -> probe_key:Pactree.Key.t -> int
 
 val compare : t -> int64 -> int64 -> int

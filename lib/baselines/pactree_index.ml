@@ -1,20 +1,4 @@
-(** {!Index_intf.S} adapter for PACTree itself, so the workload runner
+(** PACTree packed as an {!Index_intf.index}, so the workload runner
     drives it like every baseline. *)
 
-module Index : Index_intf.S with type t = Pactree.Tree.t = struct
-  type t = Pactree.Tree.t
-
-  let name = "PACTree"
-
-  let insert = Pactree.Tree.insert
-
-  let lookup = Pactree.Tree.lookup
-
-  let update = Pactree.Tree.update
-
-  let delete = Pactree.Tree.delete
-
-  let scan = Pactree.Tree.scan
-end
-
-let wrap t = Index_intf.Index ((module Index), t)
+let wrap t = Index_intf.Index ((module Pactree.Tree), t)

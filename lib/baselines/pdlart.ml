@@ -31,7 +31,7 @@ type t = {
 }
 
 let record_key machine ptr =
-  let pool = Pmalloc.Registry.resolve machine ptr in
+  let pool = Pptr.resolve machine ptr in
   let off = Pptr.off ptr in
   let len = Pool.read_u8 pool (off + 8) in
   Pool.read_string pool (off + 9) len
@@ -39,7 +39,7 @@ let record_key machine ptr =
 (* [String.compare (record_key machine ptr) rkey] in place, at the same
    cost. *)
 let compare_record machine ptr rkey =
-  let pool = Pmalloc.Registry.resolve machine ptr in
+  let pool = Pptr.resolve machine ptr in
   let off = Pptr.off ptr in
   let len = Pool.read_u8 pool (off + 8) in
   Pool.compare_string pool (off + 9) len rkey
@@ -63,7 +63,7 @@ let create machine ?(alloc_kind = Heap.Pmdk) ?numa_pools () =
 let alloc_record t rkey value =
   let size = 9 + String.length rkey in
   let ptr = Heap.alloc t.heap size in
-  let pool = Pmalloc.Registry.resolve t.machine ptr in
+  let pool = Pptr.resolve t.machine ptr in
   let off = Pptr.off ptr in
   Pool.write_int pool off value;
   Pool.write_u8 pool (off + 8) (String.length rkey);
@@ -72,13 +72,13 @@ let alloc_record t rkey value =
   ptr
 
 let record_value t ptr =
-  let pool = Pmalloc.Registry.resolve t.machine ptr in
+  let pool = Pptr.resolve t.machine ptr in
   Pool.read_int pool (Pptr.off ptr)
 
 let free_later t ptr = Pactree.Epoch.defer t.v.epoch (fun () -> Heap.free t.heap ptr)
 
 let set_record_value t ptr value =
-  let pool = Pmalloc.Registry.resolve t.machine ptr in
+  let pool = Pptr.resolve t.machine ptr in
   Pool.write_int pool (Pptr.off ptr) value;
   Pool.persist pool (Pptr.off ptr) 8
 
@@ -140,21 +140,5 @@ let recover t =
   ignore (Art.recover t.v.art)
 
 let art t = t.v.art
-
-module Index : Index_intf.S with type t = t = struct
-  type nonrec t = t
-
-  let name = name
-
-  let insert = insert
-
-  let lookup = lookup
-
-  let update = update
-
-  let delete = delete
-
-  let scan = scan
-end
 
 let heap t = t.heap

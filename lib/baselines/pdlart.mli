@@ -35,5 +35,3 @@ val recover : t -> unit
 val art : t -> Pactree.Art.t
 
 val heap : t -> Pmalloc.Heap.t
-
-module Index : Index_intf.S with type t = t

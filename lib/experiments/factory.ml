@@ -8,11 +8,11 @@ type sys = Pactree_sys | Pdlart_sys | Fastfair_sys | Bztree_sys | Fptree_sys
 let all = [ Pactree_sys; Pdlart_sys; Bztree_sys; Fastfair_sys; Fptree_sys ]
 
 let name = function
-  | Pactree_sys -> "PACTree"
-  | Pdlart_sys -> "PDL-ART"
-  | Fastfair_sys -> "FastFair"
-  | Bztree_sys -> "BzTree"
-  | Fptree_sys -> "FPTree"
+  | Pactree_sys -> Tree.name
+  | Pdlart_sys -> Baselines.Pdlart.name
+  | Fastfair_sys -> Baselines.Fastfair.name
+  | Bztree_sys -> Baselines.Bztree.name
+  | Fptree_sys -> Baselines.Fptree.name
 
 let id = function
   | Pactree_sys -> "pactree"
@@ -31,12 +31,7 @@ let supports_strings = function Fptree_sys -> false | _ -> true
 
 let pactree_service t =
   {
-    (* the same service is respawned for the load and run phases:
-       clear any stale shutdown request first *)
-    Baselines.System.body =
-      (fun () ->
-        Tree.reset_shutdown t;
-        Tree.updater_loop t);
+    Baselines.System.body = (fun () -> Tree.updater_loop t);
     shutdown = (fun () -> Tree.request_shutdown t);
   }
 
@@ -58,7 +53,7 @@ let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.Sy
   | Pdlart_sys ->
       let t = Baselines.Pdlart.create machine () in
       {
-        b_index = Index.Index ((module Baselines.Pdlart.Index), t);
+        b_index = Index.Index ((module Baselines.Pdlart), t);
         b_recover = (fun () -> Baselines.Pdlart.recover t);
         b_invariants = ignore;
         b_service = None;
@@ -66,7 +61,7 @@ let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.Sy
   | Fastfair_sys ->
       let t = Baselines.Fastfair.create machine ~string_keys () in
       {
-        b_index = Index.Index ((module Baselines.Fastfair.Index), t);
+        b_index = Index.Index ((module Baselines.Fastfair), t);
         b_recover = (fun () -> Baselines.Fastfair.recover t);
         b_invariants = (fun () -> ignore (Baselines.Fastfair.check_invariants t : int));
         b_service = None;
@@ -74,7 +69,7 @@ let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.Sy
   | Bztree_sys ->
       let t = Baselines.Bztree.create machine ~string_keys () in
       {
-        b_index = Index.Index ((module Baselines.Bztree.Index), t);
+        b_index = Index.Index ((module Baselines.Bztree), t);
         b_recover = (fun () -> Baselines.Bztree.recover t);
         b_invariants = (fun () -> ignore (Baselines.Bztree.check_invariants t : int));
         b_service = None;
@@ -82,7 +77,7 @@ let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.Sy
   | Fptree_sys ->
       let t = Baselines.Fptree.create machine ~string_keys () in
       {
-        b_index = Index.Index ((module Baselines.Fptree.Index), t);
+        b_index = Index.Index ((module Baselines.Fptree), t);
         b_recover = (fun () -> Baselines.Fptree.recover t);
         b_invariants = (fun () -> ignore (Baselines.Fptree.check_invariants t : int));
         b_service = None;

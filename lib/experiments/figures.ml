@@ -119,7 +119,7 @@ let fig3 scale =
   let m kind =
     let machine = Machine.create ~numa_count:2 () in
     let t = Baselines.Pdlart.create machine ~alloc_kind:kind () in
-    let index = Baselines.Index_intf.Index ((module Baselines.Pdlart.Index), t) in
+    let index = Baselines.Index_intf.Index ((module Baselines.Pdlart), t) in
     Runner.mops
       (Runner.run ~machine ~index ~mix:Ycsb.Load_a ~kind:Keyset.Int_keys ~loaded:0
          ~ops:scale.Scale.ops ~threads:28 ())
@@ -174,7 +174,7 @@ let fig6 scale =
   let run keys threads =
     let machine = Machine.create ~numa_count:2 () in
     let t = Baselines.Fptree.create machine () in
-    let index = Baselines.Index_intf.Index ((module Baselines.Fptree.Index), t) in
+    let index = Baselines.Index_intf.Index ((module Baselines.Fptree), t) in
     let r =
       Runner.run ~machine ~index ~mix:Ycsb.Skew_insert ~kind:Keyset.Int_keys
         ~loaded:keys ~ops:scale.Scale.ops ~threads ()
@@ -244,7 +244,7 @@ let fig12 scale =
       | `Pdlart numa_pools ->
           let numa_pools = if numa_pools = 0 then None else Some numa_pools in
           let t = Baselines.Pdlart.create machine ?numa_pools () in
-          (Baselines.Index_intf.Index ((module Baselines.Pdlart.Index), t), None)
+          (Baselines.Index_intf.Index ((module Baselines.Pdlart), t), None)
       | `Pactree cfg ->
           let t = Tree.create machine ~cfg () in
           (Baselines.Pactree_index.wrap t, Some (Factory.pactree_service t))

@@ -70,15 +70,6 @@ let create ?machine () =
     folded = Hashtbl.create 64;
   }
 
-let reset t =
-  Array.iter
-    (fun a ->
-      a.count <- 0;
-      a.self <- 0.0)
-    t.accs;
-  Hashtbl.reset t.stacks;
-  Hashtbl.reset t.folded
-
 (* ---------- global installation ---------- *)
 
 let current : t option ref = ref None

@@ -103,5 +103,3 @@ val write_collapsed : t -> string -> unit
 val pp_table : Format.formatter -> t -> unit
 
 val to_json : t -> Json.t
-
-val reset : t -> unit

@@ -125,7 +125,7 @@ let pending_off i slot =
    out of its pool's bounds, triggers a restart. *)
 let node_pool machine ptr =
   if Pptr.pool ptr >= Nvm.Machine.pool_count machine then raise Vlock.Restart;
-  let pool = Pmalloc.Registry.resolve machine ptr in
+  let pool = Pptr.resolve machine ptr in
   let off = Pptr.off ptr in
   if off <= 0 || off + node_size.(0) > Pool.capacity pool || off land 7 <> 0 then
     raise Vlock.Restart;
@@ -1177,26 +1177,32 @@ let reachable t target =
   let root = read_root t in
   (not (Pptr.is_null root)) && visit root
 
-let recover t =
-  Obs.Span.with_phase Obs.Span.Recovery @@ fun () ->
-  (* Scan the pending log: free whatever never got linked (allocation
-     interrupted) or already got unlinked (retirement committed). *)
-  let freed = ref 0 in
+(* Clear every occupied pending-log slot, passing its pointer to [f]
+   first, then fence once. *)
+let sweep_pending t f =
   for tid = 0 to pending_threads - 1 do
     for slot = 0 to pending_slots - 1 do
       let off = pending_off tid slot in
       let ptr = Pobj.read_int t.mo off in
       if ptr <> 0 then begin
-        if not (reachable t (Pptr.untag ptr)) then begin
-          Heap.free t.heap (Pptr.untag ptr);
-          incr freed
-        end;
+        f ptr;
         Pobj.write_int t.mo off 0;
         Pobj.clwb t.mo off
       end
     done
   done;
-  Pobj.fence t.mo;
+  Pobj.fence t.mo
+
+let recover t =
+  Obs.Span.with_phase Obs.Span.Recovery @@ fun () ->
+  (* Free whatever never got linked (allocation interrupted) or
+     already got unlinked (retirement committed). *)
+  let freed = ref 0 in
+  sweep_pending t (fun ptr ->
+      if not (reachable t (Pptr.untag ptr)) then begin
+        Heap.free t.heap (Pptr.untag ptr);
+        incr freed
+      end);
   !freed
 
 (* Drop the whole trie without freeing: used when the backing pool was
@@ -1204,16 +1210,7 @@ let recover t =
 let reset t =
   Pobj.set_int t.mo f_meta_root Pptr.null;
   Pobj.persist_field t.mo f_meta_root;
-  for tid = 0 to pending_threads - 1 do
-    for slot = 0 to pending_slots - 1 do
-      let off = pending_off tid slot in
-      if Pobj.read_int t.mo off <> 0 then begin
-        Pobj.write_int t.mo off 0;
-        Pobj.clwb t.mo off
-      end
-    done
-  done;
-  Pobj.fence t.mo
+  sweep_pending t ignore
 
 (* ---------- introspection (tests) ---------- *)
 

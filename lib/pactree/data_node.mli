@@ -88,8 +88,6 @@ val init :
 
 (** {2 Reading} *)
 
-val key_at : layout -> t -> int -> Key.t
-
 val value_at : layout -> t -> int -> int
 
 (** {2 Read-only visits}

@@ -27,6 +27,8 @@ type config = {
   search_capacity : int;
 }
 
+let name = "PACTree"
+
 let default_config =
   {
     key_inline = 8;
@@ -53,7 +55,6 @@ type volatile = {
   uwq : Des.Sched.Waitq.t;
   pending_refs : Smo_log.entry_ref Queue.t;
   mutable shutdown : bool;
-  mutable updater_running : bool;
 }
 
 type t = {
@@ -84,10 +85,6 @@ let machine t = t.machine
 
 let data_heap t = t.data_heap
 
-let search_heap t = t.search_heap
-
-let layout t = t.lay
-
 let stats t = t.stats
 
 let art_stats t = Art.stats t.v.art
@@ -99,7 +96,7 @@ let jump_histogram t = Array.copy t.jump_hist
 let start machine ~search_heap ~meta ~log_pools =
   let key_of_leaf ptr = Key.to_radix (Node.anchor (Node.of_ptr machine ptr)) in
   let compare_leaf ptr rkey =
-    Node.compare_anchor_radix (Pmalloc.Registry.resolve machine ptr) (Pptr.off ptr) rkey
+    Node.compare_anchor_radix (Pptr.resolve machine ptr) (Pptr.off ptr) rkey
   in
   let epoch = Epoch.create () in
   let art = Art.create ~heap:search_heap ~meta ~epoch ~key_of_leaf ~compare_leaf in
@@ -111,7 +108,6 @@ let start machine ~search_heap ~meta ~log_pools =
     uwq = Des.Sched.Waitq.create ();
     pending_refs = Queue.create ();
     shutdown = false;
-    updater_running = false;
   }
 
 let create machine ?(cfg = default_config) () =
@@ -172,7 +168,7 @@ let head_ptr t = Pool.read_int t.meta off_head
 
 (* The pool of the data node [p] points to: a visit addresses a node by
    its pool and [Pptr.off p], and builds no record. *)
-let pool_of t p = Pmalloc.Registry.resolve t.machine p
+let pool_of t p = Pptr.resolve t.machine p
 
 (* Monotonic SMO timestamps (persisted lazily; replay order only
    matters among entries that coexist). *)
@@ -314,7 +310,7 @@ let replay_entry_fast t e =
   | None -> ()
 
 let enqueue_smo t e =
-  if t.cfg.async_smo && (t.v.updater_running || Des.Sched.running ()) then begin
+  if t.cfg.async_smo && Des.Sched.running () then begin
     Queue.push e t.v.pending_refs;
     match Des.Sched.self () with
     | Some sched -> Des.Sched.Waitq.signal_all sched t.v.uwq
@@ -622,7 +618,6 @@ let drain_smo t =
   Epoch.try_advance t.v.epoch
 
 let updater_loop t =
-  t.v.updater_running <- true;
   let rec loop () =
     if Queue.is_empty t.v.pending_refs then begin
       if t.v.shutdown then ()
@@ -641,15 +636,14 @@ let updater_loop t =
   Epoch.try_advance t.v.epoch;
   Epoch.try_advance t.v.epoch;
   Epoch.try_advance t.v.epoch;
-  t.v.updater_running <- false
+  (* The request is consumed, so a later updater on this tree runs. *)
+  t.v.shutdown <- false
 
 let request_shutdown t =
   t.v.shutdown <- true;
   match Des.Sched.self () with
   | Some sched -> Des.Sched.Waitq.signal_all sched t.v.uwq
   | None -> ()
-
-let reset_shutdown t = t.v.shutdown <- false
 
 let smo_backlog t = Smo_log.active_count t.v.log
 

@@ -14,6 +14,9 @@
 
 type t
 
+(** "PACTree", the name benchmark tables use. *)
+val name : string
+
 (** Construction-time switches; the defaults are full PACTree, the
     others exist for the paper's factor analysis (Fig 12). *)
 type config = {
@@ -39,11 +42,7 @@ val machine : t -> Nvm.Machine.t
 
 val data_heap : t -> Pmalloc.Heap.t
 
-val search_heap : t -> Pmalloc.Heap.t
-
 val epoch : t -> Epoch.t
-
-val layout : t -> Data_node.layout
 
 (** {2 Operations} *)
 
@@ -65,14 +64,11 @@ val scan : t -> Key.t -> int -> (Key.t * int) list
 
 (** Body of the background updater thread; run it via
     [Des.Sched.spawn].  Exits once {!request_shutdown} was called and
-    the log is drained. *)
+    the log is drained, and consumes that request: a later updater on
+    the same tree runs until the next one. *)
 val updater_loop : t -> unit
 
 val request_shutdown : t -> unit
-
-(** Allow restarting an updater after a shutdown (benchmarks reuse
-    trees). *)
-val reset_shutdown : t -> unit
 
 (** Synchronously replay queued SMO entries (used when no updater
     thread is running, e.g. outside a simulation). *)

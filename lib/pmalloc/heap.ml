@@ -78,8 +78,6 @@ type pool_state = {
   vclass : (int, int) Hashtbl.t; (* offset -> size class *)
 }
 
-let debug_heap = Sys.getenv_opt "DES_DEBUG" <> None
-
 type t = {
   machine : Nvm.Machine.t;
   kind : kind;
@@ -128,15 +126,11 @@ let create machine ?(volatile_pool = false) ~kind ~name ~numa_pools
 
 let machine t = t.machine
 
-let kind t = t.kind
-
 let stats t = t.stats
-
-let numa_pools t = Array.length t.pools
 
 let pool_by_numa t numa = t.pools.(numa mod Array.length t.pools).pool
 
-let pool t ptr = Registry.resolve t.machine ptr
+let pool t ptr = Pptr.resolve t.machine ptr
 
 let pick_pool t = function
   | Some numa -> t.pools.(numa mod Array.length t.pools)
@@ -160,15 +154,6 @@ let pmdk_alloc ps ~dest size =
   let cls = class_of size in
   let csize = class_sizes.(cls) in
   let head = Pobj.read_int hd (head_off cls) in
-  (if debug_heap && head <> Pptr.null then
-     let next = Pobj.read_int hd (Pptr.off head) in
-     if next <> Pptr.null
-        && (Pptr.off next + 8 > Pool.capacity ps.pool || Pptr.off next land 7 <> 0
-           || Pptr.pool next <> Pool.id ps.pool)
-     then
-       failwith
-         (Printf.sprintf "Heap: freelist of %s corrupt at %d: next=%#x"
-            (Pool.name ps.pool) (Pptr.off head) next));
   let block_off, lkind, lold =
     if head <> Pptr.null then (Pptr.off head, l_freelist, head)
     else begin
@@ -216,22 +201,6 @@ let pmdk_free ps ptr =
   let hd = ps.hd in
   Des.Sync.Mutex.with_lock ps.mutex @@ fun () ->
   let block_off = Pptr.off ptr in
-  if debug_heap then begin
-    (* double-free detection: walk the class freelist *)
-    let cls = Pobj.read_int hd (block_off - 8) in
-    if cls >= 0 && cls < Array.length class_sizes then begin
-      let rec walk node n =
-        if node <> Pptr.null && n < 1_000_000 then begin
-          if Pptr.off node = block_off then
-            failwith
-              (Printf.sprintf "Heap: DOUBLE FREE of %s+%d by thread %d"
-                 (Pool.name ps.pool) block_off (Des.Sched.current_id ()));
-          walk (Pobj.read_int hd (Pptr.off node)) (n + 1)
-        end
-      in
-      walk (Pobj.read_int hd (head_off cls)) 0
-    end
-  end;
   let cls = Pobj.read_int hd (block_off - 8) in
   assert (cls >= 0 && cls < Array.length class_sizes);
   let head = Pobj.read_int hd (head_off cls) in

@@ -46,8 +46,6 @@ val create :
 
 val machine : t -> Nvm.Machine.t
 
-val kind : t -> kind
-
 val stats : t -> alloc_stats
 
 (** [alloc t ?numa size] returns a persistent pointer to [size] fresh
@@ -67,8 +65,6 @@ val free : t -> Pptr.t -> unit
 val pool : t -> Pptr.t -> Nvm.Pool.t
 
 val pool_by_numa : t -> int -> Nvm.Pool.t
-
-val numa_pools : t -> int
 
 (** Post-crash recovery: completes or rolls back any allocator
     operation that was interrupted mid-flight ([Pmdk]), then rebuilds

@@ -23,6 +23,8 @@ let is_tagged p = p land 1 = 1
 
 let equal = Int.equal
 
+let resolve machine p = Nvm.Pool.of_id machine (pool p)
+
 let pp ppf p =
   if is_null p then Format.pp_print_string ppf "null"
   else Format.fprintf ppf "%d:%#x%s" (pool p) (off p) (if is_tagged p then "+t" else "")

@@ -31,4 +31,12 @@ val is_tagged : t -> bool
 
 val equal : t -> t -> bool
 
+(** [resolve machine p] is the pool of [p]: an index into [machine]'s
+    pool table, allocation-free.  Pool ids are numbered per machine
+    (see {!Nvm.Machine.pool_count}), so a pointer resolves against the
+    machine it belongs to.  This lets pointers cross heaps (e.g. an
+    SMO-log entry in the log pool naming a data node in the data heap)
+    while two machines in one process each resolve their own pool 0. *)
+val resolve : Nvm.Machine.t -> t -> Nvm.Pool.t
+
 val pp : Format.formatter -> t -> unit

@@ -69,5 +69,3 @@ val slot : field -> int -> int
 val stride : field -> int
 
 val pp : Format.formatter -> t -> unit
-
-val pp_field : Format.formatter -> field -> unit

@@ -105,10 +105,8 @@ let persist_field o f =
   flush_field o f;
   fence o
 
-let flush_obj o layout = flush o 0 (Layout.size layout)
-
 let persist_obj o layout =
-  flush_obj o layout;
+  flush o 0 (Layout.size layout);
   fence o
 
 (* {2 Transient stores} — deliberately never flushed (version-lock

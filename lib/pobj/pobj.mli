@@ -117,9 +117,7 @@ val flush_field : obj -> Layout.field -> unit
 
 val persist_field : obj -> Layout.field -> unit
 
-(** Flush the whole sealed layout footprint. *)
-val flush_obj : obj -> Layout.t -> unit
-
+(** Flush and fence the whole sealed layout footprint. *)
 val persist_obj : obj -> Layout.t -> unit
 
 (** {2 Transient stores}

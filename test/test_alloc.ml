@@ -254,9 +254,9 @@ let test_registry_resolve () =
     Array.init 3 (fun i -> Pool.create machine ~name:(string_of_int i) ~numa:0 ~capacity:256 ())
   in
   let ptrs = Array.map (fun p -> Pmalloc.Pptr.make ~pool:(Pool.id p) ~off:64) pools in
-  let resolve i = ignore (Pmalloc.Registry.resolve machine ptrs.(i mod 3) : Pool.t) in
+  let resolve i = ignore (Pmalloc.Pptr.resolve machine ptrs.(i mod 3) : Pool.t) in
   resolve 0;
-  check_zero "Registry.resolve" (words_per_call 3000 resolve)
+  check_zero "Pptr.resolve" (words_per_call 3000 resolve)
 
 (* ---------- workload ---------- *)
 

@@ -138,7 +138,7 @@ let open_art machine ~heap ~meta kv_keys =
     | Some k -> k
     | None ->
         (* read from the record itself: len byte + bytes *)
-        let pool = Pmalloc.Registry.resolve machine ptr in
+        let pool = Pptr.resolve machine ptr in
         let len = Pool.read_u8 pool (Pptr.off ptr) in
         Pool.read_string pool (Pptr.off ptr + 1) len
   in
@@ -172,7 +172,7 @@ let restart ctx =
 
 let add_payload ctx rkey =
   let ptr = Heap.alloc ctx.kv_heap ~numa:0 64 in
-  let pool = Pmalloc.Registry.resolve ctx.machine ptr in
+  let pool = Pptr.resolve ctx.machine ptr in
   Pool.write_u8 pool (Pptr.off ptr) (String.length rkey);
   Pool.write_string pool (Pptr.off ptr + 1) rkey;
   Pool.persist pool (Pptr.off ptr) (1 + String.length rkey);
@@ -500,7 +500,7 @@ let test_art_node48_low_count () =
     ignore (insert_key ctx (Key.of_int i))
   done;
   let rp = Pool.read_int ctx.meta Art.root_off in
-  let pool = Pmalloc.Registry.resolve ctx.machine rp and root = Pptr.off rp in
+  let pool = Pptr.resolve ctx.machine rp and root = Pptr.off rp in
   (* header: lock word, type byte at 8, count (u16) at 10 *)
   Alcotest.(check int) "the root is a Node48" 2 (Pool.read_u8 pool (root + 8));
   Alcotest.(check int) "with 48 children" 48 (Pool.read_u16 pool (root + 10));

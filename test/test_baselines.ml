@@ -81,7 +81,7 @@ let model_agreement (idx : Baselines.Index_intf.index) seed =
 let ff_index ?(string_keys = false) () =
   let m = make_machine () in
   let t = Baselines.Fastfair.create m ~string_keys () in
-  (m, t, Baselines.Index_intf.Index ((module Baselines.Fastfair.Index), t))
+  (m, t, Baselines.Index_intf.Index ((module Baselines.Fastfair), t))
 
 let test_fastfair_generic () =
   let _, _, idx = ff_index () in
@@ -158,7 +158,7 @@ let test_fastfair_concurrent () =
 let bz_index () =
   let m = make_machine () in
   let t = Baselines.Bztree.create m () in
-  (m, t, Baselines.Index_intf.Index ((module Baselines.Bztree.Index), t))
+  (m, t, Baselines.Index_intf.Index ((module Baselines.Bztree), t))
 
 let test_bztree_generic () =
   let _, _, idx = bz_index () in
@@ -282,7 +282,7 @@ let test_htm_fallback_progress () =
 let fp_index () =
   let m = make_machine () in
   let t = Baselines.Fptree.create m () in
-  (m, t, Baselines.Index_intf.Index ((module Baselines.Fptree.Index), t))
+  (m, t, Baselines.Index_intf.Index ((module Baselines.Fptree), t))
 
 let test_fptree_generic () =
   let _, _, idx = fp_index () in
@@ -325,7 +325,7 @@ let test_fptree_concurrent () =
 let pdl_index () =
   let m = make_machine () in
   let t = Baselines.Pdlart.create m () in
-  (m, t, Baselines.Index_intf.Index ((module Baselines.Pdlart.Index), t))
+  (m, t, Baselines.Index_intf.Index ((module Baselines.Pdlart), t))
 
 let test_pdlart_generic () =
   let _, _, idx = pdl_index () in

@@ -263,13 +263,13 @@ let test_resolve_per_machine () =
   let m1, h1 = make () and m2, h2 = make () in
   let p1 = Heap.alloc h1 64 and p2 = Heap.alloc h2 64 in
   Alcotest.(check int) "same pool id" (Pptr.pool p1) (Pptr.pool p2);
-  Pool.write_int (Pmalloc.Registry.resolve m1 p1) (Pptr.off p1) 11;
-  Pool.write_int (Pmalloc.Registry.resolve m2 p2) (Pptr.off p2) 22;
+  Pool.write_int (Pptr.resolve m1 p1) (Pptr.off p1) 11;
+  Pool.write_int (Pptr.resolve m2 p2) (Pptr.off p2) 22;
   let read h p = Pool.read_int (Heap.pool h p) (Pptr.off p) in
   Alcotest.(check (list int)) "each machine's own pool" [ 11; 22 ] [ read h1 p1; read h2 p2 ];
   Alcotest.check_raises "unknown pool id"
     (Invalid_argument "Machine.pool: no pool 1 (machine has 1)")
-    (fun () -> ignore (Pmalloc.Registry.resolve m1 (Pptr.make ~pool:1 ~off:64) : Pool.t))
+    (fun () -> ignore (Pptr.resolve m1 (Pptr.make ~pool:1 ~off:64) : Pool.t))
 
 let suite =
   [

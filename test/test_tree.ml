@@ -389,6 +389,23 @@ let test_async_updater_catches_up () =
   Alcotest.(check int) "smo backlog drained" 0 (Tree.smo_backlog t);
   ignore (Tree.check_invariants t)
 
+(* The updater consumes the shutdown request it exits on, so a second
+   round with its own updater on the same tree replays that round's
+   SMO entries too. *)
+let test_second_updater_runs () =
+  let _, t = make_tree () in
+  let per = 300 in
+  for round = 0 to 1 do
+    run_concurrent t 4 (fun i ->
+        for j = 0 to per - 1 do
+          let k = (round * 4 * per) + (j * 4) + i in
+          Tree.insert t (ik k) k
+        done)
+  done;
+  Alcotest.(check int) "smo backlog drained" 0 (Tree.smo_backlog t);
+  ignore (Tree.check_invariants t);
+  Alcotest.(check int) "all present" (2 * 4 * per) (Tree.cardinal t)
+
 (* A thread pins the epoch long enough for the updater to block on its
    full pending log (its slots come back only when the epoch advances)
    and for two writers inserting ascending keys to fill their SMO
@@ -648,4 +665,5 @@ let suite =
       test_full_rings_epoch_held;
     Alcotest.test_case "a crash leaves no pinned epoch" `Quick
       test_crash_leaves_no_pinned_epoch;
+    Alcotest.test_case "a second updater on one tree runs" `Quick test_second_updater_runs;
   ]

@@ -189,10 +189,7 @@ let small_tree machine =
 
 let pactree_service t =
   {
-    Workload.Runner.body =
-      (fun () ->
-        Pactree.Tree.reset_shutdown t;
-        Pactree.Tree.updater_loop t);
+    Workload.Runner.body = (fun () -> Pactree.Tree.updater_loop t);
     shutdown = (fun () -> Pactree.Tree.request_shutdown t);
   }
 
@@ -211,7 +208,6 @@ let test_runner_pactree_ycsb_a () =
   Alcotest.(check bool) "nvm traffic recorded" true
     (Nvm.Stats.total_read_bytes r.Workload.Runner.nvm > 0);
   (* the index is intact afterwards *)
-  Pactree.Tree.reset_shutdown t;
   Pactree.Tree.drain_smo t;
   ignore (Pactree.Tree.check_invariants t)
 
@@ -233,16 +229,16 @@ let test_runner_all_indexes_agree_on_c () =
       (Baselines.Pactree_index.wrap t, Some (pactree_service t)));
   run_index (fun m ->
       let t = Baselines.Fastfair.create m () in
-      (Baselines.Index_intf.Index ((module Baselines.Fastfair.Index), t), None));
+      (Baselines.Index_intf.Index ((module Baselines.Fastfair), t), None));
   run_index (fun m ->
       let t = Baselines.Bztree.create m () in
-      (Baselines.Index_intf.Index ((module Baselines.Bztree.Index), t), None));
+      (Baselines.Index_intf.Index ((module Baselines.Bztree), t), None));
   run_index (fun m ->
       let t = Baselines.Fptree.create m () in
-      (Baselines.Index_intf.Index ((module Baselines.Fptree.Index), t), None));
+      (Baselines.Index_intf.Index ((module Baselines.Fptree), t), None));
   run_index (fun m ->
       let t = Baselines.Pdlart.create m () in
-      (Baselines.Index_intf.Index ((module Baselines.Pdlart.Index), t), None))
+      (Baselines.Index_intf.Index ((module Baselines.Pdlart), t), None))
 
 let test_runner_scaling_shape () =
   (* More threads must not reduce total work done per simulated second
