@@ -57,7 +57,7 @@ let dnode_probe key =
   Pactree.Data_node.init lay node ~gen:1 ~anchor:"" ~next:Pmalloc.Pptr.null
     ~prev:Pmalloc.Pptr.null;
   for i = 0 to Pactree.Data_node.entries - 1 do
-    ignore (Pactree.Data_node.insert lay node (Pactree.Key.of_int i) i)
+    ignore (Pactree.Data_node.insert lay node.pool node.off (Pactree.Key.of_int i) i)
   done;
   ignore (Pactree.Data_node.begin_read pool 0 ~gen:1 : int);
   let k = Pactree.Key.of_int key in
@@ -76,10 +76,35 @@ let lookup sys =
       counter := (!counter + 7919) land 0xFFF;
       ignore (Baselines.Index_intf.lookup index (Pactree.Key.of_int !counter)))
 
+(* Minor words allocated, read with [Gc.minor_words]: bechamel's
+   [Toolkit.Instance.minor_allocated] reads [Gc.quick_stat], whose
+   [minor_words] OCaml 5.1 brings up to date only at a minor collection,
+   so it reads 0 for a call that allocates a few words. *)
+module Minor_words = struct
+  type witness = unit
+
+  let label () = "minor-words"
+
+  let unit () = "w"
+
+  let make () = ()
+
+  let load () = ()
+
+  let unload () = ()
+
+  let get () = Gc.minor_words ()
+end
+
+let minor_words =
+  Bechamel.Measure.instance (module Minor_words) (Bechamel.Measure.register (module Minor_words))
+
 let microbench () =
   (* Bechamel micro-benchmarks of the simulator's host cost, single
      host thread.  Each group is [(title, unit, units per call,
-     test)]: an estimate per call is printed per unit. *)
+     test)]: two estimates per call are printed per unit, host ns
+     (noisy) and minor words allocated (deterministic, so a change of
+     it is a change of the code). *)
   let open Bechamel in
   let groups =
     [
@@ -112,27 +137,27 @@ let microbench () =
         Test.make ~name:"clwb+fence" (clwb_fence ()) );
     ]
   in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
+  let instances = [ Toolkit.Instance.monotonic_clock; minor_words ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   List.iter
     (fun (title, unit, per_call, test) ->
       Format.printf "@.=== micro: %s ===@." title;
-      let results =
-        Analyze.all ols Toolkit.Instance.monotonic_clock (Benchmark.all cfg instances test)
+      let raw = Benchmark.all cfg instances test in
+      let ns = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+      let words = Analyze.all ols minor_words raw in
+      (* [nan] when OLS gives no estimate *)
+      let per_unit results name =
+        match Analyze.OLS.estimates (Hashtbl.find results name) with
+        | Some [ est ] -> est /. float_of_int per_call
+        | Some _ | None -> Float.nan
       in
-      let rows =
-        List.sort
-          (fun (a, _) (b, _) -> String.compare a b)
-          (Hashtbl.fold (fun name r acc -> (name, r) :: acc) results [])
-      in
+      let names = List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) ns []) in
       List.iter
-        (fun (name, r) ->
-          match Analyze.OLS.estimates r with
-          | Some [ est ] ->
-              Format.printf "%-24s %10.0f ns/%s@." name (est /. float_of_int per_call) unit
-          | Some _ | None -> Format.printf "%-24s (no estimate)@." name)
-        rows)
+        (fun name ->
+          Format.printf "%-24s %10.0f ns/%s %8.1f words/%s@." name (per_unit ns name) unit
+            (per_unit words name) unit)
+        names)
     groups
 
 let () =

@@ -125,7 +125,7 @@ let alloc_node t ~leaf =
   let ptr = Heap.alloc t.heap node_size in
   let n = node_of t.machine ptr in
   Pobj.fill_zero n 0 node_size;
-  Vlock.init n ~gen;
+  Vlock.init n.pool n.off ~gen;
   Pobj.write_u8 n (off_leaf) (Bool.to_int leaf);
   (n, ptr)
 
@@ -158,7 +158,7 @@ let confirm_root t n = Pobj.read_int (Pobj.make t.meta 0) 0 = to_ptr n
    under its version and validated once its child pointer is read.
    Returns the leaf with its version, not yet validated. *)
 let rec read_leaf t ~probe_rep ~probe_key ~at_root n =
-  let v = Vlock.begin_read n ~gen in
+  let v = Vlock.begin_read n.pool n.off ~gen in
   if at_root && not (confirm_root t n) then raise Vlock.Restart;
   if is_leaf n then (n, v)
   else begin
@@ -287,10 +287,10 @@ let split_and_place t n wv ~at_root ~release ~anc ~probe_rep ~probe_key krep v =
     else n
   in
   let same = target.off = n.off && target.pool == n.pool in
-  let twv = if same then wv else Vlock.acquire target ~gen in
+  let twv = if same then wv else Vlock.acquire target.pool target.off ~gen in
   let i = lower_bound t target ~probe_rep ~probe_key in
   insert_at target i (Lazy.force krep) v;
-  if not same then Vlock.release target ~gen ~version:twv;
+  if not same then Vlock.release target.pool target.off ~gen ~version:twv;
   if at_root then Some (sep, rptr, release)
   else begin
     release ();
@@ -316,8 +316,8 @@ let insert t key value =
   let probe_rep = Krep.probe_rep t.kr key in
   Vlock.retry @@ fun () ->
   let rec descend ~at_root ~ancestors_release n =
-    let wv = Vlock.acquire n ~gen in
-    let release () = Vlock.release n ~gen ~version:wv in
+    let wv = Vlock.acquire n.pool n.off ~gen in
+    let release () = Vlock.release n.pool n.off ~gen ~version:wv in
     if at_root && not (confirm_root t n) then begin
       release ();
       ancestors_release ();
@@ -393,15 +393,15 @@ let insert t key value =
    lock version. *)
 let rec lock_leaf t ~probe_rep ~probe_key ~at_root n =
   if is_leaf n then begin
-    let wv = Vlock.acquire n ~gen in
+    let wv = Vlock.acquire n.pool n.off ~gen in
     if at_root && not (confirm_root t n) then begin
-      Vlock.release n ~gen ~version:wv;
+      Vlock.release n.pool n.off ~gen ~version:wv;
       raise Vlock.Restart
     end;
     (n, wv)
   end
   else begin
-    let v = Vlock.begin_read n ~gen in
+    let v = Vlock.begin_read n.pool n.off ~gen in
     if at_root && not (confirm_root t n) then raise Vlock.Restart;
     let child = child_for t n ~probe_rep ~probe_key in
     check n v;
@@ -417,7 +417,7 @@ let with_key_locked t key f =
   let i = lower_bound t n ~probe_rep ~probe_key:key in
   let found = found t n i ~probe_rep ~probe_key:key in
   if found then f n i;
-  Vlock.release n ~gen ~version:wv;
+  Vlock.release n.pool n.off ~gen ~version:wv;
   found
 
 let update t key value =
@@ -458,7 +458,7 @@ let scan t key n_wanted =
     taken := !taken + !b;
     if !taken < n_wanted && not (Pptr.is_null nxt) then begin
       let n' = node_of t.machine nxt in
-      walk n' (Vlock.begin_read n' ~gen) ~first:false
+      walk n' (Vlock.begin_read n'.pool n'.off ~gen) ~first:false
     end
   in
   let leaf, v = read_leaf t ~probe_rep ~probe_key:key ~at_root:true (root t) in
@@ -488,7 +488,7 @@ let recover t =
   let leaves = ref [] in
   let last = ref None in
   let rec walk n =
-    Vlock.init n ~gen;
+    Vlock.init n.pool n.off ~gen;
     let c = count n in
     let keep = ref [] and kept = ref 0 in
     for i = 0 to c - 1 do

@@ -131,15 +131,14 @@ let covers t leaf key =
    traverses again if it did. *)
 let lookup t key =
   let rec read leaf attempt =
-    let h = Node.lock_handle leaf in
-    let v = Vlock.begin_read h ~gen:t.v.gen in
-    let slot = Node.find t.lay leaf key in
+    let v = Vlock.begin_read leaf.Node.pool leaf.Node.off ~gen:t.v.gen in
+    let slot = Node.find t.lay leaf.Node.pool leaf.Node.off key in
     let r = if slot >= 0 then Some (Node.found_value ()) else None in
     let moved = slot < 0 && not (covers t leaf key) in
-    let valid = Vlock.validate h.pool h.off ~gen:t.v.gen ~version:v in
+    let valid = Vlock.validate leaf.Node.pool leaf.Node.off ~gen:t.v.gen ~version:v in
     if valid && not moved then r
     else begin
-      Des.Sched.wait "fptree leaf" h.off ~attempt Des.Sched.Now;
+      Des.Sched.wait "fptree leaf" leaf.Node.off ~attempt Des.Sched.Now;
       read (if valid then Node.of_ptr t.machine (to_leaf t key) else leaf) (attempt + 1)
     end
   in
@@ -175,12 +174,12 @@ let split_leaf t leaf key =
   Pool.persist t.meta off_log 8;
   if Key.compare key median < 0 then leaf else nleaf
 
-let release t leaf wv = Vlock.release (Node.lock_handle leaf) ~gen:t.v.gen ~version:wv
+let release t (leaf : Node.t) wv = Vlock.release leaf.pool leaf.off ~gen:t.v.gen ~version:wv
 
 let rec locked_leaf t key attempt =
   let ptr = to_leaf t key in
   let leaf = Node.of_ptr t.machine ptr in
-  let wv = Vlock.acquire (Node.lock_handle leaf) ~gen:t.v.gen in
+  let wv = Vlock.acquire leaf.Node.pool leaf.Node.off ~gen:t.v.gen in
   (* the leaf may have split between traversal and lock *)
   if covers t leaf key then (leaf, wv)
   else begin
@@ -191,18 +190,18 @@ let rec locked_leaf t key attempt =
 
 (* Insert the absent [key] into the locked [leaf], which has room. *)
 let place t leaf key value =
-  match Node.insert t.lay leaf key value with
+  match Node.insert t.lay leaf.Node.pool leaf.Node.off key value with
   | Node.Ok -> t.v.cardinal_estimate <- t.v.cardinal_estimate + 1
   | Node.Full | Node.Absent -> assert false
 
 let insert t key value =
   let leaf, wv = locked_leaf t key 0 in
-  match Node.find t.lay leaf key with
+  match Node.find t.lay leaf.Node.pool leaf.Node.off key with
   | slot when slot >= 0 ->
-      ignore (Node.update t.lay leaf key value);
+      ignore (Node.update t.lay leaf.Node.pool leaf.Node.off key value);
       release t leaf wv
   | _ -> (
-      match Node.insert t.lay leaf key value with
+      match Node.insert t.lay leaf.Node.pool leaf.Node.off key value with
       | Node.Ok ->
           t.v.cardinal_estimate <- t.v.cardinal_estimate + 1;
           release t leaf wv
@@ -212,7 +211,7 @@ let insert t key value =
           let target = split_leaf t leaf key in
           if Node.equal target leaf then place t leaf key value
           else begin
-            let wv2 = Vlock.acquire (Node.lock_handle target) ~gen:t.v.gen in
+            let wv2 = Vlock.acquire target.Node.pool target.Node.off ~gen:t.v.gen in
             place t target key value;
             release t target wv2
           end;
@@ -221,13 +220,13 @@ let insert t key value =
 
 let update t key value =
   let leaf, wv = locked_leaf t key 0 in
-  let r = Node.update t.lay leaf key value in
+  let r = Node.update t.lay leaf.Node.pool leaf.Node.off key value in
   release t leaf wv;
   r = Node.Ok
 
 let delete t key =
   let leaf, wv = locked_leaf t key 0 in
-  let r = Node.delete t.lay leaf key in
+  let r = Node.delete t.lay leaf.Node.pool leaf.Node.off key in
   if r = Node.Ok then t.v.cardinal_estimate <- t.v.cardinal_estimate - 1;
   release t leaf wv;
   r = Node.Ok
@@ -243,8 +242,7 @@ let scan t key n_wanted =
   let rec scan_leaf ptr attempt =
     if !taken < n_wanted && not (Pptr.is_null ptr) then begin
       let leaf = Node.of_ptr t.machine ptr in
-      let h = Node.lock_handle leaf in
-      let v = Vlock.begin_read h ~gen:t.v.gen in
+      let v = Vlock.begin_read leaf.Node.pool leaf.Node.off ~gen:t.v.gen in
       let live = Node.sort_live t.lay leaf slots in
       let batch = ref [] and n = ref 0 in
       for i = 0 to live - 1 do
@@ -256,13 +254,13 @@ let scan t key n_wanted =
         end
       done;
       let nxt = Node.next leaf in
-      if Vlock.validate h.pool h.off ~gen:t.v.gen ~version:v then begin
+      if Vlock.validate leaf.Node.pool leaf.Node.off ~gen:t.v.gen ~version:v then begin
         acc := !batch @ !acc;
         taken := !taken + !n;
         scan_leaf nxt 0
       end
       else begin
-        Des.Sched.wait "fptree scan" h.off ~attempt Des.Sched.Now;
+        Des.Sched.wait "fptree scan" leaf.Node.off ~attempt Des.Sched.Now;
         scan_leaf ptr (attempt + 1)
       end
     end

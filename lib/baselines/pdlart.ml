@@ -13,7 +13,6 @@ module Pool = Nvm.Pool
 module Machine = Nvm.Machine
 module Heap = Pmalloc.Heap
 module Pptr = Pmalloc.Pptr
-module Key = Pactree.Key
 module Art = Pactree.Art
 
 let name = "PDL-ART"
@@ -22,7 +21,8 @@ let name = "PDL-ART"
    epoch, both built anew by [start] on every create and recover. *)
 type volatile = { art : Art.t; epoch : Pactree.Epoch.t }
 
-(* Record layout: value (8B) | key length (1B) | key bytes. *)
+(* Record layout: value (8B) | key length + 1 (1B) | key bytes and a 0
+   byte, the terminator the trie reads after a key. *)
 type t = {
   machine : Machine.t;
   heap : Heap.t;
@@ -34,15 +34,15 @@ let record_key machine ptr =
   let pool = Pptr.resolve machine ptr in
   let off = Pptr.off ptr in
   let len = Pool.read_u8 pool (off + 8) in
-  Pool.read_string pool (off + 9) len
+  String.sub (Pool.read_string pool (off + 9) len) 0 (len - 1)
 
-(* [String.compare (record_key machine ptr) rkey] in place, at the same
-   cost. *)
-let compare_record machine ptr rkey =
+(* The sign of [String.compare (record_key machine ptr) k], in place:
+   the stored key and its terminator against [k] and one. *)
+let compare_record machine ptr k =
   let pool = Pptr.resolve machine ptr in
   let off = Pptr.off ptr in
   let len = Pool.read_u8 pool (off + 8) in
-  Pool.compare_string pool (off + 9) len rkey
+  Pool.compare_terminated pool (off + 9) len k
 
 let start machine heap meta =
   let epoch = Pactree.Epoch.create () in
@@ -60,14 +60,20 @@ let create machine ?(alloc_kind = Heap.Pmdk) ?numa_pools () =
   in
   { machine; heap; meta; v = start machine heap meta }
 
-let alloc_record t rkey value =
-  let size = 9 + String.length rkey in
+(* The key and its terminator go in one store, from the calling
+   thread's scratch buffer. *)
+let alloc_record t key value =
+  let len = String.length key + 1 in
+  let size = 9 + len in
   let ptr = Heap.alloc t.heap size in
   let pool = Pptr.resolve t.machine ptr in
   let off = Pptr.off ptr in
   Pool.write_int pool off value;
-  Pool.write_u8 pool (off + 8) (String.length rkey);
-  Pool.write_string pool (off + 9) rkey;
+  Pool.write_u8 pool (off + 8) len;
+  let buf = Des.Sched.scratch () in
+  Bytes.blit_string key 0 buf 0 (len - 1);
+  Bytes.set buf (len - 1) '\000';
+  Pool.blit_from_bytes pool (off + 9) buf 0 len;
   Pool.persist pool off size;
   ptr
 
@@ -88,37 +94,34 @@ let set_record_value t ptr value =
    per-insert allocation).  The epoch pin keeps a concurrently deleted
    record alive while we write it. *)
 let insert t key value =
-  let rkey = Key.to_radix key in
   Pactree.Epoch.enter t.v.epoch;
   Fun.protect ~finally:(fun () -> Pactree.Epoch.exit t.v.epoch) @@ fun () ->
-  match Art.lookup t.v.art rkey with
+  match Art.lookup t.v.art key with
   | Some record -> set_record_value t record value
   | None -> (
-      let record = alloc_record t rkey value in
-      match Art.insert t.v.art rkey record with
+      let record = alloc_record t key value in
+      match Art.insert t.v.art key record with
       | Art.Inserted -> ()
       | Art.Replaced old ->
           (* raced with a concurrent insert of the same key *)
           free_later t old)
 
 let lookup t key =
-  match Art.lookup t.v.art (Key.to_radix key) with
+  match Art.lookup t.v.art key with
   | Some record -> Some (record_value t record)
   | None -> None
 
 let update t key value =
-  let rkey = Key.to_radix key in
   Pactree.Epoch.enter t.v.epoch;
   Fun.protect ~finally:(fun () -> Pactree.Epoch.exit t.v.epoch) @@ fun () ->
-  match Art.lookup t.v.art rkey with
+  match Art.lookup t.v.art key with
   | None -> false
   | Some record ->
       set_record_value t record value;
       true
 
 let delete t key =
-  let rkey = Key.to_radix key in
-  match Art.delete t.v.art rkey with
+  match Art.delete t.v.art key with
   | Some old ->
       free_later t old;
       true
@@ -128,8 +131,8 @@ let delete t key =
    sequential locality — the GA5 cost). *)
 let scan t key n_wanted =
   let acc = ref [] and n = ref 0 in
-  Art.iter_from t.v.art (Key.to_radix key) (fun record ->
-      acc := (Key.of_radix (record_key t.machine record), record_value t record) :: !acc;
+  Art.iter_from t.v.art key (fun record ->
+      acc := (record_key t.machine record, record_value t record) :: !acc;
       incr n;
       !n < n_wanted);
   List.rev !acc

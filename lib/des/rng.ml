@@ -26,10 +26,10 @@ let int t bound =
   let mask = Int64.shift_right_logical (step t) 1 in
   Int64.to_int (Int64.rem mask (Int64.of_int bound))
 
-let float t =
-  (* 53 high-quality bits -> [0, 1). *)
-  let bits = Int64.shift_right_logical (step t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (step t) 11)
+
+(* 53 high-quality bits -> [0, 1); exact, as every such int is a float. *)
+let float t = float_of_int (bits53 t) *. (1.0 /. 9007199254740992.0)
 
 let bool t = Int64.logand (step t) 1L = 1L
 

@@ -17,7 +17,12 @@ val next : t -> int64
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be > 0. *)
 val int : t -> int -> int
 
-(** A float drawn uniformly from [\[0, 1)]. *)
+(** [bits53 t] is uniform in [\[0, 2{^53})]: the bits [float] scales
+    to [\[0, 1)], as an int that crosses a call unboxed. *)
+val bits53 : t -> int
+
+(** A float drawn uniformly from [\[0, 1)]: [float_of_int (bits53 t)]
+    times 2{^-53}. *)
 val float : t -> float
 
 (** [bool t] is a fair coin flip. *)

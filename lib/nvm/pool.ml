@@ -339,19 +339,31 @@ let fill_zero t off len =
     record_store t off len
   end
 
-let rec compare_from cache off len s slen i =
+let rec compare_from cache off len s i =
+  let slen = String.length s in
   if i >= len || i >= slen then compare len slen
   else
     let c = Char.compare (Bytes.unsafe_get cache (off + i)) (String.unsafe_get s i) in
-    if c <> 0 then c else compare_from cache off len s slen (i + 1)
+    if c <> 0 then c else compare_from cache off len s (i + 1)
 
-let compare_prefix t off len s slen =
-  if slen > String.length s then invalid_arg "Pool.compare_prefix";
+let compare_string t off len s =
   touch_range t off len;
-  if past t off then compare_from (Bytes.make (min len slen) '\000') 0 len s slen 0
-  else compare_from t.cache off len s slen 0
+  if past t off then compare_from (Bytes.make (min len (String.length s)) '\000') 0 len s 0
+  else compare_from t.cache off len s 0
 
-let compare_string t off len s = compare_prefix t off len s (String.length s)
+(* [compare_from] against [s] followed by a 0 byte. *)
+let rec compare_terminated_from cache off len s i =
+  let slen = String.length s in
+  if i >= len || i > slen then compare len (slen + 1)
+  else
+    let b = if i < slen then String.unsafe_get s i else '\000' in
+    let c = Char.compare (Bytes.unsafe_get cache (off + i)) b in
+    if c <> 0 then c else compare_terminated_from cache off len s (i + 1)
+
+let compare_terminated t off len s =
+  touch_range t off len;
+  if past t off then compare_terminated_from (Bytes.make len '\000') 0 len s 0
+  else compare_terminated_from t.cache off len s 0
 
 (* eADR: the store itself is durable; the dirty line drains to the
    media in the background, consuming write bandwidth but never

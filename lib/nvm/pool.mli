@@ -103,10 +103,10 @@ val fill_zero : t -> int -> int -> unit
     with [s] lexicographically (allocation-free). *)
 val compare_string : t -> int -> int -> string -> int
 
-(** [compare_prefix p off len s slen] compares the [len] bytes at [off]
-    with the first [slen] bytes of [s], at the cost of
-    [compare_string]. *)
-val compare_prefix : t -> int -> int -> string -> int -> int
+(** [compare_terminated p off len s] compares the [len] bytes at [off]
+    with [s] followed by a 0 byte (a trie key and the terminator a trie
+    reads after it), at the cost of [compare_string]. *)
+val compare_terminated : t -> int -> int -> string -> int
 
 (** {2 Persistence} *)
 

@@ -1,8 +1,10 @@
 (* PDL-ART: Persistent Durable-Linearizable Adaptive Radix Tree
    (paper §5.1).
 
-   The trie maps prefix-free radix keys (see {!Key.to_radix}) to
-   persistent payload pointers.  Leaves are tagged pointers stored
+   The trie maps keys ({!Key.t}) to persistent payload pointers.  It
+   reads each key followed by a 0 terminator that it supplies itself
+   ([key_len], [key_byte]), which makes the key set prefix-free; no
+   caller builds a terminated copy.  Leaves are tagged pointers stored
    directly in child slots: bit 0 set means "payload", clear means
    "inner node"; payload keys are recovered through [key_of_leaf].
 
@@ -41,7 +43,6 @@ type t = {
   gen : int;
   key_of_leaf : Pptr.t -> string;
   compare_leaf : Pptr.t -> string -> int;
-  root_lock : Vlock.handle;
   epoch : Epoch.t;
   stats : stats;
 }
@@ -150,7 +151,12 @@ let read_child pool off ty i = Pool.read_int pool (off + child_rel ty i)
 
 let idx48 pool off b = Pool.read_u8 pool (off + n48_index + b)
 
-let byte_at rkey i = Char.code (String.unsafe_get rkey i)
+let byte_at s i = Char.code (String.unsafe_get s i)
+
+(* A key as the trie reads it: its bytes, then the 0 terminator. *)
+let key_len k = String.length k + 1
+
+let key_byte k i = if i < String.length k then byte_at k i else 0
 
 (* ---------- header snapshots ---------- *)
 
@@ -383,7 +389,7 @@ let retire t ptr slot =
 
 let init_node t n ty ~prefix_len ~prefix =
   Pobj.fill_zero n 0 node_size.(ty);
-  Vlock.init n ~gen:t.gen;
+  Vlock.init n.pool n.off ~gen:t.gen;
   Pobj.set_u8 n f_type ty;
   Pobj.set_u8 n f_plen prefix_len;
   let stored = min prefix_len stored_prefix_max in
@@ -428,6 +434,8 @@ let rec any_leaf t p =
    key of a leaf below. *)
 let long_prefix t p ~depth pl =
   let leaf_key = t.key_of_leaf (any_leaf t p) in
+  (* a prefix is followed by a branch byte, so it ends before the
+     terminator *)
   if String.length leaf_key < depth + pl then raise Vlock.Restart;
   String.sub leaf_key depth pl
 
@@ -445,19 +453,19 @@ let prefix_byte snap long pl i =
    differs from the key segment at [depth] (or where that segment
    ends), or [pl] if the whole prefix matches.  An insert splits the
    prefix there. *)
-let rec mismatch snap long rkey depth pl i =
+let rec mismatch snap long key depth pl i =
   if
     i >= pl
-    || depth + i >= String.length rkey
-    || byte_at rkey (depth + i) <> prefix_byte snap long pl i
+    || depth + i >= key_len key
+    || key_byte key (depth + i) <> prefix_byte snap long pl i
   then i
-  else mismatch snap long rkey depth pl (i + 1)
+  else mismatch snap long key depth pl (i + 1)
 
 (* The whole prefix of a visit, for a prefix split. *)
 let full_prefix snap long pl =
   if pl <= stored_prefix_max then Bytes.sub_string snap (snap_visit + off_prefix) pl else long
 
-(* [match_prefix t p snap ~depth rkey], for the descents that never
+(* [match_prefix t p snap ~depth key], for the descents that never
    split a prefix: the key depth after the prefix when it matches, else
    [prefix_before] or [prefix_after], the order of the whole subtree
    against the key. *)
@@ -465,20 +473,18 @@ let prefix_before = -1
 
 let prefix_after = -2
 
-let match_prefix t p snap ~depth rkey =
+let match_prefix t p snap ~depth key =
   let pl = snap_plen snap snap_visit in
   let long = visit_long t p ~depth pl in
-  let i = mismatch snap long rkey depth pl 0 in
+  let i = mismatch snap long key depth pl 0 in
   if i = pl then depth + pl
-  else if depth + i >= String.length rkey || byte_at rkey (depth + i) < prefix_byte snap long pl i
+  else if depth + i >= key_len key || key_byte key (depth + i) < prefix_byte snap long pl i
   then prefix_before
   else prefix_after
 
 let restarted t = t.stats.restarts <- t.stats.restarts + 1
 
 (* ---------- construction / open ---------- *)
-
-let root_lockh t = t.root_lock
 
 let read_root t = Pobj.get_int t.mo f_meta_root
 
@@ -508,7 +514,6 @@ let create ~heap ~meta ~epoch ~key_of_leaf ~compare_leaf =
     gen;
     key_of_leaf;
     compare_leaf;
-    root_lock = { Vlock.pool = meta; off = off_meta_rootlock };
     epoch;
     stats = { restarts = 0; allocs = 0; retires = 0 };
   }
@@ -538,41 +543,41 @@ let searching t f x =
       Obs.Span.stop span;
       raise e
 
-let rec descend_eq t rkey p depth =
+let rec descend_eq t key p depth =
   let pool = node_pool t.machine p in
   let off = Pptr.off p in
   let snap = Des.Sched.scratch () in
   let v = snapshot t pool off snap snap_visit in
-  let depth' = match_prefix t p snap ~depth rkey in
-  if depth' < 0 || depth' >= String.length rkey then begin
+  let depth' = match_prefix t p snap ~depth key in
+  if depth' < 0 || depth' >= key_len key then begin
     check pool off ~gen:t.gen v;
     Pptr.null
   end
   else begin
     let ty = snap_type snap snap_visit in
     let c = snap_keys snap snap_visit ty in
-    let child = child_eq pool off snap ty c (byte_at rkey depth') in
+    let child = child_eq pool off snap ty c (key_byte key depth') in
     check pool off ~gen:t.gen v;
     if Pptr.is_null child then Pptr.null
     else if Pptr.is_tagged child then begin
       let payload = Pptr.untag child in
-      if t.compare_leaf payload rkey = 0 then payload else Pptr.null
+      if t.compare_leaf payload key = 0 then payload else Pptr.null
     end
-    else descend_eq t rkey child (depth' + 1)
+    else descend_eq t key child (depth' + 1)
   end
 
-let lookup_once t rkey =
+let lookup_once t key =
   ignore (root_snapshot t : int);
   let root = snap_root () in
   if Pptr.is_null root then Pptr.null
   else if Pptr.is_tagged root then begin
     let payload = Pptr.untag root in
-    if t.compare_leaf payload rkey = 0 then payload else Pptr.null
+    if t.compare_leaf payload key = 0 then payload else Pptr.null
   end
-  else descend_eq t rkey root 0
+  else descend_eq t key root 0
 
-let lookup t rkey =
-  let p = searching t lookup_once rkey in
+let lookup t key =
+  let p = searching t lookup_once key in
   if Pptr.is_null p then None else Some p
 
 (* ---------- ordered search: greatest leaf <= key (§5.3 routing) ---------- *)
@@ -594,9 +599,9 @@ and max_leaf t p =
   let snap = Des.Sched.scratch () in
   max_leaf_of t pool off snap (snapshot t pool off snap snap_visit)
 
-let leaf_le t p rkey =
+let leaf_le t p key =
   let payload = Pptr.untag p in
-  if t.compare_leaf payload rkey <= 0 then payload else Pptr.null
+  if t.compare_leaf payload key <= 0 then payload else Pptr.null
 
 (* The greatest leaf under the child [lt] (all of whose keys are below
    the search key). *)
@@ -613,25 +618,25 @@ let leaf_lt t pool off snap v ty j b =
   check pool off ~gen:t.gen v;
   leaf_below t lt
 
-let rec descend_le t rkey p depth =
+let rec descend_le t key p depth =
   let pool = node_pool t.machine p in
   let off = Pptr.off p in
   let snap = Des.Sched.scratch () in
   let v = snapshot t pool off snap snap_visit in
-  let depth' = match_prefix t p snap ~depth rkey in
+  let depth' = match_prefix t p snap ~depth key in
   if depth' = prefix_before then begin
     check pool off ~gen:t.gen v;
     Pptr.null (* whole subtree > key *)
   end
   else if depth' = prefix_after then max_leaf_of t pool off snap v (* whole subtree < key *)
-  else if depth' >= String.length rkey then begin
+  else if depth' >= key_len key then begin
     (* key exhausted inside the trie: all leaves below extend it and
        are therefore greater *)
     check pool off ~gen:t.gen v;
     Pptr.null
   end
   else begin
-    let b = byte_at rkey depth' in
+    let b = key_byte key depth' in
     let ty = snap_type snap snap_visit in
     let c = snap_keys snap snap_visit ty in
     let eq = child_eq pool off snap ty c b in
@@ -639,21 +644,21 @@ let rec descend_le t rkey p depth =
     if Pptr.is_null eq then leaf_lt t pool off snap v ty j b
     else begin
       check pool off ~gen:t.gen v;
-      let r = if Pptr.is_tagged eq then leaf_le t eq rkey else descend_le t rkey eq (depth' + 1) in
+      let r = if Pptr.is_tagged eq then leaf_le t eq key else descend_le t key eq (depth' + 1) in
       (* the smaller child is read after the descent, so [leaf_lt]
          validates the node again *)
       if Pptr.is_null r then leaf_lt t pool off snap v ty j b else r
     end
   end
 
-let lookup_le_once t rkey =
+let lookup_le_once t key =
   ignore (root_snapshot t : int);
   let root = snap_root () in
   if Pptr.is_null root then Pptr.null
-  else if Pptr.is_tagged root then leaf_le t root rkey
-  else descend_le t rkey root 0
+  else if Pptr.is_tagged root then leaf_le t root key
+  else descend_le t key root 0
 
-let lookup_le t rkey = searching t lookup_le_once rkey
+let lookup_le t key = searching t lookup_le_once key
 
 (* ---------- insert ---------- *)
 
@@ -667,25 +672,28 @@ type insert_outcome = Inserted | Replaced of Pptr.t
    of the node holding the slot: always in the same pool) at [slock],
    read at version [sv].  Only a writer about to lock the slot builds
    it into a record. *)
-type slot = { s_lock : Vlock.handle; s_version : int; s_off : int }
+type slot = { s_pool : Pool.t; s_lock : int; s_version : int; s_off : int }
 
-let slot_at spool slock sv soff =
-  { s_lock = { pool = spool; off = slock }; s_version = sv; s_off = soff }
+let slot_at spool slock sv soff = { s_pool = spool; s_lock = slock; s_version = sv; s_off = soff }
 
-let read_slot slot = Pool.read_int slot.s_lock.pool slot.s_off
+let read_slot slot = Pool.read_int slot.s_pool slot.s_off
 
 let write_slot slot ptr =
-  Pool.write_int slot.s_lock.pool slot.s_off ptr;
-  Pool.persist slot.s_lock.pool slot.s_off 8
+  Pool.write_int slot.s_pool slot.s_off ptr;
+  Pool.persist slot.s_pool slot.s_off 8
 
-let release_slot slot ~gen = Vlock.release slot.s_lock ~gen ~version:(slot.s_version + 1)
+let try_lock_slot slot ~gen =
+  Vlock.try_upgrade slot.s_pool slot.s_lock ~gen ~version:slot.s_version
+
+let release_slot slot ~gen =
+  Vlock.release slot.s_pool slot.s_lock ~gen ~version:(slot.s_version + 1)
 
 (* Lock the slot pointing to [n], then [n] at version [nv]: the order
    every structural replacement of [n] takes.  If either fails, release
    what was taken and restart. *)
 let lock_slot_and_node slot n ~gen nv =
-  if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Vlock.Restart;
-  if not (Vlock.try_upgrade n ~gen ~version:nv) then begin
+  if not (try_lock_slot slot ~gen) then raise Vlock.Restart;
+  if not (Vlock.try_upgrade n.pool n.off ~gen ~version:nv) then begin
     release_slot slot ~gen;
     raise Vlock.Restart
   end
@@ -695,9 +703,10 @@ let stored_prefix snap base pl =
   if pl = 0 then "" else Bytes.sub_string snap (base + off_prefix) (min pl stored_prefix_max)
 
 let common_prefix_len a b start =
-  let la = String.length a and lb = String.length b in
+  let la = key_len a and lb = key_len b in
   let rec go i =
-    if start + i < la && start + i < lb && a.[start + i] = b.[start + i] then go (i + 1)
+    if start + i < la && start + i < lb && key_byte a (start + i) = key_byte b (start + i) then
+      go (i + 1)
     else i
   in
   go 0
@@ -764,23 +773,23 @@ let add_child_inplace n ty c b ptr =
 
 (* Split a leaf: make a Node4 holding the old leaf and the new one,
    commit by swapping the slot pointer (atomic). *)
-let split_leaf t rkey payload slot old_ptr depth =
+let split_leaf t key payload slot old_ptr depth =
   let gen = t.gen in
-  if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Vlock.Restart;
+  if not (try_lock_slot slot ~gen) then raise Vlock.Restart;
   let old_key = t.key_of_leaf (Pptr.untag old_ptr) in
-  if String.equal old_key rkey then begin
+  if String.equal old_key key then begin
     (* duplicate: replace the payload pointer *)
     write_slot slot (Pptr.tagged payload);
     release_slot slot ~gen;
     Replaced (Pptr.untag old_ptr)
   end
   else begin
-    let cpl = common_prefix_len old_key rkey depth in
-    assert (depth + cpl < String.length rkey && depth + cpl < String.length old_key);
+    let cpl = common_prefix_len old_key key depth in
+    assert (depth + cpl < key_len key && depth + cpl < key_len old_key);
     let n, nptr, pslot = alloc_node t 0 in
-    init_node t n 0 ~prefix_len:cpl ~prefix:(String.sub rkey depth cpl);
-    raw_add_child n 0 (byte_at old_key (depth + cpl)) old_ptr;
-    raw_add_child n 0 (byte_at rkey (depth + cpl)) (Pptr.tagged payload);
+    init_node t n 0 ~prefix_len:cpl ~prefix:(String.sub key depth cpl);
+    raw_add_child n 0 (key_byte old_key (depth + cpl)) old_ptr;
+    raw_add_child n 0 (key_byte key (depth + cpl)) (Pptr.tagged payload);
     persist_node_image n 0;
     write_slot slot nptr;
     clear_pending t pslot;
@@ -795,10 +804,10 @@ let split_leaf t rkey payload slot old_ptr depth =
 (* Prefix split at position [i] of [n]'s prefix [full]: CoW the node
    with a shortened prefix, hang it and the new leaf under a fresh
    Node4, commit via the parent slot. *)
-let prefix_split t rkey payload slot n nv depth i full =
+let prefix_split t key payload slot n nv depth i full =
   let gen = t.gen in
   lock_slot_and_node slot n ~gen nv;
-  assert (depth + i < String.length rkey);
+  assert (depth + i < key_len key);
   let old_ptr = read_slot slot in
   let pl = String.length full in
   let snap = Des.Sched.scratch () in
@@ -809,14 +818,14 @@ let prefix_split t rkey payload slot n nv depth i full =
   let n4, nptr, pslot = alloc_node t 0 in
   init_node t n4 0 ~prefix_len:i ~prefix:(String.sub full 0 i);
   raw_add_child n4 0 (byte_at full i) cptr;
-  raw_add_child n4 0 (byte_at rkey (depth + i)) (Pptr.tagged payload);
+  raw_add_child n4 0 (key_byte key (depth + i)) (Pptr.tagged payload);
   persist_node_image n4 0;
   let rslot = log_retire t old_ptr in
   write_slot slot nptr (* commit *);
   clear_pending t cslot;
   clear_pending t pslot;
   retire t old_ptr rslot;
-  Vlock.release_obsolete n ~gen ~version:(nv + 1);
+  Vlock.release_obsolete n.pool n.off ~gen ~version:(nv + 1);
   release_slot slot ~gen;
   Inserted
 
@@ -836,14 +845,14 @@ let grow_and_add t payload slot n nv ty b =
   write_slot slot bptr;
   clear_pending t bslot;
   retire t old_ptr rslot;
-  Vlock.release_obsolete n ~gen ~version:(nv + 1);
+  Vlock.release_obsolete n.pool n.off ~gen ~version:(nv + 1);
   release_slot slot ~gen;
   Inserted
 
 (* Visit the node [cur] points to (or split the leaf it is), reached
    through the slot ([spool], [slock], [sv], [soff]). *)
-let rec insert_descend t rkey payload spool slock sv soff cur depth =
-  if Pptr.is_tagged cur then split_leaf t rkey payload (slot_at spool slock sv soff) cur depth
+let rec insert_descend t key payload spool slock sv soff cur depth =
+  if Pptr.is_tagged cur then split_leaf t key payload (slot_at spool slock sv soff) cur depth
   else begin
     let gen = t.gen in
     let pool = node_pool t.machine cur in
@@ -852,56 +861,54 @@ let rec insert_descend t rkey payload spool slock sv soff cur depth =
     let v = snapshot t pool off snap snap_visit in
     let pl = snap_plen snap snap_visit in
     let long = visit_long t cur ~depth pl in
-    let i = mismatch snap long rkey depth pl 0 in
+    let i = mismatch snap long key depth pl 0 in
     let depth' = depth + pl in
     if i < pl then begin
       check pool off ~gen v;
-      prefix_split t rkey payload (slot_at spool slock sv soff) { pool; off } v depth i
+      prefix_split t key payload (slot_at spool slock sv soff) { pool; off } v depth i
         (full_prefix snap long pl)
     end
-    else if depth' >= String.length rkey then begin
+    else if depth' >= key_len key then begin
       check pool off ~gen v;
       raise Vlock.Restart (* impossible for prefix-free keys unless racing *)
     end
     else begin
-      let b = byte_at rkey depth' in
+      let b = key_byte key depth' in
       let ty = snap_type snap snap_visit in
       let c = snap_count snap snap_visit ty in
       let p = child_eq pool off snap ty c b in
       let found = off + child_rel ty (found_index snap) in
       check pool off ~gen v;
-      if not (Pptr.is_null p) then insert_descend t rkey payload pool off v found p (depth' + 1)
+      if not (Pptr.is_null p) then insert_descend t key payload pool off v found p (depth' + 1)
       else if c < capacity.(ty) then begin
-        let n = { pool; off } in
-        if not (Vlock.try_upgrade n ~gen ~version:v) then raise Vlock.Restart;
-        add_child_inplace n ty c b (Pptr.tagged payload);
-        Vlock.release n ~gen ~version:(v + 1);
+        if not (Vlock.try_upgrade pool off ~gen ~version:v) then raise Vlock.Restart;
+        add_child_inplace { pool; off } ty c b (Pptr.tagged payload);
+        Vlock.release pool off ~gen ~version:(v + 1);
         Inserted
       end
       else grow_and_add t payload (slot_at spool slock sv soff) { pool; off } v ty b
     end
   end
 
-let insert_once t rkey payload =
+let insert_once t key payload =
   let gen = t.gen in
   let rv = root_snapshot t in
   let root = snap_root () in
   if Pptr.is_null root then begin
-    let rh = root_lockh t in
-    if not (Vlock.try_upgrade rh ~gen ~version:rv) then raise Vlock.Restart;
+    if not (Vlock.try_upgrade t.meta off_meta_rootlock ~gen ~version:rv) then raise Vlock.Restart;
     Pobj.set_int t.mo f_meta_root (Pptr.tagged payload);
     Pobj.persist_field t.mo f_meta_root;
-    Vlock.release rh ~gen ~version:(rv + 1);
+    Vlock.release t.meta off_meta_rootlock ~gen ~version:(rv + 1);
     Inserted
   end
-  else insert_descend t rkey payload t.meta off_meta_rootlock rv off_meta_root root 0
+  else insert_descend t key payload t.meta off_meta_rootlock rv off_meta_root root 0
 
-let insert t rkey payload =
+let insert t key payload =
   Obs.Span.with_phase Obs.Span.Trie_search @@ fun () ->
   Epoch.enter t.epoch;
   Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
   ensure_pending_capacity t 4;
-  Vlock.retrying restarted (fun t () -> insert_once t rkey payload) t ()
+  Vlock.retrying restarted (fun t () -> insert_once t key payload) t ()
 
 (* ---------- delete ---------- *)
 
@@ -965,7 +972,7 @@ let survivor_above pool off snap ty b above =
    it (or path-compress a Node4 with one survivor) and commit via
    [slot].  Locking [n] at [nv] proves it still is what the descent
    saw. *)
-let remove_and_shrink t rkey slot n nv ty b payload ~depth =
+let remove_and_shrink t key slot n nv ty b payload ~depth =
   let gen = t.gen in
   lock_slot_and_node slot n ~gen nv;
   let old_ptr = read_slot slot in
@@ -989,7 +996,7 @@ let remove_and_shrink t rkey slot n nv ty b payload ~depth =
         (* Merge prefixes: CoW the child with the combined prefix
            node.prefix + branch byte + child.prefix. *)
         let child = { pool = node_pool t.machine p; off = Pptr.off p } in
-        let cv = Vlock.acquire child ~gen in
+        let cv = Vlock.acquire child.pool child.off ~gen in
         (* The child was locked without a visit: its header comes from
            a plain copy taken under the lock.  [n]'s prefix is the
            key's (the descent matched it), and the child's stored bytes
@@ -997,7 +1004,7 @@ let remove_and_shrink t rkey slot n nv ty b payload ~depth =
         Pool.blit_to_bytes child.pool child.off snap snap_any snap_len;
         let pl = snap_plen snap snap_visit and cpl = snap_plen snap snap_any in
         let prefix =
-          String.sub rkey depth pl ^ String.make 1 (Char.chr sb) ^ stored_prefix snap snap_any cpl
+          String.sub key depth pl ^ String.make 1 (Char.chr sb) ^ stored_prefix snap snap_any cpl
         in
         let cptr, cslot =
           cow_node t (snap_type snap snap_any) child.pool child.off snap snap_any
@@ -1009,7 +1016,7 @@ let remove_and_shrink t rkey slot n nv ty b payload ~depth =
         clear_pending t cslot;
         retire t old_ptr r1;
         retire t p r2;
-        Vlock.release_obsolete child ~gen ~version:cv
+        Vlock.release_obsolete child.pool child.off ~gen ~version:cv
       end
    end
    else begin
@@ -1026,22 +1033,22 @@ let remove_and_shrink t rkey slot n nv ty b payload ~depth =
      retire t old_ptr rslot
    end);
   (* every structural case retires [n] *)
-  Vlock.release_obsolete n ~gen ~version:(nv + 1);
+  Vlock.release_obsolete n.pool n.off ~gen ~version:(nv + 1);
   release_slot slot ~gen;
   Some payload
 
 (* Visit the node [cur] points to (or remove the root leaf it is),
    reached through the slot ([spool], [slock], [sv], [soff]); the leaf
    it finds is removed at its parent. *)
-let rec delete_descend t rkey spool slock sv soff cur depth =
+let rec delete_descend t key spool slock sv soff cur depth =
   let gen = t.gen in
   if Pptr.is_tagged cur then begin
     (* Leaf directly in the slot (root or under a node). *)
-    if t.compare_leaf (Pptr.untag cur) rkey = 0 then begin
+    if t.compare_leaf (Pptr.untag cur) key = 0 then begin
       (* only reachable for the root leaf: inner leaves are handled
          at their parent *)
       let slot = slot_at spool slock sv soff in
-      if not (Vlock.try_upgrade slot.s_lock ~gen ~version:sv) then raise Vlock.Restart;
+      if not (try_lock_slot slot ~gen) then raise Vlock.Restart;
       write_slot slot Pptr.null;
       release_slot slot ~gen;
       Some (Pptr.untag cur)
@@ -1053,13 +1060,13 @@ let rec delete_descend t rkey spool slock sv soff cur depth =
     let off = Pptr.off cur in
     let snap = Des.Sched.scratch () in
     let v = snapshot t pool off snap snap_visit in
-    let depth' = match_prefix t cur snap ~depth rkey in
-    if depth' < 0 || depth' >= String.length rkey then begin
+    let depth' = match_prefix t cur snap ~depth key in
+    if depth' < 0 || depth' >= key_len key then begin
       check pool off ~gen v;
       None
     end
     else begin
-      let b = byte_at rkey depth' in
+      let b = key_byte key depth' in
       let ty = snap_type snap snap_visit in
       let c = snap_count snap snap_visit ty in
       let p = child_eq pool off snap ty c b in
@@ -1068,34 +1075,33 @@ let rec delete_descend t rkey spool slock sv soff cur depth =
       if Pptr.is_null p then None
       else if Pptr.is_tagged p then begin
         let payload = Pptr.untag p in
-        if t.compare_leaf payload rkey <> 0 then None
+        if t.compare_leaf payload key <> 0 then None
         else if needs_shrink ty c then
-          remove_and_shrink t rkey (slot_at spool slock sv soff) { pool; off } v ty b payload
+          remove_and_shrink t key (slot_at spool slock sv soff) { pool; off } v ty b payload
             ~depth
         else begin
-          let n = { pool; off } in
-          if not (Vlock.try_upgrade n ~gen ~version:v) then raise Vlock.Restart;
-          remove_child_inplace n snap ty c b;
-          Vlock.release n ~gen ~version:(v + 1);
+          if not (Vlock.try_upgrade pool off ~gen ~version:v) then raise Vlock.Restart;
+          remove_child_inplace { pool; off } snap ty c b;
+          Vlock.release pool off ~gen ~version:(v + 1);
           Some payload
         end
       end
-      else delete_descend t rkey pool off v found p (depth' + 1)
+      else delete_descend t key pool off v found p (depth' + 1)
     end
   end
 
-let delete_once t rkey =
+let delete_once t key =
   let rv = root_snapshot t in
   let root = snap_root () in
   if Pptr.is_null root then None
-  else delete_descend t rkey t.meta off_meta_rootlock rv off_meta_root root 0
+  else delete_descend t key t.meta off_meta_rootlock rv off_meta_root root 0
 
-let delete t rkey =
+let delete t key =
   Obs.Span.with_phase Obs.Span.Trie_search @@ fun () ->
   Epoch.enter t.epoch;
   Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
   ensure_pending_capacity t 4;
-  Vlock.retrying restarted delete_once t rkey
+  Vlock.retrying restarted delete_once t key
 
 (* ---------- ordered iteration (baseline scans) ---------- *)
 
@@ -1138,9 +1144,9 @@ let rec scan_walk t s p depth from =
     let v = snapshot t pool off snap snap_visit in
     let depth' = match_prefix t p snap ~depth s.lo in
     check pool off ~gen:t.gen v;
-    if depth' = prefix_before || depth' >= String.length s.lo then scan_children t s p (-1) (-1) 0
+    if depth' = prefix_before || depth' >= key_len s.lo then scan_children t s p (-1) (-1) 0
     else if depth' <> prefix_after then
-      let kb = byte_at s.lo depth' in
+      let kb = key_byte s.lo depth' in
       scan_children t s p (kb - 1) kb (depth' + 1)
   end
 
@@ -1157,10 +1163,10 @@ let scan_once t s =
   let root = snap_root () in
   if not (Pptr.is_null root) then scan_walk t s root 0 true
 
-let iter_from t rkey f =
+let iter_from t key f =
   Epoch.enter t.epoch;
   Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
-  try Vlock.retrying restarted scan_once t { f; lo = rkey; last = Pptr.null } with Stop -> ()
+  try Vlock.retrying restarted scan_once t { f; lo = key; last = Pptr.null } with Stop -> ()
 
 (* ---------- recovery (§5.1, §5.9) ---------- *)
 

@@ -1,8 +1,10 @@
 (** PDL-ART: Persistent Durable-Linearizable Adaptive Radix Tree
     (paper §5.1).
 
-    Maps prefix-free radix keys ({!Key.to_radix}) to persistent
-    payload pointers.  Used as PACTree's search layer (payload = data
+    Maps keys ({!Key.t}) to persistent payload pointers.  The trie
+    reads a key followed by a 0 terminator that it supplies itself,
+    which makes the key set prefix-free ({!Key}); callers pass the key
+    as it is.  Used as PACTree's search layer (payload = data
     node) and standalone as the PDL-ART baseline index (payload = kv
     record).
 
@@ -32,10 +34,11 @@ val meta_size : int
     Increments the persistent generation id, voiding all pre-crash
     locks: a restart reopens the trie with [create], so the volatile
     state it builds (this generation, the given epoch) is the only
-    one a recovered trie has.  [key_of_leaf] must return the {e radix} key of a payload;
-    [compare_leaf p rkey] must be [String.compare (key_of_leaf p) rkey]
-    at the same simulated cost, and is what the lookups use: it can
-    compare in place instead of building the key. *)
+    one a recovered trie has.  [key_of_leaf] must return the key of a
+    payload; [compare_leaf p k] must have the sign of
+    [String.compare (key_of_leaf p) k] at the same simulated cost, and
+    is what the lookups use: it can compare in place instead of
+    building the key. *)
 val create :
   heap:Pmalloc.Heap.t ->
   meta:Nvm.Pool.t ->
@@ -51,7 +54,7 @@ val generation : t -> int
 (** Exact match. *)
 val lookup : t -> string -> Pmalloc.Pptr.t option
 
-(** Greatest leaf with key <= the given radix key (anchor-key routing,
+(** Greatest leaf with key <= the given key (anchor-key routing,
     §5.3), or [Pptr.null] if there is none.  Allocation-free: every
     index operation routes through it. *)
 val lookup_le : t -> string -> Pmalloc.Pptr.t
@@ -60,11 +63,11 @@ val lookup_le : t -> string -> Pmalloc.Pptr.t
     previous payload exactly once, so callers can reclaim it). *)
 val insert : t -> string -> Pmalloc.Pptr.t -> insert_outcome
 
-(** [delete t rkey] returns the removed payload when the key was
+(** [delete t k] returns the removed payload when the key was
     present. *)
 val delete : t -> string -> Pmalloc.Pptr.t option
 
-(** In-order iteration over payloads with key >= the given radix key;
+(** In-order iteration over payloads with key >= the given key;
     stops when [f] returns [false].  Keys are emitted in strictly
     increasing order, each at most once: a restart (a node retired under
     the scan) resumes strictly after the last emitted payload, from a

@@ -69,11 +69,9 @@ let to_ptr t = Pptr.make ~pool:(Pool.id t.pool) ~off:t.off
 
 let equal a b = Pool.id a.pool = Pool.id b.pool && a.off = b.off
 
-(* The lock word is the node's first field, so the node is its own lock
-   handle. *)
+(* The lock word is the node's first field: a node's lock is at the
+   node's own pool and offset. *)
 let () = assert (off_lock = 0)
-
-let lock_handle t = t
 
 let bitmap t = Pobj.get_i64 t f_bitmap
 
@@ -101,17 +99,9 @@ let compare_anchor pool off k =
   let len = Pool.read_int pool (off + Layout.off f_anchor_len) in
   Pool.compare_string pool (off + off_anchor) len k
 
-(* Allocation-free [compare (Key.to_radix (anchor t)) rkey], for a radix
-   key [rkey].  Appending the same terminator to both sides does not
-   change the order of two keys, so the anchor is compared with [rkey]
-   less its terminator. *)
-let compare_anchor_radix pool off rkey =
-  let len = Pool.read_int pool (off + Layout.off f_anchor_len) in
-  Pool.compare_prefix pool (off + off_anchor) len rkey (String.length rkey - 1)
-
 let init lay t ~gen ~anchor ~next ~prev =
   Pobj.fill_zero t 0 lay.node_size;
-  Vlock.init (lock_handle t) ~gen;
+  Vlock.init t.pool t.off ~gen;
   Pobj.set_int t f_next next;
   Pobj.set_int t f_prev prev;
   Pobj.set_int t f_anchor_len (String.length anchor);
@@ -122,8 +112,6 @@ let init lay t ~gen ~anchor ~next ~prev =
 let entry_off lay slot = off_kv + (slot * lay.stride)
 
 let value_at lay t slot = Pobj.read_int t (entry_off lay slot)
-
-let set_value lay t slot v = Pobj.write_int t (entry_off lay slot) v
 
 let key_at lay t slot =
   let e = entry_off lay slot in
@@ -141,36 +129,58 @@ let compare_key_at lay t slot k =
     Pobj.compare_string t (e + 9) len k
 
 (* Write the pair of value [v] and the key of [len] bytes at [pos] in
-   [buf] to [slot], with its fingerprint. *)
-let write_entry lay t slot v buf pos len =
-  let e = entry_off lay slot in
-  Pobj.write_int t e v;
-  if lay.inline = 8 then Pobj.blit_from_bytes t (e + 8) buf pos len
+   [buf] to [slot] of the node at [off] in [pool], with its
+   fingerprint.  The writers address a node by its pool and offset, as
+   a visit does, and build no record. *)
+let write_entry lay pool off slot v buf pos len =
+  let e = off + entry_off lay slot in
+  Pool.write_int pool e v;
+  if lay.inline = 8 then Pool.blit_from_bytes pool (e + 8) buf pos len
   else begin
-    Pobj.write_u8 t (e + 8) len;
-    Pobj.blit_from_bytes t (e + 9) buf pos len
+    Pool.write_u8 pool (e + 8) len;
+    Pool.blit_from_bytes pool (e + 9) buf pos len
   end;
-  Pobj.write_u8 t (off_fingerprints + slot) (Fingerprint.of_bytes buf pos len)
+  Pool.write_u8 pool (off + off_fingerprints + slot) (Fingerprint.of_bytes buf pos len)
 
-let set_entry lay t slot key v =
-  write_entry lay t slot v (Bytes.unsafe_of_string key) 0 (String.length key)
+let set_entry lay pool off slot key v =
+  write_entry lay pool off slot v (Bytes.unsafe_of_string key) 0 (String.length key)
 
 let bit slot = Int64.shift_left 1L slot
 
-let test_bit bm slot = Int64.logand bm (bit slot) <> 0L
+(* Is [slot] set in the little-endian bitmap at [pos] in [buf]? *)
+let live_in buf pos slot = Bytes.get_uint8 buf (pos + (slot lsr 3)) land (1 lsl (slot land 7)) <> 0
 
-let live_count t =
-  let bm = bitmap t in
-  let rec go acc i =
-    if i >= entries then acc else go (if test_bit bm i then acc + 1 else acc) (i + 1)
-  in
-  go 0 0
+(* The writers, [live_count] and [live_entries] read the bitmap into
+   the calling thread's scratch buffer, at its place in a visit's copy
+   of line 0, and a writer stores it back from there: an [int64]
+   returned or passed across a call is boxed.  The read and the store
+   make the accesses of [bitmap] and [set_bitmap]. *)
+let bits = Layout.off f_bitmap
+
+let read_bits pool off buf = Pool.blit_to_bytes pool (off + bits) buf bits 8
+
+let write_bits pool off buf = Pool.blit_from_bytes pool (off + bits) buf bits 8
+
+let set_live buf slot =
+  let i = bits + (slot lsr 3) in
+  Bytes.set_uint8 buf i (Bytes.get_uint8 buf i lor (1 lsl (slot land 7)))
+
+let clear_live buf slot =
+  let i = bits + (slot lsr 3) in
+  Bytes.set_uint8 buf i (Bytes.get_uint8 buf i land lnot (1 lsl (slot land 7)))
 
 (* The first free slot from [i] on, or [-1] when there is none. *)
-let rec first_empty_from bm i =
-  if i >= entries then -1 else if test_bit bm i then first_empty_from bm (i + 1) else i
+let rec free_from buf i =
+  if i >= entries then -1 else if live_in buf bits i then free_from buf (i + 1) else i
 
-let first_empty bm = first_empty_from bm 0
+let rec count_live buf acc i =
+  if i >= entries then acc
+  else count_live buf (if live_in buf bits i then acc + 1 else acc) (i + 1)
+
+let live_count t =
+  let buf = Des.Sched.scratch () in
+  read_bits t.pool t.off buf;
+  count_live buf 0 0
 
 (* ---------- read-only visits ---------- *)
 
@@ -205,10 +215,7 @@ let snap_prev () = snap_int off_prev
 let snap_compare_anchor pool off k =
   Pool.compare_string pool (off + off_anchor) (snap_int (Layout.off f_anchor_len)) k
 
-(* Is [slot] set in the little-endian bitmap at [pos] in [buf]? *)
-let live_in buf pos slot = Bytes.get_uint8 buf (pos + (slot lsr 3)) land (1 lsl (slot land 7)) <> 0
-
-let snap_live snap slot = live_in snap (Layout.off f_bitmap) slot
+let snap_live snap slot = live_in snap bits slot
 
 let rec equal_from snap pos k len i =
   i >= len
@@ -257,11 +264,11 @@ let rec probe_from lay pool off k snap fp word =
    (the AVX512 match of the paper, §5.2) *)
 let probe lay pool off k = probe_from lay pool off k (Des.Sched.scratch ()) (Fingerprint.of_key k) 0
 
-let find lay t k =
+let find lay pool off k =
   let span = Obs.Span.start Obs.Span.Dnode_scan in
   match
-    Pobj.blit_to_bytes t 0 (Des.Sched.scratch ()) 0 snap_len;
-    probe lay t.pool t.off k
+    Pool.blit_to_bytes pool off (Des.Sched.scratch ()) 0 snap_len;
+    probe lay pool off k
   with
   | slot ->
       Obs.Span.stop span;
@@ -273,11 +280,12 @@ let find lay t k =
 let found_value () = snap_int snap_entry
 
 let live_entries lay t =
-  let bm = bitmap t in
+  let buf = Des.Sched.scratch () in
+  read_bits t.pool t.off buf;
   let rec go acc slot =
     if slot < 0 then acc
     else
-      go (if test_bit bm slot then (key_at lay t slot, value_at lay t slot) :: acc else acc)
+      go (if live_in buf bits slot then (key_at lay t slot, value_at lay t slot) :: acc else acc)
         (slot - 1)
   in
   go [] (entries - 1)
@@ -429,19 +437,20 @@ let stamp_permutation lay t word =
    negative, so no reader takes the array for fresh meanwhile. *)
 let publishing = -1
 
-let persist_slot lay t slot =
-  Pobj.flush t (entry_off lay slot) lay.stride;
-  Pobj.clwb t (off_fingerprints + slot);
-  Pobj.fence t
+let persist_slot lay pool off slot =
+  Pool.flush_range pool (off + entry_off lay slot) lay.stride;
+  Pool.clwb pool (off + off_fingerprints + slot);
+  Pool.fence pool
 
-let persist_bitmap t =
-  Pobj.flush_field t f_bitmap;
-  Pobj.fence t
+let persist_bitmap pool off =
+  Pool.flush_range pool (off + bits) (Layout.field_size f_bitmap);
+  Pool.fence pool
 
 (* The ablation's writer rebuilds and flushes the array under its
    lock, so the word it stamps cannot change under it. *)
-let maybe_persist_perm lay t =
+let maybe_persist_perm lay pool off =
   if lay.persist_perm then begin
+    let t = { pool; off } in
     let c = thread_copy () in
     let n = sort_into lay t c.image c.slots in
     write_permutation t c.slots n;
@@ -449,9 +458,9 @@ let maybe_persist_perm lay t =
   end
 
 (* [f] inside a [Dnode_insert] span, without a closure per call. *)
-let in_insert_span f lay t k v =
+let in_insert_span f lay pool off k v =
   let span = Obs.Span.start Obs.Span.Dnode_insert in
-  match f lay t k v with
+  match f lay pool off k v with
   | r ->
       Obs.Span.stop span;
       r
@@ -459,58 +468,67 @@ let in_insert_span f lay t k v =
       Obs.Span.stop span;
       raise e
 
-let insert_slot lay t k v =
-  let bm = bitmap t in
-  let slot = first_empty bm in
+let insert_slot lay pool off k v =
+  let buf = Des.Sched.scratch () in
+  read_bits pool off buf;
+  let slot = free_from buf 0 in
   if slot < 0 then Full
   else begin
-    set_entry lay t slot k v;
-    persist_slot lay t slot (* durability point for the pair *);
-    set_bitmap t (Int64.logor bm (bit slot));
-    persist_bitmap t (* linearization point, persisted *);
-    maybe_persist_perm lay t;
+    set_entry lay pool off slot k v;
+    persist_slot lay pool off slot (* durability point for the pair *);
+    set_live buf slot;
+    write_bits pool off buf;
+    persist_bitmap pool off (* linearization point, persisted *);
+    maybe_persist_perm lay pool off;
     Ok
   end
 
-let insert lay t k v = in_insert_span insert_slot lay t k v
+let insert lay pool off k v = in_insert_span insert_slot lay pool off k v
 
-let delete_slot lay t k () =
-  let slot = find lay t k in
+let delete_slot lay pool off k () =
+  let slot = find lay pool off k in
   if slot < 0 then Absent
   else begin
-    set_bitmap t (Int64.logand (bitmap t) (Int64.lognot (bit slot)));
-    persist_bitmap t;
-    maybe_persist_perm lay t;
+    let buf = Des.Sched.scratch () in
+    read_bits pool off buf;
+    clear_live buf slot;
+    write_bits pool off buf;
+    persist_bitmap pool off;
+    maybe_persist_perm lay pool off;
     Ok
   end
 
-let delete lay t k = in_insert_span delete_slot lay t k ()
+let delete lay pool off k = in_insert_span delete_slot lay pool off k ()
 
-let update_slot lay t k v =
-  let old_slot = find lay t k in
+let update_slot lay pool off k v =
+  let old_slot = find lay pool off k in
   if old_slot < 0 then Absent
   else begin
-    let bm = bitmap t in
-    let slot = first_empty bm in
+    let buf = Des.Sched.scratch () in
+    read_bits pool off buf;
+    let slot = free_from buf 0 in
     if slot >= 0 then begin
       (* Out-of-place: persist the new pair, then one atomic
          bitmap write retires the old slot and publishes the new. *)
-      set_entry lay t slot k v;
-      persist_slot lay t slot;
-      set_bitmap t (Int64.logor (Int64.logand bm (Int64.lognot (bit old_slot))) (bit slot));
-      persist_bitmap t;
-      maybe_persist_perm lay t;
+      set_entry lay pool off slot k v;
+      persist_slot lay pool off slot;
+      clear_live buf old_slot;
+      set_live buf slot;
+      write_bits pool off buf;
+      persist_bitmap pool off;
+      maybe_persist_perm lay pool off;
       Ok
     end
     else begin
       (* Node full: an 8-byte value store is itself atomic. *)
-      set_value lay t old_slot v;
-      Pobj.persist t (entry_off lay old_slot) 8;
+      let e = off + entry_off lay old_slot in
+      Pool.write_int pool e v;
+      Pool.persist pool e 8;
       Ok
     end
   end
 
-let update lay t k v = in_insert_span update_slot lay t k v
+let update lay pool off k v = in_insert_span update_slot lay pool off k v
 
 (* Emit the pairs of [t] in the order of the node's permutation array
    ([copy = None]) or of the thread's sorted copy, from the first key
@@ -558,7 +576,7 @@ let copy_slots lay ~src ~dst slots pos len =
   for i = 0 to len - 1 do
     let slot = slots.(pos + i) in
     let v = value_at lay src slot in
-    write_entry lay dst i v image (copy_key lay slot) (copy_key_len lay image slot)
+    write_entry lay dst.pool dst.off i v image (copy_key lay slot) (copy_key_len lay image slot)
   done;
   set_bitmap dst (low_bits len)
 
@@ -572,7 +590,7 @@ let copy_into lay ~src ~dst slots ~pos ~len =
 
 let clear_slots t mask =
   set_bitmap t (Int64.logand (bitmap t) (Int64.lognot mask));
-  persist_bitmap t
+  persist_bitmap t.pool t.off
 
 (* Read [slot]'s value and key into the copy, as [live_entries] reads
    them. *)
@@ -587,20 +605,21 @@ let absorb_slots lay src dst =
   for slot = entries - 1 downto 0 do
     if copied_live image slot then read_entry lay src image slot
   done;
-  let bm = ref (bitmap dst) in
+  let buf = Des.Sched.scratch () in
+  read_bits dst.pool dst.off buf;
   for slot = 0 to entries - 1 do
     if copied_live image slot then begin
-      let d = first_empty !bm in
+      let d = free_from buf 0 in
       if d < 0 then invalid_arg "Data_node.absorb: destination too full";
       let v = Int64.to_int (Bytes.get_int64_le image (slot * lay.stride)) in
-      write_entry lay dst d v image (copy_key lay slot) (copy_key_len lay image slot);
-      persist_slot lay dst d;
-      bm := Int64.logor !bm (bit d)
+      write_entry lay dst.pool dst.off d v image (copy_key lay slot) (copy_key_len lay image slot);
+      persist_slot lay dst.pool dst.off d;
+      set_live buf d
     end
   done;
-  set_bitmap dst !bm;
-  persist_bitmap dst;
-  maybe_persist_perm lay dst
+  write_bits dst.pool dst.off buf;
+  persist_bitmap dst.pool dst.off;
+  maybe_persist_perm lay dst.pool dst.off
 
 let absorb lay ~src ~dst =
   let span = Obs.Span.start Obs.Span.Dnode_insert in

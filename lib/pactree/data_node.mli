@@ -42,9 +42,10 @@ val to_ptr : t -> Pmalloc.Pptr.t
 
 val equal : t -> t -> bool
 
-(** {2 Header fields} *)
+(** {2 Header fields}
 
-val lock_handle : t -> Vlock.handle
+    A node's version lock is the word at its own pool and offset (the
+    header's first field): lock it with [Vlock.acquire t.pool t.off]. *)
 
 val bitmap : t -> int64
 
@@ -66,11 +67,6 @@ val anchor : t -> Key.t
 (** [compare_anchor pool off k] = [compare (anchor t) k] for the node
     [t] at [off] in [pool], allocation-free. *)
 val compare_anchor : Nvm.Pool.t -> int -> Key.t -> int
-
-(** [compare_anchor_radix pool off rkey] = [compare (Key.to_radix
-    (anchor t)) rkey] for the node [t] at [off] in [pool] and a radix
-    key [rkey], allocation-free, at the cost of [compare_anchor]. *)
-val compare_anchor_radix : Nvm.Pool.t -> int -> string -> int
 
 (** Offsets for targeted persistence by {!Tree}. *)
 val off_next : int
@@ -128,15 +124,17 @@ val snap_compare_anchor : Nvm.Pool.t -> int -> Key.t -> int
     leaves the entry's value for {!found_value}.  Allocation-free. *)
 val probe : layout -> Nvm.Pool.t -> int -> Key.t -> int
 
-(** [find lay t k] is [probe] on a fresh unversioned copy of lines 0-1
-    (the caller holds the lock or validates on its own), inside a
-    [Dnode_scan] span. *)
-val find : layout -> t -> Key.t -> int
+(** [find lay pool off k] is [probe] on a fresh unversioned copy of
+    lines 0-1 of the node at [off] in [pool] (the caller holds the lock
+    or validates on its own), inside a [Dnode_scan] span. *)
+val find : layout -> Nvm.Pool.t -> int -> Key.t -> int
 
 (** The value of the entry the calling thread's last [probe] or [find]
     hit.  Read it before anything else uses the buffer. *)
 val found_value : unit -> int
 
+(** The number of live slots, read like {!bitmap} into the calling
+    thread's scratch buffer: allocation-free. *)
 val live_count : t -> int
 
 (** Live [(key, value)] pairs in slot order. *)
@@ -170,7 +168,12 @@ val compare_sorted_key : layout -> int -> Key.t -> int
     [slots.(pos .. pos+len-1)]. *)
 val slot_mask : int array -> pos:int -> len:int -> int64
 
-(** {2 Crash-consistent writes (caller holds the node lock)} *)
+(** {2 Crash-consistent writes (caller holds the node lock)}
+
+    The writers address the node at [off] in [pool], as a visit does,
+    and build no [t].  Each reads the bitmap into the calling thread's
+    scratch buffer, changes it there and stores it back with the
+    accesses of an 8-byte load and store: no [int64] is boxed. *)
 
 type write_result = Ok | Full | Absent
 
@@ -178,15 +181,15 @@ type write_result = Ok | Full | Absent
     set the bitmap bit and persist it.  [Full] when no slot is free.
     Duplicate keys: callers must check [find] first (PACTree
     semantics: insert of an existing key acts as update). *)
-val insert : layout -> t -> Key.t -> int -> write_result
+val insert : layout -> Nvm.Pool.t -> int -> Key.t -> int -> write_result
 
 (** Delete: atomic bitmap bit clear + persist.  [Absent] if missing. *)
-val delete : layout -> t -> Key.t -> write_result
+val delete : layout -> Nvm.Pool.t -> int -> Key.t -> write_result
 
 (** Update: out-of-place copy + single atomic bitmap flip when a
     spare slot exists; otherwise an in-place atomic 8B value store.
     [Absent] if the key is missing. *)
-val update : layout -> t -> Key.t -> int -> write_result
+val update : layout -> Nvm.Pool.t -> int -> Key.t -> int -> write_result
 
 (** {2 Scans (§5.4)} *)
 

@@ -24,13 +24,6 @@ let compare = String.compare
 
 let equal = String.equal
 
-let to_radix k = k ^ "\000"
-
-let of_radix r =
-  let n = String.length r in
-  if n = 0 || r.[n - 1] <> '\000' then invalid_arg "Key.of_radix: missing terminator";
-  String.sub r 0 (n - 1)
-
 let pp ppf k =
   let printable = String.for_all (fun c -> c >= ' ' && c < '\127') k in
   if printable && k <> "" then Format.fprintf ppf "%S" k

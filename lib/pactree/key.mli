@@ -7,8 +7,9 @@
 
     Keys are at most {!max_len} bytes (paper §5.2: up to 32 bytes are
     stored inline in a data node) and must not contain NUL bytes when
-    used with the trie layers (the standard ART prefix-freedom
-    requirement; the terminator is appended by {!to_radix}). *)
+    used with the trie layers, unless all keys of a trie have one
+    length (the standard ART prefix-freedom requirement: {!Art} reads
+    each key followed by a 0 terminator). *)
 
 type t = string
 
@@ -27,12 +28,5 @@ val of_string : string -> t
 val compare : t -> t -> int
 
 val equal : t -> t -> bool
-
-(** [to_radix k] is the byte sequence the tries consume: [k] plus a
-    0x00 terminator, making the key set prefix-free. *)
-val to_radix : t -> string
-
-(** Inverse of [to_radix]. *)
-val of_radix : string -> t
 
 val pp : Format.formatter -> t -> unit

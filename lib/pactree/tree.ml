@@ -94,10 +94,8 @@ let jump_histogram t = Array.copy t.jump_hist
 (* A fresh epoch, the trie opened anew (its generation bump voids
    every older lock), empty SMO-log counts and an idle updater. *)
 let start machine ~search_heap ~meta ~log_pools =
-  let key_of_leaf ptr = Key.to_radix (Node.anchor (Node.of_ptr machine ptr)) in
-  let compare_leaf ptr rkey =
-    Node.compare_anchor_radix (Pptr.resolve machine ptr) (Pptr.off ptr) rkey
-  in
+  let key_of_leaf ptr = Node.anchor (Node.of_ptr machine ptr) in
+  let compare_leaf ptr key = Node.compare_anchor (Pptr.resolve machine ptr) (Pptr.off ptr) key in
   let epoch = Epoch.create () in
   let art = Art.create ~heap:search_heap ~meta ~epoch ~key_of_leaf ~compare_leaf in
   {
@@ -160,7 +158,7 @@ let create machine ?(cfg = default_config) () =
     let head = Node.of_ptr t.machine ptr in
     Node.init lay head ~gen:t.v.gen ~anchor:"" ~next:Pptr.null ~prev:Pptr.null;
     Pobj.persist head 0 lay.Node.node_size;
-    ignore (Art.insert t.v.art (Key.to_radix "") ptr)
+    ignore (Art.insert t.v.art "" ptr)
   end;
   t
 
@@ -204,8 +202,8 @@ let snap_below_next t key =
    node whose [anchor, next.anchor) range covers [key].  Unsynchronised
    search layers only cost extra hops (ephemeral inconsistency).  The
    walk hops by pointer. *)
-let jump_node t rkey =
-  let p = Art.lookup_le t.v.art rkey in
+let jump_node t key =
+  let p = Art.lookup_le t.v.art key in
   if Pptr.is_null p then head_ptr t else p
 
 let rec walk t key p hops =
@@ -225,7 +223,7 @@ let rec walk t key p hops =
 
 (* The pointer to the data node whose range covers [key]. *)
 let locate t key =
-  let jump = jump_node t (Key.to_radix key) in
+  let jump = jump_node t key in
   let span = Obs.Span.start Obs.Span.Dnode_scan in
   match walk t key jump 0 with
   | p ->
@@ -243,10 +241,11 @@ let rec located t key attempt =
       Des.Sched.wait "tree walk" (-1) ~attempt (Des.Sched.Fixed 100e-9);
       located t key (attempt + 1)
 
-(* Is [node], under its current state, the right home for [key]? *)
-let covers t node key =
-  Node.read_header node.Node.pool node.Node.off;
-  snap_hosts node.Node.pool node.Node.off key && snap_below_next t key
+(* Is the node at [off] in [pool], under its current state, the right
+   home for [key]? *)
+let covers t pool off key =
+  Node.read_header pool off;
+  snap_hosts pool off key && snap_below_next t key
 
 (* [f t a b] inside an epoch: the public operations' bracket, built
    without a closure per call. *)
@@ -260,19 +259,23 @@ let in_epoch t f a b =
       Epoch.exit t.v.epoch;
       raise e
 
-(* Write-lock the target node (§5.5: all writes lock, work, release). *)
-let rec lock_target t key n =
-  let node = Node.of_ptr t.machine (located t key 0) in
-  let h = Node.lock_handle node in
-  let wv = Vlock.acquire h ~gen:t.v.gen in
-  if covers t node key then (node, wv)
-  else begin
-    Vlock.release h ~gen:t.v.gen ~version:wv;
-    Des.Sched.wait "tree moved node" node.Node.off ~attempt:n (Des.Sched.Fixed 50e-9);
-    lock_target t key (n + 1)
-  end
+let release t pool off wv = Vlock.release pool off ~gen:t.v.gen ~version:wv
 
-let release t node wv = Vlock.release (Node.lock_handle node) ~gen:t.v.gen ~version:wv
+(* Write-lock the node whose range covers [key] (§5.5: all writes lock,
+   work, release) and return [f t pool off wv key a] for that node, at
+   [off] in [pool], locked at version [wv]: the writers' bracket, like
+   [in_epoch] built without a closure, and without a record or a pair
+   per call. *)
+let rec lock_target t key n f a =
+  let p = located t key 0 in
+  let pool = pool_of t p and off = Pptr.off p in
+  let wv = Vlock.acquire pool off ~gen:t.v.gen in
+  if covers t pool off key then f t pool off wv key a
+  else begin
+    release t pool off wv;
+    Des.Sched.wait "tree moved node" off ~attempt:n (Des.Sched.Fixed 50e-9);
+    lock_target t key (n + 1) f a
+  end
 
 (* ---------- SMO replay (updater fast path) ---------- *)
 
@@ -283,7 +286,7 @@ let replay_split_fast t e =
   | Some (_, Smo_log.Split { anchor; _ }) ->
       let new_ptr = Smo_log.aux e in
       assert (not (Pptr.is_null new_ptr));
-      ignore (Art.insert t.v.art (Key.to_radix anchor) new_ptr);
+      ignore (Art.insert t.v.art anchor new_ptr);
       Smo_log.clear t.v.log e
   | _ -> ()
 
@@ -293,8 +296,8 @@ let replay_merge_fast t e =
       (* Delete the anchor only while it still names the merged node:
          a later split of the absorbing node may legitimately reuse
          the anchor key. *)
-      (match Art.lookup t.v.art (Key.to_radix anchor) with
-      | Some p when Pptr.equal p right -> ignore (Art.delete t.v.art (Key.to_radix anchor))
+      (match Art.lookup t.v.art anchor with
+      | Some p when Pptr.equal p right -> ignore (Art.delete t.v.art anchor)
       | Some _ | None -> ());
       (* Physically free after two epochs (§5.6); the log entry stays
          until the free is durable so recovery can still find it. *)
@@ -357,18 +360,18 @@ let split t node wv key value =
   enqueue_smo t e;
   (* 8. Finally place the pending key-value pair. *)
   if Key.compare key anchor < 0 then begin
-    (match Node.insert t.lay node key value with
+    (match Node.insert t.lay node.Node.pool node.Node.off key value with
     | Node.Ok -> ()
     | Node.Full | Node.Absent -> assert false);
-    release t node wv
+    release t node.Node.pool node.Node.off wv
   end
   else begin
-    let nwv = Vlock.acquire (Node.lock_handle nnode) ~gen:t.v.gen in
-    (match Node.insert t.lay nnode key value with
+    let nwv = Vlock.acquire nnode.Node.pool nnode.Node.off ~gen:t.v.gen in
+    (match Node.insert t.lay nnode.Node.pool nnode.Node.off key value with
     | Node.Ok -> ()
     | Node.Full | Node.Absent -> assert false);
-    release t nnode nwv;
-    release t node wv
+    release t nnode.Node.pool nnode.Node.off nwv;
+    release t node.Node.pool node.Node.off wv
   end
 
 let split_and_insert t node wv key value =
@@ -394,7 +397,7 @@ let try_merge t node =
     if Node.live_count node + Node.live_count rn >= merge_threshold then false
     else begin
       t.stats.merges <- t.stats.merges + 1;
-      let rwv = Vlock.acquire (Node.lock_handle rn) ~gen:t.v.gen in
+      let rwv = Vlock.acquire rn.Node.pool rn.Node.off ~gen:t.v.gen in
       let anchor = Node.anchor rn in
       let ts = next_ts t in
       let e =
@@ -415,7 +418,7 @@ let try_merge t node =
         persist_field rnn_node Node.off_prev
       end;
       enqueue_smo t e;
-      Vlock.release (Node.lock_handle rn) ~gen:t.v.gen ~version:rwv;
+      release t rn.Node.pool rn.Node.off rwv;
       true
     end
   end
@@ -465,52 +468,56 @@ let visiting t p key direct =
    node that does not cover the key) falls back to the bounds check
    and the sibling walk.  The attempts are top-level functions, not
    closures: lookups are half of every workload. *)
-let rec lookup_attempt t key rkey n ~use_jump =
-  if use_jump then lookup_in t key rkey n (jump_node t rkey) ~direct:true
+let rec lookup_attempt t key n ~use_jump =
+  if use_jump then lookup_in t key n (jump_node t key) ~direct:true
   else
     match locate t key with
-    | exception Lost -> lookup_retry t key rkey n
-    | p -> lookup_in t key rkey n p ~direct:false
+    | exception Lost -> lookup_retry t key n
+    | p -> lookup_in t key n p ~direct:false
 
-and lookup_retry t key rkey n =
+and lookup_retry t key n =
   t.stats.reader_retries <- t.stats.reader_retries + 1;
   Des.Sched.wait "tree lookup" (-1) ~attempt:n (Des.Sched.Fixed 50e-9);
-  lookup_attempt t key rkey (n + 1) ~use_jump:false
+  lookup_attempt t key (n + 1) ~use_jump:false
 
-and lookup_in t key rkey n p ~direct =
+and lookup_in t key n p ~direct =
   let r = visiting t p key direct in
   if r = found || r = absent then begin
     if direct then t.jump_hist.(0) <- t.jump_hist.(0) + 1;
     if r = found then Some (Node.found_value ()) else None
   end
-  else if r = torn || not direct then lookup_retry t key rkey n
-  else lookup_attempt t key rkey n ~use_jump:false
+  else if r = torn || not direct then lookup_retry t key n
+  else lookup_attempt t key n ~use_jump:false
 
-let lookup t key =
-  in_epoch t (fun t key () -> lookup_attempt t key (Key.to_radix key) 0 ~use_jump:true) key ()
+let lookup t key = in_epoch t (fun t key () -> lookup_attempt t key 0 ~use_jump:true) key ()
+
+(* The writers, on the node at [off] in [pool] locked at [wv]: only a
+   split or a merge builds the node's record. *)
+let insert_at t pool off wv key value =
+  if Node.find t.lay pool off key >= 0 then begin
+    (match Node.update t.lay pool off key value with
+    | Node.Ok -> ()
+    | Node.Full | Node.Absent -> assert false);
+    release t pool off wv
+  end
+  else
+    match Node.insert t.lay pool off key value with
+    | Node.Ok -> release t pool off wv
+    | Node.Full -> split_and_insert t { Node.pool; off } wv key value
+    | Node.Absent -> assert false
 
 let insert_locked t key value =
   Smo_log.reserve t.v.log t.v.epoch;
-  let node, wv = lock_target t key 0 in
-  if Node.find t.lay node key >= 0 then begin
-    (match Node.update t.lay node key value with
-    | Node.Ok -> ()
-    | Node.Full | Node.Absent -> assert false);
-    release t node wv
-  end
-  else
-    match Node.insert t.lay node key value with
-    | Node.Ok -> release t node wv
-    | Node.Full -> split_and_insert t node wv key value
-    | Node.Absent -> assert false
+  lock_target t key 0 insert_at value
 
 let insert t key value = in_epoch t insert_locked key value
 
-let update_locked t key value =
-  let node, wv = lock_target t key 0 in
-  let r = Node.update t.lay node key value in
-  release t node wv;
+let update_at t pool off wv key value =
+  let r = Node.update t.lay pool off key value in
+  release t pool off wv;
   r = Node.Ok
+
+let update_locked t key value = lock_target t key 0 update_at value
 
 let update t key value = in_epoch t update_locked key value
 
@@ -521,27 +528,29 @@ let try_merge_left t node_ptr =
   let p = Node.prev node in
   if not (Pptr.is_null p) then begin
     let pnode = Node.of_ptr t.machine p in
-    let h = Node.lock_handle pnode in
-    let wv = Vlock.acquire h ~gen:t.v.gen in
+    let wv = Vlock.acquire pnode.Node.pool pnode.Node.off ~gen:t.v.gen in
     if (not (Node.is_deleted pnode)) && Pptr.equal (Node.next pnode) node_ptr then
       ignore (try_merge t pnode);
-    Vlock.release h ~gen:t.v.gen ~version:wv
+    release t pnode.Node.pool pnode.Node.off wv
   end
 
-let delete_locked t key () =
-  Smo_log.reserve t.v.log t.v.epoch;
-  let node, wv = lock_target t key 0 in
-  match Node.delete t.lay node key with
+let delete_at t pool off wv key () =
+  match Node.delete t.lay pool off key with
   | Node.Absent ->
-      release t node wv;
+      release t pool off wv;
       false
   | Node.Ok ->
+      let node = { Node.pool; off } in
       let merged_right = try_merge t node in
       let small = 2 * Node.live_count node < merge_threshold in
-      release t node wv;
+      release t pool off wv;
       if (not merged_right) && small then try_merge_left t (Node.to_ptr node);
       true
   | Node.Full -> assert false
+
+let delete_locked t key () =
+  Smo_log.reserve t.v.log t.v.epoch;
+  lock_target t key 0 delete_at ()
 
 let delete t key = in_epoch t delete_locked key ()
 
@@ -553,8 +562,7 @@ let scan_locked t key count =
   let rec scan_node node low attempt =
     if !taken >= count then ()
     else begin
-      let h = Node.lock_handle node in
-      let v = Vlock.begin_read h ~gen:t.v.gen in
+      let v = Vlock.begin_read node.Node.pool node.Node.off ~gen:t.v.gen in
       if Node.is_deleted node then
         (* jump to the surviving left node *)
         scan_node (Node.of_ptr t.machine (Node.prev node)) low attempt
@@ -582,7 +590,7 @@ let scan_locked t key count =
         in
         ignore (Node.scan_from t.lay node low ~f:keep);
         let nxt = Node.next node in
-        if Vlock.validate h.pool h.off ~gen:t.v.gen ~version:v then begin
+        if Vlock.validate node.Node.pool node.Node.off ~gen:t.v.gen ~version:v then begin
           (* [batch] is newest-first; keep [acc] globally newest-first *)
           acc := !batch @ !acc;
           taken := !taken + !batch_n;
@@ -591,7 +599,7 @@ let scan_locked t key count =
         end
         else begin
           t.stats.reader_retries <- t.stats.reader_retries + 1;
-          Des.Sched.wait "tree scan" h.off ~attempt Des.Sched.Now;
+          Des.Sched.wait "tree scan" node.Node.off ~attempt Des.Sched.Now;
           scan_node node low (attempt + 1)
         end
       end
@@ -692,9 +700,9 @@ let recover_split t e left anchor =
       end
     end;
     (* Search layer. *)
-    (match Art.lookup t.v.art (Key.to_radix anchor) with
+    (match Art.lookup t.v.art anchor with
     | Some p when Pptr.equal p new_ptr -> ()
-    | Some _ | None -> ignore (Art.insert t.v.art (Key.to_radix anchor) new_ptr));
+    | Some _ | None -> ignore (Art.insert t.v.art anchor new_ptr));
     Smo_log.clear t.v.log e
   end
 
@@ -705,8 +713,8 @@ let recover_merge t e left right anchor =
      ranges are disjoint, so membership is the completion test). *)
   List.iter
     (fun (k, v) ->
-      if Node.find t.lay node k < 0 then
-        match Node.insert t.lay node k v with
+      if Node.find t.lay node.Node.pool node.Node.off k < 0 then
+        match Node.insert t.lay node.Node.pool node.Node.off k v with
         | Node.Ok -> ()
         | Node.Full | Node.Absent -> assert false)
     (Node.live_entries t.lay rn);
@@ -726,8 +734,8 @@ let recover_merge t e left right anchor =
       persist_field rnn_node Node.off_prev
     end
   end;
-  (match Art.lookup t.v.art (Key.to_radix anchor) with
-  | Some p when Pptr.equal p right -> ignore (Art.delete t.v.art (Key.to_radix anchor))
+  (match Art.lookup t.v.art anchor with
+  | Some p when Pptr.equal p right -> ignore (Art.delete t.v.art anchor)
   | Some _ | None -> ());
   Heap.free t.data_heap right;
   Smo_log.clear t.v.log e
@@ -739,7 +747,7 @@ let rebuild_search_layer t =
     if not (Pptr.is_null ptr) then begin
       let node = Node.of_ptr t.machine ptr in
       if not (Node.is_deleted node) then
-        ignore (Art.insert t.v.art (Key.to_radix (Node.anchor node)) ptr);
+        ignore (Art.insert t.v.art (Node.anchor node) ptr);
       go (Node.next node)
     end
   in
@@ -806,7 +814,7 @@ let check_invariants t =
   if smo_backlog t = 0 then
     List.iter
       (fun (anchor, ptr) ->
-        match Art.lookup t.v.art (Key.to_radix anchor) with
+        match Art.lookup t.v.art anchor with
         | Some p when Pptr.equal p ptr -> ()
         | Some _ -> fail "search layer maps %s to the wrong node" anchor
         | None -> fail "anchor %s missing from search layer" anchor)

@@ -1,7 +1,5 @@
 module Pool = Nvm.Pool
 
-type handle = Pobj.obj = { pool : Pool.t; off : int }
-
 let word ~gen ~version = (gen lsl 32) lor (version land 0xFFFFFFFF)
 
 let gen_of w = w lsr 32
@@ -19,10 +17,24 @@ let version_of w = w land 0xFFFFFFFF
 
    Lock words are transient by the same argument: they are never
    flushed, because the generation bump voids them after any crash —
-   all stores below go through [Pobj.transient_*]. *)
+   all stores below are exempt from the persist-order sanitizer, whose
+   closure is built only while one runs.
+
+   Every function addresses the word by its pool and offset, so a
+   node visit or a writer builds no record. *)
 let effective w ~gen = if gen_of w = gen then version_of w else 0
 
-let init h ~gen = Pobj.transient_store h 0 (word ~gen ~version:0)
+let store pool off w =
+  if Pobj.Sanitizer.active () then
+    Pobj.Sanitizer.with_suppressed (fun () -> Pool.write_int pool off w)
+  else Pool.write_int pool off w
+
+let cas pool off ~expected w =
+  if Pobj.Sanitizer.active () then
+    Pobj.Sanitizer.with_suppressed (fun () -> Pool.cas_int pool off ~expected w)
+  else Pool.cas_int pool off ~expected w
+
+let init pool off ~gen = store pool off (word ~gen ~version:0)
 
 let is_locked version = version land 1 = 1
 
@@ -34,7 +46,7 @@ let obsolete_bit = 2
 
 let is_obsolete version = version land obsolete_bit <> 0
 
-let read_version h ~gen = effective (Pobj.read_int h 0) ~gen
+let read_version pool off ~gen = effective (Pool.read_int pool off) ~gen
 
 (* Exponential backoff up to ~80us: under device saturation a lock
    can be held across millisecond-long fences, and fine-grained
@@ -43,20 +55,19 @@ let backoff = Des.Sched.Doubling (40e-9, 11)
 
 (* The retry loops are top-level functions rather than local closures:
    every node visit takes a version. *)
-let rec read_unlocked h ~gen attempt =
-  let v = read_version h ~gen in
+let rec read_unlocked pool off ~gen attempt =
+  let v = read_version pool off ~gen in
   if is_locked v then begin
-    Des.Sched.wait "vlock read" h.off ~attempt backoff;
-    read_unlocked h ~gen (attempt + 1)
+    Des.Sched.wait "vlock read" off ~attempt backoff;
+    read_unlocked pool off ~gen (attempt + 1)
   end
   else v
 
-let begin_read h ~gen = read_unlocked h ~gen 0
+let begin_read pool off ~gen = read_unlocked pool off ~gen 0
 
 (* [begin_read] over a copy: the lock word and the [len - 8] bytes
    after it come in one read, so the version and the fields it guards
-   are taken at the same instant.  The visit primitives address the
-   word by pool and offset, so a visit builds no handle. *)
+   are taken at the same instant. *)
 let rec snapshot_unlocked pool off ~gen buf pos len attempt =
   Pool.blit_to_bytes pool off buf pos len;
   let v = effective (Int64.to_int (Bytes.get_int64_le buf pos)) ~gen in
@@ -70,35 +81,34 @@ let begin_read_snapshot pool off ~gen buf pos len = snapshot_unlocked pool off ~
 
 let validate pool off ~gen ~version = effective (Pool.read_int pool off) ~gen = version
 
-let try_upgrade h ~gen ~version =
+let try_upgrade pool off ~gen ~version =
   (not (is_locked version))
   && (not (is_obsolete version))
   &&
-  let raw = Pobj.read_int h 0 in
-  effective raw ~gen = version
-  && Pobj.transient_cas h 0 ~expected:raw (word ~gen ~version:(version + 1))
+  let raw = Pool.read_int pool off in
+  effective raw ~gen = version && cas pool off ~expected:raw (word ~gen ~version:(version + 1))
 
-let rec lock_loop h ~gen attempt =
-  let v = read_version h ~gen in
-  if (not (is_locked v)) && try_upgrade h ~gen ~version:v then v + 1
+let rec lock_loop pool off ~gen attempt =
+  let v = read_version pool off ~gen in
+  if (not (is_locked v)) && try_upgrade pool off ~gen ~version:v then v + 1
   else begin
-    Des.Sched.wait "vlock acquire" h.off ~attempt backoff;
-    lock_loop h ~gen (attempt + 1)
+    Des.Sched.wait "vlock acquire" off ~attempt backoff;
+    lock_loop pool off ~gen (attempt + 1)
   end
 
-let acquire h ~gen = lock_loop h ~gen 0
+let acquire pool off ~gen = lock_loop pool off ~gen 0
 
 (* Unlock, bumping the counter past the lock bit (versions move in
    steps of 4: bit 0 = locked, bit 1 = obsolete, counter above). *)
-let release h ~gen ~version =
+let release pool off ~gen ~version =
   assert (is_locked version);
-  Pobj.transient_store h 0 (word ~gen ~version:(version + 3))
+  store pool off (word ~gen ~version:(version + 3))
 
 (* Unlock and permanently retire the word: no later reader validates
    against it and no writer can ever lock it again. *)
-let release_obsolete h ~gen ~version =
+let release_obsolete pool off ~gen ~version =
   assert (is_locked version);
-  Pobj.transient_store h 0 (word ~gen ~version:((version + 3) lor obsolete_bit))
+  store pool off (word ~gen ~version:((version + 3) lor obsolete_bit))
 
 exception Restart
 

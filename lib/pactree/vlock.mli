@@ -8,18 +8,20 @@
     The generation id makes recovery O(1): the index's global
     generation is incremented on every restart, so every lock written
     before the crash carries a stale generation and is treated as free
-    (and lazily re-initialised) without visiting any node (§5.1). *)
+    (and lazily re-initialised) without visiting any node (§5.1).
 
-type handle = Pobj.obj = { pool : Nvm.Pool.t; off : int }
+    Every function takes the word's pool and offset: a node visit or a
+    writer locking a node builds no record. *)
 
-(** Initialise an unlocked word for generation [gen]. *)
-val init : handle -> gen:int -> unit
+(** [init pool off ~gen] initialises an unlocked word for generation
+    [gen]. *)
+val init : Nvm.Pool.t -> int -> gen:int -> unit
 
 (** Current version; a stale-generation word reads as version 0
     (free).  Pure — readers never write (GA2); the word is only
     re-initialised when a writer acquires it.  May return an odd
     (locked) version. *)
-val read_version : handle -> gen:int -> int
+val read_version : Nvm.Pool.t -> int -> gen:int -> int
 
 val is_locked : int -> bool
 
@@ -29,7 +31,7 @@ val is_obsolete : int -> bool
 
 (** Spin (with simulated backoff) until unlocked, returning an even
     version snapshot for optimistic validation. *)
-val begin_read : handle -> gen:int -> int
+val begin_read : Nvm.Pool.t -> int -> gen:int -> int
 
 (** [begin_read_snapshot pool off ~gen buf pos len] copies the [len]
     bytes from the lock word at [off] in [pool] on into [buf] at [pos]
@@ -38,8 +40,7 @@ val begin_read : handle -> gen:int -> int
     is locked it backs off and copies again, and a stale generation
     reads as version 0.  An unlocked copy is a consistent image of the
     fields it covers; {!validate} still commits whatever is read from
-    the object afterwards.  Like {!validate}, it takes the word's pool
-    and offset rather than a {!handle}: a node visit builds no record. *)
+    the object afterwards. *)
 val begin_read_snapshot : Nvm.Pool.t -> int -> gen:int -> bytes -> int -> int -> int
 
 (** [validate pool off ~gen ~version] is [true] iff the word at [off]
@@ -48,18 +49,18 @@ val validate : Nvm.Pool.t -> int -> gen:int -> version:int -> bool
 
 (** Acquire the write lock (spin with backoff).  Returns the odd
     version now held. *)
-val acquire : handle -> gen:int -> int
+val acquire : Nvm.Pool.t -> int -> gen:int -> int
 
-(** [try_upgrade h ~gen ~version] atomically upgrades a reader that
+(** [try_upgrade pool off ~gen ~version] atomically upgrades a reader that
     validated [version] into the writer; [false] means a concurrent
     writer won and the caller must restart. *)
-val try_upgrade : handle -> gen:int -> version:int -> bool
+val try_upgrade : Nvm.Pool.t -> int -> gen:int -> version:int -> bool
 
 (** Release the write lock taken at odd [version]. *)
-val release : handle -> gen:int -> version:int -> unit
+val release : Nvm.Pool.t -> int -> gen:int -> version:int -> unit
 
 (** Release and mark the node obsolete (retired by CoW). *)
-val release_obsolete : handle -> gen:int -> version:int -> unit
+val release_obsolete : Nvm.Pool.t -> int -> gen:int -> version:int -> unit
 
 (** An optimistic conflict: the operation must start over. *)
 exception Restart

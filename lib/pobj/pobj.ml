@@ -109,12 +109,8 @@ let persist_obj o layout =
   flush o 0 (Layout.size layout);
   fence o
 
-(* {2 Transient stores} — deliberately never flushed (version-lock
-   words, selectively persisted regions); exempt from the sanitizer. *)
-
-let transient_store o rel v =
-  if Sanitizer.active () then Sanitizer.with_suppressed (fun () -> write_int o rel v)
-  else write_int o rel v
+(* {2 Transient stores} — deliberately never flushed (selectively
+   persisted regions); exempt from the sanitizer. *)
 
 let transient_cas o rel ~expected v =
   if Sanitizer.active () then Sanitizer.with_suppressed (fun () -> cas o rel ~expected v)

@@ -6,8 +6,9 @@
     layer also owns the persistence idioms — [flush]/[persist] of
     fields and whole objects — and the boundary between persistent and
     deliberately-transient state: layout fields marked [~transient]
-    and the [transient_*] primitives write without opening
-    {!Sanitizer} obligations.
+    and [transient_cas] write without opening {!Sanitizer}
+    obligations (PACTree's version locks exempt their words the same
+    way).
 
     The record is exposed so persistent-structure handle types can be
     defined as [type t = Pobj.obj = { pool : Nvm.Pool.t; off : int }]
@@ -122,9 +123,7 @@ val persist_obj : obj -> Layout.t -> unit
 
 (** {2 Transient stores}
 
-    Deliberately never flushed (version-lock words, selectively
+    Deliberately never flushed (selectively
     persisted regions); exempt from sanitizer tracking. *)
-
-val transient_store : obj -> int -> int -> unit
 
 val transient_cas : obj -> int -> expected:int -> int -> bool

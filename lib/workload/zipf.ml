@@ -16,12 +16,25 @@ let zeta n theta =
   done;
   !acc
 
+(* zeta(n, theta) is O(n) and every thread's stream of a run asks for
+   the same one: the last (n, theta) and its sum are kept. *)
+let last_zeta = ref (0, 0.0, 0.0)
+
+let zeta_n n theta =
+  let n', theta', z = !last_zeta in
+  if n = n' && Float.equal theta theta' then z
+  else begin
+    let z = zeta n theta in
+    last_zeta := (n, theta, z);
+    z
+  end
+
 let create ?(scramble = true) ~n ~theta rng =
   assert (n > 0 && theta >= 0.0 && theta < 1.0);
   if theta = 0.0 then
     { rng; n; theta; alpha = 0.0; zetan = 0.0; eta = 0.0; threshold = 0.0; scramble }
   else begin
-    let zetan = zeta n theta in
+    let zetan = zeta_n n theta in
     let zeta2 = zeta 2 theta in
     let alpha = 1.0 /. (1.0 -. theta) in
     let eta =
@@ -40,7 +53,9 @@ let spread rank n =
 let next t =
   if t.theta = 0.0 then Des.Rng.int t.rng t.n
   else begin
-    let u = Des.Rng.float t.rng in
+    (* [Des.Rng.float], drawn as an int so that no boxed float crosses
+       the call *)
+    let u = float_of_int (Des.Rng.bits53 t.rng) *. (1.0 /. 9007199254740992.0) in
     let uz = u *. t.zetan in
     let rank =
       if uz < 1.0 then 0

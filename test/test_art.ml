@@ -26,79 +26,73 @@ let test_key_string_validation () =
   Alcotest.check_raises "nul byte" (Invalid_argument "Key.of_string: NUL byte in key")
     (fun () -> ignore (Key.of_string "a\000b"))
 
-let test_key_radix () =
-  let k = Key.of_string "hello" in
-  Alcotest.(check string) "terminator" "hello\000" (Key.to_radix k);
-  Alcotest.(check string) "roundtrip" "hello" (Key.of_radix (Key.to_radix k));
-  (* radix order = key order, including prefixes *)
-  Alcotest.(check bool) "prefix-free order" true
-    (String.compare (Key.to_radix "ab") (Key.to_radix "abc") < 0)
-
 (* ---------- Vlock ---------- *)
 
 let vlock_handle () =
   let m = Machine.create ~numa_count:1 () in
   let p = Pool.create m ~name:"lock" ~numa:0 ~capacity:4096 () in
-  { Pactree.Vlock.pool = p; off = 64 }
+  Pobj.make p 64
 
 let test_vlock_basic () =
   let h = vlock_handle () in
-  Pactree.Vlock.init h ~gen:1;
-  let v = Pactree.Vlock.begin_read h ~gen:1 in
+  Pactree.Vlock.init h.pool h.off ~gen:1;
+  let v = Pactree.Vlock.begin_read h.pool h.off ~gen:1 in
   Alcotest.(check bool) "even" false (Pactree.Vlock.is_locked v);
   Alcotest.(check bool) "validates" true (Pactree.Vlock.validate h.pool h.off ~gen:1 ~version:v);
-  let wv = Pactree.Vlock.acquire h ~gen:1 in
+  let wv = Pactree.Vlock.acquire h.pool h.off ~gen:1 in
   Alcotest.(check bool) "locked" true (Pactree.Vlock.is_locked wv);
   Alcotest.(check bool) "reader invalidated" false
     (Pactree.Vlock.validate h.pool h.off ~gen:1 ~version:v);
-  Pactree.Vlock.release h ~gen:1 ~version:wv;
-  let v2 = Pactree.Vlock.begin_read h ~gen:1 in
+  Pactree.Vlock.release h.pool h.off ~gen:1 ~version:wv;
+  let v2 = Pactree.Vlock.begin_read h.pool h.off ~gen:1 in
   (* versions move in steps of 4: bit 0 = locked, bit 1 = obsolete *)
   Alcotest.(check int) "version counter advanced" (v + 4) v2;
   Alcotest.(check bool) "not obsolete" false (Pactree.Vlock.is_obsolete v2)
 
 let test_vlock_generation_reset () =
   let h = vlock_handle () in
-  Pactree.Vlock.init h ~gen:1;
-  let wv = Pactree.Vlock.acquire h ~gen:1 in
+  Pactree.Vlock.init h.pool h.off ~gen:1;
+  let wv = Pactree.Vlock.acquire h.pool h.off ~gen:1 in
   Alcotest.(check bool) "locked in gen 1" true (Pactree.Vlock.is_locked wv);
   (* Simulates restart: generation bump voids the held lock. *)
-  let v = Pactree.Vlock.read_version h ~gen:2 in
+  let v = Pactree.Vlock.read_version h.pool h.off ~gen:2 in
   Alcotest.(check int) "reset to 0" 0 v;
   Alcotest.(check bool) "unlocked" false (Pactree.Vlock.is_locked v)
 
 let test_vlock_upgrade_race () =
   let h = vlock_handle () in
-  Pactree.Vlock.init h ~gen:1;
-  let v = Pactree.Vlock.begin_read h ~gen:1 in
-  Alcotest.(check bool) "upgrade wins" true (Pactree.Vlock.try_upgrade h ~gen:1 ~version:v);
+  Pactree.Vlock.init h.pool h.off ~gen:1;
+  let v = Pactree.Vlock.begin_read h.pool h.off ~gen:1 in
+  Alcotest.(check bool) "upgrade wins" true
+    (Pactree.Vlock.try_upgrade h.pool h.off ~gen:1 ~version:v);
   Alcotest.(check bool) "second upgrade loses" false
-    (Pactree.Vlock.try_upgrade h ~gen:1 ~version:v)
+    (Pactree.Vlock.try_upgrade h.pool h.off ~gen:1 ~version:v)
 
 let test_vlock_obsolete () =
   let h = vlock_handle () in
-  Pactree.Vlock.init h ~gen:1;
-  let wv = Pactree.Vlock.acquire h ~gen:1 in
-  Pactree.Vlock.release_obsolete h ~gen:1 ~version:wv;
-  let v = Pactree.Vlock.read_version h ~gen:1 in
+  Pactree.Vlock.init h.pool h.off ~gen:1;
+  let wv = Pactree.Vlock.acquire h.pool h.off ~gen:1 in
+  Pactree.Vlock.release_obsolete h.pool h.off ~gen:1 ~version:wv;
+  let v = Pactree.Vlock.read_version h.pool h.off ~gen:1 in
   Alcotest.(check bool) "obsolete" true (Pactree.Vlock.is_obsolete v);
   Alcotest.(check bool) "not locked" false (Pactree.Vlock.is_locked v);
-  Alcotest.(check bool) "cannot relock" false (Pactree.Vlock.try_upgrade h ~gen:1 ~version:v)
+  Alcotest.(check bool) "cannot relock" false
+    (Pactree.Vlock.try_upgrade h.pool h.off ~gen:1 ~version:v)
 
 let test_vlock_blocks_until_release () =
   let h = vlock_handle () in
-  Pactree.Vlock.init h ~gen:1;
+  Pactree.Vlock.init h.pool h.off ~gen:1;
   let sched = Des.Sched.create () in
   let acquired_at = ref 0.0 in
   Des.Sched.spawn sched ~name:"holder" (fun () ->
-      let wv = Pactree.Vlock.acquire h ~gen:1 in
+      let wv = Pactree.Vlock.acquire h.pool h.off ~gen:1 in
       Des.Sched.delay 1e-6;
-      Pactree.Vlock.release h ~gen:1 ~version:wv);
+      Pactree.Vlock.release h.pool h.off ~gen:1 ~version:wv);
   Des.Sched.spawn sched ~name:"waiter" (fun () ->
       Des.Sched.delay 1e-9 (* let holder go first *);
-      let wv = Pactree.Vlock.acquire h ~gen:1 in
+      let wv = Pactree.Vlock.acquire h.pool h.off ~gen:1 in
       acquired_at := Des.Sched.now sched;
-      Pactree.Vlock.release h ~gen:1 ~version:wv);
+      Pactree.Vlock.release h.pool h.off ~gen:1 ~version:wv);
   Des.Sched.run sched;
   Alcotest.(check bool) "waited for release" true (!acquired_at >= 1e-6)
 
@@ -127,7 +121,7 @@ type art_ctx = {
   meta : Pool.t;
   heap : Heap.t;
   kv_heap : Heap.t;
-  kv_keys : (int, string) Hashtbl.t; (* kv record off -> radix key *)
+  kv_keys : (int, string) Hashtbl.t; (* kv record off -> key *)
 }
 
 (* Open the trie on [meta], as [make_art] does and a restart does
@@ -143,10 +137,10 @@ let open_art machine ~heap ~meta kv_keys =
         Pool.read_string pool (Pptr.off ptr + 1) len
   in
   let epoch = Pactree.Epoch.create () in
-  let compare_leaf ptr rkey = String.compare (key_of_leaf ptr) rkey in
+  let compare_leaf ptr k = String.compare (key_of_leaf ptr) k in
   Art.create ~heap ~meta ~epoch ~key_of_leaf ~compare_leaf
 
-(* Leaf payloads are tiny kv records; we keep their radix keys in a
+(* Leaf payloads are tiny kv records; we keep their keys in a
    volatile mirror for key_of_leaf plus the record's key on NVM. *)
 let make_art () =
   let machine = Machine.create ~numa_count:2 () in
@@ -170,20 +164,46 @@ let restart ctx =
   let freed = Art.recover art in
   ({ ctx with art }, freed)
 
-let add_payload ctx rkey =
+let add_payload ctx k =
   let ptr = Heap.alloc ctx.kv_heap ~numa:0 64 in
   let pool = Pptr.resolve ctx.machine ptr in
-  Pool.write_u8 pool (Pptr.off ptr) (String.length rkey);
-  Pool.write_string pool (Pptr.off ptr + 1) rkey;
-  Pool.persist pool (Pptr.off ptr) (1 + String.length rkey);
-  Hashtbl.replace ctx.kv_keys (Pptr.off ptr) rkey;
+  Pool.write_u8 pool (Pptr.off ptr) (String.length k);
+  Pool.write_string pool (Pptr.off ptr + 1) k;
+  Pool.persist pool (Pptr.off ptr) (1 + String.length k);
+  Hashtbl.replace ctx.kv_keys (Pptr.off ptr) k;
   ptr
 
 let insert_key ctx k =
-  let rkey = Key.to_radix k in
-  let p = add_payload ctx rkey in
-  ignore (Art.insert ctx.art rkey p);
+  let p = add_payload ctx k in
+  ignore (Art.insert ctx.art k p);
   p
+
+(* The trie reads a key followed by a 0 terminator that it supplies: a
+   key and its extensions are all found, in key order, and an int key
+   (whose bytes hold zeros) next to the empty key. *)
+let test_key_radix () =
+  let ctx = make_art () in
+  let keys = [ "ab"; "abc"; "a"; ""; "abd" ] in
+  let ptrs = List.map (fun k -> (k, insert_key ctx k)) keys in
+  List.iter
+    (fun (k, p) ->
+      Alcotest.(check bool) ("found " ^ k) true
+        (match Art.lookup ctx.art k with Some q -> Pptr.equal p q | None -> false))
+    ptrs;
+  let le q =
+    let p = Art.lookup_le ctx.art q in
+    if Pptr.is_null p then None else Some (Hashtbl.find ctx.kv_keys (Pptr.off p))
+  in
+  Alcotest.(check (option string)) "le abb" (Some "ab") (le "abb");
+  Alcotest.(check (option string)) "le abca" (Some "abc") (le "abca");
+  Alcotest.(check (option string)) "le b" (Some "abd") (le "b");
+  let ints = make_art () in
+  ignore (insert_key ints "");
+  let zero = insert_key ints (Key.of_int 0) in
+  Alcotest.(check bool) "int key 0" true
+    (match Art.lookup ints.art (Key.of_int 0) with Some q -> Pptr.equal zero q | None -> false);
+  Alcotest.(check bool) "below int key 0" true
+    (Hashtbl.find ints.kv_keys (Pptr.off (Art.lookup_le ints.art (Key.of_int (-1)))) = "")
 
 let test_art_insert_lookup_small () =
   let ctx = make_art () in
@@ -191,12 +211,12 @@ let test_art_insert_lookup_small () =
   let ptrs = List.map (fun k -> (k, insert_key ctx k)) keys in
   List.iter
     (fun (k, p) ->
-      match Art.lookup ctx.art (Key.to_radix k) with
+      match Art.lookup ctx.art k with
       | Some found -> Alcotest.(check bool) ("found " ^ k) true (Pptr.equal found p)
       | None -> Alcotest.failf "key %S not found" k)
     ptrs;
   Alcotest.(check (option int)) "missing key" None
-    (Option.map Pptr.off (Art.lookup ctx.art (Key.to_radix "nope")));
+    (Option.map Pptr.off (Art.lookup ctx.art "nope"));
   Alcotest.(check int) "cardinal" (List.length keys) (Art.cardinal ctx.art)
 
 let test_art_insert_lookup_many_ints () =
@@ -204,7 +224,7 @@ let test_art_insert_lookup_many_ints () =
   let n = 2000 in
   let ptrs = Array.init n (fun i -> insert_key ctx (Key.of_int (i * 7919))) in
   for i = 0 to n - 1 do
-    match Art.lookup ctx.art (Key.to_radix (Key.of_int (i * 7919))) with
+    match Art.lookup ctx.art (Key.of_int (i * 7919)) with
     | Some p -> Alcotest.(check bool) "ptr matches" true (Pptr.equal p ptrs.(i))
     | None -> Alcotest.failf "int key %d missing" (i * 7919)
   done;
@@ -212,15 +232,15 @@ let test_art_insert_lookup_many_ints () =
 
 let test_art_duplicate_insert_replaces () =
   let ctx = make_art () in
-  let rkey = Key.to_radix (Key.of_int 1) in
-  let p1 = add_payload ctx rkey in
-  let p2 = add_payload ctx rkey in
-  Alcotest.(check bool) "first insert" true (Art.insert ctx.art rkey p1 = Art.Inserted);
+  let k = Key.of_int 1 in
+  let p1 = add_payload ctx k in
+  let p2 = add_payload ctx k in
+  Alcotest.(check bool) "first insert" true (Art.insert ctx.art k p1 = Art.Inserted);
   Alcotest.(check bool) "second replaces, returns old" true
-    (match Art.insert ctx.art rkey p2 with
+    (match Art.insert ctx.art k p2 with
     | Art.Replaced old -> Pptr.equal old p1
     | Art.Inserted -> false);
-  match Art.lookup ctx.art rkey with
+  match Art.lookup ctx.art k with
   | Some p -> Alcotest.(check bool) "new payload" true (Pptr.equal p p2)
   | None -> Alcotest.fail "missing"
 
@@ -232,21 +252,21 @@ let test_art_delete () =
   List.iteri
     (fun i k ->
       if i mod 2 = 1 then
-        Alcotest.(check bool) "deleted" true (Art.delete ctx.art (Key.to_radix k) <> None))
+        Alcotest.(check bool) "deleted" true (Art.delete ctx.art k <> None))
     keys;
   List.iteri
     (fun i k ->
-      let found = Art.lookup ctx.art (Key.to_radix k) <> None in
+      let found = Art.lookup ctx.art k <> None in
       Alcotest.(check bool) (Printf.sprintf "key %d presence" i) (i mod 2 = 0) found)
     keys;
   Alcotest.(check (option int)) "delete missing returns None" None
-    (Option.map Pptr.off (Art.delete ctx.art (Key.to_radix (Key.of_int 100000))))
+    (Option.map Pptr.off (Art.delete ctx.art (Key.of_int 100000)))
 
 let test_art_delete_all_then_reinsert () =
   let ctx = make_art () in
   let keys = List.init 100 (fun i -> Key.of_int i) in
   List.iter (fun k -> ignore (insert_key ctx k)) keys;
-  List.iter (fun k -> ignore (Art.delete ctx.art (Key.to_radix k))) keys;
+  List.iter (fun k -> ignore (Art.delete ctx.art k)) keys;
   Alcotest.(check int) "empty" 0 (Art.cardinal ctx.art);
   List.iter (fun k -> ignore (insert_key ctx k)) keys;
   Alcotest.(check int) "reinserted" 100 (Art.cardinal ctx.art)
@@ -260,7 +280,7 @@ let test_art_lookup_le () =
     Hashtbl.replace tbl (Pptr.off (insert_key ctx k)) (i * 10)
   done;
   let le q =
-    let p = Art.lookup_le ctx.art (Key.to_radix (Key.of_int q)) in
+    let p = Art.lookup_le ctx.art (Key.of_int q) in
     if Pptr.is_null p then None else Some (Hashtbl.find tbl (Pptr.off p))
   in
   Alcotest.(check (option int)) "exact" (Some 500) (le 500);
@@ -274,11 +294,12 @@ let test_art_lookup_le_strings () =
   let keys = [ ""; "apple"; "apply"; "banana"; "band"; "bandana"; "zoo" ] in
   List.iter (fun k -> ignore (insert_key ctx k)) keys;
   let le q expect =
-    let p = Art.lookup_le ctx.art (Key.to_radix q) in
+    let p = Art.lookup_le ctx.art q in
     if Pptr.is_null p then Alcotest.(check (option string)) ("le " ^ q) expect None
     else begin
-      let rkey = Hashtbl.find ctx.kv_keys (Pptr.off p) in
-      Alcotest.(check (option string)) ("le " ^ q) expect (Some (Key.of_radix rkey))
+      Alcotest.(check (option string))
+        ("le " ^ q) expect
+        (Some (Hashtbl.find ctx.kv_keys (Pptr.off p)))
     end
   in
   le "apple" (Some "apple");
@@ -297,11 +318,8 @@ let test_art_iter_from () =
     ignore (insert_key ctx (Key.of_int (i * 3)))
   done;
   let collected = ref [] in
-  Art.iter_from ctx.art
-    (Key.to_radix (Key.of_int 600))
-    (fun p ->
-      let rkey = Hashtbl.find ctx.kv_keys (Pptr.off p) in
-      collected := Key.to_int (Key.of_radix rkey) :: !collected;
+  Art.iter_from ctx.art (Key.of_int 600) (fun p ->
+      collected := Key.to_int (Hashtbl.find ctx.kv_keys (Pptr.off p)) :: !collected;
       List.length !collected < 10);
   let got = List.rev !collected in
   Alcotest.(check (list int)) "ordered from 600"
@@ -320,9 +338,8 @@ let test_art_iter_all_sorted () =
     end
   done;
   let collected = ref [] in
-  Art.iter_from ctx.art (Key.to_radix (Key.of_int min_int)) (fun p ->
-      let rkey = Hashtbl.find ctx.kv_keys (Pptr.off p) in
-      collected := Key.to_int (Key.of_radix rkey) :: !collected;
+  Art.iter_from ctx.art (Key.of_int min_int) (fun p ->
+      collected := Key.to_int (Hashtbl.find ctx.kv_keys (Pptr.off p)) :: !collected;
       true);
   let got = List.rev !collected in
   let expected = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []) in
@@ -335,8 +352,8 @@ let scan_inserting keys inserted =
   let ctx = make_art () in
   List.iter (fun k -> ignore (insert_key ctx k)) keys;
   let fired = ref false and got = ref [] in
-  Art.iter_from ctx.art (Key.to_radix "") (fun p ->
-      got := Key.of_radix (Hashtbl.find ctx.kv_keys (Pptr.off p)) :: !got;
+  Art.iter_from ctx.art "" (fun p ->
+      got := Hashtbl.find ctx.kv_keys (Pptr.off p) :: !got;
       if not !fired then begin
         fired := true;
         List.iter (fun k -> ignore (insert_key ctx k)) inserted
@@ -379,12 +396,12 @@ let art_model_test ~name ~bound key =
         (fun (k, ins) ->
           let key = key k in
           if ins then begin
-            let p = add_payload ctx (Key.to_radix key) in
-            ignore (Art.insert ctx.art (Key.to_radix key) p);
+            let p = add_payload ctx key in
+            ignore (Art.insert ctx.art key p);
             Hashtbl.replace model k p
           end
           else begin
-            let deleted = Art.delete ctx.art (Key.to_radix key) <> None in
+            let deleted = Art.delete ctx.art key <> None in
             let expected = Hashtbl.mem model k in
             Hashtbl.remove model k;
             if deleted <> expected then raise Exit
@@ -392,7 +409,7 @@ let art_model_test ~name ~bound key =
         ops;
       Hashtbl.iter
         (fun k p ->
-          match Art.lookup ctx.art (Key.to_radix (key k)) with
+          match Art.lookup ctx.art (key k) with
           | Some q when Pptr.equal p q -> ()
           | _ -> raise Exit)
         model;
@@ -423,7 +440,7 @@ let test_art_concurrent_inserts () =
   Des.Sched.run sched;
   Alcotest.(check int) "all inserted" (threads * per) (Art.cardinal ctx.art);
   for k = 0 to (threads * per) - 1 do
-    if Art.lookup ctx.art (Key.to_radix (Key.of_int k)) = None then
+    if Art.lookup ctx.art (Key.of_int k) = None then
       Alcotest.failf "key %d lost" k
   done
 
@@ -451,7 +468,7 @@ let test_art_concurrent_mixed () =
         let rng = Des.Rng.create ~seed:(Int64.of_int t) in
         for _ = 0 to 499 do
           let k = Des.Rng.int rng 500 * 2 in
-          if Art.lookup ctx.art (Key.to_radix (Key.of_int k)) = None then
+          if Art.lookup ctx.art (Key.of_int k) = None then
             incr lookup_failures
         done)
   done;
@@ -479,7 +496,7 @@ let test_art_obsolete_restarts () =
   let got = ref None in
   let sched = Des.Sched.create () in
   Des.Sched.spawn sched ~name:"reader" (fun () ->
-      got := Art.lookup ctx.art (Key.to_radix "e"));
+      got := Art.lookup ctx.art "e");
   Des.Sched.spawn sched ~name:"fixer" (fun () ->
       Des.Sched.delay 1e-6;
       Pool.write_int ctx.meta Art.root_off new_root);
@@ -505,11 +522,11 @@ let test_art_node48_low_count () =
   Alcotest.(check int) "the root is a Node48" 2 (Pool.read_u8 pool (root + 8));
   Alcotest.(check int) "with 48 children" 48 (Pool.read_u16 pool (root + 10));
   Pool.write_u16 pool (root + 10) 47;
-  let p = add_payload ctx (Key.to_radix (Key.of_int 48)) in
+  let p = add_payload ctx (Key.of_int 48) in
   let raised = ref false in
   let sched = Des.Sched.create () in
   Des.Sched.spawn sched ~name:"writer" (fun () ->
-      match Art.insert ctx.art (Key.to_radix (Key.of_int 48)) p with
+      match Art.insert ctx.art (Key.of_int 48) p with
       | _ -> ()
       | exception Invalid_argument _ -> raised := true);
   Des.Sched.run sched;
@@ -525,13 +542,13 @@ let test_art_crash_recovery_persists_inserts () =
   let ctx, freed = restart ctx in
   Alcotest.(check bool) "freed >= 0" true (freed >= 0);
   for i = 0 to n - 1 do
-    if Art.lookup ctx.art (Key.to_radix (Key.of_int i)) = None then
+    if Art.lookup ctx.art (Key.of_int i) = None then
       Alcotest.failf "key %d lost after crash" i
   done;
   (* the index still works after recovery *)
   ignore (insert_key ctx (Key.of_int 100000));
   Alcotest.(check bool) "post-recovery insert" true
-    (Art.lookup ctx.art (Key.to_radix (Key.of_int 100000)) <> None)
+    (Art.lookup ctx.art (Key.of_int 100000) <> None)
 
 let test_art_crash_mid_run_flaky () =
   (* Flaky crash: every dirty line independently survives.  All
@@ -546,7 +563,7 @@ let test_art_crash_mid_run_flaky () =
   Machine.crash ctx.machine (Machine.Flaky (0.5, rng));
   let ctx, _ = restart ctx in
   for i = 0 to n - 1 do
-    if Art.lookup ctx.art (Key.to_radix (Key.of_int i)) = None then
+    if Art.lookup ctx.art (Key.of_int i) = None then
       Alcotest.failf "acknowledged key %d lost after flaky crash" i
   done
 

@@ -21,14 +21,14 @@ let make_node ?(key_inline = 8) ?(persist_perm = false) () =
 let ik = Key.of_int
 
 (* [Some (slot, value)] for a hit. *)
-let find lay node k =
-  let slot = Node.find lay node k in
+let find lay (node : Node.t) k =
+  let slot = Node.find lay node.pool node.off k in
   if slot < 0 then None else Some (slot, Node.found_value ())
 
 let test_insert_find () =
   let _, lay, node = make_node () in
-  Alcotest.(check bool) "insert" true (Node.insert lay node (ik 5) 50 = Node.Ok);
-  Alcotest.(check bool) "insert" true (Node.insert lay node (ik 9) 90 = Node.Ok);
+  Alcotest.(check bool) "insert" true (Node.insert lay node.pool node.off (ik 5) 50 = Node.Ok);
+  Alcotest.(check bool) "insert" true (Node.insert lay node.pool node.off (ik 9) 90 = Node.Ok);
   (match find lay node (ik 5) with
   | Some (_, v) -> Alcotest.(check int) "found value" 50 v
   | None -> Alcotest.fail "missing");
@@ -39,38 +39,40 @@ let test_node_fills_at_64 () =
   let _, lay, node = make_node () in
   for i = 0 to Node.entries - 1 do
     Alcotest.(check bool) (Printf.sprintf "insert %d" i) true
-      (Node.insert lay node (ik i) i = Node.Ok)
+      (Node.insert lay node.pool node.off (ik i) i = Node.Ok)
   done;
   Alcotest.(check bool) "65th insert is Full" true
-    (Node.insert lay node (ik 1000) 0 = Node.Full)
+    (Node.insert lay node.pool node.off (ik 1000) 0 = Node.Full)
 
 let test_delete_and_slot_reuse () =
   let _, lay, node = make_node () in
   for i = 0 to 63 do
-    ignore (Node.insert lay node (ik i) i)
+    ignore (Node.insert lay node.pool node.off (ik i) i)
   done;
-  Alcotest.(check bool) "delete" true (Node.delete lay node (ik 3) = Node.Ok);
-  Alcotest.(check bool) "delete absent" true (Node.delete lay node (ik 3) = Node.Absent);
+  Alcotest.(check bool) "delete" true (Node.delete lay node.pool node.off (ik 3) = Node.Ok);
+  Alcotest.(check bool) "delete absent" true
+    (Node.delete lay node.pool node.off (ik 3) = Node.Absent);
   Alcotest.(check bool) "slot freed, insert fits" true
-    (Node.insert lay node (ik 1000) 1 = Node.Ok)
+    (Node.insert lay node.pool node.off (ik 1000) 1 = Node.Ok)
 
 let test_update_out_of_place () =
   let _, lay, node = make_node () in
-  ignore (Node.insert lay node (ik 1) 10);
-  Alcotest.(check bool) "update" true (Node.update lay node (ik 1) 11 = Node.Ok);
+  ignore (Node.insert lay node.pool node.off (ik 1) 10);
+  Alcotest.(check bool) "update" true (Node.update lay node.pool node.off (ik 1) 11 = Node.Ok);
   (match find lay node (ik 1) with
   | Some (_, v) -> Alcotest.(check int) "new value" 11 v
   | None -> Alcotest.fail "missing");
   Alcotest.(check int) "still one live entry" 1 (Node.live_count node);
-  Alcotest.(check bool) "update absent" true (Node.update lay node (ik 2) 0 = Node.Absent)
+  Alcotest.(check bool) "update absent" true
+    (Node.update lay node.pool node.off (ik 2) 0 = Node.Absent)
 
 let test_update_in_place_when_full () =
   let _, lay, node = make_node () in
   for i = 0 to 63 do
-    ignore (Node.insert lay node (ik i) i)
+    ignore (Node.insert lay node.pool node.off (ik i) i)
   done;
   Alcotest.(check bool) "update works on full node" true
-    (Node.update lay node (ik 7) 700 = Node.Ok);
+    (Node.update lay node.pool node.off (ik 7) 700 = Node.Ok);
   match find lay node (ik 7) with
   | Some (_, v) -> Alcotest.(check int) "updated" 700 v
   | None -> Alcotest.fail "missing"
@@ -79,7 +81,7 @@ let test_insert_crash_before_bitmap_invisible () =
   (* The bitmap is the linearization point: a crash after the kv
      persist but before the bitmap persist must hide the key. *)
   let machine, lay, node = make_node () in
-  ignore (Node.insert lay node (ik 1) 10);
+  ignore (Node.insert lay node.pool node.off (ik 1) 10);
   (* hand-run the first half of the insert protocol for a second key *)
   Machine.crash machine Machine.Strict;
   (* key 1 was fully inserted pre-crash: bitmap persisted *)
@@ -89,7 +91,7 @@ let test_insert_crash_before_bitmap_invisible () =
 let test_scan_from_sorted () =
   let _, lay, node = make_node () in
   (* insert out of order *)
-  List.iter (fun i -> ignore (Node.insert lay node (ik i) i)) [ 9; 3; 7; 1; 5 ];
+  List.iter (fun i -> ignore (Node.insert lay node.pool node.off (ik i) i)) [ 9; 3; 7; 1; 5 ];
   let acc = ref [] in
   ignore (Node.scan_from lay node (ik 3) ~f:(fun k v ->
       acc := (Key.to_int k, v) :: !acc;
@@ -100,15 +102,14 @@ let test_scan_from_sorted () =
 
 let test_permutation_cache_invalidation () =
   let _, lay, node = make_node () in
-  List.iter (fun i -> ignore (Node.insert lay node (ik i) i)) [ 2; 1 ];
+  List.iter (fun i -> ignore (Node.insert lay node.pool node.off (ik i) i)) [ 2; 1 ];
   let scanned = ref 0 in
   ignore (Node.scan_from lay node (ik 0) ~f:(fun _ _ -> incr scanned; true));
   Alcotest.(check int) "first scan publishes the order" 2 !scanned;
   (* a write bumps the version; the permutation must rebuild *)
-  let h = Node.lock_handle node in
-  let wv = Vlock.acquire h ~gen in
-  ignore (Node.insert lay node (ik 0) 0);
-  Vlock.release h ~gen ~version:wv;
+  let wv = Vlock.acquire node.pool node.off ~gen in
+  ignore (Node.insert lay node.pool node.off (ik 0) 0);
+  Vlock.release node.pool node.off ~gen ~version:wv;
   let acc = ref [] in
   ignore (Node.scan_from lay node (ik 0) ~f:(fun k _ ->
       acc := Key.to_int k :: !acc;
@@ -118,7 +119,7 @@ let test_permutation_cache_invalidation () =
 let test_string_layout () =
   let _, lay, node = make_node ~key_inline:32 () in
   let keys = [ "alpha"; "beta"; "a-much-longer-key-string!"; "z" ] in
-  List.iteri (fun i k -> ignore (Node.insert lay node (Key.of_string k) i)) keys;
+  List.iteri (fun i k -> ignore (Node.insert lay node.pool node.off (Key.of_string k) i)) keys;
   List.iteri
     (fun i k ->
       match find lay node (Key.of_string k) with
@@ -149,7 +150,7 @@ let test_int_sort_order () =
       | 1 -> add (base lxor Random.State.int rng 256)
       | _ -> add (Random.State.int rng 512 - 256)
     done;
-    Hashtbl.iter (fun k () -> ignore (Node.insert lay node k 0)) keys;
+    Hashtbl.iter (fun k () -> ignore (Node.insert lay node.pool node.off k 0)) keys;
     let slots = Array.make Node.entries 0 in
     let n = Node.sort_live lay node slots in
     Alcotest.(check (list string))
@@ -181,12 +182,13 @@ let test_qcheck_node_model =
           match op with
           | 0 | 1 ->
               if Hashtbl.mem model k then begin
-                ignore (Node.update lay node key (k * 2));
+                ignore (Node.update lay node.pool node.off key (k * 2));
                 Hashtbl.replace model k (k * 2)
               end
-              else if Node.insert lay node key k = Node.Ok then Hashtbl.replace model k k
+              else if Node.insert lay node.pool node.off key k = Node.Ok then
+                Hashtbl.replace model k k
           | 2 ->
-              ignore (Node.delete lay node key);
+              ignore (Node.delete lay node.pool node.off key);
               Hashtbl.remove model k
           | _ -> ())
         ops;
@@ -334,13 +336,12 @@ let test_stall_self_wait () =
   let _, _, node = make_node () in
   let sched = Des.Sched.create () in
   let began = ref 0.0 in
-  let h = Node.lock_handle node in
   Des.Sched.spawn sched ~name:"merger" (fun () ->
-      ignore (Vlock.acquire h ~gen);
+      ignore (Vlock.acquire node.pool node.off ~gen);
       began := Des.Sched.now sched;
-      ignore (Vlock.begin_read_snapshot h.pool h.off ~gen (Des.Sched.scratch ()) 0 16));
+      ignore (Vlock.begin_read_snapshot node.pool node.off ~gen (Des.Sched.scratch ()) 0 16));
   expect_stall sched ~who:"merger" ~began ~backoff:(40e-9 *. 2048.0)
-    ~what:(Printf.sprintf "vlock read %d" h.off) ()
+    ~what:(Printf.sprintf "vlock read %d" node.off) ()
 
 (* A writer fills its SMO ring and no updater drains it. *)
 let test_stall_full_ring () =
@@ -365,15 +366,15 @@ let test_stall_lock_order () =
   Node.init lay b ~gen ~anchor:"" ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null;
   let sched = Des.Sched.create () in
   let began = ref 0.0 in
-  let take first second =
-    ignore (Vlock.acquire (Node.lock_handle first) ~gen);
+  let take (first : Node.t) (second : Node.t) =
+    ignore (Vlock.acquire first.pool first.off ~gen);
     Des.Sched.delay 1e-6;
     if first == a then began := Des.Sched.now sched;
-    ignore (Vlock.acquire (Node.lock_handle second) ~gen)
+    ignore (Vlock.acquire second.pool second.off ~gen)
   in
   Des.Sched.spawn sched ~name:"ab" (fun () -> take a b);
   Des.Sched.spawn sched ~name:"ba" (fun () -> take b a);
-  let on n = Printf.sprintf "vlock acquire %d" (Node.lock_handle n).off in
+  let on (n : Node.t) = Printf.sprintf "vlock acquire %d" n.off in
   expect_stall sched ~who:"ab" ~began ~backoff:(40e-9 *. 2048.0) ~what:(on b)
     ~others:[ "ba (thread 1): " ^ on a ] ()
 
@@ -417,17 +418,16 @@ let visit lay node k =
 let test_visit_waits_for_writer () =
   let _, lay, node = make_node () in
   for i = 0 to 9 do
-    ignore (Node.insert lay node (ik i) (i * 10))
+    ignore (Node.insert lay node.pool node.off (ik i) (i * 10))
   done;
   let sched = Des.Sched.create () in
   let got = ref None and spun = ref 0 in
   Des.Sched.spawn sched ~name:"writer" (fun () ->
-      let h = Node.lock_handle node in
-      let wv = Vlock.acquire h ~gen in
-      ignore (Node.delete lay node (ik 5));
+      let wv = Vlock.acquire node.pool node.off ~gen in
+      ignore (Node.delete lay node.pool node.off (ik 5));
       Des.Sched.delay 1e-6;
-      ignore (Node.insert lay node (ik 5) 55);
-      Vlock.release h ~gen ~version:wv);
+      ignore (Node.insert lay node.pool node.off (ik 5) 55);
+      Vlock.release node.pool node.off ~gen ~version:wv);
   Des.Sched.spawn sched ~name:"reader" (fun () ->
       Des.Sched.delay 1e-7 (* the writer holds the lock by now *);
       let waits0 = Des.Sched.waits () in
@@ -447,7 +447,7 @@ let test_probe_full_node () =
       let _, lay, node = make_node ~key_inline () in
       let key i = if key_inline = 8 then ik i else Printf.sprintf "user%019d" (i * 7919) in
       for i = 0 to Node.entries - 1 do
-        ignore (Node.insert lay node (key i) i)
+        ignore (Node.insert lay node.pool node.off (key i) i)
       done;
       for i = 0 to Node.entries - 1 do
         Alcotest.(check (option int)) "value" (Some i) (visit lay node (key i))
@@ -519,11 +519,11 @@ let test_probe_matches_reference () =
           ids.(j) <- t
         done;
         for i = 0 to n - 1 do
-          ignore (Node.insert lay node (key ids.(i)) ids.(i))
+          ignore (Node.insert lay node.pool node.off (key ids.(i)) ids.(i))
         done;
         let k = key ids.(Random.State.int rng (min 200 (n + 8))) in
         let fp = Pactree.Fingerprint.of_key k in
-        let slot_of k = Node.find lay node k in
+        let slot_of k = Node.find lay node.pool node.off k in
         if Random.State.int rng 3 = 0 && slot_of k >= 0 then
           Node.clear_slots node (Int64.shift_left 1L (slot_of k));
         for _ = 1 to Random.State.int rng 24 do

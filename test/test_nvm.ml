@@ -135,7 +135,10 @@ let test_read_past_image () =
   Alcotest.(check string) "blit" (String.make 4 '\000') (Bytes.to_string buf);
   Alcotest.(check int) "compare equal to zeros" 0 (Pool.compare_string p far 2 "\000\000");
   Alcotest.(check bool) "compare below a key" true (Pool.compare_string p far 2 "\000a" < 0);
-  Alcotest.(check bool) "compare shorter prefix" true (Pool.compare_prefix p far 3 "\000\000" 2 > 0);
+  Alcotest.(check int) "compare equal to a terminated key" 0
+    (Pool.compare_terminated p far 2 "\000");
+  Alcotest.(check bool) "compare longer than a terminated key" true
+    (Pool.compare_terminated p far 3 "\000" > 0);
   Alcotest.(check int) "media" 0 (Pool.media_read_int p far);
   Alcotest.(check bool) "clean" false (Pool.line_is_dirty p far);
   Alcotest.(check int) "image unchanged" size (Pool.resident_bytes p)

@@ -52,6 +52,21 @@ let test_zipf_uniform_theta0 () =
     true
     (float_of_int max_c < 2.0 *. float_of_int min_c)
 
+(* zeta(n, theta) is computed once per (n, theta): a stream created
+   right after another with the same pair reuses its sum, one created
+   after a different pair computes it again, and both draw the ranks
+   of the first stream. *)
+let test_zipf_create_twice () =
+  let draws n theta =
+    let z = Workload.Zipf.create ~n ~theta (Des.Rng.create ~seed:5L) in
+    List.init 1000 (fun _ -> Workload.Zipf.next z)
+  in
+  ignore (draws 777 0.9 : int list);
+  let first = draws 20_000 0.99 in
+  Alcotest.(check (list int)) "second create" first (draws 20_000 0.99);
+  ignore (draws 777 0.99 : int list);
+  Alcotest.(check (list int)) "create after another n" first (draws 20_000 0.99)
+
 let test_keyset_unique_and_sized () =
   let seen = Hashtbl.create 1024 in
   for i = 0 to 9_999 do
@@ -343,6 +358,7 @@ let suite =
     Alcotest.test_case "zipf: skew ordering" `Quick test_zipf_skew;
     Alcotest.test_case "zipf: rank 0 hottest" `Quick test_zipf_hottest_rank_zero;
     Alcotest.test_case "zipf: theta=0 uniform" `Quick test_zipf_uniform_theta0;
+    Alcotest.test_case "zipf: a second create draws the same" `Quick test_zipf_create_twice;
     Alcotest.test_case "keyset: unique, right sizes" `Quick test_keyset_unique_and_sized;
     Alcotest.test_case "latency: percentiles" `Quick test_latency_percentiles;
     Alcotest.test_case "ycsb: mix ratios" `Quick test_ycsb_mix_ratios;
