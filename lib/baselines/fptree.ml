@@ -198,10 +198,10 @@ let insert t key value =
   let leaf, wv = locked_leaf t key 0 in
   match Node.find t.lay leaf.Node.pool leaf.Node.off key with
   | slot when slot >= 0 ->
-      ignore (Node.update t.lay leaf.Node.pool leaf.Node.off key value);
+      Node.update_found t.lay leaf.Node.pool leaf.Node.off slot key value;
       release t leaf wv
   | _ -> (
-      match Node.insert t.lay leaf.Node.pool leaf.Node.off key value with
+      match Node.insert_missed t.lay leaf.Node.pool leaf.Node.off key value with
       | Node.Ok ->
           t.v.cardinal_estimate <- t.v.cardinal_estimate + 1;
           release t leaf wv

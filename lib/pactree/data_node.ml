@@ -206,6 +206,8 @@ let read_header pool off =
 
 let snap_int rel = Int64.to_int (Bytes.get_int64_le (Des.Sched.scratch ()) rel)
 
+let snap_lock_word () = snap_int off_lock
+
 let snap_deleted () = snap_int off_deleted <> 0
 
 let snap_next () = snap_int off_next
@@ -264,10 +266,11 @@ let rec probe_from lay pool off k snap fp word =
    (the AVX512 match of the paper, §5.2) *)
 let probe lay pool off k = probe_from lay pool off k (Des.Sched.scratch ()) (Fingerprint.of_key k) 0
 
-let find lay pool off k =
+(* Copy bytes [from, snap_len) of the node's lines 0-1, then probe. *)
+let find_from lay pool off k from =
   let span = Obs.Span.start Obs.Span.Dnode_scan in
   match
-    Pool.blit_to_bytes pool off (Des.Sched.scratch ()) 0 snap_len;
+    Pool.blit_to_bytes pool (off + from) (Des.Sched.scratch ()) from (snap_len - from);
     probe lay pool off k
   with
   | slot ->
@@ -276,6 +279,10 @@ let find lay pool off k =
   | exception e ->
       Obs.Span.stop span;
       raise e
+
+let find lay pool off k = find_from lay pool off k 0
+
+let find_locked lay pool off k = find_from lay pool off k off_fingerprints
 
 let found_value () = snap_int snap_entry
 
@@ -468,9 +475,10 @@ let in_insert_span f lay pool off k v =
       Obs.Span.stop span;
       raise e
 
+(* The bitmap is the one in the scratch buffer: [insert] reads it
+   there, [insert_missed] takes it from the copy a [find] left. *)
 let insert_slot lay pool off k v =
   let buf = Des.Sched.scratch () in
-  read_bits pool off buf;
   let slot = free_from buf 0 in
   if slot < 0 then Full
   else begin
@@ -483,52 +491,67 @@ let insert_slot lay pool off k v =
     Ok
   end
 
-let insert lay pool off k v = in_insert_span insert_slot lay pool off k v
+let insert_missed lay pool off k v = in_insert_span insert_slot lay pool off k v
 
-let delete_slot lay pool off k () =
+let insert lay pool off k v =
+  read_bits pool off (Des.Sched.scratch ());
+  insert_missed lay pool off k v
+
+(* The [_found] writers change the bitmap in the copy of lines 0-1 that
+   the [find] of their slot took under the lock. *)
+let delete_slot lay pool off slot () =
+  let buf = Des.Sched.scratch () in
+  clear_live buf slot;
+  write_bits pool off buf;
+  persist_bitmap pool off;
+  maybe_persist_perm lay pool off
+
+let delete_found lay pool off slot = in_insert_span delete_slot lay pool off slot ()
+
+let delete lay pool off k =
   let slot = find lay pool off k in
   if slot < 0 then Absent
   else begin
-    let buf = Des.Sched.scratch () in
-    read_bits pool off buf;
-    clear_live buf slot;
-    write_bits pool off buf;
-    persist_bitmap pool off;
-    maybe_persist_perm lay pool off;
+    delete_found lay pool off slot;
     Ok
   end
 
-let delete lay pool off k = in_insert_span delete_slot lay pool off k ()
-
-let update_slot lay pool off k v =
-  let old_slot = find lay pool off k in
-  if old_slot < 0 then Absent
+let update_slot lay pool off old_slot k v =
+  let buf = Des.Sched.scratch () in
+  let slot = free_from buf 0 in
+  if slot >= 0 then begin
+    (* Out-of-place: persist the new pair, then one atomic bitmap
+       write retires the old slot and publishes the new. *)
+    set_entry lay pool off slot k v;
+    persist_slot lay pool off slot;
+    clear_live buf old_slot;
+    set_live buf slot;
+    write_bits pool off buf;
+    persist_bitmap pool off;
+    maybe_persist_perm lay pool off
+  end
   else begin
-    let buf = Des.Sched.scratch () in
-    read_bits pool off buf;
-    let slot = free_from buf 0 in
-    if slot >= 0 then begin
-      (* Out-of-place: persist the new pair, then one atomic
-         bitmap write retires the old slot and publishes the new. *)
-      set_entry lay pool off slot k v;
-      persist_slot lay pool off slot;
-      clear_live buf old_slot;
-      set_live buf slot;
-      write_bits pool off buf;
-      persist_bitmap pool off;
-      maybe_persist_perm lay pool off;
-      Ok
-    end
-    else begin
-      (* Node full: an 8-byte value store is itself atomic. *)
-      let e = off + entry_off lay old_slot in
-      Pool.write_int pool e v;
-      Pool.persist pool e 8;
-      Ok
-    end
+    (* Node full: an 8-byte value store is itself atomic. *)
+    let e = off + entry_off lay old_slot in
+    Pool.write_int pool e v;
+    Pool.persist pool e 8
   end
 
-let update lay pool off k v = in_insert_span update_slot lay pool off k v
+let update_found lay pool off slot k v =
+  let span = Obs.Span.start Obs.Span.Dnode_insert in
+  match update_slot lay pool off slot k v with
+  | () -> Obs.Span.stop span
+  | exception e ->
+      Obs.Span.stop span;
+      raise e
+
+let update lay pool off k v =
+  let slot = find lay pool off k in
+  if slot < 0 then Absent
+  else begin
+    update_found lay pool off slot k v;
+    Ok
+  end
 
 (* Emit the pairs of [t] in the order of the node's permutation array
    ([copy = None]) or of the thread's sorted copy, from the first key

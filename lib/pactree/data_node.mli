@@ -106,6 +106,9 @@ val begin_read : Nvm.Pool.t -> int -> gen:int -> int
     probe no key, or whose caller holds the lock. *)
 val read_header : Nvm.Pool.t -> int -> unit
 
+(** The copied lock word, for {!Vlock.lock_from}. *)
+val snap_lock_word : unit -> int
+
 val snap_deleted : unit -> bool
 
 val snap_next : unit -> Pmalloc.Pptr.t
@@ -128,6 +131,12 @@ val probe : layout -> Nvm.Pool.t -> int -> Key.t -> int
     lines 0-1 of the node at [off] in [pool] (the caller holds the lock
     or validates on its own), inside a [Dnode_scan] span. *)
 val find : layout -> Nvm.Pool.t -> int -> Key.t -> int
+
+(** [find_locked] is [find] for a writer whose buffer already holds
+    the node's header (line 0) as it is under the lock the writer holds
+    ({!read_header} under the lock, or a copy the lock was taken from
+    with {!Vlock.lock_from}): it copies line 1 alone. *)
+val find_locked : layout -> Nvm.Pool.t -> int -> Key.t -> int
 
 (** The value of the entry the calling thread's last [probe] or [find]
     hit.  Read it before anything else uses the buffer. *)
@@ -171,9 +180,12 @@ val slot_mask : int array -> pos:int -> len:int -> int64
 (** {2 Crash-consistent writes (caller holds the node lock)}
 
     The writers address the node at [off] in [pool], as a visit does,
-    and build no [t].  Each reads the bitmap into the calling thread's
-    scratch buffer, changes it there and stores it back with the
-    accesses of an 8-byte load and store: no [int64] is boxed. *)
+    and build no [t].  Each changes the bitmap in the calling thread's
+    scratch buffer and stores it back with the access of an 8-byte
+    store: no [int64] is boxed.  [insert] reads the bitmap there first;
+    [delete], [update] and the [_missed] / [_found] writers take it from
+    the copy of lines 0-1 that a {!find} or {!find_locked} under the
+    same lock left, so a writer reads the locked node's header once. *)
 
 type write_result = Ok | Full | Absent
 
@@ -183,13 +195,29 @@ type write_result = Ok | Full | Absent
     semantics: insert of an existing key acts as update). *)
 val insert : layout -> Nvm.Pool.t -> int -> Key.t -> int -> write_result
 
+(** [insert] of a key that the calling thread's last find on this
+    node, under the lock still held, missed: the free slot comes from
+    that find's copy of the bitmap, which is not read again. *)
+val insert_missed : layout -> Nvm.Pool.t -> int -> Key.t -> int -> write_result
+
 (** Delete: atomic bitmap bit clear + persist.  [Absent] if missing. *)
 val delete : layout -> Nvm.Pool.t -> int -> Key.t -> write_result
+
+(** [delete_found lay pool off slot] is [delete] of the key that the
+    calling thread's last find on this node, under the lock still held,
+    found at [slot]. *)
+val delete_found : layout -> Nvm.Pool.t -> int -> int -> unit
 
 (** Update: out-of-place copy + single atomic bitmap flip when a
     spare slot exists; otherwise an in-place atomic 8B value store.
     [Absent] if the key is missing. *)
 val update : layout -> Nvm.Pool.t -> int -> Key.t -> int -> write_result
+
+(** [update_found lay pool off slot k v] is [update] of the key [k] that
+    the calling thread's last find on this node, under the lock still
+    held, found at [slot]: it neither searches nor reads the bitmap
+    again. *)
+val update_found : layout -> Nvm.Pool.t -> int -> int -> Key.t -> int -> unit
 
 (** {2 Scans (§5.4)} *)
 

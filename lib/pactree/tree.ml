@@ -188,12 +188,8 @@ exception Lost
 (* Raised when the data-layer walk does not converge (e.g. after
    reading state a concurrent SMO tore down); callers retry. *)
 
-(* Does the node at [off] in [pool], as last copied to the scratch
-   buffer, host [key]: is it live with an anchor <= [key]? *)
-let snap_hosts pool off key =
-  (not (Node.snap_deleted ())) && Node.snap_compare_anchor pool off key <= 0
-
-(* ... and is [key] below the anchor of its copied successor? *)
+(* Is [key] below the anchor of the successor of the node last copied
+   to the scratch buffer? *)
 let snap_below_next t key =
   let nxt = Node.snap_next () in
   Pptr.is_null nxt || Node.compare_anchor (pool_of t nxt) (Pptr.off nxt) key > 0
@@ -201,19 +197,24 @@ let snap_below_next t key =
 (* From the search-layer jump node, walk sibling pointers until the
    node whose [anchor, next.anchor) range covers [key].  Unsynchronised
    search layers only cost extra hops (ephemeral inconsistency).  The
-   walk hops by pointer. *)
+   walk hops by pointer.  A node is known to start at or below [key]
+   when the trie gave it ([Art.lookup_le]; anchors never change) or a
+   [next] hop reached it (its anchor was just compared): only a node
+   reached by a [prev] hop has its anchor read. *)
 let jump_node t key =
   let p = Art.lookup_le t.v.art key in
   if Pptr.is_null p then head_ptr t else p
 
-let rec walk t key p hops =
+let rec walk t key p hops ~anchored =
   if hops >= 1000 then raise Lost
   else begin
     let pool = pool_of t p in
     let off = Pptr.off p in
     Node.read_header pool off;
-    if not (snap_hosts pool off key) then walk t key (Node.snap_prev ()) (hops + 1)
-    else if not (snap_below_next t key) then walk t key (Node.snap_next ()) (hops + 1)
+    if Node.snap_deleted () || ((not anchored) && Node.snap_compare_anchor pool off key > 0) then
+      walk t key (Node.snap_prev ()) (hops + 1) ~anchored:false
+    else if not (snap_below_next t key) then
+      walk t key (Node.snap_next ()) (hops + 1) ~anchored:true
     else begin
       let bucket = min hops (Array.length t.jump_hist - 1) in
       t.jump_hist.(bucket) <- t.jump_hist.(bucket) + 1;
@@ -225,7 +226,7 @@ let rec walk t key p hops =
 let locate t key =
   let jump = jump_node t key in
   let span = Obs.Span.start Obs.Span.Dnode_scan in
-  match walk t key jump 0 with
+  match walk t key jump 0 ~anchored:true with
   | p ->
       Obs.Span.stop span;
       p
@@ -242,10 +243,12 @@ let rec located t key attempt =
       located t key (attempt + 1)
 
 (* Is the node at [off] in [pool], under its current state, the right
-   home for [key]? *)
+   home for [key]: live, with an anchor <= [key] < its successor's? *)
 let covers t pool off key =
   Node.read_header pool off;
-  snap_hosts pool off key && snap_below_next t key
+  (not (Node.snap_deleted ()))
+  && Node.snap_compare_anchor pool off key <= 0
+  && snap_below_next t key
 
 (* [f t a b] inside an epoch: the public operations' bracket, built
    without a closure per call. *)
@@ -265,17 +268,26 @@ let release t pool off wv = Vlock.release pool off ~gen:t.v.gen ~version:wv
    work, release) and return [f t pool off wv key a] for that node, at
    [off] in [pool], locked at version [wv]: the writers' bracket, like
    [in_epoch] built without a closure, and without a record or a pair
-   per call. *)
+   per call.  The walk's header copy of the node holds its lock word,
+   and the lock is taken by a CAS from that word: if it succeeds, the
+   node is as the walk saw it (its deleted mark, bitmap and [next]
+   change only under its lock, and anchors never change), so the range
+   check stands and the copy is the node's header, which [f] completes
+   with [Node.find_locked].  Otherwise the lock is taken afresh and the
+   range checked on a header copied under it. *)
 let rec lock_target t key n f a =
   let p = located t key 0 in
   let pool = pool_of t p and off = Pptr.off p in
-  let wv = Vlock.acquire pool off ~gen:t.v.gen in
-  if covers t pool off key then f t pool off wv key a
-  else begin
-    release t pool off wv;
-    Des.Sched.wait "tree moved node" off ~attempt:n (Des.Sched.Fixed 50e-9);
-    lock_target t key (n + 1) f a
-  end
+  let wv = Vlock.lock_from pool off ~gen:t.v.gen (Node.snap_lock_word ()) in
+  if wv >= 0 then f t pool off wv key a
+  else
+    let wv = Vlock.acquire pool off ~gen:t.v.gen in
+    if covers t pool off key then f t pool off wv key a
+    else begin
+      release t pool off wv;
+      Des.Sched.wait "tree moved node" off ~attempt:n (Des.Sched.Fixed 50e-9);
+      lock_target t key (n + 1) f a
+    end
 
 (* ---------- SMO replay (updater fast path) ---------- *)
 
@@ -425,9 +437,15 @@ let try_merge t node =
 
 (* ---------- public operations ---------- *)
 
-(* One optimistic read-only visit of [node] for [key] (§5.3): one copy
-   of lines 0-1, the fingerprint probe, and one validation.  On a hit
-   the value is left for [Node.found_value]. *)
+(* One optimistic read-only visit of the node [p] names for [key]
+   (§5.3): one copy of lines 0-1, the fingerprint probe, and one
+   validation.  On a hit the value is left for [Node.found_value].  A
+   validated hit in a live node is the key's current pair, so only a
+   miss reads the anchors: a split moves keys while it holds the
+   node's lock, a merge marks the absorbed node deleted before it
+   releases that node's lock, and the epoch keeps a node [p] named
+   from being reused, so a live node at a validated version holds no
+   key it does not own. *)
 let found = 0
 
 let absent = 1
@@ -436,24 +454,23 @@ let elsewhere = 2 (* [node] does not hold [key] now: look for its home *)
 
 let torn = 3 (* a hit that failed validation *)
 
-let visit t p key direct =
+let visit t p key =
   let pool = pool_of t p in
   let off = Pptr.off p in
   let v = Node.begin_read pool off ~gen:t.v.gen in
-  if direct && not (snap_hosts pool off key) then elsewhere
+  if Node.snap_deleted () then elsewhere
   else if Node.probe t.lay pool off key >= 0 then
     if Vlock.validate pool off ~gen:t.v.gen ~version:v then found else torn
   else if
-    (* a direct visit has checked [snap_hosts] already *)
-    (direct || snap_hosts pool off key)
+    Node.snap_compare_anchor pool off key <= 0
     && snap_below_next t key
     && Vlock.validate pool off ~gen:t.v.gen ~version:v
   then absent
   else elsewhere
 
-let visiting t p key direct =
+let visiting t p key =
   let span = Obs.Span.start Obs.Span.Dnode_scan in
-  match visit t p key direct with
+  match visit t p key with
   | r ->
       Obs.Span.stop span;
       r
@@ -462,12 +479,13 @@ let visiting t p key direct =
       raise e
 
 (* Lookup fast path (§5.3): go straight to the search layer's jump
-   node and search it.  Every live key exists in exactly one data
-   node, so a validated hit needs no range check at all — in the
-   common case the lookup touches no sibling.  Only a miss (or a jump
-   node that does not cover the key) falls back to the bounds check
-   and the sibling walk.  The attempts are top-level functions, not
-   closures: lookups are half of every workload. *)
+   node and search it.  Every live key exists in exactly one live data
+   node, so a validated hit needs no range check at all (see [visit]):
+   a hit reads the node's lines 0-1, the entry and the lock word, and
+   neither anchor.  Only a miss reads the bounds; a deleted jump node,
+   or one that does not cover the key, falls back to the sibling walk.
+   The attempts are top-level functions, not closures: lookups are
+   half of every workload. *)
 let rec lookup_attempt t key n ~use_jump =
   if use_jump then lookup_in t key n (jump_node t key) ~direct:true
   else
@@ -481,7 +499,7 @@ and lookup_retry t key n =
   lookup_attempt t key (n + 1) ~use_jump:false
 
 and lookup_in t key n p ~direct =
-  let r = visiting t p key direct in
+  let r = visiting t p key in
   if r = found || r = absent then begin
     if direct then t.jump_hist.(0) <- t.jump_hist.(0) + 1;
     if r = found then Some (Node.found_value ()) else None
@@ -492,16 +510,18 @@ and lookup_in t key n p ~direct =
 let lookup t key = in_epoch t (fun t key () -> lookup_attempt t key 0 ~use_jump:true) key ()
 
 (* The writers, on the node at [off] in [pool] locked at [wv]: only a
-   split or a merge builds the node's record. *)
+   split or a merge builds the node's record.  [lock_target] leaves the
+   node's header copied as it is under the lock, [Node.find_locked]
+   adds line 1, and the write takes the slot and the bitmap from that
+   copy. *)
 let insert_at t pool off wv key value =
-  if Node.find t.lay pool off key >= 0 then begin
-    (match Node.update t.lay pool off key value with
-    | Node.Ok -> ()
-    | Node.Full | Node.Absent -> assert false);
+  let slot = Node.find_locked t.lay pool off key in
+  if slot >= 0 then begin
+    Node.update_found t.lay pool off slot key value;
     release t pool off wv
   end
   else
-    match Node.insert t.lay pool off key value with
+    match Node.insert_missed t.lay pool off key value with
     | Node.Ok -> release t pool off wv
     | Node.Full -> split_and_insert t { Node.pool; off } wv key value
     | Node.Absent -> assert false
@@ -513,9 +533,10 @@ let insert_locked t key value =
 let insert t key value = in_epoch t insert_locked key value
 
 let update_at t pool off wv key value =
-  let r = Node.update t.lay pool off key value in
+  let slot = Node.find_locked t.lay pool off key in
+  if slot >= 0 then Node.update_found t.lay pool off slot key value;
   release t pool off wv;
-  r = Node.Ok
+  slot >= 0
 
 let update_locked t key value = lock_target t key 0 update_at value
 
@@ -535,18 +556,20 @@ let try_merge_left t node_ptr =
   end
 
 let delete_at t pool off wv key () =
-  match Node.delete t.lay pool off key with
-  | Node.Absent ->
-      release t pool off wv;
-      false
-  | Node.Ok ->
-      let node = { Node.pool; off } in
-      let merged_right = try_merge t node in
-      let small = 2 * Node.live_count node < merge_threshold in
-      release t pool off wv;
-      if (not merged_right) && small then try_merge_left t (Node.to_ptr node);
-      true
-  | Node.Full -> assert false
+  let slot = Node.find_locked t.lay pool off key in
+  if slot < 0 then begin
+    release t pool off wv;
+    false
+  end
+  else begin
+    Node.delete_found t.lay pool off slot;
+    let node = { Node.pool; off } in
+    let merged_right = try_merge t node in
+    let small = 2 * Node.live_count node < merge_threshold in
+    release t pool off wv;
+    if (not merged_right) && small then try_merge_left t (Node.to_ptr node);
+    true
+  end
 
 let delete_locked t key () =
   Smo_log.reserve t.v.log t.v.epoch;

@@ -88,9 +88,20 @@ let try_upgrade pool off ~gen ~version =
   let raw = Pool.read_int pool off in
   effective raw ~gen = version && cas pool off ~expected:raw (word ~gen ~version:(version + 1))
 
+let lock_from pool off ~gen w =
+  let v = effective w ~gen in
+  if
+    (not (is_locked v))
+    && (not (is_obsolete v))
+    && cas pool off ~expected:w (word ~gen ~version:(v + 1))
+  then v + 1
+  else -1
+
+(* One read of the word, then a CAS from that very word: nothing reads
+   it a second time. *)
 let rec lock_loop pool off ~gen attempt =
-  let v = read_version pool off ~gen in
-  if (not (is_locked v)) && try_upgrade pool off ~gen ~version:v then v + 1
+  let v = lock_from pool off ~gen (Pool.read_int pool off) in
+  if v >= 0 then v
   else begin
     Des.Sched.wait "vlock acquire" off ~attempt backoff;
     lock_loop pool off ~gen (attempt + 1)

@@ -51,6 +51,13 @@ val validate : Nvm.Pool.t -> int -> gen:int -> version:int -> bool
     version now held. *)
 val acquire : Nvm.Pool.t -> int -> gen:int -> int
 
+(** [lock_from pool off ~gen w] takes the write lock with one CAS from
+    [w], a copy of the word read earlier (with the fields after it):
+    the odd version now held, or [-1] when [w] is locked or obsolete,
+    or the word is no longer [w].  Holding the lock then proves that
+    nothing changed the object under its lock since [w] was read. *)
+val lock_from : Nvm.Pool.t -> int -> gen:int -> int -> int
+
 (** [try_upgrade pool off ~gen ~version] atomically upgrades a reader that
     validated [version] into the writer; [false] means a concurrent
     writer won and the caller must restart. *)

@@ -458,24 +458,40 @@ let read_keys = 20_000
 
 let read_key i = Key.of_int (i * 7919 mod 100_003)
 
+(* The lookups, then on the same index 10K inserts of fresh keys
+   (their splits and the updater's replay of them included), 10K
+   inserts over present keys and 10K updates.  A writer locks its node
+   by a CAS from the lock word its walk copied, then copies line 1 and
+   writes from that copy: a lock word, header or bitmap read again
+   moves these figures. *)
 let test_tree_line_reads () =
   let machine = Machine.create ~numa_count:2 () in
   let tree = Tree.create machine ~cfg:tree_cfg () in
   let sched = Sched.create () in
   Sched.spawn sched ~name:"updater" (fun () -> Tree.updater_loop tree);
-  let reads = ref 0.0 in
+  let fresh = read_keys / 2 in
+  let lookup = ref 0.0 and insert = ref 0.0 and overwrite = ref 0.0 and update = ref 0.0 in
   Sched.spawn sched ~name:"client" (fun () ->
       for i = 0 to read_keys - 1 do
         Tree.insert tree (read_key i) i
       done;
       (* let the updater bring the search layer up to date *)
       Sched.delay 1e-3;
-      reads :=
+      lookup :=
         reads_per_call machine read_keys (fun i ->
             ignore (Tree.lookup tree (read_key i) : int option));
+      insert :=
+        reads_per_call machine fresh (fun i -> Tree.insert tree (read_key (read_keys + i)) i);
+      overwrite := reads_per_call machine fresh (fun i -> Tree.insert tree (read_key i) (i + 1));
+      update :=
+        reads_per_call machine fresh (fun i ->
+            ignore (Tree.update tree (read_key (fresh + i)) (i + 2) : bool));
       Tree.request_shutdown tree);
   Sched.run sched;
-  check_reads "Tree.lookup" 18.7664 !reads
+  check_reads "Tree.lookup" 17.7685 !lookup;
+  check_reads "Tree.insert of a fresh key" 23.8643 !insert;
+  check_reads "Tree.insert over a present key" 24.7340 !overwrite;
+  check_reads "Tree.update" 24.8096 !update
 
 (* The same lookups again for their words: the [Some] and the cache
    misses; the trie takes the key as it is, and each trie level builds

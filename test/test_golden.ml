@@ -113,14 +113,14 @@ let test_closed_loop () =
   check "runner"
     (closed_loop Experiments.Factory.Pactree_sys)
     {
-      elapsed = 0x1.4c1f47abd705p-12;
+      elapsed = 0x1.3fcfd903ad964p-12;
       completed = 2000;
-      p50 = 0x1.0960131f9fp-20;
-      p99 = 0x1.5d337305421p-17;
-      flushes = 4094;
-      fences = 2456;
-      media_read_bytes = 1377024;
-      media_write_bytes = 946432;
+      p50 = 0x1.a68474d57b8p-21;
+      p99 = 0x1.a4a36b88172p-18;
+      flushes = 3927;
+      fences = 2389;
+      media_read_bytes = 1324544;
+      media_write_bytes = 920320;
     }
 
 (* The three B+-tree baselines, each under a write mix (YCSB A: splits
@@ -133,40 +133,40 @@ let baseline_pins =
       Experiments.Factory.Fastfair_sys,
       Workload.Ycsb.Workload_a,
       {
-        elapsed = 0x1.9380acb6f894cp-11;
+        elapsed = 0x1.7a13f94e63acp-11;
         completed = 2000;
-        p50 = 0x1.02b7d4e8dc8p-19;
-        p99 = 0x1.e22834c4b16p-17;
-        flushes = 6247;
-        fences = 5887;
-        media_read_bytes = 2135040;
-        media_write_bytes = 1538560;
+        p50 = 0x1.f13ff56dbep-20;
+        p99 = 0x1.074d377c7f3p-16;
+        flushes = 6090;
+        fences = 5786;
+        media_read_bytes = 2112512;
+        media_write_bytes = 1507840;
       } );
     ( "FastFair YCSB C",
       Experiments.Factory.Fastfair_sys,
       Workload.Ycsb.Workload_c,
       {
-        elapsed = 0x1.98546ad36cdep-14;
+        elapsed = 0x1.98459982c17p-14;
         completed = 2000;
-        p50 = 0x1.136a2ee1ae8p-20;
-        p99 = 0x1.8d6b2f70526p-18;
+        p50 = 0x1.60b964765d8p-20;
+        p99 = 0x1.fc8d0c760dap-18;
         flushes = 0;
         fences = 0;
-        media_read_bytes = 67072;
+        media_read_bytes = 60672;
         media_write_bytes = 0;
       } );
     ( "FastFair YCSB E",
       Experiments.Factory.Fastfair_sys,
       Workload.Ycsb.Workload_e,
       {
-        elapsed = 0x1.5256feae3519p-12;
+        elapsed = 0x1.688648a659758p-12;
         completed = 2000;
-        p50 = 0x1.a6c92d051bcp-19;
-        p99 = 0x1.efaa8387f07p-17;
-        flushes = 646;
-        fences = 614;
-        media_read_bytes = 286720;
-        media_write_bytes = 159744;
+        p50 = 0x1.9c511dc3a4p-19;
+        p99 = 0x1.ed4009db4bp-17;
+        flushes = 614;
+        fences = 590;
+        media_read_bytes = 266240;
+        media_write_bytes = 153088;
       } );
     ( "BzTree YCSB A",
       Experiments.Factory.Bztree_sys,
@@ -211,40 +211,40 @@ let baseline_pins =
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_a,
       {
-        elapsed = 0x1.3e1864da57264p-12;
+        elapsed = 0x1.2ee423c64c244p-12;
         completed = 2000;
-        p50 = 0x1.1b77c476814p-20;
-        p99 = 0x1.05a4dfbccccp-19;
-        flushes = 3559;
-        fences = 2197;
-        media_read_bytes = 1206016;
-        media_write_bytes = 848640;
+        p50 = 0x1.18c8929a3bp-20;
+        p99 = 0x1.090b4b5514p-19;
+        flushes = 3356;
+        fences = 2134;
+        media_read_bytes = 1157376;
+        media_write_bytes = 822272;
       } );
     ( "FPTree YCSB C",
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_c,
       {
-        elapsed = 0x1.f6fc56afa2acp-14;
+        elapsed = 0x1.ef88d79c9d6cp-14;
         completed = 2000;
         p50 = 0x1.c2f8b88dfcp-22;
-        p99 = 0x1.ea97b736fc8p-21;
+        p99 = 0x1.16aa5007614p-20;
         flushes = 0;
         fences = 0;
-        media_read_bytes = 52224;
+        media_read_bytes = 45568;
         media_write_bytes = 0;
       } );
     ( "FPTree YCSB E",
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_e,
       {
-        elapsed = 0x1.71b8b9203a204p-12;
+        elapsed = 0x1.7389a05521df4p-12;
         completed = 2000;
-        p50 = 0x1.1de23e23266p-19;
-        p99 = 0x1.d57e5d64456p-19;
-        flushes = 359;
-        fences = 229;
-        media_read_bytes = 158464;
-        media_write_bytes = 88320;
+        p50 = 0x1.2b92efa0254p-19;
+        p99 = 0x1.03584f19c38p-18;
+        flushes = 388;
+        fences = 238;
+        media_read_bytes = 165376;
+        media_write_bytes = 92160;
       } );
   ]
 
@@ -255,13 +255,13 @@ let test_open_loop () =
   check "engine"
     (open_loop ())
     {
-      elapsed = 0x1.b8c5f89d457b1p-10;
+      elapsed = 0x1.b8c59188fe0aap-10;
       completed = 2000;
-      p50 = 0x1.b69f9fff2p-21;
-      p99 = 0x1.3e3938c0417p-17;
+      p50 = 0x1.99a1ebe75fp-21;
+      p99 = 0x1.02be1a1f3efp-17;
       flushes = 3861;
       fences = 2380;
-      media_read_bytes = 1325056;
+      media_read_bytes = 1324544;
       media_write_bytes = 913920;
     }
 
