@@ -90,7 +90,7 @@ let create machine ?(string_keys = false) () =
   in
   let head = Node.of_ptr t.machine ptr in
   Node.init lay head ~gen:t.v.gen ~anchor:"" ~next:Pptr.null ~prev:Pptr.null;
-  Pool.persist head.Node.pool head.Node.off lay.Node.node_size;
+  Pool.fence head.Node.pool;
   t.v.internals <- Smap.add "" ptr t.v.internals;
   t
 
@@ -160,12 +160,13 @@ let split_leaf t leaf key =
     Heap.alloc_to t.heap ~size:t.lay.Node.node_size ~dest_pool:t.meta ~dest_off:(off_log + 8) ()
   in
   let nleaf = Node.of_ptr t.machine ptr in
-  Node.init t.lay nleaf ~gen:t.v.gen ~anchor:median ~next:(Node.next leaf) ~prev:Pptr.null;
-  Node.copy_into t.lay ~src:leaf ~dst:nleaf slots ~pos:half ~len:moved;
-  Pool.persist nleaf.Node.pool nleaf.Node.off t.lay.Node.node_size;
+  Node.init_moved t.lay nleaf ~gen:t.v.gen ~anchor:median ~next:(Node.next leaf) ~prev:Pptr.null
+    slots ~pos:half ~len:moved;
+  Pool.fence nleaf.Node.pool;
   Node.set_next leaf ptr;
   Pool.persist leaf.Node.pool (leaf.Node.off + Node.off_next) 8;
-  Node.clear_slots leaf (Node.slot_mask slots ~pos:half ~len:moved);
+  Node.clear_moved leaf slots ~pos:half ~len:moved;
+  Pool.fence leaf.Node.pool;
   (* synchronous internal update, inside HTM, leaf lock still held *)
   Htm.execute t.v.htm ~footprint_lines:(footprint t) ~duration:(traversal_duration t)
     (fun () -> t.v.internals <- Smap.add median ptr t.v.internals);
@@ -286,13 +287,16 @@ let recover t =
     if not (Pptr.is_null nxt) then begin
       let nleaf = Node.of_ptr t.machine nxt in
       let slots = Array.make Node.entries 0 in
-      let stale = ref 0L in
-      for i = 0 to Node.sort_live t.lay old_leaf slots - 1 do
-        let slot = slots.(i) in
-        if Node.compare_anchor nleaf.pool nleaf.off (Node.sorted_key t.lay slot) <= 0 then
-          stale := Int64.logor !stale (Node.slot_mask slots ~pos:i ~len:1)
-      done;
-      if !stale <> 0L then Node.clear_slots old_leaf !stale
+      let total = Node.sort_live t.lay old_leaf slots in
+      let above i =
+        Node.compare_anchor nleaf.pool nleaf.off (Node.sorted_key t.lay slots.(i)) > 0
+      in
+      let rec first i = if i < total && above i then first (i + 1) else i in
+      let first = first 0 in
+      if first < total then begin
+        Node.clear_moved old_leaf slots ~pos:first ~len:(total - first);
+        Pool.fence old_leaf.Node.pool
+      end
     end;
     Pool.write_int t.meta off_log 0;
     Pool.persist t.meta off_log 8

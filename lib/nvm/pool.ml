@@ -446,6 +446,14 @@ let persist t off len =
   flush_range t off len;
   fence t
 
+let fill_stale t off len c =
+  if len > 0 then begin
+    check_range t off len;
+    grow t (off + len);
+    Bytes.fill t.cache off len c;
+    if not t.volatile then Bytes.fill t.media off len c
+  end
+
 let media_read_int t off =
   assert (not t.volatile);
   if past t off then 0 else Int64.to_int (Bytes.get_int64_le t.media off)

@@ -134,6 +134,12 @@ val persist : t -> int -> int -> unit
 
 (** {2 Testing / inspection} *)
 
+(** [fill_stale p off len c] sets [len] bytes at [off] to [c] in both
+    the cache and the media image, bypassing cost accounting and the
+    persist events: the bytes read as what an earlier use of the memory
+    left there, durable already. *)
+val fill_stale : t -> int -> int -> char -> unit
+
 (** Read directly from the media image, bypassing cost accounting —
     for tests that check what would survive a crash. *)
 val media_read_int : t -> int -> int

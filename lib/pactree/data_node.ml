@@ -75,8 +75,6 @@ let () = assert (off_lock = 0)
 
 let bitmap t = Pobj.get_i64 t f_bitmap
 
-let set_bitmap t bm = Pobj.set_i64 t f_bitmap bm
-
 let next t = Pobj.get_int t f_next
 
 let set_next t p = Pobj.set_int t f_next p
@@ -98,14 +96,6 @@ let anchor t =
 let compare_anchor pool off k =
   let len = Pool.read_int pool (off + Layout.off f_anchor_len) in
   Pool.compare_string pool (off + off_anchor) len k
-
-let init lay t ~gen ~anchor ~next ~prev =
-  Pobj.fill_zero t 0 lay.node_size;
-  Vlock.init t.pool t.off ~gen;
-  Pobj.set_int t f_next next;
-  Pobj.set_int t f_prev prev;
-  Pobj.set_int t f_anchor_len (String.length anchor);
-  Pobj.write_string t off_anchor anchor
 
 (* Key-value slots.  Integer layout: value, 8-byte key.  String
    layout: value, length byte, key bytes. *)
@@ -144,8 +134,6 @@ let write_entry lay pool off slot v buf pos len =
 
 let set_entry lay pool off slot key v =
   write_entry lay pool off slot v (Bytes.unsafe_of_string key) 0 (String.length key)
-
-let bit slot = Int64.shift_left 1L slot
 
 (* Is [slot] set in the little-endian bitmap at [pos] in [buf]? *)
 let live_in buf pos slot = Bytes.get_uint8 buf (pos + (slot lsr 3)) land (1 lsl (slot land 7)) <> 0
@@ -300,18 +288,22 @@ let live_entries lay t =
 (* ---------- sorted order ---------- *)
 
 (* A thread's copy of the entries a sort or an absorb read, laid out
-   as in the node (entry [slot] at [slot * stride]) and followed by the
-   node's bitmap, and a slot array to sort into.  A split reads the
-   keys, then can miss the cache and let other threads run before it
-   writes them to the new node, so the copy belongs to the thread:
-   [copies] is indexed by thread id + 1 (the host program is -1). *)
+   as in the node's entry region (entry [slot] at [slot * stride]) and
+   followed by the node's bitmap, then the image of a node the thread
+   builds ([copy_out], laid out as a node), and a slot array to sort
+   into.  A split reads the entries, then can miss the cache and let
+   other threads run before it writes them to the new node, so the copy
+   belongs to the thread: [copies] is indexed by thread id + 1 (the
+   host program is -1). *)
 type copy = { image : Bytes.t; slots : int array }
 
 let copies = ref [||]
 
-let max_stride = (layout ~key_inline:Key.max_len ()).stride
+let max_lay = layout ~key_inline:Key.max_len ()
 
-let copy_bitmap = entries * max_stride
+let copy_bitmap = entries * max_lay.stride
+
+let copy_out = copy_bitmap + 64
 
 let thread_copy () =
   let i = Des.Sched.current_id () + 1 in
@@ -323,7 +315,9 @@ let thread_copy () =
   match Array.unsafe_get !copies i with
   | Some c -> c
   | None ->
-      let c = { image = Bytes.create (copy_bitmap + 8); slots = Array.make entries 0 } in
+      let c =
+        { image = Bytes.make (copy_out + max_lay.node_size) '\000'; slots = Array.make entries 0 }
+      in
       !copies.(i) <- Some c;
       c
 
@@ -333,20 +327,37 @@ let read_bitmap t image = Pobj.blit_to_bytes t (Layout.off f_bitmap) image copy_
 
 let copied_live image slot = live_in image copy_bitmap slot
 
-let copy_key lay slot = (slot * lay.stride) + if lay.inline = 8 then 8 else 9
+let key_pos lay = if lay.inline = 8 then 8 else 9
+
+let copy_key lay slot = (slot * lay.stride) + key_pos lay
 
 let copy_key_len lay image slot =
   if lay.inline = 8 then 8 else Bytes.get_uint8 image ((slot * lay.stride) + 8)
 
-(* Read [slot]'s key into the copy, as [key_at] reads it. *)
-let read_key lay t image slot =
-  let e = entry_off lay slot and c = slot * lay.stride in
-  if lay.inline = 8 then Pobj.blit_to_bytes t (e + 8) image (c + 8) 8
+let rec live_between image slot last =
+  slot <= last && (copied_live image slot || live_between image (slot + 1) last)
+
+(* Does line [line] of the entry region hold part of a live entry? *)
+let line_live lay image line =
+  live_between image (line * 64 / lay.stride) (min (entries - 1) (((line * 64) + 63) / lay.stride))
+
+(* Copy the entry region's lines that hold a live entry (value and key
+   together) into the copy, in ascending order, each with one read: a
+   run of such lines, from [run], is one read.  The region starts on a
+   line and both strides tile it with whole lines. *)
+let read_run t image run line =
+  if run >= 0 then Pobj.blit_to_bytes t (off_kv + (run * 64)) image (run * 64) ((line - run) * 64)
+
+let rec read_lines_from lay t image line run =
+  if line >= entries * lay.stride / 64 then read_run t image run line
+  else if line_live lay image line then
+    read_lines_from lay t image (line + 1) (if run >= 0 then run else line)
   else begin
-    let len = Pobj.read_u8 t (e + 8) in
-    Bytes.set_uint8 image (c + 8) len;
-    Pobj.blit_to_bytes t (e + 9) image (c + 9) len
+    read_run t image run line;
+    read_lines_from lay t image (line + 1) (-1)
   end
+
+let read_live_lines lay t image = read_lines_from lay t image 0 (-1)
 
 let rec compare_bytes a apos alen b bpos blen i =
   if i >= alen || i >= blen then compare alen blen
@@ -381,27 +392,29 @@ let sort_slots lay image slots n =
     slots.(!j + 1) <- s
   done
 
-let sort_into lay t image slots =
-  read_bitmap t image;
+(* Sort the live slots of [t] by the bitmap already in the copy. *)
+let sort_copied lay t image slots =
+  read_live_lines lay t image;
   let n = ref 0 in
-  for slot = entries - 1 downto 0 do
+  for slot = 0 to entries - 1 do
     if copied_live image slot then begin
-      read_key lay t image slot;
+      slots.(!n) <- slot;
       incr n
     end
   done;
-  let n = !n in
-  let i = ref 0 in
-  for slot = 0 to entries - 1 do
-    if copied_live image slot then begin
-      slots.(!i) <- slot;
-      incr i
-    end
-  done;
-  sort_slots lay image slots n;
-  n
+  sort_slots lay image slots !n;
+  !n
+
+let sort_into lay t image slots =
+  read_bitmap t image;
+  sort_copied lay t image slots
 
 let sort_live lay t slots = sort_into lay t (thread_copy ()).image slots
+
+let sort_locked lay t slots =
+  let image = (thread_copy ()).image in
+  Bytes.blit (Des.Sched.scratch ()) bits image copy_bitmap 8;
+  sort_copied lay t image slots
 
 let thread_slots () = (thread_copy ()).slots
 
@@ -413,13 +426,6 @@ let compare_sorted_key lay slot k =
   let image = (thread_copy ()).image in
   let k = Bytes.unsafe_of_string k in
   compare_bytes image (copy_key lay slot) (copy_key_len lay image slot) k 0 (Bytes.length k) 0
-
-let slot_mask slots ~pos ~len =
-  let m = ref 0L in
-  for i = pos to pos + len - 1 do
-    m := Int64.logor !m (bit slots.(i))
-  done;
-  !m
 
 type write_result = Ok | Full | Absent
 
@@ -572,12 +578,17 @@ let rec scan_order lay t k ~f copy i n =
    Only the reader that claims the stamp, by a CAS from the stale value
    it read, writes the array; two readers that sorted at different
    versions would otherwise interleave their writes under a fresh
-   stamp.  A reader that loses the claim scans from its own copy. *)
-let scan_from lay t k ~f =
+   stamp.  A reader that loses the claim scans from its own copy.  A
+   stamp is trusted only in the generation that stored it: the stamp
+   and the lock word share line 0 and reach the media together, but
+   the array does not, so after a crash they can match over an array
+   that was never persisted. *)
+let scan_from lay t ~gen k ~f =
   Obs.Span.with_phase Obs.Span.Dnode_scan @@ fun () ->
   let word = Pobj.get_int t f_lock in
   let stamp = Pobj.get_int t f_perm_version in
-  if stamp = word then scan_order lay t k ~f None 0 (live_count t)
+  if stamp = word && Vlock.is_current word ~gen then
+    scan_order lay t k ~f None 0 (live_count t)
   else begin
     let c = thread_copy () in
     let n = sort_into lay t c.image c.slots in
@@ -594,55 +605,130 @@ let scan_from lay t k ~f =
 
 let low_bits n = if n >= entries then -1L else Int64.pred (Int64.shift_left 1L n)
 
-let copy_slots lay ~src ~dst slots pos len =
-  let image = (thread_copy ()).image in
-  for i = 0 to len - 1 do
-    let slot = slots.(pos + i) in
-    let v = value_at lay src slot in
-    write_entry lay dst.pool dst.off i v image (copy_key lay slot) (copy_key_len lay image slot)
-  done;
-  set_bitmap dst (low_bits len)
+(* ---------- fresh nodes ---------- *)
 
-let copy_into lay ~src ~dst slots ~pos ~len =
+(* Set entry [i] of the node image at [copy_out] to value [v] and the
+   key of [len] bytes at [pos] in [buf], with its fingerprint. *)
+let out_entry lay image i v buf pos len =
+  let e = copy_out + off_kv + (i * lay.stride) in
+  Bytes.set_int64_le image e (Int64.of_int v);
+  if lay.inline <> 8 then Bytes.set_uint8 image (e + 8) len;
+  Bytes.blit buf pos image (e + key_pos lay) len;
+  Bytes.set_uint8 image (copy_out + off_fingerprints + i) (Fingerprint.of_bytes buf pos len)
+
+(* Write a fresh node at [t] from the image at [copy_out], whose first
+   [n] entries and fingerprints are set: line 0 (lock word, the bitmap
+   of slots [0, n), links, deleted mark, permutation stamp, anchor
+   length) with the fingerprint line, the anchor and the entries, each
+   with one store, then flush the header's XPLine (the permutation
+   line with it, unwritten, so that the XPLine is written whole) and
+   the entries.  No other line is touched: the entries past [n] and
+   the permutation array are not live (the stamp 0 matches no lock
+   word, whose generation is >= 1).  The fingerprints past [n] are
+   zeroed, so the bytes stored depend on the node's pairs alone: the
+   flush tracking compares whole lines. *)
+let write_fresh lay t image ~gen ~anchor ~next ~prev n =
+  let o = copy_out in
+  let set rel v = Bytes.set_int64_le image (o + rel) (Int64.of_int v) in
+  set off_lock (Vlock.fresh ~gen);
+  Bytes.set_int64_le image (o + bits) (low_bits n);
+  set off_next next;
+  set off_prev prev;
+  set off_deleted 0;
+  set (Layout.off f_perm_version) 0;
+  set (Layout.off f_anchor_len) (String.length anchor);
+  set (Layout.off f_anchor_len + 8) 0;
+  Bytes.fill image (o + off_fingerprints + n) (entries - n) '\000';
+  let head = if n > 0 then snap_len else off_fingerprints in
+  Pobj.blit_from_bytes t 0 image o head;
+  Pobj.write_string t off_anchor anchor;
+  Pobj.blit_from_bytes t off_kv image (o + off_kv) (n * lay.stride);
+  Pobj.flush t 0 off_kv;
+  Pobj.flush t off_kv (n * lay.stride)
+
+let init lay t ~gen ~anchor ~next ~prev =
+  write_fresh lay t (thread_copy ()).image ~gen ~anchor ~next ~prev 0
+
+let init_moved lay t ~gen ~anchor ~next ~prev ?pending slots ~pos ~len =
   let span = Obs.Span.start Obs.Span.Dnode_insert in
-  match copy_slots lay ~src ~dst slots pos len with
+  match
+    let image = (thread_copy ()).image in
+    for i = 0 to len - 1 do
+      let slot = slots.(pos + i) in
+      let v = Int64.to_int (Bytes.get_int64_le image (slot * lay.stride)) in
+      out_entry lay image i v image (copy_key lay slot) (copy_key_len lay image slot)
+    done;
+    let n =
+      match pending with
+      | None -> len
+      | Some (k, v) ->
+          out_entry lay image len v (Bytes.unsafe_of_string k) 0 (String.length k);
+          len + 1
+    in
+    write_fresh lay t image ~gen ~anchor ~next ~prev n
+  with
   | () -> Obs.Span.stop span
   | exception e ->
       Obs.Span.stop span;
       raise e
 
-let clear_slots t mask =
-  set_bitmap t (Int64.logand (bitmap t) (Int64.lognot mask));
-  persist_bitmap t.pool t.off
-
-(* Read [slot]'s value and key into the copy, as [live_entries] reads
-   them. *)
-let read_entry lay t image slot =
-  let v = value_at lay t slot in
-  Bytes.set_int64_le image (slot * lay.stride) (Int64.of_int v);
-  read_key lay t image slot
-
-let absorb_slots lay src dst =
-  let image = (thread_copy ()).image in
-  read_bitmap src image;
-  for slot = entries - 1 downto 0 do
-    if copied_live image slot then read_entry lay src image slot
-  done;
+(* The bitmap of the thread's last sort of [t] without the moved
+   slots, set in the scratch buffer, stored from there and flushed. *)
+let clear_moved t slots ~pos ~len =
   let buf = Des.Sched.scratch () in
-  read_bits dst.pool dst.off buf;
+  Bytes.blit (thread_copy ()).image copy_bitmap buf bits 8;
+  for i = pos to pos + len - 1 do
+    clear_live buf slots.(i)
+  done;
+  write_bits t.pool t.off buf;
+  Pobj.flush t bits 8
+
+(* ---------- merge ---------- *)
+
+(* Copy [src]'s live entries into free slots of [dst], whose lines 0-1
+   are copied to the scratch buffer: each entry with one store from
+   the copy, their fingerprints in the scratch copy of line 1, stored
+   with one write; then flush the entry lines (ascending, each once:
+   a clwb takes the line as it is, so every store comes first) and
+   line 1, fence once, and store and persist the bitmap.  The
+   destination slots are noted in the copy's slot array. *)
+let absorb_slots lay src dst =
+  let c = thread_copy () in
+  let image = c.image in
+  read_bitmap src image;
+  read_live_lines lay src image;
+  let buf = Des.Sched.scratch () in
+  Pobj.blit_to_bytes dst 0 buf 0 snap_len;
+  let n = ref 0 in
   for slot = 0 to entries - 1 do
     if copied_live image slot then begin
       let d = free_from buf 0 in
       if d < 0 then invalid_arg "Data_node.absorb: destination too full";
-      let v = Int64.to_int (Bytes.get_int64_le image (slot * lay.stride)) in
-      write_entry lay dst.pool dst.off d v image (copy_key lay slot) (copy_key_len lay image slot);
-      persist_slot lay dst.pool dst.off d;
-      set_live buf d
+      let len = copy_key_len lay image slot in
+      Pobj.blit_from_bytes dst (entry_off lay d) image (slot * lay.stride) (key_pos lay + len);
+      Bytes.set_uint8 buf (off_fingerprints + d)
+        (Fingerprint.of_bytes image (copy_key lay slot) len);
+      set_live buf d;
+      c.slots.(!n) <- d;
+      incr n
     end
   done;
-  write_bits dst.pool dst.off buf;
-  persist_bitmap dst.pool dst.off;
-  maybe_persist_perm lay dst.pool dst.off
+  if !n > 0 then begin
+    let flushed = ref (-1) in
+    for i = 0 to !n - 1 do
+      let e = entry_off lay c.slots.(i) in
+      for line = max (!flushed + 1) (e lsr 6) to (e + lay.stride - 1) lsr 6 do
+        Pobj.clwb dst (line lsl 6);
+        flushed := line
+      done
+    done;
+    Pobj.blit_from_bytes dst off_fingerprints buf off_fingerprints entries;
+    Pobj.clwb dst off_fingerprints;
+    Pobj.fence dst;
+    write_bits dst.pool dst.off buf;
+    persist_bitmap dst.pool dst.off;
+    maybe_persist_perm lay dst.pool dst.off
+  end
 
 let absorb lay ~src ~dst =
   let span = Obs.Span.start Obs.Span.Dnode_insert in

@@ -77,8 +77,12 @@ val off_deleted : int
 
 (** {2 Initialisation} *)
 
-(** Write a fresh node image (no flushes — caller persists the whole
-    node before publishing it). *)
+(** Write a fresh, empty node — line 0 (lock word, bitmap, links,
+    deleted mark, permutation stamp, anchor length) and the anchor,
+    each with one store — and flush the header's XPLine (lines 0-3)
+    without a fence: the caller fences before publishing the node.
+    Nothing else of the node is read or written, so the memory may
+    hold anything before. *)
 val init :
   layout -> t -> gen:int -> anchor:Key.t -> next:Pmalloc.Pptr.t -> prev:Pmalloc.Pptr.t -> unit
 
@@ -153,17 +157,25 @@ val live_entries : layout -> t -> (Key.t * int) list
 
     [sort_live lay t slots] fills [slots] (of length at least
     {!entries}) with the live slots of [t] in key order and returns
-    their number.  It reads the bitmap, then each live key once, in
-    descending slot order, into a copy private to the calling thread;
-    the [sorted_*] readers and {!copy_into} below take the keys from
-    that copy, until the thread next sorts a node (a permutation
-    rebuild included) or runs {!absorb}.  Allocation-free. *)
+    their number.  It reads the bitmap, then the lines of the entry
+    region that hold a live entry, in ascending order, each with one
+    read of value and key together, into a copy private to the calling
+    thread; the [sorted_*] readers and {!init_moved} below take the
+    pairs from that copy, until the thread next sorts a node (a
+    permutation rebuild included) or runs {!absorb}.  Allocation-free. *)
 val sort_live : layout -> t -> int array -> int
+
+(** [sort_locked] is [sort_live] for a writer whose scratch buffer holds
+    the node's line 0 as it is under the lock the writer holds (a
+    {!find_locked} on [t] left it): the bitmap is taken from there, not
+    read again. *)
+val sort_locked : layout -> t -> int array -> int
 
 (** An int array of {!entries} private to the calling thread, for
     [sort_live] on a hot path.  A permutation rebuild by the thread
     (any {!scan_from} of a stale node, any write under [persist_perm])
-    sorts into it too. *)
+    sorts into it too, and {!absorb} notes its destination slots
+    there. *)
 val thread_slots : unit -> int array
 
 (** The key of [slot] as the calling thread's last [sort_live] read
@@ -172,10 +184,6 @@ val sorted_key : layout -> int -> Key.t
 
 (** [compare (sorted_key lay slot) k], allocation-free. *)
 val compare_sorted_key : layout -> int -> Key.t -> int
-
-(** [slot_mask slots ~pos ~len]: the bitmap of
-    [slots.(pos .. pos+len-1)]. *)
-val slot_mask : int array -> pos:int -> len:int -> int64
 
 (** {2 Crash-consistent writes (caller holds the node lock)}
 
@@ -221,30 +229,52 @@ val update_found : layout -> Nvm.Pool.t -> int -> int -> Key.t -> int -> unit
 
 (** {2 Scans (§5.4)} *)
 
-(** [scan_from lay t key ~f] iterates live pairs with key >= [key] in
-    sorted order, calling [f key value]; stops early when [f] returns
-    [false].  Returns [false] if it was stopped early.  The order comes
-    from the permutation array when its stamp matches the lock word;
+(** [scan_from lay t ~gen key ~f] iterates live pairs with key >= [key]
+    in sorted order, calling [f key value]; stops early when [f]
+    returns [false].  Returns [false] if it was stopped early.  The
+    order comes from the permutation array when its stamp matches the
+    lock word and that word is of generation [gen] (stored since the
+    last restart);
     otherwise the reader sorts the live keys and publishes the order
     stamped with the word it read before the sort, if it claims the
     stamp from the stale value it read (one publisher at a time), or
     scans its own sorted copy if it does not.  [f] must not sort a node
     (see {!sort_live}). *)
-val scan_from : layout -> t -> Key.t -> f:(Key.t -> int -> bool) -> bool
+val scan_from : layout -> t -> gen:int -> Key.t -> f:(Key.t -> int -> bool) -> bool
 
 (** {2 SMO helpers (§5.6), sequencing controlled by {!Tree}} *)
 
-(** [copy_into lay ~src ~dst slots ~pos ~len] copies the pairs of
-    [src] in [slots.(pos .. pos+len-1)] into slots [0 .. len-1] of the
-    empty [dst] image (no flushes): each value read from [src], each
-    key from the calling thread's last {!sort_live} of [src]. *)
-val copy_into : layout -> src:t -> dst:t -> int array -> pos:int -> len:int -> unit
+(** [init_moved lay dst ~gen ~anchor ~next ~prev ?pending slots ~pos ~len]
+    is {!init} of a node that holds, in slots [0 .. len-1], the pairs in
+    [slots.(pos .. pos+len-1)] of the calling thread's last sort, and
+    in slot [len] the [pending] pair if there is one.  The entries and
+    their fingerprints are built in the thread's copy and written with
+    one store each: [dst] gets line 0 with its fingerprint line, the
+    anchor and the entries, each once; the header's XPLine and the
+    entry lines are flushed, not fenced. *)
+val init_moved :
+  layout ->
+  t ->
+  gen:int ->
+  anchor:Key.t ->
+  next:Pmalloc.Pptr.t ->
+  prev:Pmalloc.Pptr.t ->
+  ?pending:Key.t * int ->
+  int array ->
+  pos:int ->
+  len:int ->
+  unit
 
-(** Atomically drop the slots of the given bitmap from the bitmap and
-    persist. *)
-val clear_slots : t -> int64 -> unit
+(** [clear_moved t slots ~pos ~len] drops [slots.(pos .. pos+len-1)]
+    from the bitmap of [t] as the calling thread's last sort of [t]
+    read it (the caller has held the lock since), stores the new bitmap
+    from the scratch buffer and flushes it without a fence: the
+    caller's next fence persists it, and an {!insert_missed} that
+    follows under the same lock takes the bitmap from the buffer. *)
+val clear_moved : t -> int array -> pos:int -> len:int -> unit
 
-(** Append [src]'s live entries into free slots of [dst]:
-    persist kv+fp, then one atomic bitmap update + persist.
-    Precondition: enough free slots. *)
+(** Append [src]'s live entries into free slots of [dst]: read [src]'s
+    live lines as a sort does, write every entry and the fingerprint
+    line, flush them and fence once, then one atomic bitmap update +
+    persist (two fences in all).  Precondition: enough free slots. *)
 val absorb : layout -> src:t -> dst:t -> unit

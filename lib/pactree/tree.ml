@@ -157,7 +157,7 @@ let create machine ?(cfg = default_config) () =
     in
     let head = Node.of_ptr t.machine ptr in
     Node.init lay head ~gen:t.v.gen ~anchor:"" ~next:Pptr.null ~prev:Pptr.null;
-    Pobj.persist head 0 lay.Node.node_size;
+    Pobj.fence head;
     ignore (Art.insert t.v.art "" ptr)
   end;
   t
@@ -338,13 +338,23 @@ let enqueue_smo t e =
 let persist_field node rel = Pobj.persist node rel 8
 
 (* The upper half of the node's keys, in sorted order, moves to a new
-   right sibling whose anchor is the first moved key. *)
+   right sibling whose anchor is the first moved key.  Three fences
+   follow the log entry and the allocation: the new node's lines, the
+   link, and the left node's bitmap clear with the right neighbour's
+   [prev] (recovery repairs either line alone).  A pending key at or
+   after the anchor is written into the new node before that node is
+   persisted: it is unacknowledged until the split returns, and a redo
+   rebuilds the node from the left one, without it.  The walk's copy of
+   the node's line 0, completed by [Node.find_locked], gives the bitmap
+   and the old [next]. *)
 let split t node wv key value =
   t.stats.splits <- t.stats.splits + 1;
+  let old_next = Node.snap_next () in
   let slots = Node.thread_slots () in
-  let total = Node.sort_live t.lay node slots in
+  let total = Node.sort_locked t.lay node slots in
   let half = total / 2 and moved = total - (total / 2) in
   let anchor = Node.sorted_key t.lay slots.(half) in
+  let right = Key.compare key anchor >= 0 in
   (* 1. Log the split. *)
   let ts = next_ts t in
   let e = Smo_log.append t.v.log ~ts (Smo_log.Split { left = Node.to_ptr node; anchor }) in
@@ -353,38 +363,32 @@ let split t node wv key value =
   let new_ptr = Heap.alloc_to t.data_heap ~size:t.lay.Node.node_size ~dest_pool ~dest_off () in
   let nnode = Node.of_ptr t.machine new_ptr in
   (* 3. Build and persist the new node before publishing it. *)
-  let old_next = Node.next node in
-  Node.init t.lay nnode ~gen:t.v.gen ~anchor ~next:old_next ~prev:(Node.to_ptr node);
-  Node.copy_into t.lay ~src:node ~dst:nnode slots ~pos:half ~len:moved;
-  Pobj.persist nnode 0 t.lay.Node.node_size;
+  Node.init_moved t.lay nnode ~gen:t.v.gen ~anchor ~next:old_next ~prev:(Node.to_ptr node)
+    ?pending:(if right then Some (key, value) else None)
+    slots ~pos:half ~len:moved;
+  Pobj.fence nnode;
   (* 4. Publish: link right of the splitting node (atomic). *)
   Node.set_next node new_ptr;
   persist_field node Node.off_next;
-  (* 5. Retire the moved slots (atomic bitmap update). *)
-  Node.clear_slots node (Node.slot_mask slots ~pos:half ~len:moved);
-  (* 6. Fix the right neighbour's prev pointer. *)
+  (* 5. Retire the moved slots (atomic bitmap update) and fix the right
+     neighbour's prev pointer, under one fence. *)
+  Node.clear_moved node slots ~pos:half ~len:moved;
   if not (Pptr.is_null old_next) then begin
     let rn = Node.of_ptr t.machine old_next in
     Node.set_prev rn new_ptr;
-    persist_field rn Node.off_prev
+    Pobj.clwb rn Node.off_prev
+  end;
+  Pobj.fence node;
+  (* 6. A pending key below the anchor goes to the left node, whose
+     bitmap [clear_moved] left in the scratch buffer. *)
+  if not right then begin
+    match Node.insert_missed t.lay node.Node.pool node.Node.off key value with
+    | Node.Ok -> ()
+    | Node.Full | Node.Absent -> assert false
   end;
   (* 7. Search layer: async (off the critical path) or inline. *)
   enqueue_smo t e;
-  (* 8. Finally place the pending key-value pair. *)
-  if Key.compare key anchor < 0 then begin
-    (match Node.insert t.lay node.Node.pool node.Node.off key value with
-    | Node.Ok -> ()
-    | Node.Full | Node.Absent -> assert false);
-    release t node.Node.pool node.Node.off wv
-  end
-  else begin
-    let nwv = Vlock.acquire nnode.Node.pool nnode.Node.off ~gen:t.v.gen in
-    (match Node.insert t.lay nnode.Node.pool nnode.Node.off key value with
-    | Node.Ok -> ()
-    | Node.Full | Node.Absent -> assert false);
-    release t nnode.Node.pool nnode.Node.off nwv;
-    release t node.Node.pool node.Node.off wv
-  end
+  release t node.Node.pool node.Node.off wv
 
 let split_and_insert t node wv key value =
   let span = Obs.Span.start Obs.Span.Smo in
@@ -611,7 +615,7 @@ let scan_locked t key count =
             !batch_n < budget
           end
         in
-        ignore (Node.scan_from t.lay node low ~f:keep);
+        ignore (Node.scan_from t.lay node ~gen:t.v.gen low ~f:keep);
         let nxt = Node.next node in
         if Vlock.validate node.Node.pool node.Node.off ~gen:t.v.gen ~version:v then begin
           (* [batch] is newest-first; keep [acc] globally newest-first *)
@@ -702,26 +706,32 @@ let recover_split t e left anchor =
       let total = Node.sort_live t.lay node slots in
       let first = first_at_least t slots total anchor in
       let old_next = Node.next node in
-      Node.init t.lay nnode ~gen:t.v.gen ~anchor ~next:old_next ~prev:left;
-      Node.copy_into t.lay ~src:node ~dst:nnode slots ~pos:first ~len:(total - first);
-      Pobj.persist nnode 0 t.lay.Node.node_size;
+      Node.init_moved t.lay nnode ~gen:t.v.gen ~anchor ~next:old_next ~prev:left slots ~pos:first
+        ~len:(total - first);
+      Pobj.fence nnode;
       Node.set_next node new_ptr;
       persist_field node Node.off_next
     end;
-    (* Drop any moved keys still present in the left node. *)
+    (* Drop any moved keys still present in the left node, and fix the
+       right neighbour's prev pointer, under one fence. *)
     let total = Node.sort_live t.lay node slots in
     let first = first_at_least t slots total anchor in
-    if first < total then
-      Node.clear_slots node (Node.slot_mask slots ~pos:first ~len:(total - first));
-    (* Fix the right neighbour's prev pointer. *)
+    let cleared = first < total in
+    if cleared then Node.clear_moved node slots ~pos:first ~len:(total - first);
     let rn = Node.next nnode in
-    if not (Pptr.is_null rn) then begin
-      let rn_node = Node.of_ptr t.machine rn in
-      if not (Pptr.equal (Node.prev rn_node) new_ptr) then begin
-        Node.set_prev rn_node new_ptr;
-        persist_field rn_node Node.off_prev
+    let relinked =
+      if Pptr.is_null rn then false
+      else begin
+        let rn_node = Node.of_ptr t.machine rn in
+        let stale = not (Pptr.equal (Node.prev rn_node) new_ptr) in
+        if stale then begin
+          Node.set_prev rn_node new_ptr;
+          Pobj.clwb rn_node Node.off_prev
+        end;
+        stale
       end
-    end;
+    in
+    if cleared || relinked then Pobj.fence node;
     (* Search layer. *)
     (match Art.lookup t.v.art anchor with
     | Some p when Pptr.equal p new_ptr -> ()

@@ -24,6 +24,8 @@ let version_of w = w land 0xFFFFFFFF
    node visit or a writer builds no record. *)
 let effective w ~gen = if gen_of w = gen then version_of w else 0
 
+let is_current w ~gen = gen_of w = gen
+
 let store pool off w =
   if Pobj.Sanitizer.active () then
     Pobj.Sanitizer.with_suppressed (fun () -> Pool.write_int pool off w)
@@ -34,7 +36,9 @@ let cas pool off ~expected w =
     Pobj.Sanitizer.with_suppressed (fun () -> Pool.cas_int pool off ~expected w)
   else Pool.cas_int pool off ~expected w
 
-let init pool off ~gen = store pool off (word ~gen ~version:0)
+let fresh ~gen = word ~gen ~version:0
+
+let init pool off ~gen = store pool off (fresh ~gen)
 
 let is_locked version = version land 1 = 1
 

@@ -17,6 +17,14 @@
     [gen]. *)
 val init : Nvm.Pool.t -> int -> gen:int -> unit
 
+(** The word [init] stores: free, version 0, generation [gen]; for a
+    writer that builds a fresh node's header line in a buffer. *)
+val fresh : gen:int -> int
+
+(** [is_current w ~gen]: the word [w] was stored in generation [gen],
+    that is since the last restart. *)
+val is_current : int -> gen:int -> bool
+
 (** Current version; a stale-generation word reads as version 0
     (free).  Pure — readers never write (GA2); the word is only
     re-initialised when a writer acquires it.  May return an odd

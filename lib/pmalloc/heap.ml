@@ -83,6 +83,7 @@ type t = {
   kind : kind;
   mutable pools : pool_state array;
   stats : alloc_stats;
+  mutable fill : char option;
 }
 
 let init_pmdk_pool hd =
@@ -122,6 +123,7 @@ let create machine ?(volatile_pool = false) ~kind ~name ~numa_pools
     kind;
     pools = Array.init numa_pools make_pool;
     stats = { allocs = 0; frees = 0; alloc_bytes = 0 };
+    fill = None;
   }
 
 let machine t = t.machine
@@ -256,7 +258,10 @@ let alloc_dispatch t ~numa ~dest size =
   in
   t.stats.allocs <- t.stats.allocs + 1;
   t.stats.alloc_bytes <- t.stats.alloc_bytes + class_sizes.(class_of size);
+  (match t.fill with Some c -> Pool.fill_stale ps.pool (Pptr.off ptr) size c | None -> ());
   ptr
+
+let set_fill t fill = t.fill <- fill
 
 let alloc t ?numa size =
   Obs.Span.with_phase Obs.Span.Alloc (fun () -> alloc_dispatch t ~numa ~dest:None size)

@@ -61,6 +61,13 @@ val alloc_to : t -> ?numa:int -> size:int -> dest_pool:Nvm.Pool.t -> dest_off:in
 
 val free : t -> Pptr.t -> unit
 
+(** [set_fill t (Some c)] has every later allocation of [t] hand out
+    its [size] bytes set to [c] in both the cache and the media image,
+    as memory that an earlier use left behind: for tests of code that
+    must not read what it has not written.  [None], the default, hands
+    blocks out as they are. *)
+val set_fill : t -> char option -> unit
+
 (** Resolve a pointer produced by this heap. *)
 val pool : t -> Pptr.t -> Nvm.Pool.t
 

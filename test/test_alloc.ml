@@ -372,7 +372,7 @@ let test_tree_ops () =
   Sched.run sched;
   let lookup = !lookup and insert = !insert in
   check_ceiling "Tree.lookup" 3.2 lookup;
-  check_ceiling "Tree.insert of a fresh key" 40.3 insert
+  check_ceiling "Tree.insert of a fresh key" 38.8 insert
 
 (* Outside a simulation nothing charges a delay, so nothing switches
    threads: a [Tree.insert] that splits no node, of a fresh key or over
@@ -404,9 +404,9 @@ let test_tree_insert_host () =
   check_zero "a Tree.insert that splits no node" !worst
 
 (* One [Tree.insert] that splits a full data node: the split's sort,
-   log entry, new node, the anchor key (the one key it allocates) and
-   the queued search-layer update, without the replay (no updater
-   runs).  The second split is measured: the first creates the
+   log entry, new node, the anchor key (the one key it allocates), the
+   pending pair it passes to the new node and the queued search-layer
+   update, without the replay (no updater runs).  The second split is measured: the first creates the
    thread's sort buffer. *)
 let test_tree_split () =
   let machine = Machine.create ~numa_count:1 () in
@@ -426,7 +426,7 @@ let test_tree_split () =
         ignore (until_split () : float);
         until_split ())
   in
-  check_ceiling "Tree.insert that splits a full node" 398.0 w
+  check_ceiling "Tree.insert that splits a full node" 316.0 w
 
 (* ---------- line reads ---------- *)
 
@@ -458,12 +458,35 @@ let read_keys = 20_000
 
 let read_key i = Key.of_int (i * 7919 mod 100_003)
 
+(* The charged line reads, flushes and fences of the first [Tree.insert]
+   of [key j], [j] = 0, 1, ..., that splits a node. *)
+let split_cost machine tree key =
+  let rec go j =
+    let splits = (Tree.stats tree).Tree.splits in
+    let s0 = Nvm.Stats.snapshot (Machine.stats machine) in
+    Tree.insert tree (key j) j;
+    if (Tree.stats tree).Tree.splits = splits then go (j + 1)
+    else
+      let d = Nvm.Stats.diff (Machine.stats machine) s0 in
+      (j, d.Nvm.Stats.cache_hits + d.cache_misses, d.flushes, d.fences)
+  in
+  go 0
+
+let check_split what (reads, flushes, fences) (_, got_reads, got_flushes, got_fences) =
+  if (got_reads, got_flushes, got_fences) <> (reads, flushes, fences) then
+    Alcotest.failf "%s: %d line reads, %d flushes, %d fences; pinned at %d, %d, %d" what got_reads
+      got_flushes got_fences reads flushes fences
+
 (* The lookups, then on the same index 10K inserts of fresh keys
-   (their splits and the updater's replay of them included), 10K
-   inserts over present keys and 10K updates.  A writer locks its node
-   by a CAS from the lock word its walk copied, then copies line 1 and
-   writes from that copy: a lock word, header or bitmap read again
-   moves these figures. *)
+   (which fill the nodes evenly and split none), 10K inserts over
+   present keys, 10K updates, and two inserts that split a node, pinned
+   by their line reads, flushes and fences: a split reads and writes
+   each line of both nodes once and fences three times after the log
+   entry and the allocation (new node, link, bitmap clear with the
+   neighbour's [prev]), plus the two of an insert into the left node.
+   A writer locks its node by a CAS from the lock word its walk copied,
+   then copies line 1 and writes from that copy: a lock word, header or
+   bitmap read again moves these figures. *)
 let test_tree_line_reads () =
   let machine = Machine.create ~numa_count:2 () in
   let tree = Tree.create machine ~cfg:tree_cfg () in
@@ -471,6 +494,7 @@ let test_tree_line_reads () =
   Sched.spawn sched ~name:"updater" (fun () -> Tree.updater_loop tree);
   let fresh = read_keys / 2 in
   let lookup = ref 0.0 and insert = ref 0.0 and overwrite = ref 0.0 and update = ref 0.0 in
+  let right = ref (0, 0, 0, 0) and left = ref (0, 0, 0, 0) in
   Sched.spawn sched ~name:"client" (fun () ->
       for i = 0 to read_keys - 1 do
         Tree.insert tree (read_key i) i
@@ -486,12 +510,30 @@ let test_tree_line_reads () =
       update :=
         reads_per_call machine fresh (fun i ->
             ignore (Tree.update tree (read_key (fresh + i)) (i + 2) : bool));
-      Tree.request_shutdown tree);
+      (* One split whose pending key goes to the new node (ascending keys
+         past the loaded ones), then one whose key stays in the left
+         node (descending keys just below the largest of those), with
+         no updater running: its replay is not counted.  Two splits of
+         keys from 5M on first give the keys from 1M on a node with a
+         right neighbour, whose [prev] each split fixes. *)
+      Tree.request_shutdown tree;
+      Sched.delay 1e-3;
+      let far = ref 5_000_000 and s0 = (Tree.stats tree).Tree.splits in
+      while (Tree.stats tree).Tree.splits < s0 + 2 do
+        Tree.insert tree (Key.of_int !far) 0;
+        incr far
+      done;
+      let base = 1_000_000 in
+      right := split_cost machine tree (fun j -> Key.of_int (base + (1000 * j)));
+      let top = base + (1000 * (let j, _, _, _ = !right in j)) in
+      left := split_cost machine tree (fun j -> Key.of_int (top - 1 - j)));
   Sched.run sched;
   check_reads "Tree.lookup" 17.7685 !lookup;
   check_reads "Tree.insert of a fresh key" 23.8643 !insert;
   check_reads "Tree.insert over a present key" 24.7340 !overwrite;
-  check_reads "Tree.update" 24.8096 !update
+  check_reads "Tree.update" 24.8096 !update;
+  check_split "Tree.insert that splits, key to the new node" (197, 25, 9) !right;
+  check_split "Tree.insert that splits, key to the left node" (202, 27, 11) !left
 
 (* The same lookups again for their words: the [Some] and the cache
    misses; the trie takes the key as it is, and each trie level builds
@@ -665,6 +707,8 @@ let test_engine_request () =
   let r = Option.get !r in
   Alcotest.(check int) "every request completed" 4_000 r.Svc.Engine.r_completed;
   check_ceiling "Engine.run per request" 84.0 (w /. 4_000.0)
+
+let () = Hang_alarm.arm ()
 
 let () =
   Alcotest.run "alloc"

@@ -93,7 +93,7 @@ let test_scan_from_sorted () =
   (* insert out of order *)
   List.iter (fun i -> ignore (Node.insert lay node.pool node.off (ik i) i)) [ 9; 3; 7; 1; 5 ];
   let acc = ref [] in
-  ignore (Node.scan_from lay node (ik 3) ~f:(fun k v ->
+  ignore (Node.scan_from lay node ~gen (ik 3) ~f:(fun k v ->
       acc := (Key.to_int k, v) :: !acc;
       true));
   Alcotest.(check (list (pair int int))) "sorted from 3"
@@ -104,14 +104,14 @@ let test_permutation_cache_invalidation () =
   let _, lay, node = make_node () in
   List.iter (fun i -> ignore (Node.insert lay node.pool node.off (ik i) i)) [ 2; 1 ];
   let scanned = ref 0 in
-  ignore (Node.scan_from lay node (ik 0) ~f:(fun _ _ -> incr scanned; true));
+  ignore (Node.scan_from lay node ~gen (ik 0) ~f:(fun _ _ -> incr scanned; true));
   Alcotest.(check int) "first scan publishes the order" 2 !scanned;
   (* a write bumps the version; the permutation must rebuild *)
   let wv = Vlock.acquire node.pool node.off ~gen in
   ignore (Node.insert lay node.pool node.off (ik 0) 0);
   Vlock.release node.pool node.off ~gen ~version:wv;
   let acc = ref [] in
-  ignore (Node.scan_from lay node (ik 0) ~f:(fun k _ ->
+  ignore (Node.scan_from lay node ~gen (ik 0) ~f:(fun k _ ->
       acc := Key.to_int k :: !acc;
       true));
   Alcotest.(check (list int)) "rebuilt order" [ 0; 1; 2 ] (List.rev !acc)
@@ -455,11 +455,18 @@ let test_probe_full_node () =
       Alcotest.(check (option int)) "absent" None (visit lay node (key Node.entries)))
     [ 8; Key.max_len ]
 
-(* Byte offsets of the fingerprint line and of slot 0's entry in a
-   node (the 256-byte header). *)
+(* Byte offsets of the bitmap, of the fingerprint line and of slot
+   0's entry in a node (the 256-byte header). *)
+let bitmap_at = 8
+
 let fingerprints_at = 64
 
 let entries_at = 256
+
+(* Drop [slot] from the node's bitmap. *)
+let clear_slot (node : Node.t) slot =
+  Pool.write_int64 node.pool (node.off + bitmap_at)
+    (Int64.logand (Node.bitmap node) (Int64.lognot (Int64.shift_left 1L slot)))
 
 (* The probe as it was before the word-at-a-time match: slot by slot,
    the first live one whose fingerprint is [k]'s and whose entry, read
@@ -525,7 +532,7 @@ let test_probe_matches_reference () =
         let fp = Pactree.Fingerprint.of_key k in
         let slot_of k = Node.find lay node.pool node.off k in
         if Random.State.int rng 3 = 0 && slot_of k >= 0 then
-          Node.clear_slots node (Int64.shift_left 1L (slot_of k));
+          clear_slot node (slot_of k);
         for _ = 1 to Random.State.int rng 24 do
           let slot = Random.State.int rng Node.entries in
           let byte =
@@ -542,7 +549,7 @@ let test_probe_matches_reference () =
           Pool.write_u8 node.pool (node.off + fingerprints_at + slot) (byte land 0xFF)
         done;
         for _ = 1 to Random.State.int rng 4 do
-          Node.clear_slots node (Int64.shift_left 1L (Random.State.int rng Node.entries))
+          clear_slot node (Random.State.int rng Node.entries)
         done;
         if Random.State.bool rng then begin
           let slot = Random.State.int rng Node.entries in
@@ -568,6 +575,122 @@ let test_probe_matches_reference () =
       done)
     [ 8; Key.max_len ]
 
+(* ---------- line-once split helpers, merge fences, garbage memory ---------- *)
+
+let stats machine = Nvm.Stats.snapshot (Machine.stats machine)
+
+let line_reads (d : Nvm.Stats.t) = d.cache_hits + d.cache_misses
+
+(* Read the live entries of [node] sorted, for comparisons. *)
+let sorted_entries lay node = List.sort compare (Node.live_entries lay node)
+
+(* A node at [off] of [pool] whose memory holds 0xFF bytes first. *)
+let garbage_node lay pool off =
+  Pool.fill_stale pool off lay.Node.node_size '\xff';
+  { Node.pool; off }
+
+(* A sort reads the bitmap and each line of a full node's entry region
+   once; [init_moved] writes line 0 with the fingerprint line, the
+   anchor and the entries once each over memory that holds garbage,
+   reads none of it, and flushes the header's XPLine and the entries;
+   the fresh node holds exactly the moved pairs and the pending one. *)
+let test_split_helpers_line_once () =
+  List.iter
+    (fun key_inline ->
+      let machine, lay, src = make_node ~key_inline () in
+      let key i = if key_inline = 8 then ik i else Key.of_string (Printf.sprintf "k%05d" i) in
+      for i = 0 to Node.entries - 1 do
+        ignore (Node.insert lay src.pool src.off (key (i * 7 mod 64)) i)
+      done;
+      let slots = Array.make Node.entries 0 in
+      let s0 = stats machine in
+      let n = Node.sort_live lay src slots in
+      let region_lines = Node.entries * lay.Node.stride / 64 in
+      Alcotest.(check int) "sort: bitmap + each entry line once" (1 + region_lines)
+        (line_reads (Nvm.Stats.diff (stats machine) s0));
+      let dst = garbage_node lay src.pool 8192 in
+      let half = n / 2 in
+      let moved = n - half in
+      let s0 = stats machine in
+      Node.init_moved lay dst ~gen ~anchor:(Node.sorted_key lay slots.(half))
+        ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null ~pending:(key 1000, 1000) slots ~pos:half
+        ~len:moved;
+      let d = Nvm.Stats.diff (stats machine) s0 in
+      let entry_lines = (((moved + 1) * lay.stride) + 63) / 64 in
+      Alcotest.(check int) "build: lines 0, 1, 3 and the entries" (3 + entry_lines) (line_reads d);
+      Alcotest.(check int) "build: header XPLine + entries flushed" (4 + entry_lines) d.flushes;
+      Alcotest.(check int) "build: no fence" 0 d.fences;
+      let moved_pairs =
+        List.filter (fun (k, _) -> Key.compare k (Node.anchor dst) >= 0) (sorted_entries lay src)
+      in
+      let expected = List.sort compare ((key 1000, 1000) :: moved_pairs) in
+      Alcotest.(check int) "moved + pending" (moved + 1) (Node.live_count dst);
+      Alcotest.(check bool) "pairs" true (sorted_entries lay dst = expected);
+      List.iter
+        (fun (k, v) ->
+          match find lay dst k with
+          | Some (_, v') -> Alcotest.(check int) "found" v v'
+          | None -> Alcotest.fail "moved key not found")
+        expected;
+      Alcotest.(check bool) "not deleted" false (Node.is_deleted dst))
+    [ 8; Key.max_len ]
+
+(* A merge fences twice, whatever it moves: the entries and the
+   fingerprint line, then the bitmap.  Each destination line is flushed
+   once, after its last store, so a crash keeps every absorbed pair. *)
+let test_absorb_fences () =
+  let machine, lay, dst = make_node () in
+  let src = { dst with Node.off = 8192 } in
+  Node.init lay src ~gen ~anchor:(ik 100) ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null;
+  for i = 0 to 9 do
+    ignore (Node.insert lay dst.pool dst.off (ik i) i)
+  done;
+  for i = 0 to 19 do
+    ignore (Node.insert lay src.pool src.off (ik (100 + i)) i)
+  done;
+  let s0 = stats machine in
+  Node.absorb lay ~src ~dst;
+  let d = Nvm.Stats.diff (stats machine) s0 in
+  Alcotest.(check int) "fences" 2 d.fences;
+  (* slots 10..29: entry bytes 160..479, lines 2..7 of the region *)
+  Alcotest.(check int) "flushes: 6 entry lines, fingerprints, bitmap" 8 d.flushes;
+  Alcotest.(check int) "no flush redundant" 0 d.flushes_elided;
+  (* what the two fences made durable is all of it *)
+  Machine.crash machine Machine.Strict;
+  Alcotest.(check int) "all live after a crash" 30 (Node.live_count dst);
+  for i = 0 to 19 do
+    match find lay dst (ik (100 + i)) with
+    | Some (_, v) -> Alcotest.(check int) "absorbed" i v
+    | None -> Alcotest.failf "key %d not absorbed" (100 + i)
+  done
+
+(* [init] over memory that holds 0xFF bytes: the node is empty, its
+   permutation stamp matches no lock word until a scan publishes the
+   order, and inserts, finds and scans work, with the permutation
+   persisted or not. *)
+let test_init_over_garbage () =
+  List.iter
+    (fun persist_perm ->
+      let machine = Machine.create ~numa_count:1 () in
+      let lay = Node.layout ~persist_perm ~key_inline:8 () in
+      let pool = Pool.create machine ~name:"node" ~numa:0 ~capacity:(1 lsl 16) () in
+      let node = garbage_node lay pool 256 in
+      Node.init lay node ~gen ~anchor:"" ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null;
+      Alcotest.(check int) "empty" 0 (Node.live_count node);
+      Alcotest.(check bool) "not deleted" false (Node.is_deleted node);
+      Alcotest.(check bool) "miss" true (find lay node (ik 3) = None);
+      let stamp () = Pool.read_int pool (node.off + 40) and word () = Pool.read_int pool node.off in
+      Alcotest.(check bool) "stamp matches no lock word" true (stamp () <> word ());
+      List.iter (fun i -> ignore (Node.insert lay pool node.off (ik i) i)) [ 5; 1; 3 ];
+      let acc = ref [] in
+      ignore
+        (Node.scan_from lay node ~gen (ik 0) ~f:(fun k _ ->
+             acc := Key.to_int k :: !acc;
+             true));
+      Alcotest.(check (list int)) "scan" [ 1; 3; 5 ] (List.rev !acc);
+      Alcotest.(check int) "a scan publishes the order" (word ()) (stamp ()))
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "node: insert/find" `Quick test_insert_find;
@@ -588,6 +711,10 @@ let suite =
     Alcotest.test_case "node: string layout" `Quick test_string_layout;
     Alcotest.test_case "node: int sort order" `Quick test_int_sort_order;
     Alcotest.test_case "node: anchor compare" `Quick test_anchor_compare;
+    Alcotest.test_case "node: split helpers read and write each line once" `Quick
+      test_split_helpers_line_once;
+    Alcotest.test_case "node: a merge fences twice" `Quick test_absorb_fences;
+    Alcotest.test_case "node: init over garbage" `Quick test_init_over_garbage;
     QCheck_alcotest.to_alcotest test_qcheck_node_model;
     Alcotest.test_case "smo log: roundtrip" `Quick test_smo_log_roundtrip;
     Alcotest.test_case "smo log: merge entry" `Quick test_smo_log_merge_entry;

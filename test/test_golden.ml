@@ -113,14 +113,14 @@ let test_closed_loop () =
   check "runner"
     (closed_loop Experiments.Factory.Pactree_sys)
     {
-      elapsed = 0x1.3fcfd903ad964p-12;
+      elapsed = 0x1.494575286c0fep-12;
       completed = 2000;
-      p50 = 0x1.a68474d57b8p-21;
-      p99 = 0x1.a4a36b88172p-18;
-      flushes = 3927;
-      fences = 2389;
-      media_read_bytes = 1324544;
-      media_write_bytes = 920320;
+      p50 = 0x1.e2f81521918p-21;
+      p99 = 0x1.6c4ceb7c4b98p-17;
+      flushes = 3809;
+      fences = 2382;
+      media_read_bytes = 1328896;
+      media_write_bytes = 916224;
     }
 
 (* The three B+-tree baselines, each under a write mix (YCSB A: splits
@@ -211,40 +211,40 @@ let baseline_pins =
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_a,
       {
-        elapsed = 0x1.2ee423c64c244p-12;
+        elapsed = 0x1.425ab505e7af8p-12;
         completed = 2000;
-        p50 = 0x1.18c8929a3bp-20;
-        p99 = 0x1.090b4b5514p-19;
-        flushes = 3356;
-        fences = 2134;
-        media_read_bytes = 1157376;
-        media_write_bytes = 822272;
+        p50 = 0x1.153d79bf26cp-20;
+        p99 = 0x1.08b28eda8f8p-17;
+        flushes = 3570;
+        fences = 2260;
+        media_read_bytes = 1251328;
+        media_write_bytes = 862720;
       } );
     ( "FPTree YCSB C",
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_c,
       {
-        elapsed = 0x1.ef88d79c9d6cp-14;
+        elapsed = 0x1.f9b5c812ef61p-14;
         completed = 2000;
         p50 = 0x1.c2f8b88dfcp-22;
-        p99 = 0x1.16aa5007614p-20;
+        p99 = 0x1.04cfd7f5f3ep-20;
         flushes = 0;
         fences = 0;
-        media_read_bytes = 45568;
+        media_read_bytes = 49920;
         media_write_bytes = 0;
       } );
     ( "FPTree YCSB E",
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_e,
       {
-        elapsed = 0x1.7389a05521df4p-12;
+        elapsed = 0x1.0c2392a939b6cp-12;
         completed = 2000;
-        p50 = 0x1.2b92efa0254p-19;
-        p99 = 0x1.03584f19c38p-18;
-        flushes = 388;
-        fences = 238;
-        media_read_bytes = 165376;
-        media_write_bytes = 92160;
+        p50 = 0x1.7f5369abe28p-20;
+        p99 = 0x1.641c0fbfadap-19;
+        flushes = 351;
+        fences = 229;
+        media_read_bytes = 162816;
+        media_write_bytes = 87808;
       } );
   ]
 
@@ -255,14 +255,14 @@ let test_open_loop () =
   check "engine"
     (open_loop ())
     {
-      elapsed = 0x1.b8c59188fe0aap-10;
+      elapsed = 0x1.b8c59188fe0b8p-10;
       completed = 2000;
       p50 = 0x1.99a1ebe75fp-21;
-      p99 = 0x1.02be1a1f3efp-17;
-      flushes = 3861;
-      fences = 2380;
-      media_read_bytes = 1324544;
-      media_write_bytes = 913920;
+      p99 = 0x1.a5f7771cebcp-18;
+      flushes = 3707;
+      fences = 2352;
+      media_read_bytes = 1311488;
+      media_write_bytes = 901120;
     }
 
 let test_crashmc () =
@@ -290,8 +290,8 @@ let test_crashmc_splits () =
   Alcotest.(check (list string))
     "crashmc insert, 80 ops"
     [
-      "pactree: 80 ops, 1106 trace events, 177 crash points, 1165 states (363 dup-suppressed, 99 budget-truncated), 1165 checked, 0 violations";
-      "fptree: 80 ops, 1056 trace events, 170 crash points, 1076 states (324 dup-suppressed, 80 budget-truncated), 1076 checked, 0 violations";
+      "pactree: 80 ops, 978 trace events, 175 crash points, 1147 states (363 dup-suppressed, 97 budget-truncated), 1147 checked, 0 violations";
+      "fptree: 80 ops, 937 trace events, 170 crash points, 1075 states (325 dup-suppressed, 80 budget-truncated), 1075 checked, 0 violations";
     ]
     (List.map
        (crashmc_line ~n:80 ~workload:`Insert)
@@ -304,6 +304,8 @@ let test_run_order () =
   let first = closed_loop Experiments.Factory.Pactree_sys in
   ignore (closed_loop Experiments.Factory.Fastfair_sys : golden);
   check "PACTree after a FastFair run" (closed_loop Experiments.Factory.Pactree_sys) first
+
+let () = Hang_alarm.arm ()
 
 let () =
   Alcotest.run "golden"
