@@ -150,9 +150,10 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw obs_out
   (* every access to a line is charged once, as a CPU-cache hit or a
      miss: the lines an op reads (DESIGN §2, "Read discipline") *)
   let s = r.Workload.Runner.nvm in
-  Format.printf "line reads : %.2f per op (CPU-cache hits + misses)@."
-    (float_of_int (s.Nvm.Stats.cache_hits + s.Nvm.Stats.cache_misses)
-    /. float_of_int r.Workload.Runner.ops);
+  let per_op n = float_of_int n /. float_of_int r.Workload.Runner.ops in
+  Format.printf "line reads : %.2f per op (CPU-cache hits %.2f + misses %.2f)@."
+    (per_op (s.Nvm.Stats.cache_hits + s.Nvm.Stats.cache_misses))
+    (per_op s.Nvm.Stats.cache_hits) (per_op s.Nvm.Stats.cache_misses);
   (* host cost of the measured phase alone, not of the preload *)
   Format.printf "host words : %.1f per op (minor words allocated)@."
     (r.Workload.Runner.host_words /. float_of_int r.Workload.Runner.ops);

@@ -147,10 +147,6 @@ let check pool off ~gen v =
    the absolute form, [off + child_rel ty i]. *)
 let child_rel ty i = children_off.(ty) + (8 * i)
 
-let read_child pool off ty i = Pool.read_int pool (off + child_rel ty i)
-
-let idx48 pool off b = Pool.read_u8 pool (off + n48_index + b)
-
 let byte_at s i = Char.code (String.unsafe_get s i)
 
 (* A key as the trie reads it: its bytes, then the 0 terminator. *)
@@ -161,16 +157,23 @@ let key_byte k i = if i < String.length k then byte_at k i else 0
 (* ---------- header snapshots ---------- *)
 
 (* A node visit reads the node's first line once: the lock word, type,
-   prefix length, count, stored prefix and a Node4/16's key bytes come
-   in one copy into the calling thread's scratch buffer
-   ([Vlock.begin_read_snapshot]).  The visit decodes the header from
-   that copy, reads from the node only the child pointer it needs, and
-   validates the version once.  A descent keeps its copy at
+   prefix length, count, stored prefix, a Node4/16's key bytes, and
+   whatever child pointers (Node4 0-2, Node16 0-1, Node256 0-3) or
+   Node48 index bytes (0-31) share that line come in one copy into the
+   calling thread's scratch buffer ([Vlock.begin_read_snapshot]).  The
+   visit decodes the header and takes every field of line 0 from that
+   copy, reads from the node only a field past line 0 that it needs,
+   and validates the version once.  A descent keeps its copy at
    [snap_visit]; [any_leaf], which reconstructs a long prefix in the
    middle of a visit, keeps its own at [snap_any], so the visit's copy
    survives it.  A descent takes everything it needs from its copy
-   before it recurses into a child, whose visit reuses the region. *)
-let snap_len = n4_keys + capacity.(1)
+   before it recurses into a child, whose visit reuses the region;
+   after that, the node's fields are read from the node ([no_copy]).
+   A leaf check ([compare_leaf], [key_of_leaf]) keeps clear of both
+   regions. *)
+let snap_len = 64
+
+let () = assert (n4_keys + capacity.(1) <= snap_len)
 
 let snap_visit = 0
 
@@ -201,6 +204,23 @@ let snap_count snap base ty =
 
 let snap_key snap base i = Bytes.get_uint8 snap (base + n4_keys + i)
 
+(* The base of a copy that is gone: every field comes from the node. *)
+let no_copy = -1
+
+let in_copy base rel len = base >= 0 && rel + len <= snap_len
+
+(* Child slot [i] and Node48 index byte [b] of the node at [off] in
+   [pool] whose first line is copied at [base] in [snap]: from the copy
+   when the field lies in that line, else from the node. *)
+let read_child pool off snap base ty i =
+  let rel = child_rel ty i in
+  if in_copy base rel 8 then Int64.to_int (Bytes.get_int64_le snap (base + rel))
+  else Pool.read_int pool (off + rel)
+
+let idx48 pool off snap base b =
+  let rel = n48_index + b in
+  if in_copy base rel 1 then Bytes.get_uint8 snap (base + rel) else Pool.read_u8 pool (off + rel)
+
 (* How many key bytes of a node of type [ty] its copy holds: a
    Node4/16's count, [0] for the other types. *)
 let snap_keys snap base ty = if ty <= 1 then snap_count snap base ty else 0
@@ -221,16 +241,16 @@ let found_at snap b p =
   Bytes.set_uint8 snap snap_byte b;
   p
 
-let child_at pool off snap ty i =
+let child_at pool off snap base ty i =
   Bytes.set_uint8 snap snap_found i;
-  read_child pool off ty i
+  read_child pool off snap base ty i
 
 (* The first non-null child among the [c] keys equal to [b] of a
    Node4/16 whose header copy is at [base]. *)
 let rec child4_16 pool off ty snap base c b i =
   if i >= c then Pptr.null
   else if snap_key snap base i = b then
-    let p = child_at pool off snap ty i in
+    let p = child_at pool off snap base ty i in
     if Pptr.is_null p then child4_16 pool off ty snap base c b (i + 1) else p
   else child4_16 pool off ty snap base c b (i + 1)
 
@@ -241,9 +261,9 @@ let child_eq pool off snap ty c b =
   match ty with
   | 0 | 1 -> child4_16 pool off ty snap snap_visit c b 0
   | 2 ->
-      let s = idx48 pool off b in
-      if s = 0 then Pptr.null else child_at pool off snap ty (s - 1)
-  | _ -> child_at pool off snap ty b
+      let s = idx48 pool off snap snap_visit b in
+      if s = 0 then Pptr.null else child_at pool off snap snap_visit ty (s - 1)
+  | _ -> child_at pool off snap snap_visit ty b
 
 (* Index of the largest copied key byte below [b], or [-1]. *)
 let rec key_below snap c b best_b best i =
@@ -258,30 +278,42 @@ let rec key_below snap c b best_b best i =
    0). *)
 let lt_key snap c b = key_below snap c b (-1) (-1) 0
 
-(* The first non-null child of a Node48 from byte [byte] on, stepping
-   by [dir] (+1 or -1): [Pptr.null] past either end.  The byte of the
-   child it finds is left at [snap_byte]. *)
-let rec child48_scan pool off snap byte dir =
+(* The first non-null child of a Node48 whose first line is copied at
+   [base] from byte [byte] on, stepping by [dir] (+1 or -1):
+   [Pptr.null] past either end.  The byte of the child it finds is left
+   at [snap_byte]. *)
+let rec child48_scan pool off snap base byte dir =
   if byte < 0 || byte > 255 then Pptr.null
   else
-    let s = idx48 pool off byte in
-    let p = if s = 0 then Pptr.null else read_child pool off 2 (s - 1) in
-    if Pptr.is_null p then child48_scan pool off snap (byte + dir) dir else found_at snap byte p
+    let s = idx48 pool off snap base byte in
+    let p = if s = 0 then Pptr.null else read_child pool off snap base 2 (s - 1) in
+    if Pptr.is_null p then child48_scan pool off snap base (byte + dir) dir
+    else found_at snap byte p
 
-let rec child256_scan pool off snap byte dir =
+let rec child256_scan pool off snap base byte dir =
   if byte < 0 || byte > 255 then Pptr.null
   else
-    let p = read_child pool off 3 byte in
-    if Pptr.is_null p then child256_scan pool off snap (byte + dir) dir else found_at snap byte p
+    let p = read_child pool off snap base 3 byte in
+    if Pptr.is_null p then child256_scan pool off snap base (byte + dir) dir
+    else found_at snap byte p
 
-(* Largest child with byte < [b] ([Pptr.null] if none): the
+(* Largest child with byte < [b] ([Pptr.null] if none) of a node whose
+   first line is copied at [base] ([no_copy] if the copy is gone): the
    ordered-search primitive of lookup_le, given [lt_key]'s index [j].
    Bounded per-type probing — never a full enumeration. *)
-let child_lt pool off snap ty j b =
+let child_lt pool off snap base ty j b =
   match ty with
-  | 0 | 1 -> if j < 0 then Pptr.null else read_child pool off ty j
-  | 2 -> child48_scan pool off snap (b - 1) (-1)
-  | _ -> child256_scan pool off snap (b - 1) (-1)
+  | 0 | 1 -> if j < 0 then Pptr.null else read_child pool off snap base ty j
+  | 2 -> child48_scan pool off snap base (b - 1) (-1)
+  | _ -> child256_scan pool off snap base (b - 1) (-1)
+
+(* Does [child_lt] over a copy read the node itself?  A Node48's
+   children all lie past line 0, so it is taken to. *)
+let lt_reads_node ty j b =
+  match ty with
+  | 0 | 1 -> j >= 0 && not (in_copy 0 (child_rel ty j) 8)
+  | 2 -> true
+  | _ -> not (in_copy 0 (child_rel ty (b - 1)) 8)
 
 (* The smallest of a Node4/16's [c] copied key bytes above [b], or 256. *)
 let rec key_above snap base c b best i =
@@ -304,8 +336,8 @@ let rec child_above pool off snap base ty b =
       else
         let p = child4_16 pool off ty snap base c kb 0 in
         if Pptr.is_null p then child_above pool off snap base ty kb else found_at snap kb p
-  | 2 -> child48_scan pool off snap (b + 1) 1
-  | _ -> child256_scan pool off snap (b + 1) 1
+  | 2 -> child48_scan pool off snap base (b + 1) 1
+  | _ -> child256_scan pool off snap base (b + 1) 1
 
 (* ---------- persistence helpers ---------- *)
 
@@ -587,7 +619,7 @@ let lookup t key =
 let rec max_leaf_of t pool off snap v =
   let ty = snap_type snap snap_visit in
   let c = snap_keys snap snap_visit ty in
-  let last = child_lt pool off snap ty (lt_key snap c 256) 256 in
+  let last = child_lt pool off snap snap_visit ty (lt_key snap c 256) 256 in
   check pool off ~gen:t.gen v;
   if Pptr.is_null last then raise Vlock.Restart
   else if Pptr.is_tagged last then Pptr.untag last
@@ -611,11 +643,12 @@ let leaf_below t lt =
   else max_leaf t lt
 
 (* The greatest leaf under the node's children below byte [b] ([j]
-   from [lt_key]): read the child and validate the node at version
-   [v]. *)
-let leaf_lt t pool off snap v ty j b =
-  let lt = child_lt pool off snap ty j b in
-  check pool off ~gen:t.gen v;
+   from [lt_key]), read through the copy at [base] ([no_copy]: from the
+   node).  The node is validated at version [v] unless the copy was
+   [validated] already and the child came from it alone. *)
+let leaf_lt t pool off snap v ty j b base ~validated =
+  let lt = child_lt pool off snap base ty j b in
+  if (not validated) || base = no_copy || lt_reads_node ty j b then check pool off ~gen:t.gen v;
   leaf_below t lt
 
 let rec descend_le t key p depth =
@@ -641,13 +674,19 @@ let rec descend_le t key p depth =
     let c = snap_keys snap snap_visit ty in
     let eq = child_eq pool off snap ty c b in
     let j = lt_key snap c b in
-    if Pptr.is_null eq then leaf_lt t pool off snap v ty j b
+    if Pptr.is_null eq then leaf_lt t pool off snap v ty j b snap_visit ~validated:false
     else begin
       check pool off ~gen:t.gen v;
-      let r = if Pptr.is_tagged eq then leaf_le t eq key else descend_le t key eq (depth' + 1) in
-      (* the smaller child is read after the descent, so [leaf_lt]
-         validates the node again *)
-      if Pptr.is_null r then leaf_lt t pool off snap v ty j b else r
+      if Pptr.is_tagged eq then begin
+        (* the leaf check leaves the validated copy as it was *)
+        let r = leaf_le t eq key in
+        if Pptr.is_null r then leaf_lt t pool off snap v ty j b snap_visit ~validated:true else r
+      end
+      else begin
+        (* the child's visit reuses the copy's region *)
+        let r = descend_le t key eq (depth' + 1) in
+        if Pptr.is_null r then leaf_lt t pool off snap v ty j b no_copy ~validated:true else r
+      end
     end
   end
 
@@ -734,12 +773,13 @@ let cow_node t nty pool off snap base ~prefix_len ~prefix ~except b add =
   (ptr, slot)
 
 (* In-place child insertion protocols into locked node [n] of type [ty]
-   with [c] children: entry persisted first, then the store that makes
-   it visible (count / index / pointer).  A Node48 or Node256 count is
-   not that store, so it persists before it: a crash can leave a count
-   only high (an early grow), never low (a free-slot scan that runs
-   past 48 used slots). *)
-let add_child_inplace n ty c b ptr =
+   with [c] children, whose first line is copied at [snap_visit] in
+   [snap]: entry persisted first, then the store that makes it visible
+   (count / index / pointer).  A Node48 or Node256 count is not that
+   store, so it persists before it: a crash can leave a count only high
+   (an early grow), never low (a free-slot scan that runs past 48 used
+   slots). *)
+let add_child_inplace n snap ty c b ptr =
   match ty with
   | 0 | 1 ->
       Pobj.write_u8 n (n4_keys + c) b;
@@ -753,7 +793,7 @@ let add_child_inplace n ty c b ptr =
       (* find a free physical slot by scanning the index *)
       let used = Array.make capacity.(ty) false in
       for byte = 0 to 255 do
-        let s = idx48 n.pool n.off byte in
+        let s = idx48 n.pool n.off snap snap_visit byte in
         if s > 0 then used.(s - 1) <- true
       done;
       let rec free_slot i = if used.(i) then free_slot (i + 1) else i in
@@ -882,7 +922,7 @@ let rec insert_descend t key payload spool slock sv soff cur depth =
       if not (Pptr.is_null p) then insert_descend t key payload pool off v found p (depth' + 1)
       else if c < capacity.(ty) then begin
         if not (Vlock.try_upgrade pool off ~gen ~version:v) then raise Vlock.Restart;
-        add_child_inplace { pool; off } ty c b (Pptr.tagged payload);
+        add_child_inplace { pool; off } snap ty c b (Pptr.tagged payload);
         Vlock.release pool off ~gen ~version:(v + 1);
         Inserted
       end
@@ -934,7 +974,7 @@ let remove_child_inplace n snap ty c b =
         persist n (child_rel ty i) 8;
         Pobj.write_u8 n (n4_keys + i) (snap_key snap snap_visit last);
         persist n (n4_keys + i) 1;
-        Pobj.write_int n (child_rel ty i) (read_child n.pool n.off ty last);
+        Pobj.write_int n (child_rel ty i) (read_child n.pool n.off snap snap_visit ty last);
         persist n (child_rel ty i) 8
       end;
       set_count n last;

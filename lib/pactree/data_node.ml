@@ -24,13 +24,15 @@ let f_deleted = Layout.word hdr "deleted"
 
 let f_perm_version = Layout.word ~transient:true hdr "perm_version"
 
-let f_anchor_len = Layout.word hdr "anchor_len"
-
 let f_fingerprints = Layout.bytes ~at:64 hdr "fingerprints" 64
 
 let f_permutation = Layout.bytes ~at:128 ~transient:true hdr "permutation" 64
 
-let f_anchor = Layout.bytes ~at:192 hdr "anchor" 64
+(* The anchor's length and bytes share line 3, so one read of the line
+   compares or copies the anchor. *)
+let f_anchor_len = Layout.word ~at:192 hdr "anchor_len"
+
+let f_anchor = Layout.bytes ~at:200 hdr "anchor" 56
 
 let off_kv = Layout.seal hdr
 
@@ -87,15 +89,39 @@ let is_deleted t = Pobj.get_int t f_deleted <> 0
 
 let set_deleted t flag = Pobj.set_int t f_deleted (Bool.to_int flag)
 
+let rec compare_bytes a apos alen b bpos blen i =
+  if i >= alen || i >= blen then compare alen blen
+  else
+    let c = Char.compare (Bytes.unsafe_get a (apos + i)) (Bytes.unsafe_get b (bpos + i)) in
+    if c <> 0 then c else compare_bytes a apos alen b bpos blen (i + 1)
+
+(* An anchor is read with one copy of its length and [Key.max_len]
+   bytes, to the same offsets of the calling thread's scratch buffer:
+   clear of a visit's copy and entry and of the trie's copies, so a
+   visit or a trie descent compares an anchor and goes on with what it
+   copied.  The copy returns the anchor's length. *)
+let off_anchor_len = Layout.off f_anchor_len
+
+let () = assert (Layout.field_size f_anchor >= Key.max_len)
+
+let read_anchor pool off =
+  let buf = Des.Sched.scratch () in
+  Pool.blit_to_bytes pool (off + off_anchor_len) buf off_anchor_len
+    (off_anchor - off_anchor_len + Key.max_len);
+  let len = Int64.to_int (Bytes.get_int64_le buf off_anchor_len) in
+  if len < 0 || len > Key.max_len then invalid_arg "Data_node: anchor length out of range";
+  len
+
 let anchor t =
-  let len = Pobj.get_int t f_anchor_len in
-  Pobj.read_string t off_anchor len
+  let len = read_anchor t.pool t.off in
+  Bytes.sub_string (Des.Sched.scratch ()) off_anchor len
 
 (* Allocation-free [compare (anchor t) k] for the node at [off] in
    [pool]. *)
 let compare_anchor pool off k =
-  let len = Pool.read_int pool (off + Layout.off f_anchor_len) in
-  Pool.compare_string pool (off + off_anchor) len k
+  let len = read_anchor pool off in
+  compare_bytes (Des.Sched.scratch ()) off_anchor len (Bytes.unsafe_of_string k) 0
+    (String.length k) 0
 
 (* Key-value slots.  Integer layout: value, 8-byte key.  String
    layout: value, length byte, key bytes. *)
@@ -110,6 +136,15 @@ let key_at lay t slot =
     let len = Pobj.read_u8 t (e + 8) in
     Pobj.read_string t (e + 9) len
 
+let key_pos lay = if lay.inline = 8 then 8 else 9
+
+(* Lay out the pair of value [v] and the key of [len] bytes at [pos] in
+   [buf] at [e] in [dst], as an entry is laid out in a node. *)
+let put_pair lay dst e v buf pos len =
+  Bytes.set_int64_le dst e (Int64.of_int v);
+  if lay.inline <> 8 then Bytes.set_uint8 dst (e + 8) len;
+  Bytes.blit buf pos dst (e + key_pos lay) len
+
 (* Allocation-free comparison of the slot key with [k]. *)
 let compare_key_at lay t slot k =
   let e = entry_off lay slot in
@@ -117,23 +152,6 @@ let compare_key_at lay t slot k =
   else
     let len = Pobj.read_u8 t (e + 8) in
     Pobj.compare_string t (e + 9) len k
-
-(* Write the pair of value [v] and the key of [len] bytes at [pos] in
-   [buf] to [slot] of the node at [off] in [pool], with its
-   fingerprint.  The writers address a node by its pool and offset, as
-   a visit does, and build no record. *)
-let write_entry lay pool off slot v buf pos len =
-  let e = off + entry_off lay slot in
-  Pool.write_int pool e v;
-  if lay.inline = 8 then Pool.blit_from_bytes pool (e + 8) buf pos len
-  else begin
-    Pool.write_u8 pool (e + 8) len;
-    Pool.blit_from_bytes pool (e + 9) buf pos len
-  end;
-  Pool.write_u8 pool (off + off_fingerprints + slot) (Fingerprint.of_bytes buf pos len)
-
-let set_entry lay pool off slot key v =
-  write_entry lay pool off slot v (Bytes.unsafe_of_string key) 0 (String.length key)
 
 (* Is [slot] set in the little-endian bitmap at [pos] in [buf]? *)
 let live_in buf pos slot = Bytes.get_uint8 buf (pos + (slot lsr 3)) land (1 lsl (slot land 7)) <> 0
@@ -173,7 +191,7 @@ let live_count t =
 (* ---------- read-only visits ---------- *)
 
 (* A visit copies the node's lines 0-1 — lock word, bitmap, next/prev,
-   deleted mark, anchor length and the fingerprint line — into the
+   deleted mark, permutation stamp and the fingerprint line — into the
    calling thread's scratch buffer with one read, and decodes them from
    the copy: a later access can miss the cache and let other threads
    run, and the visit goes on with what it read.  A probe copies each
@@ -185,12 +203,15 @@ let snap_len = off_fingerprints + entries
 
 let snap_entry = snap_len
 
+let () = assert (snap_entry + 9 + Key.max_len <= off_anchor_len)
+
 let begin_read pool off ~gen =
   Vlock.begin_read_snapshot pool off ~gen (Des.Sched.scratch ()) 0 snap_len
 
 (* The header fields alone (line 0), for a visit that probes no key. *)
-let read_header pool off =
-  Pool.blit_to_bytes pool off (Des.Sched.scratch ()) 0 (Layout.off f_anchor_len + 8)
+let header_len = Layout.off f_perm_version + 8
+
+let read_header pool off = Pool.blit_to_bytes pool off (Des.Sched.scratch ()) 0 header_len
 
 let snap_int rel = Int64.to_int (Bytes.get_int64_le (Des.Sched.scratch ()) rel)
 
@@ -201,9 +222,6 @@ let snap_deleted () = snap_int off_deleted <> 0
 let snap_next () = snap_int off_next
 
 let snap_prev () = snap_int off_prev
-
-let snap_compare_anchor pool off k =
-  Pool.compare_string pool (off + off_anchor) (snap_int (Layout.off f_anchor_len)) k
 
 let snap_live snap slot = live_in snap bits slot
 
@@ -274,6 +292,16 @@ let find_locked lay pool off k = find_from lay pool off k off_fingerprints
 
 let found_value () = snap_int snap_entry
 
+(* Write the pair of value [v] and the key [k] to [slot] of the node at
+   [off] in [pool] with one store from [snap_entry], then its
+   fingerprint.  The writers address a node by its pool and offset, as
+   a visit does, and build no record. *)
+let set_entry lay pool off slot k v =
+  let buf = Des.Sched.scratch () and len = String.length k in
+  put_pair lay buf snap_entry v (Bytes.unsafe_of_string k) 0 len;
+  Pool.blit_from_bytes pool (off + entry_off lay slot) buf snap_entry (key_pos lay + len);
+  Pool.write_u8 pool (off + off_fingerprints + slot) (Fingerprint.of_key k)
+
 let live_entries lay t =
   let buf = Des.Sched.scratch () in
   read_bits t.pool t.off buf;
@@ -327,8 +355,6 @@ let read_bitmap t image = Pobj.blit_to_bytes t (Layout.off f_bitmap) image copy_
 
 let copied_live image slot = live_in image copy_bitmap slot
 
-let key_pos lay = if lay.inline = 8 then 8 else 9
-
 let copy_key lay slot = (slot * lay.stride) + key_pos lay
 
 let copy_key_len lay image slot =
@@ -358,12 +384,6 @@ let rec read_lines_from lay t image line run =
   end
 
 let read_live_lines lay t image = read_lines_from lay t image 0 (-1)
-
-let rec compare_bytes a apos alen b bpos blen i =
-  if i >= alen || i >= blen then compare alen blen
-  else
-    let c = Char.compare (Bytes.unsafe_get a (apos + i)) (Bytes.unsafe_get b (bpos + i)) in
-    if c <> 0 then c else compare_bytes a apos alen b bpos blen (i + 1)
 
 (* Eight bytes order lexicographically as their big-endian word orders
    unsigned, and flipping the sign bit makes that a signed order: one
@@ -610,19 +630,16 @@ let low_bits n = if n >= entries then -1L else Int64.pred (Int64.shift_left 1L n
 (* Set entry [i] of the node image at [copy_out] to value [v] and the
    key of [len] bytes at [pos] in [buf], with its fingerprint. *)
 let out_entry lay image i v buf pos len =
-  let e = copy_out + off_kv + (i * lay.stride) in
-  Bytes.set_int64_le image e (Int64.of_int v);
-  if lay.inline <> 8 then Bytes.set_uint8 image (e + 8) len;
-  Bytes.blit buf pos image (e + key_pos lay) len;
+  put_pair lay image (copy_out + off_kv + (i * lay.stride)) v buf pos len;
   Bytes.set_uint8 image (copy_out + off_fingerprints + i) (Fingerprint.of_bytes buf pos len)
 
 (* Write a fresh node at [t] from the image at [copy_out], whose first
    [n] entries and fingerprints are set: line 0 (lock word, the bitmap
-   of slots [0, n), links, deleted mark, permutation stamp, anchor
-   length) with the fingerprint line, the anchor and the entries, each
-   with one store, then flush the header's XPLine (the permutation
-   line with it, unwritten, so that the XPLine is written whole) and
-   the entries.  No other line is touched: the entries past [n] and
+   of slots [0, n), links, deleted mark, permutation stamp, the rest
+   zeroed) with the fingerprint line, the anchor's length and bytes
+   and the entries, each with one store, then flush the header's
+   XPLine (the permutation line with it, unwritten, so that the XPLine
+   is written whole) and the entries.  No other line is touched: the entries past [n] and
    the permutation array are not live (the stamp 0 matches no lock
    word, whose generation is >= 1).  The fingerprints past [n] are
    zeroed, so the bytes stored depend on the node's pairs alone: the
@@ -636,12 +653,14 @@ let write_fresh lay t image ~gen ~anchor ~next ~prev n =
   set off_prev prev;
   set off_deleted 0;
   set (Layout.off f_perm_version) 0;
-  set (Layout.off f_anchor_len) (String.length anchor);
-  set (Layout.off f_anchor_len + 8) 0;
+  Bytes.fill image (o + header_len) (64 - header_len) '\000';
   Bytes.fill image (o + off_fingerprints + n) (entries - n) '\000';
+  set off_anchor_len (String.length anchor);
+  Bytes.blit_string anchor 0 image (o + off_anchor) (String.length anchor);
   let head = if n > 0 then snap_len else off_fingerprints in
   Pobj.blit_from_bytes t 0 image o head;
-  Pobj.write_string t off_anchor anchor;
+  Pobj.blit_from_bytes t off_anchor_len image (o + off_anchor_len)
+    (off_anchor - off_anchor_len + String.length anchor);
   Pobj.blit_from_bytes t off_kv image (o + off_kv) (n * lay.stride);
   Pobj.flush t 0 off_kv;
   Pobj.flush t off_kv (n * lay.stride)

@@ -62,10 +62,15 @@ val is_deleted : t -> bool
 
 val set_deleted : t -> bool -> unit
 
+(** The anchor, read with one copy of line 3, where its length is
+    stored beside its bytes. *)
 val anchor : t -> Key.t
 
 (** [compare_anchor pool off k] = [compare (anchor t) k] for the node
-    [t] at [off] in [pool], allocation-free. *)
+    [t] at [off] in [pool], allocation-free: one copy of the anchor's
+    length and bytes (line 3) to a region of the calling thread's
+    {!Des.Sched.scratch} buffer that neither a visit's copy
+    ({!begin_read}, {!probe}) nor the trie's uses. *)
 val compare_anchor : Nvm.Pool.t -> int -> Key.t -> int
 
 (** Offsets for targeted persistence by {!Tree}. *)
@@ -78,8 +83,8 @@ val off_deleted : int
 (** {2 Initialisation} *)
 
 (** Write a fresh, empty node — line 0 (lock word, bitmap, links,
-    deleted mark, permutation stamp, anchor length) and the anchor,
-    each with one store — and flush the header's XPLine (lines 0-3)
+    deleted mark, permutation stamp) and the anchor's length and bytes
+    (line 3), each with one store — and flush the header's XPLine (lines 0-3)
     without a fence: the caller fences before publishing the node.
     Nothing else of the node is read or written, so the memory may
     hold anything before. *)
@@ -93,7 +98,7 @@ val value_at : layout -> t -> int -> int
 (** {2 Read-only visits}
 
     A visit copies the node's lines 0-1 (lock word, bitmap, next/prev,
-    deleted mark, anchor length, fingerprints) into the calling
+    deleted mark, permutation stamp, fingerprints) into the calling
     thread's {!Des.Sched.scratch} buffer with one read and decodes the
     header from the copy; the [snap_*] readers below read the last copy
     this thread took.  Nothing else may use the buffer while the visit
@@ -118,10 +123,6 @@ val snap_deleted : unit -> bool
 val snap_next : unit -> Pmalloc.Pptr.t
 
 val snap_prev : unit -> Pmalloc.Pptr.t
-
-(** [compare (anchor t) k] for the node [t] at [off] in [pool], with the
-    anchor length from the copy and the anchor bytes read from [t]. *)
-val snap_compare_anchor : Nvm.Pool.t -> int -> Key.t -> int
 
 (** [probe lay pool off k] is the live slot holding [k] according to the
     lines 0-1 copy of the node at [off] in [pool] that {!begin_read}

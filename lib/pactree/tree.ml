@@ -211,7 +211,7 @@ let rec walk t key p hops ~anchored =
     let pool = pool_of t p in
     let off = Pptr.off p in
     Node.read_header pool off;
-    if Node.snap_deleted () || ((not anchored) && Node.snap_compare_anchor pool off key > 0) then
+    if Node.snap_deleted () || ((not anchored) && Node.compare_anchor pool off key > 0) then
       walk t key (Node.snap_prev ()) (hops + 1) ~anchored:false
     else if not (snap_below_next t key) then
       walk t key (Node.snap_next ()) (hops + 1) ~anchored:true
@@ -247,7 +247,7 @@ let rec located t key attempt =
 let covers t pool off key =
   Node.read_header pool off;
   (not (Node.snap_deleted ()))
-  && Node.snap_compare_anchor pool off key <= 0
+  && Node.compare_anchor pool off key <= 0
   && snap_below_next t key
 
 (* [f t a b] inside an epoch: the public operations' bracket, built
@@ -338,13 +338,16 @@ let enqueue_smo t e =
 let persist_field node rel = Pobj.persist node rel 8
 
 (* The upper half of the node's keys, in sorted order, moves to a new
-   right sibling whose anchor is the first moved key.  Three fences
-   follow the log entry and the allocation: the new node's lines, the
-   link, and the left node's bitmap clear with the right neighbour's
-   [prev] (recovery repairs either line alone).  A pending key at or
-   after the anchor is written into the new node before that node is
-   persisted: it is unacknowledged until the split returns, and a redo
-   rebuilds the node from the left one, without it.  The walk's copy of
+   right sibling whose anchor is the first moved key.  Two fences
+   follow the log entry and the allocation: the new node's lines, then
+   the link with the left node's bitmap clear and the right neighbour's
+   [prev] (recovery repairs either line alone).  The link and the
+   bitmap share the left node's line 0, and stores to one line persist
+   in program order, so the clear never persists without the link and
+   the link needs no fence of its own.  A pending key at or after the
+   anchor is written into the new node before that node is persisted:
+   it is unacknowledged until the split returns, and a redo rebuilds
+   the node from the left one, without it.  The walk's copy of
    the node's line 0, completed by [Node.find_locked], gives the bitmap
    and the old [next]. *)
 let split t node wv key value =
@@ -367,11 +370,12 @@ let split t node wv key value =
     ?pending:(if right then Some (key, value) else None)
     slots ~pos:half ~len:moved;
   Pobj.fence nnode;
-  (* 4. Publish: link right of the splitting node (atomic). *)
+  (* 4. Publish: link right of the splitting node (atomic), flushed;
+     step 5's fence persists it. *)
   Node.set_next node new_ptr;
-  persist_field node Node.off_next;
+  Pobj.clwb node Node.off_next;
   (* 5. Retire the moved slots (atomic bitmap update) and fix the right
-     neighbour's prev pointer, under one fence. *)
+     neighbour's prev pointer, under the link's fence. *)
   Node.clear_moved node slots ~pos:half ~len:moved;
   if not (Pptr.is_null old_next) then begin
     let rn = Node.of_ptr t.machine old_next in
@@ -466,7 +470,7 @@ let visit t p key =
   else if Node.probe t.lay pool off key >= 0 then
     if Vlock.validate pool off ~gen:t.v.gen ~version:v then found else torn
   else if
-    Node.snap_compare_anchor pool off key <= 0
+    Node.compare_anchor pool off key <= 0
     && snap_below_next t key
     && Vlock.validate pool off ~gen:t.v.gen ~version:v
   then absent

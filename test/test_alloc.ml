@@ -481,9 +481,10 @@ let check_split what (reads, flushes, fences) (_, got_reads, got_flushes, got_fe
    (which fill the nodes evenly and split none), 10K inserts over
    present keys, 10K updates, and two inserts that split a node, pinned
    by their line reads, flushes and fences: a split reads and writes
-   each line of both nodes once and fences three times after the log
-   entry and the allocation (new node, link, bitmap clear with the
-   neighbour's [prev]), plus the two of an insert into the left node.
+   each line of both nodes once and fences twice after the log entry
+   and the allocation (new node, then the link with the bitmap clear
+   and the neighbour's [prev]), plus the two of an insert into the
+   left node.
    A writer locks its node by a CAS from the lock word its walk copied,
    then copies line 1 and writes from that copy: a lock word, header or
    bitmap read again moves these figures. *)
@@ -528,12 +529,12 @@ let test_tree_line_reads () =
       let top = base + (1000 * (let j, _, _, _ = !right in j)) in
       left := split_cost machine tree (fun j -> Key.of_int (top - 1 - j)));
   Sched.run sched;
-  check_reads "Tree.lookup" 17.7685 !lookup;
-  check_reads "Tree.insert of a fresh key" 23.8643 !insert;
-  check_reads "Tree.insert over a present key" 24.7340 !overwrite;
-  check_reads "Tree.update" 24.8096 !update;
-  check_split "Tree.insert that splits, key to the new node" (197, 25, 9) !right;
-  check_split "Tree.insert that splits, key to the left node" (202, 27, 11) !left
+  check_reads "Tree.lookup" 14.5585 !lookup;
+  check_reads "Tree.insert of a fresh key" 18.6684 !insert;
+  check_reads "Tree.insert over a present key" 19.5161 !overwrite;
+  check_reads "Tree.update" 19.6110 !update;
+  check_split "Tree.insert that splits, key to the new node" (192, 25, 8) !right;
+  check_split "Tree.insert that splits, key to the left node" (195, 27, 10) !left
 
 (* The same lookups again for their words: the [Some] and the cache
    misses; the trie takes the key as it is, and each trie level builds
@@ -550,7 +551,7 @@ let test_pdlart_line_reads () =
         let reads = reads_per_call machine read_keys lookup in
         (reads, words_per_call read_keys lookup))
   in
-  check_reads "PDL-ART lookup" 13.0016 reads;
+  check_reads "PDL-ART lookup" 11.9663 reads;
   check_ceiling "PDL-ART lookup" 17.0 words
 
 (* The writers visit nodes like the lookups: on the same loaded index,
@@ -581,8 +582,8 @@ let test_pdlart_writer_reads () =
               Baselines.Pdlart.insert index (read_key (read_keys + i)) i);
         (insert, delete))
   in
-  check_reads "PDL-ART insert of a fresh key" 47.4373 insert;
-  check_reads "PDL-ART delete" 35.0452 delete;
+  check_reads "PDL-ART insert of a fresh key" 45.3101 insert;
+  check_reads "PDL-ART delete" 34.0066 delete;
   check_ceiling "PDL-ART insert of a fresh key" 157.6 !insert_words
 
 (* A scan enumerates each node's children through its header copy and
@@ -620,7 +621,7 @@ let test_pdlart_scan_reads () =
   in
   let per_record x = x /. float_of_int !emitted in
   Alcotest.(check int) "every scan emitted its records" (scans * len) !emitted;
-  check_reads "PDL-ART scan, per emitted record" 7.3235 (per_record reads);
+  check_reads "PDL-ART scan, per emitted record" 7.2253 (per_record reads);
   check_ceiling "PDL-ART scan, per emitted record" 3.4 (per_record words)
 
 (* The B+-tree baselines on the same loaded index: charged line reads

@@ -574,6 +574,73 @@ let test_art_generation_bumps_on_recover () =
   let ctx, _ = restart ctx in
   Alcotest.(check bool) "generation increased" true (Art.generation ctx.art > g0)
 
+(* ---------- read discipline ---------- *)
+
+(* The lines a trie operation charges (CPU-cache hits + misses), taken
+   the second time it runs, when every line hits.  The test trie's leaf
+   checks read no line: a leaf's key comes from the volatile mirror. *)
+let charged ctx f =
+  f ();
+  let reads () =
+    let s = Machine.stats ctx.machine in
+    s.Nvm.Stats.cache_hits + s.Nvm.Stats.cache_misses
+  in
+  let r0 = reads () in
+  f ();
+  reads () - r0
+
+(* A trie whose root has the one-byte keys [keys] as leaves. *)
+let root_of keys =
+  let ctx = make_art () in
+  List.iter (fun k -> ignore (insert_key ctx k)) keys;
+  ctx
+
+let byte_key b = String.make 1 (Char.chr b)
+
+(* A lookup charges the root pointer's line, then, per node, the copy of
+   its first line and the validation, plus one line for each field it
+   needs past line 0: Node4 children 0-2, Node16 children 0-1, Node256
+   children 0-3 and Node48 index bytes 0-31 come from the copy; a
+   Node48's children always lie past it. *)
+let test_art_visit_reads () =
+  let lookup_reads ctx k =
+    charged ctx (fun () -> ignore (Option.get (Art.lookup ctx.art k) : Pptr.t))
+  in
+  let check_reads what ctx k expected =
+    Alcotest.(check int) (Printf.sprintf "%s, key byte %d" what (Char.code k.[0])) expected
+      (lookup_reads ctx k)
+  in
+  let n4 = root_of [ "a"; "b"; "c"; "d" ] in
+  List.iter (fun k -> check_reads "Node4, child 0-2" n4 k 3) [ "a"; "b"; "c" ];
+  check_reads "Node4, child 3" n4 "d" 4;
+  let n16 = root_of (List.init 16 (fun i -> byte_key (97 + i))) in
+  List.iter (fun k -> check_reads "Node16, child 0-1" n16 k 3) [ "a"; "b" ];
+  check_reads "Node16, child 2" n16 "c" 4;
+  let n48 = root_of (List.init 48 (fun i -> byte_key (1 + (5 * i)))) in
+  check_reads "Node48, index byte in line 0" n48 (byte_key 31) 4;
+  check_reads "Node48, index byte past line 0" n48 (byte_key 36) 5;
+  let n256 = root_of (List.init 60 (fun i -> byte_key (1 + i))) in
+  check_reads "Node256, child 1-3" n256 (byte_key 3) 3;
+  check_reads "Node256, child 4" n256 (byte_key 4) 4;
+  (* two levels: 2 reads per Node4 *)
+  let deep = root_of [ "aa"; "ab"; "b" ] in
+  Alcotest.(check int) "two Node4s" 5 (lookup_reads deep "ab")
+
+(* [lookup_le] takes the smaller child from the copy it validated when
+   the equal child was a leaf greater than the key: no second
+   validation.  After a descent into an inner child, whose visit reused
+   the copy's region, it reads the node and validates it again. *)
+let test_art_lookup_le_reads () =
+  let le_reads ctx k = charged ctx (fun () -> ignore (Art.lookup_le ctx.art k : Pptr.t)) in
+  let leaves = root_of [ "a"; "cb" ] in
+  Alcotest.(check int) "equal leaf above the key, smaller child from the copy" 3
+    (le_reads leaves "ca");
+  Alcotest.(check int) "no equal child" 3 (le_reads leaves "b");
+  let deep = root_of [ "a"; "cb"; "cc" ] in
+  (* root copy + validation, inner Node4 copy + smaller-child search
+     + validation, then the root's child 0 from the node + validation *)
+  Alcotest.(check int) "after a descent, from the node" 7 (le_reads deep "ca")
+
 let suite =
   [
     Alcotest.test_case "key: int roundtrip" `Quick test_key_int_roundtrip;
@@ -612,4 +679,6 @@ let suite =
       test_art_crash_recovery_persists_inserts;
     Alcotest.test_case "art: crash + recovery (flaky)" `Quick test_art_crash_mid_run_flaky;
     Alcotest.test_case "art: generation bump" `Quick test_art_generation_bumps_on_recover;
+    Alcotest.test_case "art: a visit reads line 0 once" `Quick test_art_visit_reads;
+    Alcotest.test_case "art: lookup_le validates a copy once" `Quick test_art_lookup_le_reads;
   ]

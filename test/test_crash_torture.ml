@@ -262,12 +262,12 @@ let check_recovered what t ~present ~absent ~maybe:(mk, mv) =
 (* A split crashed before each of its fences, strict and flaky, over
    garbage memory, with the pending key going to the new node (315)
    and to the left node (0).  The loop covers every window; the fence
-   list shows the three split fences: the new node (header XPLine and
-   entries), then the link (one line), then the bitmap clear with the
-   neighbour's [prev] (two lines).  A crash before the first is inside
-   the new node's build, before the second after its persist and
-   before its link, before the third between the link and the shared
-   fence. *)
+   list shows the two split fences: the new node (header XPLine and
+   entries), then the link, the bitmap clear and the neighbour's
+   [prev] (three clwbs: the link and the clear share the left node's
+   line 0, each flushed after its store).  A crash before the first is
+   inside the new node's build, before the second after its persist,
+   with the link stored or not. *)
 let test_split_crash_windows () =
   List.iter
     (fun key ->
@@ -279,8 +279,8 @@ let test_split_crash_windows () =
         | Some i -> i
         | None -> Alcotest.failf "key %d: no fence persists the new node" key
       in
-      Alcotest.(check int) "the link fence persists one line" 1 lines.(build + 1);
-      Alcotest.(check int) "the clear + prev fence persists two lines" 2 lines.(build + 2);
+      Alcotest.(check int) "the link + clear + prev fence takes three clwbs" 3
+        lines.(build + 1);
       for k = 1 to n do
         List.iter
           (fun (mode_name, mode) ->

@@ -170,6 +170,37 @@ let test_anchor_compare () =
   Alcotest.(check bool) "greater" true (Node.compare_anchor pool 256 "aaa" > 0);
   Alcotest.(check int) "equal" 0 (Node.compare_anchor pool 256 "mmm")
 
+(* The anchor's length is stored beside its bytes, so comparing or
+   reading an anchor charges one line, that of a longest anchor
+   included; a comparison leaves a visit's copy of lines 0-1 and its
+   probed entry as they were. *)
+let test_anchor_one_line () =
+  let machine = Machine.create ~numa_count:1 () in
+  let lay = Node.layout ~key_inline:Key.max_len () in
+  let pool = Pool.create machine ~name:"anchor" ~numa:0 ~capacity:(1 lsl 16) () in
+  let reads f =
+    let s = Machine.stats machine in
+    let r0 = s.cache_hits + s.cache_misses in
+    f ();
+    s.cache_hits + s.cache_misses - r0
+  in
+  List.iteri
+    (fun i anchor ->
+      let node = { Node.pool; off = 256 + (i * 4096) } in
+      Node.init lay node ~gen ~anchor ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null;
+      ignore (Node.insert lay pool node.off "k" 7);
+      ignore (Node.begin_read pool node.off ~gen : int);
+      let copy = Bytes.sub (Des.Sched.scratch ()) 0 128 in
+      Alcotest.(check bool) "probe hit" true (Node.probe lay pool node.off "k" >= 0);
+      Alcotest.(check int) "compare_anchor: one line" 1
+        (reads (fun () -> ignore (Node.compare_anchor pool node.off "k" : int)));
+      Alcotest.(check int) "the visit's value" 7 (Node.found_value ());
+      Alcotest.(check bool) "the visit's copy" true
+        (Bytes.equal copy (Bytes.sub (Des.Sched.scratch ()) 0 128));
+      Alcotest.(check int) "anchor: one line" 1
+        (reads (fun () -> Alcotest.(check string) "anchor" anchor (Node.anchor node))))
+    [ ""; "mmm"; String.make Key.max_len 'z' ]
+
 let test_qcheck_node_model =
   QCheck.Test.make ~name:"data node: agrees with a map model" ~count:100
     QCheck.(list (pair (int_bound 100) (int_bound 3)))
@@ -711,6 +742,7 @@ let suite =
     Alcotest.test_case "node: string layout" `Quick test_string_layout;
     Alcotest.test_case "node: int sort order" `Quick test_int_sort_order;
     Alcotest.test_case "node: anchor compare" `Quick test_anchor_compare;
+    Alcotest.test_case "node: an anchor is one line" `Quick test_anchor_one_line;
     Alcotest.test_case "node: split helpers read and write each line once" `Quick
       test_split_helpers_line_once;
     Alcotest.test_case "node: a merge fences twice" `Quick test_absorb_fences;

@@ -628,6 +628,34 @@ let test_crash_leaves_no_pinned_epoch () =
   Alcotest.(check int) "smo backlog" 0 (Tree.smo_backlog t);
   ignore (Tree.check_invariants t : int)
 
+(* A writer's range check of the next node reads that node's line 3,
+   where the anchor's length and bytes are, and nothing else of it.
+   Two trees hold keys 0-31 in the same slots of the head node: in
+   [split] the head split off keys 32-64 to a right neighbour, in
+   [alone] it never had one.  An update of key 5 differs between them
+   by the trie's root Node4 of [split] (its copy and its validation:
+   [alone]'s root is the head's leaf) and by the range check of the
+   head's next node: one line. *)
+let test_next_range_check_reads () =
+  let update_reads n =
+    let machine, t = make_tree ~cfg:{ small_cfg with Tree.async_smo = false } () in
+    for i = 0 to n - 1 do
+      Tree.insert t (ik i) i
+    done;
+    let reads () =
+      let s = Machine.stats machine in
+      s.Nvm.Stats.cache_hits + s.Nvm.Stats.cache_misses
+    in
+    ignore (Tree.update t (ik 5) 0 : bool);
+    let r0 = reads () in
+    ignore (Tree.update t (ik 5) 1 : bool);
+    let r = reads () - r0 in
+    (r, Tree.check_invariants t)
+  in
+  let split, split_nodes = update_reads 65 and alone, alone_nodes = update_reads 32 in
+  Alcotest.(check (pair int int)) "data nodes" (2, 1) (split_nodes, alone_nodes);
+  Alcotest.(check int) "root Node4 (2) + the next node's line 3 (1)" 3 (split - alone)
+
 let suite =
   [
     Alcotest.test_case "empty lookup" `Quick test_empty_lookup;
@@ -666,4 +694,6 @@ let suite =
     Alcotest.test_case "a crash leaves no pinned epoch" `Quick
       test_crash_leaves_no_pinned_epoch;
     Alcotest.test_case "a second updater on one tree runs" `Quick test_second_updater_runs;
+    Alcotest.test_case "a writer's range check reads the next node's line 3" `Quick
+      test_next_range_check_reads;
   ]
