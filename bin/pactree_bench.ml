@@ -147,10 +147,19 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw obs_out
     (float_of_int (Nvm.Stats.total_write_bytes r.Workload.Runner.nvm) /. 1e6)
     r.Workload.Runner.nvm.Nvm.Stats.flushes
     r.Workload.Runner.nvm.Nvm.Stats.flushes_elided r.Workload.Runner.nvm.Nvm.Stats.fences;
-  (* every access to a line is charged once, as a CPU-cache hit or a
-     miss: the lines an op reads (DESIGN §2, "Read discipline") *)
   let s = r.Workload.Runner.nvm in
   let per_op n = float_of_int n /. float_of_int r.Workload.Runner.ops in
+  (* each fence writes one media XPLine per (NUMA, XPLine) group it
+     drains; a group of fewer than 256 B is read first (FH1).  The
+     directory's own writes are read-modify-writes too, not counted
+     here. *)
+  let partial = s.Nvm.Stats.rmw_reads - s.Nvm.Stats.dir_writes in
+  Format.printf "XPL writes : %.2f per op (media writes, %.1f%% partial: read-modify-write)@."
+    (per_op s.Nvm.Stats.media_writes)
+    (if s.Nvm.Stats.media_writes = 0 then 0.0
+     else 100.0 *. float_of_int partial /. float_of_int s.Nvm.Stats.media_writes);
+  (* every access to a line is charged once, as a CPU-cache hit or a
+     miss: the lines an op reads (DESIGN §2, "Read discipline") *)
   Format.printf "line reads : %.2f per op (CPU-cache hits %.2f + misses %.2f)@."
     (per_op (s.Nvm.Stats.cache_hits + s.Nvm.Stats.cache_misses))
     (per_op s.Nvm.Stats.cache_hits) (per_op s.Nvm.Stats.cache_misses);

@@ -20,7 +20,7 @@ exception Stop
    eviction or an un-fenced clwb draining from the WPQ. *)
 type pending = { p_pool : int; p_line : int; choices : string array }
 
-let iter ?(budget_per_point = 64) ?(seed = 0x5EEDL) ~trace ~f () =
+let iter ?(budget_per_point = 64) ?(seed = 0x5EEDL) ?(context = fun _ -> 0) ~trace ~f () =
   let machine = Trace.machine trace in
   let pools = Nvm.Pool.all machine in
   let evs = Trace.events trace in
@@ -92,8 +92,10 @@ let iter ?(budget_per_point = 64) ?(seed = 0x5EEDL) ~trace ~f () =
           (if Nvm.Pool.is_volatile p then Bytes.empty else media_of (Nvm.Pool.id p)))
       pools
   in
-  let state_key () =
+  let state_key at =
     let buf = Buffer.create (Array.length touched * (line_size + 8)) in
+    Buffer.add_string buf (string_of_int (context at));
+    Buffer.add_char buf '|';
     Array.iter
       (fun (pool, line) ->
         Buffer.add_string buf (string_of_int pool);
@@ -106,7 +108,7 @@ let iter ?(budget_per_point = 64) ?(seed = 0x5EEDL) ~trace ~f () =
   (* Yield the current media (with any survivor overrides already
      blitted in) as one crash state, deduplicating by content hash. *)
   let yield at label =
-    let key = state_key () in
+    let key = state_key at in
     if Hashtbl.mem seen key then stats.duplicates <- stats.duplicates + 1
     else begin
       Hashtbl.replace seen key ();

@@ -14,7 +14,8 @@
     un-fenced survivor set for that epoch is maximal — any mid-epoch
     crash image is one of the per-line snapshot combinations, so this
     placement loses no states) and at the end of the trace.  States
-    are deduplicated by content hash over all trace-touched lines; a
+    are deduplicated by content hash over all trace-touched lines
+    within one context (see {!iter}); a
     per-point budget bounds the combinatorial survivor space, always
     keeping the pure fenced image, the all-newest image, every
     single-line deviation, and seeded-random combinations. *)
@@ -41,10 +42,15 @@ exception Stop
 
 (** [iter ~trace ~f ()] yields every (deduplicated, budgeted) crash
     state.  The pools are only actually rewritten when the callback
-    invokes [state.restore]. *)
+    invokes [state.restore].  [context at] (default [0]) names what a
+    state at crash position [at] is checked against (for the harness,
+    which ops completed and which were in flight): two images are
+    duplicates only with equal contents and equal contexts, so an image
+    legal at one crash point is checked again where it may not be. *)
 val iter :
   ?budget_per_point:int ->
   ?seed:int64 ->
+  ?context:(int -> int) ->
   trace:Trace.t ->
   f:(state -> unit) ->
   unit ->

@@ -72,8 +72,20 @@ let run ?(budget_per_point = 48) ?(max_states = 20_000) ?(max_violations = 20)
   Trace.stop trace;
   let checked = ref 0 in
   let violations = ref [] in
+  (* A state's verdict depends on how many ops completed before the
+     crash and how many were in flight ([Oracle.check]): the same image
+     is checked again under another split of the history. *)
+  let context at =
+    let per_op = List.length history + 1 in
+    List.fold_left
+      (fun acc e ->
+        if e.Oracle.end_seq <= at then acc + per_op
+        else if e.Oracle.start_seq < at then acc + 1
+        else acc)
+      0 history
+  in
   let stats =
-    Enum.iter ~budget_per_point ~seed:(Int64.of_int seed) ~trace
+    Enum.iter ~budget_per_point ~seed:(Int64.of_int seed) ~context ~trace
       ~f:(fun st ->
         st.Enum.restore ();
         incr checked;

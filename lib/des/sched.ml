@@ -275,6 +275,15 @@ let[@inline] delay seconds =
     Effect.perform Delay
   end
 
+type interval = { mutable start : float; mutable at : float }
+
+let stamp r =
+  let now = time () in
+  r.start <- now;
+  r.at <- now
+
+let delay_interval r = delay (r.at -. r.start)
+
 let[@inline] charge seconds =
   let th = current () in
   if th != main then th.pending.extra <- th.pending.extra +. seconds

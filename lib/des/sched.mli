@@ -84,6 +84,18 @@ val scratch : unit -> Bytes.t
     scheduler. *)
 val time : unit -> float
 
+(** A request time and a completion time in a float-only record, which
+    OCaml stores unboxed: a device model's cursor.  [stamp r] sets both
+    to {!time}; [delay_interval r] is [delay (r.at -. r.start)].  The
+    times pass through neither call boxed, as a float argument or
+    result crossing a module boundary is when the call is not
+    inlined. *)
+type interval = { mutable start : float; mutable at : float }
+
+val stamp : interval -> unit
+
+val delay_interval : interval -> unit
+
 (** The pause after a failed attempt [n] (from 0): none, and no yield
     ([Now]); a fixed one; [base *. 2 ** min n cap] ([Doubling]);
     [min (n *. step) cap] ([Linear]). *)

@@ -38,7 +38,7 @@ let buf_mem t xpline = t.read_buf.(buf_slot t xpline) = xpline
 
 let buf_insert t xpline = t.read_buf.(buf_slot t xpline) <- xpline
 
-type cursor = { mutable at : float }
+type cursor = Des.Sched.interval = { mutable start : float; mutable at : float }
 
 (* Occupy the earliest-free channel for [cost] seconds starting no
    earlier than [c.at]; leaves the completion time in [c.at].  This

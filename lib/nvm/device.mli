@@ -28,9 +28,10 @@ val stats : t -> Stats.t
 (** A time register.  It is a float-only record, which OCaml stores
     unboxed, so the times passing through it are never boxed: the
     caller writes the request time into [at] and the model overwrites
-    it with the completion time.  A model call does not yield, so one
+    it with the completion time ([start] is the caller's, for
+    {!Des.Sched.delay_interval}).  A model call does not yield, so one
     cursor can serve every access of its owner. *)
-type cursor = { mutable at : float }
+type cursor = Des.Sched.interval = { mutable start : float; mutable at : float }
 
 (** [read t c ~xpline ~from_numa] models fetching XPLine [xpline],
     requested at [c.at], and sets [c.at] to the completion time.  A

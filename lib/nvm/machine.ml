@@ -145,10 +145,6 @@ type pool = ..
 
 type pool += No_pool
 
-(* The fence in progress: when it started and its latest WPQ acceptance
-   so far.  Float-only, so stored unboxed. *)
-type fence_times = { mutable start : float; mutable accepted : float }
-
 type t = {
   profile : Config.profile;
   protocol : Config.protocol;
@@ -158,7 +154,9 @@ type t = {
   mutable stages : stage array; (* indexed by thread id + 1 *)
   groups : groups; (* the fence in progress, grouped *)
   write_group : int -> int -> int -> unit; (* writes one group of [groups] *)
-  fence_times : fence_times;
+  fence_times : Des.Sched.interval;
+      (* the fence in progress: its start and its latest WPQ acceptance
+         so far, unboxed *)
   mutable fence_from : int; (* issuing NUMA domain; -1 outside a simulation *)
   io : Device.cursor; (* one group write's request / acceptance time *)
   stats : Stats.t;
@@ -187,7 +185,7 @@ let write_staged_group t dev_numa xpline count =
     let ft = t.fence_times in
     io.at <- ft.start;
     Device.write dev io ~xpline ~bytes ~from_numa:t.fence_from;
-    if io.at > ft.accepted then ft.accepted <- io.at
+    if io.at > ft.at then ft.at <- io.at
   end
 
 let create ?(profile = Config.dcpmm) ?(protocol = Config.Snoop) ~numa_count () =
@@ -203,9 +201,9 @@ let create ?(profile = Config.dcpmm) ?(protocol = Config.Snoop) ~numa_count () =
       cpu_mask = slots - 1;
       stages = [||];
       groups = new_groups ();
-      fence_times = { start = 0.0; accepted = 0.0 };
+      fence_times = { start = 0.0; at = 0.0 };
       fence_from = -1;
-      io = { Device.at = 0.0 };
+      io = { Device.start = 0.0; at = 0.0 };
       write_group = (fun numa xpline count -> write_staged_group t numa xpline count);
       stats = Stats.create ();
       pools = Array.make 8 No_pool;
@@ -363,19 +361,16 @@ let fence t =
     st.n <- 0;
     group_stage t.groups st n;
     if Des.Sched.running () then begin
-      let start = Des.Sched.time () in
       let ft = t.fence_times in
-      ft.start <- start;
-      t.fence_from <- Des.Sched.current_numa ();
       (* sfence waits for WPQ acceptance (the persistent domain
          under ADR), not the media transfer; the channel stays
          booked, so saturation still back-pressures the fence. *)
-      ft.accepted <- start;
+      Des.Sched.stamp ft;
+      t.fence_from <- Des.Sched.current_numa ();
       iter_groups t.groups t.write_group;
-      let stall = ft.accepted -. start in
-      Des.Sched.delay stall;
+      Des.Sched.delay_interval ft;
       match t.wait_observer with
-      | Some observe -> observe stall
+      | Some observe -> observe (ft.at -. ft.start)
       | None -> ()
     end
     else begin

@@ -140,7 +140,7 @@ let create machine ?(volatile = false) ~name ~numa ~capacity () =
       staged_by = Array.make (if volatile then 0 else lines) nobody;
       capacity;
       sink = { Machine.dev; apply = (fun snaps pos line -> apply_snapshot pool snaps pos line) };
-      io = { Device.at = 0.0 };
+      io = { Device.start = 0.0; at = 0.0 };
     }
   in
   Machine.add_pool machine (Pool pool);
@@ -207,10 +207,9 @@ let touch_line t off =
   if Machine.cache_access t.machine g then Des.Sched.charge Config.cache_hit_cost
   else if t.volatile then Des.Sched.charge Config.dram_latency
   else if Des.Sched.running () then begin
-    let start = Des.Sched.time () in
-    t.io.at <- start;
+    Des.Sched.stamp t.io;
     Device.read t.dev t.io ~xpline:(g lsr 2) ~from_numa:(Des.Sched.current_numa ());
-    Des.Sched.delay (t.io.at -. start)
+    Des.Sched.delay_interval t.io
   end
   else begin
     t.io.at <- 0.0;
@@ -308,12 +307,16 @@ let read_int t off =
   touch_range t off 8;
   if past t off then 0 else Int64.to_int (Bytes.get_int64_le t.cache off)
 
-let write_int t off v =
+let write_int_k t off v ~record =
   if off land 7 <> 0 then
     invalid_arg (Printf.sprintf "Pool %s: unaligned 8B write at %d" t.name off);
   touch_range_write t off 8;
   Bytes.set_int64_le t.cache off (Int64.of_int v);
-  record_store t off 8
+  if record then record_store t off 8
+
+let write_int t off v = write_int_k t off v ~record:true
+
+let write_int_transient t off v = write_int_k t off v ~record:false
 
 let read_string t off len =
   touch_range t off len;
@@ -371,7 +374,7 @@ let compare_terminated t off len s =
 let eadr_drain t off =
   let g = gline t off in
   if Des.Sched.running () then begin
-    t.io.at <- Des.Sched.time ();
+    Des.Sched.stamp t.io;
     Device.write t.dev t.io ~xpline:(g lsr 2) ~bytes:64 ~from_numa:(Des.Sched.current_numa ())
   end
   else begin
@@ -462,13 +465,17 @@ let line_content t line = Bytes.sub_string t.cache (line * line_size) line_size
 
 let line_is_dirty t off = (not t.volatile) && (not (past t off)) && line_dirty t (off lsr 6)
 
-let cas_int t off ~expected v =
+let cas_int_k t off ~expected v ~record =
   assert (off land 7 = 0);
   touch_range_write t off 8;
   let cur = Int64.to_int (Bytes.get_int64_le t.cache off) in
   if cur = expected then begin
     Bytes.set_int64_le t.cache off (Int64.of_int v);
-    record_store t off 8;
+    if record then record_store t off 8;
     true
   end
   else false
+
+let cas_int t off ~expected v = cas_int_k t off ~expected v ~record:true
+
+let cas_int_transient t off ~expected v = cas_int_k t off ~expected v ~record:false

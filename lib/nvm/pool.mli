@@ -79,6 +79,16 @@ val read_int : t -> int -> int
 
 val write_int : t -> int -> int -> unit
 
+(** [write_int_transient] is [write_int] of a word that no crash needs
+    (a lock word voided by the next generation, a cache stamp): the
+    store is charged and dirties its line like any other, but reaches
+    no persist-event subscriber ({!Machine.subscribe}), so the
+    persist-order sanitizer opens no obligation for it and a crashmc
+    trace takes no snapshot of the line for it.  A line that is never
+    flushed and holds such a word (a data node's lock line) then adds
+    no crash states per lock taken. *)
+val write_int_transient : t -> int -> int -> unit
+
 val read_int64 : t -> int -> int64
 
 val write_int64 : t -> int -> int64 -> unit
@@ -178,3 +188,7 @@ val line_is_dirty : t -> int -> bool
     The access cost is charged before the compare; the
     compare-and-swap itself is indivisible, like a hardware CAS. *)
 val cas_int : t -> int -> expected:int -> int -> bool
+
+(** [cas_int] whose store, if it happens, is transient as
+    {!write_int_transient}'s. *)
+val cas_int_transient : t -> int -> expected:int -> int -> bool

@@ -170,7 +170,9 @@ let key_byte k i = if i < String.length k then byte_at k i else 0
    before it recurses into a child, whose visit reuses the region;
    after that, the node's fields are read from the node ([no_copy]).
    A leaf check ([compare_leaf], [key_of_leaf]) keeps clear of both
-   regions. *)
+   regions.  An in-place add to a Node48 ([add_child_inplace]), the
+   last use of the buffer by an insert, copies the node's index bytes
+   past line 0 over its copy's, up to the end of the buffer. *)
 let snap_len = 64
 
 let () = assert (n4_keys + capacity.(1) <= snap_len)
@@ -772,6 +774,22 @@ let cow_node t nty pool off snap base ~prefix_len ~prefix ~except b add =
   persist_node_image n nty;
   (ptr, slot)
 
+(* The Node48 slots named by the [n] index bytes at [pos] in [buf], as
+   bits of [acc]. *)
+let rec used48 buf pos n acc =
+  if n = 0 then acc
+  else
+    let s = Bytes.get_uint8 buf pos in
+    let acc = if s > 0 && s <= capacity.(2) then acc lor (1 lsl (s - 1)) else acc in
+    used48 buf (pos + 1) (n - 1) acc
+
+(* The first Node48 slot from [i] on that is not in [used].  The count
+   admits one more child only if one is free, so none free is a bug. *)
+let rec free48 used i =
+  if i >= capacity.(2) then invalid_arg "Art: a Node48 below capacity has no free slot"
+  else if used land (1 lsl i) = 0 then i
+  else free48 used (i + 1)
+
 (* In-place child insertion protocols into locked node [n] of type [ty]
    with [c] children, whose first line is copied at [snap_visit] in
    [snap]: entry persisted first, then the store that makes it visible
@@ -790,14 +808,14 @@ let add_child_inplace n snap ty c b ptr =
       set_count n (c + 1);
       persist n off_count 2
   | 2 ->
-      (* find a free physical slot by scanning the index *)
-      let used = Array.make capacity.(ty) false in
-      for byte = 0 to 255 do
-        let s = idx48 n.pool n.off snap snap_visit byte in
-        if s > 0 then used.(s - 1) <- true
-      done;
-      let rec free_slot i = if used.(i) then free_slot (i + 1) else i in
-      let s = free_slot 0 in
+      (* A free physical slot: the used ones as bits of an int, from the
+         index bytes in the copy of line 0, then from the rest, copied
+         over them with one read. *)
+      let in_copy = snap_len - n48_index in
+      let used = used48 snap (snap_visit + n48_index) in_copy 0 in
+      let rest = 256 - in_copy in
+      Pobj.blit_to_bytes n snap_len snap (snap_visit + n48_index) rest;
+      let s = free48 (used48 snap (snap_visit + n48_index) rest used) 0 in
       Pobj.write_int n (child_rel ty s) ptr;
       persist n (child_rel ty s) 8;
       set_count n (c + 1);

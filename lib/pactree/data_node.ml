@@ -2,19 +2,23 @@ module Pool = Nvm.Pool
 module Pptr = Pmalloc.Pptr
 module Layout = Pobj.Layout
 
-let entries = 64
-
 (* Fixed node header (256 bytes); key-value slots follow at a stride
    chosen per tree instance (see [layout] below).  The lock word and
    the permutation cache are transient: the former is voided by the
    generation bump after a crash, the latter is rebuilt from the
    persistent slots (§5.2) — unless the persist_perm ablation flushes
-   it explicitly. *)
+   it explicitly.
+
+   Line 0 holds the lock word, the links, the deleted mark, the
+   permutation stamp and the fingerprints of slots [hi_fps, entries);
+   line 1 holds the bitmap and the other fingerprints.  A clwb evicts
+   the line it flushes (FH4), so the line that a write commits — the
+   bitmap with the fingerprint of a slot below [hi_fps] — is not the
+   lock's: a writer's release stores to a line still in the CPU
+   cache. *)
 let hdr = Layout.create "data_node.hdr"
 
 let f_lock = Layout.word ~transient:true hdr "lock"
-
-let f_bitmap = Layout.i64 hdr "bitmap"
 
 let f_next = Layout.word hdr "next"
 
@@ -24,7 +28,16 @@ let f_deleted = Layout.word hdr "deleted"
 
 let f_perm_version = Layout.word ~transient:true hdr "perm_version"
 
-let f_fingerprints = Layout.bytes ~at:64 hdr "fingerprints" 64
+let entries = 64
+
+let hi_fps = 56
+
+(* the last word of line 0 *)
+let f_fingerprints_hi = Layout.bytes ~at:56 hdr "fingerprints_hi" (entries - hi_fps)
+
+let f_bitmap = Layout.i64 ~at:64 hdr "bitmap"
+
+let f_fingerprints = Layout.bytes hdr "fingerprints" hi_fps
 
 let f_permutation = Layout.bytes ~at:128 ~transient:true hdr "permutation" 64
 
@@ -46,9 +59,18 @@ let off_deleted = Layout.off f_deleted
 
 let off_fingerprints = Layout.off f_fingerprints
 
+let off_fingerprints_hi = Layout.off f_fingerprints_hi
+
+(* The offset of [slot]'s fingerprint byte: eight slots' fingerprints
+   make one aligned probe word, the last of them in line 0. *)
+let fp_off slot =
+  if slot < hi_fps then off_fingerprints + slot else off_fingerprints_hi + slot - hi_fps
+
 let off_permutation = Layout.off f_permutation
 
 let off_anchor = Layout.off f_anchor
+
+let off_perm_version = Layout.off f_perm_version
 
 type layout = { inline : int; stride : int; node_size : int; persist_perm : bool }
 
@@ -158,7 +180,7 @@ let live_in buf pos slot = Bytes.get_uint8 buf (pos + (slot lsr 3)) land (1 lsl 
 
 (* The writers, [live_count] and [live_entries] read the bitmap into
    the calling thread's scratch buffer, at its place in a visit's copy
-   of line 0, and a writer stores it back from there: an [int64]
+   of line 1, and a writer stores it back from there: an [int64]
    returned or passed across a call is boxed.  The read and the store
    make the accesses of [bitmap] and [set_bitmap]. *)
 let bits = Layout.off f_bitmap
@@ -190,16 +212,18 @@ let live_count t =
 
 (* ---------- read-only visits ---------- *)
 
-(* A visit copies the node's lines 0-1 — lock word, bitmap, next/prev,
-   deleted mark, permutation stamp and the fingerprint line — into the
-   calling thread's scratch buffer with one read, and decodes them from
+(* A visit copies the node's lines 0-1 — lock word, next/prev, deleted
+   mark, permutation stamp, bitmap and fingerprints — into the calling
+   thread's scratch buffer with one read, and decodes them from
    the copy: a later access can miss the cache and let other threads
    run, and the visit goes on with what it read.  A probe copies each
    candidate entry (value and inline key) with one read to
    [snap_entry], past the copied lines, so the bitmap and fingerprints
    it is still scanning stay intact.  A visit addresses the node by its
    pool and offset and builds no record. *)
-let snap_len = off_fingerprints + entries
+let snap_len = off_fingerprints + hi_fps
+
+let () = assert (snap_len = 128 && off_fingerprints_hi + entries - hi_fps = bits)
 
 let snap_entry = snap_len
 
@@ -208,8 +232,10 @@ let () = assert (snap_entry + 9 + Key.max_len <= off_anchor_len)
 let begin_read pool off ~gen =
   Vlock.begin_read_snapshot pool off ~gen (Des.Sched.scratch ()) 0 snap_len
 
-(* The header fields alone (line 0), for a visit that probes no key. *)
-let header_len = Layout.off f_perm_version + 8
+(* Line 0 alone — the header fields and the last fingerprint word —
+   for a visit that probes no key, or a writer that locks from it and
+   then copies line 1 ([find_locked]). *)
+let header_len = bits
 
 let read_header pool off = Pool.blit_to_bytes pool off (Des.Sched.scratch ()) 0 header_len
 
@@ -255,7 +281,7 @@ let rec probe_word lay pool off k snap slot m =
    a byte, so the mask is exact.  The int64s stay local, unboxed. *)
 let[@inline] fingerprint_matches snap fp word =
   let low7 = 0x7F7F7F7F7F7F7F7FL in
-  let w = Bytes.get_int64_le snap (off_fingerprints + (8 * word)) in
+  let w = Bytes.get_int64_le snap (fp_off (8 * word)) in
   let x = Int64.logxor w (Int64.mul (Int64.of_int fp) 0x0101010101010101L) in
   let zero =
     Int64.lognot (Int64.logor (Int64.logor (Int64.add (Int64.logand x low7) low7) x) low7)
@@ -268,7 +294,7 @@ let rec probe_from lay pool off k snap fp word =
     let slot = probe_word lay pool off k snap (8 * word) (fingerprint_matches snap fp word) in
     if slot >= 0 then slot else probe_from lay pool off k snap fp (word + 1)
 
-(* one fingerprint match over the copied line, eight bytes at a time
+(* one fingerprint match over the copied lines, eight bytes at a time
    (the AVX512 match of the paper, §5.2) *)
 let probe lay pool off k = probe_from lay pool off k (Des.Sched.scratch ()) (Fingerprint.of_key k) 0
 
@@ -288,19 +314,18 @@ let find_from lay pool off k from =
 
 let find lay pool off k = find_from lay pool off k 0
 
-let find_locked lay pool off k = find_from lay pool off k off_fingerprints
+let find_locked lay pool off k = find_from lay pool off k header_len
 
 let found_value () = snap_int snap_entry
 
 (* Write the pair of value [v] and the key [k] to [slot] of the node at
-   [off] in [pool] with one store from [snap_entry], then its
-   fingerprint.  The writers address a node by its pool and offset, as
-   a visit does, and build no record. *)
+   [off] in [pool] with one store from [snap_entry].  The writers
+   address a node by its pool and offset, as a visit does, and build no
+   record. *)
 let set_entry lay pool off slot k v =
   let buf = Des.Sched.scratch () and len = String.length k in
   put_pair lay buf snap_entry v (Bytes.unsafe_of_string k) 0 len;
-  Pool.blit_from_bytes pool (off + entry_off lay slot) buf snap_entry (key_pos lay + len);
-  Pool.write_u8 pool (off + off_fingerprints + slot) (Fingerprint.of_key k)
+  Pool.blit_from_bytes pool (off + entry_off lay slot) buf snap_entry (key_pos lay + len)
 
 let live_entries lay t =
   let buf = Des.Sched.scratch () in
@@ -470,13 +495,27 @@ let stamp_permutation lay t word =
    negative, so no reader takes the array for fresh meanwhile. *)
 let publishing = -1
 
-let persist_slot lay pool off slot =
-  Pool.flush_range pool (off + entry_off lay slot) lay.stride;
-  Pool.clwb pool (off + off_fingerprints + slot);
-  Pool.fence pool
+let write_fp pool off slot k = Pool.write_u8 pool (off + fp_off slot) (Fingerprint.of_key k)
 
-let persist_bitmap pool off =
-  Pool.flush_range pool (off + bits) (Layout.field_size f_bitmap);
+(* Persist the entry [set_entry] wrote to [slot] and store its
+   fingerprint.  A fingerprint in line 0 is stored first and persisted
+   with the entry; one in line 1 is stored after the entry's fence, for
+   [commit] to persist with the bitmap.  A store to a line persists no
+   earlier than the stores before it to that line, so the bitmap never
+   persists without the fingerprint, and line 0, the lock's, is flushed
+   only for a slot from [hi_fps] on. *)
+let persist_slot lay pool off slot k =
+  if slot >= hi_fps then write_fp pool off slot k;
+  Pool.flush_range pool (off + entry_off lay slot) lay.stride;
+  if slot >= hi_fps then Pool.clwb pool (off + off_fingerprints_hi);
+  Pool.fence pool;
+  if slot < hi_fps then write_fp pool off slot k
+
+(* Store the bitmap in the scratch buffer and persist line 1: the
+   linearization point of a write. *)
+let commit pool off buf =
+  write_bits pool off buf;
+  Pool.clwb pool (off + bits);
   Pool.fence pool
 
 (* The ablation's writer rebuilds and flushes the array under its
@@ -509,10 +548,9 @@ let insert_slot lay pool off k v =
   if slot < 0 then Full
   else begin
     set_entry lay pool off slot k v;
-    persist_slot lay pool off slot (* durability point for the pair *);
+    persist_slot lay pool off slot k (* durability point for the pair *);
     set_live buf slot;
-    write_bits pool off buf;
-    persist_bitmap pool off (* linearization point, persisted *);
+    commit pool off buf;
     maybe_persist_perm lay pool off;
     Ok
   end
@@ -528,8 +566,7 @@ let insert lay pool off k v =
 let delete_slot lay pool off slot () =
   let buf = Des.Sched.scratch () in
   clear_live buf slot;
-  write_bits pool off buf;
-  persist_bitmap pool off;
+  commit pool off buf;
   maybe_persist_perm lay pool off
 
 let delete_found lay pool off slot = in_insert_span delete_slot lay pool off slot ()
@@ -549,11 +586,10 @@ let update_slot lay pool off old_slot k v =
     (* Out-of-place: persist the new pair, then one atomic bitmap
        write retires the old slot and publishes the new. *)
     set_entry lay pool off slot k v;
-    persist_slot lay pool off slot;
+    persist_slot lay pool off slot k;
     clear_live buf old_slot;
     set_live buf slot;
-    write_bits pool off buf;
-    persist_bitmap pool off;
+    commit pool off buf;
     maybe_persist_perm lay pool off
   end
   else begin
@@ -614,7 +650,7 @@ let scan_from lay t ~gen k ~f =
     let n = sort_into lay t c.image c.slots in
     if
       stamp <> publishing
-      && Pobj.transient_cas t (Layout.off f_perm_version) ~expected:stamp publishing
+      && Pobj.transient_cas t off_perm_version ~expected:stamp publishing
     then begin
       write_permutation t c.slots n;
       stamp_permutation lay t word;
@@ -631,15 +667,15 @@ let low_bits n = if n >= entries then -1L else Int64.pred (Int64.shift_left 1L n
    key of [len] bytes at [pos] in [buf], with its fingerprint. *)
 let out_entry lay image i v buf pos len =
   put_pair lay image (copy_out + off_kv + (i * lay.stride)) v buf pos len;
-  Bytes.set_uint8 image (copy_out + off_fingerprints + i) (Fingerprint.of_bytes buf pos len)
+  Bytes.set_uint8 image (copy_out + fp_off i) (Fingerprint.of_bytes buf pos len)
 
 (* Write a fresh node at [t] from the image at [copy_out], whose first
-   [n] entries and fingerprints are set: line 0 (lock word, the bitmap
-   of slots [0, n), links, deleted mark, permutation stamp, the rest
-   zeroed) with the fingerprint line, the anchor's length and bytes
-   and the entries, each with one store, then flush the header's
-   XPLine (the permutation line with it, unwritten, so that the XPLine
-   is written whole) and the entries.  No other line is touched: the entries past [n] and
+   [n] entries and fingerprints are set: lines 0-1 (lock word, links,
+   deleted mark, permutation stamp, the bitmap of slots [0, n), the
+   fingerprints, the rest zeroed), the anchor's length and bytes and
+   the entries, each with one store, then flush the header's XPLine
+   (the permutation line with it, unwritten, so that the XPLine is
+   written whole) and the entries.  No other line is touched: the entries past [n] and
    the permutation array are not live (the stamp 0 matches no lock
    word, whose generation is >= 1).  The fingerprints past [n] are
    zeroed, so the bytes stored depend on the node's pairs alone: the
@@ -648,17 +684,18 @@ let write_fresh lay t image ~gen ~anchor ~next ~prev n =
   let o = copy_out in
   let set rel v = Bytes.set_int64_le image (o + rel) (Int64.of_int v) in
   set off_lock (Vlock.fresh ~gen);
-  Bytes.set_int64_le image (o + bits) (low_bits n);
   set off_next next;
   set off_prev prev;
   set off_deleted 0;
-  set (Layout.off f_perm_version) 0;
-  Bytes.fill image (o + header_len) (64 - header_len) '\000';
-  Bytes.fill image (o + off_fingerprints + n) (entries - n) '\000';
+  set off_perm_version 0;
+  Bytes.fill image (o + off_perm_version + 8) (off_fingerprints_hi - off_perm_version - 8) '\000';
+  Bytes.set_int64_le image (o + bits) (low_bits n);
+  for i = n to entries - 1 do
+    Bytes.set_uint8 image (o + fp_off i) 0
+  done;
   set off_anchor_len (String.length anchor);
   Bytes.blit_string anchor 0 image (o + off_anchor) (String.length anchor);
-  let head = if n > 0 then snap_len else off_fingerprints in
-  Pobj.blit_from_bytes t 0 image o head;
+  Pobj.blit_from_bytes t 0 image o snap_len;
   Pobj.blit_from_bytes t off_anchor_len image (o + off_anchor_len)
     (off_anchor - off_anchor_len + String.length anchor);
   Pobj.blit_from_bytes t off_kv image (o + off_kv) (n * lay.stride);
@@ -706,11 +743,13 @@ let clear_moved t slots ~pos ~len =
 
 (* Copy [src]'s live entries into free slots of [dst], whose lines 0-1
    are copied to the scratch buffer: each entry with one store from
-   the copy, their fingerprints in the scratch copy of line 1, stored
-   with one write; then flush the entry lines (ascending, each once:
-   a clwb takes the line as it is, so every store comes first) and
-   line 1, fence once, and store and persist the bitmap.  The
-   destination slots are noted in the copy's slot array. *)
+   the copy, their fingerprints in the scratch copy of lines 0-1; then
+   flush the entry lines (ascending, each once: a clwb takes the line
+   as it is, so every store comes first), with line 0's fingerprint
+   word stored and flushed if a destination slot is from [hi_fps] on,
+   fence once, and store line 1's fingerprints, then the bitmap, and
+   persist the line (as an insert's [persist_slot] and [commit] do).
+   The destination slots are noted in the copy's slot array. *)
 let absorb_slots lay src dst =
   let c = thread_copy () in
   let image = c.image in
@@ -725,8 +764,7 @@ let absorb_slots lay src dst =
       if d < 0 then invalid_arg "Data_node.absorb: destination too full";
       let len = copy_key_len lay image slot in
       Pobj.blit_from_bytes dst (entry_off lay d) image (slot * lay.stride) (key_pos lay + len);
-      Bytes.set_uint8 buf (off_fingerprints + d)
-        (Fingerprint.of_bytes image (copy_key lay slot) len);
+      Bytes.set_uint8 buf (fp_off d) (Fingerprint.of_bytes image (copy_key lay slot) len);
       set_live buf d;
       c.slots.(!n) <- d;
       incr n
@@ -741,11 +779,13 @@ let absorb_slots lay src dst =
         flushed := line
       done
     done;
-    Pobj.blit_from_bytes dst off_fingerprints buf off_fingerprints entries;
-    Pobj.clwb dst off_fingerprints;
+    if c.slots.(!n - 1) >= hi_fps then begin
+      Pobj.blit_from_bytes dst off_fingerprints_hi buf off_fingerprints_hi (entries - hi_fps);
+      Pobj.clwb dst off_fingerprints_hi
+    end;
     Pobj.fence dst;
-    write_bits dst.pool dst.off buf;
-    persist_bitmap dst.pool dst.off;
+    Pobj.blit_from_bytes dst off_fingerprints buf off_fingerprints hi_fps;
+    commit dst.pool dst.off buf;
     maybe_persist_perm lay dst.pool dst.off
   end
 

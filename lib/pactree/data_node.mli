@@ -5,13 +5,18 @@
     - an {e anchor key}: the node's immutable lower bound (§4.2);
     - a 64-bit {e valid bitmap}, whose 8-byte atomic update is the
       linearization point of every write (§5.5);
-    - a {e fingerprint array} (one cache line) for cheap lookups;
+    - a {e fingerprint array} (one byte per slot) for cheap lookups;
     - a {e permutation array} (one cache line) giving sorted order for
       scans — deliberately {e not} persisted (selective persistence,
       §4.4) and rebuilt on demand, validated by a version stamp;
     - next/prev pointers (the data layer is a doubly-linked list), a
       logical-deletion mark, and an optimistic persistent version
       lock.
+
+    Line 0 holds the lock word, the links, the deleted mark, the
+    permutation stamp and the fingerprints of slots 56-63; line 1 holds
+    the bitmap and the fingerprints of slots 0-55.  A write commits in
+    line 1, so a writer's release stores to a line no flush evicted.
 
     This module implements field access and the crash-consistent
     write protocols {e within} one node; locking and structural
@@ -82,9 +87,10 @@ val off_deleted : int
 
 (** {2 Initialisation} *)
 
-(** Write a fresh, empty node — line 0 (lock word, bitmap, links,
-    deleted mark, permutation stamp) and the anchor's length and bytes
-    (line 3), each with one store — and flush the header's XPLine (lines 0-3)
+(** Write a fresh, empty node — lines 0-1 (lock word, links, deleted
+    mark, permutation stamp, bitmap, zeroed fingerprints) and the
+    anchor's length and bytes (line 3), each with one store — and flush
+    the header's XPLine (lines 0-3)
     without a fence: the caller fences before publishing the node.
     Nothing else of the node is read or written, so the memory may
     hold anything before. *)
@@ -97,8 +103,8 @@ val value_at : layout -> t -> int -> int
 
 (** {2 Read-only visits}
 
-    A visit copies the node's lines 0-1 (lock word, bitmap, next/prev,
-    deleted mark, permutation stamp, fingerprints) into the calling
+    A visit copies the node's lines 0-1 (lock word, next/prev, deleted
+    mark, permutation stamp, bitmap, fingerprints) into the calling
     thread's {!Des.Sched.scratch} buffer with one read and decodes the
     header from the copy; the [snap_*] readers below read the last copy
     this thread took.  Nothing else may use the buffer while the visit
@@ -111,8 +117,9 @@ val value_at : layout -> t -> int -> int
     {!Vlock.validate}. *)
 val begin_read : Nvm.Pool.t -> int -> gen:int -> int
 
-(** Copy the header fields alone (line 0), unversioned: for visits that
-    probe no key, or whose caller holds the lock. *)
+(** Copy line 0 alone (the header fields and the fingerprints of slots
+    56-63), unversioned: for visits that probe no key, or whose caller
+    holds the lock. *)
 val read_header : Nvm.Pool.t -> int -> unit
 
 (** The copied lock word, for {!Vlock.lock_from}. *)
@@ -127,7 +134,7 @@ val snap_prev : unit -> Pmalloc.Pptr.t
 (** [probe lay pool off k] is the live slot holding [k] according to the
     lines 0-1 copy of the node at [off] in [pool] that {!begin_read}
     took, or [-1]: one
-    fingerprint match over the copied line, then one read of each
+    fingerprint match over the copied lines, then one read of each
     candidate entry (value and key), compared in the buffer.  A hit
     leaves the entry's value for {!found_value}.  Allocation-free. *)
 val probe : layout -> Nvm.Pool.t -> int -> Key.t -> int
@@ -138,7 +145,7 @@ val probe : layout -> Nvm.Pool.t -> int -> Key.t -> int
 val find : layout -> Nvm.Pool.t -> int -> Key.t -> int
 
 (** [find_locked] is [find] for a writer whose buffer already holds
-    the node's header (line 0) as it is under the lock the writer holds
+    the node's line 0 as it is under the lock the writer holds
     ({!read_header} under the lock, or a copy the lock was taken from
     with {!Vlock.lock_from}): it copies line 1 alone. *)
 val find_locked : layout -> Nvm.Pool.t -> int -> Key.t -> int
@@ -167,7 +174,7 @@ val live_entries : layout -> t -> (Key.t * int) list
 val sort_live : layout -> t -> int array -> int
 
 (** [sort_locked] is [sort_live] for a writer whose scratch buffer holds
-    the node's line 0 as it is under the lock the writer holds (a
+    the node's line 1 as it is under the lock the writer holds (a
     {!find_locked} on [t] left it): the bitmap is taken from there, not
     read again. *)
 val sort_locked : layout -> t -> int array -> int
@@ -198,8 +205,11 @@ val compare_sorted_key : layout -> int -> Key.t -> int
 
 type write_result = Ok | Full | Absent
 
-(** Insert protocol (§5.5): persist kv+fingerprint, then atomically
-    set the bitmap bit and persist it.  [Full] when no slot is free.
+(** Insert protocol (§5.5): persist the kv (with its fingerprint when
+    that lies in line 0, slots 56-63), then store the fingerprint (slots
+    0-55) and atomically set the bitmap bit, and persist line 1: two
+    flushes and two fences below slot 56, three flushes from it on.
+    [Full] when no slot is free.
     Duplicate keys: callers must check [find] first (PACTree
     semantics: insert of an existing key acts as update). *)
 val insert : layout -> Nvm.Pool.t -> int -> Key.t -> int -> write_result
@@ -250,8 +260,8 @@ val scan_from : layout -> t -> gen:int -> Key.t -> f:(Key.t -> int -> bool) -> b
     [slots.(pos .. pos+len-1)] of the calling thread's last sort, and
     in slot [len] the [pending] pair if there is one.  The entries and
     their fingerprints are built in the thread's copy and written with
-    one store each: [dst] gets line 0 with its fingerprint line, the
-    anchor and the entries, each once; the header's XPLine and the
+    one store each: [dst] gets lines 0-1, the anchor and the entries,
+    each once; the header's XPLine and the
     entry lines are flushed, not fenced. *)
 val init_moved :
   layout ->
@@ -275,7 +285,8 @@ val init_moved :
 val clear_moved : t -> int array -> pos:int -> len:int -> unit
 
 (** Append [src]'s live entries into free slots of [dst]: read [src]'s
-    live lines as a sort does, write every entry and the fingerprint
-    line, flush them and fence once, then one atomic bitmap update +
-    persist (two fences in all).  Precondition: enough free slots. *)
+    live lines as a sort does, write every entry (and line 0's
+    fingerprints if a slot from 56 on is filled), flush them and fence
+    once, then store line 1's fingerprints and the bitmap and persist
+    the line (two fences in all).  Precondition: enough free slots. *)
 val absorb : layout -> src:t -> dst:t -> unit

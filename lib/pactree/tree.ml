@@ -338,18 +338,19 @@ let enqueue_smo t e =
 let persist_field node rel = Pobj.persist node rel 8
 
 (* The upper half of the node's keys, in sorted order, moves to a new
-   right sibling whose anchor is the first moved key.  Two fences
-   follow the log entry and the allocation: the new node's lines, then
-   the link with the left node's bitmap clear and the right neighbour's
-   [prev] (recovery repairs either line alone).  The link and the
-   bitmap share the left node's line 0, and stores to one line persist
-   in program order, so the clear never persists without the link and
-   the link needs no fence of its own.  A pending key at or after the
-   anchor is written into the new node before that node is persisted:
-   it is unacknowledged until the split returns, and a redo rebuilds
-   the node from the left one, without it.  The walk's copy of
-   the node's line 0, completed by [Node.find_locked], gives the bitmap
-   and the old [next]. *)
+   right sibling whose anchor is the first moved key.  Three fences
+   follow the log entry and the allocation: the new node's lines, the
+   link, then the left node's bitmap clear with the right neighbour's
+   [prev] (recovery repairs either line alone).  The link lies in the
+   left node's line 0 and the bitmap in its line 1, so the clear waits
+   for the link's fence: a redo rebuilds an unlinked new node from the
+   left node's keys, and a clear persisted without the link would lose
+   the moved ones.  A pending key at or after the anchor is written
+   into the new node before that node is persisted: it is
+   unacknowledged until the split returns, and a redo rebuilds the
+   node from the left one, without it.  The walk's copy of the node's
+   line 0, completed by [Node.find_locked] with line 1, gives the old
+   [next] and the bitmap. *)
 let split t node wv key value =
   t.stats.splits <- t.stats.splits + 1;
   let old_next = Node.snap_next () in
@@ -370,12 +371,11 @@ let split t node wv key value =
     ?pending:(if right then Some (key, value) else None)
     slots ~pos:half ~len:moved;
   Pobj.fence nnode;
-  (* 4. Publish: link right of the splitting node (atomic), flushed;
-     step 5's fence persists it. *)
+  (* 4. Publish: link right of the splitting node (atomic), persisted. *)
   Node.set_next node new_ptr;
-  Pobj.clwb node Node.off_next;
+  persist_field node Node.off_next;
   (* 5. Retire the moved slots (atomic bitmap update) and fix the right
-     neighbour's prev pointer, under the link's fence. *)
+     neighbour's prev pointer, under one fence. *)
   Node.clear_moved node slots ~pos:half ~len:moved;
   if not (Pptr.is_null old_next) then begin
     let rn = Node.of_ptr t.machine old_next in
@@ -704,7 +704,8 @@ let recover_split t e left anchor =
     let node = Node.of_ptr t.machine left in
     let nnode = Node.of_ptr t.machine new_ptr in
     (* The link is written only after the new node is fully persisted,
-       so a missing link means we must rebuild the new node. *)
+       so a missing link means we must rebuild the new node; the redo
+       persists the link before the clear below, as the split does. *)
     let slots = Array.make Node.entries 0 in
     if not (Pptr.equal (Node.next node) new_ptr) then begin
       let total = Node.sort_live t.lay node slots in

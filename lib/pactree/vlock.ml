@@ -17,8 +17,8 @@ let version_of w = w land 0xFFFFFFFF
 
    Lock words are transient by the same argument: they are never
    flushed, because the generation bump voids them after any crash —
-   all stores below are exempt from the persist-order sanitizer, whose
-   closure is built only while one runs.
+   all stores below are transient stores, which no persist checker
+   (the sanitizer, a crashmc trace) sees.
 
    Every function addresses the word by its pool and offset, so a
    node visit or a writer builds no record. *)
@@ -26,15 +26,9 @@ let effective w ~gen = if gen_of w = gen then version_of w else 0
 
 let is_current w ~gen = gen_of w = gen
 
-let store pool off w =
-  if Pobj.Sanitizer.active () then
-    Pobj.Sanitizer.with_suppressed (fun () -> Pool.write_int pool off w)
-  else Pool.write_int pool off w
+let store pool off w = Pool.write_int_transient pool off w
 
-let cas pool off ~expected w =
-  if Pobj.Sanitizer.active () then
-    Pobj.Sanitizer.with_suppressed (fun () -> Pool.cas_int pool off ~expected w)
-  else Pool.cas_int pool off ~expected w
+let cas pool off ~expected w = Pool.cas_int_transient pool off ~expected w
 
 let fresh ~gen = word ~gen ~version:0
 

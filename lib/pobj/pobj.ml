@@ -67,7 +67,11 @@ let store f write o v =
 
 let get_int o f = read_int o (Layout.off f)
 
-let set_int o f v = store f write_int o v
+(* A transient word (a lock word, a stamp) is a transient store: no
+   persist checker sees it. *)
+let set_int o f v =
+  if Layout.is_transient f then Pool.write_int_transient o.pool (o.off + Layout.off f) v
+  else write_int o (Layout.off f) v
 
 let get_i64 o f = read_i64 o (Layout.off f)
 
@@ -86,7 +90,8 @@ let get_u32 o f = read_u32 o (Layout.off f)
 let set_u32 o f v = store f write_u32 o v
 
 let cas_field o f ~expected v =
-  if suppressed f then Sanitizer.with_suppressed (fun () -> cas o (Layout.off f) ~expected v)
+  if Layout.is_transient f then
+    Pool.cas_int_transient o.pool (o.off + Layout.off f) ~expected v
   else cas o (Layout.off f) ~expected v
 
 (* {2 Persistence} *)
@@ -112,6 +117,4 @@ let persist_obj o layout =
 (* {2 Transient stores} — deliberately never flushed (selectively
    persisted regions); exempt from the sanitizer. *)
 
-let transient_cas o rel ~expected v =
-  if Sanitizer.active () then Sanitizer.with_suppressed (fun () -> cas o rel ~expected v)
-  else cas o rel ~expected v
+let transient_cas o rel ~expected v = Pool.cas_int_transient o.pool (o.off + rel) ~expected v

@@ -77,7 +77,9 @@ val cas : obj -> int -> expected:int -> int -> bool
 (** {2 Typed field accessors}
 
     Writes through a [~transient] field are automatically exempt from
-    sanitizer tracking. *)
+    sanitizer tracking; [set_int] and [cas_field] of one are transient
+    stores ({!Nvm.Pool.write_int_transient}), which no persist checker
+    sees. *)
 
 val get_int : obj -> Layout.field -> int
 
@@ -123,7 +125,8 @@ val persist_obj : obj -> Layout.t -> unit
 
 (** {2 Transient stores}
 
-    Deliberately never flushed (selectively
-    persisted regions); exempt from sanitizer tracking. *)
+    Deliberately never flushed (selectively persisted regions): a
+    transient store ({!Nvm.Pool.cas_int_transient}), which no persist
+    checker sees. *)
 
 val transient_cas : obj -> int -> expected:int -> int -> bool

@@ -238,7 +238,8 @@ let flaky k = Machine.Flaky (0.5, Des.Rng.create ~seed:(seed_of (1000 + k)))
 
 (* After recovery: the invariants hold, every key of [present] is there
    with its value, none of [absent] is, [maybe] is there with [v] or
-   not at all, a full scan is sorted, and the tree takes a new key. *)
+   not at all, a full scan holds exactly those keys, in order, and the
+   tree takes a new key. *)
 let check_recovered what t ~present ~absent ~maybe:(mk, mv) =
   ignore (Tree.recover t);
   (try ignore (Tree.check_invariants t) with Failure m -> Alcotest.failf "%s: %s" what m);
@@ -250,24 +251,29 @@ let check_recovered what t ~present ~absent ~maybe:(mk, mv) =
     (fun k ->
       if Tree.lookup t (ik k) <> None then Alcotest.failf "%s: deleted key %d back" what k)
     absent;
-  (match Tree.lookup t (ik mk) with
-  | None -> ()
-  | Some v when v = mv -> ()
-  | Some v -> Alcotest.failf "%s: in-flight key %d holds %d" what mk v);
+  let landed =
+    match Tree.lookup t (ik mk) with
+    | None -> []
+    | Some v when v = mv -> [ mk ]
+    | Some v -> Alcotest.failf "%s: in-flight key %d holds %d" what mk v
+  in
   let keys = List.map (fun (k, _) -> Key.to_int k) (Tree.scan t (ik 0) 1_000) in
   if keys <> List.sort_uniq compare keys then Alcotest.failf "%s: scan not sorted" what;
+  if keys <> List.sort_uniq compare (landed @ present) then
+    Alcotest.failf "%s: a scan returns %d keys, not the %d live ones" what (List.length keys)
+      (List.length (List.sort_uniq compare (landed @ present)));
   Tree.insert t (ik 5_000) 1;
   if Tree.lookup t (ik 5_000) <> Some 1 then Alcotest.failf "%s: not writable" what
 
 (* A split crashed before each of its fences, strict and flaky, over
    garbage memory, with the pending key going to the new node (315)
    and to the left node (0).  The loop covers every window; the fence
-   list shows the two split fences: the new node (header XPLine and
-   entries), then the link, the bitmap clear and the neighbour's
-   [prev] (three clwbs: the link and the clear share the left node's
-   line 0, each flushed after its store).  A crash before the first is
-   inside the new node's build, before the second after its persist,
-   with the link stored or not. *)
+   list shows the three split fences: the new node (header XPLine and
+   entries), the link (the left node's line 0), then the bitmap clear
+   (its line 1) and the neighbour's [prev].  A crash before the first
+   is inside the new node's build, before the second after its
+   persist, with the link stored or not, and before the third after
+   the link's persist, with the clear stored or not. *)
 let test_split_crash_windows () =
   List.iter
     (fun key ->
@@ -279,8 +285,8 @@ let test_split_crash_windows () =
         | Some i -> i
         | None -> Alcotest.failf "key %d: no fence persists the new node" key
       in
-      Alcotest.(check int) "the link + clear + prev fence takes three clwbs" 3
-        lines.(build + 1);
+      Alcotest.(check int) "the link fence takes one clwb" 1 lines.(build + 1);
+      Alcotest.(check int) "the clear + prev fence takes two clwbs" 2 lines.(build + 2);
       for k = 1 to n do
         List.iter
           (fun (mode_name, mode) ->
@@ -294,6 +300,42 @@ let test_split_crash_windows () =
           [ ("strict", Machine.Strict); ("flaky", flaky k) ]
       done)
     [ 315; 0 ]
+
+(* An insert crashed before each of its fences, strict and flaky, over
+   garbage memory: into the right node of [garbage_tree], whose split
+   left slots 0-32 live, once into slot 33 and once, after 23 inserts
+   fill slots 33-55, into slot 56.  Below 56 the insert fences its
+   entry line, then line 1 (fingerprint and bitmap); from 56 on the
+   fingerprint lies in line 0, which the first fence persists with the
+   entry. *)
+let test_insert_crash_windows () =
+  let fill = List.init 23 (fun i -> 660 + (10 * i)) in
+  List.iter
+    (fun (what, prefill, layout) ->
+      let key = 5_001 in
+      let setup () =
+        let machine, t = garbage_tree () in
+        List.iter (fun k -> Tree.insert t (ik k) k) prefill;
+        (machine, t)
+      in
+      let lines =
+        let machine, t = setup () in
+        fence_lines machine (fun () -> Tree.insert t (ik key) 999)
+      in
+      Alcotest.(check (array int)) (what ^ ": clwbs per fence") layout lines;
+      for k = 1 to Array.length lines do
+        List.iter
+          (fun (mode_name, mode) ->
+            let machine, t = setup () in
+            if run_until_fence machine k (fun () -> Tree.insert t (ik key) 999) then
+              Alcotest.failf "%s: the insert ended before fence %d" what k;
+            Machine.crash machine mode;
+            check_recovered
+              (Printf.sprintf "%s, crash before fence %d (%s)" what k mode_name)
+              t ~present:(split_keys @ prefill) ~absent:[] ~maybe:(key, 999))
+          [ ("strict", Machine.Strict); ("flaky", flaky k) ]
+      done)
+    [ ("slot 33", [], [| 1; 1 |]); ("slot 56", fill, [| 2; 1 |]) ]
 
 (* A delete that merges the two nodes, crashed before each of its
    fences: the keys deleted before it stay deleted, the rest survive. *)
@@ -412,5 +454,6 @@ let suite =
     Alcotest.test_case "heap crash cycles" `Quick test_heap_crash_cycles;
     Alcotest.test_case "a split crashed at each fence" `Quick test_split_crash_windows;
     Alcotest.test_case "a merge crashed at each fence" `Quick test_merge_crash_windows;
+    Alcotest.test_case "an insert crashed at each fence" `Quick test_insert_crash_windows;
     Alcotest.test_case "garbage memory" `Quick test_garbage_memory;
   ]

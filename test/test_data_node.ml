@@ -486,11 +486,15 @@ let test_probe_full_node () =
       Alcotest.(check (option int)) "absent" None (visit lay node (key Node.entries)))
     [ 8; Key.max_len ]
 
-(* Byte offsets of the bitmap, of the fingerprint line and of slot
-   0's entry in a node (the 256-byte header). *)
-let bitmap_at = 8
+(* Byte offsets of the bitmap, of slot [slot]'s fingerprint (line 1
+   for slots 0-55, the last word of line 0 for 56-63), of the
+   permutation stamp and of slot 0's entry in a node (the 256-byte
+   header). *)
+let bitmap_at = 64
 
-let fingerprints_at = 64
+let fingerprint_at slot = if slot < 56 then 72 + slot else slot
+
+let stamp_at = 32
 
 let entries_at = 256
 
@@ -577,18 +581,20 @@ let test_probe_matches_reference () =
             | 7 -> 0x80
             | _ -> Random.State.int rng 256
           in
-          Pool.write_u8 node.pool (node.off + fingerprints_at + slot) (byte land 0xFF)
+          Pool.write_u8 node.pool (node.off + fingerprint_at slot) (byte land 0xFF)
         done;
         for _ = 1 to Random.State.int rng 4 do
           clear_slot node (Random.State.int rng Node.entries)
         done;
         if Random.State.bool rng then begin
           let slot = Random.State.int rng Node.entries in
-          Pool.write_u8 node.pool (node.off + fingerprints_at + slot) 0xFF
+          Pool.write_u8 node.pool (node.off + fingerprint_at slot) 0xFF
         end;
         let bitmap = Node.bitmap node in
-        let fps = Bytes.create Node.entries in
-        Pool.blit_to_bytes node.pool (node.off + fingerprints_at) fps 0 Node.entries;
+        let fps =
+          Bytes.init Node.entries (fun slot ->
+              Char.chr (Pool.read_u8 node.pool (node.off + fingerprint_at slot)))
+        in
         let reads () =
           let s = Machine.stats machine in
           s.cache_hits + s.cache_misses
@@ -666,9 +672,10 @@ let test_split_helpers_line_once () =
       Alcotest.(check bool) "not deleted" false (Node.is_deleted dst))
     [ 8; Key.max_len ]
 
-(* A merge fences twice, whatever it moves: the entries and the
-   fingerprint line, then the bitmap.  Each destination line is flushed
-   once, after its last store, so a crash keeps every absorbed pair. *)
+(* A merge fences twice, whatever it moves: the entries, then line 1
+   with their fingerprints (slots below 56) and the bitmap.  Each
+   destination line is flushed once, after its last store, so a crash
+   keeps every absorbed pair. *)
 let test_absorb_fences () =
   let machine, lay, dst = make_node () in
   let src = { dst with Node.off = 8192 } in
@@ -684,7 +691,7 @@ let test_absorb_fences () =
   let d = Nvm.Stats.diff (stats machine) s0 in
   Alcotest.(check int) "fences" 2 d.fences;
   (* slots 10..29: entry bytes 160..479, lines 2..7 of the region *)
-  Alcotest.(check int) "flushes: 6 entry lines, fingerprints, bitmap" 8 d.flushes;
+  Alcotest.(check int) "flushes: 6 entry lines, then line 1" 7 d.flushes;
   Alcotest.(check int) "no flush redundant" 0 d.flushes_elided;
   (* what the two fences made durable is all of it *)
   Machine.crash machine Machine.Strict;
@@ -693,6 +700,37 @@ let test_absorb_fences () =
     match find lay dst (ik (100 + i)) with
     | Some (_, v) -> Alcotest.(check int) "absorbed" i v
     | None -> Alcotest.failf "key %d not absorbed" (100 + i)
+  done
+
+(* A write commits in line 1, apart from the lock's line 0: an insert
+   into slot [s] below 56 flushes its entry line, fences, then flushes
+   line 1 and fences, and the release that follows and the next copy
+   of line 0 hit the CPU cache.  From slot 56 on the fingerprint lies
+   in line 0, which is flushed with the entry, so the insert flushes
+   three lines and the release misses.  An empty node fills its slots
+   in order. *)
+let test_commit_line () =
+  let machine, lay, node = make_node () in
+  let pool = node.pool and off = node.off in
+  for s = 0 to Node.entries - 1 do
+    let what = Printf.sprintf "slot %d" s in
+    let wv = Vlock.acquire pool off ~gen in
+    let s0 = stats machine in
+    Alcotest.(check bool) (what ^ ": inserted") true (Node.insert lay pool off (ik s) s = Node.Ok);
+    let d = Nvm.Stats.diff (stats machine) s0 in
+    let s1 = stats machine in
+    Vlock.release pool off ~gen ~version:wv;
+    Node.read_header pool off;
+    let r = Nvm.Stats.diff (stats machine) s1 in
+    Alcotest.(check int) (what ^ ": fences") 2 d.fences;
+    Alcotest.(check int) (what ^ ": flushes") (if s < 56 then 2 else 3) d.flushes;
+    Alcotest.(check int) (what ^ ": release and line 0 hits") (if s < 56 then 2 else 1)
+      r.cache_hits;
+    Alcotest.(check int) (what ^ ": release misses") (if s < 56 then 0 else 1) r.cache_misses
+  done;
+  Machine.crash machine Machine.Strict;
+  for s = 0 to Node.entries - 1 do
+    Alcotest.(check (option (pair int int))) "durable" (Some (s, s)) (find lay node (ik s))
   done
 
 (* [init] over memory that holds 0xFF bytes: the node is empty, its
@@ -710,7 +748,8 @@ let test_init_over_garbage () =
       Alcotest.(check int) "empty" 0 (Node.live_count node);
       Alcotest.(check bool) "not deleted" false (Node.is_deleted node);
       Alcotest.(check bool) "miss" true (find lay node (ik 3) = None);
-      let stamp () = Pool.read_int pool (node.off + 40) and word () = Pool.read_int pool node.off in
+      let stamp () = Pool.read_int pool (node.off + stamp_at)
+      and word () = Pool.read_int pool node.off in
       Alcotest.(check bool) "stamp matches no lock word" true (stamp () <> word ());
       List.iter (fun i -> ignore (Node.insert lay pool node.off (ik i) i)) [ 5; 1; 3 ];
       let acc = ref [] in
@@ -746,6 +785,7 @@ let suite =
     Alcotest.test_case "node: split helpers read and write each line once" `Quick
       test_split_helpers_line_once;
     Alcotest.test_case "node: a merge fences twice" `Quick test_absorb_fences;
+    Alcotest.test_case "node: a write commits in line 1" `Quick test_commit_line;
     Alcotest.test_case "node: init over garbage" `Quick test_init_over_garbage;
     QCheck_alcotest.to_alcotest test_qcheck_node_model;
     Alcotest.test_case "smo log: roundtrip" `Quick test_smo_log_roundtrip;

@@ -113,14 +113,14 @@ let test_closed_loop () =
   check "runner"
     (closed_loop Experiments.Factory.Pactree_sys)
     {
-      elapsed = 0x1.24122c481fc0ap-12;
+      elapsed = 0x1.f84a577bb7c6cp-13;
       completed = 2000;
-      p50 = 0x1.cfbfc49c3fp-21;
-      p99 = 0x1.cc804328c17p-18;
-      flushes = 3808;
-      fences = 2359;
-      media_read_bytes = 1319680;
-      media_write_bytes = 909312;
+      p50 = 0x1.bacfa6194f8p-21;
+      p99 = 0x1.a36e2eb1c418p-18;
+      flushes = 2784;
+      fences = 2302;
+      media_read_bytes = 1025280;
+      media_write_bytes = 667648;
     }
 
 (* The three B+-tree baselines, each under a write mix (YCSB A: splits
@@ -211,40 +211,40 @@ let baseline_pins =
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_a,
       {
-        elapsed = 0x1.40d72d3840fb4p-12;
+        elapsed = 0x1.296559f0cb5cep-12;
         completed = 2000;
-        p50 = 0x1.fa44eee139p-21;
-        p99 = 0x1.d45a4e99db9p-18;
-        flushes = 3675;
-        fences = 2305;
-        media_read_bytes = 1273088;
-        media_write_bytes = 878592;
+        p50 = 0x1.033386d8308p-20;
+        p99 = 0x1.0731ba9ca5ep-17;
+        flushes = 2638;
+        fences = 2242;
+        media_read_bytes = 986624;
+        media_write_bytes = 628992;
       } );
     ( "FPTree YCSB C",
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_c,
       {
-        elapsed = 0x1.f8653d61648p-14;
+        elapsed = 0x1.fba6ea826b6f8p-14;
         completed = 2000;
         p50 = 0x1.c2f8b88dfcp-22;
-        p99 = 0x1.29dd2193c4p-20;
+        p99 = 0x1.395f1c9dd7p-20;
         flushes = 0;
         fences = 0;
-        media_read_bytes = 51200;
+        media_read_bytes = 48128;
         media_write_bytes = 0;
       } );
     ( "FPTree YCSB E",
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_e,
       {
-        elapsed = 0x1.0dc15e99c0cf4p-12;
+        elapsed = 0x1.125f4de58852ap-12;
         completed = 2000;
-        p50 = 0x1.7c1ac7705b4p-20;
-        p99 = 0x1.48005420af4p-19;
-        flushes = 351;
-        fences = 229;
-        media_read_bytes = 161280;
-        media_write_bytes = 87552;
+        p50 = 0x1.7db7188e1fp-20;
+        p99 = 0x1.e19104ef477p-19;
+        flushes = 307;
+        fences = 247;
+        media_read_bytes = 157696;
+        media_write_bytes = 72448;
       } );
   ]
 
@@ -255,33 +255,33 @@ let test_open_loop () =
   check "engine"
     (open_loop ())
     {
-      elapsed = 0x1.b8c45c4c27b8dp-10;
+      elapsed = 0x1.b8c45c4c27b81p-10;
       completed = 2000;
-      p50 = 0x1.8cbf62f941p-21;
-      p99 = 0x1.9aaded6de92p-18;
-      flushes = 3707;
-      fences = 2334;
-      media_read_bytes = 1305088;
-      media_write_bytes = 896512;
+      p50 = 0x1.54e9bc46c28p-21;
+      p99 = 0x1.975640f93a4p-18;
+      flushes = 2900;
+      fences = 2352;
+      media_read_bytes = 1060352;
+      media_write_bytes = 695296;
     }
 
 let test_crashmc () =
   let check what got want = Alcotest.(check (list string)) what want got in
   check "crashmc mixed" (List.map (crashmc_line ~workload:`Mixed) crashmc_systems)
     [
-      "pactree: 24 ops, 215 trace events, 44 crash points, 241 states (80 dup-suppressed, 0 budget-truncated), 241 checked, 0 violations";
-      "pdlart: 24 ops, 924 trace events, 175 crash points, 1187 states (544 dup-suppressed, 89 budget-truncated), 1187 checked, 0 violations";
-      "fastfair: 24 ops, 338 trace events, 81 crash points, 220 states (130 dup-suppressed, 3 budget-truncated), 220 checked, 0 violations";
-      "bztree: 24 ops, 819 trace events, 192 crash points, 264 states (191 dup-suppressed, 0 budget-truncated), 264 checked, 0 violations";
-      "fptree: 24 ops, 215 trace events, 44 crash points, 241 states (80 dup-suppressed, 0 budget-truncated), 241 checked, 0 violations";
+      "pactree: 24 ops, 148 trace events, 44 crash points, 87 states (19 dup-suppressed, 0 budget-truncated), 87 checked, 0 violations";
+      "pdlart: 24 ops, 865 trace events, 175 crash points, 449 states (153 dup-suppressed, 6 budget-truncated), 449 checked, 0 violations";
+      "fastfair: 24 ops, 290 trace events, 81 crash points, 153 states (56 dup-suppressed, 0 budget-truncated), 153 checked, 0 violations";
+      "bztree: 24 ops, 819 trace events, 192 crash points, 288 states (167 dup-suppressed, 0 budget-truncated), 288 checked, 0 violations";
+      "fptree: 24 ops, 148 trace events, 44 crash points, 87 states (19 dup-suppressed, 0 budget-truncated), 87 checked, 0 violations";
     ];
   check "crashmc insert" (List.map (crashmc_line ~workload:`Insert) crashmc_systems)
     [
-      "pactree: 24 ops, 240 trace events, 49 crash points, 286 states (95 dup-suppressed, 0 budget-truncated), 286 checked, 0 violations";
-      "pdlart: 24 ops, 1089 trace events, 180 crash points, 1500 states (460 dup-suppressed, 142 budget-truncated), 1500 checked, 0 violations";
-      "fastfair: 24 ops, 192 trace events, 49 crash points, 141 states (92 dup-suppressed, 0 budget-truncated), 141 checked, 0 violations";
-      "bztree: 24 ops, 1153 trace events, 242 crash points, 367 states (239 dup-suppressed, 2 budget-truncated), 367 checked, 0 violations";
-      "fptree: 24 ops, 240 trace events, 49 crash points, 286 states (95 dup-suppressed, 0 budget-truncated), 286 checked, 0 violations";
+      "pactree: 24 ops, 168 trace events, 49 crash points, 97 states (24 dup-suppressed, 0 budget-truncated), 97 checked, 0 violations";
+      "pdlart: 24 ops, 1029 trace events, 187 crash points, 542 states (162 dup-suppressed, 7 budget-truncated), 542 checked, 0 violations";
+      "fastfair: 24 ops, 144 trace events, 49 crash points, 73 states (24 dup-suppressed, 0 budget-truncated), 73 checked, 0 violations";
+      "bztree: 24 ops, 1153 trace events, 242 crash points, 391 states (215 dup-suppressed, 2 budget-truncated), 391 checked, 0 violations";
+      "fptree: 24 ops, 168 trace events, 49 crash points, 97 states (24 dup-suppressed, 0 budget-truncated), 97 checked, 0 violations";
     ]
 
 (* [pactree_bench crashmc --index pactree|fptree --ops 80 --workload
@@ -290,8 +290,8 @@ let test_crashmc_splits () =
   Alcotest.(check (list string))
     "crashmc insert, 80 ops"
     [
-      "pactree: 80 ops, 898 trace events, 174 crash points, 1118 states (391 dup-suppressed, 34 budget-truncated), 1118 checked, 0 violations";
-      "fptree: 80 ops, 857 trace events, 170 crash points, 1035 states (361 dup-suppressed, 17 budget-truncated), 1035 checked, 0 violations";
+      "pactree: 80 ops, 665 trace events, 175 crash points, 380 states (94 dup-suppressed, 1 budget-truncated), 380 checked, 0 violations";
+      "fptree: 80 ops, 623 trace events, 170 crash points, 353 states (89 dup-suppressed, 1 budget-truncated), 353 checked, 0 violations";
     ]
     (List.map
        (crashmc_line ~n:80 ~workload:`Insert)
