@@ -160,9 +160,11 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw obs_out
      else 100.0 *. float_of_int partial /. float_of_int s.Nvm.Stats.media_writes);
   (* every access to a line is charged once, as a CPU-cache hit or a
      miss: the lines an op reads (DESIGN §2, "Read discipline") *)
-  Format.printf "line reads : %.2f per op (CPU-cache hits %.2f + misses %.2f)@."
+  Format.printf
+    "line reads : %.2f per op (CPU-cache hits %.2f + misses %.2f, of which stores' %.2f)@."
     (per_op (s.Nvm.Stats.cache_hits + s.Nvm.Stats.cache_misses))
-    (per_op s.Nvm.Stats.cache_hits) (per_op s.Nvm.Stats.cache_misses);
+    (per_op s.Nvm.Stats.cache_hits) (per_op s.Nvm.Stats.cache_misses)
+    (per_op s.Nvm.Stats.store_misses);
   (* host cost of the measured phase alone, not of the preload *)
   Format.printf "host words : %.1f per op (minor words allocated)@."
     (r.Workload.Runner.host_words /. float_of_int r.Workload.Runner.ops);
@@ -274,12 +276,14 @@ let run_crashmc index_name ops budget max_states seed workload mutate =
             Format.printf "  seed %d (replay with --seed)@." seed
           end)
         systems;
-      (* Mutation mode: drop one clwb late in the run and demand the
-         checker notices — proof the oracle has teeth.  The persist-
-         order sanitizer rides along as a cross-check.  A mutant whose
-         dropped clwb is made redundant by a later flush of the same
-         line is harmless — neither oracle can (or should) flag it —
-         so the invariant is per-mutant containment: every mutant the
+      (* Mutation mode: drop one clwb of the run and demand the
+         checker notices — proof the oracle has teeth.  The six dropped
+         clwbs are spread over the clwbs an unfaulted run of the same
+         ops makes, so all six are injected whatever that count is.
+         The persist-order sanitizer rides along as a cross-check.  A
+         mutant whose dropped clwb is made redundant by a later flush
+         of the same line is harmless — neither oracle can (or should)
+         flag it — so the invariant is per-mutant containment: every mutant the
          exhaustive checker convicts must also be flagged dynamically
          (the lint is at least as sensitive as the oracle on
          missing-flush bugs), and at least one injected mutant must be
@@ -287,13 +291,20 @@ let run_crashmc index_name ops budget max_states seed workload mutate =
       if mutate then
         List.iter
           (fun sys ->
+            let clwbs =
+              let m, sut = crashmc_sut sys in
+              Nvm.Machine.set_flush_fault m (Some max_int);
+              List.iter (Crashmc.Oracle.run_op sut.Baselines.System.b_index) (make_ops ());
+              Nvm.Machine.flush_ticks m
+            in
             let killed = ref 0 and tried = ref 0 in
             let injected = ref 0 and san_caught = ref 0 in
-            let k = ref 1 in
             while !tried < 6 do
+              (* the midpoints of six equal shares of the run's clwbs *)
+              let k = ((2 * !tried) + 1) * clwbs / 12 in
               incr tried;
               let m, sut = crashmc_sut sys in
-              Nvm.Machine.set_flush_fault m (Some !k);
+              Nvm.Machine.set_flush_fault m (Some k);
               Pobj.Sanitizer.enable m;
               let r =
                 Crashmc.Harness.run ~budget_per_point:budget ~max_states ~seed
@@ -312,11 +323,10 @@ let run_crashmc index_name ops budget max_states seed workload mutate =
                 if not flagged then begin
                   Format.printf
                     "  sanitizer missed a checker-convicted mutant (clwb %d) — seed %d@."
-                    !k seed;
+                    k seed;
                   failed := true
                 end
-              end;
-              k := !k * 3
+              end
             done;
             Format.printf "%s mutation check: %d/%d dropped-clwb mutants caught@."
               (Experiments.Factory.id sys) !killed !tried;

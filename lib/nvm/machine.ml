@@ -242,6 +242,8 @@ let flush_faulted t =
 let flush_fault_fired t =
   match t.flush_fault with None -> false | Some k -> t.flush_seen > k
 
+let flush_ticks t = t.flush_seen
+
 let profile t = t.profile
 
 let protocol t = t.protocol

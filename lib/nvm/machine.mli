@@ -137,6 +137,11 @@ val flush_faulted : t -> bool
     mutation was really injected (enough clwbs happened). *)
 val flush_fault_fired : t -> bool
 
+(** The clwbs counted since the last [set_flush_fault t (Some _)]: with
+    [Some max_int] nothing is dropped, and the count is the number of
+    clwbs a run makes, over which a fault can be placed. *)
+val flush_ticks : t -> int
+
 (** {2 Observability} *)
 
 (** [set_wait_observer t (Some f)] has every in-simulation [fence]

@@ -200,12 +200,9 @@ let mark_dirty t off = Bytes.set t.dirty (off lsr 6) '\001'
 
 let line_dirty t line = Bytes.get t.dirty line <> '\000'
 
-(* Charge the cost of touching the line containing [off].  Writes take
-   the same miss path as reads (read-for-ownership). *)
-let touch_line t off =
-  let g = gline t off in
-  if Machine.cache_access t.machine g then Des.Sched.charge Config.cache_hit_cost
-  else if t.volatile then Des.Sched.charge Config.dram_latency
+(* The miss path of the line [g]: DRAM latency, or a device read. *)
+let fetch_line t g =
+  if t.volatile then Des.Sched.charge Config.dram_latency
   else if Des.Sched.running () then begin
     Des.Sched.stamp t.io;
     Device.read t.dev t.io ~xpline:(g lsr 2) ~from_numa:(Des.Sched.current_numa ());
@@ -214,6 +211,20 @@ let touch_line t off =
   else begin
     t.io.at <- 0.0;
     Device.read t.dev t.io ~xpline:(g lsr 2) ~from_numa:t.numa
+  end
+
+(* Charge the cost of touching the line containing [off].  Writes take
+   the same miss path as reads (read-for-ownership), and a write's miss
+   is counted apart as well. *)
+let touch_line t off ~write =
+  let g = gline t off in
+  if Machine.cache_access t.machine g then Des.Sched.charge Config.cache_hit_cost
+  else begin
+    if write then begin
+      let s = Machine.stats t.machine in
+      s.Stats.store_misses <- s.Stats.store_misses + 1
+    end;
+    fetch_line t g
   end
 
 (* Logical (program-requested) byte accounting feeds the FH1/FH2
@@ -229,7 +240,7 @@ let touch_range_k t off len ~write =
   end;
   let first = off lsr 6 and last = (off + len - 1) lsr 6 in
   for line = first to last do
-    touch_line t (line lsl 6)
+    touch_line t (line lsl 6) ~write
   done;
   (* A miss yields, and another thread may grow the image meanwhile:
      decide after the touch.  A read wholly past the image grows
@@ -238,14 +249,18 @@ let touch_range_k t off len ~write =
 
 let touch_range t off len = touch_range_k t off len ~write:false
 
-let touch_range_write t off len =
-  touch_range_k t off len ~write:true;
+(* A (possible) store to the lines under [off, off+len) dirties them
+   and voids their staged-snapshot elision. *)
+let note_store t off len =
   let first = off lsr 6 and last = (off + len - 1) lsr 6 in
   for line = first to last do
     mark_dirty t (line lsl 6);
-    (* A (possible) store invalidates the staged-snapshot elision. *)
     if not t.volatile then t.staged_by.(line) <- nobody
   done
+
+let touch_range_write t off len =
+  touch_range_k t off len ~write:true;
+  note_store t off len
 
 (* Report a store to every line under [off, off+len) to the machine's
    persist-event subscribers (the crashmc trace, the pobj sanitizer). *)
@@ -440,6 +455,30 @@ let flush_range t off len =
     let first = off lsr 6 and last = (off + len - 1) lsr 6 in
     for line = first to last do
       clwb t (line lsl 6)
+    done
+  end
+
+(* A non-temporal store: the bytes go around the CPU cache, so no line
+   is charged, read for ownership or filled.  Each line is then staged
+   as [clwb] stages it, after the store events of the whole range, and
+   leaves the cache (as a clwb evicts it, and on eADR too). *)
+let ntstore t off buf pos len =
+  if len > 0 then begin
+    if not (off >= 0 && off + len <= Bytes.length t.cache) then begin
+      check_range t off len;
+      grow t (off + len)
+    end;
+    if not t.volatile then begin
+      let s = Machine.stats t.machine in
+      s.Stats.logical_write_bytes <- s.Stats.logical_write_bytes + len
+    end;
+    Bytes.blit buf pos t.cache off len;
+    note_store t off len;
+    record_store t off len;
+    let first = off lsr 6 and last = (off + len - 1) lsr 6 in
+    for line = first to last do
+      clwb t (line lsl 6);
+      Machine.cache_invalidate t.machine (gline t (line lsl 6))
     done
   end
 

@@ -136,6 +136,18 @@ val clwb : t -> int -> unit
     [\[off, off+len)]. *)
 val flush_range : t -> int -> int -> unit
 
+(** [ntstore p off buf pos len] stores [len] bytes of [buf] from [pos]
+    at [off] with a non-temporal store (movnt): the bytes go around the
+    CPU cache, so no line is charged, none is read for ownership and
+    none enters the cache.  Each line under the range is then staged
+    exactly as {!clwb} stages it — the same [Clwb] event after the
+    range's [Store] events, the same flush accounting and CPU cost, the
+    same eADR drain — and is out of the CPU cache afterwards, so the
+    next access to it misses.  For a store into a line that the writer
+    flushes before it reads the line again, this is the store + clwb
+    of the range with no read for ownership. *)
+val ntstore : t -> int -> bytes -> int -> int -> unit
+
 (** Store fence (delegates to {!Machine.fence}). *)
 val fence : t -> unit
 

@@ -16,6 +16,9 @@ type t = {
   mutable prefetches : int;
   mutable cache_hits : int;  (** CPU cache hits *)
   mutable cache_misses : int;
+  mutable store_misses : int;
+      (** the [cache_misses] that stores took: each is a read for
+          ownership of a line the store then overwrites *)
   mutable remote_accesses : int;  (** cross-NUMA accesses *)
   mutable flushes : int;  (** clwb instructions that reached the device *)
   mutable flushes_elided : int;

@@ -4,13 +4,14 @@ module Layout = Pobj.Layout
 
 (* Fixed node header (256 bytes); key-value slots follow at a stride
    chosen per tree instance (see [layout] below).  The lock word and
-   the permutation cache are transient: the former is voided by the
-   generation bump after a crash, the latter is rebuilt from the
-   persistent slots (§5.2) — unless the persist_perm ablation flushes
-   it explicitly.
+   the permutation cache (the array, its stamp and its count) are
+   transient: the former is voided by the generation bump after a
+   crash, the latter is rebuilt from the persistent slots (§5.2) —
+   unless the persist_perm ablation flushes it explicitly.
 
    Line 0 holds the lock word, the links, the deleted mark, the
-   permutation stamp and the fingerprints of slots [hi_fps, entries);
+   permutation stamp and count and the fingerprints of slots
+   [hi_fps, entries);
    line 1 holds the bitmap and the other fingerprints.  A clwb evicts
    the line it flushes (FH4), so the line that a write commits — the
    bitmap with the fingerprint of a slot below [hi_fps] — is not the
@@ -27,6 +28,8 @@ let f_prev = Layout.word hdr "prev"
 let f_deleted = Layout.word hdr "deleted"
 
 let f_perm_version = Layout.word ~transient:true hdr "perm_version"
+
+let f_perm_count = Layout.word ~transient:true hdr "perm_count"
 
 let entries = 64
 
@@ -318,15 +321,6 @@ let find_locked lay pool off k = find_from lay pool off k header_len
 
 let found_value () = snap_int snap_entry
 
-(* Write the pair of value [v] and the key [k] to [slot] of the node at
-   [off] in [pool] with one store from [snap_entry].  The writers
-   address a node by its pool and offset, as a visit does, and build no
-   record. *)
-let set_entry lay pool off slot k v =
-  let buf = Des.Sched.scratch () and len = String.length k in
-  put_pair lay buf snap_entry v (Bytes.unsafe_of_string k) 0 len;
-  Pool.blit_from_bytes pool (off + entry_off lay slot) buf snap_entry (key_pos lay + len)
-
 let live_entries lay t =
   let buf = Des.Sched.scratch () in
   read_bits t.pool t.off buf;
@@ -476,7 +470,9 @@ type write_result = Ok | Full | Absent
 
 (* The permutation array caches a node's sorted order for scans
    (§5.2), stamped with the lock word it is valid for: any write
-   changes the word and so voids it.  Both are transient unless the
+   changes the word and so voids it.  The count of the pairs it orders
+   is stored before the stamp, in line 0 with it, so a scan over a
+   fresh array reads no bitmap.  All three are transient unless the
    persist_perm ablation flushes them. *)
 let write_permutation t order n =
   Pobj.Sanitizer.with_suppressed @@ fun () ->
@@ -484,7 +480,8 @@ let write_permutation t order n =
     Pobj.write_u8 t (off_permutation + i) order.(i)
   done
 
-let stamp_permutation lay t word =
+let stamp_permutation lay t word n =
+  Pobj.set_int t f_perm_count n;
   Pobj.set_int t f_perm_version word;
   if lay.persist_perm then begin
     Pobj.flush t off_permutation entries;
@@ -497,16 +494,22 @@ let publishing = -1
 
 let write_fp pool off slot k = Pool.write_u8 pool (off + fp_off slot) (Fingerprint.of_key k)
 
-(* Persist the entry [set_entry] wrote to [slot] and store its
-   fingerprint.  A fingerprint in line 0 is stored first and persisted
-   with the entry; one in line 1 is stored after the entry's fence, for
-   [commit] to persist with the bitmap.  A store to a line persists no
-   earlier than the stores before it to that line, so the bitmap never
-   persists without the fingerprint, and line 0, the lock's, is flushed
-   only for a slot from [hi_fps] on. *)
-let persist_slot lay pool off slot k =
+(* Persist the pair of value [v] and key [k] in [slot] of the node at
+   [off] in [pool] and store its fingerprint.  The pair is stored with
+   one non-temporal store from [snap_entry], which stages its lines for
+   the fence: the writer never reads the line it overwrites.  A
+   fingerprint in line 0 is stored first and persisted with the entry;
+   one in line 1 is stored after the entry's fence, for [commit] to
+   persist with the bitmap.  A store to a line persists no earlier than
+   the stores before it to that line, so the bitmap never persists
+   without the fingerprint, and line 0, the lock's, is flushed only for
+   a slot from [hi_fps] on.  The writers address a node by its pool and
+   offset, as a visit does, and build no record. *)
+let persist_slot lay pool off slot k v =
   if slot >= hi_fps then write_fp pool off slot k;
-  Pool.flush_range pool (off + entry_off lay slot) lay.stride;
+  let buf = Des.Sched.scratch () and len = String.length k in
+  put_pair lay buf snap_entry v (Bytes.unsafe_of_string k) 0 len;
+  Pool.ntstore pool (off + entry_off lay slot) buf snap_entry (key_pos lay + len);
   if slot >= hi_fps then Pool.clwb pool (off + off_fingerprints_hi);
   Pool.fence pool;
   if slot < hi_fps then write_fp pool off slot k
@@ -526,7 +529,7 @@ let maybe_persist_perm lay pool off =
     let c = thread_copy () in
     let n = sort_into lay t c.image c.slots in
     write_permutation t c.slots n;
-    stamp_permutation lay t (Pobj.get_int t f_lock)
+    stamp_permutation lay t (Pobj.get_int t f_lock) n
   end
 
 (* [f] inside a [Dnode_insert] span, without a closure per call. *)
@@ -547,8 +550,7 @@ let insert_slot lay pool off k v =
   let slot = free_from buf 0 in
   if slot < 0 then Full
   else begin
-    set_entry lay pool off slot k v;
-    persist_slot lay pool off slot k (* durability point for the pair *);
+    persist_slot lay pool off slot k v (* durability point for the pair *);
     set_live buf slot;
     commit pool off buf;
     maybe_persist_perm lay pool off;
@@ -585,8 +587,7 @@ let update_slot lay pool off old_slot k v =
   if slot >= 0 then begin
     (* Out-of-place: persist the new pair, then one atomic bitmap
        write retires the old slot and publishes the new. *)
-    set_entry lay pool off slot k v;
-    persist_slot lay pool off slot k;
+    persist_slot lay pool off slot k v;
     clear_live buf old_slot;
     set_live buf slot;
     commit pool off buf;
@@ -635,6 +636,8 @@ let rec scan_order lay t k ~f copy i n =
    it read, writes the array; two readers that sorted at different
    versions would otherwise interleave their writes under a fresh
    stamp.  A reader that loses the claim scans from its own copy.  A
+   scan over a fresh array reads the pairs' count beside its stamp, so
+   it reads line 0, the array and the entries, never the bitmap.  A
    stamp is trusted only in the generation that stored it: the stamp
    and the lock word share line 0 and reach the media together, but
    the array does not, so after a crash they can match over an array
@@ -644,7 +647,7 @@ let scan_from lay t ~gen k ~f =
   let word = Pobj.get_int t f_lock in
   let stamp = Pobj.get_int t f_perm_version in
   if stamp = word && Vlock.is_current word ~gen then
-    scan_order lay t k ~f None 0 (live_count t)
+    scan_order lay t k ~f None 0 (Pobj.get_int t f_perm_count)
   else begin
     let c = thread_copy () in
     let n = sort_into lay t c.image c.slots in
@@ -653,7 +656,7 @@ let scan_from lay t ~gen k ~f =
       && Pobj.transient_cas t off_perm_version ~expected:stamp publishing
     then begin
       write_permutation t c.slots n;
-      stamp_permutation lay t word;
+      stamp_permutation lay t word n;
       scan_order lay t k ~f None 0 n
     end
     else scan_order lay t k ~f (Some c.slots) 0 n
@@ -671,15 +674,15 @@ let out_entry lay image i v buf pos len =
 
 (* Write a fresh node at [t] from the image at [copy_out], whose first
    [n] entries and fingerprints are set: lines 0-1 (lock word, links,
-   deleted mark, permutation stamp, the bitmap of slots [0, n), the
-   fingerprints, the rest zeroed), the anchor's length and bytes and
-   the entries, each with one store, then flush the header's XPLine
-   (the permutation line with it, unwritten, so that the XPLine is
-   written whole) and the entries.  No other line is touched: the entries past [n] and
-   the permutation array are not live (the stamp 0 matches no lock
-   word, whose generation is >= 1).  The fingerprints past [n] are
-   zeroed, so the bytes stored depend on the node's pairs alone: the
-   flush tracking compares whole lines. *)
+   deleted mark, permutation stamp and count, the bitmap of slots
+   [0, n), the fingerprints, the rest zeroed), the anchor's length and
+   bytes and the entries, each with one non-temporal store, and clwb
+   the permutation line between them, unwritten, so that the header's
+   XPLine is written whole.  No line is read or brought into the CPU
+   cache: the entries past [n] and the permutation array are not live
+   (the stamp 0 matches no lock word, whose generation is >= 1).  The
+   fingerprints past [n] are zeroed, so the bytes stored depend on the
+   node's pairs alone: the flush tracking compares whole lines. *)
 let write_fresh lay t image ~gen ~anchor ~next ~prev n =
   let o = copy_out in
   let set rel v = Bytes.set_int64_le image (o + rel) (Int64.of_int v) in
@@ -695,12 +698,11 @@ let write_fresh lay t image ~gen ~anchor ~next ~prev n =
   done;
   set off_anchor_len (String.length anchor);
   Bytes.blit_string anchor 0 image (o + off_anchor) (String.length anchor);
-  Pobj.blit_from_bytes t 0 image o snap_len;
-  Pobj.blit_from_bytes t off_anchor_len image (o + off_anchor_len)
+  Pobj.ntstore t 0 image o snap_len;
+  Pobj.clwb t off_permutation;
+  Pobj.ntstore t off_anchor_len image (o + off_anchor_len)
     (off_anchor - off_anchor_len + String.length anchor);
-  Pobj.blit_from_bytes t off_kv image (o + off_kv) (n * lay.stride);
-  Pobj.flush t 0 off_kv;
-  Pobj.flush t off_kv (n * lay.stride)
+  Pobj.ntstore t off_kv image (o + off_kv) (n * lay.stride)
 
 let init lay t ~gen ~anchor ~next ~prev =
   write_fresh lay t (thread_copy ()).image ~gen ~anchor ~next ~prev 0
@@ -741,15 +743,26 @@ let clear_moved t slots ~pos ~len =
 
 (* ---------- merge ---------- *)
 
+(* The bytes of the pair at [e] of the node image at [copy_out]. *)
+let out_pair_len lay image e =
+  key_pos lay + if lay.inline = 8 then 8 else Bytes.get_uint8 image (copy_out + e + 8)
+
+(* The last index from [i] on of the run of consecutive slots that
+   starts at [slots.(i)], among the first [n]. *)
+let rec run_end slots n i =
+  if i + 1 < n && slots.(i + 1) = slots.(i) + 1 then run_end slots n (i + 1) else i
+
 (* Copy [src]'s live entries into free slots of [dst], whose lines 0-1
-   are copied to the scratch buffer: each entry with one store from
-   the copy, their fingerprints in the scratch copy of lines 0-1; then
-   flush the entry lines (ascending, each once: a clwb takes the line
-   as it is, so every store comes first), with line 0's fingerprint
-   word stored and flushed if a destination slot is from [hi_fps] on,
-   fence once, and store line 1's fingerprints, then the bitmap, and
-   persist the line (as an insert's [persist_slot] and [commit] do).
-   The destination slots are noted in the copy's slot array. *)
+   are copied to the scratch buffer: lay each entry out at its
+   destination in the copy's node image, with its fingerprint in the
+   scratch copy of lines 0-1; then store each run of consecutive
+   destination slots with one non-temporal store (a line two runs share
+   is staged by each), with line 0's fingerprint word stored and
+   flushed if a destination slot is from [hi_fps] on, fence once, and
+   store line 1's fingerprints, then the bitmap, and persist the line
+   (as an insert's [persist_slot] and [commit] do).  The padding of an
+   entry is zeroed, so the bytes stored depend on the pairs alone.  The
+   destination slots are noted in the copy's slot array. *)
 let absorb_slots lay src dst =
   let c = thread_copy () in
   let image = c.image in
@@ -762,8 +775,9 @@ let absorb_slots lay src dst =
     if copied_live image slot then begin
       let d = free_from buf 0 in
       if d < 0 then invalid_arg "Data_node.absorb: destination too full";
-      let len = copy_key_len lay image slot in
-      Pobj.blit_from_bytes dst (entry_off lay d) image (slot * lay.stride) (key_pos lay + len);
+      let len = copy_key_len lay image slot and e = copy_out + entry_off lay d in
+      Bytes.blit image (slot * lay.stride) image e (key_pos lay + len);
+      Bytes.fill image (e + key_pos lay + len) (lay.stride - key_pos lay - len) '\000';
       Bytes.set_uint8 buf (fp_off d) (Fingerprint.of_bytes image (copy_key lay slot) len);
       set_live buf d;
       c.slots.(!n) <- d;
@@ -771,13 +785,12 @@ let absorb_slots lay src dst =
     end
   done;
   if !n > 0 then begin
-    let flushed = ref (-1) in
-    for i = 0 to !n - 1 do
-      let e = entry_off lay c.slots.(i) in
-      for line = max (!flushed + 1) (e lsr 6) to (e + lay.stride - 1) lsr 6 do
-        Pobj.clwb dst (line lsl 6);
-        flushed := line
-      done
+    let i = ref 0 in
+    while !i < !n do
+      let j = run_end c.slots !n !i in
+      let first = entry_off lay c.slots.(!i) and last = entry_off lay c.slots.(j) in
+      Pobj.ntstore dst first image (copy_out + first) (last - first + out_pair_len lay image last);
+      i := j + 1
     done;
     if c.slots.(!n - 1) >= hi_fps then begin
       Pobj.blit_from_bytes dst off_fingerprints_hi buf off_fingerprints_hi (entries - hi_fps);

@@ -14,9 +14,13 @@
       lock.
 
     Line 0 holds the lock word, the links, the deleted mark, the
-    permutation stamp and the fingerprints of slots 56-63; line 1 holds
-    the bitmap and the fingerprints of slots 0-55.  A write commits in
-    line 1, so a writer's release stores to a line no flush evicted.
+    permutation stamp and count and the fingerprints of slots 56-63;
+    line 1 holds the bitmap and the fingerprints of slots 0-55.  A
+    write commits in line 1, so a writer's release stores to a line no
+    flush evicted.  A writer stores what it flushes before reading it
+    again — a new pair, a merge's absorbed entries, a fresh node — with
+    a non-temporal store ({!Nvm.Pool.ntstore}), so it never reads for
+    ownership a line it overwrites.
 
     This module implements field access and the crash-consistent
     write protocols {e within} one node; locking and structural
@@ -88,10 +92,11 @@ val off_deleted : int
 (** {2 Initialisation} *)
 
 (** Write a fresh, empty node — lines 0-1 (lock word, links, deleted
-    mark, permutation stamp, bitmap, zeroed fingerprints) and the
-    anchor's length and bytes (line 3), each with one store — and flush
-    the header's XPLine (lines 0-3)
-    without a fence: the caller fences before publishing the node.
+    mark, permutation stamp and count, bitmap, zeroed fingerprints) and
+    the anchor's length and bytes (line 3), each with one non-temporal
+    store — and flush the permutation line, so that the header's XPLine
+    (lines 0-3) is staged whole, without a fence: the caller fences
+    before publishing the node.
     Nothing else of the node is read or written, so the memory may
     hold anything before. *)
 val init :
@@ -205,8 +210,9 @@ val compare_sorted_key : layout -> int -> Key.t -> int
 
 type write_result = Ok | Full | Absent
 
-(** Insert protocol (§5.5): persist the kv (with its fingerprint when
-    that lies in line 0, slots 56-63), then store the fingerprint (slots
+(** Insert protocol (§5.5): persist the kv, stored with one
+    non-temporal store (with its fingerprint when that lies in line 0,
+    slots 56-63, stored and flushed), then store the fingerprint (slots
     0-55) and atomically set the bitmap bit, and persist line 1: two
     flushes and two fences below slot 56, three flushes from it on.
     [Full] when no slot is free.
@@ -245,7 +251,9 @@ val update_found : layout -> Nvm.Pool.t -> int -> int -> Key.t -> int -> unit
     returns [false].  Returns [false] if it was stopped early.  The
     order comes from the permutation array when its stamp matches the
     lock word and that word is of generation [gen] (stored since the
-    last restart);
+    last restart), and the number of pairs from the count stored beside
+    the stamp, so such a scan reads line 0, the array and the entries
+    and not the bitmap;
     otherwise the reader sorts the live keys and publishes the order
     stamped with the word it read before the sort, if it claims the
     stamp from the stale value it read (one publisher at a time), or
@@ -260,9 +268,9 @@ val scan_from : layout -> t -> gen:int -> Key.t -> f:(Key.t -> int -> bool) -> b
     [slots.(pos .. pos+len-1)] of the calling thread's last sort, and
     in slot [len] the [pending] pair if there is one.  The entries and
     their fingerprints are built in the thread's copy and written with
-    one store each: [dst] gets lines 0-1, the anchor and the entries,
-    each once; the header's XPLine and the
-    entry lines are flushed, not fenced. *)
+    one non-temporal store each: [dst] gets lines 0-1, the anchor and
+    the entries, each once, and none is read; the header's XPLine and
+    the entry lines are staged, not fenced. *)
 val init_moved :
   layout ->
   t ->
@@ -285,8 +293,9 @@ val init_moved :
 val clear_moved : t -> int array -> pos:int -> len:int -> unit
 
 (** Append [src]'s live entries into free slots of [dst]: read [src]'s
-    live lines as a sort does, write every entry (and line 0's
-    fingerprints if a slot from 56 on is filled), flush them and fence
-    once, then store line 1's fingerprints and the bitmap and persist
+    live lines as a sort does, write each run of consecutive destination
+    slots with one non-temporal store (and store and flush line 0's
+    fingerprints if a slot from 56 on is filled) and fence once, then
+    store line 1's fingerprints and the bitmap and persist
     the line (two fences in all).  Precondition: enough free slots. *)
 val absorb : layout -> src:t -> dst:t -> unit

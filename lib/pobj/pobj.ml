@@ -100,6 +100,8 @@ let clwb o rel = Pool.clwb o.pool (o.off + rel)
 
 let flush o rel len = Pool.flush_range o.pool (o.off + rel) len
 
+let ntstore o rel buf pos len = Pool.ntstore o.pool (o.off + rel) buf pos len
+
 let fence o = Pool.fence o.pool
 
 let persist o rel len = Pool.persist o.pool (o.off + rel) len

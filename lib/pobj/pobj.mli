@@ -111,6 +111,11 @@ val clwb : obj -> int -> unit
     fence). *)
 val flush : obj -> int -> int -> unit
 
+(** [ntstore o rel buf pos len]: {!Nvm.Pool.ntstore} at [rel] — a
+    non-temporal store of the bytes, each line of which is staged as
+    [clwb] stages it (no fence). *)
+val ntstore : obj -> int -> bytes -> int -> int -> unit
+
 val fence : obj -> unit
 
 (** [flush] + [fence]. *)

@@ -533,11 +533,11 @@ let test_tree_line_reads () =
       left := split_cost machine tree (fun j -> Key.of_int (top - 1 - j)));
   Sched.run sched;
   check_reads "Tree.lookup" 14.5585 !lookup;
-  check_reads "Tree.insert of a fresh key" 18.6684 !insert;
-  check_reads "Tree.insert over a present key" 19.5161 !overwrite;
-  check_reads "Tree.update" 19.6110 !update;
-  check_split "Tree.insert that splits, key to the new node" (192, 25, 9) !right;
-  check_split "Tree.insert that splits, key to the left node" (195, 26, 11) !left
+  check_reads "Tree.insert of a fresh key" 17.6684 !insert;
+  check_reads "Tree.insert over a present key" 18.5161 !overwrite;
+  check_reads "Tree.update" 18.6110 !update;
+  check_split "Tree.insert that splits, key to the new node" (180, 25, 9) !right;
+  check_split "Tree.insert that splits, key to the left node" (183, 26, 11) !left
 
 (* The same lookups again for their words: the [Some] and the cache
    misses; the trie takes the key as it is, and each trie level builds

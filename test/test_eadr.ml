@@ -28,6 +28,33 @@ let test_flush_and_fence_are_free () =
   let dev = Nvm.Stats.snapshot (Nvm.Device.stats (Machine.device m 0)) in
   Alcotest.(check bool) "background drain wrote media" true (dev.Nvm.Stats.media_writes > 0)
 
+(* On eADR a non-temporal store drains each line at once, as a clwb
+   does there: durable without a fence, billed to the media, and out of
+   the CPU cache, with no line access charged. *)
+let test_ntstore_drains () =
+  let m = eadr_machine () in
+  let p = Pool.create m ~name:"eadr" ~numa:0 ~capacity:4096 () in
+  let drains = ref 0 in
+  let unsubscribe =
+    Machine.subscribe m (function Machine.Drain _ -> incr drains | _ -> ())
+  in
+  let buf = Bytes.make 8 '\000' in
+  Bytes.set_int64_le buf 0 42L;
+  let before = Nvm.Stats.snapshot (Machine.total_stats m) in
+  Pool.ntstore p 64 buf 0 8;
+  let d = Nvm.Stats.diff (Machine.total_stats m) before in
+  unsubscribe ();
+  Alcotest.(check int) "one drain" 1 !drains;
+  Alcotest.(check int) "no line access" 0 (d.Nvm.Stats.cache_hits + d.Nvm.Stats.cache_misses);
+  Alcotest.(check int) "no fence" 0 d.Nvm.Stats.fences;
+  Alcotest.(check bool) "drain wrote media" true (d.Nvm.Stats.media_writes > 0);
+  let before = Nvm.Stats.snapshot (Machine.stats m) in
+  Alcotest.(check int) "stored" 42 (Pool.read_int p 64);
+  let d = Nvm.Stats.diff (Machine.stats m) before in
+  Alcotest.(check int) "the next read misses" 1 d.Nvm.Stats.cache_misses;
+  Machine.crash m Machine.Strict;
+  Alcotest.(check int) "durable without a fence" 42 (Pool.read_int p 64)
+
 let test_eadr_faster_writes () =
   (* The same write workload must be faster under eADR than ADR
      (persistence off the critical path), §3.5's first claim. *)
@@ -80,6 +107,7 @@ let suite =
     Alcotest.test_case "unflushed stores survive" `Quick test_unflushed_stores_survive;
     Alcotest.test_case "flush/fence are free, drains billed" `Quick
       test_flush_and_fence_are_free;
+    Alcotest.test_case "a non-temporal store drains at once" `Quick test_ntstore_drains;
     Alcotest.test_case "writes faster than ADR" `Quick test_eadr_faster_writes;
     Alcotest.test_case "PACTree crash/recovery under eADR" `Quick test_pactree_on_eadr_crash;
   ]

@@ -113,14 +113,14 @@ let test_closed_loop () =
   check "runner"
     (closed_loop Experiments.Factory.Pactree_sys)
     {
-      elapsed = 0x1.f84a577bb7c6cp-13;
+      elapsed = 0x1.03f495e4645dcp-12;
       completed = 2000;
-      p50 = 0x1.bacfa6194f8p-21;
-      p99 = 0x1.a36e2eb1c418p-18;
-      flushes = 2784;
-      fences = 2302;
-      media_read_bytes = 1025280;
-      media_write_bytes = 667648;
+      p50 = 0x1.58225e824ap-21;
+      p99 = 0x1.93fecfff30d8p-18;
+      flushes = 3038;
+      fences = 2396;
+      media_read_bytes = 916992;
+      media_write_bytes = 716544;
     }
 
 (* The three B+-tree baselines, each under a write mix (YCSB A: splits
@@ -211,40 +211,40 @@ let baseline_pins =
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_a,
       {
-        elapsed = 0x1.296559f0cb5cep-12;
+        elapsed = 0x1.051660f7abb5cp-12;
         completed = 2000;
-        p50 = 0x1.033386d8308p-20;
-        p99 = 0x1.0731ba9ca5ep-17;
-        flushes = 2638;
-        fences = 2242;
-        media_read_bytes = 986624;
-        media_write_bytes = 628992;
+        p50 = 0x1.c26f482eba8p-21;
+        p99 = 0x1.bcc47a6cfdcp-20;
+        flushes = 2653;
+        fences = 2224;
+        media_read_bytes = 791040;
+        media_write_bytes = 637184;
       } );
     ( "FPTree YCSB C",
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_c,
       {
-        elapsed = 0x1.fba6ea826b6f8p-14;
+        elapsed = 0x1.f335fb2a69db8p-14;
         completed = 2000;
-        p50 = 0x1.c2f8b88dfcp-22;
-        p99 = 0x1.395f1c9dd7p-20;
+        p50 = 0x1.c2f8b88dfb8p-22;
+        p99 = 0x1.e26b9f521ep-21;
         flushes = 0;
         fences = 0;
-        media_read_bytes = 48128;
+        media_read_bytes = 47360;
         media_write_bytes = 0;
       } );
     ( "FPTree YCSB E",
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_e,
       {
-        elapsed = 0x1.125f4de58852ap-12;
+        elapsed = 0x1.06dac0e27ac14p-12;
         completed = 2000;
-        p50 = 0x1.7db7188e1fp-20;
-        p99 = 0x1.e19104ef477p-19;
-        flushes = 307;
-        fences = 247;
-        media_read_bytes = 157696;
-        media_write_bytes = 72448;
+        p50 = 0x1.8760ff40b4cp-20;
+        p99 = 0x1.5cabba73fdbp-19;
+        flushes = 233;
+        fences = 220;
+        media_read_bytes = 139776;
+        media_write_bytes = 59648;
       } );
   ]
 
@@ -255,13 +255,13 @@ let test_open_loop () =
   check "engine"
     (open_loop ())
     {
-      elapsed = 0x1.b8c45c4c27b81p-10;
+      elapsed = 0x1.b8c45c4c27b7dp-10;
       completed = 2000;
-      p50 = 0x1.54e9bc46c28p-21;
-      p99 = 0x1.975640f93a4p-18;
+      p50 = 0x1.285a4d649ep-21;
+      p99 = 0x1.e443985921cp-19;
       flushes = 2900;
       fences = 2352;
-      media_read_bytes = 1060352;
+      media_read_bytes = 878848;
       media_write_bytes = 695296;
     }
 

@@ -321,6 +321,67 @@ let test_flush_counts () =
   Alcotest.(check int) "one clwb" 1 d.Stats.flushes;
   Alcotest.(check int) "one sfence" 1 d.Stats.fences
 
+(* A non-temporal store to lines that are not cached charges no line
+   access and reads nothing from the media; it counts one flush per
+   line, reports each line's store and then its clwb, and leaves the
+   lines out of the CPU cache, so the next read misses.  Before a fence
+   a strict crash loses it; after one it is durable. *)
+let test_ntstore () =
+  let m = make_machine () in
+  let p = make_pool m in
+  let events = ref [] in
+  let unsubscribe =
+    Machine.subscribe m (function
+      | Machine.Store { line; _ } -> events := `Store line :: !events
+      | Machine.Clwb { line; _ } -> events := `Clwb line :: !events
+      | Machine.Fence _ -> events := `Fence :: !events
+      | Machine.Drain _ -> ())
+  in
+  let buf = Bytes.make 80 'x' in
+  Bytes.set_int64_le buf 8 42L;
+  let before = Stats.snapshot (Machine.total_stats m) in
+  Pool.ntstore p 120 buf 0 80 (* lines 1-3 *);
+  let d = Stats.diff (Machine.total_stats m) before in
+  Alcotest.(check int) "no cache hit" 0 d.Stats.cache_hits;
+  Alcotest.(check int) "no cache miss" 0 d.Stats.cache_misses;
+  Alcotest.(check int) "no store miss" 0 d.Stats.store_misses;
+  Alcotest.(check int) "no media read" 0 d.Stats.media_reads;
+  Alcotest.(check int) "one flush per line" 3 d.Stats.flushes;
+  Alcotest.(check int) "none redundant" 0 d.Stats.flushes_elided;
+  Alcotest.(check int) "no fence" 0 d.Stats.fences;
+  Alcotest.(check bool) "stores, then clwbs" true
+    (List.rev !events = [ `Store 1; `Store 2; `Store 3; `Clwb 1; `Clwb 2; `Clwb 3 ]);
+  unsubscribe ();
+  let before = Stats.snapshot (Machine.stats m) in
+  Alcotest.(check int) "the bytes are stored" 42 (Pool.read_int p 128);
+  let d = Stats.diff (Machine.stats m) before in
+  Alcotest.(check int) "the next read misses" 1 d.Stats.cache_misses;
+  Machine.crash m Machine.Strict;
+  Alcotest.(check int) "lost by a strict crash before the fence" 0 (Pool.read_int p 128);
+  (* a cached line leaves the cache too *)
+  ignore (Pool.read_int p 128);
+  Pool.ntstore p 120 buf 0 80;
+  Pool.fence p;
+  let before = Stats.snapshot (Machine.stats m) in
+  ignore (Pool.read_int p 128);
+  let d = Stats.diff (Machine.stats m) before in
+  Alcotest.(check int) "a cached line is evicted" 1 d.Stats.cache_misses;
+  Machine.crash m Machine.Strict;
+  Alcotest.(check int) "durable after the fence" 42 (Pool.read_int p 128)
+
+(* A store to a line that is not cached is a read for ownership: a
+   cache miss, counted apart as a store miss; a load miss is not. *)
+let test_store_misses () =
+  let m = make_machine () in
+  let p = make_pool m in
+  let before = Stats.snapshot (Machine.stats m) in
+  Pool.write_int p 0 1;
+  ignore (Pool.read_int p 64);
+  Pool.write_int p 0 2;
+  let d = Stats.diff (Machine.stats m) before in
+  Alcotest.(check int) "misses" 2 d.Stats.cache_misses;
+  Alcotest.(check int) "store misses" 1 d.Stats.store_misses
+
 let test_write_combining_groups_xpline () =
   (* Flushing 4 lines of one XPLine then fencing must produce a single
      full (non-RMW) media write; a single line flush is a partial RMW
@@ -589,6 +650,8 @@ let suite =
     Alcotest.test_case "crash: volatile pool wiped" `Quick test_volatile_pool_lost_on_crash;
     Alcotest.test_case "pool: media image inspection" `Quick test_media_read_int;
     Alcotest.test_case "stats: flush/fence counts" `Quick test_flush_counts;
+    Alcotest.test_case "pool: a non-temporal store" `Quick test_ntstore;
+    Alcotest.test_case "stats: store misses" `Quick test_store_misses;
     Alcotest.test_case "device: write combining (FH3)" `Quick
       test_write_combining_groups_xpline;
     Alcotest.test_case "device: sequential beats random (FH3)" `Quick
