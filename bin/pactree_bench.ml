@@ -159,12 +159,16 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw obs_out
     (if s.Nvm.Stats.media_writes = 0 then 0.0
      else 100.0 *. float_of_int partial /. float_of_int s.Nvm.Stats.media_writes);
   (* every access to a line is charged once, as a CPU-cache hit or a
-     miss: the lines an op reads (DESIGN §2, "Read discipline") *)
+     miss: the lines an op reads (DESIGN §2, "Read discipline"); a
+     late hit waited for a software prefetch's line, which counts as
+     no access of its own *)
   Format.printf
-    "line reads : %.2f per op (CPU-cache hits %.2f + misses %.2f, of which stores' %.2f)@."
+    "line reads : %.2f per op (CPU-cache hits %.2f + misses %.2f, of which stores' %.2f; \
+     software prefetches %.2f, late hits %.2f)@."
     (per_op (s.Nvm.Stats.cache_hits + s.Nvm.Stats.cache_misses))
     (per_op s.Nvm.Stats.cache_hits) (per_op s.Nvm.Stats.cache_misses)
-    (per_op s.Nvm.Stats.store_misses);
+    (per_op s.Nvm.Stats.store_misses) (per_op s.Nvm.Stats.sw_prefetches)
+    (per_op s.Nvm.Stats.late_hits);
   (* host cost of the measured phase alone, not of the preload *)
   Format.printf "host words : %.1f per op (minor words allocated)@."
     (r.Workload.Runner.host_words /. float_of_int r.Workload.Runner.ops);
@@ -281,13 +285,16 @@ let run_crashmc index_name ops budget max_states seed workload mutate =
          clwbs are spread over the clwbs an unfaulted run of the same
          ops makes, so all six are injected whatever that count is.
          The persist-order sanitizer rides along as a cross-check.  A
-         mutant whose dropped clwb is made redundant by a later flush
-         of the same line is harmless — neither oracle can (or should)
-         flag it — so the invariant is per-mutant containment: every mutant the
-         exhaustive checker convicts must also be flagged dynamically
-         (the lint is at least as sensitive as the oracle on
-         missing-flush bugs), and at least one injected mutant must be
-         flagged overall. *)
+         redundant clwb (the line clean, or staged by the same thread
+         with no store since) is never dropped: the fault passes over
+         it to the next clwb that is not, and each mutant's line says
+         which it dropped.  A mutant whose dropped clwb a later flush
+         of the same line makes harmless is caught by neither oracle,
+         nor should it be, so the invariant is per-mutant containment:
+         every mutant the exhaustive checker convicts must also be
+         flagged dynamically (the lint is at least as sensitive as the
+         oracle on missing-flush bugs), and at least one injected
+         mutant must be flagged overall. *)
       if mutate then
         List.iter
           (fun sys ->
@@ -311,14 +318,23 @@ let run_crashmc index_name ops budget max_states seed workload mutate =
                   ~max_violations:1 ~name:(Experiments.Factory.id sys) ~machine:m ~sut
                   ~ops:(make_ops ()) ()
               in
-              let fired = Nvm.Machine.flush_fault_fired m in
+              let dropped = Nvm.Machine.flush_dropped m in
+              let fired = dropped >= 0 in
               let flagged = fired && Pobj.Sanitizer.total () > 0 in
               if fired then begin
                 incr injected;
                 if flagged then incr san_caught
               end;
               Pobj.Sanitizer.disable m;
-              if not (Crashmc.Harness.ok r) then begin
+              let caught = not (Crashmc.Harness.ok r) in
+              Format.printf "  mutant %d: clwb %d of %d%s; checker %s, sanitizer %s@." !tried k
+                clwbs
+                (if not fired then " never dropped"
+                 else if dropped = k then " dropped"
+                 else Printf.sprintf " redundant, clwb %d dropped" dropped)
+                (if caught then "caught it" else "missed it")
+                (if flagged then "flagged it" else "missed it");
+              if caught then begin
                 incr killed;
                 if not flagged then begin
                   Format.printf

@@ -282,6 +282,11 @@ let stamp r =
   r.start <- now;
   r.at <- now
 
+let stamp_thread r =
+  let now = time () +. (current ()).pending.extra in
+  r.start <- now;
+  r.at <- now
+
 let delay_interval r = delay (r.at -. r.start)
 
 let[@inline] charge seconds =

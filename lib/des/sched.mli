@@ -94,6 +94,10 @@ type interval = { mutable start : float; mutable at : float }
 
 val stamp : interval -> unit
 
+(** [stamp_thread r] sets both to the calling thread's own clock:
+    {!time} plus its {!pending_charge}. *)
+val stamp_thread : interval -> unit
+
 val delay_interval : interval -> unit
 
 (** The pause after a failed attempt [n] (from 0): none, and no yield

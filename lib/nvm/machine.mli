@@ -66,10 +66,24 @@ val pool : t -> int -> pool
 val cache_slot : t -> int -> int
 
 (** [cache_access t gline] models a CPU cache access to global line
-    [gline]; returns [true] on a hit.  Misses install the tag. *)
+    [gline]; returns [true] on a hit.  Misses install the tag.  A hit
+    on a line that a software prefetch ({!prefetch_fill}) still has in
+    flight at the calling thread's clock (its time plus pending charge)
+    first delays the thread to the arrival, and counts in
+    {!Stats.t.late_hits} as well. *)
 val cache_access : t -> int -> bool
 
+(** Invalidate [gline]'s slot if it holds [gline], in flight or not. *)
 val cache_invalidate : t -> int -> unit
+
+(** [cached t gline]: [gline]'s tag is in its slot, arrived or in
+    flight; no access is charged or counted. *)
+val cached : t -> int -> bool
+
+(** [prefetch_fill t gline c] puts [gline]'s tag in its slot, with its
+    arrival at [c.at] ([0.] for at once), and counts a software
+    prefetch.  Called by {!Pool.prefetch}, which books the fetch. *)
+val prefetch_fill : t -> int -> Des.Sched.interval -> unit
 
 (** Where a pool's staged snapshots go: its device, and [apply snaps
     pos line], which persists the 64 B snapshot at [pos] in [snaps]
@@ -123,19 +137,25 @@ val emit : t -> persist_event -> unit
 
 (** {2 Fault injection (checker self-tests)} *)
 
-(** [set_flush_fault t (Some k)] silently drops the [k]-th (0-based)
-    subsequent [clwb] on this machine — a missing-flush mutation used
-    to prove the crash checker catches persistence bugs.  [None]
-    disables and resets the counter. *)
+(** [set_flush_fault t (Some k)] silently drops the first subsequent
+    [clwb] on this machine, from the [k]-th (0-based) on, that is not
+    redundant — a missing-flush mutation used to prove the crash
+    checker catches persistence bugs.  A redundant clwb (see
+    {!Pool.clwb}: its line is clean, or staged by the same thread with
+    no store since) is never dropped, since dropping it changes no
+    crash state.  [None] disables and resets the counter. *)
 val set_flush_fault : t -> int option -> unit
 
 (** Consumes one clwb tick; [true] iff this clwb must be dropped.
-    (Called by {!Pool.clwb}.) *)
-val flush_faulted : t -> bool
+    [redundant] is the clwb's redundancy as {!Pool.clwb} counts it
+    for [flushes_elided].  (Called by {!Pool.clwb}.) *)
+val flush_faulted : t -> redundant:bool -> bool
 
-(** [true] once the armed fault has actually dropped a clwb — i.e. the
-    mutation was really injected (enough clwbs happened). *)
-val flush_fault_fired : t -> bool
+(** The tick of the clwb the armed fault dropped: the [k] of
+    {!set_flush_fault}, or later by the redundant clwbs it passed
+    over; [-1] until it has dropped one, i.e. while the mutation is
+    not injected (too few clwbs happened). *)
+val flush_dropped : t -> int
 
 (** The clwbs counted since the last [set_flush_fault t (Some _)]: with
     [Some max_int] nothing is dropped, and the count is the number of
@@ -169,7 +189,8 @@ val fence : t -> unit
     [(numa, xpline, lines)] in the order [fence] writes them. *)
 val fence_order : (int * int) list -> (int * int * int) list
 
-(** Power-failure / SIGKILL: volatile state (CPU caches, staged
-    flushes, device buffers, DRAM pools) is lost; each pool's cache
+(** Power-failure / SIGKILL: volatile state (CPU caches and the lines
+    still in flight to them, staged flushes, device buffers, DRAM
+    pools) is lost; each pool's cache
     image is reset to its media image per [crash_mode]. *)
 val crash : t -> crash_mode -> unit

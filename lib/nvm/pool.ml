@@ -213,6 +213,32 @@ let fetch_line t g =
     Device.read t.dev t.io ~xpline:(g lsr 2) ~from_numa:t.numa
   end
 
+(* A software prefetch (prefetcht0) of the line containing [off]: a
+   line already cached, in flight or not, is left alone.  Otherwise the
+   line's fetch is booked from the thread's clock (its time plus
+   pending charge) without waiting for it, and its tag takes the slot
+   with the fetch's completion as its arrival; issuing it costs a
+   cache hit.  Outside a simulation the line arrives at once.  Nothing
+   is stored, so no persist event is emitted. *)
+let prefetch t off =
+  check_range t off 1;
+  let g = gline t off in
+  if not (Machine.cached t.machine g) then begin
+    let io = t.io in
+    if Des.Sched.running () then begin
+      Des.Sched.stamp_thread io;
+      if t.volatile then io.at <- io.at +. Config.dram_latency
+      else Device.read t.dev io ~xpline:(g lsr 2) ~from_numa:(Des.Sched.current_numa ())
+    end
+    else begin
+      io.at <- 0.0;
+      if not t.volatile then Device.read t.dev io ~xpline:(g lsr 2) ~from_numa:t.numa;
+      io.at <- 0.0
+    end;
+    Machine.prefetch_fill t.machine g io;
+    Des.Sched.charge Config.cache_hit_cost
+  end
+
 (* Charge the cost of touching the line containing [off].  Writes take
    the same miss path as reads (read-for-ownership), and a write's miss
    is counted apart as well. *)
@@ -424,7 +450,8 @@ let cover_line t off =
    never come.  A redundant clwb is counted in [Stats.flushes_elided]
    (the elision opportunity) and executed in full.  A faulted
    (dropped) clwb models a missing call: it is neither counted nor
-   reported. *)
+   reported.  A redundant clwb is never faulted (see
+   [Machine.set_flush_fault]). *)
 let clwb t off =
   if not t.volatile then begin
     cover_line t off;
@@ -436,17 +463,21 @@ let clwb t off =
       eadr_drain t off;
       record_clwb t line
     end
-    else if not (Machine.flush_faulted t.machine) then begin
-      if lines_equal t line || t.staged_by.(line) = Des.Sched.current_id () then
-        stats.Stats.flushes_elided <- stats.Stats.flushes_elided + 1;
-      stats.Stats.flushes <- stats.Stats.flushes + 1;
-      Des.Sched.charge Config.clwb_cpu_cost;
-      let g = gline t off in
-      Machine.stage t.machine t.sink ~line ~xpline:(g lsr 2) t.cache (line * line_size);
-      t.staged_by.(line) <- Des.Sched.current_id ();
-      record_clwb t line;
-      (* Current-generation clwb invalidates the line (FH4). *)
-      Machine.cache_invalidate t.machine g
+    else begin
+      let redundant =
+        lines_equal t line || t.staged_by.(line) = Des.Sched.current_id ()
+      in
+      if not (Machine.flush_faulted t.machine ~redundant) then begin
+        if redundant then stats.Stats.flushes_elided <- stats.Stats.flushes_elided + 1;
+        stats.Stats.flushes <- stats.Stats.flushes + 1;
+        Des.Sched.charge Config.clwb_cpu_cost;
+        let g = gline t off in
+        Machine.stage t.machine t.sink ~line ~xpline:(g lsr 2) t.cache (line * line_size);
+        t.staged_by.(line) <- Des.Sched.current_id ();
+        record_clwb t line;
+        (* Current-generation clwb invalidates the line (FH4). *)
+        Machine.cache_invalidate t.machine g
+      end
     end
   end
 

@@ -118,6 +118,20 @@ val compare_string : t -> int -> int -> string -> int
     reads after it), at the cost of [compare_string]. *)
 val compare_terminated : t -> int -> int -> string -> int
 
+(** [prefetch p off] is a software prefetch (prefetcht0) of the line
+    containing [off].  It does nothing when the line is cached, or
+    already in flight; so on eADR, where a clwb leaves its line
+    cached, it does nothing after one.  Otherwise it books one device
+    read of the line's XPLine (a DRAM latency on a volatile pool) at
+    the calling thread's clock, without delaying the thread, and puts
+    the line in its CPU-cache slot with that read's completion as its
+    arrival (see {!Machine.cache_access}); it charges a cache hit's
+    cost for the instruction and counts in
+    {!Stats.t.sw_prefetches}.  It is not a line access: it counts no
+    hit or miss and no logical byte, and emits no persist event.
+    Outside a simulation the line arrives at once. *)
+val prefetch : t -> int -> unit
+
 (** {2 Persistence} *)
 
 (** [clwb p off] stages the 64B line containing [off] for persistence

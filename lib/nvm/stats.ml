@@ -12,6 +12,8 @@ type t = {
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable store_misses : int;
+  mutable sw_prefetches : int;
+  mutable late_hits : int;
   mutable remote_accesses : int;
   mutable flushes : int;
   mutable flushes_elided : int;
@@ -35,6 +37,8 @@ let create () =
     cache_hits = 0;
     cache_misses = 0;
     store_misses = 0;
+    sw_prefetches = 0;
+    late_hits = 0;
     remote_accesses = 0;
     flushes = 0;
     flushes_elided = 0;
@@ -57,6 +61,8 @@ let reset t =
   t.cache_hits <- 0;
   t.cache_misses <- 0;
   t.store_misses <- 0;
+  t.sw_prefetches <- 0;
+  t.late_hits <- 0;
   t.remote_accesses <- 0;
   t.flushes <- 0;
   t.flushes_elided <- 0;
@@ -79,6 +85,8 @@ let snapshot t =
     cache_hits = t.cache_hits;
     cache_misses = t.cache_misses;
     store_misses = t.store_misses;
+    sw_prefetches = t.sw_prefetches;
+    late_hits = t.late_hits;
     remote_accesses = t.remote_accesses;
     flushes = t.flushes;
     flushes_elided = t.flushes_elided;
@@ -102,6 +110,8 @@ let diff a b =
     cache_hits = a.cache_hits - b.cache_hits;
     cache_misses = a.cache_misses - b.cache_misses;
     store_misses = a.store_misses - b.store_misses;
+    sw_prefetches = a.sw_prefetches - b.sw_prefetches;
+    late_hits = a.late_hits - b.late_hits;
     remote_accesses = a.remote_accesses - b.remote_accesses;
     flushes = a.flushes - b.flushes;
     flushes_elided = a.flushes_elided - b.flushes_elided;
@@ -124,6 +134,8 @@ let add acc x =
   acc.cache_hits <- acc.cache_hits + x.cache_hits;
   acc.cache_misses <- acc.cache_misses + x.cache_misses;
   acc.store_misses <- acc.store_misses + x.store_misses;
+  acc.sw_prefetches <- acc.sw_prefetches + x.sw_prefetches;
+  acc.late_hits <- acc.late_hits + x.late_hits;
   acc.remote_accesses <- acc.remote_accesses + x.remote_accesses;
   acc.flushes <- acc.flushes + x.flushes;
   acc.flushes_elided <- acc.flushes_elided + x.flushes_elided;
@@ -136,7 +148,7 @@ let is_zero t =
   && t.media_write_bytes = 0 && t.rmw_reads = 0 && t.rmw_read_bytes = 0
   && t.dir_writes = 0 && t.dir_write_bytes = 0 && t.buffer_hits = 0
   && t.prefetches = 0 && t.cache_hits = 0 && t.cache_misses = 0
-  && t.store_misses = 0
+  && t.store_misses = 0 && t.sw_prefetches = 0 && t.late_hits = 0
   && t.remote_accesses = 0 && t.flushes = 0 && t.flushes_elided = 0
   && t.fences = 0
   && t.logical_read_bytes = 0 && t.logical_write_bytes = 0
@@ -159,10 +171,10 @@ let pp ppf t =
      media writes: %d (%d B, +%d B directory)@,\
      logical: %d B read, %d B written (amplification %.2fx read / %.2fx write)@,\
      buffer hits: %d, prefetches: %d@,\
-     cpu cache: %d hits / %d misses (%d by stores), remote: %d@,\
+     cpu cache: %d hits (%d late) / %d misses (%d by stores), %d software prefetches, remote: %d@,\
      flushes: %d (%d redundant), fences: %d@]"
     t.media_reads t.media_read_bytes t.rmw_read_bytes t.media_writes
     t.media_write_bytes t.dir_write_bytes t.logical_read_bytes t.logical_write_bytes
     (read_amplification t) (write_amplification t) t.buffer_hits t.prefetches
-    t.cache_hits t.cache_misses t.store_misses t.remote_accesses t.flushes t.flushes_elided
+    t.cache_hits t.late_hits t.cache_misses t.store_misses t.sw_prefetches t.remote_accesses t.flushes t.flushes_elided
     t.fences

@@ -13,12 +13,18 @@ type t = {
   mutable dir_writes : int;  (** directory coherence writes (FH5) *)
   mutable dir_write_bytes : int;
   mutable buffer_hits : int;  (** XPBuffer / read-buffer hits *)
-  mutable prefetches : int;
+  mutable prefetches : int;  (** XPPrefetcher fetches of the next XPLine *)
   mutable cache_hits : int;  (** CPU cache hits *)
   mutable cache_misses : int;
   mutable store_misses : int;
       (** the [cache_misses] that stores took: each is a read for
           ownership of a line the store then overwrites *)
+  mutable sw_prefetches : int;
+      (** software prefetches ([Pool.prefetch]) that fetched a line; one
+          of a line already cached does nothing and is not counted *)
+  mutable late_hits : int;
+      (** the [cache_hits] that waited for a line still in flight from
+          a software prefetch *)
   mutable remote_accesses : int;  (** cross-NUMA accesses *)
   mutable flushes : int;  (** clwb instructions that reached the device *)
   mutable flushes_elided : int;

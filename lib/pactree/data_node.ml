@@ -515,11 +515,16 @@ let persist_slot lay pool off slot k v =
   if slot < hi_fps then write_fp pool off slot k
 
 (* Store the bitmap in the scratch buffer and persist line 1: the
-   linearization point of a write. *)
+   linearization point of a write.  The clwb evicts line 1 (FH4), and
+   the node's next reader or writer copies it first thing: prefetch it
+   back as soon as the fence returns.  The entry line is not: the next
+   writer stores into a free slot with a non-temporal store, and a
+   reader reads one entry at most. *)
 let commit pool off buf =
   write_bits pool off buf;
   Pool.clwb pool (off + bits);
-  Pool.fence pool
+  Pool.fence pool;
+  Pool.prefetch pool (off + bits)
 
 (* The ablation's writer rebuilds and flushes the array under its
    lock, so the word it stamps cannot change under it. *)

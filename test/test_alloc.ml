@@ -374,8 +374,8 @@ let test_tree_ops () =
       Tree.request_shutdown tree);
   Sched.run sched;
   let lookup = !lookup and insert = !insert in
-  check_ceiling "Tree.lookup" 2.45 lookup;
-  check_ceiling "Tree.insert of a fresh key" 14.3 insert
+  check_ceiling "Tree.lookup" 2.40 lookup;
+  check_ceiling "Tree.insert of a fresh key" 10.5 insert
 
 (* Outside a simulation nothing charges a delay, so nothing switches
    threads: a [Tree.insert] that splits no node, of a fresh key or over
@@ -677,7 +677,7 @@ let test_baseline_reads () =
     [
       (Experiments.Factory.Fastfair_sys, 44.0672, 128.0, 264.0);
       (Experiments.Factory.Bztree_sys, 38.2268, 160.0, 412.0);
-      (Experiments.Factory.Fptree_sys, 5.0754, 48.4, 50.4);
+      (Experiments.Factory.Fptree_sys, 5.0754, 48.4, 46.4);
     ]
 
 (* ---------- resident pool bytes ---------- *)
@@ -729,7 +729,7 @@ let test_engine_request () =
   let w = words (fun () -> r := Some (Svc.Engine.run ~store ~config ~start ())) in
   let r = Option.get !r in
   Alcotest.(check int) "every request completed" 4_000 r.Svc.Engine.r_completed;
-  check_ceiling "Engine.run per request" 66.6 (w /. 4_000.0)
+  check_ceiling "Engine.run per request" 63.0 (w /. 4_000.0)
 
 let () = Hang_alarm.arm ()
 

@@ -755,6 +755,43 @@ let test_insert_slot_33 () =
   Alcotest.(check int) "fences" 2 d.fences;
   Alcotest.(check (option (pair int int))) "found in slot 33" (Some (33, 33)) (find lay node (ik 33))
 
+(* A commit's clwb evicts line 1 and its prefetch fetches it back: an
+   insert into slot 10 still flushes two lines under two fences, and
+   prefetches line 1 once.  The next writer's [find_locked] copy of
+   line 1 (of a key absent from the node, so that no entry is read) is
+   then a CPU-cache hit: late if it comes at once, a plain hit once
+   the line has landed. *)
+let test_commit_prefetch () =
+  List.iter
+    (fun wait ->
+      let machine, lay, node = make_node () in
+      let pool = node.pool and off = node.off in
+      let d, r =
+        let sched = Des.Sched.create () in
+        let result = ref None in
+        Des.Sched.spawn sched ~name:"writer" (fun () ->
+            for s = 0 to 9 do
+              ignore (Node.insert lay pool off (ik s) s)
+            done;
+            let s0 = stats machine in
+            Alcotest.(check bool) "inserted" true (Node.insert lay pool off (ik 10) 10 = Node.Ok);
+            let d = Nvm.Stats.diff (stats machine) s0 in
+            Des.Sched.delay wait;
+            let s1 = stats machine in
+            Alcotest.(check int) "absent" (-1) (Node.find_locked lay pool off (ik 1000));
+            result := Some (d, Nvm.Stats.diff (stats machine) s1));
+        Des.Sched.run sched;
+        Option.get !result
+      in
+      let what = if wait > 0.0 then "landed: " else "at once: " in
+      Alcotest.(check int) (what ^ "flushes") 2 d.flushes;
+      Alcotest.(check int) (what ^ "fences") 2 d.fences;
+      Alcotest.(check int) (what ^ "one prefetch") 1 d.sw_prefetches;
+      Alcotest.(check int) (what ^ "line 1 read once") 1 (line_reads r);
+      Alcotest.(check int) (what ^ "a hit") 1 r.cache_hits;
+      Alcotest.(check int) (what ^ "late") (if wait > 0.0 then 0 else 1) r.late_hits)
+    [ 0.0; 1e-6 ]
+
 (* A scan over a fresh permutation array takes the number of pairs from
    the count beside the stamp: it reads line 0's lock word, stamp and
    count, then each pair's array byte, key (compared, then copied) and
@@ -834,6 +871,7 @@ let suite =
     Alcotest.test_case "node: a merge fences twice" `Quick test_absorb_fences;
     Alcotest.test_case "node: a write commits in line 1" `Quick test_commit_line;
     Alcotest.test_case "node: an insert reads no entry line" `Quick test_insert_slot_33;
+    Alcotest.test_case "node: a commit prefetches line 1" `Quick test_commit_prefetch;
     Alcotest.test_case "node: a fresh scan reads no bitmap" `Quick
       test_scan_fresh_reads_no_bitmap;
     Alcotest.test_case "node: init over garbage" `Quick test_init_over_garbage;

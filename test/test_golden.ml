@@ -113,14 +113,14 @@ let test_closed_loop () =
   check "runner"
     (closed_loop Experiments.Factory.Pactree_sys)
     {
-      elapsed = 0x1.03f495e4645dcp-12;
+      elapsed = 0x1.c3fb472794a4p-13;
       completed = 2000;
-      p50 = 0x1.58225e824ap-21;
-      p99 = 0x1.93fecfff30d8p-18;
-      flushes = 3038;
-      fences = 2396;
-      media_read_bytes = 916992;
-      media_write_bytes = 716544;
+      p50 = 0x1.353cd652bbp-21;
+      p99 = 0x1.48e9f98f6aa8p-18;
+      flushes = 2936;
+      fences = 2330;
+      media_read_bytes = 888320;
+      media_write_bytes = 699904;
     }
 
 (* The three B+-tree baselines, each under a write mix (YCSB A: splits
@@ -211,40 +211,40 @@ let baseline_pins =
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_a,
       {
-        elapsed = 0x1.051660f7abb5cp-12;
+        elapsed = 0x1.cad551a0548ap-13;
         completed = 2000;
-        p50 = 0x1.c26f482eba8p-21;
-        p99 = 0x1.bcc47a6cfdcp-20;
-        flushes = 2653;
-        fences = 2224;
-        media_read_bytes = 791040;
-        media_write_bytes = 637184;
+        p50 = 0x1.99187b881dp-21;
+        p99 = 0x1.920c98a5e4cp-18;
+        flushes = 2698;
+        fences = 2242;
+        media_read_bytes = 795392;
+        media_write_bytes = 644096;
       } );
     ( "FPTree YCSB C",
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_c,
       {
-        elapsed = 0x1.f335fb2a69db8p-14;
+        elapsed = 0x1.ea14a4416e358p-14;
         completed = 2000;
         p50 = 0x1.c2f8b88dfb8p-22;
-        p99 = 0x1.e26b9f521ep-21;
+        p99 = 0x1.1d11b818688p-20;
         flushes = 0;
         fences = 0;
-        media_read_bytes = 47360;
+        media_read_bytes = 39168;
         media_write_bytes = 0;
       } );
     ( "FPTree YCSB E",
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_e,
       {
-        elapsed = 0x1.06dac0e27ac14p-12;
+        elapsed = 0x1.0620291269ebcp-12;
         completed = 2000;
-        p50 = 0x1.8760ff40b4cp-20;
-        p99 = 0x1.5cabba73fdbp-19;
-        flushes = 233;
-        fences = 220;
-        media_read_bytes = 139776;
-        media_write_bytes = 59648;
+        p50 = 0x1.7db7188e1fp-20;
+        p99 = 0x1.5b466315edbp-19;
+        flushes = 284;
+        fences = 247;
+        media_read_bytes = 138752;
+        media_write_bytes = 66304;
       } );
   ]
 
@@ -255,13 +255,13 @@ let test_open_loop () =
   check "engine"
     (open_loop ())
     {
-      elapsed = 0x1.b8c45c4c27b7dp-10;
+      elapsed = 0x1.b8c45c4c27b77p-10;
       completed = 2000;
-      p50 = 0x1.285a4d649ep-21;
-      p99 = 0x1.e443985921cp-19;
+      p50 = 0x1.21e908ed8fp-21;
+      p99 = 0x1.ad7f29abcacp-19;
       flushes = 2900;
       fences = 2352;
-      media_read_bytes = 878848;
+      media_read_bytes = 875776;
       media_write_bytes = 695296;
     }
 

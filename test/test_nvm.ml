@@ -412,6 +412,130 @@ let run_in_sim f =
   Des.Sched.run sched;
   Option.get !result
 
+(* Software prefetch.  The lines used lie in distinct, non-adjacent
+   XPLines, so no read-buffer hit or XPPrefetcher run shortens a fetch. *)
+
+let hit_cost = Nvm.Config.cache_hit_cost
+
+(* A prefetch of a line that is not cached is no line access: no hit,
+   no miss, no store miss and no logical byte.  It books one device
+   read, counts one software prefetch and returns at once, for the
+   cost of a hit.  A read before the line arrives waits for it and is a
+   hit and a late one; the read ends a cache hit after the time a miss
+   would have taken.  A read after the arrival is a plain hit. *)
+let test_prefetch () =
+  let m = make_machine () in
+  let p = make_pool m in
+  let miss, issue, late, later, d_pre, d_late, d_later =
+    run_in_sim (fun sched ->
+        let elapsed f =
+          let t0 = Des.Sched.now sched in
+          f ();
+          Des.Sched.delay 0.0;
+          Des.Sched.now sched -. t0
+        in
+        let miss = elapsed (fun () -> ignore (Pool.read_int p 4096)) in
+        let s0 = Stats.snapshot (Machine.total_stats m) in
+        let t0 = Des.Sched.now sched in
+        Pool.prefetch p 8192;
+        Des.Sched.delay 0.0;
+        let issue = Des.Sched.now sched -. t0 in
+        let d_pre = Stats.diff (Machine.total_stats m) s0 in
+        let s1 = Stats.snapshot (Machine.total_stats m) in
+        ignore (Pool.read_int p 8192);
+        Des.Sched.delay 0.0;
+        let late = Des.Sched.now sched -. t0 in
+        let d_late = Stats.diff (Machine.total_stats m) s1 in
+        Pool.prefetch p 12288;
+        Des.Sched.delay 1e-6;
+        let s2 = Stats.snapshot (Machine.total_stats m) in
+        let later = elapsed (fun () -> ignore (Pool.read_int p 12288)) in
+        let d_later = Stats.diff (Machine.total_stats m) s2 in
+        (miss, issue, late, later, d_pre, d_late, d_later))
+  in
+  Alcotest.(check int) "prefetch: no hit" 0 d_pre.Stats.cache_hits;
+  Alcotest.(check int) "prefetch: no miss" 0 d_pre.Stats.cache_misses;
+  Alcotest.(check int) "prefetch: no store miss" 0 d_pre.Stats.store_misses;
+  Alcotest.(check int) "prefetch: no logical byte" 0 d_pre.Stats.logical_read_bytes;
+  Alcotest.(check int) "prefetch: one device read" 1
+    (d_pre.Stats.media_reads + d_pre.Stats.buffer_hits);
+  Alcotest.(check int) "prefetch: counted" 1 d_pre.Stats.sw_prefetches;
+  Alcotest.(check (float 1e-15)) "prefetch: costs a hit, no wait" hit_cost issue;
+  Alcotest.(check int) "early read: a hit" 1 d_late.Stats.cache_hits;
+  Alcotest.(check int) "early read: late" 1 d_late.Stats.late_hits;
+  Alcotest.(check int) "early read: no miss" 0 d_late.Stats.cache_misses;
+  Alcotest.(check int) "early read: no device read" 0
+    (d_late.Stats.media_reads + d_late.Stats.buffer_hits);
+  Alcotest.(check (float 1e-15)) "early read: waits for the arrival" (miss +. hit_cost) late;
+  Alcotest.(check int) "read after arrival: a hit" 1 d_later.Stats.cache_hits;
+  Alcotest.(check int) "read after arrival: not late" 0 d_later.Stats.late_hits;
+  Alcotest.(check (float 1e-15)) "read after arrival: a hit's cost" hit_cost later
+
+(* A prefetch of a cached line does nothing: no time, no counter.  On
+   ADR a clwb evicts the line, and a prefetch then fetches it; on eADR
+   the line stays cached and the prefetch still does nothing. *)
+let test_prefetch_cached () =
+  List.iter
+    (fun profile ->
+      let m = Machine.create ~profile ~numa_count:1 () in
+      let p = make_pool m in
+      let eadr = profile.Nvm.Config.eadr in
+      let name = if eadr then "eADR" else "ADR" in
+      run_in_sim (fun sched ->
+          ignore (Pool.read_int p 0);
+          let s0 = Stats.snapshot (Machine.total_stats m) in
+          let t0 = Des.Sched.now sched in
+          Pool.prefetch p 0;
+          Des.Sched.delay 0.0;
+          Alcotest.(check bool) (name ^ ": cached, nothing counted") true
+            (Stats.is_zero (Stats.diff (Machine.total_stats m) s0));
+          Alcotest.(check (float 0.0)) (name ^ ": cached, no time") 0.0
+            (Des.Sched.now sched -. t0);
+          Pool.write_int p 0 1;
+          Pool.persist p 0 8;
+          let s1 = Stats.snapshot (Machine.stats m) in
+          Pool.prefetch p 0;
+          let d = Stats.diff (Machine.stats m) s1 in
+          Alcotest.(check int) (name ^ ": after a clwb") (if eadr then 0 else 1)
+            d.Stats.sw_prefetches))
+    [ Nvm.Config.dcpmm; Nvm.Config.dcpmm_eadr ]
+
+(* A prefetch emits no persist event: the crashmc trace records only
+   the store, clwb and fence around it, and the sanitizer reports
+   nothing. *)
+let test_prefetch_no_event () =
+  let m = make_machine () in
+  let p = make_pool m in
+  let trace = Crashmc.Trace.start m in
+  Pobj.Sanitizer.enable m;
+  run_in_sim (fun _ ->
+      Pool.write_int p 0 1;
+      Pool.persist p 0 8;
+      Pool.prefetch p 0;
+      Pool.prefetch p 4096;
+      Pool.fence p);
+  Pobj.Sanitizer.disable m;
+  Crashmc.Trace.stop trace;
+  Alcotest.(check int) "store, clwb, fence, fence" 4
+    (Array.length (Crashmc.Trace.events trace));
+  Alcotest.(check int) "no sanitizer report" 0 (Pobj.Sanitizer.total ())
+
+(* A crash loses a line still in flight with the rest of the CPU
+   cache: the next read misses. *)
+let test_prefetch_crash () =
+  let m = make_machine () in
+  let p = make_pool m in
+  let d =
+    run_in_sim (fun _ ->
+        Pool.prefetch p 4096;
+        Machine.crash m Machine.Strict;
+        let s0 = Stats.snapshot (Machine.stats m) in
+        ignore (Pool.read_int p 4096);
+        Stats.diff (Machine.stats m) s0)
+  in
+  Alcotest.(check int) "a miss" 1 d.Stats.cache_misses;
+  Alcotest.(check int) "not a late hit" 0 d.Stats.late_hits
+
 let test_sequential_read_faster_than_random () =
   (* FH3: sequential reads exploit the read buffer and prefetcher.
      Both patterns touch 4096 (mostly) distinct lines; the random one
@@ -652,6 +776,11 @@ let suite =
     Alcotest.test_case "stats: flush/fence counts" `Quick test_flush_counts;
     Alcotest.test_case "pool: a non-temporal store" `Quick test_ntstore;
     Alcotest.test_case "stats: store misses" `Quick test_store_misses;
+    Alcotest.test_case "pool: a software prefetch" `Quick test_prefetch;
+    Alcotest.test_case "pool: a prefetch of a cached line" `Quick test_prefetch_cached;
+    Alcotest.test_case "pool: a prefetch emits no persist event" `Quick
+      test_prefetch_no_event;
+    Alcotest.test_case "crash: lines in flight are lost" `Quick test_prefetch_crash;
     Alcotest.test_case "device: write combining (FH3)" `Quick
       test_write_combining_groups_xpline;
     Alcotest.test_case "device: sequential beats random (FH3)" `Quick
