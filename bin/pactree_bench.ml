@@ -161,14 +161,15 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw obs_out
   (* every access to a line is charged once, as a CPU-cache hit or a
      miss: the lines an op reads (DESIGN §2, "Read discipline"); a
      late hit waited for a software prefetch's line, which counts as
-     no access of its own *)
+     no access of its own; an early buffer hit is a device read that
+     the XPBuffer answered before its XPLine's media read completed *)
   Format.printf
     "line reads : %.2f per op (CPU-cache hits %.2f + misses %.2f, of which stores' %.2f; \
-     software prefetches %.2f, late hits %.2f)@."
+     software prefetches %.2f, late hits %.2f; early buffer hits %.2f)@."
     (per_op (s.Nvm.Stats.cache_hits + s.Nvm.Stats.cache_misses))
     (per_op s.Nvm.Stats.cache_hits) (per_op s.Nvm.Stats.cache_misses)
     (per_op s.Nvm.Stats.store_misses) (per_op s.Nvm.Stats.sw_prefetches)
-    (per_op s.Nvm.Stats.late_hits);
+    (per_op s.Nvm.Stats.late_hits) (per_op s.Nvm.Stats.early_buffer_hits);
   (* host cost of the measured phase alone, not of the preload *)
   Format.printf "host words : %.1f per op (minor words allocated)@."
     (r.Workload.Runner.host_words /. float_of_int r.Workload.Runner.ops);

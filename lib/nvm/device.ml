@@ -8,6 +8,7 @@ type t = {
   numa : int;
   channels : float array; (* absolute time each channel becomes free *)
   read_buf : int array; (* direct-mapped XPLine buffer; -1 = empty *)
+  buf_ready : float array; (* by slot: when its XPLine's media read completes *)
   mutable last_fetched : int; (* previous XPLine miss, for the prefetcher *)
   owners : (int, int) Hashtbl.t; (* xpline -> owning NUMA domain *)
   stats : Stats.t;
@@ -19,6 +20,7 @@ let create ~channels ~protocol ~numa =
     numa;
     channels = Array.make channels 0.0;
     read_buf = Array.make Config.read_buffer_slots (-1);
+    buf_ready = Array.make Config.read_buffer_slots 0.0;
     last_fetched = min_int;
     owners = Hashtbl.create 4096;
     stats = Stats.create ();
@@ -36,7 +38,11 @@ let buf_slot t xpline = xpline * 0x9E3779B1 land max_int mod Array.length t.read
 
 let buf_mem t xpline = t.read_buf.(buf_slot t xpline) = xpline
 
-let buf_insert t xpline = t.read_buf.(buf_slot t xpline) <- xpline
+(* Put [xpline] in its slot, its media read completing at [ready]. *)
+let[@inline] buf_insert t xpline ready =
+  let slot = buf_slot t xpline in
+  t.read_buf.(slot) <- xpline;
+  t.buf_ready.(slot) <- ready
 
 type cursor = Des.Sched.interval = { mutable start : float; mutable at : float }
 
@@ -95,6 +101,11 @@ let read t c ~xpline ~from_numa =
   let now = c.at in
   if buf_mem t xpline then begin
     s.Stats.buffer_hits <- s.Stats.buffer_hits + 1;
+    (* The hit is answered at the buffer's latency even when the
+       XPLine's media read has not completed yet: counted, not
+       modelled. *)
+    if t.buf_ready.(buf_slot t xpline) > now then
+      s.Stats.early_buffer_hits <- s.Stats.early_buffer_hits + 1;
     (* Keep a detected sequential stream running: when the hit is on
        the line the prefetcher just brought in, fetch the next one in
        the background. *)
@@ -104,7 +115,7 @@ let read t c ~xpline ~from_numa =
         s.Stats.media_reads <- s.Stats.media_reads + 1;
         s.Stats.media_read_bytes <- s.Stats.media_read_bytes + xpline_size;
         channel_service t c xpline_fetch;
-        buf_insert t (xpline + 1)
+        buf_insert t (xpline + 1) c.at
       end;
       t.last_fetched <- xpline
     end;
@@ -115,7 +126,7 @@ let read t c ~xpline ~from_numa =
     s.Stats.media_read_bytes <- s.Stats.media_read_bytes + xpline_size;
     channel_service t c xpline_fetch;
     let fetch_done = c.at in
-    buf_insert t xpline;
+    buf_insert t xpline fetch_done;
     (* Sequential prefetch: a second consecutive miss triggers a
        background fetch of the next XPLine, consuming channel time but
        not blocking the requester. *)
@@ -124,8 +135,8 @@ let read t c ~xpline ~from_numa =
       s.Stats.media_reads <- s.Stats.media_reads + 1;
       s.Stats.media_read_bytes <- s.Stats.media_read_bytes + xpline_size;
       channel_service t c xpline_fetch;
-      c.at <- fetch_done;
-      buf_insert t (xpline + 1)
+      buf_insert t (xpline + 1) c.at;
+      c.at <- fetch_done
     end;
     t.last_fetched <- xpline;
     coherence_update t c ~xpline ~from_numa;
@@ -163,6 +174,7 @@ let write t c ~xpline ~bytes ~from_numa =
 
 let reset_buffers t =
   Array.fill t.read_buf 0 (Array.length t.read_buf) (-1);
+  Array.fill t.buf_ready 0 (Array.length t.buf_ready) 0.0;
   Array.fill t.channels 0 (Array.length t.channels) 0.0;
   t.last_fetched <- min_int;
   Hashtbl.reset t.owners

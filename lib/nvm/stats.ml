@@ -8,6 +8,7 @@ type t = {
   mutable dir_writes : int;
   mutable dir_write_bytes : int;
   mutable buffer_hits : int;
+  mutable early_buffer_hits : int;
   mutable prefetches : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -33,6 +34,7 @@ let create () =
     dir_writes = 0;
     dir_write_bytes = 0;
     buffer_hits = 0;
+    early_buffer_hits = 0;
     prefetches = 0;
     cache_hits = 0;
     cache_misses = 0;
@@ -57,6 +59,7 @@ let reset t =
   t.dir_writes <- 0;
   t.dir_write_bytes <- 0;
   t.buffer_hits <- 0;
+  t.early_buffer_hits <- 0;
   t.prefetches <- 0;
   t.cache_hits <- 0;
   t.cache_misses <- 0;
@@ -81,6 +84,7 @@ let snapshot t =
     dir_writes = t.dir_writes;
     dir_write_bytes = t.dir_write_bytes;
     buffer_hits = t.buffer_hits;
+    early_buffer_hits = t.early_buffer_hits;
     prefetches = t.prefetches;
     cache_hits = t.cache_hits;
     cache_misses = t.cache_misses;
@@ -106,6 +110,7 @@ let diff a b =
     dir_writes = a.dir_writes - b.dir_writes;
     dir_write_bytes = a.dir_write_bytes - b.dir_write_bytes;
     buffer_hits = a.buffer_hits - b.buffer_hits;
+    early_buffer_hits = a.early_buffer_hits - b.early_buffer_hits;
     prefetches = a.prefetches - b.prefetches;
     cache_hits = a.cache_hits - b.cache_hits;
     cache_misses = a.cache_misses - b.cache_misses;
@@ -130,6 +135,7 @@ let add acc x =
   acc.dir_writes <- acc.dir_writes + x.dir_writes;
   acc.dir_write_bytes <- acc.dir_write_bytes + x.dir_write_bytes;
   acc.buffer_hits <- acc.buffer_hits + x.buffer_hits;
+  acc.early_buffer_hits <- acc.early_buffer_hits + x.early_buffer_hits;
   acc.prefetches <- acc.prefetches + x.prefetches;
   acc.cache_hits <- acc.cache_hits + x.cache_hits;
   acc.cache_misses <- acc.cache_misses + x.cache_misses;
@@ -147,6 +153,7 @@ let is_zero t =
   t.media_reads = 0 && t.media_read_bytes = 0 && t.media_writes = 0
   && t.media_write_bytes = 0 && t.rmw_reads = 0 && t.rmw_read_bytes = 0
   && t.dir_writes = 0 && t.dir_write_bytes = 0 && t.buffer_hits = 0
+  && t.early_buffer_hits = 0
   && t.prefetches = 0 && t.cache_hits = 0 && t.cache_misses = 0
   && t.store_misses = 0 && t.sw_prefetches = 0 && t.late_hits = 0
   && t.remote_accesses = 0 && t.flushes = 0 && t.flushes_elided = 0
@@ -170,11 +177,11 @@ let pp ppf t =
     "@[<v>media reads: %d (%d B, +%d B rmw)@,\
      media writes: %d (%d B, +%d B directory)@,\
      logical: %d B read, %d B written (amplification %.2fx read / %.2fx write)@,\
-     buffer hits: %d, prefetches: %d@,\
+     buffer hits: %d (%d early), prefetches: %d@,\
      cpu cache: %d hits (%d late) / %d misses (%d by stores), %d software prefetches, remote: %d@,\
      flushes: %d (%d redundant), fences: %d@]"
     t.media_reads t.media_read_bytes t.rmw_read_bytes t.media_writes
     t.media_write_bytes t.dir_write_bytes t.logical_read_bytes t.logical_write_bytes
-    (read_amplification t) (write_amplification t) t.buffer_hits t.prefetches
+    (read_amplification t) (write_amplification t) t.buffer_hits t.early_buffer_hits t.prefetches
     t.cache_hits t.late_hits t.cache_misses t.store_misses t.sw_prefetches t.remote_accesses t.flushes t.flushes_elided
     t.fences

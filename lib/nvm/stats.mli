@@ -13,6 +13,11 @@ type t = {
   mutable dir_writes : int;  (** directory coherence writes (FH5) *)
   mutable dir_write_bytes : int;
   mutable buffer_hits : int;  (** XPBuffer / read-buffer hits *)
+  mutable early_buffer_hits : int;
+      (** the [buffer_hits] answered before the media read of their
+          XPLine had completed: the model answers them at the buffer's
+          latency all the same (the device's sequential prefetch and
+          concurrent readers of one XPLine take them) *)
   mutable prefetches : int;  (** XPPrefetcher fetches of the next XPLine *)
   mutable cache_hits : int;  (** CPU cache hits *)
   mutable cache_misses : int;
