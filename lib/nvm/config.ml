@@ -18,6 +18,10 @@ let read_buffer_slots = 64 (* the 16KB XPBuffer: 64 XPLines *)
 
 let cache_hit_cost = 6e-9
 
+(* The L1D line-fill buffers of one core: Skylake-SP-era cores, such as
+   the paper's Cascade Lake, have 10-12; 10 is the conservative end. *)
+let fill_buffers = 10
+
 (* Scaled with the benchmark datasets: the paper's 64M-key indexes
    exceed the testbed's LLC by ~2 orders of magnitude; the reduced
    simulation scale keeps the same dataset:cache ratio so indexes stay

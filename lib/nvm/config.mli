@@ -30,6 +30,11 @@ val read_buffer_slots : int  (** XPLine read/prefetch buffer entries *)
 
 val cache_hit_cost : float  (** CPU cache hit *)
 
+(** A core's L1D line-fill buffers: the most lines one thread has in
+    flight.  A software prefetch ({!Pool.prefetch}) covers at most this
+    many lines.  A hardware constant, like the XPBuffer's size. *)
+val fill_buffers : int
+
 (** log2 of the CPU cache model's slots (64B each), shared by all
     pools of a machine. *)
 val cache_slots_log2 : int

@@ -82,7 +82,8 @@ val cached : t -> int -> bool
 
 (** [prefetch_fill t gline c] puts [gline]'s tag in its slot, with its
     arrival at [c.at] ([0.] for at once), and counts a software
-    prefetch.  Called by {!Pool.prefetch}, which books the fetch. *)
+    prefetch.  Called by {!Pool.prefetch}, which books the fetch of the
+    line's XPLine. *)
 val prefetch_fill : t -> int -> Des.Sched.interval -> unit
 
 (** Where a pool's staged snapshots go: its device, and [apply snaps

@@ -213,31 +213,52 @@ let fetch_line t g =
     Device.read t.dev t.io ~xpline:(g lsr 2) ~from_numa:t.numa
   end
 
-(* A software prefetch (prefetcht0) of the line containing [off]: a
-   line already cached, in flight or not, is left alone.  Otherwise the
-   line's fetch is booked from the thread's clock (its time plus
-   pending charge) without waiting for it, and its tag takes the slot
-   with the fetch's completion as its arrival; issuing it costs a
-   cache hit.  Outside a simulation the line arrives at once.  Nothing
+(* A software prefetch (prefetcht0) of each line under [off, off+len),
+   at most [Config.fill_buffers] of them.  The lines are taken XPLine by
+   XPLine: when one of an XPLine's lines in the range is not cached, one
+   fetch of the XPLine is booked from the thread's clock (its time plus
+   pending charge) without waiting for it, and each such line's tag
+   takes its slot with the fetch's completion as its arrival, for a
+   cache hit's cost apiece.  A line already cached, in flight or not, is
+   left alone.  Outside a simulation the lines arrive at once.  Nothing
    is stored, so no persist event is emitted. *)
-let prefetch t off =
-  check_range t off 1;
-  let g = gline t off in
-  if not (Machine.cached t.machine g) then begin
-    let io = t.io in
-    if Des.Sched.running () then begin
-      Des.Sched.stamp_thread io;
-      if t.volatile then io.at <- io.at +. Config.dram_latency
-      else Device.read t.dev io ~xpline:(g lsr 2) ~from_numa:(Des.Sched.current_numa ())
-    end
-    else begin
-      io.at <- 0.0;
-      if not t.volatile then Device.read t.dev io ~xpline:(g lsr 2) ~from_numa:t.numa;
-      io.at <- 0.0
+let prefetch t off len =
+  check_range t off len;
+  let first = off lsr 6 and last = (off + len - 1) lsr 6 in
+  if len < 1 || last - first >= Config.fill_buffers then
+    invalid_arg
+      (Printf.sprintf "Pool %s: prefetch of [%d, %d): 1 to %d lines" t.name off (off + len)
+         Config.fill_buffers);
+  let io = t.io in
+  let line = ref first in
+  while !line <= last do
+    let upto = min last (!line lor 3) in
+    let cold = ref false in
+    for l = !line to upto do
+      if not (Machine.cached t.machine (gline t (l lsl 6))) then cold := true
+    done;
+    if !cold then begin
+      let g = gline t (!line lsl 6) in
+      if Des.Sched.running () then begin
+        Des.Sched.stamp_thread io;
+        if t.volatile then io.at <- io.at +. Config.dram_latency
+        else Device.read t.dev io ~xpline:(g lsr 2) ~from_numa:(Des.Sched.current_numa ())
+      end
+      else begin
+        io.at <- 0.0;
+        if not t.volatile then Device.read t.dev io ~xpline:(g lsr 2) ~from_numa:t.numa;
+        io.at <- 0.0
+      end;
+      for l = !line to upto do
+        let g = gline t (l lsl 6) in
+        if not (Machine.cached t.machine g) then begin
+          Machine.prefetch_fill t.machine g io;
+          Des.Sched.charge Config.cache_hit_cost
+        end
+      done
     end;
-    Machine.prefetch_fill t.machine g io;
-    Des.Sched.charge Config.cache_hit_cost
-  end
+    line := upto + 1
+  done
 
 (* Charge the cost of touching the line containing [off].  Writes take
    the same miss path as reads (read-for-ownership), and a write's miss

@@ -118,19 +118,22 @@ val compare_string : t -> int -> int -> string -> int
     reads after it), at the cost of [compare_string]. *)
 val compare_terminated : t -> int -> int -> string -> int
 
-(** [prefetch p off] is a software prefetch (prefetcht0) of the line
-    containing [off].  It does nothing when the line is cached, or
-    already in flight; so on eADR, where a clwb leaves its line
-    cached, it does nothing after one.  Otherwise it books one device
-    read of the line's XPLine (a DRAM latency on a volatile pool) at
-    the calling thread's clock, without delaying the thread, and puts
-    the line in its CPU-cache slot with that read's completion as its
-    arrival (see {!Machine.cache_access}); it charges a cache hit's
-    cost for the instruction and counts in
-    {!Stats.t.sw_prefetches}.  It is not a line access: it counts no
-    hit or miss and no logical byte, and emits no persist event.
-    Outside a simulation the line arrives at once. *)
-val prefetch : t -> int -> unit
+(** [prefetch p off len] is a software prefetch (prefetcht0) of each
+    line under [\[off, off+len)], which may cover 1 to
+    {!Config.fill_buffers} lines (else [Invalid_argument]).  It leaves
+    alone a line already cached or in flight; so on eADR, where a clwb
+    leaves its line cached, it does nothing after one.  For each XPLine
+    the range touches with a line not cached, it books one device read
+    of the XPLine (a DRAM latency on a volatile pool) at the calling
+    thread's clock, without delaying the thread, and puts each such
+    line in its CPU-cache slot with that read's completion as its
+    arrival (see {!Machine.cache_access}): the lines of one XPLine
+    arrive with it.  Each line it fetches charges a cache hit's cost
+    for the instruction and counts in {!Stats.t.sw_prefetches}.  It is
+    not a line access: it counts no hit or miss and no logical byte,
+    and emits no persist event.  Outside a simulation the lines arrive
+    at once. *)
+val prefetch : t -> int -> int -> unit
 
 (** {2 Persistence} *)
 

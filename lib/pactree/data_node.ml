@@ -389,20 +389,50 @@ let line_live lay image line =
 (* Copy the entry region's lines that hold a live entry (value and key
    together) into the copy, in ascending order, each with one read: a
    run of such lines, from [run], is one read.  The region starts on a
-   line and both strides tile it with whole lines. *)
+   line and both strides tile it with whole lines.  The lines are read
+   in windows of at most [Nvm.Config.fill_buffers] live lines: a
+   window's runs are prefetched, so that its XPLines are fetched at
+   once, and then read, before the next window is prefetched. *)
+let region_lines lay = entries * lay.stride / 64
+
 let read_run t image run line =
   if run >= 0 then Pobj.blit_to_bytes t (off_kv + (run * 64)) image (run * 64) ((line - run) * 64)
 
-let rec read_lines_from lay t image line run =
-  if line >= entries * lay.stride / 64 then read_run t image run line
+let prefetch_run t run line =
+  if run >= 0 then Pool.prefetch t.pool (t.off + off_kv + (run * 64)) ((line - run) * 64)
+
+(* Prefetch the runs of live lines from [line] on, up to the
+   [Nvm.Config.fill_buffers]-th live line ([n] so far, the current run
+   from [run]); the window's end. *)
+let rec prefetch_window lay t image line run n =
+  if line >= region_lines lay || n = Nvm.Config.fill_buffers then begin
+    prefetch_run t run line;
+    line
+  end
   else if line_live lay image line then
-    read_lines_from lay t image (line + 1) (if run >= 0 then run else line)
+    prefetch_window lay t image (line + 1) (if run >= 0 then run else line) (n + 1)
   else begin
-    read_run t image run line;
-    read_lines_from lay t image (line + 1) (-1)
+    prefetch_run t run line;
+    prefetch_window lay t image (line + 1) (-1) n
   end
 
-let read_live_lines lay t image = read_lines_from lay t image 0 (-1)
+let rec read_lines_from lay t image line run upto =
+  if line >= upto then read_run t image run line
+  else if line_live lay image line then
+    read_lines_from lay t image (line + 1) (if run >= 0 then run else line) upto
+  else begin
+    read_run t image run line;
+    read_lines_from lay t image (line + 1) (-1) upto
+  end
+
+let rec read_windows lay t image line =
+  if line < region_lines lay then begin
+    let upto = prefetch_window lay t image line (-1) 0 in
+    read_lines_from lay t image line (-1) upto;
+    read_windows lay t image upto
+  end
+
+let read_live_lines lay t image = read_windows lay t image 0
 
 (* Eight bytes order lexicographically as their big-endian word orders
    unsigned, and flipping the sign bit makes that a signed order: one
@@ -524,7 +554,7 @@ let commit pool off buf =
   write_bits pool off buf;
   Pool.clwb pool (off + bits);
   Pool.fence pool;
-  Pool.prefetch pool (off + bits)
+  Pool.prefetch pool (off + bits) 1
 
 (* The ablation's writer rebuilds and flushes the array under its
    lock, so the word it stamps cannot change under it. *)

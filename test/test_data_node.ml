@@ -792,6 +792,40 @@ let test_commit_prefetch () =
       Alcotest.(check int) (what ^ "late") (if wait > 0.0 then 0 else 1) r.late_hits)
     [ 0.0; 1e-6 ]
 
+(* A sort of a full int-key node, with a cold CPU cache and device
+   buffers (after a crash), prefetches its 16 entry lines (4 XPLines) in
+   two windows of at most [Nvm.Config.fill_buffers] lines, so it takes
+   at most one XPLine fetch per window besides the bitmap's: within
+   that bound plus the charged hits, and a prefetch's cost per line.
+   Reading the lines one miss after another takes at least four XPLine
+   fetches, which exceeds the bound. *)
+let test_sort_overlaps_fetches () =
+  let machine, lay, node = make_node () in
+  for s = 0 to Node.entries - 1 do
+    ignore (Node.insert lay node.pool node.off (ik s) s)
+  done;
+  Machine.crash machine Machine.Strict;
+  let fetch = Nvm.Config.read_latency +. (256.0 *. Nvm.Config.read_byte_cost) in
+  let lines = Node.entries * 16 / 64 in
+  let bound = (3.0 *. fetch) +. (float_of_int ((2 * lines) + 1) *. Nvm.Config.cache_hit_cost) in
+  let windows = (lines + Nvm.Config.fill_buffers - 1) / Nvm.Config.fill_buffers in
+  Alcotest.(check int) "two windows" 2 windows;
+  Alcotest.(check bool) "the serial read exceeds the bound" true (4.0 *. fetch > bound);
+  let sched = Des.Sched.create () in
+  let result = ref None in
+  Des.Sched.spawn sched ~name:"sorter" (fun () ->
+      let slots = Array.make Node.entries 0 in
+      let t0 = Des.Sched.now sched in
+      let n = Node.sort_live lay node slots in
+      Des.Sched.delay 0.0;
+      result := Some (n, Des.Sched.now sched -. t0));
+  Des.Sched.run sched;
+  let n, took = Option.get !result in
+  Alcotest.(check int) "all pairs sorted" Node.entries n;
+  if took > bound then
+    Alcotest.failf "sort_live of a full node took %.1f ns, bound %.1f ns" (took *. 1e9)
+      (bound *. 1e9)
+
 (* A scan over a fresh permutation array takes the number of pairs from
    the count beside the stamp: it reads line 0's lock word, stamp and
    count, then each pair's array byte, key (compared, then copied) and
@@ -872,6 +906,8 @@ let suite =
     Alcotest.test_case "node: a write commits in line 1" `Quick test_commit_line;
     Alcotest.test_case "node: an insert reads no entry line" `Quick test_insert_slot_33;
     Alcotest.test_case "node: a commit prefetches line 1" `Quick test_commit_prefetch;
+    Alcotest.test_case "node: a sort overlaps its entry-line fetches" `Quick
+      test_sort_overlaps_fetches;
     Alcotest.test_case "node: a fresh scan reads no bitmap" `Quick
       test_scan_fresh_reads_no_bitmap;
     Alcotest.test_case "node: init over garbage" `Quick test_init_over_garbage;

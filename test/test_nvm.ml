@@ -437,7 +437,7 @@ let test_prefetch () =
         let miss = elapsed (fun () -> ignore (Pool.read_int p 4096)) in
         let s0 = Stats.snapshot (Machine.total_stats m) in
         let t0 = Des.Sched.now sched in
-        Pool.prefetch p 8192;
+        Pool.prefetch p 8192 1;
         Des.Sched.delay 0.0;
         let issue = Des.Sched.now sched -. t0 in
         let d_pre = Stats.diff (Machine.total_stats m) s0 in
@@ -446,7 +446,7 @@ let test_prefetch () =
         Des.Sched.delay 0.0;
         let late = Des.Sched.now sched -. t0 in
         let d_late = Stats.diff (Machine.total_stats m) s1 in
-        Pool.prefetch p 12288;
+        Pool.prefetch p 12288 1;
         Des.Sched.delay 1e-6;
         let s2 = Stats.snapshot (Machine.total_stats m) in
         let later = elapsed (fun () -> ignore (Pool.read_int p 12288)) in
@@ -485,7 +485,7 @@ let test_prefetch_cached () =
           ignore (Pool.read_int p 0);
           let s0 = Stats.snapshot (Machine.total_stats m) in
           let t0 = Des.Sched.now sched in
-          Pool.prefetch p 0;
+          Pool.prefetch p 0 1;
           Des.Sched.delay 0.0;
           Alcotest.(check bool) (name ^ ": cached, nothing counted") true
             (Stats.is_zero (Stats.diff (Machine.total_stats m) s0));
@@ -494,7 +494,7 @@ let test_prefetch_cached () =
           Pool.write_int p 0 1;
           Pool.persist p 0 8;
           let s1 = Stats.snapshot (Machine.stats m) in
-          Pool.prefetch p 0;
+          Pool.prefetch p 0 1;
           let d = Stats.diff (Machine.stats m) s1 in
           Alcotest.(check int) (name ^ ": after a clwb") (if eadr then 0 else 1)
             d.Stats.sw_prefetches))
@@ -511,8 +511,8 @@ let test_prefetch_no_event () =
   run_in_sim (fun _ ->
       Pool.write_int p 0 1;
       Pool.persist p 0 8;
-      Pool.prefetch p 0;
-      Pool.prefetch p 4096;
+      Pool.prefetch p 0 1;
+      Pool.prefetch p 4096 1;
       Pool.fence p);
   Pobj.Sanitizer.disable m;
   Crashmc.Trace.stop trace;
@@ -527,7 +527,7 @@ let test_prefetch_crash () =
   let p = make_pool m in
   let d =
     run_in_sim (fun _ ->
-        Pool.prefetch p 4096;
+        Pool.prefetch p 4096 1;
         Machine.crash m Machine.Strict;
         let s0 = Stats.snapshot (Machine.stats m) in
         ignore (Pool.read_int p 4096);
@@ -535,6 +535,114 @@ let test_prefetch_crash () =
   in
   Alcotest.(check int) "a miss" 1 d.Stats.cache_misses;
   Alcotest.(check int) "not a late hit" 0 d.Stats.late_hits
+
+(* A range prefetch.  A device read here is a request to the device:
+   a media read that the XPPrefetcher did not issue, or a buffer hit. *)
+let device_reads d = d.Stats.media_reads - d.Stats.prefetches + d.Stats.buffer_hits
+
+(* A range of eight lines over two XPLines books one device read per
+   XPLine and fetches each line, for a hit's cost apiece. *)
+let test_prefetch_range_xplines () =
+  let m = make_machine () in
+  let p = make_pool m in
+  let d, issue =
+    run_in_sim (fun sched ->
+        let s0 = Stats.snapshot (Machine.total_stats m) in
+        let t0 = Des.Sched.now sched in
+        Pool.prefetch p 8192 512;
+        Des.Sched.delay 0.0;
+        (Stats.diff (Machine.total_stats m) s0, Des.Sched.now sched -. t0))
+  in
+  Alcotest.(check int) "two device reads" 2 (device_reads d);
+  Alcotest.(check int) "eight lines" 8 d.Stats.sw_prefetches;
+  Alcotest.(check (float 1e-15)) "a hit's cost per line" (8.0 *. hit_cost) issue
+
+(* The lines of an XPLine arrive with it: a read of its 4th line at once
+   waits for the XPLine's media read and is a late hit; the device
+   answers no request for it from its buffer. *)
+let test_prefetch_range_arrival () =
+  let m = make_machine () in
+  let p = make_pool m in
+  let miss, late, d =
+    run_in_sim (fun sched ->
+        let t0 = Des.Sched.now sched in
+        ignore (Pool.read_int p 4096);
+        Des.Sched.delay 0.0;
+        let miss = Des.Sched.now sched -. t0 in
+        let s0 = Stats.snapshot (Machine.total_stats m) in
+        let t0 = Des.Sched.now sched in
+        Pool.prefetch p 8192 256;
+        ignore (Pool.read_int p (8192 + 192));
+        Des.Sched.delay 0.0;
+        (miss, Des.Sched.now sched -. t0, Stats.diff (Machine.total_stats m) s0))
+  in
+  Alcotest.(check int) "one device read" 1 (device_reads d);
+  Alcotest.(check int) "no buffer hit" 0 d.Stats.buffer_hits;
+  Alcotest.(check int) "no early buffer hit" 0 d.Stats.early_buffer_hits;
+  Alcotest.(check int) "4th line: a hit" 1 d.Stats.cache_hits;
+  Alcotest.(check int) "4th line: late" 1 d.Stats.late_hits;
+  Alcotest.(check (float 1e-15)) "4th line: waits for the XPLine" (miss +. hit_cost) late
+
+(* Lines already cached are left alone: a range half cached fetches
+   only the other half, and a range wholly cached does nothing. *)
+let test_prefetch_range_cached () =
+  let m = make_machine () in
+  let p = make_pool m in
+  run_in_sim (fun sched ->
+      ignore (Pool.read_int p 0);
+      ignore (Pool.read_int p 64);
+      ignore (Pool.read_int p 128);
+      ignore (Pool.read_int p 192);
+      Des.Sched.delay 1e-6;
+      let s0 = Stats.snapshot (Machine.total_stats m) in
+      let t0 = Des.Sched.now sched in
+      Pool.prefetch p 0 512;
+      Des.Sched.delay 0.0;
+      let d = Stats.diff (Machine.total_stats m) s0 in
+      Alcotest.(check int) "half cached: one device read" 1 (device_reads d);
+      Alcotest.(check int) "half cached: four lines" 4 d.Stats.sw_prefetches;
+      Alcotest.(check (float 1e-15)) "half cached: four lines' cost" (4.0 *. hit_cost)
+        (Des.Sched.now sched -. t0);
+      let s1 = Stats.snapshot (Machine.total_stats m) in
+      let t1 = Des.Sched.now sched in
+      Pool.prefetch p 0 512;
+      Des.Sched.delay 0.0;
+      Alcotest.(check bool) "cached: nothing counted" true
+        (Stats.is_zero (Stats.diff (Machine.total_stats m) s1));
+      Alcotest.(check (float 0.0)) "cached: no time" 0.0 (Des.Sched.now sched -. t1))
+
+(* A range covers 1 to [Config.fill_buffers] lines. *)
+let test_prefetch_range_bound () =
+  let m = make_machine () in
+  let p = make_pool m in
+  let lines = Nvm.Config.fill_buffers in
+  Pool.prefetch p 0 (64 * lines);
+  let raises what off len =
+    match Pool.prefetch p off len with
+    | () -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "one line too many" 4096 (64 * (lines + 1));
+  raises "fill_buffers lines' bytes over one line too many" (4096 + 32) (64 * lines);
+  raises "an empty range" 4096 0
+
+(* Outside a simulation every line arrives at once: reading them later
+   in a simulation is plain hits. *)
+let test_prefetch_range_outside () =
+  let m = make_machine () in
+  let p = make_pool m in
+  Pool.prefetch p 8192 512;
+  run_in_sim (fun sched ->
+      let s0 = Stats.snapshot (Machine.total_stats m) in
+      let t0 = Des.Sched.now sched in
+      for l = 0 to 7 do
+        ignore (Pool.read_int p (8192 + (64 * l)))
+      done;
+      Des.Sched.delay 0.0;
+      let d = Stats.diff (Machine.total_stats m) s0 in
+      Alcotest.(check int) "eight hits" 8 d.Stats.cache_hits;
+      Alcotest.(check int) "none late" 0 d.Stats.late_hits;
+      Alcotest.(check (float 1e-15)) "hits' cost" (8.0 *. hit_cost) (Des.Sched.now sched -. t0))
 
 let test_sequential_read_faster_than_random () =
   (* FH3: sequential reads exploit the read buffer and prefetcher.
@@ -781,6 +889,16 @@ let suite =
     Alcotest.test_case "pool: a prefetch emits no persist event" `Quick
       test_prefetch_no_event;
     Alcotest.test_case "crash: lines in flight are lost" `Quick test_prefetch_crash;
+    Alcotest.test_case "pool: a range prefetch reads once per XPLine" `Quick
+      test_prefetch_range_xplines;
+    Alcotest.test_case "pool: a range's lines arrive with their XPLine" `Quick
+      test_prefetch_range_arrival;
+    Alcotest.test_case "pool: a range prefetch skips cached lines" `Quick
+      test_prefetch_range_cached;
+    Alcotest.test_case "pool: a range covers at most fill_buffers lines" `Quick
+      test_prefetch_range_bound;
+    Alcotest.test_case "pool: a range prefetch outside a simulation" `Quick
+      test_prefetch_range_outside;
     Alcotest.test_case "device: write combining (FH3)" `Quick
       test_write_combining_groups_xpline;
     Alcotest.test_case "device: sequential beats random (FH3)" `Quick
