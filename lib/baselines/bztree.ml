@@ -143,24 +143,26 @@ let rec resolve n =
   end
   else (n, s)
 
+(* [Krep.compare_with_key] of record [i]'s key in [n], unboxed. *)
+let compare_rec t n i ~probe_rep ~probe_key =
+  Krep.compare_at t.kr n.pool (rec_off n i + 8) ~probe_rep ~probe_key
+
+(* The first of the records [lo, hi) of [n] whose key is not below the
+   probe: a binary search. *)
+let rec lower_bound t n lo hi ~probe_rep ~probe_key =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if compare_rec t n mid ~probe_rep ~probe_key < 0 then
+      lower_bound t n (mid + 1) hi ~probe_rep ~probe_key
+    else lower_bound t n lo mid ~probe_rep ~probe_key
+
 (* Internal nodes: sorted separators; child for probe = child of last
    separator <= probe, else leftmost. *)
 let child_for t n s ~probe_rep ~probe_key =
   let c = count_of s in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if Krep.compare_with_key t.kr (krep_at n mid) ~probe_rep ~probe_key < 0 then
-        go (mid + 1) hi
-      else go lo mid
-  in
-  let i = go 0 c in
-  let i =
-    if i < c && Krep.compare_with_key t.kr (krep_at n i) ~probe_rep ~probe_key = 0 then
-      i + 1
-    else i
-  in
+  let i = lower_bound t n 0 c ~probe_rep ~probe_key in
+  let i = if i < c && compare_rec t n i ~probe_rep ~probe_key = 0 then i + 1 else i in
   if i = 0 then leftmost n else val_at n (i - 1)
 
 (* Descend to the leaf covering the probe; returns the leaf and the
@@ -172,18 +174,15 @@ let rec descend t n path ~probe_rep ~probe_key =
     let child = child_for t n s ~probe_rep ~probe_key in
     descend t (node_of t.machine child) (n :: path) ~probe_rep ~probe_key
 
-(* Linear scan of an unsorted leaf: the visible slot of the key, or
-   [-1]. *)
+(* Linear scan of an unsorted leaf of [c] records from [i]: the visible
+   slot of the key, or [-1]. *)
+let rec visible_from t leaf c i ~probe_rep ~probe_key =
+  if i >= c then -1
+  else if meta_at leaf i = 1 && compare_rec t leaf i ~probe_rep ~probe_key = 0 then i
+  else visible_from t leaf c (i + 1) ~probe_rep ~probe_key
+
 let find_visible t leaf s ~probe_rep ~probe_key =
-  let c = count_of s in
-  let rec go i =
-    if i >= c then -1
-    else if
-      meta_at leaf i = 1 && Krep.compare_with_key t.kr (krep_at leaf i) ~probe_rep ~probe_key = 0
-    then i
-    else go (i + 1)
-  in
-  go 0
+  visible_from t leaf (count_of s) 0 ~probe_rep ~probe_key
 
 (* The step every operation starts with: resolve to the leaf covering
    [key] and find the key's visible slot there ([-1] if none).  A writer
@@ -194,10 +193,21 @@ let locate t key ~write =
   if write && is_frozen s then raise Vlock.Restart;
   (leaf, s, path, find_visible t leaf s ~probe_rep ~probe_key:key)
 
-let lookup t key =
-  Vlock.retry @@ fun () ->
-  let leaf, _, _, i = locate t key ~write:false in
-  if i < 0 then None else Some (val_at leaf i)
+(* A lookup's [locate]: the same reads, from [n] down, without the
+   path, the (node, status) pairs of [resolve] or the tuple. *)
+let rec lookup_from t n ~probe_rep ~probe_key =
+  let s = status n in
+  let r = if is_frozen s then replacement n else Pptr.null in
+  if not (Pptr.is_null r) then lookup_from t (node_of t.machine r) ~probe_rep ~probe_key
+  else if is_leaf s then begin
+    let i = find_visible t n s ~probe_rep ~probe_key in
+    if i < 0 then None else Some (val_at n i)
+  end
+  else lookup_from t (node_of t.machine (child_for t n s ~probe_rep ~probe_key)) ~probe_rep ~probe_key
+
+let lookup_once t key = lookup_from t (root t) ~probe_rep:(Krep.probe_rep t.kr key) ~probe_key:key
+
+let lookup t key = Vlock.retrying ignore lookup_once t key
 
 (* ---------- consolidation and splits ---------- *)
 
