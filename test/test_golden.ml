@@ -113,14 +113,14 @@ let test_closed_loop () =
   check "runner"
     (closed_loop Experiments.Factory.Pactree_sys)
     {
-      elapsed = 0x1.c3fb472794a4p-13;
+      elapsed = 0x1.b4cc5521a855cp-13;
       completed = 2000;
-      p50 = 0x1.353cd652bbp-21;
-      p99 = 0x1.48e9f98f6aa8p-18;
-      flushes = 2936;
-      fences = 2330;
-      media_read_bytes = 888320;
-      media_write_bytes = 699904;
+      p50 = 0x1.396cdc6ceacp-21;
+      p99 = 0x1.77539286fd48p-18;
+      flushes = 3096;
+      fences = 2420;
+      media_read_bytes = 929024;
+      media_write_bytes = 726528;
     }
 
 (* The three B+-tree baselines, each under a write mix (YCSB A: splits
@@ -211,40 +211,40 @@ let baseline_pins =
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_a,
       {
-        elapsed = 0x1.cad551a0548ap-13;
+        elapsed = 0x1.b486148fe2884p-13;
         completed = 2000;
         p50 = 0x1.99187b881dp-21;
-        p99 = 0x1.920c98a5e4cp-18;
-        flushes = 2698;
-        fences = 2242;
-        media_read_bytes = 795392;
-        media_write_bytes = 644096;
+        p99 = 0x1.9b60991cf2p-19;
+        flushes = 2581;
+        fences = 2206;
+        media_read_bytes = 781312;
+        media_write_bytes = 622592;
       } );
     ( "FPTree YCSB C",
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_c,
       {
-        elapsed = 0x1.ea14a4416e358p-14;
+        elapsed = 0x1.efe743f56efdp-14;
         completed = 2000;
         p50 = 0x1.c2f8b88dfb8p-22;
-        p99 = 0x1.1d11b818688p-20;
+        p99 = 0x1.05d6d8a584p-20;
         flushes = 0;
         fences = 0;
-        media_read_bytes = 39168;
+        media_read_bytes = 43264;
         media_write_bytes = 0;
       } );
     ( "FPTree YCSB E",
       Experiments.Factory.Fptree_sys,
       Workload.Ycsb.Workload_e,
       {
-        elapsed = 0x1.0620291269ebcp-12;
+        elapsed = 0x1.f7425ef74bd34p-13;
         completed = 2000;
-        p50 = 0x1.7db7188e1fp-20;
-        p99 = 0x1.5b466315edbp-19;
-        flushes = 284;
-        fences = 247;
-        media_read_bytes = 138752;
-        media_write_bytes = 66304;
+        p50 = 0x1.7126f4ec1a8p-20;
+        p99 = 0x1.1e427332a0bp-19;
+        flushes = 232;
+        fences = 220;
+        media_read_bytes = 146432;
+        media_write_bytes = 59392;
       } );
   ]
 
@@ -255,10 +255,10 @@ let test_open_loop () =
   check "engine"
     (open_loop ())
     {
-      elapsed = 0x1.b8c45c4c27b77p-10;
+      elapsed = 0x1.b8c45c4c27b75p-10;
       completed = 2000;
       p50 = 0x1.21e908ed8fp-21;
-      p99 = 0x1.ad7f29abcacp-19;
+      p99 = 0x1.c82de0f6c1p-19;
       flushes = 2900;
       fences = 2352;
       media_read_bytes = 875776;
