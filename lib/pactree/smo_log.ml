@@ -53,13 +53,8 @@ let ring_base t tid = t.base + (tid land (rings - 1)) * entries_per_ring * entry
 
 let state e = Pobj.get_int e f_state
 
-let write_entry e ~ts payload =
+let write_fields e ~ts ~left ~aux0 ~anchor ~kind =
   Pobj.set_int e f_ts ts;
-  let left, aux0, anchor, kind =
-    match payload with
-    | Split { left; anchor } -> (left, Pptr.null, anchor, 1)
-    | Merge { left; right; anchor } -> (left, right, anchor, 2)
-  in
   Pobj.set_int e f_left left;
   Pobj.set_int e f_aux aux0;
   Pobj.set_int e f_anchor_len (String.length anchor);
@@ -69,6 +64,10 @@ let write_entry e ~ts payload =
   Pobj.persist_obj e lay;
   Pobj.set_int e f_state kind;
   Pobj.persist_field e f_state
+
+let write_entry e ~ts = function
+  | Split { left; anchor } -> write_fields e ~ts ~left ~aux0:Pptr.null ~anchor ~kind:1
+  | Merge { left; right; anchor } -> write_fields e ~ts ~left ~aux0:right ~anchor ~kind:2
 
 (* The calling thread's ring: the one on its NUMA domain's pool. *)
 let own_pool t = Des.Sched.current_numa () mod Array.length t.pools
@@ -133,7 +132,7 @@ let append t ~ts payload =
       Obs.Span.stop span;
       raise e
 
-let aux_field e = (e.pool, e.off + Layout.off f_aux)
+let aux_off e = e.off + Layout.off f_aux
 
 let aux e = Pobj.get_int e f_aux
 

@@ -41,9 +41,9 @@ val reserve : t -> Epoch.t -> unit
     ({!reserve}).  Two fences: fields first, state last. *)
 val append : t -> ts:int -> payload -> entry_ref
 
-(** Destination (pool, offset) of a split entry's new-node field, for
-    {!Pmalloc.Heap.alloc_to}. *)
-val aux_field : entry_ref -> Nvm.Pool.t * int
+(** Offset, in the entry's pool, of a split entry's new-node field:
+    the destination for {!Pmalloc.Heap.alloc_to}. *)
+val aux_off : entry_ref -> int
 
 (** Auxiliary pointer value (split: the new node once allocated). *)
 val aux : entry_ref -> Pmalloc.Pptr.t

@@ -363,8 +363,10 @@ let split t node wv key value =
   let ts = next_ts t in
   let e = Smo_log.append t.v.log ~ts (Smo_log.Split { left = Node.to_ptr node; anchor }) in
   (* 2. Allocate the new node straight into the log entry (no leak). *)
-  let dest_pool, dest_off = Smo_log.aux_field e in
-  let new_ptr = Heap.alloc_to t.data_heap ~size:t.lay.Node.node_size ~dest_pool ~dest_off () in
+  let new_ptr =
+    Heap.alloc_to t.data_heap ~size:t.lay.Node.node_size ~dest_pool:e.Smo_log.pool
+      ~dest_off:(Smo_log.aux_off e) ()
+  in
   let nnode = Node.of_ptr t.machine new_ptr in
   (* 3. Build and persist the new node before publishing it. *)
   Node.init_moved t.lay nnode ~gen:t.v.gen ~anchor ~next:old_next ~prev:(Node.to_ptr node)

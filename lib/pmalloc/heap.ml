@@ -141,42 +141,47 @@ let pick_pool t = function
 let out_of_memory pool =
   failwith (Printf.sprintf "Heap: pool %s exhausted" (Pool.name pool))
 
-(* Persist the destination pointer of a malloc-to allocation. *)
-let publish_dest dest block_ptr =
-  match dest with
-  | None -> ()
-  | Some (dest_pool, dest_off) ->
-      let d = Pobj.make dest_pool dest_off in
-      Pobj.write_int d 0 block_ptr;
-      Pobj.persist d 0 8
+(* A malloc-to destination is the word at [dest_off] in [dest_pool];
+   [no_dest] as the offset means none (and the pool is ignored).  The
+   pair travels as two arguments, so an allocation builds no option. *)
+let no_dest = -1
 
-let pmdk_alloc ps ~dest size =
+(* Persist the destination pointer of a malloc-to allocation. *)
+let publish_dest dest_pool dest_off block_ptr =
+  if dest_off <> no_dest then begin
+    Pool.write_int dest_pool dest_off block_ptr;
+    Pool.persist dest_pool dest_off 8
+  end
+
+let pmdk_alloc_locked ps ~dest_pool ~dest_off size =
   let hd = ps.hd in
-  Des.Sync.Mutex.with_lock ps.mutex @@ fun () ->
   let cls = class_of size in
   let csize = class_sizes.(cls) in
   let head = Pobj.read_int hd (head_off cls) in
-  let block_off, lkind, lold =
-    if head <> Pptr.null then (Pptr.off head, l_freelist, head)
+  let from_list = head <> Pptr.null in
+  let bump = if from_list then 0 else Pobj.get_int hd f_bump in
+  let block_off =
+    if from_list then Pptr.off head
     else begin
-      let bump = Pobj.get_int hd f_bump in
       let block = round_up (bump + 8) (align_of csize) in
       if block + csize > Pool.capacity ps.pool then out_of_memory ps.pool;
-      (block, l_bump, bump)
+      block
     end
   in
+  let lkind = if from_list then l_freelist else l_bump in
   let block_ptr = Pptr.make ~pool:(Pool.id ps.pool) ~off:block_off in
   (* 1. Undo/redo log entry (one line), persisted first. *)
   Pobj.set_int hd f_lclass cls;
   Pobj.set_int hd f_lblock block_ptr;
-  Pobj.set_int hd f_lold lold;
-  (match dest with
-  | Some (dest_pool, dest_off) ->
-      Pobj.set_int hd f_ldest_pool (Pool.id dest_pool + 1);
-      Pobj.set_int hd f_ldest_off dest_off
-  | None ->
-      Pobj.set_int hd f_ldest_pool 0;
-      Pobj.set_int hd f_ldest_off 0);
+  Pobj.set_int hd f_lold (if from_list then head else bump);
+  if dest_off <> no_dest then begin
+    Pobj.set_int hd f_ldest_pool (Pool.id dest_pool + 1);
+    Pobj.set_int hd f_ldest_off dest_off
+  end
+  else begin
+    Pobj.set_int hd f_ldest_pool 0;
+    Pobj.set_int hd f_ldest_off 0
+  end;
   Pobj.set_int hd f_lstate lkind;
   Pobj.persist hd (Layout.off f_lstate) 64;
   (* 2. Metadata update + object header, persisted second. *)
@@ -193,11 +198,22 @@ let pmdk_alloc ps ~dest size =
   Pobj.clwb hd (block_off - 8);
   Pobj.fence hd;
   (* 3. malloc-to: publish the pointer (persist) before committing. *)
-  publish_dest dest block_ptr;
+  publish_dest dest_pool dest_off block_ptr;
   (* 4. Commit: clear the log. *)
   Pobj.set_int hd f_lstate l_none;
   Pobj.persist_field hd f_lstate;
   block_ptr
+
+(* Under the pool's mutex, without a closure per allocation. *)
+let pmdk_alloc ps ~dest_pool ~dest_off size =
+  Des.Sync.Mutex.lock ps.mutex;
+  match pmdk_alloc_locked ps ~dest_pool ~dest_off size with
+  | block_ptr ->
+      Des.Sync.Mutex.unlock ps.mutex;
+      block_ptr
+  | exception e ->
+      Des.Sync.Mutex.unlock ps.mutex;
+      raise e
 
 let pmdk_free ps ptr =
   let hd = ps.hd in
@@ -221,7 +237,7 @@ let pmdk_free ps ptr =
   Pobj.set_int hd f_lstate l_none;
   Pobj.persist_field hd f_lstate
 
-let volatile_alloc ps ~dest size =
+let volatile_alloc ps ~dest_pool ~dest_off size =
   let p = ps.pool in
   let cls = class_of size in
   let csize = class_sizes.(cls) in
@@ -238,7 +254,7 @@ let volatile_alloc ps ~dest size =
   in
   Hashtbl.replace ps.vclass block_off cls;
   let block_ptr = Pptr.make ~pool:(Pool.id p) ~off:block_off in
-  publish_dest dest block_ptr;
+  publish_dest dest_pool dest_off block_ptr;
   block_ptr
 
 let volatile_free ps ptr =
@@ -249,12 +265,12 @@ let volatile_free ps ptr =
       Hashtbl.remove ps.vclass off;
       ps.vfree.(cls) <- off :: ps.vfree.(cls)
 
-let alloc_dispatch t ~numa ~dest size =
+let alloc_dispatch t ~numa ~dest_pool ~dest_off size =
   let ps = pick_pool t numa in
   let ptr =
     match t.kind with
-    | Pmdk -> pmdk_alloc ps ~dest size
-    | Volatile_meta -> volatile_alloc ps ~dest size
+    | Pmdk -> pmdk_alloc ps ~dest_pool ~dest_off size
+    | Volatile_meta -> volatile_alloc ps ~dest_pool ~dest_off size
   in
   t.stats.allocs <- t.stats.allocs + 1;
   t.stats.alloc_bytes <- t.stats.alloc_bytes + class_sizes.(class_of size);
@@ -263,12 +279,22 @@ let alloc_dispatch t ~numa ~dest size =
 
 let set_fill t fill = t.fill <- fill
 
+(* [alloc_dispatch] inside an [Alloc] span, without a closure. *)
+let alloc_in_span t ~numa ~dest_pool ~dest_off size =
+  let span = Obs.Span.start Obs.Span.Alloc in
+  match alloc_dispatch t ~numa ~dest_pool ~dest_off size with
+  | ptr ->
+      Obs.Span.stop span;
+      ptr
+  | exception e ->
+      Obs.Span.stop span;
+      raise e
+
 let alloc t ?numa size =
-  Obs.Span.with_phase Obs.Span.Alloc (fun () -> alloc_dispatch t ~numa ~dest:None size)
+  alloc_in_span t ~numa ~dest_pool:t.pools.(0).pool ~dest_off:no_dest size
 
 let alloc_to t ?numa ~size ~dest_pool ~dest_off () =
-  Obs.Span.with_phase Obs.Span.Alloc (fun () ->
-      alloc_dispatch t ~numa ~dest:(Some (dest_pool, dest_off)) size)
+  alloc_in_span t ~numa ~dest_pool ~dest_off size
 
 let owner_state t ptr =
   let pid = Pptr.pool ptr in
