@@ -70,7 +70,9 @@ let write_entry e ~ts = function
   | Merge { left; right; anchor } -> write_fields e ~ts ~left ~aux0:right ~anchor ~kind:2
 
 (* The calling thread's ring: the one on its NUMA domain's pool. *)
-let own_pool t = Des.Sched.current_numa () mod Array.length t.pools
+let own_pool t =
+  let numa = Des.Sched.current_numa () and n = Array.length t.pools in
+  if numa < n then numa else numa mod n
 
 let own_ring t = (own_pool t * rings) + (Des.Sched.current_id () land (rings - 1))
 
