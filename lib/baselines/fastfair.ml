@@ -97,23 +97,27 @@ let krep_at n i = Pobj.read_i64 n (rec_rel i)
 
 let val_at n i = Pobj.read_int n (rec_rel i + 8)
 
-(* Index of the first slot whose key is >= probe (binary search over
-   the sorted records). *)
-let lower_bound t n ~probe_rep ~probe_key =
-  let c = count n in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if Krep.compare_with_key t.kr (krep_at n mid) ~probe_rep ~probe_key < 0 then
-        go (mid + 1) hi
-      else go lo mid
-  in
-  go 0 c
+(* [Krep.compare_with_key] of slot [i]'s key in [n], read without
+   boxing it (the same line access as [krep_at]). *)
+let compare_slot t n i ~probe_rep ~probe_key =
+  Krep.compare_at t.kr n.pool (rec_off n i) ~probe_rep ~probe_key
+
+(* Index of the first slot in [lo, hi) whose key is >= probe, or [hi]
+   (binary search over the sorted records): a top-level function, so a
+   search builds no closure. *)
+let rec lower_bound_in t n ~probe_rep ~probe_key lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if compare_slot t n mid ~probe_rep ~probe_key < 0 then
+      lower_bound_in t n ~probe_rep ~probe_key (mid + 1) hi
+    else lower_bound_in t n ~probe_rep ~probe_key lo mid
+
+let lower_bound t n ~probe_rep ~probe_key = lower_bound_in t n ~probe_rep ~probe_key 0 (count n)
 
 (* Does slot [i] (a [lower_bound]) hold the probe key? *)
 let found t n i ~probe_rep ~probe_key =
-  i < count n && Krep.compare_with_key t.kr (krep_at n i) ~probe_rep ~probe_key = 0
+  i < count n && compare_slot t n i ~probe_rep ~probe_key = 0
 
 let child_for t n ~probe_rep ~probe_key =
   (* last separator <= probe; its child, or leftmost *)

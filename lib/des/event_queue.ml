@@ -72,9 +72,10 @@ let[@inline] add q ~time value =
   set q !i time seq value
 
 (* Sift the entry [(time, seq, value)] down from the hole at the root
-   of a heap of [q.size] entries. *)
+   of a heap of [q.size] entries.  The arrays are bound once: the loop's
+   stores would otherwise make it reload them from [q] at every level. *)
 let[@inline] sift_down_root q time seq value =
-  let size = q.size in
+  let size = q.size and times = q.times and seqs = q.seqs and values = q.values in
   let i = ref 0 in
   let sinking = ref true in
   while !sinking do
@@ -84,22 +85,26 @@ let[@inline] sift_down_root q time seq value =
       let right = left + 1 in
       let c =
         if right < size then begin
-          let tl = Array.unsafe_get q.times left and tr = Array.unsafe_get q.times right in
-          if tr < tl || (tr = tl && Array.unsafe_get q.seqs right < Array.unsafe_get q.seqs left)
+          let tl = Array.unsafe_get times left and tr = Array.unsafe_get times right in
+          if tr < tl || (tr = tl && Array.unsafe_get seqs right < Array.unsafe_get seqs left)
           then right
           else left
         end
         else left
       in
-      let tc = Array.unsafe_get q.times c in
-      if tc < time || (tc = time && Array.unsafe_get q.seqs c < seq) then begin
-        move q ~into:!i c;
+      let tc = Array.unsafe_get times c in
+      if tc < time || (tc = time && Array.unsafe_get seqs c < seq) then begin
+        Array.unsafe_set times !i tc;
+        Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+        Array.unsafe_set values !i (Array.unsafe_get values c);
         i := c
       end
       else sinking := false
     end
   done;
-  set q !i time seq value
+  Array.unsafe_set times !i time;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set values !i value
 
 let[@inline] min_time q =
   if q.size = 0 then raise Not_found;

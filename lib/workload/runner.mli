@@ -15,6 +15,8 @@ type result = {
   latency : Latency.t;  (** merged samples (10%) *)
   nvm : Nvm.Stats.t;  (** device+machine traffic during the run *)
   host_words : float;  (** host minor words allocated during the run phase *)
+  load_host_s : float;  (** host (wall-clock) seconds of the load phase; 0 for [Load_a] *)
+  run_host_s : float;  (** host (wall-clock) seconds of the run phase *)
 }
 
 (** Optional background service (e.g. PACTree's updater). *)

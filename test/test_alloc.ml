@@ -675,7 +675,7 @@ let test_baseline_reads () =
       check_ceiling (what "lookup") lookup_ceiling lookup_words;
       check_ceiling (what "insert of a fresh key") insert_ceiling insert_words)
     [
-      (Experiments.Factory.Fastfair_sys, 44.0672, 128.0, 264.0);
+      (Experiments.Factory.Fastfair_sys, 44.0672, 39.4644, 264.0);
       (Experiments.Factory.Bztree_sys, 38.2268, 26.52, 412.0);
       (Experiments.Factory.Fptree_sys, 5.0754, 48.4, 46.4);
     ]

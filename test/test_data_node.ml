@@ -159,6 +159,55 @@ let test_int_sort_order () =
       (List.init n (fun i -> Node.sorted_key lay slots.(i)))
   done
 
+(* [Node.sort_live] against a reference [List.sort Key.compare] of the
+   keys a node holds, over random contents: int keys (some pairs equal
+   but for their lowest bit, which the int layout's sort breaks ties
+   on) and string keys (shared prefixes, lengths 0 to [Key.max_len]),
+   with 0, 1, 63 and 64 live slots, scattered over the node by deletes. *)
+let test_sort_matches_reference () =
+  let rng = Random.State.make [| 37 |] in
+  (* 40 bases, either sign, each with its lowest bit either way *)
+  let bases = Array.init 40 (fun _ -> Int64.to_int (Random.State.bits64 rng)) in
+  let int_key () =
+    ik (bases.(Random.State.int rng (Array.length bases)) lxor Random.State.int rng 2)
+  in
+  let prefixes = [| ""; "a"; "user"; "user0000"; "user00001234"; "zz" |] in
+  let string_key () =
+    let p = prefixes.(Random.State.int rng (Array.length prefixes)) in
+    let n = Random.State.int rng (Key.max_len - String.length p + 1) in
+    Key.of_string (p ^ String.init n (fun _ -> Char.chr (Char.code '0' + Random.State.int rng 3)))
+  in
+  List.iter
+    (fun (key_inline, random_key) ->
+      List.iter
+        (fun live ->
+          for round = 0 to 9 do
+            let _, lay, node = make_node ~key_inline () in
+            let keys = Hashtbl.create Node.entries in
+            while Hashtbl.length keys < Node.entries do
+              Hashtbl.replace keys (random_key ()) ()
+            done;
+            let all = List.of_seq (Hashtbl.to_seq_keys keys) in
+            List.iteri (fun i k -> ignore (Node.insert lay node.pool node.off k i)) all;
+            (* delete random keys until [live] are left *)
+            let kept = ref all in
+            while List.length !kept > live do
+              let k = List.nth !kept (Random.State.int rng (List.length !kept)) in
+              ignore (Node.delete lay node.pool node.off k);
+              kept := List.filter (fun k' -> k' <> k) !kept
+            done;
+            let slots = Array.make Node.entries (-1) in
+            let n = Node.sort_live lay node slots in
+            let what = Printf.sprintf "key_inline %d, %d live, round %d" key_inline live round in
+            Alcotest.(check (list string))
+              what (List.sort Key.compare !kept)
+              (List.init n (fun i -> Node.sorted_key lay slots.(i)));
+            let distinct = List.sort_uniq compare (Array.to_list (Array.sub slots 0 n)) in
+            Alcotest.(check int) (what ^ ": distinct slots") n (List.length distinct)
+          done)
+        [ 0; 1; 63; 64 ])
+    [ (8, int_key); (Key.max_len, string_key) ]
+
 let test_anchor_compare () =
   let machine = Machine.create ~numa_count:1 () in
   let lay = Node.layout ~key_inline:32 () in
@@ -898,6 +947,7 @@ let suite =
       test_permutation_cache_invalidation;
     Alcotest.test_case "node: string layout" `Quick test_string_layout;
     Alcotest.test_case "node: int sort order" `Quick test_int_sort_order;
+    Alcotest.test_case "node: sort matches a reference sort" `Quick test_sort_matches_reference;
     Alcotest.test_case "node: anchor compare" `Quick test_anchor_compare;
     Alcotest.test_case "node: an anchor is one line" `Quick test_anchor_one_line;
     Alcotest.test_case "node: split helpers read and write each line once" `Quick
