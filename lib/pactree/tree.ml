@@ -216,7 +216,7 @@ let rec walk t key p hops ~anchored =
     else if not (snap_below_next t key) then
       walk t key (Node.snap_next ()) (hops + 1) ~anchored:true
     else begin
-      let bucket = min hops (Array.length t.jump_hist - 1) in
+      let bucket = Int.min hops (Array.length t.jump_hist - 1) in
       t.jump_hist.(bucket) <- t.jump_hist.(bucket) + 1;
       p
     end
