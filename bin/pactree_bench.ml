@@ -130,8 +130,8 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw obs_out
     Option.map (fun _ -> Obs.Recorder.create machine ~sample_interval:20e-6 ()) obs_out
   in
   let r =
-    Workload.Runner.run ~machine ~index:b.b_index ?service:b.b_service ?obs ~mix ~kind
-      ~loaded:keys ~ops ~threads ~theta ()
+    Workload.Runner.run ~machine ~index:b.b_index ?service:b.b_service ?splits:b.b_splits ?obs
+      ~mix ~kind ~loaded:keys ~ops ~threads ~theta ()
   in
   Format.printf "index      : %s@." (Experiments.Factory.name sys);
   Format.printf "workload   : %a, %d keys, %d ops, %d threads, theta %.2f@."
@@ -141,6 +141,12 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw obs_out
   let p q = Workload.Latency.percentile r.Workload.Runner.latency q *. 1e6 in
   Format.printf "latency    : p50 %.1f us, p99 %.1f us, p99.9 %.1f us, p99.99 %.1f us@."
     (p 50.) (p 99.) (p 99.9) (p 99.99);
+  (* what the tail is made of: the sampled ops at or above p99.9 that
+     split a node *)
+  Option.iter
+    (fun (s, n) ->
+      Format.printf "tail       : %d of the %d sampled ops at or above p99.9 split@." s n)
+    r.Workload.Runner.tail_splits;
   Format.printf
     "NVM traffic: %.1f MB read, %.1f MB written, %d flushes (%d redundant), %d fences@."
     (float_of_int (Nvm.Stats.total_read_bytes r.Workload.Runner.nvm) /. 1e6)

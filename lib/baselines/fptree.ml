@@ -40,6 +40,7 @@ module Smap = Map.Make (String)
    tree being formatted) — FPTree's recovery-time cost. *)
 type volatile = {
   mutable internals : Pmalloc.Pptr.t Smap.t; (* DRAM: separator -> leaf *)
+  mutable separators : int; (* [Smap.cardinal internals], kept with it *)
   htm : Htm.t;
   gen : int;
   mutable cardinal_estimate : int;
@@ -73,7 +74,20 @@ let start machine meta ~head =
     end
   in
   let internals, cardinal_estimate = walk head Smap.empty 0 in
-  { internals; htm = Htm.create ~seed:0x5EEDL (); gen; cardinal_estimate }
+  {
+    internals;
+    separators = Smap.cardinal internals;
+    htm = Htm.create ~seed:0x5EEDL ();
+    gen;
+    cardinal_estimate;
+  }
+
+(* Every separator enters the map here: its count is kept with it.  A
+   new separator is a key the split leaf held above its own anchor and
+   below its successor's, so it is never in the map already. *)
+let add_separator t sep ptr =
+  t.v.internals <- Smap.add sep ptr t.v.internals;
+  t.v.separators <- t.v.separators + 1
 
 let create machine ?(string_keys = false) () =
   let numa = Machine.numa_count machine in
@@ -91,7 +105,7 @@ let create machine ?(string_keys = false) () =
   let head = Node.of_ptr t.machine ptr in
   Node.init lay head ~gen:t.v.gen ~anchor:"" ~next:Pptr.null ~prev:Pptr.null;
   Pool.fence head.Node.pool;
-  t.v.internals <- Smap.add "" ptr t.v.internals;
+  add_separator t "" ptr;
   t
 
 let htm_stats t = Htm.stats t.v.htm
@@ -99,7 +113,7 @@ let htm_stats t = Htm.stats t.v.htm
 (* HTM read-set model: path through the DRAM internals plus cache
    pressure growing with the index size (GC3). *)
 let footprint t =
-  let levels = 1 + (Smap.cardinal t.v.internals |> float_of_int |> Float.log2 |> int_of_float |> max 0) in
+  let levels = 1 + (t.v.separators |> float_of_int |> Float.log2 |> int_of_float |> max 0) in
   (8 * levels) + (t.v.cardinal_estimate / 4000)
 
 (* Pure DRAM lookup of the leaf covering [key]. *)
@@ -110,7 +124,7 @@ let find_leaf_dram t key =
 
 (* The DRAM traversal cost: a few cache references per level. *)
 let traversal_duration t =
-  let levels = 2 + (Smap.cardinal t.v.internals |> float_of_int |> Float.log2 |> int_of_float |> max 0) in
+  let levels = 2 + (t.v.separators |> float_of_int |> Float.log2 |> int_of_float |> max 0) in
   float_of_int levels *. Nvm.Config.dram_latency /. 3.0
 
 (* Traverse internals transactionally. *)
@@ -161,7 +175,7 @@ let split_leaf t leaf key =
   in
   let nleaf = Node.of_ptr t.machine ptr in
   Node.init_moved t.lay nleaf ~gen:t.v.gen ~anchor:median ~next:(Node.next leaf) ~prev:Pptr.null
-    slots ~pos:half ~len:moved;
+    ~probed:true slots ~pos:half ~len:moved;
   Pool.fence nleaf.Node.pool;
   Node.set_next leaf ptr;
   Pool.persist leaf.Node.pool (leaf.Node.off + Node.off_next) 8;
@@ -169,7 +183,7 @@ let split_leaf t leaf key =
   Pool.fence leaf.Node.pool;
   (* synchronous internal update, inside HTM, leaf lock still held *)
   Htm.execute t.v.htm ~footprint_lines:(footprint t) ~duration:(traversal_duration t)
-    (fun () -> t.v.internals <- Smap.add median ptr t.v.internals);
+    (fun () -> add_separator t median ptr);
   (* clear micro-log *)
   Pool.write_int t.meta off_log 0;
   Pool.persist t.meta off_log 8;
@@ -315,4 +329,6 @@ let check_invariants t =
   in
   let all = walk (Pool.read_int t.meta off_head) [] in
   if all <> List.sort Key.compare all then failwith "FPTree: chain not sorted";
+  if t.v.separators <> Smap.cardinal t.v.internals then
+    failwith "FPTree: separator count differs from the internal map's";
   List.length all

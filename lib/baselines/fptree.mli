@@ -31,4 +31,7 @@ val htm_stats : t -> Htm.stats
     the persistent leaf chain (FPTree's recovery-time cost). *)
 val recover : t -> unit
 
+(** Walk the leaf chain, failing unless its keys are sorted and the
+    separator count that the traversal cost reads equals the DRAM
+    map's size; returns the number of keys. *)
 val check_invariants : t -> int

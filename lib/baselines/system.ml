@@ -7,4 +7,5 @@ type t = {
   b_recover : unit -> unit;
   b_invariants : unit -> unit;
   b_service : service option;
+  b_splits : (unit -> int) option;
 }

@@ -17,4 +17,8 @@ type t = {
           crash (locks, epochs, queues) survives the call *)
   b_invariants : unit -> unit;  (** structural checker; raises on corruption *)
   b_service : service option;
+  b_splits : (unit -> int) option;
+      (** the calling thread's node splits so far (PACTree): read before
+          and after an operation, it tells whether the operation split
+          a node ({!Pactree.Tree.splits_of_thread}) *)
 }

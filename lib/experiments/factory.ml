@@ -49,6 +49,7 @@ let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.Sy
         b_recover = (fun () -> ignore (Tree.recover t : int));
         b_invariants = (fun () -> ignore (Tree.check_invariants t : int));
         b_service = Some (pactree_service t);
+        b_splits = Some (fun () -> Tree.splits_of_thread t);
       }
   | Pdlart_sys ->
       let t = Baselines.Pdlart.create machine () in
@@ -57,6 +58,7 @@ let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.Sy
         b_recover = (fun () -> Baselines.Pdlart.recover t);
         b_invariants = ignore;
         b_service = None;
+        b_splits = None;
       }
   | Fastfair_sys ->
       let t = Baselines.Fastfair.create machine ~string_keys () in
@@ -65,6 +67,7 @@ let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.Sy
         b_recover = (fun () -> Baselines.Fastfair.recover t);
         b_invariants = (fun () -> ignore (Baselines.Fastfair.check_invariants t : int));
         b_service = None;
+        b_splits = None;
       }
   | Bztree_sys ->
       let t = Baselines.Bztree.create machine ~string_keys () in
@@ -73,6 +76,7 @@ let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.Sy
         b_recover = (fun () -> Baselines.Bztree.recover t);
         b_invariants = (fun () -> ignore (Baselines.Bztree.check_invariants t : int));
         b_service = None;
+        b_splits = None;
       }
   | Fptree_sys ->
       let t = Baselines.Fptree.create machine ~string_keys () in
@@ -81,4 +85,5 @@ let make_backend machine ?(string_keys = false) ?scale:_ ?cfg sys : Baselines.Sy
         b_recover = (fun () -> Baselines.Fptree.recover t);
         b_invariants = (fun () -> ignore (Baselines.Fptree.check_invariants t : int));
         b_service = None;
+        b_splits = None;
       }

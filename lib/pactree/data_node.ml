@@ -241,7 +241,12 @@ let () = assert (snap_len = 128 && off_fingerprints_hi + entries - hi_fps = bits
 
 let snap_entry = snap_len
 
-let () = assert (snap_entry + 9 + Key.max_len <= off_anchor_len)
+(* The probed key's fingerprint, past the entry: a writer's probe
+   leaves it for the store of the key's fingerprint ([persist_slot])
+   and a split's pending pair ([init_moved]). *)
+let snap_fp = snap_entry + 9 + Key.max_len
+
+let () = assert (snap_fp < off_anchor_len)
 
 let begin_read pool off ~gen =
   Vlock.begin_read_snapshot pool off ~gen (Des.Sched.scratch ()) 0 snap_len
@@ -310,7 +315,10 @@ let rec probe_from lay pool off k snap fp word =
 
 (* one fingerprint match over the copied lines, eight bytes at a time
    (the AVX512 match of the paper, §5.2) *)
-let probe lay pool off k = probe_from lay pool off k (Des.Sched.scratch ()) (Fingerprint.of_key k) 0
+let probe lay pool off k =
+  let snap = Des.Sched.scratch () and fp = Fingerprint.of_key k in
+  Bytes.unsafe_set snap snap_fp (Char.unsafe_chr fp);
+  probe_from lay pool off k snap fp 0
 
 (* Copy bytes [from, snap_len) of the node's lines 0-1, then probe. *)
 let find_from lay pool off k from =
@@ -584,10 +592,13 @@ let stamp_permutation lay t word n =
    negative, so no reader takes the array for fresh meanwhile. *)
 let publishing = -1
 
-let write_fp pool off slot k = Pool.write_u8 pool (off + fp_off slot) (Fingerprint.of_key k)
+(* Store the fingerprint the last probe left: that of the key stored. *)
+let write_fp pool off slot =
+  Pool.write_u8 pool (off + fp_off slot) (Bytes.get_uint8 (Des.Sched.scratch ()) snap_fp)
 
 (* Persist the pair of value [v] and key [k] in [slot] of the node at
-   [off] in [pool] and store its fingerprint.  The pair is stored with
+   [off] in [pool] and store its fingerprint, which the find of [k]
+   left in the scratch buffer.  The pair is stored with
    one non-temporal store from [snap_entry], which stages its lines for
    the fence: the writer never reads the line it overwrites.  A
    fingerprint in line 0 is stored first and persisted with the entry;
@@ -598,13 +609,13 @@ let write_fp pool off slot k = Pool.write_u8 pool (off + fp_off slot) (Fingerpri
    a slot from [hi_fps] on.  The writers address a node by its pool and
    offset, as a visit does, and build no record. *)
 let persist_slot lay pool off slot k v =
-  if slot >= hi_fps then write_fp pool off slot k;
+  if slot >= hi_fps then write_fp pool off slot;
   let buf = Des.Sched.scratch () and len = String.length k in
   put_pair lay buf snap_entry v (Bytes.unsafe_of_string k) 0 len;
   Pool.ntstore pool (off + entry_off lay slot) buf snap_entry (key_pos lay + len);
   if slot >= hi_fps then Pool.clwb pool (off + off_fingerprints_hi);
   Pool.fence pool;
-  if slot < hi_fps then write_fp pool off slot k
+  if slot < hi_fps then write_fp pool off slot
 
 (* Store the bitmap in the scratch buffer and persist line 1: the
    linearization point of a write.  The clwb evicts line 1 (FH4), and
@@ -657,7 +668,9 @@ let insert_slot lay pool off k v =
 let insert_missed lay pool off k v = in_insert_span insert_slot lay pool off k v
 
 let insert lay pool off k v =
-  read_bits pool off (Des.Sched.scratch ());
+  let buf = Des.Sched.scratch () in
+  read_bits pool off buf;
+  Bytes.set_uint8 buf snap_fp (Fingerprint.of_key k);
   insert_missed lay pool off k v
 
 (* The [_found] writers change the bitmap in the copy of lines 0-1 that
@@ -764,10 +777,10 @@ let low_bits n = if n >= entries then -1L else Int64.pred (Int64.shift_left 1L n
 (* ---------- fresh nodes ---------- *)
 
 (* Set entry [i] of the node image at [copy_out] to value [v] and the
-   key of [len] bytes at [pos] in [buf], with its fingerprint. *)
-let out_entry lay image i v buf pos len =
+   key of [len] bytes at [pos] in [buf], with fingerprint [fp]. *)
+let out_entry lay image i v buf pos len fp =
   put_pair lay image (copy_out + off_kv + (i * lay.stride)) v buf pos len;
-  Bytes.set_uint8 image (copy_out + fp_off i) (Fingerprint.of_bytes buf pos len)
+  Bytes.set_uint8 image (copy_out + fp_off i) fp
 
 (* Write a fresh node at [t] from the image at [copy_out], whose first
    [n] entries and fingerprints are set: lines 0-1 (lock word, links,
@@ -804,7 +817,13 @@ let write_fresh lay t image ~gen ~anchor ~next ~prev n =
 let init lay t ~gen ~anchor ~next ~prev =
   write_fresh lay t (thread_copy ()).image ~gen ~anchor ~next ~prev 0
 
-let init_moved lay t ~gen ~anchor ~next ~prev ?pending slots ~pos ~len =
+(* A moved entry's fingerprint: copied from the scratch copy of the
+   source's lines 0-1 when [probed], hashed from its key otherwise. *)
+let moved_fp lay image ~probed slot =
+  if probed then Bytes.get_uint8 (Des.Sched.scratch ()) (fp_off slot)
+  else Fingerprint.of_bytes image (copy_key lay slot) (copy_key_len lay image slot)
+
+let init_moved lay t ~gen ~anchor ~next ~prev ?pending ~probed slots ~pos ~len =
   let span = Obs.Span.start Obs.Span.Dnode_insert in
   match
     let image = (thread_copy ()).image in
@@ -812,12 +831,16 @@ let init_moved lay t ~gen ~anchor ~next ~prev ?pending slots ~pos ~len =
       let slot = slots.(pos + i) in
       let v = Int64.to_int (Bytes.get_int64_le image (slot * lay.stride)) in
       out_entry lay image i v image (copy_key lay slot) (copy_key_len lay image slot)
+        (moved_fp lay image ~probed slot)
     done;
     let n =
       match pending with
       | None -> len
       | Some (k, v) ->
-          out_entry lay image len v (Bytes.unsafe_of_string k) 0 (String.length k);
+          let fp =
+            if probed then Bytes.get_uint8 (Des.Sched.scratch ()) snap_fp else Fingerprint.of_key k
+          in
+          out_entry lay image len v (Bytes.unsafe_of_string k) 0 (String.length k) fp;
           len + 1
     in
     write_fresh lay t image ~gen ~anchor ~next ~prev n

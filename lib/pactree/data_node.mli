@@ -141,7 +141,9 @@ val snap_prev : unit -> Pmalloc.Pptr.t
     took, or [-1]: one
     fingerprint match over the copied lines, then one read of each
     candidate entry (value and key), compared in the buffer.  A hit
-    leaves the entry's value for {!found_value}.  Allocation-free. *)
+    leaves the entry's value for {!found_value}, and hit or miss, the
+    key's fingerprint stays in the buffer for a write of the key that
+    follows under the same lock.  Allocation-free. *)
 val probe : layout -> Nvm.Pool.t -> int -> Key.t -> int
 
 (** [find lay pool off k] is [probe] on a fresh unversioned copy of
@@ -263,14 +265,18 @@ val scan_from : layout -> t -> gen:int -> Key.t -> f:(Key.t -> int -> bool) -> b
 
 (** {2 SMO helpers (§5.6), sequencing controlled by {!Tree}} *)
 
-(** [init_moved lay dst ~gen ~anchor ~next ~prev ?pending slots ~pos ~len]
+(** [init_moved lay dst ~gen ~anchor ~next ~prev ?pending ~probed slots ~pos ~len]
     is {!init} of a node that holds, in slots [0 .. len-1], the pairs in
     [slots.(pos .. pos+len-1)] of the calling thread's last sort, and
     in slot [len] the [pending] pair if there is one.  The entries and
     their fingerprints are built in the thread's copy and written with
     one non-temporal store each: [dst] gets lines 0-1, the anchor and
     the entries, each once, and none is read; the header's XPLine and
-    the entry lines are staged, not fenced. *)
+    the entry lines are staged, not fenced.  With [probed], the
+    fingerprints are copied from the scratch buffer, where a find of
+    the pending key (or of any key) on the sorted node, under the lock
+    still held, left the node's lines 0-1 and the key's fingerprint;
+    without it they are hashed from the keys. *)
 val init_moved :
   layout ->
   t ->
@@ -279,6 +285,7 @@ val init_moved :
   next:Pmalloc.Pptr.t ->
   prev:Pmalloc.Pptr.t ->
   ?pending:Key.t * int ->
+  probed:bool ->
   int array ->
   pos:int ->
   len:int ->

@@ -12,11 +12,16 @@ let f_ts = Layout.word lay "ts"
 
 let f_left = Layout.word lay "left"
 
-let f_aux = Layout.word lay "aux" (* new node (split) / right node (merge) *)
+let f_right = Layout.word lay "right" (* the new node (split) / the absorbed one (merge) *)
 
 let f_anchor_len = Layout.word lay "anchor_len"
 
 let f_anchor = Layout.bytes lay "anchor" 32
+
+(* A ring's spare slot is the last word of its last entry, a word no
+   entry uses: the thread's own memory, on its NUMA domain, in a line
+   its ring already has. *)
+let f_spare = Layout.word ~at:120 lay "spare"
 
 let entry_size = Layout.seal ~size:128 lay
 
@@ -24,7 +29,9 @@ let rings = 256
 
 let entries_per_ring = 64
 
-let region_size = rings * entries_per_ring * entry_size
+let ring_size = entries_per_ring * entry_size
+
+let region_size = rings * ring_size
 
 type t = {
   pools : Pool.t array;
@@ -33,12 +40,16 @@ type t = {
   used : int array;
       (* volatile: active entries of each ring, pool-major; kept by
          [append] and [clear], recounted by [iter_active] *)
+  spares : Pptr.t array;
+      (* volatile: each ring's spare slot as persisted, pool-major;
+         kept by [refill] and [clear_spare], rebuilt by
+         [recover_spares] *)
 }
 
 type entry_ref = Pobj.obj = { pool : Pool.t; off : int }
 
 type payload =
-  | Split of { left : Pptr.t; anchor : Key.t }
+  | Split of { left : Pptr.t; right : Pptr.t; anchor : Key.t }
   | Merge of { left : Pptr.t; right : Pptr.t; anchor : Key.t }
 
 let create pools ~base =
@@ -47,16 +58,23 @@ let create pools ~base =
       if Pool.capacity p < base + region_size then
         invalid_arg "Smo_log.create: log pool too small")
     pools;
-  { pools; base; cursors = Hashtbl.create 64; used = Array.make (Array.length pools * rings) 0 }
+  let n = Array.length pools * rings in
+  {
+    pools;
+    base;
+    cursors = Hashtbl.create 64;
+    used = Array.make n 0;
+    spares = Array.make n Pptr.null;
+  }
 
-let ring_base t tid = t.base + (tid land (rings - 1)) * entries_per_ring * entry_size
+let ring_base t tid = t.base + ((tid land (rings - 1)) * ring_size)
 
 let state e = Pobj.get_int e f_state
 
-let write_fields e ~ts ~left ~aux0 ~anchor ~kind =
+let write_fields e ~ts ~left ~right ~anchor ~kind =
   Pobj.set_int e f_ts ts;
   Pobj.set_int e f_left left;
-  Pobj.set_int e f_aux aux0;
+  Pobj.set_int e f_right right;
   Pobj.set_int e f_anchor_len (String.length anchor);
   Pobj.write_string e (Layout.off f_anchor) anchor;
   (* Fields first, then the state flag: a persisted nonzero state
@@ -66,8 +84,8 @@ let write_fields e ~ts ~left ~aux0 ~anchor ~kind =
   Pobj.persist_field e f_state
 
 let write_entry e ~ts = function
-  | Split { left; anchor } -> write_fields e ~ts ~left ~aux0:Pptr.null ~anchor ~kind:1
-  | Merge { left; right; anchor } -> write_fields e ~ts ~left ~aux0:right ~anchor ~kind:2
+  | Split { left; right; anchor } -> write_fields e ~ts ~left ~right ~anchor ~kind:1
+  | Merge { left; right; anchor } -> write_fields e ~ts ~left ~right ~anchor ~kind:2
 
 (* The calling thread's ring: the one on its NUMA domain's pool. *)
 let own_pool t =
@@ -79,7 +97,7 @@ let own_ring t = (own_pool t * rings) + (Des.Sched.current_id () land (rings - 1
 let rec pool_index pools pool i = if pools.(i) == pool then i else pool_index pools pool (i + 1)
 
 let entry_ring t e =
-  (pool_index t.pools e.pool 0 * rings) + ((e.off - t.base) / (entries_per_ring * entry_size))
+  (pool_index t.pools e.pool 0 * rings) + ((e.off - t.base) / ring_size)
 
 let has_free t = t.used.(own_ring t) < entries_per_ring
 
@@ -134,22 +152,17 @@ let append t ~ts payload =
       Obs.Span.stop span;
       raise e
 
-let aux_off e = e.off + Layout.off f_aux
-
-let aux e = Pobj.get_int e f_aux
-
 let read e =
   match state e with
   | 0 -> None
   | kind ->
       let ts = Pobj.get_int e f_ts in
       let left = Pobj.get_int e f_left in
-      let aux0 = Pobj.get_int e f_aux in
+      let right = Pobj.get_int e f_right in
       let alen = Pobj.get_int e f_anchor_len in
       let anchor = Pobj.read_string e (Layout.off f_anchor) alen in
       let payload =
-        if kind = 1 then Split { left; anchor }
-        else Merge { left; right = aux0; anchor }
+        if kind = 1 then Split { left; right; anchor } else Merge { left; right; anchor }
       in
       Some (ts, payload)
 
@@ -165,7 +178,7 @@ let iter_active t ~f =
     (fun i pool ->
       for ring = 0 to rings - 1 do
         for slot = 0 to entries_per_ring - 1 do
-          let off = t.base + (ring * entries_per_ring * entry_size) + (slot * entry_size) in
+          let off = ring_base t ring + (slot * entry_size) in
           let e = { pool; off } in
           if state e <> 0 then begin
             let r = (i * rings) + ring in
@@ -180,3 +193,50 @@ let active_count t =
   let n = ref 0 in
   iter_active t ~f:(fun _ -> incr n);
   !n
+
+(* ---------- spare data nodes ---------- *)
+
+(* The spare slot of ring [r] (pool-major): its pool and offset, apart,
+   so that a refill builds no record. *)
+let spare_pool t r = t.pools.(r / rings)
+
+let spare_off t r = ring_base t r + ((entries_per_ring - 1) * entry_size) + Layout.off f_spare
+
+let spare t = t.spares.(own_ring t)
+
+(* The slot is empty only after a split took its node, and that split
+   persisted the empty slot before it returned. *)
+let refill t heap ~size =
+  let r = own_ring t in
+  if Pptr.is_null t.spares.(r) then
+    t.spares.(r) <-
+      Pmalloc.Heap.alloc_to heap ~size ~dest_pool:(spare_pool t r) ~dest_off:(spare_off t r) ()
+
+(* A non-temporal store: the refill's persist evicted the line, and
+   nothing reads the slot before recovery. *)
+let null_word = Bytes.make 8 '\000'
+
+let () = assert (Bytes.get_int64_le null_word 0 = Int64.of_int Pptr.null)
+
+let clear_spare t =
+  let r = own_ring t in
+  t.spares.(r) <- Pptr.null;
+  Pool.ntstore (spare_pool t r) (spare_off t r) null_word 0 8
+
+let recover_spares t ~owned =
+  for r = 0 to Array.length t.spares - 1 do
+    let pool = spare_pool t r and off = spare_off t r in
+    let p = Pool.read_int pool off in
+    if (not (Pptr.is_null p)) && owned p then begin
+      Pool.write_int pool off Pptr.null;
+      Pool.persist pool off 8;
+      t.spares.(r) <- Pptr.null
+    end
+    else t.spares.(r) <- p
+  done
+
+let spares t =
+  List.filter
+    (fun p -> not (Pptr.is_null p))
+    (List.init (Array.length t.spares) (fun r ->
+         Pool.media_read_int (spare_pool t r) (spare_off t r)))

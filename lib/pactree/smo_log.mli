@@ -3,22 +3,28 @@
     Every data-node split or merge is logged before it mutates the
     data layer; the background updater (or crash recovery) replays
     entries in timestamp order to synchronise the search layer, then
-    clears them.  The split entry's auxiliary field doubles as the
-    malloc-to destination for the new data node, so an interrupted
-    split can never leak it.
+    clears them.
 
     Each simulated thread owns a ring of entries on its NUMA domain's
     log pool; a full ring back-pressures the writer ({!reserve}) until
-    the updater catches up. *)
+    the updater catches up.  In its ring a thread owns a spare slot
+    (beyond the paper, DESIGN §6), the last word of the ring's last
+    entry, which no entry field uses: one pre-allocated data node,
+    malloc-to'd into the slot by an insert before it locks anything
+    ({!refill}), so that a split allocates nothing.  The split names
+    the spare in its entry, then empties the slot ({!clear_spare});
+    until the empty slot persists, the entry owns the node
+    ({!recover_spares}). *)
 
 type t
 
 type entry_ref = Pobj.obj = { pool : Nvm.Pool.t; off : int }
 
 type payload =
-  | Split of { left : Pmalloc.Pptr.t; anchor : Key.t }
-      (** [left] is the splitting node, [anchor] the new node's anchor
-          key; the new node pointer lands in the aux field. *)
+  | Split of { left : Pmalloc.Pptr.t; right : Pmalloc.Pptr.t; anchor : Key.t }
+      (** [left] is the splitting node, [right] the new node (the
+          splitting thread's spare), [anchor] the new node's anchor
+          key. *)
   | Merge of { left : Pmalloc.Pptr.t; right : Pmalloc.Pptr.t; anchor : Key.t }
       (** [right] (whose anchor is [anchor]) merges into [left]. *)
 
@@ -41,13 +47,6 @@ val reserve : t -> Epoch.t -> unit
     ({!reserve}).  Two fences: fields first, state last. *)
 val append : t -> ts:int -> payload -> entry_ref
 
-(** Offset, in the entry's pool, of a split entry's new-node field:
-    the destination for {!Pmalloc.Heap.alloc_to}. *)
-val aux_off : entry_ref -> int
-
-(** Auxiliary pointer value (split: the new node once allocated). *)
-val aux : entry_ref -> Pmalloc.Pptr.t
-
 (** Decode an entry; [None] if the slot is free. *)
 val read : entry_ref -> (int * payload) option
 
@@ -61,3 +60,33 @@ val iter_active : t -> f:(entry_ref -> unit) -> unit
 (** Number of active entries, read from the pools (tests,
     [Tree.smo_backlog]). *)
 val active_count : t -> int
+
+(** The calling thread's spare data node, {!Pmalloc.Pptr.null} if its
+    slot is empty; read from a volatile copy of the slot, no simulated
+    memory. *)
+val spare : t -> Pmalloc.Pptr.t
+
+(** [refill t heap ~size] fills the calling thread's empty spare slot
+    with a node of [size] bytes from [heap], malloc-to'd into the slot
+    (so the node cannot leak); a full slot is left as it is.  The
+    caller holds no lock: the allocation waits for the heap's mutex
+    and makes the allocator's four fences. *)
+val refill : t -> Pmalloc.Heap.t -> size:int -> unit
+
+(** Empty the calling thread's spare slot: store null with a
+    non-temporal store ({!Nvm.Pool.ntstore}), without a fence, so that
+    the caller's next fence persists it.
+    Call it only once an entry naming the spare has persisted. *)
+val clear_spare : t -> unit
+
+(** Recovery: rebuild the volatile copy of every spare slot from the
+    pools.  A slot whose node [owned] names — a split entry took it,
+    and the crash came before the empty slot persisted — is emptied
+    and persisted: the node belongs to the entry.  Any other node
+    stays its slot's spare. *)
+val recover_spares : t -> owned:(Pmalloc.Pptr.t -> bool) -> unit
+
+(** Every node a spare slot holds, read from the media image without
+    charging (invariant checks: a slot's store is persisted before the
+    operation that made it returns). *)
+val spares : t -> Pmalloc.Pptr.t list

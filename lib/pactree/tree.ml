@@ -68,6 +68,9 @@ type t = {
   mutable v : volatile;
   jump_hist : int array; (* §6.7: hops from jump node to target *)
   stats : stats;
+  mutable thread_splits : int array;
+      (* splits by thread, indexed by thread id + 1 (the host program
+         is -1): [splits_of_thread] *)
 }
 
 (* Tree-private meta fields live just past the trie's meta region. *)
@@ -90,6 +93,20 @@ let stats t = t.stats
 let art_stats t = Art.stats t.v.art
 
 let jump_histogram t = Array.copy t.jump_hist
+
+let splits_of_thread t =
+  let i = Des.Sched.current_id () + 1 in
+  if i < Array.length t.thread_splits then t.thread_splits.(i) else 0
+
+let count_split t =
+  t.stats.splits <- t.stats.splits + 1;
+  let i = Des.Sched.current_id () + 1 in
+  if i >= Array.length t.thread_splits then begin
+    let grown = Array.make (2 * i) 0 in
+    Array.blit t.thread_splits 0 grown 0 (Array.length t.thread_splits);
+    t.thread_splits <- grown
+  end;
+  t.thread_splits.(i) <- t.thread_splits.(i) + 1
 
 (* A fresh epoch, the trie opened anew (its generation bump voids
    every older lock), empty SMO-log counts and an idle updater. *)
@@ -145,6 +162,7 @@ let create machine ?(cfg = default_config) () =
       v = start machine ~search_heap ~meta ~log_pools;
       jump_hist = Array.make 16 0;
       stats = { splits = 0; merges = 0; reader_retries = 0 };
+      thread_splits = Array.make 64 0;
     }
   in
   (* Bootstrap: one head data node with the minimum anchor "".  The
@@ -295,10 +313,8 @@ let rec lock_target t key n f a =
    data layer is already consistent; only the search layer lags. *)
 let replay_split_fast t e =
   match Smo_log.read e with
-  | Some (_, Smo_log.Split { anchor; _ }) ->
-      let new_ptr = Smo_log.aux e in
-      assert (not (Pptr.is_null new_ptr));
-      ignore (Art.insert t.v.art anchor new_ptr);
+  | Some (_, Smo_log.Split { right; anchor; _ }) ->
+      ignore (Art.insert t.v.art anchor right);
       Smo_log.clear t.v.log e
   | _ -> ()
 
@@ -338,10 +354,15 @@ let enqueue_smo t e =
 let persist_field node rel = Pobj.persist node rel 8
 
 (* The upper half of the node's keys, in sorted order, moves to a new
-   right sibling whose anchor is the first moved key.  Three fences
-   follow the log entry and the allocation: the new node's lines, the
-   link, then the left node's bitmap clear with the right neighbour's
-   [prev] (recovery repairs either line alone).  The link lies in the
+   right sibling whose anchor is the first moved key.  The new node is
+   the thread's spare, which its insert allocated before it locked
+   anything ([insert_locked]): the split allocates nothing.  The log
+   entry names the spare (its two fences), and the spare's slot is
+   emptied under the next fence; until that persists, recovery gives
+   the node to the entry.  Three fences follow the log entry: the new
+   node's lines with the empty slot, the link, then the left node's
+   bitmap clear with the right neighbour's [prev] (recovery repairs
+   either line alone).  The link lies in the
    left node's line 0 and the bitmap in its line 1, so the clear waits
    for the link's fence: a redo rebuilds an unlinked new node from the
    left node's keys, and a clear persisted without the link would lose
@@ -352,26 +373,29 @@ let persist_field node rel = Pobj.persist node rel 8
    line 0, completed by [Node.find_locked] with line 1, gives the old
    [next] and the bitmap. *)
 let split t node wv key value =
-  t.stats.splits <- t.stats.splits + 1;
+  count_split t;
   let old_next = Node.snap_next () in
   let slots = Node.thread_slots () in
   let total = Node.sort_locked t.lay node slots in
   let half = total / 2 and moved = total - (total / 2) in
   let anchor = Node.sorted_key t.lay slots.(half) in
   let right = Key.compare key anchor >= 0 in
-  (* 1. Log the split. *)
+  (* 1. Log the split, naming the spare as the new node: from the
+     entry's persist on, the entry owns it. *)
+  let new_ptr = Smo_log.spare t.v.log in
+  assert (not (Pptr.is_null new_ptr));
   let ts = next_ts t in
-  let e = Smo_log.append t.v.log ~ts (Smo_log.Split { left = Node.to_ptr node; anchor }) in
-  (* 2. Allocate the new node straight into the log entry (no leak). *)
-  let new_ptr =
-    Heap.alloc_to t.data_heap ~size:t.lay.Node.node_size ~dest_pool:e.Smo_log.pool
-      ~dest_off:(Smo_log.aux_off e) ()
+  let e =
+    Smo_log.append t.v.log ~ts (Smo_log.Split { left = Node.to_ptr node; right = new_ptr; anchor })
   in
+  (* 2. Empty the spare's slot: the next fence persists it. *)
+  Smo_log.clear_spare t.v.log;
   let nnode = Node.of_ptr t.machine new_ptr in
-  (* 3. Build and persist the new node before publishing it. *)
+  (* 3. Build and persist the new node before publishing it.  The
+     fingerprints come from [find_locked]'s copy of the node. *)
   Node.init_moved t.lay nnode ~gen:t.v.gen ~anchor ~next:old_next ~prev:(Node.to_ptr node)
     ?pending:(if right then Some (key, value) else None)
-    slots ~pos:half ~len:moved;
+    ~probed:true slots ~pos:half ~len:moved;
   Pobj.fence nnode;
   (* 4. Publish: link right of the splitting node (atomic), persisted. *)
   Node.set_next node new_ptr;
@@ -536,8 +560,11 @@ let insert_at t pool off wv key value =
     | Node.Full -> split_and_insert t { Node.pool; off } wv key value
     | Node.Absent -> assert false
 
+(* An insert may split, so before it locks anything it makes sure of
+   an SMO-log entry and of a spare node for the split. *)
 let insert_locked t key value =
   Smo_log.reserve t.v.log t.v.epoch;
+  Smo_log.refill t.v.log t.data_heap ~size:t.lay.Node.node_size;
   lock_target t key 0 insert_at value
 
 let insert t key value = in_epoch t insert_locked key value
@@ -696,55 +723,64 @@ let first_at_least t slots n k =
   let rec go i = if i < n && Node.compare_sorted_key t.lay slots.(i) k < 0 then go (i + 1) else i in
   go 0
 
-let recover_split t e left anchor =
-  let new_ptr = Smo_log.aux e in
-  if Pptr.is_null new_ptr then
-    (* Interrupted before allocation: nothing durable happened and the
-       triggering insert was never acknowledged. *)
-    Smo_log.clear t.v.log e
-  else begin
-    let node = Node.of_ptr t.machine left in
-    let nnode = Node.of_ptr t.machine new_ptr in
-    (* The link is written only after the new node is fully persisted,
-       so a missing link means we must rebuild the new node; the redo
-       persists the link before the clear below, as the split does. *)
-    let slots = Array.make Node.entries 0 in
-    if not (Pptr.equal (Node.next node) new_ptr) then begin
-      let total = Node.sort_live t.lay node slots in
-      let first = first_at_least t slots total anchor in
-      let old_next = Node.next node in
-      Node.init_moved t.lay nnode ~gen:t.v.gen ~anchor ~next:old_next ~prev:left slots ~pos:first
-        ~len:(total - first);
-      Pobj.fence nnode;
-      Node.set_next node new_ptr;
-      persist_field node Node.off_next
-    end;
-    (* Drop any moved keys still present in the left node, and fix the
-       right neighbour's prev pointer, under one fence. *)
+(* Is [new_ptr], the node a split of [left] made with [anchor],
+   linked?  Anchors grow along the list, so it is when the walk from
+   [left]'s successor meets it before an anchor at or above [anchor]:
+   a later split of [left], whose entry the updater had not replayed
+   either, put its own node in between. *)
+let rec split_linked t p new_ptr anchor =
+  (not (Pptr.is_null p))
+  && (Pptr.equal p new_ptr
+     ||
+     let n = Node.of_ptr t.machine p in
+     Key.compare (Node.anchor n) anchor < 0 && split_linked t (Node.next n) new_ptr anchor)
+
+(* A split entry names its new node from the start, so recovery
+   completes every logged split: an interrupted one had not yet
+   acknowledged its insert, and the left node still holds every moved
+   key until the link persists. *)
+let recover_split t e left new_ptr anchor =
+  let node = Node.of_ptr t.machine left in
+  let nnode = Node.of_ptr t.machine new_ptr in
+  (* The link is written only after the new node is fully persisted,
+     so a missing link means we must rebuild the new node; the redo
+     persists the link before the clear below, as the split does. *)
+  let slots = Array.make Node.entries 0 in
+  if not (split_linked t (Node.next node) new_ptr anchor) then begin
     let total = Node.sort_live t.lay node slots in
     let first = first_at_least t slots total anchor in
-    let cleared = first < total in
-    if cleared then Node.clear_moved node slots ~pos:first ~len:(total - first);
-    let rn = Node.next nnode in
-    let relinked =
-      if Pptr.is_null rn then false
-      else begin
-        let rn_node = Node.of_ptr t.machine rn in
-        let stale = not (Pptr.equal (Node.prev rn_node) new_ptr) in
-        if stale then begin
-          Node.set_prev rn_node new_ptr;
-          Pobj.clwb rn_node Node.off_prev
-        end;
-        stale
-      end
-    in
-    if cleared || relinked then Pobj.fence node;
-    (* Search layer. *)
-    (match Art.lookup t.v.art anchor with
-    | Some p when Pptr.equal p new_ptr -> ()
-    | Some _ | None -> ignore (Art.insert t.v.art anchor new_ptr));
-    Smo_log.clear t.v.log e
-  end
+    let old_next = Node.next node in
+    Node.init_moved t.lay nnode ~gen:t.v.gen ~anchor ~next:old_next ~prev:left ~probed:false
+      slots ~pos:first ~len:(total - first);
+    Pobj.fence nnode;
+    Node.set_next node new_ptr;
+    persist_field node Node.off_next
+  end;
+  (* Drop any moved keys still present in the left node, and fix the
+     right neighbour's prev pointer, under one fence. *)
+  let total = Node.sort_live t.lay node slots in
+  let first = first_at_least t slots total anchor in
+  let cleared = first < total in
+  if cleared then Node.clear_moved node slots ~pos:first ~len:(total - first);
+  let rn = Node.next nnode in
+  let relinked =
+    if Pptr.is_null rn then false
+    else begin
+      let rn_node = Node.of_ptr t.machine rn in
+      let stale = not (Pptr.equal (Node.prev rn_node) new_ptr) in
+      if stale then begin
+        Node.set_prev rn_node new_ptr;
+        Pobj.clwb rn_node Node.off_prev
+      end;
+      stale
+    end
+  in
+  if cleared || relinked then Pobj.fence node;
+  (* Search layer. *)
+  (match Art.lookup t.v.art anchor with
+  | Some p when Pptr.equal p new_ptr -> ()
+  | Some _ | None -> ignore (Art.insert t.v.art anchor new_ptr));
+  Smo_log.clear t.v.log e
 
 let recover_merge t e left right anchor =
   let node = Node.of_ptr t.machine left in
@@ -809,10 +845,20 @@ let recover t =
       | Some (ts, payload) -> entries := (ts, e, payload) :: !entries
       | None -> ());
   let sorted = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !entries in
+  (* A spare that a split entry names belongs to the entry. *)
+  let owned p =
+    List.exists
+      (fun (_, _, payload) ->
+        match payload with
+        | Smo_log.Split { right; _ } -> Pptr.equal right p
+        | Smo_log.Merge _ -> false)
+      sorted
+  in
+  Smo_log.recover_spares t.v.log ~owned;
   List.iter
     (fun (_, e, payload) ->
       match payload with
-      | Smo_log.Split { left; anchor } -> recover_split t e left anchor
+      | Smo_log.Split { left; right; anchor } -> recover_split t e left right anchor
       | Smo_log.Merge { left; right; anchor } -> recover_merge t e left right anchor)
     sorted;
   List.length sorted
@@ -859,6 +905,24 @@ let check_invariants t =
         | Some _ -> fail "search layer maps %s to the wrong node" anchor
         | None -> fail "anchor %s missing from search layer" anchor)
       nodes;
+  (* Every data node is linked, named by an SMO-log entry or held by
+     one spare slot, and a spare is neither linked nor logged: no node
+     leaks, and none has two owners. *)
+  let owned = Hashtbl.create 256 in
+  List.iter (fun (_, p) -> Hashtbl.replace owned p ()) nodes;
+  Smo_log.iter_active t.v.log ~f:(fun e ->
+      match Smo_log.read e with
+      | Some (_, (Smo_log.Split { right; _ } | Smo_log.Merge { right; _ })) ->
+          Hashtbl.replace owned right ()
+      | None -> ());
+  List.iter
+    (fun p ->
+      if Hashtbl.mem owned p then fail "spare node %#x is linked, logged or spare twice" p;
+      Hashtbl.replace owned p ())
+    (Smo_log.spares t.v.log);
+  List.iter
+    (fun p -> if not (Hashtbl.mem owned p) then fail "data node %#x leaked" p)
+    (Heap.live_blocks t.data_heap ~size:t.lay.Node.node_size);
   List.length nodes
 
 (* Enumerate everything (tests). *)

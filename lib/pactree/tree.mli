@@ -46,7 +46,10 @@ val epoch : t -> Epoch.t
 
 (** {2 Operations} *)
 
-(** Upsert: inserts, or updates the value of an existing key. *)
+(** Upsert: inserts, or updates the value of an existing key.  Before
+    it locks anything, an insert refills the calling thread's spare
+    data node if a split took it ({!Smo_log.refill}), so that a split
+    allocates nothing (beyond the paper, DESIGN §6). *)
 val insert : t -> Key.t -> int -> unit
 
 val lookup : t -> Key.t -> int option
@@ -97,9 +100,16 @@ val art_stats : t -> Art.stats
     target node (index = hops, last bucket = overflow). *)
 val jump_histogram : t -> int array
 
+(** The calling thread's splits so far: read before and after an
+    operation, it tells whether the operation split a node.
+    Allocation-free. *)
+val splits_of_thread : t -> int
+
 (** Walk both layers, failing on any broken invariant; returns the
     number of data nodes.  (Search-layer completeness is only checked
-    when the SMO backlog is empty.) *)
+    when the SMO backlog is empty.)  Every node the data heap holds
+    must be linked, named by an SMO-log entry or held by exactly one
+    spare slot, and a spare must be neither linked nor logged. *)
 val check_invariants : t -> int
 
 (** All pairs in key order (test helper — walks the data layer). *)

@@ -55,14 +55,15 @@ and l_freelist = 2
 
 and l_free = 3
 
-let class_of size =
-  let rec go i =
-    if i >= Array.length class_sizes then
-      invalid_arg (Printf.sprintf "Heap.alloc: size %d too large" size)
-    else if class_sizes.(i) >= size then i
-    else go (i + 1)
-  in
-  go 0
+(* The smallest class from [i] on that fits [size]: a top-level
+   function, so that an allocation builds no closure. *)
+let rec class_from size i =
+  if i >= Array.length class_sizes then
+    invalid_arg (Printf.sprintf "Heap.alloc: size %d too large" size)
+  else if class_sizes.(i) >= size then i
+  else class_from size (i + 1)
+
+let class_of size = class_from size 0
 
 let align_of csize = if csize >= 64 then 64 else 8
 
@@ -353,6 +354,45 @@ let recover t =
   Obs.Span.with_phase Obs.Span.Recovery @@ fun () ->
   if t.kind = Pmdk then Array.iter recover_pmdk_pool t.pools;
   t.pools <- Array.map (fun ps -> attach ps.pool) t.pools
+
+(* Pmdk: the blocks carved from each pool, one after another from
+   [data_start] up to the bump pointer (each preceded by its class),
+   minus those on the class's free list; Volatile_meta: the table's.
+   Read from the media images, which every operation persists before
+   it returns. *)
+let live_blocks t ~size =
+  let cls = class_of size in
+  let csize = class_sizes.(cls) and align = align_of class_sizes.(cls) in
+  List.concat_map
+    (fun ps ->
+      let pool = ps.pool and id = Pool.id ps.pool in
+      match t.kind with
+      | Volatile_meta ->
+          Hashtbl.fold
+            (fun off c acc -> if c = cls then Pptr.make ~pool:id ~off :: acc else acc)
+            ps.vclass []
+      | Pmdk ->
+          let free = Hashtbl.create 16 in
+          let rec free_list p =
+            if p <> Pptr.null then begin
+              Hashtbl.replace free (Pptr.off p) ();
+              free_list (Pool.media_read_int pool (Pptr.off p))
+            end
+          in
+          free_list (Pool.media_read_int pool (head_off cls));
+          let bump = Pool.media_read_int pool (Layout.off f_bump) in
+          let rec carved pos acc =
+            let block = round_up (pos + 8) align in
+            if block + csize > bump then acc
+            else begin
+              if Pool.media_read_int pool (block - 8) <> cls then
+                invalid_arg "Heap.live_blocks: a block of another size";
+              carved (block + csize)
+                (if Hashtbl.mem free block then acc else Pptr.make ~pool:id ~off:block :: acc)
+            end
+          in
+          carved data_start [])
+    (Array.to_list t.pools)
 
 let remaining t ~numa =
   let ps = t.pools.(numa mod Array.length t.pools) in

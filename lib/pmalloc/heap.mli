@@ -81,5 +81,12 @@ val pool_by_numa : t -> int -> Nvm.Pool.t
     survive — that is the point of the GS1 comparison). *)
 val recover : t -> unit
 
+(** [live_blocks t ~size] is every block of [t] allocated and not
+    freed, for a heap whose every allocation has [size]'s size class
+    (raises [Invalid_argument] on a block of another class): leak
+    checks.  It reads the pools' media images, bypassing cost
+    accounting, so call it when no allocation or free is in flight. *)
+val live_blocks : t -> size:int -> Pptr.t list
+
 (** Bytes still allocatable in the pool for [numa]. *)
 val remaining : t -> numa:int -> int

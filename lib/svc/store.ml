@@ -6,6 +6,7 @@ type backend = Baselines.System.t = {
   b_recover : unit -> unit;
   b_invariants : unit -> unit;
   b_service : Workload.Runner.service option;
+  b_splits : (unit -> int) option;
 }
 
 type shard = { s_id : int; s_numa : int; s_backend : backend }

@@ -24,6 +24,7 @@ type backend = Baselines.System.t = {
   b_recover : unit -> unit;
   b_invariants : unit -> unit;
   b_service : Workload.Runner.service option;
+  b_splits : (unit -> int) option;
 }
 
 type t

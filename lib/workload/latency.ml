@@ -90,6 +90,13 @@ let max t =
     !m
   end
 
+let count_at_least t x =
+  let n = ref 0 in
+  for i = 0 to t.size - 1 do
+    if t.samples.(i) >= x then incr n
+  done;
+  !n
+
 let merge ~dst ~src =
   for i = 0 to src.size - 1 do
     record dst src.samples.(i)

@@ -28,5 +28,8 @@ val mean : t -> float
 (** Largest recorded sample; 0.0 when empty. *)
 val max : t -> float
 
+(** The number of recorded samples of at least [x]. *)
+val count_at_least : t -> float -> int
+
 (** Merge [src] into [dst] (combining per-thread recorders). *)
 val merge : dst:t -> src:t -> unit

@@ -17,6 +17,9 @@ type result = {
   host_words : float;  (** host minor words allocated during the run phase *)
   load_host_s : float;  (** host (wall-clock) seconds of the load phase; 0 for [Load_a] *)
   run_host_s : float;  (** host (wall-clock) seconds of the run phase *)
+  tail_splits : (int * int) option;
+      (** with [?splits]: of the [n] sampled ops at or above the p99.9
+          latency, [(s, n)], the [s] of them that split a node *)
 }
 
 (** Optional background service (e.g. PACTree's updater). *)
@@ -34,11 +37,18 @@ type service = Baselines.System.service = {
     attribution, and its sampler (if any) runs on the phase's scheduler
     and is stopped when the workers finish.  Observing a run does not
     change it: the result is bit-identical to the same run without
-    [?obs]. *)
+    [?obs].
+
+    With [?splits] (the calling thread's split count, e.g. a system's
+    [b_splits]), each sampled op reads it before and after, and the
+    result says how many of the slowest sampled ops split a node
+    ([tail_splits]); the count is deterministic and a read allocates
+    nothing. *)
 val run :
   machine:Nvm.Machine.t ->
   index:Baselines.Index_intf.index ->
   ?service:service ->
+  ?splits:(unit -> int) ->
   ?obs:Obs.Recorder.t ->
   mix:Ycsb.mix ->
   kind:Keyset.kind ->

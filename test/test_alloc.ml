@@ -407,7 +407,8 @@ let test_tree_insert_host () =
   check_zero "a Tree.insert that splits no node" !worst
 
 (* One [Tree.insert] that splits a full data node: the split's sort,
-   log entry, new node, the anchor key (the one key it allocates), the
+   log entry, new node (the thread's spare: no allocator call), the
+   anchor key (the one key it allocates), the
    pending pair it passes to the new node and the queued search-layer
    update, without the replay (no updater runs).  The second split is measured: the first creates the
    thread's sort buffer. *)
@@ -429,7 +430,7 @@ let test_tree_split () =
         ignore (until_split () : float);
         until_split ())
   in
-  check_ceiling "Tree.insert that splits a full node" 92.0 w
+  check_ceiling "Tree.insert that splits a full node" 67.0 w
 
 (* ---------- line reads ---------- *)
 
@@ -484,10 +485,11 @@ let check_split what (reads, flushes, fences) (_, got_reads, got_flushes, got_fe
    (which fill the nodes evenly and split none), 10K inserts over
    present keys, 10K updates, and two inserts that split a node, pinned
    by their line reads, flushes and fences: a split reads and writes
-   each line of both nodes once and fences three times after the log
-   entry and the allocation (new node, the link, then the bitmap clear
-   with the neighbour's [prev]), plus the two of an insert into the
-   left node.
+   each line of both nodes once, allocates nothing (its new node is the
+   thread's spare, which an earlier insert allocated) and fences three
+   times after the log entry's two (new node with the spare's emptied
+   slot, the link, then the bitmap clear with the neighbour's [prev]),
+   plus the two of an insert into the left node.
    A writer locks its node by a CAS from the lock word its walk copied,
    then copies line 1 and writes from that copy: a lock word, header or
    bitmap read again moves these figures. *)
@@ -530,14 +532,16 @@ let test_tree_line_reads () =
       let base = 1_000_000 in
       right := split_cost machine tree (fun j -> Key.of_int (base + (1000 * j)));
       let top = base + (1000 * (let j, _, _, _ = !right in j)) in
+      (* an overwrite refills the spare the first split took *)
+      Tree.insert tree (read_key 0) 0;
       left := split_cost machine tree (fun j -> Key.of_int (top - 1 - j)));
   Sched.run sched;
   check_reads "Tree.lookup" 14.5585 !lookup;
   check_reads "Tree.insert of a fresh key" 17.6684 !insert;
   check_reads "Tree.insert over a present key" 18.5161 !overwrite;
   check_reads "Tree.update" 18.6110 !update;
-  check_split "Tree.insert that splits, key to the new node" (180, 25, 9) !right;
-  check_split "Tree.insert that splits, key to the left node" (183, 26, 11) !left
+  check_split "Tree.insert that splits, key to the new node" (168, 21, 5) !right;
+  check_split "Tree.insert that splits, key to the left node" (171, 22, 7) !left
 
 (* The same lookups again for their words: the [Some] and the cache
    misses; the trie takes the key as it is, and each trie level builds

@@ -304,6 +304,26 @@ let test_fptree_recovery_rebuilds () =
     if Baselines.Fptree.lookup t (ik i) = None then Alcotest.failf "key %d lost" i
   done
 
+(* The separator count that each traversal's cost reads is kept in a
+   field beside the DRAM map: after random inserts (which split leaves)
+   and deletes, it equals the map's size ([check_invariants] compares
+   them), and after a restart rebuilds the map. *)
+let test_fptree_separator_count =
+  QCheck.Test.make ~name:"fptree: separator count = map size" ~count:10
+    QCheck.(list_of_size Gen.(int_range 100 1500) (pair (int_bound 3000) bool))
+    (fun ops ->
+      let m, t, idx = fp_index () in
+      List.iter
+        (fun (k, ins) ->
+          if ins then Baselines.Index_intf.insert idx (ik k) k
+          else ignore (Baselines.Index_intf.delete idx (ik k)))
+        ops;
+      ignore (Baselines.Fptree.check_invariants t);
+      Machine.crash m Machine.Strict;
+      Baselines.Fptree.recover t;
+      ignore (Baselines.Fptree.check_invariants t);
+      true)
+
 let test_fptree_concurrent () =
   let m = make_machine () in
   let t = Baselines.Fptree.create m () in
@@ -404,6 +424,7 @@ let suite =
     Alcotest.test_case "fptree: recovery rebuilds internals" `Quick
       test_fptree_recovery_rebuilds;
     Alcotest.test_case "fptree: concurrent + HTM" `Quick test_fptree_concurrent;
+    QCheck_alcotest.to_alcotest test_fptree_separator_count;
     Alcotest.test_case "pdlart: generic" `Quick test_pdlart_generic;
     Alcotest.test_case "pdlart: model agreement" `Quick test_pdlart_model;
     Alcotest.test_case "pdlart: allocation heavy (GA3)" `Quick test_pdlart_alloc_heavy;

@@ -137,6 +137,43 @@ let test_crash_during_recovery () =
   Alcotest.(check (option int)) "writable after double crash" (Some 1)
     (Tree.lookup t (ik 999_983))
 
+(* A node that splits twice while no updater replays its log: both
+   split entries are still in the log at the crash, and the first
+   one's new node is no longer the left node's successor (the second
+   split's node is, in front of it).  Recovery must see the first node
+   as linked, not rebuild it from the left node's keys.  Before that
+   fix, the rebuild overwrote it with no keys and relinked it in front
+   of the second node: anchors out of order, and a lookup that never
+   ended. *)
+let test_two_pending_splits () =
+  let keys =
+    List.init 65 (fun i -> 10 * i)
+    @ List.init 41 (fun i -> (10 * i) + 1)
+    @ List.init 32 (fun i -> (10 * i) + 5)
+  in
+  List.iter
+    (fun (mode_name, mode) ->
+      let machine = Machine.create ~numa_count:1 () in
+      let t = Tree.create machine ~cfg () in
+      let sched = Des.Sched.create () in
+      Des.Sched.spawn sched ~name:"writer" (fun () ->
+          List.iter (fun k -> Tree.insert t (ik k) k) keys);
+      Des.Sched.run sched;
+      Alcotest.(check int) "two splits" 2 (Tree.stats t).Tree.splits;
+      Alcotest.(check int) "both still logged" 2 (Tree.smo_backlog t);
+      Machine.crash machine mode;
+      ignore (Tree.recover t);
+      (try ignore (Tree.check_invariants t)
+       with Failure m -> Alcotest.failf "%s: %s" mode_name m);
+      List.iter
+        (fun k ->
+          if Tree.lookup t (ik k) <> Some k then Alcotest.failf "%s: key %d lost" mode_name k)
+        keys)
+    [
+      ("strict", Machine.Strict);
+      ("flaky", Machine.Flaky (0.5, Des.Rng.create ~seed:(seed_of 1007)));
+    ]
+
 (* Scans immediately after recovery must be sorted and complete. *)
 let test_scan_after_recovery () =
   let machine = Machine.create ~numa_count:2 () in
@@ -267,13 +304,20 @@ let check_recovered what t ~present ~absent ~maybe:(mk, mv) =
 
 (* A split crashed before each of its fences, strict and flaky, over
    garbage memory, with the pending key going to the new node (315)
-   and to the left node (0).  The loop covers every window; the fence
-   list shows the three split fences: the new node (header XPLine and
-   entries), the link (the left node's line 0), then the bitmap clear
-   (its line 1) and the neighbour's [prev].  A crash before the first
-   is inside the new node's build, before the second after its
-   persist, with the link stored or not, and before the third after
-   the link's persist, with the clear stored or not. *)
+   and to the left node (0).  The split's new node is the thread's
+   spare, which the inserts after [garbage_tree]'s first split
+   allocated.  The loop covers every window; the fence list shows the
+   three split fences after the log entry's two: the new node (header
+   XPLine and entries) with the spare's emptied slot, the link (the
+   left node's line 0), then the bitmap clear (its line 1) and the
+   neighbour's [prev].  A crash before the log entry's state persists
+   leaves the spare in its slot; one after it and before the new
+   node's fence leaves the node named by the entry and perhaps by the
+   slot too (recovery gives it to the entry and redoes the split); a
+   crash before the link's fence is after the new node's persist, with
+   the link stored or not, and before the clear's after the link's
+   persist, with the clear stored or not.  Recovery's invariant check
+   requires every allocated node linked or held by one spare slot. *)
 let test_split_crash_windows () =
   List.iter
     (fun key ->
@@ -300,6 +344,37 @@ let test_split_crash_windows () =
           [ ("strict", Machine.Strict); ("flaky", flaky k) ]
       done)
     [ 315; 0 ]
+
+(* An insert that refills its thread's spare, crashed before each of
+   its fences, strict and flaky, over garbage memory: the split of 315
+   took the spare, so the next insert first allocates a node into the
+   empty slot (the allocator's four fences: its log line, the bump
+   pointer with the block's header, the slot, the log's clear), then
+   inserts (two more).  Whatever the window, recovery's invariant check
+   finds the node in the slot or back in the heap, never leaked. *)
+let test_refill_crash_windows () =
+  let setup () =
+    let machine, t = garbage_tree () in
+    Tree.insert t (ik 315) 315;
+    (machine, t)
+  in
+  let lines =
+    let machine, t = setup () in
+    fence_lines machine (fun () -> Tree.insert t (ik 5_001) 999)
+  in
+  Alcotest.(check (array int)) "clwbs per fence" [| 1; 2; 1; 1; 1; 1 |] lines;
+  for k = 1 to Array.length lines do
+    List.iter
+      (fun (mode_name, mode) ->
+        let machine, t = setup () in
+        if run_until_fence machine k (fun () -> Tree.insert t (ik 5_001) 999) then
+          Alcotest.failf "the insert ended before fence %d" k;
+        Machine.crash machine mode;
+        check_recovered
+          (Printf.sprintf "refilling insert, crash before fence %d (%s)" k mode_name)
+          t ~present:(315 :: split_keys) ~absent:[] ~maybe:(5_001, 999))
+      [ ("strict", Machine.Strict); ("flaky", flaky k) ]
+  done
 
 (* An insert crashed before each of its fences, strict and flaky, over
    garbage memory: into the right node of [garbage_tree], whose split
@@ -451,9 +526,11 @@ let suite =
     Alcotest.test_case "crash during merges" `Quick test_crash_during_merges;
     Alcotest.test_case "crash during recovery" `Quick test_crash_during_recovery;
     Alcotest.test_case "scan after recovery" `Quick test_scan_after_recovery;
+    Alcotest.test_case "two pending splits of one node" `Quick test_two_pending_splits;
     Alcotest.test_case "heap crash cycles" `Quick test_heap_crash_cycles;
     Alcotest.test_case "a split crashed at each fence" `Quick test_split_crash_windows;
     Alcotest.test_case "a merge crashed at each fence" `Quick test_merge_crash_windows;
     Alcotest.test_case "an insert crashed at each fence" `Quick test_insert_crash_windows;
+    Alcotest.test_case "a refill crashed at each fence" `Quick test_refill_crash_windows;
     Alcotest.test_case "garbage memory" `Quick test_garbage_memory;
   ]

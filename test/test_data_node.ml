@@ -296,11 +296,17 @@ let test_smo_log_roundtrip () =
   let _, log = make_log () in
   let e =
     Pactree.Smo_log.append log ~ts:7
-      (Pactree.Smo_log.Split { left = Pmalloc.Pptr.make ~pool:3 ~off:512; anchor = "ab" })
+      (Pactree.Smo_log.Split
+         {
+           left = Pmalloc.Pptr.make ~pool:3 ~off:512;
+           right = Pmalloc.Pptr.make ~pool:3 ~off:2048;
+           anchor = "ab";
+         })
   in
   (match Pactree.Smo_log.read e with
-  | Some (7, Pactree.Smo_log.Split { left; anchor }) ->
+  | Some (7, Pactree.Smo_log.Split { left; right; anchor }) ->
       Alcotest.(check int) "left off" 512 (Pmalloc.Pptr.off left);
+      Alcotest.(check int) "right off" 2048 (Pmalloc.Pptr.off right);
       Alcotest.(check string) "anchor" "ab" anchor
   | _ -> Alcotest.fail "bad decode");
   Alcotest.(check int) "active" 1 (Pactree.Smo_log.active_count log);
@@ -317,14 +323,14 @@ let test_smo_log_merge_entry () =
   | Some (9, Pactree.Smo_log.Merge m) ->
       Alcotest.(check bool) "left" true (Pmalloc.Pptr.equal m.left left);
       Alcotest.(check bool) "right" true (Pmalloc.Pptr.equal m.right right)
-  | _ -> Alcotest.fail "bad decode");
-  Alcotest.(check bool) "aux = right" true (Pmalloc.Pptr.equal (Pactree.Smo_log.aux e) right)
+  | _ -> Alcotest.fail "bad decode")
 
 let test_smo_log_survives_crash () =
   let machine, log = make_log () in
   let e =
     Pactree.Smo_log.append log ~ts:1
-      (Pactree.Smo_log.Split { left = Pmalloc.Pptr.make ~pool:2 ~off:256; anchor = "x" })
+      (Pactree.Smo_log.Split
+           { left = Pmalloc.Pptr.make ~pool:2 ~off:256; right = Pmalloc.Pptr.null; anchor = "x" })
   in
   ignore e;
   Machine.crash machine Machine.Strict;
@@ -335,7 +341,8 @@ let test_smo_log_iter_active () =
   for i = 1 to 5 do
     ignore
       (Pactree.Smo_log.append log ~ts:i
-         (Pactree.Smo_log.Split { left = Pmalloc.Pptr.make ~pool:2 ~off:(i * 256); anchor = "k" }))
+         (Pactree.Smo_log.Split
+           { left = Pmalloc.Pptr.make ~pool:2 ~off:(i * 256); right = Pmalloc.Pptr.null; anchor = "k" }))
   done;
   let seen = ref [] in
   Pactree.Smo_log.iter_active log ~f:(fun e ->
@@ -432,7 +439,8 @@ let test_stall_full_ring () =
       for i = 1 to 64 do
         ignore
           (Pactree.Smo_log.append log ~ts:i
-             (Pactree.Smo_log.Split { left = Pmalloc.Pptr.make ~pool:2 ~off:256; anchor = "k" }))
+             (Pactree.Smo_log.Split
+           { left = Pmalloc.Pptr.make ~pool:2 ~off:256; right = Pmalloc.Pptr.null; anchor = "k" }))
       done;
       began := Des.Sched.now sched;
       Pactree.Smo_log.reserve log (Pactree.Epoch.create ()));
@@ -700,8 +708,8 @@ let test_split_helpers_line_once () =
       let moved = n - half in
       let s0 = stats machine in
       Node.init_moved lay dst ~gen ~anchor:(Node.sorted_key lay slots.(half))
-        ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null ~pending:(key 1000, 1000) slots ~pos:half
-        ~len:moved;
+        ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null ~pending:(key 1000, 1000) ~probed:false
+        slots ~pos:half ~len:moved;
       let d = Nvm.Stats.diff (stats machine) s0 in
       let entry_lines = (((moved + 1) * lay.stride) + 63) / 64 in
       Alcotest.(check int) "build: no line accessed" 0 (line_reads d);
@@ -720,6 +728,35 @@ let test_split_helpers_line_once () =
           | None -> Alcotest.fail "moved key not found")
         expected;
       Alcotest.(check bool) "not deleted" false (Node.is_deleted dst))
+    [ 8; Key.max_len ]
+
+(* A split copies the moved entries' fingerprints, and the pending
+   key's, from the scratch copy that a find of the pending key left,
+   instead of hashing the keys again: the node it builds is the node
+   that hashing builds, byte for byte. *)
+let test_split_copies_fingerprints () =
+  List.iter
+    (fun key_inline ->
+      let _, lay, src = make_node ~key_inline () in
+      let key i = if key_inline = 8 then ik i else Key.of_string (Printf.sprintf "k%05d" i) in
+      for i = 0 to Node.entries - 1 do
+        ignore (Node.insert lay src.pool src.off (key (i * 7 mod 64)) i)
+      done;
+      let build dst ~probed =
+        let slots = Node.thread_slots () in
+        let n = Node.sort_live lay src slots in
+        if probed then
+          Alcotest.(check int) "the pending key misses" (-1)
+            (Node.find lay src.pool src.off (key 1000));
+        Node.init_moved lay dst ~gen ~anchor:(Node.sorted_key lay slots.(n / 2))
+          ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null ~pending:(key 1000, 1000) ~probed slots
+          ~pos:(n / 2) ~len:(n - (n / 2))
+      in
+      let hashed = garbage_node lay src.pool 8192 and copied = garbage_node lay src.pool 16384 in
+      build hashed ~probed:false;
+      build copied ~probed:true;
+      let image (n : Node.t) = List.init 2 (fun l -> Pool.line_content n.pool ((n.off / 64) + l)) in
+      Alcotest.(check (list string)) "lines 0-1 (fingerprints)" (image hashed) (image copied))
     [ 8; Key.max_len ]
 
 (* A merge fences twice, whatever it moves: the entries, then line 1
@@ -952,6 +989,8 @@ let suite =
     Alcotest.test_case "node: an anchor is one line" `Quick test_anchor_one_line;
     Alcotest.test_case "node: split helpers read and write each line once" `Quick
       test_split_helpers_line_once;
+    Alcotest.test_case "node: a split copies fingerprints" `Quick
+      test_split_copies_fingerprints;
     Alcotest.test_case "node: a merge fences twice" `Quick test_absorb_fences;
     Alcotest.test_case "node: a write commits in line 1" `Quick test_commit_line;
     Alcotest.test_case "node: an insert reads no entry line" `Quick test_insert_slot_33;

@@ -326,6 +326,7 @@ let store_sut store =
     b_recover = (fun () -> Store.recover store);
     b_invariants = (fun () -> Store.invariants store);
     b_service = None;
+    b_splits = None;
   }
 
 let seed () = Int64.to_int (Des.Rng.env_seed ~default:1L)

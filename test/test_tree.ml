@@ -75,6 +75,37 @@ let test_splits_many_keys () =
   Alcotest.(check bool) "many nodes" true (nodes > 50);
   Alcotest.(check int) "cardinal" n (Tree.cardinal t)
 
+(* A writer's spare data node (DESIGN §6), in a simulation with no
+   updater running (a split only queues its search-layer update): the
+   first insert fills the thread's empty spare slot (one allocation,
+   the allocator's four fences, then the insert's two); a split whose
+   thread holds its spare makes no allocator call and only its own five
+   fences (the log entry's two, the new node's, the link's, the bitmap
+   clear's), and the next insert refills the slot. *)
+let test_split_takes_spare () =
+  let machine, t = make_tree () in
+  let allocs () = (Pmalloc.Heap.stats (Tree.data_heap t)).Pmalloc.Heap.allocs in
+  let fences () = (Machine.stats machine).Nvm.Stats.fences in
+  let splits () = (Tree.stats t).Tree.splits in
+  let costs = ref [] in
+  let sched = Des.Sched.create () in
+  Des.Sched.spawn sched ~name:"writer" (fun () ->
+      for k = 0 to 65 do
+        let a = allocs () and f = fences () and s = splits () in
+        Tree.insert t (ik k) k;
+        costs := (k, (allocs () - a, fences () - f, splits () - s)) :: !costs
+      done);
+  Des.Sched.run sched;
+  let cost k = List.assoc k !costs in
+  let triple = Alcotest.(triple int int int) in
+  Alcotest.check triple "first insert: refill" (1, 6, 0) (cost 0);
+  for k = 1 to 63 do
+    Alcotest.check triple (Printf.sprintf "insert %d" k) (0, 2, 0) (cost k)
+  done;
+  Alcotest.check triple "split: no allocation, its own fences" (0, 5, 1) (cost 64);
+  Alcotest.check triple "next insert: refill" (1, 6, 0) (cost 65);
+  ignore (Tree.check_invariants t)
+
 let test_random_order_inserts () =
   let _, t = make_tree () in
   let rng = Des.Rng.create ~seed:9L in
@@ -664,6 +695,7 @@ let suite =
     Alcotest.test_case "update only existing" `Quick test_update_only_existing;
     Alcotest.test_case "delete" `Quick test_delete;
     Alcotest.test_case "5000 keys, splits" `Quick test_splits_many_keys;
+    Alcotest.test_case "a split takes the thread's spare" `Quick test_split_takes_spare;
     Alcotest.test_case "random order inserts" `Quick test_random_order_inserts;
     Alcotest.test_case "deletes trigger merges" `Quick test_deletes_trigger_merges;
     Alcotest.test_case "scan basics" `Quick test_scan_basic;
