@@ -113,14 +113,14 @@ let test_closed_loop () =
   check "runner"
     (closed_loop Experiments.Factory.Pactree_sys)
     {
-      elapsed = 0x1.b4cc5521a855cp-13;
+      elapsed = 0x1.92dc7902c4698p-13;
       completed = 2000;
-      p50 = 0x1.396cdc6ceacp-21;
-      p99 = 0x1.77539286fd48p-18;
-      flushes = 3096;
-      fences = 2420;
-      media_read_bytes = 929024;
-      media_write_bytes = 726528;
+      p50 = 0x1.2ecb91dbaccp-21;
+      p99 = 0x1.e8afceb1a0cp-19;
+      flushes = 2919;
+      fences = 2330;
+      media_read_bytes = 890368;
+      media_write_bytes = 694784;
     }
 
 (* The three B+-tree baselines, each under a write mix (YCSB A: splits
@@ -255,21 +255,21 @@ let test_open_loop () =
   check "engine"
     (open_loop ())
     {
-      elapsed = 0x1.b8c45c4c27b75p-10;
+      elapsed = 0x1.b8c45c4c27b72p-10;
       completed = 2000;
       p50 = 0x1.21e908ed8fp-21;
-      p99 = 0x1.c82de0f6c1p-19;
-      flushes = 2900;
-      fences = 2352;
-      media_read_bytes = 875776;
-      media_write_bytes = 695296;
+      p99 = 0x1.9cd792469b8p-19;
+      flushes = 2933;
+      fences = 2364;
+      media_read_bytes = 892928;
+      media_write_bytes = 703488;
     }
 
 let test_crashmc () =
   let check what got want = Alcotest.(check (list string)) what want got in
   check "crashmc mixed" (List.map (crashmc_line ~workload:`Mixed) crashmc_systems)
     [
-      "pactree: 24 ops, 148 trace events, 44 crash points, 87 states (19 dup-suppressed, 0 budget-truncated), 87 checked, 0 violations";
+      "pactree: 24 ops, 167 trace events, 48 crash points, 97 states (23 dup-suppressed, 0 budget-truncated), 97 checked, 0 violations";
       "pdlart: 24 ops, 865 trace events, 175 crash points, 449 states (153 dup-suppressed, 6 budget-truncated), 449 checked, 0 violations";
       "fastfair: 24 ops, 290 trace events, 81 crash points, 153 states (56 dup-suppressed, 0 budget-truncated), 153 checked, 0 violations";
       "bztree: 24 ops, 819 trace events, 192 crash points, 288 states (167 dup-suppressed, 0 budget-truncated), 288 checked, 0 violations";
@@ -277,7 +277,7 @@ let test_crashmc () =
     ];
   check "crashmc insert" (List.map (crashmc_line ~workload:`Insert) crashmc_systems)
     [
-      "pactree: 24 ops, 168 trace events, 49 crash points, 97 states (24 dup-suppressed, 0 budget-truncated), 97 checked, 0 violations";
+      "pactree: 24 ops, 187 trace events, 53 crash points, 107 states (28 dup-suppressed, 0 budget-truncated), 107 checked, 0 violations";
       "pdlart: 24 ops, 1029 trace events, 187 crash points, 542 states (162 dup-suppressed, 7 budget-truncated), 542 checked, 0 violations";
       "fastfair: 24 ops, 144 trace events, 49 crash points, 73 states (24 dup-suppressed, 0 budget-truncated), 73 checked, 0 violations";
       "bztree: 24 ops, 1153 trace events, 242 crash points, 391 states (215 dup-suppressed, 2 budget-truncated), 391 checked, 0 violations";
@@ -290,7 +290,7 @@ let test_crashmc_splits () =
   Alcotest.(check (list string))
     "crashmc insert, 80 ops"
     [
-      "pactree: 80 ops, 665 trace events, 175 crash points, 380 states (94 dup-suppressed, 1 budget-truncated), 380 checked, 0 violations";
+      "pactree: 80 ops, 686 trace events, 179 crash points, 390 states (98 dup-suppressed, 1 budget-truncated), 390 checked, 0 violations";
       "fptree: 80 ops, 623 trace events, 170 crash points, 353 states (89 dup-suppressed, 1 budget-truncated), 353 checked, 0 violations";
     ]
     (List.map
