@@ -695,7 +695,6 @@ let suite =
     Alcotest.test_case "update only existing" `Quick test_update_only_existing;
     Alcotest.test_case "delete" `Quick test_delete;
     Alcotest.test_case "5000 keys, splits" `Quick test_splits_many_keys;
-    Alcotest.test_case "a split takes the thread's spare" `Quick test_split_takes_spare;
     Alcotest.test_case "random order inserts" `Quick test_random_order_inserts;
     Alcotest.test_case "deletes trigger merges" `Quick test_deletes_trigger_merges;
     Alcotest.test_case "scan basics" `Quick test_scan_basic;
@@ -728,4 +727,5 @@ let suite =
     Alcotest.test_case "a second updater on one tree runs" `Quick test_second_updater_runs;
     Alcotest.test_case "a writer's range check reads the next node's line 3" `Quick
       test_next_range_check_reads;
+    Alcotest.test_case "a split takes the thread's spare" `Quick test_split_takes_spare;
   ]
