@@ -117,6 +117,11 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw obs_out
       [ ("keys", keys <> None); ("theta", theta <> None) ];
   let keys = Option.value keys ~default:100_000 in
   require_positive [ ("keys", keys); ("ops", ops); ("threads", threads) ];
+  if sys = Experiments.Factory.Pactree_sys && threads > Pactree.Smo_log.max_writers then begin
+    Printf.eprintf "--threads above %d: PACTree's writers would share spare slots (got %d)\n"
+      Pactree.Smo_log.max_writers threads;
+    exit 2
+  end;
   let theta = require_theta theta in
   let t0 = Unix.gettimeofday () in
   let protocol = if directory then Nvm.Config.Directory else Nvm.Config.Snoop in

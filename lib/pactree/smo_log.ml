@@ -27,6 +27,8 @@ let entry_size = Layout.seal ~size:128 lay
 
 let rings = 256
 
+let max_writers = rings
+
 let entries_per_ring = 64
 
 let ring_size = entries_per_ring * entry_size
@@ -44,6 +46,9 @@ type t = {
       (* volatile: each ring's spare slot as persisted, pool-major;
          kept by [refill] and [clear_spare], rebuilt by
          [recover_spares] *)
+  filling : Bytes.t;
+      (* volatile: nonzero while a refill of the ring's slot waits
+         for the allocator, pool-major *)
 }
 
 type entry_ref = Pobj.obj = { pool : Pool.t; off : int }
@@ -65,6 +70,7 @@ let create pools ~base =
     cursors = Hashtbl.create 64;
     used = Array.make n 0;
     spares = Array.make n Pptr.null;
+    filling = Bytes.make n '\000';
   }
 
 let ring_base t tid = t.base + ((tid land (rings - 1)) * ring_size)
@@ -202,18 +208,41 @@ let spare_pool t r = t.pools.(r / rings)
 
 let spare_off t r = ring_base t r + ((entries_per_ring - 1) * entry_size) + Layout.off f_spare
 
-let spare t = t.spares.(own_ring t)
+let shared_slot () =
+  failwith
+    (Printf.sprintf
+       "Smo_log: two writer threads share a spare slot (a tree takes at most %d writers)"
+       max_writers)
+
+let spare t =
+  let p = t.spares.(own_ring t) in
+  if Pptr.is_null p then shared_slot ();
+  p
 
 (* The slot is empty only after a split took its node, and that split
-   persisted the empty slot before it returned. *)
+   persisted the empty slot before it returned.  The slot is written
+   only with non-temporal stores, here and in [clear_spare]: nothing
+   reads it before recovery, and its line, which the last of them left
+   uncached, is then not read for ownership inside the allocator's
+   mutex. *)
 let refill t heap ~size =
   let r = own_ring t in
-  if Pptr.is_null t.spares.(r) then
-    t.spares.(r) <-
-      Pmalloc.Heap.alloc_to heap ~size ~dest_pool:(spare_pool t r) ~dest_off:(spare_off t r) ()
+  if Pptr.is_null t.spares.(r) then begin
+    (* Two allocations into one slot would lose the first node. *)
+    if Bytes.get t.filling r <> '\000' then shared_slot ();
+    Bytes.set t.filling r '\001';
+    match
+      Pmalloc.Heap.alloc_to heap ~nt:true ~size ~dest_pool:(spare_pool t r)
+        ~dest_off:(spare_off t r) ()
+    with
+    | p ->
+        t.spares.(r) <- p;
+        Bytes.set t.filling r '\000'
+    | exception e ->
+        Bytes.set t.filling r '\000';
+        raise e
+  end
 
-(* A non-temporal store: the refill's persist evicted the line, and
-   nothing reads the slot before recovery. *)
 let null_word = Bytes.make 8 '\000'
 
 let () = assert (Bytes.get_int64_le null_word 0 = Int64.of_int Pptr.null)

@@ -28,6 +28,11 @@ type payload =
   | Merge of { left : Pmalloc.Pptr.t; right : Pmalloc.Pptr.t; anchor : Key.t }
       (** [right] (whose anchor is [anchor]) merges into [left]. *)
 
+(** The writer threads a tree takes.  Threads on one pool whose ids
+    agree modulo it share a ring, and with it the ring's spare slot;
+    a refill or a split that finds its slot shared fails. *)
+val max_writers : int
+
 (** Bytes of pool space one ring region needs. *)
 val region_size : int
 
@@ -61,16 +66,19 @@ val iter_active : t -> f:(entry_ref -> unit) -> unit
     [Tree.smo_backlog]). *)
 val active_count : t -> int
 
-(** The calling thread's spare data node, {!Pmalloc.Pptr.null} if its
-    slot is empty; read from a volatile copy of the slot, no simulated
-    memory. *)
+(** The calling thread's spare data node, read from a volatile copy
+    of the slot, no simulated memory.  Fails if the slot is empty: a
+    split follows its insert's {!refill}, so another writer sharing the
+    slot took the node ({!max_writers}). *)
 val spare : t -> Pmalloc.Pptr.t
 
 (** [refill t heap ~size] fills the calling thread's empty spare slot
     with a node of [size] bytes from [heap], malloc-to'd into the slot
-    (so the node cannot leak); a full slot is left as it is.  The
-    caller holds no lock: the allocation waits for the heap's mutex
-    and makes the allocator's four fences. *)
+    (so the node cannot leak) with a non-temporal store; a full slot is
+    left as it is.  The caller holds no lock: the allocation waits for
+    the heap's mutex and makes the allocator's four fences.  Fails if
+    another writer's refill of the same slot is under way
+    ({!max_writers}). *)
 val refill : t -> Pmalloc.Heap.t -> size:int -> unit
 
 (** Empty the calling thread's spare slot: store null with a

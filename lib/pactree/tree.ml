@@ -383,7 +383,6 @@ let split t node wv key value =
   (* 1. Log the split, naming the spare as the new node: from the
      entry's persist on, the entry owns it. *)
   let new_ptr = Smo_log.spare t.v.log in
-  assert (not (Pptr.is_null new_ptr));
   let ts = next_ts t in
   let e =
     Smo_log.append t.v.log ~ts (Smo_log.Split { left = Node.to_ptr node; right = new_ptr; anchor })
@@ -907,22 +906,38 @@ let check_invariants t =
       nodes;
   (* Every data node is linked, named by an SMO-log entry or held by
      one spare slot, and a spare is neither linked nor logged: no node
-     leaks, and none has two owners. *)
+     leaks, and none has two owners.  A linked node, a split's new node
+     and a spare are blocks the heap holds: none was handed back, as an
+     allocation that recovery rolled back would be. *)
+  let live = Hashtbl.create 256 in
+  List.iter
+    (fun p -> Hashtbl.replace live p ())
+    (Heap.live_blocks t.data_heap ~size:t.lay.Node.node_size);
   let owned = Hashtbl.create 256 in
-  List.iter (fun (_, p) -> Hashtbl.replace owned p ()) nodes;
+  let allocated what p =
+    if not (Hashtbl.mem live p) then fail "%s data node %#x is not allocated" what p
+  in
+  List.iter
+    (fun (_, p) ->
+      allocated "linked" p;
+      Hashtbl.replace owned p ())
+    nodes;
   Smo_log.iter_active t.v.log ~f:(fun e ->
       match Smo_log.read e with
-      | Some (_, (Smo_log.Split { right; _ } | Smo_log.Merge { right; _ })) ->
+      | Some (_, Smo_log.Split { right; _ }) ->
+          allocated "logged" right;
           Hashtbl.replace owned right ()
+      | Some (_, Smo_log.Merge { right; _ }) -> Hashtbl.replace owned right ()
       | None -> ());
   List.iter
     (fun p ->
       if Hashtbl.mem owned p then fail "spare node %#x is linked, logged or spare twice" p;
+      allocated "spare" p;
       Hashtbl.replace owned p ())
     (Smo_log.spares t.v.log);
-  List.iter
-    (fun p -> if not (Hashtbl.mem owned p) then fail "data node %#x leaked" p)
-    (Heap.live_blocks t.data_heap ~size:t.lay.Node.node_size);
+  Hashtbl.iter
+    (fun p () -> if not (Hashtbl.mem owned p) then fail "data node %#x leaked" p)
+    live;
   List.length nodes
 
 (* Enumerate everything (tests). *)

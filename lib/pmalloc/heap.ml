@@ -147,14 +147,27 @@ let out_of_memory pool =
    pair travels as two arguments, so an allocation builds no option. *)
 let no_dest = -1
 
-(* Persist the destination pointer of a malloc-to allocation. *)
-let publish_dest dest_pool dest_off block_ptr =
+(* The eight bytes of a non-temporal publish (the heap runs on one
+   host thread, so one buffer serves every allocation). *)
+let nt_word = Bytes.create 8
+
+(* Persist the destination pointer of a malloc-to allocation: stored
+   through the cache, or with [nt] around it, so that a destination
+   line the cache no longer holds is not read for ownership. *)
+let publish_dest ~nt dest_pool dest_off block_ptr =
   if dest_off <> no_dest then begin
-    Pool.write_int dest_pool dest_off block_ptr;
-    Pool.persist dest_pool dest_off 8
+    if nt then begin
+      Bytes.set_int64_le nt_word 0 (Int64.of_int block_ptr);
+      Pool.ntstore dest_pool dest_off nt_word 0 8;
+      Pool.fence dest_pool
+    end
+    else begin
+      Pool.write_int dest_pool dest_off block_ptr;
+      Pool.persist dest_pool dest_off 8
+    end
   end
 
-let pmdk_alloc_locked ps ~dest_pool ~dest_off size =
+let pmdk_alloc_locked ps ~nt ~dest_pool ~dest_off size =
   let hd = ps.hd in
   let cls = class_of size in
   let csize = class_sizes.(cls) in
@@ -199,16 +212,16 @@ let pmdk_alloc_locked ps ~dest_pool ~dest_off size =
   Pobj.clwb hd (block_off - 8);
   Pobj.fence hd;
   (* 3. malloc-to: publish the pointer (persist) before committing. *)
-  publish_dest dest_pool dest_off block_ptr;
+  publish_dest ~nt dest_pool dest_off block_ptr;
   (* 4. Commit: clear the log. *)
   Pobj.set_int hd f_lstate l_none;
   Pobj.persist_field hd f_lstate;
   block_ptr
 
 (* Under the pool's mutex, without a closure per allocation. *)
-let pmdk_alloc ps ~dest_pool ~dest_off size =
+let pmdk_alloc ps ~nt ~dest_pool ~dest_off size =
   Des.Sync.Mutex.lock ps.mutex;
-  match pmdk_alloc_locked ps ~dest_pool ~dest_off size with
+  match pmdk_alloc_locked ps ~nt ~dest_pool ~dest_off size with
   | block_ptr ->
       Des.Sync.Mutex.unlock ps.mutex;
       block_ptr
@@ -238,7 +251,7 @@ let pmdk_free ps ptr =
   Pobj.set_int hd f_lstate l_none;
   Pobj.persist_field hd f_lstate
 
-let volatile_alloc ps ~dest_pool ~dest_off size =
+let volatile_alloc ps ~nt ~dest_pool ~dest_off size =
   let p = ps.pool in
   let cls = class_of size in
   let csize = class_sizes.(cls) in
@@ -255,7 +268,7 @@ let volatile_alloc ps ~dest_pool ~dest_off size =
   in
   Hashtbl.replace ps.vclass block_off cls;
   let block_ptr = Pptr.make ~pool:(Pool.id p) ~off:block_off in
-  publish_dest dest_pool dest_off block_ptr;
+  publish_dest ~nt dest_pool dest_off block_ptr;
   block_ptr
 
 let volatile_free ps ptr =
@@ -266,12 +279,12 @@ let volatile_free ps ptr =
       Hashtbl.remove ps.vclass off;
       ps.vfree.(cls) <- off :: ps.vfree.(cls)
 
-let alloc_dispatch t ~numa ~dest_pool ~dest_off size =
+let alloc_dispatch t ~numa ~nt ~dest_pool ~dest_off size =
   let ps = pick_pool t numa in
   let ptr =
     match t.kind with
-    | Pmdk -> pmdk_alloc ps ~dest_pool ~dest_off size
-    | Volatile_meta -> volatile_alloc ps ~dest_pool ~dest_off size
+    | Pmdk -> pmdk_alloc ps ~nt ~dest_pool ~dest_off size
+    | Volatile_meta -> volatile_alloc ps ~nt ~dest_pool ~dest_off size
   in
   t.stats.allocs <- t.stats.allocs + 1;
   t.stats.alloc_bytes <- t.stats.alloc_bytes + class_sizes.(class_of size);
@@ -281,9 +294,9 @@ let alloc_dispatch t ~numa ~dest_pool ~dest_off size =
 let set_fill t fill = t.fill <- fill
 
 (* [alloc_dispatch] inside an [Alloc] span, without a closure. *)
-let alloc_in_span t ~numa ~dest_pool ~dest_off size =
+let alloc_in_span t ~numa ~nt ~dest_pool ~dest_off size =
   let span = Obs.Span.start Obs.Span.Alloc in
-  match alloc_dispatch t ~numa ~dest_pool ~dest_off size with
+  match alloc_dispatch t ~numa ~nt ~dest_pool ~dest_off size with
   | ptr ->
       Obs.Span.stop span;
       ptr
@@ -292,10 +305,10 @@ let alloc_in_span t ~numa ~dest_pool ~dest_off size =
       raise e
 
 let alloc t ?numa size =
-  alloc_in_span t ~numa ~dest_pool:t.pools.(0).pool ~dest_off:no_dest size
+  alloc_in_span t ~numa ~nt:false ~dest_pool:t.pools.(0).pool ~dest_off:no_dest size
 
-let alloc_to t ?numa ~size ~dest_pool ~dest_off () =
-  alloc_in_span t ~numa ~dest_pool ~dest_off size
+let alloc_to t ?numa ?(nt = false) ~size ~dest_pool ~dest_off () =
+  alloc_in_span t ~numa ~nt ~dest_pool ~dest_off size
 
 let owner_state t ptr =
   let pid = Pptr.pool ptr in

@@ -56,8 +56,13 @@ val alloc : t -> ?numa:int -> int -> Pptr.t
 (** [alloc_to t ~size ~dest_pool ~dest_off] allocates and atomically
     persists the new pointer into [dest_pool] at [dest_off]; after a
     crash either the destination holds the new object or the
-    allocation never happened (no leak). *)
-val alloc_to : t -> ?numa:int -> size:int -> dest_pool:Nvm.Pool.t -> dest_off:int -> unit -> Pptr.t
+    allocation never happened (no leak).  With [~nt:true] the pointer
+    is stored non-temporally (around the CPU cache, then fenced), so a
+    destination line that is not cached costs no read for ownership
+    while the allocation holds its pool's mutex; the line is left
+    uncached. *)
+val alloc_to :
+  t -> ?numa:int -> ?nt:bool -> size:int -> dest_pool:Nvm.Pool.t -> dest_off:int -> unit -> Pptr.t
 
 val free : t -> Pptr.t -> unit
 

@@ -424,9 +424,9 @@ let suite =
     Alcotest.test_case "fptree: recovery rebuilds internals" `Quick
       test_fptree_recovery_rebuilds;
     Alcotest.test_case "fptree: concurrent + HTM" `Quick test_fptree_concurrent;
-    QCheck_alcotest.to_alcotest test_fptree_separator_count;
     Alcotest.test_case "pdlart: generic" `Quick test_pdlart_generic;
     Alcotest.test_case "pdlart: model agreement" `Quick test_pdlart_model;
     Alcotest.test_case "pdlart: allocation heavy (GA3)" `Quick test_pdlart_alloc_heavy;
     Alcotest.test_case "pdlart: crash recovery" `Quick test_pdlart_crash_recovery;
+    QCheck_alcotest.to_alcotest test_fptree_separator_count;
   ]

@@ -376,6 +376,53 @@ let test_refill_crash_windows () =
       [ ("strict", Machine.Strict); ("flaky", flaky k) ]
   done
 
+(* A refill whose allocation commits without persisting it: the
+   clwb of the allocator's log clear dropped, as a missing flush would.
+   The slot holds the node, so a crash at once would be harmless; but
+   the inserts after it fill the right node until it splits, the split
+   takes the spare and empties the slot, and a strict crash then leaves
+   the allocator's log naming a slot that no longer holds the node.
+   The allocator's recovery rolls the allocation back and hands back a
+   node the split linked, which recovery's invariant check must
+   convict.  (The crashmc mutation run's short workload never splits
+   after a refill, so it cannot reach this.)  The same run with every
+   clwb kept recovers clean. *)
+let test_refill_commit_unpersisted () =
+  let setup () =
+    let machine, t = garbage_tree () in
+    Tree.insert t (ik 315) 315;
+    (machine, t)
+  in
+  (* the allocator's fences: its log line, the bump pointer with the
+     block's header, the slot; the log's clear is the next clwb *)
+  let clear =
+    let machine, t = setup () in
+    let lines = fence_lines machine (fun () -> Tree.insert t (ik 5_001) 999) in
+    lines.(0) + lines.(1) + lines.(2)
+  in
+  let recovers ~drop =
+    let machine, t = setup () in
+    if drop then Machine.set_flush_fault machine (Some clear);
+    Tree.insert t (ik 5_001) 999;
+    if drop then Alcotest.(check int) "the log's clear dropped" clear (Machine.flush_dropped machine);
+    Machine.set_flush_fault machine None;
+    let splits = (Tree.stats t).Tree.splits in
+    let k = ref 5_002 in
+    while (Tree.stats t).Tree.splits = splits do
+      Tree.insert t (ik !k) !k;
+      incr k
+    done;
+    Machine.crash machine Machine.Strict;
+    match
+      ignore (Tree.recover t);
+      Tree.check_invariants t
+    with
+    | _ -> true
+    | exception Failure _ -> false
+  in
+  Alcotest.(check bool) "every clwb kept: recovers clean" true (recovers ~drop:false);
+  Alcotest.(check bool) "the log's clear dropped: convicted" false (recovers ~drop:true)
+
 (* An insert crashed before each of its fences, strict and flaky, over
    garbage memory: into the right node of [garbage_tree], whose split
    left slots 0-32 live, once into slot 33 and once, after 23 inserts
@@ -526,11 +573,13 @@ let suite =
     Alcotest.test_case "crash during merges" `Quick test_crash_during_merges;
     Alcotest.test_case "crash during recovery" `Quick test_crash_during_recovery;
     Alcotest.test_case "scan after recovery" `Quick test_scan_after_recovery;
-    Alcotest.test_case "two pending splits of one node" `Quick test_two_pending_splits;
     Alcotest.test_case "heap crash cycles" `Quick test_heap_crash_cycles;
     Alcotest.test_case "a split crashed at each fence" `Quick test_split_crash_windows;
     Alcotest.test_case "a merge crashed at each fence" `Quick test_merge_crash_windows;
     Alcotest.test_case "an insert crashed at each fence" `Quick test_insert_crash_windows;
-    Alcotest.test_case "a refill crashed at each fence" `Quick test_refill_crash_windows;
     Alcotest.test_case "garbage memory" `Quick test_garbage_memory;
+    Alcotest.test_case "two pending splits of one node" `Quick test_two_pending_splits;
+    Alcotest.test_case "a refill crashed at each fence" `Quick test_refill_crash_windows;
+    Alcotest.test_case "a refill's unpersisted commit, then a split" `Quick
+      test_refill_commit_unpersisted;
   ]

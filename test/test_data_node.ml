@@ -989,8 +989,6 @@ let suite =
     Alcotest.test_case "node: an anchor is one line" `Quick test_anchor_one_line;
     Alcotest.test_case "node: split helpers read and write each line once" `Quick
       test_split_helpers_line_once;
-    Alcotest.test_case "node: a split copies fingerprints" `Quick
-      test_split_copies_fingerprints;
     Alcotest.test_case "node: a merge fences twice" `Quick test_absorb_fences;
     Alcotest.test_case "node: a write commits in line 1" `Quick test_commit_line;
     Alcotest.test_case "node: an insert reads no entry line" `Quick test_insert_slot_33;
@@ -1013,4 +1011,6 @@ let suite =
     Alcotest.test_case "stall: a full SMO ring, no updater" `Quick test_stall_full_ring;
     Alcotest.test_case "stall: two locks in opposite orders" `Quick test_stall_lock_order;
     Alcotest.test_case "epoch: unpin_while" `Quick test_epoch_unpin_while;
+    Alcotest.test_case "node: a split copies fingerprints" `Quick
+      test_split_copies_fingerprints;
   ]

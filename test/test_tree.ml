@@ -106,6 +106,23 @@ let test_split_takes_spare () =
   Alcotest.check triple "next insert: refill" (1, 6, 0) (cost 65);
   ignore (Tree.check_invariants t)
 
+(* Writers whose thread ids agree modulo [Smo_log.max_writers] share
+   a ring and its spare slot: the second refill of the empty slot,
+   while the first waits for the allocator, fails clearly instead of
+   losing a node.  The threads between the two only exit. *)
+let test_shared_spare_slot_fails () =
+  let _, t = make_tree () in
+  let sched = Des.Sched.create () in
+  for i = 0 to Pactree.Smo_log.max_writers do
+    Des.Sched.spawn sched ~name:"writer" (fun () ->
+        if i = 0 || i = Pactree.Smo_log.max_writers then Tree.insert t (ik i) i)
+  done;
+  match Des.Sched.run sched with
+  | () -> Alcotest.fail "two writers refilled one spare slot"
+  | exception Failure m ->
+      Alcotest.(check bool) ("a clear failure: " ^ m) true
+        (String.starts_with ~prefix:"Smo_log: two writer threads share a spare slot" m)
+
 let test_random_order_inserts () =
   let _, t = make_tree () in
   let rng = Des.Rng.create ~seed:9L in
@@ -728,4 +745,5 @@ let suite =
     Alcotest.test_case "a writer's range check reads the next node's line 3" `Quick
       test_next_range_check_reads;
     Alcotest.test_case "a split takes the thread's spare" `Quick test_split_takes_spare;
+    Alcotest.test_case "writers sharing a spare slot fail" `Quick test_shared_spare_slot_fails;
   ]
