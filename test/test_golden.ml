@@ -113,14 +113,14 @@ let test_closed_loop () =
   check "runner"
     (closed_loop Experiments.Factory.Pactree_sys)
     {
-      elapsed = 0x1.92dc7902c4698p-13;
+      elapsed = 0x1.b5fe225bffd4p-13;
       completed = 2000;
-      p50 = 0x1.2ecb91dbaccp-21;
-      p99 = 0x1.e8afceb1a0cp-19;
-      flushes = 2919;
-      fences = 2330;
-      media_read_bytes = 890368;
-      media_write_bytes = 694784;
+      p50 = 0x1.602ff4171c8p-21;
+      p99 = 0x1.5be7e0b90e2p-18;
+      flushes = 3030;
+      fences = 2396;
+      media_read_bytes = 919040;
+      media_write_bytes = 712960;
     }
 
 (* The three B+-tree baselines, each under a write mix (YCSB A: splits
@@ -255,14 +255,14 @@ let test_open_loop () =
   check "engine"
     (open_loop ())
     {
-      elapsed = 0x1.b8c45c4c27b72p-10;
+      elapsed = 0x1.b8c45c4c27b76p-10;
       completed = 2000;
       p50 = 0x1.21e908ed8fp-21;
-      p99 = 0x1.9cd792469b8p-19;
+      p99 = 0x1.97dc5f79d38p-19;
       flushes = 2933;
       fences = 2364;
-      media_read_bytes = 892928;
-      media_write_bytes = 703488;
+      media_read_bytes = 886272;
+      media_write_bytes = 703744;
     }
 
 let test_crashmc () =
